@@ -58,7 +58,9 @@
 // distance-kernel layer: single vs compiled Footrule, query compilation,
 // full candidate-buffer validation via the scalar path vs the batched
 // flat-store kernel, and posting-list collection, across k ∈ {10,25,50}
-// and candidate counts n ∈ {1000,4000}. -json writes the records
+// and candidate counts n ∈ {1000,4000}, plus one exact 10-NN query through
+// the inverted index's native single-pass KNN vs the doubling-radius
+// reduction at k ∈ {10,25}, n ∈ {4000,20000}. -json writes the records
 // (BENCH_kernels.json) that cmd/benchgate diffs in CI against the
 // committed baseline.
 package main

@@ -14,6 +14,22 @@
 // stock (metric.New(nil)), so ev.Stock() is true on these paths and the
 // kernels account their evaluations via ev.Add — the DistanceCalls totals
 // are byte-for-byte what per-candidate ev.Distance loops would count.
+//
+// Exact KNN has two routes through nearestBackend. A backend with a native
+// algorithm (the exactKNN hook) answers directly: the inverted index walks
+// the query's k posting lists once, accumulating every overlapping ranking's
+// exact distance from the posting ranks (F = k(k+1) − Σ 2·(k − max(q(i),
+// τ(i))) over shared items) and selecting the n best, ties by external id;
+// the BK-tree traverses best-first. InvertedIndex, and HybridIndex whenever
+// it has an inverted backend and nothing is forced, always take the
+// posting-list route. It calls no distance function, so — the paper's
+// Figure 10 convention, as for ListMerge — it adds nothing to DistanceCalls;
+// its scratch is a []uint16 accumulator of 2 bytes per indexed ranking in
+// each pooled searcher, allocated on the searcher's first KNN. Everything
+// else (coarse, blocked, M-/VP-tree, a BK-tree behind a non-empty overlay, a
+// hybrid forced onto or built with only such backends) takes the generic
+// reduction knn.Expanding: range searches at a doubling radius, whose
+// distance evaluations count as usual.
 package topk
 
 import (
@@ -60,20 +76,30 @@ func clampRawTheta(raw, k int) int {
 }
 
 // exactKNN is implemented by backends with a native exact KNN algorithm
-// that beats the generic expanding-radius reduction (the BK-tree's
-// best-first traversal).
+// that beats the generic expanding-radius reduction: the inverted index's
+// single accumulate-and-select pass over the query's posting lists and the
+// BK-tree's best-first traversal.
 type exactKNN interface {
-	nearestRaw(q Ranking, n int, ev *metric.Evaluator) ([]Result, error)
+	// nearestRaw returns the n nearest rankings over the backend's internal
+	// id space. ext is nil when ascending internal ids are ascending public
+	// ids; otherwise it is the internal→external map and distance ties must
+	// be ordered by ext[id]. ok is false when the backend has no native
+	// answer for this call (a traversal that cannot order by ext, or state
+	// it does not cover); the caller then runs the reduction.
+	nearestRaw(q Ranking, n int, ext []ID, ev *metric.Evaluator) (res []Result, ok bool, err error)
 }
 
 // nearestBackend runs the public NearestNeighbors contract over a physical
-// backend: validation, the expanding-radius KNN reduction (or the backend's
-// native exact traversal), DFC accounting and external-id remapping.
-// liveIDs enumerates live internal ids for kinds with tombstone holes; nil
-// selects the dense 0..live-1 assumption. The caller holds whatever lock
-// its kind requires.
-func nearestBackend(b planner.Backend, ids *idmap, calls *atomic.Uint64, liveIDs func() []ranking.ID, live, k int, q Ranking, n int) ([]Result, error) {
-	if q.K() != k {
+// backend: validation, the backend's native exact KNN or — for backends
+// without one — the expanding-radius reduction over its range search, DFC
+// accounting and external-id remapping. space is the size of the backend's
+// internal id space and dead its tombstone predicate (nil: no holes), which
+// the reduction's dmax backfill walks; ids is nil for kinds whose internal
+// ids are the public ones. The caller holds whatever lock its kind requires.
+func nearestBackend(b planner.Backend, ids *idmap, calls *atomic.Uint64, space int, dead func(ID) bool, k int, q Ranking, n int) ([]Result, error) {
+	// k is 0 for an index built over zero live rankings (an all-tombstone
+	// shard) until its first insert: any query is answered, with nothing.
+	if k != 0 && q.K() != k {
 		return nil, fmt.Errorf("topk: query size %d, index size %d: %w",
 			q.K(), k, ranking.ErrSizeMismatch)
 	}
@@ -82,43 +108,47 @@ func nearestBackend(b planner.Backend, ids *idmap, calls *atomic.Uint64, liveIDs
 	}
 	ev := metric.New(nil)
 	defer func() { calls.Add(ev.Calls()) }()
+	// Non-monotonic id mapping (an Update reassigned an external id to a
+	// later internal slot): KNN truncates distance ties by id, so the
+	// selection must order by external id — remapping after the cut would
+	// keep the wrong tied members.
+	var ext []ID
 	if ids != nil && !ids.inOrder {
-		// Non-monotonic id mapping (an Update reassigned an external id to a
-		// later internal slot): KNN truncates distance ties by id, so the
-		// selection must happen in the external id space — remapping after
-		// the cut would keep the wrong tied members. Run the reduction over
-		// an adapter that remaps every range answer before selection.
-		res, err := knn.Expanding(rangeAdapter{
-			query: func(q Ranking, raw int) ([]Result, error) {
-				r, err := b.SearchRaw(q, raw, ev)
-				for i := range r {
-					r[i].ID = ids.int2ext[r[i].ID]
-				}
-				return r, err
-			},
-			ids: ids.liveExternalIDs,
-			n:   live, k: k,
-		}, q, n)
-		return res, err
+		ext = ids.int2ext
 	}
-	var res []Result
-	var err error
 	if e, ok := b.(exactKNN); ok {
-		res, err = e.nearestRaw(q, n, ev)
-	} else {
-		res, err = knn.Expanding(rangeAdapter{
-			query: func(q Ranking, raw int) ([]Result, error) { return b.SearchRaw(q, raw, ev) },
-			ids:   liveIDs,
-			n:     live, k: k,
-		}, q, n)
+		if res, ok, err := e.nearestRaw(q, n, ext, ev); ok {
+			if err == nil && ids != nil {
+				ids.remapNN(res)
+			}
+			return res, err
+		}
 	}
-	if err != nil {
-		return nil, err
+	ra := rangeAdapter{
+		query: func(q Ranking, raw int) ([]Result, error) { return b.SearchRaw(q, raw, ev) },
+		live:  space, space: space, dead: dead, k: k,
 	}
 	if ids != nil {
+		ra.live = ids.live
+	}
+	if ext != nil {
+		// Run the reduction in the external id space: remap every range
+		// answer before the selection sees it.
+		ra.query = func(q Ranking, raw int) ([]Result, error) {
+			r, err := b.SearchRaw(q, raw, ev)
+			for i := range r {
+				r[i].ID = ext[r[i].ID]
+			}
+			return r, err
+		}
+		ra.space = len(ids.ext2int)
+		ra.dead = func(id ID) bool { return ids.ext2int[id] < 0 }
+	}
+	res, err := knn.Expanding(ra, q, n)
+	if err == nil && ext == nil && ids != nil {
 		ids.remapNN(res)
 	}
-	return res, nil
+	return res, err
 }
 
 // ---------------------------------------------------------------------------
@@ -151,6 +181,16 @@ func (b invBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([]
 	default:
 		return nil, fmt.Errorf("topk: unknown algorithm %d", b.alg)
 	}
+}
+
+// nearestRaw is the native single-pass KNN over the rank-augmented postings.
+// It reads the lists through idx.List, so rankings inserted after the build
+// are included, and evaluates no distance function (ev is untouched).
+func (b invBackend) nearestRaw(q Ranking, n int, ext []ID, _ *metric.Evaluator) ([]Result, bool, error) {
+	s := b.pool.Get()
+	defer b.pool.Put(s)
+	res, err := s.NearestNeighbors(q, n, ext)
+	return res, true, err
 }
 
 // coarseBackend adapts the paper's coarse index.
@@ -212,15 +252,13 @@ func (b treeBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([
 	return b.t.rawSearch(q, rawTheta, ev)
 }
 
-func (b treeBackend) nearestRaw(q Ranking, n int, ev *metric.Evaluator) ([]Result, error) {
-	if b.t.kind != BKTree {
-		// Expanding-radius reduction for the other tree kinds.
-		return knn.Expanding(rangeAdapter{
-			query: func(q Ranking, raw int) ([]Result, error) { return b.t.rawSearch(q, raw, ev) },
-			n:     len(b.t.rs), k: b.t.k,
-		}, q, n)
+// nearestRaw is the BK-tree's best-first traversal, which selects in
+// internal id order only; the other tree kinds take the reduction.
+func (b treeBackend) nearestRaw(q Ranking, n int, ext []ID, ev *metric.Evaluator) ([]Result, bool, error) {
+	if b.t.kind != BKTree || ext != nil {
+		return nil, false, nil
 	}
-	return knn.BestFirst(b.t.bk, q, n, ev), nil
+	return knn.BestFirst(b.t.bk, q, n, ev), true, nil
 }
 
 // adaptBackend adapts the AdaptSearch delta inverted index.

@@ -18,7 +18,6 @@ import (
 	"topk/internal/costmodel"
 	"topk/internal/invindex"
 	"topk/internal/kernel"
-	"topk/internal/knn"
 	"topk/internal/metric"
 	"topk/internal/persist"
 	"topk/internal/planner"
@@ -47,12 +46,13 @@ var defaultCalibrationThetas = []float64{0.05, 0.1, 0.2, 0.3}
 const defaultFootruleNanos = 60.0
 
 // HybridIndex holds multiple physical index structures over the same
-// collection behind one query interface and routes each range or KNN query
-// to the backend the planner predicts cheapest for the query's threshold.
-// Routing decisions start from Section 5 cost-model priors and are refined
-// online by observed per-backend latency and distance calls; Force pins all
-// traffic to one backend, and Calibrate replays sample queries against every
-// backend to seed the observations.
+// collection behind one query interface and routes each range query to the
+// backend the planner predicts cheapest for the query's threshold. Routing
+// decisions start from Section 5 cost-model priors and are refined online by
+// observed per-backend latency and distance calls; Force pins all traffic to
+// one backend, and Calibrate replays sample queries against every backend to
+// seed the observations. KNN queries go to the inverted backend's native
+// single-pass algorithm instead (see NearestNeighbors).
 //
 // The collection is fully mutable (HybridIndex implements MutableIndex):
 // the inherently dynamic backends (inverted, coarse) absorb every mutation
@@ -107,6 +107,10 @@ type hybridEpoch struct {
 	backends []planner.Backend
 	mirrors  []deltaMirror // backends that absorb mutations in place
 	overlay  []bool        // overlay[i]: backends[i] pays the delta linear scan
+	// inverted is the position of the inverted mirror in backends — the
+	// backend whose native KNN answers NearestNeighbors — or -1 when the
+	// epoch has none (not configured, or built over zero live rankings).
+	inverted int
 
 	thetaC        float64
 	footruleNanos float64 // calibrated cost of one delta-scan distance call
@@ -260,6 +264,7 @@ func buildEpoch(slots []Ranking, cfg hybridConfig) (*hybridEpoch, map[string][]f
 		spillBytes:    spillBytes,
 		thetaC:        0.5,
 		footruleNanos: defaultFootruleNanos,
+		inverted:      -1,
 	}
 	if len(live) == 0 {
 		// Zero live rankings — an all-tombstone shard of a churned snapshot,
@@ -300,6 +305,9 @@ func buildEpoch(slots []Ranking, cfg hybridConfig) (*hybridEpoch, map[string][]f
 		if mir, ok := b.(deltaMirror); ok {
 			ep.backends[i] = b
 			ep.mirrors = append(ep.mirrors, mir)
+			if _, ok := b.(invBackend); ok {
+				ep.inverted = i
+			}
 			continue
 		}
 		ep.backends[i] = overlayBackend{inner: b, ep: ep}
@@ -592,22 +600,22 @@ func (b overlayBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator)
 var overlayKernels = sync.Pool{New: func() any { return kernel.New() }}
 
 // nearestRaw keeps the BK-tree's native best-first KNN as long as the
-// overlay is empty; with deltas or base tombstones present it falls back to
-// the exact expanding-radius reduction over the overlay-merged range search.
-func (b overlayBackend) nearestRaw(q Ranking, n int, ev *metric.Evaluator) ([]Result, error) {
+// overlay is empty; with deltas or base tombstones present the inner
+// traversal no longer covers the collection and the caller falls back to the
+// exact expanding-radius reduction over the overlay-merged range search.
+func (b overlayBackend) nearestRaw(q Ranking, n int, ext []ID, ev *metric.Evaluator) ([]Result, bool, error) {
 	if e, ok := b.inner.(exactKNN); ok && len(b.ep.delta) == 0 && b.ep.deadBase == 0 {
-		return e.nearestRaw(q, n, ev)
+		return e.nearestRaw(q, n, ext, ev)
 	}
-	return knn.Expanding(rangeAdapter{
-		query: func(q Ranking, raw int) ([]Result, error) { return b.SearchRaw(q, raw, ev) },
-		ids:   b.ep.liveInternalIDs,
-		n:     b.ep.ids.live, k: b.ep.k,
-	}, q, n)
+	return nil, false, nil
 }
 
 // n is the size of the epoch's internal id space (base plus delta,
 // including tombstoned entries).
 func (ep *hybridEpoch) n() int { return len(ep.base) + len(ep.delta) }
+
+// isDead is the tombstone predicate over the epoch's internal id space.
+func (ep *hybridEpoch) isDead(id ID) bool { return ep.dead[id] }
 
 // ranking resolves an internal id to its ranking, across both regions.
 func (ep *hybridEpoch) ranking(id ID) Ranking {
@@ -615,18 +623,6 @@ func (ep *hybridEpoch) ranking(id ID) Ranking {
 		return ep.base[id]
 	}
 	return ep.delta[int(id)-len(ep.base)]
-}
-
-// liveInternalIDs enumerates the non-tombstoned internal ids ascending (the
-// knn.IDLister feed for the dmax backfill).
-func (ep *hybridEpoch) liveInternalIDs() []ranking.ID {
-	out := make([]ranking.ID, 0, ep.ids.live)
-	for i, d := range ep.dead {
-		if !d {
-			out = append(out, ranking.ID(i))
-		}
-	}
-	return out
 }
 
 // slots materializes the external-id slot view of the epoch.
@@ -681,16 +677,45 @@ func (h *HybridIndex) SearchTraced(q Ranking, theta float64) ([]Result, string, 
 	return res, ep.backends[bi].Name(), ev.Calls(), nil
 }
 
-// NearestNeighbors implements NearestNeighborSearcher. KNN queries route
-// through the planner's smallest threshold bucket: the expanding-radius
-// reduction (and the BK-tree's best-first traversal) spends its work at
-// small radii, so the backend that wins tight range queries wins KNN.
+// NearestNeighbors implements NearestNeighborSearcher. KNN is not a
+// threshold query and does not go through the planner's bucket routing:
+// whenever the epoch has an inverted backend and nothing is forced it is
+// answered by that backend's native single-pass KNN
+// (invindex.Searcher.NearestNeighbors) — one walk over the query's posting
+// lists that derives every overlapping ranking's exact distance from the
+// posting ranks. The inverted backend mirrors the epoch's id space insert
+// for insert and tombstones in place, so deltas and deletes need no overlay
+// scan, and the selection breaks distance ties by external id directly.
+// Like ListMerge, the native path evaluates no distance function and adds
+// nothing to DistanceCalls. A forced backend, or a hybrid built without
+// inverted, answers through that backend's own KNN: the BK-tree's best-first
+// traversal while its overlay is empty, the expanding-radius reduction
+// (knn.Expanding) over the overlay-merged range search otherwise.
 func (h *HybridIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
+	res, _, _, err := h.NearestNeighborsTraced(q, n)
+	return res, err
+}
+
+// NearestNeighborsTraced is NearestNeighbors plus per-query attribution:
+// the backend that answered and the Footrule evaluations the query cost (0
+// on the native inverted path). It is the shard.TracedNearestNeighborSearcher
+// hook behind topkserve's /knn tracing.
+//
+// The route is counted as one plan on the answering backend, but KNN stays
+// off the planner's exploration schedule and feeds it no observation: the
+// schedule and the per-bucket estimates describe range queries.
+func (h *HybridIndex) NearestNeighborsTraced(q Ranking, n int) ([]Result, string, uint64, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	ep := h.ep
-	bi := h.pl.Choose(0)
-	return nearestBackend(ep.backends[bi], &ep.ids, &h.calls, ep.liveInternalIDs, ep.ids.live, ep.k, q, n)
+	bi := h.pl.Route(ep.inverted, 0)
+	var calls atomic.Uint64
+	res, err := nearestBackend(ep.backends[bi], &ep.ids, &calls, ep.n(), ep.isDead, ep.k, q, n)
+	h.calls.Add(calls.Load())
+	if err != nil {
+		return nil, "", 0, err
+	}
+	return res, ep.backends[bi].Name(), calls.Load(), nil
 }
 
 // Calibrate replays every query at every threshold against every backend

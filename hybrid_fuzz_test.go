@@ -85,3 +85,87 @@ func FuzzHybridMutation(f *testing.F) {
 		difftest.CheckSearch(t, "fuzz final", h, o, rng, 4, 40)
 	})
 }
+
+// FuzzKNNNative drives a byte-string-encoded mutation workload through the
+// three indexes that answer KNN natively — InvertedIndex, HybridIndex and a
+// 3-shard collection of hybrids — and the linear-scan oracle in lockstep.
+// Every query op holds their answers byte-identical to the oracle and to
+// knn.Expanding over the same index, at a fuzzed n, with hybrid folds
+// interleaved. The small item domain makes distance ties at the cut (decided
+// by external id once an update has run) the common case. Seeded into CI's
+// fuzz-smoke step.
+func FuzzKNNNative(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Add([]byte{2, 7, 2, 9, 4, 3, 4, 200, 1, 1, 4, 40})
+	f.Add([]byte{1, 0, 1, 1, 1, 2, 1, 3, 4, 255, 3, 0, 4, 9})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 300 {
+			ops = ops[:300]
+		}
+		const k, domain = 5, 24
+		rs := difftest.RandomCollection(rand.New(rand.NewSource(67)), 40, k, domain)
+		subjects := knnSubjects(t, rs)
+		oracles := map[string]*difftest.Oracle{}
+		for name := range subjects {
+			oracles[name] = difftest.NewOracle(rs)
+		}
+		for i := 0; i+1 < len(ops); i += 2 {
+			arg := ops[i+1]
+			for name, idx := range subjects {
+				o := oracles[name]
+				switch ops[i] % 5 {
+				case 0: // insert
+					r := difftest.RandomRanking(rand.New(rand.NewSource(int64(arg))), k, domain)
+					id, err := idx.Insert(r)
+					if err != nil {
+						t.Fatalf("%s insert: %v", name, err)
+					}
+					if want := o.Insert(r); id != want {
+						t.Fatalf("%s insert id %d, oracle %d", name, id, want)
+					}
+				case 1: // delete — down to an all-tombstone collection
+					ids := o.LiveIDs()
+					if len(ids) == 0 {
+						continue
+					}
+					id := ids[int(arg)%len(ids)]
+					if err := idx.Delete(id); err != nil {
+						t.Fatalf("%s delete(%d): %v", name, id, err)
+					}
+					if err := o.Delete(id); err != nil {
+						t.Fatal(err)
+					}
+				case 2: // update
+					ids := o.LiveIDs()
+					if len(ids) == 0 {
+						continue
+					}
+					id := ids[int(arg)%len(ids)]
+					r := difftest.RandomRanking(rand.New(rand.NewSource(int64(arg)+1000)), k, domain)
+					if err := idx.Update(id, r); err != nil {
+						t.Fatalf("%s update(%d): %v", name, id, err)
+					}
+					if err := o.Update(id, r); err != nil {
+						t.Fatal(err)
+					}
+				case 3: // fold the hybrid's overlay back into its backends
+					if h, ok := idx.(*HybridIndex); ok {
+						if err := h.Compact(); err != nil {
+							t.Fatalf("compact: %v", err)
+						}
+					}
+				default: // cross-check one query at a fuzzed n
+					q := difftest.RandomRanking(rand.New(rand.NewSource(int64(arg)+2000)), k, domain)
+					if arg%4 == 0 {
+						q = Ranking{500, 501, 502, 503, Item(arg)} // little or no overlap: the dmax fill
+					}
+					checkKNN(t, name, idx, o, []Ranking{q}, []int{1 + int(arg)%60})
+				}
+			}
+		}
+		for name, idx := range subjects {
+			o := oracles[name]
+			checkKNN(t, "final "+name, idx, o, mixedQueries(rand.New(rand.NewSource(71)), o, 4, domain), []int{1, 6, 100})
+		}
+	})
+}

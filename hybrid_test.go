@@ -126,8 +126,9 @@ func bruteNNSlots(slots []Ranking, q Ranking, n int) []Result {
 }
 
 // TestHybridKNN checks NearestNeighbors byte-identically against the brute
-// oracle, routed and per forced backend (covering both the BK-tree
-// best-first traversal and the expanding-radius reduction).
+// oracle, routed and per forced backend (covering the inverted backend's
+// native posting-list KNN, the BK-tree best-first traversal and the
+// expanding-radius reduction).
 func TestHybridKNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	rs := difftest.RandomCollection(rng, 300, 8, 200)

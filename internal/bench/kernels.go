@@ -9,6 +9,7 @@ import (
 	"topk/internal/dataset"
 	"topk/internal/invindex"
 	"topk/internal/kernel"
+	"topk/internal/knn"
 	"topk/internal/ranking"
 )
 
@@ -45,6 +46,8 @@ var kernelSink int
 //	                  store — the acceptance-criteria comparison pair
 //	collect           merging the query's k posting lists into a stamped
 //	                  candidate buffer (the CSR-backed filter phase)
+//
+// followed by the exact-KNN pair of knnRecords (knn-native, knn-expanding).
 func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 	var recs []KernelRecord
 	maxN := 0
@@ -164,11 +167,18 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 		}
 	}
 
+	knnRecs, err := knnRecords([]int{10, 25}, []int{4000, 20000})
+	if err != nil {
+		return nil, Table{}, err
+	}
+	recs = append(recs, knnRecs...)
+
 	t := Table{
 		Title:   "Distance-kernel microbenchmarks (NYT-like)",
 		Columns: []string{"benchmark", "k", "n", "ns/op", "allocs/op"},
 		Notes: []string{
 			"validate-* rows measure one full n-candidate validation pass per op",
+			"knn-* rows measure one exact 10-nearest-neighbor query over an n-ranking inverted index per op",
 			"the CI gate compares ns/op against the committed BENCH_kernels.json",
 		},
 	}
@@ -182,6 +192,84 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 		})
 	}
 	return recs, t, nil
+}
+
+// knnNeighbors is the n of the measured KNN queries (the end-to-end
+// benchmark's knn_uniform asks for 10 as well).
+const knnNeighbors = 10
+
+// rangeOverInverted adapts an inverted-index searcher's F&V+Drop range
+// search to the KNN reduction, the way the hybrid's inverted backend ran
+// KNN before it had a native algorithm.
+type rangeOverInverted struct{ s *invindex.Searcher }
+
+func (r rangeOverInverted) Query(q ranking.Ranking, raw int) ([]ranking.Result, error) {
+	return r.s.FilterValidateDrop(q, raw, nil, invindex.DropSafe)
+}
+func (r rangeOverInverted) Len() int { return r.s.Index().Len() }
+func (r rangeOverInverted) K() int   { return r.s.Index().K() }
+
+// knnRecords measures one exact 10-nearest-neighbor query over an n-ranking
+// NYT-like inverted index, by k and n, on one reused searcher:
+//
+//	knn-native     invindex.Searcher.NearestNeighbors — one accumulate-and-
+//	               select pass over the query's posting lists
+//	knn-expanding  knn.Expanding over the same searcher's F&V+Drop range
+//	               search — the doubling-radius reduction it replaced
+//
+// The native row must allocate nothing but the result slice it returns;
+// more than one allocation per op is reported as an error.
+func knnRecords(ks, ns []int) ([]KernelRecord, error) {
+	var recs []KernelRecord
+	for _, k := range ks {
+		for _, n := range ns {
+			cfg := dataset.NYTLike(n, k)
+			rs, err := dataset.Generate(cfg)
+			if err != nil {
+				return nil, err
+			}
+			queries, err := dataset.Workload(rs, cfg, 16, 0.8, cfg.Seed+500)
+			if err != nil {
+				return nil, err
+			}
+			idx, err := invindex.New(rs)
+			if err != nil {
+				return nil, err
+			}
+			s := invindex.NewSearcher(idx)
+			var benchErr error
+			native := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := s.NearestNeighbors(queries[i%len(queries)], knnNeighbors, nil)
+					if err != nil {
+						benchErr = err
+					}
+					kernelSink += len(res)
+				}
+			})
+			expanding := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := knn.Expanding(rangeOverInverted{s}, queries[i%len(queries)], knnNeighbors)
+					if err != nil {
+						benchErr = err
+					}
+					kernelSink += len(res)
+				}
+			})
+			if benchErr != nil {
+				return nil, benchErr
+			}
+			if a := native.AllocsPerOp(); a > 1 {
+				return nil, fmt.Errorf("knn-native/k=%d/n=%d: %d allocs/op, want only the returned slice", k, n, a)
+			}
+			recs = append(recs,
+				record(fmt.Sprintf("knn-native/k=%d/n=%d", k, n), k, n, native),
+				record(fmt.Sprintf("knn-expanding/k=%d/n=%d", k, n), k, n, expanding))
+		}
+	}
+	return recs, nil
 }
 
 func record(name string, k, n int, r testing.BenchmarkResult) KernelRecord {

@@ -17,8 +17,10 @@
 package difftest
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"topk/internal/ranking"
@@ -75,8 +77,12 @@ func (o *Oracle) Live(id ranking.ID) bool {
 	return int(id) < len(o.slots) && o.slots[id] != nil
 }
 
-// Insert appends a ranking and returns its id.
+// Insert appends a ranking and returns its id. The first ranking of an
+// oracle started over zero live slots defines k, as it does for the indexes.
 func (o *Oracle) Insert(r ranking.Ranking) ranking.ID {
+	if o.k == 0 {
+		o.k = r.K()
+	}
 	o.slots = append(o.slots, r)
 	o.live++
 	return ranking.ID(len(o.slots) - 1)
@@ -170,6 +176,15 @@ func (o *Oracle) SearchRaw(q ranking.Ranking, rawTheta int) []ranking.Result {
 // facade's Search contract.
 func (o *Oracle) Search(q ranking.Ranking, theta float64) ([]ranking.Result, error) {
 	return o.SearchRaw(q, ranking.RawThreshold(theta, o.k)), nil
+}
+
+// NearestNeighbors scans all live slots and returns the n closest to q in
+// (distance, id) order — the reference every index's exact KNN must match
+// byte for byte, ties at the cut included.
+func (o *Oracle) NearestNeighbors(q ranking.Ranking, n int) []ranking.Result {
+	all := o.SearchRaw(q, ranking.MaxDistance(len(q)))
+	slices.SortStableFunc(all, func(a, b ranking.Result) int { return cmp.Compare(a.Dist, b.Dist) })
+	return all[:max(0, min(n, len(all)))]
 }
 
 // Equal reports exact equality of two result slices: same ids, same order,

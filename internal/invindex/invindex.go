@@ -6,7 +6,11 @@
 //   - F&V+Drop  (Lemma 2: entire index lists are dropped, Section 6.1),
 //   - ListMerge (merge of id-sorted, rank-augmented lists with on-the-fly
 //     distance aggregation; threshold-agnostic, Section 7),
-//   - Minimal F&V (the per-query oracle lower bound of Section 7).
+//   - Minimal F&V (the per-query oracle lower bound of Section 7),
+//
+// plus an exact k-nearest-neighbor query (NearestNeighbors) that turns
+// ListMerge's observation — the posting ranks alone determine the distance —
+// into a single accumulate-and-select pass over the query's lists.
 //
 // One Index serves all algorithms: its postings are id-sorted and carry the
 // rank of the item inside the posting's ranking, so the plain algorithms
@@ -251,6 +255,11 @@ type Searcher struct {
 	kern  *kernel.Kernel
 	dists []int
 	res   []ranking.Result
+	// Per-ranking gain accumulator of NearestNeighbors: all zero between
+	// queries, allocated on the first KNN (2 bytes per indexed ranking).
+	// items is its sorted query copy for the duplicate check.
+	acc   []uint16
+	items []ranking.Item
 }
 
 // NewSearcher creates a searcher bound to idx.

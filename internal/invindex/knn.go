@@ -1,0 +1,193 @@
+package invindex
+
+import (
+	"slices"
+
+	"topk/internal/ranking"
+)
+
+// NearestNeighbors returns the n live rankings closest to q, ordered by
+// (distance, id), in one pass over the query's k posting lists — no range
+// search, no radius schedule, no candidate validation.
+//
+// The rank-augmented postings alone determine the exact Footrule distance
+// (the identity behind ListMerge, rearranged per shared item):
+//
+//	F(q,τ) = k(k+1) − Σ_{i shared} 2·(k − max(q(i), τ(i)))
+//
+// so every posting adds its gain 2·(k − max(qr, p.Rank)) into a per-searcher
+// []uint16 accumulator indexed by ranking id. A gain is at least 2 and a
+// ranking's total at most k(k+1) ≤ 65 280, so 0 means "untouched" and fits
+// the cell; the list of touched ids both enumerates the candidates and
+// clears the accumulator afterwards, so no query pays an O(collection)
+// reset. One bounded selection over the touched ids, skipping tombstones,
+// keeps the n best. Only when fewer than n live rankings share an item with
+// the query are the remaining slots filled with untouched live rankings —
+// all at distance exactly dmax = k(k+1) — in ascending id order.
+//
+// ext, when non-nil, is the owner's internal→external id map for an id
+// space whose external order differs from the internal one (an Update moved
+// an external id to a later slot): ties at equal distance are then decided
+// by ext[id], so cutting at n keeps the members the external (distance, id)
+// order keeps. Returned ids are internal either way. With ext nil the dmax
+// fill stops at the n-th result; with ext set it must consider every
+// untouched live ranking.
+//
+// Like ListMerge the routine never calls the distance function: it adds
+// nothing to any DFC counter (the paper's Figure 10 convention). The
+// accumulator costs 2 bytes per indexed ranking per searcher, allocated on
+// the searcher's first NearestNeighbors call and grown with the collection.
+func (s *Searcher) NearestNeighbors(q ranking.Ranking, n int, ext []ranking.ID) ([]ranking.Result, error) {
+	if err := s.checkQueryNoAlloc(q); err != nil {
+		return nil, err
+	}
+	idx := s.idx
+	if live := idx.Live(); n > live {
+		n = live
+	}
+	if n <= 0 {
+		return nil, nil
+	}
+	if size := len(idx.rankings); len(s.acc) < size {
+		s.acc = append(s.acc, make([]uint16, size-len(s.acc))...)
+	}
+	acc, k := s.acc, len(q)
+	touched := s.cands[:0]
+	for qr, item := range q {
+		for _, p := range idx.lists[item] {
+			if acc[p.ID] == 0 {
+				touched = append(touched, p.ID)
+			}
+			acc[p.ID] += uint16(2 * (k - max(qr, int(p.Rank))))
+		}
+	}
+	s.cands = touched
+
+	dmax := ranking.MaxDistance(k)
+	dels := idx.deleted
+	sel := nnSelect{heap: s.res[:0], n: n, ext: ext}
+	for _, id := range touched {
+		d := dmax - int(acc[id])
+		acc[id] = 0
+		if dels != nil && dels[id] {
+			continue
+		}
+		sel.offer(d, id)
+	}
+	if len(sel.heap) < n {
+		// Fewer than n live rankings overlap the query: every other live
+		// ranking is at distance exactly dmax. Re-mark the touched ids so the
+		// ascending walk can tell them apart, then clear again.
+		for _, id := range touched {
+			acc[id] = 1
+		}
+		for id := range idx.rankings {
+			if acc[id] != 0 || (dels != nil && dels[id]) {
+				continue
+			}
+			if len(sel.heap) == n && ext == nil {
+				break // ascending ids at one distance: nothing later can rank earlier
+			}
+			sel.offer(dmax, ranking.ID(id))
+		}
+		for _, id := range touched {
+			acc[id] = 0
+		}
+	}
+	out := make([]ranking.Result, len(sel.heap))
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = sel.pop()
+	}
+	s.res = sel.heap[:0]
+	return out, nil
+}
+
+// checkQueryNoAlloc is checkQuery for the KNN path, whose only allocation
+// may be the result: ranking.Validate builds a map past 16 items, so
+// duplicates are looked for in a sorted scratch copy instead, and checkQuery
+// runs only to word the error of a query already known to be bad.
+func (s *Searcher) checkQueryNoAlloc(q ranking.Ranking) error {
+	s.items = append(s.items[:0], q...)
+	slices.Sort(s.items)
+	bad := s.idx.Len() > 0 && q.K() != s.idx.k
+	for i := 1; i < len(s.items); i++ {
+		bad = bad || s.items[i] == s.items[i-1]
+	}
+	if bad {
+		return s.checkQuery(q)
+	}
+	return nil
+}
+
+// nnSelect keeps the n smallest (distance, id) pairs offered to it in a
+// bounded max-heap over the searcher's pooled result buffer: the root is the
+// current worst of the best n, so most offers are rejected by one comparison.
+// Hand-rolled rather than container/heap, whose interface boxing would
+// allocate per push.
+type nnSelect struct {
+	heap []ranking.Result
+	n    int
+	ext  []ranking.ID // nil: ties ordered by the id itself
+}
+
+// after reports whether a ranks after b in (distance, id) order.
+func (h *nnSelect) after(a, b ranking.Result) bool {
+	if a.Dist != b.Dist {
+		return a.Dist > b.Dist
+	}
+	if h.ext != nil {
+		return h.ext[a.ID] > h.ext[b.ID]
+	}
+	return a.ID > b.ID
+}
+
+func (h *nnSelect) offer(d int, id ranking.ID) {
+	r := ranking.Result{ID: id, Dist: d}
+	if len(h.heap) < h.n {
+		h.heap = append(h.heap, r)
+		i := len(h.heap) - 1
+		for i > 0 {
+			parent := (i - 1) / 2
+			if !h.after(h.heap[i], h.heap[parent]) {
+				break
+			}
+			h.heap[i], h.heap[parent] = h.heap[parent], h.heap[i]
+			i = parent
+		}
+		return
+	}
+	if d > h.heap[0].Dist || !h.after(h.heap[0], r) {
+		return
+	}
+	h.heap[0] = r
+	h.down()
+}
+
+// pop removes and returns the current worst entry.
+func (h *nnSelect) pop() ranking.Result {
+	top := h.heap[0]
+	last := len(h.heap) - 1
+	h.heap[0] = h.heap[last]
+	h.heap = h.heap[:last]
+	h.down()
+	return top
+}
+
+// down restores the heap property from the root.
+func (h *nnSelect) down() {
+	i, n := 0, len(h.heap)
+	for {
+		worst := i
+		if l := 2*i + 1; l < n && h.after(h.heap[l], h.heap[worst]) {
+			worst = l
+		}
+		if r := 2*i + 2; r < n && h.after(h.heap[r], h.heap[worst]) {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h.heap[i], h.heap[worst] = h.heap[worst], h.heap[i]
+		i = worst
+	}
+}

@@ -11,11 +11,19 @@
 //     index: query with a doubling radius until n results are found, then
 //     tighten to the exact n-th distance. Exact, and efficient whenever the
 //     underlying range search is.
+//
+// The inverted index does not come through here: its rank-augmented postings
+// determine exact distances by themselves, so it answers KNN natively in one
+// pass (invindex.Searcher.NearestNeighbors) at a small fraction of the
+// reduction's cost. Expanding remains the KNN of the structures that have
+// nothing better — the coarse and blocked indexes, M- and VP-trees, and a
+// hybrid pinned to one of them.
 package knn
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 
 	"topk/internal/bktree"
 	"topk/internal/metric"
@@ -116,12 +124,15 @@ type RangeSearcher interface {
 	K() int
 }
 
-// IDLister is optionally implemented by RangeSearchers whose id space has
+// Sparse is optionally implemented by RangeSearchers whose id space has
 // holes — mutable indexes where deletions leave tombstoned ids. The dmax
-// backfill of Expanding enumerates LiveIDs() instead of assuming the dense
-// id space 0..Len()-1. A nil return falls back to the dense assumption.
-type IDLister interface {
-	LiveIDs() []ranking.ID
+// backfill of Expanding then walks ids 0..IDSpace()-1 and skips the ones
+// Live rejects, instead of assuming the dense id space 0..Len()-1.
+type Sparse interface {
+	// IDSpace returns the exclusive upper bound of the ids Query reports.
+	IDSpace() int
+	// Live reports whether id names a ranking that is still indexed.
+	Live(id ranking.ID) bool
 }
 
 // Expanding answers an exact KNN query through any RangeSearcher by
@@ -141,59 +152,54 @@ func Expanding(rs RangeSearcher, q ranking.Ranking, n int) ([]ranking.Result, er
 	}
 	dmax := ranking.MaxDistance(rs.K())
 	cap := dmax - 1
-	radius := 2
-	if radius > cap {
-		radius = cap
-	}
+	radius := min(2, cap)
 	for {
 		res, err := rs.Query(q, radius)
 		if err != nil {
 			return nil, err
 		}
 		if len(res) >= n || radius >= cap {
-			if len(res) < n && radius >= cap {
-				res = backfillMax(res, rs, dmax)
-			}
-			sort.Slice(res, func(i, j int) bool {
-				if res[i].Dist != res[j].Dist {
-					return res[i].Dist < res[j].Dist
+			slices.SortFunc(res, func(a, b ranking.Result) int {
+				if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+					return c
 				}
-				return res[i].ID < res[j].ID
+				return cmp.Compare(a.ID, b.ID)
 			})
 			if len(res) > n {
-				res = res[:n]
+				return res[:n], nil
 			}
-			return res, nil
+			return backfillMax(res, rs, dmax, n), nil
 		}
-		radius *= 2
-		if radius > cap {
-			radius = cap
-		}
+		radius = min(2*radius, cap)
 	}
 }
 
-// backfillMax appends every live ranking id not present in res with distance
-// dmax (the only distance a ranking outside radius dmax−1 can have). The id
-// enumeration comes from IDLister when the searcher's id space has holes and
+// backfillMax tops res up to n results with the smallest live ids missing
+// from it, at distance dmax (the only distance a ranking outside radius
+// dmax−1 can have). It walks the id space ascending and stops at the n-th
+// result, so the fill is appended in (distance, id) order behind the sorted
+// res. The id space comes from Sparse when the searcher's has holes and
 // defaults to the dense 0..Len()-1 otherwise.
-func backfillMax(res []ranking.Result, rs RangeSearcher, dmax int) []ranking.Result {
-	seen := make(map[ranking.ID]bool, len(res))
-	for _, r := range res {
-		seen[r.ID] = true
+func backfillMax(res []ranking.Result, rs RangeSearcher, dmax, n int) []ranking.Result {
+	if len(res) >= n {
+		return res
 	}
-	if l, ok := rs.(IDLister); ok {
-		if ids := l.LiveIDs(); ids != nil {
-			for _, id := range ids {
-				if !seen[id] {
-					res = append(res, ranking.Result{ID: id, Dist: dmax})
-				}
-			}
-			return res
+	space, live := rs.Len(), func(ranking.ID) bool { return true }
+	if sp, ok := rs.(Sparse); ok {
+		space, live = sp.IDSpace(), sp.Live
+	}
+	have := make([]ranking.ID, len(res))
+	for i, r := range res {
+		have[i] = r.ID
+	}
+	slices.Sort(have)
+	for id := ranking.ID(0); int(id) < space && len(res) < n; id++ {
+		if len(have) > 0 && have[0] == id {
+			have = have[1:]
+			continue
 		}
-	}
-	for id := 0; id < rs.Len(); id++ {
-		if !seen[ranking.ID(id)] {
-			res = append(res, ranking.Result{ID: ranking.ID(id), Dist: dmax})
+		if live(id) {
+			res = append(res, ranking.Result{ID: id, Dist: dmax})
 		}
 	}
 	return res

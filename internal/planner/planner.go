@@ -74,7 +74,7 @@ type Config struct {
 	PriorWeight float64
 	// ExploreEvery routes every N-th query of a bucket to that bucket's
 	// least-observed backend instead of the predicted-cheapest, keeping all
-	// estimates fresh (default 64; 0 disables exploration).
+	// estimates fresh (0, the default, disables exploration).
 	ExploreEvery int
 }
 
@@ -301,16 +301,50 @@ func (p *Planner) Choose(bucket int) int {
 			}
 		}
 	} else {
-		bestCost := p.estimate(0, bucket)
-		for b := 1; b < len(p.names); b++ {
-			if c := p.estimate(b, bucket); c < bestCost {
-				best, bestCost = b, c
-			}
-		}
+		best = p.cheapest(bucket)
 	}
 	p.mu.Unlock()
 	p.plans[best].Add(1)
 	return best
+}
+
+// cheapest is the argmin of the blended estimates in a bucket, ties going to
+// the earlier backend. The caller holds p.mu.
+func (p *Planner) cheapest(bucket int) int {
+	best, bestCost := 0, p.estimate(0, bucket)
+	for b := 1; b < len(p.names); b++ {
+		if c := p.estimate(b, bucket); c < bestCost {
+			best, bestCost = b, c
+		}
+	}
+	return best
+}
+
+// Route picks the backend for a query that stays off the exploration
+// schedule (the hybrid's KNN, which is not a threshold query): the forced
+// backend if one is pinned, else prefer when it names a backend, else the
+// bucket's cheapest estimate. The plan is counted, but the bucket's query
+// sequence does not advance and no exploration slot is consumed — those
+// belong to the range queries whose estimates Observe refines.
+func (p *Planner) Route(prefer, bucket int) int {
+	best := prefer
+	if f := p.forced.Load(); f >= 0 {
+		best = int(f)
+	} else if prefer < 0 || prefer >= len(p.names) {
+		p.mu.Lock()
+		best = p.cheapest(min(max(bucket, 0), p.cfg.Buckets-1))
+		p.mu.Unlock()
+	}
+	p.plans[best].Add(1)
+	return best
+}
+
+// Sequence reports how many queries Choose has counted in the bucket — the
+// counter whose every ExploreEvery-th value triggers an exploration.
+func (p *Planner) Sequence(bucket int) uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.seq[bucket]
 }
 
 // Observe feeds one executed query back into the model: latency in

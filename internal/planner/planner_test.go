@@ -122,6 +122,59 @@ func TestExplorationVisitsLoser(t *testing.T) {
 	}
 }
 
+// TestRouteStaysOffTheExplorationSchedule checks the routing of queries that
+// are not range queries (the hybrid's KNN): forced wins, then the preferred
+// backend, then the cheapest estimate; plans are counted; and ten exploration
+// periods of Route calls neither advance bucket 0's sequence nor reach the
+// least-observed backend, so Choose's next exploration is still its own 4th
+// query.
+func TestRouteStaysOffTheExplorationSchedule(t *testing.T) {
+	p := twoBackendPlanner(t, Config{ExploreEvery: 4})
+	for i := 0; i < 40; i++ {
+		if got := p.Route(-1, 0); p.names[got] != "low" {
+			t.Fatalf("Route(-1, 0) call %d picked %q, want the cheapest (low)", i, p.names[got])
+		}
+	}
+	if got := p.Route(-1, 7); p.names[got] != "high" {
+		t.Fatalf("Route(-1, 7) picked %q, want high", p.names[got])
+	}
+	if got := p.Route(1, 0); p.names[got] != "high" {
+		t.Fatalf("Route(1, 0) picked %q, want the preferred backend", p.names[got])
+	}
+	if err := p.Force("low"); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Route(1, 0); p.names[got] != "low" {
+		t.Fatalf("Route under Force(low) picked %q", p.names[got])
+	}
+	if err := p.Force(""); err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stats()
+	if st[0].Plans != 41 || st[1].Plans != 2 {
+		t.Fatalf("plans = %d/%d, want 41/2", st[0].Plans, st[1].Plans)
+	}
+	if st[0].Observations+st[1].Observations != 0 {
+		t.Fatal("Route recorded observations")
+	}
+	if seq := p.Sequence(0); seq != 0 {
+		t.Fatalf("Route advanced bucket 0's sequence to %d", seq)
+	}
+	for i := 1; i <= 4; i++ {
+		want := "low"
+		if i == 4 {
+			want = "high" // the exploration slot, still on Choose's own count
+		}
+		b := p.Choose(0)
+		if p.names[b] != want {
+			t.Fatalf("Choose call %d after the Route traffic picked %q, want %s", i, p.names[b], want)
+		}
+		if p.names[b] == "low" {
+			p.Observe(b, 0, 10, 1)
+		}
+	}
+}
+
 func TestStatsAggregates(t *testing.T) {
 	p := twoBackendPlanner(t, Config{ExploreEvery: 0})
 	p.Choose(0)

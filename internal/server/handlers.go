@@ -649,7 +649,10 @@ type knnResponse struct {
 }
 
 // handleKNN answers an exact k-nearest-neighbor query with the sharded
-// per-shard fan-out and (distance, id) heap merge.
+// per-shard fan-out and (distance, id) heap merge. Its trace carries the
+// stage names /search uses (cache, fanout, merge, respond) and the backends
+// that answered: "inverted" is the native posting-list KNN, any other name
+// the backend the expanding-radius reduction ran over.
 func (s *Server) handleKNN(c *Collection, w http.ResponseWriter, r *http.Request) {
 	tr := traceFrom(r)
 	parseStart := time.Now()
@@ -699,16 +702,22 @@ func (s *Server) handleKNN(c *Collection, w http.ResponseWriter, r *http.Request
 		gen = c.generation()
 		res, cached = s.cache.Get(key, gen)
 	}
+	tr.addStage("cache", time.Since(start))
 	if !cached {
-		res, err = c.sh.NearestNeighborsContext(ctx, req.Query, req.N)
+		var qt shard.QueryTrace
+		res, qt, err = c.sh.NearestNeighborsTracedContext(ctx, req.Query, req.N)
+		tr.addStageMicros("fanout", qt.FanoutMicros)
+		tr.addStageMicros("merge", qt.MergeMicros)
+		tr.setAttribution(qt.Backends, qt.DistanceCalls)
 		if err != nil {
 			writeSearchError(w, "knn", err)
 			return
 		}
 		s.cache.Put(key, gen, res)
 	}
-	tr.addStage("search", time.Since(start))
 	c.knn.Add(1)
+	respondStart := time.Now()
+	defer func() { tr.addStage("respond", time.Since(respondStart)) }()
 	writeJSON(w, http.StatusOK, knnResponse{
 		TookMicros: time.Since(start).Microseconds(),
 		Count:      len(res),

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"topk/internal/dataset"
+	"topk/internal/qcache"
 	"topk/internal/shard"
 )
 
@@ -651,5 +652,73 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if tr.Route != "/search" || tr.Status != http.StatusOK || len(tr.Stages) == 0 {
 		t.Fatalf("slow-query trace: %+v", tr)
+	}
+}
+
+// TestKNNTraceStagesAndAttribution checks that a /knn request is traced like
+// a single /search — cache, fanout, merge and respond stages instead of one
+// opaque block — and attributed to the route it took: the hybrid's native
+// posting-list KNN reports "inverted" with zero distance calls, a hybrid
+// forced onto another backend reports that backend and the reduction's
+// distance calls, and a cache hit reports no fan-out at all.
+func TestKNNTraceStagesAndAttribution(t *testing.T) {
+	cfg := dataset.NYTLike(400, 10)
+	rs, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastTrace := func(h http.Handler) requestTrace {
+		t.Helper()
+		var dump struct {
+			Traces []requestTrace `json:"traces"`
+		}
+		if err := json.Unmarshal(get(t, h, "/debug/trace").Body.Bytes(), &dump); err != nil {
+			t.Fatal(err)
+		}
+		return dump.Traces[0]
+	}
+	stageNames := func(tr requestTrace) string {
+		var names []string
+		for _, st := range tr.Stages {
+			names = append(names, st.Name)
+		}
+		return strings.Join(names, " ")
+	}
+	for _, tc := range []struct {
+		forced string
+		dfc    bool
+	}{{"", false}, {"adaptsearch", true}} {
+		sh, err := shard.New(rs, 2, builderFor("hybrid", 0.3, tc.forced, 0, 0, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := newServer(sh, "hybrid")
+		srv.cache = qcache.New(64)
+		h := srv.routes()
+		body := map[string]any{"query": rs[3], "n": 5}
+		if rec := postJSON(t, h, "/knn", body); rec.Code != http.StatusOK {
+			t.Fatalf("knn status %d: %s", rec.Code, rec.Body)
+		}
+		tr := lastTrace(h)
+		if got, want := stageNames(tr), "parse admit cache fanout merge respond"; got != want {
+			t.Errorf("forced=%q: stages %q, want %q", tc.forced, got, want)
+		}
+		wantBackend := "inverted"
+		if tc.forced != "" {
+			wantBackend = tc.forced
+		}
+		if len(tr.Backends) != 1 || tr.Backends[0] != wantBackend {
+			t.Errorf("forced=%q: attributed to %v, want [%s]", tc.forced, tr.Backends, wantBackend)
+		}
+		if (tr.DistanceCalls > 0) != tc.dfc {
+			t.Errorf("forced=%q: %d distance calls", tc.forced, tr.DistanceCalls)
+		}
+		// The repeat is a cache hit: no fan-out, no attribution.
+		if rec := postJSON(t, h, "/knn", body); rec.Code != http.StatusOK {
+			t.Fatalf("knn status %d: %s", rec.Code, rec.Body)
+		}
+		if tr := lastTrace(h); stageNames(tr) != "parse admit cache respond" || len(tr.Backends) != 0 {
+			t.Errorf("forced=%q: cached knn traced as %q %v", tc.forced, stageNames(tr), tr.Backends)
+		}
 	}
 }

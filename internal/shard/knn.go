@@ -18,6 +18,14 @@ type NearestNeighborSearcher interface {
 	NearestNeighbors(q ranking.Ranking, n int) ([]ranking.Result, error)
 }
 
+// TracedNearestNeighborSearcher is the optional sub-index interface behind
+// NearestNeighborsTracedContext: kinds that can attribute a KNN query to the
+// concrete backend that answered it and report its distance-call cost
+// (topk.HybridIndex). Sub-indices without it contribute no attribution.
+type TracedNearestNeighborSearcher interface {
+	NearestNeighborsTraced(q ranking.Ranking, n int) ([]ranking.Result, string, uint64, error)
+}
+
 // NearestNeighbors answers an exact global KNN query: every shard computes
 // its local top n in parallel, shard-local ids are remapped to global ids,
 // and the per-shard answers — each already sorted by (distance, id) — are
@@ -33,22 +41,32 @@ func (s *Sharded) NearestNeighbors(q ranking.Ranking, n int) ([]ranking.Result, 
 // request stops scheduling shard work. A local KNN that has already started
 // runs to completion (the cancellation grain is one shard task).
 func (s *Sharded) NearestNeighborsContext(ctx context.Context, q ranking.Ranking, n int) ([]ranking.Result, error) {
+	res, _, err := s.NearestNeighborsTracedContext(ctx, q, n)
+	return res, err
+}
+
+// NearestNeighborsTracedContext is NearestNeighborsContext with a per-query
+// trace: the same fan-out and merge (results are byte-identical), plus phase
+// timings and — when the sub-indices support it — the backends that answered
+// and their distance-call cost.
+func (s *Sharded) NearestNeighborsTracedContext(ctx context.Context, q ranking.Ranking, n int) ([]ranking.Result, QueryTrace, error) {
+	var tr QueryTrace
 	if n <= 0 {
-		return nil, nil
+		return nil, tr, nil
 	}
-	searchers := make([]NearestNeighborSearcher, len(s.shards))
 	for i, sh := range s.shards {
-		nn, ok := sh.(NearestNeighborSearcher)
-		if !ok {
-			return nil, fmt.Errorf("shard %d: index kind does not support nearest neighbors", i)
+		if _, ok := sh.(NearestNeighborSearcher); !ok {
+			return nil, tr, fmt.Errorf("shard %d: index kind does not support nearest neighbors", i)
 		}
-		searchers[i] = nn
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, tr, err
 	}
 	parts := make([][]ranking.Result, len(s.shards))
+	backends := make([]string, len(s.shards))
+	calls := make([]uint64, len(s.shards))
 	errs := make([]error, len(s.shards))
+	fanStart := time.Now()
 	var wg sync.WaitGroup
 	for i := 1; i < len(s.shards); i++ {
 		wg.Add(1)
@@ -58,31 +76,47 @@ func (s *Sharded) NearestNeighborsContext(ctx context.Context, q ranking.Ranking
 				errs[i] = err
 				return
 			}
-			parts[i], errs[i] = s.nearestShard(i, searchers[i], q, n)
+			parts[i], backends[i], calls[i], errs[i] = s.nearestShard(i, q, n)
 		}(i)
 	}
-	parts[0], errs[0] = s.nearestShard(0, searchers[0], q, n)
+	parts[0], backends[0], calls[0], errs[0] = s.nearestShard(0, q, n)
 	wg.Wait()
+	tr.FanoutMicros = float64(time.Since(fanStart).Nanoseconds()) / 1e3
 	if err := firstError(errs); err != nil {
-		return nil, err
+		return nil, tr, err
 	}
-	return mergeNearest(parts, n), nil
+	mergeStart := time.Now()
+	tr.attribute(backends, calls)
+	out := mergeNearest(parts, n)
+	tr.MergeMicros = float64(time.Since(mergeStart).Nanoseconds()) / 1e3
+	return out, tr, nil
 }
 
-// nearestShard runs one shard's local KNN, remaps ids, and records latency.
-func (s *Sharded) nearestShard(i int, nn NearestNeighborSearcher, q ranking.Ranking, n int) ([]ranking.Result, error) {
+// nearestShard runs one shard's local KNN — with backend attribution when
+// the sub-index supports it — remaps ids, and records latency.
+func (s *Sharded) nearestShard(i int, q ranking.Ranking, n int) ([]ranking.Result, string, uint64, error) {
 	start := time.Now()
-	res, err := nn.NearestNeighbors(q, n)
+	var (
+		res     []ranking.Result
+		backend string
+		calls   uint64
+		err     error
+	)
+	if ts, ok := s.shards[i].(TracedNearestNeighborSearcher); ok {
+		res, backend, calls, err = ts.NearestNeighborsTraced(q, n)
+	} else {
+		res, err = s.shards[i].(NearestNeighborSearcher).NearestNeighbors(q, n)
+	}
 	s.hists[i].Observe(time.Since(start))
 	if err != nil {
-		return nil, err
+		return nil, "", 0, err
 	}
 	if off := s.offsets[i]; off != 0 {
 		for j := range res {
 			res[j].ID += off
 		}
 	}
-	return res, nil
+	return res, backend, calls, nil
 }
 
 // nnCursor walks one shard's (distance, id)-sorted answer during the merge.

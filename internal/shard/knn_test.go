@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -222,5 +223,45 @@ func TestSearchBatchThetas(t *testing.T) {
 	}
 	if _, err := sh.SearchBatchThetas(queries, thetas[:3]); err == nil {
 		t.Fatal("mismatched thetas length accepted")
+	}
+}
+
+// TestShardedNearestNeighborsTraced checks the traced KNN fan-out: the same
+// answer as the plain call, phase timings, and — over hybrid sub-indices —
+// the answering backends and their distance-call cost; sub-indices that do
+// not attribute leave the trace's attribution empty.
+func TestShardedNearestNeighborsTraced(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	rs := difftest.RandomCollection(rng, 300, 8, 200)
+	q := difftest.RandomRanking(rng, 8, 200)
+	for name, build := range map[string]shard.Builder{"hybrid": hybridBuilder, "coarse": coarseBuilder} {
+		sh, err := shard.New(rs, 3, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sh.NearestNeighbors(q, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, tr, err := sh.NearestNeighborsTracedContext(context.Background(), q, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !difftest.Equal(got, want) {
+			t.Fatalf("%s: traced KNN diverged:\n got %v\nwant %v", name, got, want)
+		}
+		if tr.FanoutMicros <= 0 {
+			t.Errorf("%s: no fan-out timing in %+v", name, tr)
+		}
+		switch name {
+		case "hybrid": // native posting-list KNN on every shard: one backend, no distance calls
+			if len(tr.Backends) != 1 || tr.Backends[0] != "inverted" || tr.DistanceCalls != 0 {
+				t.Errorf("hybrid attribution: %+v", tr)
+			}
+		case "coarse":
+			if len(tr.Backends) != 0 || tr.DistanceCalls != 0 {
+				t.Errorf("coarse sub-indices attributed: %+v", tr)
+			}
+		}
 	}
 }

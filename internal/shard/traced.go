@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,6 +32,17 @@ type QueryTrace struct {
 	// DistanceCalls is the query's Footrule-evaluation cost summed over
 	// attributing shards; 0 when no shard attributes.
 	DistanceCalls uint64 `json:"distanceCalls"`
+}
+
+// attribute folds the per-shard attribution into the trace: the distinct
+// answering backends in shard order and the summed distance calls.
+func (tr *QueryTrace) attribute(backends []string, calls []uint64) {
+	for i, b := range backends {
+		tr.DistanceCalls += calls[i]
+		if b != "" && !slices.Contains(tr.Backends, b) {
+			tr.Backends = append(tr.Backends, b)
+		}
+	}
 }
 
 // SearchTraced is Search with a per-query trace: the same scatter-gather
@@ -79,17 +91,10 @@ func (s *Sharded) SearchTracedContext(ctx context.Context, q ranking.Ranking, th
 		return nil, tr, err
 	}
 	total := 0
-	for i := range errs {
-		total += len(parts[i])
-		tr.DistanceCalls += calls[i]
+	for _, p := range parts {
+		total += len(p)
 	}
-	seen := make(map[string]bool, len(s.shards))
-	for _, b := range backends {
-		if b != "" && !seen[b] {
-			seen[b] = true
-			tr.Backends = append(tr.Backends, b)
-		}
-	}
+	tr.attribute(backends, calls)
 	if total == 0 {
 		return nil, tr, nil
 	}

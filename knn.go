@@ -13,33 +13,33 @@ type NearestNeighborSearcher interface {
 	NearestNeighbors(q Ranking, n int) ([]Result, error)
 }
 
-// rangeAdapter lifts a backend's raw search into knn.RangeSearcher. For
-// mutable indexes, whose internal id space can have tombstone holes, ids
-// enumerates the live internal ids (knn.IDLister); immutable kinds leave it
-// nil and keep the dense-id assumption.
+// rangeAdapter lifts a backend's raw search into knn.RangeSearcher for the
+// expanding-radius reduction. Mutable indexes, whose id space can have
+// tombstone holes, set space and dead (knn.Sparse); immutable kinds leave
+// dead nil and space equal to live.
 type rangeAdapter struct {
 	query func(q Ranking, rawTheta int) ([]Result, error)
-	ids   func() []ranking.ID
-	n, k  int
+	live  int // indexed, non-tombstoned rankings
+	space int // size of the id space query reports in
+	dead  func(ID) bool
+	k     int
 }
 
 func (a rangeAdapter) Query(q ranking.Ranking, rawTheta int) ([]ranking.Result, error) {
 	return a.query(q, rawTheta)
 }
-func (a rangeAdapter) Len() int { return a.n }
-func (a rangeAdapter) K() int   { return a.k }
-func (a rangeAdapter) LiveIDs() []ranking.ID {
-	if a.ids == nil {
-		return nil
-	}
-	return a.ids()
+func (a rangeAdapter) Len() int     { return a.live }
+func (a rangeAdapter) K() int       { return a.k }
+func (a rangeAdapter) IDSpace() int { return a.space }
+func (a rangeAdapter) Live(id ranking.ID) bool {
+	return a.dead == nil || !a.dead(id)
 }
 
 // NearestNeighbors implements NearestNeighborSearcher with an exact
 // best-first BK-tree traversal for BKTree, and the expanding-radius
 // reduction otherwise (see treeBackend.nearestRaw).
 func (t *MetricTree) NearestNeighbors(q Ranking, n int) ([]Result, error) {
-	return nearestBackend(t.backend(), nil, &t.calls, nil, len(t.rs), t.k, q, n)
+	return nearestBackend(t.backend(), nil, &t.calls, len(t.rs), nil, t.k, q, n)
 }
 
 // rawSearch answers a raw-threshold range query with ev as the per-query
@@ -67,25 +67,25 @@ func (t *MetricTree) rawSearch(q Ranking, raw int, ev *metric.Evaluator) ([]Resu
 func (c *CoarseIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	idx := c.idx
 	return nearestBackend(c.backend(), &c.ids, &c.calls,
-		func() []ranking.ID { return liveInternalIDs(idx.Len(), idx.Deleted) },
-		c.ids.live, c.k, q, n)
+		c.idx.Len(), c.idx.Deleted, c.k, q, n)
 }
 
-// NearestNeighbors implements NearestNeighborSearcher via the
-// expanding-radius reduction over the configured algorithm.
+// NearestNeighbors implements NearestNeighborSearcher with the inverted
+// index's native single-pass KNN (invindex.Searcher.NearestNeighbors),
+// whatever range algorithm the index was configured with: one walk over the
+// query's posting lists accumulates every overlapping ranking's exact
+// distance from the posting ranks alone, so the call evaluates no distance
+// function and adds nothing to DistanceCalls.
 func (ii *InvertedIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
 	ii.mu.RLock()
 	defer ii.mu.RUnlock()
-	idx := ii.idx
 	return nearestBackend(ii.backend(), &ii.ids, &ii.calls,
-		func() []ranking.ID { return liveInternalIDs(idx.Len(), idx.Deleted) },
-		ii.ids.live, ii.k, q, n)
+		ii.idx.Len(), ii.idx.Deleted, ii.k, q, n)
 }
 
 // NearestNeighbors implements NearestNeighborSearcher via the
 // expanding-radius reduction over the blocked range search.
 func (b *BlockedIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
-	return nearestBackend(b.backend(), nil, &b.calls, nil, b.idx.Len(), b.k, q, n)
+	return nearestBackend(b.backend(), nil, &b.calls, b.idx.Len(), nil, b.k, q, n)
 }

@@ -191,19 +191,6 @@ func (m *idmap) remapNN(res []Result) {
 	}
 }
 
-// liveExternalIDs enumerates the assigned (non-retired) external ids
-// ascending — the dmax-backfill feed when a KNN reduction runs in the
-// external id space.
-func (m *idmap) liveExternalIDs() []ID {
-	out := make([]ID, 0, m.live)
-	for ext, v := range m.ext2int {
-		if v >= 0 {
-			out = append(out, ID(ext))
-		}
-	}
-	return out
-}
-
 // slots materializes the external-id slot view: slots[ext] is the live
 // ranking under ext, nil for retired ids. This is the unit of snapshot v2
 // (internal/persist) and of the FromSlots constructors.
@@ -212,18 +199,6 @@ func (m *idmap) slots(get func(ID) Ranking) []Ranking {
 	for ext, v := range m.ext2int {
 		if v >= 0 {
 			out[ext] = get(ID(v))
-		}
-	}
-	return out
-}
-
-// liveInternalIDs enumerates the non-tombstoned internal ids ascending; n is
-// the inner id-space size and deleted the inner tombstone predicate.
-func liveInternalIDs(n int, deleted func(ID) bool) []ID {
-	out := make([]ID, 0, n)
-	for i := 0; i < n; i++ {
-		if !deleted(ID(i)) {
-			out = append(out, ID(i))
 		}
 	}
 	return out
