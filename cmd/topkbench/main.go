@@ -6,17 +6,10 @@
 //
 //	topkbench -experiment fig8 [-scale small|default] [-k 10]
 //	topkbench -experiment all -scale small
-//	topkbench -parallel -scale medium
 //	topkbench -experiment sweep -json bench.json
 //
-// Experiments: fig3 fig5 fig6 fig7 tab5 fig8 fig9 fig10 tab6 stats parallel
-// sweep rebuild wal overload tenants kernels
-//
-// The parallel experiment (also selectable with the -parallel shorthand) is
-// not from the paper: it measures multicore query throughput of one shared
-// index under 1..GOMAXPROCS concurrent load generators, plus a sharded
-// coarse index (internal/shard), demonstrating the speedup of the pooled
-// per-query scratch state.
+// Experiments: fig3 fig5 fig6 fig7 tab5 fig8 fig9 fig10 tab6 stats sweep
+// rebuild wal overload tenants kernels
 //
 // The sweep experiment measures every physical backend plus the hybrid
 // engine across the θ grid on both datasets; -json <path> writes its
@@ -79,16 +72,12 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment id: fig3|fig5|fig6|fig7|tab5|fig8|fig9|fig10|tab6|stats|parallel|sweep|rebuild|wal|overload|tenants|kernels|startup|all")
+		experiment = flag.String("experiment", "all", "experiment id: fig3|fig5|fig6|fig7|tab5|fig8|fig9|fig10|tab6|stats|sweep|rebuild|wal|overload|tenants|kernels|startup|all")
 		scaleName  = flag.String("scale", "small", "dataset scale: small|medium|default")
 		k          = flag.Int("k", 10, "ranking size for the single-k experiments")
-		parallel   = flag.Bool("parallel", false, "shorthand for -experiment parallel (multicore throughput)")
 		jsonPath   = flag.String("json", "", "write the sweep's machine-readable records to this file (implies -experiment sweep)")
 	)
 	flag.Parse()
-	if *parallel {
-		*experiment = "parallel"
-	}
 
 	sc := bench.SmallScale()
 	switch *scaleName {
@@ -459,17 +448,6 @@ func run(id string, sc bench.Scale, k int) error {
 			}
 			t.Fprint(os.Stdout)
 		}
-		return nil
-	case "parallel":
-		nyt, _, err := needEnvs()
-		if err != nil {
-			return err
-		}
-		t, err := bench.ParallelThroughput(nyt, 0.2, nil, 0)
-		if err != nil {
-			return err
-		}
-		t.Fprint(os.Stdout)
 		return nil
 	case "rebuild":
 		nyt, _, err := needEnvs()

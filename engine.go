@@ -10,10 +10,12 @@
 // constructors reached from here flatten the collection into a kernel.Store
 // (one contiguous k-strided arena; the hybrid epoch shares a single store
 // across all its backends) and each backend's searcher validates candidates
-// through a query-compiled Footrule kernel. The evaluators created below are
-// stock (metric.New(nil)), so ev.Stock() is true on these paths and the
-// kernels account their evaluations via ev.Add — the DistanceCalls totals
-// are byte-for-byte what per-candidate ev.Distance loops would count.
+// through a query-compiled Footrule kernel, accounting one distance call per
+// evaluated candidate via ev.Add. The inverted-index family (inverted,
+// blocked, coarse's medoid filter, adaptsearch, the hybrid overlay) is
+// Footrule-only by construction — posting lists, overlap bounds and list
+// dropping all rest on Footrule's structure — so the evaluator they receive
+// is only the DFC counter; its distance function serves the metric trees.
 //
 // Exact KNN has two routes through nearestBackend. A backend with a native
 // algorithm (the exactKNN hook) answers directly: the inverted index walks

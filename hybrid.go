@@ -558,37 +558,24 @@ func (b overlayBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator)
 		res = kept
 	}
 	if len(ep.delta) > 0 {
-		if ev == nil || ev.Stock() {
-			// Stock metric: scan the delta through a pooled compiled kernel.
-			// ev.Add counts exactly the non-tombstoned entries the legacy
-			// loop would have pushed through ev.Distance.
-			kern := overlayKernels.Get().(*kernel.Kernel)
-			kern.Compile(q)
-			scanned := uint64(0)
-			for i, r := range ep.delta {
-				intID := ID(len(ep.base) + i)
-				if ep.dead[intID] {
-					continue
-				}
-				scanned++
-				if d := kern.Distance(r); d <= rawTheta {
-					res = append(res, Result{ID: intID, Dist: d})
-				}
+		// Scan the delta through a pooled compiled kernel: one DFC per
+		// non-tombstoned entry.
+		kern := overlayKernels.Get().(*kernel.Kernel)
+		kern.Compile(q)
+		scanned := uint64(0)
+		for i, r := range ep.delta {
+			intID := ID(len(ep.base) + i)
+			if ep.dead[intID] {
+				continue
 			}
-			overlayKernels.Put(kern)
-			if ev != nil {
-				ev.Add(scanned)
+			scanned++
+			if d := kern.Distance(r); d <= rawTheta {
+				res = append(res, Result{ID: intID, Dist: d})
 			}
-		} else {
-			for i, r := range ep.delta {
-				intID := ID(len(ep.base) + i)
-				if ep.dead[intID] {
-					continue
-				}
-				if d := ev.Distance(q, r); d <= rawTheta {
-					res = append(res, Result{ID: intID, Dist: d})
-				}
-			}
+		}
+		overlayKernels.Put(kern)
+		if ev != nil {
+			ev.Add(scanned)
 		}
 	}
 	return res, nil

@@ -247,30 +247,21 @@ func (s *Searcher) Query(q ranking.Ranking, rawTheta int, ev *metric.Evaluator) 
 	}
 	_ = scanned
 
-	// Verification: exact Footrule for every candidate with count ≥ ℓ — via
-	// the compiled kernel for the stock metric (DFC accounted with ev.Add,
-	// identical to the per-candidate ev.Distance loop), the evaluator
-	// otherwise.
+	// Verification: exact Footrule, through the compiled kernel, for every
+	// candidate with count ≥ ℓ — one DFC each.
 	var out []ranking.Result
 	threshold := uint16(ell)
-	useKernel := ev.Stock()
 	compiled := false
 	for _, id := range s.cands {
 		if s.count[id] < threshold {
 			continue
 		}
-		var d int
-		if useKernel {
-			if !compiled {
-				s.kern.Compile(q)
-				compiled = true
-			}
-			d = s.kern.Distance(idx.rankings[id])
-			ev.Add(1)
-		} else {
-			d = ev.Distance(q, idx.rankings[id])
+		if !compiled {
+			s.kern.Compile(q)
+			compiled = true
 		}
-		if d <= rawTheta {
+		ev.Add(1)
+		if d := s.kern.Distance(idx.rankings[id]); d <= rawTheta {
 			out = append(out, ranking.Result{ID: id, Dist: d})
 		}
 	}

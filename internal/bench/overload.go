@@ -167,7 +167,7 @@ func calibrateRate(sh *shard.Sharded, env *Env, theta float64) (float64, error) 
 			rng := rand.New(rand.NewSource(int64(w) + 101))
 			for i := 0; i < perWorker; i++ {
 				q := env.Queries[rng.Intn(len(env.Queries))]
-				if _, err := sh.Search(q, theta); err != nil {
+				if _, err := sh.SearchContext(context.Background(), q, theta); err != nil {
 					errs[w] = err
 					return
 				}
@@ -220,7 +220,7 @@ func overloadRun(sh *shard.Sharded, env *Env, cfg OverloadConfig, ctl *admit.Con
 				}
 				defer release()
 			}
-			if _, err := sh.Search(queries[i], cfg.Theta); err != nil {
+			if _, err := sh.SearchContext(context.Background(), queries[i], cfg.Theta); err != nil {
 				errs[i] = err
 				return
 			}

@@ -258,7 +258,7 @@ func tenantsRun(env *Env, cfg TenantsConfig, loads []tenantLoad) ([]TenantsRecor
 						return // shed: accepted[i] stays false
 					}
 					defer release()
-					if _, err := ld.sh.Search(queries[i], cfg.Theta); err != nil {
+					if _, err := ld.sh.SearchContext(context.Background(), queries[i], cfg.Theta); err != nil {
 						res.errs[i] = err
 						return
 					}

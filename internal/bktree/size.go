@@ -1,15 +1,11 @@
 package bktree
 
-import (
-	"fmt"
-
-	"topk/internal/ranking"
-)
+import "topk/internal/ranking"
 
 // SizeBytes estimates the serialized footprint of the tree: the complete
 // rankings payload (all indices store the full rankings, as Table 6 of the
 // paper notes) plus, per node, its ranking id and per edge a distance and a
-// child offset. The estimate matches what persist.WriteBKTree emits.
+// child offset.
 func (t *Tree) SizeBytes() int64 {
 	var sz int64 = 16                  // header: k, size
 	sz += int64(t.size) * int64(4*t.k) // rankings payload
@@ -25,21 +21,6 @@ func (t *Tree) SizeBytes() int64 {
 		walk(t.Root)
 	}
 	return sz
-}
-
-// Rehydrate assembles a Tree from a deserialized node structure and its
-// backing collection, without recomputing distances. The caller (package
-// persist) is responsible for the structural integrity of root; Rehydrate
-// validates only the collection shape.
-func Rehydrate(rankings []ranking.Ranking, root *Node, size int) (*Tree, error) {
-	t := &Tree{rankings: rankings, Root: root, size: size}
-	if len(rankings) > 0 {
-		t.k = rankings[0].K()
-	}
-	if root == nil && size != 0 {
-		return nil, fmt.Errorf("bktree: rehydrate size %d with nil root", size)
-	}
-	return t, nil
 }
 
 // SetRankings rebinds the tree to a (grown) backing collection. Needed by

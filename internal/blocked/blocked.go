@@ -330,11 +330,8 @@ func (s *Searcher) Query(q ranking.Ranking, rawTheta int, ev *metric.Evaluator, 
 	var out []ranking.Result
 	fullMask := uint32(1<<uint(k)) - 1
 	dropped := droppedPositions(positions, k)
-	// Bound-undecided candidates go through the compiled kernel when the
-	// evaluator is the stock Footrule (accounted via ev.Add so the DFC total
-	// matches the ev.Distance loop exactly); a custom evaluator keeps the
-	// legacy call.
-	useKernel := ev.Stock()
+	// Bound-undecided candidates go through the compiled kernel, one DFC
+	// each.
 	compiled := false
 	for _, id := range s.cands {
 		if s.state[id] == stateRejected {
@@ -348,18 +345,12 @@ func (s *Searcher) Query(q ranking.Ranking, rawTheta int, ev *metric.Evaluator, 
 			out = append(out, ranking.Result{ID: id, Dist: int(u)})
 			continue
 		}
-		var d int
-		if useKernel {
-			if !compiled {
-				s.kern.Compile(q)
-				compiled = true
-			}
-			d = s.kern.Distance(s.idx.rankings[id])
-			ev.Add(1)
-		} else {
-			d = ev.Distance(q, s.idx.rankings[id])
+		if !compiled {
+			s.kern.Compile(q)
+			compiled = true
 		}
-		if d <= rawTheta {
+		ev.Add(1)
+		if d := s.kern.Distance(s.idx.rankings[id]); d <= rawTheta {
 			out = append(out, ranking.Result{ID: id, Dist: d})
 		}
 	}

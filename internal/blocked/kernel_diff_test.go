@@ -5,14 +5,56 @@ import (
 	"testing"
 
 	"topk/internal/difftest"
+	"topk/internal/kernel"
 	"topk/internal/metric"
 	"topk/internal/ranking"
 )
 
-// TestKernelPathMatchesEvaluator: the resolution phase's compiled-kernel
-// fallback must match the legacy ev.Distance loop exactly — same results,
-// same DFC — under both Prune and PruneDrop.
-func TestKernelPathMatchesEvaluator(t *testing.T) {
+// undecided counts, from first principles, the candidates whose bounds
+// cannot decide — the ones Query must resolve with a distance call. A
+// ranking τ is a candidate when a kept query position i holds an item τ has
+// at a rank j with |i−j| ≤ θ (blocks with a larger miss are never
+// scheduled). Its partial distance P sums those |i−j|; P > θ rejects it, and
+// otherwise its upper bound charges every τ rank and query rank not matched
+// that way its absent-item cost k−r. Undecided means P ≤ θ < U.
+func undecided(rs []ranking.Ranking, q ranking.Ranking, kept []int, raw int) uint64 {
+	k := len(q)
+	count := uint64(0)
+	for _, tau := range rs {
+		partial, cand := 0, false
+		tauSeen, qSeen := make([]bool, k), make([]bool, k)
+		for _, i := range kept {
+			if j, ok := tau.Rank(q[i]); ok && abs(i-j) <= raw {
+				cand = true
+				partial += abs(i - j)
+				tauSeen[j], qSeen[i] = true, true
+			}
+		}
+		if !cand || partial > raw {
+			continue
+		}
+		upper := partial
+		for r := 0; r < k; r++ {
+			if !tauSeen[r] {
+				upper += k - r
+			}
+			if !qSeen[r] {
+				upper += k - r
+			}
+		}
+		if upper > raw {
+			count++
+		}
+	}
+	return count
+}
+
+// TestQueryMatchesOracleAndUndecidedCount: under both Prune and PruneDrop
+// the results are byte-identical to the linear-scan oracle, every distance —
+// bound-accepted, patched or kernel-validated — equals the definitional
+// kernel.Reference, and DFC is exactly the number of bound-undecided
+// candidates.
+func TestQueryMatchesOracleAndUndecidedCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n, k, domain = 400, 12, 300
 	rs := difftest.RandomCollection(rng, n, k, domain)
@@ -20,8 +62,8 @@ func TestKernelPathMatchesEvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sKern := NewSearcher(idx)
-	sLegacy := NewSearcher(idx)
+	o := difftest.NewOracle(rs)
+	s := NewSearcher(idx)
 	dmax := ranking.MaxDistance(k)
 	for trial := 0; trial < 60; trial++ {
 		q := difftest.RandomRanking(rng, k, domain)
@@ -29,22 +71,23 @@ func TestKernelPathMatchesEvaluator(t *testing.T) {
 			q = rs[rng.Intn(n)]
 		}
 		for _, raw := range []int{0, dmax / 10, dmax / 4, dmax / 2, dmax - 1} {
+			want := o.SearchRaw(q, raw)
 			for _, mode := range []Mode{Prune, PruneDrop} {
-				evK := metric.New(nil)
-				evL := metric.New(ranking.Footrule)
-				gotK, err := sKern.Query(q, raw, evK, mode)
+				ev := metric.New(nil)
+				got, err := s.Query(q, raw, ev, mode)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotL, err := sLegacy.Query(q, raw, evL, mode)
-				if err != nil {
-					t.Fatal(err)
+				if !difftest.Equal(got, want) {
+					t.Fatalf("mode=%d raw=%d: got %v != oracle %v", mode, raw, got, want)
 				}
-				if !difftest.Equal(gotK, gotL) {
-					t.Fatalf("mode=%d raw=%d: kernel %v != legacy %v", mode, raw, gotK, gotL)
+				for _, r := range got {
+					if ref := kernel.Reference(q, rs[r.ID]); r.Dist != ref {
+						t.Fatalf("mode=%d raw=%d id=%d: distance %d, reference %d", mode, raw, r.ID, r.Dist, ref)
+					}
 				}
-				if evK.Calls() != evL.Calls() {
-					t.Fatalf("mode=%d raw=%d: kernel DFC %d != legacy DFC %d", mode, raw, evK.Calls(), evL.Calls())
+				if c := undecided(rs, q, s.keptPositions(q, raw, mode), raw); ev.Calls() != c {
+					t.Fatalf("mode=%d raw=%d: DFC %d, %d undecided candidates", mode, raw, ev.Calls(), c)
 				}
 			}
 		}

@@ -330,23 +330,13 @@ func (s *Searcher) QueryStats(q ranking.Ranking, rawTheta int, ev *metric.Evalua
 		// and the natural degeneration toward "one metric tree" the paper
 		// describes for large θC.
 		st.ExhaustiveScan = true
-		if ev.Stock() {
-			// Exhaustive medoid scan through the compiled kernel; ev.Add keeps
-			// the DFC total identical to the per-medoid ev.Distance loop.
-			s.kern.Compile(q)
-			for i, id := range idx.medoids {
-				if d := s.kern.Distance(idx.rankings[id]); d <= relaxed {
-					medoidHits = append(medoidHits, ranking.Result{ID: ranking.ID(i), Dist: d})
-				}
-			}
-			ev.Add(uint64(len(idx.medoids)))
-		} else {
-			for i, id := range idx.medoids {
-				if d := ev.Distance(q, idx.rankings[id]); d <= relaxed {
-					medoidHits = append(medoidHits, ranking.Result{ID: ranking.ID(i), Dist: d})
-				}
+		s.kern.Compile(q)
+		for i, id := range idx.medoids {
+			if d := s.kern.Distance(idx.rankings[id]); d <= relaxed {
+				medoidHits = append(medoidHits, ranking.Result{ID: ranking.ID(i), Dist: d})
 			}
 		}
+		ev.Add(uint64(len(idx.medoids)))
 	} else {
 		var err error
 		switch mode {

@@ -4,20 +4,30 @@
 //
 //   - F&V       (Filter and Validate, the baseline of Section 4),
 //   - F&V+Drop  (Lemma 2: entire index lists are dropped, Section 6.1),
-//   - ListMerge (merge of id-sorted, rank-augmented lists with on-the-fly
-//     distance aggregation; threshold-agnostic, Section 7),
+//   - ListMerge (aggregation of the exact distance from the rank-augmented
+//     lists alone; threshold-agnostic, Section 7),
 //   - Minimal F&V (the per-query oracle lower bound of Section 7),
 //
-// plus an exact k-nearest-neighbor query (NearestNeighbors) that turns
-// ListMerge's observation — the posting ranks alone determine the distance —
-// into a single accumulate-and-select pass over the query's lists.
+// plus an exact k-nearest-neighbor query (NearestNeighbors). ListMerge and
+// NearestNeighbors share one primitive, accumulate: a single pass over the
+// query's lists that sums, per ranking, the distance gain of every shared
+// item. ListMerge thresholds the accumulated distances, NearestNeighbors
+// selects the n smallest; neither calls the distance function, so neither
+// adds to a DFC counter (the paper's Figure 10 convention).
+//
+// The package is Footrule-only by construction: list dropping (Lemma 2), the
+// accumulated gains and the dmax treatment of zero-overlap rankings all rest
+// on Footrule's structure. F&V validation therefore always runs through the
+// compiled internal/kernel, and the metric.Evaluator a query receives is its
+// DFC counter — one call per validated candidate.
 //
 // One Index serves all algorithms: its postings are id-sorted and carry the
 // rank of the item inside the posting's ranking, so the plain algorithms
 // simply ignore the rank. Query processing state (candidate de-duplication
-// stamps) lives in a Searcher; a Searcher serves one query at a time, so use
-// one per goroutine — or draw them from a Pool, which is how the topk facade
-// lets any number of goroutines query a shared index concurrently.
+// stamps, the gain accumulator) lives in a Searcher; a Searcher serves one
+// query at a time, so use one per goroutine — or draw them from a Pool,
+// which is how the topk facade lets any number of goroutines query a shared
+// index concurrently.
 package invindex
 
 import (
@@ -50,16 +60,11 @@ type Index struct {
 	// per-ranking evaluation.
 	store    *kernel.Store
 	rankings []ranking.Ranking
-	// CSR posting layout, rebuilt on every epoch/compaction rebuild: dict is
-	// the sorted item dictionary, offsets[i]..offsets[i+1] delimits dict[i]'s
-	// postings inside the single packed arena. lists is kept as the O(1)
-	// item→list acceleration map; at build time its values are
-	// capacity-clamped views into the arena, so Insert's append copies a
-	// growing list out of the arena instead of clobbering its neighbor.
-	dict     []ranking.Item
-	offsets  []int
-	postings []Posting
-	lists    map[ranking.Item][]Posting
+	// lists maps every item to its id-sorted postings. At build time the
+	// values are capacity-clamped views into one packed arena (see
+	// buildLists), so Insert's append copies a growing list out of the arena
+	// instead of clobbering its neighbor.
+	lists map[ranking.Item][]Posting
 	// deleted marks tombstoned ids; postings of tombstoned rankings remain
 	// in the lists until the owner rebuilds the index, and every query
 	// algorithm skips them. nil until the first Delete; once allocated it is
@@ -118,16 +123,16 @@ func newFromStore(st *kernel.Store) *Index {
 		idx.k = 0 // preserve "k set on first Insert" semantics for empty indexes
 		return idx
 	}
-	idx.buildCSR()
+	idx.buildLists()
 	return idx
 }
 
-// buildCSR packs the posting lists into one arena by counting sort: one pass
-// counts per-item occurrences, the dictionary is sorted, and a cursor pass
-// scatters {ID,Rank} pairs into their slots. Ids are visited in ascending
-// order, so every list comes out id-sorted — the invariant all query
-// algorithms (including ListMerge's merge join) rely on.
-func (idx *Index) buildCSR() {
+// buildLists packs the posting lists into one arena by counting sort: one
+// pass counts per-item occurrences, the items are laid out in sorted order
+// (a deterministic arena, whatever the map iteration order), and a cursor
+// pass scatters {ID,Rank} pairs into their slots. Ids are visited in
+// ascending order, so every list comes out id-sorted.
+func (idx *Index) buildLists() {
 	st := idx.store
 	n, k := st.Len(), st.K()
 	// A borrowed store (views over a mapped snapshot) has no contiguous
@@ -151,25 +156,24 @@ func (idx *Index) buildCSR() {
 		dict = append(dict, it)
 	}
 	slices.Sort(dict)
-	offsets := make([]int, len(dict)+1)
 	cursor := make(map[ranking.Item]int, len(dict))
-	for i, it := range dict {
-		offsets[i+1] = offsets[i] + counts[it]
-		cursor[it] = offsets[i]
+	off := 0
+	for _, it := range dict {
+		cursor[it] = off
+		off += counts[it]
 	}
 	postings := make([]Posting, n*k)
-	for id := 0; id < n; id++ {
-		row := rows[id]
+	for id, row := range rows {
 		for rank, it := range row {
 			c := cursor[it]
 			postings[c] = Posting{ID: ranking.ID(id), Rank: uint8(rank)}
 			cursor[it] = c + 1
 		}
 	}
-	idx.dict, idx.offsets, idx.postings = dict, offsets, postings
-	for i, it := range dict {
-		lo, hi := offsets[i], offsets[i+1]
-		idx.lists[it] = postings[lo:hi:hi]
+	// Every cursor now sits one past its list's last posting.
+	for _, it := range dict {
+		hi := cursor[it]
+		idx.lists[it] = postings[hi-counts[it] : hi : hi]
 	}
 }
 
@@ -205,15 +209,6 @@ func (idx *Index) List(item ranking.Item) []Posting { return idx.lists[item] }
 // rankings inserted after the build live outside it).
 func (idx *Index) Store() *kernel.Store { return idx.store }
 
-// CSR exposes the packed build-time posting layout: the sorted item
-// dictionary, the offsets array (len(dict)+1 entries), and the single
-// postings arena, with dict[i]'s list at postings[offsets[i]:offsets[i+1]].
-// Postings appended by Insert after the build live in copied-out lists (see
-// List) and do not appear in the arena until the next rebuild.
-func (idx *Index) CSR() (dict []ranking.Item, offsets []int, postings []Posting) {
-	return idx.dict, idx.offsets, idx.postings
-}
-
 // NumLists returns the number of distinct items (index lists).
 func (idx *Index) NumLists() int { return len(idx.lists) }
 
@@ -247,17 +242,16 @@ type Searcher struct {
 	stamp []uint32
 	gen   uint32
 	cands []ranking.ID
-	// Reused list-of-lists scratch for query item postings.
-	qlists [][]Posting
 	// Compiled distance kernel plus pooled validation scratch: dists and res
 	// are reused across queries so validate allocates only the exact-size
 	// result slice it hands back.
 	kern  *kernel.Kernel
 	dists []int
 	res   []ranking.Result
-	// Per-ranking gain accumulator of NearestNeighbors: all zero between
-	// queries, allocated on the first KNN (2 bytes per indexed ranking).
-	// items is its sorted query copy for the duplicate check.
+	// Per-ranking gain accumulator of accumulate (ListMerge and
+	// NearestNeighbors): all zero between queries, allocated on first use
+	// (2 bytes per indexed ranking). items is NearestNeighbors' sorted query
+	// copy for the duplicate check.
 	acc   []uint16
 	items []ranking.Item
 }
@@ -332,15 +326,12 @@ func (s *Searcher) FilterValidate(q ranking.Ranking, rawTheta int, ev *metric.Ev
 	return s.validate(q, rawTheta, ev), nil
 }
 
-// validate computes the exact distance of every collected candidate. When
-// the evaluator is the stock Footrule, the candidates are pushed through the
-// compiled kernel — build-time ids as one batched pass over the flat arena,
-// post-build ids per ranking — and accounted with ev.Add, so the DFC total
-// is byte-for-byte what the per-candidate ev.Distance loop would have
-// counted. A custom evaluator takes the legacy loop.
+// validate computes the exact distance of every collected candidate through
+// the compiled kernel — build-time ids as one batched pass over the flat
+// arena, post-build ids per ranking — and counts one DFC per candidate.
 func (s *Searcher) validate(q ranking.Ranking, rawTheta int, ev *metric.Evaluator) []ranking.Result {
 	res := s.res[:0]
-	if len(s.cands) > 0 && ev.Stock() {
+	if len(s.cands) > 0 {
 		st := s.idx.store
 		baseN := ranking.ID(st.Len())
 		// Partition the candidate buffer in place: build-time ids first (the
@@ -367,12 +358,6 @@ func (s *Searcher) validate(q ranking.Ranking, rawTheta int, ev *metric.Evaluato
 			}
 		}
 		ev.Add(uint64(len(cands)))
-	} else {
-		for _, id := range s.cands {
-			if d := ev.Distance(q, s.idx.rankings[id]); d <= rawTheta {
-				res = append(res, ranking.Result{ID: id, Dist: d})
-			}
-		}
 	}
 	ranking.SortResults(res)
 	var out []ranking.Result
@@ -492,63 +477,63 @@ func (s *Searcher) DroppedLists(q ranking.Ranking, rawTheta int, mode DropMode) 
 	return len(q) - len(s.chooseKeptLists(q, rawTheta, mode))
 }
 
-// ListMerge answers the query by a classical merge "join" of the id-sorted,
-// rank-augmented lists (Section 7, "Merge of Id-Sorted Lists with
-// Aggregation"). The exact distance of each encountered ranking is
-// finalized on the fly, one ranking at a time, with no candidate
-// bookkeeping; the algorithm is threshold-agnostic (the lists are always
-// read entirely), which is why its runtime curves in Figures 8/9 are flat.
+// accumulate is the one posting-aggregation primitive (Section 7): a single
+// pass over the query's k lists that adds, for every posting, the gain
+// 2·(k − max(q(i), τ(i))) of the shared item into acc[τ]. The rank-augmented
+// postings alone determine the exact Footrule distance,
 //
-// For a candidate τ seen in the lists of matched query items M:
+//	F(q,τ) = k(k+1) − Σ_{i shared} 2·(k − max(q(i), τ(i)))
 //
-//	F(τ,q) = Σ_{i∈M} |q(i)−τ(i)| + k(k+1) − Σ_{i∈M} ((k−τ(i)) + (k−q(i)))
-//
-// because the two k(k+1)/2 terms account for all ranks of τ and q as if
-// disjoint and each matched item removes its absent-contribution from both
-// sides. ListMerge does not call the distance function; per the paper it is
-// excluded from the DFC measurements (Figure 10).
+// (both rankings' k(k+1)/2 rank sums counted as if disjoint, minus what each
+// shared item takes back), so afterwards dmax − acc[id] is the distance of
+// every id in the returned touched list, tombstoned ones included. A gain is
+// at least 2 and a ranking's total at most k(k+1) ≤ 65 280, so 0 means
+// "untouched" and fits the cell. The caller must zero acc[id] for every
+// touched id before returning, so no query pays an O(collection) reset.
+// touched aliases s.cands.
+func (s *Searcher) accumulate(q ranking.Ranking) (touched []ranking.ID) {
+	idx := s.idx
+	if size := len(idx.rankings); len(s.acc) < size {
+		s.acc = append(s.acc, make([]uint16, size-len(s.acc))...)
+	}
+	acc, k := s.acc, len(q)
+	touched = s.cands[:0]
+	for qr, item := range q {
+		for _, p := range idx.lists[item] {
+			if acc[p.ID] == 0 {
+				touched = append(touched, p.ID)
+			}
+			acc[p.ID] += uint16(2 * (k - max(qr, int(p.Rank))))
+		}
+	}
+	s.cands = touched
+	return touched
+}
+
+// ListMerge answers the query from the rank-augmented lists alone (Section
+// 7, "Merge of Id-Sorted Lists with Aggregation"): accumulate every
+// overlapping ranking's exact distance, keep those within rawTheta, drop
+// tombstones, sort by id. The algorithm is threshold-agnostic (the lists are
+// always read entirely), which is why its runtime curves in Figures 8/9 are
+// flat. ListMerge does not call the distance function; per the paper it is
+// excluded from the DFC measurements (Figure 10), so the evaluator is
+// ignored.
 func (s *Searcher) ListMerge(q ranking.Ranking, rawTheta int, _ *metric.Evaluator) ([]ranking.Result, error) {
 	if err := s.checkQuery(q); err != nil {
 		return nil, err
 	}
-	k := len(q)
-	if cap(s.qlists) < k {
-		s.qlists = make([][]Posting, k)
-	}
-	lists := s.qlists[:k]
-	for i, item := range q {
-		lists[i] = s.idx.lists[item]
-	}
-	base := k * (k + 1)
-	dels := s.idx.deleted
+	touched := s.accumulate(q)
+	acc, dels := s.acc, s.idx.deleted
+	dmax := ranking.MaxDistance(len(q))
 	var out []ranking.Result
-	// k-way merge by minimal current id.
-	for {
-		cur := ranking.ID(^uint32(0))
-		alive := false
-		for _, l := range lists {
-			if len(l) > 0 && l[0].ID < cur {
-				cur = l[0].ID
-				alive = true
-			}
-		}
-		if !alive {
-			break
-		}
-		d := base
-		for i := range lists {
-			if len(lists[i]) > 0 && lists[i][0].ID == cur {
-				tr := int(lists[i][0].Rank) // τ(item) for item q[i]
-				qr := i                     // q(item)
-				d += abs(qr-tr) - (k - tr) - (k - qr)
-				lists[i] = lists[i][1:]
-			}
-		}
-		if d <= rawTheta && (dels == nil || !dels[cur]) {
-			out = append(out, ranking.Result{ID: cur, Dist: d})
+	for _, id := range touched {
+		d := dmax - int(acc[id])
+		acc[id] = 0
+		if d <= rawTheta && (dels == nil || !dels[id]) {
+			out = append(out, ranking.Result{ID: id, Dist: d})
 		}
 	}
-	// Results come out id-sorted by construction.
+	ranking.SortResults(out)
 	return out, nil
 }
 
@@ -561,11 +546,4 @@ func (s *Searcher) checkQuery(q ranking.Ranking) error {
 			q.K(), s.idx.k, ranking.ErrSizeMismatch)
 	}
 	return q.Validate()
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

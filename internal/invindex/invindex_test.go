@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"topk/internal/bktree"
 	"topk/internal/metric"
 	"topk/internal/ranking"
 )
@@ -460,3 +461,22 @@ func BenchmarkListMerge(b *testing.B) {
 }
 
 var sink int
+
+// TestSizeEstimatesOrdered pins Table 6's ordering: the augmented index is
+// strictly larger than the plain one, and a BK-tree (rankings + structure
+// only) is smaller than the plain inverted index (rankings + postings).
+func TestSizeEstimatesOrdered(t *testing.T) {
+	rs := randomCollection(7, 2000, 10, 500)
+	idx, _ := New(rs)
+	tr, _ := bktree.New(rs, nil)
+	plain, aug, tree := idx.SizeBytes(false), idx.SizeBytes(true), tr.SizeBytes()
+	if plain <= 0 || aug <= 0 || tree <= 0 {
+		t.Fatal("non-positive size estimate")
+	}
+	if aug <= plain {
+		t.Fatalf("augmented (%d) not larger than plain (%d)", aug, plain)
+	}
+	if tree >= plain {
+		t.Fatalf("BK-tree (%d) not smaller than plain index (%d)", tree, plain)
+	}
+}

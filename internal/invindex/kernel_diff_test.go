@@ -5,15 +5,32 @@ import (
 	"testing"
 
 	"topk/internal/difftest"
+	"topk/internal/kernel"
 	"topk/internal/metric"
 	"topk/internal/ranking"
 )
 
-// TestKernelPathMatchesEvaluator proves the compiled/batched kernel path of
-// validate byte-identical — results AND DFC — to the legacy per-candidate
-// ev.Distance loop, which stays reachable through a custom evaluator wrapping
-// the same stock Footrule.
-func TestKernelPathMatchesEvaluator(t *testing.T) {
+// keptCandidates counts, by brute force, the distinct live ids in the index
+// lists of the query positions kept — the candidates F&V must validate, one
+// distance call each.
+func keptCandidates(idx *Index, q ranking.Ranking, kept []int) uint64 {
+	seen := make(map[ranking.ID]bool)
+	for _, pos := range kept {
+		for _, p := range idx.List(q[pos]) {
+			if !idx.Deleted(p.ID) {
+				seen[p.ID] = true
+			}
+		}
+	}
+	return uint64(len(seen))
+}
+
+// TestValidateMatchesOracleAndCandidateCount checks F&V and F&V+Drop over
+// build-time, post-build and tombstoned ids: results byte-identical to the
+// linear-scan oracle, every distance equal to the definitional
+// kernel.Reference, and DFC equal to the number of distinct live candidates
+// in the lists read — validation counts each candidate exactly once.
+func TestValidateMatchesOracleAndCandidateCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n, k, domain = 400, 12, 300
 	rs := difftest.RandomCollection(rng, n, k, domain)
@@ -21,20 +38,33 @@ func TestKernelPathMatchesEvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := difftest.NewOracle(rs)
 	// Push some candidates past the build-time store so validate's inserted-id
 	// tail path runs too, and tombstone a few.
 	for i := 0; i < 40; i++ {
-		if _, err := idx.Insert(difftest.Perturb(rng, rs[rng.Intn(n)], domain)); err != nil {
+		r := difftest.Perturb(rng, rs[rng.Intn(n)], domain)
+		if _, err := idx.Insert(r); err != nil {
 			t.Fatal(err)
 		}
+		o.Insert(r)
 	}
 	for i := 0; i < 20; i++ {
-		if err := idx.Delete(ranking.ID(rng.Intn(n))); err != nil {
+		id := ranking.ID(rng.Intn(n))
+		if !o.Live(id) {
+			continue
+		}
+		if err := idx.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Delete(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sKern := NewSearcher(idx)
-	sLegacy := NewSearcher(idx)
+	s := NewSearcher(idx)
+	all := make([]int, k)
+	for i := range all {
+		all[i] = i
+	}
 	dmax := ranking.MaxDistance(k)
 	for trial := 0; trial < 60; trial++ {
 		q := difftest.RandomRanking(rng, k, domain)
@@ -42,47 +72,43 @@ func TestKernelPathMatchesEvaluator(t *testing.T) {
 			q = rs[rng.Intn(n)]
 		}
 		for _, raw := range []int{0, dmax / 10, dmax / 4, dmax / 2, dmax - 1} {
-			evK := metric.New(nil)              // stock → kernel path
-			evL := metric.New(ranking.Footrule) // custom → legacy loop
-			if evK.Stock() == evL.Stock() {
-				t.Fatal("evaluator Stock flags did not diverge")
-			}
-			gotK, err := sKern.FilterValidate(q, raw, evK)
+			want := o.SearchRaw(q, raw)
+			ev := metric.New(nil)
+			got, err := s.FilterValidate(q, raw, ev)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotL, err := sLegacy.FilterValidate(q, raw, evL)
+			if !difftest.Equal(got, want) {
+				t.Fatalf("raw=%d: F&V %v != oracle %v", raw, got, want)
+			}
+			for _, r := range got {
+				if ref := kernel.Reference(q, idx.Ranking(r.ID)); r.Dist != ref {
+					t.Fatalf("raw=%d id=%d: distance %d, reference %d", raw, r.ID, r.Dist, ref)
+				}
+			}
+			if c := keptCandidates(idx, q, all); ev.Calls() != c {
+				t.Fatalf("raw=%d: F&V DFC %d, %d distinct live candidates", raw, ev.Calls(), c)
+			}
+			ev.Reset()
+			got, err = s.FilterValidateDrop(q, raw, ev, DropSafe)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !difftest.Equal(gotK, gotL) {
-				t.Fatalf("raw=%d: kernel results %v != legacy results %v", raw, gotK, gotL)
+			if !difftest.Equal(got, want) {
+				t.Fatalf("drop raw=%d: F&V+Drop %v != oracle %v", raw, got, want)
 			}
-			if evK.Calls() != evL.Calls() {
-				t.Fatalf("raw=%d: kernel DFC %d != legacy DFC %d", raw, evK.Calls(), evL.Calls())
-			}
-			evK.Reset()
-			evL.Reset()
-			gotK, err = sKern.FilterValidateDrop(q, raw, evK, DropSafe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotL, err = sLegacy.FilterValidateDrop(q, raw, evL, DropSafe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !difftest.Equal(gotK, gotL) || evK.Calls() != evL.Calls() {
-				t.Fatalf("drop raw=%d: kernel (%d calls) and legacy (%d calls) diverge", raw, evK.Calls(), evL.Calls())
+			if c := keptCandidates(idx, q, s.chooseKeptLists(q, raw, DropSafe)); ev.Calls() != c {
+				t.Fatalf("drop raw=%d: DFC %d, %d distinct live candidates in the kept lists", raw, ev.Calls(), c)
 			}
 		}
 	}
 }
 
-// TestCSRLayoutDifferential pins the CSR posting layout against an
+// TestListLayoutDifferential pins the packed posting layout against an
 // independently built map layout, through build, post-insert, and
 // post-compaction (rebuild) states, and checks the structural invariants of
-// the arena.
-func TestCSRLayoutDifferential(t *testing.T) {
+// the build-time arena views.
+func TestListLayoutDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const n, k, domain = 300, 10, 200
 	rs := difftest.RandomCollection(rng, n, k, domain)
@@ -113,29 +139,16 @@ func TestCSRLayoutDifferential(t *testing.T) {
 			}
 		}
 	}
-	checkCSRInvariants := func(idx *Index) {
+	// Freshly built lists are capacity-clamped views covering exactly n·k
+	// postings, so an append copies out instead of clobbering a neighbor.
+	checkBuildViews := func(idx *Index, rankings int) {
 		t.Helper()
-		dict, offsets, postings := idx.CSR()
-		if len(offsets) != len(dict)+1 {
-			t.Fatalf("offsets len %d, dict len %d", len(offsets), len(dict))
+		if got := idx.TotalPostings(); got != rankings*k {
+			t.Fatalf("lists hold %d postings, want %d", got, rankings*k)
 		}
-		if offsets[len(dict)] != len(postings) {
-			t.Fatalf("final offset %d != arena size %d", offsets[len(dict)], len(postings))
-		}
-		for i := 1; i < len(dict); i++ {
-			if dict[i-1] >= dict[i] {
-				t.Fatalf("dict not strictly sorted at %d: %d >= %d", i, dict[i-1], dict[i])
-			}
-			if offsets[i] < offsets[i-1] {
-				t.Fatalf("offsets not monotone at %d", i)
-			}
-		}
-		for i, it := range dict {
-			seg := postings[offsets[i]:offsets[i+1]]
-			for j := 1; j < len(seg); j++ {
-				if seg[j-1].ID >= seg[j].ID {
-					t.Fatalf("item %d: arena segment not id-sorted", it)
-				}
+		for it, l := range idx.lists {
+			if cap(l) != len(l) {
+				t.Fatalf("item %d: build-time list has spare capacity %d", it, cap(l)-len(l))
 			}
 		}
 	}
@@ -145,14 +158,15 @@ func TestCSRLayoutDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainst(idx, naive(rs))
-	checkCSRInvariants(idx)
-	if _, _, postings := idx.CSR(); len(postings) != n*k {
-		t.Fatalf("arena holds %d postings, want %d", len(postings), n*k)
-	}
+	checkBuildViews(idx, n)
 
-	// Post-mutation state: inserts must extend the map lists (copying out of
-	// the capacity-clamped arena views) while leaving the arena itself
-	// untouched, so build-time invariants keep holding.
+	// Post-mutation state: inserts must extend the map lists while leaving
+	// the build-time arena untouched — the views taken before the inserts
+	// still read exactly the build-time postings.
+	before := make(map[ranking.Item][]Posting, idx.NumLists())
+	for it, l := range idx.lists {
+		before[it] = l
+	}
 	live := append([]ranking.Ranking(nil), rs...)
 	for i := 0; i < 50; i++ {
 		r := difftest.Perturb(rng, live[rng.Intn(len(live))], domain)
@@ -162,14 +176,17 @@ func TestCSRLayoutDifferential(t *testing.T) {
 		live = append(live, r)
 	}
 	checkAgainst(idx, naive(live))
-	checkCSRInvariants(idx)
-	if _, _, postings := idx.CSR(); len(postings) != n*k {
-		t.Fatalf("insert grew the arena to %d postings", len(postings))
+	for it, wl := range naive(rs) {
+		for i, p := range before[it] {
+			if p != wl[i] {
+				t.Fatalf("item %d: insert clobbered build-time posting %d: %+v want %+v", it, i, p, wl[i])
+			}
+		}
 	}
 
 	// Post-compaction state: tombstone a third, rebuild over the survivors
 	// (exactly what the facade's compaction does), and re-check the fresh
-	// CSR arena against the naive layout of the compacted collection.
+	// layout against the naive layout of the compacted collection.
 	o := difftest.NewOracle(live)
 	for i := 0; i < len(live)/3; i++ {
 		id := ranking.ID(rng.Intn(len(live)))
@@ -188,7 +205,7 @@ func TestCSRLayoutDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAgainst(compacted, naive(o.LiveRankings()))
-	checkCSRInvariants(compacted)
+	checkBuildViews(compacted, o.Len())
 
 	// And the compacted index answers exactly like the oracle (dense-remapped).
 	s := NewSearcher(compacted)

@@ -10,20 +10,12 @@ import (
 // (distance, id), in one pass over the query's k posting lists — no range
 // search, no radius schedule, no candidate validation.
 //
-// The rank-augmented postings alone determine the exact Footrule distance
-// (the identity behind ListMerge, rearranged per shared item):
-//
-//	F(q,τ) = k(k+1) − Σ_{i shared} 2·(k − max(q(i), τ(i)))
-//
-// so every posting adds its gain 2·(k − max(qr, p.Rank)) into a per-searcher
-// []uint16 accumulator indexed by ranking id. A gain is at least 2 and a
-// ranking's total at most k(k+1) ≤ 65 280, so 0 means "untouched" and fits
-// the cell; the list of touched ids both enumerates the candidates and
-// clears the accumulator afterwards, so no query pays an O(collection)
-// reset. One bounded selection over the touched ids, skipping tombstones,
-// keeps the n best. Only when fewer than n live rankings share an item with
-// the query are the remaining slots filled with untouched live rankings —
-// all at distance exactly dmax = k(k+1) — in ascending id order.
+// accumulate sums every overlapping ranking's distance gain; the list of
+// touched ids both enumerates the candidates and clears the accumulator
+// afterwards. One bounded selection over the touched ids, skipping
+// tombstones, keeps the n best. Only when fewer than n live rankings share an
+// item with the query are the remaining slots filled with untouched live
+// rankings — all at distance exactly dmax = k(k+1) — in ascending id order.
 //
 // ext, when non-nil, is the owner's internal→external id map for an id
 // space whose external order differs from the internal one (an Update moved
@@ -36,7 +28,7 @@ import (
 // Like ListMerge the routine never calls the distance function: it adds
 // nothing to any DFC counter (the paper's Figure 10 convention). The
 // accumulator costs 2 bytes per indexed ranking per searcher, allocated on
-// the searcher's first NearestNeighbors call and grown with the collection.
+// the searcher's first accumulate and grown with the collection.
 func (s *Searcher) NearestNeighbors(q ranking.Ranking, n int, ext []ranking.ID) ([]ranking.Result, error) {
 	if err := s.checkQueryNoAlloc(q); err != nil {
 		return nil, err
@@ -48,22 +40,10 @@ func (s *Searcher) NearestNeighbors(q ranking.Ranking, n int, ext []ranking.ID) 
 	if n <= 0 {
 		return nil, nil
 	}
-	if size := len(idx.rankings); len(s.acc) < size {
-		s.acc = append(s.acc, make([]uint16, size-len(s.acc))...)
-	}
-	acc, k := s.acc, len(q)
-	touched := s.cands[:0]
-	for qr, item := range q {
-		for _, p := range idx.lists[item] {
-			if acc[p.ID] == 0 {
-				touched = append(touched, p.ID)
-			}
-			acc[p.ID] += uint16(2 * (k - max(qr, int(p.Rank))))
-		}
-	}
-	s.cands = touched
+	touched := s.accumulate(q)
+	acc := s.acc
 
-	dmax := ranking.MaxDistance(k)
+	dmax := ranking.MaxDistance(len(q))
 	dels := idx.deleted
 	sel := nnSelect{heap: s.res[:0], n: n, ext: ext}
 	for _, id := range touched {

@@ -1,0 +1,155 @@
+package invindex
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"topk/internal/difftest"
+	"topk/internal/metric"
+	"topk/internal/ranking"
+)
+
+// checkListMerge cross-checks one query on one searcher at every threshold
+// at which any answer can change — each distance a live ranking actually
+// has, one below it, and the extremes: ListMerge ≡ F&V ≡ F&V+Drop ≡ the
+// linear-scan oracle, ListMerge adds nothing to DFC, and alternating it with
+// NearestNeighbors finds the shared accumulator all-zero every time. The
+// oracle is asked at ≤ dmax−1: rankings sharing no item with the query, at
+// distance exactly dmax, are invisible to posting lists by design.
+func checkListMerge(t *testing.T, s *Searcher, o *difftest.Oracle, q ranking.Ranking) {
+	t.Helper()
+	dmax := ranking.MaxDistance(len(q))
+	raws := []int{-1, 0, dmax - 1, dmax}
+	for _, r := range o.SearchRaw(q, dmax) {
+		raws = append(raws, r.Dist-1, r.Dist)
+	}
+	slices.Sort(raws)
+	for _, raw := range slices.Compact(raws) {
+		want := o.SearchRaw(q, min(raw, dmax-1))
+		ev := metric.New(nil)
+		merged, err := s.ListMerge(q, raw, ev)
+		if err != nil {
+			t.Fatalf("ListMerge: %v", err)
+		}
+		if !difftest.Equal(merged, want) {
+			t.Fatalf("k=%d raw=%d q=%v: ListMerge %v != oracle %v", len(q), raw, q, merged, want)
+		}
+		if ev.Calls() != 0 {
+			t.Fatalf("k=%d raw=%d: ListMerge counted %d distance calls", len(q), raw, ev.Calls())
+		}
+		if !accClean(s) {
+			t.Fatalf("k=%d raw=%d: ListMerge left the accumulator dirty", len(q), raw)
+		}
+		fv, err := s.FilterValidate(q, raw, nil)
+		if err != nil {
+			t.Fatalf("FilterValidate: %v", err)
+		}
+		drop, err := s.FilterValidateDrop(q, raw, nil, DropSafe)
+		if err != nil {
+			t.Fatalf("FilterValidateDrop: %v", err)
+		}
+		if !difftest.Equal(fv, want) || !difftest.Equal(drop, want) {
+			t.Fatalf("k=%d raw=%d q=%v: F&V %v / F&V+Drop %v != oracle %v", len(q), raw, q, fv, drop, want)
+		}
+		nn, err := s.NearestNeighbors(q, 3, nil)
+		if err != nil {
+			t.Fatalf("NearestNeighbors: %v", err)
+		}
+		if wantNN := o.NearestNeighbors(q, 3); !difftest.Equal(nn, wantNN) {
+			t.Fatalf("k=%d q=%v: KNN after ListMerge %v != oracle %v", len(q), q, nn, wantNN)
+		}
+		if !accClean(s) {
+			t.Fatalf("k=%d: NearestNeighbors left the accumulator dirty", len(q))
+		}
+	}
+}
+
+// runListMergeWorkload replays a byte-encoded Insert/Delete/query schedule
+// against an index — built over a few rankings, so most lists are post-build
+// — and the oracle in lockstep, one searcher throughout. Queries are a live
+// member, a random ranking over the item domain, or a zero-overlap ranking
+// from outside it.
+func runListMergeWorkload(t *testing.T, k int, seed int64, ops []byte) {
+	domain := k + 2 + k/2
+	rng := rand.New(rand.NewSource(seed))
+	rs := difftest.RandomCollection(rng, rng.Intn(8), k, domain)
+	idx, err := New(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := difftest.NewOracle(rs)
+	s := NewSearcher(idx)
+	for _, op := range ops {
+		switch op % 4 {
+		case 0, 1: // insert
+			r := difftest.RandomRanking(rng, k, domain)
+			id, err := idx.Insert(r)
+			if err != nil {
+				t.Fatalf("insert: %v", err)
+			}
+			if want := o.Insert(r); id != want {
+				t.Fatalf("insert id %d, oracle %d", id, want)
+			}
+		case 2: // delete
+			ids := o.LiveIDs()
+			if len(ids) == 0 {
+				continue
+			}
+			id := ids[int(op/4)%len(ids)]
+			if err := idx.Delete(id); err != nil {
+				t.Fatalf("delete(%d): %v", id, err)
+			}
+			if err := o.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		default: // query
+			if o.NumSlots() == 0 {
+				continue // k is undefined until the first insert
+			}
+			var q ranking.Ranking
+			switch ids := o.LiveIDs(); {
+			case op/4%3 == 0 && len(ids) > 0:
+				q = o.Slots()[ids[rng.Intn(len(ids))]]
+			case op/4%3 == 1:
+				q = difftest.RandomRanking(rng, k, domain)
+			default:
+				q = make(ranking.Ranking, k)
+				for i := range q {
+					q[i] = ranking.Item(domain + i)
+				}
+			}
+			checkListMerge(t, s, o, q)
+		}
+	}
+}
+
+// TestListMergeEquivalenceUnderMutation is the property run of the schedule
+// checker at the ranking sizes that matter: k = 1 (every gain is the whole
+// distance), 10 (the serving default) and 255 (the uint8 rank limit, where
+// the uint16 accumulator is fullest).
+func TestListMergeEquivalenceUnderMutation(t *testing.T) {
+	for _, k := range []int{1, 10, 255} {
+		rng := rand.New(rand.NewSource(int64(k) + 31))
+		for round := 0; round < 4; round++ {
+			ops := make([]byte, 60)
+			rng.Read(ops)
+			runListMergeWorkload(t, k, rng.Int63(), ops)
+		}
+	}
+}
+
+// FuzzListMerge lets the fuzzer pick the ranking size, the collection seed
+// and the mutation/query schedule. Seeded into CI's fuzz-smoke step.
+func FuzzListMerge(f *testing.F) {
+	f.Add(uint8(0), int64(1), []byte{0, 3, 7, 2, 11, 0, 0, 15, 6, 3})
+	f.Add(uint8(1), int64(2), []byte{1, 1, 1, 1, 3, 2, 2, 2, 7, 11, 0, 15})
+	f.Add(uint8(2), int64(3), []byte{0, 1, 0, 3, 2, 7, 11})
+	f.Add(uint8(1), int64(4), []byte{3, 7, 11, 2, 0, 2, 3})
+	f.Fuzz(func(t *testing.T, kSel uint8, seed int64, ops []byte) {
+		if len(ops) > 80 {
+			ops = ops[:80]
+		}
+		runListMergeWorkload(t, []int{1, 10, 255}[kSel%3], seed, ops)
+	})
+}

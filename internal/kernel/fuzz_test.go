@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzKernelDifferential decodes two rankings of equal length from raw bytes
-// and asserts the compiled kernel (dense or sparse, scalar or unrolled
-// depending on build tags), the batched path, and ranking.Footrule all agree
+// and asserts the compiled kernel (dense or sparse), the batched path, and
+// ranking.Footrule all agree
 // with the naive reference. Byte layout: first byte is k (clamped), then
 // 4-byte little-endian items, q first then tau; duplicate items are skipped
 // so both lists are valid rankings.

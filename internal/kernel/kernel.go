@@ -111,6 +111,29 @@ func (kn *Kernel) Distance(tau ranking.Ranking) int {
 	return kn.distDense(tau)
 }
 
+// distDense is the dense-mode evaluation pass: one stamped probe per
+// candidate position, matched-rank-sum correction folded into the same loop.
+func (kn *Kernel) distDense(tau ranking.Ranking) int {
+	k, limit, gen := kn.k, kn.limit, kn.gen
+	rank, stamp := kn.rank, kn.stamp
+	d, matched, mqs := 0, 0, 0
+	for pt, it := range tau {
+		if uint32(it) < limit && stamp[it] == gen {
+			pq := int(rank[it])
+			delta := pq - pt
+			if delta < 0 {
+				delta = -delta
+			}
+			d += delta
+			matched++
+			mqs += pq
+		} else {
+			d += k - pt
+		}
+	}
+	return d + (k-matched)*k - (kn.totalQSum - mqs)
+}
+
 func (kn *Kernel) distSparse(tau ranking.Ranking) int {
 	k, items, ranks := kn.k, kn.qItems, kn.qRanks
 	d, matched, mqs := 0, 0, 0

@@ -5,7 +5,7 @@ import "topk/internal/ranking"
 // Reference is the scalar reference kernel: an independent, deliberately
 // naive Footrule over top-k lists (absent items at rank k), written from the
 // definition rather than the rank-table identity. It exists purely as the
-// differential oracle for the compiled / batched / unrolled kernels and for
+// differential oracle for the compiled / batched kernels and for
 // ranking.Footrule itself — three implementations, one truth.
 func Reference(q, tau ranking.Ranking) int {
 	k := len(q)

@@ -2,8 +2,7 @@
 // backend: a query-compiled Footrule kernel (dense stamp-versioned rank
 // lookup, single branch-reduced evaluation pass) and a flat k-strided Store
 // for contiguous ranking storage. The scalar reference implementation in
-// reference.go is the differential oracle for the compiled, batched, and
-// build-tagged unrolled variants.
+// reference.go is the differential oracle for the compiled and batched paths.
 package kernel
 
 import (

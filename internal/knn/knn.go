@@ -21,7 +21,6 @@
 package knn
 
 import (
-	"cmp"
 	"container/heap"
 	"slices"
 
@@ -34,13 +33,8 @@ import (
 // current worst of the best n.
 type resultHeap []ranking.Result
 
-func (h resultHeap) Len() int { return len(h) }
-func (h resultHeap) Less(i, j int) bool {
-	if h[i].Dist != h[j].Dist {
-		return h[i].Dist > h[j].Dist
-	}
-	return h[i].ID > h[j].ID // break ties by id so results are deterministic
-}
+func (h resultHeap) Len() int            { return len(h) }
+func (h resultHeap) Less(i, j int) bool  { return ranking.CompareNearest(h[i], h[j]) > 0 }
 func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(ranking.Result)) }
 func (h *resultHeap) Pop() interface{} {
@@ -49,15 +43,6 @@ func (h *resultHeap) Pop() interface{} {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-// worse reports whether candidate (d, id) ranks after the heap root under
-// the same ordering used by resultHeap.Less.
-func worse(root ranking.Result, d int, id ranking.ID) bool {
-	if d != root.Dist {
-		return d > root.Dist
-	}
-	return id > root.ID
 }
 
 // BestFirst returns the n nearest rankings to q in the BK-tree, ordered by
@@ -74,14 +59,15 @@ func BestFirst(t *bktree.Tree, q ranking.Ranking, n int, ev *metric.Evaluator) [
 	best := &resultHeap{}
 	var visit func(node *bktree.Node, d int32)
 	consider := func(id ranking.ID, d int32) {
+		r := ranking.Result{ID: id, Dist: int(d)}
 		if best.Len() < n {
-			heap.Push(best, ranking.Result{ID: id, Dist: int(d)})
+			heap.Push(best, r)
 			return
 		}
-		if worse((*best)[0], int(d), id) {
+		if ranking.CompareNearest(r, (*best)[0]) > 0 {
 			return
 		}
-		(*best)[0] = ranking.Result{ID: id, Dist: int(d)}
+		(*best)[0] = r
 		heap.Fix(best, 0)
 	}
 	visit = func(node *bktree.Node, d int32) {
@@ -159,12 +145,7 @@ func Expanding(rs RangeSearcher, q ranking.Ranking, n int) ([]ranking.Result, er
 			return nil, err
 		}
 		if len(res) >= n || radius >= cap {
-			slices.SortFunc(res, func(a, b ranking.Result) int {
-				if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
-					return c
-				}
-				return cmp.Compare(a.ID, b.ID)
-			})
+			slices.SortFunc(res, ranking.CompareNearest)
 			if len(res) > n {
 				return res[:n], nil
 			}

@@ -10,30 +10,24 @@ import "topk/internal/ranking"
 type DistFunc func(a, b ranking.Ranking) int
 
 // Evaluator computes distances while counting calls. The zero value uses
-// Spearman's Footrule. Evaluator is not safe for concurrent use; query
+// Spearman's Footrule. Only the metric trees (BK-, M-, VP-tree) evaluate
+// through Distance; the inverted-index family is Footrule-only by
+// construction, validates through internal/kernel and uses the evaluator as
+// a DFC counter (Add). Evaluator is not safe for concurrent use; query
 // processing in this library is single-threaded per evaluator, matching the
 // paper's sequential measurements (run one evaluator per goroutine).
 type Evaluator struct {
-	fn     DistFunc
-	calls  uint64
-	custom bool
+	fn    DistFunc
+	calls uint64
 }
 
 // New returns an evaluator for fn. A nil fn selects ranking.Footrule.
 func New(fn DistFunc) *Evaluator {
 	if fn == nil {
-		return &Evaluator{fn: ranking.Footrule}
+		fn = ranking.Footrule
 	}
-	return &Evaluator{fn: fn, custom: true}
+	return &Evaluator{fn: fn}
 }
-
-// Stock reports whether the evaluator computes the stock Footrule metric
-// (nil fn passed to New, or the zero value). Backends may then substitute a
-// semantically identical fast path — the compiled kernel — and account its
-// evaluations through Add, keeping DFC totals byte-for-byte identical. An
-// evaluator wrapping a custom DistFunc returns false and must be driven
-// through Distance.
-func (e *Evaluator) Stock() bool { return !e.custom }
 
 // Distance computes the distance between a and b and counts one call.
 func (e *Evaluator) Distance(a, b ranking.Ranking) int {
@@ -51,7 +45,7 @@ func (e *Evaluator) Calls() uint64 { return e.calls }
 func (e *Evaluator) Reset() { e.calls = 0 }
 
 // Add accounts for n distance computations performed outside the evaluator
-// (e.g. distances folded into a merge loop that never materializes the
-// ranking pair). It keeps Figure 10's DFC numbers honest for algorithms
-// that compute Footrule incrementally.
+// (the compiled kernel's evaluations, or distances folded into a merge loop
+// that never materializes the ranking pair). It keeps Figure 10's DFC
+// numbers honest for algorithms that do not call Distance.
 func (e *Evaluator) Add(n uint64) { e.calls += n }

@@ -1,9 +1,8 @@
-// Package persist provides binary (de)serialization for ranking collections
-// and index structures, using only the standard library. Two purposes:
-// a downstream user can snapshot an index to disk and reload it without
-// paying construction cost again (construction dominates for the metric
-// structures, cf. Table 6), and the evaluation harness derives the
-// byte-exact index sizes the paper's Table 6 reports.
+// Package persist provides binary (de)serialization for ranking
+// collections, using only the standard library: a downstream user can
+// snapshot a collection — with its external-id slot assignment — to disk and
+// reload it. Index structures are not serialized; every index is rebuilt
+// from the reloaded collection.
 //
 // Format: little-endian, length-prefixed sections with a magic header per
 // artifact kind. The format is versioned; readers reject unknown versions.
@@ -17,15 +16,11 @@ import (
 	"io"
 	"os"
 
-	"topk/internal/bktree"
-	"topk/internal/invindex"
 	"topk/internal/ranking"
 )
 
 const (
 	magicRankings = 0x544b524b // "TKRK"
-	magicBKTree   = 0x544b424b // "TKBK"
-	magicInvIndex = 0x544b4949 // "TKII"
 	version       = 1
 	// versionV2 is the mutable-collection snapshot: an external-id slot
 	// array where each slot is either a live ranking or a tombstone, so a
@@ -393,144 +388,4 @@ func ReadCollectionFile(path string) ([]ranking.Ranking, error) {
 			ErrCorrupt, n, k, size)
 	}
 	return readSlotsBody(br, n, k, int(n))
-}
-
-// WriteBKTree serializes the exact tree structure (preorder: node id, child
-// count, then per child the edge distance and its subtree) together with
-// the backing rankings, and returns the bytes written.
-func WriteBKTree(w io.Writer, t *bktree.Tree) (int64, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	if err := writeHeader(bw, magicBKTree); err != nil {
-		return cw.n, err
-	}
-	if _, err := WriteRankings(bw, t.Rankings()); err != nil {
-		return cw.n, err
-	}
-	hasRoot := uint32(0)
-	if t.Root != nil {
-		hasRoot = 1
-	}
-	if err := writeU32(bw, hasRoot); err != nil {
-		return cw.n, err
-	}
-	var enc func(n *bktree.Node) error
-	enc = func(n *bktree.Node) error {
-		if err := writeU32(bw, n.ID); err != nil {
-			return err
-		}
-		if err := writeU32(bw, uint32(len(n.Children))); err != nil {
-			return err
-		}
-		for _, e := range n.Children {
-			if err := writeU32(bw, uint32(e.Dist)); err != nil {
-				return err
-			}
-			if err := enc(e.Child); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if t.Root != nil {
-		if err := enc(t.Root); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-// ReadBKTree reconstructs a tree written by WriteBKTree without recomputing
-// any distances.
-func ReadBKTree(r io.Reader) (*bktree.Tree, error) {
-	br := bufio.NewReader(r)
-	if err := readHeader(br, magicBKTree); err != nil {
-		return nil, err
-	}
-	rs, err := ReadRankings(br)
-	if err != nil {
-		return nil, err
-	}
-	hasRoot, err := readU32(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	var root *bktree.Node
-	count := 0
-	if hasRoot == 1 {
-		var dec func(depth int) (*bktree.Node, error)
-		dec = func(depth int) (*bktree.Node, error) {
-			if depth > len(rs)+1 {
-				return nil, fmt.Errorf("%w: tree deeper than node count", ErrBadFormat)
-			}
-			id, err := readU32(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-			}
-			if int(id) >= len(rs) {
-				return nil, fmt.Errorf("%w: node id %d out of range", ErrBadFormat, id)
-			}
-			nc, err := readU32(br)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-			}
-			if int(nc) > len(rs) {
-				return nil, fmt.Errorf("%w: child count %d out of range", ErrBadFormat, nc)
-			}
-			n := &bktree.Node{ID: id}
-			count++
-			for c := 0; c < int(nc); c++ {
-				dist, err := readU32(br)
-				if err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-				}
-				child, err := dec(depth + 1)
-				if err != nil {
-					return nil, err
-				}
-				n.Children = append(n.Children, bktree.Edge{Dist: int32(dist), Child: child})
-			}
-			return n, nil
-		}
-		root, err = dec(0)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return bktree.Rehydrate(rs, root, count)
-}
-
-// WriteInvIndex serializes an inverted index. Because index construction is
-// deterministic from the collection, the payload is the collection itself;
-// ReadInvIndex rebuilds the lists (cheap — no distance computations, cf.
-// Table 6).
-func WriteInvIndex(w io.Writer, idx *invindex.Index) (int64, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	if err := writeHeader(bw, magicInvIndex); err != nil {
-		return cw.n, err
-	}
-	if _, err := WriteRankings(bw, idx.Rankings()); err != nil {
-		return cw.n, err
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-// ReadInvIndex reconstructs an index written by WriteInvIndex.
-func ReadInvIndex(r io.Reader) (*invindex.Index, error) {
-	br := bufio.NewReader(r)
-	if err := readHeader(br, magicInvIndex); err != nil {
-		return nil, err
-	}
-	rs, err := ReadRankings(br)
-	if err != nil {
-		return nil, err
-	}
-	return invindex.New(rs)
 }

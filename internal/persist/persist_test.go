@@ -5,9 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"topk/internal/bktree"
-	"topk/internal/invindex"
-	"topk/internal/metric"
 	"topk/internal/ranking"
 )
 
@@ -93,137 +90,6 @@ func TestWriteRankingsMixedSizesRejected(t *testing.T) {
 	if _, err := WriteRankings(&buf, []ranking.Ranking{{1, 2}, {1, 2, 3}}); err == nil {
 		t.Error("mixed sizes accepted")
 	}
-}
-
-func TestBKTreeRoundtrip(t *testing.T) {
-	rs := randomCollection(3, 400, 10, 60)
-	ev := metric.New(nil)
-	tr, err := bktree.New(rs, ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	n, err := WriteBKTree(&buf, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(buf.Len()) != n {
-		t.Fatalf("reported %d bytes, wrote %d", n, buf.Len())
-	}
-	got, err := ReadBKTree(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tr.Len() || got.K() != tr.K() {
-		t.Fatalf("shape mismatch: %d/%d vs %d/%d", got.Len(), got.K(), tr.Len(), tr.K())
-	}
-	// Loading must not compute any distances; queries must agree.
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 30; trial++ {
-		q := rs[rng.Intn(len(rs))]
-		radius := rng.Intn(40)
-		a := tr.RangeSearch(q, radius, nil)
-		b := got.RangeSearch(q, radius, nil)
-		if len(a) != len(b) {
-			t.Fatalf("reloaded tree answers differently: %d vs %d", len(a), len(b))
-		}
-	}
-	// Structure identical (preorder walk).
-	var walkA, walkB []ranking.ID
-	tr.Walk(func(n *bktree.Node, _ int) bool { walkA = append(walkA, n.ID); return true })
-	got.Walk(func(n *bktree.Node, _ int) bool { walkB = append(walkB, n.ID); return true })
-	if len(walkA) != len(walkB) {
-		t.Fatal("node counts differ")
-	}
-	for i := range walkA {
-		if walkA[i] != walkB[i] {
-			t.Fatalf("preorder differs at %d", i)
-		}
-	}
-}
-
-func TestBKTreeEmptyRoundtrip(t *testing.T) {
-	tr, _ := bktree.New(nil, nil)
-	var buf bytes.Buffer
-	if _, err := WriteBKTree(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBKTree(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 0 {
-		t.Fatal("empty tree roundtrip has nodes")
-	}
-}
-
-func TestBKTreeRejectsCorruption(t *testing.T) {
-	rs := randomCollection(5, 50, 8, 40)
-	tr, _ := bktree.New(rs, nil)
-	var buf bytes.Buffer
-	if _, err := WriteBKTree(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	if _, err := ReadBKTree(bytes.NewReader(data[:len(data)/2])); err == nil {
-		t.Error("truncated tree accepted")
-	}
-	bad := append([]byte{}, data...)
-	bad[0] ^= 0xff
-	if _, err := ReadBKTree(bytes.NewReader(bad)); err == nil {
-		t.Error("wrong magic accepted")
-	}
-}
-
-func TestInvIndexRoundtrip(t *testing.T) {
-	rs := randomCollection(6, 300, 10, 80)
-	idx, err := invIndexFrom(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := WriteInvIndex(&buf, idx); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadInvIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != idx.Len() || got.K() != idx.K() || got.TotalPostings() != idx.TotalPostings() {
-		t.Fatal("reloaded index differs")
-	}
-}
-
-func TestSizeEstimatesPositiveAndOrdered(t *testing.T) {
-	rs := randomCollection(7, 2000, 10, 500)
-	idx, _ := invIndexFrom(rs)
-	tr, _ := bktree.New(rs, nil)
-	plain := idx.SizeBytes(false)
-	aug := idx.SizeBytes(true)
-	tree := tr.SizeBytes()
-	if plain <= 0 || aug <= 0 || tree <= 0 {
-		t.Fatal("non-positive size estimate")
-	}
-	// Table 6 ordering: the augmented index is strictly larger than the
-	// plain one; the BK-tree (rankings + structure only) is smaller than
-	// the plain inverted index (rankings + postings).
-	if aug <= plain {
-		t.Fatalf("augmented (%d) not larger than plain (%d)", aug, plain)
-	}
-	if tree >= plain {
-		t.Fatalf("BK-tree (%d) not smaller than plain index (%d)", tree, plain)
-	}
-	// The BK-tree size estimate must track the serialized size closely.
-	var buf bytes.Buffer
-	n, _ := WriteBKTree(&buf, tr)
-	ratio := float64(tree) / float64(n)
-	if ratio < 0.8 || ratio > 1.25 {
-		t.Fatalf("SizeBytes %d vs serialized %d (ratio %f)", tree, n, ratio)
-	}
-}
-
-func invIndexFrom(rs []ranking.Ranking) (*invindex.Index, error) {
-	return invindex.New(rs)
 }
 
 // TestCollectionMidEpochRoundtrip pins the snapshot-v2 shape the hybrid

@@ -1,6 +1,9 @@
 package ranking
 
-import "sort"
+import (
+	"cmp"
+	"sort"
+)
 
 // Result is a query answer: the id of a ranking whose raw Footrule distance
 // to the query is Dist (≤ the query threshold).
@@ -15,6 +18,16 @@ type Result struct {
 // deterministic for golden tests.
 func SortResults(rs []Result) {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].ID < rs[j].ID })
+}
+
+// CompareNearest orders results by (distance, id) ascending — the order of
+// every NearestNeighbors answer, and so of every sort, heap and merge that
+// produces one. Range-search answers use SortResults instead.
+func CompareNearest(a, b Result) int {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // ResultIDs projects the ids out of a result slice.

@@ -123,8 +123,8 @@ type fallbackWriter struct {
 	status int
 }
 
-func (f *fallbackWriter) Header() http.Header       { return f.header }
-func (f *fallbackWriter) WriteHeader(code int)      { f.status = code }
+func (f *fallbackWriter) Header() http.Header         { return f.header }
+func (f *fallbackWriter) WriteHeader(code int)        { f.status = code }
 func (f *fallbackWriter) Write(b []byte) (int, error) { return len(b), nil }
 
 // withNamedCollection resolves {name} from the route, pins the collection
@@ -593,9 +593,12 @@ func (s *Server) runSearch(ctx context.Context, c *Collection, req searchRequest
 	}
 	tr.addStage("plan", time.Since(planStart))
 	if req.Query != nil {
+		cacheStart := time.Now()
 		var (
-			key qcache.Key
-			gen uint64
+			key    qcache.Key
+			gen    uint64
+			res    []ranking.Result
+			cached bool
 		)
 		if s.cache != nil {
 			// The generation is read BEFORE the search: a mutation landing
@@ -603,10 +606,11 @@ func (s *Server) runSearch(ctx context.Context, c *Collection, req searchRequest
 			// fresh (see qcache's package comment).
 			key = qcache.Key{Collection: c.cacheScope, Kind: "search", Query: queries[0].String(), Theta: theta}
 			gen = c.generation()
-			if res, ok := s.cache.Get(key, gen); ok {
-				tr.addStage("cache", time.Since(planStart))
-				return [][]ranking.Result{res}, "cached", nil
-			}
+			res, cached = s.cache.Get(key, gen)
+		}
+		tr.addStage("cache", time.Since(cacheStart))
+		if cached {
+			return [][]ranking.Result{res}, "cached", nil
 		}
 		res, qt, err := c.sh.SearchTracedContext(ctx, queries[0], theta)
 		tr.addStageMicros("fanout", qt.FanoutMicros)

@@ -167,10 +167,10 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 	}
 	fan, mrg := c.sh.Timings()
 	w.Histogram("topkserve_fanout_duration_seconds",
-		"Scatter phase of a fanned-out search: dispatch until the slowest shard answers.",
+		"Scatter phase of a fanned-out search, shared batch or KNN query: dispatch until the slowest shard answers.",
 		labels, shardHistToTelemetry(fan))
 	w.Histogram("topkserve_merge_duration_seconds",
-		"Gather phase of a fanned-out search: concatenating per-shard answers.",
+		"Gather phase of a fanned-out search, shared batch or KNN query: combining per-shard answers.",
 		labels, shardHistToTelemetry(mrg))
 	w.Gauge("topkserve_delta_overlay_size",
 		"Rankings in the hybrid mutation overlay awaiting the next epoch rebuild, summed over shards.",

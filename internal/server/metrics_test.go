@@ -624,7 +624,7 @@ func TestRequestIDAndTraceRing(t *testing.T) {
 	for _, st := range tr.Stages {
 		stages[st.Name] = true
 	}
-	for _, want := range []string{"parse", "plan", "fanout", "merge", "respond"} {
+	for _, want := range []string{"parse", "plan", "cache", "fanout", "merge", "respond"} {
 		if !stages[want] {
 			t.Errorf("trace missing stage %q (have %v)", want, tr.Stages)
 		}
@@ -719,6 +719,26 @@ func TestKNNTraceStagesAndAttribution(t *testing.T) {
 		}
 		if tr := lastTrace(h); stageNames(tr) != "parse admit cache respond" || len(tr.Backends) != 0 {
 			t.Errorf("forced=%q: cached knn traced as %q %v", tc.forced, stageNames(tr), tr.Backends)
+		}
+		// A single /search records the cache probe the same way — its own
+		// stage on miss and hit, disjoint from plan — so the stages never
+		// add up to more than the request.
+		search := map[string]any{"query": rs[3], "theta": 0.2}
+		for _, want := range []string{"parse admit plan cache fanout merge respond", "parse admit plan cache respond"} {
+			if rec := postSearch(t, h, search); rec.Code != http.StatusOK {
+				t.Fatalf("search status %d: %s", rec.Code, rec.Body)
+			}
+			tr := lastTrace(h)
+			if got := stageNames(tr); got != want {
+				t.Errorf("forced=%q: search stages %q, want %q", tc.forced, got, want)
+			}
+			sum := 0.0
+			for _, st := range tr.Stages {
+				sum += st.Micros
+			}
+			if sum > tr.TotalMicros {
+				t.Errorf("forced=%q: search stages sum to %.1fµs of a %.1fµs request: %v", tc.forced, sum, tr.TotalMicros, tr.Stages)
+			}
 		}
 	}
 }

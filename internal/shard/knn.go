@@ -4,8 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"topk/internal/ranking"
 )
@@ -26,97 +24,52 @@ type TracedNearestNeighborSearcher interface {
 	NearestNeighborsTraced(q ranking.Ranking, n int) ([]ranking.Result, string, uint64, error)
 }
 
-// NearestNeighbors answers an exact global KNN query: every shard computes
-// its local top n in parallel, shard-local ids are remapped to global ids,
-// and the per-shard answers — each already sorted by (distance, id) — are
-// k-way merged with a heap and cut to the global top n. Because each shard's
-// answer is exact over its chunk and the chunks partition the collection,
-// the merged prefix is exactly the unsharded answer.
+// NearestNeighbors implements NearestNeighborSearcher:
+// NearestNeighborsContext without cancellation.
 func (s *Sharded) NearestNeighbors(q ranking.Ranking, n int) ([]ranking.Result, error) {
 	return s.NearestNeighborsContext(context.Background(), q, n)
 }
 
-// NearestNeighborsContext is NearestNeighbors with cancellation: ctx is
-// checked on entry and before each per-shard local-KNN task, so an abandoned
-// request stops scheduling shard work. A local KNN that has already started
-// runs to completion (the cancellation grain is one shard task).
+// NearestNeighborsContext answers an exact global KNN query: every shard
+// computes its local top n in parallel, shard-local ids are remapped to
+// global ids, and the per-shard answers — each already sorted by (distance,
+// id) — are k-way merged with a heap and cut to the global top n. Because
+// each shard's answer is exact over its chunk and the chunks partition the
+// collection, the merged prefix is exactly the unsharded answer.
+// Cancellation works as in SearchContext.
 func (s *Sharded) NearestNeighborsContext(ctx context.Context, q ranking.Ranking, n int) ([]ranking.Result, error) {
 	res, _, err := s.NearestNeighborsTracedContext(ctx, q, n)
 	return res, err
 }
 
 // NearestNeighborsTracedContext is NearestNeighborsContext with a per-query
-// trace: the same fan-out and merge (results are byte-identical), plus phase
-// timings and — when the sub-indices support it — the backends that answered
-// and their distance-call cost.
+// trace: phase timings and — when the sub-indices support it — the backends
+// that answered and their distance-call cost.
 func (s *Sharded) NearestNeighborsTracedContext(ctx context.Context, q ranking.Ranking, n int) ([]ranking.Result, QueryTrace, error) {
-	var tr QueryTrace
 	if n <= 0 {
-		return nil, tr, nil
+		return nil, QueryTrace{}, nil
 	}
 	for i, sh := range s.shards {
 		if _, ok := sh.(NearestNeighborSearcher); !ok {
-			return nil, tr, fmt.Errorf("shard %d: index kind does not support nearest neighbors", i)
+			return nil, QueryTrace{}, fmt.Errorf("shard %d: index kind does not support nearest neighbors", i)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, tr, err
-	}
-	parts := make([][]ranking.Result, len(s.shards))
-	backends := make([]string, len(s.shards))
-	calls := make([]uint64, len(s.shards))
-	errs := make([]error, len(s.shards))
-	fanStart := time.Now()
-	var wg sync.WaitGroup
-	for i := 1; i < len(s.shards); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			parts[i], backends[i], calls[i], errs[i] = s.nearestShard(i, q, n)
-		}(i)
-	}
-	parts[0], backends[0], calls[0], errs[0] = s.nearestShard(0, q, n)
-	wg.Wait()
-	tr.FanoutMicros = float64(time.Since(fanStart).Nanoseconds()) / 1e3
-	if err := firstError(errs); err != nil {
-		return nil, tr, err
-	}
-	mergeStart := time.Now()
-	tr.attribute(backends, calls)
-	out := mergeNearest(parts, n)
-	tr.MergeMicros = float64(time.Since(mergeStart).Nanoseconds()) / 1e3
-	return out, tr, nil
+	var out []ranking.Result
+	tr, err := s.scatter(ctx,
+		func(i int) shardAnswer { return s.nearestShard(i, q, n) },
+		func(parts []shardAnswer) { out = mergeNearest(parts, n) })
+	return out, tr, err
 }
 
-// nearestShard runs one shard's local KNN — with backend attribution when
-// the sub-index supports it — remaps ids, and records latency.
-func (s *Sharded) nearestShard(i int, q ranking.Ranking, n int) ([]ranking.Result, string, uint64, error) {
-	start := time.Now()
-	var (
-		res     []ranking.Result
-		backend string
-		calls   uint64
-		err     error
-	)
+// nearestShard runs one shard's local KNN, with backend attribution when
+// the sub-index supports it.
+func (s *Sharded) nearestShard(i int, q ranking.Ranking, n int) shardAnswer {
 	if ts, ok := s.shards[i].(TracedNearestNeighborSearcher); ok {
-		res, backend, calls, err = ts.NearestNeighborsTraced(q, n)
-	} else {
-		res, err = s.shards[i].(NearestNeighborSearcher).NearestNeighbors(q, n)
+		res, backend, calls, err := ts.NearestNeighborsTraced(q, n)
+		return shardAnswer{res: res, backend: backend, calls: calls, err: err}
 	}
-	s.hists[i].Observe(time.Since(start))
-	if err != nil {
-		return nil, "", 0, err
-	}
-	if off := s.offsets[i]; off != 0 {
-		for j := range res {
-			res[j].ID += off
-		}
-	}
-	return res, backend, calls, nil
+	res, err := s.shards[i].(NearestNeighborSearcher).NearestNeighbors(q, n)
+	return shardAnswer{res: res, err: err}
 }
 
 // nnCursor walks one shard's (distance, id)-sorted answer during the merge.
@@ -133,11 +86,7 @@ type nnMergeHeap []nnCursor
 
 func (h nnMergeHeap) Len() int { return len(h) }
 func (h nnMergeHeap) Less(i, j int) bool {
-	a, b := h[i].head(), h[j].head()
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
-	}
-	return a.ID < b.ID
+	return ranking.CompareNearest(h[i].head(), h[j].head()) < 0
 }
 func (h nnMergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *nnMergeHeap) Push(x interface{}) { *h = append(*h, x.(nnCursor)) }
@@ -150,11 +99,11 @@ func (h *nnMergeHeap) Pop() interface{} {
 
 // mergeNearest k-way merges per-shard KNN answers by (distance, id) and
 // returns the global top n.
-func mergeNearest(parts [][]ranking.Result, n int) []ranking.Result {
+func mergeNearest(parts []shardAnswer, n int) []ranking.Result {
 	h := make(nnMergeHeap, 0, len(parts))
 	for _, p := range parts {
-		if len(p) > 0 {
-			h = append(h, nnCursor{res: p})
+		if len(p.res) > 0 {
+			h = append(h, nnCursor{res: p.res})
 		}
 	}
 	heap.Init(&h)

@@ -141,11 +141,11 @@ func TestSearchBatchShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, theta := range []float64{0, 0.1, 0.3, 0.6, 1} {
-		got, ok, err := sh.SearchBatchShared(queries, theta)
+		got, ok, err := sh.SearchBatchSharedContext(context.Background(), queries, theta)
 		if err != nil || !ok {
 			t.Fatalf("θ=%.2f: ok=%v err=%v", theta, ok, err)
 		}
-		want, err := sh.SearchBatch(queries, theta)
+		want, err := sh.SearchBatchContext(context.Background(), queries, theta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestSearchBatchShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := blk.SearchBatchShared(queries, 0.2); ok || err != nil {
+	if _, ok, err := blk.SearchBatchSharedContext(context.Background(), queries, 0.2); ok || err != nil {
 		t.Fatalf("blocked kind: ok=%v err=%v, want fallback", ok, err)
 	}
 }
@@ -181,7 +181,7 @@ func TestSearchBatchSharedAfterMutations(t *testing.T) {
 	for i := range queries {
 		queries[i] = difftest.RandomRanking(rng, 8, 200)
 	}
-	got, ok, err := sh.SearchBatchShared(queries, 0.25)
+	got, ok, err := sh.SearchBatchSharedContext(context.Background(), queries, 0.25)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -208,7 +208,7 @@ func TestSearchBatchThetas(t *testing.T) {
 		queries[i] = difftest.RandomRanking(rng, 8, 200)
 		thetas[i] = difftest.Thetas[i%len(difftest.Thetas)]
 	}
-	got, err := sh.SearchBatchThetas(queries, thetas)
+	got, err := sh.SearchBatchThetasContext(context.Background(), queries, thetas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestSearchBatchThetas(t *testing.T) {
 			t.Fatalf("query %d (θ=%.2f): batch diverges from Search", i, thetas[i])
 		}
 	}
-	if _, err := sh.SearchBatchThetas(queries, thetas[:3]); err == nil {
+	if _, err := sh.SearchBatchThetasContext(context.Background(), queries, thetas[:3]); err == nil {
 		t.Fatal("mismatched thetas length accepted")
 	}
 }
@@ -229,7 +229,8 @@ func TestSearchBatchThetas(t *testing.T) {
 // TestShardedNearestNeighborsTraced checks the traced KNN fan-out: the same
 // answer as the plain call, phase timings, and — over hybrid sub-indices —
 // the answering backends and their distance-call cost; sub-indices that do
-// not attribute leave the trace's attribution empty.
+// not attribute leave the trace's attribution empty. Every KNN call is one
+// observation of the fan-out and merge histograms, like a range search.
 func TestShardedNearestNeighborsTraced(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	rs := difftest.RandomCollection(rng, 300, 8, 200)
@@ -243,12 +244,17 @@ func TestShardedNearestNeighborsTraced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fan0, merge0 := sh.Timings()
 		got, tr, err := sh.NearestNeighborsTracedContext(context.Background(), q, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !difftest.Equal(got, want) {
 			t.Fatalf("%s: traced KNN diverged:\n got %v\nwant %v", name, got, want)
+		}
+		if fan1, merge1 := sh.Timings(); fan1.Count != fan0.Count+1 || merge1.Count != merge0.Count+1 {
+			t.Errorf("%s: KNN call moved fanout count %d→%d, merge count %d→%d; want +1 each",
+				name, fan0.Count, fan1.Count, merge0.Count, merge1.Count)
 		}
 		if tr.FanoutMicros <= 0 {
 			t.Errorf("%s: no fan-out timing in %+v", name, tr)

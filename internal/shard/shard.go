@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"topk/internal/ranking"
 )
@@ -72,7 +71,7 @@ type Sharded struct {
 	sizes   []int        // initial slot count of shard i (id-range width)
 	hists   []*Histogram // per-shard query latency
 	fanout  Histogram    // scatter phase: dispatch until the slowest shard answers
-	merge   Histogram    // gather phase: concatenating per-shard answers
+	merge   Histogram    // gather phase: combining per-shard answers
 	k       int
 	// snapMu is the cross-shard consistency point of Slots: mutations hold
 	// it shared (they still run concurrently, serialized only within their
@@ -351,121 +350,60 @@ func (s *Sharded) Rebuilds() uint64 {
 // Shard returns the i-th sub-index and the global ID of its first ranking.
 func (s *Sharded) Shard(i int) (Index, ranking.ID) { return s.shards[i], s.offsets[i] }
 
-// Search implements Index: the query is fanned out to every shard in
-// parallel, shard-local IDs are remapped to global IDs, and the per-shard
-// answers are concatenated in shard order — which, with contiguous ID-range
-// sharding and ID-sorted per-shard results, is already the globally sorted
-// result set.
+// Search implements Index: SearchContext without cancellation.
 func (s *Sharded) Search(q ranking.Ranking, theta float64) ([]ranking.Result, error) {
 	return s.SearchContext(context.Background(), q, theta)
 }
 
-// SearchContext is Search with cancellation: ctx is checked on entry and
-// before each per-shard task, so a request whose client has gone away (or
-// whose deadline has passed) stops scheduling shard work. A sub-index search
-// that has already started runs to completion — the cancellation grain is
-// one shard task, bounded by the shard size. Returns ctx.Err() (possibly
+// SearchContext fans the query out to every shard in parallel, remaps
+// shard-local ids to global ones, and concatenates the per-shard answers in
+// shard order — which, with contiguous id-range sharding and id-sorted
+// per-shard results, is already the globally sorted result set. ctx is
+// checked on entry and before each per-shard task, so a request whose client
+// has gone away (or whose deadline has passed) stops scheduling shard work;
+// see scatter for the cancellation grain. Returns ctx.Err() (possibly
 // wrapped) when the search was cut short.
 func (s *Sharded) SearchContext(ctx context.Context, q ranking.Ranking, theta float64) ([]ranking.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	parts := make([][]ranking.Result, len(s.shards))
-	errs := make([]error, len(s.shards))
-	fanStart := time.Now()
-	var wg sync.WaitGroup
-	for i := 1; i < len(s.shards); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			parts[i], errs[i] = s.searchShard(i, q, theta)
-		}(i)
-	}
-	parts[0], errs[0] = s.searchShard(0, q, theta) // shard 0 on the caller's goroutine
-	wg.Wait()
-	s.fanout.Observe(time.Since(fanStart))
-	mergeStart := time.Now()
-	defer func() { s.merge.Observe(time.Since(mergeStart)) }()
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	total := 0
-	for i := range parts {
-		total += len(parts[i])
-	}
-	if total == 0 {
-		return nil, nil
-	}
-	out := make([]ranking.Result, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
+	res, _, err := s.SearchTracedContext(ctx, q, theta)
+	return res, err
 }
 
-// firstError aggregates per-shard (or per-query) errors, preferring a real
-// failure over a cancellation: when the context dies mid-fan-out some tasks
-// report bare ctx.Err(), and surfacing that instead of the failure that
-// actually aborted the work would mask it.
-func firstError(errs []error) error {
-	var ctxErr error
-	for i, err := range errs {
-		switch {
-		case err == nil:
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			if ctxErr == nil {
-				ctxErr = err
-			}
-		default:
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return ctxErr
+// SearchTracedContext is SearchContext with a per-query trace: phase timings
+// and — when the sub-indices support it — backend attribution and
+// distance-call cost.
+func (s *Sharded) SearchTracedContext(ctx context.Context, q ranking.Ranking, theta float64) ([]ranking.Result, QueryTrace, error) {
+	var out []ranking.Result
+	tr, err := s.scatter(ctx,
+		func(i int) shardAnswer { return s.searchShardTraced(i, q, theta) },
+		func(parts []shardAnswer) {
+			out = concat(parts, func(p *shardAnswer) []ranking.Result { return p.res })
+		})
+	return out, tr, err
 }
 
-// searchShard queries one shard, remaps IDs, and records latency.
-func (s *Sharded) searchShard(i int, q ranking.Ranking, theta float64) ([]ranking.Result, error) {
-	start := time.Now()
+// searchShardTraced queries one shard, capturing backend attribution when
+// the sub-index supports it.
+func (s *Sharded) searchShardTraced(i int, q ranking.Ranking, theta float64) shardAnswer {
+	if ts, ok := s.shards[i].(TracedSearcher); ok {
+		res, backend, calls, err := ts.SearchTraced(q, theta)
+		return shardAnswer{res: res, backend: backend, calls: calls, err: err}
+	}
 	res, err := s.shards[i].Search(q, theta)
-	s.hists[i].Observe(time.Since(start))
-	if err != nil {
-		return nil, err
-	}
-	if off := s.offsets[i]; off != 0 {
-		for j := range res {
-			res[j].ID += off
-		}
-	}
-	return res, nil
+	return shardAnswer{res: res, err: err}
 }
 
-// SearchBatch answers many queries at the same threshold, running up to
-// GOMAXPROCS queries concurrently (each of which fans out to all shards).
-// The i-th result slice answers queries[i].
-func (s *Sharded) SearchBatch(queries []ranking.Ranking, theta float64) ([][]ranking.Result, error) {
-	return s.SearchBatchContext(context.Background(), queries, theta)
-}
-
-// SearchBatchContext is SearchBatch with cancellation: the context is
-// checked between batch members, so a dead client stops the remaining
-// queries instead of burning through the whole batch.
+// SearchBatchContext answers many queries at the same threshold, running up
+// to GOMAXPROCS queries concurrently (each of which fans out to all shards).
+// The i-th result slice answers queries[i]. The context is checked between
+// batch members, so a dead client stops the remaining queries instead of
+// burning through the whole batch.
 func (s *Sharded) SearchBatchContext(ctx context.Context, queries []ranking.Ranking, theta float64) ([][]ranking.Result, error) {
 	return s.searchMany(ctx, queries, func(int) float64 { return theta })
 }
 
-// SearchBatchThetas answers many queries, each at its own threshold — the
-// mixed-radius fallback of the batch API. thetas[i] is the threshold of
-// queries[i].
-func (s *Sharded) SearchBatchThetas(queries []ranking.Ranking, thetas []float64) ([][]ranking.Result, error) {
-	return s.SearchBatchThetasContext(context.Background(), queries, thetas)
-}
-
-// SearchBatchThetasContext is SearchBatchThetas with cancellation between
-// batch members; see SearchBatchContext.
+// SearchBatchThetasContext answers many queries, each at its own threshold —
+// the mixed-radius fallback of the batch API. thetas[i] is the threshold of
+// queries[i]. Cancellation works as in SearchBatchContext.
 func (s *Sharded) SearchBatchThetasContext(ctx context.Context, queries []ranking.Ranking, thetas []float64) ([][]ranking.Result, error) {
 	if len(thetas) != len(queries) {
 		return nil, fmt.Errorf("shard: %d thetas for %d queries", len(thetas), len(queries))
@@ -552,100 +490,42 @@ func (s *Sharded) searchMany(ctx context.Context, queries []ranking.Ranking, the
 	return out, nil
 }
 
-// BatchIndex is the optional sub-index interface behind SearchBatchShared:
-// kinds that can answer a whole uniform-threshold batch with shared
-// filtering work (topk.InvertedIndex via the Section 8 batch processor).
+// BatchIndex is the optional sub-index interface behind
+// SearchBatchSharedContext: kinds that can answer a whole uniform-threshold
+// batch with shared filtering work (topk.InvertedIndex via the Section 8
+// batch processor).
 type BatchIndex interface {
 	SearchBatch(queries []ranking.Ranking, theta float64) ([][]ranking.Result, error)
 }
 
-// SearchBatchShared answers a uniform-threshold batch with per-shard
+// SearchBatchSharedContext answers a uniform-threshold batch with per-shard
 // shared-candidate processing: the whole batch is handed to every shard's
 // BatchIndex in parallel, so each shard clusters the batch once and shares
 // index probes across its members, and the per-shard answers concatenate in
-// shard order exactly like Search's merge. Returns ok=false (and does no
+// shard order exactly like SearchContext's. Returns ok=false (and does no
 // work) when a sub-index kind does not implement BatchIndex — callers fall
-// back to SearchBatch.
-func (s *Sharded) SearchBatchShared(queries []ranking.Ranking, theta float64) (res [][]ranking.Result, ok bool, err error) {
-	return s.SearchBatchSharedContext(context.Background(), queries, theta)
-}
-
-// SearchBatchSharedContext is SearchBatchShared with cancellation: ctx is
-// checked on entry and before each per-shard batch task. A shard's shared
-// batch that has already started runs to completion (the cancellation grain
-// is one shard's whole batch — coarser than SearchBatchContext's per-query
-// grain, the price of shared-candidate processing).
+// back to SearchBatchContext. A shard's whole batch is one scatter task: one
+// latency observation, and a coarser cancellation grain than
+// SearchBatchContext's per-query one — the price of shared-candidate
+// processing.
 func (s *Sharded) SearchBatchSharedContext(ctx context.Context, queries []ranking.Ranking, theta float64) (res [][]ranking.Result, ok bool, err error) {
-	batchers := make([]BatchIndex, len(s.shards))
-	for i, sh := range s.shards {
-		b, isBatcher := sh.(BatchIndex)
-		if !isBatcher {
+	for _, sh := range s.shards {
+		if _, isBatcher := sh.(BatchIndex); !isBatcher {
 			return nil, false, nil
 		}
-		batchers[i] = b
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, true, err
-	}
-	parts := make([][][]ranking.Result, len(s.shards))
-	errs := make([]error, len(s.shards))
-	fanStart := time.Now()
-	var wg sync.WaitGroup
-	for i := 1; i < len(s.shards); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
+	_, err = s.scatter(ctx,
+		func(i int) shardAnswer {
+			batch, err := s.shards[i].(BatchIndex).SearchBatch(queries, theta)
+			return shardAnswer{batch: batch, err: err}
+		},
+		func(parts []shardAnswer) {
+			res = make([][]ranking.Result, len(queries))
+			for qi := range res {
+				res[qi] = concat(parts, func(p *shardAnswer) []ranking.Result { return p.batch[qi] })
 			}
-			parts[i], errs[i] = s.batchShard(i, batchers[i], queries, theta)
-		}(i)
-	}
-	parts[0], errs[0] = s.batchShard(0, batchers[0], queries, theta)
-	wg.Wait()
-	s.fanout.Observe(time.Since(fanStart))
-	mergeStart := time.Now()
-	defer func() { s.merge.Observe(time.Since(mergeStart)) }()
-	if err := firstError(errs); err != nil {
-		return nil, true, err
-	}
-	out := make([][]ranking.Result, len(queries))
-	for qi := range queries {
-		total := 0
-		for _, p := range parts {
-			total += len(p[qi])
-		}
-		if total == 0 {
-			continue
-		}
-		merged := make([]ranking.Result, 0, total)
-		for _, p := range parts {
-			merged = append(merged, p[qi]...)
-		}
-		out[qi] = merged
-	}
-	return out, true, nil
-}
-
-// batchShard runs one shard's shared batch and remaps ids to global. The
-// whole batch is one histogram observation — the per-op latency an operator
-// sees for the shared-candidate path.
-func (s *Sharded) batchShard(i int, b BatchIndex, queries []ranking.Ranking, theta float64) ([][]ranking.Result, error) {
-	start := time.Now()
-	res, err := b.SearchBatch(queries, theta)
-	s.hists[i].Observe(time.Since(start))
-	if err != nil {
-		return nil, err
-	}
-	if off := s.offsets[i]; off != 0 {
-		for qi := range res {
-			for j := range res[qi] {
-				res[qi][j].ID += off
-			}
-		}
-	}
-	return res, nil
+		})
+	return res, true, err
 }
 
 // ShardStats is a point-in-time view of one shard. Len is the live ranking
@@ -664,9 +544,10 @@ type ShardStats struct {
 	Latency       HistogramSnapshot `json:"latency"`
 }
 
-// Timings snapshots the cross-shard phase histograms: fanout covers the
-// scatter phase of Search/SearchBatchShared (dispatch until the slowest
-// shard answers), merge the gather phase (concatenating per-shard answers).
+// Timings snapshots the cross-shard phase histograms of every scatter —
+// search, shared batch and nearest neighbors alike: fanout covers the
+// scatter phase (dispatch until the slowest shard answers), merge the gather
+// phase (combining the per-shard answers).
 func (s *Sharded) Timings() (fanout, merge HistogramSnapshot) {
 	return s.fanout.Snapshot(), s.merge.Snapshot()
 }

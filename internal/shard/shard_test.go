@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -91,7 +92,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	const theta = 0.2
-	batch, err := sh.SearchBatch(qs, theta)
+	batch, err := sh.SearchBatchContext(context.Background(), qs, theta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ package topk
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"topk/internal/coarse"
 	"topk/internal/invindex"
@@ -182,12 +182,7 @@ func (m *idmap) remapNN(res []Result) {
 		res[i].ID = m.int2ext[res[i].ID]
 	}
 	if !m.inOrder {
-		sort.Slice(res, func(i, j int) bool {
-			if res[i].Dist != res[j].Dist {
-				return res[i].Dist < res[j].Dist
-			}
-			return res[i].ID < res[j].ID
-		})
+		slices.SortFunc(res, ranking.CompareNearest)
 	}
 }
 
