@@ -17,6 +17,9 @@
 //	                            JSON body {"kind","shards","k","maxTheta",
 //	                            "forceBackend","calibrate","deltaRatio",
 //	                            "weight"} overrides the server defaults
+//	                            (maxTheta acts on kind coarse only;
+//	                            forceBackend inverted|adaptsearch,
+//	                            calibrate and deltaRatio on kind hybrid)
 //	DELETE /collections/{name}  drain in-flight requests, drop the collection
 //	                            and remove its WAL directory
 //	GET    /collections[/name]  shape, counters and durability lag
@@ -82,10 +85,10 @@ func main() {
 		snapPath   = flag.String("load-snapshot", "", "binary collection snapshot (see topkgen -format binary / topkquery -save-snapshot)")
 		kind       = flag.String("kind", "coarse", "hybrid|coarse|coarse-drop|inverted|inverted-drop|merge|blocked|blocked-drop|bktree|mtree|vptree")
 		shards     = flag.Int("shards", 0, "number of shards (0 = GOMAXPROCS)")
-		maxTheta   = flag.Float64("maxtheta", 0.3, "auto-tune target threshold for the coarse index / hybrid planner")
-		force      = flag.String("force-backend", "", "hybrid only: pin all routing to one backend (inverted|blocked|coarse|bktree|adaptsearch)")
-		calibrate  = flag.Int("calibrate", 0, "hybrid only: replay this many sample queries per shard against every backend at startup")
-		deltaRatio = flag.Float64("delta-ratio", topk.DefaultCompactionRatio, "hybrid only: mutation-overlay fraction per shard above which a background epoch rebuild folds the delta into every backend (<= 0 disables)")
+		maxTheta   = flag.Float64("maxtheta", 0.3, "-kind coarse only: largest query threshold the partitioning threshold is auto-tuned for (other kinds ignore it)")
+		force      = flag.String("force-backend", "", "hybrid only: pin all routing to one of its two backends (inverted|adaptsearch)")
+		calibrate  = flag.Int("calibrate", 0, "hybrid only: replay this many sample queries per shard against both backends at startup")
+		deltaRatio = flag.Float64("delta-ratio", topk.DefaultCompactionRatio, "hybrid only: mutation-overlay fraction per shard above which a background epoch rebuild folds the delta into both backends (<= 0 disables)")
 		maxBody    = flag.Int64("max-body", 16<<20, "maximum request body size in bytes on every endpoint; larger bodies get 413")
 		walDir     = flag.String("wal", "", "single-collection write-ahead-log directory: append every acked mutation before responding, recover checkpoint+log on startup (mutable kinds only)")
 		walRoot    = flag.String("wal-root", "", "multi-tenant WAL root: one subdirectory per collection plus a MANIFEST; dynamically created collections become durable and are recovered on restart")
@@ -102,7 +105,6 @@ func main() {
 		useMmap    = flag.Bool("mmap", true, "serve paged (v3) checkpoints through a read-only memory mapping instead of decoding them to the heap; -mmap=false reads the file whole and verifies every page checksum")
 		spill      = flag.Bool("spill-epochs", false, "hybrid only: write each epoch's ranking arena to an unlinked mmapped paged file (next to the collection's WAL when durable) so cold collections live in page cache, not heap")
 	)
-	flag.StringVar(kind, "index", *kind, "deprecated alias for -kind")
 	flag.Parse()
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })

@@ -3,34 +3,34 @@
 // search drawing per-query scratch from the kind's pool — and the public
 // Search/NearestNeighbors/DistanceCalls contracts of all kinds run through
 // the two generic drivers below instead of per-kind copies of the same
-// lock/pool/evaluator/remap plumbing. The same adapters are what HybridIndex
-// routes across.
+// lock/pool/evaluator/remap plumbing. HybridIndex routes across two of the
+// same adapters, invBackend and adaptBackend.
 //
 // Candidate validation in every backend bottoms out in internal/kernel: the
 // constructors reached from here flatten the collection into a kernel.Store
-// (one contiguous k-strided arena; the hybrid epoch shares a single store
-// across all its backends) and each backend's searcher validates candidates
-// through a query-compiled Footrule kernel, accounting one distance call per
-// evaluated candidate via ev.Add. The inverted-index family (inverted,
-// blocked, coarse's medoid filter, adaptsearch, the hybrid overlay) is
-// Footrule-only by construction — posting lists, overlap bounds and list
-// dropping all rest on Footrule's structure — so the evaluator they receive
-// is only the DFC counter; its distance function serves the metric trees.
+// (one contiguous k-strided arena; a hybrid epoch has a single store under
+// its inverted index and its base views) and each backend's searcher
+// validates candidates through a query-compiled Footrule kernel, accounting
+// one distance call per evaluated candidate via ev.Add. The inverted-index
+// family (inverted, blocked, coarse's medoid filter, adaptsearch, the hybrid
+// overlay) is Footrule-only by construction — posting lists, overlap bounds
+// and list dropping all rest on Footrule's structure — so the evaluator they
+// receive is only the DFC counter; its distance function serves the metric
+// trees.
 //
 // Exact KNN has two routes through nearestBackend. A backend with a native
 // algorithm (the exactKNN hook) answers directly: the inverted index walks
 // the query's k posting lists once, accumulating every overlapping ranking's
 // exact distance from the posting ranks (F = k(k+1) − Σ 2·(k − max(q(i),
 // τ(i))) over shared items) and selecting the n best, ties by external id;
-// the BK-tree traverses best-first. InvertedIndex, and HybridIndex whenever
-// it has an inverted backend and nothing is forced, always take the
-// posting-list route. It calls no distance function, so — the paper's
-// Figure 10 convention, as for ListMerge — it adds nothing to DistanceCalls;
-// its scratch is a []uint16 accumulator of 2 bytes per indexed ranking in
-// each pooled searcher, allocated on the searcher's first KNN. Everything
-// else (coarse, blocked, M-/VP-tree, a BK-tree behind a non-empty overlay, a
-// hybrid forced onto or built with only such backends) takes the generic
-// reduction knn.Expanding: range searches at a doubling radius, whose
+// the BK-tree traverses best-first. InvertedIndex, and HybridIndex unless it
+// is forced onto adaptsearch, always take the posting-list route. It calls no
+// distance function, so — the paper's Figure 10 convention, as for ListMerge
+// — it adds nothing to DistanceCalls; its scratch is a []uint16 accumulator
+// of 2 bytes per indexed ranking in each pooled searcher, allocated on the
+// searcher's first KNN. Everything else (coarse, blocked, M-/VP-tree, a
+// hybrid forced onto adaptsearch or built over zero live rankings) takes the
+// generic reduction knn.Expanding: range searches at a doubling radius, whose
 // distance evaluations count as usual.
 package topk
 
@@ -80,7 +80,7 @@ func clampRawTheta(raw, k int) int {
 // exactKNN is implemented by backends with a native exact KNN algorithm
 // that beats the generic expanding-radius reduction: the inverted index's
 // single accumulate-and-select pass over the query's posting lists and the
-// BK-tree's best-first traversal.
+// standalone BK-tree's best-first traversal.
 type exactKNN interface {
 	// nearestRaw returns the n nearest rankings over the backend's internal
 	// id space. ext is nil when ascending internal ids are ascending public

@@ -1,8 +1,11 @@
-// HybridIndex: the unified query engine of the package. It builds several
-// physical backends over one collection and routes every query to the one
-// the cost model predicts cheapest — the operational form of the paper's
-// "sweet spot" finding that neither inverted indices nor metric-space
-// indexing wins everywhere.
+// HybridIndex: the unified query engine of the package. It builds two
+// physical backends over one collection — the rank-augmented inverted index
+// (F&V+Drop) and the AdaptSearch prefix filter — and routes every range query
+// to the one the cost model predicts cheaper for the query's threshold. The
+// paper's other structures (blocked, coarse, metric trees) are standalone
+// kinds and topkbench baselines, not serving backends: measured at one
+// benchmark shard they never come within 1.7x of the better of these two at
+// any threshold, while costing most of the build time and memory.
 package topk
 
 import (
@@ -13,8 +16,6 @@ import (
 	"time"
 
 	"topk/internal/adaptsearch"
-	"topk/internal/blocked"
-	"topk/internal/coarse"
 	"topk/internal/costmodel"
 	"topk/internal/invindex"
 	"topk/internal/kernel"
@@ -25,16 +26,18 @@ import (
 	"topk/internal/stats"
 )
 
-// DefaultHybridBackends is the backend suite a HybridIndex builds when
-// WithHybridBackends is not given: the paper's main contenders, one per
-// regime of the evaluation.
-var DefaultHybridBackends = []string{
+// HybridBackends names the two backends every HybridIndex builds, in routing
+// order — the only names Force and WithForcedBackend accept.
+var HybridBackends = []string{
 	planner.BackendInverted,
-	planner.BackendBlocked,
-	planner.BackendCoarse,
-	planner.BackendBKTree,
 	planner.BackendAdaptSearch,
 }
+
+// Positions of the two backends in HybridBackends and hybridEpoch.backends.
+const (
+	hybridInverted = iota
+	hybridAdaptSearch
+)
 
 // defaultCalibrationThetas is the threshold grid Calibrate and the
 // construction-time calibration replay use: the paper's query range.
@@ -45,24 +48,24 @@ var defaultCalibrationThetas = []float64{0.05, 0.1, 0.2, 0.3}
 // only has to grow in the right direction, the EWMA refines it.
 const defaultFootruleNanos = 60.0
 
-// HybridIndex holds multiple physical index structures over the same
-// collection behind one query interface and routes each range query to the
-// backend the planner predicts cheapest for the query's threshold. Routing
-// decisions start from Section 5 cost-model priors and are refined online by
-// observed per-backend latency and distance calls; Force pins all traffic to
-// one backend, and Calibrate replays sample queries against every backend to
-// seed the observations. KNN queries go to the inverted backend's native
-// single-pass algorithm instead (see NearestNeighbors).
+// HybridIndex holds the two HybridBackends over the same collection behind
+// one query interface and routes each range query to the one the planner
+// predicts cheaper for the query's threshold. Routing decisions start from
+// Section 5 cost-model priors and are refined online by observed per-backend
+// latency and distance calls (exploration is off: a backend is re-measured
+// only when it is routed to); Force pins all traffic to one backend, and
+// Calibrate replays sample queries against both to seed the observations.
+// KNN queries go to the inverted backend's native single-pass algorithm
+// instead (see NearestNeighbors).
 //
 // The collection is fully mutable (HybridIndex implements MutableIndex):
-// the inherently dynamic backends (inverted, coarse) absorb every mutation
-// in place through their tombstone machinery, while the static backends
-// (blocked, bktree, adaptsearch) answer over their build-time base region
-// plus a shared append-only delta overlay that each query merges by linear
-// scan — every backend keeps returning byte-identical results. Once the
-// overlay exceeds a configurable fraction of the collection
+// the inverted backend absorbs every mutation in place through its tombstone
+// machinery, while the static adaptsearch backend answers over its build-time
+// base region plus an append-only delta overlay that each of its queries
+// merges by linear scan — both keep returning byte-identical results. Once
+// the overlay exceeds a configurable fraction of the collection
 // (WithHybridDeltaRatio), a background epoch rebuild folds the delta and
-// all tombstones back into every backend and re-seeds the planner's priors;
+// all tombstones back into both backends and re-seeds the planner's priors;
 // Compact does the same synchronously. External IDs are stable across
 // mutations and rebuilds, and snapshots round-trip through Slots.
 // All methods are safe for concurrent use.
@@ -88,15 +91,15 @@ type HybridIndex struct {
 	oplog      []hybridOp
 }
 
-// hybridEpoch is the physical state of one hybrid build: every backend
-// constructed over the dense base region, plus the shared mutation overlay
+// hybridEpoch is the physical state of one hybrid build: both backends
+// constructed over the dense base region, plus the mutation overlay
 // (append-only delta region and tombstone bitmap) layered on top of the
-// static backends. An epoch's internal id space is base followed by delta;
-// the mirrors (inverted, coarse) maintain exactly the same id space inside
-// their own structures by replaying every insert append-for-append.
+// static one. An epoch's internal id space is base followed by delta; the
+// inverted index maintains exactly the same id space inside its own
+// structure by replaying every insert append-for-append.
 type hybridEpoch struct {
 	ids  idmap
-	base []Ranking // dense live rankings at build; static backends index exactly this
+	base []Ranking // dense live rankings at build; adaptsearch indexes exactly this
 	k    int
 
 	delta     []Ranking // inserts (and update replacements) since build
@@ -104,15 +107,12 @@ type hybridEpoch struct {
 	deadBase  int
 	deadDelta int
 
-	backends []planner.Backend
-	mirrors  []deltaMirror // backends that absorb mutations in place
-	overlay  []bool        // overlay[i]: backends[i] pays the delta linear scan
-	// inverted is the position of the inverted mirror in backends — the
-	// backend whose native KNN answers NearestNeighbors — or -1 when the
-	// epoch has none (not configured, or built over zero live rankings).
-	inverted int
+	backends [2]planner.Backend // in HybridBackends order
+	// inv is the index behind backends[hybridInverted]: the one structure that
+	// absorbs mutations in place. nil in an epoch built over zero live
+	// rankings, whose two backends are both the overlay over an empty base.
+	inv *invindex.Index
 
-	thetaC        float64
 	footruleNanos float64 // calibrated cost of one delta-scan distance call
 
 	// spillBytes is the size of the mmapped paged arena backing this epoch
@@ -124,39 +124,30 @@ type hybridEpoch struct {
 type HybridOption func(*hybridConfig)
 
 type hybridConfig struct {
-	backends   []string
 	forced     string
-	maxTheta   float64
 	calibrate  int
 	deltaRatio float64
 	spillDir   string
 }
 
-// WithHybridBackends selects which physical backends to build (default
-// DefaultHybridBackends). Names are the canonical backend names; at least
-// one is required.
-func WithHybridBackends(names ...string) HybridOption {
-	return func(c *hybridConfig) { c.backends = names }
-}
-
 // WithForcedBackend pins all routing to one backend from construction on —
 // the escape hatch when the model must be taken out of the loop. The name
-// must be among the built backends; Force("") re-enables routing later.
+// must be one of HybridBackends; Force("") re-enables routing later.
 func WithForcedBackend(name string) HybridOption {
 	return func(c *hybridConfig) { c.forced = name }
 }
 
-// WithHybridMaxTheta sets the largest query threshold the application will
-// use (default 0.3). It is the cost model's operating point: the coarse
-// backend's θC is auto-tuned for it.
-func WithHybridMaxTheta(maxTheta float64) HybridOption {
-	return func(c *hybridConfig) { c.maxTheta = maxTheta }
-}
+// WithHybridMaxTheta does nothing.
+//
+// Deprecated: the threshold was the operating point the coarse backend's θC
+// was tuned for, and the hybrid no longer builds a coarse backend. The option
+// remains only until benchmark/ stops passing it.
+func WithHybridMaxTheta(float64) HybridOption { return func(*hybridConfig) {} }
 
-// WithHybridCalibration replays n sample member rankings against every
-// backend across the default threshold grid at construction time, seeding
+// WithHybridCalibration replays n sample member rankings against both
+// backends across the default threshold grid at construction time, seeding
 // the planner's observed statistics with real measurements instead of model
-// priors alone. Costs n × backends × |grid| queries up front.
+// priors alone. Costs n × 2 × |grid| queries up front.
 func WithHybridCalibration(n int) HybridOption {
 	return func(c *hybridConfig) { c.calibrate = n }
 }
@@ -182,13 +173,13 @@ func WithHybridSpill(dir string) HybridOption {
 // WithHybridDeltaRatio sets the overlay fraction — delta inserts plus
 // base-region tombstones, relative to the whole internal id space — above
 // which a mutation schedules the background epoch rebuild that folds the
-// overlay back into every backend (default DefaultCompactionRatio). A ratio
+// overlay back into both backends (default DefaultCompactionRatio). A ratio
 // ≤ 0 disables automatic rebuilds; Compact still folds on demand.
 func WithHybridDeltaRatio(ratio float64) HybridOption {
 	return func(c *hybridConfig) { c.deltaRatio = ratio }
 }
 
-// NewHybridIndex builds every configured backend over the collection.
+// NewHybridIndex builds both HybridBackends over the collection.
 func NewHybridIndex(rankings []Ranking, opts ...HybridOption) (*HybridIndex, error) {
 	if _, err := validateCollection(rankings); err != nil {
 		return nil, err
@@ -210,23 +201,16 @@ func NewHybridIndexFromSlots(slots []Ranking, opts ...HybridOption) (*HybridInde
 }
 
 func newHybridFromSlots(slots []Ranking, opts []HybridOption) (*HybridIndex, error) {
-	cfg := hybridConfig{
-		backends:   DefaultHybridBackends,
-		maxTheta:   0.3,
-		deltaRatio: DefaultCompactionRatio,
-	}
+	cfg := hybridConfig{deltaRatio: DefaultCompactionRatio}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if len(cfg.backends) == 0 {
-		return nil, fmt.Errorf("topk: hybrid needs at least one backend")
-	}
-	ep, priorCurves, err := buildEpoch(slots, cfg)
+	ep, priors, err := buildEpoch(slots, cfg)
 	if err != nil {
 		return nil, err
 	}
 	h := &HybridIndex{ep: ep, cfg: cfg}
-	pl, err := planner.New(cfg.backends, priorsFor(cfg.backends, priorCurves), planner.Config{})
+	pl, err := planner.New(HybridBackends, priors, planner.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -244,17 +228,17 @@ func newHybridFromSlots(slots []Ranking, opts []HybridOption) (*HybridIndex, err
 	return h, nil
 }
 
-// buildEpoch constructs one full epoch — id map, backends, overlay wiring,
-// auto-tuned θC — from an external-id slot array, and returns the cost-model
-// prior curves for (re-)seeding the planner.
-func buildEpoch(slots []Ranking, cfg hybridConfig) (*hybridEpoch, map[string][]float64, error) {
+// buildEpoch constructs one full epoch — id map, both backends, overlay
+// wiring — from an external-id slot array, and returns the cost-model prior
+// curves, in HybridBackends order, for (re-)seeding the planner; nil (flat
+// priors) when no model could be fitted.
+func buildEpoch(slots []Ranking, cfg hybridConfig) (*hybridEpoch, [][]float64, error) {
 	m, live := newSlotsIDMap(slots)
-	// Flatten the live collection once into a single k-strided arena shared
-	// by every backend of the epoch: the inverted and blocked structures
-	// index the store directly (batched kernel validation against contiguous
-	// memory), and ep.base holds its views, so the epoch carries one copy of
-	// the ranking payload instead of one per backend. With WithHybridSpill
-	// the arena lives in an mmapped paged-v3 temp file instead of the heap.
+	// Flatten the live collection once into a single k-strided arena: the
+	// inverted index reads the store directly (batched kernel validation
+	// against contiguous memory), and ep.base holds its views, so the epoch
+	// carries one copy of the ranking payload. With WithHybridSpill the arena
+	// lives in an mmapped paged-v3 temp file instead of the heap.
 	st, spillBytes := epochStore(live, cfg.spillDir)
 	live = st.Views()
 	ep := &hybridEpoch{
@@ -262,63 +246,58 @@ func buildEpoch(slots []Ranking, cfg hybridConfig) (*hybridEpoch, map[string][]f
 		base:          live,
 		dead:          make([]bool, len(live)),
 		spillBytes:    spillBytes,
-		thetaC:        0.5,
 		footruleNanos: defaultFootruleNanos,
-		inverted:      -1,
 	}
 	if len(live) == 0 {
 		// Zero live rankings — an all-tombstone shard of a churned snapshot,
 		// legal for every mutable kind. There is nothing to build physical
-		// structures over: every backend is the delta overlay over an empty
+		// structures over: both backends are the delta overlay over an empty
 		// base (k is defined by the first insert), and the fold after the
 		// first mutations constructs the real structures.
-		ep.backends = make([]planner.Backend, len(cfg.backends))
-		ep.overlay = make([]bool, len(cfg.backends))
-		for i, name := range cfg.backends {
+		for i, name := range HybridBackends {
 			ep.backends[i] = overlayBackend{inner: emptyBackend{name: name, ep: ep}, ep: ep}
-			ep.overlay[i] = true
 		}
 		return ep, nil, nil
 	}
 	ep.k = live[0].K()
 
-	// One cost model drives both the coarse backend's θC auto-tune and the
-	// planner priors. On collections too small to fit (no distance samples,
-	// degenerate frequencies) fall back to flat priors and the paper's
-	// default θC: the EWMA refinement takes over from the first query.
-	model := fitCostModel(live, ep.k)
-	rawThetaC := ranking.RawThreshold(ep.thetaC, ep.k)
-	if model != nil {
-		rawThetaC = model.OptimalThetaC(
-			ranking.RawThreshold(cfg.maxTheta, ep.k), costmodel.DefaultGrid(ep.k))
-		ep.thetaC = float64(rawThetaC) / float64(ranking.MaxDistance(ep.k))
+	// The two structures share nothing but the read-only store: build the
+	// inverted index beside adaptsearch.
+	var (
+		wg     sync.WaitGroup
+		inv    *invindex.Index
+		invErr error
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		inv, invErr = invindex.NewFromStore(st)
+	}()
+	ad, adErr := adaptsearch.New(live)
+	wg.Wait()
+	if invErr != nil {
+		return nil, nil, fmt.Errorf("topk: hybrid backend %q: %w", planner.BackendInverted, invErr)
+	}
+	if adErr != nil {
+		return nil, nil, fmt.Errorf("topk: hybrid backend %q: %w", planner.BackendAdaptSearch, adErr)
+	}
+	ep.inv = inv
+	ep.backends[hybridInverted] = invBackend{idx: inv, pool: invindex.NewPool(inv), alg: FilterValidateDrop}
+	ep.backends[hybridAdaptSearch] = overlayBackend{
+		inner: adaptBackend{idx: ad, pool: adaptsearch.NewPool(ad)}, ep: ep}
+
+	// On collections too small to fit the cost model (no distance samples,
+	// degenerate frequencies) the planner starts from flat priors: the EWMA
+	// refinement takes over from the first query.
+	var priors [][]float64
+	if model := fitCostModel(live, ep.k); model != nil {
 		ep.footruleNanos = model.CostFootrule
-	}
-
-	backends, err := buildHybridBackends(st, cfg.backends, rawThetaC)
-	if err != nil {
-		return nil, nil, err
-	}
-	ep.backends = make([]planner.Backend, len(backends))
-	ep.overlay = make([]bool, len(backends))
-	for i, b := range backends {
-		if mir, ok := b.(deltaMirror); ok {
-			ep.backends[i] = b
-			ep.mirrors = append(ep.mirrors, mir)
-			if _, ok := b.(invBackend); ok {
-				ep.inverted = i
-			}
-			continue
+		curves := planner.Priors(model, planner.DefaultBuckets)
+		for _, name := range HybridBackends {
+			priors = append(priors, curves[name])
 		}
-		ep.backends[i] = overlayBackend{inner: b, ep: ep}
-		ep.overlay[i] = true
 	}
-
-	var priorCurves map[string][]float64
-	if model != nil {
-		priorCurves = planner.Priors(model, rawThetaC, planner.DefaultBuckets)
-	}
-	return ep, priorCurves, nil
+	return ep, priors, nil
 }
 
 // epochStore flattens the live collection into the epoch's shared store.
@@ -378,16 +357,6 @@ func spillEpochStore(live []Ranking, dir string) (*kernel.Store, int, error) {
 // the spill would not save heap memory.
 var errSpillNotMapped = fmt.Errorf("topk: spill file could not be mmapped")
 
-// priorsFor orders the model's prior curves by backend name; nil entries
-// (unknown names, or no fitted model) select flat priors.
-func priorsFor(names []string, curves map[string][]float64) [][]float64 {
-	out := make([][]float64, len(names))
-	for i, name := range names {
-		out[i] = curves[name]
-	}
-	return out
-}
-
 // fitCostModel fits the Section 5 model to the live collection; nil when
 // the collection is too small or degenerate for a fit.
 func fitCostModel(live []Ranking, k int) *costmodel.Model {
@@ -408,63 +377,6 @@ func fitCostModel(live []Ranking, k int) *costmodel.Model {
 	return m
 }
 
-// buildHybridBackends constructs the named physical structures over the
-// dense live collection (one shared flat store), in parallel.
-func buildHybridBackends(st *kernel.Store, names []string, rawThetaC int) ([]planner.Backend, error) {
-	out := make([]planner.Backend, len(names))
-	errs := make([]error, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			out[i], errs[i] = buildHybridBackend(st, name, rawThetaC)
-		}(i, name)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("topk: hybrid backend %q: %w", names[i], err)
-		}
-	}
-	return out, nil
-}
-
-func buildHybridBackend(st *kernel.Store, name string, rawThetaC int) (planner.Backend, error) {
-	live := st.Views()
-	switch name {
-	case planner.BackendInverted:
-		idx, err := invindex.NewFromStore(st)
-		if err != nil {
-			return nil, err
-		}
-		return invBackend{idx: idx, pool: invindex.NewPool(idx), alg: FilterValidateDrop}, nil
-	case planner.BackendBlocked:
-		idx := blocked.NewFromStore(st)
-		return blockedBackend{idx: idx, pool: blocked.NewPool(idx), mode: blocked.Prune}, nil
-	case planner.BackendCoarse:
-		idx, err := coarse.New(live, rawThetaC, coarse.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return coarseBackend{idx: idx, pool: coarse.NewPool(idx), mode: coarse.FV}, nil
-	case planner.BackendBKTree:
-		t, err := NewMetricTree(live, BKTree)
-		if err != nil {
-			return nil, err
-		}
-		return t.backend(), nil
-	case planner.BackendAdaptSearch:
-		idx, err := adaptsearch.New(live)
-		if err != nil {
-			return nil, err
-		}
-		return adaptBackend{idx: idx, pool: adaptsearch.NewPool(idx)}, nil
-	default:
-		return nil, fmt.Errorf("unknown backend (have %v)", DefaultHybridBackends)
-	}
-}
-
 // sampleQueries draws n evenly spaced members of the live collection as
 // calibration queries (deterministic; member queries hit partitions and
 // posting lists the way production traffic does).
@@ -482,25 +394,6 @@ func sampleQueries(live []Ranking, n int) []Ranking {
 // ---------------------------------------------------------------------------
 // Delta overlay
 // ---------------------------------------------------------------------------
-
-// deltaMirror is implemented by the backend adapters whose inner index
-// absorbs mutations in place (inverted, coarse): every hybrid insert is
-// replayed into them so their append-only internal id spaces stay aligned
-// with the epoch's, and deletes tombstone inside the structure so their
-// searches need no overlay filtering.
-type deltaMirror interface {
-	planner.Backend
-	mirrorInsert(r Ranking) (ID, error)
-	mirrorDelete(id ID) error
-}
-
-func (b invBackend) mirrorInsert(r Ranking) (ID, error) { return b.idx.Insert(r) }
-func (b invBackend) mirrorDelete(id ID) error           { return b.idx.Delete(id) }
-
-// Coarse insert-time distance computations count toward construction cost,
-// not query DistanceCalls, hence the throwaway evaluator.
-func (b coarseBackend) mirrorInsert(r Ranking) (ID, error) { return b.idx.Insert(r, metric.New(nil)) }
-func (b coarseBackend) mirrorDelete(id ID) error           { return b.idx.Delete(id) }
 
 // emptyBackend stands in for a physical structure in an epoch built over
 // zero live rankings: it answers nothing itself — the wrapping
@@ -526,13 +419,13 @@ func (b emptyBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) (
 	return nil, nil
 }
 
-// overlayBackend layers the epoch's mutation overlay over a static backend:
-// the inner answer covers the base region and is filtered through the
-// tombstone bitmap, then the delta region is scanned linearly with the same
-// filtering. Delta internal ids all exceed base ids, so appending the scan
-// keeps the id-sorted order SearchRaw guarantees, and the scan compares
-// d ≤ rawTheta against the same clamped radius the posting-list kinds see —
-// results stay byte-identical across all five backends.
+// overlayBackend layers the epoch's mutation overlay over a static backend
+// (adaptsearch; both names in a zero-live epoch): the inner answer covers the
+// base region and is filtered through the tombstone bitmap, then the delta
+// region is scanned linearly with the same filtering. Delta internal ids all
+// exceed base ids, so appending the scan keeps the id-sorted order SearchRaw
+// guarantees, and the scan compares d ≤ rawTheta against the same clamped
+// radius the inverted backend sees — results stay byte-identical across both.
 type overlayBackend struct {
 	inner planner.Backend
 	ep    *hybridEpoch
@@ -586,17 +479,6 @@ func (b overlayBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator)
 // live on a per-searcher struct the way the backend kernels do.
 var overlayKernels = sync.Pool{New: func() any { return kernel.New() }}
 
-// nearestRaw keeps the BK-tree's native best-first KNN as long as the
-// overlay is empty; with deltas or base tombstones present the inner
-// traversal no longer covers the collection and the caller falls back to the
-// exact expanding-radius reduction over the overlay-merged range search.
-func (b overlayBackend) nearestRaw(q Ranking, n int, ext []ID, ev *metric.Evaluator) ([]Result, bool, error) {
-	if e, ok := b.inner.(exactKNN); ok && len(b.ep.delta) == 0 && b.ep.deadBase == 0 {
-		return e.nearestRaw(q, n, ext, ev)
-	}
-	return nil, false, nil
-}
-
 // n is the size of the epoch's internal id space (base plus delta,
 // including tombstoned entries).
 func (ep *hybridEpoch) n() int { return len(ep.base) + len(ep.delta) }
@@ -616,8 +498,8 @@ func (ep *hybridEpoch) ranking(id ID) Ranking {
 func (ep *hybridEpoch) slots() []Ranking { return ep.ids.slots(ep.ranking) }
 
 // overlayFraction is the share of the internal id space the overlay must
-// touch per static-backend query: delta entries are linearly scanned and
-// dead base slots filtered from every answer.
+// touch per adaptsearch query: delta entries are linearly scanned and dead
+// base slots filtered from every answer.
 func (ep *hybridEpoch) overlayFraction() float64 {
 	n := ep.n()
 	if n == 0 {
@@ -632,7 +514,7 @@ func (ep *hybridEpoch) overlayFraction() float64 {
 
 // Search implements Index: the planner picks the backend for the query's
 // threshold bucket, the query runs there (including the epoch's delta
-// overlay for static backends), and the observed latency and distance calls
+// overlay on adaptsearch), and the observed latency and distance calls
 // refine the bucket's estimate for that backend.
 func (h *HybridIndex) Search(q Ranking, theta float64) ([]Result, error) {
 	res, _, _, err := h.SearchTraced(q, theta)
@@ -652,7 +534,7 @@ func (h *HybridIndex) SearchTraced(q Ranking, theta float64) ([]Result, string, 
 	ev := metric.New(nil)
 	start := time.Now()
 	// Clamped so the answer at θ = 1 is the same whichever backend the
-	// planner picks (metric trees would otherwise also see the
+	// planner picks (the overlay's linear scan would otherwise also see the
 	// zero-overlap rankings at distance exactly dmax).
 	res, err := ep.backends[bi].SearchRaw(q, clampRawTheta(ranking.RawThreshold(theta, ep.k), ep.k), ev)
 	if err != nil {
@@ -666,18 +548,17 @@ func (h *HybridIndex) SearchTraced(q Ranking, theta float64) ([]Result, string, 
 
 // NearestNeighbors implements NearestNeighborSearcher. KNN is not a
 // threshold query and does not go through the planner's bucket routing:
-// whenever the epoch has an inverted backend and nothing is forced it is
-// answered by that backend's native single-pass KNN
-// (invindex.Searcher.NearestNeighbors) — one walk over the query's posting
-// lists that derives every overlapping ranking's exact distance from the
-// posting ranks. The inverted backend mirrors the epoch's id space insert
-// for insert and tombstones in place, so deltas and deletes need no overlay
-// scan, and the selection breaks distance ties by external id directly.
-// Like ListMerge, the native path evaluates no distance function and adds
-// nothing to DistanceCalls. A forced backend, or a hybrid built without
-// inverted, answers through that backend's own KNN: the BK-tree's best-first
-// traversal while its overlay is empty, the expanding-radius reduction
-// (knn.Expanding) over the overlay-merged range search otherwise.
+// unless adaptsearch is forced it is answered by the inverted backend's
+// native single-pass KNN (invindex.Searcher.NearestNeighbors) — one walk over
+// the query's posting lists that derives every overlapping ranking's exact
+// distance from the posting ranks. The inverted backend mirrors the epoch's
+// id space insert for insert and tombstones in place, so deltas and deletes
+// need no overlay scan, and the selection breaks distance ties by external id
+// directly. Like ListMerge, the native path evaluates no distance function
+// and adds nothing to DistanceCalls. A forced adaptsearch — and either name
+// in an epoch built over zero live rankings — answers through the
+// expanding-radius reduction (knn.Expanding) over the overlay-merged range
+// search.
 func (h *HybridIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
 	res, _, _, err := h.NearestNeighborsTraced(q, n)
 	return res, err
@@ -695,7 +576,7 @@ func (h *HybridIndex) NearestNeighborsTraced(q Ranking, n int) ([]Result, string
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	ep := h.ep
-	bi := h.pl.Route(ep.inverted, 0)
+	bi := h.pl.Route(hybridInverted, 0)
 	var calls atomic.Uint64
 	res, err := nearestBackend(ep.backends[bi], &ep.ids, &calls, ep.n(), ep.isDead, ep.k, q, n)
 	h.calls.Add(calls.Load())
@@ -705,7 +586,7 @@ func (h *HybridIndex) NearestNeighborsTraced(q Ranking, n int) ([]Result, string
 	return res, ep.backends[bi].Name(), calls.Load(), nil
 }
 
-// Calibrate replays every query at every threshold against every backend
+// Calibrate replays every query at every threshold against both backends
 // and feeds the measurements into the planner, overriding the model priors
 // with reality before production traffic arrives. A nil thetas uses the
 // default calibration grid. Results are discarded; distance calls count
@@ -743,16 +624,8 @@ func (h *HybridIndex) Force(name string) error { return h.pl.Force(name) }
 // Forced reports the pinned backend name, "" when routing is cost-based.
 func (h *HybridIndex) Forced() string { return h.pl.Forced() }
 
-// Backends returns the built backend names in routing order.
+// Backends returns the built backend names in routing order: HybridBackends.
 func (h *HybridIndex) Backends() []string { return h.pl.Names() }
-
-// ThetaC reports the coarse backend's (auto-tuned) partitioning threshold,
-// re-tuned at every epoch rebuild.
-func (h *HybridIndex) ThetaC() float64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.ep.thetaC
-}
 
 // PlanStats is the per-backend routing scoreboard of a HybridIndex.
 type PlanStats struct {
@@ -806,13 +679,13 @@ func (h *HybridIndex) K() int {
 	return h.ep.k
 }
 
-// DistanceCalls implements Index: Footrule evaluations across all backends,
+// DistanceCalls implements Index: Footrule evaluations across both backends,
 // including calibration replays and delta-overlay scans.
 func (h *HybridIndex) DistanceCalls() uint64 { return h.calls.Load() }
 
 // DeltaLen reports how many rankings currently live in the append-only
 // delta overlay (including tombstoned delta entries) — the linear-scan tax
-// every static-backend query pays until the next epoch rebuild.
+// every adaptsearch query pays until the next epoch rebuild.
 func (h *HybridIndex) DeltaLen() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()

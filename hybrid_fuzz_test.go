@@ -9,9 +9,12 @@ import (
 
 // FuzzHybridMutation drives a byte-string-encoded mutation workload through
 // a HybridIndex and the linear-scan oracle in lockstep: every few ops the
-// fuzzer cross-checks range answers byte-identically, and folds (Compact)
-// are interleaved so the epoch-rebuild replay machinery is in the fuzzed
-// surface too. Seeded into CI's fuzz-smoke step.
+// fuzzer cross-checks range answers byte-identically — the routed one and
+// each forced backend's, so the in-place inverted path and the adaptsearch
+// overlay path are both checked on every query op, not only when the planner
+// happens to pick them — and folds (Compact) are interleaved so the
+// epoch-rebuild replay machinery is in the fuzzed surface too. Seeded into
+// CI's fuzz-smoke step.
 func FuzzHybridMutation(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{4, 200, 1, 7, 2, 9, 3, 3, 0, 0, 4, 100, 1, 1})
@@ -23,7 +26,7 @@ func FuzzHybridMutation(f *testing.F) {
 		rng := rand.New(rand.NewSource(61))
 		rs := difftest.RandomCollection(rng, 50, 6, 40)
 		o := difftest.NewOracle(rs)
-		h, err := NewHybridIndex(rs, WithHybridDeltaRatio(0), WithHybridBackends("inverted", "blocked", "bktree"))
+		h, err := NewHybridIndex(rs, WithHybridDeltaRatio(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,13 +74,19 @@ func FuzzHybridMutation(f *testing.F) {
 			default: // cross-check a query at a fuzzed threshold
 				q := difftest.RandomRanking(rand.New(rand.NewSource(int64(arg)+2000)), 6, 40)
 				theta := float64(arg) / 255
-				got, err := h.Search(q, theta)
-				if err != nil {
-					t.Fatalf("search: %v", err)
-				}
 				want, _ := o.Search(q, theta)
-				if !difftest.Equal(got, want) {
-					t.Fatalf("θ=%.3f diverged:\n got %v\nwant %v", theta, got, want)
+				// Routed last, so the loop leaves cost-based routing restored.
+				for _, forced := range []string{"inverted", "adaptsearch", ""} {
+					if err := h.Force(forced); err != nil {
+						t.Fatal(err)
+					}
+					got, err := h.Search(q, theta)
+					if err != nil {
+						t.Fatalf("search (forced=%q): %v", forced, err)
+					}
+					if !difftest.Equal(got, want) {
+						t.Fatalf("θ=%.3f forced=%q diverged:\n got %v\nwant %v", theta, forced, got, want)
+					}
 				}
 			}
 		}

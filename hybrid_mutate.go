@@ -1,22 +1,20 @@
-// HybridIndex mutations: Insert, Delete and Update across all five
-// backends, plus the epoch rebuild that folds the mutation overlay back
-// into the static structures.
+// HybridIndex mutations: Insert, Delete and Update across both backends,
+// plus the epoch rebuild that folds the mutation overlay back into the
+// static one.
 //
-// The write path has two halves. The inherently dynamic backends (inverted,
-// coarse) absorb every mutation in place: inserts append to their inner
-// structures — whose internal ids grow in lockstep with the epoch's, so all
-// backends keep sharing one id space — and deletes tombstone inside them.
-// The static backends (blocked, bktree, adaptsearch) cannot be maintained
-// incrementally; their queries instead merge a shared append-only delta
-// region by linear scan with tombstone filtering (see overlayBackend).
-// The overlay's per-query cost is charged to the planner as an additive
-// surcharge so routing shifts away from the static backends as the delta
-// grows, and once the overlay fraction crosses the configured ratio a
-// background epoch rebuild constructs fresh backends over the folded
-// collection off-lock, replays the mutations that arrived meanwhile, swaps
-// the epoch in and re-seeds the planner's priors from a newly fitted cost
-// model (estimate invalidation: the old EWMAs describe structures that no
-// longer exist).
+// The write path has two halves. The inverted index absorbs every mutation
+// in place: inserts append to it — its internal ids grow in lockstep with
+// the epoch's, so both backends keep sharing one id space — and deletes
+// tombstone inside it. The adaptsearch index cannot be maintained
+// incrementally; its queries instead merge an append-only delta region by
+// linear scan with tombstone filtering (see overlayBackend). The overlay's
+// per-query cost is charged to the planner as an additive surcharge so
+// routing shifts away from adaptsearch as the delta grows, and once the
+// overlay fraction crosses the configured ratio a background epoch rebuild
+// constructs fresh backends over the folded collection off-lock, replays the
+// mutations that arrived meanwhile, swaps the epoch in and re-seeds the
+// planner's priors from a newly fitted cost model (estimate invalidation:
+// the old EWMAs describe structures that no longer exist).
 package topk
 
 import (
@@ -44,9 +42,9 @@ type hybridOp struct {
 	r    Ranking
 }
 
-// Insert adds a ranking and returns its new, stable ID. The dynamic
-// backends absorb it in place; for the static backends it lands in the
-// delta overlay until the next epoch rebuild.
+// Insert adds a ranking and returns its new, stable ID. The inverted backend
+// absorbs it in place; for adaptsearch it lands in the delta overlay until
+// the next epoch rebuild.
 func (h *HybridIndex) Insert(r Ranking) (ID, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -83,7 +81,7 @@ func (h *HybridIndex) Update(id ID, r Ranking) error {
 	return nil
 }
 
-// Compact folds the delta overlay and all tombstones into every backend
+// Compact folds the delta overlay and all tombstones into both backends
 // synchronously, under the write lock (searches observe the epoch before or
 // after). External IDs are preserved. Prefer the automatic background fold
 // (WithHybridDeltaRatio) for serving workloads; Compact is the eager,
@@ -116,20 +114,12 @@ func (h *HybridIndex) noteMutationLocked(op hybridOp) {
 }
 
 // chargeOverlayLocked prices the delta linear scan into the planner's
-// estimates for every overlay backend: live delta entries × the calibrated
-// Footrule cost. The dynamic backends absorbed the mutations structurally,
-// so their estimates need no surcharge — the EWMA tracks their organic
-// growth.
+// estimate for adaptsearch: live delta entries × the calibrated Footrule
+// cost. The inverted backend absorbed the mutations structurally, so its
+// estimate needs no surcharge — the EWMA tracks its organic growth.
 func (h *HybridIndex) chargeOverlayLocked() {
 	ep := h.ep
-	nanos := ep.footruleNanos * float64(len(ep.delta)-ep.deadDelta)
-	for i, ov := range ep.overlay {
-		if ov {
-			h.pl.SetOverlayCost(i, nanos)
-		} else {
-			h.pl.SetOverlayCost(i, 0)
-		}
-	}
+	h.pl.SetOverlayCost(hybridAdaptSearch, ep.footruleNanos*float64(len(ep.delta)-ep.deadDelta))
 }
 
 // maybeRebuildLocked schedules a background epoch rebuild once the overlay
@@ -181,9 +171,9 @@ func (h *HybridIndex) foldEpoch(slots []Ranking, gen uint64) {
 // EWMAs, which describe the previous epoch's structures), and re-prices the
 // overlay surcharge for whatever delta the replay left behind. dur is the
 // rebuild's wall time from snapshot to install.
-func (h *HybridIndex) installEpochLocked(ep *hybridEpoch, priors map[string][]float64, dur time.Duration) {
+func (h *HybridIndex) installEpochLocked(ep *hybridEpoch, priors [][]float64, dur time.Duration) {
 	h.ep = ep
-	h.pl.Reseed(priorsFor(h.cfg.backends, priors))
+	h.pl.Reseed(priors)
 	h.chargeOverlayLocked()
 	h.rebuilds.Add(1)
 	h.rebuildNanos.Add(uint64(dur.Nanoseconds()))
@@ -228,18 +218,19 @@ func (ep *hybridEpoch) checkRanking(r Ranking, verb string) error {
 	return r.Validate()
 }
 
-// mirrorInsert appends r to every dynamic backend, asserting their internal
-// id spaces stay aligned with the epoch's.
+// mirrorInsert appends r to the inverted index, asserting its internal id
+// space stays aligned with the epoch's. A zero-live epoch has no index: the
+// insert rides the overlay alone until the first fold.
 func (ep *hybridEpoch) mirrorInsert(r Ranking, intID ID) error {
-	for _, m := range ep.mirrors {
-		got, err := m.mirrorInsert(r)
-		if err != nil {
-			return fmt.Errorf("topk: hybrid %s insert: %w", m.Name(), err)
-		}
-		if got != intID {
-			return fmt.Errorf("topk: hybrid %s insert: internal id %d, want %d (id spaces diverged)",
-				m.Name(), got, intID)
-		}
+	if ep.inv == nil {
+		return nil
+	}
+	got, err := ep.inv.Insert(r)
+	if err != nil {
+		return fmt.Errorf("topk: hybrid inverted insert: %w", err)
+	}
+	if got != intID {
+		return fmt.Errorf("topk: hybrid inverted insert: internal id %d, want %d (id spaces diverged)", got, intID)
 	}
 	return nil
 }
@@ -257,12 +248,11 @@ func (ep *hybridEpoch) insert(r Ranking) (ID, error) {
 	return ep.ids.insert(intID), nil
 }
 
-// tombstone retires an internal id in the overlay and in every dynamic
-// backend.
+// tombstone retires an internal id in the overlay and in the inverted index.
 func (ep *hybridEpoch) tombstone(intID ID) error {
-	for _, m := range ep.mirrors {
-		if err := m.mirrorDelete(intID); err != nil {
-			return fmt.Errorf("topk: hybrid %s delete: %w", m.Name(), err)
+	if ep.inv != nil {
+		if err := ep.inv.Delete(intID); err != nil {
+			return fmt.Errorf("topk: hybrid inverted delete: %w", err)
 		}
 	}
 	ep.dead[intID] = true

@@ -33,9 +33,9 @@ func checkHybridKNN(t *testing.T, name string, h *HybridIndex, o *difftest.Oracl
 // TestHybridMutableDifferential is the acceptance contract of the mutable
 // hybrid: after a 1k-op random mutation workload the engine answers
 // byte-identically to the linear-scan oracle — under cost-based routing and
-// under every forced backend (static backends merging the delta overlay,
-// dynamic ones their in-place state) — before and after an epoch rebuild
-// and across a persist snapshot round-trip.
+// under each forced backend (adaptsearch merging the delta overlay, inverted
+// its in-place state) — before and after an epoch rebuild and across a
+// persist snapshot round-trip.
 func TestHybridMutableDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	rs := difftest.RandomCollection(rng, 400, 10, 250)
@@ -66,7 +66,7 @@ func TestHybridMutableDifferential(t *testing.T) {
 	}
 	check("pre-fold", 20)
 
-	// Epoch rebuild: fold the delta and tombstones into every backend.
+	// Epoch rebuild: fold the delta and tombstones into both backends.
 	if err := h.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -133,41 +133,6 @@ func TestHybridBackgroundRebuild(t *testing.T) {
 	}
 	difftest.CheckSearch(t, "hybrid(after auto-fold)", h, o, rng, 20, 200)
 	checkHybridKNN(t, "hybrid knn(after auto-fold)", h, o, rng, 200)
-}
-
-// TestHybridSubsetMutation checks mutations on backend subsets: a purely
-// static suite (everything rides the overlay) and a purely dynamic one
-// (everything is absorbed in place).
-func TestHybridSubsetMutation(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		backends []string
-	}{
-		{"static-only", []string{"blocked", "bktree", "adaptsearch"}},
-		{"dynamic-only", []string{"inverted", "coarse"}},
-		{"mixed-pair", []string{"blocked", "coarse"}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(47))
-			rs := difftest.RandomCollection(rng, 150, 8, 120)
-			o := difftest.NewOracle(rs)
-			h := hybridFor(t, rs, WithHybridBackends(tc.backends...), WithHybridDeltaRatio(0))
-			difftest.Mutate(t, tc.name, h, o, rng, 300, 120)
-			for _, name := range h.Backends() {
-				if err := h.Force(name); err != nil {
-					t.Fatal(err)
-				}
-				difftest.CheckSearch(t, tc.name+"(forced="+name+")", h, o, rng, 10, 120)
-			}
-			if err := h.Force(""); err != nil {
-				t.Fatal(err)
-			}
-			if err := h.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			difftest.CheckSearch(t, tc.name+"(folded)", h, o, rng, 10, 120)
-		})
-	}
 }
 
 // TestHybridMutateConcurrent hammers one hybrid index from 16 goroutines

@@ -3,7 +3,9 @@ package topk
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"topk/internal/dataset"
@@ -25,29 +27,14 @@ func hybridFor(t *testing.T, rs []Ranking, opts ...HybridOption) *HybridIndex {
 
 // TestHybridDifferential checks the acceptance contract of the engine: on
 // random workloads the hybrid's range results are byte-identical to the
-// linear-scan oracle — under cost-based routing and under every forced
-// backend — and to every individual public index kind.
+// linear-scan oracle and to the standalone InvertedIndex — under cost-based
+// routing and under each forced backend.
 func TestHybridDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rs := difftest.RandomCollection(rng, 600, 10, 300)
 	o := difftest.NewOracle(rs)
 	h := hybridFor(t, rs, WithHybridCalibration(16))
 
-	difftest.CheckSearch(t, "hybrid(routed)", h, o, rng, 40, 300)
-	for _, name := range h.Backends() {
-		if err := h.Force(name); err != nil {
-			t.Fatal(err)
-		}
-		difftest.CheckSearch(t, "hybrid(forced="+name+")", h, o, rng, 15, 300)
-	}
-	if err := h.Force(""); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Force("no-such-backend"); err == nil {
-		t.Fatal("Force accepted an unknown backend")
-	}
-
-	// Cross-check against each standalone index kind.
 	queries := make([]Ranking, 25)
 	for i := range queries {
 		queries[i] = difftest.RandomRanking(rng, 10, 300)
@@ -56,28 +43,25 @@ func TestHybridDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk, err := NewBlockedIndex(rs)
-	if err != nil {
+	difftest.CheckSearch(t, "hybrid(routed)", h, o, rng, 40, 300)
+	difftest.CheckMatch(t, "hybrid(routed) vs InvertedIndex", h, inv, queries, difftest.Thetas)
+	for _, name := range h.Backends() {
+		if err := h.Force(name); err != nil {
+			t.Fatal(err)
+		}
+		difftest.CheckSearch(t, "hybrid(forced="+name+")", h, o, rng, 15, 300)
+		difftest.CheckMatch(t, "hybrid(forced="+name+") vs InvertedIndex", h, inv, queries, difftest.Thetas)
+	}
+	if err := h.Force(""); err != nil {
 		t.Fatal(err)
 	}
-	crs, err := NewCoarseIndex(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bk, err := NewMetricTree(rs, BKTree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, ref := range map[string]difftest.Searcher{
-		"inverted": inv, "blocked": blk, "coarse": crs, "bktree": bk,
-	} {
-		difftest.CheckMatch(t, "hybrid vs "+name, h, ref, queries, difftest.Thetas)
+	if err := h.Force("no-such-backend"); err == nil {
+		t.Fatal("Force accepted an unknown backend")
 	}
 
-	// θ = 1: the raw threshold is clamped to dmax−1, so every backend must
+	// θ = 1: the raw threshold is clamped to dmax−1, so both backends must
 	// return the same answer — the ball posting lists can see — no matter
-	// where the planner routes (metric trees would otherwise also surface
-	// the zero-overlap rankings at distance exactly dmax).
+	// where the planner routes.
 	for _, q := range queries[:8] {
 		var base []Result
 		for i, name := range h.Backends() {
@@ -127,8 +111,8 @@ func bruteNNSlots(slots []Ranking, q Ranking, n int) []Result {
 
 // TestHybridKNN checks NearestNeighbors byte-identically against the brute
 // oracle, routed and per forced backend (covering the inverted backend's
-// native posting-list KNN, the BK-tree best-first traversal and the
-// expanding-radius reduction).
+// native posting-list KNN and the expanding-radius reduction over
+// adaptsearch).
 func TestHybridKNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	rs := difftest.RandomCollection(rng, 300, 8, 200)
@@ -264,37 +248,74 @@ func TestHybridPlannerSwitches(t *testing.T) {
 	}
 }
 
-// TestHybridSubsetAndOptions covers backend subsetting, the forced-backend
-// construction option and option validation.
+// TestHybridSubsetAndOptions covers the forced-backend construction option
+// and its validation. (The name predates the fixed backend set; see
+// TestHybridBackendSet for what replaced subsetting.)
 func TestHybridSubsetAndOptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	rs := difftest.RandomCollection(rng, 200, 8, 150)
 	o := difftest.NewOracle(rs)
 
-	h, err := NewHybridIndex(rs, WithHybridBackends("inverted", "bktree"), WithForcedBackend("bktree"))
+	h, err := NewHybridIndex(rs, WithForcedBackend("adaptsearch"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Backends(); len(got) != 2 || got[0] != "inverted" || got[1] != "bktree" {
-		t.Fatalf("Backends = %v", got)
-	}
-	if h.Forced() != "bktree" {
+	if h.Forced() != "adaptsearch" {
 		t.Fatalf("Forced = %q", h.Forced())
 	}
-	difftest.CheckSearch(t, "hybrid(subset)", h, o, rng, 15, 150)
+	difftest.CheckSearch(t, "hybrid(forced at construction)", h, o, rng, 15, 150)
 	st := h.PlanStats()
 	if st[0].Plans != 0 || st[1].Plans == 0 {
 		t.Fatalf("forced routing not reflected in plan stats: %+v", st)
 	}
 
-	if _, err := NewHybridIndex(rs, WithHybridBackends("warp-drive")); err == nil {
+	if _, err := NewHybridIndex(rs, WithForcedBackend("warp-drive")); err == nil {
 		t.Fatal("unknown backend name accepted")
 	}
-	if _, err := NewHybridIndex(rs, WithForcedBackend("coarse"), WithHybridBackends("inverted")); err == nil {
+	if _, err := NewHybridIndex(rs, WithForcedBackend("coarse")); err == nil {
 		t.Fatal("forcing an unbuilt backend accepted")
 	}
-	if _, err := NewHybridIndex(rs, WithHybridBackends()); err == nil {
-		t.Fatal("empty backend list accepted")
+}
+
+// TestHybridBackendSet pins the serving set: every hybrid — built over a
+// collection or over zero live rankings — has exactly the two HybridBackends,
+// and the structures that left the epoch are unknown names to Force and
+// WithForcedBackend.
+func TestHybridBackendSet(t *testing.T) {
+	rs := difftest.RandomCollection(rand.New(rand.NewSource(31)), 100, 8, 120)
+	want := []string{"inverted", "adaptsearch"}
+	h := hybridFor(t, rs)
+	empty, err := NewHybridIndexFromSlots(make([]Ranking, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, idx := range map[string]*HybridIndex{"built": h, "zero-live": empty} {
+		if got := idx.Backends(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Backends = %v, want %v", name, got, want)
+		}
+		if got := idx.PlanStats(); len(got) != 2 || got[0].Backend != want[0] || got[1].Backend != want[1] {
+			t.Fatalf("%s: PlanStats = %+v", name, got)
+		}
+	}
+	if !reflect.DeepEqual(HybridBackends, want) {
+		t.Fatalf("HybridBackends = %v, want %v", HybridBackends, want)
+	}
+	unknown := h.Force("no-such-backend")
+	if unknown == nil {
+		t.Fatal("Force accepted an unknown backend")
+	}
+	for _, gone := range []string{"blocked", "coarse", "bktree"} {
+		// The planner's unknown-backend error, the name substituted.
+		wantErr := strings.Replace(unknown.Error(), "no-such-backend", gone, 1)
+		if err := h.Force(gone); err == nil || err.Error() != wantErr {
+			t.Fatalf("Force(%q) = %v, want %q", gone, err, wantErr)
+		}
+		if _, err := NewHybridIndex(rs, WithForcedBackend(gone)); err == nil || err.Error() != wantErr {
+			t.Fatalf("WithForcedBackend(%q) = %v, want %q", gone, err, wantErr)
+		}
+	}
+	if h.Forced() != "" {
+		t.Fatalf("a rejected Force left %q pinned", h.Forced())
 	}
 }
 

@@ -3,22 +3,23 @@
 // the one predicted to be cheapest for the query's threshold.
 //
 // The paper's central observation is that no single structure wins
-// everywhere — inverted indices, blocked indices, the coarse hybrid, metric
-// trees and prefix filters each have a regime (Figures 8/9) governed by the
-// query radius, the data's Zipf skew and its distance distribution. The
-// planner operationalizes that: the Section 5 cost model provides per-backend
-// *prior* cost curves over a grid of threshold buckets, and every executed
-// query refines the bucket's estimate with an exponentially weighted moving
-// average of observed latency (and distance calls, the paper's DFC measure).
-// Routing is the argmin of the blended estimate; a deterministic exploration
-// schedule keeps every backend's statistics fresh, a forced-backend escape
-// hatch bypasses the model entirely, and a calibration mode replays sample
-// queries against all backends to seed the observations before serving.
+// everywhere: which one is cheapest depends on the query radius, the data's
+// Zipf skew and its distance distribution (Figures 8/9). The planner
+// operationalizes that for the two structures the hybrid engine serves from
+// — the inverted index and the AdaptSearch prefix filter, which trade places
+// as θ grows: the Section 5 cost model provides per-backend *prior* cost
+// curves over a grid of threshold buckets, and every executed query refines
+// the bucket's estimate with an exponentially weighted moving average of
+// observed latency (and distance calls, the paper's DFC measure). Routing is
+// the argmin of the blended estimate; an optional deterministic exploration
+// schedule (Config.ExploreEvery, which the hybrid engine leaves off) keeps
+// every backend's statistics fresh, a forced-backend escape hatch bypasses
+// the model entirely, and a calibration mode replays sample queries against
+// all backends to seed the observations before serving.
 package planner
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -33,7 +34,7 @@ import (
 // evaluations counted on ev.
 type Backend interface {
 	// Name identifies the backend in plans, stats and the forced-backend
-	// escape hatch (e.g. "inverted", "coarse", "bktree").
+	// escape hatch (e.g. "inverted", "adaptsearch").
 	Name() string
 	// SearchRaw answers the exact range query (q, rawTheta) over the
 	// backend's internal id space, sorted by id. ev must count every
@@ -45,8 +46,9 @@ type Backend interface {
 	K() int
 }
 
-// Canonical backend names of the hybrid engine. Priors knows how to derive
-// cost curves for exactly these.
+// Canonical backend names of package topk's Backend adapters. The hybrid
+// engine serves from BackendInverted and BackendAdaptSearch, the two Priors
+// derives cost curves for; the others name standalone index kinds.
 const (
 	BackendInverted    = "inverted"
 	BackendBlocked     = "blocked"
@@ -420,71 +422,35 @@ func (p *Planner) Stats() []BackendStats {
 	return out
 }
 
-// PlannedBackends reports how many distinct backends have a nonzero plan
-// counter — the headline number of the "sweet spot" claim: >1 means the
-// model actually switched structures across the workload.
-func (p *Planner) PlannedBackends() int {
-	n := 0
-	for b := range p.plans {
-		if p.plans[b].Load() > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------------
 // Cost-model priors
 // ---------------------------------------------------------------------------
 
 // Priors derives per-bucket prior cost curves (nanoseconds per query) for
-// the canonical backends from the Section 5 cost model. The formulas reuse
-// the model's calibrated micro-costs and its two data statistics — the
-// pairwise-distance CDF and the Zipf skew — and are deliberately coarse:
-// they only have to rank the backends plausibly per bucket; the EWMA
-// refinement converges on the truth. The modeled shapes follow the paper's
-// measurements:
+// the hybrid engine's two backends from the Section 5 cost model. The
+// formulas reuse the model's calibrated micro-costs and its Zipf-skew
+// statistic and are deliberately coarse: they only have to rank the two
+// plausibly per bucket; the EWMA refinement converges on the truth. The
+// modeled shapes follow the paper's measurements:
 //
 //   - inverted (F&V+Drop): reads the k−ω+1 shortest lists and validates
 //     every candidate; cost grows stepwise as the Lemma 2 overlap bound ω
 //     loosens with θ, and is otherwise radius-insensitive (Figure 8's flat
 //     tail).
-//   - blocked (Blocked+Prune): same filtering volume, but the NRA bounds
-//     accept/reject most candidates without a distance call at small θ, so
-//     validation ramps up with P[X ≤ 2θ] (cheapest small-θ inverted
-//     variant, Figure 8 left).
-//   - coarse: the model's own Evaluate(θ, θC) — medoid filtering plus
-//     partition validation of n·P[X ≤ θ+θC] candidates.
-//   - bktree: triangle pruning degrades quickly with the radius; the
-//     visited fraction is modeled as P[X ≤ θ + d10] with d10 the 10th
-//     percentile of pairwise distances (at θ=0 a dense cluster of the tree
-//     is still entered; by mid radii nearly all nodes are).
 //   - adaptsearch: the ℓ-prefix scheme scans p = k−ω+1 of the k positional
 //     delta lists per query item: ~p² short lists plus verification of the
 //     candidates that survive the prefix count.
-func Priors(m *costmodel.Model, thetaCRaw, buckets int) map[string][]float64 {
+func Priors(m *costmodel.Model, buckets int) map[string][]float64 {
 	if buckets <= 0 {
 		buckets = DefaultBuckets
 	}
 	k := m.K
-	n := float64(m.N)
 	dmax := ranking.MaxDistance(k)
 	// Expected probed-list length with the whole collection indexed
-	// (medoids = n): the inverted-index side of every formula.
-	listLen := m.ExpectedListLength(n)
-	// d10: the 10th percentile of the pairwise-distance CDF.
-	d10 := 0
-	for d := 0; d <= dmax; d++ {
-		if m.CDF(d) >= 0.1 {
-			d10 = d
-			break
-		}
-	}
+	// (medoids = n).
+	listLen := m.ExpectedListLength(float64(m.N))
 	out := map[string][]float64{
 		BackendInverted:    make([]float64, buckets),
-		BackendBlocked:     make([]float64, buckets),
-		BackendCoarse:      make([]float64, buckets),
-		BackendBKTree:      make([]float64, buckets),
 		BackendAdaptSearch: make([]float64, buckets),
 	}
 	for i := 0; i < buckets; i++ {
@@ -500,16 +466,6 @@ func Priors(m *costmodel.Model, thetaCRaw, buckets int) map[string][]float64 {
 		cands := kept * listLen // union bound on distinct candidates
 		out[BackendInverted][i] = m.CostMergeBase*kept +
 			cands*m.CostMergePerPosting + cands*m.CostFootrule
-
-		ramp := m.CDF(2 * raw) // fraction of candidates surviving NRA bounds
-		out[BackendBlocked][i] = m.CostMergeBase*kept +
-			1.3*cands*m.CostMergePerPosting + // block bookkeeping overhead
-			(0.02+0.98*ramp)*cands*m.CostFootrule
-
-		out[BackendCoarse][i] = m.Evaluate(raw, thetaCRaw).Overall()
-
-		visited := math.Min(1, 0.005+m.CDF(raw+d10))
-		out[BackendBKTree][i] = m.CostMergeBase + visited*n*m.CostFootrule
 
 		// p² positional lists of expected length listLen/k each, then
 		// verification of the candidates that reach the prefix count

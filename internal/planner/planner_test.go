@@ -5,7 +5,6 @@ import (
 
 	"topk/internal/costmodel"
 	"topk/internal/difftest"
-	"topk/internal/ranking"
 	"topk/internal/stats"
 
 	"math/rand"
@@ -55,8 +54,8 @@ func TestChooseFollowsPriors(t *testing.T) {
 	if got := p.Choose(7); p.names[got] != "high" {
 		t.Fatalf("bucket 7 routed to %q, want high", p.names[got])
 	}
-	if n := p.PlannedBackends(); n != 2 {
-		t.Fatalf("PlannedBackends = %d, want 2", n)
+	if st := p.Stats(); st[0].Plans != 1 || st[1].Plans != 1 {
+		t.Fatalf("plans = %d/%d, want 1/1", st[0].Plans, st[1].Plans)
 	}
 }
 
@@ -196,10 +195,9 @@ func TestStatsAggregates(t *testing.T) {
 }
 
 // TestPriorsShape fits the cost model to a synthetic Zipf collection and
-// checks the derived curves: every canonical backend present, all costs
-// positive, the BK-tree curve increasing with θ (triangle pruning degrades
-// with the radius) and the inverted curve non-decreasing (the overlap bound
-// only loosens).
+// checks the derived curves: exactly the hybrid's two backends, all costs
+// positive, and both curves non-decreasing in θ (the overlap bound only
+// loosens, so both read more lists).
 func TestPriorsShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rs := difftest.RandomCollection(rng, 500, 10, 400)
@@ -209,8 +207,11 @@ func TestPriorsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	curves := Priors(m, ranking.RawThreshold(0.3, 10), 8)
-	for _, name := range []string{BackendInverted, BackendBlocked, BackendCoarse, BackendBKTree, BackendAdaptSearch} {
+	curves := Priors(m, 8)
+	if len(curves) != 2 {
+		t.Fatalf("%d prior curves, want 2", len(curves))
+	}
+	for _, name := range []string{BackendInverted, BackendAdaptSearch} {
 		c := curves[name]
 		if len(c) != 8 {
 			t.Fatalf("%s: %d buckets", name, len(c))
@@ -219,18 +220,9 @@ func TestPriorsShape(t *testing.T) {
 			if v <= 0 {
 				t.Fatalf("%s bucket %d: cost %v", name, i, v)
 			}
-		}
-	}
-	bk := curves[BackendBKTree]
-	for i := 1; i < len(bk); i++ {
-		if bk[i] < bk[i-1] {
-			t.Fatalf("bktree prior decreases at bucket %d: %v", i, bk)
-		}
-	}
-	inv := curves[BackendInverted]
-	for i := 1; i < len(inv); i++ {
-		if inv[i] < inv[i-1] {
-			t.Fatalf("inverted prior decreases at bucket %d: %v", i, inv)
+			if i > 0 && v < c[i-1] {
+				t.Fatalf("%s prior decreases at bucket %d: %v", name, i, c)
+			}
 		}
 	}
 }

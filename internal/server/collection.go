@@ -43,8 +43,8 @@ type CollectionOptions struct {
 	// first insert defines the size structurally, queries and mutations are
 	// validated against it. 0 leaves the size to the first insert.
 	K int `json:"k,omitempty"`
-	// MaxTheta is the auto-tune target threshold (coarse index / hybrid
-	// planner); 0 uses the server's -maxtheta.
+	// MaxTheta is the coarse index's auto-tune target threshold; 0 uses the
+	// server's -maxtheta. Other kinds ignore it.
 	MaxTheta float64 `json:"maxTheta,omitempty"`
 	// ForceBackend and Calibrate are hybrid-only planner knobs.
 	ForceBackend string `json:"forceBackend,omitempty"`
@@ -85,7 +85,11 @@ func (o CollectionOptions) validate(walEnabled bool) error {
 	if !mutableKind(o.Kind) {
 		return fmt.Errorf("collection kind %q is not mutable: dynamically created collections start empty and grow through /insert (want one of hybrid|coarse|coarse-drop|inverted|inverted-drop|merge)", o.Kind)
 	}
-	if o.Kind != "hybrid" {
+	if o.Kind == "hybrid" {
+		if err := validateForceBackend(o.ForceBackend); err != nil {
+			return fmt.Errorf("forceBackend: %w", err)
+		}
+	} else {
 		if o.ForceBackend != "" {
 			return fmt.Errorf("forceBackend applies only to kind hybrid (have %q)", o.Kind)
 		}

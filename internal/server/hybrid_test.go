@@ -142,7 +142,7 @@ func TestHybridServe(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("snapshot status %d", rec.Code)
 	}
-	forced, err := shard.New(rs, 2, builderFor("hybrid", 0.3, "coarse", 0, 0, ""))
+	forced, err := shard.New(rs, 2, builderFor("hybrid", 0.3, "adaptsearch", 0, 0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +155,10 @@ func TestHybridServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range st.Planner {
-		if b.Backend != "coarse" && b.Plans != 0 {
+		if b.Backend != "adaptsearch" && b.Plans != 0 {
 			t.Fatalf("forced engine planned %s: %+v", b.Backend, st.Planner)
 		}
-		if b.Backend == "coarse" && b.Plans == 0 {
+		if b.Backend == "adaptsearch" && b.Plans == 0 {
 			t.Fatal("forced backend saw no plans")
 		}
 	}

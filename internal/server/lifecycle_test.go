@@ -5,6 +5,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"topk"
 	"topk/internal/qcache"
 )
 
@@ -210,6 +212,8 @@ func TestCreateValidation(t *testing.T) {
 		{"negative k", http.MethodPut, "/collections/x", `{"k":-1}`, http.StatusBadRequest},
 		{"weight out of range", http.MethodPut, "/collections/x", `{"weight":1.5}`, http.StatusBadRequest},
 		{"hybrid knob on coarse", http.MethodPut, "/collections/x", `{"kind":"coarse","forceBackend":"inverted"}`, http.StatusBadRequest},
+		{"unknown forced backend", http.MethodPut, "/collections/x", `{"kind":"hybrid","forceBackend":"warp"}`, http.StatusBadRequest},
+		{"forced backend the hybrid no longer builds", http.MethodPut, "/collections/x", `{"kind":"hybrid","forceBackend":"coarse"}`, http.StatusBadRequest},
 		{"unknown field", http.MethodPut, "/collections/x", `{"knid":"hybrid"}`, http.StatusBadRequest},
 		{"drop unknown", http.MethodDelete, "/collections/ghost", "", http.StatusNotFound},
 		{"drop default", http.MethodDelete, "/collections/default", "", http.StatusConflict},
@@ -490,6 +494,74 @@ func TestWALRankingSizeCap(t *testing.T) {
 	}
 	if rec := post(t, h, "/c/big/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(200, 1))); rec.Code != http.StatusOK {
 		t.Fatalf("k=200 insert: %d %s", rec.Code, rec.Body)
+	}
+}
+
+// TestStaleManifestForceBackendRecoversUnforced restarts on a manifest whose
+// entry pins a backend the hybrid stopped building (blocked, coarse and bktree
+// were legal names once): the collection must come back — data intact, every
+// shard under cost-based routing — with one log line naming it and the
+// dropped backend, and the cleared option must reach the next manifest write.
+func TestStaleManifestForceBackendRecoversUnforced(t *testing.T) {
+	root := t.TempDir()
+	s1 := newRegistryServer(t, root)
+	h1 := s1.Handler()
+	if rec := doJSON(t, h1, http.MethodPut, "/collections/pinned", map[string]any{"k": 6, "shards": 2, "forceBackend": "adaptsearch"}); rec.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	for i := 0; i < 7; i++ {
+		if rec := post(t, h1, "/c/pinned/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(6, 10*i))); rec.Code != http.StatusOK {
+			t.Fatalf("insert %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	if err := s1.closeCollections(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := readManifest(manifestPath(root))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("manifest: %v, %v", entries, err)
+	}
+	entries[0].Options.ForceBackend = "coarse"
+	if err := writeManifest(manifestPath(root), entries); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged bytes.Buffer
+	s2, err := New(Config{Kind: "hybrid", WALRoot: root, MaxConcurrency: -1, Log: &logged})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.bootstrap(); err != nil {
+		t.Fatalf("bootstrap on a stale forceBackend: %v", err)
+	}
+	t.Cleanup(func() { s2.closeCollections() })
+	c, ok := s2.lookup("pinned")
+	if !ok || c.sh.Len() != 7 {
+		t.Fatalf("collection not recovered whole: ok=%v", ok)
+	}
+	for i := 0; i < c.sh.NumShards(); i++ {
+		sub, _ := c.sh.Shard(i)
+		if f := sub.(*topk.HybridIndex).Forced(); f != "" {
+			t.Fatalf("shard %d still forced onto %q", i, f)
+		}
+	}
+	var mentions []string
+	for _, line := range strings.Split(logged.String(), "\n") {
+		if strings.Contains(line, "forceBackend") {
+			mentions = append(mentions, line)
+		}
+	}
+	if len(mentions) != 1 || !strings.Contains(mentions[0], `"pinned"`) || !strings.Contains(mentions[0], `"coarse"`) {
+		t.Fatalf("want one log line naming the collection and the dropped backend, have %q", mentions)
+	}
+	// The next manifest write carries the cleared option.
+	s2.ready.Store(true)
+	if rec := doJSON(t, s2.Handler(), http.MethodPut, "/collections/other", nil); rec.Code != http.StatusCreated {
+		t.Fatalf("create after recovery: %d %s", rec.Code, rec.Body)
+	}
+	entries, err = readManifest(manifestPath(root))
+	if err != nil || len(entries) != 2 || entries[0].Options.ForceBackend != "" {
+		t.Fatalf("rewritten manifest: %+v, %v", entries, err)
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -362,6 +363,27 @@ func TestValidateKindFlags(t *testing.T) {
 		err := validateKindFlags(c.kind, c.set)
 		if (err == nil) != c.ok {
 			t.Fatalf("validateKindFlags(%q, %v) = %v, want ok=%v", c.kind, c.set, err, c.ok)
+		}
+	}
+}
+
+// TestNewRejectsUnknownForceBackend: a -force-backend the hybrid does not
+// build is a usage error out of New — before anything listens or builds —
+// not a build failure after the listener is up.
+func TestNewRejectsUnknownForceBackend(t *testing.T) {
+	for _, c := range []struct {
+		force string
+		ok    bool
+	}{
+		{"", true}, {"inverted", true}, {"adaptsearch", true},
+		{"warp", false}, {"coarse", false}, {"bktree", false}, {"blocked", false},
+	} {
+		_, err := New(Config{Kind: "hybrid", ForceBackend: c.force, MaxConcurrency: -1, Log: io.Discard})
+		if (err == nil) != c.ok {
+			t.Fatalf("New(-kind hybrid -force-backend %q) = %v, want ok=%v", c.force, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "-force-backend") {
+			t.Fatalf("error does not name the flag: %v", err)
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -66,7 +67,7 @@ type Config struct {
 
 	Kind         string  // index kind of the default collection
 	Shards       int     // shard count (0 = GOMAXPROCS)
-	MaxTheta     float64 // auto-tune target threshold
+	MaxTheta     float64 // coarse auto-tune target threshold
 	ForceBackend string  // hybrid only
 	Calibrate    int     // hybrid only
 	DeltaRatio   float64 // hybrid only
@@ -174,6 +175,11 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
+	if cfg.Kind == "hybrid" {
+		if err := validateForceBackend(cfg.ForceBackend); err != nil {
+			return nil, fmt.Errorf("-force-backend: %w", err)
+		}
+	}
 	if cfg.WALDir != "" && cfg.WALRoot != "" {
 		return nil, fmt.Errorf("pass either -wal (single-collection layout) or -wal-root (multi-tenant layout), not both")
 	}
@@ -239,11 +245,19 @@ func (s *Server) bootstrap() error {
 		if err != nil {
 			return err
 		}
-		for _, e := range entries {
+		for i := range entries {
+			e := &entries[i]
 			if e.Name == s.cfg.DefaultCollection {
 				return fmt.Errorf("manifest lists %q, which is the flag-defined default collection", e.Name)
 			}
-			c, err := s.recoverCollection(e)
+			if e.Options.Kind == "hybrid" && validateForceBackend(e.Options.ForceBackend) != nil {
+				// Written when the hybrid still built that backend. The next
+				// manifest rewrite persists the cleared option.
+				fmt.Fprintf(s.cfg.logw(), "collection %q: dropping forceBackend %q, which the hybrid no longer builds (have %v); routing is cost-based\n",
+					e.Name, e.Options.ForceBackend, topk.HybridBackends)
+				e.Options.ForceBackend = ""
+			}
+			c, err := s.recoverCollection(*e)
 			if err != nil {
 				return fmt.Errorf("recover collection %q: %w", e.Name, err)
 			}
@@ -655,6 +669,15 @@ func loadCollection(dataPath, snapPath string) ([]ranking.Ranking, error) {
 	}
 }
 
+// validateForceBackend rejects a forced-backend name the hybrid does not
+// build; the empty name (cost-based routing) is always valid.
+func validateForceBackend(name string) error {
+	if name == "" || slices.Contains(topk.HybridBackends, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown hybrid backend %q (have %v)", name, topk.HybridBackends)
+}
+
 // validateKindFlags fails fast on flag combinations that would otherwise
 // be silently ignored: the hybrid-planner knobs act only on -kind hybrid.
 // set holds the flag names explicitly passed on the command line.
@@ -701,10 +724,7 @@ func builderFor(kind string, maxTheta float64, force string, calibrate int, delt
 	return func(rs []ranking.Ranking) (shard.Index, error) {
 		switch kind {
 		case "hybrid":
-			opts := []topk.HybridOption{
-				topk.WithHybridMaxTheta(maxTheta),
-				topk.WithHybridDeltaRatio(deltaRatio),
-			}
+			opts := []topk.HybridOption{topk.WithHybridDeltaRatio(deltaRatio)}
 			if force != "" {
 				opts = append(opts, topk.WithForcedBackend(force))
 			}

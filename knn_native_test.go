@@ -391,14 +391,15 @@ func TestKNNNativeBypassesReductionAndPlanner(t *testing.T) {
 }
 
 // TestHybridKNNFallbackLeavesExplorationAlone covers the planner leak of the
-// reduction path: a hybrid without an inverted backend picks its KNN backend
-// by estimate, but the queries must not consume bucket 0's exploration slots
-// (range queries own them) — ten exploration periods of KNN traffic leave
-// the sequence where it was and land on one backend only.
+// reduction path: a hybrid forced onto adaptsearch answers KNN through
+// knn.Expanding's range probes, but the queries must not consume bucket 0's
+// exploration slots (range queries own them) — ten exploration periods of
+// KNN traffic leave the sequence where it was, feed the range estimates
+// nothing and land on the forced backend only.
 func TestHybridKNNFallbackLeavesExplorationAlone(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rs := difftest.RandomCollection(rng, 150, 6, 60)
-	h := hybridFor(t, rs, WithHybridBackends("blocked", "bktree", "adaptsearch"))
+	h := hybridFor(t, rs, WithForcedBackend("adaptsearch"))
 	o := difftest.NewOracle(rs)
 	seq := h.pl.Sequence(0)
 	// Ten periods of an ExploreEvery of 64; the sequence check below holds for
@@ -416,17 +417,16 @@ func TestHybridKNNFallbackLeavesExplorationAlone(t *testing.T) {
 	if got := h.pl.Sequence(0); got != seq {
 		t.Fatalf("KNN advanced the bucket-0 sequence from %d to %d", seq, got)
 	}
-	routed := 0
+	if h.DistanceCalls() == 0 {
+		t.Fatal("forced adaptsearch KNN evaluated no distances: the reduction did not run")
+	}
 	for _, st := range h.PlanStats() {
 		if st.Observations != 0 {
 			t.Errorf("%s: KNN left %d observations in the range estimates", st.Backend, st.Observations)
 		}
-		if st.Plans != 0 {
-			routed++
+		if (st.Backend == "adaptsearch") != (st.Plans != 0) {
+			t.Errorf("%s: %d plans under Force(adaptsearch)", st.Backend, st.Plans)
 		}
-	}
-	if routed != 1 {
-		t.Fatalf("KNN spread over %d backends, want the one cheapest estimate", routed)
 	}
 }
 

@@ -13,11 +13,12 @@
 // (plain and blocked inverted indices, BK-, M- and VP-trees, the
 // AdaptSearch prefix filter) are provided both as baselines and because
 // each has a regime where it wins; see the package examples and README.
-// HybridIndex goes one step further: it builds several of these structures
-// over one collection and routes each query to the one a cost-model-driven
-// planner (internal/planner) predicts cheapest for the query's threshold —
-// the paper's "sweet spot" finding made at query time instead of build
-// time.
+// HybridIndex goes one step further: it builds the two of these structures
+// that trade places as the threshold grows — the inverted index and the
+// AdaptSearch prefix filter — over one collection and routes each query to
+// the one a cost-model-driven planner (internal/planner) predicts cheaper
+// for the query's threshold — the paper's "sweet spot" finding made at query
+// time instead of build time.
 //
 // All Search methods are safe for concurrent use and run in parallel: the
 // per-query scratch state of every index lives in an internal sync.Pool, so
@@ -26,7 +27,7 @@
 // (CoarseIndex, InvertedIndex, HybridIndex) additionally implement
 // MutableIndex — Insert, Delete and Update with stable external IDs,
 // tombstone filtering on the query path and automatic compaction (for the
-// hybrid engine, a delta overlay over its static backends folded back by
+// hybrid engine, a delta overlay over its static backend folded back by
 // background epoch rebuilds) — and briefly exclude writers from readers
 // with an RWMutex; read-only structures take no lock at all. For query
 // fan-out across cores over one collection, see internal/shard and
