@@ -7,10 +7,6 @@
 //
 //	benchgate -baseline BENCH_kernels.json -current bench.json [-threshold 0.10]
 //
-// -report-only prints the same delta table but always exits 0 — used for
-// noisy wall-clock suites (the startup experiment) where the table is the
-// artifact and a hard gate would flake.
-//
 // The markdown delta table it prints is meant to be teed into
 // $GITHUB_STEP_SUMMARY so every CI run shows the per-benchmark trajectory.
 // Benchmarks present on only one side are reported (new/removed) but do not
@@ -58,7 +54,6 @@ func main() {
 		baselinePath = flag.String("baseline", "BENCH_kernels.json", "committed baseline records")
 		currentPath  = flag.String("current", "", "freshly measured records to gate")
 		threshold    = flag.Float64("threshold", 0.10, "allowed fractional ns/op regression before failing")
-		reportOnly   = flag.Bool("report-only", false, "print the delta table but never fail: regressions are flagged in the table only")
 	)
 	flag.Parse()
 	if *currentPath == "" {
@@ -104,10 +99,6 @@ func main() {
 	fmt.Println()
 	if regressions > 0 {
 		fmt.Printf("%d benchmark(s) regressed beyond the %.0f%% gate.\n", regressions, *threshold*100)
-		if *reportOnly {
-			fmt.Println("(report-only: not failing)")
-			return
-		}
 		os.Exit(1)
 	}
 	fmt.Println("All benchmarks within the regression gate.")

@@ -72,7 +72,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment id: fig3|fig5|fig6|fig7|tab5|fig8|fig9|fig10|tab6|stats|sweep|rebuild|wal|overload|tenants|kernels|startup|all")
+		experiment = flag.String("experiment", "all", "experiment id: fig3|fig5|fig6|fig7|tab5|fig8|fig9|fig10|tab6|stats|sweep|rebuild|wal|overload|tenants|kernels|all")
 		scaleName  = flag.String("scale", "small", "dataset scale: small|medium|default")
 		k          = flag.Int("k", 10, "ranking size for the single-k experiments")
 		jsonPath   = flag.String("json", "", "write the sweep's machine-readable records to this file (implies -experiment sweep)")
@@ -103,7 +103,7 @@ func main() {
 		writers := 0
 		for _, id := range ids {
 			switch strings.TrimSpace(id) {
-			case "sweep", "wal", "overload", "tenants", "kernels", "startup":
+			case "sweep", "wal", "overload", "tenants", "kernels":
 				writers++
 			}
 		}
@@ -141,11 +141,6 @@ func main() {
 		case "kernels":
 			if err := runKernels(*jsonPath); err != nil {
 				fmt.Fprintf(os.Stderr, "experiment kernels: %v\n", err)
-				os.Exit(1)
-			}
-		case "startup":
-			if err := runStartup(sc, *k, *jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "experiment startup: %v\n", err)
 				os.Exit(1)
 			}
 		default:
@@ -272,32 +267,6 @@ func runKernels(jsonPath string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d kernel records to %s\n", len(recs), jsonPath)
-	return nil
-}
-
-// runStartup measures cold-start restore + first-query latency per recovery
-// source (WAL replay, v2 decode, v3 full read, v3 mmap) across collection
-// sizes derived from the scale, and optionally writes the records as JSON
-// (BENCH_startup.json format).
-func runStartup(sc bench.Scale, k int, jsonPath string) error {
-	sizes := []int{sc.NNYT / 8, sc.NNYT / 2, sc.NNYT}
-	recs, t, err := bench.Startup(k, sizes)
-	if err != nil {
-		return err
-	}
-	t.Fprint(os.Stdout)
-	if jsonPath == "" {
-		return nil
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := bench.WriteKernelJSON(f, recs); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d startup records to %s\n", len(recs), jsonPath)
 	return nil
 }
 

@@ -1,12 +1,13 @@
 // Command topkgen generates synthetic ranking collections with the
 // statistical fingerprint of the paper's benchmarks and writes them either
-// as text (one ranking per line, parseable by topkquery) or in the binary
-// format of package persist.
+// as text (one ranking per line, parseable by topkquery) or as a paged v3
+// snapshot of package persist (what topkserve and topkquery -load-snapshot
+// read).
 //
 // Usage:
 //
 //	topkgen -preset nyt -n 25000 -k 10 -o rankings.txt
-//	topkgen -preset yago -format binary -o rankings.bin
+//	topkgen -preset yago -format binary -o rankings.v3
 //	topkgen -n 1000 -k 10 -zipf 0.7 -cluster 0.4 -stats
 package main
 
@@ -93,7 +94,7 @@ func main() {
 			os.Exit(1)
 		}
 	case "binary":
-		if _, err := persist.WriteRankings(w, rs); err != nil {
+		if _, err := persist.WritePagedTo(w, rs); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

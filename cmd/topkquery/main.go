@@ -5,32 +5,35 @@
 //
 //	topkquery -data rankings.txt -index coarse -q "[3, 1, 4, 1, 5]" -theta 0.2
 //	topkgen -preset nyt -n 5000 | topkquery -data - -index coarse -interactive
-//	topkquery -data rankings.txt -save-snapshot rankings.bin
-//	topkquery -load-snapshot rankings.bin -index blocked -q "[1, 2, 3]"
+//	topkquery -data rankings.txt -save-snapshot rankings.v3
+//	topkquery -load-snapshot rankings.v3 -index blocked -q "[1, 2, 3]"
+//	topkquery -load-snapshot old.bin -save-snapshot new.v3    # migrate v1/v2
 //
 // The -index flag selects the structure: coarse (default, auto-tuned),
 // coarse-drop, inverted, inverted-drop, merge, blocked, blocked-drop,
 // bktree, mtree, vptree.
 //
-// -save-snapshot writes the loaded collection in the binary format of
-// internal/persist; -load-snapshot starts from such a snapshot instead of
-// parsing text, skipping the parse cost on repeat runs. The same snapshots
-// are accepted by topkserve -load-snapshot and topkgen -format binary.
-// All persist formats load: dense v1, slotted v2, and the paged v3 format
-// that topkserve writes as checkpoints and mmaps on startup.
+// -save-snapshot writes the loaded collection as a paged v3 snapshot of
+// internal/persist — the one format topkserve -load-snapshot reads and
+// topkgen -format binary and GET /snapshot write; -load-snapshot starts from
+// such a snapshot instead of parsing text, skipping the parse cost on repeat
+// runs. -load-snapshot also decodes the two formats older versions wrote
+// (dense v1, slotted v2) and -save-snapshot keeps every id — tombstoned slots
+// included — so the two flags together are the offline migration to v3.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
 
 	"topk"
 	"topk/internal/persist"
+	"topk/internal/ranking"
 )
 
 func main() {
@@ -41,8 +44,8 @@ func main() {
 		theta       = flag.Float64("theta", 0.2, "normalized distance threshold in [0,1]")
 		interactive = flag.Bool("interactive", false, "read queries from stdin after loading")
 		maxTheta    = flag.Float64("maxtheta", 0.3, "auto-tune target threshold for the coarse index")
-		saveSnap    = flag.String("save-snapshot", "", "write the loaded collection as a binary snapshot to this path")
-		loadSnap    = flag.String("load-snapshot", "", "load the collection from a binary snapshot instead of -data")
+		saveSnap    = flag.String("save-snapshot", "", "write the loaded collection as a paged v3 snapshot to this path, ids and tombstones preserved")
+		loadSnap    = flag.String("load-snapshot", "", "load the collection from a snapshot (v3, or legacy v1/v2) instead of -data")
 	)
 	flag.Parse()
 
@@ -54,26 +57,38 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pass either -data or -load-snapshot, not both")
 		os.Exit(2)
 	}
-	var rankings []topk.Ranking
+	// slots is the external-id slot array: nil entries are tombstoned ids.
+	var slots []topk.Ranking
 	var err error
 	if *loadSnap != "" {
-		rankings, err = loadSnapshot(*loadSnap)
+		slots, err = loadSnapshot(*loadSnap)
 	} else {
-		rankings, err = loadRankings(*dataPath)
+		slots, err = ranking.ReadTextFile(*dataPath)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	if *saveSnap != "" {
-		if err := saveSnapshot(*saveSnap, rankings); err != nil {
+		if err := persist.WritePagedFile(*saveSnap, slots); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "snapshot of %d rankings written to %s\n", len(rankings), *saveSnap)
+		fmt.Fprintf(os.Stderr, "snapshot of %d slots written to %s\n", len(slots), *saveSnap)
 		if *query == "" && !*interactive {
 			return
 		}
+	}
+	// topkquery builds static, densely-numbered indexes, so tombstoned
+	// snapshot slots are compacted away with a notice.
+	rankings := make([]topk.Ranking, 0, len(slots))
+	for _, r := range slots {
+		if r != nil {
+			rankings = append(rankings, r)
+		}
+	}
+	if dropped := len(slots) - len(rankings); dropped > 0 {
+		fmt.Fprintf(os.Stderr, "compacted %d tombstoned snapshot slots (ids renumbered)\n", dropped)
 	}
 	start := time.Now()
 	idx, err := buildIndex(*indexKind, rankings, *maxTheta)
@@ -128,75 +143,22 @@ func main() {
 	}
 }
 
-// loadSnapshot reads a binary collection snapshot, accepting both the dense
-// v1 format and the tombstone-aware v2 format (e.g. topkserve /snapshot).
-// topkquery builds static, densely-numbered indexes, so tombstoned v2 slots
-// are compacted away with a notice.
+// loadSnapshot reads a collection snapshot as its slot array: a paged v3
+// file, or — the one place that still decodes them — a legacy v1/v2 file.
 func loadSnapshot(path string) ([]topk.Ranking, error) {
+	pc, err := persist.OpenPagedFile(path, false)
+	if err == nil {
+		return pc.Slots(), nil
+	}
+	if !errors.Is(err, persist.ErrLegacyFormat) {
+		return nil, err
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	slots, err := persist.ReadCollection(f)
-	if err != nil {
-		return nil, err
-	}
-	rs := make([]topk.Ranking, 0, len(slots))
-	for _, r := range slots {
-		if r != nil {
-			rs = append(rs, r)
-		}
-	}
-	if dropped := len(slots) - len(rs); dropped > 0 {
-		fmt.Fprintf(os.Stderr, "compacted %d tombstoned snapshot slots (ids renumbered)\n", dropped)
-	}
-	return rs, nil
-}
-
-// saveSnapshot writes the collection in the persist binary format.
-func saveSnapshot(path string, rs []topk.Ranking) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := persist.WriteRankings(f, rs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func loadRankings(path string) ([]topk.Ranking, error) {
-	var r io.Reader
-	if path == "-" {
-		r = os.Stdin
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	var out []topk.Ranking
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		rk, err := topk.ParseRanking(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", len(out)+1, err)
-		}
-		out = append(out, rk)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return persist.ReadLegacy(f)
 }
 
 func buildIndex(kind string, rankings []topk.Ranking, maxTheta float64) (topk.Index, error) {

@@ -7,8 +7,8 @@
 // Usage:
 //
 //	topkgen -preset nyt -n 50000 | topkserve -data - -kind hybrid
-//	topkserve -load-snapshot rankings.bin -kind blocked-drop -shards 8
-//	topkserve -load-snapshot rankings.bin -kind hybrid -wal /var/lib/topk/wal
+//	topkserve -load-snapshot rankings.v3 -kind blocked-drop -shards 8
+//	topkserve -load-snapshot rankings.v3 -kind hybrid -wal /var/lib/topk/wal
 //	topkserve -kind hybrid -wal-root /var/lib/topk    # multi-tenant, starts empty
 //
 // Collection lifecycle (multi-tenant):
@@ -35,9 +35,10 @@
 //	POST /c/{name}/insert   {"ranking":[1,2,3]}          add a ranking, returns its id
 //	POST /c/{name}/delete   {"id":7}                     remove a ranking
 //	POST /c/{name}/update   {"id":7,"ranking":[3,2,1]}   replace a ranking, id stable
-//	GET  /c/{name}/snapshot binary persist-v2 snapshot of the live collection
-//	POST /c/{name}/checkpoint  durable snapshot into the collection's WAL
-//	                        directory, then truncate the replayed log segments
+//	GET  /c/{name}/snapshot v3 snapshot of the live collection, ids and
+//	                        tombstones kept (restart with -load-snapshot)
+//	POST /c/{name}/checkpoint  incremental checkpoint into the collection's
+//	                        WAL directory, then truncate the log below it
 //	GET  /c/{name}/stats    live collection size, per-shard Len/Tombstones/
 //	                        Delta/Rebuilds/DistanceCalls/latency histograms,
 //	                        fan-out and merge timings; for hybrid also the
@@ -60,6 +61,12 @@
 // <dir> is the multi-tenant layout: one subdirectory per collection plus a
 // CRC-checked MANIFEST recording every dynamically created collection, all
 // of which are recovered — checkpoint plus logged suffix — on restart.
+// The two flags differ only in which directory a collection name maps to.
+//
+// Snapshots and checkpoints are persist's paged v3 format and nothing else.
+// A v1/v2 "TKRK" file given to -load-snapshot, or a checkpoint-<seq>.bin
+// found in a WAL directory, is a startup error naming the file and the
+// offline migration: topkquery -load-snapshot old.bin -save-snapshot new.v3
 //
 // See the package comment of internal/server for the serving-core design;
 // this command is flag parsing plus server.New(cfg).Run(ctx).
@@ -82,7 +89,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		dataPath   = flag.String("data", "", "default collection path (- = stdin), one ranking per line")
-		snapPath   = flag.String("load-snapshot", "", "binary collection snapshot (see topkgen -format binary / topkquery -save-snapshot)")
+		snapPath   = flag.String("load-snapshot", "", "v3 collection snapshot (see topkgen -format binary / topkquery -save-snapshot / GET /snapshot)")
 		kind       = flag.String("kind", "coarse", "hybrid|coarse|coarse-drop|inverted|inverted-drop|merge|blocked|blocked-drop|bktree|mtree|vptree")
 		shards     = flag.Int("shards", 0, "number of shards (0 = GOMAXPROCS)")
 		maxTheta   = flag.Float64("maxtheta", 0.3, "-kind coarse only: largest query threshold the partitioning threshold is auto-tuned for (other kinds ignore it)")
@@ -102,8 +109,8 @@ func main() {
 		maxWait    = flag.Duration("max-queue-wait", time.Second, "admission control: longest a queued request waits for a slot before shedding with 429 (0 = wait as long as the request's own deadline allows)")
 		cacheSize  = flag.Int("cache-entries", 0, "query-result cache capacity in entries for /search single queries and /knn, shared across collections with per-collection scoping; any acked mutation or epoch rebuild invalidates (0 disables)")
 		defColl    = flag.String("default-collection", server.DefaultCollectionName, "name the legacy single-collection routes (/search, /insert, ...) alias to")
-		useMmap    = flag.Bool("mmap", true, "serve paged (v3) checkpoints through a read-only memory mapping instead of decoding them to the heap; -mmap=false reads the file whole and verifies every page checksum")
-		spill      = flag.Bool("spill-epochs", false, "hybrid only: write each epoch's ranking arena to an unlinked mmapped paged file (next to the collection's WAL when durable) so cold collections live in page cache, not heap")
+		useMmap    = flag.Bool("mmap", true, "serve checkpoints through a read-only memory mapping instead of reading them onto the heap; -mmap=false reads the file whole and verifies every page checksum")
+		spill      = flag.Bool("spill-epochs", false, "hybrid only: write each epoch's ranking arena to an unlinked mmapped paged file (next to the collection's WAL when durable) so cold collections live in page cache, not heap; a failed spill serves from the heap, counted in /stats and logged")
 	)
 	flag.Parse()
 	set := make(map[string]bool)

@@ -89,6 +89,12 @@ type HybridIndex struct {
 	rebuilding bool
 	foldGen    uint64
 	oplog      []hybridOp
+
+	// spillFallbacks counts epochs that were asked to spill (WithHybridSpill)
+	// and came up on the heap instead; spillErr keeps the first reason. Both
+	// are guarded by mu.
+	spillFallbacks uint64
+	spillErr       error
 }
 
 // hybridEpoch is the physical state of one hybrid build: both backends
@@ -116,8 +122,10 @@ type hybridEpoch struct {
 	footruleNanos float64 // calibrated cost of one delta-scan distance call
 
 	// spillBytes is the size of the mmapped paged arena backing this epoch
-	// (0 when the arena is heap-resident; see WithHybridSpill).
+	// (0 when the arena is heap-resident; see WithHybridSpill). spillErr is
+	// why an epoch that was asked to spill is heap-resident anyway.
 	spillBytes int
+	spillErr   error
 }
 
 // HybridOption configures NewHybridIndex.
@@ -160,7 +168,8 @@ func WithHybridCalibration(n int) HybridOption {
 // as soon as it is mapped and the mapping lives until process exit (epoch
 // views can outlive the epoch in concurrent queries and snapshot streams).
 // On platforms without mmap, or when the spill write fails, the build falls
-// back to the in-memory arena. Query results are byte-identical either way.
+// back to the in-memory arena — counted and explained by SpillFallbacks, never
+// silent. Query results are byte-identical either way.
 func WithHybridSpill(dir string) HybridOption {
 	return func(c *hybridConfig) {
 		if dir == "" {
@@ -188,7 +197,7 @@ func NewHybridIndex(rankings []Ranking, opts ...HybridOption) (*HybridIndex, err
 }
 
 // NewHybridIndexFromSlots builds a hybrid index from an external-id slot
-// array as produced by (*HybridIndex).Slots or a persist snapshot v2: the
+// array as produced by (*HybridIndex).Slots or a persist snapshot: the
 // ranking at position i gets external ID i, and nil entries are tombstoned
 // IDs that stay retired. A zero live count is legal — a shard of a
 // heavily-deleted snapshot can be all tombstones — and yields k = 0 until
@@ -210,6 +219,7 @@ func newHybridFromSlots(slots []Ranking, opts []HybridOption) (*HybridIndex, err
 		return nil, err
 	}
 	h := &HybridIndex{ep: ep, cfg: cfg}
+	h.noteSpillLocked(ep) // not yet shared: no lock needed
 	pl, err := planner.New(HybridBackends, priors, planner.Config{})
 	if err != nil {
 		return nil, err
@@ -239,13 +249,14 @@ func buildEpoch(slots []Ranking, cfg hybridConfig) (*hybridEpoch, [][]float64, e
 	// against contiguous memory), and ep.base holds its views, so the epoch
 	// carries one copy of the ranking payload. With WithHybridSpill the arena
 	// lives in an mmapped paged-v3 temp file instead of the heap.
-	st, spillBytes := epochStore(live, cfg.spillDir)
+	st, spillBytes, spillErr := epochStore(live, cfg.spillDir)
 	live = st.Views()
 	ep := &hybridEpoch{
 		ids:           m,
 		base:          live,
 		dead:          make([]bool, len(live)),
 		spillBytes:    spillBytes,
+		spillErr:      spillErr,
 		footruleNanos: defaultFootruleNanos,
 	}
 	if len(live) == 0 {
@@ -305,18 +316,18 @@ func buildEpoch(slots []Ranking, cfg hybridConfig) (*hybridEpoch, [][]float64, e
 // rankings are written as a paged snapshot v3 temp file, mmapped read-only,
 // and immediately unlinked — the store then borrows the mapping's views and
 // the reported size is the mapped byte count. Any failure along the spill
-// path (full disk, no mmap on this platform) degrades to the heap arena:
+// path (full disk, no mmap on this platform) degrades to the heap arena —
 // spilling is a memory-residency optimization, never a correctness
-// dependency.
-func epochStore(live []Ranking, spillDir string) (*kernel.Store, int) {
+// dependency — and is returned beside the heap store for the index to count.
+func epochStore(live []Ranking, spillDir string) (*kernel.Store, int, error) {
 	if spillDir == "" || len(live) == 0 {
-		return kernel.NewStore(live), 0
+		return kernel.NewStore(live), 0, nil
 	}
 	st, n, err := spillEpochStore(live, spillDir)
 	if err != nil {
-		return kernel.NewStore(live), 0
+		return kernel.NewStore(live), 0, err
 	}
-	return st, n
+	return st, n, nil
 }
 
 // spillEpochStore writes live as a paged v3 file under dir and returns a
@@ -709,6 +720,27 @@ func (h *HybridIndex) SpillBytes() int {
 	return h.ep.spillBytes
 }
 
+// noteSpillLocked records an epoch that fell back from its spill file to the
+// heap.
+func (h *HybridIndex) noteSpillLocked(ep *hybridEpoch) {
+	if ep.spillErr == nil {
+		return
+	}
+	h.spillFallbacks++
+	if h.spillErr == nil {
+		h.spillErr = ep.spillErr
+	}
+}
+
+// SpillFallbacks reports how many epochs — the construction build and every
+// installed rebuild — were asked to spill (WithHybridSpill) and fell back to
+// the heap arena, and the error behind the first of them (nil when none did).
+func (h *HybridIndex) SpillFallbacks() (uint64, error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.spillFallbacks, h.spillErr
+}
+
 // Rebuilds reports how many epoch rebuilds (background folds and explicit
 // Compact calls) have been installed since construction.
 func (h *HybridIndex) Rebuilds() uint64 { return h.rebuilds.Load() }
@@ -736,7 +768,7 @@ func (h *HybridIndex) RebuildStats() RebuildStats {
 
 // Slots returns the external-id slot view of the collection: slots[id] is
 // the live ranking under id, nil for retired ids. Feed it to
-// persist.WriteCollection for a snapshot and to NewHybridIndexFromSlots to
+// persist.WritePagedTo for a snapshot and to NewHybridIndexFromSlots to
 // restore with all ids preserved — the delta overlay and tombstones are
 // materialized into the slot array, so a snapshot taken mid-epoch loads as
 // a freshly folded index.

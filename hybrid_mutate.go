@@ -173,6 +173,7 @@ func (h *HybridIndex) foldEpoch(slots []Ranking, gen uint64) {
 // rebuild's wall time from snapshot to install.
 func (h *HybridIndex) installEpochLocked(ep *hybridEpoch, priors [][]float64, dur time.Duration) {
 	h.ep = ep
+	h.noteSpillLocked(ep)
 	h.pl.Reseed(priors)
 	h.chargeOverlayLocked()
 	h.rebuilds.Add(1)

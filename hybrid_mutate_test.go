@@ -80,17 +80,17 @@ func TestHybridMutableDifferential(t *testing.T) {
 	difftest.Mutate(t, "hybrid post-fold", h, o, rng, 300, 250)
 	check("post-fold mutated", 10)
 
-	// Snapshot round-trip through persist v2: delta and tombstones are
+	// Snapshot round-trip through persist: delta and tombstones are
 	// materialized into the slot array and every id stays retired/live.
 	var buf bytes.Buffer
-	if _, err := persist.WriteCollection(&buf, h.Slots()); err != nil {
+	if _, err := persist.WritePagedTo(&buf, h.Slots()); err != nil {
 		t.Fatal(err)
 	}
-	slots, err := persist.ReadCollection(&buf)
+	pc, err := persist.ReadPagedAll(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := NewHybridIndexFromSlots(slots, WithHybridDeltaRatio(0))
+	h2, err := NewHybridIndexFromSlots(pc.Slots(), WithHybridDeltaRatio(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,10 +72,14 @@ func TestHybridSpillDifferential(t *testing.T) {
 	if spilled.SpillBytes() == 0 {
 		t.Fatal("rebuilt epoch lost its spill backing")
 	}
+	if n, err := spilled.SpillFallbacks(); n != 0 || err != nil {
+		t.Fatalf("working spill directory reports %d fallbacks (%v)", n, err)
+	}
 }
 
 // TestHybridSpillBadDirFallsBack: an unusable spill directory must not fail
-// index construction — the epoch silently stays on the heap.
+// index construction — the epoch stays on the heap, and every epoch that did
+// so is counted with the first error kept.
 func TestHybridSpillBadDirFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	rs := difftest.RandomCollection(rng, 100, 8, 100)
@@ -83,6 +87,15 @@ func TestHybridSpillBadDirFallsBack(t *testing.T) {
 	if h.SpillBytes() != 0 {
 		t.Fatalf("spill into a missing directory reports %d bytes", h.SpillBytes())
 	}
+	if n, err := h.SpillFallbacks(); n != 1 || err == nil {
+		t.Fatalf("construction fallback not counted: n=%d err=%v", n, err)
+	}
 	o := difftest.NewOracle(rs)
 	difftest.CheckSearch(t, "hybrid(spill-fallback)", h, o, rng, 15, 100)
+	if err := h.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := h.SpillFallbacks(); n != 2 {
+		t.Fatalf("rebuilt epoch's fallback not counted: n=%d", n)
+	}
 }

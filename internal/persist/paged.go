@@ -194,9 +194,13 @@ func collectionK(slots []ranking.Ranking) (int, error) {
 
 // WritePagedTo serializes the external-id slot view of a collection as a
 // single-file v3 snapshot (see the package comment for the layout) and
-// returns the bytes written. Semantics match WriteCollection: slots[id] is
-// the live ranking under id, nil a tombstone, and reloading preserves the
-// id assignment exactly.
+// returns the bytes written: slots[id] is the live ranking under id, nil a
+// tombstone, and reloading preserves the id assignment exactly — deleted ids
+// stay retired, trailing ones included (the slot count, not the last live
+// slot, delimits the id space, so the next insert continues the sequence).
+// The hybrid engine's mid-epoch state — base region, delta overlay and
+// tombstones — flattens into exactly this slot view, so a snapshot taken
+// between epoch rebuilds reloads as a freshly folded index.
 func WritePagedTo(w io.Writer, slots []ranking.Ranking) (int64, error) {
 	return writePaged(w, slots, DefaultPageSize)
 }
@@ -366,10 +370,13 @@ func buildPagedSlots(l Layout, pageAt func(p int) []byte) ([]ranking.Ranking, er
 // against the actual byte count and returns the geometry. Nothing sized by
 // a header field is allocated before this passes.
 func parsePagedHeader(data []byte) (Layout, error) {
+	le := binary.LittleEndian
+	if len(data) >= 4 && le.Uint32(data) == legacyMagic {
+		return Layout{}, ErrLegacyFormat
+	}
 	if len(data) < pagedHeaderSize+pagedTrailerLen {
 		return Layout{}, fmt.Errorf("%w: %d bytes is shorter than a v3 header", ErrCorrupt, len(data))
 	}
-	le := binary.LittleEndian
 	if le.Uint32(data[0:]) != pagedMagic {
 		return Layout{}, fmt.Errorf("%w: wrong magic", ErrBadFormat)
 	}

@@ -257,79 +257,6 @@ func putU64(b []byte, v uint64) { putU32(b, uint32(v)); putU32(b[4:], uint32(v>>
 
 func crc32Header(b []byte) uint32 { return crc32.Checksum(b[:32], castagnoli) }
 
-// TestPagedBackCompat is the snapshot version matrix: a v1 (dense rankings)
-// and a v2 (slot collection) artifact must load to exactly the same
-// collection as their v3 rewrite.
-func TestPagedBackCompat(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	t.Run("v1", func(t *testing.T) {
-		rs := randomSlots(rng, 200, 10)
-		for i, r := range rs { // v1 is dense: no holes
-			if r == nil {
-				rr := make(ranking.Ranking, 10)
-				for j := range rr {
-					rr[j] = ranking.Item(i*10 + j)
-				}
-				rs[i] = rr
-			}
-		}
-		var v1 bytes.Buffer
-		if _, err := WriteRankings(&v1, rs); err != nil {
-			t.Fatal(err)
-		}
-		slots, err := ReadCollection(bytes.NewReader(v1.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v3 bytes.Buffer
-		if _, err := WritePagedTo(&v3, slots); err != nil {
-			t.Fatal(err)
-		}
-		pc, err := ReadPagedAll(v3.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		slotsEqual(t, slots, pc.Slots())
-	})
-	t.Run("v2", func(t *testing.T) {
-		slots := randomSlots(rng, 300, 25)
-		var v2 bytes.Buffer
-		if _, err := WriteCollection(&v2, slots); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := ReadCollection(bytes.NewReader(v2.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		slotsEqual(t, slots, loaded)
-		var v3 bytes.Buffer
-		if _, err := WritePagedTo(&v3, loaded); err != nil {
-			t.Fatal(err)
-		}
-		pc, err := ReadPagedAll(v3.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		slotsEqual(t, slots, pc.Slots())
-	})
-}
-
-// TestReadCollectionFileSniffsV3 checks the topkquery path: a v3 file handed
-// to the generic collection loader comes back as the same slot array.
-func TestReadCollectionFileSniffsV3(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	slots := randomSlots(rng, 150, 10)
-	path := filepath.Join(t.TempDir(), "snap.v3")
-	if err := WritePagedFile(path, slots); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadCollectionFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slotsEqual(t, slots, loaded)
-}
-
 func TestPagedFileMissing(t *testing.T) {
 	if _, err := OpenPagedFile(filepath.Join(t.TempDir(), "nope.v3"), true); !os.IsNotExist(err) {
 		t.Fatalf("got %v, want not-exist", err)

@@ -13,7 +13,7 @@
 // byte-identical to before.
 //
 // Write I/O per checkpoint is O(dirty pages) + one tiny footer; the log
-// truncation that follows (wal.CheckpointPaged) deletes superseded footers,
+// truncation that follows (wal.Log.Checkpoint) deletes superseded footers,
 // whose pages then return to the free list of the next checkpoint.
 package persist
 

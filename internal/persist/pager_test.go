@@ -135,7 +135,7 @@ func TestPagerFreeListReuse(t *testing.T) {
 		if _, err := p.WriteCheckpoint(seq, slots, tr.Capture()); err != nil {
 			t.Fatal(err)
 		}
-		// Truncate like wal.CheckpointPaged: drop all older footers.
+		// Truncate like wal.Log.Checkpoint: drop all older footers.
 		for old := uint64(1); old < seq; old++ {
 			os.Remove(FooterPath(dir, old))
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sync"
@@ -150,14 +151,14 @@ type Collection struct {
 	batchSplit  atomic.Uint64
 	mutations   atomic.Uint64
 
-	// wal, when non-nil, makes mutations durable: each handler applies the
-	// mutation and appends its record under walMu — one lock for both steps,
-	// so the log order always equals the apply order (two concurrent inserts
-	// must not ack in one order and replay in the other). Checkpoints take
-	// the same lock for their rotation+capture instant.
-	wal         *wal.Log
-	walMu       sync.Mutex
-	walReplayed int
+	// storage is the durable half (zero for an in-memory collection). With
+	// a wal, each handler applies the mutation and appends its record under
+	// walMu — one lock for both steps, so the log order always equals the
+	// apply order (two concurrent inserts must not ack in one order and
+	// replay in the other). Checkpoints take the same lock for their
+	// rotation+capture instant.
+	storage
+	walMu sync.Mutex
 	// checkpointMu serializes whole POST /checkpoint requests (the snapshot
 	// streaming runs outside walMu so mutations continue meanwhile).
 	checkpointMu sync.Mutex
@@ -166,15 +167,10 @@ type Collection struct {
 	// cannot replay. Overridable in tests.
 	walFatal func(err error)
 
-	// Paged snapshot v3 state, non-nil exactly when the collection is
-	// durable (wal != nil): tracker records which slots changed since the
-	// last checkpoint capture (marked under walMu, alongside the log append),
-	// pager writes incremental checkpoints over the directory's shared page
-	// file. paged retains the mmapped base checkpoint when startup loaded one
-	// — the index views may alias the mapping, so it is never unmapped.
-	tracker *persist.SlotTracker
-	pager   *persist.Pager
-	paged   *persist.PagedCollection
+	// logw receives operational warnings; spillWarned makes the spill
+	// fallback one of them once per collection.
+	logw        io.Writer
+	spillWarned sync.Once
 
 	// Cumulative incremental-checkpoint economy since process start.
 	ckptPagesWritten atomic.Uint64
@@ -190,55 +186,41 @@ type Collection struct {
 	closed bool
 }
 
-// newCollection wires a built index into a tenant. wlog may be nil
-// (in-memory collection).
-func newCollection(name, cacheScope string, opts CollectionOptions, sh *shard.Sharded, wlog *wal.Log, replayed int, global *admit.Controller, maxWait time.Duration) *Collection {
+// storage is what bring-up established for a durable collection; all of it
+// is nil/zero for an in-memory one. tracker records which slots changed since
+// the last checkpoint capture (marked under walMu, alongside the log append)
+// — after recovery exactly the slots the replay dirtied relative to the base
+// checkpoint, or everything when there was none. pager writes incremental
+// checkpoints over the directory's shared page file. paged retains the base
+// checkpoint startup loaded: the index views may alias its mapping, so it is
+// never unmapped.
+type storage struct {
+	wal         *wal.Log
+	walReplayed int
+	tracker     *persist.SlotTracker
+	pager       *persist.Pager
+	paged       *persist.PagedCollection
+}
+
+// newCollection wires a built index and its storage into a tenant.
+func (s *Server) newCollection(name string, opts CollectionOptions, sh *shard.Sharded, st storage) *Collection {
 	c := &Collection{
-		name:        name,
-		cacheScope:  cacheScope,
-		opts:        opts,
-		created:     time.Now(),
-		sh:          sh,
-		wal:         wlog,
-		walReplayed: replayed,
+		name:       name,
+		cacheScope: s.nextCacheScope(name),
+		opts:       opts,
+		created:    time.Now(),
+		sh:         sh,
+		storage:    st,
+		logw:       s.cfg.logw(),
 		walFatal: func(err error) {
 			fmt.Fprintf(os.Stderr, "fatal: wal append failed after the mutation was applied: %v\n", err)
 			os.Exit(1)
 		},
 	}
 	if opts.Weight > 0 && opts.Weight < 1 {
-		c.admission = admit.NewWeighted(global, opts.Weight, maxWait)
-	}
-	if wlog != nil {
-		// Conservative default: everything dirty, no previous v3 footer, so
-		// the first checkpoint writes every page. Bootstrap paths that loaded
-		// a v3 base replace this with the accurate state via attachStorage.
-		tr := persist.NewSlotTracker()
-		tr.MarkAll()
-		c.tracker = tr
-		c.pager = persist.NewPager(wlog.Dir(), nil, nil)
+		c.admission = admit.NewWeighted(s.admission, opts.Weight, s.cfg.MaxQueueWait)
 	}
 	return c
-}
-
-// attachStorage replaces the conservative default storage state with what
-// bootstrap actually established: tr holds exactly the slots the WAL replay
-// dirtied relative to base (or everything, when the base predates v3), and
-// base carries the footer — and, when mmapped, the retained page mapping —
-// of a v3 base checkpoint. Must run before the collection is published.
-func (c *Collection) attachStorage(tr *persist.SlotTracker, base *pagedBase) {
-	c.tracker = tr
-	var prev, pinned *persist.Footer
-	if base != nil {
-		c.paged = base.pc
-		prev = base.footer
-		if base.pc != nil && base.pc.Mapped() {
-			// Live index views may alias these physical pages forever: the
-			// pager must never hand them out to a later checkpoint.
-			pinned = base.footer
-		}
-	}
-	c.pager = persist.NewPager(c.wal.Dir(), prev, pinned)
 }
 
 // ref pins the collection for one request; false means the collection was
@@ -355,8 +337,10 @@ type storageStatsJSON struct {
 	// collection was loaded from (0 when the base was decoded to the heap).
 	MappedBytes int `json:"mappedBytes"`
 	// SpillBytes sums the mmapped epoch arenas of the hybrid shards (0
-	// without -spill-epochs).
-	SpillBytes int `json:"spillBytes,omitempty"`
+	// without -spill-epochs); SpillFallbacks counts the epochs that were
+	// asked to spill and came up on the heap instead.
+	SpillBytes     int    `json:"spillBytes,omitempty"`
+	SpillFallbacks uint64 `json:"spillFallbacks,omitempty"`
 	// DirtySlots and DirtyPages describe the work the next incremental
 	// checkpoint will do: slots mutated since the last checkpoint capture
 	// and the v3 pages they force a rewrite of.
@@ -378,13 +362,13 @@ func (c *Collection) storageStats() *storageStatsJSON {
 	}
 	st := &storageStatsJSON{
 		MappedBytes:            0,
-		SpillBytes:             aggregateSpillBytes(c.sh),
 		DirtySlots:             c.tracker.DirtySlots(),
 		CheckpointPagesWritten: c.ckptPagesWritten.Load(),
 		CheckpointPagesReused:  c.ckptPagesReused.Load(),
 		CheckpointBytesWritten: c.ckptBytesWritten.Load(),
 		CheckpointBytesReused:  c.ckptBytesReused.Load(),
 	}
+	st.SpillBytes, st.SpillFallbacks = c.spillStats()
 	if c.paged != nil {
 		st.MappedBytes = c.paged.MappedBytes()
 	}
@@ -403,21 +387,36 @@ func (c *Collection) storageStats() *storageStatsJSON {
 	return st
 }
 
-// spillStatser is implemented by hybrid sub-indices built with epoch
-// spilling available.
-type spillStatser interface{ SpillBytes() int }
+// spillStatser is implemented by hybrid sub-indices.
+type spillStatser interface {
+	SpillBytes() int
+	SpillFallbacks() (uint64, error)
+}
 
-// aggregateSpillBytes sums the mmapped epoch arenas across shards; 0 when
-// the index kind does not spill.
-func aggregateSpillBytes(sh *shard.Sharded) int {
-	total := 0
-	for i := 0; i < sh.NumShards(); i++ {
-		sub, _ := sh.Shard(i)
+// spillStats sums the mmapped epoch arenas and the spill fallbacks across
+// shards (both 0 when the index kind does not spill), and logs the first
+// fallback's error — once per collection, whenever it is first seen: at
+// bring-up for a build that fell back, at the next /stats or /metrics read
+// for an epoch rebuild that did.
+func (c *Collection) spillStats() (bytes int, fallbacks uint64) {
+	var first error
+	for i := 0; i < c.sh.NumShards(); i++ {
+		sub, _ := c.sh.Shard(i)
 		if ss, ok := sub.(spillStatser); ok {
-			total += ss.SpillBytes()
+			bytes += ss.SpillBytes()
+			n, err := ss.SpillFallbacks()
+			fallbacks += n
+			if first == nil {
+				first = err
+			}
 		}
 	}
-	return total
+	if first != nil {
+		c.spillWarned.Do(func() {
+			fmt.Fprintf(c.logw, "collection %q: -spill-epochs fell back to the heap arena: %v\n", c.name, first)
+		})
+	}
+	return bytes, fallbacks
 }
 
 // toJSON renders results with the collection's normalized distance.

@@ -345,9 +345,9 @@ func (s *Server) handleListCollections(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // Data handlers (collection-scoped).
 
-// handleSnapshot streams the collection as a persist v2 snapshot: the
+// handleSnapshot streams the collection as a single-file v3 snapshot: the
 // external-id slot array with tombstones marked, so restarting with
-// -load-snapshot preserves every id. `curl -s :8080/snapshot > snap.bin`.
+// -load-snapshot preserves every id. `curl -s :8080/snapshot > snap.v3`.
 func (s *Server) handleSnapshot(c *Collection, w http.ResponseWriter, r *http.Request) {
 	slots, ok := c.sh.Slots()
 	if !ok {
@@ -355,10 +355,10 @@ func (s *Server) handleSnapshot(c *Collection, w http.ResponseWriter, r *http.Re
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", "attachment; filename=\"rankings-v2.bin\"")
-	if _, err := persist.WriteCollection(w, slots); err != nil {
+	w.Header().Set("Content-Disposition", "attachment; filename=\"rankings.v3\"")
+	if _, err := persist.WritePagedTo(w, slots); err != nil {
 		// Headers are gone; all we can do is log.
-		fmt.Fprintf(os.Stderr, "snapshot write: %v\n", err)
+		fmt.Fprintf(s.cfg.logw(), "collection %q: snapshot write: %v\n", c.name, err)
 	}
 }
 
@@ -417,7 +417,7 @@ func (s *Server) handleCheckpoint(c *Collection, w http.ResponseWriter, r *http.
 		return
 	}
 	var stats persist.CheckpointStats
-	if err := c.wal.CheckpointPaged(seq, func(string) error {
+	if err := c.wal.Checkpoint(seq, func(string) error {
 		var werr error
 		stats, werr = c.pager.WriteCheckpoint(seq, slots, dirty)
 		return werr

@@ -2,7 +2,10 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +20,7 @@ import (
 	"topk/internal/persist"
 	"topk/internal/ranking"
 	"topk/internal/shard"
+	"topk/internal/wal"
 )
 
 func testServer(t *testing.T) (*Server, []ranking.Ranking, []ranking.Ranking) {
@@ -389,8 +393,8 @@ func TestNewRejectsUnknownForceBackend(t *testing.T) {
 }
 
 // TestSnapshotEndpointRoundTrip mutates a server, pulls GET /snapshot, and
-// reloads the bytes through the startup path: ids must be preserved and the
-// restored server must answer identically.
+// restarts from the bytes with -load-snapshot: every id and tombstone must be
+// preserved and the restored server must answer identically.
 func TestSnapshotEndpointRoundTrip(t *testing.T) {
 	srv, _, qs := testServer(t)
 	h := srv.routes()
@@ -406,19 +410,22 @@ func TestSnapshotEndpointRoundTrip(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("snapshot status %d", rec.Code)
 	}
-	slots, err := persist.ReadCollection(bytes.NewReader(rec.Body.Bytes()))
+	if cd := rec.Header().Get("Content-Disposition"); !strings.Contains(cd, `"rankings.v3"`) {
+		t.Fatalf("Content-Disposition %q does not name rankings.v3", cd)
+	}
+	pc, err := persist.ReadPagedAll(rec.Body.Bytes())
 	if err != nil {
 		t.Fatalf("snapshot bytes unreadable: %v", err)
 	}
-	if len(slots) != 401 || slots[42] != nil || slots[400] == nil {
+	if slots := pc.Slots(); len(slots) != 401 || slots[42] != nil || slots[400] == nil {
 		t.Fatalf("snapshot slots wrong: len=%d slot42=%v", len(slots), slots[42])
 	}
 
-	sh2, err := shard.New(slots, 2, builderFor("coarse", 0.3, "", 0, 0, ""))
-	if err != nil {
-		t.Fatalf("reload: %v", err)
+	path := filepath.Join(t.TempDir(), "snap.v3")
+	if err := os.WriteFile(path, rec.Body.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	h2 := newServer(sh2, "coarse").routes()
+	h2 := startServer(t, "coarse", path, "", true).routes()
 	if n := liveN(t, h2); n != 400 {
 		t.Fatalf("restored live count %d, want 400", n)
 	}
@@ -441,50 +448,41 @@ func TestSnapshotEndpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadCollectionSnapshotV2 loads a tombstoned v2 snapshot and verifies
-// retired ids stay retired on the serving path.
-func TestLoadCollectionSnapshotV2(t *testing.T) {
+// TestLoadSnapshotKeepsTombstones starts from a tombstoned snapshot file and
+// verifies retired ids — a trailing one included — stay retired on the
+// serving path.
+func TestLoadSnapshotKeepsTombstones(t *testing.T) {
 	rs, err := dataset.Generate(dataset.NYTLike(60, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots := append([]ranking.Ranking(nil), rs...)
-	slots[7], slots[23] = nil, nil // tombstones
-	path := filepath.Join(t.TempDir(), "v2.bin")
-	f, err := os.Create(path)
-	if err != nil {
+	slots := append(append([]ranking.Ranking(nil), rs...), nil)
+	slots[7], slots[23] = nil, nil // tombstones, plus the trailing slot 60
+	path := filepath.Join(t.TempDir(), "tombstoned.v3")
+	if err := persist.WritePagedFile(path, slots); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := persist.WriteCollection(f, slots); err != nil {
-		t.Fatal(err)
+	srv := startServer(t, "inverted-drop", path, "", true)
+	if got, _ := srv.defColl().sh.Slots(); !slotsEqual(got, slots) {
+		t.Fatal("served slot view diverges from the snapshot")
 	}
-	f.Close()
-	got, err := loadCollection("", path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, slots) {
-		t.Fatal("v2 snapshot round-trip diverges")
-	}
-	sh, err := shard.New(got, 3, builderFor("inverted-drop", 0.3, "", 0, 0, ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newServer(sh, "inverted-drop").routes()
+	h := srv.routes()
 	if n := liveN(t, h); n != 58 {
 		t.Fatalf("live count %d, want 58", n)
 	}
-	if rec := post(t, h, "/delete", `{"id":7}`); rec.Code != http.StatusNotFound {
-		t.Fatalf("delete of tombstoned id: status %d, want 404", rec.Code)
+	for _, id := range []int{7, 60} {
+		if rec := post(t, h, "/delete", fmt.Sprintf(`{"id":%d}`, id)); rec.Code != http.StatusNotFound {
+			t.Fatalf("delete of tombstoned id %d: status %d, want 404", id, rec.Code)
+		}
 	}
-	// The next insert continues the id sequence after the snapshot.
+	// The next insert continues the id sequence after the snapshot's slots.
 	rec := post(t, h, "/insert", `{"ranking":[901,902,903,904,905,906,907,908,909,910]}`)
 	var ins mutateResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &ins); err != nil {
 		t.Fatal(err)
 	}
-	if ins.ID != 60 {
-		t.Fatalf("insert after v2 load returned id %d, want 60", ins.ID)
+	if ins.ID != 61 {
+		t.Fatalf("insert after load returned id %d, want 61", ins.ID)
 	}
 }
 
@@ -493,26 +491,89 @@ func TestLoadCollectionSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "rankings.bin")
-	f, err := os.Create(path)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "rankings.v3")
+	if err := persist.WritePagedFile(path, rs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := persist.WriteRankings(f, rs); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	got, err := loadCollection("", path)
+	got, err := loadSeed("", path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, rs) {
 		t.Fatal("snapshot round-trip diverges")
 	}
-	if _, err := loadCollection("x", path); err == nil {
+	if _, err := loadSeed("x", path); err == nil {
 		t.Fatal("expected error for both -data and -load-snapshot")
 	}
-	if _, err := loadCollection("", ""); err == nil {
-		t.Fatal("expected error for no source")
+	if _, err := loadSeed("", ""); !errors.Is(err, errNoSource) {
+		t.Fatalf("no source: %v, want errNoSource", err)
+	}
+}
+
+// legacyV2 is a two-slot "TKRK" version 2 snapshot: [1 2], then a tombstone.
+var legacyV2 = []byte{'K', 'R', 'K', 'T', 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 1, 1, 0, 0, 0, 2, 0, 0, 0, 0}
+
+// TestLoadSnapshotRejectsLegacy: a v1/v2 file given to -load-snapshot is a
+// typed startup error naming the file and the migration command — the server
+// no longer decodes it.
+func TestLoadSnapshotRejectsLegacy(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.bin")
+	if err := os.WriteFile(path, legacyV2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Kind: "hybrid", SnapshotPath: path, MaxConcurrency: -1, Log: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.bootstrap()
+	if !errors.Is(err, persist.ErrLegacyFormat) {
+		t.Fatalf("bootstrap on a TKRK snapshot: %v, want ErrLegacyFormat", err)
+	}
+	for _, want := range []string{path, "topkquery -load-snapshot"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// TestLegacyBinCheckpointFailsRun: a monolithic checkpoint-<seq>.bin in the
+// -wal directory makes Run fail before ready — naming the file and the
+// migration command — without replaying a single record of the intact
+// segments beside it. Skipping the file instead would replay a truncated log
+// over the wrong base.
+func TestLegacyBinCheckpointFailsRun(t *testing.T) {
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	s1 := startServer(t, "hybrid", emptySnapshot(t, dir), walDir, true)
+	for i := 0; i < 3; i++ {
+		if rec := post(t, s1.routes(), "/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(4, 10*i))); rec.Code != http.StatusOK {
+			t.Fatalf("insert: %d %s", rec.Code, rec.Body)
+		}
+	}
+	stopWALServer(t, s1)
+	bin := filepath.Join(walDir, "checkpoint-0000000000000001.bin")
+	if err := os.WriteFile(bin, legacyV2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged bytes.Buffer
+	s2, err := New(Config{Addr: "127.0.0.1:0", Kind: "hybrid", WALDir: walDir, MaxConcurrency: -1, Log: &logged})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s2.Run(context.Background())
+	if !errors.Is(err, wal.ErrLegacyCheckpoint) {
+		t.Fatalf("Run over a .bin checkpoint: %v, want ErrLegacyCheckpoint", err)
+	}
+	for _, want := range []string{bin, "topkquery -load-snapshot"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+	if s2.ready.Load() || s2.defColl() != nil {
+		t.Fatal("server went ready / published a collection over a legacy checkpoint")
+	}
+	if strings.Contains(logged.String(), "replayed") || strings.Contains(logged.String(), "indexed") {
+		t.Fatalf("bring-up got past the legacy checkpoint:\n%s", logged.String())
 	}
 }

@@ -5,7 +5,7 @@
 //	    MANIFEST            CRC-checked list of collections and their options
 //	    <collection>/       one WAL directory per collection
 //	        wal-*.log       mutation segments
-//	        checkpoint-*.bin
+//	        checkpoint-*.v3f  checkpoint footers over the shared pages.v3
 //
 // The manifest is rewritten atomically (tmp + fsync + rename + dir sync) on
 // every create and drop, ordered so that a crash at any instant recovers to

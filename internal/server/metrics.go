@@ -242,6 +242,9 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 		w.Gauge("topkserve_storage_spill_bytes",
 			"Bytes of mmapped epoch-spill arenas across the collection's hybrid shards (-spill-epochs).",
 			labels, float64(st.SpillBytes))
+		w.Counter("topkserve_storage_spill_fallbacks_total",
+			"Hybrid epochs that were asked to spill (-spill-epochs) and fell back to the heap arena; the first error is in the server log.",
+			labels, float64(st.SpillFallbacks))
 		w.Gauge("topkserve_storage_dirty_slots",
 			"Slots mutated since the last checkpoint capture.",
 			labels, float64(st.DirtySlots))

@@ -555,7 +555,7 @@ func TestReadyz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.install(sh, nil, 0)
+	srv.install(sh)
 
 	if rec := get(t, h, "/readyz"); rec.Code != http.StatusOK {
 		t.Fatalf("/readyz after install: %d", rec.Code)

@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"topk/internal/admit"
-	"topk/internal/shard"
-	"topk/internal/wal"
 )
 
 var (
@@ -23,47 +21,39 @@ var (
 	errDefaultCollection  = errors.New("the default collection is flag-defined and cannot be dropped")
 )
 
-// createCollection builds an empty collection under name and publishes it.
-// With a WAL root the collection is durable: its directory is (re)created —
-// clearing any orphan a crashed drop left behind — and the manifest gains
-// its entry BEFORE the collection becomes visible, so an acked create is
-// never lost to a crash.
+// createCollection brings an empty collection up under name and publishes
+// it. With a WAL root the collection is durable: its directory is cleared of
+// any orphan a crashed drop left behind, and the manifest gains its entry
+// BEFORE the collection becomes visible, so an acked create is never lost to
+// a crash.
 func (s *Server) createCollection(name string, opts CollectionOptions) (*Collection, error) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
 	if _, ok := s.collections[name]; ok {
 		return nil, errCollectionExists
 	}
-	walDir := ""
-	if s.walRoot != "" {
-		walDir = filepath.Join(s.walRoot, name)
-	}
-	build := builderFor(opts.Kind, opts.MaxTheta, opts.ForceBackend, opts.Calibrate, opts.DeltaRatio, s.spillDirFor(walDir))
-	sh, err := shard.NewEmpty(opts.Shards, build)
-	if err != nil {
-		return nil, err
-	}
-	var wlog *wal.Log
-	if s.walRoot != "" {
+	walDir := s.walDirFor(name)
+	if walDir != "" {
 		// A directory can exist here only if a drop crashed after its
 		// manifest rewrite and before its removal: the manifest no longer
 		// references it, so its contents belong to a dead instance.
 		if err := os.RemoveAll(walDir); err != nil {
 			return nil, err
 		}
-		wlog, err = wal.Open(walDir, wal.WithSyncEvery(s.cfg.WALSyncEvery), wal.WithSyncInterval(s.cfg.WALSyncInterval))
-		if err != nil {
-			return nil, err
-		}
-		entry := manifestEntry{Name: name, Created: time.Now().UTC(), Options: opts}
+	}
+	c, err := s.openCollection(name, opts, walDir, nil)
+	if err != nil {
+		return nil, err
+	}
+	if walDir != "" {
+		entry := manifestEntry{Name: name, Created: c.created.UTC(), Options: opts}
 		next := append(append([]manifestEntry(nil), s.manifest...), entry)
 		if err := writeManifest(manifestPath(s.walRoot), next); err != nil {
-			wlog.Close()
+			c.close()
 			return nil, fmt.Errorf("manifest: %w", err)
 		}
 		s.manifest = next
 	}
-	c := newCollection(name, s.nextCacheScope(name), opts, sh, wlog, 0, s.admission, s.cfg.MaxQueueWait)
 	s.collections[name] = c
 	return c, nil
 }

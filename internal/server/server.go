@@ -11,11 +11,17 @@
 // directory tree: a subdirectory per collection plus a CRC-checked MANIFEST
 // from which every dynamically created tenant is recovered on restart.
 //
+// Every collection — flag-defined, manifest-recovered or created over HTTP —
+// comes up through one function, openCollection, and the only snapshot
+// format anything here reads or writes is persist's paged v3: -load-snapshot
+// files, GET /snapshot, and the incremental checkpoints in a WAL directory. A
+// legacy "TKRK" snapshot or checkpoint-<seq>.bin is a typed startup error
+// that names the file and the offline migration command.
+//
 // cmd/topkserve reduces to flag parsing plus server.New(cfg).Run(ctx).
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -28,7 +34,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,13 +59,14 @@ const DefaultCollectionName = "default"
 type Config struct {
 	Addr string // listen address
 
-	// Base data of the default collection: text collection (- = stdin) or
-	// binary persist snapshot; at most one.
+	// Seed of the default collection: text collection (- = stdin) or v3
+	// snapshot; at most one. Not read when its WAL directory holds a
+	// checkpoint.
 	DataPath     string
 	SnapshotPath string
 
-	// DefaultCollection names the collection the legacy single-collection
-	// routes alias to; empty means DefaultCollectionName. It is flag-defined:
+	// DefaultCollection names the collection the single-collection routes
+	// alias to; empty means DefaultCollectionName. It is flag-defined:
 	// rebuilt from Data/Snapshot/its WAL on every start, never listed in the
 	// manifest, and not droppable over HTTP.
 	DefaultCollection string
@@ -74,12 +80,12 @@ type Config struct {
 
 	MaxBody int64 // request-body bound, bytes (0 = 16 MiB)
 
-	// WALDir is the legacy single-collection layout (-wal): the default
+	// WALDir is the single-collection layout (-wal): the default
 	// collection's log lives directly in this directory and no other
 	// collection is durable. WALRoot (-wal-root) is the multi-tenant layout:
 	// one subdirectory per collection plus the MANIFEST; dynamically created
 	// collections are durable and recovered on restart. At most one of the
-	// two may be set.
+	// two may be set; walDirFor is the whole difference.
 	WALDir          string
 	WALRoot         string
 	WALSyncEvery    int
@@ -97,9 +103,9 @@ type Config struct {
 
 	CacheEntries int // query-result cache capacity (0 disables)
 
-	// Mmap serves v3 (paged) checkpoints through a read-only memory mapping
-	// of the page file instead of decoding them to the heap: cold start does
-	// no per-ranking work and rarely-touched collections stay in page cache,
+	// Mmap serves checkpoints through a read-only memory mapping of the page
+	// file instead of reading them onto the heap: cold start does no
+	// per-ranking work and rarely-touched collections stay in page cache,
 	// not RSS. cmd/topkserve sets it from -mmap (default true); the false
 	// escape hatch reads the file whole and verifies every page checksum.
 	Mmap bool
@@ -233,10 +239,11 @@ func (s *Server) Run(ctx context.Context) error {
 
 // bootstrap builds the registry: first every manifest-recorded collection is
 // recovered from its WAL directory, then the flag-defined default collection
-// is built from its configured sources. Nothing is served (ready stays
-// false) until all of them are up — a multi-tenant server never reports
-// ready with only part of its tenants recovered.
+// comes up from its checkpoint or its configured seed. Nothing is served
+// (ready stays false) until all of them are up — a multi-tenant server never
+// reports ready with only part of its tenants recovered.
 func (s *Server) bootstrap() error {
+	cfg := s.cfg
 	if s.walRoot != "" {
 		if err := os.MkdirAll(s.walRoot, 0o755); err != nil {
 			return err
@@ -247,29 +254,47 @@ func (s *Server) bootstrap() error {
 		}
 		for i := range entries {
 			e := &entries[i]
-			if e.Name == s.cfg.DefaultCollection {
+			if e.Name == cfg.DefaultCollection {
 				return fmt.Errorf("manifest lists %q, which is the flag-defined default collection", e.Name)
 			}
 			if e.Options.Kind == "hybrid" && validateForceBackend(e.Options.ForceBackend) != nil {
 				// Written when the hybrid still built that backend. The next
 				// manifest rewrite persists the cleared option.
-				fmt.Fprintf(s.cfg.logw(), "collection %q: dropping forceBackend %q, which the hybrid no longer builds (have %v); routing is cost-based\n",
+				fmt.Fprintf(cfg.logw(), "collection %q: dropping forceBackend %q, which the hybrid no longer builds (have %v); routing is cost-based\n",
 					e.Name, e.Options.ForceBackend, topk.HybridBackends)
 				e.Options.ForceBackend = ""
 			}
-			c, err := s.recoverCollection(*e)
+			c, err := s.openCollection(e.Name, e.Options, s.walDirFor(e.Name), nil)
 			if err != nil {
 				return fmt.Errorf("recover collection %q: %w", e.Name, err)
 			}
+			c.created = e.Created
 			s.publish(c)
-			fmt.Fprintf(s.cfg.logw(), "collection %q: recovered %d rankings (k=%d, kind %s, %d wal records replayed)\n",
-				e.Name, c.sh.Len(), c.effK(), e.Options.Kind, c.walReplayed)
 		}
 		s.regMu.Lock()
 		s.manifest = entries
 		s.regMu.Unlock()
 	}
-	c, err := s.buildDefaultCollection()
+
+	// The flag-defined collection: its seed is -data/-load-snapshot; under
+	// -wal-root a mutable kind may also start empty (the pure multi-tenant
+	// deployment), everywhere else a missing seed stays a startup error.
+	walDir := s.walDirFor(cfg.DefaultCollection)
+	if !mutableKind(cfg.Kind) {
+		walDir = "" // a read-only kind has nothing to log
+	}
+	seed := func() ([]ranking.Ranking, error) {
+		rs, err := loadSeed(cfg.DataPath, cfg.SnapshotPath)
+		if errors.Is(err, errNoSource) && s.walRoot != "" && walDir != "" {
+			return nil, nil
+		}
+		return rs, err
+	}
+	opts := CollectionOptions{
+		Kind: cfg.Kind, Shards: cfg.Shards, MaxTheta: cfg.MaxTheta,
+		ForceBackend: cfg.ForceBackend, Calibrate: cfg.Calibrate, DeltaRatio: cfg.DeltaRatio,
+	}
+	c, err := s.openCollection(cfg.DefaultCollection, opts, walDir, seed)
 	if err != nil {
 		return err
 	}
@@ -277,140 +302,135 @@ func (s *Server) bootstrap() error {
 	return nil
 }
 
-// recoverCollection rebuilds one manifest entry from its WAL directory:
-// newest checkpoint (if any) as the base — a v3 footer opens over the
-// shared page file, mmapped unless -mmap=false — with the logged suffix
-// replayed on top and recorded in the slot tracker, so the first incremental
-// checkpoint after a restart rewrites exactly the replayed slots' pages.
-func (s *Server) recoverCollection(e manifestEntry) (*Collection, error) {
-	dir := filepath.Join(s.walRoot, e.Name)
-	rankings, cpSeq, base, err := loadCheckpoint(dir, s.cfg.Mmap)
-	if err != nil {
-		return nil, err
+// walDirFor maps a collection name to its WAL directory, "" when it has none.
+// This is all that separates the two layouts: -wal-root gives every
+// collection a subdirectory (and keeps the MANIFEST beside them), -wal puts
+// the default collection's log directly in the directory and makes no other
+// collection durable.
+func (s *Server) walDirFor(name string) string {
+	switch {
+	case s.walRoot != "":
+		return filepath.Join(s.walRoot, name)
+	case name == s.cfg.DefaultCollection:
+		return s.cfg.WALDir
 	}
-	opts := e.Options
-	build := builderFor(opts.Kind, opts.MaxTheta, opts.ForceBackend, opts.Calibrate, opts.DeltaRatio, s.spillDirFor(dir))
+	return ""
+}
+
+// openCollection is the one way a collection comes up — flag-defined,
+// manifest-recovered or created over HTTP. The newest checkpoint in walDir is
+// the base (a v3 footer over the shared page file, mmapped unless
+// -mmap=false); without one the seed is (nil: start empty). Read-only kinds
+// compact tombstoned seed slots away. The logged suffix replays on top and is
+// mirrored into the slot tracker, so the first incremental checkpoint after a
+// restart rewrites exactly the replayed slots' pages; then the log opens a
+// fresh segment. walDir "" means an in-memory collection: seed, build, done.
+// The collection is returned unpublished.
+func (s *Server) openCollection(name string, opts CollectionOptions, walDir string, seed func() ([]ranking.Ranking, error)) (*Collection, error) {
+	logw := s.cfg.logw()
+	var (
+		slots []ranking.Ranking
+		st    storage
+		cpSeq uint64 // 0 without a checkpoint: replay from the beginning
+		prev  *persist.Footer
+		err   error
+	)
+	if walDir != "" {
+		// Created here, not by wal.Open below: the index — and with it the
+		// first epoch's spill file — is built before the log opens.
+		if err = os.MkdirAll(walDir, 0o755); err != nil {
+			return nil, err
+		}
+		var cpPath string
+		if cpSeq, cpPath, err = wal.LatestCheckpoint(walDir); err != nil {
+			return nil, migrationHint(err)
+		}
+		if cpPath != "" {
+			if st.paged, prev, err = persist.OpenPagedDir(walDir, cpPath, s.cfg.Mmap); err != nil {
+				return nil, fmt.Errorf("wal checkpoint %s: %w", cpPath, err)
+			}
+			slots = st.paged.Slots()
+			if seed != nil {
+				fmt.Fprintf(logw, "collection %q: wal checkpoint (seq %d) is the base; -data/-load-snapshot are not read\n", name, cpSeq)
+			}
+		}
+	}
+	if prev == nil && seed != nil {
+		if slots, err = seed(); err != nil {
+			return nil, err
+		}
+		if !mutableKind(opts.Kind) {
+			// Read-only kinds cannot represent retired ids: compact any
+			// tombstoned snapshot slots away and renumber densely.
+			if compacted, dropped := dropTombstones(slots); dropped > 0 {
+				fmt.Fprintf(logw, "index kind %q is read-only: compacted %d tombstoned slots (ids renumbered)\n", opts.Kind, dropped)
+				slots = compacted
+			}
+		}
+	}
+
+	start := time.Now()
+	spillDir := ""
+	if s.cfg.SpillEpochs {
+		// Durable collections spill next to their WAL, the rest to the OS
+		// temp directory.
+		if spillDir = walDir; spillDir == "" {
+			spillDir = os.TempDir()
+		}
+	}
+	build := builderFor(opts.Kind, opts.MaxTheta, opts.ForceBackend, opts.Calibrate, opts.DeltaRatio, spillDir)
 	var sh *shard.Sharded
-	if len(rankings) == 0 {
+	if len(slots) == 0 {
 		sh, err = shard.NewEmpty(opts.Shards, build)
 	} else {
-		sh, err = shard.New(rankings, opts.Shards, build)
+		sh, err = shard.New(slots, opts.Shards, build)
 	}
 	if err != nil {
 		return nil, err
 	}
-	tr := persist.NewSlotTracker()
-	if base == nil {
-		// No v3 footer to checkpoint incrementally against (fresh directory
-		// or a v2 base): the first checkpoint must write everything.
-		tr.MarkAll()
+	fmt.Fprintf(logw, "collection %q: indexed %d rankings (k=%d) as %d %s shards in %v\n",
+		name, sh.Len(), sh.K(), sh.NumShards(), opts.Kind, time.Since(start).Round(time.Millisecond))
+
+	if walDir != "" {
+		if sh.K() > maxWALRankingSize {
+			// The WAL record format and the snapshot layout cap k at 255.
+			// Failing here beats dying on the first client mutation.
+			return nil, fmt.Errorf("the write-ahead log supports ranking sizes up to %d, collection has k=%d", maxWALRankingSize, sh.K())
+		}
+		st.tracker = persist.NewSlotTracker()
+		if prev == nil {
+			// No footer to checkpoint incrementally against: the first
+			// checkpoint must write everything.
+			st.tracker.MarkAll()
+		}
+		if st.walReplayed, err = recoverWAL(walDir, cpSeq, sh, st.tracker, logw); err != nil {
+			return nil, err
+		}
+		if st.wal, err = wal.Open(walDir, wal.WithSyncEvery(s.cfg.WALSyncEvery), wal.WithSyncInterval(s.cfg.WALSyncInterval)); err != nil {
+			return nil, err
+		}
+		var pinned *persist.Footer
+		if st.paged != nil && st.paged.Mapped() {
+			// Live index views may alias these physical pages forever: the
+			// pager must never hand them out to a later checkpoint.
+			pinned = prev
+		}
+		st.pager = persist.NewPager(walDir, prev, pinned)
+		fmt.Fprintf(logw, "collection %q: wal %s: replayed %d records from segment %d on, %d live rankings, appending to segment %d\n",
+			name, walDir, st.walReplayed, cpSeq, sh.Len(), st.wal.Stats().ActiveSegment)
 	}
-	replayed, err := recoverWAL(dir, cpSeq, sh, tr, s.cfg.logw())
-	if err != nil {
-		return nil, err
-	}
-	wlog, err := wal.Open(dir, wal.WithSyncEvery(s.cfg.WALSyncEvery), wal.WithSyncInterval(s.cfg.WALSyncInterval))
-	if err != nil {
-		return nil, err
-	}
-	c := newCollection(e.Name, s.nextCacheScope(e.Name), opts, sh, wlog, replayed, s.admission, s.cfg.MaxQueueWait)
-	c.attachStorage(tr, base)
-	c.created = e.Created
+	c := s.newCollection(name, opts, sh, st)
+	c.spillStats() // logs a bring-up spill fallback now, not at the first scrape
 	return c, nil
 }
 
-// spillDirFor resolves where a collection's hybrid epochs spill: next to its
-// WAL when durable, the OS temp directory otherwise, "" (no spilling) unless
-// -spill-epochs is on. The WAL directory is created here because the index
-// (and with it the first epoch's spill file) is built before wal.Open would
-// create it — on a collection's first boot the directory does not exist yet
-// and the spill would silently fall back to the heap.
-func (s *Server) spillDirFor(walDir string) string {
-	if !s.cfg.SpillEpochs {
-		return ""
+// migrationHint appends the offline migration command to the typed errors a
+// legacy artifact produces (each already names its file).
+func migrationHint(err error) error {
+	if errors.Is(err, persist.ErrLegacyFormat) || errors.Is(err, wal.ErrLegacyCheckpoint) {
+		return fmt.Errorf("%w; the server reads only snapshot v3 — convert the file offline with `topkquery -load-snapshot OLD -save-snapshot NEW.v3` (ids and tombstones are kept; a converted checkpoint is passed as -load-snapshot once the .bin is out of the WAL directory)", err)
 	}
-	if walDir != "" {
-		if err := os.MkdirAll(walDir, 0o755); err != nil {
-			return os.TempDir()
-		}
-		return walDir
-	}
-	return os.TempDir()
-}
-
-// buildDefaultCollection resolves the flag-defined collection exactly the
-// way the single-collection server always has: WAL checkpoint beats
-// -data/-load-snapshot, the logged suffix replays on top, read-only kinds
-// compact tombstones away. Under -wal-root with no base source at all it
-// starts empty (the pure multi-tenant deployment); without a WAL root that
-// stays the classic startup error.
-func (s *Server) buildDefaultCollection() (*Collection, error) {
-	cfg := s.cfg
-	logw := cfg.logw()
-	walDir := cfg.WALDir
-	if walDir == "" && s.walRoot != "" && mutableKind(cfg.Kind) {
-		walDir = filepath.Join(s.walRoot, cfg.DefaultCollection)
-	}
-	rankings, cpSeq, base, err := loadBase(cfg.DataPath, cfg.SnapshotPath, walDir, cfg.Mmap, logw)
-	switch {
-	case errors.Is(err, errNoSource) && s.walRoot != "" && mutableKind(cfg.Kind):
-		rankings = nil // start empty; inserts define the ranking size
-	case err != nil:
-		return nil, err
-	}
-	if !mutableKind(cfg.Kind) {
-		// Read-only kinds cannot represent retired ids: compact any
-		// tombstoned snapshot slots away and renumber densely.
-		if compacted, dropped := dropTombstones(rankings); dropped > 0 {
-			fmt.Fprintf(logw, "index kind %q is read-only: compacted %d tombstoned slots (ids renumbered)\n",
-				cfg.Kind, dropped)
-			rankings = compacted
-		}
-	}
-	start := time.Now()
-	build := builderFor(cfg.Kind, cfg.MaxTheta, cfg.ForceBackend, cfg.Calibrate, cfg.DeltaRatio, s.spillDirFor(walDir))
-	var sh *shard.Sharded
-	if len(rankings) == 0 {
-		sh, err = shard.NewEmpty(cfg.Shards, build)
-	} else {
-		sh, err = shard.New(rankings, cfg.Shards, build)
-	}
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(logw, "indexed %d rankings (k=%d) as %d %s shards in %v\n",
-		sh.Len(), sh.K(), sh.NumShards(), cfg.Kind, time.Since(start).Round(time.Millisecond))
-
-	if walDir != "" && sh.K() > maxWALRankingSize {
-		// The WAL record format (and the persist checkpoint reader) cap k at
-		// 255. Failing here beats dying on the first client mutation.
-		return nil, fmt.Errorf("-wal supports ranking sizes up to %d, collection has k=%d", maxWALRankingSize, sh.K())
-	}
-	var wlog *wal.Log
-	replayed := 0
-	tr := persist.NewSlotTracker()
-	if base == nil {
-		tr.MarkAll()
-	}
-	if walDir != "" {
-		if replayed, err = recoverWAL(walDir, cpSeq, sh, tr, logw); err != nil {
-			return nil, err
-		}
-		if wlog, err = wal.Open(walDir, wal.WithSyncEvery(cfg.WALSyncEvery), wal.WithSyncInterval(cfg.WALSyncInterval)); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(logw, "wal %s: replayed %d records, %d live rankings, appending to segment %d\n",
-			walDir, replayed, sh.Len(), wlog.Stats().ActiveSegment)
-	}
-	opts := CollectionOptions{
-		Kind: cfg.Kind, Shards: cfg.Shards, MaxTheta: cfg.MaxTheta,
-		ForceBackend: cfg.ForceBackend, Calibrate: cfg.Calibrate, DeltaRatio: cfg.DeltaRatio,
-	}
-	c := newCollection(cfg.DefaultCollection, s.nextCacheScope(cfg.DefaultCollection), opts, sh, wlog, replayed, s.admission, cfg.MaxQueueWait)
-	if wlog != nil {
-		c.attachStorage(tr, base)
-	}
-	return c, nil
+	return err
 }
 
 // serveUntilShutdown runs srv on ln until ctx is cancelled, then drains: it
@@ -532,81 +552,22 @@ func serveDebug(addr string, logw io.Writer) error {
 // the classic single-collection startup keeps failing fast.
 var errNoSource = errors.New("missing -data or -load-snapshot")
 
-// pagedBase describes a v3 base checkpoint startup loaded: its footer (the
-// pager's incremental baseline) and, when mmapped, the retained collection
-// whose views alias the mapping.
-type pagedBase struct {
-	footer *persist.Footer
-	pc     *persist.PagedCollection
-}
-
-// loadCheckpoint loads the newest checkpoint of a WAL directory: the slot
-// array, the sequence to replay from, and — when the artifact is a v3
-// footer — the paged base state. (nil, 0, nil, nil) means the directory
-// holds no checkpoint. Monolithic .bin checkpoints go through the
-// bounds-validated whole-file reader; v3 footers open the shared page file,
-// mmapped when useMmap.
-func loadCheckpoint(walDir string, useMmap bool) ([]ranking.Ranking, uint64, *pagedBase, error) {
-	seq, cpPath, err := wal.LatestCheckpoint(walDir)
-	if err != nil || cpPath == "" {
-		return nil, 0, nil, err
-	}
-	if strings.HasSuffix(cpPath, persist.FooterSuffix) {
-		pc, ft, err := persist.OpenPagedDir(walDir, cpPath, useMmap)
-		if err != nil {
-			return nil, 0, nil, fmt.Errorf("wal checkpoint %s: %w", cpPath, err)
-		}
-		return pc.Slots(), seq, &pagedBase{footer: ft, pc: pc}, nil
-	}
-	rankings, err := persist.ReadCollectionFile(cpPath)
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("wal checkpoint %s: %w", cpPath, err)
-	}
-	return rankings, seq, nil, nil
-}
-
-// loadBase resolves the collection the index is built from. With a WAL
-// directory that holds a checkpoint, the checkpoint wins — it reflects every
-// mutation up to its sequence, which -data/-load-snapshot predate; without
-// one the usual sources apply (both may be omitted only when a checkpoint
-// exists). Returns the sequence to replay the WAL from (0 = from the
-// beginning) and the paged base state when the checkpoint was v3.
-func loadBase(dataPath, snapPath, walDir string, useMmap bool, logw io.Writer) ([]ranking.Ranking, uint64, *pagedBase, error) {
-	if walDir != "" {
-		rankings, seq, base, err := loadCheckpoint(walDir, useMmap)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		if rankings != nil || base != nil || seq > 0 {
-			if dataPath != "" || snapPath != "" {
-				fmt.Fprintf(logw, "wal checkpoint (seq %d) supersedes -data/-load-snapshot\n", seq)
-			}
-			return rankings, seq, base, nil
-		}
-	}
-	rankings, err := loadCollection(dataPath, snapPath)
-	return rankings, 0, nil, err
-}
-
 // recoverWAL replays the logged mutation suffix through the shard router so
 // every record lands in (and re-extends) the shard that owned it when it
-// was acked, and mirrors each record into the slot tracker (tr may be nil)
-// so the first checkpoint after recovery knows exactly which pages the
-// replay dirtied.
+// was acked, and mirrors each record into the slot tracker so the first
+// checkpoint after recovery knows exactly which pages the replay dirtied.
 func recoverWAL(walDir string, fromSeq uint64, sh *shard.Sharded, tr *persist.SlotTracker, logw io.Writer) (int, error) {
 	st, err := wal.Replay(walDir, fromSeq, func(rec wal.Record) error {
 		if err := sh.Apply(rec); err != nil {
 			return err
 		}
-		if tr != nil {
-			switch rec.Op {
-			case wal.OpInsert:
-				tr.MarkInsert(int(rec.ID))
-			case wal.OpDelete:
-				tr.MarkDelete(int(rec.ID))
-			case wal.OpUpdate:
-				tr.MarkUpdate(int(rec.ID))
-			}
+		switch rec.Op {
+		case wal.OpInsert:
+			tr.MarkInsert(int(rec.ID))
+		case wal.OpDelete:
+			tr.MarkDelete(int(rec.ID))
+		case wal.OpUpdate:
+			tr.MarkUpdate(int(rec.ID))
 		}
 		return nil
 	})
@@ -619,51 +580,21 @@ func recoverWAL(walDir string, fromSeq uint64, sh *shard.Sharded, tr *persist.Sl
 	return st.Records, nil
 }
 
-// loadCollection reads the collection either from a text file of rankings or
-// from a persist snapshot; exactly one source must be given.
-func loadCollection(dataPath, snapPath string) ([]ranking.Ranking, error) {
+// loadSeed reads the flag-defined collection's seed: a text file of rankings
+// or a v3 snapshot, read whole with every page checksum verified; exactly one
+// source must be given.
+func loadSeed(dataPath, snapPath string) ([]ranking.Ranking, error) {
 	switch {
 	case dataPath != "" && snapPath != "":
 		return nil, fmt.Errorf("pass either -data or -load-snapshot, not both")
 	case snapPath != "":
-		f, err := os.Open(snapPath)
+		pc, err := persist.OpenPagedFile(snapPath, false)
 		if err != nil {
-			return nil, err
+			return nil, migrationHint(fmt.Errorf("-load-snapshot %s: %w", snapPath, err))
 		}
-		defer f.Close()
-		// Version-aware: v1 snapshots load as all-live collections, v2
-		// snapshots restore tombstoned slots as nil entries.
-		return persist.ReadCollection(f)
+		return pc.Slots(), nil
 	case dataPath != "":
-		var r io.Reader
-		if dataPath == "-" {
-			r = os.Stdin
-		} else {
-			f, err := os.Open(dataPath)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			r = f
-		}
-		var out []ranking.Ranking
-		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			rk, err := topk.ParseRanking(line)
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", len(out)+1, err)
-			}
-			out = append(out, rk)
-		}
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return out, nil
+		return ranking.ReadTextFile(dataPath)
 	default:
 		return nil, errNoSource
 	}

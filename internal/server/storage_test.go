@@ -1,8 +1,8 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
-	"io"
 	"math/rand"
 	"net/http"
 	"os"
@@ -16,59 +16,12 @@ import (
 	"topk/internal/wal"
 )
 
-// startPagedServer walks the full storage startup path — loadBase (footer
-// beats snapshot beats nothing), shard build, tracked WAL replay, and the
-// attachStorage wiring that pins a mapped base and seeds the pager — exactly
-// as buildDefaultCollection does.
-func startPagedServer(t *testing.T, kind, snapPath, walDir string, useMmap bool) *Server {
-	t.Helper()
-	rankings, cpSeq, base, err := loadBase("", snapPath, walDir, useMmap, io.Discard)
-	if err != nil {
-		t.Fatalf("loadBase: %v", err)
-	}
-	build := builderFor(kind, 0.3, "", 0, 0.25, "")
-	var sh *shard.Sharded
-	if len(rankings) == 0 {
-		sh, err = shard.NewEmpty(4, build)
-	} else {
-		sh, err = shard.New(rankings, 4, build)
-	}
-	if err != nil {
-		t.Fatalf("shard.New: %v", err)
-	}
-	tr := persist.NewSlotTracker()
-	if base == nil {
-		tr.MarkAll()
-	}
-	replayed, err := recoverWAL(walDir, cpSeq, sh, tr, io.Discard)
-	if err != nil {
-		t.Fatalf("recoverWAL: %v", err)
-	}
-	wlog, err := wal.Open(walDir)
-	if err != nil {
-		t.Fatalf("wal.Open: %v", err)
-	}
-	s := newServer(nil, kind)
-	s.install(sh, wlog, replayed)
-	c := s.defColl()
-	c.attachStorage(tr, base)
-	c.walFatal = func(err error) { t.Fatalf("wal append failed: %v", err) }
-	return s
-}
-
-// emptySnapshot writes a v2 snapshot of an empty collection — the seed for
+// emptySnapshot writes a snapshot of an empty collection — the seed for
 // tests that want a server starting empty on the single-collection path.
 func emptySnapshot(t *testing.T, dir string) string {
 	t.Helper()
-	path := filepath.Join(dir, "empty.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := persist.WriteCollection(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	path := filepath.Join(dir, "empty.v3")
+	if err := persist.WritePagedFile(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -87,47 +40,42 @@ func checkpointHTTP(t *testing.T, s *Server) checkpointResponse {
 	return cp
 }
 
-// TestV2CheckpointMigratesToPaged is the migration half of the back-compat
-// matrix: a collection loaded from a v2 snapshot checkpoints as a paged v3
-// footer, restart recovers from it through the mmap path, and the served
-// collection stays oracle-identical throughout.
-func TestV2CheckpointMigratesToPaged(t *testing.T) {
+// TestRestartCheckpointsIncrementally: a collection seeded from a snapshot
+// file checkpoints as a full write, restart recovers from that footer through
+// the mmap path with only the replayed slots dirty — so the next checkpoint is
+// incremental — and the served collection stays oracle-identical throughout.
+func TestRestartCheckpointsIncrementally(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
-	snapPath := filepath.Join(dir, "base.bin")
+	snapPath := filepath.Join(dir, "base.v3")
 	// Big enough that the layout spans many pages (one flag page plus a
 	// dozen-plus arena pages at the default page size), so an incremental
 	// checkpoint has something to reuse.
 	cfg := difftest.RandomCollection(rand.New(rand.NewSource(61)), 20000, 10, 400)
-	f, err := os.Create(snapPath)
-	if err != nil {
+	if err := persist.WritePagedFile(snapPath, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := persist.WriteCollection(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	rng := rand.New(rand.NewSource(62))
 	o := difftest.NewOracle(cfg)
-	s1 := startPagedServer(t, "hybrid", snapPath, walDir, true)
+	s1 := startServer(t, "hybrid", snapPath, walDir, true)
 	mutateOverHTTP(t, s1.routes(), o, rng, 60, 400)
 
-	// First checkpoint on a v2-loaded collection: no previous footer, so it
-	// is a full write — and from then on the directory speaks v3.
+	// First checkpoint on a snapshot-seeded collection: the WAL directory
+	// holds no footer yet, so it is a full write.
 	cp := checkpointHTTP(t, s1)
 	if cp.PagesReused != 0 || cp.PagesWritten == 0 {
 		t.Fatalf("first checkpoint wrote %d pages, reused %d; want a full write", cp.PagesWritten, cp.PagesReused)
 	}
-	if _, cpPath, _ := wal.LatestCheckpoint(walDir); !strings.HasSuffix(cpPath, persist.FooterSuffix) {
-		t.Fatalf("checkpoint artifact %q is not a v3 footer", cpPath)
+	if _, cpPath, _ := wal.LatestCheckpoint(walDir); cpPath != persist.FooterPath(walDir, cp.Seq) {
+		t.Fatalf("checkpoint artifact %q is not the seq-%d footer", cpPath, cp.Seq)
 	}
 	mutateOverHTTP(t, s1.routes(), o, rng, 40, 400)
 	stopWALServer(t, s1)
 
 	// Restart: base is now the paged footer (possibly mapped), plus replay
 	// of the post-checkpoint suffix.
-	s2 := startPagedServer(t, "hybrid", snapPath, walDir, true)
+	s2 := startServer(t, "hybrid", snapPath, walDir, true)
 	c := s2.defColl()
 	if c.paged == nil {
 		t.Fatal("restart did not recover from the paged checkpoint")
@@ -153,7 +101,7 @@ func TestV2CheckpointMigratesToPaged(t *testing.T) {
 	stopWALServer(t, s2)
 
 	// Third generation: recover from the incremental footer.
-	s3 := startPagedServer(t, "hybrid", snapPath, walDir, true)
+	s3 := startServer(t, "hybrid", snapPath, walDir, true)
 	gotSlots, _ = s3.defColl().sh.Slots()
 	if !slotsEqual(gotSlots, o.Slots()) {
 		t.Fatal("recovery from the incremental checkpoint diverged from the oracle")
@@ -186,8 +134,9 @@ func copyDir(t *testing.T, src, dst string) {
 // TestMmapRecoveryMatchesReplayDifferential is the byte-identity acceptance
 // criterion: after a 1k-op history, a server recovered through the mmapped
 // v3 checkpoint must serve exactly what the other recovery paths serve.
-// Against a v2-decode restart (same full-base build) results AND
-// DistanceCalls must match exactly; against a pure WAL replay restart —
+// Against a restart from a GET /snapshot-style single file (read whole,
+// same full-base build) results AND DistanceCalls must match exactly;
+// against a pure WAL replay restart —
 // whose index carries the history as a delta overlay, so its scan costs
 // legitimately differ — the slot array and every result must still match.
 func TestMmapRecoveryMatchesReplayDifferential(t *testing.T) {
@@ -198,7 +147,7 @@ func TestMmapRecoveryMatchesReplayDifferential(t *testing.T) {
 	o := difftest.NewOracle(cfg)
 	seed := emptySnapshot(t, dir)
 
-	s1 := startPagedServer(t, "inverted", seed, walDir, true)
+	s1 := startServer(t, "inverted", seed, walDir, true)
 	for id, r := range cfg { // seed through the handlers so the WAL has it all
 		rec := doJSON(t, s1.routes(), http.MethodPost, "/insert", map[string]any{"ranking": r})
 		if rec.Code != http.StatusOK {
@@ -213,31 +162,26 @@ func TestMmapRecoveryMatchesReplayDifferential(t *testing.T) {
 	replayDir := filepath.Join(dir, "wal-replay")
 	copyDir(t, walDir, replayDir)
 
-	// From one recovered server, cut the same state both ways: a monolithic
-	// v2 snapshot and a paged v3 checkpoint.
-	s2 := startPagedServer(t, "inverted", seed, walDir, true)
-	v2Path := filepath.Join(dir, "state-v2.bin")
+	// From one recovered server, cut the same state both ways: a single-file
+	// snapshot and an incremental checkpoint in the WAL directory.
+	s2 := startServer(t, "inverted", seed, walDir, true)
+	snapPath := filepath.Join(dir, "state.v3")
 	slots2, ok := s2.defColl().sh.Slots()
 	if !ok {
 		t.Fatal("no slot view")
 	}
-	f, err := os.Create(v2Path)
-	if err != nil {
+	if err := persist.WritePagedFile(snapPath, slots2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := persist.WriteCollection(f, slots2); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	checkpointHTTP(t, s2)
 	stopWALServer(t, s2)
 
-	mm := startPagedServer(t, "inverted", seed, walDir, true)
+	mm := startServer(t, "inverted", seed, walDir, true)
 	if mm.defColl().paged == nil {
 		t.Fatal("checkpointed directory did not recover through the paged path")
 	}
-	v2srv := startPagedServer(t, "inverted", v2Path, filepath.Join(dir, "wal-v2"), true)
-	rp := startPagedServer(t, "inverted", seed, replayDir, true)
+	snapSrv := startServer(t, "inverted", snapPath, filepath.Join(dir, "wal-snap"), true)
+	rp := startServer(t, "inverted", seed, replayDir, true)
 	if rp.defColl().paged != nil {
 		t.Fatal("replay clone unexpectedly found a checkpoint")
 	}
@@ -246,38 +190,38 @@ func TestMmapRecoveryMatchesReplayDifferential(t *testing.T) {
 	}
 
 	mmSlots, _ := mm.defColl().sh.Slots()
-	v2Slots, _ := v2srv.defColl().sh.Slots()
+	snapSlots, _ := snapSrv.defColl().sh.Slots()
 	rpSlots, _ := rp.defColl().sh.Slots()
-	if !slotsEqual(mmSlots, v2Slots) || !slotsEqual(mmSlots, rpSlots) || !slotsEqual(mmSlots, o.Slots()) {
+	if !slotsEqual(mmSlots, snapSlots) || !slotsEqual(mmSlots, rpSlots) || !slotsEqual(mmSlots, o.Slots()) {
 		t.Fatal("recovery paths disagree on the slot array")
 	}
 
 	for i := 0; i < 30; i++ {
 		q := difftest.RandomRanking(rng, o.K(), 150)
 		theta := []float64{0.05, 0.15, 0.3}[i%3]
-		mmBefore, v2Before := mm.defColl().sh.DistanceCalls(), v2srv.defColl().sh.DistanceCalls()
+		mmBefore, snapBefore := mm.defColl().sh.DistanceCalls(), snapSrv.defColl().sh.DistanceCalls()
 		mmRes, err1 := mm.defColl().sh.Search(q, theta)
-		v2Res, err2 := v2srv.defColl().sh.Search(q, theta)
+		snapRes, err2 := snapSrv.defColl().sh.Search(q, theta)
 		rpRes, err3 := rp.defColl().sh.Search(q, theta)
 		if err1 != nil || err2 != nil || err3 != nil {
 			t.Fatalf("query %d: %v / %v / %v", i, err1, err2, err3)
 		}
-		if len(mmRes) != len(v2Res) || len(mmRes) != len(rpRes) {
-			t.Fatalf("query %d: %d vs %d vs %d results", i, len(mmRes), len(v2Res), len(rpRes))
+		if len(mmRes) != len(snapRes) || len(mmRes) != len(rpRes) {
+			t.Fatalf("query %d: %d vs %d vs %d results", i, len(mmRes), len(snapRes), len(rpRes))
 		}
 		for j := range mmRes {
-			if mmRes[j] != v2Res[j] || mmRes[j] != rpRes[j] {
-				t.Fatalf("query %d result %d: mmap %+v, v2 %+v, replay %+v", i, j, mmRes[j], v2Res[j], rpRes[j])
+			if mmRes[j] != snapRes[j] || mmRes[j] != rpRes[j] {
+				t.Fatalf("query %d result %d: mmap %+v, snapshot %+v, replay %+v", i, j, mmRes[j], snapRes[j], rpRes[j])
 			}
 		}
 		mmCalls := mm.defColl().sh.DistanceCalls() - mmBefore
-		v2Calls := v2srv.defColl().sh.DistanceCalls() - v2Before
-		if mmCalls != v2Calls {
-			t.Fatalf("query %d: mmap recovery spent %d distance calls, v2 decode %d", i, mmCalls, v2Calls)
+		snapCalls := snapSrv.defColl().sh.DistanceCalls() - snapBefore
+		if mmCalls != snapCalls {
+			t.Fatalf("query %d: mmap recovery spent %d distance calls, snapshot restart %d", i, mmCalls, snapCalls)
 		}
 	}
 	stopWALServer(t, mm)
-	stopWALServer(t, v2srv)
+	stopWALServer(t, snapSrv)
 	stopWALServer(t, rp)
 }
 
@@ -291,17 +235,12 @@ func TestStorageStatsAndMetrics(t *testing.T) {
 	// one flag page plus 13 arena pages.
 	cfg := difftest.RandomCollection(rng, 20000, 10, 400)
 	o := difftest.NewOracle(cfg)
-	snapPath := filepath.Join(dir, "base.bin")
-	f, err := os.Create(snapPath)
-	if err != nil {
+	snapPath := filepath.Join(dir, "base.v3")
+	if err := persist.WritePagedFile(snapPath, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := persist.WriteCollection(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
-	s := startPagedServer(t, "hybrid", snapPath, walDir, true)
+	s := startServer(t, "hybrid", snapPath, walDir, true)
 	defer stopWALServer(t, s)
 	checkpointHTTP(t, s)
 	mutateOverHTTP(t, s.routes(), o, rng, 7, 400)
@@ -357,5 +296,86 @@ func TestStorageStatsAndMetrics(t *testing.T) {
 	}
 	if st.Storage.CheckpointPagesReused == 0 {
 		t.Fatalf("cumulative reuse counter still zero: %+v", st.Storage)
+	}
+}
+
+// TestSpillEpochsBringUp: with -spill-epochs a durable collection spills next
+// to its WAL — the directory exists before the first epoch builds, so nothing
+// falls back — and a WAL directory that cannot be created is a bring-up
+// error, not a quiet spill somewhere else.
+func TestSpillEpochsBringUp(t *testing.T) {
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "base.v3")
+	if err := persist.WritePagedFile(snapPath, difftest.RandomCollection(rand.New(rand.NewSource(65)), 300, 8, 120)); err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	cfg := Config{Kind: "hybrid", Shards: 2, SnapshotPath: snapPath, WALDir: filepath.Join(dir, "wal"),
+		SpillEpochs: true, Mmap: true, MaxConcurrency: -1, Log: &logged}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	defer stopWALServer(t, s)
+	if st := s.defColl().storageStats(); st.SpillBytes == 0 || st.SpillFallbacks != 0 {
+		t.Fatalf("first boot on a fresh WAL directory: %+v", st)
+	}
+	if strings.Contains(logged.String(), "fell back") {
+		t.Fatalf("spurious fallback warning:\n%s", logged.String())
+	}
+
+	blocker := filepath.Join(dir, "file")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.WALDir = filepath.Join(blocker, "wal")
+	if s, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.bootstrap(); err == nil {
+		t.Fatal("bootstrap succeeded with an uncreatable WAL directory")
+	}
+}
+
+// TestSpillFallbackIsCountedAndLogged: shards whose spill directory is
+// unusable serve from the heap, and the collection says so — summed into the
+// /stats storage section and topkserve_storage_spill_fallbacks_total, with
+// the first error logged exactly once however often the stats are read.
+func TestSpillFallbackIsCountedAndLogged(t *testing.T) {
+	rs := difftest.RandomCollection(rand.New(rand.NewSource(66)), 200, 8, 100)
+	sh, err := shard.New(rs, 2, builderFor("hybrid", 0.3, "", 0, 0, filepath.Join(t.TempDir(), "missing")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	s, err := New(Config{Kind: "hybrid", MaxConcurrency: -1, Log: &logged})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.publish(s.newCollection(s.cfg.DefaultCollection, CollectionOptions{Kind: "hybrid"}, sh,
+		storage{tracker: persist.NewSlotTracker(), pager: persist.NewPager(t.TempDir(), nil, nil)}))
+	s.ready.Store(true)
+
+	for i := 0; i < 2; i++ {
+		rec := doJSON(t, s.routes(), http.MethodGet, "/stats", nil)
+		var st struct {
+			Storage *storageStatsJSON `json:"storage"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Storage == nil || st.Storage.SpillFallbacks != 2 || st.Storage.SpillBytes != 0 {
+			t.Fatalf("storage section: %+v (%s)", st.Storage, rec.Body)
+		}
+	}
+	body := doJSON(t, s.routes(), http.MethodGet, "/metrics", nil).Body.String()
+	if !strings.Contains(body, `topkserve_storage_spill_fallbacks_total{collection="default"} 2`) {
+		t.Fatal("/metrics lacks the spill fallback counter")
+	}
+	if n := strings.Count(logged.String(), "fell back to the heap arena"); n != 1 {
+		t.Fatalf("fallback logged %d times, want once:\n%s", n, logged.String())
 	}
 }

@@ -21,40 +21,8 @@ import (
 	"topk/internal/difftest"
 	"topk/internal/persist"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 	"topk/internal/wal"
 )
-
-// startWALServer walks the exact startup path of main: resolve the base
-// collection (checkpoint beats snapshot), build the sharded index, replay
-// the WAL suffix, open the log for appending.
-func startWALServer(t *testing.T, kind, snapPath, walDir string) *Server {
-	t.Helper()
-	rankings, cpSeq, base, err := loadBase("", snapPath, walDir, true, io.Discard)
-	if err != nil {
-		t.Fatalf("loadBase: %v", err)
-	}
-	sh, err := shard.New(rankings, 4, builderFor(kind, 0.3, "", 0, 0.25, ""))
-	if err != nil {
-		t.Fatalf("shard.New: %v", err)
-	}
-	tr := persist.NewSlotTracker()
-	if base == nil {
-		tr.MarkAll()
-	}
-	replayed, err := recoverWAL(walDir, cpSeq, sh, tr, io.Discard)
-	if err != nil {
-		t.Fatalf("recoverWAL: %v", err)
-	}
-	wlog, err := wal.Open(walDir)
-	if err != nil {
-		t.Fatalf("wal.Open: %v", err)
-	}
-	s := newServer(nil, kind)
-	s.install(sh, wlog, replayed)
-	s.defColl().walFatal = func(err error) { t.Fatalf("wal append failed: %v", err) }
-	return s
-}
 
 func stopWALServer(t *testing.T, s *Server) {
 	t.Helper()
@@ -129,29 +97,24 @@ func mutateOverHTTP(t *testing.T, h http.Handler, o *difftest.Oracle, rng *rand.
 func TestWALRecoveryAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
-	snapPath := filepath.Join(dir, "base.bin")
+	snapPath := filepath.Join(dir, "base.v3")
 
 	cfg := difftest.RandomCollection(rand.New(rand.NewSource(1)), 300, 10, 120)
-	f, err := os.Create(snapPath)
-	if err != nil {
+	if err := persist.WritePagedFile(snapPath, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := persist.WriteCollection(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	rng := rand.New(rand.NewSource(2))
 	o := difftest.NewOracle(cfg)
 	domain := difftest.DomainOf(cfg)
 
 	// Run 1: mutate, then "crash" (close without checkpoint).
-	s1 := startWALServer(t, "hybrid", snapPath, walDir)
+	s1 := startServer(t, "hybrid", snapPath, walDir, true)
 	mutateOverHTTP(t, s1.routes(), o, rng, 120, domain)
 	stopWALServer(t, s1)
 
 	// Run 2: recovery must replay all 1st-run records.
-	s2 := startWALServer(t, "hybrid", snapPath, walDir)
+	s2 := startServer(t, "hybrid", snapPath, walDir, true)
 	if s2.defColl().walReplayed == 0 {
 		t.Fatal("restart replayed no records")
 	}
@@ -186,7 +149,7 @@ func TestWALRecoveryAcrossRestart(t *testing.T) {
 
 	// Run 3: base comes from the checkpoint now; only post-checkpoint
 	// records replay.
-	s3 := startWALServer(t, "hybrid", snapPath, walDir)
+	s3 := startServer(t, "hybrid", snapPath, walDir, true)
 	difftest.CheckSearch(t, "post-checkpoint-restart", s3.defColl().sh, o, rng, 15, domain)
 	gotSlots, _ = s3.defColl().sh.Slots()
 	if !slotsEqual(gotSlots, o.Slots()) {
@@ -200,20 +163,15 @@ func TestWALRecoveryAcrossRestart(t *testing.T) {
 func TestWALRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
-	snapPath := filepath.Join(dir, "base.bin")
+	snapPath := filepath.Join(dir, "base.v3")
 	cfg := difftest.RandomCollection(rand.New(rand.NewSource(3)), 150, 8, 80)
-	f, err := os.Create(snapPath)
-	if err != nil {
+	if err := persist.WritePagedFile(snapPath, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := persist.WriteCollection(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	rng := rand.New(rand.NewSource(4))
 	o := difftest.NewOracle(cfg)
-	s1 := startWALServer(t, "inverted", snapPath, walDir)
+	s1 := startServer(t, "inverted", snapPath, walDir, true)
 	mutateOverHTTP(t, s1.routes(), o, rng, 60, 80)
 	appended := int(s1.defColl().wal.Stats().Appended)
 	stopWALServer(t, s1)
@@ -234,7 +192,7 @@ func TestWALRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := startWALServer(t, "inverted", snapPath, walDir)
+	s2 := startServer(t, "inverted", snapPath, walDir, true)
 	// Every record is at least 15 bytes, so removing 5 bytes tears exactly
 	// the final one: recovery keeps the longest acked prefix.
 	if got, want := s2.defColl().walReplayed, appended-1; got != want {

@@ -11,10 +11,10 @@ import (
 	"topk/internal/ranking"
 )
 
-// TestCheckpointPagedLifecycle drives the paged checkpoint flow the server
-// uses: append → rotate → CheckpointPaged(install) → recovery sees the .v3f
-// footer as the latest checkpoint and only the suffix segments remain.
-func TestCheckpointPagedLifecycle(t *testing.T) {
+// TestCheckpointLifecycle drives the checkpoint flow the server uses:
+// append → rotate → Checkpoint(install) → recovery sees the .v3f footer as
+// the latest checkpoint and only the suffix segments remain.
+func TestCheckpointLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir)
 	if err != nil {
@@ -34,7 +34,7 @@ func TestCheckpointPagedLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := persist.NewPager(dir, nil, nil)
-	if err := l.CheckpointPaged(seq, func(d string) error {
+	if err := l.Checkpoint(seq, func(d string) error {
 		_, werr := p.WriteCheckpoint(seq, slots, nil)
 		return werr
 	}); err != nil {
@@ -74,9 +74,9 @@ func TestCheckpointPagedLifecycle(t *testing.T) {
 	}
 }
 
-// TestCheckpointPagedTruncation: a second paged checkpoint deletes the
-// superseded .v3f footer but never the shared pages.v3 file.
-func TestCheckpointPagedTruncation(t *testing.T) {
+// TestCheckpointTruncation: a second checkpoint deletes the superseded .v3f
+// footer but never the shared pages.v3 file.
+func TestCheckpointTruncation(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir)
 	if err != nil {
@@ -100,7 +100,7 @@ func TestCheckpointPagedTruncation(t *testing.T) {
 		} else {
 			tr.MarkAll()
 		}
-		if err := l.CheckpointPaged(seq, func(string) error {
+		if err := l.Checkpoint(seq, func(string) error {
 			_, werr := p.WriteCheckpoint(seq, state, tr.Capture())
 			return werr
 		}); err != nil {
@@ -128,9 +128,9 @@ func TestCheckpointPagedTruncation(t *testing.T) {
 	}
 }
 
-// TestCheckpointPagedInstallFailure: when the install func fails, no footer
+// TestCheckpointInstallFailure: when the install func fails, no footer
 // lands, segments are not truncated, and recovery still replays everything.
-func TestCheckpointPagedInstallFailure(t *testing.T) {
+func TestCheckpointInstallFailure(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir)
 	if err != nil {
@@ -145,8 +145,8 @@ func TestCheckpointPagedInstallFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("install failed")
-	if err := l.CheckpointPaged(seq, func(string) error { return boom }); !errors.Is(err, boom) {
-		t.Fatalf("CheckpointPaged swallowed the install error: %v", err)
+	if err := l.Checkpoint(seq, func(string) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("Checkpoint swallowed the install error: %v", err)
 	}
 	if _, cpPath, _ := LatestCheckpoint(dir); cpPath != "" {
 		t.Fatalf("failed install left a checkpoint artifact: %s", cpPath)
@@ -160,30 +160,62 @@ func TestCheckpointPagedInstallFailure(t *testing.T) {
 	}
 }
 
-// TestLatestCheckpointPrefersNewerSeq: a .v3f and an older .bin checkpoint
-// coexist during migration from monolithic to paged checkpoints; the newest
-// sequence wins regardless of form.
+// TestLatestCheckpointPrefersNewerSeq: a crash between a footer's install
+// and the truncation of its predecessor leaves two footers; the newest
+// sequence wins.
 func TestLatestCheckpointPrefersNewerSeq(t *testing.T) {
 	dir := t.TempDir()
-	// Older monolithic checkpoint at seq 1.
-	f, err := os.Create(filepath.Join(dir, "checkpoint-0000000000000001.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := persist.WriteCollection(f, []ranking.Ranking{{9, 8, 7}}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	// Newer paged checkpoint at seq 2.
 	p := persist.NewPager(dir, nil, nil)
-	if _, err := p.WriteCheckpoint(2, []ranking.Ranking{{1, 2, 3}}, nil); err != nil {
-		t.Fatal(err)
+	for seq, r := range []ranking.Ranking{{9, 8, 7}, {1, 2, 3}} {
+		if _, err := p.WriteCheckpoint(uint64(seq+1), []ranking.Ranking{r}, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	seq, cpPath, err := LatestCheckpoint(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 2 || !strings.HasSuffix(cpPath, persist.FooterSuffix) {
+	if seq != 2 || cpPath != persist.FooterPath(dir, 2) {
 		t.Fatalf("LatestCheckpoint = (%d, %s), want the seq-2 footer", seq, cpPath)
 	}
+}
+
+// TestLegacyBinCheckpointFailsLoudly: a monolithic checkpoint-<seq>.bin in
+// the directory — even beside a newer footer and intact segments — fails
+// every entry point that would otherwise recover around it, naming the file.
+func TestLegacyBinCheckpointFailsLoudly(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(Record{Op: OpInsert, ID: 0, Ranking: ranking.Ranking{1, 2, 3}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := persist.NewPager(dir, nil, nil).WriteCheckpoint(2, []ranking.Ranking{{1, 2, 3}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(dir, "checkpoint-0000000000000001.bin")
+	if err := os.WriteFile(bin, []byte("KRKT"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrLegacyCheckpoint) || !strings.Contains(err.Error(), bin) {
+			t.Fatalf("%s: %v, want ErrLegacyCheckpoint naming %s", what, err, bin)
+		}
+	}
+	_, _, err = LatestCheckpoint(dir)
+	check("LatestCheckpoint", err)
+	replayed := 0
+	_, err = Replay(dir, 0, func(Record) error { replayed++; return nil })
+	check("Replay", err)
+	if replayed != 0 {
+		t.Fatalf("Replay delivered %d records before failing", replayed)
+	}
+	_, err = Open(dir)
+	check("Open", err)
 }

@@ -28,24 +28,19 @@ type ReplayStats struct {
 	TornSegments int
 }
 
-// LatestCheckpoint returns the sequence and path of the newest checkpoint
-// in dir — a monolithic checkpoint-<seq>.bin or a paged checkpoint footer
-// checkpoint-<seq>.v3f (callers branch on the suffix) — or (0, "") when
+// LatestCheckpoint returns the sequence and footer path
+// (checkpoint-<seq>.v3f) of the newest checkpoint in dir, or (0, "") when
 // the directory holds none (including when it does not exist yet).
 func LatestCheckpoint(dir string) (uint64, string, error) {
 	_, cps, err := scan(dir)
 	if os.IsNotExist(err) {
 		return 0, "", nil
 	}
-	if err != nil {
+	if err != nil || len(cps) == 0 {
 		return 0, "", err
 	}
-	for i := len(cps) - 1; i >= 0; i-- {
-		if p := resolveCheckpointPath(dir, cps[i]); p != "" {
-			return cps[i], p, nil
-		}
-	}
-	return 0, "", nil
+	seq := cps[len(cps)-1]
+	return seq, footerPath(dir, seq), nil
 }
 
 // Replay streams every record of the segments with sequence ≥ from through

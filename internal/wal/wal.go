@@ -9,22 +9,27 @@
 // replay the WAL suffix in log order".
 //
 // Layout: a WAL directory holds numbered segment files and checkpoint
-// files,
+// footers,
 //
 //	wal-0000000000000001.log      records of segment 1
 //	wal-0000000000000002.log      records of segment 2 (sealed by a rotate
 //	                              or a restart; the active segment is the
 //	                              highest-numbered one)
-//	checkpoint-0000000000000002.bin  collection state before any record of
-//	                              segment 2 (written atomically; segments
-//	                              below its sequence are deleted after it
-//	                              lands)
-//	checkpoint-0000000000000003.v3f  the paged form of the same artifact:
-//	                              an incremental-checkpoint footer whose
-//	                              pages live in the shared page file
-//	pages.v3                      shared physical pages of every .v3f
-//	                              checkpoint (shadow-paged, see
-//	                              persist.Pager); never truncated
+//	checkpoint-0000000000000002.v3f  collection state before any record of
+//	                              segment 2: an incremental-checkpoint
+//	                              footer (installed atomically; segments
+//	                              and footers below its sequence are
+//	                              deleted after it lands) whose pages live
+//	                              in the shared page file
+//	pages.v3                      shared physical pages of every footer
+//	                              (shadow-paged, see persist.Pager); never
+//	                              truncated
+//
+// A checkpoint-<seq>.bin file is the monolithic checkpoint older versions
+// wrote. Nothing here reads it, and nothing skips it either — replaying the
+// truncated log over a different base would silently diverge — so every
+// entry point that lists the directory fails with ErrLegacyCheckpoint until
+// the file has been migrated offline.
 //
 // Each segment starts with a 20-byte header (magic, version, sequence) and
 // continues with records framed as
@@ -116,6 +121,10 @@ type Record struct {
 // fails validation — unlike a torn tail in the active segment, which Replay
 // discards silently, this means acked records are unrecoverable.
 var ErrCorrupt = errors.New("wal: corrupt log")
+
+// ErrLegacyCheckpoint is returned, wrapped with the file's path, when a WAL
+// directory holds a monolithic checkpoint-<seq>.bin (see the package comment).
+var ErrLegacyCheckpoint = errors.New("wal: legacy monolithic checkpoint")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -237,39 +246,21 @@ func segmentPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%016x.log", seq))
 }
 
-// checkpointPath names checkpoint seq's monolithic (v2) file.
-func checkpointPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.bin", seq))
-}
-
-// footerPath names checkpoint seq's incremental (paged v3) footer file,
-// whose pages live in the shared pages.v3 next to it.
+// footerPath names checkpoint seq's footer file, whose pages live in the
+// shared pages.v3 next to it.
 func footerPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.v3f", seq))
 }
 
-// resolveCheckpointPath returns whichever artifact exists for checkpoint
-// seq — the paged footer wins over the monolithic file — or "" if neither
-// does.
-func resolveCheckpointPath(dir string, seq uint64) string {
-	for _, p := range []string{footerPath(dir, seq), checkpointPath(dir, seq)} {
-		if _, err := os.Stat(p); err == nil {
-			return p
-		}
-	}
-	return ""
-}
-
-// scan lists segment and checkpoint sequence numbers present in dir,
-// ascending. Checkpoints cover both the monolithic .bin form and the
-// paged .v3f footer form; the shared pages.v3 file is not a sequenced
-// artifact and is never listed (and so never truncated).
+// scan lists segment and checkpoint-footer sequence numbers present in dir,
+// ascending. The shared pages.v3 file is not a sequenced artifact and is
+// never listed (and so never truncated). A monolithic .bin checkpoint fails
+// the scan: see ErrLegacyCheckpoint.
 func scan(dir string) (segs, cps []uint64, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	seen := make(map[uint64]bool)
 	for _, e := range ents {
 		name := e.Name()
 		switch {
@@ -277,16 +268,12 @@ func scan(dir string) (segs, cps []uint64, err error) {
 			if seq, ok := parseSeq(name, "wal-", ".log"); ok {
 				segs = append(segs, seq)
 			}
-		case strings.HasPrefix(name, "checkpoint-") && strings.HasSuffix(name, ".bin"):
-			if seq, ok := parseSeq(name, "checkpoint-", ".bin"); ok && !seen[seq] {
-				seen[seq] = true
-				cps = append(cps, seq)
-			}
 		case strings.HasPrefix(name, "checkpoint-") && strings.HasSuffix(name, ".v3f"):
-			if seq, ok := parseSeq(name, "checkpoint-", ".v3f"); ok && !seen[seq] {
-				seen[seq] = true
+			if seq, ok := parseSeq(name, "checkpoint-", ".v3f"); ok {
 				cps = append(cps, seq)
 			}
+		case strings.HasPrefix(name, "checkpoint-") && strings.HasSuffix(name, ".bin"):
+			return nil, nil, fmt.Errorf("%w: %s", ErrLegacyCheckpoint, filepath.Join(dir, name))
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
@@ -499,57 +486,25 @@ func (l *Log) Rotate() (uint64, error) {
 	return l.seq, nil
 }
 
-// Checkpoint durably writes the collection state valid at sequence seq
-// (obtained from Rotate) and then truncates the log: write is streamed to a
-// temp file, fsynced, atomically renamed to checkpoint-<seq>.bin, the
-// directory is fsynced, and only then are segments and checkpoints below
-// seq removed. A crash at any point leaves either the old checkpoint plus
-// all segments, or the new checkpoint (plus possibly not-yet-removed old
-// files) — both recover correctly, because Replay starts at the newest
-// checkpoint's sequence.
-func (l *Log) Checkpoint(seq uint64, write func(f *os.File) error) error {
-	tmp, err := os.CreateTemp(l.dir, "checkpoint-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), checkpointPath(l.dir, seq)); err != nil {
-		return err
-	}
-	if err := syncDir(l.dir); err != nil {
-		return err
-	}
-	return l.truncateBelow(seq)
-}
-
-// CheckpointPaged is the incremental-checkpoint variant of Checkpoint: the
-// install func (typically persist.Pager.WriteCheckpoint) writes only the
-// dirty pages into the directory's shared pages.v3 and atomically installs
-// the checkpoint-<seq>.v3f footer; afterwards the log truncates segments
-// and checkpoint artifacts below seq exactly as Checkpoint does. pages.v3
-// itself is never truncated — superseded footers' pages return to the
-// pager's free list instead.
-func (l *Log) CheckpointPaged(seq uint64, install func(dir string) error) error {
+// Checkpoint installs the checkpoint valid at sequence seq (obtained from
+// Rotate) and then truncates the log. The install func (persist.Pager.
+// WriteCheckpoint in the server) writes only the dirty pages into the
+// directory's shared pages.v3 and atomically renames the checkpoint-<seq>.v3f
+// footer into place; only then are the segments and footers below seq
+// removed. A crash at any point leaves either the old footer plus all
+// segments, or the new footer (plus possibly not-yet-removed old files) —
+// both recover correctly, because Replay starts at the newest footer's
+// sequence. pages.v3 itself is never truncated: superseded footers' pages
+// return to the pager's free list instead.
+func (l *Log) Checkpoint(seq uint64, install func(dir string) error) error {
 	if err := install(l.dir); err != nil {
 		return err
 	}
 	return l.truncateBelow(seq)
 }
 
-// truncateBelow removes the segments and checkpoint artifacts a durable
-// checkpoint at seq supersedes (both .bin and .v3f forms), then updates
-// the checkpoint counters.
+// truncateBelow removes the segments and footers a durable checkpoint at seq
+// supersedes, then updates the checkpoint counters.
 func (l *Log) truncateBelow(seq uint64) error {
 	segs, cps, err := scan(l.dir)
 	if err != nil {
@@ -566,10 +521,8 @@ func (l *Log) truncateBelow(seq uint64) error {
 	}
 	for _, c := range cps {
 		if c < seq {
-			for _, p := range []string{checkpointPath(l.dir, c), footerPath(l.dir, c)} {
-				if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-					return err
-				}
+			if err := os.Remove(footerPath(l.dir, c)); err != nil {
+				return err
 			}
 		}
 	}
@@ -579,15 +532,6 @@ func (l *Log) truncateBelow(seq uint64) error {
 	l.lastCp = time.Now().Unix()
 	l.mu.Unlock()
 	return nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // Close seals, flushes and fsyncs the active segment and stops the

@@ -275,7 +275,7 @@ func (ii *InvertedIndex) Tombstones() int {
 
 // Slots returns the external-id slot view of the collection: slots[id] is
 // the live ranking under id, nil for deleted ids. Feed it to
-// persist.WriteCollection for a snapshot and to NewInvertedIndexFromSlots
+// persist.WritePagedTo for a snapshot and to NewInvertedIndexFromSlots
 // to restore.
 func (ii *InvertedIndex) Slots() []Ranking {
 	ii.mu.RLock()
@@ -376,7 +376,7 @@ func (c *CoarseIndex) Tombstones() int {
 
 // Slots returns the external-id slot view of the collection: slots[id] is
 // the live ranking under id, nil for deleted ids. Feed it to
-// persist.WriteCollection for a snapshot and to NewCoarseIndexFromSlots to
+// persist.WritePagedTo for a snapshot and to NewCoarseIndexFromSlots to
 // restore.
 func (c *CoarseIndex) Slots() []Ranking {
 	c.mu.RLock()

@@ -2,6 +2,7 @@ package topk
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -138,18 +139,18 @@ func TestDifferentialMutationWorkload(t *testing.T) {
 			difftest.CheckSearch(t, name+"/post-compact", idx, o, rng, 10, diffDomain)
 			checkAgainstRebuilt(t, name+"/post-compact", idx, build, o, rng, 5)
 
-			// Snapshot v2 round-trip: slots → bytes → slots → index, ids
+			// Snapshot round-trip: slots → bytes → slots → index, ids
 			// preserved (including retired ones).
 			slots := slotsOf(t, idx)
 			var buf bytes.Buffer
-			if _, err := persist.WriteCollection(&buf, slots); err != nil {
-				t.Fatalf("WriteCollection: %v", err)
+			if _, err := persist.WritePagedTo(&buf, slots); err != nil {
+				t.Fatalf("WritePagedTo: %v", err)
 			}
-			back, err := persist.ReadCollection(&buf)
+			back, err := persist.ReadPagedAll(buf.Bytes())
 			if err != nil {
-				t.Fatalf("ReadCollection: %v", err)
+				t.Fatalf("ReadPagedAll: %v", err)
 			}
-			restored, err := build(back)
+			restored, err := build(back.Slots())
 			if err != nil {
 				t.Fatalf("restore from snapshot: %v", err)
 			}
@@ -300,18 +301,22 @@ func TestAllTombstoneShardChunkRestores(t *testing.T) {
 }
 
 // TestV1SnapshotStillLoads proves backward compatibility: a dense v1
-// snapshot (WriteRankings) loads through ReadCollection and builds an
-// all-live mutable index.
+// snapshot (magic, version 1, n, k, then n×k raw items — nothing writes it
+// any more) decodes through ReadLegacy and builds an all-live mutable index.
 func TestV1SnapshotStillLoads(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rs := difftest.RandomCollection(rng, 80, diffK, diffDomain)
-	var buf bytes.Buffer
-	if _, err := persist.WriteRankings(&buf, rs); err != nil {
-		t.Fatal(err)
+	le := binary.LittleEndian
+	v1 := le.AppendUint32(le.AppendUint32([]byte("KRKT"), 1), uint32(len(rs)))
+	v1 = le.AppendUint32(v1, diffK)
+	for _, r := range rs {
+		for _, it := range r {
+			v1 = le.AppendUint32(v1, it)
+		}
 	}
-	slots, err := persist.ReadCollection(&buf)
+	slots, err := persist.ReadLegacy(bytes.NewReader(v1))
 	if err != nil {
-		t.Fatalf("ReadCollection(v1): %v", err)
+		t.Fatalf("ReadLegacy(v1): %v", err)
 	}
 	idx, err := NewInvertedIndexFromSlots(slots)
 	if err != nil {

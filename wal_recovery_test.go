@@ -127,7 +127,7 @@ func logWorkload(t *testing.T, idx difftest.Mutable, l *wal.Log, base []ranking.
 func snapshotBytes(t *testing.T, slots []ranking.Ranking) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := persist.WriteCollection(&buf, slots); err != nil {
+	if _, err := persist.WritePagedTo(&buf, slots); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
