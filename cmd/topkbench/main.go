@@ -1,68 +1,35 @@
 // Command topkbench reproduces the paper's experiments. Each experiment id
-// corresponds to a table or figure of the evaluation section; running with
-// -experiment all regenerates everything EXPERIMENTS.md reports.
+// corresponds to a table or figure of the evaluation section (§7); running
+// with -experiment all regenerates all of them.
 //
 // Usage:
 //
 //	topkbench -experiment fig8 [-scale small|default] [-k 10]
 //	topkbench -experiment all -scale small
-//	topkbench -experiment sweep -json bench.json
+//	topkbench -experiment kernels -json bench.json
 //
-// Experiments: fig3 fig5 fig6 fig7 tab5 fig8 fig9 fig10 tab6 stats sweep
-// rebuild wal overload tenants kernels
+// Experiments: stats fig3 fig5 fig6 fig7 tab5 fig8 fig9 fig10 tab6 kernels
 //
-// The sweep experiment measures every physical backend plus the hybrid
-// engine across the θ grid on both datasets; -json <path> writes its
-// records (backend, n, theta, distance calls, ns/op, hybrid plan counts) as
-// machine-readable JSON — the BENCH_*.json perf trajectory — and implies
-// the sweep when no experiment selects it.
+// The kernels experiment is the one id not from the paper: it
+// microbenchmarks the distance-kernel layer — single vs compiled Footrule,
+// query compilation, full candidate-buffer validation via the scalar path vs
+// the batched flat-store kernel, and posting-list collection, across
+// k ∈ {10,25,50} and candidate counts n ∈ {1000,4000}, plus one exact 10-NN
+// query through the inverted index's native single-pass KNN vs the
+// doubling-radius reduction at k ∈ {10,25}, n ∈ {4000,20000}. -json writes
+// the records (BENCH_kernels.json) that cmd/benchgate diffs in CI against
+// the committed baseline.
 //
-// The rebuild experiment (also not from the paper) measures hybrid search
-// latency before, during and after a background epoch rebuild: an insert
-// burst pushes the mutation overlay past the rebuild ratio and queries keep
-// running while the fold constructs fresh backends off-lock.
-//
-// The wal experiment (also not from the paper) measures the durability tax
-// of the serving stack's write-ahead log: mutation-ack latency and
-// throughput under each sync policy (synchronous commit, group commit,
-// interval flush, none) plus search latency against a concurrent durable
-// mutation stream, with the no-WAL baseline alongside; -json writes the
-// records machine-readably.
-//
-// The overload experiment (also not from the paper) fires an open-loop
-// query flood at several times the index's calibrated sustainable rate,
-// once through topkserve's admission-control path (bounded concurrency +
-// bounded queue, excess shed as 429s would be) and once unbounded. The
-// records prove the traffic-hardening claim: with admission the accepted
-// requests keep a bounded tail latency while the excess is shed
-// explicitly; -json writes the two records (BENCH_overload.json).
-//
-// The tenants experiment (also not from the paper) measures the
-// noisy-neighbor behavior of the multi-tenant serving core: two tenants
-// share one admission capacity, one floods at several times the sustainable
-// rate while the other sends paced traffic, once with both contending on
-// the shared controller and once with per-tenant 0.5-weight carves (the
-// registry's admission path for collections created with a weight). The
-// records show the carves confining the flood's queueing to its own share,
-// keeping the paced tenant's tail latency bounded; -json writes the four
-// records (BENCH_tenants.json).
-//
-// The kernels experiment (also not from the paper) microbenchmarks the
-// distance-kernel layer: single vs compiled Footrule, query compilation,
-// full candidate-buffer validation via the scalar path vs the batched
-// flat-store kernel, and posting-list collection, across k ∈ {10,25,50}
-// and candidate counts n ∈ {1000,4000}, plus one exact 10-NN query through
-// the inverted index's native single-pass KNN vs the doubling-radius
-// reduction at k ∈ {10,25}, n ∈ {4000,20000}. -json writes the records
-// (BENCH_kernels.json) that cmd/benchgate diffs in CI against the
-// committed baseline.
+// Everything about the serving stack (planner routing, epoch rebuilds, WAL
+// cost, overload, tenants) is measured over a socket by
+// `bash benchmark/run.sh`, not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"topk/internal/bench"
@@ -70,12 +37,20 @@ import (
 	"topk/internal/stats"
 )
 
+// paperIDs are the §7 experiments in the paper's order; "all" runs them.
+var paperIDs = []string{"stats", "fig3", "fig5", "fig6", "fig7", "tab5", "fig8", "fig9", "fig10", "tab6"}
+
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
+}
+
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment id: fig3|fig5|fig6|fig7|tab5|fig8|fig9|fig10|tab6|stats|sweep|rebuild|wal|overload|tenants|kernels|all")
+		experiment = flag.String("experiment", "all", "experiment id: "+strings.Join(paperIDs, "|")+"|kernels|all")
 		scaleName  = flag.String("scale", "small", "dataset scale: small|medium|default")
 		k          = flag.Int("k", 10, "ranking size for the single-k experiments")
-		jsonPath   = flag.String("json", "", "write the sweep's machine-readable records to this file (implies -experiment sweep)")
+		jsonPath   = flag.String("json", "", "write the kernels experiment's machine-readable records to this file")
 	)
 	flag.Parse()
 
@@ -87,163 +62,40 @@ func main() {
 		sc = bench.MediumScale()
 	case "small":
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleName)
-		os.Exit(2)
+		usageError("unknown scale %q", *scaleName)
 	}
 
-	ids := strings.Split(*experiment, ",")
-	if *experiment == "all" {
-		ids = []string{"stats", "fig3", "fig5", "fig6", "fig7", "tab5", "fig8", "fig9", "fig10", "tab6"}
+	ids := paperIDs
+	if *experiment != "all" {
+		ids = strings.Split(*experiment, ",")
+		for i := range ids {
+			ids[i] = strings.TrimSpace(ids[i])
+		}
 	}
-	if *jsonPath != "" {
-		// -json implies the sweep unless an experiment that writes its own
-		// JSON records (sweep, wal, overload, tenants, kernels) is already
-		// selected; selecting more than one with a single output path would
-		// overwrite the earlier records.
-		writers := 0
-		for _, id := range ids {
-			switch strings.TrimSpace(id) {
-			case "sweep", "wal", "overload", "tenants", "kernels":
-				writers++
-			}
+	// Every id is checked before the first one runs: a typo at the end of the
+	// list must not cost the minutes the ids before it take.
+	for _, id := range ids {
+		if id != "kernels" && !slices.Contains(paperIDs, id) {
+			usageError("unknown experiment id %q; valid ids: %s kernels all\n"+
+				"serving-stack numbers (planner, rebuild, WAL, overload, tenants) come from `bash benchmark/run.sh`",
+				id, strings.Join(paperIDs, " "))
 		}
-		if writers > 1 {
-			fmt.Fprintln(os.Stderr, "-json with more than one of sweep/wal/overload/tenants/kernels would overwrite records; run them separately")
-			os.Exit(2)
-		}
-		if writers == 0 {
-			ids = append(ids, "sweep")
-		}
+	}
+	if *jsonPath != "" && !slices.Contains(ids, "kernels") {
+		usageError("-json writes the kernels experiment's records; add kernels to -experiment")
 	}
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		switch id {
-		case "sweep":
-			if err := runSweep(sc, *k, *jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "experiment sweep: %v\n", err)
-				os.Exit(1)
-			}
-		case "wal":
-			if err := runWAL(sc, *k, *jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "experiment wal: %v\n", err)
-				os.Exit(1)
-			}
-		case "overload":
-			if err := runOverload(sc, *k, *jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "experiment overload: %v\n", err)
-				os.Exit(1)
-			}
-		case "tenants":
-			if err := runTenants(sc, *k, *jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "experiment tenants: %v\n", err)
-				os.Exit(1)
-			}
-		case "kernels":
-			if err := runKernels(*jsonPath); err != nil {
-				fmt.Fprintf(os.Stderr, "experiment kernels: %v\n", err)
-				os.Exit(1)
-			}
-		default:
-			if err := run(id, sc, *k); err != nil {
-				fmt.Fprintf(os.Stderr, "experiment %s: %v\n", id, err)
-				os.Exit(1)
-			}
+		var err error
+		if id == "kernels" {
+			err = runKernels(*jsonPath)
+		} else {
+			err = run(id, sc, *k)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiment %s: %v\n", id, err)
+			os.Exit(1)
 		}
 	}
-}
-
-// runWAL measures the write-ahead log's durability overhead on the NYT-like
-// dataset and optionally writes the per-policy records as JSON.
-func runWAL(sc bench.Scale, k int, jsonPath string) error {
-	nyt, _, err := bench.Envs(sc, k)
-	if err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "topkbench-wal-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	recs, t, err := bench.WALOverhead(nyt, 2000, 400, dir)
-	if err != nil {
-		return err
-	}
-	t.Fprint(os.Stdout)
-	if jsonPath == "" {
-		return nil
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(recs); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d wal records to %s\n", len(recs), jsonPath)
-	return nil
-}
-
-// runOverload floods a sharded coarse index past its sustainable rate with
-// and without admission control and optionally writes the two records as
-// JSON (the BENCH_overload.json artifact).
-func runOverload(sc bench.Scale, k int, jsonPath string) error {
-	nyt, _, err := bench.Envs(sc, k)
-	if err != nil {
-		return err
-	}
-	recs, t, err := bench.Overload(nyt, bench.OverloadConfig{})
-	if err != nil {
-		return err
-	}
-	t.Fprint(os.Stdout)
-	if jsonPath == "" {
-		return nil
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(recs); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d overload records to %s\n", len(recs), jsonPath)
-	return nil
-}
-
-// runTenants runs the noisy-neighbor experiment on the NYT-like dataset and
-// optionally writes the four (mode, tenant) records as JSON (the
-// BENCH_tenants.json artifact).
-func runTenants(sc bench.Scale, k int, jsonPath string) error {
-	nyt, _, err := bench.Envs(sc, k)
-	if err != nil {
-		return err
-	}
-	recs, t, err := bench.Tenants(nyt, bench.TenantsConfig{})
-	if err != nil {
-		return err
-	}
-	t.Fprint(os.Stdout)
-	if jsonPath == "" {
-		return nil
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(recs); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d tenants records to %s\n", len(recs), jsonPath)
-	return nil
 }
 
 // runKernels microbenchmarks the distance-kernel layer and optionally writes
@@ -267,38 +119,6 @@ func runKernels(jsonPath string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d kernel records to %s\n", len(recs), jsonPath)
-	return nil
-}
-
-// runSweep measures every backend and the hybrid engine on both datasets
-// and optionally writes the machine-readable records.
-func runSweep(sc bench.Scale, k int, jsonPath string) error {
-	nyt, yago, err := bench.Envs(sc, k)
-	if err != nil {
-		return err
-	}
-	thetas := []float64{0, 0.1, 0.2, 0.3}
-	var recs []bench.Record
-	for _, env := range []*bench.Env{nyt, yago} {
-		r, err := bench.Sweep(env, thetas)
-		if err != nil {
-			return err
-		}
-		recs = append(recs, r...)
-	}
-	bench.SweepTable(recs).Fprint(os.Stdout)
-	if jsonPath == "" {
-		return nil
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := bench.WriteJSON(f, recs); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %d sweep records to %s\n", len(recs), jsonPath)
 	return nil
 }
 
@@ -417,17 +237,6 @@ func run(id string, sc bench.Scale, k int) error {
 			}
 			t.Fprint(os.Stdout)
 		}
-		return nil
-	case "rebuild":
-		nyt, _, err := needEnvs()
-		if err != nil {
-			return err
-		}
-		t, err := bench.RebuildLatency(nyt, 0.1, 200)
-		if err != nil {
-			return err
-		}
-		t.Fprint(os.Stdout)
 		return nil
 	case "tab6":
 		nyt, yago, err := needEnvs()

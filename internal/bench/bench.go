@@ -5,6 +5,13 @@
 // Java/Xeon testbed; the reproduced quantities are the orderings, factors
 // and crossover points — and the distance-function-call counts, which are
 // exactly reproducible.
+//
+// One experiment is not from the paper: Kernels, the distance-layer
+// microbenchmark behind BENCH_kernels.json and the cmd/benchgate CI gate.
+// The package measures index structures in-process and knows nothing of the
+// serving stack (engine facade, shards, admission, WAL); how that performs
+// is the end-to-end benchmark's question, asked over a socket by
+// `bash benchmark/run.sh`.
 package bench
 
 import (

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
 	"testing"
 
 	"topk/internal/dataset"
@@ -16,13 +18,21 @@ import (
 // KernelRecord is one machine-readable microbenchmark measurement of the
 // distance-kernel layer (BENCH_kernels.json): the per-PR perf trajectory the
 // CI regression gate (cmd/benchgate) diffs against the committed baseline.
+// NsPerOp is the median of kernelRuns runs and [MinNsPerOp, MaxNsPerOp] their
+// spread — the row's own noise floor, which the gate needs because one run on
+// a shared host drifts by more than any threshold worth gating on.
 type KernelRecord struct {
 	Name        string `json:"name"`
 	K           int    `json:"k"`
 	N           int    `json:"n"`
 	NsPerOp     int64  `json:"nsPerOp"`
+	MinNsPerOp  int64  `json:"minNsPerOp"`
+	MaxNsPerOp  int64  `json:"maxNsPerOp"`
 	AllocsPerOp int64  `json:"allocsPerOp"`
 }
+
+// kernelRuns is how many times each row is measured.
+const kernelRuns = 5
 
 // WriteKernelJSON writes records as indented JSON (the committed-baseline
 // format).
@@ -50,12 +60,7 @@ var kernelSink int
 // followed by the exact-KNN pair of knnRecords (knn-native, knn-expanding).
 func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 	var recs []KernelRecord
-	maxN := 0
-	for _, n := range ns {
-		if n > maxN {
-			maxN = n
-		}
-	}
+	maxN := slices.Max(ns)
 	for _, k := range ks {
 		cfg := dataset.NYTLike(maxN, k)
 		rs, err := dataset.Generate(cfg)
@@ -68,17 +73,16 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 		}
 		st := kernel.NewStore(rs)
 
-		scalar := testing.Benchmark(func(b *testing.B) {
+		recs = append(recs, measure(fmt.Sprintf("footrule-scalar/k=%d", k), k, maxN, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
 				kernelSink += ranking.Footrule(q, st.Slot(ranking.ID(i%maxN)))
 			}
-		})
-		recs = append(recs, record(fmt.Sprintf("footrule-scalar/k=%d", k), k, maxN, scalar))
+		}))
 
 		kern := kernel.New()
-		compiled := testing.Benchmark(func(b *testing.B) {
+		recs = append(recs, measure(fmt.Sprintf("footrule-kernel/k=%d", k), k, maxN, func(b *testing.B) {
 			b.ReportAllocs()
 			kern.Compile(queries[0])
 			b.ResetTimer()
@@ -88,16 +92,14 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 				}
 				kernelSink += kern.Distance(st.Slot(ranking.ID(i % maxN)))
 			}
-		})
-		recs = append(recs, record(fmt.Sprintf("footrule-kernel/k=%d", k), k, maxN, compiled))
+		}))
 
-		comp := testing.Benchmark(func(b *testing.B) {
+		recs = append(recs, measure(fmt.Sprintf("compile/k=%d", k), k, maxN, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				kern.Compile(queries[i%len(queries)])
 			}
-		})
-		recs = append(recs, record(fmt.Sprintf("compile/k=%d", k), k, maxN, comp))
+		}))
 
 		for _, n := range ns {
 			ids := make([]ranking.ID, n)
@@ -106,7 +108,7 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 			}
 			rawTheta := ranking.MaxDistance(k) / 4
 
-			vScalar := testing.Benchmark(func(b *testing.B) {
+			recs = append(recs, measure(fmt.Sprintf("validate-scalar/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					q := queries[i%len(queries)]
@@ -118,11 +120,10 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 					}
 					kernelSink += hits
 				}
-			})
-			recs = append(recs, record(fmt.Sprintf("validate-scalar/k=%d/n=%d", k, n), k, n, vScalar))
+			}))
 
 			dists := make([]int, 0, n)
-			vBatched := testing.Benchmark(func(b *testing.B) {
+			recs = append(recs, measure(fmt.Sprintf("validate-batched/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					q := queries[i%len(queries)]
@@ -136,8 +137,7 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 					}
 					kernelSink += hits
 				}
-			})
-			recs = append(recs, record(fmt.Sprintf("validate-batched/k=%d/n=%d", k, n), k, n, vBatched))
+			}))
 
 			idx, err := invindex.New(rs[:n])
 			if err != nil {
@@ -146,7 +146,7 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 			stamp := make([]uint32, n)
 			gen := uint32(0)
 			cands := make([]ranking.ID, 0, n)
-			collect := testing.Benchmark(func(b *testing.B) {
+			recs = append(recs, measure(fmt.Sprintf("collect/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					q := queries[i%len(queries)]
@@ -162,8 +162,7 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 					}
 					kernelSink += len(cands)
 				}
-			})
-			recs = append(recs, record(fmt.Sprintf("collect/k=%d/n=%d", k, n), k, n, collect))
+			}))
 		}
 	}
 
@@ -175,11 +174,12 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 
 	t := Table{
 		Title:   "Distance-kernel microbenchmarks (NYT-like)",
-		Columns: []string{"benchmark", "k", "n", "ns/op", "allocs/op"},
+		Columns: []string{"benchmark", "k", "n", "ns/op", "min", "max", "allocs/op"},
 		Notes: []string{
+			fmt.Sprintf("ns/op is the median of %d runs, min and max their spread", kernelRuns),
 			"validate-* rows measure one full n-candidate validation pass per op",
 			"knn-* rows measure one exact 10-nearest-neighbor query over an n-ranking inverted index per op",
-			"the CI gate compares ns/op against the committed BENCH_kernels.json",
+			"the CI gate compares ns/op and the spreads against the committed BENCH_kernels.json",
 		},
 	}
 	for _, r := range recs {
@@ -188,6 +188,8 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 			fmt.Sprintf("%d", r.K),
 			fmt.Sprintf("%d", r.N),
 			fmt.Sprintf("%d", r.NsPerOp),
+			fmt.Sprintf("%d", r.MinNsPerOp),
+			fmt.Sprintf("%d", r.MaxNsPerOp),
 			fmt.Sprintf("%d", r.AllocsPerOp),
 		})
 	}
@@ -238,7 +240,7 @@ func knnRecords(ks, ns []int) ([]KernelRecord, error) {
 			}
 			s := invindex.NewSearcher(idx)
 			var benchErr error
-			native := testing.Benchmark(func(b *testing.B) {
+			native := measure(fmt.Sprintf("knn-native/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					res, err := s.NearestNeighbors(queries[i%len(queries)], knnNeighbors, nil)
@@ -248,7 +250,7 @@ func knnRecords(ks, ns []int) ([]KernelRecord, error) {
 					kernelSink += len(res)
 				}
 			})
-			expanding := testing.Benchmark(func(b *testing.B) {
+			expanding := measure(fmt.Sprintf("knn-expanding/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					res, err := knn.Expanding(rangeOverInverted{s}, queries[i%len(queries)], knnNeighbors)
@@ -261,23 +263,31 @@ func knnRecords(ks, ns []int) ([]KernelRecord, error) {
 			if benchErr != nil {
 				return nil, benchErr
 			}
-			if a := native.AllocsPerOp(); a > 1 {
-				return nil, fmt.Errorf("knn-native/k=%d/n=%d: %d allocs/op, want only the returned slice", k, n, a)
+			if native.AllocsPerOp > 1 {
+				return nil, fmt.Errorf("%s: %d allocs/op, want only the returned slice", native.Name, native.AllocsPerOp)
 			}
-			recs = append(recs,
-				record(fmt.Sprintf("knn-native/k=%d/n=%d", k, n), k, n, native),
-				record(fmt.Sprintf("knn-expanding/k=%d/n=%d", k, n), k, n, expanding))
+			recs = append(recs, native, expanding)
 		}
 	}
 	return recs, nil
 }
 
-func record(name string, k, n int, r testing.BenchmarkResult) KernelRecord {
+// measure runs f kernelRuns times and records the median run with the
+// fastest and slowest ns/op beside it.
+func measure(name string, k, n int, f func(b *testing.B)) KernelRecord {
+	runs := make([]testing.BenchmarkResult, kernelRuns)
+	for i := range runs {
+		runs[i] = testing.Benchmark(f)
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].NsPerOp() < runs[j].NsPerOp() })
+	med := runs[kernelRuns/2]
 	return KernelRecord{
 		Name:        name,
 		K:           k,
 		N:           n,
-		NsPerOp:     r.NsPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
+		NsPerOp:     med.NsPerOp(),
+		MinNsPerOp:  runs[0].NsPerOp(),
+		MaxNsPerOp:  runs[kernelRuns-1].NsPerOp(),
+		AllocsPerOp: med.AllocsPerOp(),
 	}
 }

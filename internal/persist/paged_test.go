@@ -252,7 +252,9 @@ func TestPagedHeaderBounds(t *testing.T) {
 	}
 }
 
-func putU32(b []byte, v uint32) { b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24) }
+func putU32(b []byte, v uint32) {
+	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+}
 func putU64(b []byte, v uint64) { putU32(b, uint32(v)); putU32(b[4:], uint32(v>>32)) }
 
 func crc32Header(b []byte) uint32 { return crc32.Checksum(b[:32], castagnoli) }

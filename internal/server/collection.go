@@ -152,7 +152,7 @@ type Collection struct {
 	mutations   atomic.Uint64
 
 	// storage is the durable half (zero for an in-memory collection). With
-	// a wal, each handler applies the mutation and appends its record under
+	// a wal, apply applies the mutation and appends its record under
 	// walMu — one lock for both steps, so the log order always equals the
 	// apply order (two concurrent inserts must not ack in one order and
 	// replay in the other). Checkpoints take the same lock for their
@@ -272,62 +272,6 @@ func (c *Collection) effK() int {
 // entry the mutation could have affected.
 func (c *Collection) generation() uint64 {
 	return c.mutations.Load() + c.sh.Rebuilds()
-}
-
-// applyInsert applies an insert and, with durability on, logs it before the
-// caller acks. walMu spans apply+append so replay order matches ack order.
-func (c *Collection) applyInsert(r ranking.Ranking) (ranking.ID, error) {
-	if c.wal == nil {
-		return c.sh.Insert(r)
-	}
-	c.walMu.Lock()
-	defer c.walMu.Unlock()
-	id, err := c.sh.Insert(r)
-	if err != nil {
-		return 0, err
-	}
-	c.tracker.MarkInsert(int(id))
-	if err := c.wal.Append(wal.Record{Op: wal.OpInsert, ID: id, Ranking: r}); err != nil {
-		c.walFatal(err)
-		return 0, err
-	}
-	return id, nil
-}
-
-// applyDelete is the durable delete path; see applyInsert.
-func (c *Collection) applyDelete(id ranking.ID) error {
-	if c.wal == nil {
-		return c.sh.Delete(id)
-	}
-	c.walMu.Lock()
-	defer c.walMu.Unlock()
-	if err := c.sh.Delete(id); err != nil {
-		return err
-	}
-	c.tracker.MarkDelete(int(id))
-	if err := c.wal.Append(wal.Record{Op: wal.OpDelete, ID: id}); err != nil {
-		c.walFatal(err)
-		return err
-	}
-	return nil
-}
-
-// applyUpdate is the durable update path; see applyInsert.
-func (c *Collection) applyUpdate(id ranking.ID, r ranking.Ranking) error {
-	if c.wal == nil {
-		return c.sh.Update(id, r)
-	}
-	c.walMu.Lock()
-	defer c.walMu.Unlock()
-	if err := c.sh.Update(id, r); err != nil {
-		return err
-	}
-	c.tracker.MarkUpdate(int(id))
-	if err := c.wal.Append(wal.Record{Op: wal.OpUpdate, ID: id, Ranking: r}); err != nil {
-		c.walFatal(err)
-		return err
-	}
-	return nil
 }
 
 // storageStatsJSON is the paged-storage (snapshot v3) section of /stats and

@@ -144,7 +144,9 @@ func TestPanicRecoveredInto500(t *testing.T) {
 }
 
 // TestTrailingGarbageRejected pins the decodeJSON satellite fix: exactly one
-// JSON value per body — trailing garbage is 400, trailing whitespace fine.
+// JSON value per body — trailing garbage is 400, trailing whitespace fine —
+// on every route that reads one, collection create included (whose body is
+// optional: none at all still means every default).
 func TestTrailingGarbageRejected(t *testing.T) {
 	srv, _, qs := testServer(t)
 	h := srv.routes()
@@ -154,20 +156,27 @@ func TestTrailingGarbageRejected(t *testing.T) {
 	}
 	good := fmt.Sprintf(`{"query":%s,"theta":0.2}`, q)
 	for _, c := range []struct {
-		name, body string
-		want       int
+		name, method, path, body string
+		want                     int
 	}{
-		{"trailing whitespace", good + " \n\t ", http.StatusOK},
-		{"second JSON value", good + `{"theta":0.1}`, http.StatusBadRequest},
-		{"trailing garbage", good + "garbage", http.StatusBadRequest},
-		{"trailing garbage on mutation", `{"id":1}x`, http.StatusBadRequest},
-	}[:] {
-		path := "/search"
-		if strings.HasPrefix(c.body, `{"id"`) {
-			path = "/delete"
-		}
-		if rec := post(t, h, path, c.body); rec.Code != c.want {
+		{"trailing whitespace", http.MethodPost, "/search", good + " \n\t ", http.StatusOK},
+		{"second JSON value", http.MethodPost, "/search", good + `{"theta":0.1}`, http.StatusBadRequest},
+		{"trailing garbage", http.MethodPost, "/search", good + "garbage", http.StatusBadRequest},
+		{"trailing garbage on mutation", http.MethodPost, "/delete", `{"id":1}x`, http.StatusBadRequest},
+		{"trailing garbage on create", http.MethodPut, "/collections/g1", `{"kind":"hybrid","k":6}garbage`, http.StatusBadRequest},
+		{"second JSON value on create", http.MethodPut, "/collections/g2", `{"kind":"hybrid","k":6}{"kind":"coarse"}`, http.StatusBadRequest},
+		{"empty body on create", http.MethodPut, "/collections/g3", "", http.StatusCreated},
+	} {
+		req := httptest.NewRequest(c.method, c.path, strings.NewReader(c.body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != c.want {
 			t.Fatalf("%s: status %d, want %d (%s)", c.name, rec.Code, c.want, rec.Body)
+		}
+	}
+	for _, name := range []string{"g1", "g2"} {
+		if _, ok := srv.lookup(name); ok {
+			t.Fatalf("rejected create left collection %q behind", name)
 		}
 	}
 }

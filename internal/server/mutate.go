@@ -1,0 +1,188 @@
+// The write path: /insert, /delete and /update validate their request and
+// hand one wal.Record to Collection.apply.
+package server
+
+import (
+	"errors"
+	"net/http"
+
+	"topk"
+	"topk/internal/persist"
+	"topk/internal/ranking"
+	"topk/internal/shard"
+	"topk/internal/wal"
+)
+
+// mutateRequest is the payload of /insert, /delete and /update. ID is a
+// pointer so a missing field is distinguishable from id 0.
+type mutateRequest struct {
+	ID      *ranking.ID     `json:"id,omitempty"`
+	Ranking ranking.Ranking `json:"ranking,omitempty"`
+}
+
+type mutateResponse struct {
+	ID ranking.ID `json:"id"`
+	N  int        `json:"n"`
+}
+
+// decodeMutation parses and bounds a mutation body; a false return means an
+// error response was already written. Mutations against a read-only index
+// kind are 405 Method Not Allowed, never 500.
+func (s *Server) decodeMutation(c *Collection, w http.ResponseWriter, r *http.Request) (mutateRequest, bool) {
+	var req mutateRequest
+	if !s.decodeJSON(w, r, &req, false) {
+		return req, false
+	}
+	if !c.sh.Mutable() {
+		httpError(w, http.StatusMethodNotAllowed, "index kind %q is read-only: mutations are not supported", c.opts.Kind)
+		return req, false
+	}
+	return req, true
+}
+
+// writeMutationError maps a mutation failure onto the endpoint contract:
+// unknown or retired ids are 404, mutations a sub-index rejects as
+// read-only are 405, and only genuine internal failures surface as 500.
+func writeMutationError(w http.ResponseWriter, c *Collection, verb string, err error) {
+	switch {
+	case errors.Is(err, topk.ErrUnknownID):
+		httpError(w, http.StatusNotFound, "%v", err)
+	case errors.Is(err, shard.ErrImmutable):
+		httpError(w, http.StatusMethodNotAllowed, "index kind %q is read-only: %s not supported", c.opts.Kind, verb)
+	default:
+		httpError(w, http.StatusInternalServerError, "%s: %v", verb, err)
+	}
+}
+
+// checkRanking validates a mutation payload ranking against the collection.
+// While the collection is structurally empty and declared no size, the first
+// insert defines k — bounded by the WAL record format when durable.
+func checkRanking(w http.ResponseWriter, c *Collection, rk ranking.Ranking) bool {
+	if rk == nil {
+		httpError(w, http.StatusBadRequest, "missing \"ranking\"")
+		return false
+	}
+	effK := c.effK()
+	if effK != 0 && rk.K() != effK {
+		httpError(w, http.StatusBadRequest, "ranking has size %d, index has k=%d", rk.K(), effK)
+		return false
+	}
+	if effK == 0 && c.wal != nil && rk.K() > maxWALRankingSize {
+		httpError(w, http.StatusBadRequest,
+			"the write-ahead log supports ranking sizes up to %d, have %d", maxWALRankingSize, rk.K())
+		return false
+	}
+	if err := rk.Validate(); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return false
+	}
+	return true
+}
+
+func (s *Server) handleInsert(c *Collection, w http.ResponseWriter, r *http.Request) {
+	req, ok := s.decodeMutation(c, w, r)
+	if !ok {
+		return
+	}
+	if req.ID != nil {
+		httpError(w, http.StatusBadRequest, "\"id\" is not an insert field (use /update to replace)")
+		return
+	}
+	if !checkRanking(w, c, req.Ranking) {
+		return
+	}
+	mutate(c, w, "insert", wal.Record{Op: wal.OpInsert, Ranking: req.Ranking})
+}
+
+func (s *Server) handleDelete(c *Collection, w http.ResponseWriter, r *http.Request) {
+	req, ok := s.decodeMutation(c, w, r)
+	if !ok {
+		return
+	}
+	if req.ID == nil {
+		httpError(w, http.StatusBadRequest, "missing \"id\"")
+		return
+	}
+	if req.Ranking != nil {
+		httpError(w, http.StatusBadRequest, "\"ranking\" is not a delete field")
+		return
+	}
+	mutate(c, w, "delete", wal.Record{Op: wal.OpDelete, ID: *req.ID})
+}
+
+func (s *Server) handleUpdate(c *Collection, w http.ResponseWriter, r *http.Request) {
+	req, ok := s.decodeMutation(c, w, r)
+	if !ok {
+		return
+	}
+	if req.ID == nil {
+		httpError(w, http.StatusBadRequest, "missing \"id\"")
+		return
+	}
+	if !checkRanking(w, c, req.Ranking) {
+		return
+	}
+	mutate(c, w, "update", wal.Record{Op: wal.OpUpdate, ID: *req.ID, Ranking: req.Ranking})
+}
+
+// mutate applies one validated mutation and acks it with the id it touched
+// and the collection size after it.
+func mutate(c *Collection, w http.ResponseWriter, verb string, rec wal.Record) {
+	id, err := c.apply(rec)
+	if err != nil {
+		writeMutationError(w, c, verb, err)
+		return
+	}
+	c.mutations.Add(1)
+	writeJSON(w, http.StatusOK, mutateResponse{ID: id, N: c.sh.Len()})
+}
+
+// apply is the one mutation path: it applies rec to the index and, with
+// durability on, marks the slot dirty and logs the record before the caller
+// acks. walMu spans apply+append so replay order matches ack order; an
+// in-memory collection has no log order to protect and takes no lock here
+// (the index synchronizes its own mutations). An insert's id is assigned by
+// the index — rec.ID is ignored going in — and the id the record carries into
+// the log is returned.
+func (c *Collection) apply(rec wal.Record) (ranking.ID, error) {
+	if c.wal != nil {
+		c.walMu.Lock()
+		defer c.walMu.Unlock()
+	}
+	var err error
+	switch rec.Op {
+	case wal.OpInsert:
+		rec.ID, err = c.sh.Insert(rec.Ranking)
+	case wal.OpDelete:
+		err = c.sh.Delete(rec.ID)
+	case wal.OpUpdate:
+		err = c.sh.Update(rec.ID, rec.Ranking)
+	}
+	if err != nil {
+		return 0, err
+	}
+	if c.wal == nil {
+		return rec.ID, nil
+	}
+	markDirty(c.tracker, rec)
+	if err := c.wal.Append(rec); err != nil {
+		c.walFatal(err)
+		return 0, err
+	}
+	return rec.ID, nil
+}
+
+// markDirty tells the slot tracker which bytes of rec's slot an applied
+// record changed. The live path and WAL replay both go through it, so the
+// first checkpoint after a recovery rewrites exactly the pages a checkpoint
+// of the uncrashed process would have.
+func markDirty(tr *persist.SlotTracker, rec wal.Record) {
+	switch rec.Op {
+	case wal.OpInsert:
+		tr.MarkInsert(int(rec.ID))
+	case wal.OpDelete:
+		tr.MarkDelete(int(rec.ID))
+	case wal.OpUpdate:
+		tr.MarkUpdate(int(rec.ID))
+	}
+}

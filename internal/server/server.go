@@ -561,14 +561,7 @@ func recoverWAL(walDir string, fromSeq uint64, sh *shard.Sharded, tr *persist.Sl
 		if err := sh.Apply(rec); err != nil {
 			return err
 		}
-		switch rec.Op {
-		case wal.OpInsert:
-			tr.MarkInsert(int(rec.ID))
-		case wal.OpDelete:
-			tr.MarkDelete(int(rec.ID))
-		case wal.OpUpdate:
-			tr.MarkUpdate(int(rec.ID))
-		}
+		markDirty(tr, rec)
 		return nil
 	})
 	if err != nil {
