@@ -29,9 +29,9 @@
 // — it adds nothing to DistanceCalls; its scratch is a []uint16 accumulator
 // of 2 bytes per indexed ranking in each pooled searcher, allocated on the
 // searcher's first KNN. Everything else (coarse, blocked, M-/VP-tree, a
-// hybrid forced onto adaptsearch or built over zero live rankings) takes the
-// generic reduction knn.Expanding: range searches at a doubling radius, whose
-// distance evaluations count as usual.
+// hybrid forced onto adaptsearch) takes the generic reduction knn.Expanding:
+// range searches at a doubling radius, whose distance evaluations count as
+// usual.
 package topk
 
 import (
@@ -91,21 +91,38 @@ type exactKNN interface {
 	nearestRaw(q Ranking, n int, ext []ID, ev *metric.Evaluator) (res []Result, ok bool, err error)
 }
 
+// checkQuery is the query contract every backend enforces — the index's
+// ranking size, no repeated item — for callers that cannot leave it to a
+// structure. k is 0 for an index built over zero live rankings (an
+// all-tombstone shard) until its first insert: any size is then answered,
+// with nothing.
+func checkQuery(q Ranking, k int) error {
+	if k != 0 && q.K() != k {
+		return fmt.Errorf("topk: query size %d, index size %d: %w",
+			q.K(), k, ranking.ErrSizeMismatch)
+	}
+	return q.Validate()
+}
+
 // nearestBackend runs the public NearestNeighbors contract over a physical
 // backend: validation, the backend's native exact KNN or — for backends
 // without one — the expanding-radius reduction over its range search, DFC
-// accounting and external-id remapping. space is the size of the backend's
-// internal id space and dead its tombstone predicate (nil: no holes), which
-// the reduction's dmax backfill walks; ids is nil for kinds whose internal
-// ids are the public ones. The caller holds whatever lock its kind requires.
-func nearestBackend(b planner.Backend, ids *idmap, calls *atomic.Uint64, space int, dead func(ID) bool, k int, q Ranking, n int) ([]Result, error) {
-	// k is 0 for an index built over zero live rankings (an all-tombstone
-	// shard) until its first insert: any query is answered, with nothing.
-	if k != 0 && q.K() != k {
-		return nil, fmt.Errorf("topk: query size %d, index size %d: %w",
-			q.K(), k, ranking.ErrSizeMismatch)
+// accounting and external-id remapping. core is the mutation core of a
+// mutable kind — its id map, and the size and tombstone predicate of the
+// internal id space the reduction's dmax backfill walks — and nil for kinds
+// whose internal ids are the public ones. The caller holds whatever lock its
+// kind requires.
+func nearestBackend(b planner.Backend, core *mutationCore, calls *atomic.Uint64, q Ranking, n int) ([]Result, error) {
+	k, space := b.K(), b.Len()
+	var (
+		ids  *idmap
+		dead func(ID) bool
+	)
+	if core != nil {
+		k, space = core.k, core.inner.Len()
+		ids, dead = &core.ids, core.inner.Deleted
 	}
-	if err := q.Validate(); err != nil {
+	if err := checkQuery(q, k); err != nil {
 		return nil, err
 	}
 	ev := metric.New(nil)

@@ -58,11 +58,13 @@ const defaultFootruleNanos = 60.0
 // KNN queries go to the inverted backend's native single-pass algorithm
 // instead (see NearestNeighbors).
 //
-// The collection is fully mutable (HybridIndex implements MutableIndex):
-// the inverted backend absorbs every mutation in place through its tombstone
-// machinery, while the static adaptsearch backend answers over its build-time
-// base region plus an append-only delta overlay that each of its queries
-// merges by linear scan — both keep returning byte-identical results. Once
+// The collection is fully mutable (HybridIndex implements MutableIndex)
+// through the package's one mutation core (mutate.go), run over the inverted
+// index: it absorbs every mutation in place and owns the epoch's internal id
+// space, while the static adaptsearch backend answers over its build-time
+// base region plus the inverted index's tail — the append-only delta overlay
+// each of its queries merges by linear scan, filtering through the inverted
+// index's tombstones — so both keep returning byte-identical results. Once
 // the overlay exceeds a configurable fraction of the collection
 // (WithHybridDeltaRatio), a background epoch rebuild folds the delta and
 // all tombstones back into both backends and re-seeds the planner's priors;
@@ -97,27 +99,16 @@ type HybridIndex struct {
 	spillErr       error
 }
 
-// hybridEpoch is the physical state of one hybrid build: both backends
-// constructed over the dense base region, plus the mutation overlay
-// (append-only delta region and tombstone bitmap) layered on top of the
-// static one. An epoch's internal id space is base followed by delta; the
-// inverted index maintains exactly the same id space inside its own
-// structure by replaying every insert append-for-append.
+// hybridEpoch is the physical state of one hybrid build: the mutation core
+// over the inverted index — which owns the epoch's internal id space, every
+// ranking and every tombstone in it — beside the static adaptsearch sidecar
+// built over the same base region, which reads the inverted index's tail as
+// its delta overlay.
 type hybridEpoch struct {
-	ids  idmap
-	base []Ranking // dense live rankings at build; adaptsearch indexes exactly this
-	k    int
-
-	delta     []Ranking // inserts (and update replacements) since build
-	dead      []bool    // tombstones over the internal id space base+delta
-	deadBase  int
-	deadDelta int
+	mutationCore // inner is inv
+	inv          *epochInv
 
 	backends [2]planner.Backend // in HybridBackends order
-	// inv is the index behind backends[hybridInverted]: the one structure that
-	// absorbs mutations in place. nil in an epoch built over zero live
-	// rankings, whose two backends are both the overlay over an empty base.
-	inv *invindex.Index
 
 	footruleNanos float64 // calibrated cost of one delta-scan distance call
 
@@ -127,6 +118,30 @@ type hybridEpoch struct {
 	spillBytes int
 	spillErr   error
 }
+
+// epochInv is an epoch's inverted index plus the two facts the sidecar's
+// overlay needs about it: ids below base are the dense build-time region
+// adaptsearch indexes (everything after is delta), and deadBase of them are
+// tombstoned and must be filtered from its answers.
+type epochInv struct {
+	*invindex.Index
+	base     int
+	deadBase int
+}
+
+func (e *epochInv) Delete(id ID) error {
+	if err := e.Index.Delete(id); err != nil {
+		return err
+	}
+	if int(id) < e.base {
+		e.deadBase++
+	}
+	return nil
+}
+
+// delta is the append-only region behind the base: inserts and update
+// replacements since the build, tombstoned ones included.
+func (e *epochInv) delta() []Ranking { return e.Rankings()[e.base:] }
 
 // HybridOption configures NewHybridIndex.
 type HybridOption func(*hybridConfig)
@@ -231,7 +246,7 @@ func newHybridFromSlots(slots []Ranking, opts []HybridOption) (*HybridIndex, err
 		}
 	}
 	if cfg.calibrate > 0 {
-		if err := h.Calibrate(sampleQueries(ep.base, cfg.calibrate), nil); err != nil {
+		if err := h.Calibrate(sampleQueries(ep.inv.Rankings(), cfg.calibrate), nil); err != nil {
 			return nil, err
 		}
 	}
@@ -241,36 +256,19 @@ func newHybridFromSlots(slots []Ranking, opts []HybridOption) (*HybridIndex, err
 // buildEpoch constructs one full epoch — id map, both backends, overlay
 // wiring — from an external-id slot array, and returns the cost-model prior
 // curves, in HybridBackends order, for (re-)seeding the planner; nil (flat
-// priors) when no model could be fitted.
+// priors) when no model could be fitted. Zero live rankings — an
+// all-tombstone shard of a churned snapshot, legal for every mutable kind —
+// build two empty structures: k is defined by the first insert, which the
+// inverted index absorbs and the sidecar sees as delta.
 func buildEpoch(slots []Ranking, cfg hybridConfig) (*hybridEpoch, [][]float64, error) {
 	m, live := newSlotsIDMap(slots)
 	// Flatten the live collection once into a single k-strided arena: the
 	// inverted index reads the store directly (batched kernel validation
-	// against contiguous memory), and ep.base holds its views, so the epoch
+	// against contiguous memory) and adaptsearch its views, so the epoch
 	// carries one copy of the ranking payload. With WithHybridSpill the arena
 	// lives in an mmapped paged-v3 temp file instead of the heap.
 	st, spillBytes, spillErr := epochStore(live, cfg.spillDir)
 	live = st.Views()
-	ep := &hybridEpoch{
-		ids:           m,
-		base:          live,
-		dead:          make([]bool, len(live)),
-		spillBytes:    spillBytes,
-		spillErr:      spillErr,
-		footruleNanos: defaultFootruleNanos,
-	}
-	if len(live) == 0 {
-		// Zero live rankings — an all-tombstone shard of a churned snapshot,
-		// legal for every mutable kind. There is nothing to build physical
-		// structures over: both backends are the delta overlay over an empty
-		// base (k is defined by the first insert), and the fold after the
-		// first mutations constructs the real structures.
-		for i, name := range HybridBackends {
-			ep.backends[i] = overlayBackend{inner: emptyBackend{name: name, ep: ep}, ep: ep}
-		}
-		return ep, nil, nil
-	}
-	ep.k = live[0].K()
 
 	// The two structures share nothing but the read-only store: build the
 	// inverted index beside adaptsearch.
@@ -292,7 +290,13 @@ func buildEpoch(slots []Ranking, cfg hybridConfig) (*hybridEpoch, [][]float64, e
 	if adErr != nil {
 		return nil, nil, fmt.Errorf("topk: hybrid backend %q: %w", planner.BackendAdaptSearch, adErr)
 	}
-	ep.inv = inv
+	ep := &hybridEpoch{
+		inv:           &epochInv{Index: inv, base: len(live)},
+		spillBytes:    spillBytes,
+		spillErr:      spillErr,
+		footruleNanos: defaultFootruleNanos,
+	}
+	ep.mutationCore = mutationCore{ids: m, k: inv.K(), inner: ep.inv}
 	ep.backends[hybridInverted] = invBackend{idx: inv, pool: invindex.NewPool(inv), alg: FilterValidateDrop}
 	ep.backends[hybridAdaptSearch] = overlayBackend{
 		inner: adaptBackend{idx: ad, pool: adaptsearch.NewPool(ad)}, ep: ep}
@@ -406,39 +410,17 @@ func sampleQueries(live []Ranking, n int) []Ranking {
 // Delta overlay
 // ---------------------------------------------------------------------------
 
-// emptyBackend stands in for a physical structure in an epoch built over
-// zero live rankings: it answers nothing itself — the wrapping
-// overlayBackend contributes whatever the delta region holds — but keeps
-// the query-validation contract of the real backends.
-type emptyBackend struct {
-	name string
-	ep   *hybridEpoch
-}
-
-func (b emptyBackend) Name() string { return b.name }
-func (b emptyBackend) Len() int     { return 0 }
-func (b emptyBackend) K() int       { return b.ep.k }
-
-func (b emptyBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([]Result, error) {
-	if k := b.ep.k; k != 0 && q.K() != k {
-		return nil, fmt.Errorf("topk: query size %d, index size %d: %w",
-			q.K(), k, ranking.ErrSizeMismatch)
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	return nil, nil
-}
-
-// overlayBackend layers the epoch's mutation overlay over a static backend
-// (adaptsearch; both names in a zero-live epoch): the inner answer covers the
-// base region and is filtered through the tombstone bitmap, then the delta
-// region is scanned linearly with the same filtering. Delta internal ids all
-// exceed base ids, so appending the scan keeps the id-sorted order SearchRaw
-// guarantees, and the scan compares d ≤ rawTheta against the same clamped
-// radius the inverted backend sees — results stay byte-identical across both.
+// overlayBackend layers the epoch's mutation overlay over the static
+// adaptsearch sidecar: the inner answer covers the base region and is
+// filtered through the inverted index's tombstones, then the delta region —
+// the inverted index's rankings past the base — is scanned linearly with the
+// same filtering. Delta internal ids all exceed base ids, so appending the
+// scan keeps the id-sorted order SearchRaw guarantees, and the scan compares
+// d ≤ rawTheta against the same clamped radius the inverted backend sees —
+// results stay byte-identical across both. An un-mutated epoch pays two
+// integer compares.
 type overlayBackend struct {
-	inner planner.Backend
+	inner adaptBackend
 	ep    *hybridEpoch
 }
 
@@ -451,25 +433,25 @@ func (b overlayBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator)
 	if err != nil {
 		return nil, err
 	}
-	ep := b.ep
-	if ep.deadBase > 0 {
+	inv := b.ep.inv
+	if inv.deadBase > 0 {
 		kept := res[:0]
 		for _, r := range res {
-			if !ep.dead[r.ID] {
+			if !inv.Deleted(r.ID) {
 				kept = append(kept, r)
 			}
 		}
 		res = kept
 	}
-	if len(ep.delta) > 0 {
+	if delta := inv.delta(); len(delta) > 0 {
 		// Scan the delta through a pooled compiled kernel: one DFC per
 		// non-tombstoned entry.
 		kern := overlayKernels.Get().(*kernel.Kernel)
 		kern.Compile(q)
 		scanned := uint64(0)
-		for i, r := range ep.delta {
-			intID := ID(len(ep.base) + i)
-			if ep.dead[intID] {
+		for i, r := range delta {
+			intID := ID(inv.base + i)
+			if inv.Deleted(intID) {
 				continue
 			}
 			scanned++
@@ -490,33 +472,28 @@ func (b overlayBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator)
 // live on a per-searcher struct the way the backend kernels do.
 var overlayKernels = sync.Pool{New: func() any { return kernel.New() }}
 
-// n is the size of the epoch's internal id space (base plus delta,
-// including tombstoned entries).
-func (ep *hybridEpoch) n() int { return len(ep.base) + len(ep.delta) }
-
-// isDead is the tombstone predicate over the epoch's internal id space.
-func (ep *hybridEpoch) isDead(id ID) bool { return ep.dead[id] }
-
-// ranking resolves an internal id to its ranking, across both regions.
-func (ep *hybridEpoch) ranking(id ID) Ranking {
-	if int(id) < len(ep.base) {
-		return ep.base[id]
+// search runs one backend at a raw threshold. A structure over an empty
+// region answers nothing and checks nothing, so an epoch built over zero live
+// rankings enforces the query contract here, for both routes.
+func (ep *hybridEpoch) search(bi int, q Ranking, rawTheta int, ev *metric.Evaluator) ([]Result, error) {
+	if ep.inv.base == 0 {
+		if err := checkQuery(q, ep.k); err != nil {
+			return nil, err
+		}
 	}
-	return ep.delta[int(id)-len(ep.base)]
+	return ep.backends[bi].SearchRaw(q, rawTheta, ev)
 }
-
-// slots materializes the external-id slot view of the epoch.
-func (ep *hybridEpoch) slots() []Ranking { return ep.ids.slots(ep.ranking) }
 
 // overlayFraction is the share of the internal id space the overlay must
 // touch per adaptsearch query: delta entries are linearly scanned and dead
 // base slots filtered from every answer.
 func (ep *hybridEpoch) overlayFraction() float64 {
-	n := ep.n()
+	inv := ep.inv
+	n := inv.Len()
 	if n == 0 {
 		return 0
 	}
-	return float64(len(ep.delta)+ep.deadBase) / float64(n)
+	return float64(n-inv.base+inv.deadBase) / float64(n)
 }
 
 // ---------------------------------------------------------------------------
@@ -547,7 +524,7 @@ func (h *HybridIndex) SearchTraced(q Ranking, theta float64) ([]Result, string, 
 	// Clamped so the answer at θ = 1 is the same whichever backend the
 	// planner picks (the overlay's linear scan would otherwise also see the
 	// zero-overlap rankings at distance exactly dmax).
-	res, err := ep.backends[bi].SearchRaw(q, clampRawTheta(ranking.RawThreshold(theta, ep.k), ep.k), ev)
+	res, err := ep.search(bi, q, clampRawTheta(ranking.RawThreshold(theta, ep.k), ep.k), ev)
 	if err != nil {
 		return nil, "", 0, err
 	}
@@ -562,14 +539,12 @@ func (h *HybridIndex) SearchTraced(q Ranking, theta float64) ([]Result, string, 
 // unless adaptsearch is forced it is answered by the inverted backend's
 // native single-pass KNN (invindex.Searcher.NearestNeighbors) — one walk over
 // the query's posting lists that derives every overlapping ranking's exact
-// distance from the posting ranks. The inverted backend mirrors the epoch's
-// id space insert for insert and tombstones in place, so deltas and deletes
-// need no overlay scan, and the selection breaks distance ties by external id
-// directly. Like ListMerge, the native path evaluates no distance function
-// and adds nothing to DistanceCalls. A forced adaptsearch — and either name
-// in an epoch built over zero live rankings — answers through the
-// expanding-radius reduction (knn.Expanding) over the overlay-merged range
-// search.
+// distance from the posting ranks. The inverted index owns the epoch's id
+// space and tombstones in place, so deltas and deletes need no overlay scan,
+// and the selection breaks distance ties by external id directly. Like
+// ListMerge, the native path evaluates no distance function and adds nothing
+// to DistanceCalls. A forced adaptsearch answers through the expanding-radius
+// reduction (knn.Expanding) over the overlay-merged range search.
 func (h *HybridIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
 	res, _, _, err := h.NearestNeighborsTraced(q, n)
 	return res, err
@@ -589,7 +564,7 @@ func (h *HybridIndex) NearestNeighborsTraced(q Ranking, n int) ([]Result, string
 	ep := h.ep
 	bi := h.pl.Route(hybridInverted, 0)
 	var calls atomic.Uint64
-	res, err := nearestBackend(ep.backends[bi], &ep.ids, &calls, ep.n(), ep.isDead, ep.k, q, n)
+	res, err := nearestBackend(ep.backends[bi], &ep.mutationCore, &calls, q, n)
 	h.calls.Add(calls.Load())
 	if err != nil {
 		return nil, "", 0, err
@@ -616,7 +591,7 @@ func (h *HybridIndex) Calibrate(queries []Ranking, thetas []float64) error {
 			for _, q := range queries {
 				ev := metric.New(nil)
 				start := time.Now()
-				if _, err := b.SearchRaw(q, raw, ev); err != nil {
+				if _, err := ep.search(bi, q, raw, ev); err != nil {
 					return fmt.Errorf("topk: calibrate %s: %w", b.Name(), err)
 				}
 				h.pl.Observe(bi, bucket, float64(time.Since(start).Nanoseconds()), ev.Calls())
@@ -700,7 +675,7 @@ func (h *HybridIndex) DistanceCalls() uint64 { return h.calls.Load() }
 func (h *HybridIndex) DeltaLen() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return len(h.ep.delta)
+	return len(h.ep.inv.delta())
 }
 
 // Tombstones reports how many tombstoned rankings are awaiting the next
@@ -708,7 +683,7 @@ func (h *HybridIndex) DeltaLen() int {
 func (h *HybridIndex) Tombstones() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.ep.deadBase + h.ep.deadDelta
+	return h.ep.inv.Dead()
 }
 
 // SpillBytes reports the size of the mmapped paged arena backing the current

@@ -99,6 +99,60 @@ func TestHybridMutableDifferential(t *testing.T) {
 	difftest.CheckSearch(t, "hybrid(restored, mutated)", h2, o, rng, 10, 250)
 }
 
+// TestHybridZeroLiveEpoch covers an epoch built over zero live rankings: both
+// of its structures are real and empty, the first insert defines k, and every
+// mutation after it lands in the inverted index — which the adaptsearch
+// sidecar reads as delta. Both forced routes and KNN must match the oracle
+// and keep rejecting malformed queries; the inverted route answers KNN
+// natively (no distance calls), like in every other epoch.
+func TestHybridZeroLiveEpoch(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	slots := make([]Ranking, 4)
+	o := difftest.NewOracle(slots)
+	h, err := NewHybridIndexFromSlots(slots, WithHybridDeltaRatio(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := difftest.RandomRanking(rng, 6, 60)
+	id, err := h.Insert(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := o.Insert(first); id != want {
+		t.Fatalf("first insert id %d, oracle %d", id, want)
+	}
+	difftest.Mutate(t, "hybrid(zero-live)", h, o, rng, 200, 60)
+	if h.Rebuilds() != 0 || h.DeltaLen() == 0 || h.Tombstones() == 0 {
+		t.Fatalf("workload left rebuilds=%d delta=%d tombstones=%d",
+			h.Rebuilds(), h.DeltaLen(), h.Tombstones())
+	}
+	dup := first.Clone()
+	dup[1] = dup[0]
+	for _, name := range h.Backends() {
+		if err := h.Force(name); err != nil {
+			t.Fatal(err)
+		}
+		before := h.DistanceCalls()
+		difftest.CheckSearch(t, "zero-live(forced="+name+")", h, o, rng, 10, 60)
+		mid := h.DistanceCalls()
+		checkHybridKNN(t, "zero-live knn(forced="+name+")", h, o, rng, 60)
+		if mid == before {
+			t.Fatalf("forced=%s: range search counted no distance calls", name)
+		}
+		if native := name == "inverted"; native != (h.DistanceCalls() == mid) {
+			t.Fatalf("forced=%s: KNN moved DistanceCalls %d → %d", name, mid, h.DistanceCalls())
+		}
+		for what, q := range map[string]Ranking{"wrong-size": first[:5], "duplicate-item": dup} {
+			if _, err := h.Search(q, 0.2); err == nil {
+				t.Fatalf("forced=%s: %s range query accepted", name, what)
+			}
+			if _, err := h.NearestNeighbors(q, 3); err == nil {
+				t.Fatalf("forced=%s: %s KNN query accepted", name, what)
+			}
+		}
+	}
+}
+
 // TestHybridBackgroundRebuild drives the automatic background fold: a small
 // delta ratio, a mutation burst, and the engine must install a rebuilt
 // epoch on its own — including mutations that raced the fold — while

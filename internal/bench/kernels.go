@@ -12,6 +12,7 @@ import (
 	"topk/internal/invindex"
 	"topk/internal/kernel"
 	"topk/internal/knn"
+	"topk/internal/metric"
 	"topk/internal/ranking"
 )
 
@@ -57,7 +58,8 @@ var kernelSink int
 //	collect           merging the query's k posting lists into a stamped
 //	                  candidate buffer (the CSR-backed filter phase)
 //
-// followed by the exact-KNN pair of knnRecords (knn-native, knn-expanding).
+// followed by the whole-query rows of searcherRecords (knn-native,
+// knn-expanding, fv-drop).
 func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 	var recs []KernelRecord
 	maxN := slices.Max(ns)
@@ -166,11 +168,11 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 		}
 	}
 
-	knnRecs, err := knnRecords([]int{10, 25}, []int{4000, 20000})
+	searcherRecs, err := searcherRecords([]int{10, 25}, []int{4000, 20000})
 	if err != nil {
 		return nil, Table{}, err
 	}
-	recs = append(recs, knnRecs...)
+	recs = append(recs, searcherRecs...)
 
 	t := Table{
 		Title:   "Distance-kernel microbenchmarks (NYT-like)",
@@ -179,6 +181,7 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 			fmt.Sprintf("ns/op is the median of %d runs, min and max their spread", kernelRuns),
 			"validate-* rows measure one full n-candidate validation pass per op",
 			"knn-* rows measure one exact 10-nearest-neighbor query over an n-ranking inverted index per op",
+			"fv-drop rows measure one F&V+Drop range query at θ = 0.2 over the same index per op",
 			"the CI gate compares ns/op and the spreads against the committed BENCH_kernels.json",
 		},
 	}
@@ -211,17 +214,19 @@ func (r rangeOverInverted) Query(q ranking.Ranking, raw int) ([]ranking.Result, 
 func (r rangeOverInverted) Len() int { return r.s.Index().Len() }
 func (r rangeOverInverted) K() int   { return r.s.Index().K() }
 
-// knnRecords measures one exact 10-nearest-neighbor query over an n-ranking
-// NYT-like inverted index, by k and n, on one reused searcher:
+// searcherRecords measures whole queries over an n-ranking NYT-like inverted
+// index, by k and n, on one reused searcher:
 //
 //	knn-native     invindex.Searcher.NearestNeighbors — one accumulate-and-
-//	               select pass over the query's posting lists
+//	               select pass over the query's posting lists, 10 neighbors
 //	knn-expanding  knn.Expanding over the same searcher's F&V+Drop range
 //	               search — the doubling-radius reduction it replaced
+//	fv-drop        FilterValidateDrop at θ = 0.2 — the hybrid's default range
+//	               route
 //
-// The native row must allocate nothing but the result slice it returns;
-// more than one allocation per op is reported as an error.
-func knnRecords(ks, ns []int) ([]KernelRecord, error) {
+// The knn-native and fv-drop rows must allocate nothing but the result slice
+// they return; more than one allocation per op is reported as an error.
+func searcherRecords(ks, ns []int) ([]KernelRecord, error) {
 	var recs []KernelRecord
 	for _, k := range ks {
 		for _, n := range ns {
@@ -260,13 +265,26 @@ func knnRecords(ks, ns []int) ([]KernelRecord, error) {
 					kernelSink += len(res)
 				}
 			})
+			ev := metric.New(nil)
+			drop := measure(fmt.Sprintf("fv-drop/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := s.FilterValidateDrop(queries[i%len(queries)], ranking.MaxDistance(k)/5, ev, invindex.DropSafe)
+					if err != nil {
+						benchErr = err
+					}
+					kernelSink += len(res)
+				}
+			})
 			if benchErr != nil {
 				return nil, benchErr
 			}
-			if native.AllocsPerOp > 1 {
-				return nil, fmt.Errorf("%s: %d allocs/op, want only the returned slice", native.Name, native.AllocsPerOp)
+			for _, r := range []KernelRecord{native, drop} {
+				if r.AllocsPerOp > 1 {
+					return nil, fmt.Errorf("%s: %d allocs/op, want only the returned slice", r.Name, r.AllocsPerOp)
+				}
 			}
-			recs = append(recs, native, expanding)
+			recs = append(recs, native, expanding, drop)
 		}
 	}
 	return recs, nil

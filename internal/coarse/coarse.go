@@ -242,10 +242,6 @@ func (idx *Index) ThetaC() int { return idx.thetaC }
 // Strategy returns the partitioning strategy used.
 func (idx *Index) Strategy() PartitionStrategy { return idx.strategy }
 
-// MedoidIndex exposes the inverted index over medoids (for size accounting
-// and statistics).
-func (idx *Index) MedoidIndex() *invindex.Index { return idx.medoidIdx }
-
 // PartitionSizes returns the size of every partition.
 func (idx *Index) PartitionSizes() []int {
 	sizes := make([]int, len(idx.clusters))

@@ -31,6 +31,7 @@
 package invindex
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -198,7 +199,9 @@ func (idx *Index) Deleted(id ranking.ID) bool {
 // Ranking returns the indexed ranking with the given id.
 func (idx *Index) Ranking(id ranking.ID) ranking.Ranking { return idx.rankings[id] }
 
-// Rankings exposes the backing collection (shared, not copied).
+// Rankings exposes the backing collection (shared, not copied), indexed by
+// id: the build-time rankings, then every ranking inserted since — the tail a
+// hybrid epoch's adaptsearch sidecar scans as its delta.
 func (idx *Index) Rankings() []ranking.Ranking { return idx.rankings }
 
 // List returns the posting list for an item (nil if the item is unseen).
@@ -250,10 +253,13 @@ type Searcher struct {
 	res   []ranking.Result
 	// Per-ranking gain accumulator of accumulate (ListMerge and
 	// NearestNeighbors): all zero between queries, allocated on first use
-	// (2 bytes per indexed ranking). items is NearestNeighbors' sorted query
-	// copy for the duplicate check.
+	// (2 bytes per indexed ranking). items is checkQuery's sorted query copy
+	// for the duplicate check.
 	acc   []uint16
 	items []ranking.Item
+	// chooseKeptLists' position and list-length buffers (k entries each).
+	kept []int
+	lens []int
 }
 
 // NewSearcher creates a searcher bound to idx.
@@ -409,8 +415,10 @@ func (s *Searcher) FilterValidateDrop(q ranking.Ranking, rawTheta int, ev *metri
 }
 
 // chooseKeptLists returns the query positions whose index lists must be
-// read. Drops the longest lists first; under DropAggressive it enforces the
-// Lemma 2 positional condition.
+// read, ascending. Drops the longest lists first; under DropAggressive it
+// enforces the Lemma 2 positional condition. The result aliases searcher
+// scratch and is valid until the next call, so choosing lists allocates
+// nothing.
 func (s *Searcher) chooseKeptLists(q ranking.Ranking, rawTheta int, mode DropMode) []int {
 	k := len(q)
 	omega := ranking.RequiredOverlap(rawTheta, k)
@@ -418,57 +426,46 @@ func (s *Searcher) chooseKeptLists(q ranking.Ranking, rawTheta int, mode DropMod
 	if mode == DropAggressive {
 		drop = omega
 	}
+	pos := s.kept[:0]
+	for i := range q {
+		pos = append(pos, i)
+	}
+	s.kept = pos
 	if drop <= 0 {
-		all := make([]int, k)
-		for i := range all {
-			all[i] = i
-		}
-		return all
+		return pos
 	}
 	if drop >= k {
 		drop = k - 1 // always read at least one list
 	}
-	// Order positions by list length descending; keep the shortest k−drop.
-	pos := make([]int, k)
-	for i := range pos {
-		pos[i] = i
+	// Order positions by list length descending, ties by position ascending
+	// (a stable sort of the ascending positions); keep the shortest k−drop.
+	s.lens = s.lens[:0]
+	for _, item := range q {
+		s.lens = append(s.lens, len(s.idx.lists[item]))
 	}
-	sort.Slice(pos, func(a, b int) bool {
-		la := len(s.idx.lists[q[pos[a]]])
-		lb := len(s.idx.lists[q[pos[b]]])
-		if la != lb {
-			return la > lb
-		}
-		return pos[a] < pos[b]
-	})
+	lens := s.lens
+	slices.SortStableFunc(pos, func(a, b int) int { return cmp.Compare(lens[b], lens[a]) })
 	kept := pos[drop:]
-	if mode == DropAggressive {
+	if mode == DropAggressive && omega > 0 {
 		// Positional condition: at least one kept list from a top-ω query
-		// position. If violated, swap the longest kept candidate for the
-		// shortest top-ω list.
+		// position. If violated, the shortest top-ω list replaces the longest
+		// kept one (kept is sorted by length descending, so kept[0]).
 		hasTop := false
 		for _, p := range kept {
-			if p < omega {
-				hasTop = true
-				break
-			}
+			hasTop = hasTop || p < omega
 		}
-		if !hasTop && omega > 0 {
-			bestTop, bestLen := -1, int(^uint(0)>>1)
-			for p := 0; p < omega; p++ {
-				if l := len(s.idx.lists[q[p]]); l < bestLen {
-					bestTop, bestLen = p, l
+		if !hasTop {
+			bestTop := 0
+			for p := 1; p < omega; p++ {
+				if lens[p] < lens[bestTop] {
+					bestTop = p
 				}
 			}
-			// Replace the longest kept list (kept is sorted by length
-			// descending, so index 0 of kept).
-			kept = append([]int{bestTop}, kept[1:]...)
+			kept[0] = bestTop
 		}
 	}
-	out := make([]int, len(kept))
-	copy(out, kept)
-	sort.Ints(out)
-	return out
+	slices.Sort(kept)
+	return kept
 }
 
 // DroppedLists reports how many of the k index lists FilterValidateDrop
@@ -537,6 +534,11 @@ func (s *Searcher) ListMerge(q ranking.Ranking, rawTheta int, _ *metric.Evaluato
 	return out, nil
 }
 
+// checkQuery enforces the query contract — the index's ranking size, no
+// repeated item; anything goes while the index is empty — without allocating:
+// ranking.Validate builds a map past 16 items, so duplicates are looked for
+// in a sorted scratch copy and Validate runs only to word the error of a
+// query already known to be bad.
 func (s *Searcher) checkQuery(q ranking.Ranking) error {
 	if s.idx.Len() == 0 {
 		return nil
@@ -545,5 +547,12 @@ func (s *Searcher) checkQuery(q ranking.Ranking) error {
 		return fmt.Errorf("invindex: query size %d, index size %d: %w",
 			q.K(), s.idx.k, ranking.ErrSizeMismatch)
 	}
-	return q.Validate()
+	s.items = append(s.items[:0], q...)
+	slices.Sort(s.items)
+	for i := 1; i < len(s.items); i++ {
+		if s.items[i] == s.items[i-1] {
+			return q.Validate()
+		}
+	}
+	return nil
 }

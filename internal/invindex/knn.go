@@ -1,10 +1,6 @@
 package invindex
 
-import (
-	"slices"
-
-	"topk/internal/ranking"
-)
+import "topk/internal/ranking"
 
 // NearestNeighbors returns the n live rankings closest to q, ordered by
 // (distance, id), in one pass over the query's k posting lists — no range
@@ -30,7 +26,7 @@ import (
 // accumulator costs 2 bytes per indexed ranking per searcher, allocated on
 // the searcher's first accumulate and grown with the collection.
 func (s *Searcher) NearestNeighbors(q ranking.Ranking, n int, ext []ranking.ID) ([]ranking.Result, error) {
-	if err := s.checkQueryNoAlloc(q); err != nil {
+	if err := s.checkQuery(q); err != nil {
 		return nil, err
 	}
 	idx := s.idx
@@ -80,23 +76,6 @@ func (s *Searcher) NearestNeighbors(q ranking.Ranking, n int, ext []ranking.ID) 
 	}
 	s.res = sel.heap[:0]
 	return out, nil
-}
-
-// checkQueryNoAlloc is checkQuery for the KNN path, whose only allocation
-// may be the result: ranking.Validate builds a map past 16 items, so
-// duplicates are looked for in a sorted scratch copy instead, and checkQuery
-// runs only to word the error of a query already known to be bad.
-func (s *Searcher) checkQueryNoAlloc(q ranking.Ranking) error {
-	s.items = append(s.items[:0], q...)
-	slices.Sort(s.items)
-	bad := s.idx.Len() > 0 && q.K() != s.idx.k
-	for i := 1; i < len(s.items); i++ {
-		bad = bad || s.items[i] == s.items[i-1]
-	}
-	if bad {
-		return s.checkQuery(q)
-	}
-	return nil
 }
 
 // nnSelect keeps the n smallest (distance, id) pairs offered to it in a

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"topk/internal/difftest"
+	"topk/internal/metric"
 	"topk/internal/ranking"
 )
 
@@ -130,6 +131,32 @@ func TestNearestNeighborsAllocatesOnlyTheResult(t *testing.T) {
 		i := 0
 		allocs := testing.AllocsPerRun(50, func() {
 			if _, err := s.NearestNeighbors(rs[i%len(rs)], 10, nil); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs > 1 {
+			t.Errorf("k=%d: %.0f allocs per query, want 1 (the returned slice)", k, allocs)
+		}
+	}
+}
+
+// TestFilterValidateDropAllocatesOnlyTheResult holds the hybrid's default
+// range route to the same budget: list choice and query check run on searcher
+// scratch.
+func TestFilterValidateDropAllocatesOnlyTheResult(t *testing.T) {
+	for _, k := range []int{10, 25} {
+		rng := rand.New(rand.NewSource(2))
+		rs := difftest.RandomCollection(rng, 2000, k, 400)
+		idx, err := New(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSearcher(idx)
+		ev := metric.New(nil)
+		i := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := s.FilterValidateDrop(rs[i%len(rs)], ranking.MaxDistance(k)/5, ev, DropSafe); err != nil {
 				t.Fatal(err)
 			}
 			i++

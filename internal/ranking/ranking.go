@@ -257,10 +257,6 @@ func RawThreshold(theta float64, k int) int {
 	return raw
 }
 
-// MinDistanceNoOverlap returns L(k) = k*(k+1), the exact Footrule distance
-// of two disjoint rankings of size k (Section 6.1).
-func MinDistanceNoOverlap(k int) int { return MaxDistance(k) }
-
 // MinDistanceOverlap returns L(k, ω), the smallest possible Footrule
 // distance between two rankings of size k that share exactly ω items. The
 // minimum is attained when the ω shared items sit perfectly aligned at the

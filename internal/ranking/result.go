@@ -2,7 +2,7 @@ package ranking
 
 import (
 	"cmp"
-	"sort"
+	"slices"
 )
 
 // Result is a query answer: the id of a ranking whose raw Footrule distance
@@ -17,7 +17,7 @@ type Result struct {
 // set; sorting makes the sets directly comparable across algorithms and
 // deterministic for golden tests.
 func SortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].ID < rs[j].ID })
+	slices.SortFunc(rs, func(a, b Result) int { return cmp.Compare(a.ID, b.ID) })
 }
 
 // CompareNearest orders results by (distance, id) ascending — the order of
@@ -28,13 +28,4 @@ func CompareNearest(a, b Result) int {
 		return c
 	}
 	return cmp.Compare(a.ID, b.ID)
-}
-
-// ResultIDs projects the ids out of a result slice.
-func ResultIDs(rs []Result) []ID {
-	ids := make([]ID, len(rs))
-	for i, r := range rs {
-		ids[i] = r.ID
-	}
-	return ids
 }

@@ -475,6 +475,20 @@ func TestEmptyCollectionContract(t *testing.T) {
 	if ci := decodeInfo(t, rec.Body.Bytes()); ci.K != 3 || ci.N != 1 {
 		t.Fatalf("first insert did not define k: %+v", ci)
 	}
+
+	// Only a mutation that succeeds defines k: a rejected update of an
+	// unknown id must not pin its ranking's size on the collection.
+	for _, kind := range []string{"inverted", "coarse", "hybrid"} {
+		if rec := doJSON(t, h, http.MethodPut, "/collections/"+kind, map[string]any{"kind": kind}); rec.Code != http.StatusCreated {
+			t.Fatalf("create: %d %s", rec.Code, rec.Body)
+		}
+		if rec := post(t, h, "/c/"+kind+"/update", fmt.Sprintf(`{"id":0,"ranking":%s}`, seqRanking(4, 1))); rec.Code != http.StatusNotFound {
+			t.Fatalf("%s: update of unknown id: %d, want 404 (%s)", kind, rec.Code, rec.Body)
+		}
+		if rec := post(t, h, "/c/"+kind+"/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(5, 1))); rec.Code != http.StatusOK {
+			t.Fatalf("%s: insert after the failed update: %d, want 200 (%s)", kind, rec.Code, rec.Body)
+		}
+	}
 }
 
 // TestWALRankingSizeCap pins the durable-collection k bound: the WAL record

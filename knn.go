@@ -39,7 +39,7 @@ func (a rangeAdapter) Live(id ranking.ID) bool {
 // best-first BK-tree traversal for BKTree, and the expanding-radius
 // reduction otherwise (see treeBackend.nearestRaw).
 func (t *MetricTree) NearestNeighbors(q Ranking, n int) ([]Result, error) {
-	return nearestBackend(t.backend(), nil, &t.calls, len(t.rs), nil, t.k, q, n)
+	return nearestBackend(t.backend(), nil, &t.calls, q, n)
 }
 
 // rawSearch answers a raw-threshold range query with ev as the per-query
@@ -67,8 +67,7 @@ func (t *MetricTree) rawSearch(q Ranking, raw int, ev *metric.Evaluator) ([]Resu
 func (c *CoarseIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return nearestBackend(c.backend(), &c.ids, &c.calls,
-		c.idx.Len(), c.idx.Deleted, c.k, q, n)
+	return nearestBackend(c.backend(), &c.mutationCore, &c.calls, q, n)
 }
 
 // NearestNeighbors implements NearestNeighborSearcher with the inverted
@@ -80,12 +79,11 @@ func (c *CoarseIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
 func (ii *InvertedIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
 	ii.mu.RLock()
 	defer ii.mu.RUnlock()
-	return nearestBackend(ii.backend(), &ii.ids, &ii.calls,
-		ii.idx.Len(), ii.idx.Deleted, ii.k, q, n)
+	return nearestBackend(ii.backend(), &ii.mutationCore, &ii.calls, q, n)
 }
 
 // NearestNeighbors implements NearestNeighborSearcher via the
 // expanding-radius reduction over the blocked range search.
 func (b *BlockedIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
-	return nearestBackend(b.backend(), nil, &b.calls, b.idx.Len(), nil, b.k, q, n)
+	return nearestBackend(b.backend(), nil, &b.calls, q, n)
 }

@@ -1,36 +1,38 @@
-// Mutation support for the dynamic index kinds: Delete, Update and
+// Mutation support for the dynamic index kinds: Insert, Delete, Update and
 // tombstone compaction.
 //
 // The paper's structures assume a static collection, but its distance model
 // (Fagin et al.'s top-k lists) makes mutations natural: an updated ranking
 // is just a new list under the same ID, so delete + re-insert gives exact
-// update semantics without touching the distance machinery. The facade
-// implements that on top of two primitives of the inner indexes — append-only
-// Insert and tombstoning Delete — plus an id indirection:
+// update semantics without touching the distance machinery. That idea is
+// written down once, in mutationCore, on top of two primitives of an inner
+// index — append-only Insert and tombstoning Delete — plus an id indirection:
 //
 //   - External IDs (the ones Insert returns and Search reports) are stable
 //     for the lifetime of a ranking: Update keeps the ID, Delete retires it
 //     forever, and compaction never renumbers.
 //   - Internal IDs are the inner index's dense, append-only id space. An
-//     Update tombstones the old internal slot and appends a fresh one; both
+//     Update appends a fresh internal slot and tombstones the old one; both
 //     keep mapping to the same external ID.
+//   - The ranking size k is fixed by the collection, or — for an index built
+//     over zero live rankings — by the first Insert that succeeds.
 //
-// Tombstoned slots still occupy postings (inverted index) or tree nodes
-// (coarse partitions). Once their fraction of the inner id space crosses the
-// compaction ratio, the facade rebuilds the inner index over the survivors
-// in place — under the same write lock that serializes every mutation, so
-// concurrent Searches simply observe the index before or after. External
-// IDs are preserved across the rebuild.
+// InvertedIndex and CoarseIndex share one locked facade over the core
+// (mutable); a HybridIndex epoch embeds the same core over its inverted index
+// (hybrid_mutate.go). Tombstoned slots still occupy postings (inverted index)
+// or tree nodes (coarse partitions). Once their fraction of the inner id space
+// crosses the compaction ratio, the facade rebuilds the inner index over the
+// survivors in place — under the same write lock that serializes every
+// mutation, so concurrent Searches simply observe the index before or after.
+// External IDs are preserved across the rebuild.
 package topk
 
 import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
-	"topk/internal/coarse"
-	"topk/internal/invindex"
-	"topk/internal/metric"
 	"topk/internal/ranking"
 )
 
@@ -82,22 +84,6 @@ type idmap struct {
 	// compaction).
 	identity bool
 	inOrder  bool
-}
-
-// newIdentityIDMap covers a freshly built index: external = internal.
-func newIdentityIDMap(n int) idmap {
-	m := idmap{
-		ext2int:  make([]int32, n),
-		int2ext:  make([]ID, n),
-		live:     n,
-		identity: true,
-		inOrder:  true,
-	}
-	for i := 0; i < n; i++ {
-		m.ext2int[i] = int32(i)
-		m.int2ext[i] = ID(i)
-	}
-	return m
 }
 
 // newSlotsIDMap covers an index restored from an external-id slot array
@@ -186,219 +172,239 @@ func (m *idmap) remapNN(res []Result) {
 	}
 }
 
-// slots materializes the external-id slot view: slots[ext] is the live
-// ranking under ext, nil for retired ids. This is the unit of snapshot v2
-// (internal/persist) and of the FromSlots constructors.
-func (m *idmap) slots(get func(ID) Ranking) []Ranking {
-	out := make([]Ranking, len(m.ext2int))
-	for ext, v := range m.ext2int {
+// ---------------------------------------------------------------------------
+// The mutation core
+// ---------------------------------------------------------------------------
+
+// mutableInner is what the mutation core asks of the structure it maintains:
+// an append-only Insert over a dense internal id space, a tombstoning Delete,
+// and read access to both. invindex.Index satisfies it as is; coarse.Index
+// through coarseInner.
+type mutableInner interface {
+	Insert(r Ranking) (ID, error)
+	Delete(id ID) error
+	Ranking(id ID) Ranking
+	// Len is the size of the internal id space, tombstones included.
+	Len() int
+	Dead() int
+	Deleted(id ID) bool
+}
+
+// mutationCore is the one mutation state machine of the package: the id
+// indirection, the ranking size with its "first insert defines k" rule, and
+// Insert / Delete / Update over an inner structure. InvertedIndex and
+// CoarseIndex reach it through the locked facade below, a hybrid epoch embeds
+// it over its inverted index; the caller holds whatever lock guards it.
+type mutationCore struct {
+	ids idmap
+	// k is the ranking size; 0 while an index built over zero live rankings
+	// (an all-tombstone snapshot shard) waits for its first insert.
+	k     int
+	inner mutableInner
+}
+
+// checkRanking validates a mutation payload and returns the ranking size the
+// index has once the mutation commits: its own, or — with no size defined and
+// nothing live — the payload's.
+func (c *mutationCore) checkRanking(r Ranking, verb string) (int, error) {
+	k := c.k
+	if k == 0 && c.ids.live == 0 {
+		k = r.K()
+	}
+	if r.K() != k {
+		return 0, fmt.Errorf("topk: %s ranking has size %d, want %d: %w",
+			verb, r.K(), k, ranking.ErrSizeMismatch)
+	}
+	return k, r.Validate()
+}
+
+func (c *mutationCore) insert(r Ranking) (ID, error) {
+	k, err := c.checkRanking(r, "inserted")
+	if err != nil {
+		return 0, err
+	}
+	intID, err := c.inner.Insert(r)
+	if err != nil {
+		return 0, err
+	}
+	// Committed only now: a rejected first insert must not define the size.
+	c.k = k
+	return c.ids.insert(intID), nil
+}
+
+func (c *mutationCore) delete(ext ID) error {
+	intID, err := c.ids.lookup(ext)
+	if err != nil {
+		return err
+	}
+	if err := c.inner.Delete(intID); err != nil {
+		return err
+	}
+	c.ids.delete(ext)
+	return nil
+}
+
+// update appends the new version before it tombstones the old one, so a
+// rejected ranking leaves the index untouched; both internal slots map to the
+// same external id.
+func (c *mutationCore) update(ext ID, r Ranking) error {
+	if _, err := c.checkRanking(r, "updated"); err != nil {
+		return err
+	}
+	old, err := c.ids.lookup(ext)
+	if err != nil {
+		return err
+	}
+	newInt, err := c.inner.Insert(r)
+	if err != nil {
+		return err
+	}
+	c.ids.reassign(ext, newInt)
+	// Cannot fail for a slot lookup just resolved as live.
+	return c.inner.Delete(old)
+}
+
+// slots materializes the external-id slot view of the collection: slots[ext]
+// is the live ranking under ext, nil for retired ids. This is the unit of a
+// snapshot (internal/persist) and of the FromSlots constructors.
+func (c *mutationCore) slots() []Ranking {
+	out := make([]Ranking, len(c.ids.ext2int))
+	for ext, v := range c.ids.ext2int {
 		if v >= 0 {
-			out[ext] = get(ID(v))
+			out[ext] = c.inner.Ranking(ID(v))
 		}
 	}
 	return out
 }
 
 // ---------------------------------------------------------------------------
-// InvertedIndex mutations
+// The locked facade of InvertedIndex and CoarseIndex
 // ---------------------------------------------------------------------------
 
-// Delete removes the ranking with the given ID from the inverted index by
-// tombstoning it; its postings are skipped by every query algorithm until
-// the next compaction purges them. Delete briefly excludes concurrent
-// Search calls, exactly like Insert.
-func (ii *InvertedIndex) Delete(id ID) error {
-	ii.mu.Lock()
-	defer ii.mu.Unlock()
-	intID, err := ii.ids.lookup(id)
+// mutable is the mutation half of InvertedIndex and CoarseIndex: the core
+// behind the RWMutex that serializes writers against the kinds' concurrent
+// searches, plus synchronous tombstone compaction. The two kinds differ only
+// in rebuild and in the backend adapter their query methods construct.
+type mutable struct {
+	// mu is write-held by mutations (Insert/Delete/Update/Compact) only;
+	// Search proceeds concurrently under the read lock, drawing its scratch
+	// state from the kind's pool.
+	mu sync.RWMutex
+	mutationCore
+	// compactRatio is the tombstone fraction of the inner id space above
+	// which mutations trigger an automatic rebuild; ≤ 0 disables it.
+	compactRatio float64
+	// rebuild constructs the kind's inner structure over a dense collection
+	// of size-k rankings, installs it and its searcher pool in the kind's own
+	// fields, and returns it for the core.
+	rebuild func(live []Ranking, k int) (mutableInner, error)
+}
+
+// install (re)builds the inner structure over live and points the core at
+// it; on error nothing changes. k survives a rebuild over zero survivors.
+func (m *mutable) install(ids idmap, live []Ranking) error {
+	k := m.k
+	if len(live) > 0 {
+		k = live[0].K()
+	}
+	inner, err := m.rebuild(live, k)
 	if err != nil {
 		return err
 	}
-	if err := ii.idx.Delete(intID); err != nil {
+	m.ids, m.k, m.inner = ids, k, inner
+	return nil
+}
+
+// Insert adds a ranking and returns its new, stable ID. On an index built
+// over zero live rankings the first successful Insert defines the ranking
+// size. Insert excludes concurrent Search calls for its (short) duration;
+// pooled searchers grow their scratch state lazily, so they stay valid
+// across it.
+func (m *mutable) Insert(r Ranking) (ID, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.insert(r)
+}
+
+// Delete removes the ranking with the given ID by tombstoning it: every
+// query skips it until the next compaction purges it. The ID is retired and
+// never reused. Returns ErrUnknownID for unassigned or deleted IDs.
+func (m *mutable) Delete(id ID) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.delete(id); err != nil {
 		return err
 	}
-	ii.ids.delete(id)
-	ii.maybeCompactLocked()
+	m.maybeCompactLocked()
 	return nil
 }
 
 // Update replaces the ranking stored under id, keeping the ID stable: the
-// old version is tombstoned and the new one appended to the inner index,
-// both mapped to the same external ID (delete + re-insert, the exact update
-// semantics of the Fagin et al. list model).
-func (ii *InvertedIndex) Update(id ID, r Ranking) error {
-	ii.mu.Lock()
-	defer ii.mu.Unlock()
-	if r.K() != ii.k {
-		return fmt.Errorf("topk: updated ranking has size %d, want %d: %w",
-			r.K(), ii.k, ranking.ErrSizeMismatch)
-	}
-	if err := r.Validate(); err != nil {
+// new version is appended to the inner index and the old one tombstoned, both
+// mapped to the same external ID (delete + re-insert, the exact update
+// semantics of the Fagin et al. list model). Returns ErrUnknownID for
+// unassigned or deleted IDs.
+func (m *mutable) Update(id ID, r Ranking) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.update(id, r); err != nil {
 		return err
 	}
-	intID, err := ii.ids.lookup(id)
-	if err != nil {
-		return err
-	}
-	if err := ii.idx.Delete(intID); err != nil {
-		return err
-	}
-	newInt, err := ii.idx.Insert(r)
-	if err != nil {
-		// Unreachable after the validation above; retire the id rather than
-		// leave it pointing at a tombstone.
-		ii.ids.delete(id)
-		return err
-	}
-	ii.ids.reassign(id, newInt)
-	ii.maybeCompactLocked()
+	m.maybeCompactLocked()
 	return nil
 }
 
-// Compact rebuilds the inverted index over the surviving rankings,
-// discarding all tombstoned postings. External IDs are preserved. Compact
-// runs automatically once the tombstone fraction of the inner id space
-// exceeds the compaction ratio; calling it explicitly is only needed to
-// reclaim memory eagerly.
-func (ii *InvertedIndex) Compact() error {
-	ii.mu.Lock()
-	defer ii.mu.Unlock()
-	return ii.compactLocked()
+// Compact rebuilds the index over the surviving rankings, discarding all
+// tombstones. External IDs are preserved. Compact runs automatically once
+// the tombstone fraction of the inner id space exceeds the compaction ratio;
+// calling it explicitly is only needed to reclaim memory eagerly.
+func (m *mutable) Compact() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.compactLocked()
 }
 
 // Tombstones reports how many tombstoned rankings are awaiting compaction.
-func (ii *InvertedIndex) Tombstones() int {
-	ii.mu.RLock()
-	defer ii.mu.RUnlock()
-	return ii.idx.Dead()
+func (m *mutable) Tombstones() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.inner.Dead()
 }
 
 // Slots returns the external-id slot view of the collection: slots[id] is
 // the live ranking under id, nil for deleted ids. Feed it to
-// persist.WritePagedTo for a snapshot and to NewInvertedIndexFromSlots
-// to restore.
-func (ii *InvertedIndex) Slots() []Ranking {
-	ii.mu.RLock()
-	defer ii.mu.RUnlock()
-	return ii.ids.slots(ii.idx.Ranking)
+// persist.WritePagedTo for a snapshot and to the kind's FromSlots
+// constructor to restore.
+func (m *mutable) Slots() []Ranking {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.slots()
 }
 
-func (ii *InvertedIndex) maybeCompactLocked() {
-	if ii.compactRatio <= 0 {
+// Len implements Index, counting live (non-deleted) rankings.
+func (m *mutable) Len() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.ids.live
+}
+
+// K implements Index. An index built over zero live rankings reports 0
+// until the first Insert defines the size.
+func (m *mutable) K() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return m.k
+}
+
+func (m *mutable) maybeCompactLocked() {
+	if m.compactRatio <= 0 {
 		return
 	}
-	if n := ii.idx.Len(); n > 0 && float64(ii.idx.Dead()) > ii.compactRatio*float64(n) {
-		ii.compactLocked()
+	if n := m.inner.Len(); n > 0 && float64(m.inner.Dead()) > m.compactRatio*float64(n) {
+		m.compactLocked()
 	}
 }
 
-func (ii *InvertedIndex) compactLocked() error {
-	m, live := newSlotsIDMap(ii.ids.slots(ii.idx.Ranking))
-	idx, err := invindex.New(live)
-	if err != nil {
-		return err
-	}
-	ii.idx, ii.pool, ii.ids = idx, invindex.NewPool(idx), m
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// CoarseIndex mutations
-// ---------------------------------------------------------------------------
-
-// Delete removes the ranking with the given ID from the coarse index by
-// tombstoning it. The ranking stays in its partition's BK-tree as a routing
-// object (and a deleted medoid keeps governing its partition — its distances
-// remain valid pivots), but queries no longer return it; the next compaction
-// rebuilds the partitioning over the survivors.
-func (c *CoarseIndex) Delete(id ID) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	intID, err := c.ids.lookup(id)
-	if err != nil {
-		return err
-	}
-	if err := c.idx.Delete(intID); err != nil {
-		return err
-	}
-	c.ids.delete(id)
-	c.maybeCompactLocked()
-	return nil
-}
-
-// Update replaces the ranking stored under id, keeping the ID stable. The
-// old version is tombstoned in its partition and the new one inserted along
-// the regular partition-joining path (Section 4.1 semantics), both mapped to
-// the same external ID.
-func (c *CoarseIndex) Update(id ID, r Ranking) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r.K() != c.k {
-		return fmt.Errorf("topk: updated ranking has size %d, want %d: %w",
-			r.K(), c.k, ranking.ErrSizeMismatch)
-	}
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	intID, err := c.ids.lookup(id)
-	if err != nil {
-		return err
-	}
-	if err := c.idx.Delete(intID); err != nil {
-		return err
-	}
-	newInt, err := c.idx.Insert(r, metric.New(nil))
-	if err != nil {
-		c.ids.delete(id)
-		return err
-	}
-	c.ids.reassign(id, newInt)
-	c.maybeCompactLocked()
-	return nil
-}
-
-// Compact rebuilds the coarse index — clustering, medoid inverted index and
-// partition trees — over the surviving rankings, discarding all tombstones.
-// External IDs are preserved. Runs automatically once the tombstone fraction
-// exceeds the compaction ratio.
-func (c *CoarseIndex) Compact() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.compactLocked()
-}
-
-// Tombstones reports how many tombstoned rankings are awaiting compaction.
-func (c *CoarseIndex) Tombstones() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.idx.Dead()
-}
-
-// Slots returns the external-id slot view of the collection: slots[id] is
-// the live ranking under id, nil for deleted ids. Feed it to
-// persist.WritePagedTo for a snapshot and to NewCoarseIndexFromSlots to
-// restore.
-func (c *CoarseIndex) Slots() []Ranking {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ids.slots(c.idx.Ranking)
-}
-
-func (c *CoarseIndex) maybeCompactLocked() {
-	if c.compactRatio <= 0 {
-		return
-	}
-	if n := c.idx.Len(); n > 0 && float64(c.idx.Dead()) > c.compactRatio*float64(n) {
-		c.compactLocked()
-	}
-}
-
-func (c *CoarseIndex) compactLocked() error {
-	m, live := newSlotsIDMap(c.ids.slots(c.idx.Ranking))
-	idx, err := coarse.New(live, ranking.RawThreshold(c.thetaC, c.k), c.copts)
-	if err != nil {
-		return err
-	}
-	c.idx, c.pool, c.ids = idx, coarse.NewPool(idx), m
-	return nil
+func (m *mutable) compactLocked() error {
+	return m.install(newSlotsIDMap(m.slots()))
 }

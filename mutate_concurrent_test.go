@@ -154,3 +154,48 @@ func slotsView(t *testing.T, idx mutable) []ranking.Ranking {
 		return nil
 	}
 }
+
+// TestKConcurrentWithFirstInsert reads K() while the first insert of an index
+// built over zero live rankings defines it — the one write K ever sees after
+// construction, and every request of a serving collection reads it. Under
+// -race an unlocked read is a reported data race.
+func TestKConcurrentWithFirstInsert(t *testing.T) {
+	kinds := map[string]func() (mutable, error){
+		"InvertedIndex": func() (mutable, error) { return topk.NewInvertedIndexFromSlots(make([]topk.Ranking, 3)) },
+		"CoarseIndex":   func() (mutable, error) { return topk.NewCoarseIndexFromSlots(make([]topk.Ranking, 3)) },
+	}
+	for name, build := range kinds {
+		t.Run(name, func(t *testing.T) {
+			idx, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			inserted := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						if k := idx.K(); k != 0 && k != 4 {
+							t.Errorf("K() = %d, want 0 or 4", k)
+						}
+						select {
+						case <-inserted:
+							return
+						default:
+						}
+					}
+				}()
+			}
+			if _, err := idx.Insert(topk.Ranking{1, 2, 3, 4}); err != nil {
+				t.Error(err)
+			}
+			close(inserted)
+			wg.Wait()
+			if idx.K() != 4 {
+				t.Fatalf("K() = %d after the first insert, want 4", idx.K())
+			}
+		})
+	}
+}

@@ -56,22 +56,22 @@ func mutableBuilders(autoCompact bool) map[string]mutableBuilder {
 	}
 	// The sharded wrapper over both mutable kinds: mutations route to the
 	// owning shard, inserts extend the last shard's id range.
-	for name, inner := range map[string]mutableBuilder{
-		"Sharded/InvertedIndex": m["InvertedIndex/Drop"],
-		"Sharded/CoarseIndex":   m["CoarseIndex"],
-	} {
-		inner := inner
-		m[name] = func(slots []Ranking) (difftest.Mutable, error) {
-			return shard.New(slots, 3, func(chunk []ranking.Ranking) (shard.Index, error) {
-				sub, err := inner(chunk)
-				if err != nil {
-					return nil, err
-				}
-				return sub.(shard.Index), nil
-			})
-		}
-	}
+	m["Sharded/InvertedIndex"] = shardedBuilder(m["InvertedIndex/Drop"])
+	m["Sharded/CoarseIndex"] = shardedBuilder(m["CoarseIndex"])
 	return m
+}
+
+// shardedBuilder wraps a kind's builder in a three-shard router.
+func shardedBuilder(inner mutableBuilder) mutableBuilder {
+	return func(slots []Ranking) (difftest.Mutable, error) {
+		return shard.New(slots, 3, func(chunk []ranking.Ranking) (shard.Index, error) {
+			sub, err := inner(chunk)
+			if err != nil {
+				return nil, err
+			}
+			return sub.(shard.Index), nil
+		})
+	}
 }
 
 const (
@@ -249,6 +249,55 @@ func TestMutationErrors(t *testing.T) {
 			}
 			difftest.CheckSearch(t, name, idx, o, rng, 5, diffDomain)
 		})
+	}
+}
+
+// TestFailedMutationDoesNotDefineK: on an index built over zero live rankings
+// the ranking size is defined by the first insert that succeeds. A rejected
+// insert or an update of a retired id must leave K() at 0, so that a valid
+// insert of any other size still goes through — on all three mutable kinds
+// and behind the sharded router.
+func TestFailedMutationDoesNotDefineK(t *testing.T) {
+	builders := mutableBuilders(false)
+	builders["HybridIndex"] = func(slots []Ranking) (difftest.Mutable, error) {
+		return NewHybridIndexFromSlots(slots, WithHybridDeltaRatio(0))
+	}
+	builders["Sharded/HybridIndex"] = shardedBuilder(builders["HybridIndex"])
+	failing := map[string]func(idx difftest.Mutable) error{
+		"Insert(duplicate item)": func(idx difftest.Mutable) error {
+			_, err := idx.Insert(Ranking{1, 1, 3, 4})
+			return err
+		},
+		"Update(retired id)": func(idx difftest.Mutable) error {
+			return idx.Update(0, Ranking{1, 2, 3, 4})
+		},
+	}
+	for name, build := range builders {
+		for op, fail := range failing {
+			t.Run(name+"/"+op, func(t *testing.T) {
+				idx, err := build(make([]Ranking, 6))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := fail(idx); err == nil {
+					t.Fatal("mutation accepted")
+				}
+				if idx.K() != 0 || idx.Len() != 0 {
+					t.Fatalf("failed mutation left K=%d Len=%d, want 0/0", idx.K(), idx.Len())
+				}
+				r := Ranking{10, 11, 12, 13, 14}
+				id, err := idx.Insert(r)
+				if err != nil {
+					t.Fatalf("valid insert after the failed mutation: %v", err)
+				}
+				if id != 6 || idx.K() != 5 {
+					t.Fatalf("id=%d K=%d after first insert, want 6/5", id, idx.K())
+				}
+				if res, err := idx.Search(r, 0); err != nil || len(res) != 1 || res[0].ID != id {
+					t.Fatalf("search for the inserted ranking: %v, %v", res, err)
+				}
+			})
+		}
 	}
 }
 

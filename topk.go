@@ -36,7 +36,6 @@ package topk
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"topk/internal/bktree"
@@ -116,7 +115,7 @@ func validateCollection(rankings []Ranking) (int, error) {
 // validateSlots checks an external-id slot array (nil = tombstone) and
 // returns the common ranking size and the live count. A zero live count is
 // legal — a shard of a heavily-deleted snapshot can be all tombstones — and
-// yields k = 0 until the first Insert defines the size.
+// yields k = 0 until the first successful Insert defines the size.
 func validateSlots(slots []Ranking) (k, live int, err error) {
 	for i, r := range slots {
 		if r == nil {
@@ -143,23 +142,34 @@ func validateSlots(slots []Ranking) (k, live int, err error) {
 // CoarseIndex is the paper's hybrid index: near-duplicate rankings are
 // grouped into partitions of radius θC around medoid rankings; only the
 // medoids live in an inverted index; partitions are validated by BK-trees.
+//
+// It is mutable through the shared facade (see mutable). Per Section 4.1's
+// clustering semantics an inserted ranking joins the first existing partition
+// whose medoid is within θC (found through the medoid inverted index with
+// Lemma 1's relaxation — a zero-radius query at threshold θC); otherwise it
+// becomes the medoid of a fresh singleton partition. The partition invariant
+// d(medoid, member) ≤ θC is preserved exactly, so all query-time guarantees
+// carry over; insert-time distance computations count toward the index's
+// construction cost (BuildDFC), not DistanceCalls. A deleted ranking stays in
+// its partition's BK-tree as a routing object (and a deleted medoid keeps
+// governing its partition — its distances remain valid pivots), but queries
+// no longer return it; compaction rebuilds clustering, medoid index and
+// partition trees over the survivors.
 type CoarseIndex struct {
-	// mu is write-held by mutations (Insert/Delete/Update/Compact) only;
-	// Search proceeds concurrently under the read lock, drawing its scratch
-	// state from pool.
-	mu     sync.RWMutex
+	mutable
 	idx    *coarse.Index
 	pool   *coarse.Pool
-	ids    idmap
 	calls  atomic.Uint64
-	k      int
 	drop   bool
 	thetaC float64
 	copts  coarse.Options
-	// compactRatio is the tombstone fraction of the inner id space above
-	// which mutations trigger an automatic rebuild; ≤ 0 disables it.
-	compactRatio float64
 }
+
+// coarseInner is coarse.Index as the mutation core sees it: Insert runs with
+// the index's own build evaluator.
+type coarseInner struct{ *coarse.Index }
+
+func (c coarseInner) Insert(r Ranking) (ID, error) { return c.Index.Insert(r, nil) }
 
 // CoarseOption configures NewCoarseIndex.
 type CoarseOption func(*coarseConfig)
@@ -217,9 +227,9 @@ func NewCoarseIndex(rankings []Ranking, opts ...CoarseOption) (*CoarseIndex, err
 }
 
 // NewCoarseIndexFromSlots builds a coarse index from an external-id slot
-// array as produced by (*CoarseIndex).Slots or a persist snapshot v2: the
+// array as produced by (*CoarseIndex).Slots or a persist snapshot: the
 // ranking at position i gets external ID i, and nil entries are tombstoned
-// IDs that stay retired. At least one slot must be live.
+// IDs that stay retired. With zero live slots the first Insert defines k.
 func NewCoarseIndexFromSlots(slots []Ranking, opts ...CoarseOption) (*CoarseIndex, error) {
 	if _, _, err := validateSlots(slots); err != nil {
 		return nil, err
@@ -228,40 +238,35 @@ func NewCoarseIndexFromSlots(slots []Ranking, opts ...CoarseOption) (*CoarseInde
 }
 
 func newCoarseFromSlots(slots []Ranking, opts []CoarseOption) (*CoarseIndex, error) {
-	m, live := newSlotsIDMap(slots)
-	k := 0
-	if len(live) > 0 {
-		k = live[0].K()
-	}
 	cfg := coarseConfig{thetaC: 0.5, compactRatio: DefaultCompactionRatio}
 	for _, o := range opts {
 		o(&cfg)
 	}
+	m, live := newSlotsIDMap(slots)
 	if cfg.autoTune && len(live) > 0 {
-		tc, err := tuneThetaC(live, k, cfg.maxTheta)
+		tc, err := tuneThetaC(live, live[0].K(), cfg.maxTheta)
 		if err != nil {
 			return nil, err
 		}
 		cfg.thetaC = tc
 	}
-	copts := coarse.Options{Seed: cfg.seed}
+	c := &CoarseIndex{drop: cfg.drop, thetaC: cfg.thetaC, copts: coarse.Options{Seed: cfg.seed}}
 	if cfg.randMedoid {
-		copts.Strategy = coarse.RandomMedoids
+		c.copts.Strategy = coarse.RandomMedoids
 	}
-	idx, err := coarse.New(live, ranking.RawThreshold(cfg.thetaC, k), copts)
-	if err != nil {
+	c.compactRatio = cfg.compactRatio
+	c.rebuild = func(live []Ranking, k int) (mutableInner, error) {
+		idx, err := coarse.New(live, ranking.RawThreshold(c.thetaC, k), c.copts)
+		if err != nil {
+			return nil, err
+		}
+		c.idx, c.pool = idx, coarse.NewPool(idx)
+		return coarseInner{idx}, nil
+	}
+	if err := c.install(m, live); err != nil {
 		return nil, err
 	}
-	return &CoarseIndex{
-		idx:          idx,
-		pool:         coarse.NewPool(idx),
-		ids:          m,
-		k:            k,
-		drop:         cfg.drop,
-		thetaC:       cfg.thetaC,
-		copts:        copts,
-		compactRatio: cfg.compactRatio,
-	}, nil
+	return c, nil
 }
 
 // tuneThetaC runs the cost model end to end: sample the distance CDF, fit
@@ -299,16 +304,6 @@ func (c *CoarseIndex) Search(q Ranking, theta float64) ([]Result, error) {
 	return searchBackend(c.backend(), &c.ids, &c.calls, c.k, q, theta)
 }
 
-// Len implements Index, counting live (non-deleted) rankings.
-func (c *CoarseIndex) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ids.live
-}
-
-// K implements Index.
-func (c *CoarseIndex) K() int { return c.k }
-
 // DistanceCalls implements Index.
 func (c *CoarseIndex) DistanceCalls() uint64 { return c.calls.Load() }
 
@@ -342,21 +337,17 @@ const (
 )
 
 // InvertedIndex is the rank-augmented inverted index with the paper's
-// filter-and-validate algorithm family.
+// filter-and-validate algorithm family. It is mutable through the shared
+// facade (see mutable): the index supports incremental maintenance natively —
+// posting lists stay id-sorted because internal ids grow monotonically — and
+// every query algorithm skips tombstoned postings until compaction purges
+// them.
 type InvertedIndex struct {
-	// mu is write-held by mutations (Insert/Delete/Update/Compact) only;
-	// Search proceeds concurrently under the read lock, drawing its scratch
-	// state from pool.
-	mu    sync.RWMutex
+	mutable
 	idx   *invindex.Index
 	pool  *invindex.Pool
-	ids   idmap
 	calls atomic.Uint64
-	k     int
 	alg   Algorithm
-	// compactRatio is the tombstone fraction of the inner id space above
-	// which mutations trigger an automatic rebuild; ≤ 0 disables it.
-	compactRatio float64
 }
 
 // InvOption configures NewInvertedIndex.
@@ -385,9 +376,9 @@ func NewInvertedIndex(rankings []Ranking, opts ...InvOption) (*InvertedIndex, er
 }
 
 // NewInvertedIndexFromSlots builds an inverted index from an external-id
-// slot array as produced by (*InvertedIndex).Slots or a persist snapshot v2:
-// the ranking at position i gets external ID i, and nil entries are
-// tombstoned IDs that stay retired. At least one slot must be live.
+// slot array as produced by (*InvertedIndex).Slots or a persist snapshot:
+// the ranking at position i gets external ID i, and nil entries are retired
+// IDs that stay retired. With zero live slots the first Insert defines k.
 func NewInvertedIndexFromSlots(slots []Ranking, opts ...InvOption) (*InvertedIndex, error) {
 	if _, _, err := validateSlots(slots); err != nil {
 		return nil, err
@@ -396,25 +387,21 @@ func NewInvertedIndexFromSlots(slots []Ranking, opts ...InvOption) (*InvertedInd
 }
 
 func newInvertedFromSlots(slots []Ranking, opts []InvOption) (*InvertedIndex, error) {
-	m, live := newSlotsIDMap(slots)
-	idx, err := invindex.New(live)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	if len(live) > 0 {
-		k = live[0].K()
-	}
-	ii := &InvertedIndex{
-		idx:          idx,
-		pool:         invindex.NewPool(idx),
-		ids:          m,
-		k:            k,
-		alg:          FilterValidateDrop,
-		compactRatio: DefaultCompactionRatio,
-	}
+	ii := &InvertedIndex{alg: FilterValidateDrop}
+	ii.compactRatio = DefaultCompactionRatio
 	for _, o := range opts {
 		o(ii)
+	}
+	ii.rebuild = func(live []Ranking, _ int) (mutableInner, error) {
+		idx, err := invindex.New(live)
+		if err != nil {
+			return nil, err
+		}
+		ii.idx, ii.pool = idx, invindex.NewPool(idx)
+		return idx, nil
+	}
+	if err := ii.install(newSlotsIDMap(slots)); err != nil {
+		return nil, err
 	}
 	return ii, nil
 }
@@ -431,16 +418,6 @@ func (ii *InvertedIndex) Search(q Ranking, theta float64) ([]Result, error) {
 	defer ii.mu.RUnlock()
 	return searchBackend(ii.backend(), &ii.ids, &ii.calls, ii.k, q, theta)
 }
-
-// Len implements Index, counting live (non-deleted) rankings.
-func (ii *InvertedIndex) Len() int {
-	ii.mu.RLock()
-	defer ii.mu.RUnlock()
-	return ii.ids.live
-}
-
-// K implements Index.
-func (ii *InvertedIndex) K() int { return ii.k }
 
 // DistanceCalls implements Index.
 func (ii *InvertedIndex) DistanceCalls() uint64 { return ii.calls.Load() }
