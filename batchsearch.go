@@ -34,9 +34,9 @@ func (ii *InvertedIndex) SearchBatch(queries []Ranking, theta float64) ([][]Resu
 	// exact; this one balances probe cost against sharing. The searcher
 	// comes from the facade's pool, so the batch hot path allocates no
 	// O(n) scratch.
-	s := ii.pool.Get()
-	defer ii.pool.Put(s)
-	p := batch.NewProcessorWith(ii.idx, s)
+	s := ii.inv.pool.Get()
+	defer ii.inv.pool.Put(s)
+	p := batch.NewProcessorWith(ii.inv.idx, s)
 	ev := metric.New(nil)
 	res, _, err := p.Process(queries, raw, raw/2, ev)
 	ii.calls.Add(ev.Calls())

@@ -51,7 +51,9 @@
 //	GET  /readyz   readiness probe (503 until every collection's build and
 //	               WAL replay finish, 200 after)
 //	GET  /debug/trace  ring of the most recent per-request traces: request
-//	               id, collection, per-stage timings, backend attribution
+//	               id, collection, per-stage timings and, for every -kind,
+//	               the backends that answered a /search or /knn with their
+//	               distance calls (a standalone kind names its one backend)
 //
 // Every handler error — including unknown routes and method mismatches — is
 // a JSON body {"error": <message>, "code": <slug>}.

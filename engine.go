@@ -1,10 +1,18 @@
 // The unified engine layer: every physical index structure in this package
 // is adapted onto the planner.Backend interface — one raw-threshold range
-// search drawing per-query scratch from the kind's pool — and the public
-// Search/NearestNeighbors/DistanceCalls contracts of all kinds run through
-// the two generic drivers below instead of per-kind copies of the same
-// lock/pool/evaluator/remap plumbing. HybridIndex routes across two of the
-// same adapters, invBackend and adaptBackend.
+// search drawing per-query scratch from the structure's pool — and the four
+// standalone kinds answer through one query half (queryHalf), the counterpart
+// of the mutation half in mutate.go: Search, NearestNeighbors, their traced
+// forms and DistanceCalls are written once over whatever backend the kind
+// installed, instead of per-kind copies of the same lock/evaluator/remap
+// plumbing. HybridIndex keeps its own, planner-routed methods of the same
+// signatures over two of the same adapters, invBackend and adaptBackend.
+//
+// The query contract — the index's ranking size, no repeated item
+// (checkQuery) — is enforced below the query half, once per path: a range
+// search by the structure's own searcher (the metric trees have none, so
+// treeBackend checks; so does a hybrid epoch built over nothing), a KNN query
+// by nearestBackend before either route.
 //
 // Candidate validation in every backend bottoms out in internal/kernel: the
 // constructors reached from here flatten the collection into a kernel.Store
@@ -36,6 +44,7 @@ package topk
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"topk/internal/adaptsearch"
@@ -48,19 +57,91 @@ import (
 	"topk/internal/ranking"
 )
 
-// searchBackend runs the public Search contract over a physical backend:
-// normalized-threshold conversion, pooled raw search, DFC accounting and
-// external-id remapping. ids may be nil for kinds whose internal ids are the
-// public ones. The caller holds whatever lock its kind requires.
-func searchBackend(b planner.Backend, ids *idmap, calls *atomic.Uint64, k int, q Ranking, theta float64) ([]Result, error) {
+// queryHalf is the query half of the four standalone kinds — the counterpart
+// of the mutation half (mutable, mutate.go), embedded by CoarseIndex,
+// InvertedIndex, BlockedIndex and MetricTree. It holds the kind's one physical
+// backend and its DFC counter and defines the public query methods once over
+// them: normalized-threshold conversion, pooled raw search or exact KNN,
+// external-id remapping, and — HybridIndex's signatures, the contract
+// internal/shard serves from — the attribution of every answer to the
+// backend's name and the query's own distance calls.
+type queryHalf struct {
+	// backend adapts the kind's physical structure. The read-only kinds set it
+	// once; a mutable kind's rebuild replaces it under the write lock, so
+	// queries read it under the read lock.
+	backend planner.Backend
+	// mut is the mutation half of a mutable kind: the lock its queries share
+	// and the core whose id map their answers pass through. It is nil for the
+	// read-only kinds, whose internal ids are the public ones and whose queries
+	// take no lock at all.
+	mut   *mutable
+	calls atomic.Uint64
+}
+
+// SearchTraced is Search plus per-query attribution: the name of the backend
+// that answered and the Footrule evaluations this query cost.
+func (h *queryHalf) SearchTraced(q Ranking, theta float64) ([]Result, string, uint64, error) {
+	var core *mutationCore
+	if h.mut != nil {
+		h.mut.mu.RLock()
+		defer h.mut.mu.RUnlock()
+		core = &h.mut.mutationCore
+	}
+	b := h.backend
+	k := b.K()
+	if core != nil {
+		k = core.k
+	}
 	ev := metric.New(nil)
 	res, err := b.SearchRaw(q, ranking.RawThreshold(theta, k), ev)
-	calls.Add(ev.Calls())
-	if ids != nil {
-		ids.remapSearch(res)
+	h.calls.Add(ev.Calls())
+	if err != nil {
+		return nil, "", 0, err
 	}
+	if core != nil {
+		core.ids.remapSearch(res)
+	}
+	return res, b.Name(), ev.Calls(), nil
+}
+
+// Search implements Index.
+func (h *queryHalf) Search(q Ranking, theta float64) ([]Result, error) {
+	res, _, _, err := h.SearchTraced(q, theta)
 	return res, err
 }
+
+// NearestNeighborsTraced is NearestNeighbors plus per-query attribution: the
+// backend that answered and the Footrule evaluations the query cost (0 on the
+// inverted index's native path).
+func (h *queryHalf) NearestNeighborsTraced(q Ranking, n int) ([]Result, string, uint64, error) {
+	var core *mutationCore
+	if h.mut != nil {
+		h.mut.mu.RLock()
+		defer h.mut.mu.RUnlock()
+		core = &h.mut.mutationCore
+	}
+	b := h.backend
+	ev := metric.New(nil)
+	res, err := nearestBackend(b, core, q, n, ev)
+	h.calls.Add(ev.Calls())
+	if err != nil {
+		return nil, "", 0, err
+	}
+	return res, b.Name(), ev.Calls(), nil
+}
+
+// NearestNeighbors implements NearestNeighborSearcher: the backend's native
+// exact KNN where it has one — the inverted index's single pass over the
+// query's posting lists, whatever range algorithm the index was configured
+// with, and the BK-tree's best-first traversal — and the expanding-radius
+// reduction over its range search otherwise (see nearestBackend).
+func (h *queryHalf) NearestNeighbors(q Ranking, n int) ([]Result, error) {
+	res, _, _, err := h.NearestNeighborsTraced(q, n)
+	return res, err
+}
+
+// DistanceCalls implements Index.
+func (h *queryHalf) DistanceCalls() uint64 { return h.calls.Load() }
 
 // clampRawTheta caps a raw threshold at dmax−1. The inverted-index family
 // draws candidates from posting lists, so rankings sharing no item with the
@@ -104,15 +185,15 @@ func checkQuery(q Ranking, k int) error {
 	return q.Validate()
 }
 
-// nearestBackend runs the public NearestNeighbors contract over a physical
-// backend: validation, the backend's native exact KNN or — for backends
-// without one — the expanding-radius reduction over its range search, DFC
-// accounting and external-id remapping. core is the mutation core of a
+// nearestBackend runs the NearestNeighbors contract over a physical backend:
+// validation, the backend's native exact KNN or — for backends without one —
+// the expanding-radius reduction over its range search, external-id
+// remapping; ev counts the distance calls. core is the mutation core of a
 // mutable kind — its id map, and the size and tombstone predicate of the
 // internal id space the reduction's dmax backfill walks — and nil for kinds
 // whose internal ids are the public ones. The caller holds whatever lock its
 // kind requires.
-func nearestBackend(b planner.Backend, core *mutationCore, calls *atomic.Uint64, q Ranking, n int) ([]Result, error) {
+func nearestBackend(b planner.Backend, core *mutationCore, q Ranking, n int, ev *metric.Evaluator) ([]Result, error) {
 	k, space := b.K(), b.Len()
 	var (
 		ids  *idmap
@@ -125,8 +206,6 @@ func nearestBackend(b planner.Backend, core *mutationCore, calls *atomic.Uint64,
 	if err := checkQuery(q, k); err != nil {
 		return nil, err
 	}
-	ev := metric.New(nil)
-	defer func() { calls.Add(ev.Calls()) }()
 	// Non-monotonic id mapping (an Update reassigned an external id to a
 	// later internal slot): KNN truncates distance ties by id, so the
 	// selection must order by external id — remapping after the cut would
@@ -174,12 +253,25 @@ func nearestBackend(b planner.Backend, core *mutationCore, calls *atomic.Uint64,
 // Backend adapters
 // ---------------------------------------------------------------------------
 
-// invBackend adapts a rank-augmented inverted index. Facades construct it
-// per call (under their lock) so compaction's index swap is always observed;
-// HybridIndex holds one over its immutable build.
+// pool hands out a structure's searchers to concurrent queries. A searcher's
+// scratch state (stamp and bookkeeping arrays of O(n), candidate buffers) is
+// reused across queries, so any number of goroutines share one index without
+// serializing behind a mutex or paying a fresh allocation per query; searchers
+// grow their scratch lazily, so a pool stays valid across Insert.
+type pool[S any] struct{ p sync.Pool }
+
+func newPool[I, S any](idx I, newSearcher func(I) *S) *pool[S] {
+	return &pool[S]{sync.Pool{New: func() any { return newSearcher(idx) }}}
+}
+
+func (p *pool[S]) Get() *S  { return p.p.Get().(*S) }
+func (p *pool[S]) Put(s *S) { p.p.Put(s) }
+
+// invBackend adapts a rank-augmented inverted index: InvertedIndex installs
+// one per rebuild, a hybrid epoch holds one over its build.
 type invBackend struct {
 	idx  *invindex.Index
-	pool *invindex.Pool
+	pool *pool[invindex.Searcher]
 	alg  Algorithm
 }
 
@@ -215,7 +307,7 @@ func (b invBackend) nearestRaw(q Ranking, n int, ext []ID, _ *metric.Evaluator) 
 // coarseBackend adapts the paper's coarse index.
 type coarseBackend struct {
 	idx  *coarse.Index
-	pool *coarse.Pool
+	pool *pool[coarse.Searcher]
 	mode coarse.Mode
 }
 
@@ -232,7 +324,7 @@ func (b coarseBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) 
 // blockedBackend adapts the blocked inverted index.
 type blockedBackend struct {
 	idx  *blocked.Index
-	pool *blocked.Pool
+	pool *pool[blocked.Searcher]
 	mode blocked.Mode
 }
 
@@ -264,11 +356,25 @@ func (b treeBackend) Len() int { return len(b.t.rs) }
 func (b treeBackend) K() int   { return b.t.k }
 
 func (b treeBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([]Result, error) {
-	if q.K() != b.t.k {
-		return nil, fmt.Errorf("topk: query size %d, index size %d: %w",
-			q.K(), b.t.k, ranking.ErrSizeMismatch)
+	t := b.t
+	if err := checkQuery(q, t.k); err != nil {
+		return nil, err
 	}
-	return b.t.rawSearch(q, rawTheta, ev)
+	var out []Result
+	switch t.kind {
+	case BKTree:
+		out = t.bk.RangeSearchResults(q, rawTheta, ev)
+	case MTree:
+		for _, id := range t.mt.RangeSearch(q, rawTheta, ev) {
+			out = append(out, Result{ID: id, Dist: ranking.Footrule(q, t.rs[id])})
+		}
+	case VPTree:
+		for _, id := range t.vp.RangeSearch(q, rawTheta, ev) {
+			out = append(out, Result{ID: id, Dist: ranking.Footrule(q, t.rs[id])})
+		}
+	}
+	ranking.SortResults(out)
+	return out, nil
 }
 
 // nearestRaw is the BK-tree's best-first traversal, which selects in
@@ -283,7 +389,7 @@ func (b treeBackend) nearestRaw(q Ranking, n int, ext []ID, ev *metric.Evaluator
 // adaptBackend adapts the AdaptSearch delta inverted index.
 type adaptBackend struct {
 	idx  *adaptsearch.Index
-	pool *adaptsearch.Pool
+	pool *pool[adaptsearch.Searcher]
 }
 
 func (b adaptBackend) Name() string { return planner.BackendAdaptSearch }

@@ -297,9 +297,9 @@ func buildEpoch(slots []Ranking, cfg hybridConfig) (*hybridEpoch, [][]float64, e
 		footruleNanos: defaultFootruleNanos,
 	}
 	ep.mutationCore = mutationCore{ids: m, k: inv.K(), inner: ep.inv}
-	ep.backends[hybridInverted] = invBackend{idx: inv, pool: invindex.NewPool(inv), alg: FilterValidateDrop}
+	ep.backends[hybridInverted] = invBackend{idx: inv, pool: newPool(inv, invindex.NewSearcher), alg: FilterValidateDrop}
 	ep.backends[hybridAdaptSearch] = overlayBackend{
-		inner: adaptBackend{idx: ad, pool: adaptsearch.NewPool(ad)}, ep: ep}
+		inner: adaptBackend{idx: ad, pool: newPool(ad, adaptsearch.NewSearcher)}, ep: ep}
 
 	// On collections too small to fit the cost model (no distance samples,
 	// degenerate frequencies) the planner starts from flat priors: the EWMA
@@ -511,7 +511,7 @@ func (h *HybridIndex) Search(q Ranking, theta float64) ([]Result, error) {
 
 // SearchTraced is Search plus per-query attribution: the name of the
 // backend the planner routed to and the Footrule evaluations the query
-// cost. It is the shard.TracedSearcher hook behind topkserve's query
+// cost — the half of the shard.Index contract behind topkserve's query
 // tracing and slow-query log.
 func (h *HybridIndex) SearchTraced(q Ranking, theta float64) ([]Result, string, uint64, error) {
 	h.mu.RLock()
@@ -552,8 +552,8 @@ func (h *HybridIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
 
 // NearestNeighborsTraced is NearestNeighbors plus per-query attribution:
 // the backend that answered and the Footrule evaluations the query cost (0
-// on the native inverted path). It is the shard.TracedNearestNeighborSearcher
-// hook behind topkserve's /knn tracing.
+// on the native inverted path) — the other half of the shard.Index contract,
+// behind topkserve's /knn tracing.
 //
 // The route is counted as one plan on the answering backend, but KNN stays
 // off the planner's exploration schedule and feeds it no observation: the
@@ -563,13 +563,13 @@ func (h *HybridIndex) NearestNeighborsTraced(q Ranking, n int) ([]Result, string
 	defer h.mu.RUnlock()
 	ep := h.ep
 	bi := h.pl.Route(hybridInverted, 0)
-	var calls atomic.Uint64
-	res, err := nearestBackend(ep.backends[bi], &ep.mutationCore, &calls, q, n)
-	h.calls.Add(calls.Load())
+	ev := metric.New(nil)
+	res, err := nearestBackend(ep.backends[bi], &ep.mutationCore, q, n, ev)
+	h.calls.Add(ev.Calls())
 	if err != nil {
 		return nil, "", 0, err
 	}
-	return res, ep.backends[bi].Name(), calls.Load(), nil
+	return res, ep.backends[bi].Name(), ev.Calls(), nil
 }
 
 // Calibrate replays every query at every threshold against both backends

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"topk/internal/difftest"
+	"topk/internal/ranking"
 )
 
 // FuzzHybridMutation drives a byte-string-encoded mutation workload through
@@ -74,7 +75,10 @@ func FuzzHybridMutation(f *testing.F) {
 			default: // cross-check a query at a fuzzed threshold
 				q := difftest.RandomRanking(rand.New(rand.NewSource(int64(arg)+2000)), 6, 40)
 				theta := float64(arg) / 255
-				want, _ := o.Search(q, theta)
+				// At θ = 1 the oracle is asked for what the inverted family can
+				// see, the ≤ dmax−1 ball (see clampRawTheta): a ranking sharing
+				// no item with the query is in no posting list.
+				want := o.SearchRaw(q, clampRawTheta(ranking.RawThreshold(theta, o.K()), o.K()))
 				// Routed last, so the loop leaves cost-based routing restored.
 				for _, forced := range []string{"inverted", "adaptsearch", ""} {
 					if err := h.Force(forced); err != nil {

@@ -44,7 +44,7 @@ func NewProcessor(idx *invindex.Index) *Processor {
 }
 
 // NewProcessorWith creates a batch processor reusing a caller-provided
-// searcher bound to idx (e.g. drawn from an invindex.Pool), avoiding the
+// searcher bound to idx (e.g. drawn from the topk facade's pool), avoiding the
 // O(n) scratch allocation of a fresh searcher. The processor owns the
 // searcher for its lifetime; one processor serves one batch at a time.
 func NewProcessorWith(idx *invindex.Index, s *invindex.Searcher) *Processor {

@@ -173,7 +173,8 @@ func (idx *Index) NumLists() int { return len(idx.lists) }
 // dense arrays holding, per candidate, the partial distance and bitmasks of
 // the τ-ranks and q-ranks already accounted for. A Searcher serves one query
 // at a time: use one per goroutine, or share an index between goroutines
-// through a Pool.
+// through a sync.Pool of them (five dense O(n) arrays make this the most
+// expensive scratch state of any structure in the library).
 type Searcher struct {
 	idx     *Index
 	stamp   []uint32

@@ -25,7 +25,7 @@
 // rank of the item inside the posting's ranking, so the plain algorithms
 // simply ignore the rank. Query processing state (candidate de-duplication
 // stamps, the gain accumulator) lives in a Searcher; a Searcher serves one
-// query at a time, so use one per goroutine — or draw them from a Pool,
+// query at a time, so use one per goroutine — or draw them from a sync.Pool,
 // which is how the topk facade lets any number of goroutines query a shared
 // index concurrently.
 package invindex

@@ -139,6 +139,10 @@ type Collection struct {
 	created    time.Time
 
 	sh *shard.Sharded
+	// hybrids is the sub-indices of a hybrid collection, in shard order — where
+	// planner, epoch-rebuild and spill state are read from — and empty for
+	// every other kind.
+	hybrids []*topk.HybridIndex
 	// admission is this tenant's carve of the global capacity (nil when the
 	// collection is unthrottled or admission is disabled); handlers acquire
 	// it BEFORE the global controller so a flooded tenant queues and sheds
@@ -216,6 +220,12 @@ func (s *Server) newCollection(name string, opts CollectionOptions, sh *shard.Sh
 			fmt.Fprintf(os.Stderr, "fatal: wal append failed after the mutation was applied: %v\n", err)
 			os.Exit(1)
 		},
+	}
+	for i := 0; i < sh.NumShards(); i++ {
+		sub, _ := sh.Shard(i)
+		if h, ok := sub.(*topk.HybridIndex); ok {
+			c.hybrids = append(c.hybrids, h)
+		}
 	}
 	if opts.Weight > 0 && opts.Weight < 1 {
 		c.admission = admit.NewWeighted(s.admission, opts.Weight, s.cfg.MaxQueueWait)
@@ -331,12 +341,6 @@ func (c *Collection) storageStats() *storageStatsJSON {
 	return st
 }
 
-// spillStatser is implemented by hybrid sub-indices.
-type spillStatser interface {
-	SpillBytes() int
-	SpillFallbacks() (uint64, error)
-}
-
 // spillStats sums the mmapped epoch arenas and the spill fallbacks across
 // shards (both 0 when the index kind does not spill), and logs the first
 // fallback's error — once per collection, whenever it is first seen: at
@@ -344,15 +348,12 @@ type spillStatser interface {
 // for an epoch rebuild that did.
 func (c *Collection) spillStats() (bytes int, fallbacks uint64) {
 	var first error
-	for i := 0; i < c.sh.NumShards(); i++ {
-		sub, _ := c.sh.Shard(i)
-		if ss, ok := sub.(spillStatser); ok {
-			bytes += ss.SpillBytes()
-			n, err := ss.SpillFallbacks()
-			fallbacks += n
-			if first == nil {
-				first = err
-			}
+	for _, h := range c.hybrids {
+		bytes += h.SpillBytes()
+		n, err := h.SpillFallbacks()
+		fallbacks += n
+		if first == nil {
+			first = err
 		}
 	}
 	if first != nil {

@@ -178,7 +178,8 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 	w.Gauge("topkserve_tombstones",
 		"Tombstoned rankings awaiting compaction, summed over shards.",
 		labels, float64(tombstones))
-	if rb, ok := aggregateRebuildStats(c.sh); ok {
+	if len(c.hybrids) > 0 {
+		rb := aggregateRebuildStats(c.hybrids)
 		w.Counter("topkserve_epoch_rebuilds_total",
 			"Installed epoch rebuilds (background folds and explicit compactions), summed over shards.",
 			labels, float64(rb.Rebuilds))
@@ -190,7 +191,7 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 			labels, float64(rb.LastNanos)/1e9)
 	}
 
-	for _, ps := range aggregatePlanStats(c.sh) {
+	for _, ps := range aggregatePlanStats(c.hybrids) {
 		plannerLabels := telemetry.Labels("collection", col, "backend", ps.Backend)
 		w.Counter("topkserve_planner_plans_total",
 			"Queries the hybrid planner routed to each backend.", plannerLabels, float64(ps.Plans))
@@ -306,27 +307,18 @@ func shardHistToTelemetry(hs shard.HistogramSnapshot) telemetry.HistogramSnapsho
 	}
 }
 
-// rebuildStatser is implemented by hybrid sub-indices.
-type rebuildStatser interface{ RebuildStats() topk.RebuildStats }
-
-// aggregateRebuildStats sums the epoch-rebuild history across shards;
-// ok=false when the index kind keeps no rebuild history.
-func aggregateRebuildStats(sh *shard.Sharded) (topk.RebuildStats, bool) {
+// aggregateRebuildStats sums the epoch-rebuild history across shards.
+func aggregateRebuildStats(hybrids []*topk.HybridIndex) topk.RebuildStats {
 	var out topk.RebuildStats
-	for i := 0; i < sh.NumShards(); i++ {
-		sub, _ := sh.Shard(i)
-		rs, ok := sub.(rebuildStatser)
-		if !ok {
-			return topk.RebuildStats{}, false
-		}
-		st := rs.RebuildStats()
+	for _, h := range hybrids {
+		st := h.RebuildStats()
 		out.Rebuilds += st.Rebuilds
 		out.TotalNanos += st.TotalNanos
 		if st.LastNanos > out.LastNanos {
 			out.LastNanos = st.LastNanos
 		}
 	}
-	return out, true
+	return out
 }
 
 // handleMetrics renders the exposition document.

@@ -742,3 +742,46 @@ func TestKNNTraceStagesAndAttribution(t *testing.T) {
 		}
 	}
 }
+
+// TestStandaloneKindTraceAttribution checks that tracing is not a hybrid
+// privilege: a server over a standalone kind — the default one and a
+// read-only one — attributes /search and /knn misses to the kind's one
+// backend with the query's distance calls, and the read-only kind still
+// answers mutations 405.
+func TestStandaloneKindTraceAttribution(t *testing.T) {
+	rs, err := dataset.Generate(dataset.NYTLike(400, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"coarse", "bktree"} {
+		sh, err := shard.New(rs, 2, builderFor(kind, 0.3, "", 0, 0, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := newServer(sh, kind).routes()
+		for path, body := range map[string]any{
+			"/search": map[string]any{"query": rs[3], "theta": 0.2},
+			"/knn":    map[string]any{"query": rs[3], "n": 5},
+		} {
+			if rec := postJSON(t, h, path, body); rec.Code != http.StatusOK {
+				t.Fatalf("%s %s: status %d: %s", kind, path, rec.Code, rec.Body)
+			}
+			var dump struct {
+				Traces []requestTrace `json:"traces"`
+			}
+			if err := json.Unmarshal(get(t, h, "/debug/trace").Body.Bytes(), &dump); err != nil {
+				t.Fatal(err)
+			}
+			tr := dump.Traces[0]
+			if tr.Route != path || len(tr.Backends) != 1 || tr.Backends[0] != kind || tr.DistanceCalls == 0 {
+				t.Errorf("%s %s: attributed to %v with %d distance calls, want [%s] and > 0 (%+v)",
+					kind, path, tr.Backends, tr.DistanceCalls, kind, tr)
+			}
+		}
+		if kind == "bktree" {
+			if rec := post(t, h, "/delete", `{"id":1}`); rec.Code != http.StatusMethodNotAllowed {
+				t.Errorf("delete on bktree: status %d, want 405", rec.Code)
+			}
+		}
+	}
+}

@@ -101,16 +101,11 @@ func (s *Server) handleSearch(c *Collection, w http.ResponseWriter, r *http.Requ
 	}
 	tr.setQueryShape(traceTheta, len(queries), effK)
 
-	ctx, cancelReq := s.withDeadline(r)
-	defer cancelReq()
-	admitStart := time.Now()
-	release, err := s.admitSearch(ctx, c, int64(len(queries)))
-	if err != nil {
-		writeShedError(w, err)
+	ctx, release, ok := s.admitRead(c, w, r, tr, int64(len(queries)))
+	if !ok {
 		return
 	}
 	defer release()
-	tr.addStage("admit", time.Since(admitStart))
 
 	start := time.Now()
 	answers, mode, err := s.runSearch(ctx, c, req, queries, tr)
@@ -138,11 +133,9 @@ func (s *Server) handleSearch(c *Collection, w http.ResponseWriter, r *http.Requ
 // runSearch dispatches a validated /search request: uniform-threshold
 // batches go through the shared-candidate batch processor when the index
 // kind supports it, mixed-radius batches (and kinds without batch support)
-// fall back to independent per-query searches. Single queries probe the
-// result cache first, then run through the traced scatter-gather so the
-// request trace records fan-out and merge timings plus backend attribution;
-// batch stages are recorded whole. ctx cancellation propagates into the
-// shard fan-out on every path.
+// fall back to independent per-query searches. Single queries go through
+// cachedScatter; batch stages are recorded whole. ctx cancellation propagates
+// into the shard fan-out on every path.
 func (s *Server) runSearch(ctx context.Context, c *Collection, req searchRequest, queries []ranking.Ranking, tr *requestTrace) ([][]ranking.Result, string, error) {
 	if c.sh.K() == 0 {
 		// Structurally empty collection: nothing can match, and the sub-index
@@ -162,34 +155,11 @@ func (s *Server) runSearch(ctx context.Context, c *Collection, req searchRequest
 	}
 	tr.addStage("plan", time.Since(planStart))
 	if req.Query != nil {
-		cacheStart := time.Now()
-		var (
-			key    qcache.Key
-			gen    uint64
-			res    []ranking.Result
-			cached bool
-		)
-		if s.cache != nil {
-			// The generation is read BEFORE the search: a mutation landing
-			// mid-search makes the entry conservatively stale, never wrongly
-			// fresh (see qcache's package comment).
-			key = qcache.Key{Collection: c.cacheScope, Kind: "search", Query: queries[0].String(), Theta: theta}
-			gen = c.generation()
-			res, cached = s.cache.Get(key, gen)
-		}
-		tr.addStage("cache", time.Since(cacheStart))
-		if cached {
-			return [][]ranking.Result{res}, "cached", nil
-		}
-		res, qt, err := c.sh.SearchTracedContext(ctx, queries[0], theta)
-		tr.addStageMicros("fanout", qt.FanoutMicros)
-		tr.addStageMicros("merge", qt.MergeMicros)
-		tr.setAttribution(qt.Backends, qt.DistanceCalls)
-		if err != nil {
-			return nil, "", err
-		}
-		s.cache.Put(key, gen, res)
-		return [][]ranking.Result{res}, "per-query", nil
+		res, err := s.cachedScatter(c, tr, req.Query, qcache.Key{Kind: "search", Theta: theta},
+			func() ([]ranking.Result, shard.QueryTrace, error) {
+				return c.sh.SearchTracedContext(ctx, req.Query, theta)
+			})
+		return [][]ranking.Result{res}, "", err
 	}
 	searchStart := time.Now()
 	defer func() { tr.addStage("search", time.Since(searchStart)) }()
@@ -224,8 +194,9 @@ type knnResponse struct {
 // handleKNN answers an exact k-nearest-neighbor query with the sharded
 // per-shard fan-out and (distance, id) heap merge. Its trace carries the
 // stage names /search uses (cache, fanout, merge, respond) and the backends
-// that answered: "inverted" is the native posting-list KNN, any other name
-// the backend the expanding-radius reduction ran over.
+// that answered: "inverted" and "bktree" are those structures' native KNN
+// algorithms, any other name the backend the expanding-radius reduction ran
+// over.
 func (s *Server) handleKNN(c *Collection, w http.ResponseWriter, r *http.Request) {
 	tr := traceFrom(r)
 	parseStart := time.Now()
@@ -252,41 +223,19 @@ func (s *Server) handleKNN(c *Collection, w http.ResponseWriter, r *http.Request
 	}
 	tr.addStage("parse", time.Since(parseStart))
 	tr.setQueryShape(0, 1, effK)
-	ctx, cancelReq := s.withDeadline(r)
-	defer cancelReq()
-	admitStart := time.Now()
-	release, err := s.admitSearch(ctx, c, 1)
-	if err != nil {
-		writeShedError(w, err)
+	ctx, release, ok := s.admitRead(c, w, r, tr, 1)
+	if !ok {
 		return
 	}
 	defer release()
-	tr.addStage("admit", time.Since(admitStart))
 	start := time.Now()
-	var (
-		key qcache.Key
-		gen uint64
-	)
-	res, cached := []ranking.Result(nil), false
-	if c.sh.K() == 0 {
-		cached = true // structurally empty: the answer is the empty set
-	} else if s.cache != nil {
-		key = qcache.Key{Collection: c.cacheScope, Kind: "knn", Query: req.Query.String(), N: req.N}
-		gen = c.generation()
-		res, cached = s.cache.Get(key, gen)
-	}
-	tr.addStage("cache", time.Since(start))
-	if !cached {
-		var qt shard.QueryTrace
-		res, qt, err = c.sh.NearestNeighborsTracedContext(ctx, req.Query, req.N)
-		tr.addStageMicros("fanout", qt.FanoutMicros)
-		tr.addStageMicros("merge", qt.MergeMicros)
-		tr.setAttribution(qt.Backends, qt.DistanceCalls)
-		if err != nil {
-			writeSearchError(w, "knn", err)
-			return
-		}
-		s.cache.Put(key, gen, res)
+	res, err := s.cachedScatter(c, tr, req.Query, qcache.Key{Kind: "knn", N: req.N},
+		func() ([]ranking.Result, shard.QueryTrace, error) {
+			return c.sh.NearestNeighborsTracedContext(ctx, req.Query, req.N)
+		})
+	if err != nil {
+		writeSearchError(w, "knn", err)
+		return
 	}
 	c.knn.Add(1)
 	respondStart := time.Now()
@@ -298,26 +247,67 @@ func (s *Server) handleKNN(c *Collection, w http.ResponseWriter, r *http.Request
 	})
 }
 
-// withDeadline applies the -default-timeout budget to a request context.
-func (s *Server) withDeadline(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.defaultTimeout <= 0 {
-		return r.Context(), func() {}
+// cachedScatter is the sequence a single /search and a /knn share: probe the
+// result cache under key (completed here with the collection's scope and the
+// query), stage "cache"; on a miss run the traced scatter-gather, stages
+// "fanout" and "merge" plus the attribution — which backends answered, at
+// what distance-call cost — and cache its answer. A structurally empty
+// collection (K() == 0; runSearch has answered /search by then, so this is
+// /knn's) answers the empty set at the cache stage: nothing can match, and
+// the sub-index kinds are not guaranteed to accept arbitrary-size queries at
+// k=0.
+func (s *Server) cachedScatter(c *Collection, tr *requestTrace, q ranking.Ranking, key qcache.Key, scatter func() ([]ranking.Result, shard.QueryTrace, error)) ([]ranking.Result, error) {
+	cacheStart := time.Now()
+	var (
+		gen    uint64
+		res    []ranking.Result
+		cached = c.sh.K() == 0
+	)
+	if !cached && s.cache != nil {
+		// The generation is read BEFORE the search: a mutation landing
+		// mid-search makes the entry conservatively stale, never wrongly
+		// fresh (see qcache's package comment).
+		key.Collection, key.Query = c.cacheScope, q.String()
+		gen = c.generation()
+		res, cached = s.cache.Get(key, gen)
 	}
-	return context.WithTimeout(r.Context(), s.defaultTimeout)
-}
-
-// admitSearch acquires admission for a search: the collection's carve first
-// (so a flooded tenant queues and sheds within its own share), then the
-// shared controller. The returned release hands both back.
-func (s *Server) admitSearch(ctx context.Context, c *Collection, weight int64) (func(), error) {
-	relTenant, err := c.admission.Acquire(ctx, weight)
+	tr.addStage("cache", time.Since(cacheStart))
+	if cached {
+		return res, nil
+	}
+	res, qt, err := scatter()
+	tr.addScatter(qt)
 	if err != nil {
 		return nil, err
+	}
+	s.cache.Put(key, gen, res)
+	return res, nil
+}
+
+// admitRead is the front of both read routes: the -default-timeout budget on
+// the request context, then admission — the collection's carve first (so a
+// flooded tenant queues and sheds within its own share), then the shared
+// controller — recorded as stage "admit". release hands all of it back; ok is
+// false when the request was shed and the response written.
+func (s *Server) admitRead(c *Collection, w http.ResponseWriter, r *http.Request, tr *requestTrace, weight int64) (ctx context.Context, release func(), ok bool) {
+	ctx, cancel := r.Context(), func() {}
+	if s.defaultTimeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, s.defaultTimeout)
+	}
+	start := time.Now()
+	relTenant, err := c.admission.Acquire(ctx, weight)
+	if err != nil {
+		cancel()
+		writeShedError(w, err)
+		return nil, nil, false
 	}
 	relGlobal, err := s.admission.Acquire(ctx, weight)
 	if err != nil {
 		relTenant()
-		return nil, err
+		cancel()
+		writeShedError(w, err)
+		return nil, nil, false
 	}
-	return func() { relGlobal(); relTenant() }, nil
+	tr.addStage("admit", time.Since(start))
+	return ctx, func() { relGlobal(); relTenant(); cancel() }, true
 }

@@ -61,24 +61,16 @@ type walStatsJSON struct {
 	wal.Stats
 }
 
-// planStats is implemented by hybrid sub-indices.
-type planStats interface{ PlanStats() []topk.PlanStats }
-
 // aggregatePlanStats merges the per-shard plan scoreboards by backend name:
 // plan and observation counters add up, the EWMAs combine as
 // observation-weighted means.
-func aggregatePlanStats(sh *shard.Sharded) []topk.PlanStats {
+func aggregatePlanStats(hybrids []*topk.HybridIndex) []topk.PlanStats {
 	var order []string
 	acc := make(map[string]*topk.PlanStats)
 	weightLat := make(map[string]float64)
 	weightDFC := make(map[string]float64)
-	for i := 0; i < sh.NumShards(); i++ {
-		sub, _ := sh.Shard(i)
-		ps, ok := sub.(planStats)
-		if !ok {
-			return nil
-		}
-		for _, st := range ps.PlanStats() {
+	for _, h := range hybrids {
+		for _, st := range h.PlanStats() {
 			a := acc[st.Backend]
 			if a == nil {
 				a = &topk.PlanStats{Backend: st.Backend}
@@ -143,7 +135,7 @@ func (s *Server) handleStats(c *Collection, w http.ResponseWriter, r *http.Reque
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Fanout:        fan,
 		Merge:         mrg,
-		Planner:       aggregatePlanStats(c.sh),
+		Planner:       aggregatePlanStats(c.hybrids),
 		Shards:        shards,
 		WAL:           ws,
 		Storage:       c.storageStats(),

@@ -5,8 +5,8 @@
 // ring served at GET /debug/trace, and any request slower than -slow-query
 // is additionally written to stderr as one line of JSON — enough to
 // reconstruct what the query was (route, collection, θ, k, batch size),
-// which hybrid backends answered it, what it cost (distance calls) and
-// which stage ate the time, without attaching a profiler.
+// which backends answered it — for every index kind — what it cost (distance
+// calls) and which stage ate the time, without attaching a profiler.
 package server
 
 import (
@@ -18,6 +18,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"topk/internal/shard"
 )
 
 // traceRingSize bounds the /debug/trace history.
@@ -45,9 +47,10 @@ type requestTrace struct {
 	Theta   float64 `json:"theta,omitempty"`
 	Queries int     `json:"queries,omitempty"`
 	K       int     `json:"k,omitempty"`
-	// Backends lists the distinct hybrid backends that answered (empty for
-	// non-attributing index kinds); DistanceCalls is the query's Footrule
-	// cost summed over attributing shards.
+	// Backends lists the distinct backends that answered a /search or /knn
+	// miss — the one backend of a standalone kind, whichever of its two the
+	// hybrid's planner routed each shard to; DistanceCalls is the query's
+	// Footrule cost summed over the shards.
 	Backends      []string     `json:"backends,omitempty"`
 	DistanceCalls uint64       `json:"distanceCalls,omitempty"`
 	Stages        []traceStage `json:"stages,omitempty"`
@@ -62,13 +65,15 @@ func (tr *requestTrace) addStage(name string, d time.Duration) {
 	tr.Stages = append(tr.Stages, traceStage{Name: name, Micros: float64(d.Nanoseconds()) / 1e3})
 }
 
-// addStageMicros appends a phase timing already measured in microseconds
-// (the shard router's QueryTrace units).
-func (tr *requestTrace) addStageMicros(name string, micros float64) {
+// addScatter appends a scatter-gather's two phases and records which
+// backends answered and what they evaluated.
+func (tr *requestTrace) addScatter(qt shard.QueryTrace) {
 	if tr == nil {
 		return
 	}
-	tr.Stages = append(tr.Stages, traceStage{Name: name, Micros: micros})
+	tr.Stages = append(tr.Stages,
+		traceStage{Name: "fanout", Micros: qt.FanoutMicros}, traceStage{Name: "merge", Micros: qt.MergeMicros})
+	tr.Backends, tr.DistanceCalls = qt.Backends, qt.DistanceCalls
 }
 
 // setCollection records which tenant the route resolved to.
@@ -85,14 +90,6 @@ func (tr *requestTrace) setQueryShape(theta float64, queries, k int) {
 		return
 	}
 	tr.Theta, tr.Queries, tr.K = theta, queries, k
-}
-
-// setAttribution records which backends answered and what they evaluated.
-func (tr *requestTrace) setAttribution(backends []string, dfc uint64) {
-	if tr == nil {
-		return
-	}
-	tr.Backends, tr.DistanceCalls = backends, dfc
 }
 
 // tracer owns the finished-trace ring and the slow-query log.

@@ -19,33 +19,29 @@ import (
 type fakeState struct {
 	searches atomic.Uint64
 	block    chan struct{}
-	// searchErr, when non-nil, is returned by every Search — the sub-index
+	// searchErr, when non-nil, is returned by every search — the sub-index
 	// failure path of the batch short-circuit.
 	searchErr error
 }
 
-// fakeIndex counts work instead of doing it. It deliberately implements the
-// whole surface the fan-out paths type-assert for (NearestNeighborSearcher)
-// so one fake covers every Sharded query path.
+// fakeIndex counts work instead of doing it: the serving contract
+// (shard.Index) and nothing else, so one fake covers every Sharded query path.
 type fakeIndex struct {
 	st *fakeState
 	n  int
 	k  int
 }
 
-func (f *fakeIndex) Search(q ranking.Ranking, theta float64) ([]ranking.Result, error) {
+func (f *fakeIndex) SearchTraced(q ranking.Ranking, theta float64) ([]ranking.Result, string, uint64, error) {
 	f.st.searches.Add(1)
 	if f.st.block != nil {
 		<-f.st.block
 	}
-	if f.st.searchErr != nil {
-		return nil, f.st.searchErr
-	}
-	return nil, nil
+	return nil, "fake", 0, f.st.searchErr
 }
 
-func (f *fakeIndex) NearestNeighbors(q ranking.Ranking, n int) ([]ranking.Result, error) {
-	return f.Search(q, 0)
+func (f *fakeIndex) NearestNeighborsTraced(q ranking.Ranking, n int) ([]ranking.Result, string, uint64, error) {
+	return f.SearchTraced(q, 0)
 }
 
 func (f *fakeIndex) Len() int              { return f.n }

@@ -3,29 +3,11 @@ package shard
 import (
 	"container/heap"
 	"context"
-	"fmt"
 
 	"topk/internal/ranking"
 )
 
-// NearestNeighborSearcher is the structural KNN interface of sub-indices
-// (every index kind of package topk implements it).
-type NearestNeighborSearcher interface {
-	// NearestNeighbors returns the n indexed rankings closest to q, ordered
-	// by distance (ties broken by id). The answer is exact.
-	NearestNeighbors(q ranking.Ranking, n int) ([]ranking.Result, error)
-}
-
-// TracedNearestNeighborSearcher is the optional sub-index interface behind
-// NearestNeighborsTracedContext: kinds that can attribute a KNN query to the
-// concrete backend that answered it and report its distance-call cost
-// (topk.HybridIndex). Sub-indices without it contribute no attribution.
-type TracedNearestNeighborSearcher interface {
-	NearestNeighborsTraced(q ranking.Ranking, n int) ([]ranking.Result, string, uint64, error)
-}
-
-// NearestNeighbors implements NearestNeighborSearcher:
-// NearestNeighborsContext without cancellation.
+// NearestNeighbors is NearestNeighborsContext without cancellation.
 func (s *Sharded) NearestNeighbors(q ranking.Ranking, n int) ([]ranking.Result, error) {
 	return s.NearestNeighborsContext(context.Background(), q, n)
 }
@@ -43,33 +25,20 @@ func (s *Sharded) NearestNeighborsContext(ctx context.Context, q ranking.Ranking
 }
 
 // NearestNeighborsTracedContext is NearestNeighborsContext with a per-query
-// trace: phase timings and — when the sub-indices support it — the backends
-// that answered and their distance-call cost.
+// trace: phase timings, the backends that answered and their distance-call
+// cost.
 func (s *Sharded) NearestNeighborsTracedContext(ctx context.Context, q ranking.Ranking, n int) ([]ranking.Result, QueryTrace, error) {
 	if n <= 0 {
 		return nil, QueryTrace{}, nil
 	}
-	for i, sh := range s.shards {
-		if _, ok := sh.(NearestNeighborSearcher); !ok {
-			return nil, QueryTrace{}, fmt.Errorf("shard %d: index kind does not support nearest neighbors", i)
-		}
-	}
 	var out []ranking.Result
 	tr, err := s.scatter(ctx,
-		func(i int) shardAnswer { return s.nearestShard(i, q, n) },
+		func(i int) shardAnswer {
+			res, backend, calls, err := s.shards[i].NearestNeighborsTraced(q, n)
+			return shardAnswer{res: res, backend: backend, calls: calls, err: err}
+		},
 		func(parts []shardAnswer) { out = mergeNearest(parts, n) })
 	return out, tr, err
-}
-
-// nearestShard runs one shard's local KNN, with backend attribution when
-// the sub-index supports it.
-func (s *Sharded) nearestShard(i int, q ranking.Ranking, n int) shardAnswer {
-	if ts, ok := s.shards[i].(TracedNearestNeighborSearcher); ok {
-		res, backend, calls, err := ts.NearestNeighborsTraced(q, n)
-		return shardAnswer{res: res, backend: backend, calls: calls, err: err}
-	}
-	res, err := s.shards[i].(NearestNeighborSearcher).NearestNeighbors(q, n)
-	return shardAnswer{res: res, err: err}
 }
 
 // nnCursor walks one shard's (distance, id)-sorted answer during the merge.

@@ -44,7 +44,6 @@ func TestShardedNearestNeighbors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refNN := ref.(shard.NearestNeighborSearcher)
 		for _, numShards := range []int{1, 3, 7} {
 			sh, err := shard.New(rs, numShards, build)
 			if err != nil {
@@ -57,7 +56,7 @@ func TestShardedNearestNeighbors(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%d shards: %v", name, numShards, err)
 					}
-					want, err := refNN.NearestNeighbors(q, n)
+					want, _, _, err := ref.NearestNeighborsTraced(q, n)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -227,10 +226,9 @@ func TestSearchBatchThetas(t *testing.T) {
 }
 
 // TestShardedNearestNeighborsTraced checks the traced KNN fan-out: the same
-// answer as the plain call, phase timings, and — over hybrid sub-indices —
-// the answering backends and their distance-call cost; sub-indices that do
-// not attribute leave the trace's attribution empty. Every KNN call is one
-// observation of the fan-out and merge histograms, like a range search.
+// answer as the plain call, phase timings, and the answering backends with
+// their distance-call cost, for a standalone kind as for hybrid sub-indices. Every KNN call is one observation of the fan-out
+// and merge histograms, like a range search.
 func TestShardedNearestNeighborsTraced(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	rs := difftest.RandomCollection(rng, 300, 8, 200)
@@ -264,9 +262,9 @@ func TestShardedNearestNeighborsTraced(t *testing.T) {
 			if len(tr.Backends) != 1 || tr.Backends[0] != "inverted" || tr.DistanceCalls != 0 {
 				t.Errorf("hybrid attribution: %+v", tr)
 			}
-		case "coarse":
-			if len(tr.Backends) != 0 || tr.DistanceCalls != 0 {
-				t.Errorf("coarse sub-indices attributed: %+v", tr)
+		case "coarse": // the expanding-radius reduction over the coarse range search
+			if len(tr.Backends) != 1 || tr.Backends[0] != "coarse" || tr.DistanceCalls == 0 {
+				t.Errorf("coarse attribution: %+v", tr)
 			}
 		}
 	}

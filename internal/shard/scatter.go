@@ -11,34 +11,23 @@ import (
 	"topk/internal/ranking"
 )
 
-// TracedSearcher is the optional sub-index interface behind query traces:
-// kinds that can attribute a single query to the concrete backend that
-// answered it and report its distance-call cost (topk.HybridIndex, whose
-// planner picks a backend per query). Sub-indices without it still work —
-// their shards simply contribute no attribution.
-type TracedSearcher interface {
-	// SearchTraced is Search plus attribution: the name of the backend
-	// that answered and the number of Footrule evaluations this query cost.
-	SearchTraced(q ranking.Ranking, theta float64) ([]ranking.Result, string, uint64, error)
-}
-
 // QueryTrace describes where one fanned-out query spent its time and work.
 type QueryTrace struct {
 	// FanoutMicros is the scatter phase: dispatch until the slowest shard
 	// answered. MergeMicros is the gather phase: combining the answers.
 	FanoutMicros float64 `json:"fanoutMicros"`
 	MergeMicros  float64 `json:"mergeMicros"`
-	// Backends lists the distinct backends that answered, in shard order.
-	// Empty when no sub-index attributes its answers.
+	// Backends lists the distinct backends that answered, in shard order: one
+	// name for a standalone kind, up to two for the hybrid.
 	Backends []string `json:"backends,omitempty"`
-	// DistanceCalls is the query's Footrule-evaluation cost summed over
-	// attributing shards; 0 when no shard attributes.
+	// DistanceCalls is the query's Footrule-evaluation cost summed over the
+	// shards (0 on paths that evaluate no distance function: ListMerge and the
+	// native posting-list KNN).
 	DistanceCalls uint64 `json:"distanceCalls"`
 }
 
 // shardAnswer is one shard's part of a scatter: a single-query answer (res)
-// or a shared-batch answer (batch), plus the attribution of sub-indices that
-// trace.
+// with its attribution, or a shared-batch answer (batch).
 type shardAnswer struct {
 	res     []ranking.Result
 	batch   [][]ranking.Result

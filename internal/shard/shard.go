@@ -11,6 +11,15 @@
 // the per-shard answers in shard order yields the globally ID-sorted
 // result set — byte-identical to querying one unsharded index over the
 // whole collection.
+//
+// A sub-index serves through one total contract, Index: a traced range search
+// and a traced exact KNN, each naming the backend that answered and the
+// query's own distance calls — every kind of package topk provides both, so
+// no query path asks a shard what it can do. What only some kinds have — the
+// mutation half (Mutable), shared-candidate batches (BatchIndex), epoch
+// rebuild counters — is resolved once, when New or NewEmpty has built the
+// shards (see resolve): a capability holds for the Sharded exactly when every
+// shard has it, and the request paths read the resolved slices.
 package shard
 
 import (
@@ -23,13 +32,18 @@ import (
 	"topk/internal/ranking"
 )
 
-// Index is the structural subset of the public topk.Index interface the
-// sharding layer needs; every index kind of package topk satisfies it, and
-// so does Sharded itself (shards can in principle be nested).
+// Index is the serving contract of a sub-index; every index kind of package
+// topk satisfies it.
 type Index interface {
-	// Search returns all indexed rankings within normalized Footrule
-	// distance theta of q, sorted by ID, with exact distances.
-	Search(q ranking.Ranking, theta float64) ([]ranking.Result, error)
+	// SearchTraced returns all indexed rankings within normalized Footrule
+	// distance theta of q, sorted by ID, with exact distances, plus the name
+	// of the backend that answered and the number of Footrule evaluations
+	// this query cost.
+	SearchTraced(q ranking.Ranking, theta float64) ([]ranking.Result, string, uint64, error)
+	// NearestNeighborsTraced returns the n indexed rankings closest to q,
+	// ordered by distance (ties broken by id) — the answer is exact — with
+	// the same attribution.
+	NearestNeighborsTraced(q ranking.Ranking, n int) ([]ranking.Result, string, uint64, error)
 	// Len returns the number of indexed rankings.
 	Len() int
 	// K returns the ranking size.
@@ -38,7 +52,7 @@ type Index interface {
 	DistanceCalls() uint64
 }
 
-// Mutable is the mutation interface of sub-indices that support dynamic
+// Mutable is the mutation half of sub-indices that support dynamic
 // collections (package topk's InvertedIndex, CoarseIndex and HybridIndex).
 // When every sub-index implements it, the Sharded wrapper routes Insert,
 // Delete and Update to the owning shard; see (*Sharded).Mutable.
@@ -50,6 +64,27 @@ type Mutable interface {
 	Delete(id ranking.ID) error
 	// Update replaces the ranking under an existing shard-local ID.
 	Update(id ranking.ID, r ranking.Ranking) error
+	// Compact rebuilds over the surviving rankings, discarding tombstones.
+	Compact() error
+	// Slots returns the shard-local external-id slot view: slots[id] is the
+	// live ranking under id, nil a retired id.
+	Slots() []ranking.Ranking
+	// Tombstones counts deleted rankings awaiting compaction.
+	Tombstones() int
+}
+
+// BatchIndex is the sub-index interface behind SearchBatchSharedContext:
+// kinds that can answer a whole uniform-threshold batch with shared filtering
+// work (topk.InvertedIndex via the Section 8 batch processor).
+type BatchIndex interface {
+	SearchBatch(queries []ranking.Ranking, theta float64) ([][]ranking.Result, error)
+}
+
+// epochIndex is a sub-index that serves from epochs (topk.HybridIndex):
+// mutations wait in a delta overlay until a rebuild folds them in.
+type epochIndex interface {
+	DeltaLen() int
+	Rebuilds() uint64
 }
 
 // Builder constructs one sub-index over a contiguous slice of the
@@ -66,7 +101,14 @@ type Builder func(rankings []ranking.Ranking) (Index, error)
 // below — offsets, slot sizes — is immutable after New because inserts only
 // ever extend the open-ended id range of the last shard).
 type Sharded struct {
-	shards  []Index
+	shards []Index
+	// What the shards can do beyond Index, resolved once at construction: each
+	// is the shards themselves under the wider interface when every one of
+	// them has it, nil otherwise.
+	mutable []Mutable
+	batch   []BatchIndex
+	epochs  []epochIndex
+
 	offsets []ranking.ID // global ID of shard i's first ranking
 	sizes   []int        // initial slot count of shard i (id-range width)
 	hists   []*Histogram // per-shard query latency
@@ -89,54 +131,7 @@ func New(rankings []ranking.Ranking, numShards int, build Builder) (*Sharded, er
 	if len(rankings) == 0 {
 		return nil, fmt.Errorf("shard: empty collection")
 	}
-	if numShards <= 0 {
-		numShards = runtime.GOMAXPROCS(0)
-	}
-	if numShards > len(rankings) {
-		numShards = len(rankings)
-	}
-	n := len(rankings)
-	k := 0
-	for _, r := range rankings {
-		if r != nil {
-			k = r.K()
-			break
-		}
-	}
-	s := &Sharded{
-		shards:  make([]Index, numShards),
-		offsets: make([]ranking.ID, numShards),
-		sizes:   make([]int, numShards),
-		hists:   make([]*Histogram, numShards),
-		k:       k,
-	}
-	base, rem := n/numShards, n%numShards
-	errs := make([]error, numShards)
-	var wg sync.WaitGroup
-	lo := 0
-	for i := 0; i < numShards; i++ {
-		size := base
-		if i < rem {
-			size++
-		}
-		chunk := rankings[lo : lo+size]
-		s.offsets[i] = ranking.ID(lo)
-		s.sizes[i] = size
-		s.hists[i] = &Histogram{}
-		wg.Add(1)
-		go func(i int, chunk []ranking.Ranking) {
-			defer wg.Done()
-			s.shards[i], errs[i] = build(chunk)
-		}(i, chunk)
-		lo += size
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return s, nil
+	return assemble(rankings, numShards, build)
 }
 
 // NewEmpty builds a sharded index over an empty collection for dynamically
@@ -148,8 +143,19 @@ func New(rankings []ranking.Ranking, numShards int, build Builder) (*Sharded, er
 // collection holds. Only slot-capable (mutable) builders make sense here;
 // a builder that rejects an empty slice fails NewEmpty the same way.
 func NewEmpty(numShards int, build Builder) (*Sharded, error) {
+	return assemble(nil, numShards, build)
+}
+
+// assemble is the one constructor behind New and NewEmpty: it cuts rankings
+// (possibly none) into numShards chunks, builds the sub-indices in parallel
+// and resolves what they can do.
+func assemble(rankings []ranking.Ranking, numShards int, build Builder) (*Sharded, error) {
+	n := len(rankings)
 	if numShards <= 0 {
 		numShards = runtime.GOMAXPROCS(0)
+	}
+	if n > 0 && numShards > n {
+		numShards = n
 	}
 	s := &Sharded{
 		shards:  make([]Index, numShards),
@@ -157,21 +163,61 @@ func NewEmpty(numShards int, build Builder) (*Sharded, error) {
 		sizes:   make([]int, numShards),
 		hists:   make([]*Histogram, numShards),
 	}
-	for i := range s.shards {
-		ix, err := build(nil)
+	for _, r := range rankings {
+		if r != nil {
+			s.k = r.K()
+			break
+		}
+	}
+	base, rem := n/numShards, n%numShards
+	errs := make([]error, numShards)
+	var wg sync.WaitGroup
+	lo := 0
+	for i := 0; i < numShards; i++ {
+		size := base
+		if i < rem {
+			size++
+		}
+		s.offsets[i] = ranking.ID(lo)
+		s.sizes[i] = size
+		s.hists[i] = &Histogram{}
+		wg.Add(1)
+		go func(i int, chunk []ranking.Ranking) {
+			defer wg.Done()
+			s.shards[i], errs[i] = build(chunk)
+		}(i, rankings[lo:lo+size])
+		lo += size
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		s.shards[i] = ix
-		s.hists[i] = &Histogram{}
 	}
+	s.mutable = resolve[Mutable](s.shards)
+	s.batch = resolve[BatchIndex](s.shards)
+	s.epochs = resolve[epochIndex](s.shards)
 	return s, nil
+}
+
+// resolve is the one place a sub-index is asked what it can do beyond Index:
+// it returns the shards as T when every one of them is a T, nil otherwise.
+func resolve[T any](shards []Index) []T {
+	out := make([]T, len(shards))
+	for i, sh := range shards {
+		t, ok := sh.(T)
+		if !ok {
+			return nil
+		}
+		out[i] = t
+	}
+	return out
 }
 
 // NumShards returns the number of sub-indices.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
-// Len implements Index as the live ranking count summed over all shards, so
+// Len is the live ranking count summed over all shards, so
 // it stays accurate under Insert/Delete/Update.
 func (s *Sharded) Len() int {
 	n := 0
@@ -181,7 +227,7 @@ func (s *Sharded) Len() int {
 	return n
 }
 
-// K implements Index. A collection built empty (NewEmpty) has no ranking
+// K is the ranking size. A collection built empty (NewEmpty) has no ranking
 // size until its first insert: K reports 0 while every shard is empty and
 // the size of the first shard that holds a ranking after.
 func (s *Sharded) K() int {
@@ -198,14 +244,7 @@ func (s *Sharded) K() int {
 
 // Mutable reports whether every sub-index supports mutations; only then do
 // Insert, Delete and Update route.
-func (s *Sharded) Mutable() bool {
-	for _, sh := range s.shards {
-		if _, ok := sh.(Mutable); !ok {
-			return false
-		}
-	}
-	return true
-}
+func (s *Sharded) Mutable() bool { return s.mutable != nil }
 
 // ErrImmutable is returned by the mutation methods when a sub-index kind
 // does not support them.
@@ -216,14 +255,13 @@ var ErrImmutable = errors.New("shard: index kind does not support mutation")
 // ID-range invariant — and with it the concatenation merge of Search — is
 // preserved no matter how the collection grows.
 func (s *Sharded) Insert(r ranking.Ranking) (ranking.ID, error) {
+	if s.mutable == nil {
+		return 0, ErrImmutable
+	}
 	s.snapMu.RLock()
 	defer s.snapMu.RUnlock()
 	last := len(s.shards) - 1
-	m, ok := s.shards[last].(Mutable)
-	if !ok {
-		return 0, ErrImmutable
-	}
-	local, err := m.Insert(r)
+	local, err := s.mutable[last].Insert(r)
 	if err != nil {
 		return 0, fmt.Errorf("shard %d: %w", last, err)
 	}
@@ -233,17 +271,16 @@ func (s *Sharded) Insert(r ranking.Ranking) (ranking.ID, error) {
 // Delete removes the ranking with the given global ID, routing to the
 // owning shard.
 func (s *Sharded) Delete(id ranking.ID) error {
+	if s.mutable == nil {
+		return ErrImmutable
+	}
 	s.snapMu.RLock()
 	defer s.snapMu.RUnlock()
 	i, local, err := s.owner(id)
 	if err != nil {
 		return err
 	}
-	m, ok := s.shards[i].(Mutable)
-	if !ok {
-		return ErrImmutable
-	}
-	if err := m.Delete(local); err != nil {
+	if err := s.mutable[i].Delete(local); err != nil {
 		return fmt.Errorf("id %d (shard %d): %w", id, i, err)
 	}
 	return nil
@@ -252,30 +289,27 @@ func (s *Sharded) Delete(id ranking.ID) error {
 // Update replaces the ranking stored under an existing global ID, routing
 // to the owning shard. The ID stays stable.
 func (s *Sharded) Update(id ranking.ID, r ranking.Ranking) error {
+	if s.mutable == nil {
+		return ErrImmutable
+	}
 	s.snapMu.RLock()
 	defer s.snapMu.RUnlock()
 	i, local, err := s.owner(id)
 	if err != nil {
 		return err
 	}
-	m, ok := s.shards[i].(Mutable)
-	if !ok {
-		return ErrImmutable
-	}
-	if err := m.Update(local, r); err != nil {
+	if err := s.mutable[i].Update(local, r); err != nil {
 		return fmt.Errorf("id %d (shard %d): %w", id, i, err)
 	}
 	return nil
 }
 
-// Compact asks every sub-index that supports it to rebuild over its
-// surviving rankings, discarding tombstones. Global IDs are preserved.
+// Compact asks every sub-index to rebuild over its surviving rankings,
+// discarding tombstones; read-only kinds have none. Global IDs are preserved.
 func (s *Sharded) Compact() error {
-	for i, sh := range s.shards {
-		if c, ok := sh.(interface{ Compact() error }); ok {
-			if err := c.Compact(); err != nil {
-				return fmt.Errorf("shard %d: %w", i, err)
-			}
+	for i, m := range s.mutable {
+		if err := m.Compact(); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	return nil
@@ -285,8 +319,8 @@ func (s *Sharded) Compact() error {
 // one: slots[id] is the live ranking under global id, nil a retired id.
 // Feeding the result to New with the same builder and shard count restores
 // an equivalent sharded index with all ids preserved (non-last shards never
-// grow, so per-shard slot ranges stay contiguous). Returns false when a
-// sub-index kind exposes no slot view.
+// grow, so per-shard slot ranges stay contiguous). Returns false for the
+// read-only kinds, which expose no slot view.
 //
 // The view is a consistent cut: Slots quiesces mutations (exclusive
 // snapMu) while it walks the shards, so a snapshot racing concurrent
@@ -294,15 +328,14 @@ func (s *Sharded) Compact() error {
 // before some single point in time — never a cross-shard mix where a later
 // mutation is visible but an earlier one is not.
 func (s *Sharded) Slots() ([]ranking.Ranking, bool) {
+	if s.mutable == nil {
+		return nil, false
+	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	var out []ranking.Ranking
-	for _, sh := range s.shards {
-		v, ok := sh.(interface{ Slots() []ranking.Ranking })
-		if !ok {
-			return nil, false
-		}
-		out = append(out, v.Slots()...)
+	for _, m := range s.mutable {
+		out = append(out, m.Slots()...)
 	}
 	return out, true
 }
@@ -324,7 +357,7 @@ func (s *Sharded) owner(id ranking.ID) (int, ranking.ID, error) {
 	return last, id - s.offsets[last], nil
 }
 
-// DistanceCalls implements Index as the sum over all shards.
+// DistanceCalls is the sum over all shards.
 func (s *Sharded) DistanceCalls() uint64 {
 	var t uint64
 	for _, sh := range s.shards {
@@ -333,16 +366,14 @@ func (s *Sharded) DistanceCalls() uint64 {
 	return t
 }
 
-// Rebuilds sums the epoch-rebuild counters of the sub-indices that expose
-// one (the hybrid engine's delta-overlay rebuilds). Immutable kinds
-// contribute 0. Together with a mutation counter this forms a cheap
-// collection generation: any acked mutation or installed rebuild changes it.
+// Rebuilds sums the epoch-rebuild counters of sub-indices that serve from
+// epochs (the hybrid engine's delta-overlay rebuilds); 0 for every other
+// kind. Together with a mutation counter this forms a cheap collection
+// generation: any acked mutation or installed rebuild changes it.
 func (s *Sharded) Rebuilds() uint64 {
 	var t uint64
-	for _, sh := range s.shards {
-		if r, ok := sh.(interface{ Rebuilds() uint64 }); ok {
-			t += r.Rebuilds()
-		}
+	for _, e := range s.epochs {
+		t += e.Rebuilds()
 	}
 	return t
 }
@@ -350,7 +381,7 @@ func (s *Sharded) Rebuilds() uint64 {
 // Shard returns the i-th sub-index and the global ID of its first ranking.
 func (s *Sharded) Shard(i int) (Index, ranking.ID) { return s.shards[i], s.offsets[i] }
 
-// Search implements Index: SearchContext without cancellation.
+// Search is SearchContext without cancellation.
 func (s *Sharded) Search(q ranking.Ranking, theta float64) ([]ranking.Result, error) {
 	return s.SearchContext(context.Background(), q, theta)
 }
@@ -368,28 +399,19 @@ func (s *Sharded) SearchContext(ctx context.Context, q ranking.Ranking, theta fl
 	return res, err
 }
 
-// SearchTracedContext is SearchContext with a per-query trace: phase timings
-// and — when the sub-indices support it — backend attribution and
-// distance-call cost.
+// SearchTracedContext is SearchContext with a per-query trace: phase
+// timings, the backends that answered and their distance-call cost.
 func (s *Sharded) SearchTracedContext(ctx context.Context, q ranking.Ranking, theta float64) ([]ranking.Result, QueryTrace, error) {
 	var out []ranking.Result
 	tr, err := s.scatter(ctx,
-		func(i int) shardAnswer { return s.searchShardTraced(i, q, theta) },
+		func(i int) shardAnswer {
+			res, backend, calls, err := s.shards[i].SearchTraced(q, theta)
+			return shardAnswer{res: res, backend: backend, calls: calls, err: err}
+		},
 		func(parts []shardAnswer) {
 			out = concat(parts, func(p *shardAnswer) []ranking.Result { return p.res })
 		})
 	return out, tr, err
-}
-
-// searchShardTraced queries one shard, capturing backend attribution when
-// the sub-index supports it.
-func (s *Sharded) searchShardTraced(i int, q ranking.Ranking, theta float64) shardAnswer {
-	if ts, ok := s.shards[i].(TracedSearcher); ok {
-		res, backend, calls, err := ts.SearchTraced(q, theta)
-		return shardAnswer{res: res, backend: backend, calls: calls, err: err}
-	}
-	res, err := s.shards[i].Search(q, theta)
-	return shardAnswer{res: res, err: err}
 }
 
 // SearchBatchContext answers many queries at the same threshold, running up
@@ -490,14 +512,6 @@ func (s *Sharded) searchMany(ctx context.Context, queries []ranking.Ranking, the
 	return out, nil
 }
 
-// BatchIndex is the optional sub-index interface behind
-// SearchBatchSharedContext: kinds that can answer a whole uniform-threshold
-// batch with shared filtering work (topk.InvertedIndex via the Section 8
-// batch processor).
-type BatchIndex interface {
-	SearchBatch(queries []ranking.Ranking, theta float64) ([][]ranking.Result, error)
-}
-
 // SearchBatchSharedContext answers a uniform-threshold batch with per-shard
 // shared-candidate processing: the whole batch is handed to every shard's
 // BatchIndex in parallel, so each shard clusters the batch once and shares
@@ -509,14 +523,12 @@ type BatchIndex interface {
 // SearchBatchContext's per-query one — the price of shared-candidate
 // processing.
 func (s *Sharded) SearchBatchSharedContext(ctx context.Context, queries []ranking.Ranking, theta float64) (res [][]ranking.Result, ok bool, err error) {
-	for _, sh := range s.shards {
-		if _, isBatcher := sh.(BatchIndex); !isBatcher {
-			return nil, false, nil
-		}
+	if s.batch == nil {
+		return nil, false, nil
 	}
 	_, err = s.scatter(ctx,
 		func(i int) shardAnswer {
-			batch, err := s.shards[i].(BatchIndex).SearchBatch(queries, theta)
+			batch, err := s.batch[i].SearchBatch(queries, theta)
 			return shardAnswer{batch: batch, err: err}
 		},
 		func(parts []shardAnswer) {
@@ -564,14 +576,11 @@ func (s *Sharded) Stats() []ShardStats {
 			DistanceCalls: sh.DistanceCalls(),
 			Latency:       s.hists[i].Snapshot(),
 		}
-		if t, ok := sh.(interface{ Tombstones() int }); ok {
-			out[i].Tombstones = t.Tombstones()
+		if s.mutable != nil {
+			out[i].Tombstones = s.mutable[i].Tombstones()
 		}
-		if d, ok := sh.(interface{ DeltaLen() int }); ok {
-			out[i].Delta = d.DeltaLen()
-		}
-		if r, ok := sh.(interface{ Rebuilds() uint64 }); ok {
-			out[i].Rebuilds = r.Rebuilds()
+		if s.epochs != nil {
+			out[i].Delta, out[i].Rebuilds = s.epochs[i].DeltaLen(), s.epochs[i].Rebuilds()
 		}
 	}
 	return out

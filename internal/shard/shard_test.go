@@ -15,11 +15,14 @@ import (
 	"topk/internal/shard"
 )
 
-// Sharded must itself satisfy the sharding-layer index contract, including
-// the mutation surface.
+// Every index kind of package topk satisfies the serving contract, and the
+// three mutable kinds the whole mutation half.
 var (
-	_ shard.Index   = (*shard.Sharded)(nil)
-	_ shard.Mutable = (*shard.Sharded)(nil)
+	_ shard.Index   = (*topk.BlockedIndex)(nil)
+	_ shard.Index   = (*topk.MetricTree)(nil)
+	_ shard.Mutable = (*topk.CoarseIndex)(nil)
+	_ shard.Mutable = (*topk.InvertedIndex)(nil)
+	_ shard.Mutable = (*topk.HybridIndex)(nil)
 )
 
 func testCollection(t *testing.T, n, k int) ([]ranking.Ranking, []ranking.Ranking) {
@@ -77,7 +80,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 				if sh.Len() != len(rs) || sh.K() != 10 {
 					t.Fatalf("Len/K = %d/%d, want %d/10", sh.Len(), sh.K(), len(rs))
 				}
-				difftest.CheckMatch(t, name, sh, ref, qs, thetas)
+				difftest.CheckMatch(t, name, sh, ref.(difftest.Searcher), qs, thetas)
 			}
 		})
 	}

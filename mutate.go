@@ -284,7 +284,8 @@ func (c *mutationCore) slots() []Ranking {
 // mutable is the mutation half of InvertedIndex and CoarseIndex: the core
 // behind the RWMutex that serializes writers against the kinds' concurrent
 // searches, plus synchronous tombstone compaction. The two kinds differ only
-// in rebuild and in the backend adapter their query methods construct.
+// in rebuild, which also installs the backend their query half (queryHalf,
+// engine.go) answers from.
 type mutable struct {
 	// mu is write-held by mutations (Insert/Delete/Update/Compact) only;
 	// Search proceeds concurrently under the read lock, drawing its scratch
@@ -295,8 +296,8 @@ type mutable struct {
 	// which mutations trigger an automatic rebuild; ≤ 0 disables it.
 	compactRatio float64
 	// rebuild constructs the kind's inner structure over a dense collection
-	// of size-k rankings, installs it and its searcher pool in the kind's own
-	// fields, and returns it for the core.
+	// of size-k rankings, installs its backend adapter (structure plus
+	// searcher pool) in the kind's query half, and returns it for the core.
 	rebuild func(live []Ranking, k int) (mutableInner, error)
 }
 

@@ -36,7 +36,6 @@ package topk
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"topk/internal/bktree"
 	"topk/internal/blocked"
@@ -143,11 +142,12 @@ func validateSlots(slots []Ranking) (k, live int, err error) {
 // grouped into partitions of radius θC around medoid rankings; only the
 // medoids live in an inverted index; partitions are validated by BK-trees.
 //
-// It is mutable through the shared facade (see mutable). Per Section 4.1's
-// clustering semantics an inserted ranking joins the first existing partition
-// whose medoid is within θC (found through the medoid inverted index with
-// Lemma 1's relaxation — a zero-radius query at threshold θC); otherwise it
-// becomes the medoid of a fresh singleton partition. The partition invariant
+// It answers through the shared query half (see queryHalf) and is mutable
+// through the shared mutation half (see mutable). Per Section 4.1's clustering
+// semantics an inserted ranking joins the first existing partition whose
+// medoid is within θC (found through the medoid inverted index with Lemma 1's
+// relaxation — a zero-radius query at threshold θC); otherwise it becomes the
+// medoid of a fresh singleton partition. The partition invariant
 // d(medoid, member) ≤ θC is preserved exactly, so all query-time guarantees
 // carry over; insert-time distance computations count toward the index's
 // construction cost (BuildDFC), not DistanceCalls. A deleted ranking stays in
@@ -157,10 +157,8 @@ func validateSlots(slots []Ranking) (k, live int, err error) {
 // partition trees over the survivors.
 type CoarseIndex struct {
 	mutable
+	queryHalf
 	idx    *coarse.Index
-	pool   *coarse.Pool
-	calls  atomic.Uint64
-	drop   bool
 	thetaC float64
 	copts  coarse.Options
 }
@@ -250,17 +248,22 @@ func newCoarseFromSlots(slots []Ranking, opts []CoarseOption) (*CoarseIndex, err
 		}
 		cfg.thetaC = tc
 	}
-	c := &CoarseIndex{drop: cfg.drop, thetaC: cfg.thetaC, copts: coarse.Options{Seed: cfg.seed}}
+	c := &CoarseIndex{thetaC: cfg.thetaC, copts: coarse.Options{Seed: cfg.seed}}
 	if cfg.randMedoid {
 		c.copts.Strategy = coarse.RandomMedoids
 	}
-	c.compactRatio = cfg.compactRatio
+	mode := coarse.FV
+	if cfg.drop {
+		mode = coarse.FVDrop
+	}
+	c.mut, c.compactRatio = &c.mutable, cfg.compactRatio
 	c.rebuild = func(live []Ranking, k int) (mutableInner, error) {
 		idx, err := coarse.New(live, ranking.RawThreshold(c.thetaC, k), c.copts)
 		if err != nil {
 			return nil, err
 		}
-		c.idx, c.pool = idx, coarse.NewPool(idx)
+		c.idx = idx
+		c.backend = coarseBackend{idx: idx, pool: newPool(idx, coarse.NewSearcher), mode: mode}
 		return coarseInner{idx}, nil
 	}
 	if err := c.install(m, live); err != nil {
@@ -286,26 +289,6 @@ func tuneThetaC(rankings []Ranking, k int, maxTheta float64) (float64, error) {
 	raw := m.OptimalThetaC(ranking.RawThreshold(maxTheta, k), costmodel.DefaultGrid(k))
 	return float64(raw) / float64(ranking.MaxDistance(k)), nil
 }
-
-// backend adapts the coarse index's current physical state onto the
-// planner.Backend interface; construct it under the facade's lock.
-func (c *CoarseIndex) backend() coarseBackend {
-	mode := coarse.FV
-	if c.drop {
-		mode = coarse.FVDrop
-	}
-	return coarseBackend{idx: c.idx, pool: c.pool, mode: mode}
-}
-
-// Search implements Index.
-func (c *CoarseIndex) Search(q Ranking, theta float64) ([]Result, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return searchBackend(c.backend(), &c.ids, &c.calls, c.k, q, theta)
-}
-
-// DistanceCalls implements Index.
-func (c *CoarseIndex) DistanceCalls() uint64 { return c.calls.Load() }
 
 // ThetaC reports the (possibly auto-tuned) partitioning threshold in use.
 func (c *CoarseIndex) ThetaC() float64 { return c.thetaC }
@@ -337,17 +320,15 @@ const (
 )
 
 // InvertedIndex is the rank-augmented inverted index with the paper's
-// filter-and-validate algorithm family. It is mutable through the shared
-// facade (see mutable): the index supports incremental maintenance natively —
-// posting lists stay id-sorted because internal ids grow monotonically — and
-// every query algorithm skips tombstoned postings until compaction purges
-// them.
+// filter-and-validate algorithm family, answering through the shared query
+// half (see queryHalf). It is mutable through the shared mutation half (see
+// mutable): the index supports incremental maintenance natively — posting
+// lists stay id-sorted because internal ids grow monotonically — and every
+// query algorithm skips tombstoned postings until compaction purges them.
 type InvertedIndex struct {
 	mutable
-	idx   *invindex.Index
-	pool  *invindex.Pool
-	calls atomic.Uint64
-	alg   Algorithm
+	queryHalf
+	inv invBackend // what backend holds, typed: SearchBatch needs the index and its pool
 }
 
 // InvOption configures NewInvertedIndex.
@@ -356,7 +337,7 @@ type InvOption func(*InvertedIndex)
 // WithAlgorithm selects the query strategy (default FilterValidateDrop,
 // the best all-round performer of the evaluation).
 func WithAlgorithm(a Algorithm) InvOption {
-	return func(ii *InvertedIndex) { ii.alg = a }
+	return func(ii *InvertedIndex) { ii.inv.alg = a }
 }
 
 // WithCompactionRatio sets the tombstone fraction of the inner id space
@@ -387,8 +368,8 @@ func NewInvertedIndexFromSlots(slots []Ranking, opts ...InvOption) (*InvertedInd
 }
 
 func newInvertedFromSlots(slots []Ranking, opts []InvOption) (*InvertedIndex, error) {
-	ii := &InvertedIndex{alg: FilterValidateDrop}
-	ii.compactRatio = DefaultCompactionRatio
+	ii := &InvertedIndex{inv: invBackend{alg: FilterValidateDrop}}
+	ii.mut, ii.compactRatio = &ii.mutable, DefaultCompactionRatio
 	for _, o := range opts {
 		o(ii)
 	}
@@ -397,7 +378,8 @@ func newInvertedFromSlots(slots []Ranking, opts []InvOption) (*InvertedIndex, er
 		if err != nil {
 			return nil, err
 		}
-		ii.idx, ii.pool = idx, invindex.NewPool(idx)
+		ii.inv.idx, ii.inv.pool = idx, newPool(idx, invindex.NewSearcher)
+		ii.backend = ii.inv
 		return idx, nil
 	}
 	if err := ii.install(newSlotsIDMap(slots)); err != nil {
@@ -405,22 +387,6 @@ func newInvertedFromSlots(slots []Ranking, opts []InvOption) (*InvertedIndex, er
 	}
 	return ii, nil
 }
-
-// backend adapts the inverted index's current physical state onto the
-// planner.Backend interface; construct it under the facade's lock.
-func (ii *InvertedIndex) backend() invBackend {
-	return invBackend{idx: ii.idx, pool: ii.pool, alg: ii.alg}
-}
-
-// Search implements Index.
-func (ii *InvertedIndex) Search(q Ranking, theta float64) ([]Result, error) {
-	ii.mu.RLock()
-	defer ii.mu.RUnlock()
-	return searchBackend(ii.backend(), &ii.ids, &ii.calls, ii.k, q, theta)
-}
-
-// DistanceCalls implements Index.
-func (ii *InvertedIndex) DistanceCalls() uint64 { return ii.calls.Load() }
 
 // ---------------------------------------------------------------------------
 // BlockedIndex
@@ -431,11 +397,8 @@ func (ii *InvertedIndex) DistanceCalls() uint64 { return ii.calls.Load() }
 // BlockedIndex has no mutating operations, so Search takes no lock at all:
 // per-query scratch comes from the pool, distance accounting is atomic.
 type BlockedIndex struct {
-	idx   *blocked.Index
-	pool  *blocked.Pool
-	calls atomic.Uint64
-	k     int
-	mode  blocked.Mode
+	queryHalf
+	mode blocked.Mode
 }
 
 // BlockedOption configures NewBlockedIndex.
@@ -448,44 +411,26 @@ func WithBlockedDrop() BlockedOption {
 
 // NewBlockedIndex builds the blocked index.
 func NewBlockedIndex(rankings []Ranking, opts ...BlockedOption) (*BlockedIndex, error) {
-	k, err := validateCollection(rankings)
-	if err != nil {
+	if _, err := validateCollection(rankings); err != nil {
 		return nil, err
 	}
 	idx, err := blocked.New(rankings)
 	if err != nil {
 		return nil, err
 	}
-	b := &BlockedIndex{
-		idx:  idx,
-		pool: blocked.NewPool(idx),
-		k:    k,
-		mode: blocked.Prune,
-	}
+	b := &BlockedIndex{mode: blocked.Prune}
 	for _, o := range opts {
 		o(b)
 	}
+	b.backend = blockedBackend{idx: idx, pool: newPool(idx, blocked.NewSearcher), mode: b.mode}
 	return b, nil
 }
 
-// backend adapts the blocked index onto the planner.Backend interface.
-func (b *BlockedIndex) backend() blockedBackend {
-	return blockedBackend{idx: b.idx, pool: b.pool, mode: b.mode}
-}
-
-// Search implements Index.
-func (b *BlockedIndex) Search(q Ranking, theta float64) ([]Result, error) {
-	return searchBackend(b.backend(), nil, &b.calls, b.k, q, theta)
-}
-
 // Len implements Index.
-func (b *BlockedIndex) Len() int { return b.idx.Len() }
+func (b *BlockedIndex) Len() int { return b.backend.Len() }
 
 // K implements Index.
-func (b *BlockedIndex) K() int { return b.k }
-
-// DistanceCalls implements Index.
-func (b *BlockedIndex) DistanceCalls() uint64 { return b.calls.Load() }
+func (b *BlockedIndex) K() int { return b.backend.K() }
 
 // ---------------------------------------------------------------------------
 // Metric trees
@@ -508,13 +453,13 @@ const (
 // are immutable after construction, so Search is lock-free; the only
 // per-query state is the counting evaluator.
 type MetricTree struct {
-	kind  TreeKind
-	bk    *bktree.Tree
-	mt    *mtree.Tree
-	vp    *vptree.Tree
-	rs    []Ranking
-	calls atomic.Uint64
-	k     int
+	queryHalf
+	kind TreeKind
+	bk   *bktree.Tree
+	mt   *mtree.Tree
+	vp   *vptree.Tree
+	rs   []Ranking
+	k    int
 }
 
 // NewMetricTree builds a metric tree of the given kind.
@@ -537,15 +482,8 @@ func NewMetricTree(rankings []Ranking, kind TreeKind) (*MetricTree, error) {
 	if err != nil {
 		return nil, err
 	}
+	t.backend = treeBackend{t: t}
 	return t, nil
-}
-
-// backend adapts the metric tree onto the planner.Backend interface.
-func (t *MetricTree) backend() treeBackend { return treeBackend{t: t} }
-
-// Search implements Index.
-func (t *MetricTree) Search(q Ranking, theta float64) ([]Result, error) {
-	return searchBackend(t.backend(), nil, &t.calls, t.k, q, theta)
 }
 
 // Len implements Index.
@@ -553,6 +491,3 @@ func (t *MetricTree) Len() int { return len(t.rs) }
 
 // K implements Index.
 func (t *MetricTree) K() int { return t.k }
-
-// DistanceCalls implements Index.
-func (t *MetricTree) DistanceCalls() uint64 { return t.calls.Load() }

@@ -1,12 +1,14 @@
 package topk
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"topk/internal/dataset"
 	"topk/internal/difftest"
+	"topk/internal/ranking"
 )
 
 func testCollection(t *testing.T, n int) []Ranking {
@@ -127,6 +129,56 @@ func TestQuerySizeMismatch(t *testing.T) {
 	tree, _ := NewMetricTree(rs, BKTree)
 	if _, err := tree.Search(Ranking{1, 2, 3}, 0.1); err == nil {
 		t.Error("tree size mismatch accepted")
+	}
+}
+
+// TestQueryContract pins the duplicate-free, fixed-size top-k-list contract
+// on the query side: every kind, through Search and NearestNeighbors alike,
+// rejects a query with a repeated item or of the wrong size with the same
+// sentinel error.
+func TestQueryContract(t *testing.T) {
+	rs := testCollection(t, 200)
+	type queryer interface {
+		Index
+		NearestNeighborSearcher
+	}
+	builders := map[string]func() (queryer, error){
+		"coarse":        func() (queryer, error) { return NewCoarseIndex(rs) },
+		"coarse-drop":   func() (queryer, error) { return NewCoarseIndex(rs, WithThetaC(0.06), WithListDropping()) },
+		"inverted":      func() (queryer, error) { return NewInvertedIndex(rs, WithAlgorithm(FilterValidate)) },
+		"inverted-drop": func() (queryer, error) { return NewInvertedIndex(rs) },
+		"merge":         func() (queryer, error) { return NewInvertedIndex(rs, WithAlgorithm(ListMerge)) },
+		"blocked":       func() (queryer, error) { return NewBlockedIndex(rs) },
+		"blocked-drop":  func() (queryer, error) { return NewBlockedIndex(rs, WithBlockedDrop()) },
+		"bktree":        func() (queryer, error) { return NewMetricTree(rs, BKTree) },
+		"mtree":         func() (queryer, error) { return NewMetricTree(rs, MTree) },
+		"vptree":        func() (queryer, error) { return NewMetricTree(rs, VPTree) },
+		"hybrid":        func() (queryer, error) { return NewHybridIndex(rs) },
+		"hybrid/adaptsearch": func() (queryer, error) {
+			return NewHybridIndex(rs, WithForcedBackend("adaptsearch"))
+		},
+	}
+	bad := []struct {
+		name string
+		q    Ranking
+		want error
+	}{
+		{"repeated item", Ranking{1, 1, 2, 3, 4, 5, 6, 7, 8, 9}, ranking.ErrDuplicateItem},
+		{"wrong size", Ranking{1, 2, 3}, ranking.ErrSizeMismatch},
+	}
+	for name, build := range builders {
+		idx, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, tc := range bad {
+			if _, err := idx.Search(tc.q, 0.2); !errors.Is(err, tc.want) {
+				t.Errorf("%s: Search(%s) = %v, want %v", name, tc.name, err, tc.want)
+			}
+			if _, err := idx.NearestNeighbors(tc.q, 3); !errors.Is(err, tc.want) {
+				t.Errorf("%s: NearestNeighbors(%s) = %v, want %v", name, tc.name, err, tc.want)
+			}
+		}
 	}
 }
 
