@@ -6,14 +6,6 @@ import (
 	"topk/internal/ranking"
 )
 
-// BatchSearcher is implemented by index kinds that can answer a whole
-// uniform-threshold query batch with shared work instead of one independent
-// search per query. The i-th result slice answers queries[i], each exactly
-// as Search would have answered it.
-type BatchSearcher interface {
-	SearchBatch(queries []Ranking, theta float64) ([][]Result, error)
-}
-
 // SearchBatch answers every query of the batch at one threshold with the
 // paper's Section 8 batch processing (internal/batch): the batch is
 // clustered into medoid groups, the index is probed once per group at the

@@ -20,7 +20,7 @@
 // the records (BENCH_kernels.json) that cmd/benchgate diffs in CI against
 // the committed baseline.
 //
-// Everything about the serving stack (planner routing, epoch rebuilds, WAL
+// Everything about the serving stack (hybrid routing, epoch rebuilds, WAL
 // cost, overload, tenants) is measured over a socket by
 // `bash benchmark/run.sh`, not here.
 package main
@@ -77,7 +77,7 @@ func main() {
 	for _, id := range ids {
 		if id != "kernels" && !slices.Contains(paperIDs, id) {
 			usageError("unknown experiment id %q; valid ids: %s kernels all\n"+
-				"serving-stack numbers (planner, rebuild, WAL, overload, tenants) come from `bash benchmark/run.sh`",
+				"serving-stack numbers (hybrid routing, rebuild, WAL, overload, tenants) come from `bash benchmark/run.sh`",
 				id, strings.Join(paperIDs, " "))
 		}
 	}

@@ -32,14 +32,16 @@ import (
 	"time"
 
 	"topk"
+	"topk/internal/kinds"
 	"topk/internal/persist"
 	"topk/internal/ranking"
+	"topk/internal/shard"
 )
 
 func main() {
 	var (
 		dataPath    = flag.String("data", "", "collection path (- = stdin), one ranking per line, e.g. [1, 2, 3]")
-		indexKind   = flag.String("index", "coarse", "coarse|coarse-drop|inverted|inverted-drop|merge|blocked|blocked-drop|bktree|mtree|vptree")
+		indexKind   = flag.String("index", "coarse", kinds.Names(standalone))
 		query       = flag.String("q", "", "query ranking, e.g. \"[3, 1, 4]\"")
 		theta       = flag.Float64("theta", 0.2, "normalized distance threshold in [0,1]")
 		interactive = flag.Bool("interactive", false, "read queries from stdin after loading")
@@ -106,7 +108,7 @@ func main() {
 			return
 		}
 		start := time.Now()
-		res, err := idx.Search(q, *theta)
+		res, _, _, err := idx.SearchTraced(q, *theta)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "query failed: %v\n", err)
 			return
@@ -161,29 +163,18 @@ func loadSnapshot(path string) ([]topk.Ranking, error) {
 	return persist.ReadLegacy(f)
 }
 
-func buildIndex(kind string, rankings []topk.Ranking, maxTheta float64) (topk.Index, error) {
-	switch kind {
-	case "coarse":
-		return topk.NewCoarseIndex(rankings, topk.WithAutoTune(maxTheta))
-	case "coarse-drop":
-		return topk.NewCoarseIndex(rankings, topk.WithThetaC(0.06), topk.WithListDropping())
-	case "inverted":
-		return topk.NewInvertedIndex(rankings, topk.WithAlgorithm(topk.FilterValidate))
-	case "inverted-drop":
-		return topk.NewInvertedIndex(rankings)
-	case "merge":
-		return topk.NewInvertedIndex(rankings, topk.WithAlgorithm(topk.ListMerge))
-	case "blocked":
-		return topk.NewBlockedIndex(rankings)
-	case "blocked-drop":
-		return topk.NewBlockedIndex(rankings, topk.WithBlockedDrop())
-	case "bktree":
-		return topk.NewMetricTree(rankings, topk.BKTree)
-	case "mtree":
-		return topk.NewMetricTree(rankings, topk.MTree)
-	case "vptree":
-		return topk.NewMetricTree(rankings, topk.VPTree)
-	default:
-		return nil, fmt.Errorf("unknown index kind %q", kind)
+// standalone accepts the kinds topkquery builds: all but the hybrid, which
+// is topkserve's engine.
+func standalone(k kinds.Kind) bool { return k.Name != "hybrid" }
+
+func buildIndex(kind string, rankings []topk.Ranking, maxTheta float64) (shard.Index, error) {
+	k, err := kinds.Lookup(kind, standalone)
+	if err != nil {
+		return nil, err
 	}
+	// The mutable kinds build from a slot array and would accept an empty one.
+	if len(rankings) == 0 {
+		return nil, errors.New("topk: empty collection")
+	}
+	return k.New(rankings, kinds.Options{MaxTheta: maxTheta})
 }

@@ -18,8 +18,9 @@
 //	                            "forceBackend","calibrate","deltaRatio",
 //	                            "weight"} overrides the server defaults
 //	                            (maxTheta acts on kind coarse only;
-//	                            forceBackend inverted|adaptsearch,
-//	                            calibrate and deltaRatio on kind hybrid)
+//	                            forceBackend inverted|adaptsearch and
+//	                            deltaRatio on kind hybrid, which also
+//	                            accepts and ignores calibrate)
 //	DELETE /collections/{name}  drain in-flight requests, drop the collection
 //	                            and remove its WAL directory
 //	GET    /collections[/name]  shape, counters and durability lag
@@ -42,11 +43,11 @@
 //	GET  /c/{name}/stats    live collection size, per-shard Len/Tombstones/
 //	                        Delta/Rebuilds/DistanceCalls/latency histograms,
 //	                        fan-out and merge timings; for hybrid also the
-//	                        per-backend plan counters of the planner
+//	                        queries each of its two backends answered
 //	GET  /metrics  Prometheus text exposition: HTTP request/error/in-flight/
 //	               latency by route and status, and per-collection shard,
-//	               planner, WAL and epoch-rebuild families labeled with a
-//	               bounded collection label
+//	               plan-counter, WAL and epoch-rebuild families labeled
+//	               with a bounded collection label
 //	GET  /healthz  liveness probe (200 as long as the process serves HTTP)
 //	GET  /readyz   readiness probe (503 until every collection's build and
 //	               WAL replay finish, 200 after)
@@ -84,6 +85,7 @@ import (
 	"time"
 
 	"topk"
+	"topk/internal/kinds"
 	"topk/internal/server"
 )
 
@@ -92,11 +94,11 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		dataPath   = flag.String("data", "", "default collection path (- = stdin), one ranking per line")
 		snapPath   = flag.String("load-snapshot", "", "v3 collection snapshot (see topkgen -format binary / topkquery -save-snapshot / GET /snapshot)")
-		kind       = flag.String("kind", "coarse", "hybrid|coarse|coarse-drop|inverted|inverted-drop|merge|blocked|blocked-drop|bktree|mtree|vptree")
+		kind       = flag.String("kind", "coarse", kinds.Names(nil))
 		shards     = flag.Int("shards", 0, "number of shards (0 = GOMAXPROCS)")
 		maxTheta   = flag.Float64("maxtheta", 0.3, "-kind coarse only: largest query threshold the partitioning threshold is auto-tuned for (other kinds ignore it)")
-		force      = flag.String("force-backend", "", "hybrid only: pin all routing to one of its two backends (inverted|adaptsearch)")
-		calibrate  = flag.Int("calibrate", 0, "hybrid only: replay this many sample queries per shard against both backends at startup")
+		force      = flag.String("force-backend", "", "hybrid only: answer every query from this one of its two backends (inverted|adaptsearch) instead of inverted")
+		_          = flag.Int("calibrate", 0, "hybrid only, ignored: the hybrid has no query router left to calibrate; the flag remains because benchmark/ still passes it")
 		deltaRatio = flag.Float64("delta-ratio", topk.DefaultCompactionRatio, "hybrid only: mutation-overlay fraction per shard above which a background epoch rebuild folds the delta into both backends (<= 0 disables)")
 		maxBody    = flag.Int64("max-body", 16<<20, "maximum request body size in bytes on every endpoint; larger bodies get 413")
 		walDir     = flag.String("wal", "", "single-collection write-ahead-log directory: append every acked mutation before responding, recover checkpoint+log on startup (mutable kinds only)")
@@ -127,7 +129,6 @@ func main() {
 		Shards:            *shards,
 		MaxTheta:          *maxTheta,
 		ForceBackend:      *force,
-		Calibrate:         *calibrate,
 		DeltaRatio:        *deltaRatio,
 		MaxBody:           *maxBody,
 		WALDir:            *walDir,

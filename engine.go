@@ -1,12 +1,12 @@
 // The unified engine layer: every physical index structure in this package
-// is adapted onto the planner.Backend interface — one raw-threshold range
-// search drawing per-query scratch from the structure's pool — and the four
+// is adapted onto the backend interface — one raw-threshold range search
+// drawing per-query scratch from the structure's pool — and the four
 // standalone kinds answer through one query half (queryHalf), the counterpart
 // of the mutation half in mutate.go: Search, NearestNeighbors, their traced
 // forms and DistanceCalls are written once over whatever backend the kind
 // installed, instead of per-kind copies of the same lock/evaluator/remap
-// plumbing. HybridIndex keeps its own, planner-routed methods of the same
-// signatures over two of the same adapters, invBackend and adaptBackend.
+// plumbing. HybridIndex keeps its own methods of the same signatures over two
+// of the same adapters, invBackend and adaptBackend (see its route).
 //
 // The query contract — the index's ranking size, no repeated item
 // (checkQuery) — is enforced below the query half, once per path: a range
@@ -53,8 +53,35 @@ import (
 	"topk/internal/invindex"
 	"topk/internal/knn"
 	"topk/internal/metric"
-	"topk/internal/planner"
 	"topk/internal/ranking"
+)
+
+// backend is one physical index structure behind a facade: an exact
+// raw-threshold range search drawing per-query scratch from the structure's
+// pool, with Footrule evaluations counted on ev.
+type backend interface {
+	// Name identifies the backend in traces, plan stats and the hybrid's
+	// forced-backend escape hatch.
+	Name() string
+	// SearchRaw answers the exact range query (q, rawTheta) over the
+	// backend's internal id space, sorted by id. ev must count every
+	// distance evaluation the query performs; a nil ev is allowed.
+	SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([]Result, error)
+	// Len returns the number of indexed rankings.
+	Len() int
+	// K returns the ranking size.
+	K() int
+}
+
+// Names of the backend adapters below. The hybrid engine builds
+// backendInverted and backendAdaptSearch (HybridBackends); the others name
+// standalone index kinds.
+const (
+	backendInverted    = "inverted"
+	backendBlocked     = "blocked"
+	backendCoarse      = "coarse"
+	backendBKTree      = "bktree"
+	backendAdaptSearch = "adaptsearch"
 )
 
 // queryHalf is the query half of the four standalone kinds — the counterpart
@@ -69,7 +96,7 @@ type queryHalf struct {
 	// backend adapts the kind's physical structure. The read-only kinds set it
 	// once; a mutable kind's rebuild replaces it under the write lock, so
 	// queries read it under the read lock.
-	backend planner.Backend
+	backend backend
 	// mut is the mutation half of a mutable kind: the lock its queries share
 	// and the core whose id map their answers pass through. It is nil for the
 	// read-only kinds, whose internal ids are the public ones and whose queries
@@ -193,7 +220,7 @@ func checkQuery(q Ranking, k int) error {
 // internal id space the reduction's dmax backfill walks — and nil for kinds
 // whose internal ids are the public ones. The caller holds whatever lock its
 // kind requires.
-func nearestBackend(b planner.Backend, core *mutationCore, q Ranking, n int, ev *metric.Evaluator) ([]Result, error) {
+func nearestBackend(b backend, core *mutationCore, q Ranking, n int, ev *metric.Evaluator) ([]Result, error) {
 	k, space := b.K(), b.Len()
 	var (
 		ids  *idmap
@@ -275,7 +302,7 @@ type invBackend struct {
 	alg  Algorithm
 }
 
-func (b invBackend) Name() string { return planner.BackendInverted }
+func (b invBackend) Name() string { return backendInverted }
 func (b invBackend) Len() int     { return b.idx.Live() }
 func (b invBackend) K() int       { return b.idx.K() }
 
@@ -311,7 +338,7 @@ type coarseBackend struct {
 	mode coarse.Mode
 }
 
-func (b coarseBackend) Name() string { return planner.BackendCoarse }
+func (b coarseBackend) Name() string { return backendCoarse }
 func (b coarseBackend) Len() int     { return b.idx.Live() }
 func (b coarseBackend) K() int       { return b.idx.K() }
 
@@ -328,7 +355,7 @@ type blockedBackend struct {
 	mode blocked.Mode
 }
 
-func (b blockedBackend) Name() string { return planner.BackendBlocked }
+func (b blockedBackend) Name() string { return backendBlocked }
 func (b blockedBackend) Len() int     { return b.idx.Len() }
 func (b blockedBackend) K() int       { return b.idx.K() }
 
@@ -349,7 +376,7 @@ func (b treeBackend) Name() string {
 	case VPTree:
 		return "vptree"
 	default:
-		return planner.BackendBKTree
+		return backendBKTree
 	}
 }
 func (b treeBackend) Len() int { return len(b.t.rs) }
@@ -392,7 +419,7 @@ type adaptBackend struct {
 	pool *pool[adaptsearch.Searcher]
 }
 
-func (b adaptBackend) Name() string { return planner.BackendAdaptSearch }
+func (b adaptBackend) Name() string { return backendAdaptSearch }
 func (b adaptBackend) Len() int     { return b.idx.Len() }
 func (b adaptBackend) K() int       { return b.idx.K() }
 

@@ -1,36 +1,36 @@
 // HybridIndex: the unified query engine of the package. It builds two
 // physical backends over one collection — the rank-augmented inverted index
-// (F&V+Drop) and the AdaptSearch prefix filter — and routes every range query
-// to the one the cost model predicts cheaper for the query's threshold. The
-// paper's other structures (blocked, coarse, metric trees) are standalone
-// kinds and topkbench baselines, not serving backends: measured at one
-// benchmark shard they never come within 1.7x of the better of these two at
-// any threshold, while costing most of the build time and memory.
+// (F&V+Drop) and the AdaptSearch prefix filter — and serves every query,
+// range and KNN alike, from the inverted index: measured at one benchmark
+// shard it is the faster of the two at every threshold of the paper's query
+// range (θ ≤ 0.3; see the README's "Why the hybrid serves from one"), so the
+// route is a constant, not an estimate. The AdaptSearch sidecar answers only
+// when it is forced (Force, WithForcedBackend) — the escape hatch for θ > 0.3
+// workloads, and the comparison the end-to-end harness draws. The paper's
+// other structures (blocked, coarse, metric trees) are standalone kinds and
+// topkbench baselines, not serving backends.
 package topk
 
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"topk/internal/adaptsearch"
-	"topk/internal/costmodel"
 	"topk/internal/invindex"
 	"topk/internal/kernel"
 	"topk/internal/metric"
 	"topk/internal/persist"
-	"topk/internal/planner"
 	"topk/internal/ranking"
-	"topk/internal/stats"
 )
 
 // HybridBackends names the two backends every HybridIndex builds, in routing
 // order — the only names Force and WithForcedBackend accept.
 var HybridBackends = []string{
-	planner.BackendInverted,
-	planner.BackendAdaptSearch,
+	backendInverted,
+	backendAdaptSearch,
 }
 
 // Positions of the two backends in HybridBackends and hybridEpoch.backends.
@@ -39,24 +39,10 @@ const (
 	hybridAdaptSearch
 )
 
-// defaultCalibrationThetas is the threshold grid Calibrate and the
-// construction-time calibration replay use: the paper's query range.
-var defaultCalibrationThetas = []float64{0.05, 0.1, 0.2, 0.3}
-
-// defaultFootruleNanos prices one delta-scan distance call when the cost
-// model could not be fitted (degenerate collections); the overlay surcharge
-// only has to grow in the right direction, the EWMA refines it.
-const defaultFootruleNanos = 60.0
-
 // HybridIndex holds the two HybridBackends over the same collection behind
-// one query interface and routes each range query to the one the planner
-// predicts cheaper for the query's threshold. Routing decisions start from
-// Section 5 cost-model priors and are refined online by observed per-backend
-// latency and distance calls (exploration is off: a backend is re-measured
-// only when it is routed to); Force pins all traffic to one backend, and
-// Calibrate replays sample queries against both to seed the observations.
-// KNN queries go to the inverted backend's native single-pass algorithm
-// instead (see NearestNeighbors).
+// one query interface. Every query — range or KNN — goes to the inverted
+// backend unless Force (or WithForcedBackend) pins the other one; PlanStats
+// counts the answered queries per backend.
 //
 // The collection is fully mutable (HybridIndex implements MutableIndex)
 // through the package's one mutation core (mutate.go), run over the inverted
@@ -67,9 +53,9 @@ const defaultFootruleNanos = 60.0
 // index's tombstones — so both keep returning byte-identical results. Once
 // the overlay exceeds a configurable fraction of the collection
 // (WithHybridDeltaRatio), a background epoch rebuild folds the delta and
-// all tombstones back into both backends and re-seeds the planner's priors;
-// Compact does the same synchronously. External IDs are stable across
-// mutations and rebuilds, and snapshots round-trip through Slots.
+// all tombstones back into both backends; Compact does the same
+// synchronously. External IDs are stable across mutations and rebuilds, and
+// snapshots round-trip through Slots.
 // All methods are safe for concurrent use.
 type HybridIndex struct {
 	// mu is write-held by mutations and epoch installs only; queries proceed
@@ -77,9 +63,12 @@ type HybridIndex struct {
 	mu sync.RWMutex
 	ep *hybridEpoch
 
-	pl    *planner.Planner
-	calls atomic.Uint64
-	cfg   hybridConfig
+	// forced is the pinned backend's position in HybridBackends, -1 for none;
+	// plans counts the queries each backend answered.
+	forced atomic.Int32
+	plans  [2]atomic.Uint64
+	calls  atomic.Uint64
+	cfg    hybridConfig
 
 	rebuilds         atomic.Uint64
 	rebuildNanos     atomic.Uint64 // cumulative wall time of installed rebuilds
@@ -108,9 +97,7 @@ type hybridEpoch struct {
 	mutationCore // inner is inv
 	inv          *epochInv
 
-	backends [2]planner.Backend // in HybridBackends order
-
-	footruleNanos float64 // calibrated cost of one delta-scan distance call
+	backends [2]backend // in HybridBackends order
 
 	// spillBytes is the size of the mmapped paged arena backing this epoch
 	// (0 when the arena is heap-resident; see WithHybridSpill). spillErr is
@@ -148,14 +135,13 @@ type HybridOption func(*hybridConfig)
 
 type hybridConfig struct {
 	forced     string
-	calibrate  int
 	deltaRatio float64
 	spillDir   string
 }
 
-// WithForcedBackend pins all routing to one backend from construction on —
-// the escape hatch when the model must be taken out of the loop. The name
-// must be one of HybridBackends; Force("") re-enables routing later.
+// WithForcedBackend pins every query to one backend from construction on
+// (see Force). The name must be one of HybridBackends; Force("") lifts the
+// pin later.
 func WithForcedBackend(name string) HybridOption {
 	return func(c *hybridConfig) { c.forced = name }
 }
@@ -167,13 +153,12 @@ func WithForcedBackend(name string) HybridOption {
 // remains only until benchmark/ stops passing it.
 func WithHybridMaxTheta(float64) HybridOption { return func(*hybridConfig) {} }
 
-// WithHybridCalibration replays n sample member rankings against both
-// backends across the default threshold grid at construction time, seeding
-// the planner's observed statistics with real measurements instead of model
-// priors alone. Costs n × 2 × |grid| queries up front.
-func WithHybridCalibration(n int) HybridOption {
-	return func(c *hybridConfig) { c.calibrate = n }
-}
+// WithHybridCalibration does nothing.
+//
+// Deprecated: the replay seeded the per-threshold cost estimates of a router
+// the hybrid no longer has — every query goes to the inverted backend unless
+// one is forced. The option remains only until benchmark/ stops passing it.
+func WithHybridCalibration(int) HybridOption { return func(*hybridConfig) {} }
 
 // WithHybridSpill makes every epoch build spill its k-strided ranking arena
 // to a paged snapshot v3 temp file under dir ("" selects the OS temp
@@ -229,38 +214,25 @@ func newHybridFromSlots(slots []Ranking, opts []HybridOption) (*HybridIndex, err
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ep, priors, err := buildEpoch(slots, cfg)
+	h := &HybridIndex{cfg: cfg}
+	if err := h.Force(cfg.forced); err != nil {
+		return nil, err
+	}
+	ep, err := buildEpoch(slots, cfg)
 	if err != nil {
 		return nil, err
 	}
-	h := &HybridIndex{ep: ep, cfg: cfg}
+	h.ep = ep
 	h.noteSpillLocked(ep) // not yet shared: no lock needed
-	pl, err := planner.New(HybridBackends, priors, planner.Config{})
-	if err != nil {
-		return nil, err
-	}
-	h.pl = pl
-	if cfg.forced != "" {
-		if err := pl.Force(cfg.forced); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.calibrate > 0 {
-		if err := h.Calibrate(sampleQueries(ep.inv.Rankings(), cfg.calibrate), nil); err != nil {
-			return nil, err
-		}
-	}
 	return h, nil
 }
 
 // buildEpoch constructs one full epoch — id map, both backends, overlay
-// wiring — from an external-id slot array, and returns the cost-model prior
-// curves, in HybridBackends order, for (re-)seeding the planner; nil (flat
-// priors) when no model could be fitted. Zero live rankings — an
+// wiring — from an external-id slot array. Zero live rankings — an
 // all-tombstone shard of a churned snapshot, legal for every mutable kind —
 // build two empty structures: k is defined by the first insert, which the
 // inverted index absorbs and the sidecar sees as delta.
-func buildEpoch(slots []Ranking, cfg hybridConfig) (*hybridEpoch, [][]float64, error) {
+func buildEpoch(slots []Ranking, cfg hybridConfig) (*hybridEpoch, error) {
 	m, live := newSlotsIDMap(slots)
 	// Flatten the live collection once into a single k-strided arena: the
 	// inverted index reads the store directly (batched kernel validation
@@ -285,34 +257,21 @@ func buildEpoch(slots []Ranking, cfg hybridConfig) (*hybridEpoch, [][]float64, e
 	ad, adErr := adaptsearch.New(live)
 	wg.Wait()
 	if invErr != nil {
-		return nil, nil, fmt.Errorf("topk: hybrid backend %q: %w", planner.BackendInverted, invErr)
+		return nil, fmt.Errorf("topk: hybrid backend %q: %w", backendInverted, invErr)
 	}
 	if adErr != nil {
-		return nil, nil, fmt.Errorf("topk: hybrid backend %q: %w", planner.BackendAdaptSearch, adErr)
+		return nil, fmt.Errorf("topk: hybrid backend %q: %w", backendAdaptSearch, adErr)
 	}
 	ep := &hybridEpoch{
-		inv:           &epochInv{Index: inv, base: len(live)},
-		spillBytes:    spillBytes,
-		spillErr:      spillErr,
-		footruleNanos: defaultFootruleNanos,
+		inv:        &epochInv{Index: inv, base: len(live)},
+		spillBytes: spillBytes,
+		spillErr:   spillErr,
 	}
 	ep.mutationCore = mutationCore{ids: m, k: inv.K(), inner: ep.inv}
 	ep.backends[hybridInverted] = invBackend{idx: inv, pool: newPool(inv, invindex.NewSearcher), alg: FilterValidateDrop}
 	ep.backends[hybridAdaptSearch] = overlayBackend{
 		inner: adaptBackend{idx: ad, pool: newPool(ad, adaptsearch.NewSearcher)}, ep: ep}
-
-	// On collections too small to fit the cost model (no distance samples,
-	// degenerate frequencies) the planner starts from flat priors: the EWMA
-	// refinement takes over from the first query.
-	var priors [][]float64
-	if model := fitCostModel(live, ep.k); model != nil {
-		ep.footruleNanos = model.CostFootrule
-		curves := planner.Priors(model, planner.DefaultBuckets)
-		for _, name := range HybridBackends {
-			priors = append(priors, curves[name])
-		}
-	}
-	return ep, priors, nil
+	return ep, nil
 }
 
 // epochStore flattens the live collection into the epoch's shared store.
@@ -371,40 +330,6 @@ func spillEpochStore(live []Ranking, dir string) (*kernel.Store, int, error) {
 // errSpillNotMapped reports that OpenPagedFile fell back to a full read, so
 // the spill would not save heap memory.
 var errSpillNotMapped = fmt.Errorf("topk: spill file could not be mmapped")
-
-// fitCostModel fits the Section 5 model to the live collection; nil when
-// the collection is too small or degenerate for a fit.
-func fitCostModel(live []Ranking, k int) *costmodel.Model {
-	cdf := stats.SampleDistances(live, 20000, 1)
-	if cdf == nil || cdf.Len() == 0 {
-		return nil
-	}
-	freqs := stats.ItemFrequencies(live)
-	s, err := stats.FitZipfHead(freqs, 500)
-	if err != nil {
-		s = 0.8 // mildly skewed default; priors only need plausible shape
-	}
-	m, err := costmodel.New(len(live), k, len(freqs), s, cdf)
-	if err != nil {
-		return nil
-	}
-	m.Calibrate(1)
-	return m
-}
-
-// sampleQueries draws n evenly spaced members of the live collection as
-// calibration queries (deterministic; member queries hit partitions and
-// posting lists the way production traffic does).
-func sampleQueries(live []Ranking, n int) []Ranking {
-	if n > len(live) {
-		n = len(live)
-	}
-	out := make([]Ranking, n)
-	for i := 0; i < n; i++ {
-		out[i] = live[i*len(live)/n]
-	}
-	return out
-}
 
 // ---------------------------------------------------------------------------
 // Delta overlay
@@ -500,51 +425,55 @@ func (ep *hybridEpoch) overlayFraction() float64 {
 // Queries
 // ---------------------------------------------------------------------------
 
-// Search implements Index: the planner picks the backend for the query's
-// threshold bucket, the query runs there (including the epoch's delta
-// overlay on adaptsearch), and the observed latency and distance calls
-// refine the bucket's estimate for that backend.
+// route is the whole routing policy: the forced backend if one is pinned,
+// else inverted — for range queries and KNN alike.
+func (h *HybridIndex) route() int {
+	if f := h.forced.Load(); f >= 0 {
+		return int(f)
+	}
+	return hybridInverted
+}
+
+// Search implements Index: the query runs on the routed backend (including
+// the epoch's delta overlay on a forced adaptsearch).
 func (h *HybridIndex) Search(q Ranking, theta float64) ([]Result, error) {
 	res, _, _, err := h.SearchTraced(q, theta)
 	return res, err
 }
 
 // SearchTraced is Search plus per-query attribution: the name of the
-// backend the planner routed to and the Footrule evaluations the query
-// cost — the half of the shard.Index contract behind topkserve's query
-// tracing and slow-query log.
+// backend that answered and the Footrule evaluations the query cost — the
+// half of the shard.Index contract behind topkserve's query tracing and
+// slow-query log.
 func (h *HybridIndex) SearchTraced(q Ranking, theta float64) ([]Result, string, uint64, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	ep := h.ep
-	bucket := h.pl.Bucket(theta)
-	bi := h.pl.Choose(bucket)
+	bi := h.route()
 	ev := metric.New(nil)
-	start := time.Now()
-	// Clamped so the answer at θ = 1 is the same whichever backend the
-	// planner picks (the overlay's linear scan would otherwise also see the
+	// Clamped so the answer at θ = 1 is the same whichever backend is
+	// forced (the overlay's linear scan would otherwise also see the
 	// zero-overlap rankings at distance exactly dmax).
 	res, err := ep.search(bi, q, clampRawTheta(ranking.RawThreshold(theta, ep.k), ep.k), ev)
 	if err != nil {
 		return nil, "", 0, err
 	}
-	h.pl.Observe(bi, bucket, float64(time.Since(start).Nanoseconds()), ev.Calls())
+	h.plans[bi].Add(1)
 	h.calls.Add(ev.Calls())
 	ep.ids.remapSearch(res)
 	return res, ep.backends[bi].Name(), ev.Calls(), nil
 }
 
-// NearestNeighbors implements NearestNeighborSearcher. KNN is not a
-// threshold query and does not go through the planner's bucket routing:
-// unless adaptsearch is forced it is answered by the inverted backend's
-// native single-pass KNN (invindex.Searcher.NearestNeighbors) — one walk over
-// the query's posting lists that derives every overlapping ranking's exact
-// distance from the posting ranks. The inverted index owns the epoch's id
-// space and tombstones in place, so deltas and deletes need no overlay scan,
-// and the selection breaks distance ties by external id directly. Like
-// ListMerge, the native path evaluates no distance function and adds nothing
-// to DistanceCalls. A forced adaptsearch answers through the expanding-radius
-// reduction (knn.Expanding) over the overlay-merged range search.
+// NearestNeighbors implements NearestNeighborSearcher. Unless adaptsearch is
+// forced, KNN is answered by the inverted backend's native single-pass KNN
+// (invindex.Searcher.NearestNeighbors) — one walk over the query's posting
+// lists that derives every overlapping ranking's exact distance from the
+// posting ranks. The inverted index owns the epoch's id space and tombstones
+// in place, so deltas and deletes need no overlay scan, and the selection
+// breaks distance ties by external id directly. Like ListMerge, the native
+// path evaluates no distance function and adds nothing to DistanceCalls. A
+// forced adaptsearch answers through the expanding-radius reduction
+// (knn.Expanding) over the overlay-merged range search.
 func (h *HybridIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
 	res, _, _, err := h.NearestNeighborsTraced(q, n)
 	return res, err
@@ -554,98 +483,65 @@ func (h *HybridIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
 // the backend that answered and the Footrule evaluations the query cost (0
 // on the native inverted path) — the other half of the shard.Index contract,
 // behind topkserve's /knn tracing.
-//
-// The route is counted as one plan on the answering backend, but KNN stays
-// off the planner's exploration schedule and feeds it no observation: the
-// schedule and the per-bucket estimates describe range queries.
 func (h *HybridIndex) NearestNeighborsTraced(q Ranking, n int) ([]Result, string, uint64, error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	ep := h.ep
-	bi := h.pl.Route(hybridInverted, 0)
+	bi := h.route()
 	ev := metric.New(nil)
 	res, err := nearestBackend(ep.backends[bi], &ep.mutationCore, q, n, ev)
 	h.calls.Add(ev.Calls())
 	if err != nil {
 		return nil, "", 0, err
 	}
+	h.plans[bi].Add(1)
 	return res, ep.backends[bi].Name(), ev.Calls(), nil
 }
 
-// Calibrate replays every query at every threshold against both backends
-// and feeds the measurements into the planner, overriding the model priors
-// with reality before production traffic arrives. A nil thetas uses the
-// default calibration grid. Results are discarded; distance calls count
-// toward DistanceCalls.
-func (h *HybridIndex) Calibrate(queries []Ranking, thetas []float64) error {
-	if thetas == nil {
-		thetas = defaultCalibrationThetas
+// Force pins every subsequent query to the named backend, one of
+// HybridBackends — the escape hatch for workloads past the paper's query
+// range (θ > 0.3), where adaptsearch can be the faster one. An empty name
+// restores the default route, inverted.
+func (h *HybridIndex) Force(name string) error {
+	i := slices.Index(HybridBackends, name)
+	if i < 0 && name != "" {
+		return fmt.Errorf("topk: unknown hybrid backend %q (have %v)", name, HybridBackends)
 	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	ep := h.ep
-	for bi, b := range ep.backends {
-		for _, theta := range thetas {
-			raw := clampRawTheta(ranking.RawThreshold(theta, ep.k), ep.k)
-			bucket := h.pl.Bucket(theta)
-			for _, q := range queries {
-				ev := metric.New(nil)
-				start := time.Now()
-				if _, err := ep.search(bi, q, raw, ev); err != nil {
-					return fmt.Errorf("topk: calibrate %s: %w", b.Name(), err)
-				}
-				h.pl.Observe(bi, bucket, float64(time.Since(start).Nanoseconds()), ev.Calls())
-				h.calls.Add(ev.Calls())
-			}
-		}
-	}
+	h.forced.Store(int32(i))
 	return nil
 }
 
-// Force pins every subsequent query to the named backend — the escape
-// hatch when the planner must be taken out of the loop. An empty name
-// restores cost-based routing.
-func (h *HybridIndex) Force(name string) error { return h.pl.Force(name) }
-
-// Forced reports the pinned backend name, "" when routing is cost-based.
-func (h *HybridIndex) Forced() string { return h.pl.Forced() }
+// Forced reports the pinned backend name, "" when none is.
+func (h *HybridIndex) Forced() string {
+	if f := h.forced.Load(); f >= 0 {
+		return HybridBackends[f]
+	}
+	return ""
+}
 
 // Backends returns the built backend names in routing order: HybridBackends.
-func (h *HybridIndex) Backends() []string { return h.pl.Names() }
+func (h *HybridIndex) Backends() []string { return HybridBackends }
 
 // PlanStats is the per-backend routing scoreboard of a HybridIndex.
 type PlanStats struct {
 	// Backend is the backend name.
 	Backend string `json:"backend"`
-	// Plans counts queries the planner routed to the backend.
+	// Plans counts the queries — range and KNN — the backend answered.
 	Plans uint64 `json:"plans"`
-	// Observations counts measured executions (plans plus calibration).
-	Observations uint64 `json:"observations"`
-	// EWMALatencyNanos is the observation-weighted mean of the backend's
-	// per-bucket latency EWMAs.
-	EWMALatencyNanos float64 `json:"ewmaLatencyNanos"`
-	// EWMADistanceCalls is the same aggregate over distance calls per query.
-	EWMADistanceCalls float64 `json:"ewmaDistanceCalls"`
-	// Mispredicts counts observations that landed more than 2x over the
-	// planner's estimate current at observation time — how often the cost
-	// model was badly wrong about this backend.
-	Mispredicts uint64 `json:"mispredicts,omitempty"`
+	// Observations and Mispredicts are always 0.
+	//
+	// Deprecated: they scored the cost estimates of a router the hybrid no
+	// longer has, and remain only until benchmark/ stops reading them.
+	Observations uint64 `json:"observations,omitempty"`
+	Mispredicts  uint64 `json:"mispredicts,omitempty"`
 }
 
-// PlanStats snapshots how often each backend was chosen and what it cost
-// when it ran — the per-backend plan counters behind topkserve's GET /stats.
+// PlanStats snapshots how many queries each backend answered — the plan
+// counters behind topkserve's GET /stats.
 func (h *HybridIndex) PlanStats() []PlanStats {
-	ps := h.pl.Stats()
-	out := make([]PlanStats, len(ps))
-	for i, s := range ps {
-		out[i] = PlanStats{
-			Backend:           s.Name,
-			Plans:             s.Plans,
-			Observations:      s.Observations,
-			EWMALatencyNanos:  s.EWMALatencyNanos,
-			EWMADistanceCalls: s.EWMADistanceCalls,
-			Mispredicts:       s.Mispredicts,
-		}
+	out := make([]PlanStats, len(HybridBackends))
+	for i, name := range HybridBackends {
+		out[i] = PlanStats{Backend: name, Plans: h.plans[i].Load()}
 	}
 	return out
 }
@@ -666,7 +562,7 @@ func (h *HybridIndex) K() int {
 }
 
 // DistanceCalls implements Index: Footrule evaluations across both backends,
-// including calibration replays and delta-overlay scans.
+// including delta-overlay scans.
 func (h *HybridIndex) DistanceCalls() uint64 { return h.calls.Load() }
 
 // DeltaLen reports how many rankings currently live in the append-only

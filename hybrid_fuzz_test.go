@@ -10,12 +10,11 @@ import (
 
 // FuzzHybridMutation drives a byte-string-encoded mutation workload through
 // a HybridIndex and the linear-scan oracle in lockstep: every few ops the
-// fuzzer cross-checks range answers byte-identically — the routed one and
+// fuzzer cross-checks range answers byte-identically — the unforced one and
 // each forced backend's, so the in-place inverted path and the adaptsearch
-// overlay path are both checked on every query op, not only when the planner
-// happens to pick them — and folds (Compact) are interleaved so the
-// epoch-rebuild replay machinery is in the fuzzed surface too. Seeded into
-// CI's fuzz-smoke step.
+// overlay path are both checked on every query op — and folds (Compact) are
+// interleaved so the epoch-rebuild replay machinery is in the fuzzed surface
+// too. Seeded into CI's fuzz-smoke step.
 func FuzzHybridMutation(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{4, 200, 1, 7, 2, 9, 3, 3, 0, 0, 4, 100, 1, 1})
@@ -79,7 +78,7 @@ func FuzzHybridMutation(f *testing.F) {
 				// see, the ≤ dmax−1 ball (see clampRawTheta): a ranking sharing
 				// no item with the query is in no posting list.
 				want := o.SearchRaw(q, clampRawTheta(ranking.RawThreshold(theta, o.K()), o.K()))
-				// Routed last, so the loop leaves cost-based routing restored.
+				// Unforced last, so the loop leaves the default route restored.
 				for _, forced := range []string{"inverted", "adaptsearch", ""} {
 					if err := h.Force(forced); err != nil {
 						t.Fatal(err)

@@ -7,14 +7,10 @@
 // index cannot be maintained incrementally; its queries instead read the
 // inverted index's rankings past the build-time base as an append-only delta
 // region, merged by linear scan with tombstone filtering (see
-// overlayBackend). What this file adds is policy: the overlay's per-query
-// cost is charged to the planner as an additive surcharge so routing shifts
-// away from adaptsearch as the delta grows, and once the overlay fraction
+// overlayBackend). What this file adds is policy: once the overlay fraction
 // crosses the configured ratio a background epoch rebuild constructs fresh
 // backends over the folded collection off-lock, replays the mutations that
-// arrived meanwhile, swaps the epoch in and re-seeds the planner's priors from
-// a newly fitted cost model (estimate invalidation: the old EWMAs describe
-// structures that no longer exist).
+// arrived meanwhile and swaps the epoch in.
 package topk
 
 import "time"
@@ -60,8 +56,8 @@ func (h *HybridIndex) Update(id ID, r Ranking) error {
 }
 
 // mutate applies one mutation to the current epoch and runs the bookkeeping
-// that follows a successful one: oplog capture for an in-flight fold, the
-// planner's overlay surcharge, and the rebuild trigger.
+// that follows a successful one: oplog capture for an in-flight fold and the
+// rebuild trigger.
 func (h *HybridIndex) mutate(op hybridOp) (ID, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -73,7 +69,6 @@ func (h *HybridIndex) mutate(op hybridOp) (ID, error) {
 		op.ext = ext
 		h.oplog = append(h.oplog, op)
 	}
-	h.chargeOverlayLocked()
 	h.maybeRebuildLocked()
 	return ext, nil
 }
@@ -87,7 +82,7 @@ func (h *HybridIndex) Compact() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	start := time.Now()
-	ep, priors, err := buildEpoch(h.ep.slots(), h.cfg)
+	ep, err := buildEpoch(h.ep.slots(), h.cfg)
 	if err != nil {
 		return err
 	}
@@ -95,18 +90,8 @@ func (h *HybridIndex) Compact() error {
 	// bump the generation so its install is discarded.
 	h.foldGen++
 	h.oplog = nil
-	h.installEpochLocked(ep, priors, time.Since(start))
+	h.installEpochLocked(ep, time.Since(start))
 	return nil
-}
-
-// chargeOverlayLocked prices the delta linear scan into the planner's
-// estimate for adaptsearch: live delta entries × the calibrated Footrule
-// cost. The inverted backend absorbed the mutations structurally, so its
-// estimate needs no surcharge — the EWMA tracks its organic growth.
-func (h *HybridIndex) chargeOverlayLocked() {
-	inv := h.ep.inv
-	liveDelta := len(inv.delta()) - (inv.Dead() - inv.deadBase)
-	h.pl.SetOverlayCost(hybridAdaptSearch, h.ep.footruleNanos*float64(liveDelta))
 }
 
 // maybeRebuildLocked schedules a background epoch rebuild once the overlay
@@ -129,7 +114,7 @@ func (h *HybridIndex) maybeRebuildLocked() {
 // epoch in. Queries keep being served from the old epoch throughout.
 func (h *HybridIndex) foldEpoch(slots []Ranking, gen uint64) {
 	start := time.Now()
-	ep, priors, err := buildEpoch(slots, h.cfg)
+	ep, err := buildEpoch(slots, h.cfg)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.rebuilding = false
@@ -152,19 +137,14 @@ func (h *HybridIndex) foldEpoch(slots []Ranking, gen uint64) {
 		}
 	}
 	h.oplog = nil
-	h.installEpochLocked(ep, priors, time.Since(start))
+	h.installEpochLocked(ep, time.Since(start))
 }
 
-// installEpochLocked swaps the epoch in, re-seeds the planner's priors from
-// the rebuild's freshly fitted cost model (invalidating the per-bucket
-// EWMAs, which describe the previous epoch's structures), and re-prices the
-// overlay surcharge for whatever delta the replay left behind. dur is the
-// rebuild's wall time from snapshot to install.
-func (h *HybridIndex) installEpochLocked(ep *hybridEpoch, priors [][]float64, dur time.Duration) {
+// installEpochLocked swaps the epoch in and books the rebuild; dur is its
+// wall time from snapshot to install.
+func (h *HybridIndex) installEpochLocked(ep *hybridEpoch, dur time.Duration) {
 	h.ep = ep
 	h.noteSpillLocked(ep)
-	h.pl.Reseed(priors)
-	h.chargeOverlayLocked()
 	h.rebuilds.Add(1)
 	h.rebuildNanos.Add(uint64(dur.Nanoseconds()))
 	h.lastRebuildNanos.Store(uint64(dur.Nanoseconds()))

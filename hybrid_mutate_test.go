@@ -32,10 +32,10 @@ func checkHybridKNN(t *testing.T, name string, h *HybridIndex, o *difftest.Oracl
 
 // TestHybridMutableDifferential is the acceptance contract of the mutable
 // hybrid: after a 1k-op random mutation workload the engine answers
-// byte-identically to the linear-scan oracle — under cost-based routing and
+// byte-identically to the linear-scan oracle — under the default route and
 // under each forced backend (adaptsearch merging the delta overlay, inverted
-// its in-place state) — before and after an epoch rebuild and across a
-// persist snapshot round-trip.
+// its in-place state), every plan landing on the backend that should answer —
+// before and after an epoch rebuild and across a persist snapshot round-trip.
 func TestHybridMutableDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	rs := difftest.RandomCollection(rng, 400, 10, 250)
@@ -52,13 +52,17 @@ func TestHybridMutableDifferential(t *testing.T) {
 
 	check := func(phase string, trials int) {
 		t.Helper()
-		difftest.CheckSearch(t, "hybrid(routed) "+phase, h, o, rng, trials, 250)
+		checkPlansOn(t, h, "inverted", func() {
+			difftest.CheckSearch(t, "hybrid(routed) "+phase, h, o, rng, trials, 250)
+		})
 		for _, name := range h.Backends() {
 			if err := h.Force(name); err != nil {
 				t.Fatal(err)
 			}
-			difftest.CheckSearch(t, "hybrid(forced="+name+") "+phase, h, o, rng, trials/2+1, 250)
-			checkHybridKNN(t, "hybrid knn(forced="+name+") "+phase, h, o, rng, 250)
+			checkPlansOn(t, h, name, func() {
+				difftest.CheckSearch(t, "hybrid(forced="+name+") "+phase, h, o, rng, trials/2+1, 250)
+				checkHybridKNN(t, "hybrid knn(forced="+name+") "+phase, h, o, rng, 250)
+			})
 		}
 		if err := h.Force(""); err != nil {
 			t.Fatal(err)

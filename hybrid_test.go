@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -14,8 +15,8 @@ import (
 
 var errMismatch = errors.New("concurrent search diverged from oracle")
 
-// hybridFor builds a hybrid index over the collection with a calibration
-// replay, failing the test on error.
+// hybridFor builds a hybrid index over the collection, failing the test on
+// error.
 func hybridFor(t *testing.T, rs []Ranking, opts ...HybridOption) *HybridIndex {
 	t.Helper()
 	h, err := NewHybridIndex(rs, opts...)
@@ -25,15 +26,28 @@ func hybridFor(t *testing.T, rs []Ranking, opts ...HybridOption) *HybridIndex {
 	return h
 }
 
+// checkPlansOn runs f and asserts that it moved the plan counter of the named
+// backend and of no other.
+func checkPlansOn(t *testing.T, h *HybridIndex, name string, f func()) {
+	t.Helper()
+	before := h.PlanStats()
+	f()
+	for i, st := range h.PlanStats() {
+		if d := st.Plans - before[i].Plans; (st.Backend == name) != (d > 0) {
+			t.Fatalf("%d new plans on %s while serving from %s", d, st.Backend, name)
+		}
+	}
+}
+
 // TestHybridDifferential checks the acceptance contract of the engine: on
 // random workloads the hybrid's range results are byte-identical to the
-// linear-scan oracle and to the standalone InvertedIndex — under cost-based
-// routing and under each forced backend.
+// linear-scan oracle and to the standalone InvertedIndex — under the default
+// route and under each forced backend, every plan landing where it should.
 func TestHybridDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rs := difftest.RandomCollection(rng, 600, 10, 300)
 	o := difftest.NewOracle(rs)
-	h := hybridFor(t, rs, WithHybridCalibration(16))
+	h := hybridFor(t, rs, WithHybridCalibration(16)) // accepted, ignored
 
 	queries := make([]Ranking, 25)
 	for i := range queries {
@@ -43,14 +57,18 @@ func TestHybridDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	difftest.CheckSearch(t, "hybrid(routed)", h, o, rng, 40, 300)
-	difftest.CheckMatch(t, "hybrid(routed) vs InvertedIndex", h, inv, queries, difftest.Thetas)
+	checkPlansOn(t, h, "inverted", func() {
+		difftest.CheckSearch(t, "hybrid(routed)", h, o, rng, 40, 300)
+		difftest.CheckMatch(t, "hybrid(routed) vs InvertedIndex", h, inv, queries, difftest.Thetas)
+	})
 	for _, name := range h.Backends() {
 		if err := h.Force(name); err != nil {
 			t.Fatal(err)
 		}
-		difftest.CheckSearch(t, "hybrid(forced="+name+")", h, o, rng, 15, 300)
-		difftest.CheckMatch(t, "hybrid(forced="+name+") vs InvertedIndex", h, inv, queries, difftest.Thetas)
+		checkPlansOn(t, h, name, func() {
+			difftest.CheckSearch(t, "hybrid(forced="+name+")", h, o, rng, 15, 300)
+			difftest.CheckMatch(t, "hybrid(forced="+name+") vs InvertedIndex", h, inv, queries, difftest.Thetas)
+		})
 	}
 	if err := h.Force(""); err != nil {
 		t.Fatal(err)
@@ -60,8 +78,8 @@ func TestHybridDifferential(t *testing.T) {
 	}
 
 	// θ = 1: the raw threshold is clamped to dmax−1, so both backends must
-	// return the same answer — the ball posting lists can see — no matter
-	// where the planner routes.
+	// return the same answer — the ball posting lists can see — whichever
+	// one is forced.
 	for _, q := range queries[:8] {
 		var base []Result
 		for i, name := range h.Backends() {
@@ -212,39 +230,77 @@ func TestHybridFromSlots(t *testing.T) {
 	}
 }
 
-// TestHybridPlannerSwitches runs a θ sweep over a Zipf-generated collection
-// and checks the planner actually uses different backends in different
-// radius regimes — the "sweet spot" behaviour the engine exists for.
-func TestHybridPlannerSwitches(t *testing.T) {
+// TestHybridRoutesToInverted pins the routing constant: a θ sweep across and
+// past the paper's query range plus KNN puts every plan on inverted, and the
+// counters sum to the queries answered; Force("adaptsearch") moves all of them
+// there and Force("") back. (That the forced sidecar stays oracle-exact through
+// mutations and a fold is TestHybridMutableDifferential's.)
+func TestHybridRoutesToInverted(t *testing.T) {
 	rs, err := dataset.Generate(dataset.NYTLike(1500, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := hybridFor(t, rs, WithHybridCalibration(24))
+	h := hybridFor(t, rs)
 	qs, err := dataset.Workload(rs, dataset.NYTLike(1500, 10), 30, 0.8, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, theta := range []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5} {
+	thetas := []float64{0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5}
+	sweep := func() {
 		for _, q := range qs {
-			if _, err := h.Search(q, theta); err != nil {
-				t.Fatalf("θ=%.2f: %v", theta, err)
+			for _, theta := range thetas {
+				if _, err := h.Search(q, theta); err != nil {
+					t.Fatalf("θ=%.2f: %v", theta, err)
+				}
+			}
+			if _, err := h.NearestNeighbors(q, 5); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	distinct := 0
-	total := uint64(0)
-	for _, st := range h.PlanStats() {
-		if st.Plans > 0 {
-			distinct++
+	perSweep := uint64(len(qs) * (len(thetas) + 1))
+	for _, force := range []string{"", "adaptsearch", ""} {
+		if err := h.Force(force); err != nil {
+			t.Fatal(err)
 		}
-		total += st.Plans
+		before := h.PlanStats()
+		sweep()
+		for i, st := range h.PlanStats() {
+			want := uint64(0)
+			if st.Backend == cmp.Or(force, "inverted") {
+				want = perSweep
+			}
+			if got := st.Plans - before[i].Plans; got != want {
+				t.Fatalf("Force(%q): %d new plans on %s, want %d", force, got, st.Backend, want)
+			}
+		}
 	}
-	if want := uint64(9 * len(qs)); total != want {
-		t.Fatalf("plan counters sum to %d, want %d", total, want)
+}
+
+// TestHybridRejectedQueryIsNoPlan: a query the backend rejects was answered by
+// nobody, so it moves no plan counter.
+func TestHybridRejectedQueryIsNoPlan(t *testing.T) {
+	rs := difftest.RandomCollection(rand.New(rand.NewSource(5)), 100, 8, 120)
+	h := hybridFor(t, rs)
+	short, repeated := rs[0][:7], append(Ranking{rs[0][1]}, rs[0][1:]...)
+	for _, force := range []string{"", "adaptsearch"} {
+		if err := h.Force(force); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Search(short, 0.1); err == nil {
+			t.Fatal("wrong-size Search accepted")
+		}
+		if _, err := h.Search(repeated, 0.1); err == nil {
+			t.Fatal("repeated-item Search accepted")
+		}
+		if _, err := h.NearestNeighbors(short, 3); err == nil {
+			t.Fatal("wrong-size NearestNeighbors accepted")
+		}
 	}
-	if distinct < 2 {
-		t.Fatalf("theta sweep used %d distinct backends, want >= 2: %+v", distinct, h.PlanStats())
+	for _, st := range h.PlanStats() {
+		if st.Plans != 0 {
+			t.Fatalf("rejected queries counted as plans: %+v", h.PlanStats())
+		}
 	}
 }
 
@@ -305,7 +361,7 @@ func TestHybridBackendSet(t *testing.T) {
 		t.Fatal("Force accepted an unknown backend")
 	}
 	for _, gone := range []string{"blocked", "coarse", "bktree"} {
-		// The planner's unknown-backend error, the name substituted.
+		// Force's unknown-backend error, the name substituted.
 		wantErr := strings.Replace(unknown.Error(), "no-such-backend", gone, 1)
 		if err := h.Force(gone); err == nil || err.Error() != wantErr {
 			t.Fatalf("Force(%q) = %v, want %q", gone, err, wantErr)

@@ -20,7 +20,6 @@ package blocked
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"topk/internal/invindex"
@@ -48,8 +47,10 @@ type Index struct {
 }
 
 // New builds the blocked index, copying the rankings into a flat store.
-// Sorting each list by rank is the construction overhead the paper
-// attributes to this organization.
+// The postings are packed as for the plain inverted index
+// (invindex.PackPostings); sorting each list by rank and cutting its block
+// offset table is the construction overhead the paper attributes to this
+// organization.
 func New(rankings []ranking.Ranking) (*Index, error) {
 	if len(rankings) == 0 {
 		return &Index{store: kernel.NewStore(nil), lists: make(map[ranking.Item]list)}, nil
@@ -67,85 +68,36 @@ func New(rankings []ranking.Ranking) (*Index, error) {
 			return nil, fmt.Errorf("blocked: ranking %d: %w", id, err)
 		}
 	}
-	return NewFromStore(kernel.NewStore(rankings)), nil
-}
-
-// NewFromStore builds the blocked index over an existing flat store (assumed
-// validated — both New above and the hybrid engine validate at ingest).
-func NewFromStore(st *kernel.Store) *Index {
+	st := kernel.NewStore(rankings)
+	items, offs, arena := invindex.PackPostings(st)
 	idx := &Index{
-		k:        st.K(),
+		k:        k,
 		store:    st,
 		rankings: st.Views(),
-		lists:    make(map[ranking.Item]list),
+		arena:    arena,
+		lists:    make(map[ranking.Item]list, len(items)),
 	}
-	if st.Len() == 0 {
-		idx.k = 0
-		return idx
-	}
-	n, k := st.Len(), st.K()
-	// rows carries the same content as the flat arena; a borrowed store
-	// (views over a mapped snapshot) has only rows, so build off them.
-	rows := st.Views()
-	// Counting sort into one packed arena: count per item, carve the arena by
-	// sorted dictionary order, scatter postings in id order, then rank-sort
-	// each segment in place and cut its block offset table.
-	counts := make(map[ranking.Item]int, n)
-	if flat := st.Flat(); flat != nil {
-		for _, it := range flat {
-			counts[it]++
-		}
-	} else {
-		for _, row := range rows {
-			for _, it := range row {
-				counts[it]++
-			}
-		}
-	}
-	dict := make([]ranking.Item, 0, len(counts))
-	for it := range counts {
-		dict = append(dict, it)
-	}
-	slices.Sort(dict)
-	starts := make(map[ranking.Item]int, len(dict))
-	cursor := make(map[ranking.Item]int, len(dict))
-	off := 0
-	for _, it := range dict {
-		starts[it] = off
-		cursor[it] = off
-		off += counts[it]
-	}
-	idx.arena = make([]invindex.Posting, n*k)
-	for id := 0; id < n; id++ {
-		row := rows[id]
-		for rank, it := range row {
-			c := cursor[it]
-			idx.arena[c] = invindex.Posting{ID: ranking.ID(id), Rank: uint8(rank)}
-			cursor[it] = c + 1
-		}
-	}
-	allOffs := make([]int32, len(dict)*(k+1))
-	for di, it := range dict {
-		lo, hi := starts[it], starts[it]+counts[it]
-		ps := idx.arena[lo:hi:hi]
+	allOffs := make([]int32, len(items)*(k+1))
+	for di, it := range items {
+		ps := arena[offs[di]:offs[di+1]:offs[di+1]]
 		sort.Slice(ps, func(a, b int) bool {
 			if ps[a].Rank != ps[b].Rank {
 				return ps[a].Rank < ps[b].Rank
 			}
 			return ps[a].ID < ps[b].ID
 		})
-		offs := allOffs[di*(k+1) : (di+1)*(k+1) : (di+1)*(k+1)]
+		blocks := allOffs[di*(k+1) : (di+1)*(k+1) : (di+1)*(k+1)]
 		pos := 0
 		for j := 0; j <= k; j++ {
 			for pos < len(ps) && int(ps[pos].Rank) < j {
 				pos++
 			}
-			offs[j] = int32(pos)
+			blocks[j] = int32(pos)
 		}
-		offs[k] = int32(len(ps))
-		idx.lists[it] = list{postings: ps, offsets: offs}
+		blocks[k] = int32(len(ps))
+		idx.lists[it] = list{postings: ps, offsets: blocks}
 	}
-	return idx
+	return idx, nil
 }
 
 // K returns the ranking size.

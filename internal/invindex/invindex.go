@@ -63,7 +63,7 @@ type Index struct {
 	rankings []ranking.Ranking
 	// lists maps every item to its id-sorted postings. At build time the
 	// values are capacity-clamped views into one packed arena (see
-	// buildLists), so Insert's append copies a growing list out of the arena
+	// PackPostings), so Insert's append copies a growing list out of the arena
 	// instead of clobbering its neighbor.
 	lists map[ranking.Item][]Posting
 	// deleted marks tombstoned ids; postings of tombstoned rankings remain
@@ -128,13 +128,23 @@ func newFromStore(st *kernel.Store) *Index {
 	return idx
 }
 
-// buildLists packs the posting lists into one arena by counting sort: one
-// pass counts per-item occurrences, the items are laid out in sorted order
-// (a deterministic arena, whatever the map iteration order), and a cursor
-// pass scatters {ID,Rank} pairs into their slots. Ids are visited in
-// ascending order, so every list comes out id-sorted.
+// buildLists installs the packed posting lists as capacity-clamped views into
+// their arena.
 func (idx *Index) buildLists() {
-	st := idx.store
+	items, offs, arena := PackPostings(idx.store)
+	for i, it := range items {
+		idx.lists[it] = arena[offs[i]:offs[i+1]:offs[i+1]]
+	}
+}
+
+// PackPostings packs the posting lists of the store's rankings into one arena
+// by counting sort: one pass counts per-item occurrences, the items are laid
+// out in sorted order (a deterministic arena, whatever the map iteration
+// order), and a cursor pass scatters {ID,Rank} pairs into their slots. It
+// returns the layout in CSR form: the distinct items ascending, and the
+// postings of items[i] at arena[offs[i]:offs[i+1]]. Ids are visited in
+// ascending order, so every list comes out id-sorted.
+func PackPostings(st *kernel.Store) (items []ranking.Item, offs []int, arena []Posting) {
 	n, k := st.Len(), st.K()
 	// A borrowed store (views over a mapped snapshot) has no contiguous
 	// arena; its per-slot views carry identical content, so every pass
@@ -152,30 +162,26 @@ func (idx *Index) buildLists() {
 			}
 		}
 	}
-	dict := make([]ranking.Item, 0, len(counts))
+	items = make([]ranking.Item, 0, len(counts))
 	for it := range counts {
-		dict = append(dict, it)
+		items = append(items, it)
 	}
-	slices.Sort(dict)
-	cursor := make(map[ranking.Item]int, len(dict))
-	off := 0
-	for _, it := range dict {
-		cursor[it] = off
-		off += counts[it]
+	slices.Sort(items)
+	offs = make([]int, len(items)+1)
+	cursor := make(map[ranking.Item]int, len(items))
+	for i, it := range items {
+		cursor[it] = offs[i]
+		offs[i+1] = offs[i] + counts[it]
 	}
-	postings := make([]Posting, n*k)
+	arena = make([]Posting, n*k)
 	for id, row := range rows {
 		for rank, it := range row {
 			c := cursor[it]
-			postings[c] = Posting{ID: ranking.ID(id), Rank: uint8(rank)}
+			arena[c] = Posting{ID: ranking.ID(id), Rank: uint8(rank)}
 			cursor[it] = c + 1
 		}
 	}
-	// Every cursor now sits one past its list's last posting.
-	for _, it := range dict {
-		hi := cursor[it]
-		idx.lists[it] = postings[hi-counts[it] : hi : hi]
-	}
+	return items, offs, arena
 }
 
 // K returns the ranking size.

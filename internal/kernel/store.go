@@ -21,11 +21,11 @@ type Store struct {
 	// views are pre-cut subslices of flat, one per slot, each with its
 	// capacity clamped to its own stride so an append by a holder of a view
 	// copies out of the arena instead of clobbering the next slot.
+	//
+	// A borrowed store's views alias foreign memory (typically a read-only
+	// mapped snapshot) instead: flat stays nil and batched kernels evaluate
+	// per view.
 	views []ranking.Ranking
-	// borrowed marks a store whose views alias foreign memory (typically a
-	// read-only mapped snapshot) instead of an owned flat arena: flat stays
-	// nil, batched kernels evaluate per view, and SetSlot copies on write.
-	borrowed bool
 }
 
 // NewStore copies rs into a freshly allocated flat array. All rankings must
@@ -59,7 +59,7 @@ func NewStore(rs []ranking.Ranking) *Store {
 // clamped to k so an append by any holder copies out rather than writing
 // past a slot, exactly as with an owned arena.
 func NewStoreFromViews(k int, views []ranking.Ranking) *Store {
-	st := &Store{k: k, borrowed: true, views: make([]ranking.Ranking, len(views))}
+	st := &Store{k: k, views: make([]ranking.Ranking, len(views))}
 	for i, r := range views {
 		if len(r) != k {
 			panic(fmt.Sprintf("kernel: ranking %d has length %d, store stride is %d", i, len(r), k))
@@ -71,24 +71,7 @@ func NewStoreFromViews(k int, views []ranking.Ranking) *Store {
 
 // Borrowed reports whether the store views foreign memory instead of
 // owning a flat arena.
-func (st *Store) Borrowed() bool { return st.borrowed }
-
-// SetSlot replaces slot id's contents. An owned store writes its arena in
-// place; a borrowed store copies on write — the slot is repointed at a
-// fresh heap copy and the underlying memory (which may be a read-only
-// mapping, where an in-place write would fault) is never touched.
-func (st *Store) SetSlot(id ranking.ID, r ranking.Ranking) {
-	if len(r) != st.k {
-		panic(fmt.Sprintf("kernel: SetSlot ranking has length %d, store stride is %d", len(r), st.k))
-	}
-	if st.borrowed {
-		cp := make(ranking.Ranking, st.k)
-		copy(cp, r)
-		st.views[id] = cp
-		return
-	}
-	copy(st.views[id], r)
-}
+func (st *Store) Borrowed() bool { return st.flat == nil }
 
 // Len reports the number of slots.
 func (st *Store) Len() int { return len(st.views) }

@@ -40,30 +40,13 @@ func TestBorrowedStoreMatchesOwned(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestBorrowedStoreSetSlotCopiesOnWrite: SetSlot on a borrowed store must
-// never write through the view (which may alias a read-only mapping); it
-// repoints the slot at a private copy.
-func TestBorrowedStoreSetSlotCopiesOnWrite(t *testing.T) {
-	backing := []ranking.Ranking{{1, 2, 3}, {4, 5, 6}}
-	st := NewStoreFromViews(3, backing)
-	st.SetSlot(0, ranking.Ranking{7, 8, 9})
-	if !backing[0].Equal(ranking.Ranking{1, 2, 3}) {
-		t.Fatalf("SetSlot wrote through the borrowed view: backing[0]=%v", backing[0])
-	}
-	if !st.Slot(0).Equal(ranking.Ranking{7, 8, 9}) {
-		t.Fatalf("SetSlot lost the write: slot 0 = %v", st.Slot(0))
-	}
-	if !st.Slot(1).Equal(ranking.Ranking{4, 5, 6}) {
-		t.Fatalf("SetSlot disturbed a neighbor: slot 1 = %v", st.Slot(1))
-	}
-	// Appending to a view must copy out, not clobber the next slot's bytes —
-	// same contract as owned arenas.
-	v := st.Slot(1)
-	_ = append(v, 99)
-	if !backing[1].Equal(ranking.Ranking{4, 5, 6}) {
-		t.Fatalf("append through a view clobbered backing memory: %v", backing[1])
+	// Appending to a borrowed view must copy out, not write past the slot
+	// into foreign memory — same contract as owned arenas.
+	backing := []ranking.Item{1, 2, 3, 4, 5, 6}
+	st := NewStoreFromViews(3, []ranking.Ranking{backing[:3], backing[3:]})
+	_ = append(st.Slot(0), 99)
+	if backing[3] != 4 {
+		t.Fatalf("append through a view clobbered backing memory: %v", backing)
 	}
 }
 

@@ -1,0 +1,91 @@
+// Package kinds is the one table of named index kinds the command-line tools
+// build: topkserve -kind, topkquery -index and the "kind" of
+// PUT /collections/{name} all resolve a name here.
+package kinds
+
+import (
+	"fmt"
+	"strings"
+
+	"topk"
+	"topk/internal/ranking"
+	"topk/internal/shard"
+)
+
+// Options carries what a caller can configure about a kind.
+type Options struct {
+	// MaxTheta is the largest query threshold the coarse kind auto-tunes its
+	// partitioning threshold for; the other kinds ignore it.
+	MaxTheta float64
+	// Hybrid configures the hybrid kind.
+	Hybrid []topk.HybridOption
+}
+
+// Kind is one named index kind.
+type Kind struct {
+	Name string
+	// Mutable kinds support Insert/Delete/Update, and exactly they can
+	// represent retired (tombstoned) ids: New takes an external-id slot array
+	// with nil for a retired id. The other kinds need a dense collection.
+	Mutable bool
+	New     func(slots []ranking.Ranking, o Options) (shard.Index, error)
+}
+
+// Table lists every kind, the mutable ones first.
+var Table = []Kind{
+	{"hybrid", true, func(rs []ranking.Ranking, o Options) (shard.Index, error) {
+		return topk.NewHybridIndexFromSlots(rs, o.Hybrid...)
+	}},
+	{"coarse", true, func(rs []ranking.Ranking, o Options) (shard.Index, error) {
+		return topk.NewCoarseIndexFromSlots(rs, topk.WithAutoTune(o.MaxTheta))
+	}},
+	{"coarse-drop", true, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+		return topk.NewCoarseIndexFromSlots(rs, topk.WithThetaC(0.06), topk.WithListDropping())
+	}},
+	{"inverted", true, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+		return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.FilterValidate))
+	}},
+	{"inverted-drop", true, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+		return topk.NewInvertedIndexFromSlots(rs)
+	}},
+	{"merge", true, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+		return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.ListMerge))
+	}},
+	{"blocked", false, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+		return topk.NewBlockedIndex(rs)
+	}},
+	{"blocked-drop", false, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+		return topk.NewBlockedIndex(rs, topk.WithBlockedDrop())
+	}},
+	{"bktree", false, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+		return topk.NewMetricTree(rs, topk.BKTree)
+	}},
+	{"mtree", false, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+		return topk.NewMetricTree(rs, topk.MTree)
+	}},
+	{"vptree", false, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+		return topk.NewMetricTree(rs, topk.VPTree)
+	}},
+}
+
+// Lookup resolves a kind name among the kinds keep accepts (nil accepts all).
+func Lookup(name string, keep func(Kind) bool) (Kind, error) {
+	for _, k := range Table {
+		if k.Name == name && (keep == nil || keep(k)) {
+			return k, nil
+		}
+	}
+	return Kind{}, fmt.Errorf("unknown index kind %q", name)
+}
+
+// Names joins the names of the kinds keep accepts (nil accepts all) with "|",
+// in table order — the spelling of flag help and error texts.
+func Names(keep func(Kind) bool) string {
+	var names []string
+	for _, k := range Table {
+		if keep == nil || keep(k) {
+			names = append(names, k.Name)
+		}
+	}
+	return strings.Join(names, "|")
+}

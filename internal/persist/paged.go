@@ -36,7 +36,6 @@ import (
 	"os"
 	"unsafe"
 
-	"topk/internal/kernel"
 	"topk/internal/ranking"
 )
 
@@ -306,21 +305,6 @@ func (c *PagedCollection) Close() error {
 		return r()
 	}
 	return nil
-}
-
-// LiveStore packs the live slots into a borrowed kernel.Store — views over
-// the snapshot memory, nothing copied — plus the external id of each dense
-// store slot, the same dense remap an epoch build performs.
-func (c *PagedCollection) LiveStore() (*kernel.Store, []ranking.ID) {
-	views := make([]ranking.Ranking, 0, len(c.slots))
-	ids := make([]ranking.ID, 0, len(c.slots))
-	for id, r := range c.slots {
-		if r != nil {
-			views = append(views, r)
-			ids = append(ids, ranking.ID(id))
-		}
-	}
-	return kernel.NewStoreFromViews(c.layout.K, views), ids
 }
 
 // viewRanking reinterprets b as a k-item ranking without copying when the

@@ -136,42 +136,6 @@ func TestPagedMixedKRejected(t *testing.T) {
 	}
 }
 
-func TestPagedLiveStore(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	slots := randomSlots(rng, 500, 10)
-	var buf bytes.Buffer
-	if _, err := WritePagedTo(&buf, slots); err != nil {
-		t.Fatal(err)
-	}
-	pc, err := ReadPagedAll(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, ids := pc.LiveStore()
-	if !st.Borrowed() {
-		t.Fatal("LiveStore returned an owned store; expected borrowed views")
-	}
-	if st.Len() != len(ids) {
-		t.Fatalf("store has %d slots, ids %d", st.Len(), len(ids))
-	}
-	dense := 0
-	for id, r := range slots {
-		if r == nil {
-			continue
-		}
-		if int(ids[dense]) != id {
-			t.Fatalf("dense slot %d maps to id %d, want %d", dense, ids[dense], id)
-		}
-		if !st.Slot(ranking.ID(dense)).Equal(r) {
-			t.Fatalf("dense slot %d content diverged", dense)
-		}
-		dense++
-	}
-	if dense != st.Len() {
-		t.Fatalf("store has %d slots, collection has %d live", st.Len(), dense)
-	}
-}
-
 // TestPagedCorruption flips or truncates bytes across every region of a
 // valid snapshot; each damaged image must be rejected with ErrCorrupt or
 // ErrBadFormat, never accepted and never panic.

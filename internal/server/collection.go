@@ -11,6 +11,7 @@ import (
 
 	"topk"
 	"topk/internal/admit"
+	"topk/internal/kinds"
 	"topk/internal/persist"
 	"topk/internal/ranking"
 	"topk/internal/shard"
@@ -47,9 +48,14 @@ type CollectionOptions struct {
 	// MaxTheta is the coarse index's auto-tune target threshold; 0 uses the
 	// server's -maxtheta. Other kinds ignore it.
 	MaxTheta float64 `json:"maxTheta,omitempty"`
-	// ForceBackend and Calibrate are hybrid-only planner knobs.
+	// ForceBackend pins a hybrid collection to one of its two backends.
 	ForceBackend string `json:"forceBackend,omitempty"`
-	Calibrate    int    `json:"calibrate,omitempty"`
+	// Calibrate is accepted on kind hybrid and ignored.
+	//
+	// Deprecated: it sized the start-up replay of a query router the hybrid
+	// no longer has; the field remains so that existing create requests and
+	// manifests keep decoding.
+	Calibrate int `json:"calibrate,omitempty"`
 	// DeltaRatio is the hybrid epoch-rebuild trigger; 0 uses the server's
 	// -delta-ratio (itself defaulting to topk.DefaultCompactionRatio).
 	DeltaRatio float64 `json:"deltaRatio,omitempty"`
@@ -84,7 +90,8 @@ func (o CollectionOptions) withDefaults(cfg Config) CollectionOptions {
 // ignore or that would break invariants down the stack.
 func (o CollectionOptions) validate(walEnabled bool) error {
 	if !mutableKind(o.Kind) {
-		return fmt.Errorf("collection kind %q is not mutable: dynamically created collections start empty and grow through /insert (want one of hybrid|coarse|coarse-drop|inverted|inverted-drop|merge)", o.Kind)
+		return fmt.Errorf("collection kind %q is not mutable: dynamically created collections start empty and grow through /insert (want one of %s)", o.Kind,
+			kinds.Names(func(k kinds.Kind) bool { return k.Mutable }))
 	}
 	if o.Kind == "hybrid" {
 		if err := validateForceBackend(o.ForceBackend); err != nil {
@@ -140,7 +147,7 @@ type Collection struct {
 
 	sh *shard.Sharded
 	// hybrids is the sub-indices of a hybrid collection, in shard order — where
-	// planner, epoch-rebuild and spill state are read from — and empty for
+	// plan-counter, epoch-rebuild and spill state are read from — and empty for
 	// every other kind.
 	hybrids []*topk.HybridIndex
 	// admission is this tenant's carve of the global capacity (nil when the

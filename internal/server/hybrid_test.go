@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,7 +35,7 @@ func TestHybridServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 3, builderFor("hybrid", 0.3, "", 8, 0, ""))
+	sh, err := shard.New(rs, 3, builderFor("hybrid", 0.3, "", 0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,17 +82,11 @@ func TestHybridServe(t *testing.T) {
 	if len(st.Planner) == 0 {
 		t.Fatal("hybrid stats missing planner scoreboard")
 	}
-	var plans uint64
-	for _, b := range st.Planner {
-		plans += b.Plans
-		if b.Observations == 0 {
-			t.Fatalf("backend %s has no observations despite calibration", b.Backend)
-		}
-	}
-	// Every query fans out to all shards, and each shard's planner counts
-	// its own plan.
-	if want := uint64(4 * len(qs) * sh.NumShards()); plans != want {
-		t.Fatalf("plan counters sum to %d, want %d", plans, want)
+	// Every query fans out to all shards, and each shard counts its own plan
+	// — on inverted, nothing being forced.
+	want := []topk.PlanStats{{Backend: "inverted", Plans: uint64(4 * len(qs) * sh.NumShards())}, {Backend: "adaptsearch"}}
+	if !reflect.DeepEqual(st.Planner, want) {
+		t.Fatalf("planner scoreboard %+v, want %+v", st.Planner, want)
 	}
 
 	// The full write path over HTTP: insert (id continues the sequence),
@@ -142,7 +138,7 @@ func TestHybridServe(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("snapshot status %d", rec.Code)
 	}
-	forced, err := shard.New(rs, 2, builderFor("hybrid", 0.3, "adaptsearch", 0, 0, ""))
+	forced, err := shard.New(rs, 2, builderFor("hybrid", 0.3, "adaptsearch", 0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,6 +156,61 @@ func TestHybridServe(t *testing.T) {
 		}
 		if b.Backend == "adaptsearch" && b.Plans == 0 {
 			t.Fatal("forced backend saw no plans")
+		}
+	}
+}
+
+// TestCalibrateAcceptedAndIgnored: the three spellings of the retired start-up
+// calibration still parse — -calibrate on a hybrid server, the library option,
+// "calibrate" in a create request — and of the router's scoreboard only the
+// plan counters are left on /stats and /metrics.
+func TestCalibrateAcceptedAndIgnored(t *testing.T) {
+	s, err := New(Config{Kind: "hybrid", SetFlags: map[string]bool{"calibrate": true},
+		WALRoot: t.TempDir(), MaxConcurrency: -1, Log: io.Discard})
+	if err != nil {
+		t.Fatalf("-kind hybrid -calibrate 64: %v", err)
+	}
+	if err := s.bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	s.ready.Store(true)
+	t.Cleanup(func() { s.closeCollections() })
+	if _, err := topk.NewHybridIndexFromSlots(nil, topk.WithHybridCalibration(64)); err != nil {
+		t.Fatalf("WithHybridCalibration(64): %v", err)
+	}
+	h := s.Handler()
+	if rec := doJSON(t, h, http.MethodPut, "/collections/x", map[string]any{"kind": "hybrid", "calibrate": 64}); rec.Code != http.StatusCreated {
+		t.Fatalf("create with calibrate: %d %s", rec.Code, rec.Body)
+	}
+	for i := 0; i < 5; i++ {
+		if rec := post(t, h, "/c/x/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(6, 10*i))); rec.Code != http.StatusOK {
+			t.Fatalf("insert: %d %s", rec.Code, rec.Body)
+		}
+	}
+	if rec := post(t, h, "/c/x/search", fmt.Sprintf(`{"query":%s,"theta":0.1}`, seqRanking(6, 0))); rec.Code != http.StatusOK {
+		t.Fatalf("search: %d %s", rec.Code, rec.Body)
+	}
+
+	var st struct {
+		Planner []map[string]any `json:"planner"`
+	}
+	if err := json.Unmarshal(get(t, h, "/c/x/stats").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	want := []map[string]any{
+		{"backend": "inverted", "plans": float64(s.mustLookup(t, "x").sh.NumShards())},
+		{"backend": "adaptsearch", "plans": 0.0},
+	}
+	if !reflect.DeepEqual(st.Planner, want) {
+		t.Fatalf("/stats planner = %v, want exactly %v", st.Planner, want)
+	}
+	metrics := get(t, h, "/metrics").Body.String()
+	if !strings.Contains(metrics, `topkserve_planner_plans_total{collection="x",backend="inverted"}`) {
+		t.Error("/metrics lost topkserve_planner_plans_total")
+	}
+	for _, gone := range []string{"observations_total", "mispredicts_total", "ewma_latency_seconds", "ewma_distance_calls"} {
+		if strings.Contains(metrics, "topkserve_planner_"+gone) {
+			t.Errorf("/metrics still exports topkserve_planner_%s", gone)
 		}
 	}
 }
@@ -247,7 +298,7 @@ func TestBatchModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 3, builderFor("inverted-drop", 0.3, "", 0, 0, ""))
+	sh, err := shard.New(rs, 3, builderFor("inverted-drop", 0.3, "", 0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +399,7 @@ func TestHybridServeMutationDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	rs := difftest.RandomCollection(rng, 240, 8, 150)
 	o := difftest.NewOracle(rs)
-	sh, err := shard.New(rs, 3, builderFor("hybrid", 0.3, "", 0, 0.05, ""))
+	sh, err := shard.New(rs, 3, builderFor("hybrid", 0.3, "", 0.05, ""))
 	if err != nil {
 		t.Fatal(err)
 	}

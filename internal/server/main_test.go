@@ -34,7 +34,7 @@ func testServer(t *testing.T) (*Server, []ranking.Ranking, []ranking.Ranking) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 4, builderFor("coarse", 0.3, "", 0, 0, ""))
+	sh, err := shard.New(rs, 4, builderFor("coarse", 0.3, "", 0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestMutationRejectedOnImmutableKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []string{"blocked", "bktree"} {
-		sh, err := shard.New(rs, 2, builderFor(kind, 0.3, "", 0, 0, ""))
+		sh, err := shard.New(rs, 2, builderFor(kind, 0.3, "", 0, ""))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,12 @@
 // Prometheus exposition for the serving core: GET /metrics renders every
 // layer of the stack — HTTP front end, per-collection shard routers, hybrid
-// planners, WALs — as one text-exposition document.
+// engines, WALs — as one text-exposition document.
 //
 // Two mechanisms keep the search hot path unaffected. The HTTP layer uses
 // static instruments (a few atomic operations per request, outside the
 // index code entirely). Everything below it reports through scrape-time
 // collectors: the collector callbacks pull the snapshots the layers already
-// maintain for GET /stats (shard.Stats, the planner scoreboard, wal.Stats)
+// maintain for GET /stats (shard.Stats, the hybrid's plan counters, wal.Stats)
 // and render them only when a scraper asks, so serving queries costs
 // nothing extra.
 //
@@ -57,7 +57,7 @@ func newServerMetrics() *serverMetrics {
 }
 
 // registerCollectors wires the scrape-time side: per-collection counters,
-// shard stats, planner scoreboards, rebuild history and WAL counters, each
+// shard stats, plan counters, rebuild history and WAL counters, each
 // labeled with its collection, plus the process-wide admission and cache
 // families. Every collector bails while bootstrap is still running — the
 // readiness load is also the acquire barrier for the registry (bootstrap
@@ -192,21 +192,9 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 	}
 
 	for _, ps := range aggregatePlanStats(c.hybrids) {
-		plannerLabels := telemetry.Labels("collection", col, "backend", ps.Backend)
 		w.Counter("topkserve_planner_plans_total",
-			"Queries the hybrid planner routed to each backend.", plannerLabels, float64(ps.Plans))
-		w.Counter("topkserve_planner_observations_total",
-			"Measured executions fed back into the planner's cost model per backend.",
-			plannerLabels, float64(ps.Observations))
-		w.Counter("topkserve_planner_mispredicts_total",
-			"Observations that landed more than 2x over the planner's estimate.",
-			plannerLabels, float64(ps.Mispredicts))
-		w.Gauge("topkserve_planner_ewma_latency_seconds",
-			"Observation-weighted mean of the per-bucket latency EWMAs per backend.",
-			plannerLabels, ps.EWMALatencyNanos/1e9)
-		w.Gauge("topkserve_planner_ewma_distance_calls",
-			"Observation-weighted mean of the per-bucket distance-call EWMAs per backend.",
-			plannerLabels, ps.EWMADistanceCalls)
+			"Queries each backend of the hybrid engine answered.",
+			telemetry.Labels("collection", col, "backend", ps.Backend), float64(ps.Plans))
 	}
 
 	if c.wal != nil {

@@ -463,8 +463,8 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestMetricsHybridPlanner checks the planner scoreboard series the hybrid
-// kind exports: plans per backend sum to the query count and agree with
+// TestMetricsHybridPlanner checks the plan-counter series the hybrid kind
+// exports: plans per backend sum to the query count and agree with
 // /stats.
 func TestMetricsHybridPlanner(t *testing.T) {
 	cfg := dataset.NYTLike(300, 10)
@@ -476,7 +476,7 @@ func TestMetricsHybridPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 2, builderFor("hybrid", 0.3, "", 0, 0, ""))
+	sh, err := shard.New(rs, 2, builderFor("hybrid", 0.3, "", 0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,8 +501,6 @@ func TestMetricsHybridPlanner(t *testing.T) {
 			t.Errorf("planner_plans_total{%s} = %v, want %v", ps.Backend, got, ps.Plans)
 		}
 		plans += got
-		doc.one(t, "topkserve_planner_ewma_latency_seconds",
-			map[string]string{"backend": ps.Backend})
 	}
 	// Every fanned-out query planned once per shard.
 	if want := float64(st.Queries) * float64(st.NumShards); plans != want {
@@ -551,7 +549,7 @@ func TestReadyz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 2, builderFor("coarse", 0.3, "", 0, 0, ""))
+	sh, err := shard.New(rs, 2, builderFor("coarse", 0.3, "", 0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,7 +686,7 @@ func TestKNNTraceStagesAndAttribution(t *testing.T) {
 		forced string
 		dfc    bool
 	}{{"", false}, {"adaptsearch", true}} {
-		sh, err := shard.New(rs, 2, builderFor("hybrid", 0.3, tc.forced, 0, 0, ""))
+		sh, err := shard.New(rs, 2, builderFor("hybrid", 0.3, tc.forced, 0, ""))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -754,7 +752,7 @@ func TestStandaloneKindTraceAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []string{"coarse", "bktree"} {
-		sh, err := shard.New(rs, 2, builderFor(kind, 0.3, "", 0, 0, ""))
+		sh, err := shard.New(rs, 2, builderFor(kind, 0.3, "", 0, ""))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,6 +40,7 @@ import (
 
 	"topk"
 	"topk/internal/admit"
+	"topk/internal/kinds"
 	"topk/internal/persist"
 	"topk/internal/qcache"
 	"topk/internal/ranking"
@@ -75,7 +76,6 @@ type Config struct {
 	Shards       int     // shard count (0 = GOMAXPROCS)
 	MaxTheta     float64 // coarse auto-tune target threshold
 	ForceBackend string  // hybrid only
-	Calibrate    int     // hybrid only
 	DeltaRatio   float64 // hybrid only
 
 	MaxBody int64 // request-body bound, bytes (0 = 16 MiB)
@@ -292,7 +292,7 @@ func (s *Server) bootstrap() error {
 	}
 	opts := CollectionOptions{
 		Kind: cfg.Kind, Shards: cfg.Shards, MaxTheta: cfg.MaxTheta,
-		ForceBackend: cfg.ForceBackend, Calibrate: cfg.Calibrate, DeltaRatio: cfg.DeltaRatio,
+		ForceBackend: cfg.ForceBackend, DeltaRatio: cfg.DeltaRatio,
 	}
 	c, err := s.openCollection(cfg.DefaultCollection, opts, walDir, seed)
 	if err != nil {
@@ -378,7 +378,7 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 			spillDir = os.TempDir()
 		}
 	}
-	build := builderFor(opts.Kind, opts.MaxTheta, opts.ForceBackend, opts.Calibrate, opts.DeltaRatio, spillDir)
+	build := builderFor(opts.Kind, opts.MaxTheta, opts.ForceBackend, opts.DeltaRatio, spillDir)
 	var sh *shard.Sharded
 	if len(slots) == 0 {
 		sh, err = shard.NewEmpty(opts.Shards, build)
@@ -603,7 +603,7 @@ func validateForceBackend(name string) error {
 }
 
 // validateKindFlags fails fast on flag combinations that would otherwise
-// be silently ignored: the hybrid-planner knobs act only on -kind hybrid.
+// be silently ignored: the hybrid's knobs act only on -kind hybrid.
 // set holds the flag names explicitly passed on the command line.
 func validateKindFlags(kind string, set map[string]bool) error {
 	if kind == "hybrid" {
@@ -621,11 +621,8 @@ func validateKindFlags(kind string, set map[string]bool) error {
 // Exactly these kinds can also represent retired (tombstoned) snapshot
 // slots: their constructors all rebuild from one external-id slot array.
 func mutableKind(kind string) bool {
-	switch kind {
-	case "hybrid", "coarse", "coarse-drop", "inverted", "inverted-drop", "merge":
-		return true
-	}
-	return false
+	k, err := kinds.Lookup(kind, nil)
+	return err == nil && k.Mutable
 }
 
 // dropTombstones removes nil (tombstoned) slots, renumbering densely.
@@ -644,43 +641,19 @@ func dropTombstones(slots []ranking.Ranking) ([]ranking.Ranking, int) {
 // retired; the other kinds require a dense collection (see dropTombstones).
 // spillDir, when non-empty, makes hybrid epoch arenas spill to mmapped paged
 // files under it (see topk.WithHybridSpill).
-func builderFor(kind string, maxTheta float64, force string, calibrate int, deltaRatio float64, spillDir string) shard.Builder {
+func builderFor(kind string, maxTheta float64, force string, deltaRatio float64, spillDir string) shard.Builder {
+	o := kinds.Options{MaxTheta: maxTheta, Hybrid: []topk.HybridOption{topk.WithHybridDeltaRatio(deltaRatio)}}
+	if force != "" {
+		o.Hybrid = append(o.Hybrid, topk.WithForcedBackend(force))
+	}
+	if spillDir != "" {
+		o.Hybrid = append(o.Hybrid, topk.WithHybridSpill(spillDir))
+	}
+	k, err := kinds.Lookup(kind, nil)
 	return func(rs []ranking.Ranking) (shard.Index, error) {
-		switch kind {
-		case "hybrid":
-			opts := []topk.HybridOption{topk.WithHybridDeltaRatio(deltaRatio)}
-			if force != "" {
-				opts = append(opts, topk.WithForcedBackend(force))
-			}
-			if calibrate > 0 {
-				opts = append(opts, topk.WithHybridCalibration(calibrate))
-			}
-			if spillDir != "" {
-				opts = append(opts, topk.WithHybridSpill(spillDir))
-			}
-			return topk.NewHybridIndexFromSlots(rs, opts...)
-		case "coarse":
-			return topk.NewCoarseIndexFromSlots(rs, topk.WithAutoTune(maxTheta))
-		case "coarse-drop":
-			return topk.NewCoarseIndexFromSlots(rs, topk.WithThetaC(0.06), topk.WithListDropping())
-		case "inverted":
-			return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.FilterValidate))
-		case "inverted-drop":
-			return topk.NewInvertedIndexFromSlots(rs)
-		case "merge":
-			return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.ListMerge))
-		case "blocked":
-			return topk.NewBlockedIndex(rs)
-		case "blocked-drop":
-			return topk.NewBlockedIndex(rs, topk.WithBlockedDrop())
-		case "bktree":
-			return topk.NewMetricTree(rs, topk.BKTree)
-		case "mtree":
-			return topk.NewMetricTree(rs, topk.MTree)
-		case "vptree":
-			return topk.NewMetricTree(rs, topk.VPTree)
-		default:
-			return nil, fmt.Errorf("unknown index kind %q", kind)
+		if err != nil {
+			return nil, err
 		}
+		return k.New(rs, o)
 	}
 }

@@ -1,5 +1,5 @@
-// GET /stats: the per-collection counters, planner scoreboard and storage
-// state as JSON.
+// GET /stats: the per-collection counters, the hybrid's plan counters and
+// storage state as JSON.
 package server
 
 import (
@@ -36,8 +36,9 @@ type statsResponse struct {
 	// and gather (concatenating per-shard answers).
 	Fanout shard.HistogramSnapshot `json:"fanout"`
 	Merge  shard.HistogramSnapshot `json:"merge"`
-	// Planner is the per-backend plan scoreboard of the hybrid engine,
-	// aggregated across shards; absent for single-backend kinds.
+	// Planner counts the queries each backend of the hybrid engine answered,
+	// summed across shards; absent for single-backend kinds. (The key
+	// predates the removal of the query planner.)
 	Planner []topk.PlanStats   `json:"planner,omitempty"`
 	Shards  []shard.ShardStats `json:"shards"`
 	// WAL reports the durability counters when the collection has a log.
@@ -61,37 +62,20 @@ type walStatsJSON struct {
 	wal.Stats
 }
 
-// aggregatePlanStats merges the per-shard plan scoreboards by backend name:
-// plan and observation counters add up, the EWMAs combine as
-// observation-weighted means.
+// aggregatePlanStats sums the per-shard plan counters by backend (every
+// hybrid reports the same rows, in topk.HybridBackends order); nil when the
+// collection has no hybrid shard.
 func aggregatePlanStats(hybrids []*topk.HybridIndex) []topk.PlanStats {
-	var order []string
-	acc := make(map[string]*topk.PlanStats)
-	weightLat := make(map[string]float64)
-	weightDFC := make(map[string]float64)
+	var out []topk.PlanStats
 	for _, h := range hybrids {
-		for _, st := range h.PlanStats() {
-			a := acc[st.Backend]
-			if a == nil {
-				a = &topk.PlanStats{Backend: st.Backend}
-				acc[st.Backend] = a
-				order = append(order, st.Backend)
-			}
-			a.Plans += st.Plans
-			a.Observations += st.Observations
-			a.Mispredicts += st.Mispredicts
-			weightLat[st.Backend] += float64(st.Observations) * st.EWMALatencyNanos
-			weightDFC[st.Backend] += float64(st.Observations) * st.EWMADistanceCalls
+		ps := h.PlanStats()
+		if out == nil {
+			out = ps
+			continue
 		}
-	}
-	out := make([]topk.PlanStats, 0, len(order))
-	for _, name := range order {
-		a := acc[name]
-		if a.Observations > 0 {
-			a.EWMALatencyNanos = weightLat[name] / float64(a.Observations)
-			a.EWMADistanceCalls = weightDFC[name] / float64(a.Observations)
+		for i := range ps {
+			out[i].Plans += ps[i].Plans
 		}
-		out = append(out, *a)
 	}
 	return out
 }

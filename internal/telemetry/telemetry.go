@@ -1,7 +1,7 @@
 // Package telemetry is the zero-dependency metrics substrate of the serving
 // stack: counters, gauges and cumulative le-bucket histograms with
 // Prometheus text-exposition rendering (version 0.0.4). It exists so every
-// layer — HTTP server, shard router, hybrid planner, WAL — reports through
+// layer — HTTP server, shard router, hybrid engine, WAL — reports through
 // one scrape endpoint without pulling a client library into the module.
 //
 // Two usage modes share one Registry:
@@ -11,7 +11,7 @@
 //     paths with a few atomic operations. They render themselves at scrape.
 //   - Scrape-time collectors (Registry.Collect) run a callback against a
 //     Writer at every exposition, for layers that already maintain their own
-//     snapshot-style statistics (shard.Stats, planner scoreboards, WAL
+//     snapshot-style statistics (shard.Stats, hybrid plan counters, WAL
 //     counters): the callback pulls the snapshot and writes families
 //     directly, so the hot path pays nothing at all.
 //

@@ -13,12 +13,12 @@
 // (plain and blocked inverted indices, BK-, M- and VP-trees, the
 // AdaptSearch prefix filter) are provided both as baselines and because
 // each has a regime where it wins; see the package examples and README.
-// HybridIndex goes one step further: it builds the two of these structures
-// that trade places as the threshold grows — the inverted index and the
-// AdaptSearch prefix filter — over one collection and routes each query to
-// the one a cost-model-driven planner (internal/planner) predicts cheaper
-// for the query's threshold — the paper's "sweet spot" finding made at query
-// time instead of build time.
+// HybridIndex is the serving engine: a fully mutable inverted index
+// (F&V+Drop for range queries, a native posting-list pass for KNN) that
+// answers every query, beside an AdaptSearch prefix-filter sidecar over the
+// same collection that answers only when forced — measured, the inverted
+// index is the faster of the two across the paper's query range, so the
+// hybrid no longer estimates which to ask.
 //
 // All Search methods are safe for concurrent use and run in parallel: the
 // per-query scratch state of every index lives in an internal sync.Pool, so
