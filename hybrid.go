@@ -467,8 +467,9 @@ func (h *HybridIndex) SearchTraced(q Ranking, theta float64) ([]Result, string, 
 // NearestNeighbors implements NearestNeighborSearcher. Unless adaptsearch is
 // forced, KNN is answered by the inverted backend's native single-pass KNN
 // (invindex.Searcher.NearestNeighbors) — one walk over the query's posting
-// lists that derives every overlapping ranking's exact distance from the
-// posting ranks. The inverted index owns the epoch's id space and tombstones
+// lists, shortest first, that derives each candidate's exact distance from
+// the posting ranks and stops admitting candidates once n of them are out of
+// reach of any ranking not yet seen. The inverted index owns the epoch's id space and tombstones
 // in place, so deltas and deletes need no overlay scan, and the selection
 // breaks distance ties by external id directly. Like ListMerge, the native
 // path evaluates no distance function and adds nothing to DistanceCalls. A

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -110,6 +111,10 @@ func FuzzKNNNative(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{2, 7, 2, 9, 4, 3, 4, 200, 1, 1, 4, 40})
 	f.Add([]byte{1, 0, 1, 1, 1, 2, 1, 3, 4, 255, 3, 0, 4, 9})
+	// Skew: thirty copies of one ranking make five lists hold half the
+	// collection, and queries whose late positions hit them close admission
+	// (n = 2, 4, 3) — before and after a delete, an update and a fold.
+	f.Add(append(bytes.Repeat([]byte{0, 0}, 30), 4, 61, 4, 63, 1, 5, 2, 9, 4, 122, 3, 0, 4, 61))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 300 {
 			ops = ops[:300]

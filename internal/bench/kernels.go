@@ -172,7 +172,11 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 	if err != nil {
 		return nil, Table{}, err
 	}
-	recs = append(recs, searcherRecs...)
+	shardRecs, err := searcherRecords([]int{10}, []int{100000}) // the end-to-end benchmark's shard
+	if err != nil {
+		return nil, Table{}, err
+	}
+	recs = append(append(recs, searcherRecs...), shardRecs...)
 
 	t := Table{
 		Title:   "Distance-kernel microbenchmarks (NYT-like)",
@@ -215,7 +219,9 @@ func (r rangeOverInverted) Len() int { return r.s.Index().Len() }
 func (r rangeOverInverted) K() int   { return r.s.Index().K() }
 
 // searcherRecords measures whole queries over an n-ranking NYT-like inverted
-// index, by k and n, on one reused searcher:
+// index, by k and n, on one reused searcher cycling 256 queries (what a KNN
+// query costs depends on whether its accumulate closes admission, so a
+// handful of queries would measure their mix, not the workload's):
 //
 //	knn-native     invindex.Searcher.NearestNeighbors — one accumulate-and-
 //	               select pass over the query's posting lists, 10 neighbors
@@ -235,7 +241,7 @@ func searcherRecords(ks, ns []int) ([]KernelRecord, error) {
 			if err != nil {
 				return nil, err
 			}
-			queries, err := dataset.Workload(rs, cfg, 16, 0.8, cfg.Seed+500)
+			queries, err := dataset.Workload(rs, cfg, 256, 0.8, cfg.Seed+500)
 			if err != nil {
 				return nil, err
 			}

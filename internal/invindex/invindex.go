@@ -9,11 +9,15 @@
 //   - Minimal F&V (the per-query oracle lower bound of Section 7),
 //
 // plus an exact k-nearest-neighbor query (NearestNeighbors). ListMerge and
-// NearestNeighbors share one primitive, accumulate: a single pass over the
-// query's lists that sums, per ranking, the distance gain of every shared
-// item. ListMerge thresholds the accumulated distances, NearestNeighbors
-// selects the n smallest; neither calls the distance function, so neither
-// adds to a DFC counter (the paper's Figure 10 convention).
+// NearestNeighbors share one primitive, accumulate: a pass over the query's
+// lists, shortest first, that sums, per ranking, the distance gain of every
+// shared item. ListMerge reads every list in full and thresholds the
+// accumulated distances; NearestNeighbors selects the n smallest, and lets
+// accumulate stop admitting new rankings once n of those seen are out of
+// reach of any unseen one (the Lemma 2 bound on what the unread lists can
+// still add, used as a threshold-algorithm stopping rule). Neither calls the
+// distance function, so neither adds to a DFC counter (the paper's Figure 10
+// convention).
 //
 // The package is Footrule-only by construction: list dropping (Lemma 2), the
 // accumulated gains and the dmax treatment of zero-overlap rankings all rest
@@ -34,7 +38,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"topk/internal/kernel"
 	"topk/internal/metric"
@@ -221,27 +224,6 @@ func (idx *Index) Store() *kernel.Store { return idx.store }
 // NumLists returns the number of distinct items (index lists).
 func (idx *Index) NumLists() int { return len(idx.lists) }
 
-// TotalPostings returns the total number of postings, i.e. n·k.
-func (idx *Index) TotalPostings() int {
-	t := 0
-	for _, l := range idx.lists {
-		t += len(l)
-	}
-	return t
-}
-
-// ListLengths returns the multiset of index list lengths, sorted
-// descending. Used by the cost-model validation (expected list length under
-// Zipf) and by the statistics CLI.
-func (idx *Index) ListLengths() []int {
-	ls := make([]int, 0, len(idx.lists))
-	for _, l := range idx.lists {
-		ls = append(ls, len(l))
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(ls)))
-	return ls
-}
-
 // Searcher holds per-goroutine query processing state for an Index.
 type Searcher struct {
 	idx *Index
@@ -263,9 +245,12 @@ type Searcher struct {
 	// for the duplicate check.
 	acc   []uint16
 	items []ranking.Item
-	// chooseKeptLists' position and list-length buffers (k entries each).
+	// byListLength's position and list-length buffers (k entries each).
 	kept []int
 	lens []int
+	// closed counts the queries whose accumulate closed admission; read by the
+	// test that keeps the early-termination path from going dead silently.
+	closed int
 }
 
 // NewSearcher creates a searcher bound to idx.
@@ -432,25 +417,18 @@ func (s *Searcher) chooseKeptLists(q ranking.Ranking, rawTheta int, mode DropMod
 	if mode == DropAggressive {
 		drop = omega
 	}
-	pos := s.kept[:0]
-	for i := range q {
-		pos = append(pos, i)
-	}
-	s.kept = pos
 	if drop <= 0 {
+		pos := s.kept[:0]
+		for i := range q {
+			pos = append(pos, i)
+		}
+		s.kept = pos
 		return pos
 	}
 	if drop >= k {
 		drop = k - 1 // always read at least one list
 	}
-	// Order positions by list length descending, ties by position ascending
-	// (a stable sort of the ascending positions); keep the shortest k−drop.
-	s.lens = s.lens[:0]
-	for _, item := range q {
-		s.lens = append(s.lens, len(s.idx.lists[item]))
-	}
-	lens := s.lens
-	slices.SortStableFunc(pos, func(a, b int) int { return cmp.Compare(lens[b], lens[a]) })
+	pos, lens := s.byListLength(q)
 	kept := pos[drop:]
 	if mode == DropAggressive && omega > 0 {
 		// Positional condition: at least one kept list from a top-ω query
@@ -474,16 +452,25 @@ func (s *Searcher) chooseKeptLists(q ranking.Ranking, rawTheta int, mode DropMod
 	return kept
 }
 
-// DroppedLists reports how many of the k index lists FilterValidateDrop
-// would skip for the given threshold; exposed for the evaluation harness.
-func (s *Searcher) DroppedLists(q ranking.Ranking, rawTheta int, mode DropMode) int {
-	return len(q) - len(s.chooseKeptLists(q, rawTheta, mode))
+// byListLength returns the query positions ordered by the length of their
+// index lists, longest first (ties by position ascending: a stable sort of
+// the ascending positions), and those lengths by position. Both alias
+// searcher scratch and are valid until the next call.
+func (s *Searcher) byListLength(q ranking.Ranking) (pos, lens []int) {
+	pos, lens = s.kept[:0], s.lens[:0]
+	for i, item := range q {
+		pos = append(pos, i)
+		lens = append(lens, len(s.idx.lists[item]))
+	}
+	s.kept, s.lens = pos, lens
+	slices.SortStableFunc(pos, func(a, b int) int { return cmp.Compare(lens[b], lens[a]) })
+	return pos, lens
 }
 
-// accumulate is the one posting-aggregation primitive (Section 7): a single
-// pass over the query's k lists that adds, for every posting, the gain
-// 2·(k − max(q(i), τ(i))) of the shared item into acc[τ]. The rank-augmented
-// postings alone determine the exact Footrule distance,
+// accumulate is the one posting-aggregation primitive (Section 7): a pass
+// over the query's k lists, shortest first, that adds, for every posting, the
+// gain 2·(k − max(q(i), τ(i))) of the shared item into acc[τ]. The
+// rank-augmented postings alone determine the exact Footrule distance,
 //
 //	F(q,τ) = k(k+1) − Σ_{i shared} 2·(k − max(q(i), τ(i)))
 //
@@ -494,20 +481,67 @@ func (s *Searcher) DroppedLists(q ranking.Ranking, rawTheta int, mode DropMode) 
 // "untouched" and fits the cell. The caller must zero acc[id] for every
 // touched id before returning, so no query pays an O(collection) reset.
 // touched aliases s.cands.
-func (s *Searcher) accumulate(q ranking.Ranking) (touched []ranking.ID) {
+//
+// n > 0 is the number of nearest neighbors the caller will select, and lets
+// admission close (the §6.1 list-dropping bound as the stopping rule of
+// Fagin–Lotem–Naor's threshold algorithm, in its whole-list form): a ranking
+// absent from the lists read so far can still gain at most rem = Σ 2·(k − q(i))
+// over the unread ones, so once n live touched rankings hold more than rem —
+// gains only grow — every untouched ranking ends strictly below those n,
+// ties included, and cannot be among the n nearest. The remaining lists are
+// then walked update-only: touched ids keep accumulating to their exact gain,
+// nothing new is appended. The count costs one look at every touched id, so
+// it runs only before a list at least that long, and only once 2·rem <
+// k(k+1): the read lists hold at most k(k+1) − rem per ranking, so before that
+// no gain can exceed rem. With n = 0 admission never closes and touched is
+// every ranking sharing an item with the query.
+func (s *Searcher) accumulate(q ranking.Ranking, n int) (touched []ranking.ID) {
 	idx := s.idx
 	if size := len(idx.rankings); len(s.acc) < size {
 		s.acc = append(s.acc, make([]uint16, size-len(s.acc))...)
 	}
-	acc, k := s.acc, len(q)
+	acc, dels, k := s.acc, idx.deleted, len(q)
+	order, lens := s.byListLength(q)
 	touched = s.cands[:0]
-	for qr, item := range q {
-		for _, p := range idx.lists[item] {
-			if acc[p.ID] == 0 {
-				touched = append(touched, p.ID)
+	rem, open := k*(k+1), true
+	for i := len(order) - 1; i >= 0; i-- { // shortest list first
+		qr := order[i]
+		if open && n > 0 && 2*rem < k*(k+1) && lens[qr] >= len(touched) {
+			above := 0
+			for _, id := range touched {
+				if int(acc[id]) > rem && (dels == nil || !dels[id]) {
+					if above++; above == n {
+						open = false
+						s.closed++
+						break
+					}
+				}
 			}
-			acc[p.ID] += uint16(2 * (k - max(qr, int(p.Rank))))
 		}
+		list := idx.lists[q[qr]]
+		if open {
+			// Every id is stored past the end of touched and kept only on its
+			// first touch: the unconditional store is cheaper than the
+			// unpredictable branch around an append.
+			touched = slices.Grow(touched, len(list))
+			t, m := touched[:cap(touched)], len(touched)
+			for _, p := range list {
+				a := acc[p.ID]
+				t[m] = p.ID
+				if a == 0 {
+					m++
+				}
+				acc[p.ID] = a + uint16(2*(k-max(qr, int(p.Rank))))
+			}
+			touched = t[:m]
+		} else {
+			for _, p := range list {
+				if a := acc[p.ID]; a != 0 {
+					acc[p.ID] = a + uint16(2*(k-max(qr, int(p.Rank))))
+				}
+			}
+		}
+		rem -= 2 * (k - qr)
 	}
 	s.cands = touched
 	return touched
@@ -525,7 +559,7 @@ func (s *Searcher) ListMerge(q ranking.Ranking, rawTheta int, _ *metric.Evaluato
 	if err := s.checkQuery(q); err != nil {
 		return nil, err
 	}
-	touched := s.accumulate(q)
+	touched := s.accumulate(q, 0)
 	acc, dels := s.acc, s.idx.deleted
 	dmax := ranking.MaxDistance(len(q))
 	var out []ranking.Result

@@ -119,12 +119,15 @@ func TestIndexStructure(t *testing.T) {
 	if idx.List(42) != nil {
 		t.Fatal("unseen item has a list")
 	}
-	if got := idx.TotalPostings(); got != 12 {
-		t.Fatalf("TotalPostings = %d, want 12", got)
+	total := 0
+	for it, l := range idx.lists {
+		total += len(l)
+		if len(l) > len(l5) { // item 5 is the most frequent
+			t.Fatalf("item %d has %d postings, more than item 5", it, len(l))
+		}
 	}
-	lens := idx.ListLengths()
-	if lens[0] != 3 { // item 5 is the most frequent
-		t.Fatalf("ListLengths = %v", lens)
+	if total != 12 {
+		t.Fatalf("lists hold %d postings, want 12", total)
 	}
 }
 
@@ -165,7 +168,7 @@ func TestFilterValidateDropSafeMatchesBruteForce(t *testing.T) {
 		want := bruteResults(rs, q, rawTheta)
 		if !equalResults(got, want) {
 			t.Fatalf("θ=%d dropped=%d: got %d, want %d results",
-				rawTheta, s.DroppedLists(q, rawTheta, DropSafe), len(got), len(want))
+				rawTheta, k-len(s.chooseKeptLists(q, rawTheta, DropSafe)), len(got), len(want))
 		}
 	}
 }
@@ -180,14 +183,15 @@ func TestDropActuallyDrops(t *testing.T) {
 	if omega < 2 {
 		t.Fatalf("expected ω ≥ 2 for θ=0.1, k=10; got %d", omega)
 	}
-	if got := s.DroppedLists(q, 11, DropSafe); got != omega-1 {
+	dropped := func(rawTheta int, mode DropMode) int { return len(q) - len(s.chooseKeptLists(q, rawTheta, mode)) }
+	if got := dropped(11, DropSafe); got != omega-1 {
 		t.Fatalf("DropSafe drops %d, want ω-1=%d", got, omega-1)
 	}
-	if got := s.DroppedLists(q, 11, DropAggressive); got != omega {
+	if got := dropped(11, DropAggressive); got != omega {
 		t.Fatalf("DropAggressive drops %d, want ω=%d", got, omega)
 	}
 	// Threshold-agnostic case: θ ≥ dmax-ish keeps all lists.
-	if got := s.DroppedLists(q, ranking.MaxDistance(10), DropSafe); got != 0 {
+	if got := dropped(ranking.MaxDistance(10), DropSafe); got != 0 {
 		t.Fatalf("θ=dmax should drop nothing, dropped %d", got)
 	}
 }

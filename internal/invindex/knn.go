@@ -3,15 +3,19 @@ package invindex
 import "topk/internal/ranking"
 
 // NearestNeighbors returns the n live rankings closest to q, ordered by
-// (distance, id), in one pass over the query's k posting lists — no range
-// search, no radius schedule, no candidate validation.
+// (distance, id), from the query's k posting lists alone — no range search,
+// no radius schedule, no candidate validation.
 //
-// accumulate sums every overlapping ranking's distance gain; the list of
+// accumulate sums every admitted ranking's distance gain, reading the lists
+// shortest first and closing admission once n live rankings hold more than
+// any ranking not yet seen can still collect (see accumulate); the list of
 // touched ids both enumerates the candidates and clears the accumulator
-// afterwards. One bounded selection over the touched ids, skipping
-// tombstones, keeps the n best. Only when fewer than n live rankings share an
-// item with the query are the remaining slots filled with untouched live
-// rankings — all at distance exactly dmax = k(k+1) — in ascending id order.
+// afterwards. One bounded selection over the touched ids keeps the n best:
+// an id whose gain is below the running n-th best is rejected inline,
+// tombstones are skipped, the rest are offered to the heap. Only when fewer
+// than n live rankings share an item with the query — admission cannot have
+// closed then — are the remaining slots filled with untouched live rankings,
+// all at distance exactly dmax = k(k+1), in ascending id order.
 //
 // ext, when non-nil, is the owner's internal→external id map for an id
 // space whose external order differs from the internal one (an Update moved
@@ -36,19 +40,23 @@ func (s *Searcher) NearestNeighbors(q ranking.Ranking, n int, ext []ranking.ID) 
 	if n <= 0 {
 		return nil, nil
 	}
-	touched := s.accumulate(q)
+	touched := s.accumulate(q, n)
 	acc := s.acc
 
 	dmax := ranking.MaxDistance(len(q))
 	dels := idx.deleted
 	sel := nnSelect{heap: s.res[:0], n: n, ext: ext}
+	minGain := 0 // below the n-th best so far: cannot enter the full heap
 	for _, id := range touched {
-		d := dmax - int(acc[id])
+		a := int(acc[id])
 		acc[id] = 0
-		if dels != nil && dels[id] {
+		if a < minGain || (dels != nil && dels[id]) {
 			continue
 		}
-		sel.offer(d, id)
+		sel.offer(dmax-a, id)
+		if len(sel.heap) == n {
+			minGain = dmax - sel.heap[0].Dist
+		}
 	}
 	if len(sel.heap) < n {
 		// Fewer than n live rankings overlap the query: every other live

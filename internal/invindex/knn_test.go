@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"topk/internal/dataset"
 	"topk/internal/difftest"
 	"topk/internal/metric"
 	"topk/internal/ranking"
@@ -113,6 +114,156 @@ func TestNearestNeighborsExternalOrder(t *testing.T) {
 				t.Fatalf("n=%d q=%v:\n got %v\nwant %v", n, q, got, want)
 			}
 		}
+	}
+}
+
+// TestNearestNeighborsAdmissionBound pins the closing rule of accumulate on
+// hand-built collections, every answer against the linear-scan oracle. The
+// k = 3 cases query [1 2 3] over lists of lengths 1 (item 1), 1 (item 3) and
+// ≥ 4 (item 2), so the one count runs before item 2's list with rem = 4: a
+// ranking holding item 1 at rank 0 has gain 6 and can close admission, one
+// holding it at rank 1 has gain 4 = rem and must not — ranking 0, untouched
+// until the last list, ties it there and has the smaller id.
+func TestNearestNeighborsAdmissionBound(t *testing.T) {
+	q3 := ranking.Ranking{1, 2, 3}
+	base := func(x ...ranking.Ranking) []ranking.Ranking {
+		return append([]ranking.Ranking{
+			{2, 10, 11},                           // gain 4, from the last list alone
+			{20, 30, 2}, {21, 31, 2}, {22, 32, 2}, // gain 2, item 2's long list
+			{40, 41, 3},  // gain 2, admitted early
+			{70, 71, 72}, // no overlap: reachable through the dmax fill only
+		}, x...)
+	}
+	reversed := func(n int) []ranking.ID {
+		ext := make([]ranking.ID, n)
+		for i := range ext {
+			ext[i] = ranking.ID(n - 1 - i)
+		}
+		return ext
+	}
+	// k = 255: three copies of the query and 40 rankings sharing only its
+	// last item. Admission closes with rem = 2 under gains of 65 278, and the
+	// update-only walk lifts the copies to k(k+1) = 65 280, the top of uint16.
+	var wide []ranking.Ranking
+	q255 := make(ranking.Ranking, 255)
+	for i := range q255 {
+		q255[i] = ranking.Item(i)
+	}
+	for j := 0; j < 40; j++ {
+		r := make(ranking.Ranking, 255)
+		for i := range r {
+			r[i] = ranking.Item(1000 + 300*j + i)
+		}
+		r[254] = q255[254]
+		wide = append(wide, r)
+	}
+	wide = append(wide, q255, q255, q255)
+
+	cases := []struct {
+		name    string
+		build   []ranking.Ranking
+		inserts []ranking.Ranking // Insert()ed after the build
+		deletes []ranking.ID
+		ext     []ranking.ID // nil: external ids are the internal ones
+		q       ranking.Ranking
+		n       int
+		closes  bool
+	}{
+		{name: "gain above rem closes", build: base(ranking.Ranking{1, 50, 51}), q: q3, n: 1, closes: true},
+		{name: "gain equal to rem must not close", build: base(ranking.Ranking{50, 1, 51}), q: q3, n: 1},
+		{name: "one above rem is not two", build: base(ranking.Ranking{1, 50, 51}), q: q3, n: 2},
+		{name: "tombstone above rem is not counted", build: base(ranking.Ranking{1, 50, 51}), deletes: []ranking.ID{6}, q: q3, n: 1},
+		{name: "live above rem beside a tombstone", build: base(ranking.Ranking{1, 50, 51}, ranking.Ranking{1, 52, 53}), deletes: []ranking.ID{6}, q: q3, n: 1, closes: true},
+		{name: "inserted ids in admitting and update-only lists", build: base(),
+			inserts: []ranking.Ranking{{1, 50, 51}, {1, 2, 60}, {61, 62, 2}, {63, 2, 64}}, q: q3, n: 2, closes: true},
+		{name: "non-monotonic ext, tie on the boundary", build: base(ranking.Ranking{50, 1, 51}), ext: reversed(7), q: q3, n: 1},
+		{name: "non-monotonic ext, tie among the admitted", build: base(ranking.Ranking{1, 50, 51}, ranking.Ranking{1, 52, 53}), ext: reversed(8), q: q3, n: 1, closes: true},
+		{name: "n beyond the touched set reaches the dmax fill", build: base(ranking.Ranking{1, 50, 51}), q: q3, n: 7},
+		{name: "k=1 has one list and nothing to close", build: []ranking.Ranking{{1}, {2}, {1}, {3}, {1}}, q: ranking.Ranking{1}, n: 2},
+		{name: "k=255 closes at the uint16 edge", build: wide, q: q255, n: 3, closes: true},
+		{name: "k=255 one more than the copies", build: wide, q: q255, n: 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			idx, err := New(tc.build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range tc.inserts {
+				if _, err := idx.Insert(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, id := range tc.deletes {
+				if err := idx.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The oracle sees the collection through the external ids.
+			slots := make([]ranking.Ranking, idx.Len())
+			for id, r := range idx.Rankings() {
+				if idx.Deleted(ranking.ID(id)) {
+					continue
+				}
+				if tc.ext != nil {
+					id = int(tc.ext[id])
+				}
+				slots[id] = r
+			}
+			s := NewSearcher(idx)
+			got, err := s.NearestNeighbors(tc.q, tc.n, tc.ext)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if tc.ext != nil {
+					got[i].ID = tc.ext[got[i].ID]
+				}
+			}
+			if want := difftest.NewOracle(slots).NearestNeighbors(tc.q, tc.n); !difftest.Equal(got, want) {
+				t.Errorf("got %v, want %v", got, want)
+			}
+			if closed := s.closed == 1; closed != tc.closes {
+				t.Errorf("admission closed = %v, want %v", closed, tc.closes)
+			}
+			if !accClean(s) {
+				t.Error("accumulator left dirty")
+			}
+		})
+	}
+}
+
+// TestNearestNeighborsClosesAdmissionOnSkew runs the benchmark's kind of
+// input — NYT-like Zipf skew, where a query's longest lists hold most of its
+// postings — and fails if fewer than half of the queries closed admission, so
+// the early-termination path cannot go dead without a test noticing.
+func TestNearestNeighborsClosesAdmissionOnSkew(t *testing.T) {
+	cfg := dataset.NYTLike(20000, 10)
+	rs, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := dataset.Workload(rs, cfg, 64, 0.8, cfg.Seed+500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := New(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := difftest.NewOracle(rs)
+	s := NewSearcher(idx)
+	for _, q := range queries {
+		got, err := s.NearestNeighbors(q, 10, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := o.NearestNeighbors(q, 10); !difftest.Equal(got, want) {
+			t.Fatalf("q=%v:\n got %v\nwant %v", q, got, want)
+		}
+	}
+	if 2*s.closed < len(queries) {
+		t.Fatalf("admission closed on %d of %d queries, want at least half", s.closed, len(queries))
 	}
 }
 

@@ -1,6 +1,7 @@
 package invindex
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -69,10 +70,26 @@ func checkListMerge(t *testing.T, s *Searcher, o *difftest.Oracle, q ranking.Ran
 // against an index — built over a few rankings, so most lists are post-build
 // — and the oracle in lockstep, one searcher throughout. Queries are a live
 // member, a random ranking over the item domain, or a zero-overlap ranking
-// from outside it.
-func runListMergeWorkload(t *testing.T, k int, seed int64, ops []byte) {
+// from outside it. With skew set the collection is NYT-like in the two ways
+// that steer accumulate — a wide domain whose lists stay short, except that
+// every fresh ranking ends in two of three hot items whose lists hold most of
+// the collection at the positions of least gain; and half of the inserts are
+// near-duplicates of a live ranking — so lists are read far from query order
+// and the KNN cross-check closes admission before the long ones.
+func runListMergeWorkload(t *testing.T, k int, skew bool, seed int64, ops []byte) {
 	domain := k + 2 + k/2
+	if skew {
+		domain = 8 * k
+	}
 	rng := rand.New(rand.NewSource(seed))
+	fresh := func() ranking.Ranking {
+		r := difftest.RandomRanking(rng, k, domain)
+		if skew && k > 2 {
+			h := rng.Intn(3)
+			r[k-2], r[k-1] = ranking.Item(2*domain+h), ranking.Item(2*domain+(h+1+rng.Intn(2))%3)
+		}
+		return r
+	}
 	rs := difftest.RandomCollection(rng, rng.Intn(8), k, domain)
 	idx, err := New(rs)
 	if err != nil {
@@ -83,7 +100,10 @@ func runListMergeWorkload(t *testing.T, k int, seed int64, ops []byte) {
 	for _, op := range ops {
 		switch op % 4 {
 		case 0, 1: // insert
-			r := difftest.RandomRanking(rng, k, domain)
+			r := fresh()
+			if ids := o.LiveIDs(); skew && len(ids) > 0 && rng.Intn(2) == 0 {
+				r = difftest.Perturb(rng, o.Slots()[ids[rng.Intn(len(ids))]], domain)
+			}
 			id, err := idx.Insert(r)
 			if err != nil {
 				t.Fatalf("insert: %v", err)
@@ -112,7 +132,7 @@ func runListMergeWorkload(t *testing.T, k int, seed int64, ops []byte) {
 			case op/4%3 == 0 && len(ids) > 0:
 				q = o.Slots()[ids[rng.Intn(len(ids))]]
 			case op/4%3 == 1:
-				q = difftest.RandomRanking(rng, k, domain)
+				q = fresh()
 			default:
 				q = make(ranking.Ranking, k)
 				for i := range q {
@@ -134,22 +154,26 @@ func TestListMergeEquivalenceUnderMutation(t *testing.T) {
 		for round := 0; round < 4; round++ {
 			ops := make([]byte, 60)
 			rng.Read(ops)
-			runListMergeWorkload(t, k, rng.Int63(), ops)
+			runListMergeWorkload(t, k, round%2 == 1, rng.Int63(), ops)
 		}
 	}
 }
 
-// FuzzListMerge lets the fuzzer pick the ranking size, the collection seed
-// and the mutation/query schedule. Seeded into CI's fuzz-smoke step.
+// FuzzListMerge lets the fuzzer pick the ranking size, whether the collection
+// is skewed, the collection seed and the mutation/query schedule. Seeded into
+// CI's fuzz-smoke step.
 func FuzzListMerge(f *testing.F) {
 	f.Add(uint8(0), int64(1), []byte{0, 3, 7, 2, 11, 0, 0, 15, 6, 3})
 	f.Add(uint8(1), int64(2), []byte{1, 1, 1, 1, 3, 2, 2, 2, 7, 11, 0, 15})
 	f.Add(uint8(2), int64(3), []byte{0, 1, 0, 3, 2, 7, 11})
 	f.Add(uint8(1), int64(4), []byte{3, 7, 11, 2, 0, 2, 3})
+	// k = 10, skewed: thirty inserts, then member / random / zero-overlap
+	// queries around two deletes; admission closes on most of the KNN checks.
+	f.Add(uint8(4), int64(3), append(bytes.Repeat([]byte{0}, 30), 3, 7, 3, 7, 2, 6, 3, 7, 11))
 	f.Fuzz(func(t *testing.T, kSel uint8, seed int64, ops []byte) {
 		if len(ops) > 80 {
 			ops = ops[:80]
 		}
-		runListMergeWorkload(t, []int{1, 10, 255}[kSel%3], seed, ops)
+		runListMergeWorkload(t, []int{1, 10, 255}[kSel%3], kSel/3%2 == 1, seed, ops)
 	})
 }
