@@ -4,23 +4,28 @@
 // and serves exact range queries over HTTP — one or many named collections
 // per process.
 //
+// Every collection is one of the mutable inverted-family kinds: hybrid (the
+// default), inverted (F&V), inverted-drop (F&V+Drop) or merge (ListMerge).
+// Any other -kind is a usage error before anything listens; the paper
+// baselines (coarse*, blocked*, the metric trees) are built by topkquery
+// -index and measured by topkbench.
+//
 // Usage:
 //
-//	topkgen -preset nyt -n 50000 | topkserve -data - -kind hybrid
-//	topkserve -load-snapshot rankings.v3 -kind blocked-drop -shards 8
+//	topkgen -preset nyt -n 50000 | topkserve -data -
+//	topkserve -load-snapshot rankings.v3 -kind inverted-drop -shards 8
 //	topkserve -load-snapshot rankings.v3 -kind hybrid -wal /var/lib/topk/wal
 //	topkserve -kind hybrid -wal-root /var/lib/topk    # multi-tenant, starts empty
 //
 // Collection lifecycle (multi-tenant):
 //
-//	PUT    /collections/{name}  create an empty mutable collection; optional
-//	                            JSON body {"kind","shards","k","maxTheta",
-//	                            "forceBackend","calibrate","deltaRatio",
-//	                            "weight"} overrides the server defaults
-//	                            (maxTheta acts on kind coarse only;
-//	                            forceBackend inverted|adaptsearch and
-//	                            deltaRatio on kind hybrid, which also
-//	                            accepts and ignores calibrate)
+//	PUT    /collections/{name}  create an empty collection; optional JSON
+//	                            body {"kind","shards","k","forceBackend",
+//	                            "calibrate","deltaRatio","weight"} overrides
+//	                            the server defaults (forceBackend
+//	                            inverted|adaptsearch and deltaRatio act on
+//	                            kind hybrid, which also accepts and ignores
+//	                            calibrate)
 //	DELETE /collections/{name}  drain in-flight requests, drop the collection
 //	                            and remove its WAL directory
 //	GET    /collections[/name]  shape, counters and durability lag
@@ -52,9 +57,8 @@
 //	GET  /readyz   readiness probe (503 until every collection's build and
 //	               WAL replay finish, 200 after)
 //	GET  /debug/trace  ring of the most recent per-request traces: request
-//	               id, collection, per-stage timings and, for every -kind,
-//	               the backends that answered a /search or /knn with their
-//	               distance calls (a standalone kind names its one backend)
+//	               id, collection, per-stage timings and the backends that
+//	               answered a /search or /knn with their distance calls
 //
 // Every handler error — including unknown routes and method mismatches — is
 // a JSON body {"error": <message>, "code": <slug>}.
@@ -94,14 +98,13 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		dataPath   = flag.String("data", "", "default collection path (- = stdin), one ranking per line")
 		snapPath   = flag.String("load-snapshot", "", "v3 collection snapshot (see topkgen -format binary / topkquery -save-snapshot / GET /snapshot)")
-		kind       = flag.String("kind", "coarse", kinds.Names(nil))
+		kind       = flag.String("kind", "hybrid", kinds.Names(func(k kinds.Kind) bool { return k.Mutable }))
 		shards     = flag.Int("shards", 0, "number of shards (0 = GOMAXPROCS)")
-		maxTheta   = flag.Float64("maxtheta", 0.3, "-kind coarse only: largest query threshold the partitioning threshold is auto-tuned for (other kinds ignore it)")
 		force      = flag.String("force-backend", "", "hybrid only: answer every query from this one of its two backends (inverted|adaptsearch) instead of inverted")
 		_          = flag.Int("calibrate", 0, "hybrid only, ignored: the hybrid has no query router left to calibrate; the flag remains because benchmark/ still passes it")
 		deltaRatio = flag.Float64("delta-ratio", topk.DefaultCompactionRatio, "hybrid only: mutation-overlay fraction per shard above which a background epoch rebuild folds the delta into both backends (<= 0 disables)")
 		maxBody    = flag.Int64("max-body", 16<<20, "maximum request body size in bytes on every endpoint; larger bodies get 413")
-		walDir     = flag.String("wal", "", "single-collection write-ahead-log directory: append every acked mutation before responding, recover checkpoint+log on startup (mutable kinds only)")
+		walDir     = flag.String("wal", "", "single-collection write-ahead-log directory: append every acked mutation before responding, recover checkpoint+log on startup")
 		walRoot    = flag.String("wal-root", "", "multi-tenant WAL root: one subdirectory per collection plus a MANIFEST; dynamically created collections become durable and are recovered on restart")
 		walEvery   = flag.Int("wal-sync-every", 1, "fsync the WAL after every n-th mutation (1 = synchronous commit, 0 = rely on -wal-sync-interval and shutdown)")
 		walIvl     = flag.Duration("wal-sync-interval", 0, "background WAL fsync interval (0 disables; combines with -wal-sync-every)")
@@ -127,7 +130,6 @@ func main() {
 		DefaultCollection: *defColl,
 		Kind:              *kind,
 		Shards:            *shards,
-		MaxTheta:          *maxTheta,
 		ForceBackend:      *force,
 		DeltaRatio:        *deltaRatio,
 		MaxBody:           *maxBody,

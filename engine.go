@@ -85,20 +85,20 @@ const (
 )
 
 // queryHalf is the query half of the four standalone kinds — the counterpart
-// of the mutation half (mutable, mutate.go), embedded by CoarseIndex,
-// InvertedIndex, BlockedIndex and MetricTree. It holds the kind's one physical
-// backend and its DFC counter and defines the public query methods once over
-// them: normalized-threshold conversion, pooled raw search or exact KNN,
-// external-id remapping, and — HybridIndex's signatures, the contract
-// internal/shard serves from — the attribution of every answer to the
-// backend's name and the query's own distance calls.
+// of InvertedIndex's mutation half (mutable, mutate.go), embedded by
+// InvertedIndex and the read-only CoarseIndex, BlockedIndex and MetricTree.
+// It holds the kind's one physical backend and its DFC counter and defines
+// the public query methods once over them: normalized-threshold conversion,
+// pooled raw search or exact KNN, external-id remapping, and — HybridIndex's
+// signatures, the contract internal/shard serves from — the attribution of
+// every answer to the backend's name and the query's own distance calls.
 type queryHalf struct {
 	// backend adapts the kind's physical structure. The read-only kinds set it
-	// once; a mutable kind's rebuild replaces it under the write lock, so
+	// once; InvertedIndex's rebuild replaces it under the write lock, so its
 	// queries read it under the read lock.
 	backend backend
-	// mut is the mutation half of a mutable kind: the lock its queries share
-	// and the core whose id map their answers pass through. It is nil for the
+	// mut is InvertedIndex's mutation half: the lock its queries share and the
+	// core whose id map their answers pass through. It is nil for the
 	// read-only kinds, whose internal ids are the public ones and whose queries
 	// take no lock at all.
 	mut   *mutable
@@ -215,11 +215,11 @@ func checkQuery(q Ranking, k int) error {
 // nearestBackend runs the NearestNeighbors contract over a physical backend:
 // validation, the backend's native exact KNN or — for backends without one —
 // the expanding-radius reduction over its range search, external-id
-// remapping; ev counts the distance calls. core is the mutation core of a
-// mutable kind — its id map, and the size and tombstone predicate of the
-// internal id space the reduction's dmax backfill walks — and nil for kinds
-// whose internal ids are the public ones. The caller holds whatever lock its
-// kind requires.
+// remapping; ev counts the distance calls. core is the mutation core of an
+// InvertedIndex or a hybrid epoch — its id map, and the size and tombstone
+// predicate of the internal id space the reduction's dmax backfill walks —
+// and nil for kinds whose internal ids are the public ones. The caller holds
+// whatever lock its kind requires.
 func nearestBackend(b backend, core *mutationCore, q Ranking, n int, ev *metric.Evaluator) ([]Result, error) {
 	k, space := b.K(), b.Len()
 	var (
@@ -339,7 +339,7 @@ type coarseBackend struct {
 }
 
 func (b coarseBackend) Name() string { return backendCoarse }
-func (b coarseBackend) Len() int     { return b.idx.Live() }
+func (b coarseBackend) Len() int     { return b.idx.Len() }
 func (b coarseBackend) K() int       { return b.idx.K() }
 
 func (b coarseBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([]Result, error) {

@@ -1,9 +1,6 @@
 package topk
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestInvertedIndexInsert(t *testing.T) {
 	rs := testCollection(t, 400)
@@ -33,67 +30,5 @@ func TestInvertedIndexInsert(t *testing.T) {
 	}
 	if _, err := idx.Insert(Ranking{1, 1, 2, 3, 4, 5, 6, 7, 8, 9}); err == nil {
 		t.Fatal("duplicate items accepted")
-	}
-}
-
-func TestCoarseIndexInsert(t *testing.T) {
-	rs := testCollection(t, 400)
-	grow := testCollection(t, 520)[400:]
-	idx, err := NewCoarseIndex(rs, WithThetaC(0.3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	partsBefore := idx.NumPartitions()
-	all := append([]Ranking{}, rs...)
-	for _, r := range grow {
-		id, err := idx.Insert(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int(id) != len(all) {
-			t.Fatalf("insert id %d, want %d", id, len(all))
-		}
-		all = append(all, r)
-	}
-	if idx.Len() != len(all) {
-		t.Fatalf("Len=%d want %d", idx.Len(), len(all))
-	}
-	if idx.NumPartitions() < partsBefore {
-		t.Fatal("partitions vanished on insert")
-	}
-	checkIndexAgainstBrute(t, idx, all, "CoarseIndex+Insert")
-}
-
-func TestCoarseInsertPreservesInvariantUnderStress(t *testing.T) {
-	// Interleave inserts and searches; every search must stay exact.
-	rs := testCollection(t, 200)
-	pool := testCollection(t, 500)[200:]
-	idx, err := NewCoarseIndex(rs, WithThetaC(0.2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := append([]Ranking{}, rs...)
-	rng := rand.New(rand.NewSource(33))
-	for step := 0; step < len(pool); step++ {
-		if _, err := idx.Insert(pool[step]); err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, pool[step])
-		if step%25 == 0 {
-			q := all[rng.Intn(len(all))]
-			got, err := idx.Search(q, 0.2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := brute(all, q, 0.2)
-			if len(got) != len(want) {
-				t.Fatalf("step %d: %d results, want %d", step, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("step %d: result %d mismatch", step, i)
-				}
-			}
-		}
 	}
 }

@@ -1,7 +1,5 @@
 package bktree
 
-import "topk/internal/ranking"
-
 // SizeBytes estimates the serialized footprint of the tree: the complete
 // rankings payload (all indices store the full rankings, as Table 6 of the
 // paper notes) plus, per node, its ranking id and per edge a distance and a
@@ -22,11 +20,3 @@ func (t *Tree) SizeBytes() int64 {
 	}
 	return sz
 }
-
-// SetRankings rebinds the tree to a (grown) backing collection. Needed by
-// incremental insertion in the coarse index: appending to the shared
-// rankings slice may reallocate its backing array, and every tree holding
-// the old slice header must be repointed before new ids are resolvable.
-// The prefix of rs must be identical to the collection the tree was built
-// over.
-func (t *Tree) SetRankings(rs []ranking.Ranking) { t.rankings = rs }

@@ -75,14 +75,6 @@ type Index struct {
 	// inverted index assigns id i to that ranking.
 	medoids   []ranking.ID
 	medoidIdx *invindex.Index
-	// deleted marks tombstoned ranking ids. A tombstoned ranking stays in
-	// its partition tree as a routing object (its distances to neighbors are
-	// still valid pivots, exactly like deleted inner nodes of a BK-tree) and
-	// even a tombstoned medoid keeps governing its partition; only the final
-	// result set filters tombstones out. nil until the first Delete; once
-	// allocated it is kept at len(rankings).
-	deleted []bool
-	dead    int
 	// BuildDFC records the distance computations spent on construction
 	// (BK-tree build + clustering), reported with Table 6.
 	BuildDFC uint64
@@ -194,44 +186,8 @@ func (idx *Index) buildRandomMedoids(thetaC int, seed int64, ev *metric.Evaluato
 // K returns the ranking size.
 func (idx *Index) K() int { return idx.k }
 
-// Ranking returns the indexed ranking with the given id.
-func (idx *Index) Ranking(id ranking.ID) ranking.Ranking { return idx.rankings[id] }
-
-// Len returns the number of indexed rankings, including tombstoned ones
-// (the size of the id space, not the live count; see Live).
+// Len returns the number of indexed rankings.
 func (idx *Index) Len() int { return idx.n }
-
-// Live returns the number of indexed rankings that are not tombstoned.
-func (idx *Index) Live() int { return idx.n - idx.dead }
-
-// Dead returns the number of tombstoned rankings.
-func (idx *Index) Dead() int { return idx.dead }
-
-// Deleted reports whether id is tombstoned.
-func (idx *Index) Deleted(id ranking.ID) bool {
-	return idx.deleted != nil && int(id) < len(idx.deleted) && idx.deleted[id]
-}
-
-// Delete tombstones the ranking with the given id. The ranking remains a
-// routing object of its partition tree (and, if it is a medoid, keeps
-// governing its partition), but queries no longer return it. Deleting an
-// unknown or already-deleted id is an error. Delete must not run
-// concurrently with queries; the topk facade serializes mutations, tracks
-// the tombstone ratio, and rebuilds the index when it grows too large.
-func (idx *Index) Delete(id ranking.ID) error {
-	if int(id) >= idx.n {
-		return fmt.Errorf("coarse: delete of unknown id %d (n=%d)", id, idx.n)
-	}
-	if idx.deleted == nil {
-		idx.deleted = make([]bool, idx.n)
-	}
-	if idx.deleted[id] {
-		return fmt.Errorf("coarse: id %d already deleted", id)
-	}
-	idx.deleted[id] = true
-	idx.dead++
-	return nil
-}
 
 // NumPartitions returns the number of medoids/partitions.
 func (idx *Index) NumPartitions() int { return len(idx.clusters) }
@@ -356,16 +312,6 @@ func (s *Searcher) QueryStats(q ranking.Ranking, rawTheta int, ev *metric.Evalua
 		c := idx.clusters[mh.ID]
 		st.CandidateRankings += c.part.Size
 		out = append(out, c.tree.SearchPartitionResults(c.part, q, rawTheta, ev)...)
-	}
-	if dels := idx.deleted; dels != nil {
-		// Drop tombstoned rankings in place — no extra allocation.
-		kept := out[:0]
-		for _, r := range out {
-			if !dels[r.ID] {
-				kept = append(kept, r)
-			}
-		}
-		out = kept
 	}
 	st.ValidateTime = time.Since(start)
 

@@ -260,78 +260,6 @@ func TestQuickCoarseNoFalseNegatives(t *testing.T) {
 	}
 }
 
-// TestDeleteTombstones checks the tombstone semantics at the coarse layer:
-// deleted rankings — members and medoids alike — vanish from results while
-// remaining routing objects, and double deletes fail.
-func TestDeleteTombstones(t *testing.T) {
-	rs := clusteredCollection(12, 40, 8, 10, 400)
-	rng := rand.New(rand.NewSource(13))
-	for _, strat := range []PartitionStrategy{BKTreeCut, RandomMedoids} {
-		idx, err := New(rs, 27, Options{Strategy: strat, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Delete every medoid (the hard case: they stay routing objects)
-		// plus a random slice of members.
-		dead := make(map[ranking.ID]bool)
-		for _, m := range idx.medoids[:len(idx.medoids)/2] {
-			dead[m] = true
-		}
-		for len(dead) < len(rs)/3 {
-			dead[ranking.ID(rng.Intn(len(rs)))] = true
-		}
-		for id := range dead {
-			if err := idx.Delete(id); err != nil {
-				t.Fatalf("%v: Delete(%d): %v", strat, id, err)
-			}
-			if err := idx.Delete(id); err == nil {
-				t.Fatalf("%v: double Delete(%d) succeeded", strat, id)
-			}
-		}
-		if got, want := idx.Live(), len(rs)-len(dead); got != want {
-			t.Fatalf("%v: Live=%d, want %d", strat, got, want)
-		}
-		if err := idx.Delete(ranking.ID(len(rs) + 5)); err == nil {
-			t.Fatalf("%v: Delete out of range succeeded", strat)
-		}
-		// Survivor-only oracle with original ids preserved.
-		slots := append([]ranking.Ranking(nil), rs...)
-		for id := range dead {
-			slots[id] = nil
-		}
-		o := difftest.NewOracle(slots)
-		s := NewSearcher(idx)
-		for trial := 0; trial < 30; trial++ {
-			q := rs[rng.Intn(len(rs))]
-			if trial%2 == 1 {
-				q = randomRanking(rng, 10, 400)
-			}
-			rawTheta := rng.Intn(60)
-			for _, mode := range []Mode{FV, FVDrop} {
-				got, err := s.Query(q, rawTheta, nil, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := o.SearchRaw(q, rawTheta); !equalResults(got, want) {
-					t.Fatalf("%v θ=%d mode=%d: got %v, want %v", strat, rawTheta, mode, got, want)
-				}
-			}
-		}
-		// Inserts after deletes keep the deleted marks aligned.
-		nr := randomRanking(rng, 10, 400)
-		id, err := idx.Insert(nr, metric.New(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx.Deleted(id) {
-			t.Fatal("fresh insert reported deleted")
-		}
-		if got, _ := NewSearcher(idx).Query(nr, 0, nil, FV); len(got) == 0 {
-			t.Fatal("inserted ranking not findable after deletes")
-		}
-	}
-}
-
 func BenchmarkCoarseQuery(b *testing.B) {
 	rs := clusteredCollection(20, 500, 20, 10, 4000)
 	idx, _ := New(rs, 55, Options{})

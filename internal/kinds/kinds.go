@@ -1,6 +1,6 @@
 // Package kinds is the one table of named index kinds the command-line tools
-// build: topkserve -kind, topkquery -index and the "kind" of
-// PUT /collections/{name} all resolve a name here.
+// build: topkquery -index resolves a name here, and topkserve -kind and the
+// "kind" of PUT /collections/{name} resolve the mutable ones.
 package kinds
 
 import (
@@ -15,7 +15,8 @@ import (
 // Options carries what a caller can configure about a kind.
 type Options struct {
 	// MaxTheta is the largest query threshold the coarse kind auto-tunes its
-	// partitioning threshold for; the other kinds ignore it.
+	// partitioning threshold for (topkquery -maxtheta); the other kinds
+	// ignore it.
 	MaxTheta float64
 	// Hybrid configures the hybrid kind.
 	Hybrid []topk.HybridOption
@@ -24,9 +25,10 @@ type Options struct {
 // Kind is one named index kind.
 type Kind struct {
 	Name string
-	// Mutable kinds support Insert/Delete/Update, and exactly they can
-	// represent retired (tombstoned) ids: New takes an external-id slot array
-	// with nil for a retired id. The other kinds need a dense collection.
+	// Mutable kinds support Insert/Delete/Update and are exactly the kinds
+	// topkserve serves. Only they can represent retired (tombstoned) ids: New
+	// takes an external-id slot array with nil for a retired id. The other
+	// kinds — the paper baselines — need a dense collection.
 	Mutable bool
 	New     func(slots []ranking.Ranking, o Options) (shard.Index, error)
 }
@@ -36,12 +38,6 @@ var Table = []Kind{
 	{"hybrid", true, func(rs []ranking.Ranking, o Options) (shard.Index, error) {
 		return topk.NewHybridIndexFromSlots(rs, o.Hybrid...)
 	}},
-	{"coarse", true, func(rs []ranking.Ranking, o Options) (shard.Index, error) {
-		return topk.NewCoarseIndexFromSlots(rs, topk.WithAutoTune(o.MaxTheta))
-	}},
-	{"coarse-drop", true, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
-		return topk.NewCoarseIndexFromSlots(rs, topk.WithThetaC(0.06), topk.WithListDropping())
-	}},
 	{"inverted", true, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
 		return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.FilterValidate))
 	}},
@@ -50,6 +46,12 @@ var Table = []Kind{
 	}},
 	{"merge", true, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
 		return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.ListMerge))
+	}},
+	{"coarse", false, func(rs []ranking.Ranking, o Options) (shard.Index, error) {
+		return topk.NewCoarseIndex(rs, topk.WithAutoTune(o.MaxTheta))
+	}},
+	{"coarse-drop", false, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+		return topk.NewCoarseIndex(rs, topk.WithThetaC(0.06), topk.WithListDropping())
 	}},
 	{"blocked", false, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
 		return topk.NewBlockedIndex(rs)

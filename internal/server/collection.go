@@ -11,7 +11,6 @@ import (
 
 	"topk"
 	"topk/internal/admit"
-	"topk/internal/kinds"
 	"topk/internal/persist"
 	"topk/internal/ranking"
 	"topk/internal/shard"
@@ -36,8 +35,7 @@ func validateCollectionName(name string) error {
 // and the manifest entry a durable collection is recovered from. The zero
 // value of every field means "server default".
 type CollectionOptions struct {
-	// Kind is the index kind; dynamically created collections must use a
-	// mutable kind (they start empty and grow through /insert).
+	// Kind is the index kind, one of the served (mutable) kinds.
 	Kind string `json:"kind,omitempty"`
 	// Shards is the sub-index count (0 = GOMAXPROCS).
 	Shards int `json:"shards,omitempty"`
@@ -45,9 +43,6 @@ type CollectionOptions struct {
 	// first insert defines the size structurally, queries and mutations are
 	// validated against it. 0 leaves the size to the first insert.
 	K int `json:"k,omitempty"`
-	// MaxTheta is the coarse index's auto-tune target threshold; 0 uses the
-	// server's -maxtheta. Other kinds ignore it.
-	MaxTheta float64 `json:"maxTheta,omitempty"`
 	// ForceBackend pins a hybrid collection to one of its two backends.
 	ForceBackend string `json:"forceBackend,omitempty"`
 	// Calibrate is accepted on kind hybrid and ignored.
@@ -67,18 +62,10 @@ type CollectionOptions struct {
 	Weight float64 `json:"weight,omitempty"`
 }
 
-// withDefaults fills zero fields from the server flags and normalizes the
-// kind alias handling.
+// withDefaults fills zero fields from the server flags.
 func (o CollectionOptions) withDefaults(cfg Config) CollectionOptions {
 	if o.Kind == "" {
-		if mutableKind(cfg.Kind) {
-			o.Kind = cfg.Kind
-		} else {
-			o.Kind = "hybrid"
-		}
-	}
-	if o.MaxTheta == 0 {
-		o.MaxTheta = cfg.MaxTheta
+		o.Kind = cfg.Kind
 	}
 	if o.DeltaRatio == 0 && o.Kind == "hybrid" {
 		o.DeltaRatio = cfg.DeltaRatio
@@ -89,9 +76,8 @@ func (o CollectionOptions) withDefaults(cfg Config) CollectionOptions {
 // validate rejects option combinations create would otherwise silently
 // ignore or that would break invariants down the stack.
 func (o CollectionOptions) validate(walEnabled bool) error {
-	if !mutableKind(o.Kind) {
-		return fmt.Errorf("collection kind %q is not mutable: dynamically created collections start empty and grow through /insert (want one of %s)", o.Kind,
-			kinds.Names(func(k kinds.Kind) bool { return k.Mutable }))
+	if err := validateKind(o.Kind); err != nil {
+		return err
 	}
 	if o.Kind == "hybrid" {
 		if err := validateForceBackend(o.ForceBackend); err != nil {
@@ -116,9 +102,6 @@ func (o CollectionOptions) validate(walEnabled bool) error {
 	}
 	if o.Shards < 0 {
 		return fmt.Errorf("shards must be non-negative, have %d", o.Shards)
-	}
-	if o.MaxTheta < 0 || o.MaxTheta > 1 {
-		return fmt.Errorf("maxTheta %v outside [0,1]", o.MaxTheta)
 	}
 	if o.Weight < 0 || o.Weight > 1 {
 		return fmt.Errorf("weight %v outside [0,1]", o.Weight)

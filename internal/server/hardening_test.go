@@ -279,7 +279,7 @@ func TestCacheInvalidatedByEpochRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 2, builderFor("hybrid", 0.3, "", 0, ""))
+	sh, err := shard.New(rs, 2, builderFor("hybrid", "", 0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}

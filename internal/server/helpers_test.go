@@ -35,7 +35,7 @@ func (s *Server) install(sh *shard.Sharded) {
 func startServer(t *testing.T, kind, snapPath, walDir string, useMmap bool) *Server {
 	t.Helper()
 	s, err := New(Config{
-		Kind: kind, Shards: 4, MaxTheta: 0.3, DeltaRatio: 0.25,
+		Kind: kind, Shards: 4, DeltaRatio: 0.25,
 		SnapshotPath: snapPath, WALDir: walDir, WALSyncEvery: 1, Mmap: useMmap,
 		MaxConcurrency: -1, Log: io.Discard,
 	})

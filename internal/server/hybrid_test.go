@@ -35,7 +35,7 @@ func TestHybridServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 3, builderFor("hybrid", 0.3, "", 0, ""))
+	sh, err := shard.New(rs, 3, builderFor("hybrid", "", 0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestHybridServe(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Index != "hybrid" || !st.Mutable {
+	if st.Index != "hybrid" {
 		t.Fatalf("implausible stats: %+v", st)
 	}
 	if len(st.Planner) == 0 {
@@ -138,7 +138,7 @@ func TestHybridServe(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("snapshot status %d", rec.Code)
 	}
-	forced, err := shard.New(rs, 2, builderFor("hybrid", 0.3, "adaptsearch", 0, ""))
+	forced, err := shard.New(rs, 2, builderFor("hybrid", "adaptsearch", 0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestBatchModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 3, builderFor("inverted-drop", 0.3, "", 0, ""))
+	sh, err := shard.New(rs, 3, builderFor("inverted-drop", "", 0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestHybridServeMutationDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	rs := difftest.RandomCollection(rng, 240, 8, 150)
 	o := difftest.NewOracle(rs)
-	sh, err := shard.New(rs, 3, builderFor("hybrid", 0.3, "", 0.05, ""))
+	sh, err := shard.New(rs, 3, builderFor("hybrid", "", 0.05, ""))
 	if err != nil {
 		t.Fatal(err)
 	}

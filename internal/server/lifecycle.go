@@ -10,7 +10,7 @@ import (
 	"topk/internal/persist"
 )
 
-// handleCreateCollection makes a new, empty, mutable collection. The body is
+// handleCreateCollection makes a new, empty collection. The body is
 // optional JSON CollectionOptions; an absent body takes every default.
 func (s *Server) handleCreateCollection(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
@@ -84,11 +84,7 @@ func (s *Server) handleListCollections(w http.ResponseWriter, r *http.Request) {
 // external-id slot array with tombstones marked, so restarting with
 // -load-snapshot preserves every id. `curl -s :8080/snapshot > snap.v3`.
 func (s *Server) handleSnapshot(c *Collection, w http.ResponseWriter, r *http.Request) {
-	slots, ok := c.sh.Slots()
-	if !ok {
-		httpError(w, http.StatusBadRequest, "index kind %q exposes no snapshot view", c.opts.Kind)
-		return
-	}
+	slots, _ := c.sh.Slots() // every served kind has a slot view
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition", "attachment; filename=\"rankings.v3\"")
 	if _, err := persist.WritePagedTo(w, slots); err != nil {
@@ -139,18 +135,11 @@ func (s *Server) handleCheckpoint(c *Collection, w http.ResponseWriter, r *http.
 		httpError(w, http.StatusInternalServerError, "wal rotate: %v", err)
 		return
 	}
-	slots, ok := c.sh.Slots()
-	var dirty *persist.DirtySet
-	if ok {
-		// Same instant as the slot cut: dirt accumulated after this capture
-		// belongs to the next checkpoint.
-		dirty = c.tracker.Capture()
-	}
+	slots, _ := c.sh.Slots() // every served kind has a slot view
+	// Same instant as the slot cut: dirt accumulated after this capture
+	// belongs to the next checkpoint.
+	dirty := c.tracker.Capture()
 	c.walMu.Unlock()
-	if !ok {
-		httpError(w, http.StatusBadRequest, "index kind %q exposes no snapshot view", c.opts.Kind)
-		return
-	}
 	var stats persist.CheckpointStats
 	if err := c.wal.Checkpoint(seq, func(string) error {
 		var werr error

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"os"
 	"reflect"
@@ -19,7 +20,9 @@ import (
 	"time"
 
 	"topk"
+	"topk/internal/difftest"
 	"topk/internal/qcache"
+	"topk/internal/ranking"
 )
 
 // newRegistryServer builds a bootstrapped multi-tenant server rooted at
@@ -72,7 +75,7 @@ func TestCollectionLifecycleAcrossRestart(t *testing.T) {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body)
 	}
 	ci := decodeInfo(t, rec.Body.Bytes())
-	if ci.Name != "alpha" || ci.K != 8 || ci.N != 0 || !ci.Mutable || ci.WAL == nil {
+	if ci.Name != "alpha" || ci.K != 8 || ci.N != 0 || ci.WAL == nil {
 		t.Fatalf("created info: %+v", ci)
 	}
 	// A second create of the same name conflicts.
@@ -211,7 +214,9 @@ func TestCreateValidation(t *testing.T) {
 		{"unknown kind", http.MethodPut, "/collections/x", `{"kind":"nope"}`, http.StatusBadRequest},
 		{"negative k", http.MethodPut, "/collections/x", `{"k":-1}`, http.StatusBadRequest},
 		{"weight out of range", http.MethodPut, "/collections/x", `{"weight":1.5}`, http.StatusBadRequest},
-		{"hybrid knob on coarse", http.MethodPut, "/collections/x", `{"kind":"coarse","forceBackend":"inverted"}`, http.StatusBadRequest},
+		{"retired kind", http.MethodPut, "/collections/x", `{"kind":"coarse"}`, http.StatusBadRequest},
+		{"retired maxTheta", http.MethodPut, "/collections/x", `{"maxTheta":0.3}`, http.StatusBadRequest},
+		{"hybrid knob on inverted-drop", http.MethodPut, "/collections/x", `{"kind":"inverted-drop","forceBackend":"inverted"}`, http.StatusBadRequest},
 		{"unknown forced backend", http.MethodPut, "/collections/x", `{"kind":"hybrid","forceBackend":"warp"}`, http.StatusBadRequest},
 		{"forced backend the hybrid no longer builds", http.MethodPut, "/collections/x", `{"kind":"hybrid","forceBackend":"coarse"}`, http.StatusBadRequest},
 		{"unknown field", http.MethodPut, "/collections/x", `{"knid":"hybrid"}`, http.StatusBadRequest},
@@ -242,7 +247,7 @@ func TestCreateValidation(t *testing.T) {
 func TestDropDrainsInflightSearches(t *testing.T) {
 	srv, _, _ := testServer(t)
 	h := srv.Handler()
-	if rec := doJSON(t, h, http.MethodPut, "/collections/victim", map[string]any{"kind": "coarse", "k": 6}); rec.Code != http.StatusCreated {
+	if rec := doJSON(t, h, http.MethodPut, "/collections/victim", map[string]any{"kind": "inverted-drop", "k": 6}); rec.Code != http.StatusCreated {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body)
 	}
 	for i := 0; i < 50; i++ {
@@ -293,7 +298,7 @@ func TestCrossTenantCacheIsolation(t *testing.T) {
 	srv.cache = qcache.New(256)
 	h := srv.Handler()
 	for _, name := range []string{"red", "blue"} {
-		if rec := doJSON(t, h, http.MethodPut, "/collections/"+name, map[string]any{"kind": "coarse", "k": 6}); rec.Code != http.StatusCreated {
+		if rec := doJSON(t, h, http.MethodPut, "/collections/"+name, map[string]any{"kind": "inverted-drop", "k": 6}); rec.Code != http.StatusCreated {
 			t.Fatalf("create %s: %d %s", name, rec.Code, rec.Body)
 		}
 	}
@@ -336,7 +341,7 @@ func TestCrossTenantCacheIsolation(t *testing.T) {
 	if rec := doJSON(t, h, http.MethodDelete, "/collections/red", nil); rec.Code != http.StatusOK {
 		t.Fatalf("drop: %d %s", rec.Code, rec.Body)
 	}
-	if rec := doJSON(t, h, http.MethodPut, "/collections/red", map[string]any{"kind": "coarse", "k": 6}); rec.Code != http.StatusCreated {
+	if rec := doJSON(t, h, http.MethodPut, "/collections/red", map[string]any{"kind": "inverted-drop", "k": 6}); rec.Code != http.StatusCreated {
 		t.Fatalf("recreate: %d %s", rec.Code, rec.Body)
 	}
 	if sr := search("red"); sr.Count != 0 {
@@ -438,7 +443,7 @@ func TestEmptyCollectionContract(t *testing.T) {
 
 	// Declared k: queries are validated against it even while empty, and
 	// search/knn answer the empty set instead of probing sub-indices.
-	if rec := doJSON(t, h, http.MethodPut, "/collections/decl", map[string]any{"kind": "coarse", "k": 6}); rec.Code != http.StatusCreated {
+	if rec := doJSON(t, h, http.MethodPut, "/collections/decl", map[string]any{"kind": "inverted-drop", "k": 6}); rec.Code != http.StatusCreated {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body)
 	}
 	if rec := post(t, h, "/c/decl/search", fmt.Sprintf(`{"query":%s,"theta":0.2}`, seqRanking(4, 1))); rec.Code != http.StatusBadRequest {
@@ -462,7 +467,7 @@ func TestEmptyCollectionContract(t *testing.T) {
 	}
 
 	// Undeclared k: the first insert defines the size, later mismatches 400.
-	if rec := doJSON(t, h, http.MethodPut, "/collections/free", map[string]any{"kind": "coarse"}); rec.Code != http.StatusCreated {
+	if rec := doJSON(t, h, http.MethodPut, "/collections/free", map[string]any{"kind": "inverted-drop"}); rec.Code != http.StatusCreated {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body)
 	}
 	if rec := post(t, h, "/c/free/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(3, 1))); rec.Code != http.StatusOK {
@@ -478,7 +483,7 @@ func TestEmptyCollectionContract(t *testing.T) {
 
 	// Only a mutation that succeeds defines k: a rejected update of an
 	// unknown id must not pin its ranking's size on the collection.
-	for _, kind := range []string{"inverted", "coarse", "hybrid"} {
+	for _, kind := range []string{"inverted", "merge", "hybrid"} {
 		if rec := doJSON(t, h, http.MethodPut, "/collections/"+kind, map[string]any{"kind": kind}); rec.Code != http.StatusCreated {
 			t.Fatalf("create: %d %s", rec.Code, rec.Body)
 		}
@@ -512,70 +517,94 @@ func TestWALRankingSizeCap(t *testing.T) {
 }
 
 // TestStaleManifestForceBackendRecoversUnforced restarts on a manifest whose
-// entry pins a backend the hybrid stopped building (blocked, coarse and bktree
-// were legal names once): the collection must come back — data intact, every
-// shard under cost-based routing — with one log line naming it and the
-// dropped backend, and the cleared option must reach the next manifest write.
+// entry names what this server no longer builds — a forced backend the hybrid
+// stopped building (blocked, coarse and bktree were legal names once), or a
+// retired kind (coarse, coarse-drop were servable once): the collection must
+// come back as an unforced hybrid — data intact and answering like the
+// oracle, every query answered by inverted — with one log line naming it and
+// the dropped value, and the rewrite must reach the next manifest write.
 func TestStaleManifestForceBackendRecoversUnforced(t *testing.T) {
-	root := t.TempDir()
-	s1 := newRegistryServer(t, root)
-	h1 := s1.Handler()
-	if rec := doJSON(t, h1, http.MethodPut, "/collections/pinned", map[string]any{"k": 6, "shards": 2, "forceBackend": "adaptsearch"}); rec.Code != http.StatusCreated {
-		t.Fatalf("create: %d %s", rec.Code, rec.Body)
-	}
-	for i := 0; i < 7; i++ {
-		if rec := post(t, h1, "/c/pinned/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(6, 10*i))); rec.Code != http.StatusOK {
-			t.Fatalf("insert %d: %d %s", i, rec.Code, rec.Body)
-		}
-	}
-	if err := s1.closeCollections(); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := readManifest(manifestPath(root))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("manifest: %v, %v", entries, err)
-	}
-	entries[0].Options.ForceBackend = "coarse"
-	if err := writeManifest(manifestPath(root), entries); err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct {
+		name    string
+		create  map[string]any
+		stale   func(*CollectionOptions)
+		dropped string
+	}{
+		{"retired forceBackend", map[string]any{"k": 6, "shards": 2, "forceBackend": "adaptsearch"},
+			func(o *CollectionOptions) { o.ForceBackend = "coarse" }, `"coarse"`},
+		{"retired kind", map[string]any{"kind": "inverted-drop", "k": 6, "shards": 2},
+			func(o *CollectionOptions) { o.Kind = "coarse-drop" }, `"coarse-drop"`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			root := t.TempDir()
+			s1 := newRegistryServer(t, root)
+			h1 := s1.Handler()
+			if rec := doJSON(t, h1, http.MethodPut, "/collections/pinned", c.create); rec.Code != http.StatusCreated {
+				t.Fatalf("create: %d %s", rec.Code, rec.Body)
+			}
+			var slots []ranking.Ranking
+			for i := 0; i < 7; i++ {
+				r := seqRanking(6, 10*i)
+				if rec := post(t, h1, "/c/pinned/insert", fmt.Sprintf(`{"ranking":%s}`, r)); rec.Code != http.StatusOK {
+					t.Fatalf("insert %d: %d %s", i, rec.Code, rec.Body)
+				}
+				var rk ranking.Ranking
+				if err := json.Unmarshal([]byte(r), &rk); err != nil {
+					t.Fatal(err)
+				}
+				slots = append(slots, rk)
+			}
+			if err := s1.closeCollections(); err != nil {
+				t.Fatal(err)
+			}
+			entries, err := readManifest(manifestPath(root))
+			if err != nil || len(entries) != 1 {
+				t.Fatalf("manifest: %v, %v", entries, err)
+			}
+			c.stale(&entries[0].Options)
+			if err := writeManifest(manifestPath(root), entries); err != nil {
+				t.Fatal(err)
+			}
 
-	var logged bytes.Buffer
-	s2, err := New(Config{Kind: "hybrid", WALRoot: root, MaxConcurrency: -1, Log: &logged})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.bootstrap(); err != nil {
-		t.Fatalf("bootstrap on a stale forceBackend: %v", err)
-	}
-	t.Cleanup(func() { s2.closeCollections() })
-	c, ok := s2.lookup("pinned")
-	if !ok || c.sh.Len() != 7 {
-		t.Fatalf("collection not recovered whole: ok=%v", ok)
-	}
-	for i := 0; i < c.sh.NumShards(); i++ {
-		sub, _ := c.sh.Shard(i)
-		if f := sub.(*topk.HybridIndex).Forced(); f != "" {
-			t.Fatalf("shard %d still forced onto %q", i, f)
-		}
-	}
-	var mentions []string
-	for _, line := range strings.Split(logged.String(), "\n") {
-		if strings.Contains(line, "forceBackend") {
-			mentions = append(mentions, line)
-		}
-	}
-	if len(mentions) != 1 || !strings.Contains(mentions[0], `"pinned"`) || !strings.Contains(mentions[0], `"coarse"`) {
-		t.Fatalf("want one log line naming the collection and the dropped backend, have %q", mentions)
-	}
-	// The next manifest write carries the cleared option.
-	s2.ready.Store(true)
-	if rec := doJSON(t, s2.Handler(), http.MethodPut, "/collections/other", nil); rec.Code != http.StatusCreated {
-		t.Fatalf("create after recovery: %d %s", rec.Code, rec.Body)
-	}
-	entries, err = readManifest(manifestPath(root))
-	if err != nil || len(entries) != 2 || entries[0].Options.ForceBackend != "" {
-		t.Fatalf("rewritten manifest: %+v, %v", entries, err)
+			var logged bytes.Buffer
+			s2, err := New(Config{Kind: "hybrid", WALRoot: root, MaxConcurrency: -1, Log: &logged})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s2.bootstrap(); err != nil {
+				t.Fatalf("bootstrap on a stale manifest entry: %v", err)
+			}
+			t.Cleanup(func() { s2.closeCollections() })
+			coll, ok := s2.lookup("pinned")
+			if !ok || coll.sh.Len() != 7 || coll.opts.Kind != "hybrid" {
+				t.Fatalf("collection not recovered whole as hybrid: ok=%v", ok)
+			}
+			for i := 0; i < coll.sh.NumShards(); i++ {
+				sub, _ := coll.sh.Shard(i)
+				if f := sub.(*topk.HybridIndex).Forced(); f != "" {
+					t.Fatalf("shard %d still forced onto %q", i, f)
+				}
+			}
+			difftest.CheckSearch(t, c.name, coll.sh, difftest.NewOracle(slots), rand.New(rand.NewSource(5)), 10, 80)
+			var mentions []string
+			for _, line := range strings.Split(logged.String(), "\n") {
+				if strings.Contains(line, "no longer") {
+					mentions = append(mentions, line)
+				}
+			}
+			if len(mentions) != 1 || !strings.Contains(mentions[0], `"pinned"`) || !strings.Contains(mentions[0], c.dropped) {
+				t.Fatalf("want one log line naming the collection and %s, have %q", c.dropped, mentions)
+			}
+			// The next manifest write carries the rewritten options.
+			s2.ready.Store(true)
+			if rec := doJSON(t, s2.Handler(), http.MethodPut, "/collections/other", nil); rec.Code != http.StatusCreated {
+				t.Fatalf("create after recovery: %d %s", rec.Code, rec.Body)
+			}
+			entries, err = readManifest(manifestPath(root))
+			if err != nil || len(entries) != 2 || entries[0].Options.Kind != "hybrid" || entries[0].Options.ForceBackend != "" {
+				t.Fatalf("rewritten manifest: %+v, %v", entries, err)
+			}
+		})
 	}
 }
 
@@ -639,7 +668,7 @@ func TestTenantAdmissionCarve(t *testing.T) {
 	srv.admission = newAdmission(4, 8, 50*time.Millisecond)
 	srv.cfg.MaxQueueWait = 50 * time.Millisecond // carve wait bound for collections created below
 	h := srv.Handler()
-	if rec := doJSON(t, h, http.MethodPut, "/collections/throttled", map[string]any{"kind": "coarse", "k": 6, "weight": 0.5}); rec.Code != http.StatusCreated {
+	if rec := doJSON(t, h, http.MethodPut, "/collections/throttled", map[string]any{"kind": "inverted-drop", "k": 6, "weight": 0.5}); rec.Code != http.StatusCreated {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body)
 	}
 	c := srv.mustLookup(t, "throttled")
@@ -689,7 +718,7 @@ func (s *Server) mustLookup(t *testing.T, name string) *Collection {
 func TestMetricsCollectionLabels(t *testing.T) {
 	srv, _, qs := testServer(t)
 	h := srv.Handler()
-	if rec := doJSON(t, h, http.MethodPut, "/collections/tenant2", map[string]any{"kind": "coarse", "k": 6}); rec.Code != http.StatusCreated {
+	if rec := doJSON(t, h, http.MethodPut, "/collections/tenant2", map[string]any{"kind": "inverted-drop", "k": 6}); rec.Code != http.StatusCreated {
 		t.Fatalf("create: %d %s", rec.Code, rec.Body)
 	}
 	if rec := post(t, h, "/c/tenant2/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(6, 1))); rec.Code != http.StatusOK {

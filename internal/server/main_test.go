@@ -34,11 +34,11 @@ func testServer(t *testing.T) (*Server, []ranking.Ranking, []ranking.Ranking) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 4, builderFor("coarse", 0.3, "", 0, ""))
+	sh, err := shard.New(rs, 4, builderFor("inverted-drop", "", 0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(sh, "coarse"), rs, qs
+	return newServer(sh, "inverted-drop"), rs, qs
 }
 
 func postSearch(t *testing.T, h http.Handler, body any) *httptest.ResponseRecorder {
@@ -152,7 +152,7 @@ func TestStatsAndHealthz(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.NumShards != 4 || st.N != 400 || st.K != 10 || st.Index != "coarse" {
+	if st.NumShards != 4 || st.N != 400 || st.K != 10 || st.Index != "inverted-drop" {
 		t.Fatalf("implausible stats: %+v", st)
 	}
 	if st.Queries != uint64(len(qs)) {
@@ -300,35 +300,6 @@ func TestMutationEndpointValidation(t *testing.T) {
 	}
 }
 
-// TestMutationRejectedOnImmutableKind pins the 405 (never 500) behavior of
-// the read-only index kinds, with a message naming the kind.
-func TestMutationRejectedOnImmutableKind(t *testing.T) {
-	rs, err := dataset.Generate(dataset.NYTLike(100, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []string{"blocked", "bktree"} {
-		sh, err := shard.New(rs, 2, builderFor(kind, 0.3, "", 0, ""))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := newServer(sh, kind).routes()
-		for _, c := range []struct{ path, body string }{
-			{"/insert", `{"ranking":[11,12,13,14,15,16,17,18,19,20]}`},
-			{"/delete", `{"id":1}`},
-			{"/update", `{"id":1,"ranking":[11,12,13,14,15,16,17,18,19,20]}`},
-		} {
-			rec := post(t, h, c.path, c.body)
-			if rec.Code != http.StatusMethodNotAllowed {
-				t.Fatalf("%s on %s: status %d, want 405 (%s)", c.path, kind, rec.Code, rec.Body)
-			}
-			if !strings.Contains(rec.Body.String(), kind) || !strings.Contains(rec.Body.String(), "read-only") {
-				t.Fatalf("%s rejection does not name the read-only kind: %s", c.path, rec.Body)
-			}
-		}
-	}
-}
-
 // TestMaxBodyLimit pins the unified -max-body contract: every endpoint
 // shares one limit and oversized bodies get 413, not 400.
 func TestMaxBodyLimit(t *testing.T) {
@@ -350,8 +321,10 @@ func TestMaxBodyLimit(t *testing.T) {
 	}
 }
 
-// TestValidateKindFlags pins the fail-fast contract of the hybrid-only
-// startup flags.
+// TestValidateKindFlags pins the fail-fast contract of -kind and the
+// hybrid-only startup flags: a kind outside the served inverted family, or a
+// hybrid knob on another kind, is a usage error out of New — before anything
+// listens or builds.
 func TestValidateKindFlags(t *testing.T) {
 	for _, c := range []struct {
 		kind string
@@ -359,14 +332,18 @@ func TestValidateKindFlags(t *testing.T) {
 		ok   bool
 	}{
 		{"hybrid", map[string]bool{"force-backend": true, "calibrate": true, "delta-ratio": true}, true},
-		{"coarse", map[string]bool{}, true},
-		{"coarse", map[string]bool{"force-backend": true}, false},
-		{"blocked", map[string]bool{"calibrate": true}, false},
-		{"bktree", map[string]bool{"delta-ratio": true}, false},
+		{"", map[string]bool{}, true},
+		{"inverted-drop", map[string]bool{}, true},
+		{"inverted-drop", map[string]bool{"force-backend": true}, false},
+		{"merge", map[string]bool{"calibrate": true}, false},
+		{"inverted", map[string]bool{"delta-ratio": true}, false},
+		{"coarse", map[string]bool{}, false},
+		{"blocked-drop", map[string]bool{}, false},
+		{"bktree", nil, false},
 	} {
-		err := validateKindFlags(c.kind, c.set)
+		_, err := New(Config{Kind: c.kind, SetFlags: c.set, MaxConcurrency: -1, Log: io.Discard})
 		if (err == nil) != c.ok {
-			t.Fatalf("validateKindFlags(%q, %v) = %v, want ok=%v", c.kind, c.set, err, c.ok)
+			t.Fatalf("New(-kind %q, flags %v) = %v, want ok=%v", c.kind, c.set, err, c.ok)
 		}
 	}
 }
@@ -425,7 +402,7 @@ func TestSnapshotEndpointRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, rec.Body.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	h2 := startServer(t, "coarse", path, "", true).routes()
+	h2 := startServer(t, "inverted-drop", path, "", true).routes()
 	if n := liveN(t, h2); n != 400 {
 		t.Fatalf("restored live count %d, want 400", n)
 	}

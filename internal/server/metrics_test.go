@@ -476,7 +476,7 @@ func TestMetricsHybridPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 2, builderFor("hybrid", 0.3, "", 0, ""))
+	sh, err := shard.New(rs, 2, builderFor("hybrid", "", 0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +517,7 @@ func TestMetricsHybridPlanner(t *testing.T) {
 // refuses index-backed routes with 503 + Retry-After while /healthz stays
 // 200 (pure liveness) and /metrics reports ready=0; install flips all of it.
 func TestReadyz(t *testing.T) {
-	srv := newServer(nil, "coarse")
+	srv := newServer(nil, "inverted-drop")
 	h := srv.routes()
 
 	if rec := get(t, h, "/healthz"); rec.Code != http.StatusOK {
@@ -549,7 +549,7 @@ func TestReadyz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 2, builderFor("coarse", 0.3, "", 0, ""))
+	sh, err := shard.New(rs, 2, builderFor("inverted-drop", "", 0, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,7 +686,7 @@ func TestKNNTraceStagesAndAttribution(t *testing.T) {
 		forced string
 		dfc    bool
 	}{{"", false}, {"adaptsearch", true}} {
-		sh, err := shard.New(rs, 2, builderFor("hybrid", 0.3, tc.forced, 0, ""))
+		sh, err := shard.New(rs, 2, builderFor("hybrid", tc.forced, 0, ""))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -742,44 +742,39 @@ func TestKNNTraceStagesAndAttribution(t *testing.T) {
 }
 
 // TestStandaloneKindTraceAttribution checks that tracing is not a hybrid
-// privilege: a server over a standalone kind — the default one and a
-// read-only one — attributes /search and /knn misses to the kind's one
-// backend with the query's distance calls, and the read-only kind still
-// answers mutations 405.
+// privilege: a server over a plain inverted kind attributes /search and /knn
+// misses to its one backend with the query's own distance calls — F&V
+// validates its candidates, the native posting-list KNN evaluates none.
 func TestStandaloneKindTraceAttribution(t *testing.T) {
 	rs, err := dataset.Generate(dataset.NYTLike(400, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{"coarse", "bktree"} {
-		sh, err := shard.New(rs, 2, builderFor(kind, 0.3, "", 0, ""))
-		if err != nil {
+	sh, err := shard.New(rs, 2, builderFor("inverted", "", 0, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newServer(sh, "inverted").routes()
+	for path, c := range map[string]struct {
+		body any
+		dfc  bool
+	}{
+		"/search": {map[string]any{"query": rs[3], "theta": 0.2}, true},
+		"/knn":    {map[string]any{"query": rs[3], "n": 5}, false},
+	} {
+		if rec := postJSON(t, h, path, c.body); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+		}
+		var dump struct {
+			Traces []requestTrace `json:"traces"`
+		}
+		if err := json.Unmarshal(get(t, h, "/debug/trace").Body.Bytes(), &dump); err != nil {
 			t.Fatal(err)
 		}
-		h := newServer(sh, kind).routes()
-		for path, body := range map[string]any{
-			"/search": map[string]any{"query": rs[3], "theta": 0.2},
-			"/knn":    map[string]any{"query": rs[3], "n": 5},
-		} {
-			if rec := postJSON(t, h, path, body); rec.Code != http.StatusOK {
-				t.Fatalf("%s %s: status %d: %s", kind, path, rec.Code, rec.Body)
-			}
-			var dump struct {
-				Traces []requestTrace `json:"traces"`
-			}
-			if err := json.Unmarshal(get(t, h, "/debug/trace").Body.Bytes(), &dump); err != nil {
-				t.Fatal(err)
-			}
-			tr := dump.Traces[0]
-			if tr.Route != path || len(tr.Backends) != 1 || tr.Backends[0] != kind || tr.DistanceCalls == 0 {
-				t.Errorf("%s %s: attributed to %v with %d distance calls, want [%s] and > 0 (%+v)",
-					kind, path, tr.Backends, tr.DistanceCalls, kind, tr)
-			}
-		}
-		if kind == "bktree" {
-			if rec := post(t, h, "/delete", `{"id":1}`); rec.Code != http.StatusMethodNotAllowed {
-				t.Errorf("delete on bktree: status %d, want 405", rec.Code)
-			}
+		tr := dump.Traces[0]
+		if tr.Route != path || len(tr.Backends) != 1 || tr.Backends[0] != "inverted" || (tr.DistanceCalls > 0) != c.dfc {
+			t.Errorf("%s: attributed to %v with %d distance calls, want [inverted] and distance calls %v (%+v)",
+				path, tr.Backends, tr.DistanceCalls, c.dfc, tr)
 		}
 	}
 }

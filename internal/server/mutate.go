@@ -9,7 +9,6 @@ import (
 	"topk"
 	"topk/internal/persist"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 	"topk/internal/wal"
 )
 
@@ -25,33 +24,15 @@ type mutateResponse struct {
 	N  int        `json:"n"`
 }
 
-// decodeMutation parses and bounds a mutation body; a false return means an
-// error response was already written. Mutations against a read-only index
-// kind are 405 Method Not Allowed, never 500.
-func (s *Server) decodeMutation(c *Collection, w http.ResponseWriter, r *http.Request) (mutateRequest, bool) {
-	var req mutateRequest
-	if !s.decodeJSON(w, r, &req, false) {
-		return req, false
-	}
-	if !c.sh.Mutable() {
-		httpError(w, http.StatusMethodNotAllowed, "index kind %q is read-only: mutations are not supported", c.opts.Kind)
-		return req, false
-	}
-	return req, true
-}
-
 // writeMutationError maps a mutation failure onto the endpoint contract:
-// unknown or retired ids are 404, mutations a sub-index rejects as
-// read-only are 405, and only genuine internal failures surface as 500.
-func writeMutationError(w http.ResponseWriter, c *Collection, verb string, err error) {
-	switch {
-	case errors.Is(err, topk.ErrUnknownID):
+// unknown or retired ids are 404, and only genuine internal failures surface
+// as 500.
+func writeMutationError(w http.ResponseWriter, verb string, err error) {
+	if errors.Is(err, topk.ErrUnknownID) {
 		httpError(w, http.StatusNotFound, "%v", err)
-	case errors.Is(err, shard.ErrImmutable):
-		httpError(w, http.StatusMethodNotAllowed, "index kind %q is read-only: %s not supported", c.opts.Kind, verb)
-	default:
-		httpError(w, http.StatusInternalServerError, "%s: %v", verb, err)
+		return
 	}
+	httpError(w, http.StatusInternalServerError, "%s: %v", verb, err)
 }
 
 // checkRanking validates a mutation payload ranking against the collection.
@@ -80,8 +61,8 @@ func checkRanking(w http.ResponseWriter, c *Collection, rk ranking.Ranking) bool
 }
 
 func (s *Server) handleInsert(c *Collection, w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeMutation(c, w, r)
-	if !ok {
+	var req mutateRequest
+	if !s.decodeJSON(w, r, &req, false) {
 		return
 	}
 	if req.ID != nil {
@@ -95,8 +76,8 @@ func (s *Server) handleInsert(c *Collection, w http.ResponseWriter, r *http.Requ
 }
 
 func (s *Server) handleDelete(c *Collection, w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeMutation(c, w, r)
-	if !ok {
+	var req mutateRequest
+	if !s.decodeJSON(w, r, &req, false) {
 		return
 	}
 	if req.ID == nil {
@@ -111,8 +92,8 @@ func (s *Server) handleDelete(c *Collection, w http.ResponseWriter, r *http.Requ
 }
 
 func (s *Server) handleUpdate(c *Collection, w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeMutation(c, w, r)
-	if !ok {
+	var req mutateRequest
+	if !s.decodeJSON(w, r, &req, false) {
 		return
 	}
 	if req.ID == nil {
@@ -130,7 +111,7 @@ func (s *Server) handleUpdate(c *Collection, w http.ResponseWriter, r *http.Requ
 func mutate(c *Collection, w http.ResponseWriter, verb string, rec wal.Record) {
 	id, err := c.apply(rec)
 	if err != nil {
-		writeMutationError(w, c, verb, err)
+		writeMutationError(w, verb, err)
 		return
 	}
 	c.mutations.Add(1)

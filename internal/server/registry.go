@@ -110,7 +110,6 @@ type collectionInfo struct {
 	K       int       `json:"k"`
 	N       int       `json:"n"`
 	Shards  int       `json:"numShards"`
-	Mutable bool      `json:"mutable"`
 	Default bool      `json:"default,omitempty"`
 	Created time.Time `json:"created"`
 	Weight  float64   `json:"weight,omitempty"`
@@ -147,7 +146,6 @@ func (s *Server) info(c *Collection) collectionInfo {
 		K:          c.effK(),
 		N:          c.sh.Len(),
 		Shards:     c.sh.NumShards(),
-		Mutable:    c.sh.Mutable(),
 		Default:    c.name == s.cfg.DefaultCollection,
 		Created:    c.created,
 		Weight:     c.opts.Weight,

@@ -72,9 +72,8 @@ type Config struct {
 	// manifest, and not droppable over HTTP.
 	DefaultCollection string
 
-	Kind         string  // index kind of the default collection
+	Kind         string  // index kind of the default collection ("" = hybrid)
 	Shards       int     // shard count (0 = GOMAXPROCS)
-	MaxTheta     float64 // coarse auto-tune target threshold
 	ForceBackend string  // hybrid only
 	DeltaRatio   float64 // hybrid only
 
@@ -117,7 +116,8 @@ type Config struct {
 
 	// SetFlags holds the flag names explicitly passed on the command line
 	// (flag.Visit), for fail-fast validation of kind-specific knobs. Nil
-	// skips that validation (the programmatic-construction path).
+	// skips those flag checks (the programmatic-construction path); the kind
+	// itself is always checked.
 	SetFlags map[string]bool
 
 	// Log receives startup progress and operational warnings; nil means
@@ -171,15 +171,13 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxBody = defaultMaxBody
 	}
 	if cfg.Kind == "" {
-		cfg.Kind = "coarse"
+		cfg.Kind = "hybrid"
 	}
 	if err := validateCollectionName(cfg.DefaultCollection); err != nil {
 		return nil, fmt.Errorf("-default-collection: %w", err)
 	}
-	if cfg.SetFlags != nil {
-		if err := validateKindFlags(cfg.Kind, cfg.SetFlags); err != nil {
-			return nil, err
-		}
+	if err := validateKindFlags(cfg.Kind, cfg.SetFlags); err != nil {
+		return nil, err
 	}
 	if cfg.Kind == "hybrid" {
 		if err := validateForceBackend(cfg.ForceBackend); err != nil {
@@ -188,9 +186,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.WALDir != "" && cfg.WALRoot != "" {
 		return nil, fmt.Errorf("pass either -wal (single-collection layout) or -wal-root (multi-tenant layout), not both")
-	}
-	if cfg.WALDir != "" && !mutableKind(cfg.Kind) {
-		return nil, fmt.Errorf("-wal applies only to mutable index kinds (have %q)", cfg.Kind)
 	}
 	s := &Server{
 		cfg:            cfg,
@@ -257,13 +252,7 @@ func (s *Server) bootstrap() error {
 			if e.Name == cfg.DefaultCollection {
 				return fmt.Errorf("manifest lists %q, which is the flag-defined default collection", e.Name)
 			}
-			if e.Options.Kind == "hybrid" && validateForceBackend(e.Options.ForceBackend) != nil {
-				// Written when the hybrid still built that backend. The next
-				// manifest rewrite persists the cleared option.
-				fmt.Fprintf(cfg.logw(), "collection %q: dropping forceBackend %q, which the hybrid no longer builds (have %v); routing is cost-based\n",
-					e.Name, e.Options.ForceBackend, topk.HybridBackends)
-				e.Options.ForceBackend = ""
-			}
+			retireStaleOptions(e, cfg)
 			c, err := s.openCollection(e.Name, e.Options, s.walDirFor(e.Name), nil)
 			if err != nil {
 				return fmt.Errorf("recover collection %q: %w", e.Name, err)
@@ -277,21 +266,18 @@ func (s *Server) bootstrap() error {
 	}
 
 	// The flag-defined collection: its seed is -data/-load-snapshot; under
-	// -wal-root a mutable kind may also start empty (the pure multi-tenant
-	// deployment), everywhere else a missing seed stays a startup error.
+	// -wal-root it may also start empty (the pure multi-tenant deployment),
+	// everywhere else a missing seed stays a startup error.
 	walDir := s.walDirFor(cfg.DefaultCollection)
-	if !mutableKind(cfg.Kind) {
-		walDir = "" // a read-only kind has nothing to log
-	}
 	seed := func() ([]ranking.Ranking, error) {
 		rs, err := loadSeed(cfg.DataPath, cfg.SnapshotPath)
-		if errors.Is(err, errNoSource) && s.walRoot != "" && walDir != "" {
+		if errors.Is(err, errNoSource) && s.walRoot != "" {
 			return nil, nil
 		}
 		return rs, err
 	}
 	opts := CollectionOptions{
-		Kind: cfg.Kind, Shards: cfg.Shards, MaxTheta: cfg.MaxTheta,
+		Kind: cfg.Kind, Shards: cfg.Shards,
 		ForceBackend: cfg.ForceBackend, DeltaRatio: cfg.DeltaRatio,
 	}
 	c, err := s.openCollection(cfg.DefaultCollection, opts, walDir, seed)
@@ -300,6 +286,27 @@ func (s *Server) bootstrap() error {
 	}
 	s.publish(c)
 	return nil
+}
+
+// retireStaleOptions rewrites what a manifest entry names that this server no
+// longer builds, with one log line each; the next manifest write persists the
+// rewrite. A retired kind — a known one that is no longer served, i.e. the
+// coarse kinds from before topkserve narrowed to the inverted family —
+// recovers as hybrid over the same slots. A forced backend the hybrid no
+// longer builds is cleared: every query is then answered by inverted.
+func retireStaleOptions(e *manifestEntry, cfg Config) {
+	if k, err := kinds.Lookup(e.Options.Kind, nil); err == nil && !served(k) {
+		fmt.Fprintf(cfg.logw(), "collection %q: recovering kind %q, which is no longer served, as hybrid over the same slots\n",
+			e.Name, e.Options.Kind)
+		e.Options.Kind = "hybrid"
+		e.Options = e.Options.withDefaults(cfg)
+	}
+	if e.Options.Kind == "hybrid" && validateForceBackend(e.Options.ForceBackend) != nil {
+		// Written when the hybrid still built that backend.
+		fmt.Fprintf(cfg.logw(), "collection %q: dropping forceBackend %q, which the hybrid no longer builds (have %v); every query is answered by inverted\n",
+			e.Name, e.Options.ForceBackend, topk.HybridBackends)
+		e.Options.ForceBackend = ""
+	}
 }
 
 // walDirFor maps a collection name to its WAL directory, "" when it has none.
@@ -320,11 +327,10 @@ func (s *Server) walDirFor(name string) string {
 // openCollection is the one way a collection comes up — flag-defined,
 // manifest-recovered or created over HTTP. The newest checkpoint in walDir is
 // the base (a v3 footer over the shared page file, mmapped unless
-// -mmap=false); without one the seed is (nil: start empty). Read-only kinds
-// compact tombstoned seed slots away. The logged suffix replays on top and is
-// mirrored into the slot tracker, so the first incremental checkpoint after a
-// restart rewrites exactly the replayed slots' pages; then the log opens a
-// fresh segment. walDir "" means an in-memory collection: seed, build, done.
+// -mmap=false); without one the seed is (nil: start empty). The logged
+// suffix replays on top and is mirrored into the slot tracker, so the first
+// incremental checkpoint after a restart rewrites exactly the replayed
+// slots' pages; then the log opens a fresh segment. walDir "" means an in-memory collection: seed, build, done.
 // The collection is returned unpublished.
 func (s *Server) openCollection(name string, opts CollectionOptions, walDir string, seed func() ([]ranking.Ranking, error)) (*Collection, error) {
 	logw := s.cfg.logw()
@@ -359,14 +365,6 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 		if slots, err = seed(); err != nil {
 			return nil, err
 		}
-		if !mutableKind(opts.Kind) {
-			// Read-only kinds cannot represent retired ids: compact any
-			// tombstoned snapshot slots away and renumber densely.
-			if compacted, dropped := dropTombstones(slots); dropped > 0 {
-				fmt.Fprintf(logw, "index kind %q is read-only: compacted %d tombstoned slots (ids renumbered)\n", opts.Kind, dropped)
-				slots = compacted
-			}
-		}
 	}
 
 	start := time.Now()
@@ -378,7 +376,7 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 			spillDir = os.TempDir()
 		}
 	}
-	build := builderFor(opts.Kind, opts.MaxTheta, opts.ForceBackend, opts.DeltaRatio, spillDir)
+	build := builderFor(opts.Kind, opts.ForceBackend, opts.DeltaRatio, spillDir)
 	var sh *shard.Sharded
 	if len(slots) == 0 {
 		sh, err = shard.NewEmpty(opts.Shards, build)
@@ -594,7 +592,7 @@ func loadSeed(dataPath, snapPath string) ([]ranking.Ranking, error) {
 }
 
 // validateForceBackend rejects a forced-backend name the hybrid does not
-// build; the empty name (cost-based routing) is always valid.
+// build; the empty name (every query answered by inverted) is always valid.
 func validateForceBackend(name string) error {
 	if name == "" || slices.Contains(topk.HybridBackends, name) {
 		return nil
@@ -602,10 +600,14 @@ func validateForceBackend(name string) error {
 	return fmt.Errorf("unknown hybrid backend %q (have %v)", name, topk.HybridBackends)
 }
 
-// validateKindFlags fails fast on flag combinations that would otherwise
-// be silently ignored: the hybrid's knobs act only on -kind hybrid.
-// set holds the flag names explicitly passed on the command line.
+// validateKindFlags fails fast on a kind the server does not serve and on
+// flag combinations that would otherwise be silently ignored: the hybrid's
+// knobs act only on -kind hybrid. set holds the flag names explicitly passed
+// on the command line.
 func validateKindFlags(kind string, set map[string]bool) error {
+	if err := validateKind(kind); err != nil {
+		return fmt.Errorf("-kind: %w", err)
+	}
 	if kind == "hybrid" {
 		return nil
 	}
@@ -617,39 +619,32 @@ func validateKindFlags(kind string, set map[string]bool) error {
 	return nil
 }
 
-// mutableKind reports whether an index kind supports Insert/Delete/Update.
-// Exactly these kinds can also represent retired (tombstoned) snapshot
-// slots: their constructors all rebuild from one external-id slot array.
-func mutableKind(kind string) bool {
-	k, err := kinds.Lookup(kind, nil)
-	return err == nil && k.Mutable
-}
+// served accepts the kinds a collection can be: the mutable inverted family.
+// Every collection is therefore mutable and keeps retired snapshot ids
+// retired — the kinds all rebuild from one external-id slot array. The paper
+// baselines stay with topkquery and topkbench.
+func served(k kinds.Kind) bool { return k.Mutable }
 
-// dropTombstones removes nil (tombstoned) slots, renumbering densely.
-func dropTombstones(slots []ranking.Ranking) ([]ranking.Ranking, int) {
-	out := make([]ranking.Ranking, 0, len(slots))
-	for _, r := range slots {
-		if r != nil {
-			out = append(out, r)
-		}
+// validateKind rejects an index kind the server does not serve.
+func validateKind(kind string) error {
+	if _, err := kinds.Lookup(kind, served); err != nil {
+		return fmt.Errorf("index kind %q is not served (want one of %s)", kind, kinds.Names(served))
 	}
-	return out, len(slots) - len(out)
+	return nil
 }
 
-// builderFor returns the shard builder for an index kind name. Slot-capable
-// kinds build from slots so that tombstoned snapshot entries keep their ids
-// retired; the other kinds require a dense collection (see dropTombstones).
+// builderFor returns the shard builder for a served index kind name.
 // spillDir, when non-empty, makes hybrid epoch arenas spill to mmapped paged
 // files under it (see topk.WithHybridSpill).
-func builderFor(kind string, maxTheta float64, force string, deltaRatio float64, spillDir string) shard.Builder {
-	o := kinds.Options{MaxTheta: maxTheta, Hybrid: []topk.HybridOption{topk.WithHybridDeltaRatio(deltaRatio)}}
+func builderFor(kind, force string, deltaRatio float64, spillDir string) shard.Builder {
+	o := kinds.Options{Hybrid: []topk.HybridOption{topk.WithHybridDeltaRatio(deltaRatio)}}
 	if force != "" {
 		o.Hybrid = append(o.Hybrid, topk.WithForcedBackend(force))
 	}
 	if spillDir != "" {
 		o.Hybrid = append(o.Hybrid, topk.WithHybridSpill(spillDir))
 	}
-	k, err := kinds.Lookup(kind, nil)
+	k, err := kinds.Lookup(kind, served)
 	return func(rs []ranking.Ranking) (shard.Index, error) {
 		if err != nil {
 			return nil, err

@@ -18,7 +18,6 @@ type statsResponse struct {
 	N             int    `json:"n"`
 	K             int    `json:"k"`
 	NumShards     int    `json:"numShards"`
-	Mutable       bool   `json:"mutable"`
 	Queries       uint64 `json:"queries"`
 	KNNQueries    uint64 `json:"knnQueries"`
 	BatchShared   uint64 `json:"batchShared"`
@@ -107,7 +106,6 @@ func (s *Server) handleStats(c *Collection, w http.ResponseWriter, r *http.Reque
 		N:             c.sh.Len(),
 		K:             c.effK(),
 		NumShards:     c.sh.NumShards(),
-		Mutable:       c.sh.Mutable(),
 		Queries:       c.queries.Load(),
 		KNNQueries:    c.knn.Load(),
 		BatchShared:   c.batchShared.Load(),

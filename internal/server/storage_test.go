@@ -346,7 +346,7 @@ func TestSpillEpochsBringUp(t *testing.T) {
 // the first error logged exactly once however often the stats are read.
 func TestSpillFallbackIsCountedAndLogged(t *testing.T) {
 	rs := difftest.RandomCollection(rand.New(rand.NewSource(66)), 200, 8, 100)
-	sh, err := shard.New(rs, 2, builderFor("hybrid", 0.3, "", 0, filepath.Join(t.TempDir(), "missing")))
+	sh, err := shard.New(rs, 2, builderFor("hybrid", "", 0, filepath.Join(t.TempDir(), "missing")))
 	if err != nil {
 		t.Fatal(err)
 	}

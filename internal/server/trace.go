@@ -48,9 +48,8 @@ type requestTrace struct {
 	Queries int     `json:"queries,omitempty"`
 	K       int     `json:"k,omitempty"`
 	// Backends lists the distinct backends that answered a /search or /knn
-	// miss — the one backend of a standalone kind; inverted, or the forced
-	// one of its two, on the hybrid; DistanceCalls is the query's
-	// Footrule cost summed over the shards.
+	// miss — inverted, or the hybrid's forced one of its two; DistanceCalls
+	// is the query's Footrule cost summed over the shards.
 	Backends      []string     `json:"backends,omitempty"`
 	DistanceCalls uint64       `json:"distanceCalls,omitempty"`
 	Stages        []traceStage `json:"stages,omitempty"`

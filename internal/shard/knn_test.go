@@ -12,7 +12,7 @@ import (
 )
 
 func coarseBuilder(rs []ranking.Ranking) (shard.Index, error) {
-	return topk.NewCoarseIndexFromSlots(rs)
+	return topk.NewCoarseIndex(rs)
 }
 
 func invertedBuilder(rs []ranking.Ranking) (shard.Index, error) {

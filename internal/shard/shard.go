@@ -53,9 +53,9 @@ type Index interface {
 }
 
 // Mutable is the mutation half of sub-indices that support dynamic
-// collections (package topk's InvertedIndex, CoarseIndex and HybridIndex).
-// When every sub-index implements it, the Sharded wrapper routes Insert,
-// Delete and Update to the owning shard; see (*Sharded).Mutable.
+// collections (package topk's InvertedIndex and HybridIndex). When every
+// sub-index implements it, the Sharded wrapper routes Insert, Delete and
+// Update to the owning shard; otherwise they return ErrImmutable.
 type Mutable interface {
 	Index
 	// Insert adds a ranking and returns its new shard-local ID.
@@ -241,10 +241,6 @@ func (s *Sharded) K() int {
 	}
 	return 0
 }
-
-// Mutable reports whether every sub-index supports mutations; only then do
-// Insert, Delete and Update route.
-func (s *Sharded) Mutable() bool { return s.mutable != nil }
 
 // ErrImmutable is returned by the mutation methods when a sub-index kind
 // does not support them.

@@ -17,14 +17,15 @@
 //   - The ranking size k is fixed by the collection, or — for an index built
 //     over zero live rankings — by the first Insert that succeeds.
 //
-// InvertedIndex and CoarseIndex share one locked facade over the core
-// (mutable); a HybridIndex epoch embeds the same core over its inverted index
-// (hybrid_mutate.go). Tombstoned slots still occupy postings (inverted index)
-// or tree nodes (coarse partitions). Once their fraction of the inner id space
-// crosses the compaction ratio, the facade rebuilds the inner index over the
-// survivors in place — under the same write lock that serializes every
-// mutation, so concurrent Searches simply observe the index before or after.
-// External IDs are preserved across the rebuild.
+// InvertedIndex reaches the core through a locked facade (mutable); a
+// HybridIndex epoch embeds the same core over its inverted index
+// (hybrid_mutate.go). The paper baselines — CoarseIndex, BlockedIndex and
+// the metric trees — are static. Tombstoned slots still occupy postings. Once
+// their fraction of the inner id space crosses the compaction ratio, the
+// facade rebuilds the inner index over the survivors in place — under the
+// same write lock that serializes every mutation, so concurrent Searches
+// simply observe the index before or after. External IDs are preserved
+// across the rebuild.
 package topk
 
 import (
@@ -41,14 +42,12 @@ import (
 var ErrUnknownID = errors.New("topk: unknown ranking id")
 
 // DefaultCompactionRatio is the tombstone fraction of the inner id space
-// above which a mutable index rebuilds itself. See WithCompactionRatio and
-// WithCoarseCompactionRatio.
+// above which a mutable index rebuilds itself. See WithCompactionRatio.
 const DefaultCompactionRatio = 0.25
 
 // MutableIndex is the interface of index kinds that support full collection
-// mutation. InvertedIndex, CoarseIndex and HybridIndex implement it; so
-// does the sharded wrapper in internal/shard when built over mutable
-// sub-indices.
+// mutation. InvertedIndex and HybridIndex implement it; so does the sharded
+// wrapper in internal/shard when built over mutable sub-indices.
 type MutableIndex interface {
 	Index
 	// Insert adds a ranking and returns its new, stable ID.
@@ -61,10 +60,7 @@ type MutableIndex interface {
 	Update(id ID, r Ranking) error
 }
 
-var (
-	_ MutableIndex = (*InvertedIndex)(nil)
-	_ MutableIndex = (*CoarseIndex)(nil)
-)
+var _ MutableIndex = (*InvertedIndex)(nil)
 
 // idmap is the external↔internal id indirection of a mutable index. It is
 // guarded by the owning facade's RWMutex (read paths remap under RLock,
@@ -178,8 +174,8 @@ func (m *idmap) remapNN(res []Result) {
 
 // mutableInner is what the mutation core asks of the structure it maintains:
 // an append-only Insert over a dense internal id space, a tombstoning Delete,
-// and read access to both. invindex.Index satisfies it as is; coarse.Index
-// through coarseInner.
+// and read access to both. invindex.Index satisfies it as is; a hybrid epoch
+// through epochInv.
 type mutableInner interface {
 	Insert(r Ranking) (ID, error)
 	Delete(id ID) error
@@ -192,9 +188,9 @@ type mutableInner interface {
 
 // mutationCore is the one mutation state machine of the package: the id
 // indirection, the ranking size with its "first insert defines k" rule, and
-// Insert / Delete / Update over an inner structure. InvertedIndex and
-// CoarseIndex reach it through the locked facade below, a hybrid epoch embeds
-// it over its inverted index; the caller holds whatever lock guards it.
+// Insert / Delete / Update over an inner structure. InvertedIndex reaches it
+// through the locked facade below, a hybrid epoch embeds it over its inverted
+// index; the caller holds whatever lock guards it.
 type mutationCore struct {
 	ids idmap
 	// k is the ranking size; 0 while an index built over zero live rankings
@@ -278,14 +274,13 @@ func (c *mutationCore) slots() []Ranking {
 }
 
 // ---------------------------------------------------------------------------
-// The locked facade of InvertedIndex and CoarseIndex
+// The locked facade of InvertedIndex
 // ---------------------------------------------------------------------------
 
-// mutable is the mutation half of InvertedIndex and CoarseIndex: the core
-// behind the RWMutex that serializes writers against the kinds' concurrent
-// searches, plus synchronous tombstone compaction. The two kinds differ only
-// in rebuild, which also installs the backend their query half (queryHalf,
-// engine.go) answers from.
+// mutable is the mutation half of InvertedIndex: the core behind the RWMutex
+// that serializes writers against concurrent searches, plus synchronous
+// tombstone compaction. rebuild also installs the backend the query half
+// (queryHalf, engine.go) answers from.
 type mutable struct {
 	// mu is write-held by mutations (Insert/Delete/Update/Compact) only;
 	// Search proceeds concurrently under the read lock, drawing its scratch
@@ -295,10 +290,10 @@ type mutable struct {
 	// compactRatio is the tombstone fraction of the inner id space above
 	// which mutations trigger an automatic rebuild; ≤ 0 disables it.
 	compactRatio float64
-	// rebuild constructs the kind's inner structure over a dense collection
-	// of size-k rankings, installs its backend adapter (structure plus
-	// searcher pool) in the kind's query half, and returns it for the core.
-	rebuild func(live []Ranking, k int) (mutableInner, error)
+	// rebuild constructs the inverted index over a dense collection, installs
+	// its backend adapter (index plus searcher pool) in the query half, and
+	// returns it for the core.
+	rebuild func(live []Ranking) (mutableInner, error)
 }
 
 // install (re)builds the inner structure over live and points the core at
@@ -308,7 +303,7 @@ func (m *mutable) install(ids idmap, live []Ranking) error {
 	if len(live) > 0 {
 		k = live[0].K()
 	}
-	inner, err := m.rebuild(live, k)
+	inner, err := m.rebuild(live)
 	if err != nil {
 		return err
 	}

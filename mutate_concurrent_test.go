@@ -46,17 +46,17 @@ func TestConcurrentMutation(t *testing.T) {
 		"InvertedIndex/Merge": func() (mutable, error) {
 			return topk.NewInvertedIndex(base, topk.WithAlgorithm(topk.ListMerge))
 		},
-		"CoarseIndex": func() (mutable, error) {
-			return topk.NewCoarseIndex(base, topk.WithThetaC(0.3))
+		"HybridIndex": func() (mutable, error) {
+			return topk.NewHybridIndex(base)
 		},
 		"Sharded/InvertedIndex": func() (mutable, error) {
 			return shard.New(base, 4, func(chunk []ranking.Ranking) (shard.Index, error) {
 				return topk.NewInvertedIndexFromSlots(chunk)
 			})
 		},
-		"Sharded/CoarseIndex": func() (mutable, error) {
+		"Sharded/HybridIndex": func() (mutable, error) {
 			return shard.New(base, 4, func(chunk []ranking.Ranking) (shard.Index, error) {
-				return topk.NewCoarseIndexFromSlots(chunk, topk.WithThetaC(0.3))
+				return topk.NewHybridIndexFromSlots(chunk)
 			})
 		},
 	}
@@ -162,7 +162,7 @@ func slotsView(t *testing.T, idx mutable) []ranking.Ranking {
 func TestKConcurrentWithFirstInsert(t *testing.T) {
 	kinds := map[string]func() (mutable, error){
 		"InvertedIndex": func() (mutable, error) { return topk.NewInvertedIndexFromSlots(make([]topk.Ranking, 3)) },
-		"CoarseIndex":   func() (mutable, error) { return topk.NewCoarseIndexFromSlots(make([]topk.Ranking, 3)) },
+		"HybridIndex":   func() (mutable, error) { return topk.NewHybridIndexFromSlots(make([]topk.Ranking, 3)) },
 	}
 	for name, build := range kinds {
 		t.Run(name, func(t *testing.T) {

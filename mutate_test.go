@@ -41,23 +41,16 @@ func mutableBuilders(autoCompact bool) map[string]mutableBuilder {
 			return NewInvertedIndexFromSlots(slots,
 				WithAlgorithm(ListMerge), WithCompactionRatio(ratio))
 		},
-		"CoarseIndex": func(slots []Ranking) (difftest.Mutable, error) {
-			return NewCoarseIndexFromSlots(slots,
-				WithThetaC(0.3), WithCoarseCompactionRatio(ratio))
-		},
-		"CoarseIndex/RandomMedoids": func(slots []Ranking) (difftest.Mutable, error) {
-			return NewCoarseIndexFromSlots(slots,
-				WithThetaC(0.2), WithRandomMedoids(7), WithCoarseCompactionRatio(ratio))
-		},
-		"CoarseIndex/Drop": func(slots []Ranking) (difftest.Mutable, error) {
-			return NewCoarseIndexFromSlots(slots,
-				WithThetaC(0.06), WithListDropping(), WithCoarseCompactionRatio(ratio))
+		// The ratio is the hybrid's epoch-rebuild trigger: its rebuilds run in
+		// the background, interleaved with the workload's queries.
+		"HybridIndex": func(slots []Ranking) (difftest.Mutable, error) {
+			return NewHybridIndexFromSlots(slots, WithHybridDeltaRatio(ratio))
 		},
 	}
 	// The sharded wrapper over both mutable kinds: mutations route to the
 	// owning shard, inserts extend the last shard's id range.
 	m["Sharded/InvertedIndex"] = shardedBuilder(m["InvertedIndex/Drop"])
-	m["Sharded/CoarseIndex"] = shardedBuilder(m["CoarseIndex"])
+	m["Sharded/HybridIndex"] = shardedBuilder(m["HybridIndex"])
 	return m
 }
 
@@ -255,14 +248,10 @@ func TestMutationErrors(t *testing.T) {
 // TestFailedMutationDoesNotDefineK: on an index built over zero live rankings
 // the ranking size is defined by the first insert that succeeds. A rejected
 // insert or an update of a retired id must leave K() at 0, so that a valid
-// insert of any other size still goes through — on all three mutable kinds
-// and behind the sharded router.
+// insert of any other size still goes through — on both mutable kinds and
+// behind the sharded router.
 func TestFailedMutationDoesNotDefineK(t *testing.T) {
 	builders := mutableBuilders(false)
-	builders["HybridIndex"] = func(slots []Ranking) (difftest.Mutable, error) {
-		return NewHybridIndexFromSlots(slots, WithHybridDeltaRatio(0))
-	}
-	builders["Sharded/HybridIndex"] = shardedBuilder(builders["HybridIndex"])
 	failing := map[string]func(idx difftest.Mutable) error{
 		"Insert(duplicate item)": func(idx difftest.Mutable) error {
 			_, err := idx.Insert(Ranking{1, 1, 3, 4})
@@ -328,9 +317,9 @@ func TestAllTombstoneShardChunkRestores(t *testing.T) {
 	}
 	difftest.CheckSearch(t, "all-dead-chunk", sh, o, rng, 10, diffDomain)
 	// The empty facade kinds stay mutable, adopting k on first insert.
-	empty, err := NewCoarseIndexFromSlots(make([]Ranking, 5))
+	empty, err := NewHybridIndexFromSlots(make([]Ranking, 5))
 	if err != nil {
-		t.Fatalf("all-tombstone coarse slots: %v", err)
+		t.Fatalf("all-tombstone hybrid slots: %v", err)
 	}
 	if empty.Len() != 0 || empty.K() != 0 {
 		t.Fatalf("Len=%d K=%d, want 0/0", empty.Len(), empty.K())
@@ -384,7 +373,7 @@ func TestV1SnapshotStillLoads(t *testing.T) {
 // rebuilt reference breaks ties in a different id space.)
 func TestNearestNeighborsAfterMutation(t *testing.T) {
 	for name, build := range mutableBuilders(false) {
-		if name == "Sharded/InvertedIndex" || name == "Sharded/CoarseIndex" {
+		if name == "Sharded/InvertedIndex" || name == "Sharded/HybridIndex" {
 			continue // the sharded wrapper has no KNN surface (yet)
 		}
 		t.Run(name, func(t *testing.T) {

@@ -23,14 +23,15 @@
 // All Search methods are safe for concurrent use and run in parallel: the
 // per-query scratch state of every index lives in an internal sync.Pool, so
 // any number of goroutines can query one shared index without contending on
-// a lock. Distance-call accounting is atomic. The mutable kinds
-// (CoarseIndex, InvertedIndex, HybridIndex) additionally implement
-// MutableIndex — Insert, Delete and Update with stable external IDs,
-// tombstone filtering on the query path and automatic compaction (for the
-// hybrid engine, a delta overlay over its static backend folded back by
-// background epoch rebuilds) — and briefly exclude writers from readers
-// with an RWMutex; read-only structures take no lock at all. For query
-// fan-out across cores over one collection, see internal/shard and
+// a lock. Distance-call accounting is atomic. The two mutable kinds,
+// InvertedIndex and HybridIndex — the inverted family cmd/topkserve serves —
+// additionally implement MutableIndex — Insert, Delete and Update with stable
+// external IDs, tombstone filtering on the query path and automatic
+// compaction (for the hybrid engine, a delta overlay over its static backend
+// folded back by background epoch rebuilds) — and briefly exclude writers
+// from readers with an RWMutex. The paper baselines (CoarseIndex,
+// BlockedIndex, the metric trees) are read-only and take no lock at all. For
+// query fan-out across cores over one collection, see internal/shard and
 // cmd/topkserve.
 package topk
 
@@ -142,44 +143,26 @@ func validateSlots(slots []Ranking) (k, live int, err error) {
 // grouped into partitions of radius θC around medoid rankings; only the
 // medoids live in an inverted index; partitions are validated by BK-trees.
 //
-// It answers through the shared query half (see queryHalf) and is mutable
-// through the shared mutation half (see mutable). Per Section 4.1's clustering
-// semantics an inserted ranking joins the first existing partition whose
-// medoid is within θC (found through the medoid inverted index with Lemma 1's
-// relaxation — a zero-radius query at threshold θC); otherwise it becomes the
-// medoid of a fresh singleton partition. The partition invariant
-// d(medoid, member) ≤ θC is preserved exactly, so all query-time guarantees
-// carry over; insert-time distance computations count toward the index's
-// construction cost (BuildDFC), not DistanceCalls. A deleted ranking stays in
-// its partition's BK-tree as a routing object (and a deleted medoid keeps
-// governing its partition — its distances remain valid pivots), but queries
-// no longer return it; compaction rebuilds clustering, medoid index and
-// partition trees over the survivors.
+// It answers through the shared query half (see queryHalf). Like the paper's
+// structure — whose §5 cost model cuts the partitions once, at θC — it is
+// built over a static collection and has no mutating operations, so Search
+// takes no lock at all.
 type CoarseIndex struct {
-	mutable
 	queryHalf
 	idx    *coarse.Index
 	thetaC float64
-	copts  coarse.Options
 }
-
-// coarseInner is coarse.Index as the mutation core sees it: Insert runs with
-// the index's own build evaluator.
-type coarseInner struct{ *coarse.Index }
-
-func (c coarseInner) Insert(r Ranking) (ID, error) { return c.Index.Insert(r, nil) }
 
 // CoarseOption configures NewCoarseIndex.
 type CoarseOption func(*coarseConfig)
 
 type coarseConfig struct {
-	thetaC       float64
-	autoTune     bool
-	maxTheta     float64
-	randMedoid   bool
-	seed         int64
-	drop         bool
-	compactRatio float64
+	thetaC     float64
+	autoTune   bool
+	maxTheta   float64
+	randMedoid bool
+	seed       int64
+	drop       bool
 }
 
 // WithThetaC fixes the normalized partitioning threshold θC (default 0.5,
@@ -208,67 +191,35 @@ func WithListDropping() CoarseOption {
 	return func(c *coarseConfig) { c.drop = true }
 }
 
-// WithCoarseCompactionRatio sets the tombstone fraction of the inner id
-// space above which Delete/Update trigger an automatic rebuild over the
-// surviving rankings (default DefaultCompactionRatio). A ratio ≤ 0 disables
-// automatic compaction; Compact can still be called explicitly.
-func WithCoarseCompactionRatio(ratio float64) CoarseOption {
-	return func(c *coarseConfig) { c.compactRatio = ratio }
-}
-
 // NewCoarseIndex builds a coarse index over the collection.
 func NewCoarseIndex(rankings []Ranking, opts ...CoarseOption) (*CoarseIndex, error) {
-	if _, err := validateCollection(rankings); err != nil {
+	k, err := validateCollection(rankings)
+	if err != nil {
 		return nil, err
 	}
-	return newCoarseFromSlots(rankings, opts)
-}
-
-// NewCoarseIndexFromSlots builds a coarse index from an external-id slot
-// array as produced by (*CoarseIndex).Slots or a persist snapshot: the
-// ranking at position i gets external ID i, and nil entries are tombstoned
-// IDs that stay retired. With zero live slots the first Insert defines k.
-func NewCoarseIndexFromSlots(slots []Ranking, opts ...CoarseOption) (*CoarseIndex, error) {
-	if _, _, err := validateSlots(slots); err != nil {
-		return nil, err
-	}
-	return newCoarseFromSlots(slots, opts)
-}
-
-func newCoarseFromSlots(slots []Ranking, opts []CoarseOption) (*CoarseIndex, error) {
-	cfg := coarseConfig{thetaC: 0.5, compactRatio: DefaultCompactionRatio}
+	cfg := coarseConfig{thetaC: 0.5}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	m, live := newSlotsIDMap(slots)
-	if cfg.autoTune && len(live) > 0 {
-		tc, err := tuneThetaC(live, live[0].K(), cfg.maxTheta)
-		if err != nil {
+	if cfg.autoTune {
+		if cfg.thetaC, err = tuneThetaC(rankings, k, cfg.maxTheta); err != nil {
 			return nil, err
 		}
-		cfg.thetaC = tc
 	}
-	c := &CoarseIndex{thetaC: cfg.thetaC, copts: coarse.Options{Seed: cfg.seed}}
+	copts := coarse.Options{Seed: cfg.seed}
 	if cfg.randMedoid {
-		c.copts.Strategy = coarse.RandomMedoids
+		copts.Strategy = coarse.RandomMedoids
 	}
 	mode := coarse.FV
 	if cfg.drop {
 		mode = coarse.FVDrop
 	}
-	c.mut, c.compactRatio = &c.mutable, cfg.compactRatio
-	c.rebuild = func(live []Ranking, k int) (mutableInner, error) {
-		idx, err := coarse.New(live, ranking.RawThreshold(c.thetaC, k), c.copts)
-		if err != nil {
-			return nil, err
-		}
-		c.idx = idx
-		c.backend = coarseBackend{idx: idx, pool: newPool(idx, coarse.NewSearcher), mode: mode}
-		return coarseInner{idx}, nil
-	}
-	if err := c.install(m, live); err != nil {
+	idx, err := coarse.New(rankings, ranking.RawThreshold(cfg.thetaC, k), copts)
+	if err != nil {
 		return nil, err
 	}
+	c := &CoarseIndex{idx: idx, thetaC: cfg.thetaC}
+	c.backend = coarseBackend{idx: idx, pool: newPool(idx, coarse.NewSearcher), mode: mode}
 	return c, nil
 }
 
@@ -294,11 +245,13 @@ func tuneThetaC(rankings []Ranking, k int, maxTheta float64) (float64, error) {
 func (c *CoarseIndex) ThetaC() float64 { return c.thetaC }
 
 // NumPartitions reports how many medoid partitions the index holds.
-func (c *CoarseIndex) NumPartitions() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.idx.NumPartitions()
-}
+func (c *CoarseIndex) NumPartitions() int { return c.idx.NumPartitions() }
+
+// Len implements Index.
+func (c *CoarseIndex) Len() int { return c.idx.Len() }
+
+// K implements Index.
+func (c *CoarseIndex) K() int { return c.idx.K() }
 
 // ---------------------------------------------------------------------------
 // InvertedIndex
@@ -373,7 +326,7 @@ func newInvertedFromSlots(slots []Ranking, opts []InvOption) (*InvertedIndex, er
 	for _, o := range opts {
 		o(ii)
 	}
-	ii.rebuild = func(live []Ranking, _ int) (mutableInner, error) {
+	ii.rebuild = func(live []Ranking) (mutableInner, error) {
 		idx, err := invindex.New(live)
 		if err != nil {
 			return nil, err

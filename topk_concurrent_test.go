@@ -123,8 +123,8 @@ func TestConcurrentSearchAndInsert(t *testing.T) {
 	// over, and must not be allowed to grow into (and overwrite) the backing
 	// array shared with rs and the workload queries.
 	kinds := map[string]func() (insertable, error){
-		"Coarse": func() (insertable, error) {
-			return topk.NewCoarseIndex(rs[:600:600], topk.WithThetaC(0.3))
+		"Hybrid": func() (insertable, error) {
+			return topk.NewHybridIndex(rs[:600:600])
 		},
 		"InvertedIndex": func() (insertable, error) {
 			return topk.NewInvertedIndex(rs[:600:600])

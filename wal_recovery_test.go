@@ -32,10 +32,6 @@ var recoveryKinds = map[string]func(slots []ranking.Ranking) (difftest.Mutable, 
 		idx, err := topk.NewInvertedIndexFromSlots(slots)
 		return idx, err
 	},
-	"coarse": func(slots []ranking.Ranking) (difftest.Mutable, error) {
-		idx, err := topk.NewCoarseIndexFromSlots(slots, topk.WithAutoTune(0.3))
-		return idx, err
-	},
 	"hybrid": func(slots []ranking.Ranking) (difftest.Mutable, error) {
 		idx, err := topk.NewHybridIndexFromSlots(slots)
 		return idx, err
