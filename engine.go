@@ -176,8 +176,7 @@ func (h *queryHalf) DistanceCalls() uint64 { return h.calls.Load() }
 // tree's range search would return them. Since a shared item strictly
 // lowers the Footrule below dmax, the ≤ dmax−1 ball is exactly what the
 // inverted kinds answer at θ = 1; querying every backend at the clamped
-// radius makes them byte-identical there (HybridIndex and the batch
-// processor rely on this).
+// radius makes them byte-identical there (HybridIndex relies on this).
 func clampRawTheta(raw, k int) int {
 	if dmax := ranking.MaxDistance(k); raw >= dmax {
 		return dmax - 1

@@ -139,11 +139,10 @@ type Collection struct {
 	// at its own carve.
 	admission *admit.Controller
 
-	queries     atomic.Uint64
-	knn         atomic.Uint64
-	batchShared atomic.Uint64
-	batchSplit  atomic.Uint64
-	mutations   atomic.Uint64
+	queries   atomic.Uint64
+	knn       atomic.Uint64
+	batches   atomic.Uint64
+	mutations atomic.Uint64
 
 	// storage is the durable half (zero for an in-memory collection). With
 	// a wal, apply applies the mutation and appends its record under

@@ -286,107 +286,98 @@ func TestKNNEndpoint(t *testing.T) {
 	}
 }
 
-// TestBatchModes checks the /search batch dispatch: uniform radii over a
-// batch-capable kind take the shared-candidate path, mixed radii fall back
-// to per-query search, and both agree with the single-query answers.
+// TestBatchModes checks that uniform and mixed batches equal their single
+// answers: over -kind inverted-drop and -kind hybrid, every member of a
+// 64-query batch — one theta, the same theta per member, or mixed thetas —
+// answers byte for byte what a single /search of that query at that theta
+// answers, and each batch counts once in /stats.
 func TestBatchModes(t *testing.T) {
-	rs, err := dataset.Generate(dataset.NYTLike(300, 10))
+	cfg := dataset.NYTLike(300, 10)
+	rs, err := dataset.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := dataset.Workload(rs, dataset.NYTLike(300, 10), 8, 0.8, 7)
+	qs, err := dataset.Workload(rs, cfg, 64, 0.8, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 3, builderFor("inverted-drop", "", 0, ""))
-	if err != nil {
-		t.Fatal(err)
+	uniform, mixed := make([]float64, len(qs)), make([]float64, len(qs))
+	for i := range qs {
+		uniform[i], mixed[i] = 0.2, []float64{0.1, 0.2, 0.3}[i%3]
 	}
-	h := newServer(sh, "inverted-drop").routes()
-
-	single := func(q ranking.Ranking, theta float64) []resultJSON {
-		rec := postSearch(t, h, map[string]any{"query": q, "theta": theta})
-		var resp searchResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+	for _, kind := range []string{"inverted-drop", "hybrid"} {
+		sh, err := shard.New(rs, 3, builderFor(kind, "", 0, ""))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.Results
-	}
+		h := newServer(sh, kind).routes()
 
-	// Uniform batch → shared mode.
-	rec := postSearch(t, h, map[string]any{"queries": qs, "theta": 0.2})
-	var resp searchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.BatchMode != "shared" {
-		t.Fatalf("uniform batch mode %q, want shared", resp.BatchMode)
-	}
-	for i, q := range qs {
-		want := single(q, 0.2)
-		if !reflect.DeepEqual(resp.Answers[i].Results, want) &&
-			!(len(resp.Answers[i].Results) == 0 && len(want) == 0) {
-			t.Fatalf("shared batch query %d diverges from single answer", i)
+		// single returns a single /search reply's results as sent; an empty
+		// answer is omitted there and "[]" in a batch.
+		single := func(q ranking.Ranking, theta float64) []byte {
+			rec := postSearch(t, h, map[string]any{"query": q, "theta": theta})
+			var resp struct {
+				Results json.RawMessage `json:"results"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("%s: single search status %d: %v (%s)", kind, rec.Code, err, rec.Body)
+			}
+			if resp.Results == nil {
+				return []byte("[]")
+			}
+			return resp.Results
 		}
-	}
-
-	// Equal per-query thetas still count as uniform.
-	thetas := make([]float64, len(qs))
-	for i := range thetas {
-		thetas[i] = 0.2
-	}
-	rec = postSearch(t, h, map[string]any{"queries": qs, "thetas": thetas})
-	resp = searchResponse{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.BatchMode != "shared" {
-		t.Fatalf("uniform thetas batch mode %q, want shared", resp.BatchMode)
-	}
-
-	// Mixed radii → per-query fallback, still correct per query.
-	for i := range thetas {
-		thetas[i] = []float64{0.1, 0.2, 0.3}[i%3]
-	}
-	rec = postSearch(t, h, map[string]any{"queries": qs, "thetas": thetas})
-	resp = searchResponse{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.BatchMode != "per-query" {
-		t.Fatalf("mixed batch mode %q, want per-query", resp.BatchMode)
-	}
-	for i, q := range qs {
-		want := single(q, thetas[i])
-		if !reflect.DeepEqual(resp.Answers[i].Results, want) &&
-			!(len(resp.Answers[i].Results) == 0 && len(want) == 0) {
-			t.Fatalf("mixed batch query %d diverges from single answer", i)
+		for _, c := range []struct {
+			body   map[string]any
+			thetas []float64
+		}{
+			{map[string]any{"queries": qs, "theta": 0.2}, uniform},
+			{map[string]any{"queries": qs, "thetas": uniform}, uniform},
+			{map[string]any{"queries": qs, "thetas": mixed}, mixed},
+		} {
+			rec := postSearch(t, h, c.body)
+			var resp struct {
+				Answers []struct {
+					Results json.RawMessage `json:"results"`
+				} `json:"answers"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("%s: batch status %d: %v (%s)", kind, rec.Code, err, rec.Body)
+			}
+			if len(resp.Answers) != len(qs) {
+				t.Fatalf("%s: %d answers for %d queries", kind, len(resp.Answers), len(qs))
+			}
+			for i, q := range qs {
+				if got, want := resp.Answers[i].Results, single(q, c.thetas[i]); !bytes.Equal(got, want) {
+					t.Fatalf("%s: batch query %d (theta %.1f) diverges from its single answer:\n got %s\nwant %s",
+						kind, i, c.thetas[i], got, want)
+				}
+			}
 		}
-	}
 
-	// Validation: thetas without queries, length mismatch, out of range.
-	for i, body := range []map[string]any{
-		{"query": qs[0], "thetas": thetas, "theta": 0.2},
-		{"queries": qs, "thetas": thetas[:2]},
-		{"queries": qs, "thetas": append([]float64{1.5}, thetas[1:]...)},
-	} {
-		if rec := postSearch(t, h, body); rec.Code != http.StatusBadRequest {
-			t.Fatalf("case %d: status %d, want 400 (%s)", i, rec.Code, rec.Body)
+		// Validation: thetas without queries, length mismatch, out of range.
+		for i, body := range []map[string]any{
+			{"query": qs[0], "thetas": mixed, "theta": 0.2},
+			{"queries": qs, "thetas": mixed[:2]},
+			{"queries": qs, "thetas": append([]float64{1.5}, mixed[1:]...)},
+		} {
+			if rec := postSearch(t, h, body); rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s: case %d: status %d, want 400 (%s)", kind, i, rec.Code, rec.Body)
+			}
 		}
-	}
 
-	// Batch counters reflect the split.
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var st statsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.BatchShared != 2 || st.BatchPerQuery != 1 {
-		t.Fatalf("batch counters shared=%d perQuery=%d, want 2/1", st.BatchShared, st.BatchPerQuery)
-	}
-	if st.Planner != nil {
-		t.Fatalf("non-hybrid kind exposes planner stats: %+v", st.Planner)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		var st statsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Batches != 3 {
+			t.Fatalf("%s: batches %d, want 3", kind, st.Batches)
+		}
+		if (st.Planner != nil) != (kind == "hybrid") {
+			t.Fatalf("%s: planner stats %+v", kind, st.Planner)
+		}
 	}
 }
 

@@ -139,10 +139,8 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 		labels, float64(c.queries.Load()))
 	w.Counter("topkserve_knn_queries_total", "Exact k-nearest-neighbor queries served.",
 		labels, float64(c.knn.Load()))
-	w.Counter("topkserve_batches_total", "Search batches served, by processing mode.",
-		telemetry.Labels("collection", col, "mode", "shared"), float64(c.batchShared.Load()))
-	w.Counter("topkserve_batches_total", "",
-		telemetry.Labels("collection", col, "mode", "per_query"), float64(c.batchSplit.Load()))
+	w.Counter("topkserve_batches_total", "Search batches served.",
+		labels, float64(c.batches.Load()))
 	w.Counter("topkserve_mutations_total", "Acked insert/delete/update mutations.",
 		labels, float64(c.mutations.Load()))
 	w.Gauge("topkserve_collection_size", "Live (non-tombstoned) rankings in the collection.",
@@ -160,17 +158,17 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 		w.Counter("topkserve_shard_distance_calls_total",
 			"Footrule evaluations per shard, cumulative.", shardLabels, float64(st.DistanceCalls))
 		w.Histogram("topkserve_shard_query_duration_seconds",
-			"Per-shard query latency (single-query fan-out legs and whole shared batches).",
+			"Per-shard query latency: one observation per search, whole batch or KNN query.",
 			shardLabels, shardHistToTelemetry(st.Latency))
 		delta += st.Delta
 		tombstones += st.Tombstones
 	}
 	fan, mrg := c.sh.Timings()
 	w.Histogram("topkserve_fanout_duration_seconds",
-		"Scatter phase of a fanned-out search, shared batch or KNN query: dispatch until the slowest shard answers.",
+		"Scatter phase of a fanned-out search, batch or KNN query: dispatch until the slowest shard answers.",
 		labels, shardHistToTelemetry(fan))
 	w.Histogram("topkserve_merge_duration_seconds",
-		"Gather phase of a fanned-out search, shared batch or KNN query: combining per-shard answers.",
+		"Gather phase of a fanned-out search, batch or KNN query: combining per-shard answers.",
 		labels, shardHistToTelemetry(mrg))
 	w.Gauge("topkserve_delta_overlay_size",
 		"Rankings in the hybrid mutation overlay awaiting the next epoch rebuild, summed over shards.",

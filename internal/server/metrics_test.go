@@ -391,8 +391,7 @@ func TestMetricsExposition(t *testing.T) {
 		{"topkserve_ready", nil, 1},
 		{"topkserve_queries_total", nil, float64(st.Queries)},
 		{"topkserve_knn_queries_total", nil, float64(st.KNNQueries)},
-		{"topkserve_batches_total", map[string]string{"mode": "shared"}, float64(st.BatchShared)},
-		{"topkserve_batches_total", map[string]string{"mode": "per_query"}, float64(st.BatchPerQuery)},
+		{"topkserve_batches_total", nil, float64(st.Batches)},
 		{"topkserve_mutations_total", nil, float64(st.Mutations)},
 		{"topkserve_collection_size", nil, float64(st.N)},
 		{"topkserve_collection_k", nil, float64(st.K)},
@@ -622,7 +621,7 @@ func TestRequestIDAndTraceRing(t *testing.T) {
 	for _, st := range tr.Stages {
 		stages[st.Name] = true
 	}
-	for _, want := range []string{"parse", "plan", "cache", "fanout", "merge", "respond"} {
+	for _, want := range []string{"parse", "admit", "cache", "fanout", "merge", "respond"} {
 		if !stages[want] {
 			t.Errorf("trace missing stage %q (have %v)", want, tr.Stages)
 		}
@@ -719,10 +718,10 @@ func TestKNNTraceStagesAndAttribution(t *testing.T) {
 			t.Errorf("forced=%q: cached knn traced as %q %v", tc.forced, stageNames(tr), tr.Backends)
 		}
 		// A single /search records the cache probe the same way — its own
-		// stage on miss and hit, disjoint from plan — so the stages never
-		// add up to more than the request.
+		// stage on miss and hit — so the stages never add up to more than the
+		// request.
 		search := map[string]any{"query": rs[3], "theta": 0.2}
-		for _, want := range []string{"parse admit plan cache fanout merge respond", "parse admit plan cache respond"} {
+		for _, want := range []string{"parse admit cache fanout merge respond", "parse admit cache respond"} {
 			if rec := postSearch(t, h, search); rec.Code != http.StatusOK {
 				t.Fatalf("search status %d: %s", rec.Code, rec.Body)
 			}
@@ -738,6 +737,35 @@ func TestKNNTraceStagesAndAttribution(t *testing.T) {
 				t.Errorf("forced=%q: search stages sum to %.1fµs of a %.1fµs request: %v", tc.forced, sum, tr.TotalMicros, tr.Stages)
 			}
 		}
+	}
+}
+
+// TestBatchTraceAttribution checks that a /search batch is traced like a
+// single miss: it is one scatter, so its trace has the fanout and merge
+// stages, the backends that answered and the batch's distance calls.
+func TestBatchTraceAttribution(t *testing.T) {
+	srv, _, qs := testServer(t)
+	h := srv.routes()
+	if rec := postSearch(t, h, map[string]any{"queries": qs, "theta": 0.2}); rec.Code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", rec.Code, rec.Body)
+	}
+	var dump struct {
+		Traces []requestTrace `json:"traces"`
+	}
+	if err := json.Unmarshal(get(t, h, "/debug/trace").Body.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	tr := dump.Traces[0]
+	var names []string
+	for _, st := range tr.Stages {
+		names = append(names, st.Name)
+	}
+	if got, want := strings.Join(names, " "), "parse admit fanout merge respond"; got != want {
+		t.Errorf("batch stages %q, want %q", got, want)
+	}
+	if len(tr.Backends) != 1 || tr.Backends[0] != "inverted" || tr.DistanceCalls == 0 || tr.Queries != len(qs) {
+		t.Errorf("batch trace attributed to %v with %d distance calls over %d queries: %+v",
+			tr.Backends, tr.DistanceCalls, tr.Queries, tr)
 	}
 }
 

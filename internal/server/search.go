@@ -5,6 +5,7 @@ package server
 import (
 	"context"
 	"net/http"
+	"slices"
 	"time"
 
 	"topk/internal/qcache"
@@ -38,9 +39,6 @@ type searchResponse struct {
 	Count      int          `json:"count,omitempty"`
 	Results    []resultJSON `json:"results,omitempty"`
 	Answers    []answerJSON `json:"answers,omitempty"`
-	// BatchMode reports how a batch was processed: "shared" when the
-	// shared-candidate batch processor answered it, "per-query" otherwise.
-	BatchMode string `json:"batchMode,omitempty"`
 }
 
 func (s *Server) handleSearch(c *Collection, w http.ResponseWriter, r *http.Request) {
@@ -108,7 +106,7 @@ func (s *Server) handleSearch(c *Collection, w http.ResponseWriter, r *http.Requ
 	defer release()
 
 	start := time.Now()
-	answers, mode, err := s.runSearch(ctx, c, req, queries, tr)
+	answers, err := s.runSearch(ctx, c, req, queries, tr)
 	if err != nil {
 		writeSearchError(w, "search", err)
 		return
@@ -121,7 +119,6 @@ func (s *Server) handleSearch(c *Collection, w http.ResponseWriter, r *http.Requ
 		resp.Count = len(answers[0])
 		resp.Results = c.toJSON(answers[0])
 	} else {
-		resp.BatchMode = mode
 		resp.Answers = make([]answerJSON, len(answers))
 		for i, a := range answers {
 			resp.Answers[i] = answerJSON{Count: len(a), Results: c.toJSON(a)}
@@ -130,53 +127,32 @@ func (s *Server) handleSearch(c *Collection, w http.ResponseWriter, r *http.Requ
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// runSearch dispatches a validated /search request: uniform-threshold
-// batches go through the shared-candidate batch processor when the index
-// kind supports it, mixed-radius batches (and kinds without batch support)
-// fall back to independent per-query searches. Single queries go through
-// cachedScatter; batch stages are recorded whole. ctx cancellation propagates
-// into the shard fan-out on every path.
-func (s *Server) runSearch(ctx context.Context, c *Collection, req searchRequest, queries []ranking.Ranking, tr *requestTrace) ([][]ranking.Result, string, error) {
+// runSearch answers a validated /search request. A single query goes through
+// cachedScatter; a batch, uniform or mixed radii alike, is one scatter that
+// bypasses the cache and is traced like a single miss — stages "fanout" and
+// "merge" plus the attribution. ctx cancellation propagates into the shard
+// fan-out on both paths.
+func (s *Server) runSearch(ctx context.Context, c *Collection, req searchRequest, queries []ranking.Ranking, tr *requestTrace) ([][]ranking.Result, error) {
 	if c.sh.K() == 0 {
 		// Structurally empty collection: nothing can match, and the sub-index
 		// kinds are not guaranteed to accept arbitrary-size queries at k=0.
-		return make([][]ranking.Result, len(queries)), "per-query", nil
+		return make([][]ranking.Result, len(queries)), nil
 	}
-	planStart := time.Now()
-	theta, uniform := req.Theta, true
-	if req.Thetas != nil {
-		theta = req.Thetas[0]
-		for _, t := range req.Thetas[1:] {
-			if t != theta {
-				uniform = false
-				break
-			}
-		}
-	}
-	tr.addStage("plan", time.Since(planStart))
 	if req.Query != nil {
-		res, err := s.cachedScatter(c, tr, req.Query, qcache.Key{Kind: "search", Theta: theta},
+		res, err := s.cachedScatter(c, tr, req.Query, qcache.Key{Kind: "search", Theta: req.Theta},
 			func() ([]ranking.Result, shard.QueryTrace, error) {
-				return c.sh.SearchTracedContext(ctx, req.Query, theta)
+				return c.sh.SearchTracedContext(ctx, req.Query, req.Theta)
 			})
-		return [][]ranking.Result{res}, "", err
+		return [][]ranking.Result{res}, err
 	}
-	searchStart := time.Now()
-	defer func() { tr.addStage("search", time.Since(searchStart)) }()
-	if !uniform {
-		c.batchSplit.Add(1)
-		res, err := c.sh.SearchBatchThetasContext(ctx, queries, req.Thetas)
-		return res, "per-query", err
+	thetas := req.Thetas
+	if thetas == nil {
+		thetas = slices.Repeat([]float64{req.Theta}, len(queries))
 	}
-	if len(queries) > 1 {
-		if res, ok, err := c.sh.SearchBatchSharedContext(ctx, queries, theta); ok {
-			c.batchShared.Add(1)
-			return res, "shared", err
-		}
-	}
-	c.batchSplit.Add(1)
-	res, err := c.sh.SearchBatchContext(ctx, queries, theta)
-	return res, "per-query", err
+	c.batches.Add(1)
+	res, qt, err := c.sh.SearchBatchThetasContext(ctx, queries, thetas)
+	tr.addScatter(qt)
+	return res, err
 }
 
 // knnRequest is the /knn payload.

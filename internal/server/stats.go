@@ -14,15 +14,14 @@ import (
 )
 
 type statsResponse struct {
-	Index         string `json:"index"`
-	N             int    `json:"n"`
-	K             int    `json:"k"`
-	NumShards     int    `json:"numShards"`
-	Queries       uint64 `json:"queries"`
-	KNNQueries    uint64 `json:"knnQueries"`
-	BatchShared   uint64 `json:"batchShared"`
-	BatchPerQuery uint64 `json:"batchPerQuery"`
-	Mutations     uint64 `json:"mutations"`
+	Index      string `json:"index"`
+	N          int    `json:"n"`
+	K          int    `json:"k"`
+	NumShards  int    `json:"numShards"`
+	Queries    uint64 `json:"queries"`
+	KNNQueries uint64 `json:"knnQueries"`
+	Batches    uint64 `json:"batches"`
+	Mutations  uint64 `json:"mutations"`
 	// Delta and Rebuilds sum the hybrid engine's mutation-overlay state
 	// across shards: rankings awaiting the next epoch rebuild, and epoch
 	// rebuilds installed so far. Both stay 0 for the other kinds.
@@ -108,8 +107,7 @@ func (s *Server) handleStats(c *Collection, w http.ResponseWriter, r *http.Reque
 		NumShards:     c.sh.NumShards(),
 		Queries:       c.queries.Load(),
 		KNNQueries:    c.knn.Load(),
-		BatchShared:   c.batchShared.Load(),
-		BatchPerQuery: c.batchSplit.Load(),
+		Batches:       c.batches.Load(),
 		Mutations:     c.mutations.Load(),
 		Delta:         delta,
 		Rebuilds:      rebuilds,

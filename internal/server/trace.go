@@ -1,9 +1,10 @@
 // Per-query tracing for the serving core. Every request gets an
 // X-Request-ID (propagated from the client or generated), and a span
-// recorder captures where its time went: parse → plan → shard fan-out →
-// merge → respond for searches. Finished traces land in a bounded in-memory
-// ring served at GET /debug/trace, and any request slower than -slow-query
-// is additionally written to stderr as one line of JSON — enough to
+// recorder captures where its time went: parse → admit → cache → shard
+// fan-out → merge → respond for searches (a batch skips the cache). Finished
+// traces land in a bounded in-memory ring served at GET /debug/trace, and any
+// request slower than -slow-query is additionally written to stderr as one
+// line of JSON — enough to
 // reconstruct what the query was (route, collection, θ, k, batch size),
 // which backends answered it — for every index kind — what it cost (distance
 // calls) and which stage ate the time, without attaching a profiler.
@@ -48,8 +49,8 @@ type requestTrace struct {
 	Queries int     `json:"queries,omitempty"`
 	K       int     `json:"k,omitempty"`
 	// Backends lists the distinct backends that answered a /search or /knn
-	// miss — inverted, or the hybrid's forced one of its two; DistanceCalls
-	// is the query's Footrule cost summed over the shards.
+	// miss or a batch — inverted, or the hybrid's forced one of its two;
+	// DistanceCalls is the request's Footrule cost summed over the shards.
 	Backends      []string     `json:"backends,omitempty"`
 	DistanceCalls uint64       `json:"distanceCalls,omitempty"`
 	Stages        []traceStage `json:"stages,omitempty"`

@@ -3,7 +3,6 @@ package shard_test
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -80,7 +79,7 @@ func TestPreCanceledContextDoesNoShardWork(t *testing.T) {
 	if _, err := sh.SearchBatchContext(ctx, rs[:4], 0.2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SearchBatchContext error = %v, want context.Canceled", err)
 	}
-	if _, err := sh.SearchBatchThetasContext(ctx, rs[:2], []float64{0.1, 0.2}); !errors.Is(err, context.Canceled) {
+	if _, _, err := sh.SearchBatchThetasContext(ctx, rs[:2], []float64{0.1, 0.2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SearchBatchThetasContext error = %v, want context.Canceled", err)
 	}
 	if _, _, err := sh.SearchTracedContext(ctx, q, 0.2); !errors.Is(err, context.Canceled) {
@@ -138,10 +137,10 @@ func TestBatchCancelStopsRemainingQueries(t *testing.T) {
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch error = %v, want context.Canceled", err)
 	}
-	// Only queries already in flight at cancellation may have touched shards:
-	// at most one per worker, each fanning out to every shard. Everything
-	// else must have been cut off.
-	limit := uint64(runtime.GOMAXPROCS(0) * numShards)
+	// Only members already in flight at cancellation may have touched shards:
+	// each shard answers the batch in order, so at most one per shard.
+	// Everything else must have been cut off.
+	limit := uint64(numShards)
 	if got := st.searches.Load(); got > limit {
 		t.Fatalf("after cancel %d sub-index searches ran, want <= %d (in-flight only)", got, limit)
 	}
@@ -152,9 +151,8 @@ func TestBatchCancelStopsRemainingQueries(t *testing.T) {
 	}
 }
 
-// TestBatchFirstErrorShortCircuits pins the satellite fix: one failing query
-// cancels the pool, so a batch does not burn through its remaining members
-// (or their shard fan-outs) after its outcome is decided.
+// TestBatchFirstErrorShortCircuits: one failing member cancels the batch, so
+// no shard burns through its remaining members after the outcome is decided.
 func TestBatchFirstErrorShortCircuits(t *testing.T) {
 	const numShards, batch = 2, 64
 	sentinel := errors.New("sub-index exploded")
@@ -173,7 +171,7 @@ func TestBatchFirstErrorShortCircuits(t *testing.T) {
 	if errors.Is(err, context.Canceled) {
 		t.Fatalf("batch error %v reports cancellation instead of the failure that caused it", err)
 	}
-	limit := uint64(runtime.GOMAXPROCS(0) * numShards)
+	limit := uint64(numShards)
 	if got := st.searches.Load(); got > limit {
 		t.Fatalf("failing batch still ran %d sub-index searches, want <= %d", got, limit)
 	}

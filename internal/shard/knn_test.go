@@ -120,78 +120,6 @@ func bruteNN(o *difftest.Oracle, q ranking.Ranking, n int) []ranking.Result {
 	return all[:n]
 }
 
-// TestSearchBatchShared checks the shared-candidate batch path against the
-// independent per-query answers, byte-identically, and the ok=false
-// fallback signal for kinds without batch support.
-func TestSearchBatchShared(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	rs := difftest.RandomCollection(rng, 400, 8, 200)
-	// A reformulation-style batch: clusters of near-duplicate queries.
-	var queries []ranking.Ranking
-	for i := 0; i < 8; i++ {
-		base := difftest.RandomRanking(rng, 8, 200)
-		queries = append(queries, base)
-		for j := 0; j < 3; j++ {
-			queries = append(queries, difftest.Perturb(rng, base, 200))
-		}
-	}
-	sh, err := shard.New(rs, 3, invertedBuilder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, theta := range []float64{0, 0.1, 0.3, 0.6, 1} {
-		got, ok, err := sh.SearchBatchSharedContext(context.Background(), queries, theta)
-		if err != nil || !ok {
-			t.Fatalf("θ=%.2f: ok=%v err=%v", theta, ok, err)
-		}
-		want, err := sh.SearchBatchContext(context.Background(), queries, theta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi := range queries {
-			if !difftest.Equal(got[qi], want[qi]) {
-				t.Fatalf("θ=%.2f query %d:\n got %v\nwant %v", theta, qi, got[qi], want[qi])
-			}
-		}
-	}
-
-	// Kinds without SearchBatch signal fallback.
-	blk, err := shard.New(rs, 3, blockedBuilder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := blk.SearchBatchSharedContext(context.Background(), queries, 0.2); ok || err != nil {
-		t.Fatalf("blocked kind: ok=%v err=%v, want fallback", ok, err)
-	}
-}
-
-// TestSearchBatchSharedAfterMutations exercises the batch path over shards
-// with tombstones and inserts.
-func TestSearchBatchSharedAfterMutations(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	rs := difftest.RandomCollection(rng, 300, 8, 200)
-	sh, err := shard.New(rs, 4, invertedBuilder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := difftest.NewOracle(rs)
-	difftest.Mutate(t, "sharded", sh, o, rng, 400, 200)
-	queries := make([]ranking.Ranking, 12)
-	for i := range queries {
-		queries[i] = difftest.RandomRanking(rng, 8, 200)
-	}
-	got, ok, err := sh.SearchBatchSharedContext(context.Background(), queries, 0.25)
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	for qi, q := range queries {
-		want := o.SearchRaw(q, ranking.RawThreshold(0.25, 8))
-		if !difftest.Equal(got[qi], want) {
-			t.Fatalf("query %d:\n got %v\nwant %v", qi, got[qi], want)
-		}
-	}
-}
-
 // TestSearchBatchThetas checks the mixed-radius batch against per-query
 // Search answers.
 func TestSearchBatchThetas(t *testing.T) {
@@ -207,7 +135,7 @@ func TestSearchBatchThetas(t *testing.T) {
 		queries[i] = difftest.RandomRanking(rng, 8, 200)
 		thetas[i] = difftest.Thetas[i%len(difftest.Thetas)]
 	}
-	got, err := sh.SearchBatchThetasContext(context.Background(), queries, thetas)
+	got, _, err := sh.SearchBatchThetasContext(context.Background(), queries, thetas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +148,7 @@ func TestSearchBatchThetas(t *testing.T) {
 			t.Fatalf("query %d (θ=%.2f): batch diverges from Search", i, thetas[i])
 		}
 	}
-	if _, err := sh.SearchBatchThetasContext(context.Background(), queries, thetas[:3]); err == nil {
+	if _, _, err := sh.SearchBatchThetasContext(context.Background(), queries, thetas[:3]); err == nil {
 		t.Fatal("mismatched thetas length accepted")
 	}
 }

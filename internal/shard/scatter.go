@@ -27,7 +27,7 @@ type QueryTrace struct {
 }
 
 // shardAnswer is one shard's part of a scatter: a single-query answer (res)
-// with its attribution, or a shared-batch answer (batch).
+// or a batch's answers, one per member (batch), with their attribution.
 type shardAnswer struct {
 	res     []ranking.Result
 	batch   [][]ranking.Result

@@ -16,10 +16,13 @@
 // and a traced exact KNN, each naming the backend that answered and the
 // query's own distance calls — every kind of package topk provides both, so
 // no query path asks a shard what it can do. What only some kinds have — the
-// mutation half (Mutable), shared-candidate batches (BatchIndex), epoch
-// rebuild counters — is resolved once, when New or NewEmpty has built the
-// shards (see resolve): a capability holds for the Sharded exactly when every
-// shard has it, and the request paths read the resolved slices.
+// mutation half (Mutable), epoch rebuild counters — is resolved once, when New
+// or NewEmpty has built the shards (see resolve): a capability holds for the
+// Sharded exactly when every shard has it, and the request paths read the
+// resolved slices.
+//
+// Every query path — a single search, a batch, a KNN query — is one scatter:
+// one task per shard, so a request's parallelism is the shard count.
 package shard
 
 import (
@@ -73,13 +76,6 @@ type Mutable interface {
 	Tombstones() int
 }
 
-// BatchIndex is the sub-index interface behind SearchBatchSharedContext:
-// kinds that can answer a whole uniform-threshold batch with shared filtering
-// work (topk.InvertedIndex via the Section 8 batch processor).
-type BatchIndex interface {
-	SearchBatch(queries []ranking.Ranking, theta float64) ([][]ranking.Result, error)
-}
-
 // epochIndex is a sub-index that serves from epochs (topk.HybridIndex):
 // mutations wait in a delta overlay until a rebuild folds them in.
 type epochIndex interface {
@@ -106,7 +102,6 @@ type Sharded struct {
 	// is the shards themselves under the wider interface when every one of
 	// them has it, nil otherwise.
 	mutable []Mutable
-	batch   []BatchIndex
 	epochs  []epochIndex
 
 	offsets []ranking.ID // global ID of shard i's first ranking
@@ -195,7 +190,6 @@ func assemble(rankings []ranking.Ranking, numShards int, build Builder) (*Sharde
 		}
 	}
 	s.mutable = resolve[Mutable](s.shards)
-	s.batch = resolve[BatchIndex](s.shards)
 	s.epochs = resolve[epochIndex](s.shards)
 	return s, nil
 }
@@ -410,130 +404,69 @@ func (s *Sharded) SearchTracedContext(ctx context.Context, q ranking.Ranking, th
 	return out, tr, err
 }
 
-// SearchBatchContext answers many queries at the same threshold, running up
-// to GOMAXPROCS queries concurrently (each of which fans out to all shards).
-// The i-th result slice answers queries[i]. The context is checked between
-// batch members, so a dead client stops the remaining queries instead of
-// burning through the whole batch.
+// SearchBatchContext answers many queries at the same threshold; the i-th
+// result slice answers queries[i]. See searchBatch for how the batch runs and
+// how it is cut short.
 func (s *Sharded) SearchBatchContext(ctx context.Context, queries []ranking.Ranking, theta float64) ([][]ranking.Result, error) {
-	return s.searchMany(ctx, queries, func(int) float64 { return theta })
+	res, _, err := s.searchBatch(ctx, queries, func(int) float64 { return theta })
+	return res, err
 }
 
-// SearchBatchThetasContext answers many queries, each at its own threshold —
-// the mixed-radius fallback of the batch API. thetas[i] is the threshold of
-// queries[i]. Cancellation works as in SearchBatchContext.
-func (s *Sharded) SearchBatchThetasContext(ctx context.Context, queries []ranking.Ranking, thetas []float64) ([][]ranking.Result, error) {
+// SearchBatchThetasContext answers many queries, each at its own threshold
+// (thetas[i] is the threshold of queries[i]), with the batch's trace: phase
+// timings, the backends that answered and the batch's distance-call cost.
+func (s *Sharded) SearchBatchThetasContext(ctx context.Context, queries []ranking.Ranking, thetas []float64) ([][]ranking.Result, QueryTrace, error) {
 	if len(thetas) != len(queries) {
-		return nil, fmt.Errorf("shard: %d thetas for %d queries", len(thetas), len(queries))
+		return nil, QueryTrace{}, fmt.Errorf("shard: %d thetas for %d queries", len(thetas), len(queries))
 	}
-	return s.searchMany(ctx, queries, func(i int) float64 { return thetas[i] })
+	return s.searchBatch(ctx, queries, func(i int) float64 { return thetas[i] })
 }
 
-// searchMany runs independent searches for a query batch with a worker pool.
-// The first failure cancels the pool: queued members are never started and
-// in-flight members stop scheduling shard tasks, so a batch does not keep
-// burning cores after its outcome is already decided — whether the cause is
-// a query error or the caller's context dying.
-func (s *Sharded) searchMany(ctx context.Context, queries []ranking.Ranking, thetaFor func(int) float64) ([][]ranking.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([][]ranking.Result, len(queries))
-	cctx, cancel := context.WithCancel(ctx)
+// searchBatch answers a batch as one scatter: each shard task answers the
+// members in order on its own sub-index, and each member's per-shard answers
+// concatenate in shard order exactly like SearchContext's. A batch therefore
+// runs on as many goroutines as a single query — one per shard — and is one
+// observation of each shard's latency histogram. The batch's context is
+// checked before every member and the first member error cancels it, so a
+// dead client or a decided outcome stops every shard at its next member: at
+// most one member per shard is in flight when the batch is cut short.
+func (s *Sharded) searchBatch(ctx context.Context, queries []ranking.Ranking, thetaFor func(int) float64) ([][]ranking.Result, QueryTrace, error) {
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var (
-		failOnce sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		failOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers <= 1 {
-		for i, q := range queries {
-			if err := cctx.Err(); err != nil {
-				fail(err)
-				break
-			}
-			res, err := s.SearchContext(cctx, q, thetaFor(i))
-			if err != nil {
-				fail(fmt.Errorf("query %d: %w", i, err))
-				break
-			}
-			out[i] = res
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if cctx.Err() != nil {
-						continue // drain: the batch is already failed or canceled
-					}
-					res, err := s.SearchContext(cctx, queries[i], thetaFor(i))
-					if err != nil {
-						fail(fmt.Errorf("query %d: %w", i, err))
-						continue
-					}
-					out[i] = res
-				}
-			}()
-		}
-	dispatch:
-		for i := range queries {
-			select {
-			case next <- i:
-			case <-cctx.Done():
-				break dispatch
-			}
-		}
-		close(next)
-		wg.Wait()
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SearchBatchSharedContext answers a uniform-threshold batch with per-shard
-// shared-candidate processing: the whole batch is handed to every shard's
-// BatchIndex in parallel, so each shard clusters the batch once and shares
-// index probes across its members, and the per-shard answers concatenate in
-// shard order exactly like SearchContext's. Returns ok=false (and does no
-// work) when a sub-index kind does not implement BatchIndex — callers fall
-// back to SearchBatchContext. A shard's whole batch is one scatter task: one
-// latency observation, and a coarser cancellation grain than
-// SearchBatchContext's per-query one — the price of shared-candidate
-// processing.
-func (s *Sharded) SearchBatchSharedContext(ctx context.Context, queries []ranking.Ranking, theta float64) (res [][]ranking.Result, ok bool, err error) {
-	if s.batch == nil {
-		return nil, false, nil
-	}
-	_, err = s.scatter(ctx,
+	var out [][]ranking.Result
+	tr, err := s.scatter(ctx,
 		func(i int) shardAnswer {
-			batch, err := s.batch[i].SearchBatch(queries, theta)
-			return shardAnswer{batch: batch, err: err}
+			a := shardAnswer{batch: make([][]ranking.Result, len(queries))}
+			for qi, q := range queries {
+				if err := ctx.Err(); err != nil {
+					return shardAnswer{err: err}
+				}
+				res, backend, calls, err := s.shards[i].SearchTraced(q, thetaFor(qi))
+				if err != nil {
+					cancel()
+					return shardAnswer{err: fmt.Errorf("query %d: %w", qi, err)}
+				}
+				a.batch[qi], a.backend, a.calls = res, backend, a.calls+calls
+			}
+			return a
 		},
 		func(parts []shardAnswer) {
-			res = make([][]ranking.Result, len(queries))
-			for qi := range res {
-				res[qi] = concat(parts, func(p *shardAnswer) []ranking.Result { return p.batch[qi] })
+			out = make([][]ranking.Result, len(queries))
+			for qi := range out {
+				out[qi] = concat(parts, func(p *shardAnswer) []ranking.Result { return p.batch[qi] })
 			}
 		})
-	return res, true, err
+	return out, tr, err
+}
+
+// SearchBatchSharedContext does nothing: it reports ok=false, so a caller
+// takes its SearchBatchContext fallback.
+//
+// Deprecated: it answered uniform-threshold batches with the paper's
+// Section 8 shared-candidate processor, which lost to per-query F&V+Drop at
+// every measured threshold. It remains only until benchmark/ stops calling it.
+func (s *Sharded) SearchBatchSharedContext(context.Context, []ranking.Ranking, float64) (res [][]ranking.Result, ok bool, err error) {
+	return nil, false, nil
 }
 
 // ShardStats is a point-in-time view of one shard. Len is the live ranking
@@ -553,7 +486,7 @@ type ShardStats struct {
 }
 
 // Timings snapshots the cross-shard phase histograms of every scatter —
-// search, shared batch and nearest neighbors alike: fanout covers the
+// search, batch and nearest neighbors alike: fanout covers the
 // scatter phase (dispatch until the slowest shard answers), merge the gather
 // phase (combining the per-shard answers).
 func (s *Sharded) Timings() (fanout, merge HistogramSnapshot) {

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -86,29 +86,107 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
+// TestSearchBatchMatchesSearch: every shard answers a batch member by member,
+// so SearchBatchContext, SearchBatchThetasContext and per-query SearchContext
+// must agree byte for byte — and with the linear-scan oracle below θ = 1 —
+// over every serving kind, fresh and after a mutation workload, at one
+// threshold and at mixed ones. The deprecated SearchBatchSharedContext must
+// decline every batch without touching a shard.
 func TestSearchBatchMatchesSearch(t *testing.T) {
-	rs, qs := testCollection(t, 400, 10)
-	sh, err := shard.New(rs, 4, func(rs []ranking.Ranking) (shard.Index, error) {
-		return topk.NewCoarseIndex(rs, topk.WithThetaC(0.3))
+	kinds := []struct {
+		name  string
+		build shard.Builder
+	}{
+		{"coarse", coarseBuilder},
+		{"inverted-drop", invertedBuilder},
+		{"merge", func(rs []ranking.Ranking) (shard.Index, error) {
+			return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.ListMerge))
+		}},
+		{"hybrid", hybridBuilder},
+	}
+	for seed, kind := range kinds {
+		for _, mutated := range []bool{false, true} {
+			if mutated && kind.name == "coarse" {
+				continue // read-only
+			}
+			name := kind.name + "/fresh"
+			if mutated {
+				name = kind.name + "/mutated"
+			}
+			t.Run(name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(47 + seed)))
+				rs := difftest.RandomCollection(rng, 400, 8, 200)
+				sh, err := shard.New(rs, 3, kind.build)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := difftest.NewOracle(rs)
+				if mutated {
+					difftest.Mutate(t, name, sh, o, rng, 400, 200)
+				}
+				// A reformulation-style batch: clusters of near-duplicate queries.
+				var queries []ranking.Ranking
+				for i := 0; i < 8; i++ {
+					base := difftest.RandomRanking(rng, 8, 200)
+					queries = append(queries, base)
+					for j := 0; j < 3; j++ {
+						queries = append(queries, difftest.Perturb(rng, base, 200))
+					}
+				}
+				mixed := make([]float64, len(queries))
+				for i := range mixed {
+					mixed[i] = difftest.Thetas[i%len(difftest.Thetas)]
+				}
+				for _, theta := range []float64{0, 0.1, 0.3, 0.6, 1} {
+					uniform := slices.Repeat([]float64{theta}, len(queries))
+					batch, err := sh.SearchBatchContext(context.Background(), queries, theta)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkBatch(t, sh, o, queries, uniform, batch)
+				}
+				checkBatch(t, sh, o, queries, mixed, nil)
+			})
+		}
+	}
+	t.Run("shared-stub", func(t *testing.T) {
+		st := &fakeState{}
+		sh, rs := fakeSharded(t, 4, st)
+		res, ok, err := sh.SearchBatchSharedContext(context.Background(), rs[:8], 0.2)
+		if res != nil || ok || err != nil {
+			t.Fatalf("SearchBatchSharedContext = %v, %v, %v; want nil, false, nil", res, ok, err)
+		}
+		if got := st.searches.Load(); got != 0 {
+			t.Fatalf("SearchBatchSharedContext scheduled %d sub-index searches, want 0", got)
+		}
 	})
+}
+
+// checkBatch answers queries at thetas through SearchBatchThetasContext and
+// compares every member with its per-query SearchContext answer, with batch
+// (a SearchBatchContext answer of the same batch, when non-nil) and, below
+// θ = 1, with the oracle.
+func checkBatch(t *testing.T, sh *shard.Sharded, o *difftest.Oracle, queries []ranking.Ranking, thetas []float64, batch [][]ranking.Result) {
+	t.Helper()
+	got, tr, err := sh.SearchBatchThetasContext(context.Background(), queries, thetas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const theta = 0.2
-	batch, err := sh.SearchBatchContext(context.Background(), qs, theta)
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != len(queries) || len(tr.Backends) == 0 {
+		t.Fatalf("batch of %d answered %d members, trace %+v", len(queries), len(got), tr)
 	}
-	if len(batch) != len(qs) {
-		t.Fatalf("batch size %d, want %d", len(batch), len(qs))
-	}
-	for i, q := range qs {
-		want, err := sh.Search(q, theta)
+	for i, q := range queries {
+		want, err := sh.SearchContext(context.Background(), q, thetas[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(batch[i], want) && !(len(batch[i]) == 0 && len(want) == 0) {
-			t.Fatalf("query %d: batch answer diverges", i)
+		if !difftest.Equal(got[i], want) || (batch != nil && !difftest.Equal(batch[i], want)) {
+			t.Fatalf("query %d (θ=%.2f): batch diverges from SearchContext:\n got %v\nwant %v", i, thetas[i], got[i], want)
+		}
+		if thetas[i] < 1 {
+			if ref := o.SearchRaw(q, ranking.RawThreshold(thetas[i], o.K())); !difftest.Equal(want, ref) {
+				t.Fatalf("query %d (θ=%.2f): diverges from the oracle:\n got %v\nwant %v", i, thetas[i], want, ref)
+			}
 		}
 	}
 }

@@ -281,7 +281,7 @@ const (
 type InvertedIndex struct {
 	mutable
 	queryHalf
-	inv invBackend // what backend holds, typed: SearchBatch needs the index and its pool
+	alg Algorithm
 }
 
 // InvOption configures NewInvertedIndex.
@@ -290,7 +290,7 @@ type InvOption func(*InvertedIndex)
 // WithAlgorithm selects the query strategy (default FilterValidateDrop,
 // the best all-round performer of the evaluation).
 func WithAlgorithm(a Algorithm) InvOption {
-	return func(ii *InvertedIndex) { ii.inv.alg = a }
+	return func(ii *InvertedIndex) { ii.alg = a }
 }
 
 // WithCompactionRatio sets the tombstone fraction of the inner id space
@@ -321,7 +321,7 @@ func NewInvertedIndexFromSlots(slots []Ranking, opts ...InvOption) (*InvertedInd
 }
 
 func newInvertedFromSlots(slots []Ranking, opts []InvOption) (*InvertedIndex, error) {
-	ii := &InvertedIndex{inv: invBackend{alg: FilterValidateDrop}}
+	ii := &InvertedIndex{alg: FilterValidateDrop}
 	ii.mut, ii.compactRatio = &ii.mutable, DefaultCompactionRatio
 	for _, o := range opts {
 		o(ii)
@@ -331,8 +331,7 @@ func newInvertedFromSlots(slots []Ranking, opts []InvOption) (*InvertedIndex, er
 		if err != nil {
 			return nil, err
 		}
-		ii.inv.idx, ii.inv.pool = idx, newPool(idx, invindex.NewSearcher)
-		ii.backend = ii.inv
+		ii.backend = invBackend{idx: idx, pool: newPool(idx, invindex.NewSearcher), alg: ii.alg}
 		return idx, nil
 	}
 	if err := ii.install(newSlotsIDMap(slots)); err != nil {
