@@ -20,7 +20,7 @@
 // the records (BENCH_kernels.json) that cmd/benchgate diffs in CI against
 // the committed baseline.
 //
-// Everything about the serving stack (hybrid routing, epoch rebuilds, WAL
+// Everything about the serving stack (hybrid routing, compactions, WAL
 // cost, overload, tenants) is measured over a socket by
 // `bash benchmark/run.sh`, not here.
 package main

@@ -20,12 +20,10 @@
 // Collection lifecycle (multi-tenant):
 //
 //	PUT    /collections/{name}  create an empty collection; optional JSON
-//	                            body {"kind","shards","k","forceBackend",
-//	                            "calibrate","deltaRatio","weight"} overrides
-//	                            the server defaults (forceBackend
-//	                            inverted|adaptsearch and deltaRatio act on
-//	                            kind hybrid, which also accepts and ignores
-//	                            calibrate)
+//	                            body {"kind","shards","k","calibrate",
+//	                            "deltaRatio","weight"} overrides the server
+//	                            defaults (deltaRatio acts on kind hybrid,
+//	                            which also accepts and ignores calibrate)
 //	DELETE /collections/{name}  drain in-flight requests, drop the collection
 //	                            and remove its WAL directory
 //	GET    /collections[/name]  shape, counters and durability lag
@@ -46,12 +44,12 @@
 //	POST /c/{name}/checkpoint  incremental checkpoint into the collection's
 //	                        WAL directory, then truncate the log below it
 //	GET  /c/{name}/stats    live collection size, per-shard Len/Tombstones/
-//	                        Delta/Rebuilds/DistanceCalls/latency histograms,
+//	                        Rebuilds/DistanceCalls/latency histograms,
 //	                        fan-out and merge timings; for hybrid also the
 //	                        queries each of its two backends answered
 //	GET  /metrics  Prometheus text exposition: HTTP request/error/in-flight/
 //	               latency by route and status, and per-collection shard,
-//	               plan-counter, WAL and epoch-rebuild families labeled
+//	               plan-counter, WAL and compaction families labeled
 //	               with a bounded collection label
 //	GET  /healthz  liveness probe (200 as long as the process serves HTTP)
 //	GET  /readyz   readiness probe (503 until every collection's build and
@@ -100,9 +98,8 @@ func main() {
 		snapPath   = flag.String("load-snapshot", "", "v3 collection snapshot (see topkgen -format binary / topkquery -save-snapshot / GET /snapshot)")
 		kind       = flag.String("kind", "hybrid", kinds.Names(func(k kinds.Kind) bool { return k.Mutable }))
 		shards     = flag.Int("shards", 0, "number of shards (0 = GOMAXPROCS)")
-		force      = flag.String("force-backend", "", "hybrid only: answer every query from this one of its two backends (inverted|adaptsearch) instead of inverted")
 		_          = flag.Int("calibrate", 0, "hybrid only, ignored: the hybrid has no query router left to calibrate; the flag remains because benchmark/ still passes it")
-		deltaRatio = flag.Float64("delta-ratio", topk.DefaultCompactionRatio, "hybrid only: mutation-overlay fraction per shard above which a background epoch rebuild folds the delta into both backends (<= 0 disables)")
+		deltaRatio = flag.Float64("delta-ratio", topk.DefaultCompactionRatio, "hybrid only: tombstone fraction of a shard's id space above which a delete or update compacts the shard synchronously (<= 0 disables)")
 		maxBody    = flag.Int64("max-body", 16<<20, "maximum request body size in bytes on every endpoint; larger bodies get 413")
 		walDir     = flag.String("wal", "", "single-collection write-ahead-log directory: append every acked mutation before responding, recover checkpoint+log on startup")
 		walRoot    = flag.String("wal-root", "", "multi-tenant WAL root: one subdirectory per collection plus a MANIFEST; dynamically created collections become durable and are recovered on restart")
@@ -114,10 +111,9 @@ func main() {
 		maxConc    = flag.Int("max-concurrency", 0, "admission control: concurrent search weight bound shared by all collections, one unit per batch member (0 = 2x GOMAXPROCS, negative disables admission control entirely)")
 		maxQueue   = flag.Int("max-queue", 0, "admission control: requests allowed to wait for a search slot before shedding with 429 (0 = 4x effective -max-concurrency)")
 		maxWait    = flag.Duration("max-queue-wait", time.Second, "admission control: longest a queued request waits for a slot before shedding with 429 (0 = wait as long as the request's own deadline allows)")
-		cacheSize  = flag.Int("cache-entries", 0, "query-result cache capacity in entries for /search single queries and /knn, shared across collections with per-collection scoping; any acked mutation or epoch rebuild invalidates (0 disables)")
+		cacheSize  = flag.Int("cache-entries", 0, "query-result cache capacity in entries for /search single queries and /knn, shared across collections with per-collection scoping; any acked mutation invalidates (0 disables)")
 		defColl    = flag.String("default-collection", server.DefaultCollectionName, "name the legacy single-collection routes (/search, /insert, ...) alias to")
 		useMmap    = flag.Bool("mmap", true, "serve checkpoints through a read-only memory mapping instead of reading them onto the heap; -mmap=false reads the file whole and verifies every page checksum")
-		spill      = flag.Bool("spill-epochs", false, "hybrid only: write each epoch's ranking arena to an unlinked mmapped paged file (next to the collection's WAL when durable) so cold collections live in page cache, not heap; a failed spill serves from the heap, counted in /stats and logged")
 	)
 	flag.Parse()
 	set := make(map[string]bool)
@@ -130,7 +126,6 @@ func main() {
 		DefaultCollection: *defColl,
 		Kind:              *kind,
 		Shards:            *shards,
-		ForceBackend:      *force,
 		DeltaRatio:        *deltaRatio,
 		MaxBody:           *maxBody,
 		WALDir:            *walDir,
@@ -145,7 +140,6 @@ func main() {
 		MaxQueueWait:      *maxWait,
 		CacheEntries:      *cacheSize,
 		Mmap:              *useMmap,
-		SpillEpochs:       *spill,
 		SetFlags:          set,
 	})
 	if err != nil {

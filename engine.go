@@ -5,23 +5,22 @@
 // of the mutation half in mutate.go: Search, NearestNeighbors, their traced
 // forms and DistanceCalls are written once over whatever backend the kind
 // installed, instead of per-kind copies of the same lock/evaluator/remap
-// plumbing. HybridIndex keeps its own methods of the same signatures over two
-// of the same adapters, invBackend and adaptBackend (see its route).
+// plumbing. HybridIndex is an InvertedIndex whose route hook swaps in its
+// forced adaptsearch sidecar (adaptBackend) and whose traced methods count
+// plans.
 //
 // The query contract — the index's ranking size, no repeated item
 // (checkQuery) — is enforced below the query half, once per path: a range
 // search by the structure's own searcher (the metric trees have none, so
-// treeBackend checks; so does a hybrid epoch built over nothing), a KNN query
-// by nearestBackend before either route.
+// treeBackend checks), a KNN query by nearestBackend before either route.
 //
 // Candidate validation in every backend bottoms out in internal/kernel: the
 // constructors reached from here flatten the collection into a kernel.Store
-// (one contiguous k-strided arena; a hybrid epoch has a single store under
-// its inverted index and its base views) and each backend's searcher
-// validates candidates through a query-compiled Footrule kernel, accounting
-// one distance call per evaluated candidate via ev.Add. The inverted-index
-// family (inverted, blocked, coarse's medoid filter, adaptsearch, the hybrid
-// overlay) is Footrule-only by construction — posting lists, overlap bounds
+// (one contiguous k-strided arena) and each backend's searcher validates
+// candidates through a query-compiled Footrule kernel, accounting one
+// distance call per evaluated candidate via ev.Add. The inverted-index
+// family (inverted, blocked, coarse's medoid filter, adaptsearch) is
+// Footrule-only by construction — posting lists, overlap bounds
 // and list dropping all rest on Footrule's structure — so the evaluator they
 // receive is only the DFC counter; its distance function serves the metric
 // trees.
@@ -44,6 +43,7 @@ package topk
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -89,9 +89,9 @@ const (
 // InvertedIndex and the read-only CoarseIndex, BlockedIndex and MetricTree.
 // It holds the kind's one physical backend and its DFC counter and defines
 // the public query methods once over them: normalized-threshold conversion,
-// pooled raw search or exact KNN, external-id remapping, and — HybridIndex's
-// signatures, the contract internal/shard serves from — the attribution of
-// every answer to the backend's name and the query's own distance calls.
+// pooled raw search or exact KNN, external-id remapping, and — the traced
+// signatures internal/shard serves from — the attribution of every answer to
+// the backend's name and the query's own distance calls.
 type queryHalf struct {
 	// backend adapts the kind's physical structure. The read-only kinds set it
 	// once; InvertedIndex's rebuild replaces it under the write lock, so its
@@ -101,8 +101,19 @@ type queryHalf struct {
 	// core whose id map their answers pass through. It is nil for the
 	// read-only kinds, whose internal ids are the public ones and whose queries
 	// take no lock at all.
-	mut   *mutable
+	mut *mutable
+	// route, when set, picks each query's backend under the read lock in place
+	// of backend (HybridIndex's Force).
+	route func() (backend, error)
 	calls atomic.Uint64
+}
+
+// pick returns the backend that answers the next query.
+func (h *queryHalf) pick() (backend, error) {
+	if h.route != nil {
+		return h.route()
+	}
+	return h.backend, nil
 }
 
 // SearchTraced is Search plus per-query attribution: the name of the backend
@@ -114,7 +125,10 @@ func (h *queryHalf) SearchTraced(q Ranking, theta float64) ([]Result, string, ui
 		defer h.mut.mu.RUnlock()
 		core = &h.mut.mutationCore
 	}
-	b := h.backend
+	b, err := h.pick()
+	if err != nil {
+		return nil, "", 0, err
+	}
 	k := b.K()
 	if core != nil {
 		k = core.k
@@ -147,7 +161,10 @@ func (h *queryHalf) NearestNeighborsTraced(q Ranking, n int) ([]Result, string, 
 		defer h.mut.mu.RUnlock()
 		core = &h.mut.mutationCore
 	}
-	b := h.backend
+	b, err := h.pick()
+	if err != nil {
+		return nil, "", 0, err
+	}
 	ev := metric.New(nil)
 	res, err := nearestBackend(b, core, q, n, ev)
 	h.calls.Add(ev.Calls())
@@ -169,20 +186,6 @@ func (h *queryHalf) NearestNeighbors(q Ranking, n int) ([]Result, error) {
 
 // DistanceCalls implements Index.
 func (h *queryHalf) DistanceCalls() uint64 { return h.calls.Load() }
-
-// clampRawTheta caps a raw threshold at dmax−1. The inverted-index family
-// draws candidates from posting lists, so rankings sharing no item with the
-// query — at distance exactly dmax — are invisible to it, while a metric
-// tree's range search would return them. Since a shared item strictly
-// lowers the Footrule below dmax, the ≤ dmax−1 ball is exactly what the
-// inverted kinds answer at θ = 1; querying every backend at the clamped
-// radius makes them byte-identical there (HybridIndex relies on this).
-func clampRawTheta(raw, k int) int {
-	if dmax := ranking.MaxDistance(k); raw >= dmax {
-		return dmax - 1
-	}
-	return raw
-}
 
 // exactKNN is implemented by backends with a native exact KNN algorithm
 // that beats the generic expanding-radius reduction: the inverted index's
@@ -215,7 +218,7 @@ func checkQuery(q Ranking, k int) error {
 // validation, the backend's native exact KNN or — for backends without one —
 // the expanding-radius reduction over its range search, external-id
 // remapping; ev counts the distance calls. core is the mutation core of an
-// InvertedIndex or a hybrid epoch — its id map, and the size and tombstone
+// InvertedIndex — its id map, and the size and tombstone
 // predicate of the internal id space the reduction's dmax backfill walks —
 // and nil for kinds whose internal ids are the public ones. The caller holds
 // whatever lock its kind requires.
@@ -294,7 +297,7 @@ func (p *pool[S]) Get() *S  { return p.p.Get().(*S) }
 func (p *pool[S]) Put(s *S) { p.p.Put(s) }
 
 // invBackend adapts a rank-augmented inverted index: InvertedIndex installs
-// one per rebuild, a hybrid epoch holds one over its build.
+// one per rebuild.
 type invBackend struct {
 	idx  *invindex.Index
 	pool *pool[invindex.Searcher]
@@ -412,10 +415,14 @@ func (b treeBackend) nearestRaw(q Ranking, n int, ext []ID, ev *metric.Evaluator
 	return knn.BestFirst(b.t.bk, q, n, ev), true, nil
 }
 
-// adaptBackend adapts the AdaptSearch delta inverted index.
+// adaptBackend adapts the AdaptSearch delta inverted index built as a
+// HybridIndex's forced sidecar over its inverted index's internal id space,
+// tombstones included: dead is that index's tombstone predicate, filtered out
+// of every answer.
 type adaptBackend struct {
 	idx  *adaptsearch.Index
 	pool *pool[adaptsearch.Searcher]
+	dead func(ID) bool
 }
 
 func (b adaptBackend) Name() string { return backendAdaptSearch }
@@ -425,5 +432,6 @@ func (b adaptBackend) K() int       { return b.idx.K() }
 func (b adaptBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([]Result, error) {
 	s := b.pool.Get()
 	defer b.pool.Put(s)
-	return s.Query(q, rawTheta, ev)
+	res, err := s.Query(q, rawTheta, ev)
+	return slices.DeleteFunc(res, func(r Result) bool { return b.dead(r.ID) }), err
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"topk/internal/difftest"
 	"topk/internal/persist"
@@ -33,21 +32,21 @@ func checkHybridKNN(t *testing.T, name string, h *HybridIndex, o *difftest.Oracl
 // TestHybridMutableDifferential is the acceptance contract of the mutable
 // hybrid: after a 1k-op random mutation workload the engine answers
 // byte-identically to the linear-scan oracle — under the default route and
-// under each forced backend (adaptsearch merging the delta overlay, inverted
-// its in-place state), every plan landing on the backend that should answer —
-// before and after an epoch rebuild and across a persist snapshot round-trip.
+// under each forced backend (adaptsearch built over the inverted index's
+// id space, tombstones filtered), every plan landing on the backend that
+// should answer — before and after a compaction and across a persist
+// snapshot round-trip.
 func TestHybridMutableDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	rs := difftest.RandomCollection(rng, 400, 10, 250)
 	o := difftest.NewOracle(rs)
-	// Automatic rebuilds off: the pre-fold state must keep a large live
-	// delta so the overlay path is what the differential check exercises.
+	// Automatic compaction off: the pre-compaction state must keep many
+	// tombstones and post-build rankings for the sidecar to filter and index.
 	h := hybridFor(t, rs, WithHybridDeltaRatio(0))
 
 	difftest.Mutate(t, "hybrid", h, o, rng, 1000, 250)
-	if h.DeltaLen() == 0 || h.Tombstones() == 0 {
-		t.Fatalf("workload left no overlay to test: delta=%d tombstones=%d",
-			h.DeltaLen(), h.Tombstones())
+	if h.Tombstones() == 0 {
+		t.Fatal("workload left no tombstones to test")
 	}
 
 	check := func(phase string, trials int) {
@@ -55,7 +54,7 @@ func TestHybridMutableDifferential(t *testing.T) {
 		checkPlansOn(t, h, "inverted", func() {
 			difftest.CheckSearch(t, "hybrid(routed) "+phase, h, o, rng, trials, 250)
 		})
-		for _, name := range h.Backends() {
+		for _, name := range HybridBackends {
 			if err := h.Force(name); err != nil {
 				t.Fatal(err)
 			}
@@ -68,24 +67,24 @@ func TestHybridMutableDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check("pre-fold", 20)
+	check("pre-compact", 20)
 
-	// Epoch rebuild: fold the delta and tombstones into both backends.
+	// Compaction: rebuild over the survivors; the sidecar follows the new
+	// id space.
 	if err := h.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if h.Rebuilds() == 0 || h.DeltaLen() != 0 || h.Tombstones() != 0 {
-		t.Fatalf("Compact left rebuilds=%d delta=%d tombstones=%d",
-			h.Rebuilds(), h.DeltaLen(), h.Tombstones())
+	if h.Rebuilds() == 0 || h.Tombstones() != 0 {
+		t.Fatalf("Compact left rebuilds=%d tombstones=%d", h.Rebuilds(), h.Tombstones())
 	}
-	check("post-fold", 15)
+	check("post-compact", 15)
 
-	// Keep mutating after the fold: external ids must stay aligned.
-	difftest.Mutate(t, "hybrid post-fold", h, o, rng, 300, 250)
-	check("post-fold mutated", 10)
+	// Keep mutating after the compaction: external ids must stay aligned.
+	difftest.Mutate(t, "hybrid post-compact", h, o, rng, 300, 250)
+	check("post-compact mutated", 10)
 
-	// Snapshot round-trip through persist: delta and tombstones are
-	// materialized into the slot array and every id stays retired/live.
+	// Snapshot round-trip through persist: tombstones are materialized into
+	// the slot array and every id stays retired/live.
 	var buf bytes.Buffer
 	if _, err := persist.WritePagedTo(&buf, h.Slots()); err != nil {
 		t.Fatal(err)
@@ -103,12 +102,12 @@ func TestHybridMutableDifferential(t *testing.T) {
 	difftest.CheckSearch(t, "hybrid(restored, mutated)", h2, o, rng, 10, 250)
 }
 
-// TestHybridZeroLiveEpoch covers an epoch built over zero live rankings: both
-// of its structures are real and empty, the first insert defines k, and every
-// mutation after it lands in the inverted index — which the adaptsearch
-// sidecar reads as delta. Both forced routes and KNN must match the oracle
-// and keep rejecting malformed queries; the inverted route answers KNN
-// natively (no distance calls), like in every other epoch.
+// TestHybridZeroLiveEpoch covers a hybrid built over zero live rankings: the
+// first insert defines k, and every mutation after it lands in the inverted
+// index, over whose id space the adaptsearch sidecar is then built. Both
+// forced routes and KNN must match the oracle and keep rejecting malformed
+// queries; the inverted route answers KNN natively (no distance calls), like
+// in every other state.
 func TestHybridZeroLiveEpoch(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	slots := make([]Ranking, 4)
@@ -126,13 +125,12 @@ func TestHybridZeroLiveEpoch(t *testing.T) {
 		t.Fatalf("first insert id %d, oracle %d", id, want)
 	}
 	difftest.Mutate(t, "hybrid(zero-live)", h, o, rng, 200, 60)
-	if h.Rebuilds() != 0 || h.DeltaLen() == 0 || h.Tombstones() == 0 {
-		t.Fatalf("workload left rebuilds=%d delta=%d tombstones=%d",
-			h.Rebuilds(), h.DeltaLen(), h.Tombstones())
+	if h.Rebuilds() != 0 || h.Tombstones() == 0 {
+		t.Fatalf("workload left rebuilds=%d tombstones=%d", h.Rebuilds(), h.Tombstones())
 	}
 	dup := first.Clone()
 	dup[1] = dup[0]
-	for _, name := range h.Backends() {
+	for _, name := range HybridBackends {
 		if err := h.Force(name); err != nil {
 			t.Fatal(err)
 		}
@@ -157,10 +155,10 @@ func TestHybridZeroLiveEpoch(t *testing.T) {
 	}
 }
 
-// TestHybridBackgroundRebuild drives the automatic background fold: a small
-// delta ratio, a mutation burst, and the engine must install a rebuilt
-// epoch on its own — including mutations that raced the fold — while
-// answers stay oracle-identical throughout.
+// TestHybridBackgroundRebuild drives automatic compaction: a small delta
+// ratio and a mutation burst, and the engine must fold on its own, inside
+// the mutation that crosses the ratio, while answers stay oracle-identical
+// throughout.
 func TestHybridBackgroundRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	rs := difftest.RandomCollection(rng, 300, 8, 200)
@@ -168,35 +166,19 @@ func TestHybridBackgroundRebuild(t *testing.T) {
 	h := hybridFor(t, rs, WithHybridDeltaRatio(0.1))
 
 	difftest.Mutate(t, "hybrid auto-fold", h, o, rng, 600, 200)
-	deadline := time.Now().Add(10 * time.Second)
-	for h.Rebuilds() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background rebuild never installed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Wait for any still-in-flight fold so the final check sees a quiesced
-	// engine (mutations above may have re-triggered).
-	for {
-		h.mu.Lock()
-		inFlight := h.rebuilding
-		h.mu.Unlock()
-		if !inFlight {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("fold still in flight")
-		}
-		time.Sleep(time.Millisecond)
+	if h.Rebuilds() == 0 {
+		t.Fatal("no automatic compaction ran")
 	}
 	difftest.CheckSearch(t, "hybrid(after auto-fold)", h, o, rng, 20, 200)
 	checkHybridKNN(t, "hybrid knn(after auto-fold)", h, o, rng, 200)
 }
 
 // TestHybridMutateConcurrent hammers one hybrid index from 16 goroutines
-// mixing searches, KNN and mutations, with background folds enabled — run
-// with -race. Mutators own disjoint id stripes so each can check its own
-// reads; searchers only verify invariants (sorted ids, live-only results).
+// mixing searches, KNN, Force flips and mutations, with automatic compaction
+// enabled — run with -race, it covers the adaptsearch sidecar being built and
+// replaced while the id space moves under it. Mutators own disjoint id
+// stripes so each can check its own reads; searchers only verify invariants
+// (sorted ids, live-only results).
 func TestHybridMutateConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	rs := difftest.RandomCollection(rng, 400, 8, 200)
@@ -214,6 +196,12 @@ func TestHybridMutateConcurrent(t *testing.T) {
 			if g%2 == 0 {
 				// Searcher: routed range + KNN; results must be id-sorted.
 				for i := 0; i < opsPer; i++ {
+					if i%10 == 0 {
+						if err := h.Force([]string{"", "inverted", "adaptsearch"}[rng.Intn(3)]); err != nil {
+							errc <- err
+							return
+						}
+					}
 					q := difftest.RandomRanking(rng, 8, 200)
 					res, err := h.Search(q, difftest.Thetas[rng.Intn(len(difftest.Thetas))])
 					if err != nil {
@@ -267,8 +255,8 @@ func TestHybridMutateConcurrent(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	// Quiesce any in-flight fold, then a final full-consistency pass: the
-	// surviving collection must match a linear scan of its own slot view.
+	// A final full-consistency pass after a compaction: the surviving
+	// collection must match a linear scan of its own slot view.
 	if err := h.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -295,8 +283,8 @@ func TestHybridMutationValidation(t *testing.T) {
 	if err := h.Update(ID(999), difftest.RandomRanking(rng, 8, 100)); err == nil {
 		t.Fatal("update of unknown id accepted")
 	}
-	if h.Len() != 50 || h.DeltaLen() != 0 || h.Tombstones() != 0 {
-		t.Fatalf("rejected mutations changed state: len=%d delta=%d tombstones=%d",
-			h.Len(), h.DeltaLen(), h.Tombstones())
+	if h.Len() != 50 || h.Tombstones() != 0 || len(h.Slots()) != 50 {
+		t.Fatalf("rejected mutations changed state: len=%d tombstones=%d slots=%d",
+			h.Len(), h.Tombstones(), len(h.Slots()))
 	}
 }

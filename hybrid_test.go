@@ -61,7 +61,7 @@ func TestHybridDifferential(t *testing.T) {
 		difftest.CheckSearch(t, "hybrid(routed)", h, o, rng, 40, 300)
 		difftest.CheckMatch(t, "hybrid(routed) vs InvertedIndex", h, inv, queries, difftest.Thetas)
 	})
-	for _, name := range h.Backends() {
+	for _, name := range HybridBackends {
 		if err := h.Force(name); err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestHybridDifferential(t *testing.T) {
 	// one is forced.
 	for _, q := range queries[:8] {
 		var base []Result
-		for i, name := range h.Backends() {
+		for i, name := range HybridBackends {
 			if err := h.Force(name); err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestHybridDifferential(t *testing.T) {
 			}
 			if !difftest.Equal(res, base) {
 				t.Fatalf("θ=1 answers diverge: %s returned %d results, %s returned %d",
-					name, len(res), h.Backends()[0], len(base))
+					name, len(res), HybridBackends[0], len(base))
 			}
 		}
 	}
@@ -135,7 +135,7 @@ func TestHybridKNN(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	rs := difftest.RandomCollection(rng, 300, 8, 200)
 	h := hybridFor(t, rs)
-	modes := append([]string{""}, h.Backends()...)
+	modes := append([]string{""}, HybridBackends...)
 	for _, name := range modes {
 		if err := h.Force(name); err != nil {
 			t.Fatal(err)
@@ -304,39 +304,36 @@ func TestHybridRejectedQueryIsNoPlan(t *testing.T) {
 	}
 }
 
-// TestHybridSubsetAndOptions covers the forced-backend construction option
-// and its validation. (The name predates the fixed backend set; see
-// TestHybridBackendSet for what replaced subsetting.)
+// TestHybridSubsetAndOptions covers forcing a backend and its validation:
+// a pinned adaptsearch answers oracle-exactly and takes every plan, and a
+// name outside HybridBackends is rejected. (The name predates the fixed
+// backend set; see TestHybridBackendSet for what replaced subsetting.)
 func TestHybridSubsetAndOptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	rs := difftest.RandomCollection(rng, 200, 8, 150)
 	o := difftest.NewOracle(rs)
 
-	h, err := NewHybridIndex(rs, WithForcedBackend("adaptsearch"))
-	if err != nil {
+	h := hybridFor(t, rs)
+	if err := h.Force("adaptsearch"); err != nil {
 		t.Fatal(err)
 	}
-	if h.Forced() != "adaptsearch" {
-		t.Fatalf("Forced = %q", h.Forced())
-	}
-	difftest.CheckSearch(t, "hybrid(forced at construction)", h, o, rng, 15, 150)
+	difftest.CheckSearch(t, "hybrid(forced)", h, o, rng, 15, 150)
 	st := h.PlanStats()
 	if st[0].Plans != 0 || st[1].Plans == 0 {
 		t.Fatalf("forced routing not reflected in plan stats: %+v", st)
 	}
 
-	if _, err := NewHybridIndex(rs, WithForcedBackend("warp-drive")); err == nil {
-		t.Fatal("unknown backend name accepted")
-	}
-	if _, err := NewHybridIndex(rs, WithForcedBackend("coarse")); err == nil {
-		t.Fatal("forcing an unbuilt backend accepted")
+	for _, name := range []string{"warp-drive", "coarse"} {
+		if err := h.Force(name); err == nil {
+			t.Fatalf("Force(%q) accepted", name)
+		}
 	}
 }
 
 // TestHybridBackendSet pins the serving set: every hybrid — built over a
-// collection or over zero live rankings — has exactly the two HybridBackends,
-// and the structures that left the epoch are unknown names to Force and
-// WithForcedBackend.
+// collection or over zero live rankings — reports exactly the two
+// HybridBackends, and the structures that left the hybrid are unknown names
+// to Force, which leaves the route where it was.
 func TestHybridBackendSet(t *testing.T) {
 	rs := difftest.RandomCollection(rand.New(rand.NewSource(31)), 100, 8, 120)
 	want := []string{"inverted", "adaptsearch"}
@@ -346,9 +343,6 @@ func TestHybridBackendSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, idx := range map[string]*HybridIndex{"built": h, "zero-live": empty} {
-		if got := idx.Backends(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Backends = %v, want %v", name, got, want)
-		}
 		if got := idx.PlanStats(); len(got) != 2 || got[0].Backend != want[0] || got[1].Backend != want[1] {
 			t.Fatalf("%s: PlanStats = %+v", name, got)
 		}
@@ -366,17 +360,16 @@ func TestHybridBackendSet(t *testing.T) {
 		if err := h.Force(gone); err == nil || err.Error() != wantErr {
 			t.Fatalf("Force(%q) = %v, want %q", gone, err, wantErr)
 		}
-		if _, err := NewHybridIndex(rs, WithForcedBackend(gone)); err == nil || err.Error() != wantErr {
-			t.Fatalf("WithForcedBackend(%q) = %v, want %q", gone, err, wantErr)
+	}
+	checkPlansOn(t, h, "inverted", func() {
+		if _, err := h.Search(rs[0], 0.2); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if h.Forced() != "" {
-		t.Fatalf("a rejected Force left %q pinned", h.Forced())
-	}
+	})
 }
 
 // TestHybridConcurrent hammers one hybrid index from many goroutines,
-// mixing routed searches, forced-backend flips and KNN — run with -race.
+// mixing routed searches and KNN — run with -race.
 func TestHybridConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	rs := difftest.RandomCollection(rng, 300, 8, 200)

@@ -11,19 +11,21 @@
 // tolerance. Test packages across the repo (topk, shard, coarse, topkserve)
 // share these helpers instead of hand-rolling per-kind comparison loops.
 //
-// The package deliberately depends only on internal/ranking so that both
-// the facade's tests and the inner packages' tests can import it without
-// cycles.
+// The package depends only on internal/ranking and, for the Sharded adapter,
+// internal/shard, so that both the facade's tests and the inner packages'
+// tests can import it without cycles.
 package difftest
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"topk/internal/ranking"
+	"topk/internal/shard"
 )
 
 // Searcher is the query surface shared by every index in the library.
@@ -40,6 +42,20 @@ type Mutable interface {
 	Insert(r ranking.Ranking) (ranking.ID, error)
 	Delete(id ranking.ID) error
 	Update(id ranking.ID, r ranking.Ranking) error
+}
+
+// Sharded adapts a sharded collection, whose query paths take a context and
+// return a trace, to Mutable and to NearestNeighbors: the same calls the
+// server and the benchmark harness make, with the background context.
+type Sharded struct{ *shard.Sharded }
+
+func (s Sharded) Search(q ranking.Ranking, theta float64) ([]ranking.Result, error) {
+	res, _, err := s.SearchTracedContext(context.Background(), q, theta)
+	return res, err
+}
+
+func (s Sharded) NearestNeighbors(q ranking.Ranking, n int) ([]ranking.Result, error) {
+	return s.NearestNeighborsContext(context.Background(), q, n)
 }
 
 // Oracle is the linear-scan reference implementation of a mutable

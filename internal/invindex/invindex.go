@@ -90,9 +90,8 @@ func New(rankings []ranking.Ranking) (*Index, error) {
 	return newFromStore(kernel.NewStore(rankings)), nil
 }
 
-// NewFromStore indexes an existing flat store without re-copying it. The
-// hybrid engine uses this to share one arena across every backend of an
-// epoch.
+// NewFromStore indexes an existing flat store without re-copying it, so a
+// caller can share one arena with other structures over the same rankings.
 func NewFromStore(st *kernel.Store) (*Index, error) {
 	if err := validateAll(st.Views()); err != nil {
 		return nil, err
@@ -213,8 +212,8 @@ func (idx *Index) Deleted(id ranking.ID) bool {
 func (idx *Index) Ranking(id ranking.ID) ranking.Ranking { return idx.rankings[id] }
 
 // Rankings exposes the backing collection (shared, not copied), indexed by
-// id: the build-time rankings, then every ranking inserted since — the tail a
-// hybrid epoch's adaptsearch sidecar scans as its delta.
+// id: the build-time rankings, then every ranking inserted since, tombstoned
+// ones included — what a hybrid's forced adaptsearch sidecar is built over.
 func (idx *Index) Rankings() []ranking.Ranking { return idx.rankings }
 
 // List returns the posting list for an item (nil if the item is unseen).

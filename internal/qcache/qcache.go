@@ -1,6 +1,6 @@
 // Package qcache is a bounded LRU cache for query results, made safe under
 // mutations by generation validation: every entry is stamped with the
-// collection generation (mutation counter + summed epoch rebuilds) that was
+// collection generation (its acked-mutation counter) that was
 // current when its search STARTED, and a lookup only hits when the stamp
 // equals the caller's current generation. One acked mutation bumps the
 // generation, so the whole cache is invalidated in O(1) without scanning —

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"regexp"
 	"sync"
@@ -43,15 +42,13 @@ type CollectionOptions struct {
 	// first insert defines the size structurally, queries and mutations are
 	// validated against it. 0 leaves the size to the first insert.
 	K int `json:"k,omitempty"`
-	// ForceBackend pins a hybrid collection to one of its two backends.
-	ForceBackend string `json:"forceBackend,omitempty"`
 	// Calibrate is accepted on kind hybrid and ignored.
 	//
 	// Deprecated: it sized the start-up replay of a query router the hybrid
 	// no longer has; the field remains so that existing create requests and
 	// manifests keep decoding.
 	Calibrate int `json:"calibrate,omitempty"`
-	// DeltaRatio is the hybrid epoch-rebuild trigger; 0 uses the server's
+	// DeltaRatio is the hybrid's compaction ratio; 0 uses the server's
 	// -delta-ratio (itself defaulting to topk.DefaultCompactionRatio).
 	DeltaRatio float64 `json:"deltaRatio,omitempty"`
 	// Weight is this collection's share of the global admission capacity,
@@ -79,14 +76,7 @@ func (o CollectionOptions) validate(walEnabled bool) error {
 	if err := validateKind(o.Kind); err != nil {
 		return err
 	}
-	if o.Kind == "hybrid" {
-		if err := validateForceBackend(o.ForceBackend); err != nil {
-			return fmt.Errorf("forceBackend: %w", err)
-		}
-	} else {
-		if o.ForceBackend != "" {
-			return fmt.Errorf("forceBackend applies only to kind hybrid (have %q)", o.Kind)
-		}
+	if o.Kind != "hybrid" {
 		if o.Calibrate != 0 {
 			return fmt.Errorf("calibrate applies only to kind hybrid (have %q)", o.Kind)
 		}
@@ -130,8 +120,7 @@ type Collection struct {
 
 	sh *shard.Sharded
 	// hybrids is the sub-indices of a hybrid collection, in shard order — where
-	// plan-counter, epoch-rebuild and spill state are read from — and empty for
-	// every other kind.
+	// the plan counters are read from — and empty for every other kind.
 	hybrids []*topk.HybridIndex
 	// admission is this tenant's carve of the global capacity (nil when the
 	// collection is unthrottled or admission is disabled); handlers acquire
@@ -159,11 +148,6 @@ type Collection struct {
 	// already applied in memory; continuing would ack mutations the log
 	// cannot replay. Overridable in tests.
 	walFatal func(err error)
-
-	// logw receives operational warnings; spillWarned makes the spill
-	// fallback one of them once per collection.
-	logw        io.Writer
-	spillWarned sync.Once
 
 	// Cumulative incremental-checkpoint economy since process start.
 	ckptPagesWritten atomic.Uint64
@@ -204,7 +188,6 @@ func (s *Server) newCollection(name string, opts CollectionOptions, sh *shard.Sh
 		created:    time.Now(),
 		sh:         sh,
 		storage:    st,
-		logw:       s.cfg.logw(),
 		walFatal: func(err error) {
 			fmt.Fprintf(os.Stderr, "fatal: wal append failed after the mutation was applied: %v\n", err)
 			os.Exit(1)
@@ -262,15 +245,15 @@ func (c *Collection) effK() int {
 	return c.opts.K
 }
 
-// generation is the query-cache validity stamp: acked mutations plus
-// installed epoch rebuilds, summed. Both components only grow, so any
-// mutation or rebuild moves the generation and every cached entry stamped
-// earlier stops matching — O(1) whole-cache invalidation. Mutation handlers
-// bump c.mutations after the index apply and before the ack, so a read
-// issued after an acked mutation always sees a newer generation than any
-// entry the mutation could have affected.
+// generation is the query-cache validity stamp: the acked mutations. It only
+// grows, so any mutation moves the generation and every cached entry stamped
+// earlier stops matching — O(1) whole-cache invalidation. A compaction leaves
+// every answer as it was and does not move it. Mutation handlers bump
+// c.mutations after the index apply and before the ack, so a read issued
+// after an acked mutation always sees a newer generation than any entry the
+// mutation could have affected.
 func (c *Collection) generation() uint64 {
-	return c.mutations.Load() + c.sh.Rebuilds()
+	return c.mutations.Load()
 }
 
 // storageStatsJSON is the paged-storage (snapshot v3) section of /stats and
@@ -279,11 +262,6 @@ type storageStatsJSON struct {
 	// MappedBytes is the size of the mmapped v3 base checkpoint the
 	// collection was loaded from (0 when the base was decoded to the heap).
 	MappedBytes int `json:"mappedBytes"`
-	// SpillBytes sums the mmapped epoch arenas of the hybrid shards (0
-	// without -spill-epochs); SpillFallbacks counts the epochs that were
-	// asked to spill and came up on the heap instead.
-	SpillBytes     int    `json:"spillBytes,omitempty"`
-	SpillFallbacks uint64 `json:"spillFallbacks,omitempty"`
 	// DirtySlots and DirtyPages describe the work the next incremental
 	// checkpoint will do: slots mutated since the last checkpoint capture
 	// and the v3 pages they force a rewrite of.
@@ -311,7 +289,6 @@ func (c *Collection) storageStats() *storageStatsJSON {
 		CheckpointBytesWritten: c.ckptBytesWritten.Load(),
 		CheckpointBytesReused:  c.ckptBytesReused.Load(),
 	}
-	st.SpillBytes, st.SpillFallbacks = c.spillStats()
 	if c.paged != nil {
 		st.MappedBytes = c.paged.MappedBytes()
 	}
@@ -328,29 +305,6 @@ func (c *Collection) storageStats() *storageStatsJSON {
 		st.DirtyPages = c.tracker.DirtyPages(persist.Layout{PageSize: persist.DefaultPageSize, K: k, Slots: slots})
 	}
 	return st
-}
-
-// spillStats sums the mmapped epoch arenas and the spill fallbacks across
-// shards (both 0 when the index kind does not spill), and logs the first
-// fallback's error — once per collection, whenever it is first seen: at
-// bring-up for a build that fell back, at the next /stats or /metrics read
-// for an epoch rebuild that did.
-func (c *Collection) spillStats() (bytes int, fallbacks uint64) {
-	var first error
-	for _, h := range c.hybrids {
-		bytes += h.SpillBytes()
-		n, err := h.SpillFallbacks()
-		fallbacks += n
-		if first == nil {
-			first = err
-		}
-	}
-	if first != nil {
-		c.spillWarned.Do(func() {
-			fmt.Fprintf(c.logw, "collection %q: -spill-epochs fell back to the heap arena: %v\n", c.name, first)
-		})
-	}
-	return bytes, fallbacks
 }
 
 // toJSON renders results with the collection's normalized distance.

@@ -270,16 +270,16 @@ func TestCacheDifferentialUnderMutations(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidatedByEpochRebuild pins the generation stamp's second
-// component: an installed epoch rebuild (here an explicit compaction on a
-// hybrid index) must invalidate cached entries even though the mutation
-// counter did not move.
-func TestCacheInvalidatedByEpochRebuild(t *testing.T) {
+// TestCacheSurvivesCompaction pins the generation stamp: it counts acked
+// mutations only. A compaction rebuilds every shard without changing any
+// answer, so it must leave the generation — and the cached entries stamped
+// with it — where they were; the next mutation invalidates as usual.
+func TestCacheSurvivesCompaction(t *testing.T) {
 	rs, err := dataset.Generate(dataset.NYTLike(200, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 2, builderFor("hybrid", "", 0, ""))
+	sh, err := shard.New(rs, 2, builderFor("hybrid", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,26 +292,42 @@ func TestCacheInvalidatedByEpochRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := fmt.Sprintf(`{"query":%s,"theta":0.1}`, q)
-	post(t, h, "/search", body)
-	post(t, h, "/search", body)
-	if st := srv.cache.Stats(); st.Hits == 0 {
-		t.Fatalf("repeat query missed the cache: %+v", st)
+	results := func() string {
+		t.Helper()
+		var resp struct {
+			Results json.RawMessage `json:"results"`
+		}
+		if err := json.Unmarshal(post(t, h, "/search", body).Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return string(resp.Results)
 	}
+	want := results()
 
 	genBefore := srv.defColl().generation()
 	if err := sh.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if sh.Rebuilds() == 0 {
-		t.Fatal("compaction installed no epoch rebuild")
+		t.Fatal("compaction counted no rebuild")
 	}
-	if srv.defColl().generation() == genBefore {
-		t.Fatal("epoch rebuild did not move the cache generation")
+	if srv.defColl().generation() != genBefore {
+		t.Fatal("compaction moved the cache generation")
 	}
-	invBefore := srv.cache.Stats().Invalidations
+	hits := srv.cache.Stats().Hits
+	if got := results(); got != want {
+		t.Fatalf("answer changed across compaction:\n got %s\nwant %s", got, want)
+	}
+	if st := srv.cache.Stats(); st.Hits != hits+1 || st.Invalidations != 0 {
+		t.Fatalf("cached entry not served after compaction: %+v", st)
+	}
+
+	if rec := post(t, h, "/delete", `{"id":0}`); rec.Code != http.StatusOK {
+		t.Fatalf("delete: %d %s", rec.Code, rec.Body)
+	}
 	post(t, h, "/search", body)
-	if st := srv.cache.Stats(); st.Invalidations == invBefore {
-		t.Fatalf("stale entry served after epoch rebuild: %+v", st)
+	if st := srv.cache.Stats(); st.Invalidations == 0 {
+		t.Fatalf("stale entry served after a mutation: %+v", st)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"io"
 	"testing"
 
+	"topk"
 	"topk/internal/shard"
 )
 
@@ -19,6 +20,18 @@ func newServer(sh *shard.Sharded, kind string) *Server {
 		s.install(sh)
 	}
 	return s
+}
+
+// forceShards pins every hybrid shard of sh to the named backend through the
+// library's Force — the comparison the end-to-end harness draws.
+func forceShards(t *testing.T, sh *shard.Sharded, name string) {
+	t.Helper()
+	for i := 0; i < sh.NumShards(); i++ {
+		sub, _ := sh.Shard(i)
+		if err := sub.(*topk.HybridIndex).Force(name); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // install publishes sh as the in-memory default collection and flips ready —

@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"topk"
 	"topk/internal/dataset"
@@ -35,7 +34,7 @@ func TestHybridServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 3, builderFor("hybrid", "", 0, ""))
+	sh, err := shard.New(rs, 3, builderFor("hybrid", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestHybridServe(t *testing.T) {
 
 	// The full write path over HTTP: insert (id continues the sequence),
 	// search finds the new ranking at distance 0, update keeps the id,
-	// delete retires it, and /stats reflects the delta overlay.
+	// delete retires it, and /stats reflects the tombstone backlog.
 	rec = post(t, h, "/insert", `{"ranking":[901,902,903,904,905,906,907,908,909,910]}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("insert on hybrid: status %d, want 200 (%s)", rec.Code, rec.Body)
@@ -120,9 +119,13 @@ func TestHybridServe(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	// Insert + update land two delta entries on the last shard.
-	if st.Delta != 2 || st.Mutations != 2 {
-		t.Fatalf("delta counters after insert+update: delta=%d mutations=%d", st.Delta, st.Mutations)
+	// The update tombstoned the inserted version on the last shard.
+	tombstones := 0
+	for _, s := range st.Shards {
+		tombstones += s.Tombstones
+	}
+	if tombstones != 1 || st.Mutations != 2 {
+		t.Fatalf("counters after insert+update: tombstones=%d mutations=%d", tombstones, st.Mutations)
 	}
 	if rec = post(t, h, "/delete", `{"id":300}`); rec.Code != http.StatusOK {
 		t.Fatalf("delete on hybrid: status %d (%s)", rec.Code, rec.Body)
@@ -131,17 +134,18 @@ func TestHybridServe(t *testing.T) {
 		t.Fatalf("re-delete of retired id: status %d, want 404", rec.Code)
 	}
 
-	// GET /snapshot works for hybrid (slot view), and the forced-backend
-	// flag builds a pinned engine.
+	// GET /snapshot works for hybrid (slot view), and shards pinned through
+	// the library's Force report their plans on the forced backend.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/snapshot", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("snapshot status %d", rec.Code)
 	}
-	forced, err := shard.New(rs, 2, builderFor("hybrid", "adaptsearch", 0, ""))
+	forced, err := shard.New(rs, 2, builderFor("hybrid", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	forceShards(t, forced, "adaptsearch")
 	hf := newServer(forced, "hybrid").routes()
 	postSearch(t, hf, map[string]any{"query": qs[0], "theta": 0.2})
 	rec = httptest.NewRecorder()
@@ -306,7 +310,7 @@ func TestBatchModes(t *testing.T) {
 		uniform[i], mixed[i] = 0.2, []float64{0.1, 0.2, 0.3}[i%3]
 	}
 	for _, kind := range []string{"inverted-drop", "hybrid"} {
-		sh, err := shard.New(rs, 3, builderFor(kind, "", 0, ""))
+		sh, err := shard.New(rs, 3, builderFor(kind, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,13 +388,13 @@ func TestBatchModes(t *testing.T) {
 // TestHybridServeMutationDifferential is the serving-layer acceptance test
 // of the mutable hybrid: a sharded -kind hybrid server absorbs a random
 // mutation workload over HTTP — with the delta ratio set low enough that
-// background epoch rebuilds trigger mid-workload — while /search and /knn
-// answers stay byte-identical to the linear-scan oracle throughout.
+// compactions trigger mid-workload — while /search and /knn answers stay
+// byte-identical to the linear-scan oracle throughout.
 func TestHybridServeMutationDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	rs := difftest.RandomCollection(rng, 240, 8, 150)
 	o := difftest.NewOracle(rs)
-	sh, err := shard.New(rs, 3, builderFor("hybrid", "", 0.05, ""))
+	sh, err := shard.New(rs, 3, builderFor("hybrid", 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,31 +465,24 @@ func TestHybridServeMutationDifferential(t *testing.T) {
 		}
 	}
 
-	// The workload overflowed the 5% delta ratio many times over: at least
-	// one background epoch rebuild must install (poll; it is asynchronous).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-		var st statsResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.Rebuilds > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no epoch rebuild installed: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The workload overflowed the 5% ratio many times over: the compactions
+	// it triggered ran synchronously and are counted.
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var st statsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Rebuilds == 0 {
+		t.Fatalf("no compaction ran: %+v", st)
 	}
 
-	// Post-rebuild: range and KNN answers still match the oracle.
+	// Post-compaction: range and KNN answers still match the oracle.
 	for trial := 0; trial < 10; trial++ {
 		checkSearch(difftest.RandomRanking(rng, 8, 150), difftest.Thetas[rng.Intn(len(difftest.Thetas))])
 	}
 	q := difftest.RandomRanking(rng, 8, 150)
-	rec := post(t, h, "/knn", fmt.Sprintf(`{"query":%s,"n":7}`, mustJSON(t, q)))
+	rec = post(t, h, "/knn", fmt.Sprintf(`{"query":%s,"n":7}`, mustJSON(t, q)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("knn: %d %s", rec.Code, rec.Body)
 	}

@@ -216,7 +216,10 @@ func TestCreateValidation(t *testing.T) {
 		{"weight out of range", http.MethodPut, "/collections/x", `{"weight":1.5}`, http.StatusBadRequest},
 		{"retired kind", http.MethodPut, "/collections/x", `{"kind":"coarse"}`, http.StatusBadRequest},
 		{"retired maxTheta", http.MethodPut, "/collections/x", `{"maxTheta":0.3}`, http.StatusBadRequest},
-		{"hybrid knob on inverted-drop", http.MethodPut, "/collections/x", `{"kind":"inverted-drop","forceBackend":"inverted"}`, http.StatusBadRequest},
+		{"hybrid knob on inverted-drop", http.MethodPut, "/collections/x", `{"kind":"inverted-drop","deltaRatio":0.1}`, http.StatusBadRequest},
+		// A create request cannot force a backend: forceBackend is an unknown
+		// field, whatever its value.
+		{"forceBackend", http.MethodPut, "/collections/x", `{"forceBackend":"adaptsearch"}`, http.StatusBadRequest},
 		{"unknown forced backend", http.MethodPut, "/collections/x", `{"kind":"hybrid","forceBackend":"warp"}`, http.StatusBadRequest},
 		{"forced backend the hybrid no longer builds", http.MethodPut, "/collections/x", `{"kind":"hybrid","forceBackend":"coarse"}`, http.StatusBadRequest},
 		{"unknown field", http.MethodPut, "/collections/x", `{"knid":"hybrid"}`, http.StatusBadRequest},
@@ -517,23 +520,26 @@ func TestWALRankingSizeCap(t *testing.T) {
 }
 
 // TestStaleManifestForceBackendRecoversUnforced restarts on a manifest whose
-// entry names what this server no longer builds — a forced backend the hybrid
-// stopped building (blocked, coarse and bktree were legal names once), or a
-// retired kind (coarse, coarse-drop were servable once): the collection must
-// come back as an unforced hybrid — data intact and answering like the
-// oracle, every query answered by inverted — with one log line naming it and
-// the dropped value, and the rewrite must reach the next manifest write.
+// entry names what this server no longer does — a forced backend, whether one
+// the hybrid stopped building (blocked, coarse and bktree were legal names
+// once) or adaptsearch (forceBackend was a create option once), or a retired
+// kind (coarse, coarse-drop were servable once): the collection must come
+// back as an unforced hybrid — data intact and answering like the oracle,
+// every query answered by inverted — with one log line naming it and the
+// dropped value, and the rewrite must reach the next manifest write.
 func TestStaleManifestForceBackendRecoversUnforced(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		create  map[string]any
-		stale   func(*CollectionOptions)
+		stale   func(*manifestOptions)
 		dropped string
 	}{
-		{"retired forceBackend", map[string]any{"k": 6, "shards": 2, "forceBackend": "adaptsearch"},
-			func(o *CollectionOptions) { o.ForceBackend = "coarse" }, `"coarse"`},
+		{"retired forceBackend", map[string]any{"k": 6, "shards": 2},
+			func(o *manifestOptions) { o.ForceBackend = "coarse" }, `"coarse"`},
+		{"adaptsearch", map[string]any{"k": 6, "shards": 2},
+			func(o *manifestOptions) { o.ForceBackend = "adaptsearch" }, `"adaptsearch"`},
 		{"retired kind", map[string]any{"kind": "inverted-drop", "k": 6, "shards": 2},
-			func(o *CollectionOptions) { o.Kind = "coarse-drop" }, `"coarse-drop"`},
+			func(o *manifestOptions) { o.Kind = "coarse-drop" }, `"coarse-drop"`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			root := t.TempDir()
@@ -579,13 +585,13 @@ func TestStaleManifestForceBackendRecoversUnforced(t *testing.T) {
 			if !ok || coll.sh.Len() != 7 || coll.opts.Kind != "hybrid" {
 				t.Fatalf("collection not recovered whole as hybrid: ok=%v", ok)
 			}
+			difftest.CheckSearch(t, c.name, difftest.Sharded{Sharded: coll.sh}, difftest.NewOracle(slots), rand.New(rand.NewSource(5)), 10, 80)
 			for i := 0; i < coll.sh.NumShards(); i++ {
 				sub, _ := coll.sh.Shard(i)
-				if f := sub.(*topk.HybridIndex).Forced(); f != "" {
-					t.Fatalf("shard %d still forced onto %q", i, f)
+				if st := sub.(*topk.HybridIndex).PlanStats(); st[0].Plans == 0 || st[1].Plans != 0 {
+					t.Fatalf("shard %d answered off the inverted route: %+v", i, st)
 				}
 			}
-			difftest.CheckSearch(t, c.name, coll.sh, difftest.NewOracle(slots), rand.New(rand.NewSource(5)), 10, 80)
 			var mentions []string
 			for _, line := range strings.Split(logged.String(), "\n") {
 				if strings.Contains(line, "no longer") {

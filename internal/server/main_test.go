@@ -34,7 +34,7 @@ func testServer(t *testing.T) (*Server, []ranking.Ranking, []ranking.Ranking) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 4, builderFor("inverted-drop", "", 0, ""))
+	sh, err := shard.New(rs, 4, builderFor("inverted-drop", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,10 +331,9 @@ func TestValidateKindFlags(t *testing.T) {
 		set  map[string]bool
 		ok   bool
 	}{
-		{"hybrid", map[string]bool{"force-backend": true, "calibrate": true, "delta-ratio": true}, true},
+		{"hybrid", map[string]bool{"calibrate": true, "delta-ratio": true}, true},
 		{"", map[string]bool{}, true},
 		{"inverted-drop", map[string]bool{}, true},
-		{"inverted-drop", map[string]bool{"force-backend": true}, false},
 		{"merge", map[string]bool{"calibrate": true}, false},
 		{"inverted", map[string]bool{"delta-ratio": true}, false},
 		{"coarse", map[string]bool{}, false},
@@ -344,27 +343,6 @@ func TestValidateKindFlags(t *testing.T) {
 		_, err := New(Config{Kind: c.kind, SetFlags: c.set, MaxConcurrency: -1, Log: io.Discard})
 		if (err == nil) != c.ok {
 			t.Fatalf("New(-kind %q, flags %v) = %v, want ok=%v", c.kind, c.set, err, c.ok)
-		}
-	}
-}
-
-// TestNewRejectsUnknownForceBackend: a -force-backend the hybrid does not
-// build is a usage error out of New — before anything listens or builds —
-// not a build failure after the listener is up.
-func TestNewRejectsUnknownForceBackend(t *testing.T) {
-	for _, c := range []struct {
-		force string
-		ok    bool
-	}{
-		{"", true}, {"inverted", true}, {"adaptsearch", true},
-		{"warp", false}, {"coarse", false}, {"bktree", false}, {"blocked", false},
-	} {
-		_, err := New(Config{Kind: "hybrid", ForceBackend: c.force, MaxConcurrency: -1, Log: io.Discard})
-		if (err == nil) != c.ok {
-			t.Fatalf("New(-kind hybrid -force-backend %q) = %v, want ok=%v", c.force, err, c.ok)
-		}
-		if err != nil && !strings.Contains(err.Error(), "-force-backend") {
-			t.Fatalf("error does not name the flag: %v", err)
 		}
 	}
 }

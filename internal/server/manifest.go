@@ -45,9 +45,16 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // manifestEntry records one dynamically created collection: everything
 // needed to rebuild it from its WAL directory on restart.
 type manifestEntry struct {
-	Name    string            `json:"name"`
-	Created time.Time         `json:"created"`
-	Options CollectionOptions `json:"options"`
+	Name    string          `json:"name"`
+	Created time.Time       `json:"created"`
+	Options manifestOptions `json:"options"`
+}
+
+// manifestOptions are an entry's collection options plus what an older
+// server recorded that this one only reads to retire (retireStaleOptions).
+type manifestOptions struct {
+	CollectionOptions
+	ForceBackend string `json:"forceBackend,omitempty"`
 }
 
 func manifestPath(walRoot string) string { return filepath.Join(walRoot, manifestName) }

@@ -119,7 +119,7 @@ func (s *Server) registerCollectors() {
 				"Query-result cache misses (generation invalidations included).", "",
 				float64(st.Misses))
 			w.Counter("topkserve_cache_invalidations_total",
-				"Cache entries dropped because their generation went stale (a mutation or epoch rebuild landed).", "",
+				"Cache entries dropped because their generation went stale (a mutation landed).", "",
 				float64(st.Invalidations))
 			w.Counter("topkserve_cache_evictions_total",
 				"Cache entries evicted by the LRU bound.", "", float64(st.Evictions))
@@ -151,7 +151,7 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 		labels, float64(c.sh.NumShards()))
 
 	stats := c.sh.Stats()
-	delta, tombstones := 0, 0
+	tombstones := 0
 	for _, st := range stats {
 		shardLabels := telemetry.Labels("collection", col, "shard", strconv.Itoa(st.Shard))
 		w.Gauge("topkserve_shard_len", "Live rankings per shard.", shardLabels, float64(st.Len))
@@ -160,7 +160,6 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 		w.Histogram("topkserve_shard_query_duration_seconds",
 			"Per-shard query latency: one observation per search, whole batch or KNN query.",
 			shardLabels, shardHistToTelemetry(st.Latency))
-		delta += st.Delta
 		tombstones += st.Tombstones
 	}
 	fan, mrg := c.sh.Timings()
@@ -170,24 +169,19 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 	w.Histogram("topkserve_merge_duration_seconds",
 		"Gather phase of a fanned-out search, batch or KNN query: combining per-shard answers.",
 		labels, shardHistToTelemetry(mrg))
-	w.Gauge("topkserve_delta_overlay_size",
-		"Rankings in the hybrid mutation overlay awaiting the next epoch rebuild, summed over shards.",
-		labels, float64(delta))
 	w.Gauge("topkserve_tombstones",
 		"Tombstoned rankings awaiting compaction, summed over shards.",
 		labels, float64(tombstones))
-	if len(c.hybrids) > 0 {
-		rb := aggregateRebuildStats(c.hybrids)
-		w.Counter("topkserve_epoch_rebuilds_total",
-			"Installed epoch rebuilds (background folds and explicit compactions), summed over shards.",
-			labels, float64(rb.Rebuilds))
-		w.Counter("topkserve_epoch_rebuild_seconds_total",
-			"Cumulative wall time of installed epoch rebuilds.",
-			labels, float64(rb.TotalNanos)/1e9)
-		w.Gauge("topkserve_epoch_rebuild_last_seconds",
-			"Wall time of the most recent installed epoch rebuild on any shard.",
-			labels, float64(rb.LastNanos)/1e9)
-	}
+	rb := c.rebuildStats()
+	w.Counter("topkserve_epoch_rebuilds_total",
+		"Compactions (automatic and explicit rebuilds over the surviving rankings), summed over shards.",
+		labels, float64(rb.Rebuilds))
+	w.Counter("topkserve_epoch_rebuild_seconds_total",
+		"Cumulative wall time of compactions.",
+		labels, float64(rb.TotalNanos)/1e9)
+	w.Gauge("topkserve_epoch_rebuild_last_seconds",
+		"Wall time of the most recent compaction on any shard.",
+		labels, float64(rb.LastNanos)/1e9)
 
 	for _, ps := range aggregatePlanStats(c.hybrids) {
 		w.Counter("topkserve_planner_plans_total",
@@ -226,12 +220,6 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 		w.Gauge("topkserve_storage_mapped_bytes",
 			"Bytes of the mmapped paged (v3) base checkpoint backing the collection; 0 when the base was decoded to the heap.",
 			labels, float64(st.MappedBytes))
-		w.Gauge("topkserve_storage_spill_bytes",
-			"Bytes of mmapped epoch-spill arenas across the collection's hybrid shards (-spill-epochs).",
-			labels, float64(st.SpillBytes))
-		w.Counter("topkserve_storage_spill_fallbacks_total",
-			"Hybrid epochs that were asked to spill (-spill-epochs) and fell back to the heap arena; the first error is in the server log.",
-			labels, float64(st.SpillFallbacks))
 		w.Gauge("topkserve_storage_dirty_slots",
 			"Slots mutated since the last checkpoint capture.",
 			labels, float64(st.DirtySlots))
@@ -293,11 +281,13 @@ func shardHistToTelemetry(hs shard.HistogramSnapshot) telemetry.HistogramSnapsho
 	}
 }
 
-// aggregateRebuildStats sums the epoch-rebuild history across shards.
-func aggregateRebuildStats(hybrids []*topk.HybridIndex) topk.RebuildStats {
+// rebuildStats sums the compaction history across shards; every served kind
+// keeps one.
+func (c *Collection) rebuildStats() topk.RebuildStats {
 	var out topk.RebuildStats
-	for _, h := range hybrids {
-		st := h.RebuildStats()
+	for i := 0; i < c.sh.NumShards(); i++ {
+		sub, _ := c.sh.Shard(i)
+		st := sub.(interface{ RebuildStats() topk.RebuildStats }).RebuildStats()
 		out.Rebuilds += st.Rebuilds
 		out.TotalNanos += st.TotalNanos
 		if st.LastNanos > out.LastNanos {

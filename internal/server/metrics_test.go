@@ -475,7 +475,7 @@ func TestMetricsHybridPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 2, builderFor("hybrid", "", 0, ""))
+	sh, err := shard.New(rs, 2, builderFor("hybrid", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +506,7 @@ func TestMetricsHybridPlanner(t *testing.T) {
 		t.Errorf("total plans = %v, want %v", plans, want)
 	}
 
-	// Epoch-rebuild series exist for the hybrid kind (zero so far).
+	// The compaction series exist (zero so far).
 	if doc.one(t, "topkserve_epoch_rebuilds_total", nil).value != 0 {
 		t.Error("rebuilds counted without any mutations")
 	}
@@ -548,7 +548,7 @@ func TestReadyz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 2, builderFor("inverted-drop", "", 0, ""))
+	sh, err := shard.New(rs, 2, builderFor("inverted-drop", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,10 +685,11 @@ func TestKNNTraceStagesAndAttribution(t *testing.T) {
 		forced string
 		dfc    bool
 	}{{"", false}, {"adaptsearch", true}} {
-		sh, err := shard.New(rs, 2, builderFor("hybrid", tc.forced, 0, ""))
+		sh, err := shard.New(rs, 2, builderFor("hybrid", 0))
 		if err != nil {
 			t.Fatal(err)
 		}
+		forceShards(t, sh, tc.forced)
 		srv := newServer(sh, "hybrid")
 		srv.cache = qcache.New(64)
 		h := srv.routes()
@@ -778,7 +779,7 @@ func TestStandaloneKindTraceAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 2, builderFor("inverted", "", 0, ""))
+	sh, err := shard.New(rs, 2, builderFor("inverted", 0))
 	if err != nil {
 		t.Fatal(err)
 	}

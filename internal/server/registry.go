@@ -46,7 +46,7 @@ func (s *Server) createCollection(name string, opts CollectionOptions) (*Collect
 		return nil, err
 	}
 	if walDir != "" {
-		entry := manifestEntry{Name: name, Created: c.created.UTC(), Options: opts}
+		entry := manifestEntry{Name: name, Created: c.created.UTC(), Options: manifestOptions{CollectionOptions: opts}}
 		next := append(append([]manifestEntry(nil), s.manifest...), entry)
 		if err := writeManifest(manifestPath(s.walRoot), next); err != nil {
 			c.close()
@@ -113,12 +113,11 @@ type collectionInfo struct {
 	Default bool      `json:"default,omitempty"`
 	Created time.Time `json:"created"`
 	Weight  float64   `json:"weight,omitempty"`
-	// Generation is the query-cache validity stamp (mutations + rebuilds).
+	// Generation is the query-cache validity stamp (acked mutations).
 	Generation uint64 `json:"generation"`
 	Queries    uint64 `json:"queries"`
 	KNNQueries uint64 `json:"knnQueries"`
 	Mutations  uint64 `json:"mutations"`
-	Delta      int    `json:"delta"`
 	Rebuilds   uint64 `json:"rebuilds"`
 	// WAL reports the durability counters (and startup replay) when the
 	// collection is durable; its append/checkpoint deltas are the
@@ -135,11 +134,6 @@ type collectionInfo struct {
 
 // info snapshots one collection for the lifecycle routes.
 func (s *Server) info(c *Collection) collectionInfo {
-	delta, rebuilds := 0, uint64(0)
-	for _, st := range c.sh.Stats() {
-		delta += st.Delta
-		rebuilds += st.Rebuilds
-	}
 	ci := collectionInfo{
 		Name:       c.name,
 		Kind:       c.opts.Kind,
@@ -153,8 +147,7 @@ func (s *Server) info(c *Collection) collectionInfo {
 		Queries:    c.queries.Load(),
 		KNNQueries: c.knn.Load(),
 		Mutations:  c.mutations.Load(),
-		Delta:      delta,
-		Rebuilds:   rebuilds,
+		Rebuilds:   c.sh.Rebuilds(),
 	}
 	if c.wal != nil {
 		ci.WAL = &walStatsJSON{Dir: c.wal.Dir(), Replayed: c.walReplayed, Stats: c.wal.Stats()}

@@ -32,7 +32,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -72,10 +71,9 @@ type Config struct {
 	// manifest, and not droppable over HTTP.
 	DefaultCollection string
 
-	Kind         string  // index kind of the default collection ("" = hybrid)
-	Shards       int     // shard count (0 = GOMAXPROCS)
-	ForceBackend string  // hybrid only
-	DeltaRatio   float64 // hybrid only
+	Kind       string  // index kind of the default collection ("" = hybrid)
+	Shards     int     // shard count (0 = GOMAXPROCS)
+	DeltaRatio float64 // hybrid only
 
 	MaxBody int64 // request-body bound, bytes (0 = 16 MiB)
 
@@ -108,11 +106,6 @@ type Config struct {
 	// not RSS. cmd/topkserve sets it from -mmap (default true); the false
 	// escape hatch reads the file whole and verifies every page checksum.
 	Mmap bool
-	// SpillEpochs makes hybrid epoch builds write their ranking arena to an
-	// unlinked paged temp file and mmap it (see topk.WithHybridSpill);
-	// durable collections spill next to their WAL, the rest to the OS temp
-	// directory.
-	SpillEpochs bool
 
 	// SetFlags holds the flag names explicitly passed on the command line
 	// (flag.Visit), for fail-fast validation of kind-specific knobs. Nil
@@ -178,11 +171,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if err := validateKindFlags(cfg.Kind, cfg.SetFlags); err != nil {
 		return nil, err
-	}
-	if cfg.Kind == "hybrid" {
-		if err := validateForceBackend(cfg.ForceBackend); err != nil {
-			return nil, fmt.Errorf("-force-backend: %w", err)
-		}
 	}
 	if cfg.WALDir != "" && cfg.WALRoot != "" {
 		return nil, fmt.Errorf("pass either -wal (single-collection layout) or -wal-root (multi-tenant layout), not both")
@@ -253,7 +241,7 @@ func (s *Server) bootstrap() error {
 				return fmt.Errorf("manifest lists %q, which is the flag-defined default collection", e.Name)
 			}
 			retireStaleOptions(e, cfg)
-			c, err := s.openCollection(e.Name, e.Options, s.walDirFor(e.Name), nil)
+			c, err := s.openCollection(e.Name, e.Options.CollectionOptions, s.walDirFor(e.Name), nil)
 			if err != nil {
 				return fmt.Errorf("recover collection %q: %w", e.Name, err)
 			}
@@ -276,10 +264,7 @@ func (s *Server) bootstrap() error {
 		}
 		return rs, err
 	}
-	opts := CollectionOptions{
-		Kind: cfg.Kind, Shards: cfg.Shards,
-		ForceBackend: cfg.ForceBackend, DeltaRatio: cfg.DeltaRatio,
-	}
+	opts := CollectionOptions{Kind: cfg.Kind, Shards: cfg.Shards, DeltaRatio: cfg.DeltaRatio}
 	c, err := s.openCollection(cfg.DefaultCollection, opts, walDir, seed)
 	if err != nil {
 		return err
@@ -292,19 +277,19 @@ func (s *Server) bootstrap() error {
 // longer builds, with one log line each; the next manifest write persists the
 // rewrite. A retired kind — a known one that is no longer served, i.e. the
 // coarse kinds from before topkserve narrowed to the inverted family —
-// recovers as hybrid over the same slots. A forced backend the hybrid no
-// longer builds is cleared: every query is then answered by inverted.
+// recovers as hybrid over the same slots. A forced backend — any name, since
+// the server no longer forces one — is cleared: every query is then answered
+// by inverted.
 func retireStaleOptions(e *manifestEntry, cfg Config) {
 	if k, err := kinds.Lookup(e.Options.Kind, nil); err == nil && !served(k) {
 		fmt.Fprintf(cfg.logw(), "collection %q: recovering kind %q, which is no longer served, as hybrid over the same slots\n",
 			e.Name, e.Options.Kind)
 		e.Options.Kind = "hybrid"
-		e.Options = e.Options.withDefaults(cfg)
+		e.Options.CollectionOptions = e.Options.withDefaults(cfg)
 	}
-	if e.Options.Kind == "hybrid" && validateForceBackend(e.Options.ForceBackend) != nil {
-		// Written when the hybrid still built that backend.
-		fmt.Fprintf(cfg.logw(), "collection %q: dropping forceBackend %q, which the hybrid no longer builds (have %v); every query is answered by inverted\n",
-			e.Name, e.Options.ForceBackend, topk.HybridBackends)
+	if e.Options.ForceBackend != "" {
+		fmt.Fprintf(cfg.logw(), "collection %q: dropping forceBackend %q, which the server no longer forces; every query is answered by inverted\n",
+			e.Name, e.Options.ForceBackend)
 		e.Options.ForceBackend = ""
 	}
 }
@@ -342,8 +327,8 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 		err   error
 	)
 	if walDir != "" {
-		// Created here, not by wal.Open below: the index — and with it the
-		// first epoch's spill file — is built before the log opens.
+		// Created here, not by wal.Open below: the index is built before the
+		// log opens.
 		if err = os.MkdirAll(walDir, 0o755); err != nil {
 			return nil, err
 		}
@@ -368,15 +353,7 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 	}
 
 	start := time.Now()
-	spillDir := ""
-	if s.cfg.SpillEpochs {
-		// Durable collections spill next to their WAL, the rest to the OS
-		// temp directory.
-		if spillDir = walDir; spillDir == "" {
-			spillDir = os.TempDir()
-		}
-	}
-	build := builderFor(opts.Kind, opts.ForceBackend, opts.DeltaRatio, spillDir)
+	build := builderFor(opts.Kind, opts.DeltaRatio)
 	var sh *shard.Sharded
 	if len(slots) == 0 {
 		sh, err = shard.NewEmpty(opts.Shards, build)
@@ -417,9 +394,7 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 		fmt.Fprintf(logw, "collection %q: wal %s: replayed %d records from segment %d on, %d live rankings, appending to segment %d\n",
 			name, walDir, st.walReplayed, cpSeq, sh.Len(), st.wal.Stats().ActiveSegment)
 	}
-	c := s.newCollection(name, opts, sh, st)
-	c.spillStats() // logs a bring-up spill fallback now, not at the first scrape
-	return c, nil
+	return s.newCollection(name, opts, sh, st), nil
 }
 
 // migrationHint appends the offline migration command to the typed errors a
@@ -591,15 +566,6 @@ func loadSeed(dataPath, snapPath string) ([]ranking.Ranking, error) {
 	}
 }
 
-// validateForceBackend rejects a forced-backend name the hybrid does not
-// build; the empty name (every query answered by inverted) is always valid.
-func validateForceBackend(name string) error {
-	if name == "" || slices.Contains(topk.HybridBackends, name) {
-		return nil
-	}
-	return fmt.Errorf("unknown hybrid backend %q (have %v)", name, topk.HybridBackends)
-}
-
 // validateKindFlags fails fast on a kind the server does not serve and on
 // flag combinations that would otherwise be silently ignored: the hybrid's
 // knobs act only on -kind hybrid. set holds the flag names explicitly passed
@@ -611,7 +577,7 @@ func validateKindFlags(kind string, set map[string]bool) error {
 	if kind == "hybrid" {
 		return nil
 	}
-	for _, name := range []string{"force-backend", "calibrate", "delta-ratio"} {
+	for _, name := range []string{"calibrate", "delta-ratio"} {
 		if set[name] {
 			return fmt.Errorf("-%s applies only to -kind hybrid (have %q)", name, kind)
 		}
@@ -633,17 +599,10 @@ func validateKind(kind string) error {
 	return nil
 }
 
-// builderFor returns the shard builder for a served index kind name.
-// spillDir, when non-empty, makes hybrid epoch arenas spill to mmapped paged
-// files under it (see topk.WithHybridSpill).
-func builderFor(kind, force string, deltaRatio float64, spillDir string) shard.Builder {
+// builderFor returns the shard builder for a served index kind name;
+// deltaRatio is the hybrid's compaction ratio.
+func builderFor(kind string, deltaRatio float64) shard.Builder {
 	o := kinds.Options{Hybrid: []topk.HybridOption{topk.WithHybridDeltaRatio(deltaRatio)}}
-	if force != "" {
-		o.Hybrid = append(o.Hybrid, topk.WithForcedBackend(force))
-	}
-	if spillDir != "" {
-		o.Hybrid = append(o.Hybrid, topk.WithHybridSpill(spillDir))
-	}
 	k, err := kinds.Lookup(kind, served)
 	return func(rs []ranking.Ranking) (shard.Index, error) {
 		if err != nil {

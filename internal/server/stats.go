@@ -22,10 +22,7 @@ type statsResponse struct {
 	KNNQueries uint64 `json:"knnQueries"`
 	Batches    uint64 `json:"batches"`
 	Mutations  uint64 `json:"mutations"`
-	// Delta and Rebuilds sum the hybrid engine's mutation-overlay state
-	// across shards: rankings awaiting the next epoch rebuild, and epoch
-	// rebuilds installed so far. Both stay 0 for the other kinds.
-	Delta         int     `json:"delta"`
+	// Rebuilds sums the compactions the shards have run.
 	Rebuilds      uint64  `json:"rebuilds"`
 	DistanceCalls uint64  `json:"distanceCalls"`
 	UptimeSeconds float64 `json:"uptimeSeconds"`
@@ -79,12 +76,6 @@ func aggregatePlanStats(hybrids []*topk.HybridIndex) []topk.PlanStats {
 }
 
 func (s *Server) handleStats(c *Collection, w http.ResponseWriter, r *http.Request) {
-	shards := c.sh.Stats()
-	delta, rebuilds := 0, uint64(0)
-	for _, st := range shards {
-		delta += st.Delta
-		rebuilds += st.Rebuilds
-	}
 	var ws *walStatsJSON
 	if c.wal != nil {
 		ws = &walStatsJSON{Dir: c.wal.Dir(), Replayed: c.walReplayed, Stats: c.wal.Stats()}
@@ -109,14 +100,13 @@ func (s *Server) handleStats(c *Collection, w http.ResponseWriter, r *http.Reque
 		KNNQueries:    c.knn.Load(),
 		Batches:       c.batches.Load(),
 		Mutations:     c.mutations.Load(),
-		Delta:         delta,
-		Rebuilds:      rebuilds,
+		Rebuilds:      c.sh.Rebuilds(),
 		DistanceCalls: c.sh.DistanceCalls(),
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Fanout:        fan,
 		Merge:         mrg,
 		Planner:       aggregatePlanStats(c.hybrids),
-		Shards:        shards,
+		Shards:        c.sh.Stats(),
 		WAL:           ws,
 		Storage:       c.storageStats(),
 		Admission:     adm,

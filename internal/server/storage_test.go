@@ -1,8 +1,9 @@
 package server
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"os"
@@ -12,7 +13,6 @@ import (
 
 	"topk/internal/difftest"
 	"topk/internal/persist"
-	"topk/internal/shard"
 	"topk/internal/wal"
 )
 
@@ -84,7 +84,7 @@ func TestRestartCheckpointsIncrementally(t *testing.T) {
 	if !slotsEqual(gotSlots, o.Slots()) {
 		t.Fatal("paged recovery diverged from the oracle slot-for-slot")
 	}
-	difftest.CheckSearch(t, "paged-recovery", c.sh, o, rng, 15, 400)
+	difftest.CheckSearch(t, "paged-recovery", difftest.Sharded{Sharded: c.sh}, o, rng, 15, 400)
 
 	// A small burst now rewrites only the pages it touches.
 	mutateOverHTTP(t, s2.routes(), o, rng, 5, 400)
@@ -196,13 +196,14 @@ func TestMmapRecoveryMatchesReplayDifferential(t *testing.T) {
 		t.Fatal("recovery paths disagree on the slot array")
 	}
 
+	ctx := context.Background()
 	for i := 0; i < 30; i++ {
 		q := difftest.RandomRanking(rng, o.K(), 150)
 		theta := []float64{0.05, 0.15, 0.3}[i%3]
 		mmBefore, snapBefore := mm.defColl().sh.DistanceCalls(), snapSrv.defColl().sh.DistanceCalls()
-		mmRes, err1 := mm.defColl().sh.Search(q, theta)
-		snapRes, err2 := snapSrv.defColl().sh.Search(q, theta)
-		rpRes, err3 := rp.defColl().sh.Search(q, theta)
+		mmRes, _, err1 := mm.defColl().sh.SearchTracedContext(ctx, q, theta)
+		snapRes, _, err2 := snapSrv.defColl().sh.SearchTracedContext(ctx, q, theta)
+		rpRes, _, err3 := rp.defColl().sh.SearchTracedContext(ctx, q, theta)
 		if err1 != nil || err2 != nil || err3 != nil {
 			t.Fatalf("query %d: %v / %v / %v", i, err1, err2, err3)
 		}
@@ -299,83 +300,24 @@ func TestStorageStatsAndMetrics(t *testing.T) {
 	}
 }
 
-// TestSpillEpochsBringUp: with -spill-epochs a durable collection spills next
-// to its WAL — the directory exists before the first epoch builds, so nothing
-// falls back — and a WAL directory that cannot be created is a bring-up
-// error, not a quiet spill somewhere else.
-func TestSpillEpochsBringUp(t *testing.T) {
+// TestUncreatableWALDirFailsBringUp: a WAL directory that cannot be created
+// is a bring-up error, not a collection that quietly comes up in memory.
+func TestUncreatableWALDirFailsBringUp(t *testing.T) {
 	dir := t.TempDir()
 	snapPath := filepath.Join(dir, "base.v3")
 	if err := persist.WritePagedFile(snapPath, difftest.RandomCollection(rand.New(rand.NewSource(65)), 300, 8, 120)); err != nil {
 		t.Fatal(err)
 	}
-	var logged bytes.Buffer
-	cfg := Config{Kind: "hybrid", Shards: 2, SnapshotPath: snapPath, WALDir: filepath.Join(dir, "wal"),
-		SpillEpochs: true, Mmap: true, MaxConcurrency: -1, Log: &logged}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.bootstrap(); err != nil {
-		t.Fatal(err)
-	}
-	defer stopWALServer(t, s)
-	if st := s.defColl().storageStats(); st.SpillBytes == 0 || st.SpillFallbacks != 0 {
-		t.Fatalf("first boot on a fresh WAL directory: %+v", st)
-	}
-	if strings.Contains(logged.String(), "fell back") {
-		t.Fatalf("spurious fallback warning:\n%s", logged.String())
-	}
-
 	blocker := filepath.Join(dir, "file")
 	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg.WALDir = filepath.Join(blocker, "wal")
-	if s, err = New(cfg); err != nil {
+	s, err := New(Config{Kind: "hybrid", Shards: 2, SnapshotPath: snapPath, WALDir: filepath.Join(blocker, "wal"),
+		Mmap: true, MaxConcurrency: -1, Log: io.Discard})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.bootstrap(); err == nil {
 		t.Fatal("bootstrap succeeded with an uncreatable WAL directory")
-	}
-}
-
-// TestSpillFallbackIsCountedAndLogged: shards whose spill directory is
-// unusable serve from the heap, and the collection says so — summed into the
-// /stats storage section and topkserve_storage_spill_fallbacks_total, with
-// the first error logged exactly once however often the stats are read.
-func TestSpillFallbackIsCountedAndLogged(t *testing.T) {
-	rs := difftest.RandomCollection(rand.New(rand.NewSource(66)), 200, 8, 100)
-	sh, err := shard.New(rs, 2, builderFor("hybrid", "", 0, filepath.Join(t.TempDir(), "missing")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var logged bytes.Buffer
-	s, err := New(Config{Kind: "hybrid", MaxConcurrency: -1, Log: &logged})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.publish(s.newCollection(s.cfg.DefaultCollection, CollectionOptions{Kind: "hybrid"}, sh,
-		storage{tracker: persist.NewSlotTracker(), pager: persist.NewPager(t.TempDir(), nil, nil)}))
-	s.ready.Store(true)
-
-	for i := 0; i < 2; i++ {
-		rec := doJSON(t, s.routes(), http.MethodGet, "/stats", nil)
-		var st struct {
-			Storage *storageStatsJSON `json:"storage"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-			t.Fatal(err)
-		}
-		if st.Storage == nil || st.Storage.SpillFallbacks != 2 || st.Storage.SpillBytes != 0 {
-			t.Fatalf("storage section: %+v (%s)", st.Storage, rec.Body)
-		}
-	}
-	body := doJSON(t, s.routes(), http.MethodGet, "/metrics", nil).Body.String()
-	if !strings.Contains(body, `topkserve_storage_spill_fallbacks_total{collection="default"} 2`) {
-		t.Fatal("/metrics lacks the spill fallback counter")
-	}
-	if n := strings.Count(logged.String(), "fell back to the heap arena"); n != 1 {
-		t.Fatalf("fallback logged %d times, want once:\n%s", n, logged.String())
 	}
 }

@@ -118,7 +118,7 @@ func TestWALRecoveryAcrossRestart(t *testing.T) {
 	if s2.defColl().walReplayed == 0 {
 		t.Fatal("restart replayed no records")
 	}
-	difftest.CheckSearch(t, "post-restart", s2.defColl().sh, o, rng, 15, domain)
+	difftest.CheckSearch(t, "post-restart", difftest.Sharded{Sharded: s2.defColl().sh}, o, rng, 15, domain)
 	gotSlots, _ := s2.defColl().sh.Slots()
 	if !slotsEqual(gotSlots, o.Slots()) {
 		t.Fatal("recovered slot view is not byte-identical to the oracle")
@@ -150,7 +150,7 @@ func TestWALRecoveryAcrossRestart(t *testing.T) {
 	// Run 3: base comes from the checkpoint now; only post-checkpoint
 	// records replay.
 	s3 := startServer(t, "hybrid", snapPath, walDir, true)
-	difftest.CheckSearch(t, "post-checkpoint-restart", s3.defColl().sh, o, rng, 15, domain)
+	difftest.CheckSearch(t, "post-checkpoint-restart", difftest.Sharded{Sharded: s3.defColl().sh}, o, rng, 15, domain)
 	gotSlots, _ = s3.defColl().sh.Slots()
 	if !slotsEqual(gotSlots, o.Slots()) {
 		t.Fatal("post-checkpoint recovery diverged from the oracle")

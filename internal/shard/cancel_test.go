@@ -73,7 +73,7 @@ func TestPreCanceledContextDoesNoShardWork(t *testing.T) {
 	cancel()
 	q := rs[0]
 
-	if _, err := sh.SearchContext(ctx, q, 0.2); !errors.Is(err, context.Canceled) {
+	if _, _, err := sh.SearchTracedContext(ctx, q, 0.2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SearchContext error = %v, want context.Canceled", err)
 	}
 	if _, err := sh.SearchBatchContext(ctx, rs[:4], 0.2); !errors.Is(err, context.Canceled) {
@@ -100,7 +100,7 @@ func TestExpiredDeadlineSurfacesAsDeadlineExceeded(t *testing.T) {
 	sh, rs := fakeSharded(t, 2, st)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := sh.SearchContext(ctx, rs[0], 0.2); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := sh.SearchTracedContext(ctx, rs[0], 0.2); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error = %v, want context.DeadlineExceeded", err)
 	}
 	if got := st.searches.Load(); got != 0 {

@@ -6,18 +6,13 @@ import (
 	"topk/internal/ranking"
 )
 
-// NearestNeighbors is NearestNeighborsContext without cancellation.
-func (s *Sharded) NearestNeighbors(q ranking.Ranking, n int) ([]ranking.Result, error) {
-	return s.NearestNeighborsContext(context.Background(), q, n)
-}
-
 // NearestNeighborsContext answers an exact global KNN query: every shard
 // computes its local top n in parallel, shard-local ids are remapped to
 // global ids, and the per-shard answers — each already sorted by (distance,
 // id) — are merged and cut to the global top n. Because each shard's answer
 // is exact over its chunk and the chunks partition the collection, the merged
 // prefix is exactly the unsharded answer.
-// Cancellation works as in SearchContext.
+// Cancellation works as in SearchTracedContext.
 func (s *Sharded) NearestNeighborsContext(ctx context.Context, q ranking.Ranking, n int) ([]ranking.Result, error) {
 	res, _, err := s.NearestNeighborsTracedContext(ctx, q, n)
 	return res, err

@@ -52,7 +52,7 @@ func TestShardedNearestNeighbors(t *testing.T) {
 			for trial := 0; trial < 10; trial++ {
 				q := difftest.RandomRanking(rng, 8, 250)
 				for _, n := range []int{1, 5, 20, 600} {
-					got, err := sh.NearestNeighbors(q, n)
+					got, err := sh.NearestNeighborsContext(context.Background(), q, n)
 					if err != nil {
 						t.Fatalf("%s/%d shards: %v", name, numShards, err)
 					}
@@ -79,14 +79,14 @@ func TestShardedNearestNeighborsEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := sh.NearestNeighbors(rs[0], 0); err != nil || res != nil {
+	if res, err := sh.NearestNeighborsContext(context.Background(), rs[0], 0); err != nil || res != nil {
 		t.Fatalf("n=0: %v %v", res, err)
 	}
 	o := difftest.NewOracle(rs)
-	difftest.Mutate(t, "sharded", sh, o, rng, 300, 150)
+	difftest.Mutate(t, "sharded", difftest.Sharded{Sharded: sh}, o, rng, 300, 150)
 	for trial := 0; trial < 10; trial++ {
 		q := difftest.RandomRanking(rng, 8, 150)
-		got, err := sh.NearestNeighbors(q, 9)
+		got, err := sh.NearestNeighborsContext(context.Background(), q, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestSearchBatchThetas(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range queries {
-		want, err := sh.Search(q, thetas[i])
+		want, _, err := sh.SearchTracedContext(context.Background(), q, thetas[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestShardedNearestNeighborsTraced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := sh.NearestNeighbors(q, 9)
+		want, err := sh.NearestNeighborsContext(context.Background(), q, 9)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,8 +75,8 @@ func TestApplyReplaysWAL(t *testing.T) {
 	if !reflect.DeepEqual(gotSlots, wantSlots) {
 		t.Fatalf("replayed slot view diverged: %d vs %d slots", len(gotSlots), len(wantSlots))
 	}
-	difftest.CheckMatch(t, "replayed-vs-live", recovered, live, qs, difftest.Thetas)
-	difftest.CheckSearch(t, "replayed-vs-oracle", recovered, o, rng, 20, domain)
+	difftest.CheckMatch(t, "replayed-vs-live", difftest.Sharded{Sharded: recovered}, difftest.Sharded{Sharded: live}, qs, difftest.Thetas)
+	difftest.CheckSearch(t, "replayed-vs-oracle", difftest.Sharded{Sharded: recovered}, o, rng, 20, domain)
 
 	// A replay onto the wrong base must fail loudly, not diverge silently:
 	// the first insert record's id cannot match.

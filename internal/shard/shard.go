@@ -16,10 +16,10 @@
 // and a traced exact KNN, each naming the backend that answered and the
 // query's own distance calls — every kind of package topk provides both, so
 // no query path asks a shard what it can do. What only some kinds have — the
-// mutation half (Mutable), epoch rebuild counters — is resolved once, when New
-// or NewEmpty has built the shards (see resolve): a capability holds for the
+// mutation half (Mutable), with its compaction counter — is resolved once,
+// when New or NewEmpty has built the shards (see resolve): it holds for the
 // Sharded exactly when every shard has it, and the request paths read the
-// resolved slices.
+// resolved slice.
 //
 // Every query path — a single search, a batch, a KNN query — is one scatter:
 // one task per shard, so a request's parallelism is the shard count.
@@ -74,12 +74,7 @@ type Mutable interface {
 	Slots() []ranking.Ranking
 	// Tombstones counts deleted rankings awaiting compaction.
 	Tombstones() int
-}
-
-// epochIndex is a sub-index that serves from epochs (topk.HybridIndex):
-// mutations wait in a delta overlay until a rebuild folds them in.
-type epochIndex interface {
-	DeltaLen() int
+	// Rebuilds counts the compactions run so far, automatic or explicit.
 	Rebuilds() uint64
 }
 
@@ -98,11 +93,9 @@ type Builder func(rankings []ranking.Ranking) (Index, error)
 // ever extend the open-ended id range of the last shard).
 type Sharded struct {
 	shards []Index
-	// What the shards can do beyond Index, resolved once at construction: each
-	// is the shards themselves under the wider interface when every one of
-	// them has it, nil otherwise.
+	// The shards under the mutation interface when every one of them has it,
+	// nil otherwise; resolved once at construction.
 	mutable []Mutable
-	epochs  []epochIndex
 
 	offsets []ranking.ID // global ID of shard i's first ranking
 	sizes   []int        // initial slot count of shard i (id-range width)
@@ -190,7 +183,6 @@ func assemble(rankings []ranking.Ranking, numShards int, build Builder) (*Sharde
 		}
 	}
 	s.mutable = resolve[Mutable](s.shards)
-	s.epochs = resolve[epochIndex](s.shards)
 	return s, nil
 }
 
@@ -356,14 +348,12 @@ func (s *Sharded) DistanceCalls() uint64 {
 	return t
 }
 
-// Rebuilds sums the epoch-rebuild counters of sub-indices that serve from
-// epochs (the hybrid engine's delta-overlay rebuilds); 0 for every other
-// kind. Together with a mutation counter this forms a cheap collection
-// generation: any acked mutation or installed rebuild changes it.
+// Rebuilds sums the compactions of the mutable sub-indices; 0 for the
+// read-only kinds.
 func (s *Sharded) Rebuilds() uint64 {
 	var t uint64
-	for _, e := range s.epochs {
-		t += e.Rebuilds()
+	for _, m := range s.mutable {
+		t += m.Rebuilds()
 	}
 	return t
 }
@@ -371,26 +361,15 @@ func (s *Sharded) Rebuilds() uint64 {
 // Shard returns the i-th sub-index and the global ID of its first ranking.
 func (s *Sharded) Shard(i int) (Index, ranking.ID) { return s.shards[i], s.offsets[i] }
 
-// Search is SearchContext without cancellation.
-func (s *Sharded) Search(q ranking.Ranking, theta float64) ([]ranking.Result, error) {
-	return s.SearchContext(context.Background(), q, theta)
-}
-
-// SearchContext fans the query out to every shard in parallel, remaps
+// SearchTracedContext fans the query out to every shard in parallel, remaps
 // shard-local ids to global ones, and concatenates the per-shard answers in
 // shard order — which, with contiguous id-range sharding and id-sorted
-// per-shard results, is already the globally sorted result set. ctx is
-// checked on entry and before each per-shard task, so a request whose client
-// has gone away (or whose deadline has passed) stops scheduling shard work;
-// see scatter for the cancellation grain. Returns ctx.Err() (possibly
-// wrapped) when the search was cut short.
-func (s *Sharded) SearchContext(ctx context.Context, q ranking.Ranking, theta float64) ([]ranking.Result, error) {
-	res, _, err := s.SearchTracedContext(ctx, q, theta)
-	return res, err
-}
-
-// SearchTracedContext is SearchContext with a per-query trace: phase
-// timings, the backends that answered and their distance-call cost.
+// per-shard results, is already the globally sorted result set — and returns
+// it with a per-query trace: phase timings, the backends that answered and
+// their distance-call cost. ctx is checked on entry and before each per-shard
+// task, so a request whose client has gone away (or whose deadline has
+// passed) stops scheduling shard work; see scatter for the cancellation
+// grain. Returns ctx.Err() (possibly wrapped) when the search was cut short.
 func (s *Sharded) SearchTracedContext(ctx context.Context, q ranking.Ranking, theta float64) ([]ranking.Result, QueryTrace, error) {
 	var out []ranking.Result
 	tr, err := s.scatter(ctx,
@@ -424,7 +403,7 @@ func (s *Sharded) SearchBatchThetasContext(ctx context.Context, queries []rankin
 
 // searchBatch answers a batch as one scatter: each shard task answers the
 // members in order on its own sub-index, and each member's per-shard answers
-// concatenate in shard order exactly like SearchContext's. A batch therefore
+// concatenate in shard order exactly like SearchTracedContext's. A batch therefore
 // runs on as many goroutines as a single query — one per shard — and is one
 // observation of each shard's latency histogram. The batch's context is
 // checked before every member and the first member error cancels it, so a
@@ -470,15 +449,17 @@ func (s *Sharded) SearchBatchSharedContext(context.Context, []ranking.Ranking, f
 }
 
 // ShardStats is a point-in-time view of one shard. Len is the live ranking
-// count; Tombstones counts deleted rankings awaiting compaction (always 0
-// for immutable kinds). Delta and Rebuilds describe the hybrid engine's
-// mutation overlay: rankings waiting in the delta region for the next epoch
-// rebuild, and how many rebuilds the shard has installed.
+// count; Tombstones counts deleted rankings awaiting compaction and Rebuilds
+// the compactions run so far (both always 0 for immutable kinds).
 type ShardStats struct {
-	Shard         int               `json:"shard"`
-	Offset        ranking.ID        `json:"offset"`
-	Len           int               `json:"len"`
-	Tombstones    int               `json:"tombstones,omitempty"`
+	Shard      int        `json:"shard"`
+	Offset     ranking.ID `json:"offset"`
+	Len        int        `json:"len"`
+	Tombstones int        `json:"tombstones,omitempty"`
+	// Delta is always 0.
+	//
+	// Deprecated: it counted the hybrid's delta overlay, which is gone; the
+	// field remains only until benchmark/ stops reading it.
 	Delta         int               `json:"delta,omitempty"`
 	Rebuilds      uint64            `json:"rebuilds,omitempty"`
 	DistanceCalls uint64            `json:"distanceCalls"`
@@ -493,8 +474,8 @@ func (s *Sharded) Timings() (fanout, merge HistogramSnapshot) {
 	return s.fanout.Snapshot(), s.merge.Snapshot()
 }
 
-// Stats snapshots every shard's live size, tombstone backlog, delta-overlay
-// and rebuild counters, distance-call counter and query latency histogram.
+// Stats snapshots every shard's live size, tombstone backlog, compaction
+// counter, distance-call counter and query latency histogram.
 func (s *Sharded) Stats() []ShardStats {
 	out := make([]ShardStats, len(s.shards))
 	for i, sh := range s.shards {
@@ -506,10 +487,7 @@ func (s *Sharded) Stats() []ShardStats {
 			Latency:       s.hists[i].Snapshot(),
 		}
 		if s.mutable != nil {
-			out[i].Tombstones = s.mutable[i].Tombstones()
-		}
-		if s.epochs != nil {
-			out[i].Delta, out[i].Rebuilds = s.epochs[i].DeltaLen(), s.epochs[i].Rebuilds()
+			out[i].Tombstones, out[i].Rebuilds = s.mutable[i].Tombstones(), s.mutable[i].Rebuilds()
 		}
 	}
 	return out

@@ -80,7 +80,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 				if sh.Len() != len(rs) || sh.K() != 10 {
 					t.Fatalf("Len/K = %d/%d, want %d/10", sh.Len(), sh.K(), len(rs))
 				}
-				difftest.CheckMatch(t, name, sh, ref.(difftest.Searcher), qs, thetas)
+				difftest.CheckMatch(t, name, difftest.Sharded{Sharded: sh}, ref.(difftest.Searcher), qs, thetas)
 			}
 		})
 	}
@@ -122,7 +122,7 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 				}
 				o := difftest.NewOracle(rs)
 				if mutated {
-					difftest.Mutate(t, name, sh, o, rng, 400, 200)
+					difftest.Mutate(t, name, difftest.Sharded{Sharded: sh}, o, rng, 400, 200)
 				}
 				// A reformulation-style batch: clusters of near-duplicate queries.
 				var queries []ranking.Ranking
@@ -176,12 +176,12 @@ func checkBatch(t *testing.T, sh *shard.Sharded, o *difftest.Oracle, queries []r
 		t.Fatalf("batch of %d answered %d members, trace %+v", len(queries), len(got), tr)
 	}
 	for i, q := range queries {
-		want, err := sh.SearchContext(context.Background(), q, thetas[i])
+		want, _, err := sh.SearchTracedContext(context.Background(), q, thetas[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !difftest.Equal(got[i], want) || (batch != nil && !difftest.Equal(batch[i], want)) {
-			t.Fatalf("query %d (θ=%.2f): batch diverges from SearchContext:\n got %v\nwant %v", i, thetas[i], got[i], want)
+			t.Fatalf("query %d (θ=%.2f): batch diverges from SearchTracedContext:\n got %v\nwant %v", i, thetas[i], got[i], want)
 		}
 		if thetas[i] < 1 {
 			if ref := o.SearchRaw(q, ranking.RawThreshold(thetas[i], o.K())); !difftest.Equal(want, ref) {
@@ -200,7 +200,7 @@ func TestStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range qs {
-		if _, err := sh.Search(q, 0.2); err != nil {
+		if _, _, err := sh.SearchTracedContext(context.Background(), q, 0.2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -247,7 +247,7 @@ func TestMutationRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	o := difftest.NewOracle(rs)
 	domain := difftest.DomainOf(rs)
-	difftest.Mutate(t, "sharded", sh, o, rng, 600, domain)
+	difftest.Mutate(t, "sharded", difftest.Sharded{Sharded: sh}, o, rng, 600, domain)
 	if sh.Len() != o.Len() {
 		t.Fatalf("Len=%d, oracle %d", sh.Len(), o.Len())
 	}
@@ -263,19 +263,19 @@ func TestMutationRouting(t *testing.T) {
 	if tombs == 0 {
 		t.Fatal("no tombstones reported after 600 mutations")
 	}
-	difftest.CheckSearch(t, "sharded", sh, o, rng, 10, domain)
+	difftest.CheckSearch(t, "sharded", difftest.Sharded{Sharded: sh}, o, rng, 10, domain)
 	// Against an unsharded reference over the same surviving slots.
 	ref, err := topk.NewInvertedIndexFromSlots(o.Slots())
 	if err != nil {
 		t.Fatal(err)
 	}
-	difftest.CheckMatch(t, "sharded-vs-unsharded", sh, ref, qs, []float64{0, 0.2})
+	difftest.CheckMatch(t, "sharded-vs-unsharded", difftest.Sharded{Sharded: sh}, ref, qs, []float64{0, 0.2})
 
 	// Compaction preserves ids.
 	if err := sh.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	difftest.CheckSearch(t, "sharded/compacted", sh, o, rng, 10, domain)
+	difftest.CheckSearch(t, "sharded/compacted", difftest.Sharded{Sharded: sh}, o, rng, 10, domain)
 
 	// Slot round-trip: rebuild from the concatenated slot view.
 	slots, ok := sh.Slots()
@@ -286,7 +286,7 @@ func TestMutationRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	difftest.CheckSearch(t, "sharded/restored", sh2, o, rng, 10, domain)
+	difftest.CheckSearch(t, "sharded/restored", difftest.Sharded{Sharded: sh2}, o, rng, 10, domain)
 }
 
 // TestImmutableKindRejectsMutations pins ErrImmutable for read-only shards.

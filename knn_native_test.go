@@ -40,7 +40,7 @@ func knnSubjects(t testing.TB, slots []Ranking) map[string]knnSubject {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]knnSubject{"inverted": inv, "hybrid": hyb, "sharded": sh}
+	return map[string]knnSubject{"inverted": inv, "hybrid": hyb, "sharded": difftest.Sharded{Sharded: sh}}
 }
 
 // reductionOver runs knn.Expanding over the public range search of the same
@@ -384,7 +384,10 @@ func TestKNNNativeBypassesReductionAndPlanner(t *testing.T) {
 func TestHybridKNNFallbackLeavesExplorationAlone(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rs := difftest.RandomCollection(rng, 150, 6, 60)
-	h := hybridFor(t, rs, WithForcedBackend("adaptsearch"))
+	h := hybridFor(t, rs)
+	if err := h.Force("adaptsearch"); err != nil {
+		t.Fatal(err)
+	}
 	o := difftest.NewOracle(rs)
 	const queries = 640
 	for i := 0; i < queries; i++ {

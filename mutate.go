@@ -17,15 +17,15 @@
 //   - The ranking size k is fixed by the collection, or — for an index built
 //     over zero live rankings — by the first Insert that succeeds.
 //
-// InvertedIndex reaches the core through a locked facade (mutable); a
-// HybridIndex epoch embeds the same core over its inverted index
-// (hybrid_mutate.go). The paper baselines — CoarseIndex, BlockedIndex and
-// the metric trees — are static. Tombstoned slots still occupy postings. Once
-// their fraction of the inner id space crosses the compaction ratio, the
-// facade rebuilds the inner index over the survivors in place — under the
-// same write lock that serializes every mutation, so concurrent Searches
-// simply observe the index before or after. External IDs are preserved
-// across the rebuild.
+// InvertedIndex — and with it HybridIndex, which embeds one — reaches the
+// core through a locked facade (mutable). The paper baselines — CoarseIndex,
+// BlockedIndex and the metric trees — are static. Tombstoned slots still
+// occupy postings. Once their fraction of the inner id space crosses the
+// compaction ratio, the facade rebuilds the inner index over the survivors in
+// place — under the same write lock that serializes every mutation, so
+// concurrent Searches simply observe the index before or after, and every
+// answer is the same on both sides. External IDs are preserved across the
+// rebuild; the rebuild count and wall time are the index's RebuildStats.
 package topk
 
 import (
@@ -33,6 +33,8 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"topk/internal/ranking"
 )
@@ -174,8 +176,7 @@ func (m *idmap) remapNN(res []Result) {
 
 // mutableInner is what the mutation core asks of the structure it maintains:
 // an append-only Insert over a dense internal id space, a tombstoning Delete,
-// and read access to both. invindex.Index satisfies it as is; a hybrid epoch
-// through epochInv.
+// and read access to both. invindex.Index satisfies it.
 type mutableInner interface {
 	Insert(r Ranking) (ID, error)
 	Delete(id ID) error
@@ -189,8 +190,7 @@ type mutableInner interface {
 // mutationCore is the one mutation state machine of the package: the id
 // indirection, the ranking size with its "first insert defines k" rule, and
 // Insert / Delete / Update over an inner structure. InvertedIndex reaches it
-// through the locked facade below, a hybrid epoch embeds it over its inverted
-// index; the caller holds whatever lock guards it.
+// through the locked facade below, which holds the lock guarding it.
 type mutationCore struct {
 	ids idmap
 	// k is the ranking size; 0 while an index built over zero live rankings
@@ -294,7 +294,34 @@ type mutable struct {
 	// its backend adapter (index plus searcher pool) in the query half, and
 	// returns it for the core.
 	rebuild func(live []Ranking) (mutableInner, error)
+
+	// Compactions so far, with their cumulative and most recent wall time.
+	rebuilds, rebuildNanos, lastRebuildNanos atomic.Uint64
 }
+
+// RebuildStats describes the compaction history of a mutable index: how many
+// rebuilds over the survivors ran — automatic and explicit Compact calls —
+// and the wall time they cost. A failed rebuild is not counted.
+type RebuildStats struct {
+	// Rebuilds counts completed compactions.
+	Rebuilds uint64 `json:"rebuilds"`
+	// TotalNanos is the cumulative wall time of the compactions; LastNanos the
+	// most recent one's.
+	TotalNanos uint64 `json:"totalNanos,omitempty"`
+	LastNanos  uint64 `json:"lastNanos,omitempty"`
+}
+
+// RebuildStats snapshots the compaction counters.
+func (m *mutable) RebuildStats() RebuildStats {
+	return RebuildStats{
+		Rebuilds:   m.rebuilds.Load(),
+		TotalNanos: m.rebuildNanos.Load(),
+		LastNanos:  m.lastRebuildNanos.Load(),
+	}
+}
+
+// Rebuilds reports how many compactions have completed since construction.
+func (m *mutable) Rebuilds() uint64 { return m.rebuilds.Load() }
 
 // install (re)builds the inner structure over live and points the core at
 // it; on error nothing changes. k survives a rebuild over zero survivors.
@@ -402,5 +429,13 @@ func (m *mutable) maybeCompactLocked() {
 }
 
 func (m *mutable) compactLocked() error {
-	return m.install(newSlotsIDMap(m.slots()))
+	start := time.Now()
+	if err := m.install(newSlotsIDMap(m.slots())); err != nil {
+		return err
+	}
+	d := uint64(time.Since(start))
+	m.rebuilds.Add(1)
+	m.rebuildNanos.Add(d)
+	m.lastRebuildNanos.Store(d)
+	return nil
 }

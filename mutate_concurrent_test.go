@@ -50,14 +50,16 @@ func TestConcurrentMutation(t *testing.T) {
 			return topk.NewHybridIndex(base)
 		},
 		"Sharded/InvertedIndex": func() (mutable, error) {
-			return shard.New(base, 4, func(chunk []ranking.Ranking) (shard.Index, error) {
+			sh, err := shard.New(base, 4, func(chunk []ranking.Ranking) (shard.Index, error) {
 				return topk.NewInvertedIndexFromSlots(chunk)
 			})
+			return difftest.Sharded{Sharded: sh}, err
 		},
 		"Sharded/HybridIndex": func() (mutable, error) {
-			return shard.New(base, 4, func(chunk []ranking.Ranking) (shard.Index, error) {
+			sh, err := shard.New(base, 4, func(chunk []ranking.Ranking) (shard.Index, error) {
 				return topk.NewHybridIndexFromSlots(chunk)
 			})
+			return difftest.Sharded{Sharded: sh}, err
 		},
 	}
 
@@ -143,7 +145,7 @@ func slotsView(t *testing.T, idx mutable) []ranking.Ranking {
 	switch v := idx.(type) {
 	case interface{ Slots() []ranking.Ranking }:
 		return v.Slots()
-	case *shard.Sharded:
+	case difftest.Sharded:
 		slots, ok := v.Slots()
 		if !ok {
 			t.Fatal("sharded index exposes no slot view")

@@ -41,8 +41,8 @@ func mutableBuilders(autoCompact bool) map[string]mutableBuilder {
 			return NewInvertedIndexFromSlots(slots,
 				WithAlgorithm(ListMerge), WithCompactionRatio(ratio))
 		},
-		// The ratio is the hybrid's epoch-rebuild trigger: its rebuilds run in
-		// the background, interleaved with the workload's queries.
+		// The ratio is the hybrid's compaction trigger, set through its own
+		// option (WithHybridDeltaRatio).
 		"HybridIndex": func(slots []Ranking) (difftest.Mutable, error) {
 			return NewHybridIndexFromSlots(slots, WithHybridDeltaRatio(ratio))
 		},
@@ -57,13 +57,17 @@ func mutableBuilders(autoCompact bool) map[string]mutableBuilder {
 // shardedBuilder wraps a kind's builder in a three-shard router.
 func shardedBuilder(inner mutableBuilder) mutableBuilder {
 	return func(slots []Ranking) (difftest.Mutable, error) {
-		return shard.New(slots, 3, func(chunk []ranking.Ranking) (shard.Index, error) {
+		sh, err := shard.New(slots, 3, func(chunk []ranking.Ranking) (shard.Index, error) {
 			sub, err := inner(chunk)
 			if err != nil {
 				return nil, err
 			}
 			return sub.(shard.Index), nil
 		})
+		if err != nil {
+			return nil, err
+		}
+		return difftest.Sharded{Sharded: sh}, nil
 	}
 }
 
@@ -164,7 +168,7 @@ func slotsOf(t *testing.T, idx difftest.Mutable) []Ranking {
 	switch v := idx.(type) {
 	case interface{ Slots() []Ranking }:
 		return v.Slots()
-	case *shard.Sharded:
+	case difftest.Sharded:
 		slots, ok := v.Slots()
 		if !ok {
 			t.Fatal("sharded index exposes no slot view")
@@ -177,8 +181,9 @@ func slotsOf(t *testing.T, idx difftest.Mutable) []Ranking {
 }
 
 // TestDifferentialAutoCompaction reruns the workload with automatic
-// compaction enabled at the default ratio, so rebuilds fire mid-workload
-// interleaved with queries against the oracle.
+// compaction enabled at the default ratio — for HybridIndex through
+// WithHybridDeltaRatio — so rebuilds fire mid-workload interleaved with
+// queries against the oracle, and every kind must have counted them.
 func TestDifferentialAutoCompaction(t *testing.T) {
 	for name, build := range mutableBuilders(true) {
 		t.Run(name, func(t *testing.T) {
@@ -192,6 +197,9 @@ func TestDifferentialAutoCompaction(t *testing.T) {
 			for round := 0; round < 5; round++ {
 				difftest.Mutate(t, name, idx, o, rng, 200, diffDomain)
 				difftest.CheckSearch(t, name, idx, o, rng, 4, diffDomain)
+			}
+			if n := idx.(interface{ Rebuilds() uint64 }).Rebuilds(); n == 0 {
+				t.Fatal("no automatic compaction ran")
 			}
 		})
 	}
@@ -315,7 +323,7 @@ func TestAllTombstoneShardChunkRestores(t *testing.T) {
 	if sh.Len() != 30 {
 		t.Fatalf("Len=%d, want 30", sh.Len())
 	}
-	difftest.CheckSearch(t, "all-dead-chunk", sh, o, rng, 10, diffDomain)
+	difftest.CheckSearch(t, "all-dead-chunk", difftest.Sharded{Sharded: sh}, o, rng, 10, diffDomain)
 	// The empty facade kinds stay mutable, adopting k on first insert.
 	empty, err := NewHybridIndexFromSlots(make([]Ranking, 5))
 	if err != nil {

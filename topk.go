@@ -13,12 +13,11 @@
 // (plain and blocked inverted indices, BK-, M- and VP-trees, the
 // AdaptSearch prefix filter) are provided both as baselines and because
 // each has a regime where it wins; see the package examples and README.
-// HybridIndex is the serving engine: a fully mutable inverted index
-// (F&V+Drop for range queries, a native posting-list pass for KNN) that
-// answers every query, beside an AdaptSearch prefix-filter sidecar over the
-// same collection that answers only when forced — measured, the inverted
-// index is the faster of the two across the paper's query range, so the
-// hybrid no longer estimates which to ask.
+// HybridIndex is the serving engine: the fully mutable InvertedIndex with
+// F&V+Drop for range queries and a native posting-list pass for KNN, plus
+// plan counters and a Force switch onto an AdaptSearch prefix filter built on
+// demand — measured, the inverted index is the faster of the two across the
+// paper's query range, so nothing is routed there unforced.
 //
 // All Search methods are safe for concurrent use and run in parallel: the
 // per-query scratch state of every index lives in an internal sync.Pool, so
@@ -26,10 +25,9 @@
 // a lock. Distance-call accounting is atomic. The two mutable kinds,
 // InvertedIndex and HybridIndex — the inverted family cmd/topkserve serves —
 // additionally implement MutableIndex — Insert, Delete and Update with stable
-// external IDs, tombstone filtering on the query path and automatic
-// compaction (for the hybrid engine, a delta overlay over its static backend
-// folded back by background epoch rebuilds) — and briefly exclude writers
-// from readers with an RWMutex. The paper baselines (CoarseIndex,
+// external IDs, tombstone filtering on the query path and synchronous
+// compaction once tombstones pass a ratio of the id space — and briefly
+// exclude writers from readers with an RWMutex. The paper baselines (CoarseIndex,
 // BlockedIndex, the metric trees) are read-only and take no lock at all. For
 // query fan-out across cores over one collection, see internal/shard and
 // cmd/topkserve.

@@ -155,7 +155,11 @@ func TestQueryContract(t *testing.T) {
 		"vptree":        func() (queryer, error) { return NewMetricTree(rs, VPTree) },
 		"hybrid":        func() (queryer, error) { return NewHybridIndex(rs) },
 		"hybrid/adaptsearch": func() (queryer, error) {
-			return NewHybridIndex(rs, WithForcedBackend("adaptsearch"))
+			h, err := NewHybridIndex(rs)
+			if err == nil {
+				err = h.Force("adaptsearch")
+			}
+			return h, err
 		},
 	}
 	bad := []struct {

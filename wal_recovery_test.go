@@ -40,7 +40,7 @@ var recoveryKinds = map[string]func(slots []ranking.Ranking) (difftest.Mutable, 
 		sh, err := shard.New(slots, 3, func(rs []ranking.Ranking) (shard.Index, error) {
 			return topk.NewHybridIndexFromSlots(rs)
 		})
-		return sh, err
+		return difftest.Sharded{Sharded: sh}, err
 	},
 }
 
@@ -209,7 +209,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 				var slots []ranking.Ranking
 				if ok {
 					slots = slotter.Slots()
-				} else if sh, isSh := idx.(*shard.Sharded); isSh {
+				} else if sh, isSh := idx.(difftest.Sharded); isSh {
 					slots, _ = sh.Slots()
 				} else {
 					t.Fatalf("kind exposes no slot view")
