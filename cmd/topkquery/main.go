@@ -35,7 +35,6 @@ import (
 	"topk/internal/kinds"
 	"topk/internal/persist"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 )
 
 func main() {
@@ -167,7 +166,7 @@ func loadSnapshot(path string) ([]topk.Ranking, error) {
 // is topkserve's engine.
 func standalone(k kinds.Kind) bool { return k.Name != "hybrid" }
 
-func buildIndex(kind string, rankings []topk.Ranking, maxTheta float64) (shard.Index, error) {
+func buildIndex(kind string, rankings []topk.Ranking, maxTheta float64) (kinds.Index, error) {
 	k, err := kinds.Lookup(kind, standalone)
 	if err != nil {
 		return nil, err

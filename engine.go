@@ -98,9 +98,8 @@ type queryHalf struct {
 	// queries read it under the read lock.
 	backend backend
 	// mut is InvertedIndex's mutation half: the lock its queries share and the
-	// core whose id map their answers pass through. It is nil for the
-	// read-only kinds, whose internal ids are the public ones and whose queries
-	// take no lock at all.
+	// id map their answers pass through. It is nil for the read-only kinds,
+	// whose internal ids are the public ones and whose queries take no lock.
 	mut *mutable
 	// route, when set, picks each query's backend under the read lock in place
 	// of backend (HybridIndex's Force).
@@ -119,11 +118,10 @@ func (h *queryHalf) pick() (backend, error) {
 // SearchTraced is Search plus per-query attribution: the name of the backend
 // that answered and the Footrule evaluations this query cost.
 func (h *queryHalf) SearchTraced(q Ranking, theta float64) ([]Result, string, uint64, error) {
-	var core *mutationCore
-	if h.mut != nil {
-		h.mut.mu.RLock()
-		defer h.mut.mu.RUnlock()
-		core = &h.mut.mutationCore
+	core := h.mut
+	if core != nil {
+		core.mu.RLock()
+		defer core.mu.RUnlock()
 	}
 	b, err := h.pick()
 	if err != nil {
@@ -155,11 +153,10 @@ func (h *queryHalf) Search(q Ranking, theta float64) ([]Result, error) {
 // backend that answered and the Footrule evaluations the query cost (0 on the
 // inverted index's native path).
 func (h *queryHalf) NearestNeighborsTraced(q Ranking, n int) ([]Result, string, uint64, error) {
-	var core *mutationCore
-	if h.mut != nil {
-		h.mut.mu.RLock()
-		defer h.mut.mu.RUnlock()
-		core = &h.mut.mutationCore
+	core := h.mut
+	if core != nil {
+		core.mu.RLock()
+		defer core.mu.RUnlock()
 	}
 	b, err := h.pick()
 	if err != nil {
@@ -217,20 +214,20 @@ func checkQuery(q Ranking, k int) error {
 // nearestBackend runs the NearestNeighbors contract over a physical backend:
 // validation, the backend's native exact KNN or — for backends without one —
 // the expanding-radius reduction over its range search, external-id
-// remapping; ev counts the distance calls. core is the mutation core of an
-// InvertedIndex — its id map, and the size and tombstone
-// predicate of the internal id space the reduction's dmax backfill walks —
-// and nil for kinds whose internal ids are the public ones. The caller holds
+// remapping; ev counts the distance calls. core is the mutation half of an
+// InvertedIndex — its id map, and the size and tombstone predicate of the
+// internal id space the reduction's dmax backfill walks — and nil for kinds
+// whose internal ids are the public ones. The caller holds
 // whatever lock its kind requires.
-func nearestBackend(b backend, core *mutationCore, q Ranking, n int, ev *metric.Evaluator) ([]Result, error) {
+func nearestBackend(b backend, core *mutable, q Ranking, n int, ev *metric.Evaluator) ([]Result, error) {
 	k, space := b.K(), b.Len()
 	var (
 		ids  *idmap
 		dead func(ID) bool
 	)
 	if core != nil {
-		k, space = core.k, core.inner.Len()
-		ids, dead = &core.ids, core.inner.Deleted
+		k, space = core.k, core.inv.Len()
+		ids, dead = &core.ids, core.inv.Deleted
 	}
 	if err := checkQuery(q, k); err != nil {
 		return nil, err

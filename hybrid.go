@@ -131,15 +131,14 @@ func (h *HybridIndex) route() (backend, error) {
 	}
 	h.sideMu.Lock()
 	defer h.sideMu.Unlock()
-	inv := h.inner.(*invindex.Index)
-	if h.sideOf != inv || h.side.idx.Len() != inv.Len() {
+	if h.sideOf != h.inv || h.side.idx.Len() != h.inv.Len() {
 		// Tombstoned rankings stay in the sidecar; Deleted filters them.
-		ad, err := adaptsearch.New(inv.Rankings())
+		ad, err := adaptsearch.New(h.inv.Rankings())
 		if err != nil {
 			return nil, fmt.Errorf("topk: hybrid backend %q: %w", backendAdaptSearch, err)
 		}
-		h.side = adaptBackend{idx: ad, pool: newPool(ad, adaptsearch.NewSearcher), dead: inv.Deleted}
-		h.sideOf = inv
+		h.side = adaptBackend{idx: ad, pool: newPool(ad, adaptsearch.NewSearcher), dead: h.inv.Deleted}
+		h.sideOf = h.inv
 	}
 	return h.side, nil
 }
@@ -160,8 +159,8 @@ func (h *HybridIndex) Search(q Ranking, theta float64) ([]Result, error) {
 
 // SearchTraced is Search plus per-query attribution: the name of the
 // backend that answered and the Footrule evaluations the query cost — the
-// half of the shard.Index contract behind topkserve's query tracing and
-// slow-query log.
+// range query of the shard.Index contract, behind topkserve's query tracing
+// and slow-query log.
 func (h *HybridIndex) SearchTraced(q Ranking, theta float64) ([]Result, string, uint64, error) {
 	return h.plan(h.InvertedIndex.SearchTraced(q, theta))
 }
@@ -175,7 +174,7 @@ func (h *HybridIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
 }
 
 // NearestNeighborsTraced is NearestNeighbors plus per-query attribution (0
-// distance calls on the native inverted path) — the other half of the
+// distance calls on the native inverted path) — the KNN query of the
 // shard.Index contract, behind topkserve's /knn tracing.
 func (h *HybridIndex) NearestNeighborsTraced(q Ranking, n int) ([]Result, string, uint64, error) {
 	return h.plan(h.InvertedIndex.NearestNeighborsTraced(q, n))

@@ -9,7 +9,6 @@ import (
 
 	"topk"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 )
 
 // Options carries what a caller can configure about a kind.
@@ -22,6 +21,16 @@ type Options struct {
 	Hybrid []topk.HybridOption
 }
 
+// Index is the query shape every kind has: the traced range search topkquery
+// answers with, the live ranking count and the ranking size. The mutable kinds'
+// indices additionally satisfy shard.Index, which topkserve's shard builder
+// checks once, when it builds a shard.
+type Index interface {
+	SearchTraced(q ranking.Ranking, theta float64) ([]ranking.Result, string, uint64, error)
+	Len() int
+	K() int
+}
+
 // Kind is one named index kind.
 type Kind struct {
 	Name string
@@ -30,42 +39,42 @@ type Kind struct {
 	// takes an external-id slot array with nil for a retired id. The other
 	// kinds — the paper baselines — need a dense collection.
 	Mutable bool
-	New     func(slots []ranking.Ranking, o Options) (shard.Index, error)
+	New     func(slots []ranking.Ranking, o Options) (Index, error)
 }
 
 // Table lists every kind, the mutable ones first.
 var Table = []Kind{
-	{"hybrid", true, func(rs []ranking.Ranking, o Options) (shard.Index, error) {
+	{"hybrid", true, func(rs []ranking.Ranking, o Options) (Index, error) {
 		return topk.NewHybridIndexFromSlots(rs, o.Hybrid...)
 	}},
-	{"inverted", true, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+	{"inverted", true, func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.FilterValidate))
 	}},
-	{"inverted-drop", true, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+	{"inverted-drop", true, func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewInvertedIndexFromSlots(rs)
 	}},
-	{"merge", true, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+	{"merge", true, func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.ListMerge))
 	}},
-	{"coarse", false, func(rs []ranking.Ranking, o Options) (shard.Index, error) {
+	{"coarse", false, func(rs []ranking.Ranking, o Options) (Index, error) {
 		return topk.NewCoarseIndex(rs, topk.WithAutoTune(o.MaxTheta))
 	}},
-	{"coarse-drop", false, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+	{"coarse-drop", false, func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewCoarseIndex(rs, topk.WithThetaC(0.06), topk.WithListDropping())
 	}},
-	{"blocked", false, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+	{"blocked", false, func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewBlockedIndex(rs)
 	}},
-	{"blocked-drop", false, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+	{"blocked-drop", false, func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewBlockedIndex(rs, topk.WithBlockedDrop())
 	}},
-	{"bktree", false, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+	{"bktree", false, func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewMetricTree(rs, topk.BKTree)
 	}},
-	{"mtree", false, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+	{"mtree", false, func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewMetricTree(rs, topk.MTree)
 	}},
-	{"vptree", false, func(rs []ranking.Ranking, _ Options) (shard.Index, error) {
+	{"vptree", false, func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewMetricTree(rs, topk.VPTree)
 	}},
 }

@@ -84,7 +84,7 @@ func (s *Server) handleListCollections(w http.ResponseWriter, r *http.Request) {
 // external-id slot array with tombstones marked, so restarting with
 // -load-snapshot preserves every id. `curl -s :8080/snapshot > snap.v3`.
 func (s *Server) handleSnapshot(c *Collection, w http.ResponseWriter, r *http.Request) {
-	slots, _ := c.sh.Slots() // every served kind has a slot view
+	slots := c.sh.Slots()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition", "attachment; filename=\"rankings.v3\"")
 	if _, err := persist.WritePagedTo(w, slots); err != nil {
@@ -135,7 +135,7 @@ func (s *Server) handleCheckpoint(c *Collection, w http.ResponseWriter, r *http.
 		httpError(w, http.StatusInternalServerError, "wal rotate: %v", err)
 		return
 	}
-	slots, _ := c.sh.Slots() // every served kind has a slot view
+	slots := c.sh.Slots()
 	// Same instant as the slot cut: dirt accumulated after this capture
 	// belongs to the next checkpoint.
 	dirty := c.tracker.Capture()

@@ -17,6 +17,7 @@ import (
 
 	"topk"
 	"topk/internal/dataset"
+	"topk/internal/kinds"
 	"topk/internal/persist"
 	"topk/internal/ranking"
 	"topk/internal/shard"
@@ -347,6 +348,40 @@ func TestValidateKindFlags(t *testing.T) {
 	}
 }
 
+// TestBuilderForServesMutableKinds walks kinds.Table: every mutable kind's
+// index satisfies shard.Index and builds a shard, and builderFor rejects
+// every other kind with errNotServed.
+func TestBuilderForServesMutableKinds(t *testing.T) {
+	rs, err := dataset.Generate(dataset.NYTLike(60, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range kinds.Table {
+		t.Run(k.Name, func(t *testing.T) {
+			sub, err := builderFor(k.Name, 0)(rs)
+			if !k.Mutable {
+				if !errors.Is(err, errNotServed) {
+					t.Fatalf("builderFor(%q) = %v, want errNotServed", k.Name, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, err := k.New(rs, kinds.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := idx.(shard.Index); !ok {
+				t.Fatalf("%T does not satisfy shard.Index", idx)
+			}
+			if sub.Len() != len(rs) || len(sub.Slots()) != len(rs) {
+				t.Fatalf("built shard holds %d rankings in %d slots, want %d", sub.Len(), len(sub.Slots()), len(rs))
+			}
+		})
+	}
+}
+
 // TestSnapshotEndpointRoundTrip mutates a server, pulls GET /snapshot, and
 // restarts from the bytes with -load-snapshot: every id and tombstone must be
 // preserved and the restored server must answer identically.
@@ -418,7 +453,7 @@ func TestLoadSnapshotKeepsTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := startServer(t, "inverted-drop", path, "", true)
-	if got, _ := srv.defColl().sh.Slots(); !slotsEqual(got, slots) {
+	if got := srv.defColl().sh.Slots(); !slotsEqual(got, slots) {
 		t.Fatal("served slot view diverges from the snapshot")
 	}
 	h := srv.routes()

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"topk"
-	"topk/internal/shard"
 	"topk/internal/telemetry"
 )
 
@@ -159,16 +158,16 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 			"Footrule evaluations per shard, cumulative.", shardLabels, float64(st.DistanceCalls))
 		w.Histogram("topkserve_shard_query_duration_seconds",
 			"Per-shard query latency: one observation per search, whole batch or KNN query.",
-			shardLabels, shardHistToTelemetry(st.Latency))
+			shardLabels, st.Latency.Raw)
 		tombstones += st.Tombstones
 	}
 	fan, mrg := c.sh.Timings()
 	w.Histogram("topkserve_fanout_duration_seconds",
 		"Scatter phase of a fanned-out search, batch or KNN query: dispatch until the slowest shard answers.",
-		labels, shardHistToTelemetry(fan))
+		labels, fan.Raw)
 	w.Histogram("topkserve_merge_duration_seconds",
 		"Gather phase of a fanned-out search, batch or KNN query: combining per-shard answers.",
-		labels, shardHistToTelemetry(mrg))
+		labels, mrg.Raw)
 	w.Gauge("topkserve_tombstones",
 		"Tombstoned rankings awaiting compaction, summed over shards.",
 		labels, float64(tombstones))
@@ -259,25 +258,6 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 		w.Gauge("topkserve_collection_admission_queue_depth",
 			"Requests currently waiting at a collection's carve.",
 			labels, float64(st.QueueDepth))
-	}
-}
-
-// shardHistToTelemetry converts a shard-layer µs-bucket snapshot into the
-// seconds-based exposition model. The shard histogram's final bucket
-// already absorbs overflow under a finite bound, so the +Inf bucket is
-// always empty.
-func shardHistToTelemetry(hs shard.HistogramSnapshot) telemetry.HistogramSnapshot {
-	bounds := make([]float64, len(hs.BucketBoundsMicros))
-	for i, b := range hs.BucketBoundsMicros {
-		bounds[i] = float64(b) / 1e6
-	}
-	counts := make([]uint64, len(bounds)+1)
-	copy(counts, hs.Buckets)
-	return telemetry.HistogramSnapshot{
-		Bounds: bounds,
-		Counts: counts,
-		Count:  hs.Count,
-		Sum:    hs.SumMicros / 1e6,
 	}
 }
 

@@ -462,6 +462,72 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestShardHistogramsAgree: /stats and /metrics render the same shard-layer
+// histograms. After N single /search and M /knn calls every shard observed
+// each query once, the fan-out and merge histograms N + M times, and each
+// /stats view carries count, sumMicros and one bound per bucket.
+func TestShardHistogramsAgree(t *testing.T) {
+	srv, _, qs := testServer(t)
+	h := srv.routes()
+	const n, m = 5, 3
+	for _, q := range qs[:n] {
+		if rec := postSearch(t, h, map[string]any{"query": q, "theta": 0.2}); rec.Code != http.StatusOK {
+			t.Fatalf("search status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	for _, q := range qs[n : n+m] {
+		b, _ := json.Marshal(map[string]any{"query": q, "n": 4})
+		if rec := post(t, h, "/knn", string(b)); rec.Code != http.StatusOK {
+			t.Fatalf("knn status %d: %s", rec.Code, rec.Body)
+		}
+	}
+
+	rec := get(t, h, "/stats")
+	var raw struct {
+		Fanout, Merge map[string]json.RawMessage
+		Shards        []struct{ Latency map[string]json.RawMessage }
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	views := []map[string]json.RawMessage{raw.Fanout, raw.Merge}
+	for _, sh := range raw.Shards {
+		views = append(views, sh.Latency)
+	}
+	for i, v := range views {
+		for _, field := range []string{"count", "sumMicros", "buckets", "bucketBoundsMicros"} {
+			if _, ok := v[field]; !ok {
+				t.Fatalf("/stats histogram %d lacks %q: %v", i, field, v)
+			}
+		}
+		var buckets, bounds []uint64
+		if json.Unmarshal(v["buckets"], &buckets) != nil || json.Unmarshal(v["bucketBoundsMicros"], &bounds) != nil ||
+			len(buckets) == 0 || len(buckets) != len(bounds) {
+			t.Fatalf("/stats histogram %d: buckets %s over bounds %s", i, v["buckets"], v["bucketBoundsMicros"])
+		}
+	}
+
+	st := statsOf(t, h)
+	doc := scrape(t, h)
+	for _, s := range st.Shards {
+		labels := map[string]string{"shard": strconv.Itoa(s.Shard)}
+		if got := doc.one(t, "topkserve_shard_query_duration_seconds_count", labels).value; got != float64(s.Latency.Count) || got != n+m {
+			t.Errorf("shard %d: /metrics count %v, /stats latency.count %d, want %d", s.Shard, got, s.Latency.Count, n+m)
+		}
+		if got := doc.one(t, "topkserve_shard_query_duration_seconds_sum", labels).value; math.Abs(got*1e6-s.Latency.SumMicros) > 1e-6*s.Latency.SumMicros {
+			t.Errorf("shard %d: /metrics sum %vs, /stats sumMicros %v", s.Shard, got, s.Latency.SumMicros)
+		}
+	}
+	for _, c := range []struct {
+		family string
+		view   shard.HistogramSnapshot
+	}{{"topkserve_fanout_duration_seconds_count", st.Fanout}, {"topkserve_merge_duration_seconds_count", st.Merge}} {
+		if got := doc.one(t, c.family, nil).value; got != n+m || c.view.Count != n+m {
+			t.Errorf("%s = %v, /stats count %d, want %d", c.family, got, c.view.Count, n+m)
+		}
+	}
+}
+
 // TestMetricsHybridPlanner checks the plan-counter series the hybrid kind
 // exports: plans per backend sum to the query count and agree with
 // /stats.

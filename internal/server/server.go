@@ -599,15 +599,29 @@ func validateKind(kind string) error {
 	return nil
 }
 
+// errNotServed is the error of a shard builder asked for a kind the server
+// does not serve.
+var errNotServed = errors.New("index kind is not served")
+
 // builderFor returns the shard builder for a served index kind name;
-// deltaRatio is the hybrid's compaction ratio.
+// deltaRatio is the hybrid's compaction ratio. The builder converts what the
+// kind builds to shard.Index once, at build time, and fails with errNotServed
+// for any other kind.
 func builderFor(kind string, deltaRatio float64) shard.Builder {
 	o := kinds.Options{Hybrid: []topk.HybridOption{topk.WithHybridDeltaRatio(deltaRatio)}}
-	k, err := kinds.Lookup(kind, served)
+	k, lookupErr := kinds.Lookup(kind, served)
 	return func(rs []ranking.Ranking) (shard.Index, error) {
+		if lookupErr != nil {
+			return nil, fmt.Errorf("%w: %w", errNotServed, lookupErr)
+		}
+		idx, err := k.New(rs, o)
 		if err != nil {
 			return nil, err
 		}
-		return k.New(rs, o)
+		sub, ok := idx.(shard.Index)
+		if !ok {
+			return nil, fmt.Errorf("%w: kind %q has no mutation half", errNotServed, kind)
+		}
+		return sub, nil
 	}
 }

@@ -80,7 +80,7 @@ func TestRestartCheckpointsIncrementally(t *testing.T) {
 	if c.paged == nil {
 		t.Fatal("restart did not recover from the paged checkpoint")
 	}
-	gotSlots, _ := c.sh.Slots()
+	gotSlots := c.sh.Slots()
 	if !slotsEqual(gotSlots, o.Slots()) {
 		t.Fatal("paged recovery diverged from the oracle slot-for-slot")
 	}
@@ -102,7 +102,7 @@ func TestRestartCheckpointsIncrementally(t *testing.T) {
 
 	// Third generation: recover from the incremental footer.
 	s3 := startServer(t, "hybrid", snapPath, walDir, true)
-	gotSlots, _ = s3.defColl().sh.Slots()
+	gotSlots = s3.defColl().sh.Slots()
 	if !slotsEqual(gotSlots, o.Slots()) {
 		t.Fatal("recovery from the incremental checkpoint diverged from the oracle")
 	}
@@ -166,10 +166,7 @@ func TestMmapRecoveryMatchesReplayDifferential(t *testing.T) {
 	// snapshot and an incremental checkpoint in the WAL directory.
 	s2 := startServer(t, "inverted", seed, walDir, true)
 	snapPath := filepath.Join(dir, "state.v3")
-	slots2, ok := s2.defColl().sh.Slots()
-	if !ok {
-		t.Fatal("no slot view")
-	}
+	slots2 := s2.defColl().sh.Slots()
 	if err := persist.WritePagedFile(snapPath, slots2); err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +186,9 @@ func TestMmapRecoveryMatchesReplayDifferential(t *testing.T) {
 		t.Fatal("replay clone replayed nothing")
 	}
 
-	mmSlots, _ := mm.defColl().sh.Slots()
-	snapSlots, _ := snapSrv.defColl().sh.Slots()
-	rpSlots, _ := rp.defColl().sh.Slots()
+	mmSlots := mm.defColl().sh.Slots()
+	snapSlots := snapSrv.defColl().sh.Slots()
+	rpSlots := rp.defColl().sh.Slots()
 	if !slotsEqual(mmSlots, snapSlots) || !slotsEqual(mmSlots, rpSlots) || !slotsEqual(mmSlots, o.Slots()) {
 		t.Fatal("recovery paths disagree on the slot array")
 	}

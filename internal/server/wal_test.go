@@ -119,7 +119,7 @@ func TestWALRecoveryAcrossRestart(t *testing.T) {
 		t.Fatal("restart replayed no records")
 	}
 	difftest.CheckSearch(t, "post-restart", difftest.Sharded{Sharded: s2.defColl().sh}, o, rng, 15, domain)
-	gotSlots, _ := s2.defColl().sh.Slots()
+	gotSlots := s2.defColl().sh.Slots()
 	if !slotsEqual(gotSlots, o.Slots()) {
 		t.Fatal("recovered slot view is not byte-identical to the oracle")
 	}
@@ -151,7 +151,7 @@ func TestWALRecoveryAcrossRestart(t *testing.T) {
 	// records replay.
 	s3 := startServer(t, "hybrid", snapPath, walDir, true)
 	difftest.CheckSearch(t, "post-checkpoint-restart", difftest.Sharded{Sharded: s3.defColl().sh}, o, rng, 15, domain)
-	gotSlots, _ = s3.defColl().sh.Slots()
+	gotSlots = s3.defColl().sh.Slots()
 	if !slotsEqual(gotSlots, o.Slots()) {
 		t.Fatal("post-checkpoint recovery diverged from the oracle")
 	}

@@ -23,8 +23,9 @@ type fakeState struct {
 	searchErr error
 }
 
-// fakeIndex counts work instead of doing it: the serving contract
-// (shard.Index) and nothing else, so one fake covers every Sharded query path.
+// fakeIndex counts work instead of doing it: its searches serve the query
+// half of shard.Index, so one fake covers every Sharded query path, and its
+// mutation half is inert.
 type fakeIndex struct {
 	st *fakeState
 	n  int
@@ -46,6 +47,16 @@ func (f *fakeIndex) NearestNeighborsTraced(q ranking.Ranking, n int) ([]ranking.
 func (f *fakeIndex) Len() int              { return f.n }
 func (f *fakeIndex) K() int                { return f.k }
 func (f *fakeIndex) DistanceCalls() uint64 { return f.st.searches.Load() }
+
+func (f *fakeIndex) Insert(ranking.Ranking) (ranking.ID, error) { return 0, errFakeMutation }
+func (f *fakeIndex) Delete(ranking.ID) error                    { return errFakeMutation }
+func (f *fakeIndex) Update(ranking.ID, ranking.Ranking) error   { return errFakeMutation }
+func (f *fakeIndex) Compact() error                             { return nil }
+func (f *fakeIndex) Slots() []ranking.Ranking                   { return make([]ranking.Ranking, f.n) }
+func (f *fakeIndex) Tombstones() int                            { return 0 }
+func (f *fakeIndex) Rebuilds() uint64                           { return 0 }
+
+var errFakeMutation = errors.New("fake shard: no mutations")
 
 // fakeSharded builds a Sharded over counting fakes.
 func fakeSharded(t *testing.T, numShards int, st *fakeState) (*shard.Sharded, []ranking.Ranking) {

@@ -1,70 +1,25 @@
 package shard
 
-import (
-	"math/bits"
-	"sync/atomic"
-	"time"
-)
+import "topk/internal/telemetry"
 
-// numBuckets covers latencies from <1µs (bucket 0) up to ~32s; bucket b
-// counts observations with ceil(log2(µs)) == b, i.e. exponentially growing
-// upper bounds 1µs, 2µs, 4µs, … Observations beyond the last bound land in
-// the final bucket.
-const numBuckets = 26
+// latencyBounds are the upper bounds, in seconds, of every shard-layer
+// latency histogram: powers of two from 1µs to 2^25µs (~34s).
+var latencyBounds = telemetry.ExpBuckets(1e-6, 2, 26)
 
-// Histogram is a fixed-bucket, lock-free latency histogram. All methods are
-// safe for concurrent use; Observe is two atomic adds on the hot path.
-type Histogram struct {
-	count   atomic.Uint64
-	sumNs   atomic.Uint64
-	maxNs   atomic.Uint64
-	buckets [numBuckets]atomic.Uint64
-}
+// newLatencyHistogram returns an empty histogram over latencyBounds; callers
+// observe durations in seconds.
+func newLatencyHistogram() *telemetry.Histogram { return telemetry.NewHistogram(latencyBounds) }
 
-// bucketFor maps a duration to its bucket index.
-func bucketFor(d time.Duration) int {
-	us := uint64(d.Microseconds())
-	if us <= 1 {
-		return 0
-	}
-	b := bits.Len64(us - 1) // ceil(log2(us))
-	if b >= numBuckets {
-		return numBuckets - 1
-	}
-	return b
-}
-
-// BucketBound returns the inclusive upper bound of bucket b in microseconds.
-func BucketBound(b int) uint64 { return uint64(1) << uint(b) }
-
-// Observe records one query latency.
-func (h *Histogram) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	ns := uint64(d.Nanoseconds())
-	h.count.Add(1)
-	h.sumNs.Add(ns)
-	h.buckets[bucketFor(d)].Add(1)
-	for {
-		cur := h.maxNs.Load()
-		if ns <= cur || h.maxNs.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// HistogramSnapshot is a point-in-time copy of a Histogram, with quantiles
-// estimated by linear interpolation within the bucket containing the
-// quantile rank. BucketBoundsMicros[i] is the inclusive upper bound (µs) of
-// Buckets[i], so consumers need not hard-code the exponential 2^b µs
-// scheme; the final bucket additionally absorbs every observation beyond
-// the last bound.
+// HistogramSnapshot is the /stats view of a shard-layer latency histogram, in
+// microseconds, with quantiles estimated by linear interpolation within the
+// bucket containing the quantile rank. BucketBoundsMicros[i] is the inclusive
+// upper bound (µs) of Buckets[i]; both are cut after the highest bucket in
+// use, and the final bucket also absorbs every observation beyond the last
+// bound.
 type HistogramSnapshot struct {
 	Count      uint64  `json:"count"`
 	SumMicros  float64 `json:"sumMicros"`
 	MeanMicros float64 `json:"meanMicros"`
-	MaxMicros  float64 `json:"maxMicros"`
 	P50Micros  float64 `json:"p50Micros"`
 	P95Micros  float64 `json:"p95Micros"`
 	P99Micros  float64 `json:"p99Micros"`
@@ -72,63 +27,34 @@ type HistogramSnapshot struct {
 	// bounds, element for element.
 	Buckets            []uint64 `json:"buckets,omitempty"`
 	BucketBoundsMicros []uint64 `json:"bucketBoundsMicros,omitempty"`
+	// Raw is the seconds-based snapshot the view is derived from, the one
+	// /metrics renders; it does not travel over JSON.
+	Raw telemetry.HistogramSnapshot `json:"-"`
 }
 
-// Snapshot copies the histogram's counters. Concurrent Observes may land
-// between the individual loads; each counter is itself consistent.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.count.Load()}
+// view derives the /stats view from a snapshot over latencyBounds.
+func view(raw telemetry.HistogramSnapshot) HistogramSnapshot {
+	s := HistogramSnapshot{Count: raw.Count, Raw: raw}
 	if s.Count == 0 {
 		return s
 	}
-	s.SumMicros = float64(h.sumNs.Load()) / 1e3
+	s.SumMicros = raw.Sum * 1e6
 	s.MeanMicros = s.SumMicros / float64(s.Count)
-	s.MaxMicros = float64(h.maxNs.Load()) / 1e3
-	var bs [numBuckets]uint64
-	var total uint64
+	s.P50Micros = raw.Quantile(0.50) * 1e6
+	s.P95Micros = raw.Quantile(0.95) * 1e6
+	s.P99Micros = raw.Quantile(0.99) * 1e6
+	buckets := append([]uint64(nil), raw.Counts[:len(raw.Bounds)]...)
+	buckets[len(buckets)-1] += raw.Counts[len(raw.Bounds)] // the +Inf overflow
 	hi := 0
-	for i := range bs {
-		bs[i] = h.buckets[i].Load()
-		total += bs[i]
-		if bs[i] > 0 {
+	for i, c := range buckets {
+		if c > 0 {
 			hi = i
 		}
 	}
-	s.Buckets = append([]uint64(nil), bs[:hi+1]...)
+	s.Buckets = buckets[:hi+1]
 	s.BucketBoundsMicros = make([]uint64, hi+1)
 	for i := range s.BucketBoundsMicros {
-		s.BucketBoundsMicros[i] = BucketBound(i)
+		s.BucketBoundsMicros[i] = uint64(1) << i
 	}
-	s.P50Micros = quantile(bs[:], total, 0.50)
-	s.P95Micros = quantile(bs[:], total, 0.95)
-	s.P99Micros = quantile(bs[:], total, 0.99)
 	return s
-}
-
-// quantile estimates the q-quantile (µs) by locating the bucket holding
-// rank q·total and interpolating linearly between its bounds — a bucket
-// counting observations in (lo, hi] contributes evenly spread mass, so the
-// estimate lands inside the bucket instead of always at its upper bound.
-func quantile(bs []uint64, total uint64, q float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range bs {
-		if c == 0 {
-			continue
-		}
-		if cum+float64(c) >= rank {
-			hi := float64(BucketBound(i))
-			lo := 0.0
-			if i > 0 {
-				lo = float64(BucketBound(i - 1))
-			}
-			frac := (rank - cum) / float64(c)
-			return lo + frac*(hi-lo)
-		}
-		cum += float64(c)
-	}
-	return float64(BucketBound(len(bs) - 1))
 }

@@ -11,33 +11,40 @@ import (
 	"topk/internal/shard"
 )
 
-func coarseBuilder(rs []ranking.Ranking) (shard.Index, error) {
-	return topk.NewCoarseIndex(rs)
-}
-
 func invertedBuilder(rs []ranking.Ranking) (shard.Index, error) {
 	return topk.NewInvertedIndexFromSlots(rs)
 }
 
-func blockedBuilder(rs []ranking.Ranking) (shard.Index, error) {
-	return topk.NewBlockedIndex(rs)
+func mergeBuilder(rs []ranking.Ranking) (shard.Index, error) {
+	return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.ListMerge))
 }
 
 func hybridBuilder(rs []ranking.Ranking) (shard.Index, error) {
 	return topk.NewHybridIndexFromSlots(rs)
 }
 
+// adaptsearchBuilder builds hybrid sub-indices pinned to adaptsearch: the
+// kind whose KNN takes the expanding-radius reduction over its range search.
+func adaptsearchBuilder(rs []ranking.Ranking) (shard.Index, error) {
+	h, err := topk.NewHybridIndexFromSlots(rs)
+	if err != nil {
+		return nil, err
+	}
+	return h, h.Force("adaptsearch")
+}
+
 // TestShardedNearestNeighbors checks the per-shard KNN fan-out with heap
 // merge against the unsharded facade answer, byte-identically, across index
-// kinds (including hybrid sub-indices) and shard counts.
+// kinds (native posting-list KNN and the expanding-radius reduction of a
+// hybrid pinned to adaptsearch) and shard counts.
 func TestShardedNearestNeighbors(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	rs := difftest.RandomCollection(rng, 500, 8, 250)
 	builders := map[string]shard.Builder{
-		"coarse":   coarseBuilder,
-		"inverted": invertedBuilder,
-		"blocked":  blockedBuilder,
-		"hybrid":   hybridBuilder,
+		"inverted":    invertedBuilder,
+		"merge":       mergeBuilder,
+		"hybrid":      hybridBuilder,
+		"adaptsearch": adaptsearchBuilder,
 	}
 	for name, build := range builders {
 		ref, err := build(rs)
@@ -125,7 +132,7 @@ func bruteNN(o *difftest.Oracle, q ranking.Ranking, n int) []ranking.Result {
 func TestSearchBatchThetas(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	rs := difftest.RandomCollection(rng, 300, 8, 200)
-	sh, err := shard.New(rs, 4, coarseBuilder)
+	sh, err := shard.New(rs, 4, adaptsearchBuilder)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +162,14 @@ func TestSearchBatchThetas(t *testing.T) {
 
 // TestShardedNearestNeighborsTraced checks the traced KNN fan-out: the same
 // answer as the plain call, phase timings, and the answering backends with
-// their distance-call cost, for a standalone kind as for hybrid sub-indices. Every KNN call is one observation of the fan-out
-// and merge histograms, like a range search.
+// their distance-call cost, for the native posting-list KNN as for the
+// expanding-radius reduction. Every KNN call is one observation of the
+// fan-out and merge histograms, like a range search.
 func TestShardedNearestNeighborsTraced(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	rs := difftest.RandomCollection(rng, 300, 8, 200)
 	q := difftest.RandomRanking(rng, 8, 200)
-	for name, build := range map[string]shard.Builder{"hybrid": hybridBuilder, "coarse": coarseBuilder} {
+	for name, build := range map[string]shard.Builder{"hybrid": hybridBuilder, "adaptsearch": adaptsearchBuilder} {
 		sh, err := shard.New(rs, 3, build)
 		if err != nil {
 			t.Fatal(err)
@@ -190,9 +198,9 @@ func TestShardedNearestNeighborsTraced(t *testing.T) {
 			if len(tr.Backends) != 1 || tr.Backends[0] != "inverted" || tr.DistanceCalls != 0 {
 				t.Errorf("hybrid attribution: %+v", tr)
 			}
-		case "coarse": // the expanding-radius reduction over the coarse range search
-			if len(tr.Backends) != 1 || tr.Backends[0] != "coarse" || tr.DistanceCalls == 0 {
-				t.Errorf("coarse attribution: %+v", tr)
+		case "adaptsearch": // the expanding-radius reduction over the adaptsearch range search
+			if len(tr.Backends) != 1 || tr.Backends[0] != "adaptsearch" || tr.DistanceCalls == 0 {
+				t.Errorf("adaptsearch attribution: %+v", tr)
 			}
 		}
 	}

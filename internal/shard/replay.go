@@ -44,14 +44,3 @@ func (s *Sharded) Apply(rec wal.Record) error {
 		return fmt.Errorf("shard: replay: unknown op %d", rec.Op)
 	}
 }
-
-// Replay applies a recovered record stream in order; a convenience wrapper
-// over Apply for tests and tools that already hold the records in memory.
-func (s *Sharded) Replay(recs []wal.Record) error {
-	for i, rec := range recs {
-		if err := s.Apply(rec); err != nil {
-			return fmt.Errorf("record %d: %w", i, err)
-		}
-	}
-	return nil
-}

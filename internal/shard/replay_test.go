@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -67,11 +68,10 @@ func TestApplyReplaysWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := recovered.Replay(log); err != nil {
+	if err := replay(recovered, log); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	gotSlots, _ := recovered.Slots()
-	wantSlots, _ := live.Slots()
+	gotSlots, wantSlots := recovered.Slots(), live.Slots()
 	if !reflect.DeepEqual(gotSlots, wantSlots) {
 		t.Fatalf("replayed slot view diverged: %d vs %d slots", len(gotSlots), len(wantSlots))
 	}
@@ -84,9 +84,19 @@ func TestApplyReplaysWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wrong.Replay(log); err == nil {
+	if err := replay(wrong, log); err == nil {
 		t.Fatal("replay onto a shorter base collection succeeded")
 	}
+}
+
+// replay applies a recovered record stream in order, as server recovery does.
+func replay(sh *shard.Sharded, recs []wal.Record) error {
+	for i, rec := range recs {
+		if err := sh.Apply(rec); err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // TestSlotsConsistentCut drives delete-then-insert pairs against a
@@ -136,10 +146,7 @@ func TestSlotsConsistentCut(t *testing.T) {
 		mu.Lock()
 		known := append([]pair(nil), pairs...)
 		mu.Unlock()
-		slots, ok := sh.Slots()
-		if !ok {
-			t.Fatal("no slot view")
-		}
+		slots := sh.Slots()
 		for _, p := range known {
 			insertVisible := int(p.inserted) < len(slots) && slots[p.inserted] != nil
 			deleteVisible := int(p.deleted) >= len(slots) || slots[p.deleted] == nil

@@ -67,7 +67,7 @@ func (s *Sharded) scatter(ctx context.Context, task func(i int) shardAnswer, gat
 	parts[0] = s.runShard(0, task)
 	wg.Wait()
 	fanout := time.Since(fanStart)
-	s.fanout.Observe(fanout)
+	s.fanout.Observe(fanout.Seconds())
 	tr.FanoutMicros = float64(fanout.Nanoseconds()) / 1e3
 
 	mergeStart := time.Now()
@@ -82,7 +82,7 @@ func (s *Sharded) scatter(ctx context.Context, task func(i int) shardAnswer, gat
 		gather(parts)
 	}
 	merge := time.Since(mergeStart)
-	s.merge.Observe(merge)
+	s.merge.Observe(merge.Seconds())
 	tr.MergeMicros = float64(merge.Nanoseconds()) / 1e3
 	return tr, err
 }
@@ -91,7 +91,7 @@ func (s *Sharded) scatter(ctx context.Context, task func(i int) shardAnswer, gat
 func (s *Sharded) runShard(i int, task func(i int) shardAnswer) shardAnswer {
 	start := time.Now()
 	a := task(i)
-	s.hists[i].Observe(time.Since(start))
+	s.hists[i].Observe(time.Since(start).Seconds())
 	if a.err != nil {
 		return shardAnswer{err: a.err}
 	}

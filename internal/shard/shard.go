@@ -14,29 +14,31 @@
 //
 // A sub-index serves through one total contract, Index: a traced range search
 // and a traced exact KNN, each naming the backend that answered and the
-// query's own distance calls — every kind of package topk provides both, so
-// no query path asks a shard what it can do. What only some kinds have — the
-// mutation half (Mutable), with its compaction counter — is resolved once,
-// when New or NewEmpty has built the shards (see resolve): it holds for the
-// Sharded exactly when every shard has it, and the request paths read the
-// resolved slice.
+// query's own distance calls, plus the mutation half — Insert, Delete, Update,
+// Compact, the slot view and the tombstone and compaction counters. Package
+// topk's mutable inverted family (InvertedIndex, HybridIndex) provides all of
+// it, so no path asks a shard what it can do.
 //
 // Every query path — a single search, a batch, a KNN query — is one scatter:
-// one task per shard, so a request's parallelism is the shard count.
+// one task per shard, so a request's parallelism is the shard count. Each
+// shard task, scatter phase and gather phase is one observation of a
+// telemetry.Histogram (see HistogramSnapshot for the /stats view).
 package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 
 	"topk/internal/ranking"
+	"topk/internal/telemetry"
 )
 
-// Index is the serving contract of a sub-index; every index kind of package
-// topk satisfies it.
+// Index is the serving contract of a sub-index: the query half every kind of
+// package topk has, plus the mutation half of the mutable inverted family
+// (InvertedIndex and HybridIndex). Sharded routes Insert, Delete and Update
+// to the owning shard.
 type Index interface {
 	// SearchTraced returns all indexed rankings within normalized Footrule
 	// distance theta of q, sorted by ID, with exact distances, plus the name
@@ -53,14 +55,6 @@ type Index interface {
 	K() int
 	// DistanceCalls returns the cumulative number of Footrule evaluations.
 	DistanceCalls() uint64
-}
-
-// Mutable is the mutation half of sub-indices that support dynamic
-// collections (package topk's InvertedIndex and HybridIndex). When every
-// sub-index implements it, the Sharded wrapper routes Insert, Delete and
-// Update to the owning shard; otherwise they return ErrImmutable.
-type Mutable interface {
-	Index
 	// Insert adds a ranking and returns its new shard-local ID.
 	Insert(r ranking.Ranking) (ranking.ID, error)
 	// Delete removes the ranking with the given shard-local ID.
@@ -80,9 +74,9 @@ type Mutable interface {
 
 // Builder constructs one sub-index over a contiguous slice of the
 // collection. The slice aliases the caller's collection; builders must not
-// modify it. For mutable index kinds the slice may contain nil entries —
-// tombstoned slots of a snapshot — which the builder must map to retired
-// ids (see topk.NewInvertedIndexFromSlots).
+// modify it. The slice may contain nil entries — tombstoned slots of a
+// snapshot — which the builder must map to retired ids (see
+// topk.NewInvertedIndexFromSlots).
 type Builder func(rankings []ranking.Ranking) (Index, error)
 
 // Sharded is a collection partitioned across independent sub-indices.
@@ -92,16 +86,12 @@ type Builder func(rankings []ranking.Ranking) (Index, error)
 // below — offsets, slot sizes — is immutable after New because inserts only
 // ever extend the open-ended id range of the last shard).
 type Sharded struct {
-	shards []Index
-	// The shards under the mutation interface when every one of them has it,
-	// nil otherwise; resolved once at construction.
-	mutable []Mutable
-
-	offsets []ranking.ID // global ID of shard i's first ranking
-	sizes   []int        // initial slot count of shard i (id-range width)
-	hists   []*Histogram // per-shard query latency
-	fanout  Histogram    // scatter phase: dispatch until the slowest shard answers
-	merge   Histogram    // gather phase: combining per-shard answers
+	shards  []Index
+	offsets []ranking.ID           // global ID of shard i's first ranking
+	sizes   []int                  // initial slot count of shard i (id-range width)
+	hists   []*telemetry.Histogram // per-shard query latency
+	fanout  *telemetry.Histogram   // scatter phase: dispatch until the slowest shard answers
+	merge   *telemetry.Histogram   // gather phase: combining per-shard answers
 	k       int
 	// snapMu is the cross-shard consistency point of Slots: mutations hold
 	// it shared (they still run concurrently, serialized only within their
@@ -128,15 +118,15 @@ func New(rankings []ranking.Ranking, numShards int, build Builder) (*Sharded, er
 // shard starts with a zero-width id range, and — as always — inserts extend
 // the open-ended range of the last shard. The ranking size is undefined
 // until the first insert: K reports 0 and then the size of whatever the
-// collection holds. Only slot-capable (mutable) builders make sense here;
-// a builder that rejects an empty slice fails NewEmpty the same way.
+// collection holds. A builder that rejects an empty slice fails NewEmpty the
+// same way.
 func NewEmpty(numShards int, build Builder) (*Sharded, error) {
 	return assemble(nil, numShards, build)
 }
 
 // assemble is the one constructor behind New and NewEmpty: it cuts rankings
-// (possibly none) into numShards chunks, builds the sub-indices in parallel
-// and resolves what they can do.
+// (possibly none) into numShards chunks and builds the sub-indices in
+// parallel.
 func assemble(rankings []ranking.Ranking, numShards int, build Builder) (*Sharded, error) {
 	n := len(rankings)
 	if numShards <= 0 {
@@ -149,7 +139,9 @@ func assemble(rankings []ranking.Ranking, numShards int, build Builder) (*Sharde
 		shards:  make([]Index, numShards),
 		offsets: make([]ranking.ID, numShards),
 		sizes:   make([]int, numShards),
-		hists:   make([]*Histogram, numShards),
+		hists:   make([]*telemetry.Histogram, numShards),
+		fanout:  newLatencyHistogram(),
+		merge:   newLatencyHistogram(),
 	}
 	for _, r := range rankings {
 		if r != nil {
@@ -168,7 +160,7 @@ func assemble(rankings []ranking.Ranking, numShards int, build Builder) (*Sharde
 		}
 		s.offsets[i] = ranking.ID(lo)
 		s.sizes[i] = size
-		s.hists[i] = &Histogram{}
+		s.hists[i] = newLatencyHistogram()
 		wg.Add(1)
 		go func(i int, chunk []ranking.Ranking) {
 			defer wg.Done()
@@ -182,22 +174,7 @@ func assemble(rankings []ranking.Ranking, numShards int, build Builder) (*Sharde
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
-	s.mutable = resolve[Mutable](s.shards)
 	return s, nil
-}
-
-// resolve is the one place a sub-index is asked what it can do beyond Index:
-// it returns the shards as T when every one of them is a T, nil otherwise.
-func resolve[T any](shards []Index) []T {
-	out := make([]T, len(shards))
-	for i, sh := range shards {
-		t, ok := sh.(T)
-		if !ok {
-			return nil
-		}
-		out[i] = t
-	}
-	return out
 }
 
 // NumShards returns the number of sub-indices.
@@ -228,22 +205,15 @@ func (s *Sharded) K() int {
 	return 0
 }
 
-// ErrImmutable is returned by the mutation methods when a sub-index kind
-// does not support them.
-var ErrImmutable = errors.New("shard: index kind does not support mutation")
-
 // Insert adds a ranking and returns its global ID. All inserts route to the
 // last shard: its id range is the only open-ended one, so the contiguous
 // ID-range invariant — and with it the concatenation merge of Search — is
 // preserved no matter how the collection grows.
 func (s *Sharded) Insert(r ranking.Ranking) (ranking.ID, error) {
-	if s.mutable == nil {
-		return 0, ErrImmutable
-	}
 	s.snapMu.RLock()
 	defer s.snapMu.RUnlock()
 	last := len(s.shards) - 1
-	local, err := s.mutable[last].Insert(r)
+	local, err := s.shards[last].Insert(r)
 	if err != nil {
 		return 0, fmt.Errorf("shard %d: %w", last, err)
 	}
@@ -253,16 +223,13 @@ func (s *Sharded) Insert(r ranking.Ranking) (ranking.ID, error) {
 // Delete removes the ranking with the given global ID, routing to the
 // owning shard.
 func (s *Sharded) Delete(id ranking.ID) error {
-	if s.mutable == nil {
-		return ErrImmutable
-	}
 	s.snapMu.RLock()
 	defer s.snapMu.RUnlock()
 	i, local, err := s.owner(id)
 	if err != nil {
 		return err
 	}
-	if err := s.mutable[i].Delete(local); err != nil {
+	if err := s.shards[i].Delete(local); err != nil {
 		return fmt.Errorf("id %d (shard %d): %w", id, i, err)
 	}
 	return nil
@@ -271,25 +238,22 @@ func (s *Sharded) Delete(id ranking.ID) error {
 // Update replaces the ranking stored under an existing global ID, routing
 // to the owning shard. The ID stays stable.
 func (s *Sharded) Update(id ranking.ID, r ranking.Ranking) error {
-	if s.mutable == nil {
-		return ErrImmutable
-	}
 	s.snapMu.RLock()
 	defer s.snapMu.RUnlock()
 	i, local, err := s.owner(id)
 	if err != nil {
 		return err
 	}
-	if err := s.mutable[i].Update(local, r); err != nil {
+	if err := s.shards[i].Update(local, r); err != nil {
 		return fmt.Errorf("id %d (shard %d): %w", id, i, err)
 	}
 	return nil
 }
 
 // Compact asks every sub-index to rebuild over its surviving rankings,
-// discarding tombstones; read-only kinds have none. Global IDs are preserved.
+// discarding tombstones. Global IDs are preserved.
 func (s *Sharded) Compact() error {
-	for i, m := range s.mutable {
+	for i, m := range s.shards {
 		if err := m.Compact(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -301,25 +265,21 @@ func (s *Sharded) Compact() error {
 // one: slots[id] is the live ranking under global id, nil a retired id.
 // Feeding the result to New with the same builder and shard count restores
 // an equivalent sharded index with all ids preserved (non-last shards never
-// grow, so per-shard slot ranges stay contiguous). Returns false for the
-// read-only kinds, which expose no slot view.
+// grow, so per-shard slot ranges stay contiguous).
 //
 // The view is a consistent cut: Slots quiesces mutations (exclusive
 // snapMu) while it walks the shards, so a snapshot racing concurrent
 // Insert/Delete/Update reflects exactly the mutations that completed
 // before some single point in time — never a cross-shard mix where a later
 // mutation is visible but an earlier one is not.
-func (s *Sharded) Slots() ([]ranking.Ranking, bool) {
-	if s.mutable == nil {
-		return nil, false
-	}
+func (s *Sharded) Slots() []ranking.Ranking {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	var out []ranking.Ranking
-	for _, m := range s.mutable {
-		out = append(out, m.Slots()...)
+	for _, sh := range s.shards {
+		out = append(out, sh.Slots()...)
 	}
-	return out, true
+	return out
 }
 
 // owner maps a global ID to (shard, shard-local ID). IDs beyond the last
@@ -348,12 +308,11 @@ func (s *Sharded) DistanceCalls() uint64 {
 	return t
 }
 
-// Rebuilds sums the compactions of the mutable sub-indices; 0 for the
-// read-only kinds.
+// Rebuilds sums the compactions of the sub-indices.
 func (s *Sharded) Rebuilds() uint64 {
 	var t uint64
-	for _, m := range s.mutable {
-		t += m.Rebuilds()
+	for _, sh := range s.shards {
+		t += sh.Rebuilds()
 	}
 	return t
 }
@@ -450,7 +409,7 @@ func (s *Sharded) SearchBatchSharedContext(context.Context, []ranking.Ranking, f
 
 // ShardStats is a point-in-time view of one shard. Len is the live ranking
 // count; Tombstones counts deleted rankings awaiting compaction and Rebuilds
-// the compactions run so far (both always 0 for immutable kinds).
+// the compactions run so far.
 type ShardStats struct {
 	Shard      int        `json:"shard"`
 	Offset     ranking.ID `json:"offset"`
@@ -471,7 +430,7 @@ type ShardStats struct {
 // scatter phase (dispatch until the slowest shard answers), merge the gather
 // phase (combining the per-shard answers).
 func (s *Sharded) Timings() (fanout, merge HistogramSnapshot) {
-	return s.fanout.Snapshot(), s.merge.Snapshot()
+	return view(s.fanout.Snapshot()), view(s.merge.Snapshot())
 }
 
 // Stats snapshots every shard's live size, tombstone backlog, compaction
@@ -483,11 +442,10 @@ func (s *Sharded) Stats() []ShardStats {
 			Shard:         i,
 			Offset:        s.offsets[i],
 			Len:           sh.Len(),
+			Tombstones:    sh.Tombstones(),
+			Rebuilds:      sh.Rebuilds(),
 			DistanceCalls: sh.DistanceCalls(),
-			Latency:       s.hists[i].Snapshot(),
-		}
-		if s.mutable != nil {
-			out[i].Tombstones, out[i].Rebuilds = s.mutable[i].Tombstones(), s.mutable[i].Rebuilds()
+			Latency:       view(s.hists[i].Snapshot()),
 		}
 	}
 	return out

@@ -2,11 +2,9 @@ package shard_test
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
 
 	"topk"
 	"topk/internal/dataset"
@@ -15,14 +13,10 @@ import (
 	"topk/internal/shard"
 )
 
-// Every index kind of package topk satisfies the serving contract, and the
-// two mutable kinds the whole mutation half.
+// The mutable inverted family satisfies the serving contract.
 var (
-	_ shard.Index   = (*topk.BlockedIndex)(nil)
-	_ shard.Index   = (*topk.CoarseIndex)(nil)
-	_ shard.Index   = (*topk.MetricTree)(nil)
-	_ shard.Mutable = (*topk.InvertedIndex)(nil)
-	_ shard.Mutable = (*topk.HybridIndex)(nil)
+	_ shard.Index = (*topk.InvertedIndex)(nil)
+	_ shard.Index = (*topk.HybridIndex)(nil)
 )
 
 func testCollection(t *testing.T, n, k int) ([]ranking.Ranking, []ranking.Ranking) {
@@ -41,8 +35,8 @@ func testCollection(t *testing.T, n, k int) ([]ranking.Ranking, []ranking.Rankin
 
 func builders() map[string]shard.Builder {
 	return map[string]shard.Builder{
-		"coarse": func(rs []ranking.Ranking) (shard.Index, error) {
-			return topk.NewCoarseIndex(rs, topk.WithThetaC(0.3))
+		"inverted": func(rs []ranking.Ranking) (shard.Index, error) {
+			return topk.NewInvertedIndex(rs, topk.WithAlgorithm(topk.FilterValidate))
 		},
 		"inverted-drop": func(rs []ranking.Ranking) (shard.Index, error) {
 			return topk.NewInvertedIndex(rs)
@@ -50,9 +44,7 @@ func builders() map[string]shard.Builder {
 		"merge": func(rs []ranking.Ranking) (shard.Index, error) {
 			return topk.NewInvertedIndex(rs, topk.WithAlgorithm(topk.ListMerge))
 		},
-		"blocked": func(rs []ranking.Ranking) (shard.Index, error) {
-			return topk.NewBlockedIndex(rs)
-		},
+		"hybrid": hybridBuilder,
 	}
 }
 
@@ -97,18 +89,12 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 		name  string
 		build shard.Builder
 	}{
-		{"coarse", coarseBuilder},
 		{"inverted-drop", invertedBuilder},
-		{"merge", func(rs []ranking.Ranking) (shard.Index, error) {
-			return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.ListMerge))
-		}},
+		{"merge", mergeBuilder},
 		{"hybrid", hybridBuilder},
 	}
 	for seed, kind := range kinds {
 		for _, mutated := range []bool{false, true} {
-			if mutated && kind.name == "coarse" {
-				continue // read-only
-			}
 			name := kind.name + "/fresh"
 			if mutated {
 				name = kind.name + "/mutated"
@@ -278,35 +264,12 @@ func TestMutationRouting(t *testing.T) {
 	difftest.CheckSearch(t, "sharded/compacted", difftest.Sharded{Sharded: sh}, o, rng, 10, domain)
 
 	// Slot round-trip: rebuild from the concatenated slot view.
-	slots, ok := sh.Slots()
-	if !ok {
-		t.Fatal("no slot view")
-	}
+	slots := sh.Slots()
 	sh2, err := shard.New(slots, 3, build) // different shard count on purpose
 	if err != nil {
 		t.Fatal(err)
 	}
 	difftest.CheckSearch(t, "sharded/restored", difftest.Sharded{Sharded: sh2}, o, rng, 10, domain)
-}
-
-// TestImmutableKindRejectsMutations pins ErrImmutable for read-only shards.
-func TestImmutableKindRejectsMutations(t *testing.T) {
-	rs, _ := testCollection(t, 100, 10)
-	sh, err := shard.New(rs, 2, func(chunk []ranking.Ranking) (shard.Index, error) {
-		return topk.NewBlockedIndex(chunk)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sh.Insert(rs[0]); !errors.Is(err, shard.ErrImmutable) {
-		t.Fatalf("Insert = %v, want ErrImmutable", err)
-	}
-	if err := sh.Delete(1); !errors.Is(err, shard.ErrImmutable) {
-		t.Fatalf("Delete = %v, want ErrImmutable", err)
-	}
-	if err := sh.Update(1, rs[0]); !errors.Is(err, shard.ErrImmutable) {
-		t.Fatalf("Update = %v, want ErrImmutable", err)
-	}
 }
 
 func TestEmptyCollectionRejected(t *testing.T) {
@@ -315,29 +278,5 @@ func TestEmptyCollectionRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected error for empty collection")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	var h shard.Histogram
-	durations := []time.Duration{
-		500 * time.Nanosecond, time.Microsecond, 3 * time.Microsecond,
-		100 * time.Microsecond, time.Millisecond, 10 * time.Millisecond,
-	}
-	for _, d := range durations {
-		h.Observe(d)
-	}
-	s := h.Snapshot()
-	if s.Count != uint64(len(durations)) {
-		t.Fatalf("count = %d, want %d", s.Count, len(durations))
-	}
-	if s.MaxMicros < 10000 {
-		t.Fatalf("max = %vµs, want ≥ 10000", s.MaxMicros)
-	}
-	if s.P50Micros <= 0 || s.P99Micros < s.P50Micros {
-		t.Fatalf("implausible quantiles p50=%v p99=%v", s.P50Micros, s.P99Micros)
-	}
-	if s.MeanMicros <= 0 {
-		t.Fatalf("mean = %v, want > 0", s.MeanMicros)
 	}
 }

@@ -5,26 +5,25 @@
 // (Fagin et al.'s top-k lists) makes mutations natural: an updated ranking
 // is just a new list under the same ID, so delete + re-insert gives exact
 // update semantics without touching the distance machinery. That idea is
-// written down once, in mutationCore, on top of two primitives of an inner
+// written down once, in mutable, on top of two primitives of the inverted
 // index — append-only Insert and tombstoning Delete — plus an id indirection:
 //
 //   - External IDs (the ones Insert returns and Search reports) are stable
 //     for the lifetime of a ranking: Update keeps the ID, Delete retires it
 //     forever, and compaction never renumbers.
-//   - Internal IDs are the inner index's dense, append-only id space. An
+//   - Internal IDs are the inverted index's dense, append-only id space. An
 //     Update appends a fresh internal slot and tombstones the old one; both
 //     keep mapping to the same external ID.
 //   - The ranking size k is fixed by the collection, or — for an index built
 //     over zero live rankings — by the first Insert that succeeds.
 //
-// InvertedIndex — and with it HybridIndex, which embeds one — reaches the
-// core through a locked facade (mutable). The paper baselines — CoarseIndex,
-// BlockedIndex and the metric trees — are static. Tombstoned slots still
-// occupy postings. Once their fraction of the inner id space crosses the
-// compaction ratio, the facade rebuilds the inner index over the survivors in
-// place — under the same write lock that serializes every mutation, so
-// concurrent Searches simply observe the index before or after, and every
-// answer is the same on both sides. External IDs are preserved across the
+// InvertedIndex — and with it HybridIndex, which embeds one — embeds that
+// mutation half. The paper baselines — CoarseIndex, BlockedIndex and the
+// metric trees — are static. Tombstoned slots still occupy postings. Once
+// their fraction of the internal id space crosses the compaction ratio, the
+// index is rebuilt over the survivors in place — under the same write lock
+// that serializes every mutation, so concurrent Searches simply observe the
+// index before or after, and every answer is the same on both sides. External IDs are preserved across the
 // rebuild; the rebuild count and wall time are the index's RebuildStats.
 package topk
 
@@ -36,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"topk/internal/invindex"
 	"topk/internal/ranking"
 )
 
@@ -43,13 +43,13 @@ import (
 // never assigned or has already been deleted.
 var ErrUnknownID = errors.New("topk: unknown ranking id")
 
-// DefaultCompactionRatio is the tombstone fraction of the inner id space
+// DefaultCompactionRatio is the tombstone fraction of the internal id space
 // above which a mutable index rebuilds itself. See WithCompactionRatio.
 const DefaultCompactionRatio = 0.25
 
 // MutableIndex is the interface of index kinds that support full collection
 // mutation. InvertedIndex and HybridIndex implement it; so does the sharded
-// wrapper in internal/shard when built over mutable sub-indices.
+// wrapper in internal/shard, whose sub-indices they are.
 type MutableIndex interface {
 	Index
 	// Insert adds a ranking and returns its new, stable ID.
@@ -65,19 +65,19 @@ type MutableIndex interface {
 var _ MutableIndex = (*InvertedIndex)(nil)
 
 // idmap is the external↔internal id indirection of a mutable index. It is
-// guarded by the owning facade's RWMutex (read paths remap under RLock,
+// guarded by the owning index's RWMutex (read paths remap under RLock,
 // mutations rewrite under Lock).
 type idmap struct {
 	// ext2int maps an external id to its current internal id, -1 once
 	// deleted. Grows by one per Insert, never shrinks.
 	ext2int []int32
 	// int2ext maps an internal id back to its external id. Entries of
-	// tombstoned internal ids are stale but never read: inner searches
-	// filter tombstones before the facade remaps.
+	// tombstoned internal ids are stale but never read: backend searches
+	// filter tombstones before the query half remaps.
 	int2ext []ID
 	live    int
 	// identity: no mutation ever diverged the two id spaces — remapping is
-	// a no-op. inOrder: int2ext is ascending, so id-sorted inner results
+	// a no-op. inOrder: int2ext is ascending, so id-sorted internal results
 	// stay sorted after remapping (broken by the first Update, restored by
 	// compaction).
 	identity bool
@@ -171,40 +171,45 @@ func (m *idmap) remapNN(res []Result) {
 }
 
 // ---------------------------------------------------------------------------
-// The mutation core
+// The mutation half of InvertedIndex
 // ---------------------------------------------------------------------------
 
-// mutableInner is what the mutation core asks of the structure it maintains:
-// an append-only Insert over a dense internal id space, a tombstoning Delete,
-// and read access to both. invindex.Index satisfies it.
-type mutableInner interface {
-	Insert(r Ranking) (ID, error)
-	Delete(id ID) error
-	Ranking(id ID) Ranking
-	// Len is the size of the internal id space, tombstones included.
-	Len() int
-	Dead() int
-	Deleted(id ID) bool
-}
-
-// mutationCore is the one mutation state machine of the package: the id
-// indirection, the ranking size with its "first insert defines k" rule, and
-// Insert / Delete / Update over an inner structure. InvertedIndex reaches it
-// through the locked facade below, which holds the lock guarding it.
-type mutationCore struct {
+// mutable is the one mutation state machine of the package — the mutation
+// half of InvertedIndex: the id indirection, the ranking size with its "first
+// insert defines k" rule, and Insert / Delete / Update over the inverted index
+// it maintains, behind the RWMutex that serializes writers against concurrent
+// searches, plus synchronous tombstone compaction. rebuild also installs the
+// backend the query half (queryHalf, engine.go) answers from.
+type mutable struct {
+	// mu is write-held by mutations (Insert/Delete/Update/Compact) only;
+	// Search proceeds concurrently under the read lock, drawing its scratch
+	// state from the kind's pool.
+	mu  sync.RWMutex
 	ids idmap
 	// k is the ranking size; 0 while an index built over zero live rankings
 	// (an all-tombstone snapshot shard) waits for its first insert.
-	k     int
-	inner mutableInner
+	k int
+	// inv is the inverted index over the internal id space: append-only
+	// Insert, tombstoning Delete.
+	inv *invindex.Index
+	// compactRatio is the tombstone fraction of the internal id space above
+	// which mutations trigger an automatic rebuild; ≤ 0 disables it.
+	compactRatio float64
+	// rebuild constructs the inverted index over a dense collection, installs
+	// its backend adapter (index plus searcher pool) in the query half, and
+	// returns it.
+	rebuild func(live []Ranking) (*invindex.Index, error)
+
+	// Compactions so far, with their cumulative and most recent wall time.
+	rebuilds, rebuildNanos, lastRebuildNanos atomic.Uint64
 }
 
 // checkRanking validates a mutation payload and returns the ranking size the
 // index has once the mutation commits: its own, or — with no size defined and
 // nothing live — the payload's.
-func (c *mutationCore) checkRanking(r Ranking, verb string) (int, error) {
-	k := c.k
-	if k == 0 && c.ids.live == 0 {
+func (m *mutable) checkRanking(r Ranking, verb string) (int, error) {
+	k := m.k
+	if k == 0 && m.ids.live == 0 {
 		k = r.K()
 	}
 	if r.K() != k {
@@ -214,89 +219,63 @@ func (c *mutationCore) checkRanking(r Ranking, verb string) (int, error) {
 	return k, r.Validate()
 }
 
-func (c *mutationCore) insert(r Ranking) (ID, error) {
-	k, err := c.checkRanking(r, "inserted")
+func (m *mutable) insert(r Ranking) (ID, error) {
+	k, err := m.checkRanking(r, "inserted")
 	if err != nil {
 		return 0, err
 	}
-	intID, err := c.inner.Insert(r)
+	intID, err := m.inv.Insert(r)
 	if err != nil {
 		return 0, err
 	}
 	// Committed only now: a rejected first insert must not define the size.
-	c.k = k
-	return c.ids.insert(intID), nil
+	m.k = k
+	return m.ids.insert(intID), nil
 }
 
-func (c *mutationCore) delete(ext ID) error {
-	intID, err := c.ids.lookup(ext)
+func (m *mutable) delete(ext ID) error {
+	intID, err := m.ids.lookup(ext)
 	if err != nil {
 		return err
 	}
-	if err := c.inner.Delete(intID); err != nil {
+	if err := m.inv.Delete(intID); err != nil {
 		return err
 	}
-	c.ids.delete(ext)
+	m.ids.delete(ext)
 	return nil
 }
 
 // update appends the new version before it tombstones the old one, so a
 // rejected ranking leaves the index untouched; both internal slots map to the
 // same external id.
-func (c *mutationCore) update(ext ID, r Ranking) error {
-	if _, err := c.checkRanking(r, "updated"); err != nil {
+func (m *mutable) update(ext ID, r Ranking) error {
+	if _, err := m.checkRanking(r, "updated"); err != nil {
 		return err
 	}
-	old, err := c.ids.lookup(ext)
+	old, err := m.ids.lookup(ext)
 	if err != nil {
 		return err
 	}
-	newInt, err := c.inner.Insert(r)
+	newInt, err := m.inv.Insert(r)
 	if err != nil {
 		return err
 	}
-	c.ids.reassign(ext, newInt)
+	m.ids.reassign(ext, newInt)
 	// Cannot fail for a slot lookup just resolved as live.
-	return c.inner.Delete(old)
+	return m.inv.Delete(old)
 }
 
 // slots materializes the external-id slot view of the collection: slots[ext]
 // is the live ranking under ext, nil for retired ids. This is the unit of a
 // snapshot (internal/persist) and of the FromSlots constructors.
-func (c *mutationCore) slots() []Ranking {
-	out := make([]Ranking, len(c.ids.ext2int))
-	for ext, v := range c.ids.ext2int {
+func (m *mutable) slots() []Ranking {
+	out := make([]Ranking, len(m.ids.ext2int))
+	for ext, v := range m.ids.ext2int {
 		if v >= 0 {
-			out[ext] = c.inner.Ranking(ID(v))
+			out[ext] = m.inv.Ranking(ID(v))
 		}
 	}
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// The locked facade of InvertedIndex
-// ---------------------------------------------------------------------------
-
-// mutable is the mutation half of InvertedIndex: the core behind the RWMutex
-// that serializes writers against concurrent searches, plus synchronous
-// tombstone compaction. rebuild also installs the backend the query half
-// (queryHalf, engine.go) answers from.
-type mutable struct {
-	// mu is write-held by mutations (Insert/Delete/Update/Compact) only;
-	// Search proceeds concurrently under the read lock, drawing its scratch
-	// state from the kind's pool.
-	mu sync.RWMutex
-	mutationCore
-	// compactRatio is the tombstone fraction of the inner id space above
-	// which mutations trigger an automatic rebuild; ≤ 0 disables it.
-	compactRatio float64
-	// rebuild constructs the inverted index over a dense collection, installs
-	// its backend adapter (index plus searcher pool) in the query half, and
-	// returns it for the core.
-	rebuild func(live []Ranking) (mutableInner, error)
-
-	// Compactions so far, with their cumulative and most recent wall time.
-	rebuilds, rebuildNanos, lastRebuildNanos atomic.Uint64
 }
 
 // RebuildStats describes the compaction history of a mutable index: how many
@@ -323,18 +302,18 @@ func (m *mutable) RebuildStats() RebuildStats {
 // Rebuilds reports how many compactions have completed since construction.
 func (m *mutable) Rebuilds() uint64 { return m.rebuilds.Load() }
 
-// install (re)builds the inner structure over live and points the core at
+// install (re)builds the inverted index over live and points the id map at
 // it; on error nothing changes. k survives a rebuild over zero survivors.
 func (m *mutable) install(ids idmap, live []Ranking) error {
 	k := m.k
 	if len(live) > 0 {
 		k = live[0].K()
 	}
-	inner, err := m.rebuild(live)
+	inv, err := m.rebuild(live)
 	if err != nil {
 		return err
 	}
-	m.ids, m.k, m.inner = ids, k, inner
+	m.ids, m.k, m.inv = ids, k, inv
 	return nil
 }
 
@@ -363,7 +342,7 @@ func (m *mutable) Delete(id ID) error {
 }
 
 // Update replaces the ranking stored under id, keeping the ID stable: the
-// new version is appended to the inner index and the old one tombstoned, both
+// new version is appended to the inverted index and the old one tombstoned, both
 // mapped to the same external ID (delete + re-insert, the exact update
 // semantics of the Fagin et al. list model). Returns ErrUnknownID for
 // unassigned or deleted IDs.
@@ -379,7 +358,7 @@ func (m *mutable) Update(id ID, r Ranking) error {
 
 // Compact rebuilds the index over the surviving rankings, discarding all
 // tombstones. External IDs are preserved. Compact runs automatically once
-// the tombstone fraction of the inner id space exceeds the compaction ratio;
+// the tombstone fraction of the internal id space exceeds the compaction ratio;
 // calling it explicitly is only needed to reclaim memory eagerly.
 func (m *mutable) Compact() error {
 	m.mu.Lock()
@@ -391,7 +370,7 @@ func (m *mutable) Compact() error {
 func (m *mutable) Tombstones() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.inner.Dead()
+	return m.inv.Dead()
 }
 
 // Slots returns the external-id slot view of the collection: slots[id] is
@@ -423,7 +402,7 @@ func (m *mutable) maybeCompactLocked() {
 	if m.compactRatio <= 0 {
 		return
 	}
-	if n := m.inner.Len(); n > 0 && float64(m.inner.Dead()) > m.compactRatio*float64(n) {
+	if n := m.inv.Len(); n > 0 && float64(m.inv.Dead()) > m.compactRatio*float64(n) {
 		m.compactLocked()
 	}
 }

@@ -142,19 +142,11 @@ func (a searcherAdapter) K() int   { return a.m.K() }
 
 func slotsView(t *testing.T, idx mutable) []ranking.Ranking {
 	t.Helper()
-	switch v := idx.(type) {
-	case interface{ Slots() []ranking.Ranking }:
-		return v.Slots()
-	case difftest.Sharded:
-		slots, ok := v.Slots()
-		if !ok {
-			t.Fatal("sharded index exposes no slot view")
-		}
-		return slots
-	default:
+	v, ok := idx.(interface{ Slots() []ranking.Ranking })
+	if !ok {
 		t.Fatalf("no slot view on %T", idx)
-		return nil
 	}
+	return v.Slots()
 }
 
 // TestKConcurrentWithFirstInsert reads K() while the first insert of an index

@@ -165,19 +165,11 @@ func TestDifferentialMutationWorkload(t *testing.T) {
 // sharded wrapper.
 func slotsOf(t *testing.T, idx difftest.Mutable) []Ranking {
 	t.Helper()
-	switch v := idx.(type) {
-	case interface{ Slots() []Ranking }:
-		return v.Slots()
-	case difftest.Sharded:
-		slots, ok := v.Slots()
-		if !ok {
-			t.Fatal("sharded index exposes no slot view")
-		}
-		return slots
-	default:
+	v, ok := idx.(interface{ Slots() []Ranking })
+	if !ok {
 		t.Fatalf("no slot view on %T", idx)
-		return nil
 	}
+	return v.Slots()
 }
 
 // TestDifferentialAutoCompaction reruns the workload with automatic

@@ -324,7 +324,7 @@ func newInvertedFromSlots(slots []Ranking, opts []InvOption) (*InvertedIndex, er
 	for _, o := range opts {
 		o(ii)
 	}
-	ii.rebuild = func(live []Ranking) (mutableInner, error) {
+	ii.rebuild = func(live []Ranking) (*invindex.Index, error) {
 		idx, err := invindex.New(live)
 		if err != nil {
 			return nil, err

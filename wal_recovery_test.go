@@ -206,14 +206,10 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 				}
 
 				slotter, ok := idx.(interface{ Slots() []ranking.Ranking })
-				var slots []ranking.Ranking
-				if ok {
-					slots = slotter.Slots()
-				} else if sh, isSh := idx.(difftest.Sharded); isSh {
-					slots, _ = sh.Slots()
-				} else {
+				if !ok {
 					t.Fatalf("kind exposes no slot view")
 				}
+				slots := slotter.Slots()
 				if !bytes.Equal(snapshotBytes(t, slots), snapshotBytes(t, o.Slots())) {
 					t.Fatalf("cut=%d: recovered collection is not byte-identical to the oracle (%d records replayed)",
 						cut, len(recovered))
