@@ -147,7 +147,7 @@ func main() {
 // loadSnapshot reads a collection snapshot as its slot array: a paged v3
 // file, or — the one place that still decodes them — a legacy v1/v2 file.
 func loadSnapshot(path string) ([]topk.Ranking, error) {
-	pc, err := persist.OpenPagedFile(path, false)
+	pc, err := persist.OpenPagedFile(path)
 	if err == nil {
 		return pc.Slots(), nil
 	}

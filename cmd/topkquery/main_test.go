@@ -62,7 +62,7 @@ func TestMigrateLegacySnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			topkquery(t, "-load-snapshot", old, "-save-snapshot", migrated)
-			pc, err := persist.OpenPagedFile(migrated, false)
+			pc, err := persist.OpenPagedFile(migrated)
 			if err != nil {
 				t.Fatalf("migrated file is not a v3 snapshot: %v", err)
 			}

@@ -68,10 +68,12 @@
 // of which are recovered — checkpoint plus logged suffix — on restart.
 // The two flags differ only in which directory a collection name maps to.
 //
-// Snapshots and checkpoints are persist's paged v3 format and nothing else.
-// A v1/v2 "TKRK" file given to -load-snapshot, or a checkpoint-<seq>.bin
-// found in a WAL directory, is a startup error naming the file and the
-// offline migration: topkquery -load-snapshot old.bin -save-snapshot new.v3
+// Snapshots and checkpoints are persist's paged v3 format and nothing else,
+// read whole at startup with every page checksum verified: a corrupt page is
+// a startup error naming the file and the page. A v1/v2 "TKRK" file given
+// to -load-snapshot, or a checkpoint-<seq>.bin found in a WAL directory, is
+// a startup error naming the file and the offline migration:
+// topkquery -load-snapshot old.bin -save-snapshot new.v3
 //
 // See the package comment of internal/server for the serving-core design;
 // this command is flag parsing plus server.New(cfg).Run(ctx).
@@ -113,7 +115,6 @@ func main() {
 		maxWait    = flag.Duration("max-queue-wait", time.Second, "admission control: longest a queued request waits for a slot before shedding with 429 (0 = wait as long as the request's own deadline allows)")
 		cacheSize  = flag.Int("cache-entries", 0, "query-result cache capacity in entries for /search single queries and /knn, shared across collections with per-collection scoping; any acked mutation invalidates (0 disables)")
 		defColl    = flag.String("default-collection", server.DefaultCollectionName, "name the legacy single-collection routes (/search, /insert, ...) alias to")
-		useMmap    = flag.Bool("mmap", true, "serve checkpoints through a read-only memory mapping instead of reading them onto the heap; -mmap=false reads the file whole and verifies every page checksum")
 	)
 	flag.Parse()
 	set := make(map[string]bool)
@@ -139,7 +140,6 @@ func main() {
 		MaxQueue:          *maxQueue,
 		MaxQueueWait:      *maxWait,
 		CacheEntries:      *cacheSize,
-		Mmap:              *useMmap,
 		SetFlags:          set,
 	})
 	if err != nil {

@@ -152,21 +152,9 @@ func (idx *Index) buildLists() {
 // ascending order, so every list comes out id-sorted.
 func PackPostings(st *kernel.Store) (items []ranking.Item, offs []int, arena []Posting) {
 	n, k := st.Len(), st.K()
-	// A borrowed store (views over a mapped snapshot) has no contiguous
-	// arena; its per-slot views carry identical content, so every pass
-	// below works row-wise off rows.
-	rows := st.Views()
 	counts := make(map[ranking.Item]int, n)
-	if flat := st.Flat(); flat != nil {
-		for _, it := range flat {
-			counts[it]++
-		}
-	} else {
-		for _, row := range rows {
-			for _, it := range row {
-				counts[it]++
-			}
-		}
+	for _, it := range st.Flat() {
+		counts[it]++
 	}
 	items = make([]ranking.Item, 0, len(counts))
 	for it := range counts {
@@ -180,7 +168,7 @@ func PackPostings(st *kernel.Store) (items []ranking.Item, offs []int, arena []P
 		offs[i+1] = offs[i] + counts[it]
 	}
 	arena = make([]Posting, n*k)
-	for id, row := range rows {
+	for id, row := range st.Views() {
 		for rank, it := range row {
 			c := cursor[it]
 			arena[c] = Posting{ID: ranking.ID(id), Rank: uint8(rank)}

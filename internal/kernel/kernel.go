@@ -170,14 +170,6 @@ func (kn *Kernel) distSparse(tau ranking.Ranking) int {
 func (kn *Kernel) FootruleMany(st *Store, ids []ranking.ID, out []int) []int {
 	k := st.k
 	flat := st.flat
-	if flat == nil {
-		// Borrowed store: the slots alias foreign memory with no contiguous
-		// arena, so evaluate each capacity-clamped view instead.
-		for _, id := range ids {
-			out = append(out, kn.Distance(st.views[id]))
-		}
-		return out
-	}
 	for _, id := range ids {
 		lo := int(id) * k
 		out = append(out, kn.Distance(flat[lo:lo+k:lo+k]))

@@ -14,17 +14,15 @@ import (
 // Store holds a fixed collection of k-length rankings in one contiguous
 // backing array, k-strided: slot i occupies flat[i*k : (i+1)*k]. A single
 // allocation replaces n per-ranking allocations, batched kernels stream it
-// linearly, and the layout is what an eventual beyond-RAM pager would mmap.
+// linearly, and every store owns its arena: NewStore copies, so nothing a
+// caller loaded the rankings from (a snapshot buffer, a parsed file) is
+// referenced afterwards.
 type Store struct {
 	k    int
 	flat []ranking.Item
 	// views are pre-cut subslices of flat, one per slot, each with its
 	// capacity clamped to its own stride so an append by a holder of a view
 	// copies out of the arena instead of clobbering the next slot.
-	//
-	// A borrowed store's views alias foreign memory (typically a read-only
-	// mapped snapshot) instead: flat stays nil and batched kernels evaluate
-	// per view.
 	views []ranking.Ranking
 }
 
@@ -53,26 +51,6 @@ func NewStore(rs []ranking.Ranking) *Store {
 	return st
 }
 
-// NewStoreFromViews wraps existing equal-length rankings — typically
-// page-aligned views over a mapped v3 snapshot — as a borrowed Store:
-// no arena is allocated and nothing is copied. Each view's capacity is
-// clamped to k so an append by any holder copies out rather than writing
-// past a slot, exactly as with an owned arena.
-func NewStoreFromViews(k int, views []ranking.Ranking) *Store {
-	st := &Store{k: k, views: make([]ranking.Ranking, len(views))}
-	for i, r := range views {
-		if len(r) != k {
-			panic(fmt.Sprintf("kernel: ranking %d has length %d, store stride is %d", i, len(r), k))
-		}
-		st.views[i] = r[:k:k]
-	}
-	return st
-}
-
-// Borrowed reports whether the store views foreign memory instead of
-// owning a flat arena.
-func (st *Store) Borrowed() bool { return st.flat == nil }
-
 // Len reports the number of slots.
 func (st *Store) Len() int { return len(st.views) }
 
@@ -89,7 +67,5 @@ func (st *Store) Slot(id ranking.ID) ranking.Ranking { return st.views[id] }
 func (st *Store) Views() []ranking.Ranking { return st.views[:len(st.views):len(st.views)] }
 
 // Flat exposes the raw backing array (read-only by convention); batched
-// kernels and paging code iterate it directly. It is nil for borrowed
-// stores, whose slots live in foreign (possibly non-contiguous) memory —
-// callers must fall back to Views.
+// kernels and posting packers iterate it directly.
 func (st *Store) Flat() []ranking.Item { return st.flat }

@@ -1,19 +1,18 @@
 // Snapshot format v3: a paged, page-aligned layout whose data region is
-// exactly the serving representation — the kernel.Store k-strided ranking
-// arena plus a one-byte-per-slot liveness table — cut into fixed-size pages
-// with a per-page CRC-32C and a footer index. Because the on-disk bytes ARE
-// the in-memory bytes, loading is not a decode: the file (or the shared page
-// file of an incremental checkpoint, see pager.go) is mapped and the slot
-// array becomes views over the mapping, so restart cost is O(pages touched)
-// instead of O(collection). A full-read path covers platforms without mmap
-// and callers that want every page checksum verified up front.
+// the kernel.Store k-strided ranking arena plus a one-byte-per-slot
+// liveness table, cut into fixed-size pages with a per-page CRC-32C and a
+// footer index. Fixed pages are what make checkpoints incremental (see
+// pager.go): a mutation dirties the few pages its slot lives on. Loading
+// reads the whole file (or the shared page file of an incremental
+// checkpoint), verifies every page checksum — flag and arena pages alike —
+// and only then cuts the slot array out of the verified bytes; the index
+// built over it copies every ranking into its own arena.
 //
 // Single-file layout (WritePagedTo / OpenPagedFile):
 //
 //	[0, 4096)    header: magic "TKP3", version 3, pageSize, k,
 //	             slotCount (u64), pageCount, headerSize, CRC-32C of the
-//	             preceding 32 bytes; zero padding. One OS page, so page 0
-//	             is OS-page-aligned when mapped.
+//	             preceding 32 bytes; zero padding.
 //	[4096, …)    the logical pages in order: first the flag pages (one
 //	             liveness byte per slot, pageSize slots per page), then the
 //	             arena pages (⌊pageSize/4k⌋ rankings per page, k little-
@@ -50,8 +49,7 @@ const (
 	DefaultPageSize = 1 << 16
 
 	// pagedHeaderSize is the fixed offset of the page region in single-file
-	// snapshots: one OS page, so every page offset is OS-page-aligned in a
-	// mapping of the whole file.
+	// snapshots.
 	pagedHeaderSize = 4096
 
 	minPageSize     = 1 << 12
@@ -68,10 +66,6 @@ const (
 var ErrCorrupt = errors.New("persist: corrupt snapshot")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// errNoMmap marks "the platform cannot map this file"; loaders fall back
-// to the full-read path on it.
-var errNoMmap = errors.New("persist: mmap unavailable")
 
 // hostLittle gates the zero-copy view cast: the format is fixed
 // little-endian, so big-endian hosts decode copies instead.
@@ -197,9 +191,8 @@ func collectionK(slots []ranking.Ranking) (int, error) {
 // tombstone, and reloading preserves the id assignment exactly — deleted ids
 // stay retired, trailing ones included (the slot count, not the last live
 // slot, delimits the id space, so the next insert continues the sequence).
-// The hybrid engine's mid-epoch state — base region, delta overlay and
-// tombstones — flattens into exactly this slot view, so a snapshot taken
-// between epoch rebuilds reloads as a freshly folded index.
+// A mutated index's tombstones flatten into exactly this slot view, so a
+// snapshot taken between compactions reloads as a freshly built index.
 func WritePagedTo(w io.Writer, slots []ranking.Ranking) (int64, error) {
 	return writePaged(w, slots, DefaultPageSize)
 }
@@ -267,15 +260,11 @@ func WritePagedFile(path string, slots []ranking.Ranking) error {
 	return f.Close()
 }
 
-// PagedCollection is a loaded v3 snapshot: the slot array is views over the
-// snapshot's page region — a read-only mapping or a heap buffer — with no
-// per-ranking decode. Close unmaps; views must not be used afterwards.
+// PagedCollection is a loaded, fully verified v3 snapshot: the slot array
+// is views over the snapshot's bytes in memory, with no per-ranking decode.
 type PagedCollection struct {
-	layout  Layout
-	slots   []ranking.Ranking
-	mapped  bool
-	bytes   int
-	release func() error
+	layout Layout
+	slots  []ranking.Ranking
 }
 
 // Slots is the external-id slot array (nil entries are tombstones).
@@ -284,32 +273,14 @@ func (c *PagedCollection) Slots() []ranking.Ranking { return c.slots }
 // Layout is the snapshot's page geometry.
 func (c *PagedCollection) Layout() Layout { return c.layout }
 
-// Mapped reports whether the slots view an mmap (vs a heap buffer).
-func (c *PagedCollection) Mapped() bool { return c.mapped }
-
-// MappedBytes is the size of the mapping backing the slots; 0 when the
-// collection was loaded by full read.
-func (c *PagedCollection) MappedBytes() int {
-	if c.mapped {
-		return c.bytes
-	}
-	return 0
-}
-
-// Close releases the mapping (no-op for full-read collections). The slot
-// views — and anything built over them — must not be touched afterwards.
-func (c *PagedCollection) Close() error {
-	if c.release != nil {
-		r := c.release
-		c.release = nil
-		return r()
-	}
-	return nil
-}
+// Close does nothing: a loaded collection holds no resource beyond memory.
+//
+// Deprecated: kept until benchmark/ stops calling it (ROADMAP 1(b)).
+func (c *PagedCollection) Close() error { return nil }
 
 // viewRanking reinterprets b as a k-item ranking without copying when the
 // host is little-endian and b is 4-byte aligned (always true for page
-// regions of a mapping or a heap buffer); otherwise it decodes a heap copy.
+// regions of a heap buffer); otherwise it decodes a heap copy.
 func viewRanking(b []byte, k int) ranking.Ranking {
 	if hostLittle && uintptr(unsafe.Pointer(&b[0]))%itemSize == 0 {
 		return ranking.Ranking(unsafe.Slice((*ranking.Item)(unsafe.Pointer(&b[0])), k))
@@ -321,12 +292,19 @@ func viewRanking(b []byte, k int) ranking.Ranking {
 	return r
 }
 
-// buildPagedSlots cuts the slot array out of the page region: flag pages
+// loadPaged checks every logical page against its write-time checksum —
+// flag and arena pages alike, so a bit-flipped ranking is ErrCorrupt, never
+// served — and then cuts the slot array out of the page region: flag pages
 // say which slots are live, and each live slot becomes a view into its
 // arena page. pageAt resolves a logical page to its bytes (identity offsets
 // for single-file snapshots, through the page map for incremental
-// checkpoints).
-func buildPagedSlots(l Layout, pageAt func(p int) []byte) ([]ranking.Ranking, error) {
+// checkpoints); crc is the logical page's recorded CRC-32C.
+func loadPaged(l Layout, pageAt func(p int) []byte, crc func(p int) uint32) (*PagedCollection, error) {
+	for p := 0; p < l.Pages(); p++ {
+		if crc32.Checksum(pageAt(p), castagnoli) != crc(p) {
+			return nil, fmt.Errorf("%w: page %d checksum mismatch", ErrCorrupt, p)
+		}
+	}
 	slots := make([]ranking.Ranking, l.Slots)
 	stride := l.K * itemSize
 	for fp := 0; fp < l.FlagPages(); fp++ {
@@ -347,7 +325,7 @@ func buildPagedSlots(l Layout, pageAt func(p int) []byte) ([]ranking.Ranking, er
 			}
 		}
 	}
-	return slots, nil
+	return &PagedCollection{layout: l, slots: slots}, nil
 }
 
 // parsePagedHeader validates the fixed header of a single-file snapshot
@@ -411,12 +389,10 @@ func checkPagedFooter(data []byte, l Layout) ([]byte, error) {
 	return table, nil
 }
 
-// openPagedBytes builds a PagedCollection over a complete single-file
-// snapshot image. Flag pages are checksum-verified in every mode (they gate
-// which bytes mean anything); arena pages only when verifyPages — the point
-// of the mmap path is NOT touching O(collection) bytes at load, so it
-// trusts write-time checksums for pages it never faults in.
-func openPagedBytes(data []byte, mapped, verifyPages bool, release func() error) (*PagedCollection, error) {
+// ReadPagedAll parses a complete single-file v3 snapshot from memory with
+// every page checksum verified. The slots view data, which the caller must
+// not modify afterwards.
+func ReadPagedAll(data []byte) (*PagedCollection, error) {
 	l, err := parsePagedHeader(data)
 	if err != nil {
 		return nil, err
@@ -425,61 +401,20 @@ func openPagedBytes(data []byte, mapped, verifyPages bool, release func() error)
 	if err != nil {
 		return nil, err
 	}
-	pageAt := func(p int) []byte {
-		off := pagedHeaderSize + p*l.PageSize
-		return data[off : off+l.PageSize]
-	}
-	last := l.FlagPages()
-	if verifyPages {
-		last = l.Pages()
-	}
-	le := binary.LittleEndian
-	for p := 0; p < last; p++ {
-		if crc32.Checksum(pageAt(p), castagnoli) != le.Uint32(table[p*4:]) {
-			return nil, fmt.Errorf("%w: page %d checksum mismatch", ErrCorrupt, p)
-		}
-	}
-	slots, err := buildPagedSlots(l, pageAt)
-	if err != nil {
-		return nil, err
-	}
-	return &PagedCollection{layout: l, slots: slots, mapped: mapped, bytes: len(data), release: release}, nil
+	return loadPaged(l,
+		func(p int) []byte {
+			off := pagedHeaderSize + p*l.PageSize
+			return data[off : off+l.PageSize]
+		},
+		func(p int) uint32 { return binary.LittleEndian.Uint32(table[p*4:]) })
 }
 
-// ReadPagedAll parses a complete single-file v3 snapshot from memory with
-// every page checksum verified (the fuzz target's entry point).
-func ReadPagedAll(data []byte) (*PagedCollection, error) {
-	return openPagedBytes(data, false, true, nil)
-}
-
-// OpenPagedFile loads a single-file v3 snapshot. With useMmap the file is
-// mapped read-only and the slot views alias the mapping — close the
-// collection only when nothing references them anymore. Without (or when
-// the platform cannot map), the whole file is read into memory and every
-// page checksum verified.
-func OpenPagedFile(path string, useMmap bool) (*PagedCollection, error) {
-	f, err := os.Open(path)
+// OpenPagedFile reads a single-file v3 snapshot whole and loads it with
+// every page checksum verified.
+func OpenPagedFile(path string) (*PagedCollection, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	if useMmap {
-		fi, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		if data, unmap, merr := mmapFile(f, int(fi.Size())); merr == nil {
-			pc, perr := openPagedBytes(data, true, false, unmap)
-			if perr != nil {
-				unmap()
-				return nil, perr
-			}
-			return pc, nil
-		}
-	}
-	data, err := io.ReadAll(bufio.NewReaderSize(f, 1<<20))
-	if err != nil {
-		return nil, err
-	}
-	return openPagedBytes(data, false, true, nil)
+	return ReadPagedAll(data)
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"topk/internal/ranking"
@@ -71,9 +72,6 @@ func TestPagedRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d k=%d: read: %v", tc.n, tc.k, err)
 		}
 		slotsEqual(t, slots, pc.Slots())
-		if pc.Mapped() {
-			t.Fatal("in-memory read claims to be mapped")
-		}
 		if pc.Layout().K != tc.k || pc.Layout().Slots != tc.n {
 			t.Fatalf("layout %+v does not match n=%d k=%d", pc.Layout(), tc.n, tc.k)
 		}
@@ -87,24 +85,76 @@ func TestPagedFileBothModes(t *testing.T) {
 	if err := WritePagedFile(path, slots); err != nil {
 		t.Fatal(err)
 	}
-	for _, useMmap := range []bool{false, true} {
-		pc, err := OpenPagedFile(path, useMmap)
-		if err != nil {
-			t.Fatalf("mmap=%v: %v", useMmap, err)
-		}
-		slotsEqual(t, slots, pc.Slots())
-		if useMmap && pc.Mapped() && pc.MappedBytes() == 0 {
-			t.Fatal("mapped collection reports 0 mapped bytes")
-		}
-		if !pc.Mapped() && pc.MappedBytes() != 0 {
-			t.Fatalf("full-read collection reports %d mapped bytes", pc.MappedBytes())
-		}
-		// Copy the slots before Close so the comparison above is the last
-		// touch of view memory.
-		if err := pc.Close(); err != nil {
-			t.Fatalf("close: %v", err)
-		}
+	pc, err := OpenPagedFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	slotsEqual(t, slots, pc.Slots())
+}
+
+// flipArenaByte XORs the high byte of slot's first item with 0x40 inside
+// page: the ranking stays well-formed (distinct items, right length) but is
+// no longer the one written, so only the page checksum can catch it.
+func flipArenaByte(l Layout, slot int, page []byte) {
+	_, off := l.arenaPos(slot)
+	page[off+itemSize-1] ^= 0x40
+}
+
+// TestArenaBitRotIsCorrupt: a bit-flipped arena page — content that still
+// decodes as a valid ranking — is ErrCorrupt naming the page on every load
+// path, never a silently served ranking that was never written.
+func TestArenaBitRotIsCorrupt(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	slots := randomSlots(rng, 3000, 10)
+	l := Layout{PageSize: DefaultPageSize, K: 10, Slots: len(slots)}
+	lp, _ := l.arenaPos(0) // slot 0 is always live
+	want := fmt.Sprintf("page %d checksum mismatch", lp)
+
+	t.Run("file", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "snap.v3")
+		if err := WritePagedFile(path, slots); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := pagedHeaderSize + lp*l.PageSize
+		flipArenaByte(l, 0, data[off:off+l.PageSize])
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = OpenPagedFile(path)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("got %v, want ErrCorrupt with %q", err, want)
+		}
+	})
+	t.Run("dir", func(t *testing.T) {
+		dir := t.TempDir()
+		if _, err := NewPager(dir, nil).WriteCheckpoint(1, slots, nil); err != nil {
+			t.Fatal(err)
+		}
+		ft, err := LoadFooter(FooterPath(dir, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, DataFileName)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := int(ft.PageMap[lp]) * l.PageSize
+		flipArenaByte(l, 0, data[off:off+l.PageSize])
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// true is what benchmark/ still passes; the ignored flag must not
+		// weaken verification.
+		_, _, err = OpenPagedDir(dir, FooterPath(dir, 1), true)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("got %v, want ErrCorrupt with %q", err, want)
+		}
+	})
 }
 
 func TestPagedEmptyAndAllTombstones(t *testing.T) {
@@ -224,7 +274,7 @@ func putU64(b []byte, v uint64) { putU32(b, uint32(v)); putU32(b[4:], uint32(v>>
 func crc32Header(b []byte) uint32 { return crc32.Checksum(b[:32], castagnoli) }
 
 func TestPagedFileMissing(t *testing.T) {
-	if _, err := OpenPagedFile(filepath.Join(t.TempDir(), "nope.v3"), true); !os.IsNotExist(err) {
+	if _, err := OpenPagedFile(filepath.Join(t.TempDir(), "nope.v3")); !os.IsNotExist(err) {
 		t.Fatalf("got %v, want not-exist", err)
 	}
 }

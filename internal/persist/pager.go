@@ -4,24 +4,24 @@
 // one footer file per durable checkpoint, checkpoint-<seq>.v3f. The footer
 // is the whole truth of a checkpoint: geometry, the logical→physical page
 // map, and a CRC-32C per logical page. Writing checkpoint N+1 never touches
-// a physical page any existing footer (or the startup mapping) references —
-// dirty logical pages go to free or appended physical pages, clean ones
-// keep their physical page and checksum from footer N — and the new footer
-// is installed by atomic rename. A crash at ANY step therefore leaves the
-// directory describing either checkpoint N or checkpoint N+1, never a
-// blend: until the rename lands, footer N and every page it maps are
-// byte-identical to before.
+// a physical page any existing footer references — dirty logical pages go
+// to free or appended physical pages, clean ones keep their physical page
+// and checksum from footer N — and the new footer is installed by atomic
+// rename. A crash at ANY step therefore leaves the directory describing
+// either checkpoint N or checkpoint N+1, never a blend: until the rename
+// lands, footer N and every page it maps are byte-identical to before.
 //
 // Write I/O per checkpoint is O(dirty pages) + one tiny footer; the log
 // truncation that follows (wal.Log.Checkpoint) deletes superseded footers,
 // whose pages then return to the free list of the next checkpoint.
+// Recovery (OpenPagedDir) reads pages.v3 whole and checks every mapped page
+// against the footer's CRC before building anything.
 package persist
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -125,72 +125,37 @@ func LoadFooter(path string) (*Footer, error) {
 }
 
 // OpenPagedDir loads the checkpoint footerPath describes against dir's
-// shared page file. With useMmap the slot views alias a read-only mapping
-// of pages.v3 (keep the collection open as long as anything references
-// them, and pin its footer in the Pager so later checkpoints never reuse
-// its pages); otherwise the file is read whole and every mapped page's
-// checksum verified.
-func OpenPagedDir(dir, footerPath string, useMmap bool) (*PagedCollection, *Footer, error) {
+// shared page file: pages.v3 is read whole and every page the footer maps
+// is checksum-verified before the slot array is built. The bool parameter
+// is deprecated and ignored; it remains until benchmark/ stops passing it
+// (ROADMAP 1(b)).
+func OpenPagedDir(dir, footerPath string, _ bool) (*PagedCollection, *Footer, error) {
 	ft, err := LoadFooter(footerPath)
 	if err != nil {
 		return nil, nil, err
 	}
 	l := ft.Layout
-	f, err := os.Open(filepath.Join(dir, DataFileName))
+	data, err := os.ReadFile(filepath.Join(dir, DataFileName))
 	if err != nil {
 		return nil, nil, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, nil, err
-	}
-	filePages := int(fi.Size() / int64(l.PageSize))
+	filePages := len(data) / l.PageSize
 	for lp, pm := range ft.PageMap {
 		if int(pm) >= filePages {
 			return nil, nil, fmt.Errorf("%w: logical page %d maps to physical page %d beyond the %d-page file",
 				ErrCorrupt, lp, pm, filePages)
 		}
 	}
-	var (
-		data    []byte
-		release func() error
-		mapped  bool
-	)
-	if useMmap {
-		if d, unmap, merr := mmapFile(f, int(fi.Size())); merr == nil {
-			data, release, mapped = d, unmap, true
-		}
-	}
-	if data == nil {
-		if data, err = io.ReadAll(io.LimitReader(f, fi.Size())); err != nil {
-			return nil, nil, err
-		}
-	}
-	fail := func(err error) (*PagedCollection, *Footer, error) {
-		if release != nil {
-			release()
-		}
+	pc, err := loadPaged(l,
+		func(p int) []byte {
+			off := int(ft.PageMap[p]) * l.PageSize
+			return data[off : off+l.PageSize]
+		},
+		func(p int) uint32 { return ft.CRCs[p] })
+	if err != nil {
 		return nil, nil, err
 	}
-	pageAt := func(p int) []byte {
-		off := int(ft.PageMap[p]) * l.PageSize
-		return data[off : off+l.PageSize]
-	}
-	last := l.FlagPages()
-	if !mapped {
-		last = l.Pages()
-	}
-	for p := 0; p < last; p++ {
-		if crc32.Checksum(pageAt(p), castagnoli) != ft.CRCs[p] {
-			return fail(fmt.Errorf("%w: page %d checksum mismatch", ErrCorrupt, p))
-		}
-	}
-	slots, err := buildPagedSlots(l, pageAt)
-	if err != nil {
-		return fail(err)
-	}
-	return &PagedCollection{layout: l, slots: slots, mapped: mapped, bytes: len(data), release: release}, ft, nil
+	return pc, ft, nil
 }
 
 // CheckpointStats reports one incremental checkpoint's page economy: what
@@ -205,9 +170,8 @@ type CheckpointStats struct {
 // Pager writes incremental checkpoints for one directory. Not safe for
 // concurrent use — the serving layer serializes checkpoints per collection.
 type Pager struct {
-	dir    string
-	prev   *Footer
-	pinned map[uint32]bool
+	dir  string
+	prev *Footer
 	// TestHook, when non-nil, runs at each named install step; an error
 	// aborts the checkpoint there, which is how the crash-safety suite
 	// kills the install at every step.
@@ -216,17 +180,9 @@ type Pager struct {
 
 // NewPager returns a pager for dir. prev is the footer recovery loaded
 // (nil when the directory holds no v3 checkpoint yet: the first checkpoint
-// then writes every page). pinned, when non-nil, is the footer whose
-// physical pages a live mmap references — those pages are never reused for
-// the life of this pager, because index views may read them at any time.
-func NewPager(dir string, prev, pinned *Footer) *Pager {
-	p := &Pager{dir: dir, prev: prev, pinned: make(map[uint32]bool)}
-	if pinned != nil {
-		for _, pm := range pinned.PageMap {
-			p.pinned[pm] = true
-		}
-	}
-	return p
+// then writes every page).
+func NewPager(dir string, prev *Footer) *Pager {
+	return &Pager{dir: dir, prev: prev}
 }
 
 // Prev returns the footer of the newest checkpoint this pager wrote or was
@@ -280,13 +236,10 @@ func (p *Pager) dirtyLogicalPages(l Layout, dirty *DirtySet) map[int]bool {
 
 // busyPages collects the physical pages no new write may clobber: every
 // page referenced by any decodable footer file in the directory (a crash
-// may fall back to any of them until truncation), the previous in-memory
-// footer, and the pages pinned by the startup mapping.
+// may fall back to any of them until truncation) and the previous in-memory
+// footer.
 func (p *Pager) busyPages() (map[uint32]bool, error) {
-	busy := make(map[uint32]bool, len(p.pinned))
-	for pg := range p.pinned {
-		busy[pg] = true
-	}
+	busy := make(map[uint32]bool)
 	if p.prev != nil {
 		for _, pm := range p.prev.PageMap {
 			busy[pm] = true

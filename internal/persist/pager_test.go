@@ -80,7 +80,7 @@ func TestPagerIncremental(t *testing.T) {
 	dir := t.TempDir()
 	slots := randomSlots(rng, 5000, 10)
 
-	p := NewPager(dir, nil, nil)
+	p := NewPager(dir, nil)
 	st1, err := p.WriteCheckpoint(1, slots, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestPagerFreeListReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	dir := t.TempDir()
 	slots := randomSlots(rng, 5000, 10)
-	p := NewPager(dir, nil, nil)
+	p := NewPager(dir, nil)
 	if _, err := p.WriteCheckpoint(1, slots, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -155,44 +155,6 @@ func dataFileSize(t *testing.T, dir string) int64 {
 	return fi.Size()
 }
 
-// TestPagerPinnedPagesSurvive: a checkpoint's pages stay byte-stable while a
-// mapping of them is pinned, no matter how many later checkpoints land.
-func TestPagerPinnedPagesSurvive(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	dir := t.TempDir()
-	slots := randomSlots(rng, 4000, 10)
-	p0 := NewPager(dir, nil, nil)
-	if _, err := p0.WriteCheckpoint(1, slots, nil); err != nil {
-		t.Fatal(err)
-	}
-	pc, ft, err := OpenPagedDir(dir, FooterPath(dir, 1), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]ranking.Ranking(nil), pc.Slots()...)
-	for i, r := range want {
-		if r != nil {
-			want[i] = append(ranking.Ranking(nil), r...)
-		}
-	}
-
-	p := NewPager(dir, ft, ft) // pinned: the mapping above
-	cur := slots
-	for seq := uint64(2); seq <= 8; seq++ {
-		tr := NewSlotTracker()
-		cur = mutate(rng, cur, tr, 50)
-		if _, err := p.WriteCheckpoint(seq, cur, tr.Capture()); err != nil {
-			t.Fatal(err)
-		}
-		for old := uint64(1); old < seq; old++ {
-			os.Remove(FooterPath(dir, old)) // even with its footer gone, the pin must hold
-		}
-	}
-	slotsEqual(t, want, pc.Slots())
-	slotsEqual(t, cur, loadDir(t, dir))
-	pc.Close()
-}
-
 // TestPagerCrashEveryStep kills the checkpoint install at every hook step
 // and asserts the directory always recovers to exactly the previous or the
 // new checkpoint — never a blend — and that a retried checkpoint with the
@@ -207,7 +169,7 @@ func TestPagerCrashEveryStep(t *testing.T) {
 			rng := rand.New(rand.NewSource(54))
 			dir := t.TempDir()
 			prev := randomSlots(rng, 3000, 10)
-			p := NewPager(dir, nil, nil)
+			p := NewPager(dir, nil)
 			if _, err := p.WriteCheckpoint(1, prev, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +219,7 @@ func TestPagerCrashEveryStep(t *testing.T) {
 			if !isNext {
 				tr2 := NewSlotTracker()
 				tr2.MergeBack(dirt)
-				p2 := NewPager(dir, ft, nil)
+				p2 := NewPager(dir, ft)
 				if _, err := p2.WriteCheckpoint(3, next, tr2.Capture()); err != nil {
 					t.Fatalf("retry after crash at %s: %v", step, err)
 				}
@@ -288,7 +250,7 @@ func slotsMatch(a, b []ranking.Ranking) bool {
 // collection, no inserts yet) must work and recover as empty.
 func TestPagerEmptyCollection(t *testing.T) {
 	dir := t.TempDir()
-	p := NewPager(dir, nil, nil)
+	p := NewPager(dir, nil)
 	st, err := p.WriteCheckpoint(1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +277,7 @@ func TestPagerEmptyCollection(t *testing.T) {
 
 func TestFooterCorruption(t *testing.T) {
 	dir := t.TempDir()
-	p := NewPager(dir, nil, nil)
+	p := NewPager(dir, nil)
 	if _, err := p.WriteCheckpoint(1, []ranking.Ranking{{1, 2, 3}, nil}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +364,7 @@ func TestSlotTracker(t *testing.T) {
 func ExamplePager() {
 	dir, _ := os.MkdirTemp("", "pager-example-*")
 	defer os.RemoveAll(dir)
-	p := NewPager(dir, nil, nil)
+	p := NewPager(dir, nil)
 	slots := make([]ranking.Ranking, 20000)
 	for i := range slots {
 		slots[i] = ranking.Ranking{uint32(i), uint32(i + 1), uint32(i + 2)}

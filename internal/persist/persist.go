@@ -7,7 +7,9 @@
 // file (WritePagedTo / OpenPagedFile — what topkgen -format binary,
 // topkquery -save-snapshot and GET /snapshot produce and what -load-snapshot
 // reads) or, for incremental checkpoints, a shared page file plus one footer
-// per checkpoint (pager.go). Nothing in this package writes anything else.
+// per checkpoint (pager.go). Nothing in this package writes anything else,
+// and every reader (OpenPagedFile, ReadPagedAll, OpenPagedDir) reads the
+// bytes whole and verifies every page checksum before it builds a slot.
 //
 // The two formats that preceded it — "TKRK" version 1 (dense rankings) and
 // version 2 (flagged slots) — survive as one bounded stream decoder,

@@ -168,15 +168,13 @@ type Collection struct {
 // the last checkpoint capture (marked under walMu, alongside the log append)
 // — after recovery exactly the slots the replay dirtied relative to the base
 // checkpoint, or everything when there was none. pager writes incremental
-// checkpoints over the directory's shared page file. paged retains the base
-// checkpoint startup loaded: the index views may alias its mapping, so it is
-// never unmapped.
+// checkpoints over the directory's shared page file; its Prev is the footer
+// of the base checkpoint recovery loaded (nil when there was none).
 type storage struct {
 	wal         *wal.Log
 	walReplayed int
 	tracker     *persist.SlotTracker
 	pager       *persist.Pager
-	paged       *persist.PagedCollection
 }
 
 // newCollection wires a built index and its storage into a tenant.
@@ -259,9 +257,6 @@ func (c *Collection) generation() uint64 {
 // storageStatsJSON is the paged-storage (snapshot v3) section of /stats and
 // GET /collections/{name}; absent for in-memory collections.
 type storageStatsJSON struct {
-	// MappedBytes is the size of the mmapped v3 base checkpoint the
-	// collection was loaded from (0 when the base was decoded to the heap).
-	MappedBytes int `json:"mappedBytes"`
 	// DirtySlots and DirtyPages describe the work the next incremental
 	// checkpoint will do: slots mutated since the last checkpoint capture
 	// and the v3 pages they force a rewrite of.
@@ -282,15 +277,11 @@ func (c *Collection) storageStats() *storageStatsJSON {
 		return nil
 	}
 	st := &storageStatsJSON{
-		MappedBytes:            0,
 		DirtySlots:             c.tracker.DirtySlots(),
 		CheckpointPagesWritten: c.ckptPagesWritten.Load(),
 		CheckpointPagesReused:  c.ckptPagesReused.Load(),
 		CheckpointBytesWritten: c.ckptBytesWritten.Load(),
 		CheckpointBytesReused:  c.ckptBytesReused.Load(),
-	}
-	if c.paged != nil {
-		st.MappedBytes = c.paged.MappedBytes()
 	}
 	// Page-level dirt needs the geometry the next checkpoint will use: the
 	// previous footer's slot space, extended to cover the newest marks.

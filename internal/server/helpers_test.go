@@ -43,24 +43,33 @@ func (s *Server) install(sh *shard.Sharded) {
 }
 
 // startServer is topkserve -kind K -shards 4 -load-snapshot S -wal D
-// [-mmap=M] brought up by the real bootstrap: newest checkpoint in walDir or
-// else the snapshot, index build, tracked WAL replay, log open.
-func startServer(t *testing.T, kind, snapPath, walDir string, useMmap bool) *Server {
+// brought up by the real bootstrap: newest checkpoint in walDir or else the
+// snapshot, index build, tracked WAL replay, log open. DeltaRatio and
+// WALSyncEvery are spelled out because their Config zero values are not
+// the flag defaults.
+func startServer(t *testing.T, kind, snapPath, walDir string) *Server {
 	t.Helper()
-	s, err := New(Config{
-		Kind: kind, Shards: 4, DeltaRatio: 0.25,
-		SnapshotPath: snapPath, WALDir: walDir, WALSyncEvery: 1, Mmap: useMmap,
-		MaxConcurrency: -1, Log: io.Discard,
-	})
+	s, err := bootServer(kind, snapPath, walDir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.bootstrap(); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
 	s.ready.Store(true)
 	s.defColl().walFatal = func(err error) { t.Fatalf("wal append failed: %v", err) }
 	return s
+}
+
+// bootServer runs startServer's bootstrap and returns its error instead of
+// failing the test.
+func bootServer(kind, snapPath, walDir string) (*Server, error) {
+	s, err := New(Config{
+		Kind: kind, Shards: 4, DeltaRatio: topk.DefaultCompactionRatio,
+		SnapshotPath: snapPath, WALDir: walDir, WALSyncEvery: 1,
+		MaxConcurrency: -1, Log: io.Discard,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s, s.bootstrap()
 }
 
 // defColl resolves the default collection the legacy routes alias to.

@@ -415,7 +415,7 @@ func TestSnapshotEndpointRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, rec.Body.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	h2 := startServer(t, "inverted-drop", path, "", true).routes()
+	h2 := startServer(t, "inverted-drop", path, "").routes()
 	if n := liveN(t, h2); n != 400 {
 		t.Fatalf("restored live count %d, want 400", n)
 	}
@@ -452,7 +452,7 @@ func TestLoadSnapshotKeepsTombstones(t *testing.T) {
 	if err := persist.WritePagedFile(path, slots); err != nil {
 		t.Fatal(err)
 	}
-	srv := startServer(t, "inverted-drop", path, "", true)
+	srv := startServer(t, "inverted-drop", path, "")
 	if got := srv.defColl().sh.Slots(); !slotsEqual(got, slots) {
 		t.Fatal("served slot view diverges from the snapshot")
 	}
@@ -534,7 +534,7 @@ func TestLoadSnapshotRejectsLegacy(t *testing.T) {
 func TestLegacyBinCheckpointFailsRun(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
-	s1 := startServer(t, "hybrid", emptySnapshot(t, dir), walDir, true)
+	s1 := startServer(t, "hybrid", emptySnapshot(t, dir), walDir)
 	for i := 0; i < 3; i++ {
 		if rec := post(t, s1.routes(), "/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(4, 10*i))); rec.Code != http.StatusOK {
 			t.Fatalf("insert: %d %s", rec.Code, rec.Body)

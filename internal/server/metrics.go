@@ -216,9 +216,6 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 	}
 
 	if st := c.storageStats(); st != nil {
-		w.Gauge("topkserve_storage_mapped_bytes",
-			"Bytes of the mmapped paged (v3) base checkpoint backing the collection; 0 when the base was decoded to the heap.",
-			labels, float64(st.MappedBytes))
 		w.Gauge("topkserve_storage_dirty_slots",
 			"Slots mutated since the last checkpoint capture.",
 			labels, float64(st.DirtySlots))

@@ -124,8 +124,8 @@ type collectionInfo struct {
 	// replay-on-crash lag.
 	WAL *walStatsJSON `json:"wal,omitempty"`
 	// Storage reports the paged (snapshot v3) storage state of a durable
-	// collection: mapping size, dirt awaiting the next incremental
-	// checkpoint, checkpoint page economy.
+	// collection: dirt awaiting the next incremental checkpoint and the
+	// checkpoint page economy.
 	Storage *storageStatsJSON `json:"storage,omitempty"`
 	// Admission is this collection's carve of the shared capacity; absent
 	// for unthrottled collections.

@@ -55,9 +55,11 @@ const defaultMaxBody = 16 << 20
 const DefaultCollectionName = "default"
 
 // Config carries every knob of the serving core; cmd/topkserve maps its
-// flags onto it one to one. Zero values mean the documented flag defaults.
+// flags onto it one to one. A zero value means the flag default, except
+// where a field says what its zero means: a programmatically built Config
+// gets those zero meanings, not the flag defaults.
 type Config struct {
-	Addr string // listen address
+	Addr string // listen address ("" = any free port; the -addr default is :8080)
 
 	// Seed of the default collection: text collection (- = stdin) or v3
 	// snapshot; at most one. Not read when its WAL directory holds a
@@ -71,9 +73,12 @@ type Config struct {
 	// manifest, and not droppable over HTTP.
 	DefaultCollection string
 
-	Kind       string  // index kind of the default collection ("" = hybrid)
-	Shards     int     // shard count (0 = GOMAXPROCS)
-	DeltaRatio float64 // hybrid only
+	Kind   string // index kind of the default collection ("" = hybrid)
+	Shards int    // shard count (0 = GOMAXPROCS)
+	// DeltaRatio (hybrid only) is the tombstone fraction above which a
+	// delete or update compacts its shard. 0 disables compaction; the
+	// -delta-ratio default is topk.DefaultCompactionRatio (0.25).
+	DeltaRatio float64
 
 	MaxBody int64 // request-body bound, bytes (0 = 16 MiB)
 
@@ -83,10 +88,13 @@ type Config struct {
 	// one subdirectory per collection plus the MANIFEST; dynamically created
 	// collections are durable and recovered on restart. At most one of the
 	// two may be set; walDirFor is the whole difference.
-	WALDir          string
-	WALRoot         string
+	WALDir  string
+	WALRoot string
+	// WALSyncEvery fsyncs the log after every n-th mutation. 0 means no
+	// count-based fsync (only WALSyncInterval and shutdown sync); the
+	// -wal-sync-every default is 1, a synchronous commit.
 	WALSyncEvery    int
-	WALSyncInterval time.Duration
+	WALSyncInterval time.Duration // background fsync period (0 disables)
 
 	SlowQuery      time.Duration // slow-query log threshold (0 disables)
 	DebugAddr      string        // separate pprof listener (empty disables)
@@ -96,16 +104,12 @@ type Config struct {
 	// carve slices out of this capacity).
 	MaxConcurrency int // 0 = 2x GOMAXPROCS, negative disables
 	MaxQueue       int // 0 = 4x effective MaxConcurrency
-	MaxQueueWait   time.Duration
+	// MaxQueueWait bounds how long a queued request waits for a slot. 0
+	// waits as long as the request's own deadline allows; the
+	// -max-queue-wait default is 1s.
+	MaxQueueWait time.Duration
 
 	CacheEntries int // query-result cache capacity (0 disables)
-
-	// Mmap serves checkpoints through a read-only memory mapping of the page
-	// file instead of reading them onto the heap: cold start does no
-	// per-ranking work and rarely-touched collections stay in page cache,
-	// not RSS. cmd/topkserve sets it from -mmap (default true); the false
-	// escape hatch reads the file whole and verifies every page checksum.
-	Mmap bool
 
 	// SetFlags holds the flag names explicitly passed on the command line
 	// (flag.Visit), for fail-fast validation of kind-specific knobs. Nil
@@ -311,11 +315,12 @@ func (s *Server) walDirFor(name string) string {
 
 // openCollection is the one way a collection comes up — flag-defined,
 // manifest-recovered or created over HTTP. The newest checkpoint in walDir is
-// the base (a v3 footer over the shared page file, mmapped unless
-// -mmap=false); without one the seed is (nil: start empty). The logged
-// suffix replays on top and is mirrored into the slot tracker, so the first
-// incremental checkpoint after a restart rewrites exactly the replayed
-// slots' pages; then the log opens a fresh segment. walDir "" means an in-memory collection: seed, build, done.
+// the base (a v3 footer over the shared page file, read whole with every
+// page checksum verified); without one the seed is (nil: start empty). The
+// logged suffix replays on top and is mirrored into the slot tracker, so the
+// first incremental checkpoint after a restart rewrites exactly the replayed
+// slots' pages; then the log opens a fresh segment. walDir "" means an
+// in-memory collection: seed, build, done.
 // The collection is returned unpublished.
 func (s *Server) openCollection(name string, opts CollectionOptions, walDir string, seed func() ([]ranking.Ranking, error)) (*Collection, error) {
 	logw := s.cfg.logw()
@@ -337,10 +342,11 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 			return nil, migrationHint(err)
 		}
 		if cpPath != "" {
-			if st.paged, prev, err = persist.OpenPagedDir(walDir, cpPath, s.cfg.Mmap); err != nil {
+			var pc *persist.PagedCollection
+			if pc, prev, err = persist.OpenPagedDir(walDir, cpPath, false); err != nil {
 				return nil, fmt.Errorf("wal checkpoint %s: %w", cpPath, err)
 			}
-			slots = st.paged.Slots()
+			slots = pc.Slots()
 			if seed != nil {
 				fmt.Fprintf(logw, "collection %q: wal checkpoint (seq %d) is the base; -data/-load-snapshot are not read\n", name, cpSeq)
 			}
@@ -384,13 +390,7 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 		if st.wal, err = wal.Open(walDir, wal.WithSyncEvery(s.cfg.WALSyncEvery), wal.WithSyncInterval(s.cfg.WALSyncInterval)); err != nil {
 			return nil, err
 		}
-		var pinned *persist.Footer
-		if st.paged != nil && st.paged.Mapped() {
-			// Live index views may alias these physical pages forever: the
-			// pager must never hand them out to a later checkpoint.
-			pinned = prev
-		}
-		st.pager = persist.NewPager(walDir, prev, pinned)
+		st.pager = persist.NewPager(walDir, prev)
 		fmt.Fprintf(logw, "collection %q: wal %s: replayed %d records from segment %d on, %d live rankings, appending to segment %d\n",
 			name, walDir, st.walReplayed, cpSeq, sh.Len(), st.wal.Stats().ActiveSegment)
 	}
@@ -554,7 +554,7 @@ func loadSeed(dataPath, snapPath string) ([]ranking.Ranking, error) {
 	case dataPath != "" && snapPath != "":
 		return nil, fmt.Errorf("pass either -data or -load-snapshot, not both")
 	case snapPath != "":
-		pc, err := persist.OpenPagedFile(snapPath, false)
+		pc, err := persist.OpenPagedFile(snapPath)
 		if err != nil {
 			return nil, migrationHint(fmt.Errorf("-load-snapshot %s: %w", snapPath, err))
 		}

@@ -39,8 +39,8 @@ type statsResponse struct {
 	// WAL reports the durability counters when the collection has a log.
 	WAL *walStatsJSON `json:"wal,omitempty"`
 	// Storage reports the paged (snapshot v3) storage state of a durable
-	// collection: base-mapping size, dirt awaiting the next incremental
-	// checkpoint, checkpoint page economy.
+	// collection: dirt awaiting the next incremental checkpoint and the
+	// checkpoint page economy.
 	Storage *storageStatsJSON `json:"storage,omitempty"`
 	// Admission reports the shared load-shedding semaphore (absent when
 	// admission control is disabled with -max-concurrency < 0); Cache the

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -41,8 +43,8 @@ func checkpointHTTP(t *testing.T, s *Server) checkpointResponse {
 }
 
 // TestRestartCheckpointsIncrementally: a collection seeded from a snapshot
-// file checkpoints as a full write, restart recovers from that footer through
-// the mmap path with only the replayed slots dirty — so the next checkpoint is
+// file checkpoints as a full write, restart recovers from that footer with
+// only the replayed slots dirty — so the next checkpoint is
 // incremental — and the served collection stays oracle-identical throughout.
 func TestRestartCheckpointsIncrementally(t *testing.T) {
 	dir := t.TempDir()
@@ -58,7 +60,7 @@ func TestRestartCheckpointsIncrementally(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(62))
 	o := difftest.NewOracle(cfg)
-	s1 := startServer(t, "hybrid", snapPath, walDir, true)
+	s1 := startServer(t, "hybrid", snapPath, walDir)
 	mutateOverHTTP(t, s1.routes(), o, rng, 60, 400)
 
 	// First checkpoint on a snapshot-seeded collection: the WAL directory
@@ -73,11 +75,11 @@ func TestRestartCheckpointsIncrementally(t *testing.T) {
 	mutateOverHTTP(t, s1.routes(), o, rng, 40, 400)
 	stopWALServer(t, s1)
 
-	// Restart: base is now the paged footer (possibly mapped), plus replay
-	// of the post-checkpoint suffix.
-	s2 := startServer(t, "hybrid", snapPath, walDir, true)
+	// Restart: base is now the paged footer, plus replay of the
+	// post-checkpoint suffix.
+	s2 := startServer(t, "hybrid", snapPath, walDir)
 	c := s2.defColl()
-	if c.paged == nil {
+	if c.pager.Prev() == nil {
 		t.Fatal("restart did not recover from the paged checkpoint")
 	}
 	gotSlots := c.sh.Slots()
@@ -101,7 +103,7 @@ func TestRestartCheckpointsIncrementally(t *testing.T) {
 	stopWALServer(t, s2)
 
 	// Third generation: recover from the incremental footer.
-	s3 := startServer(t, "hybrid", snapPath, walDir, true)
+	s3 := startServer(t, "hybrid", snapPath, walDir)
 	gotSlots = s3.defColl().sh.Slots()
 	if !slotsEqual(gotSlots, o.Slots()) {
 		t.Fatal("recovery from the incremental checkpoint diverged from the oracle")
@@ -131,15 +133,15 @@ func copyDir(t *testing.T, src, dst string) {
 	}
 }
 
-// TestMmapRecoveryMatchesReplayDifferential is the byte-identity acceptance
-// criterion: after a 1k-op history, a server recovered through the mmapped
-// v3 checkpoint must serve exactly what the other recovery paths serve.
+// TestCheckpointRecoveryMatchesReplayDifferential is the byte-identity
+// acceptance criterion: after a 1k-op history, a server recovered through
+// the v3 checkpoint must serve exactly what the other recovery paths serve.
 // Against a restart from a GET /snapshot-style single file (read whole,
 // same full-base build) results AND DistanceCalls must match exactly;
-// against a pure WAL replay restart —
-// whose index carries the history as a delta overlay, so its scan costs
-// legitimately differ — the slot array and every result must still match.
-func TestMmapRecoveryMatchesReplayDifferential(t *testing.T) {
+// against a pure WAL replay restart — whose index carries the history as
+// tombstones and appended slots, so its scan costs legitimately differ —
+// the slot array and every result must still match.
+func TestCheckpointRecoveryMatchesReplayDifferential(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
 	rng := rand.New(rand.NewSource(63))
@@ -147,7 +149,7 @@ func TestMmapRecoveryMatchesReplayDifferential(t *testing.T) {
 	o := difftest.NewOracle(cfg)
 	seed := emptySnapshot(t, dir)
 
-	s1 := startServer(t, "inverted", seed, walDir, true)
+	s1 := startServer(t, "inverted", seed, walDir)
 	for id, r := range cfg { // seed through the handlers so the WAL has it all
 		rec := doJSON(t, s1.routes(), http.MethodPost, "/insert", map[string]any{"ranking": r})
 		if rec.Code != http.StatusOK {
@@ -164,7 +166,7 @@ func TestMmapRecoveryMatchesReplayDifferential(t *testing.T) {
 
 	// From one recovered server, cut the same state both ways: a single-file
 	// snapshot and an incremental checkpoint in the WAL directory.
-	s2 := startServer(t, "inverted", seed, walDir, true)
+	s2 := startServer(t, "inverted", seed, walDir)
 	snapPath := filepath.Join(dir, "state.v3")
 	slots2 := s2.defColl().sh.Slots()
 	if err := persist.WritePagedFile(snapPath, slots2); err != nil {
@@ -173,23 +175,23 @@ func TestMmapRecoveryMatchesReplayDifferential(t *testing.T) {
 	checkpointHTTP(t, s2)
 	stopWALServer(t, s2)
 
-	mm := startServer(t, "inverted", seed, walDir, true)
-	if mm.defColl().paged == nil {
+	cpSrv := startServer(t, "inverted", seed, walDir)
+	if cpSrv.defColl().pager.Prev() == nil {
 		t.Fatal("checkpointed directory did not recover through the paged path")
 	}
-	snapSrv := startServer(t, "inverted", snapPath, filepath.Join(dir, "wal-snap"), true)
-	rp := startServer(t, "inverted", seed, replayDir, true)
-	if rp.defColl().paged != nil {
+	snapSrv := startServer(t, "inverted", snapPath, filepath.Join(dir, "wal-snap"))
+	rp := startServer(t, "inverted", seed, replayDir)
+	if rp.defColl().pager.Prev() != nil {
 		t.Fatal("replay clone unexpectedly found a checkpoint")
 	}
 	if rp.defColl().walReplayed == 0 {
 		t.Fatal("replay clone replayed nothing")
 	}
 
-	mmSlots := mm.defColl().sh.Slots()
+	cpSlots := cpSrv.defColl().sh.Slots()
 	snapSlots := snapSrv.defColl().sh.Slots()
 	rpSlots := rp.defColl().sh.Slots()
-	if !slotsEqual(mmSlots, snapSlots) || !slotsEqual(mmSlots, rpSlots) || !slotsEqual(mmSlots, o.Slots()) {
+	if !slotsEqual(cpSlots, snapSlots) || !slotsEqual(cpSlots, rpSlots) || !slotsEqual(cpSlots, o.Slots()) {
 		t.Fatal("recovery paths disagree on the slot array")
 	}
 
@@ -197,30 +199,75 @@ func TestMmapRecoveryMatchesReplayDifferential(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		q := difftest.RandomRanking(rng, o.K(), 150)
 		theta := []float64{0.05, 0.15, 0.3}[i%3]
-		mmBefore, snapBefore := mm.defColl().sh.DistanceCalls(), snapSrv.defColl().sh.DistanceCalls()
-		mmRes, _, err1 := mm.defColl().sh.SearchTracedContext(ctx, q, theta)
+		cpBefore, snapBefore := cpSrv.defColl().sh.DistanceCalls(), snapSrv.defColl().sh.DistanceCalls()
+		cpRes, _, err1 := cpSrv.defColl().sh.SearchTracedContext(ctx, q, theta)
 		snapRes, _, err2 := snapSrv.defColl().sh.SearchTracedContext(ctx, q, theta)
 		rpRes, _, err3 := rp.defColl().sh.SearchTracedContext(ctx, q, theta)
 		if err1 != nil || err2 != nil || err3 != nil {
 			t.Fatalf("query %d: %v / %v / %v", i, err1, err2, err3)
 		}
-		if len(mmRes) != len(snapRes) || len(mmRes) != len(rpRes) {
-			t.Fatalf("query %d: %d vs %d vs %d results", i, len(mmRes), len(snapRes), len(rpRes))
+		if len(cpRes) != len(snapRes) || len(cpRes) != len(rpRes) {
+			t.Fatalf("query %d: %d vs %d vs %d results", i, len(cpRes), len(snapRes), len(rpRes))
 		}
-		for j := range mmRes {
-			if mmRes[j] != snapRes[j] || mmRes[j] != rpRes[j] {
-				t.Fatalf("query %d result %d: mmap %+v, snapshot %+v, replay %+v", i, j, mmRes[j], snapRes[j], rpRes[j])
+		for j := range cpRes {
+			if cpRes[j] != snapRes[j] || cpRes[j] != rpRes[j] {
+				t.Fatalf("query %d result %d: checkpoint %+v, snapshot %+v, replay %+v", i, j, cpRes[j], snapRes[j], rpRes[j])
 			}
 		}
-		mmCalls := mm.defColl().sh.DistanceCalls() - mmBefore
+		cpCalls := cpSrv.defColl().sh.DistanceCalls() - cpBefore
 		snapCalls := snapSrv.defColl().sh.DistanceCalls() - snapBefore
-		if mmCalls != snapCalls {
-			t.Fatalf("query %d: mmap recovery spent %d distance calls, snapshot restart %d", i, mmCalls, snapCalls)
+		if cpCalls != snapCalls {
+			t.Fatalf("query %d: checkpoint recovery spent %d distance calls, snapshot restart %d", i, cpCalls, snapCalls)
 		}
 	}
-	stopWALServer(t, mm)
+	stopWALServer(t, cpSrv)
 	stopWALServer(t, snapSrv)
 	stopWALServer(t, rp)
+}
+
+// TestCheckpointArenaBitRotFailsBringUp: one flipped byte in an arena page
+// of pages.v3 — a ranking that still decodes, just not the one inserted —
+// fails recovery with ErrCorrupt naming the page instead of coming up and
+// serving it.
+func TestCheckpointArenaBitRotFailsBringUp(t *testing.T) {
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	snapPath := filepath.Join(dir, "base.v3")
+	cfg := difftest.RandomCollection(rand.New(rand.NewSource(66)), 300, 10, 150)
+	if err := persist.WritePagedFile(snapPath, cfg); err != nil {
+		t.Fatal(err)
+	}
+	s := startServer(t, "hybrid", snapPath, walDir)
+	cp := checkpointHTTP(t, s)
+	stopWALServer(t, s)
+
+	ft, err := persist.LoadFooter(persist.FooterPath(walDir, cp.Seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := ft.Layout
+	lp := l.FlagPages() // the first arena page; slot 0's row opens it
+	path := filepath.Join(walDir, persist.DataFileName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The high byte of slot 0's first item: items stay distinct, so the
+	// ranking is well-formed but was never inserted.
+	data[int(ft.PageMap[lp])*l.PageSize+3] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := bootServer("hybrid", snapPath, walDir)
+	if err == nil {
+		stopWALServer(t, s2)
+		t.Fatalf("recovery over a bit-rotted arena page came up; slot 0 is %v, inserted %v",
+			s2.defColl().sh.Slots()[0], cfg[0])
+	}
+	if want := fmt.Sprintf("page %d checksum mismatch", lp); !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %v, want ErrCorrupt with %q", err, want)
+	}
 }
 
 // TestStorageStatsAndMetrics: /stats grows a storage section and /metrics
@@ -238,7 +285,7 @@ func TestStorageStatsAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := startServer(t, "hybrid", snapPath, walDir, true)
+	s := startServer(t, "hybrid", snapPath, walDir)
 	defer stopWALServer(t, s)
 	checkpointHTTP(t, s)
 	mutateOverHTTP(t, s.routes(), o, rng, 7, 400)
@@ -268,13 +315,16 @@ func TestStorageStatsAndMetrics(t *testing.T) {
 	for _, family := range []string{
 		"topkserve_storage_dirty_slots",
 		"topkserve_storage_dirty_pages",
-		"topkserve_storage_mapped_bytes",
 		"topkserve_storage_checkpoint_pages_total",
 		"topkserve_storage_checkpoint_bytes_total",
 	} {
 		if !strings.Contains(body, family) {
 			t.Fatalf("/metrics lacks %s", family)
 		}
+	}
+	// Recovery reads checkpoints onto the heap; no mapping exists to report.
+	if strings.Contains(body, "topkserve_storage_mapped_bytes") {
+		t.Fatal("/metrics still exports topkserve_storage_mapped_bytes")
 	}
 	if !strings.Contains(body, `result="written"`) || !strings.Contains(body, `result="reused"`) {
 		t.Fatal("/metrics checkpoint counters lack the result label")
@@ -310,7 +360,7 @@ func TestUncreatableWALDirFailsBringUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := New(Config{Kind: "hybrid", Shards: 2, SnapshotPath: snapPath, WALDir: filepath.Join(blocker, "wal"),
-		Mmap: true, MaxConcurrency: -1, Log: io.Discard})
+		MaxConcurrency: -1, Log: io.Discard})
 	if err != nil {
 		t.Fatal(err)
 	}

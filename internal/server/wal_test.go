@@ -109,12 +109,12 @@ func TestWALRecoveryAcrossRestart(t *testing.T) {
 	domain := difftest.DomainOf(cfg)
 
 	// Run 1: mutate, then "crash" (close without checkpoint).
-	s1 := startServer(t, "hybrid", snapPath, walDir, true)
+	s1 := startServer(t, "hybrid", snapPath, walDir)
 	mutateOverHTTP(t, s1.routes(), o, rng, 120, domain)
 	stopWALServer(t, s1)
 
 	// Run 2: recovery must replay all 1st-run records.
-	s2 := startServer(t, "hybrid", snapPath, walDir, true)
+	s2 := startServer(t, "hybrid", snapPath, walDir)
 	if s2.defColl().walReplayed == 0 {
 		t.Fatal("restart replayed no records")
 	}
@@ -149,7 +149,7 @@ func TestWALRecoveryAcrossRestart(t *testing.T) {
 
 	// Run 3: base comes from the checkpoint now; only post-checkpoint
 	// records replay.
-	s3 := startServer(t, "hybrid", snapPath, walDir, true)
+	s3 := startServer(t, "hybrid", snapPath, walDir)
 	difftest.CheckSearch(t, "post-checkpoint-restart", difftest.Sharded{Sharded: s3.defColl().sh}, o, rng, 15, domain)
 	gotSlots = s3.defColl().sh.Slots()
 	if !slotsEqual(gotSlots, o.Slots()) {
@@ -171,7 +171,7 @@ func TestWALRecoveryTornTail(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(4))
 	o := difftest.NewOracle(cfg)
-	s1 := startServer(t, "inverted", snapPath, walDir, true)
+	s1 := startServer(t, "inverted", snapPath, walDir)
 	mutateOverHTTP(t, s1.routes(), o, rng, 60, 80)
 	appended := int(s1.defColl().wal.Stats().Appended)
 	stopWALServer(t, s1)
@@ -192,7 +192,7 @@ func TestWALRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := startServer(t, "inverted", snapPath, walDir, true)
+	s2 := startServer(t, "inverted", snapPath, walDir)
 	// Every record is at least 15 bytes, so removing 5 bytes tears exactly
 	// the final one: recovery keeps the longest acked prefix.
 	if got, want := s2.defColl().walReplayed, appended-1; got != want {

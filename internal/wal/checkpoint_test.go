@@ -33,7 +33,7 @@ func TestCheckpointLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := persist.NewPager(dir, nil, nil)
+	p := persist.NewPager(dir, nil)
 	if err := l.Checkpoint(seq, func(d string) error {
 		_, werr := p.WriteCheckpoint(seq, slots, nil)
 		return werr
@@ -83,7 +83,7 @@ func TestCheckpointTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	p := persist.NewPager(dir, nil, nil)
+	p := persist.NewPager(dir, nil)
 	state := []ranking.Ranking{{1, 2, 3}}
 	for i := 0; i < 2; i++ {
 		if err := l.Append(Record{Op: OpInsert, ID: ranking.ID(i), Ranking: ranking.Ranking{1, 2, 3}}); err != nil {
@@ -165,7 +165,7 @@ func TestCheckpointInstallFailure(t *testing.T) {
 // sequence wins.
 func TestLatestCheckpointPrefersNewerSeq(t *testing.T) {
 	dir := t.TempDir()
-	p := persist.NewPager(dir, nil, nil)
+	p := persist.NewPager(dir, nil)
 	for seq, r := range []ranking.Ranking{{9, 8, 7}, {1, 2, 3}} {
 		if _, err := p.WriteCheckpoint(uint64(seq+1), []ranking.Ranking{r}, nil); err != nil {
 			t.Fatal(err)
@@ -195,7 +195,7 @@ func TestLegacyBinCheckpointFailsLoudly(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := persist.NewPager(dir, nil, nil).WriteCheckpoint(2, []ranking.Ranking{{1, 2, 3}}, nil); err != nil {
+	if _, err := persist.NewPager(dir, nil).WriteCheckpoint(2, []ranking.Ranking{{1, 2, 3}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	bin := filepath.Join(dir, "checkpoint-0000000000000001.bin")

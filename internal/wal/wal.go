@@ -1,7 +1,7 @@
 // Package wal is the durability subsystem of the serving stack: an
 // append-only, checksummed, length-prefixed mutation log that makes the
-// volatile mutation support of the index kinds (tombstones, delta overlays,
-// epoch rebuilds) crash-safe. The paper's structures are all rebuilt from
+// volatile mutation support of the index kinds (appended slots, tombstones,
+// compactions) crash-safe. The paper's structures are all rebuilt from
 // the external-id slot array, so a durable slot-array-delta log — one record
 // per acked Insert/Delete/Update, keyed by external id — is the only state
 // needed to reconstruct any index byte-identically after a crash:
