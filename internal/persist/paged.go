@@ -2,7 +2,8 @@
 // the kernel.Store k-strided ranking arena plus a one-byte-per-slot
 // liveness table, cut into fixed-size pages with a per-page CRC-32C and a
 // footer index. Fixed pages are what make checkpoints incremental (see
-// pager.go): a mutation dirties the few pages its slot lives on. Loading
+// pager.go): a mutation changes only the few pages its slot lives on, and a
+// checkpoint writes only the pages that differ from the previous one. Loading
 // reads the whole file (or the shared page file of an incremental
 // checkpoint), verifies every page checksum — flag and arena pages alike —
 // and only then cuts the slot array out of the verified bytes; the index
@@ -131,16 +132,19 @@ func (l Layout) arenaPos(i int) (page, off int) {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// materializePage renders logical page p over slots into buf (len PageSize).
-// Dead slots render as zero bytes — only the flag page says which arena
-// bytes are meaningful, so a reused arena page may keep a deleted ranking's
-// stale bytes without affecting the loaded collection.
+// materializePage renders logical page p over slots into buf (len PageSize):
+// the flag byte of every slot on a flag page, the row of every live slot on
+// an arena page. Every other byte keeps what buf held — dead rows and a
+// page's tail are don't-care, since only the flag page says which arena
+// bytes are meaningful. The single-file writer renders over zeros; a
+// checkpoint renders over the previous checkpoint's page, so a deleted
+// ranking's stale bytes stay and its arena page can be reused unchanged.
 func (l Layout) materializePage(p int, slots []ranking.Ranking, buf []byte) {
-	clear(buf)
 	if p < l.FlagPages() {
 		lo := p * l.PageSize
 		hi := min(lo+l.PageSize, l.Slots)
 		for s := lo; s < hi; s++ {
+			buf[s-lo] = 0
 			if slots[s] != nil {
 				buf[s-lo] = 1
 			}
@@ -224,6 +228,7 @@ func writePaged(w io.Writer, slots []ranking.Ranking, pageSize int) (int64, erro
 	buf := make([]byte, l.PageSize)
 	table := make([]byte, 0, l.Pages()*4+pagedTrailerLen)
 	for p := 0; p < l.Pages(); p++ {
+		clear(buf)
 		l.materializePage(p, slots, buf)
 		table = le.AppendUint32(table, crc32.Checksum(buf, castagnoli))
 		if _, err := bw.Write(buf); err != nil {

@@ -131,7 +131,7 @@ func TestArenaBitRotIsCorrupt(t *testing.T) {
 	})
 	t.Run("dir", func(t *testing.T) {
 		dir := t.TempDir()
-		if _, err := NewPager(dir, nil).WriteCheckpoint(1, slots, nil); err != nil {
+		if _, err := NewPager(dir, nil).WriteCheckpoint(1, slots); err != nil {
 			t.Fatal(err)
 		}
 		ft, err := LoadFooter(FooterPath(dir, 1))

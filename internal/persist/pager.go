@@ -4,27 +4,34 @@
 // one footer file per durable checkpoint, checkpoint-<seq>.v3f. The footer
 // is the whole truth of a checkpoint: geometry, the logical→physical page
 // map, and a CRC-32C per logical page. Writing checkpoint N+1 never touches
-// a physical page any existing footer references — dirty logical pages go
-// to free or appended physical pages, clean ones keep their physical page
-// and checksum from footer N — and the new footer is installed by atomic
-// rename. A crash at ANY step therefore leaves the directory describing
-// either checkpoint N or checkpoint N+1, never a blend: until the rename
-// lands, footer N and every page it maps are byte-identical to before.
+// a physical page any existing footer references: each logical page is
+// rendered over the bytes footer N maps to it and compared with them; an
+// identical page whose bytes still match footer N's CRC keeps its physical
+// page and checksum, every other page goes to a free or appended physical
+// page. The new footer is installed by atomic rename. A crash at ANY step
+// therefore leaves the directory describing either checkpoint N or
+// checkpoint N+1, never a blend: until the rename lands, footer N and every
+// page it maps are byte-identical to before.
 //
-// Write I/O per checkpoint is O(dirty pages) + one tiny footer; the log
-// truncation that follows (wal.Log.Checkpoint) deletes superseded footers,
-// whose pages then return to the free list of the next checkpoint.
-// Recovery (OpenPagedDir) reads pages.v3 whole and checks every mapped page
-// against the footer's CRC before building anything.
+// A checkpoint reads and compares every page, O(n) in the page cache, but
+// writes only the changed pages plus one tiny footer; the log truncation
+// that follows (wal.Log.Checkpoint) deletes superseded footers, whose pages
+// then return to the free list of the next checkpoint. Because reuse is
+// decided by comparison, a page that rotted on disk since footer N is
+// rewritten, never carried forward under its old checksum. Recovery
+// (OpenPagedDir) reads pages.v3 whole and checks every mapped page against
+// the footer's CRC before building anything.
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"topk/internal/ranking"
@@ -196,44 +203,6 @@ func (p *Pager) hook(step string) error {
 	return nil
 }
 
-// dirtyLogicalPages resolves slot-level dirt against the previous footer:
-// pages the dirt touches, pages that did not exist before, and — when the
-// flag region grew, shifting arena page indices — every arena page. With no
-// compatible previous footer everything is dirty.
-func (p *Pager) dirtyLogicalPages(l Layout, dirty *DirtySet) map[int]bool {
-	all := func() map[int]bool {
-		m := make(map[int]bool, l.Pages())
-		for i := 0; i < l.Pages(); i++ {
-			m[i] = true
-		}
-		return m
-	}
-	if p.prev == nil || dirty == nil || dirty.All {
-		return all()
-	}
-	pl := p.prev.Layout
-	if pl.PageSize != l.PageSize || pl.K != l.K || l.Slots < pl.Slots {
-		// Geometry changed (k defined by a first insert after an empty
-		// checkpoint, or a shrunk slot space, which the serving stack never
-		// produces): page indices are not comparable, rewrite everything.
-		return all()
-	}
-	m := dirty.Pages(l)
-	if l.FlagPages() == pl.FlagPages() {
-		for i := l.FlagPages() + pl.ArenaPages(); i < l.Pages(); i++ {
-			m[i] = true
-		}
-	} else {
-		for i := pl.FlagPages(); i < l.FlagPages(); i++ {
-			m[i] = true
-		}
-		for i := l.FlagPages(); i < l.Pages(); i++ {
-			m[i] = true
-		}
-	}
-	return m
-}
-
 // busyPages collects the physical pages no new write may clobber: every
 // page referenced by any decodable footer file in the directory (a crash
 // may fall back to any of them until truncation) and the previous in-memory
@@ -273,12 +242,28 @@ func FooterPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("checkpoint-%016x%s", seq, FooterSuffix))
 }
 
+// prevPage reads into buf the bytes the previous footer maps to logical page
+// lp. It reports false, with buf zeroed, when there are none: no previous
+// footer, a page past its end, or a physical page the file no longer holds.
+func (p *Pager) prevPage(f *os.File, lp int, buf []byte) (bool, error) {
+	if p.prev != nil && lp < len(p.prev.PageMap) {
+		_, err := f.ReadAt(buf, int64(p.prev.PageMap[lp])*int64(len(buf)))
+		if !errors.Is(err, io.EOF) {
+			return err == nil, err
+		}
+	}
+	clear(buf)
+	return false, nil
+}
+
 // WriteCheckpoint durably writes the collection state in slots as
-// checkpoint seq. dirty is the slot dirt since the previous checkpoint
-// (from SlotTracker.Capture); nil means unknown → full rewrite. On error
-// the caller should MergeBack the captured dirt; the directory still
-// describes the previous checkpoint exactly.
-func (p *Pager) WriteCheckpoint(seq uint64, slots []ranking.Ranking, dirty *DirtySet) (CheckpointStats, error) {
+// checkpoint seq. Every logical page is rendered over the bytes the previous
+// footer maps to it and compared with them byte for byte: an identical page
+// that still matches its recorded CRC is carried over, every other page is
+// written to a physical page no footer references. On error the directory
+// still describes the previous checkpoint exactly, and a retry with the
+// same slots writes whatever this attempt did not install.
+func (p *Pager) WriteCheckpoint(seq uint64, slots []ranking.Ranking) (CheckpointStats, error) {
 	var st CheckpointStats
 	k, err := collectionK(slots)
 	if err != nil {
@@ -292,7 +277,6 @@ func (p *Pager) WriteCheckpoint(seq uint64, slots []ranking.Ranking, dirty *Dirt
 	if err := l.validate(); err != nil {
 		return st, err
 	}
-	dirtyPages := p.dirtyLogicalPages(l, dirty)
 	busy, err := p.busyPages()
 	if err != nil {
 		return st, err
@@ -309,17 +293,7 @@ func (p *Pager) WriteCheckpoint(seq uint64, slots []ranking.Ranking, dirty *Dirt
 	filePages := uint32(fi.Size() / int64(l.PageSize))
 
 	ft := &Footer{Layout: l, PageMap: make([]uint32, l.Pages()), CRCs: make([]uint32, l.Pages())}
-	for lp := 0; lp < l.Pages(); lp++ {
-		if !dirtyPages[lp] {
-			// Clean page: dirtyLogicalPages guarantees the same logical index
-			// existed with identical content in the previous footer.
-			ft.PageMap[lp] = p.prev.PageMap[lp]
-			ft.CRCs[lp] = p.prev.CRCs[lp]
-			st.PagesReused++
-		}
-	}
-
-	// Allocate physical pages for the dirty set: lowest free slots first,
+	// Allocate physical pages for the changed pages: lowest free slots first,
 	// appends past the end when none are free.
 	var free, next uint32 = 0, filePages
 	alloc := func() uint32 {
@@ -334,17 +308,26 @@ func (p *Pager) WriteCheckpoint(seq uint64, slots []ranking.Ranking, dirty *Dirt
 		next++
 		return pg
 	}
-	lps := make([]int, 0, len(dirtyPages))
-	for lp := range dirtyPages {
-		lps = append(lps, lp)
-	}
-	sort.Ints(lps)
-	buf := make([]byte, l.PageSize)
-	for _, lp := range lps {
+	old, buf := make([]byte, l.PageSize), make([]byte, l.PageSize)
+	for lp := 0; lp < l.Pages(); lp++ {
+		had, err := p.prevPage(f, lp, old)
+		if err != nil {
+			return st, err
+		}
+		copy(buf, old)
+		l.materializePage(lp, slots, buf)
+		// Equal bytes alone are not enough: a rotted byte materializePage
+		// leaves alone (a dead row, the page's tail) must not be carried over
+		// under a checksum it no longer matches.
+		if had && bytes.Equal(buf, old) && crc32.Checksum(old, castagnoli) == p.prev.CRCs[lp] {
+			ft.PageMap[lp] = p.prev.PageMap[lp]
+			ft.CRCs[lp] = p.prev.CRCs[lp]
+			st.PagesReused++
+			continue
+		}
 		if err := p.hook("write-page"); err != nil {
 			return st, err
 		}
-		l.materializePage(lp, slots, buf)
 		phys := alloc()
 		busy[phys] = true
 		if _, err := f.WriteAt(buf, int64(phys)*int64(l.PageSize)); err != nil {

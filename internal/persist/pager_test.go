@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func loadDir(t *testing.T, dir string) []ranking.Ranking {
 	return pc.Slots()
 }
 
-func mutate(rng *rand.Rand, slots []ranking.Ranking, tr *SlotTracker, n int) []ranking.Ranking {
+func mutate(rng *rand.Rand, slots []ranking.Ranking, n int) []ranking.Ranking {
 	out := append([]ranking.Ranking(nil), slots...)
 	for i := 0; i < n; i++ {
 		s := rng.Intn(len(out) + 1)
@@ -57,16 +58,10 @@ func mutate(rng *rand.Rand, slots []ranking.Ranking, tr *SlotTracker, n int) []r
 		switch {
 		case s == len(out):
 			out = append(out, r)
-			tr.MarkInsert(s)
-		case out[s] == nil:
-			out[s] = r
-			tr.MarkInsert(s)
-		case rng.Intn(3) == 0:
+		case out[s] != nil && rng.Intn(3) == 0:
 			out[s] = nil
-			tr.MarkDelete(s)
 		default:
 			out[s] = r
-			tr.MarkUpdate(s)
 		}
 	}
 	return out
@@ -74,14 +69,14 @@ func mutate(rng *rand.Rand, slots []ranking.Ranking, tr *SlotTracker, n int) []r
 
 // TestPagerIncremental is the page-economy assertion of the issue: after a
 // full first checkpoint, a small mutation burst must rewrite only the pages
-// the dirt touches, with everything else carried by reference.
+// it changed, with everything else carried by reference.
 func TestPagerIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	dir := t.TempDir()
 	slots := randomSlots(rng, 5000, 10)
 
 	p := NewPager(dir, nil)
-	st1, err := p.WriteCheckpoint(1, slots, nil)
+	st1, err := p.WriteCheckpoint(1, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +87,8 @@ func TestPagerIncremental(t *testing.T) {
 	}
 	slotsEqual(t, slots, loadDir(t, dir))
 
-	tr := NewSlotTracker()
-	slots2 := mutate(rng, slots, tr, 8)
-	st2, err := p.WriteCheckpoint(2, slots2, tr.Capture())
+	slots2 := mutate(rng, slots, 8)
+	st2, err := p.WriteCheckpoint(2, slots2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +119,13 @@ func TestPagerFreeListReuse(t *testing.T) {
 	dir := t.TempDir()
 	slots := randomSlots(rng, 5000, 10)
 	p := NewPager(dir, nil)
-	if _, err := p.WriteCheckpoint(1, slots, nil); err != nil {
+	if _, err := p.WriteCheckpoint(1, slots); err != nil {
 		t.Fatal(err)
 	}
 	size1 := dataFileSize(t, dir)
 	for seq := uint64(2); seq <= 6; seq++ {
-		tr := NewSlotTracker()
-		slots = mutate(rng, slots, tr, 4)
-		if _, err := p.WriteCheckpoint(seq, slots, tr.Capture()); err != nil {
+		slots = mutate(rng, slots, 4)
+		if _, err := p.WriteCheckpoint(seq, slots); err != nil {
 			t.Fatal(err)
 		}
 		// Truncate like wal.Log.Checkpoint: drop all older footers.
@@ -157,8 +150,8 @@ func dataFileSize(t *testing.T, dir string) int64 {
 
 // TestPagerCrashEveryStep kills the checkpoint install at every hook step
 // and asserts the directory always recovers to exactly the previous or the
-// new checkpoint — never a blend — and that a retried checkpoint with the
-// merged-back dirt then succeeds. Run under -race in CI.
+// new checkpoint — never a blend — and that a retried checkpoint of the same
+// slots then succeeds. Run under -race in CI.
 func TestPagerCrashEveryStep(t *testing.T) {
 	steps := []string{
 		"write-page", "pages-written", "data-synced",
@@ -170,13 +163,11 @@ func TestPagerCrashEveryStep(t *testing.T) {
 			dir := t.TempDir()
 			prev := randomSlots(rng, 3000, 10)
 			p := NewPager(dir, nil)
-			if _, err := p.WriteCheckpoint(1, prev, nil); err != nil {
+			if _, err := p.WriteCheckpoint(1, prev); err != nil {
 				t.Fatal(err)
 			}
 
-			tr := NewSlotTracker()
-			next := mutate(rng, prev, tr, 10)
-			dirt := tr.Capture()
+			next := mutate(rng, prev, 10)
 			boom := errors.New("injected crash")
 			p.TestHook = func(s string) error {
 				if s == step {
@@ -184,7 +175,7 @@ func TestPagerCrashEveryStep(t *testing.T) {
 				}
 				return nil
 			}
-			_, err := p.WriteCheckpoint(2, next, dirt)
+			_, err := p.WriteCheckpoint(2, next)
 			if !errors.Is(err, boom) {
 				t.Fatalf("hooked checkpoint returned %v, want injected crash", err)
 			}
@@ -210,17 +201,15 @@ func TestPagerCrashEveryStep(t *testing.T) {
 			}
 
 			// The crashed process restarts: recovery seeds a fresh pager from
-			// the surviving footer and the retried checkpoint (dirt merged
-			// back when the install did not commit) must land state `next`.
+			// the surviving footer and, when the install did not commit, the
+			// retried checkpoint of the same slots must land state `next`.
 			ft, err := LoadFooter(newestFooter(t, dir))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !isNext {
-				tr2 := NewSlotTracker()
-				tr2.MergeBack(dirt)
 				p2 := NewPager(dir, ft)
-				if _, err := p2.WriteCheckpoint(3, next, tr2.Capture()); err != nil {
+				if _, err := p2.WriteCheckpoint(3, next); err != nil {
 					t.Fatalf("retry after crash at %s: %v", step, err)
 				}
 			}
@@ -251,7 +240,7 @@ func slotsMatch(a, b []ranking.Ranking) bool {
 func TestPagerEmptyCollection(t *testing.T) {
 	dir := t.TempDir()
 	p := NewPager(dir, nil)
-	st, err := p.WriteCheckpoint(1, nil, nil)
+	st, err := p.WriteCheckpoint(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,20 +254,112 @@ func TestPagerEmptyCollection(t *testing.T) {
 	if len(pc.Slots()) != 0 {
 		t.Fatalf("empty checkpoint recovered %d slots", len(pc.Slots()))
 	}
-	// First insert after the empty checkpoint defines k: geometry change,
-	// pager must fall back to a full (1-slot) rewrite, not a diff.
-	tr := NewSlotTracker()
-	tr.MarkInsert(0)
-	if _, err := p.WriteCheckpoint(2, []ranking.Ranking{{1, 2, 3}}, tr.Capture()); err != nil {
+	// First insert after the empty checkpoint defines k: every page of the
+	// new geometry is new and must be written.
+	st, err = p.WriteCheckpoint(2, []ranking.Ranking{{1, 2, 3}})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if st.PagesWritten != 2 || st.PagesReused != 0 {
+		t.Fatalf("first insert after an empty checkpoint wrote %d pages, reused %d; want 2 and 0", st.PagesWritten, st.PagesReused)
+	}
 	slotsEqual(t, []ranking.Ranking{{1, 2, 3}}, loadDir(t, dir))
+}
+
+// TestPagerRewritesRottedPage: a page that rotted on disk after checkpoint 1
+// is rewritten by checkpoint 2, not carried forward under a checksum it no
+// longer matches — once the log below checkpoint 2 is truncated nothing else
+// could rebuild it. That holds for rot in a live row, which rendering
+// overwrites, and for rot in a byte rendering leaves alone (an arena page's
+// tail), and for pages the file lost altogether. A write-back of identical
+// bytes writes no page at all.
+func TestPagerRewritesRottedPage(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	dir := t.TempDir()
+	slots := randomSlots(rng, 5000, 10)
+	last := len(slots) - 1
+	slots[last] = randomRanking(rng, 10) // live, so updating it moves no flag byte
+	p := NewPager(dir, nil)
+	if _, err := p.WriteCheckpoint(1, slots); err != nil {
+		t.Fatal(err)
+	}
+	ft1 := p.Prev()
+	l := ft1.Layout
+	if l.ArenaPages() < 3 {
+		t.Fatalf("layout %+v has %d arena pages, want at least 3", l, l.ArenaPages())
+	}
+	rowPage, _ := l.arenaPos(0) // slot 0 is always live
+	tailPage := rowPage + 1
+	lastPage, _ := l.arenaPos(last)
+	if lastPage <= tailPage {
+		t.Fatalf("slot %d shares a rotted page", last)
+	}
+
+	path := filepath.Join(dir, DataFileName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := func(lp int) []byte {
+		off := int(ft1.PageMap[lp]) * l.PageSize
+		return data[off : off+l.PageSize]
+	}
+	flipArenaByte(l, 0, page(rowPage))
+	page(tailPage)[l.PageSize-1] ^= 0x40 // past the last whole row
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	next := append([]ranking.Ranking(nil), slots...)
+	next[last] = randomRanking(rng, 10)
+	st2, err := p.WriteCheckpoint(2, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, _, err := OpenPagedDir(dir, FooterPath(dir, 2), false)
+	if err != nil {
+		t.Fatalf("checkpoint 2 carried a rotted page forward: %v", err)
+	}
+	slotsEqual(t, next, pc.Slots())
+	for _, lp := range []int{rowPage, tailPage, lastPage} {
+		if p.Prev().PageMap[lp] == ft1.PageMap[lp] {
+			t.Fatalf("logical page %d kept its physical page, want it rewritten", lp)
+		}
+	}
+	if st2.PagesWritten != 3 || st2.PagesReused != l.Pages()-3 {
+		t.Fatalf("checkpoint 2 wrote %d pages, reused %d; want 3 and %d", st2.PagesWritten, st2.PagesReused, l.Pages()-3)
+	}
+
+	// An update that writes back the same ranking changes no byte.
+	next[0] = append(ranking.Ranking(nil), next[0]...)
+	st3, err := p.WriteCheckpoint(3, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st3.PagesWritten != 0 || st3.PagesReused != l.Pages() {
+		t.Fatalf("identical write-back wrote %d pages, reused %d; want 0 and %d", st3.PagesWritten, st3.PagesReused, l.Pages())
+	}
+	slotsEqual(t, next, loadDir(t, dir))
+
+	// Pages a cut-short pages.v3 no longer holds are written anew.
+	lost := slices.Max(p.Prev().PageMap)
+	if err := os.Truncate(path, int64(lost)*int64(l.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	st4, err := p.WriteCheckpoint(4, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st4.PagesWritten == 0 {
+		t.Fatal("checkpoint over a cut-short page file wrote nothing")
+	}
+	slotsEqual(t, next, loadDir(t, dir))
 }
 
 func TestFooterCorruption(t *testing.T) {
 	dir := t.TempDir()
 	p := NewPager(dir, nil)
-	if _, err := p.WriteCheckpoint(1, []ranking.Ranking{{1, 2, 3}, nil}, nil); err != nil {
+	if _, err := p.WriteCheckpoint(1, []ranking.Ranking{{1, 2, 3}, nil}); err != nil {
 		t.Fatal(err)
 	}
 	path := FooterPath(dir, 1)
@@ -315,52 +396,6 @@ func TestFooterCorruption(t *testing.T) {
 	}
 }
 
-func TestSlotTracker(t *testing.T) {
-	tr := NewSlotTracker()
-	l := Layout{PageSize: minPageSize, K: 10, Slots: 10000}
-	if got := tr.DirtyPages(l); got != 0 {
-		t.Fatalf("fresh tracker reports %d dirty pages", got)
-	}
-	tr.MarkInsert(0)
-	tr.MarkUpdate(1) // same arena page as slot 0, different flag behavior
-	tr.MarkDelete(9999)
-	if got := tr.DirtySlots(); got != 3 {
-		t.Fatalf("DirtySlots = %d, want 3", got)
-	}
-	if got := tr.MaxSlot(); got != 9999 {
-		t.Fatalf("MaxSlot = %d, want 9999", got)
-	}
-	d := tr.Capture()
-	if tr.DirtySlots() != 0 || tr.MaxSlot() != -1 {
-		t.Fatal("capture did not reset the tracker")
-	}
-	pages := d.Pages(l)
-	// slot 0: flag page 0 + arena page; slot 1: arena page only (same as 0);
-	// slot 9999: flag page 9999/4096=2 only.
-	if !pages[0] || !pages[2] {
-		t.Fatalf("expected flag pages 0 and 2 dirty, got %v", pages)
-	}
-	ap, _ := l.arenaPos(0)
-	if !pages[ap] {
-		t.Fatalf("expected arena page %d dirty, got %v", ap, pages)
-	}
-	if len(pages) != 3 {
-		t.Fatalf("expected 3 dirty pages, got %v", pages)
-	}
-
-	tr.MergeBack(d)
-	if tr.DirtySlots() != 3 {
-		t.Fatal("merge-back lost slots")
-	}
-	tr.MarkAll()
-	if got := tr.DirtyPages(l); got != l.Pages() {
-		t.Fatalf("poisoned tracker reports %d dirty pages, want all %d", got, l.Pages())
-	}
-	if !tr.Capture().All {
-		t.Fatal("capture dropped the All poison")
-	}
-}
-
 func ExamplePager() {
 	dir, _ := os.MkdirTemp("", "pager-example-*")
 	defer os.RemoveAll(dir)
@@ -369,11 +404,9 @@ func ExamplePager() {
 	for i := range slots {
 		slots[i] = ranking.Ranking{uint32(i), uint32(i + 1), uint32(i + 2)}
 	}
-	st1, _ := p.WriteCheckpoint(1, slots, nil)
-	tr := NewSlotTracker()
+	st1, _ := p.WriteCheckpoint(1, slots)
 	slots[7] = ranking.Ranking{9, 9, 9}
-	tr.MarkUpdate(7)
-	st2, _ := p.WriteCheckpoint(2, slots, tr.Capture())
+	st2, _ := p.WriteCheckpoint(2, slots)
 	fmt.Printf("full: %d written, %d reused\n", st1.PagesWritten, st1.PagesReused)
 	fmt.Printf("incr: %d written, %d reused\n", st2.PagesWritten, st2.PagesReused)
 	// Output:

@@ -164,16 +164,13 @@ type Collection struct {
 }
 
 // storage is what bring-up established for a durable collection; all of it
-// is nil/zero for an in-memory one. tracker records which slots changed since
-// the last checkpoint capture (marked under walMu, alongside the log append)
-// — after recovery exactly the slots the replay dirtied relative to the base
-// checkpoint, or everything when there was none. pager writes incremental
-// checkpoints over the directory's shared page file; its Prev is the footer
-// of the base checkpoint recovery loaded (nil when there was none).
+// is nil/zero for an in-memory one. pager writes incremental checkpoints
+// over the directory's shared page file, reusing every page that compares
+// equal to the previous checkpoint's; its Prev is the footer of the base
+// checkpoint recovery loaded (nil when there was none).
 type storage struct {
 	wal         *wal.Log
 	walReplayed int
-	tracker     *persist.SlotTracker
 	pager       *persist.Pager
 }
 
@@ -257,11 +254,6 @@ func (c *Collection) generation() uint64 {
 // storageStatsJSON is the paged-storage (snapshot v3) section of /stats and
 // GET /collections/{name}; absent for in-memory collections.
 type storageStatsJSON struct {
-	// DirtySlots and DirtyPages describe the work the next incremental
-	// checkpoint will do: slots mutated since the last checkpoint capture
-	// and the v3 pages they force a rewrite of.
-	DirtySlots int `json:"dirtySlots"`
-	DirtyPages int `json:"dirtyPages"`
 	// Checkpoint page economy since process start: pages/bytes physically
 	// written versus carried over unchanged from the previous checkpoint.
 	CheckpointPagesWritten uint64 `json:"checkpointPagesWritten"`
@@ -273,29 +265,15 @@ type storageStatsJSON struct {
 // storageStats snapshots the paged-storage state; nil for in-memory
 // collections.
 func (c *Collection) storageStats() *storageStatsJSON {
-	if c.tracker == nil {
+	if c.pager == nil {
 		return nil
 	}
-	st := &storageStatsJSON{
-		DirtySlots:             c.tracker.DirtySlots(),
+	return &storageStatsJSON{
 		CheckpointPagesWritten: c.ckptPagesWritten.Load(),
 		CheckpointPagesReused:  c.ckptPagesReused.Load(),
 		CheckpointBytesWritten: c.ckptBytesWritten.Load(),
 		CheckpointBytesReused:  c.ckptBytesReused.Load(),
 	}
-	// Page-level dirt needs the geometry the next checkpoint will use: the
-	// previous footer's slot space, extended to cover the newest marks.
-	slots, k := 0, c.effK()
-	if prev := c.pager.Prev(); prev != nil {
-		slots, k = prev.Layout.Slots, prev.Layout.K
-	}
-	if m := c.tracker.MaxSlot(); m+1 > slots {
-		slots = m + 1
-	}
-	if k > 0 && slots > 0 {
-		st.DirtyPages = c.tracker.DirtyPages(persist.Layout{PageSize: persist.DefaultPageSize, K: k, Slots: slots})
-	}
-	return st
 }
 
 // toJSON renders results with the collection's normalized distance.

@@ -98,8 +98,8 @@ type checkpointResponse struct {
 	// Seq is the log sequence the checkpoint is consistent at: it reflects
 	// every mutation acked before it and none after.
 	Seq uint64 `json:"seq"`
-	// Bytes is what the checkpoint physically wrote: dirty pages plus the
-	// footer, not the collection size.
+	// Bytes is what the checkpoint physically wrote: the changed pages, not
+	// the collection size.
 	Bytes int64 `json:"bytes"`
 	// Slots and Live describe the captured collection (id-space size and
 	// non-tombstoned count).
@@ -114,13 +114,13 @@ type checkpointResponse struct {
 
 // handleCheckpoint makes the collection state durable and truncates its WAL:
 // under the mutation lock it rotates the log and captures the consistent
-// slot view (an exact cut — see Sharded.Slots) together with the slots
-// dirtied since the previous capture, then writes an incremental paged (v3)
-// checkpoint off-lock — only the dirty pages hit the disk, clean pages are
-// carried over from the previous footer — atomically installs its footer as
-// checkpoint-<seq>.v3f and deletes the segments and checkpoints it
-// supersedes. Mutations arriving during the write land in the post-rotation
-// segment, which recovery replays on top of the checkpoint.
+// slot view (an exact cut — see Sharded.Slots), then writes an incremental
+// paged (v3) checkpoint off-lock — every page is compared with the previous
+// footer's, only the pages that differ hit the disk — atomically installs
+// its footer as checkpoint-<seq>.v3f and deletes the segments and
+// checkpoints it supersedes. Mutations arriving during the write land in the
+// post-rotation segment, which recovery replays on top of the checkpoint. A
+// failed attempt leaves nothing to restore: the next one compares again.
 func (s *Server) handleCheckpoint(c *Collection, w http.ResponseWriter, r *http.Request) {
 	if c.wal == nil {
 		httpError(w, http.StatusBadRequest, "collection has no write-ahead log: nothing to checkpoint")
@@ -136,18 +136,13 @@ func (s *Server) handleCheckpoint(c *Collection, w http.ResponseWriter, r *http.
 		return
 	}
 	slots := c.sh.Slots()
-	// Same instant as the slot cut: dirt accumulated after this capture
-	// belongs to the next checkpoint.
-	dirty := c.tracker.Capture()
 	c.walMu.Unlock()
 	var stats persist.CheckpointStats
 	if err := c.wal.Checkpoint(seq, func(string) error {
 		var werr error
-		stats, werr = c.pager.WriteCheckpoint(seq, slots, dirty)
+		stats, werr = c.pager.WriteCheckpoint(seq, slots)
 		return werr
 	}); err != nil {
-		// The dirt is not on disk: put it back for the next attempt.
-		c.tracker.MergeBack(dirty)
 		httpError(w, http.StatusInternalServerError, "checkpoint: %v", err)
 		return
 	}

@@ -216,12 +216,6 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 	}
 
 	if st := c.storageStats(); st != nil {
-		w.Gauge("topkserve_storage_dirty_slots",
-			"Slots mutated since the last checkpoint capture.",
-			labels, float64(st.DirtySlots))
-		w.Gauge("topkserve_storage_dirty_pages",
-			"Paged-snapshot pages the next incremental checkpoint must rewrite.",
-			labels, float64(st.DirtyPages))
 		w.Counter("topkserve_storage_checkpoint_pages_total",
 			"Checkpoint pages, by whether they were physically written or carried over from the previous checkpoint.",
 			telemetry.Labels("collection", col, "result", "written"), float64(st.CheckpointPagesWritten))

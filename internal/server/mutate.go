@@ -4,11 +4,12 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 
 	"topk"
-	"topk/internal/persist"
 	"topk/internal/ranking"
+	"topk/internal/shard"
 	"topk/internal/wal"
 )
 
@@ -119,33 +120,23 @@ func mutate(c *Collection, w http.ResponseWriter, verb string, rec wal.Record) {
 }
 
 // apply is the one mutation path: it applies rec to the index and, with
-// durability on, marks the slot dirty and logs the record before the caller
-// acks. walMu spans apply+append so replay order matches ack order; an
-// in-memory collection has no log order to protect and takes no lock here
-// (the index synchronizes its own mutations). An insert's id is assigned by
-// the index — rec.ID is ignored going in — and the id the record carries into
-// the log is returned.
+// durability on, logs the record before the caller acks. walMu spans
+// apply+append so replay order matches ack order; an in-memory collection has
+// no log order to protect and takes no lock here (the index synchronizes its
+// own mutations). An insert's id is assigned by the index — rec.ID is ignored
+// going in — and the id the record carries into the log is returned.
 func (c *Collection) apply(rec wal.Record) (ranking.ID, error) {
 	if c.wal != nil {
 		c.walMu.Lock()
 		defer c.walMu.Unlock()
 	}
 	var err error
-	switch rec.Op {
-	case wal.OpInsert:
-		rec.ID, err = c.sh.Insert(rec.Ranking)
-	case wal.OpDelete:
-		err = c.sh.Delete(rec.ID)
-	case wal.OpUpdate:
-		err = c.sh.Update(rec.ID, rec.Ranking)
-	}
-	if err != nil {
+	if rec.ID, err = applyRecord(c.sh, rec); err != nil {
 		return 0, err
 	}
 	if c.wal == nil {
 		return rec.ID, nil
 	}
-	markDirty(c.tracker, rec)
 	if err := c.wal.Append(rec); err != nil {
 		c.walFatal(err)
 		return 0, err
@@ -153,17 +144,17 @@ func (c *Collection) apply(rec wal.Record) (ranking.ID, error) {
 	return rec.ID, nil
 }
 
-// markDirty tells the slot tracker which bytes of rec's slot an applied
-// record changed. The live path and WAL replay both go through it, so the
-// first checkpoint after a recovery rewrites exactly the pages a checkpoint
-// of the uncrashed process would have.
-func markDirty(tr *persist.SlotTracker, rec wal.Record) {
+// applyRecord applies one mutation record to sh — a live one from apply, a
+// logged one from recoverWAL — and returns the id it touched: the id the
+// index assigned to an insert, rec.ID otherwise.
+func applyRecord(sh *shard.Sharded, rec wal.Record) (ranking.ID, error) {
 	switch rec.Op {
 	case wal.OpInsert:
-		tr.MarkInsert(int(rec.ID))
+		return sh.Insert(rec.Ranking)
 	case wal.OpDelete:
-		tr.MarkDelete(int(rec.ID))
+		return rec.ID, sh.Delete(rec.ID)
 	case wal.OpUpdate:
-		tr.MarkUpdate(int(rec.ID))
+		return rec.ID, sh.Update(rec.ID, rec.Ranking)
 	}
+	return 0, fmt.Errorf("unknown mutation op %d", rec.Op)
 }

@@ -123,9 +123,8 @@ type collectionInfo struct {
 	// collection is durable; its append/checkpoint deltas are the
 	// replay-on-crash lag.
 	WAL *walStatsJSON `json:"wal,omitempty"`
-	// Storage reports the paged (snapshot v3) storage state of a durable
-	// collection: dirt awaiting the next incremental checkpoint and the
-	// checkpoint page economy.
+	// Storage reports the checkpoint page economy of a durable collection's
+	// paged (snapshot v3) storage.
 	Storage *storageStatsJSON `json:"storage,omitempty"`
 	// Admission is this collection's carve of the shared capacity; absent
 	// for unthrottled collections.

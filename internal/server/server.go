@@ -317,10 +317,10 @@ func (s *Server) walDirFor(name string) string {
 // manifest-recovered or created over HTTP. The newest checkpoint in walDir is
 // the base (a v3 footer over the shared page file, read whole with every
 // page checksum verified); without one the seed is (nil: start empty). The
-// logged suffix replays on top and is mirrored into the slot tracker, so the
-// first incremental checkpoint after a restart rewrites exactly the replayed
-// slots' pages; then the log opens a fresh segment. walDir "" means an
-// in-memory collection: seed, build, done.
+// logged suffix replays on top, then the log opens a fresh segment. The pager
+// is seeded with the base footer, so the first checkpoint after a restart
+// writes only the pages the replay changed. walDir "" means an in-memory
+// collection: seed, build, done.
 // The collection is returned unpublished.
 func (s *Server) openCollection(name string, opts CollectionOptions, walDir string, seed func() ([]ranking.Ranking, error)) (*Collection, error) {
 	logw := s.cfg.logw()
@@ -378,13 +378,7 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 			// Failing here beats dying on the first client mutation.
 			return nil, fmt.Errorf("the write-ahead log supports ranking sizes up to %d, collection has k=%d", maxWALRankingSize, sh.K())
 		}
-		st.tracker = persist.NewSlotTracker()
-		if prev == nil {
-			// No footer to checkpoint incrementally against: the first
-			// checkpoint must write everything.
-			st.tracker.MarkAll()
-		}
-		if st.walReplayed, err = recoverWAL(walDir, cpSeq, sh, st.tracker, logw); err != nil {
+		if st.walReplayed, err = recoverWAL(walDir, cpSeq, sh, logw); err != nil {
 			return nil, err
 		}
 		if st.wal, err = wal.Open(walDir, wal.WithSyncEvery(s.cfg.WALSyncEvery), wal.WithSyncInterval(s.cfg.WALSyncInterval)); err != nil {
@@ -525,16 +519,21 @@ func serveDebug(addr string, logw io.Writer) error {
 // the classic single-collection startup keeps failing fast.
 var errNoSource = errors.New("missing -data or -load-snapshot")
 
-// recoverWAL replays the logged mutation suffix through the shard router so
-// every record lands in (and re-extends) the shard that owned it when it
-// was acked, and mirrors each record into the slot tracker so the first
-// checkpoint after recovery knows exactly which pages the replay dirtied.
-func recoverWAL(walDir string, fromSeq uint64, sh *shard.Sharded, tr *persist.SlotTracker, logw io.Writer) (int, error) {
+// recoverWAL replays the logged mutation suffix through applyRecord, the
+// live write path, so every record lands in (and re-extends) the shard that
+// owned it when it was acked. An insert must get back exactly the id it was
+// acked with: any other id means the log does not continue the base it is
+// replayed onto (wrong base snapshot, or acked records lost to mid-log
+// corruption), and recovery fails rather than serve diverged ids.
+func recoverWAL(walDir string, fromSeq uint64, sh *shard.Sharded, logw io.Writer) (int, error) {
 	st, err := wal.Replay(walDir, fromSeq, func(rec wal.Record) error {
-		if err := sh.Apply(rec); err != nil {
+		id, err := applyRecord(sh, rec)
+		if err != nil {
 			return err
 		}
-		markDirty(tr, rec)
+		if id != rec.ID {
+			return fmt.Errorf("replayed insert got id %d, want %d (wal does not continue this snapshot)", id, rec.ID)
+		}
 		return nil
 	})
 	if err != nil {

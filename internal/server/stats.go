@@ -38,9 +38,8 @@ type statsResponse struct {
 	Shards  []shard.ShardStats `json:"shards"`
 	// WAL reports the durability counters when the collection has a log.
 	WAL *walStatsJSON `json:"wal,omitempty"`
-	// Storage reports the paged (snapshot v3) storage state of a durable
-	// collection: dirt awaiting the next incremental checkpoint and the
-	// checkpoint page economy.
+	// Storage reports the checkpoint page economy of a durable collection's
+	// paged (snapshot v3) storage.
 	Storage *storageStatsJSON `json:"storage,omitempty"`
 	// Admission reports the shared load-shedding semaphore (absent when
 	// admission control is disabled with -max-concurrency < 0); Cache the

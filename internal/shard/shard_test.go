@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"topk"
@@ -278,5 +279,63 @@ func TestEmptyCollectionRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected error for empty collection")
+	}
+}
+
+// TestSlotsConsistentCut drives delete-then-insert pairs against a
+// concurrent Slots reader: in every snapshot, if the later insert of a
+// pair is visible the earlier delete must be too. The un-quiesced shard
+// walk could capture shard 0 before the delete and the last shard after
+// the insert — a state that never existed.
+func TestSlotsConsistentCut(t *testing.T) {
+	rs, _ := testCollection(t, 200, 8)
+	sh, err := shard.New(rs, 4, invertedBuilder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pair struct{ deleted, inserted ranking.ID }
+	var (
+		mu    sync.Mutex
+		pairs []pair
+	)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(7))
+		// Delete ids from shard 0's initial range (0..49), then insert —
+		// inserts always extend the last shard.
+		for del := ranking.ID(0); del < 50; del++ {
+			if err := sh.Delete(del); err != nil {
+				t.Errorf("delete %d: %v", del, err)
+				return
+			}
+			r := difftest.RandomRanking(rng, 8, difftest.DomainOf(rs))
+			ins, err := sh.Insert(r)
+			if err != nil {
+				t.Errorf("insert: %v", err)
+				return
+			}
+			mu.Lock()
+			pairs = append(pairs, pair{deleted: del, inserted: ins})
+			mu.Unlock()
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		mu.Lock()
+		known := append([]pair(nil), pairs...)
+		mu.Unlock()
+		slots := sh.Slots()
+		for _, p := range known {
+			insertVisible := int(p.inserted) < len(slots) && slots[p.inserted] != nil
+			deleteVisible := int(p.deleted) >= len(slots) || slots[p.deleted] == nil
+			if insertVisible && !deleteVisible {
+				t.Fatalf("torn snapshot: insert %d visible but earlier delete %d is not", p.inserted, p.deleted)
+			}
+		}
 	}
 }

@@ -35,7 +35,7 @@ func TestCheckpointLifecycle(t *testing.T) {
 	}
 	p := persist.NewPager(dir, nil)
 	if err := l.Checkpoint(seq, func(d string) error {
-		_, werr := p.WriteCheckpoint(seq, slots, nil)
+		_, werr := p.WriteCheckpoint(seq, slots)
 		return werr
 	}); err != nil {
 		t.Fatal(err)
@@ -93,15 +93,11 @@ func TestCheckpointTruncation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := persist.NewSlotTracker()
 		if i > 0 {
 			state = append(state, ranking.Ranking{1, 2, 3})
-			tr.MarkInsert(i)
-		} else {
-			tr.MarkAll()
 		}
 		if err := l.Checkpoint(seq, func(string) error {
-			_, werr := p.WriteCheckpoint(seq, state, tr.Capture())
+			_, werr := p.WriteCheckpoint(seq, state)
 			return werr
 		}); err != nil {
 			t.Fatal(err)
@@ -167,7 +163,7 @@ func TestLatestCheckpointPrefersNewerSeq(t *testing.T) {
 	dir := t.TempDir()
 	p := persist.NewPager(dir, nil)
 	for seq, r := range []ranking.Ranking{{9, 8, 7}, {1, 2, 3}} {
-		if _, err := p.WriteCheckpoint(uint64(seq+1), []ranking.Ranking{r}, nil); err != nil {
+		if _, err := p.WriteCheckpoint(uint64(seq+1), []ranking.Ranking{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +191,7 @@ func TestLegacyBinCheckpointFailsLoudly(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := persist.NewPager(dir, nil).WriteCheckpoint(2, []ranking.Ranking{{1, 2, 3}}, nil); err != nil {
+	if _, err := persist.NewPager(dir, nil).WriteCheckpoint(2, []ranking.Ranking{{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	bin := filepath.Join(dir, "checkpoint-0000000000000001.bin")

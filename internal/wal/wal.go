@@ -488,14 +488,15 @@ func (l *Log) Rotate() (uint64, error) {
 
 // Checkpoint installs the checkpoint valid at sequence seq (obtained from
 // Rotate) and then truncates the log. The install func (persist.Pager.
-// WriteCheckpoint in the server) writes only the dirty pages into the
-// directory's shared pages.v3 and atomically renames the checkpoint-<seq>.v3f
-// footer into place; only then are the segments and footers below seq
-// removed. A crash at any point leaves either the old footer plus all
-// segments, or the new footer (plus possibly not-yet-removed old files) —
-// both recover correctly, because Replay starts at the newest footer's
-// sequence. pages.v3 itself is never truncated: superseded footers' pages
-// return to the pager's free list instead.
+// WriteCheckpoint in the server) compares every page with the previous
+// checkpoint's, writes only those that differ (or no longer match their
+// checksum) into the directory's shared pages.v3 and atomically renames the
+// checkpoint-<seq>.v3f footer into place; only then are the segments and
+// footers below seq removed. A crash at any point leaves either the old
+// footer plus all segments, or the new footer (plus possibly
+// not-yet-removed old files) — both recover correctly, because Replay starts
+// at the newest footer's sequence. pages.v3 itself is never truncated:
+// superseded footers' pages return to the pager's free list instead.
 func (l *Log) Checkpoint(seq uint64, install func(dir string) error) error {
 	if err := install(l.dir); err != nil {
 		return err
