@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"topk/internal/telemetry"
@@ -44,10 +45,10 @@ type Controller struct {
 	inUse int64
 	queue *list.List // of *waiter, FIFO
 
-	admitted      telemetry.Counter
-	shedQueueFull telemetry.Counter
-	shedTimeout   telemetry.Counter
-	shedCanceled  telemetry.Counter
+	admitted      atomic.Uint64
+	shedQueueFull atomic.Uint64
+	shedTimeout   atomic.Uint64
+	shedCanceled  atomic.Uint64
 	wait          *telemetry.Histogram // queue wait of admitted requests, seconds
 }
 
@@ -121,13 +122,13 @@ func (c *Controller) Acquire(ctx context.Context, weight int64) (release func(),
 	if c.inUse+weight <= c.capacity && c.queue.Len() == 0 {
 		c.inUse += weight
 		c.mu.Unlock()
-		c.admitted.Inc()
+		c.admitted.Add(1)
 		c.wait.Observe(0)
 		return c.releaseOnce(weight), nil
 	}
 	if c.queue.Len() >= c.maxQueue {
 		c.mu.Unlock()
-		c.shedQueueFull.Inc()
+		c.shedQueueFull.Add(1)
 		return nil, ErrQueueFull
 	}
 	w := &waiter{weight: weight, ready: make(chan struct{})}
@@ -143,26 +144,26 @@ func (c *Controller) Acquire(ctx context.Context, weight int64) (release func(),
 	}
 	select {
 	case <-w.ready:
-		c.admitted.Inc()
+		c.admitted.Add(1)
 		c.wait.Observe(time.Since(start).Seconds())
 		return c.releaseOnce(weight), nil
 	case <-ctx.Done():
 		if c.abandon(elem, w) {
-			c.shedCanceled.Inc()
+			c.shedCanceled.Add(1)
 			return nil, ctx.Err()
 		}
 		// Granted concurrently with cancellation: the request is dead either
 		// way, so hand the slot straight back and report the cancellation.
 		c.release(weight)
-		c.shedCanceled.Inc()
+		c.shedCanceled.Add(1)
 		return nil, ctx.Err()
 	case <-timeout:
 		if c.abandon(elem, w) {
-			c.shedTimeout.Inc()
+			c.shedTimeout.Add(1)
 			return nil, ErrWaitTimeout
 		}
 		c.release(weight)
-		c.shedTimeout.Inc()
+		c.shedTimeout.Add(1)
 		return nil, ErrWaitTimeout
 	}
 }
@@ -260,10 +261,10 @@ func (c *Controller) Stats() Stats {
 		InUse:         inUse,
 		QueueDepth:    depth,
 		MaxQueue:      c.maxQueue,
-		Admitted:      c.admitted.Value(),
-		ShedQueueFull: c.shedQueueFull.Value(),
-		ShedTimeout:   c.shedTimeout.Value(),
-		ShedCanceled:  c.shedCanceled.Value(),
+		Admitted:      c.admitted.Load(),
+		ShedQueueFull: c.shedQueueFull.Load(),
+		ShedTimeout:   c.shedTimeout.Load(),
+		ShedCanceled:  c.shedCanceled.Load(),
 		Wait:          c.wait.Snapshot(),
 	}
 }

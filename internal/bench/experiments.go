@@ -10,7 +10,6 @@ import (
 	"topk/internal/costmodel"
 	"topk/internal/dataset"
 	"topk/internal/invindex"
-	"topk/internal/metric"
 	"topk/internal/mtree"
 	"topk/internal/ranking"
 )
@@ -409,7 +408,3 @@ func thetaHeaders(thetas []float64) []string {
 	}
 	return hs
 }
-
-// unusedEvaluatorGuard keeps the metric import referenced even if future
-// refactors drop direct uses above.
-var _ = metric.New

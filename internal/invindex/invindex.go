@@ -208,10 +208,6 @@ func (idx *Index) Rankings() []ranking.Ranking { return idx.rankings }
 // The returned slice is owned by the index and must not be modified.
 func (idx *Index) List(item ranking.Item) []Posting { return idx.lists[item] }
 
-// Store exposes the flat build-time ranking arena (ids < Store().Len();
-// rankings inserted after the build live outside it).
-func (idx *Index) Store() *kernel.Store { return idx.store }
-
 // NumLists returns the number of distinct items (index lists).
 func (idx *Index) NumLists() int { return len(idx.lists) }
 

@@ -25,9 +25,9 @@ const MaxDenseItems = 1 << 21
 //
 // Compile builds the query-side lookup once; Distance then evaluates each
 // candidate in a single pass that folds the matched-rank-sum correction into
-// the same loop (no second probe sweep, unlike ranking.FootruleWithLookup's
-// original shape). The dense table is generation-stamped: recompiling bumps
-// gen instead of clearing, so compilation is O(k) after the first query.
+// the same loop (no second probe sweep). The dense table is
+// generation-stamped: recompiling bumps gen instead of clearing, so
+// compilation is O(k) after the first query.
 type Kernel struct {
 	k         int
 	totalQSum int

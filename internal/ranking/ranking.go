@@ -402,41 +402,3 @@ func KendallTau(a, b Ranking) int {
 // MaxKendallTau returns the maximum K^(0) distance k² of two disjoint
 // top-k lists.
 func MaxKendallTau(k int) int { return k * k }
-
-// PositionOf builds a rank lookup table for r: table[item] = rank. It is
-// used by algorithms that perform many rank probes against the same ranking
-// (e.g. query-side lookups during list merging).
-func PositionOf(r Ranking) map[Item]int {
-	m := make(map[Item]int, len(r))
-	for pos, it := range r {
-		m[it] = pos
-	}
-	return m
-}
-
-// FootruleWithLookup computes the Footrule distance between q and τ using a
-// prebuilt rank table for q (see PositionOf). Equivalent to Footrule(q, τ)
-// with qRanks = PositionOf(q); q itself is only needed for its size.
-func FootruleWithLookup(qRanks map[Item]int, k int, tau Ranking) int {
-	if len(tau) != k {
-		panic(fmt.Sprintf("ranking: FootruleWithLookup on sizes %d and %d", k, len(tau)))
-	}
-	d := 0
-	matched := 0
-	matchedQSum := 0
-	for pt, it := range tau {
-		if pq, ok := qRanks[it]; ok {
-			d += abs(pq - pt)
-			matched++
-			matchedQSum += pq
-		} else {
-			d += k - pt
-		}
-	}
-	// Query items absent from tau: there are k − matched of them; their
-	// ranks are exactly the q-ranks not matched. Recover their sum from the
-	// total rank sum k(k−1)/2 minus the matched q-rank sum.
-	totalQSum := k * (k - 1) / 2
-	d += (k-matched)*k - (totalQSum - matchedQSum)
-	return d
-}

@@ -121,20 +121,6 @@ func TestFootruleMetricProperties(t *testing.T) {
 	}
 }
 
-func TestFootruleWithLookupMatchesFootrule(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 1000; trial++ {
-		k := 1 + rng.Intn(20)
-		v := k + rng.Intn(50)
-		q := randomRanking(rng, k, v)
-		tau := randomRanking(rng, k, v)
-		qr := PositionOf(q)
-		if got, want := FootruleWithLookup(qr, k, tau), Footrule(q, tau); got != want {
-			t.Fatalf("k=%d lookup=%d direct=%d q=%v tau=%v", k, got, want, q, tau)
-		}
-	}
-}
-
 func TestNormalizedFootruleRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 500; trial++ {
@@ -495,20 +481,6 @@ func BenchmarkFootrule(b *testing.B) {
 		b.Run("k="+itoa(k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sink = Footrule(a, c)
-			}
-		})
-	}
-}
-
-func BenchmarkFootruleWithLookup(b *testing.B) {
-	for _, k := range []int{5, 10, 20} {
-		rng := rand.New(rand.NewSource(1))
-		q := randomRanking(rng, k, 3*k)
-		tau := randomRanking(rng, k, 3*k)
-		qr := PositionOf(q)
-		b.Run("k="+itoa(k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sink = FootruleWithLookup(qr, k, tau)
 			}
 		})
 	}

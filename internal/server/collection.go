@@ -72,7 +72,7 @@ func (o CollectionOptions) withDefaults(cfg Config) CollectionOptions {
 
 // validate rejects option combinations create would otherwise silently
 // ignore or that would break invariants down the stack.
-func (o CollectionOptions) validate(walEnabled bool) error {
+func (o CollectionOptions) validate() error {
 	if err := validateKind(o.Kind); err != nil {
 		return err
 	}
@@ -87,8 +87,8 @@ func (o CollectionOptions) validate(walEnabled bool) error {
 	if o.K < 0 {
 		return fmt.Errorf("k must be non-negative, have %d", o.K)
 	}
-	if walEnabled && o.K > maxWALRankingSize {
-		return fmt.Errorf("the write-ahead log supports ranking sizes up to %d, have k=%d", maxWALRankingSize, o.K)
+	if o.K > maxRankingSize {
+		return fmt.Errorf("ranking sizes are capped at %d, have k=%d", maxRankingSize, o.K)
 	}
 	if o.Shards < 0 {
 		return fmt.Errorf("shards must be non-negative, have %d", o.Shards)
@@ -99,9 +99,10 @@ func (o CollectionOptions) validate(walEnabled bool) error {
 	return nil
 }
 
-// maxWALRankingSize is the ranking-size cap of the WAL record format (and
-// the persist checkpoint reader): one byte of k.
-const maxWALRankingSize = 255
+// maxRankingSize caps k for every collection, durable or in memory: every
+// served kind is the inverted family, whose postings store ranks in one byte
+// (as do the WAL record format and the checkpoint layout).
+const maxRankingSize = 255
 
 // Collection is one named tenant of the serving core: a sharded index, its
 // write-ahead log, its slice of the admission capacity, its query-cache
@@ -184,7 +185,7 @@ func (s *Server) newCollection(name string, opts CollectionOptions, sh *shard.Sh
 		sh:         sh,
 		storage:    st,
 		walFatal: func(err error) {
-			fmt.Fprintf(os.Stderr, "fatal: wal append failed after the mutation was applied: %v\n", err)
+			fmt.Fprintf(s.cfg.logw(), "fatal: wal append failed after the mutation was applied: %v\n", err)
 			os.Exit(1)
 		},
 	}

@@ -14,9 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"runtime/debug"
-	"strconv"
 	"time"
 )
 
@@ -166,22 +164,24 @@ func (s *Server) gate(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// instrument wraps a route with the HTTP metrics (request/error counters by
-// status, in-flight gauge, latency histogram) and the per-request trace
-// (X-Request-ID propagation, span recording, /debug/trace ring, slow-query
-// log). The accounting runs in a deferred block so a panicking handler
-// cannot leak the in-flight gauge or drop its trace: the panic is recovered
+// instrument wraps a route with the HTTP accounting (requests by status,
+// in flight, latency) and the per-request trace (X-Request-ID propagation,
+// span recording, /debug/trace ring, slow-query log). The route's counts are
+// resolved here, once, so a request takes no lock and builds no string for
+// them. The accounting runs in a deferred block so a panicking handler
+// cannot leak the in-flight count or drop its trace: the panic is recovered
 // into a 500 (when the handler had not started the response yet) and the
 // request is counted and traced like any other failure.
 func (s *Server) instrument(route string, next http.HandlerFunc) http.HandlerFunc {
+	rs := s.metrics.route(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := s.tracer.begin(route, w, r)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		s.metrics.inflight.Inc()
+		s.metrics.inflight.Add(1)
 		start := time.Now()
 		defer func() {
 			if p := recover(); p != nil {
-				fmt.Fprintf(os.Stderr, "panic serving %s: %v\n%s", route, p, debug.Stack())
+				fmt.Fprintf(s.cfg.logw(), "panic serving %s: %v\n%s", route, p, debug.Stack())
 				if !sw.wroteHeader {
 					httpError(sw, http.StatusInternalServerError, "internal error")
 				} else {
@@ -189,13 +189,9 @@ func (s *Server) instrument(route string, next http.HandlerFunc) http.HandlerFun
 				}
 			}
 			dur := time.Since(start)
-			s.metrics.inflight.Dec()
-			code := strconv.Itoa(sw.status)
-			s.metrics.requests.With(route, code).Inc()
-			if sw.status >= 400 {
-				s.metrics.errors.With(route, code).Inc()
-			}
-			s.metrics.latency.With(route).Observe(dur.Seconds())
+			s.metrics.inflight.Add(-1)
+			rs.codes[sw.status].Add(1)
+			rs.latency.Observe(dur.Seconds())
 			s.tracer.finish(tr, sw.status, dur)
 		}()
 		next(sw, r.WithContext(context.WithValue(r.Context(), traceCtxKey{}, tr)))

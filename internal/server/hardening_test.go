@@ -121,10 +121,12 @@ func TestQueuedRequestTimesOutWith429(t *testing.T) {
 }
 
 // TestPanicRecoveredInto500 pins the instrument satellite fix: a panicking
-// handler is answered with 500 and the in-flight gauge comes back to zero
-// instead of leaking.
+// handler is answered with 500, its stack goes to Config.Log and the
+// in-flight count comes back to zero instead of leaking.
 func TestPanicRecoveredInto500(t *testing.T) {
 	srv, _, _ := testServer(t)
+	var logged bytes.Buffer
+	srv.cfg.Log = &logged
 	h := srv.instrument("/boom", func(w http.ResponseWriter, r *http.Request) {
 		panic("boom")
 	})
@@ -133,8 +135,11 @@ func TestPanicRecoveredInto500(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", rec.Code)
 	}
-	if v := srv.metrics.inflight.Value(); v != 0 {
-		t.Fatalf("in-flight gauge leaked: %v", v)
+	if v := srv.metrics.inflight.Load(); v != 0 {
+		t.Fatalf("in-flight count leaked: %v", v)
+	}
+	if log := logged.String(); !strings.Contains(log, "panic serving /boom: boom") || !strings.Contains(log, "goroutine ") {
+		t.Fatalf("panic stack not in Config.Log: %q", log)
 	}
 	// The failure is counted and traced like any other request.
 	traces := srv.tracer.recent()

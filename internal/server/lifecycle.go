@@ -23,7 +23,7 @@ func (s *Server) handleCreateCollection(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	opts = opts.withDefaults(s.cfg)
-	if err := opts.validate(s.walRoot != ""); err != nil {
+	if err := opts.validate(); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

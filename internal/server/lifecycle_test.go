@@ -499,23 +499,41 @@ func TestEmptyCollectionContract(t *testing.T) {
 	}
 }
 
-// TestWALRankingSizeCap pins the durable-collection k bound: the WAL record
-// format caps ranking sizes at 255, both at create (declared k) and at the
-// defining first insert.
+// TestWALRankingSizeCap pins the k bound of every collection, durable or in
+// memory: the inverted family's postings (and the WAL record format) store
+// ranks in one byte, so ranking sizes above 255 are a 400 both at create
+// (declared k) and at the defining first insert, never a 500 — and the
+// rejected insert leaves the collection empty.
 func TestWALRankingSizeCap(t *testing.T) {
-	s := newRegistryServer(t, t.TempDir())
-	h := s.Handler()
-	if rec := doJSON(t, h, http.MethodPut, "/collections/big", map[string]any{"k": 300}); rec.Code != http.StatusBadRequest {
-		t.Fatalf("create k=300 on durable root: %d, want 400 (%s)", rec.Code, rec.Body)
-	}
-	if rec := doJSON(t, h, http.MethodPut, "/collections/big", nil); rec.Code != http.StatusCreated {
-		t.Fatalf("create: %d %s", rec.Code, rec.Body)
-	}
-	if rec := post(t, h, "/c/big/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(300, 1))); rec.Code != http.StatusBadRequest {
-		t.Fatalf("first insert k=300 on durable collection: %d, want 400 (%s)", rec.Code, rec.Body)
-	}
-	if rec := post(t, h, "/c/big/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(200, 1))); rec.Code != http.StatusOK {
-		t.Fatalf("k=200 insert: %d %s", rec.Code, rec.Body)
+	for _, c := range []struct {
+		name string
+		srv  func(t *testing.T) *Server
+	}{
+		{"durable root", func(t *testing.T) *Server { return newRegistryServer(t, t.TempDir()) }},
+		{"in-memory", func(t *testing.T) *Server {
+			s := newServer(nil, "hybrid")
+			s.ready.Store(true)
+			return s
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := c.srv(t).Handler()
+			if rec := doJSON(t, h, http.MethodPut, "/collections/big", map[string]any{"k": 300}); rec.Code != http.StatusBadRequest {
+				t.Fatalf("create k=300: %d, want 400 (%s)", rec.Code, rec.Body)
+			}
+			if rec := doJSON(t, h, http.MethodPut, "/collections/big", nil); rec.Code != http.StatusCreated {
+				t.Fatalf("create: %d %s", rec.Code, rec.Body)
+			}
+			if rec := post(t, h, "/c/big/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(300, 1))); rec.Code != http.StatusBadRequest {
+				t.Fatalf("first insert k=300: %d, want 400 (%s)", rec.Code, rec.Body)
+			}
+			if ci := decodeInfo(t, doJSON(t, h, http.MethodGet, "/collections/big", nil).Body.Bytes()); ci.N != 0 || ci.K != 0 {
+				t.Fatalf("rejected insert changed the collection: %+v", ci)
+			}
+			if rec := post(t, h, "/c/big/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(200, 1))); rec.Code != http.StatusOK {
+				t.Fatalf("k=200 insert: %d %s", rec.Code, rec.Body)
+			}
+		})
 	}
 }
 

@@ -2,13 +2,12 @@
 // layer of the stack — HTTP front end, per-collection shard routers, hybrid
 // engines, WALs — as one text-exposition document.
 //
-// Two mechanisms keep the search hot path unaffected. The HTTP layer uses
-// static instruments (a few atomic operations per request, outside the
-// index code entirely). Everything below it reports through scrape-time
-// collectors: the collector callbacks pull the snapshots the layers already
-// maintain for GET /stats (shard.Stats, the hybrid's plan counters, wal.Stats)
-// and render them only when a scraper asks, so serving queries costs
-// nothing extra.
+// Every family is written at scrape time, so the search hot path pays only
+// for the counts the layers keep anyway. The HTTP front end counts each
+// request into its route's status-indexed atomics and latency histogram
+// (no lock, no allocation); the layers below it already maintain snapshots
+// for GET /stats (shard.Stats, the hybrid's plan counters, wal.Stats). One
+// collector reads all of them when a scraper asks and renders them.
 //
 // Cardinality discipline: every per-collection family carries exactly one
 // "collection" label whose values are the registry's live names — bounded
@@ -21,61 +20,112 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"os"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"topk"
 	"topk/internal/telemetry"
 )
 
-// serverMetrics bundles the registry and the HTTP-layer instruments.
+// serverMetrics is the registry plus the HTTP front end's counts.
 type serverMetrics struct {
-	reg      *telemetry.Registry
-	requests *telemetry.CounterVec // route, code
-	errors   *telemetry.CounterVec // route, code (4xx/5xx only)
-	inflight *telemetry.Gauge
-	latency  *telemetry.HistogramVec // route
+	reg      telemetry.Registry
+	inflight atomic.Int64
+
+	mu     sync.Mutex    // guards routes
+	routes []*routeStats // in registration order
 }
 
-func newServerMetrics() *serverMetrics {
-	reg := telemetry.NewRegistry()
-	m := &serverMetrics{
-		reg: reg,
-		requests: reg.CounterVec("topkserve_http_requests_total",
-			"HTTP requests served, by route and status code.", "route", "code"),
-		errors: reg.CounterVec("topkserve_http_errors_total",
-			"HTTP requests answered with a 4xx or 5xx status, by route and status code.", "route", "code"),
-		inflight: reg.Gauge("topkserve_http_requests_in_flight",
-			"HTTP requests currently being handled."),
-		latency: reg.HistogramVec("topkserve_http_request_duration_seconds",
-			"HTTP request latency, by route.", telemetry.DefLatencyBuckets, "route"),
+// routeStats is the HTTP accounting of one route label: requests by status
+// code and their latency.
+type routeStats struct {
+	route   string
+	latency *telemetry.Histogram
+	// codes[status] counts the requests answered with that status; net/http
+	// accepts exactly the statuses 100–999. It comes last: it holds no
+	// pointers, so the garbage collector scans only the fields above it.
+	codes [1000]atomic.Uint64
+}
+
+// route returns the counts of a route label, creating them on first use: a
+// label can be registered more than once (/collections/:name serves three
+// methods) and Handler may be called more than once.
+func (m *serverMetrics) route(route string) *routeStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, rs := range m.routes {
+		if rs.route == route {
+			return rs
+		}
 	}
-	telemetry.RegisterRuntime(reg)
-	return m
+	rs := &routeStats{route: route, latency: telemetry.NewHistogram(telemetry.DefLatencyBuckets)}
+	m.routes = append(m.routes, rs)
+	return rs
 }
 
-// registerCollectors wires the scrape-time side: per-collection counters,
-// shard stats, plan counters, rebuild history and WAL counters, each
-// labeled with its collection, plus the process-wide admission and cache
-// families. Every collector bails while bootstrap is still running — the
-// readiness load is also the acquire barrier for the registry (bootstrap
-// publishes every collection before ready flips).
-func (s *Server) registerCollectors() {
-	r := s.metrics.reg
-	r.GaugeFunc("topkserve_ready",
-		"1 once every collection has been built and replayed, 0 before.",
-		func() float64 {
-			if s.ready.Load() {
-				return 1
+// collectHTTP renders the HTTP families. A route or status that never
+// answered a request has no sample. Each count is loaded once, so an error
+// sample always equals its request sample.
+func (m *serverMetrics) collectHTTP(w *telemetry.Writer) {
+	m.mu.Lock()
+	routes := append([]*routeStats(nil), m.routes...)
+	m.mu.Unlock()
+	type sample struct {
+		labels string
+		code   int
+		n      float64
+	}
+	var samples []sample
+	for _, rs := range routes {
+		for code := range rs.codes {
+			if n := rs.codes[code].Load(); n > 0 {
+				labels := telemetry.Labels("route", rs.route, "code", strconv.Itoa(code))
+				samples = append(samples, sample{labels, code, float64(n)})
 			}
-			return 0
-		})
-	r.GaugeFunc("topkserve_uptime_seconds", "Seconds since process start.",
-		func() float64 { return time.Since(s.started).Seconds() })
+		}
+	}
+	for _, s := range samples {
+		w.Counter("topkserve_http_requests_total", "HTTP requests served, by route and status code.",
+			s.labels, s.n)
+	}
+	for _, s := range samples {
+		if s.code >= 400 {
+			w.Counter("topkserve_http_errors_total",
+				"HTTP requests answered with a 4xx or 5xx status, by route and status code.", s.labels, s.n)
+		}
+	}
+	w.Gauge("topkserve_http_requests_in_flight", "HTTP requests currently being handled.", "",
+		float64(m.inflight.Load()))
+	for _, rs := range routes {
+		if st := rs.latency.Snapshot(); st.Count > 0 {
+			w.Histogram("topkserve_http_request_duration_seconds", "HTTP request latency, by route.",
+				telemetry.Labels("route", rs.route), st)
+		}
+	}
+}
 
-	r.Collect(func(w *telemetry.Writer) {
-		if !s.ready.Load() {
+// registerCollectors wires the scrape-time side. Readiness, uptime and the
+// HTTP families are written from the start; the rest — per-collection
+// counters, shard stats, plan counters, rebuild history and WAL counters,
+// each labeled with its collection, plus the process-wide admission and
+// cache families — waits until bootstrap has finished: the readiness load is
+// also the acquire barrier for the registry (bootstrap publishes every
+// collection before ready flips).
+func (s *Server) registerCollectors() {
+	telemetry.RegisterRuntime(&s.metrics.reg)
+	s.metrics.reg.Collect(func(w *telemetry.Writer) {
+		var ready float64
+		if s.ready.Load() {
+			ready = 1
+		}
+		w.Gauge("topkserve_ready", "1 once every collection has been built and replayed, 0 before.", "",
+			ready)
+		w.Gauge("topkserve_uptime_seconds", "Seconds since process start.", "",
+			time.Since(s.started).Seconds())
+		s.metrics.collectHTTP(w)
+		if ready == 0 {
 			return
 		}
 		cols := s.collectionsSnapshot()
@@ -272,6 +322,6 @@ func (c *Collection) rebuildStats() topk.RebuildStats {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.metrics.reg.WritePrometheus(w); err != nil {
-		fmt.Fprintf(os.Stderr, "metrics write: %v\n", err)
+		fmt.Fprintf(s.cfg.logw(), "metrics write: %v\n", err)
 	}
 }

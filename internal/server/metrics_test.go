@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -348,7 +349,7 @@ func statsOf(t *testing.T, h http.Handler) statsResponse {
 // document is well-formed and numerically consistent with /stats.
 func TestMetricsExposition(t *testing.T) {
 	srv, _, qs := testServer(t)
-	h := srv.routes()
+	h := srv.Handler()
 
 	for _, q := range qs[:4] {
 		if rec := postSearch(t, h, map[string]any{"query": q, "theta": 0.2}); rec.Code != http.StatusOK {
@@ -455,10 +456,58 @@ func TestMetricsExposition(t *testing.T) {
 	if rec := post(t, h, "/search", `{`); rec.Code != http.StatusBadRequest {
 		t.Fatalf("malformed search status %d", rec.Code)
 	}
+	// So does a request no route matches, on the single "other" label.
+	if rec := get(t, h, "/no/such/path"); rec.Code != http.StatusNotFound {
+		t.Fatalf("unknown path status %d", rec.Code)
+	}
 	doc = scrape(t, h)
 	if got := doc.one(t, "topkserve_http_errors_total",
 		map[string]string{"route": "/search", "code": "400"}).value; got != 1 {
 		t.Errorf("http_errors_total{/search,400} = %v, want 1", got)
+	}
+	if got := doc.one(t, "topkserve_http_requests_total",
+		map[string]string{"route": "other", "code": "404"}).value; got != 1 {
+		t.Errorf("http_requests_total{other,404} = %v, want 1", got)
+	}
+	checkHTTPFamilies(t, doc)
+}
+
+// checkHTTPFamilies holds the HTTP families to one set of counts: every
+// error sample is a request sample with a status ≥ 400 and the same value,
+// and each route's latency histogram observed exactly its requests.
+func checkHTTPFamilies(t *testing.T, doc *promDoc) {
+	t.Helper()
+	errs := make(map[string]float64) // route,code -> count
+	for _, s := range doc.find("topkserve_http_errors_total") {
+		if code, err := strconv.Atoi(s.labels["code"]); err != nil || code < 400 {
+			t.Errorf("http_errors_total sample with code %q", s.labels["code"])
+		}
+		errs[labelSetKey(s)] = s.value
+	}
+	perRoute := make(map[string]float64)
+	for _, s := range doc.find("topkserve_http_requests_total") {
+		perRoute[s.labels["route"]] += s.value
+		code, _ := strconv.Atoi(s.labels["code"])
+		got, ok := errs[labelSetKey(s)]
+		if ok != (code >= 400) || (ok && got != s.value) {
+			t.Errorf("http_requests_total%v = %v, http_errors_total has %v (present %v)", s.labels, s.value, got, ok)
+		}
+		delete(errs, labelSetKey(s))
+	}
+	for key := range errs {
+		t.Errorf("http_errors_total{%s} has no http_requests_total sample", key)
+	}
+	counts := make(map[string]float64)
+	for _, s := range doc.find("topkserve_http_request_duration_seconds_count") {
+		counts[s.labels["route"]] = s.value
+	}
+	if len(counts) != len(perRoute) {
+		t.Errorf("latency histograms for %d routes, requests for %d", len(counts), len(perRoute))
+	}
+	for route, n := range perRoute {
+		if counts[route] != n {
+			t.Errorf("route %s: duration _count %v, request samples sum to %v", route, counts[route], n)
+		}
 	}
 }
 
@@ -608,6 +657,15 @@ func TestReadyz(t *testing.T) {
 	if got := doc.find("topkserve_queries_total"); len(got) != 0 {
 		t.Errorf("index collectors emitted before install: %+v", got)
 	}
+	// The HTTP families are rendered during bootstrap too: the held search is
+	// a 503 on its route, and the scrape sees itself in flight.
+	if got := doc.one(t, "topkserve_http_errors_total", map[string]string{"route": "/search", "code": "503"}).value; got != 1 {
+		t.Errorf("http_errors_total{/search,503} = %v during bootstrap, want 1", got)
+	}
+	if got := doc.one(t, "topkserve_http_requests_in_flight", nil).value; got != 1 {
+		t.Errorf("in-flight = %v during bootstrap scrape, want 1", got)
+	}
+	checkHTTPFamilies(t, doc)
 
 	cfg := dataset.NYTLike(100, 10)
 	rs, err := dataset.Generate(cfg)
@@ -629,6 +687,99 @@ func TestReadyz(t *testing.T) {
 	doc = scrape(t, h)
 	if doc.one(t, "topkserve_ready", nil).value != 1 {
 		t.Error("topkserve_ready != 1 after install")
+	}
+}
+
+// TestHTTPMetricsUnderConcurrentScrapes sends requests from many goroutines
+// through Handler() while another scrapes /metrics (run it under -race): the
+// final scrape counts every request exactly once, on its route and status.
+func TestHTTPMetricsUnderConcurrentScrapes(t *testing.T) {
+	srv, _, qs := testServer(t)
+	h := srv.Handler()
+	body, err := json.Marshal(map[string]any{"query": qs[0], "theta": 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, perWorker = 8, 30
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < perWorker; j++ {
+				var req *http.Request
+				switch j % 3 {
+				case 0:
+					req = httptest.NewRequest(http.MethodGet, "/healthz", nil)
+				case 1:
+					req = httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(body))
+				default:
+					req = httptest.NewRequest(http.MethodGet, "/nowhere", nil)
+				}
+				h.ServeHTTP(httptest.NewRecorder(), req)
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				scraped <- n
+				return
+			default:
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			if rec.Code != http.StatusOK {
+				t.Errorf("concurrent scrape status %d", rec.Code)
+			}
+			n++
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	scrapes := <-scraped
+
+	doc := scrape(t, h)
+	checkHTTPFamilies(t, doc)
+	for _, c := range []struct {
+		route, code string
+		want        int
+	}{
+		{"/healthz", "200", workers * perWorker / 3},
+		{"/search", "200", workers * perWorker / 3},
+		{"other", "404", workers * perWorker / 3},
+		{"/metrics", "200", scrapes},
+	} {
+		if got := doc.one(t, "topkserve_http_requests_total", map[string]string{"route": c.route, "code": c.code}).value; got != float64(c.want) {
+			t.Errorf("http_requests_total{%s,%s} = %v, want %d", c.route, c.code, got, c.want)
+		}
+	}
+	if got := doc.one(t, "topkserve_http_requests_in_flight", nil).value; got != 1 {
+		t.Errorf("in-flight = %v after the workers finished, want 1 (the scrape)", got)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing but its header map.
+type discardWriter struct{ header http.Header }
+
+func (d discardWriter) Header() http.Header         { return d.header }
+func (d discardWriter) WriteHeader(int)             {}
+func (d discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// BenchmarkInstrument measures what a cheap route costs end to end through
+// Handler(): routing, the trace, the HTTP accounting and /healthz's reply.
+func BenchmarkInstrument(b *testing.B) {
+	h := newServer(nil, "hybrid").Handler()
+	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	req.Header.Set("X-Request-ID", "bench")
+	w := discardWriter{header: make(http.Header)}
+	b.ReportAllocs()
+	for b.Loop() {
+		h.ServeHTTP(w, req)
 	}
 }
 

@@ -38,7 +38,7 @@ func writeMutationError(w http.ResponseWriter, verb string, err error) {
 
 // checkRanking validates a mutation payload ranking against the collection.
 // While the collection is structurally empty and declared no size, the first
-// insert defines k — bounded by the WAL record format when durable.
+// insert defines k, bounded by maxRankingSize.
 func checkRanking(w http.ResponseWriter, c *Collection, rk ranking.Ranking) bool {
 	if rk == nil {
 		httpError(w, http.StatusBadRequest, "missing \"ranking\"")
@@ -49,9 +49,8 @@ func checkRanking(w http.ResponseWriter, c *Collection, rk ranking.Ranking) bool
 		httpError(w, http.StatusBadRequest, "ranking has size %d, index has k=%d", rk.K(), effK)
 		return false
 	}
-	if effK == 0 && c.wal != nil && rk.K() > maxWALRankingSize {
-		httpError(w, http.StatusBadRequest,
-			"the write-ahead log supports ranking sizes up to %d, have %d", maxWALRankingSize, rk.K())
+	if effK == 0 && rk.K() > maxRankingSize {
+		httpError(w, http.StatusBadRequest, "ranking sizes are capped at %d, have %d", maxRankingSize, rk.K())
 		return false
 	}
 	if err := rk.Validate(); err != nil {

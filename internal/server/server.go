@@ -139,7 +139,7 @@ type Server struct {
 	// manifest-recovered and flag-defined — has finished building and
 	// replaying. The registry is fully published before ready flips.
 	ready   atomic.Bool
-	metrics *serverMetrics
+	metrics serverMetrics
 	tracer  *tracer
 
 	maxBody        int64
@@ -182,7 +182,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:            cfg,
 		started:        time.Now(),
-		metrics:        newServerMetrics(),
 		tracer:         newTracer(cfg.SlowQuery, cfg.logw()),
 		maxBody:        cfg.MaxBody,
 		defaultTimeout: cfg.DefaultTimeout,
@@ -373,11 +372,6 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 		name, sh.Len(), sh.K(), sh.NumShards(), opts.Kind, time.Since(start).Round(time.Millisecond))
 
 	if walDir != "" {
-		if sh.K() > maxWALRankingSize {
-			// The WAL record format and the snapshot layout cap k at 255.
-			// Failing here beats dying on the first client mutation.
-			return nil, fmt.Errorf("the write-ahead log supports ranking sizes up to %d, collection has k=%d", maxWALRankingSize, sh.K())
-		}
 		if st.walReplayed, err = recoverWAL(walDir, cpSeq, sh, logw); err != nil {
 			return nil, err
 		}

@@ -8,11 +8,10 @@ import (
 	"strings"
 )
 
-// Writer renders Prometheus text-exposition lines. Registered instruments
-// and scrape-time collectors share one Writer per scrape, so # HELP/# TYPE
-// headers are emitted exactly once per family no matter how many samples it
-// gets. The first write error latches; subsequent writes are no-ops and
-// WritePrometheus returns it.
+// Writer renders Prometheus text-exposition lines. Every collector of a
+// scrape shares one Writer, so # HELP/# TYPE headers are emitted exactly
+// once per family no matter how many samples it gets. The first write error
+// latches; subsequent writes are no-ops and WritePrometheus returns it.
 type Writer struct {
 	w     io.Writer
 	typed map[string]string // family name -> emitted type
@@ -62,10 +61,6 @@ func (w *Writer) Gauge(name, help, labels string, v float64) {
 // +Inf, then _sum and _count.
 func (w *Writer) Histogram(name, help, labels string, s HistogramSnapshot) {
 	w.family(name, help, "histogram")
-	w.histogramSamples(name, labels, s)
-}
-
-func (w *Writer) histogramSamples(name, labels string, s HistogramSnapshot) {
 	var cum uint64
 	for i, bound := range s.Bounds {
 		if i < len(s.Counts) {
