@@ -8,7 +8,8 @@
 // default), inverted (F&V), inverted-drop (F&V+Drop) or merge (ListMerge).
 // Any other -kind is a usage error before anything listens; the paper
 // baselines (coarse*, blocked*, the metric trees) are built by topkquery
-// -index and measured by topkbench.
+// -index and measured by topkbench. Every served kind takes the same
+// options: -delta-ratio sets its compaction ratio, -calibrate is ignored.
 //
 // Usage:
 //
@@ -22,8 +23,8 @@
 //	PUT    /collections/{name}  create an empty collection; optional JSON
 //	                            body {"kind","shards","k","calibrate",
 //	                            "deltaRatio","weight"} overrides the server
-//	                            defaults (deltaRatio acts on kind hybrid,
-//	                            which also accepts and ignores calibrate)
+//	                            defaults (every kind takes deltaRatio, and
+//	                            accepts and ignores calibrate)
 //	DELETE /collections/{name}  drain in-flight requests, drop the collection
 //	                            and remove its WAL directory
 //	GET    /collections[/name]  shape, counters and durability lag
@@ -100,8 +101,8 @@ func main() {
 		snapPath   = flag.String("load-snapshot", "", "v3 collection snapshot (see topkgen -format binary / topkquery -save-snapshot / GET /snapshot)")
 		kind       = flag.String("kind", "hybrid", kinds.Names(func(k kinds.Kind) bool { return k.Mutable }))
 		shards     = flag.Int("shards", 0, "number of shards (0 = GOMAXPROCS)")
-		_          = flag.Int("calibrate", 0, "hybrid only, ignored: the hybrid has no query router left to calibrate; the flag remains because benchmark/ still passes it")
-		deltaRatio = flag.Float64("delta-ratio", topk.DefaultCompactionRatio, "hybrid only: tombstone fraction of a shard's id space above which a delete or update compacts the shard synchronously (<= 0 disables)")
+		_          = flag.Int("calibrate", 0, "ignored: no kind has a query router left to calibrate; the flag remains because benchmark/ still passes it")
+		deltaRatio = flag.Float64("delta-ratio", topk.DefaultCompactionRatio, "tombstone fraction of a shard's id space above which a delete or update compacts the shard synchronously, on every kind (<= 0 disables)")
 		maxBody    = flag.Int64("max-body", 16<<20, "maximum request body size in bytes on every endpoint; larger bodies get 413")
 		walDir     = flag.String("wal", "", "single-collection write-ahead-log directory: append every acked mutation before responding, recover checkpoint+log on startup")
 		walRoot    = flag.String("wal-root", "", "multi-tenant WAL root: one subdirectory per collection plus a MANIFEST; dynamically created collections become durable and are recovered on restart")
@@ -117,8 +118,6 @@ func main() {
 		defColl    = flag.String("default-collection", server.DefaultCollectionName, "name the legacy single-collection routes (/search, /insert, ...) alias to")
 	)
 	flag.Parse()
-	set := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	srv, err := server.New(server.Config{
 		Addr:              *addr,
@@ -140,7 +139,6 @@ func main() {
 		MaxQueue:          *maxQueue,
 		MaxQueueWait:      *maxWait,
 		CacheEntries:      *cacheSize,
-		SetFlags:          set,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -48,6 +48,7 @@ import (
 	"sync/atomic"
 
 	"topk/internal/adaptsearch"
+	"topk/internal/bktree"
 	"topk/internal/blocked"
 	"topk/internal/coarse"
 	"topk/internal/invindex"
@@ -366,39 +367,24 @@ func (b blockedBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator)
 
 // treeBackend adapts a metric tree. The BK-tree kind additionally provides
 // the native best-first exact KNN traversal.
-type treeBackend struct{ t *MetricTree }
-
-func (b treeBackend) Name() string {
-	switch b.t.kind {
-	case MTree:
-		return "mtree"
-	case VPTree:
-		return "vptree"
-	default:
-		return backendBKTree
+type treeBackend struct {
+	name string
+	tree interface {
+		RangeSearch(q Ranking, radius int, ev *metric.Evaluator) []Result
+		Len() int
+		K() int
 	}
 }
-func (b treeBackend) Len() int { return len(b.t.rs) }
-func (b treeBackend) K() int   { return b.t.k }
+
+func (b treeBackend) Name() string { return b.name }
+func (b treeBackend) Len() int     { return b.tree.Len() }
+func (b treeBackend) K() int       { return b.tree.K() }
 
 func (b treeBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([]Result, error) {
-	t := b.t
-	if err := checkQuery(q, t.k); err != nil {
+	if err := checkQuery(q, b.tree.K()); err != nil {
 		return nil, err
 	}
-	var out []Result
-	switch t.kind {
-	case BKTree:
-		out = t.bk.RangeSearchResults(q, rawTheta, ev)
-	case MTree:
-		for _, id := range t.mt.RangeSearch(q, rawTheta, ev) {
-			out = append(out, Result{ID: id, Dist: ranking.Footrule(q, t.rs[id])})
-		}
-	case VPTree:
-		for _, id := range t.vp.RangeSearch(q, rawTheta, ev) {
-			out = append(out, Result{ID: id, Dist: ranking.Footrule(q, t.rs[id])})
-		}
-	}
+	out := b.tree.RangeSearch(q, rawTheta, ev)
 	ranking.SortResults(out)
 	return out, nil
 }
@@ -406,10 +392,11 @@ func (b treeBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([
 // nearestRaw is the BK-tree's best-first traversal, which selects in
 // internal id order only; the other tree kinds take the reduction.
 func (b treeBackend) nearestRaw(q Ranking, n int, ext []ID, ev *metric.Evaluator) ([]Result, bool, error) {
-	if b.t.kind != BKTree || ext != nil {
+	bk, ok := b.tree.(*bktree.Tree)
+	if !ok || ext != nil {
 		return nil, false, nil
 	}
-	return knn.BestFirst(b.t.bk, q, n, ev), true, nil
+	return knn.BestFirst(bk, q, n, ev), true, nil
 }
 
 // adaptBackend adapts the AdaptSearch delta inverted index built as a

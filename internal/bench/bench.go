@@ -115,11 +115,19 @@ type Suite struct {
 	adapt      *adaptsearch.Index
 	adaptS     *adaptsearch.Searcher
 	minimal    *invindex.Minimal
-	bk         *bktree.Tree
-	mt         *mtree.Tree
+	// trees holds the BK-tree and the M-tree under their Algorithm, unless
+	// SkipTrees.
+	trees map[Algorithm]metricTree
 
 	// BuildTimes records construction wall-clock per structure (Table 6).
 	BuildTimes map[string]time.Duration
+}
+
+// metricTree is what the suite uses of a metric tree: its range walk, which
+// reports each hit's distance, and its size for Table 6.
+type metricTree interface {
+	RangeSearch(q ranking.Ranking, radius int, ev *metric.Evaluator) []ranking.Result
+	SizeBytes() int64
 }
 
 // SuiteOptions tunes which structures a Suite builds (the metric trees are
@@ -208,16 +216,17 @@ func BuildSuite(env *Env, opts SuiteOptions) (*Suite, error) {
 	s.coarseDS = coarse.NewSearcher(s.coarseDrop)
 
 	if !opts.SkipTrees {
-		if err := timeIt("BK-tree", func() error {
-			var err error
-			s.bk, err = bktree.New(env.Rankings, nil)
+		s.trees = make(map[Algorithm]metricTree)
+		if err := timeIt(string(AlgBKTree), func() error {
+			tr, err := bktree.New(env.Rankings, nil)
+			s.trees[AlgBKTree] = tr
 			return err
 		}); err != nil {
 			return nil, err
 		}
-		if err := timeIt("M-tree", func() error {
-			var err error
-			s.mt, err = mtree.New(env.Rankings, nil)
+		if err := timeIt(string(AlgMTree), func() error {
+			tr, err := mtree.New(env.Rankings, nil)
+			s.trees[AlgMTree] = tr
 			return err
 		}); err != nil {
 			return nil, err
@@ -267,22 +276,12 @@ func (s *Suite) Run(alg Algorithm, q ranking.Ranking, rawTheta int, ev *metric.E
 			return nil, fmt.Errorf("bench: query not in the materialized workload")
 		}
 		return res, nil
-	case AlgBKTree:
-		if s.bk == nil {
-			return nil, fmt.Errorf("bench: BK-tree not built")
+	case AlgBKTree, AlgMTree:
+		tree, ok := s.trees[alg]
+		if !ok {
+			return nil, fmt.Errorf("bench: %s not built", alg)
 		}
-		out := s.bk.RangeSearchResults(q, rawTheta, ev)
-		ranking.SortResults(out)
-		return out, nil
-	case AlgMTree:
-		if s.mt == nil {
-			return nil, fmt.Errorf("bench: M-tree not built")
-		}
-		ids := s.mt.RangeSearch(q, rawTheta, ev)
-		out := make([]ranking.Result, len(ids))
-		for i, id := range ids {
-			out[i] = ranking.Result{ID: id, Dist: ranking.Footrule(q, s.Env.Rankings[id])}
-		}
+		out := tree.RangeSearch(q, rawTheta, ev)
 		ranking.SortResults(out)
 		return out, nil
 	default:

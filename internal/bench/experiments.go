@@ -388,11 +388,10 @@ func Table6(env *Env, opts SuiteOptions) (Table, error) {
 	t.Rows = append(t.Rows, []string{"Plain Inverted Index", mb(suite.inv.SizeBytes(false)), suite.BuildTimes["Augmented Inverted Index"].String()})
 	t.Rows = append(t.Rows, []string{"Augmented Inverted Index", mb(suite.inv.SizeBytes(true)), suite.BuildTimes["Augmented Inverted Index"].String()})
 	t.Rows = append(t.Rows, []string{"Delta Inverted Index", mb(suite.adapt.SizeBytes()), suite.BuildTimes["Delta Inverted Index"].String()})
-	if suite.bk != nil {
-		t.Rows = append(t.Rows, []string{"BK-tree", mb(suite.bk.SizeBytes()), suite.BuildTimes["BK-tree"].String()})
-	}
-	if suite.mt != nil {
-		t.Rows = append(t.Rows, []string{"M-tree", mb(suite.mt.SizeBytes()), suite.BuildTimes["M-tree"].String()})
+	for _, alg := range []Algorithm{AlgBKTree, AlgMTree} {
+		if tr, ok := suite.trees[alg]; ok {
+			t.Rows = append(t.Rows, []string{string(alg), mb(tr.SizeBytes()), suite.BuildTimes[string(alg)].String()})
+		}
 	}
 	coarseName := fmt.Sprintf("Coarse Index (θC=%.2f)", opts.CoarseThetaC)
 	t.Rows = append(t.Rows, []string{"Coarse Index", mb(suite.coarse.SizeBytes()), suite.BuildTimes[coarseName].String()})

@@ -13,6 +13,10 @@
 // Consequently {root} ∪ subtrees(edge ≤ θC) is exactly the set of indexed
 // rankings within θC of the root, which is what makes the partition
 // extraction of the coarse index correct.
+//
+// A range query over the whole tree (RangeSearch) and one over a partition
+// (SearchPartition) are the same walk from a different root, and it returns
+// every hit with the distance it computed, so no caller re-evaluates one.
 package bktree
 
 import (
@@ -23,8 +27,9 @@ import (
 	"topk/internal/ranking"
 )
 
-// Node is a BK-tree node. Exported fields allow the coarse index and the
-// serialization layer to walk trees without reflection.
+// Node is a BK-tree node. Its fields are exported for the walks outside this
+// package: the coarse index roots partitions at nodes of its trees, and
+// knn.BestFirst descends children best-first.
 type Node struct {
 	ID       ranking.ID // position of the ranking in the indexed collection
 	Children []Edge     // sorted by Dist ascending
@@ -50,22 +55,11 @@ type Tree struct {
 // O(n · depth) distance computations; the paper's Table 6 reports this as
 // the most expensive part of coarse index construction.
 func New(rankings []ranking.Ranking, ev *metric.Evaluator) (*Tree, error) {
-	if ev == nil {
-		ev = metric.New(nil)
+	ids := make([]ranking.ID, len(rankings))
+	for i := range ids {
+		ids[i] = ranking.ID(i)
 	}
-	t := &Tree{rankings: rankings}
-	if len(rankings) == 0 {
-		return t, nil
-	}
-	t.k = rankings[0].K()
-	for id, r := range rankings {
-		if r.K() != t.k {
-			return nil, fmt.Errorf("bktree: ranking %d has size %d, want %d: %w",
-				id, r.K(), t.k, ranking.ErrSizeMismatch)
-		}
-		t.insert(ranking.ID(id), ev)
-	}
-	return t, nil
+	return NewSubset(rankings, ids, ev)
 }
 
 // NewSubset builds a BK-tree over the subset of the collection given by
@@ -140,132 +134,55 @@ func (t *Tree) K() int { return t.k }
 // Ranking returns the indexed ranking with the given id.
 func (t *Tree) Ranking(id ranking.ID) ranking.Ranking { return t.rankings[id] }
 
-// Rankings exposes the backing collection (shared, not copied).
-func (t *Tree) Rankings() []ranking.Ranking { return t.rankings }
+// RangeSearch returns every indexed ranking within raw distance radius of q
+// (inclusive) with its exact distance, in unspecified order. The classic
+// BK-tree pruning applies: at a node with distance d to the query only child
+// edges in [d−radius, d+radius] can contain results, by the triangle
+// inequality.
+func (t *Tree) RangeSearch(q ranking.Ranking, radius int, ev *metric.Evaluator) []ranking.Result {
+	return t.search(t.Root, q, radius, ev)
+}
 
-// RangeSearch returns the ids of all indexed rankings within raw distance
-// radius of q (inclusive), in unspecified order. The classic BK-tree
-// pruning applies: at a node with distance d to the query only child edges
-// in [d−radius, d+radius] can contain results, by the triangle inequality.
-func (t *Tree) RangeSearch(q ranking.Ranking, radius int, ev *metric.Evaluator) []ranking.ID {
+// SearchPartition is RangeSearch restricted to a partition extracted by
+// Partitions, using the owning tree's ranking storage: the validation phase
+// of the coarse index.
+func (t *Tree) SearchPartition(p Partition, q ranking.Ranking, radius int, ev *metric.Evaluator) []ranking.Result {
+	return t.search(p.Root, q, radius, ev)
+}
+
+func (t *Tree) search(root *Node, q ranking.Ranking, radius int, ev *metric.Evaluator) []ranking.Result {
+	var out []ranking.Result
+	if root == nil || radius < 0 {
+		return out
+	}
 	if ev == nil {
 		ev = metric.New(nil)
 	}
-	var out []ranking.ID
-	if t.Root == nil || radius < 0 {
-		return out
-	}
-	t.searchNode(t.Root, q, int32(radius), ev, &out)
+	t.walk(root, q, int32(radius), ev, &out, int32(ev.Distance(q, t.rankings[root.ID])))
 	return out
 }
 
-func (t *Tree) searchNode(n *Node, q ranking.Ranking, radius int32, ev *metric.Evaluator, out *[]ranking.ID) {
-	t.searchNodeD(n, q, radius, ev, out, int32(ev.Distance(q, t.rankings[n.ID])))
-}
-
-// searchNodeD continues a search at n whose distance d to the query is
-// already known. Children over a distance-0 edge are duplicates of n in
-// metric terms — d(q, child) = d(q, n) by the triangle inequality — so they
-// inherit d without a distance computation. This realizes the paper's
-// observation that exact-duplicate rankings in a partition are not
-// re-validated (their DFC can even undercut the result size, Figure 10).
-func (t *Tree) searchNodeD(n *Node, q ranking.Ranking, radius int32, ev *metric.Evaluator, out *[]ranking.ID, d int32) {
+// walk continues a search at n whose distance d to the query is already
+// known. Children over a distance-0 edge are duplicates of n in metric
+// terms — d(q, child) = d(q, n) by the triangle inequality — so they inherit
+// d without a distance computation. This realizes the paper's observation
+// that exact-duplicate rankings in a partition are not re-validated (their
+// DFC can even undercut the result size, Figure 10).
+func (t *Tree) walk(n *Node, q ranking.Ranking, radius int32, ev *metric.Evaluator, out *[]ranking.Result, d int32) {
 	if d <= radius {
-		*out = append(*out, n.ID)
+		*out = append(*out, ranking.Result{ID: n.ID, Dist: int(d)})
 	}
 	lo, hi := d-radius, d+radius
 	// Children are sorted by distance: binary search the admissible window.
 	i := sort.Search(len(n.Children), func(i int) bool { return n.Children[i].Dist >= lo })
 	for ; i < len(n.Children) && n.Children[i].Dist <= hi; i++ {
-		if n.Children[i].Dist == 0 {
-			t.searchNodeD(n.Children[i].Child, q, radius, ev, out, d)
-			continue
+		c := n.Children[i]
+		cd := d
+		if c.Dist != 0 {
+			cd = int32(ev.Distance(q, t.rankings[c.Child.ID]))
 		}
-		t.searchNode(n.Children[i].Child, q, radius, ev, out)
+		t.walk(c.Child, q, radius, ev, out, cd)
 	}
-}
-
-// RangeSearchResults is RangeSearch but also reports each hit's exact
-// distance (already computed during the walk), saving the caller a
-// re-evaluation.
-func (t *Tree) RangeSearchResults(q ranking.Ranking, radius int, ev *metric.Evaluator) []ranking.Result {
-	if ev == nil {
-		ev = metric.New(nil)
-	}
-	var out []ranking.Result
-	if t.Root == nil || radius < 0 {
-		return out
-	}
-	t.searchNodeResults(t.Root, q, int32(radius), ev, &out)
-	return out
-}
-
-func (t *Tree) searchNodeResults(n *Node, q ranking.Ranking, radius int32, ev *metric.Evaluator, out *[]ranking.Result) {
-	t.searchNodeResultsD(n, q, radius, ev, out, int32(ev.Distance(q, t.rankings[n.ID])))
-}
-
-func (t *Tree) searchNodeResultsD(n *Node, q ranking.Ranking, radius int32, ev *metric.Evaluator, out *[]ranking.Result, d int32) {
-	if d <= radius {
-		*out = append(*out, ranking.Result{ID: n.ID, Dist: int(d)})
-	}
-	lo, hi := d-radius, d+radius
-	i := sort.Search(len(n.Children), func(i int) bool { return n.Children[i].Dist >= lo })
-	for ; i < len(n.Children) && n.Children[i].Dist <= hi; i++ {
-		if n.Children[i].Dist == 0 {
-			t.searchNodeResultsD(n.Children[i].Child, q, radius, ev, out, d)
-			continue
-		}
-		t.searchNodeResults(n.Children[i].Child, q, radius, ev, out)
-	}
-}
-
-// SearchPartitionResults runs a range query on a partition and reports
-// exact distances; the result payload of the coarse index's validation
-// phase.
-func (t *Tree) SearchPartitionResults(p Partition, q ranking.Ranking, radius int, ev *metric.Evaluator) []ranking.Result {
-	if ev == nil {
-		ev = metric.New(nil)
-	}
-	var out []ranking.Result
-	if p.Root == nil || radius < 0 {
-		return out
-	}
-	t.searchNodeResults(p.Root, q, int32(radius), ev, &out)
-	return out
-}
-
-// CountRange reports only the number of results of RangeSearch; used by
-// statistics and the cost-model calibration where materializing ids would
-// distort timings.
-func (t *Tree) CountRange(q ranking.Ranking, radius int, ev *metric.Evaluator) int {
-	if ev == nil {
-		ev = metric.New(nil)
-	}
-	if t.Root == nil || radius < 0 {
-		return 0
-	}
-	return t.countNode(t.Root, q, int32(radius), ev)
-}
-
-func (t *Tree) countNode(n *Node, q ranking.Ranking, radius int32, ev *metric.Evaluator) int {
-	return t.countNodeD(n, q, radius, ev, int32(ev.Distance(q, t.rankings[n.ID])))
-}
-
-func (t *Tree) countNodeD(n *Node, q ranking.Ranking, radius int32, ev *metric.Evaluator, d int32) int {
-	c := 0
-	if d <= radius {
-		c = 1
-	}
-	lo, hi := d-radius, d+radius
-	i := sort.Search(len(n.Children), func(i int) bool { return n.Children[i].Dist >= lo })
-	for ; i < len(n.Children) && n.Children[i].Dist <= hi; i++ {
-		if n.Children[i].Dist == 0 {
-			c += t.countNodeD(n.Children[i].Child, q, radius, ev, d)
-			continue
-		}
-		c += t.countNode(n.Children[i].Child, q, radius, ev)
-	}
-	return c
 }
 
 // Stats describes the shape of a BK-tree; the paper notes the tree is
@@ -376,20 +293,6 @@ func subtreeSize(n *Node) int {
 		s += subtreeSize(e.Child)
 	}
 	return s
-}
-
-// SearchPartition runs a range query on a partition extracted by
-// Partitions, using the owning tree's ranking storage.
-func (t *Tree) SearchPartition(p Partition, q ranking.Ranking, radius int, ev *metric.Evaluator) []ranking.ID {
-	if ev == nil {
-		ev = metric.New(nil)
-	}
-	var out []ranking.ID
-	if p.Root == nil || radius < 0 {
-		return out
-	}
-	t.searchNode(p.Root, q, int32(radius), ev, &out)
-	return out
 }
 
 // Members returns all ranking ids contained in the partition.

@@ -2,7 +2,7 @@ package bktree
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -33,32 +33,28 @@ func randomCollection(seed int64, n, k, v int) []ranking.Ranking {
 	return rs
 }
 
-// bruteRange is the reference result: a linear scan.
-func bruteRange(rs []ranking.Ranking, q ranking.Ranking, radius int) []ranking.ID {
-	var out []ranking.ID
-	for id, r := range rs {
-		if ranking.Footrule(q, r) <= radius {
-			out = append(out, ranking.ID(id))
+// bruteRange is the reference result: a linear scan over the given ids
+// (nil: the whole collection), sorted by id.
+func bruteRange(rs []ranking.Ranking, ids []ranking.ID, q ranking.Ranking, radius int) []ranking.Result {
+	if ids == nil {
+		for id := range rs {
+			ids = append(ids, ranking.ID(id))
 		}
 	}
+	var out []ranking.Result
+	for _, id := range ids {
+		if d := ranking.Footrule(q, rs[id]); d <= radius {
+			out = append(out, ranking.Result{ID: id, Dist: d})
+		}
+	}
+	ranking.SortResults(out)
 	return out
 }
 
-func sortIDs(ids []ranking.ID) []ranking.ID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func equalIDs(a, b []ranking.ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// sorted orders a walk's results by id for comparison with bruteRange.
+func sorted(res []ranking.Result) []ranking.Result {
+	ranking.SortResults(res)
+	return res
 }
 
 func TestEmptyTree(t *testing.T) {
@@ -90,7 +86,7 @@ func TestSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.RangeSearch(ranking.Ranking{1, 2, 3}, 0, nil); len(got) != 1 || got[0] != 0 {
+	if got := tr.RangeSearch(ranking.Ranking{1, 2, 3}, 0, nil); len(got) != 1 || got[0] != (ranking.Result{}) {
 		t.Fatalf("exact self search: %v", got)
 	}
 	if got := tr.RangeSearch(ranking.Ranking{7, 8, 9}, 0, nil); len(got) != 0 {
@@ -110,10 +106,9 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		q := randomRanking(rng, k, v)
 		radius := rng.Intn(dmax / 2)
-		got := sortIDs(tr.RangeSearch(q, radius, nil))
-		want := sortIDs(bruteRange(rs, q, radius))
-		if !equalIDs(got, want) {
-			t.Fatalf("radius=%d: got %d ids, want %d ids", radius, len(got), len(want))
+		got := sorted(tr.RangeSearch(q, radius, nil))
+		if want := bruteRange(rs, nil, q, radius); !slices.Equal(got, want) {
+			t.Fatalf("radius=%d:\n got %v\nwant %v", radius, got, want)
 		}
 	}
 }
@@ -126,11 +121,11 @@ func TestRangeSearchQueryFromCollection(t *testing.T) {
 		got := tr.RangeSearch(rs[id], 0, nil)
 		found := false
 		for _, g := range got {
-			if g == ranking.ID(id) {
+			if g.ID == ranking.ID(id) {
 				found = true
 			}
-			if !tr.Ranking(g).Equal(rs[id]) {
-				t.Fatalf("radius-0 result %d is not equal to query", g)
+			if g.Dist != 0 || !tr.Ranking(g.ID).Equal(rs[id]) {
+				t.Fatalf("radius-0 result %v is not equal to query", g)
 			}
 		}
 		if !found {
@@ -144,19 +139,6 @@ func TestNegativeRadius(t *testing.T) {
 	tr, _ := New(rs, nil)
 	if got := tr.RangeSearch(rs[0], -1, nil); len(got) != 0 {
 		t.Fatalf("negative radius returned %v", got)
-	}
-}
-
-func TestCountRangeMatchesSearch(t *testing.T) {
-	rs := randomCollection(5, 400, 10, 50)
-	tr, _ := New(rs, nil)
-	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 40; trial++ {
-		q := randomRanking(rng, 10, 50)
-		radius := rng.Intn(60)
-		if got, want := tr.CountRange(q, radius, nil), len(tr.RangeSearch(q, radius, nil)); got != want {
-			t.Fatalf("CountRange=%d len(RangeSearch)=%d", got, want)
-		}
 	}
 }
 
@@ -276,15 +258,8 @@ func TestSearchPartitionMatchesBrute(t *testing.T) {
 		q := randomRanking(rng, 10, 30)
 		radius := rng.Intn(40)
 		for _, p := range parts {
-			got := sortIDs(tr.SearchPartition(p, q, radius, nil))
-			var want []ranking.ID
-			for _, id := range p.Members() {
-				if ranking.Footrule(q, rs[id]) <= radius {
-					want = append(want, id)
-				}
-			}
-			want = sortIDs(want)
-			if !equalIDs(got, want) {
+			got := sorted(tr.SearchPartition(p, q, radius, nil))
+			if want := bruteRange(rs, p.Members(), q, radius); !slices.Equal(got, want) {
 				t.Fatalf("partition search mismatch: got %v want %v", got, want)
 			}
 		}
@@ -320,7 +295,9 @@ func TestWalkEarlyStop(t *testing.T) {
 }
 
 func TestDuplicateHeavyCollection(t *testing.T) {
-	// Many exact duplicates: tree must store all, radius-0 search finds all.
+	// Many exact duplicates: tree must store all, radius-0 search finds all,
+	// and only the root costs a distance call — every duplicate hangs off a
+	// zero-distance edge and inherits its parent's distance.
 	base := ranking.Ranking{3, 1, 4, 1 + 4, 9} // {3,1,4,5,9}
 	rs := make([]ranking.Ranking, 50)
 	for i := range rs {
@@ -330,9 +307,13 @@ func TestDuplicateHeavyCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := tr.RangeSearch(base, 0, nil)
+	ev := metric.New(nil)
+	got := tr.RangeSearch(base, 0, ev)
 	if len(got) != 50 {
 		t.Fatalf("found %d duplicates, want 50", len(got))
+	}
+	if ev.Calls() != 1 {
+		t.Fatalf("radius-0 search over 50 duplicates made %d distance calls, want 1", ev.Calls())
 	}
 }
 
@@ -342,16 +323,7 @@ func TestQuickRangeSearchNoFalseNegatives(t *testing.T) {
 	f := func(seed int64, radSeed uint8) bool {
 		q := randomRanking(rand.New(rand.NewSource(seed)), 8, 28)
 		radius := int(radSeed) % ranking.MaxDistance(8)
-		got := make(map[ranking.ID]bool)
-		for _, id := range tr.RangeSearch(q, radius, nil) {
-			got[id] = true
-		}
-		for _, id := range bruteRange(rs, q, radius) {
-			if !got[id] {
-				return false
-			}
-		}
-		return len(got) == len(bruteRange(rs, q, radius))
+		return slices.Equal(sorted(tr.RangeSearch(q, radius, nil)), bruteRange(rs, nil, q, radius))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -311,7 +311,7 @@ func (s *Searcher) QueryStats(q ranking.Ranking, rawTheta int, ev *metric.Evalua
 	for _, mh := range medoidHits {
 		c := idx.clusters[mh.ID]
 		st.CandidateRankings += c.part.Size
-		out = append(out, c.tree.SearchPartitionResults(c.part, q, rawTheta, ev)...)
+		out = append(out, c.tree.SearchPartition(c.part, q, rawTheta, ev)...)
 	}
 	st.ValidateTime = time.Since(start)
 

@@ -70,7 +70,7 @@ func TestQueryMatchesOracleAndFilterCount(t *testing.T) {
 				if kernel.Reference(q, rs[id]) <= relaxed {
 					hits++
 					c := idx.clusters[i]
-					c.tree.SearchPartitionResults(c.part, q, raw, validate)
+					c.tree.SearchPartition(c.part, q, raw, validate)
 				}
 			}
 			if st.MedoidsRetrieved != hits {

@@ -17,8 +17,10 @@ type Options struct {
 	// partitioning threshold for (topkquery -maxtheta); the other kinds
 	// ignore it.
 	MaxTheta float64
-	// Hybrid configures the hybrid kind.
-	Hybrid []topk.HybridOption
+	// CompactionRatio is the tombstone fraction of a mutable kind's id space
+	// above which a delete or update compacts it (topkserve -delta-ratio);
+	// ≤ 0 disables compaction. The read-only kinds ignore it.
+	CompactionRatio float64
 }
 
 // Index is the query shape every kind has: the traced range search topkquery
@@ -45,16 +47,16 @@ type Kind struct {
 // Table lists every kind, the mutable ones first.
 var Table = []Kind{
 	{"hybrid", true, func(rs []ranking.Ranking, o Options) (Index, error) {
-		return topk.NewHybridIndexFromSlots(rs, o.Hybrid...)
+		return topk.NewHybridIndexFromSlots(rs, topk.WithHybridDeltaRatio(o.CompactionRatio))
 	}},
-	{"inverted", true, func(rs []ranking.Ranking, _ Options) (Index, error) {
-		return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.FilterValidate))
+	{"inverted", true, func(rs []ranking.Ranking, o Options) (Index, error) {
+		return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.FilterValidate), topk.WithCompactionRatio(o.CompactionRatio))
 	}},
-	{"inverted-drop", true, func(rs []ranking.Ranking, _ Options) (Index, error) {
-		return topk.NewInvertedIndexFromSlots(rs)
+	{"inverted-drop", true, func(rs []ranking.Ranking, o Options) (Index, error) {
+		return topk.NewInvertedIndexFromSlots(rs, topk.WithCompactionRatio(o.CompactionRatio))
 	}},
-	{"merge", true, func(rs []ranking.Ranking, _ Options) (Index, error) {
-		return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.ListMerge))
+	{"merge", true, func(rs []ranking.Ranking, o Options) (Index, error) {
+		return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.ListMerge), topk.WithCompactionRatio(o.CompactionRatio))
 	}},
 	{"coarse", false, func(rs []ranking.Ranking, o Options) (Index, error) {
 		return topk.NewCoarseIndex(rs, topk.WithAutoTune(o.MaxTheta))

@@ -282,12 +282,13 @@ func parentRouting(parent *node, selfEntry entry) ranking.ID {
 	return parent.parent.entries[parent.parentEntry].id
 }
 
-// RangeSearch returns ids of all indexed rankings within radius of q.
-func (t *Tree) RangeSearch(q ranking.Ranking, radius int, ev *metric.Evaluator) []ranking.ID {
+// RangeSearch returns every indexed ranking within radius of q with its exact
+// distance, in unspecified order.
+func (t *Tree) RangeSearch(q ranking.Ranking, radius int, ev *metric.Evaluator) []ranking.Result {
 	if ev == nil {
 		ev = metric.New(nil)
 	}
-	var out []ranking.ID
+	var out []ranking.Result
 	if t.root == nil || radius < 0 {
 		return out
 	}
@@ -297,7 +298,7 @@ func (t *Tree) RangeSearch(q ranking.Ranking, radius int, ev *metric.Evaluator) 
 
 // search descends with dQParent = d(q, routing object of n's parent entry),
 // or -1 at the root where no parent distance is available.
-func (t *Tree) search(n *node, q ranking.Ranking, radius, dQParent int32, ev *metric.Evaluator, out *[]ranking.ID) {
+func (t *Tree) search(n *node, q ranking.Ranking, radius, dQParent int32, ev *metric.Evaluator, out *[]ranking.Result) {
 	for i := range n.entries {
 		e := &n.entries[i]
 		// Pruning 1: triangle inequality via the precomputed parent distance
@@ -314,7 +315,7 @@ func (t *Tree) search(n *node, q ranking.Ranking, radius, dQParent int32, ev *me
 		d := int32(ev.Distance(q, t.rankings[e.id]))
 		if n.leaf {
 			if d <= radius {
-				*out = append(*out, e.id)
+				*out = append(*out, ranking.Result{ID: e.id, Dist: int(d)})
 			}
 			continue
 		}

@@ -2,7 +2,7 @@ package mtree
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"topk/internal/metric"
@@ -32,31 +32,20 @@ func randomCollection(seed int64, n, k, v int) []ranking.Ranking {
 	return rs
 }
 
-func bruteRange(rs []ranking.Ranking, q ranking.Ranking, radius int) []ranking.ID {
-	var out []ranking.ID
+func bruteRange(rs []ranking.Ranking, q ranking.Ranking, radius int) []ranking.Result {
+	var out []ranking.Result
 	for id, r := range rs {
-		if ranking.Footrule(q, r) <= radius {
-			out = append(out, ranking.ID(id))
+		if d := ranking.Footrule(q, r); d <= radius {
+			out = append(out, ranking.Result{ID: ranking.ID(id), Dist: d})
 		}
 	}
 	return out
 }
 
-func sortIDs(ids []ranking.ID) []ranking.ID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-func equalIDs(a, b []ranking.ID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// sorted orders a walk's results by id for comparison with bruteRange.
+func sorted(res []ranking.Result) []ranking.Result {
+	ranking.SortResults(res)
+	return res
 }
 
 func TestEmpty(t *testing.T) {
@@ -91,7 +80,7 @@ func TestSmallNoSplit(t *testing.T) {
 		got := tr.RangeSearch(r, 0, nil)
 		found := false
 		for _, g := range got {
-			if g == ranking.ID(id) {
+			if g == (ranking.Result{ID: ranking.ID(id)}) {
 				found = true
 			}
 		}
@@ -115,11 +104,9 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			q := randomRanking(rng, 10, 50)
 			radius := rng.Intn(55)
-			got := sortIDs(tr.RangeSearch(q, radius, nil))
-			want := sortIDs(bruteRange(rs, q, radius))
-			if !equalIDs(got, want) {
-				t.Fatalf("capacity=%d radius=%d: got %d, want %d results",
-					cap, radius, len(got), len(want))
+			got := sorted(tr.RangeSearch(q, radius, nil))
+			if want := bruteRange(rs, q, radius); !slices.Equal(got, want) {
+				t.Fatalf("capacity=%d radius=%d:\n got %v\nwant %v", cap, radius, got, want)
 			}
 		}
 	}
@@ -183,9 +170,7 @@ func TestCapacityClamped(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	got := sortIDs(tr.RangeSearch(rs[0], 10, nil))
-	want := sortIDs(bruteRange(rs, rs[0], 10))
-	if !equalIDs(got, want) {
+	if !slices.Equal(sorted(tr.RangeSearch(rs[0], 10, nil)), bruteRange(rs, rs[0], 10)) {
 		t.Fatal("tiny capacity tree returns wrong results")
 	}
 }

@@ -42,14 +42,14 @@ type CollectionOptions struct {
 	// first insert defines the size structurally, queries and mutations are
 	// validated against it. 0 leaves the size to the first insert.
 	K int `json:"k,omitempty"`
-	// Calibrate is accepted on kind hybrid and ignored.
+	// Calibrate is accepted on every kind and ignored.
 	//
 	// Deprecated: it sized the start-up replay of a query router the hybrid
 	// no longer has; the field remains so that existing create requests and
 	// manifests keep decoding.
 	Calibrate int `json:"calibrate,omitempty"`
-	// DeltaRatio is the hybrid's compaction ratio; 0 uses the server's
-	// -delta-ratio (itself defaulting to topk.DefaultCompactionRatio).
+	// DeltaRatio is the compaction ratio; 0 uses the server's -delta-ratio
+	// (itself defaulting to topk.DefaultCompactionRatio).
 	DeltaRatio float64 `json:"deltaRatio,omitempty"`
 	// Weight is this collection's share of the global admission capacity,
 	// in (0, 1): a flooded tenant with weight w can hold at most
@@ -64,7 +64,7 @@ func (o CollectionOptions) withDefaults(cfg Config) CollectionOptions {
 	if o.Kind == "" {
 		o.Kind = cfg.Kind
 	}
-	if o.DeltaRatio == 0 && o.Kind == "hybrid" {
+	if o.DeltaRatio == 0 {
 		o.DeltaRatio = cfg.DeltaRatio
 	}
 	return o
@@ -75,14 +75,6 @@ func (o CollectionOptions) withDefaults(cfg Config) CollectionOptions {
 func (o CollectionOptions) validate() error {
 	if err := validateKind(o.Kind); err != nil {
 		return err
-	}
-	if o.Kind != "hybrid" {
-		if o.Calibrate != 0 {
-			return fmt.Errorf("calibrate applies only to kind hybrid (have %q)", o.Kind)
-		}
-		if o.DeltaRatio != 0 {
-			return fmt.Errorf("deltaRatio applies only to kind hybrid (have %q)", o.Kind)
-		}
 	}
 	if o.K < 0 {
 		return fmt.Errorf("k must be non-negative, have %d", o.K)

@@ -169,8 +169,7 @@ func TestHybridServe(t *testing.T) {
 // "calibrate" in a create request — and of the router's scoreboard only the
 // plan counters are left on /stats and /metrics.
 func TestCalibrateAcceptedAndIgnored(t *testing.T) {
-	s, err := New(Config{Kind: "hybrid", SetFlags: map[string]bool{"calibrate": true},
-		WALRoot: t.TempDir(), MaxConcurrency: -1, Log: io.Discard})
+	s, err := New(Config{Kind: "hybrid", WALRoot: t.TempDir(), MaxConcurrency: -1, Log: io.Discard})
 	if err != nil {
 		t.Fatalf("-kind hybrid -calibrate 64: %v", err)
 	}

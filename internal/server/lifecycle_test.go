@@ -216,7 +216,6 @@ func TestCreateValidation(t *testing.T) {
 		{"weight out of range", http.MethodPut, "/collections/x", `{"weight":1.5}`, http.StatusBadRequest},
 		{"retired kind", http.MethodPut, "/collections/x", `{"kind":"coarse"}`, http.StatusBadRequest},
 		{"retired maxTheta", http.MethodPut, "/collections/x", `{"maxTheta":0.3}`, http.StatusBadRequest},
-		{"hybrid knob on inverted-drop", http.MethodPut, "/collections/x", `{"kind":"inverted-drop","deltaRatio":0.1}`, http.StatusBadRequest},
 		// A create request cannot force a backend: forceBackend is an unknown
 		// field, whatever its value.
 		{"forceBackend", http.MethodPut, "/collections/x", `{"forceBackend":"adaptsearch"}`, http.StatusBadRequest},
@@ -629,6 +628,60 @@ func TestStaleManifestForceBackendRecoversUnforced(t *testing.T) {
 				t.Fatalf("rewritten manifest: %+v, %v", entries, err)
 			}
 		})
+	}
+}
+
+// TestManifestEntryWithoutDeltaRatioTakesServerRatio restarts on a manifest
+// entry of a non-hybrid kind written when deltaRatio was hybrid-only, so it
+// carries none: recovery must give the collection the server's -delta-ratio,
+// not 0 — which would disable compaction — and the next manifest write must
+// record it.
+func TestManifestEntryWithoutDeltaRatioTakesServerRatio(t *testing.T) {
+	root := t.TempDir()
+	s1 := newRegistryServer(t, root)
+	if rec := doJSON(t, s1.Handler(), http.MethodPut, "/collections/old", map[string]any{"kind": "inverted-drop", "shards": 1}); rec.Code != http.StatusCreated {
+		t.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	for i := 0; i < 100; i++ {
+		if rec := post(t, s1.Handler(), "/c/old/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(6, 6*i))); rec.Code != http.StatusOK {
+			t.Fatalf("insert: %d %s", rec.Code, rec.Body)
+		}
+	}
+	if err := s1.closeCollections(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := readManifest(manifestPath(root))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("manifest: %v, %v", entries, err)
+	}
+	entries[0].Options.DeltaRatio = 0
+	if err := writeManifest(manifestPath(root), entries); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(Config{Kind: "hybrid", DeltaRatio: 0.1, WALRoot: root, MaxConcurrency: -1, Log: io.Discard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	s2.ready.Store(true)
+	t.Cleanup(func() { s2.closeCollections() })
+	h := s2.Handler()
+	for id := 0; id < 11; id++ {
+		if rec := post(t, h, "/c/old/delete", fmt.Sprintf(`{"id":%d}`, id)); rec.Code != http.StatusOK {
+			t.Fatalf("delete(%d): %d %s", id, rec.Code, rec.Body)
+		}
+	}
+	if c := s2.mustLookup(t, "old"); c.opts.DeltaRatio != 0.1 || c.sh.Rebuilds() != 1 {
+		t.Fatalf("recovered with deltaRatio %v and %d compactions after 11 of 100 deletes, want 0.1 and 1", c.opts.DeltaRatio, c.sh.Rebuilds())
+	}
+	if rec := doJSON(t, h, http.MethodPut, "/collections/other", nil); rec.Code != http.StatusCreated {
+		t.Fatalf("create after recovery: %d %s", rec.Code, rec.Body)
+	}
+	if entries, err = readManifest(manifestPath(root)); err != nil || entries[0].Options.DeltaRatio != 0.1 {
+		t.Fatalf("rewritten manifest: %+v, %v", entries, err)
 	}
 }
 

@@ -322,29 +322,72 @@ func TestMaxBodyLimit(t *testing.T) {
 	}
 }
 
-// TestValidateKindFlags pins the fail-fast contract of -kind and the
-// hybrid-only startup flags: a kind outside the served inverted family, or a
-// hybrid knob on another kind, is a usage error out of New — before anything
-// listens or builds.
+// TestValidateKindFlags pins the fail-fast contract of -kind: a kind outside
+// the served inverted family is a usage error out of New — before anything
+// listens or builds. No other flag depends on the kind: every served kind
+// takes -delta-ratio and -calibrate.
 func TestValidateKindFlags(t *testing.T) {
 	for _, c := range []struct {
 		kind string
-		set  map[string]bool
 		ok   bool
 	}{
-		{"hybrid", map[string]bool{"calibrate": true, "delta-ratio": true}, true},
-		{"", map[string]bool{}, true},
-		{"inverted-drop", map[string]bool{}, true},
-		{"merge", map[string]bool{"calibrate": true}, false},
-		{"inverted", map[string]bool{"delta-ratio": true}, false},
-		{"coarse", map[string]bool{}, false},
-		{"blocked-drop", map[string]bool{}, false},
-		{"bktree", nil, false},
+		{"hybrid", true},
+		{"", true},
+		{"inverted-drop", true},
+		{"merge", true},
+		{"inverted", true},
+		{"coarse", false},
+		{"blocked-drop", false},
+		{"bktree", false},
 	} {
-		_, err := New(Config{Kind: c.kind, SetFlags: c.set, MaxConcurrency: -1, Log: io.Discard})
+		_, err := New(Config{Kind: c.kind, DeltaRatio: 0.1, MaxConcurrency: -1, Log: io.Discard})
 		if (err == nil) != c.ok {
-			t.Fatalf("New(-kind %q, flags %v) = %v, want ok=%v", c.kind, c.set, err, c.ok)
+			t.Fatalf("New(-kind %q -delta-ratio 0.1) = %v, want ok=%v", c.kind, err, c.ok)
 		}
+	}
+}
+
+// TestDeltaRatioActsOnEveryKind: -delta-ratio, and deltaRatio in a create
+// request, set the compaction ratio of every served kind. At 0.1 over 100
+// rankings in one shard, ten deletes leave a collection uncompacted and the
+// eleventh compacts it — on the flag-defined default collection and on one
+// created over HTTP alike.
+func TestDeltaRatioActsOnEveryKind(t *testing.T) {
+	for _, kind := range []string{"hybrid", "inverted", "inverted-drop", "merge"} {
+		t.Run(kind, func(t *testing.T) {
+			s, err := New(Config{Kind: kind, Shards: 1, DeltaRatio: 0.1, WALRoot: t.TempDir(), MaxConcurrency: -1, Log: io.Discard})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.bootstrap(); err != nil {
+				t.Fatal(err)
+			}
+			s.ready.Store(true)
+			t.Cleanup(func() { s.closeCollections() })
+			h := s.Handler()
+			if rec := doJSON(t, h, http.MethodPut, "/collections/x", map[string]any{"kind": kind, "shards": 1, "deltaRatio": 0.1}); rec.Code != http.StatusCreated {
+				t.Fatalf("create with deltaRatio: %d %s", rec.Code, rec.Body)
+			}
+			for _, name := range []string{DefaultCollectionName, "x"} {
+				for i := 0; i < 100; i++ {
+					if rec := post(t, h, "/c/"+name+"/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(6, 6*i))); rec.Code != http.StatusOK {
+						t.Fatalf("%s insert: %d %s", name, rec.Code, rec.Body)
+					}
+				}
+				for id := 0; id < 11; id++ {
+					if rec := post(t, h, "/c/"+name+"/delete", fmt.Sprintf(`{"id":%d}`, id)); rec.Code != http.StatusOK {
+						t.Fatalf("%s delete(%d): %d %s", name, id, rec.Code, rec.Body)
+					}
+					var st statsResponse
+					if err := json.Unmarshal(get(t, h, "/c/"+name+"/stats").Body.Bytes(), &st); err != nil {
+						t.Fatal(err)
+					}
+					if want := uint64(id / 10); st.Rebuilds != want {
+						t.Fatalf("%s: %d deletes of 100 at ratio 0.1 ran %d compactions, want %d", name, id+1, st.Rebuilds, want)
+					}
+				}
+			}
+		})
 	}
 }
 

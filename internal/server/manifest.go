@@ -98,7 +98,7 @@ func writeManifest(path string, entries []manifestEntry) error {
 		return err
 	}
 	// The rename must itself be durable before a create acks: fsync the
-	// directory like the WAL does for its segment files.
+	// directory, as the WAL does after creating a segment.
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

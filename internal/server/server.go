@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"topk"
 	"topk/internal/admit"
 	"topk/internal/kinds"
 	"topk/internal/persist"
@@ -75,8 +74,8 @@ type Config struct {
 
 	Kind   string // index kind of the default collection ("" = hybrid)
 	Shards int    // shard count (0 = GOMAXPROCS)
-	// DeltaRatio (hybrid only) is the tombstone fraction above which a
-	// delete or update compacts its shard. 0 disables compaction; the
+	// DeltaRatio is the tombstone fraction above which a delete or update
+	// compacts its shard, on every kind. 0 disables compaction; the
 	// -delta-ratio default is topk.DefaultCompactionRatio (0.25).
 	DeltaRatio float64
 
@@ -110,12 +109,6 @@ type Config struct {
 	MaxQueueWait time.Duration
 
 	CacheEntries int // query-result cache capacity (0 disables)
-
-	// SetFlags holds the flag names explicitly passed on the command line
-	// (flag.Visit), for fail-fast validation of kind-specific knobs. Nil
-	// skips those flag checks (the programmatic-construction path); the kind
-	// itself is always checked.
-	SetFlags map[string]bool
 
 	// Log receives startup progress and operational warnings; nil means
 	// os.Stderr.
@@ -173,8 +166,8 @@ func New(cfg Config) (*Server, error) {
 	if err := validateCollectionName(cfg.DefaultCollection); err != nil {
 		return nil, fmt.Errorf("-default-collection: %w", err)
 	}
-	if err := validateKindFlags(cfg.Kind, cfg.SetFlags); err != nil {
-		return nil, err
+	if err := validateKind(cfg.Kind); err != nil {
+		return nil, fmt.Errorf("-kind: %w", err)
 	}
 	if cfg.WALDir != "" && cfg.WALRoot != "" {
 		return nil, fmt.Errorf("pass either -wal (single-collection layout) or -wal-root (multi-tenant layout), not both")
@@ -244,6 +237,9 @@ func (s *Server) bootstrap() error {
 				return fmt.Errorf("manifest lists %q, which is the flag-defined default collection", e.Name)
 			}
 			retireStaleOptions(e, cfg)
+			// An entry of a kind other than hybrid was written without a
+			// deltaRatio, which was hybrid-only: it compacts at the server's.
+			e.Options.CollectionOptions = e.Options.withDefaults(cfg)
 			c, err := s.openCollection(e.Name, e.Options.CollectionOptions, s.walDirFor(e.Name), nil)
 			if err != nil {
 				return fmt.Errorf("recover collection %q: %w", e.Name, err)
@@ -288,7 +284,6 @@ func retireStaleOptions(e *manifestEntry, cfg Config) {
 		fmt.Fprintf(cfg.logw(), "collection %q: recovering kind %q, which is no longer served, as hybrid over the same slots\n",
 			e.Name, e.Options.Kind)
 		e.Options.Kind = "hybrid"
-		e.Options.CollectionOptions = e.Options.withDefaults(cfg)
 	}
 	if e.Options.ForceBackend != "" {
 		fmt.Fprintf(cfg.logw(), "collection %q: dropping forceBackend %q, which the server no longer forces; every query is answered by inverted\n",
@@ -559,25 +554,6 @@ func loadSeed(dataPath, snapPath string) ([]ranking.Ranking, error) {
 	}
 }
 
-// validateKindFlags fails fast on a kind the server does not serve and on
-// flag combinations that would otherwise be silently ignored: the hybrid's
-// knobs act only on -kind hybrid. set holds the flag names explicitly passed
-// on the command line.
-func validateKindFlags(kind string, set map[string]bool) error {
-	if err := validateKind(kind); err != nil {
-		return fmt.Errorf("-kind: %w", err)
-	}
-	if kind == "hybrid" {
-		return nil
-	}
-	for _, name := range []string{"calibrate", "delta-ratio"} {
-		if set[name] {
-			return fmt.Errorf("-%s applies only to -kind hybrid (have %q)", name, kind)
-		}
-	}
-	return nil
-}
-
 // served accepts the kinds a collection can be: the mutable inverted family.
 // Every collection is therefore mutable and keeps retired snapshot ids
 // retired — the kinds all rebuild from one external-id slot array. The paper
@@ -597,11 +573,11 @@ func validateKind(kind string) error {
 var errNotServed = errors.New("index kind is not served")
 
 // builderFor returns the shard builder for a served index kind name;
-// deltaRatio is the hybrid's compaction ratio. The builder converts what the
+// deltaRatio is its compaction ratio. The builder converts what the
 // kind builds to shard.Index once, at build time, and fails with errNotServed
 // for any other kind.
 func builderFor(kind string, deltaRatio float64) shard.Builder {
-	o := kinds.Options{Hybrid: []topk.HybridOption{topk.WithHybridDeltaRatio(deltaRatio)}}
+	o := kinds.Options{CompactionRatio: deltaRatio}
 	k, lookupErr := kinds.Lookup(kind, served)
 	return func(rs []ranking.Ranking) (shard.Index, error) {
 		if lookupErr != nil {

@@ -2,8 +2,8 @@
 // Yianilos, SODA 1993), a binary metric-space index built by recursively
 // picking a vantage point and splitting the remaining objects at the median
 // distance. The paper discusses it among the metric-space alternatives in
-// Section 2; this library includes it as an extension so the partitioner
-// ablation can compare BK-tree, VP-tree and random-medoid clusterings.
+// Section 2; this library includes it as a third metric-tree baseline beside
+// the BK-tree and the M-tree.
 package vptree
 
 import (
@@ -159,12 +159,13 @@ func (t *Tree) Len() int { return t.size }
 // K returns the ranking size.
 func (t *Tree) K() int { return t.k }
 
-// RangeSearch returns ids of all rankings within radius of q.
-func (t *Tree) RangeSearch(q ranking.Ranking, radius int, ev *metric.Evaluator) []ranking.ID {
+// RangeSearch returns every ranking within radius of q with its exact
+// distance, in unspecified order.
+func (t *Tree) RangeSearch(q ranking.Ranking, radius int, ev *metric.Evaluator) []ranking.Result {
 	if ev == nil {
 		ev = metric.New(nil)
 	}
-	var out []ranking.ID
+	var out []ranking.Result
 	if t.root == nil || radius < 0 {
 		return out
 	}
@@ -172,18 +173,18 @@ func (t *Tree) RangeSearch(q ranking.Ranking, radius int, ev *metric.Evaluator) 
 	return out
 }
 
-func (t *Tree) search(n *node, q ranking.Ranking, radius int32, ev *metric.Evaluator, out *[]ranking.ID) {
+func (t *Tree) search(n *node, q ranking.Ranking, radius int32, ev *metric.Evaluator, out *[]ranking.Result) {
 	if n.bucket != nil {
 		for _, id := range n.bucket {
-			if int32(ev.Distance(q, t.rankings[id])) <= radius {
-				*out = append(*out, id)
+			if d := ev.Distance(q, t.rankings[id]); d <= int(radius) {
+				*out = append(*out, ranking.Result{ID: id, Dist: d})
 			}
 		}
 		return
 	}
 	d := int32(ev.Distance(q, t.rankings[n.id]))
 	if d <= radius {
-		*out = append(*out, n.id)
+		*out = append(*out, ranking.Result{ID: n.id, Dist: int(d)})
 	}
 	// Triangle pruning: left holds d(vp,·) ≤ mu, right holds > mu.
 	if n.left != nil && d-radius <= n.mu {
@@ -192,52 +193,4 @@ func (t *Tree) search(n *node, q ranking.Ranking, radius int32, ev *metric.Evalu
 	if n.right != nil && d+radius > n.mu {
 		t.search(n.right, q, radius, ev, out)
 	}
-}
-
-// Partitions groups the collection into disjoint clusters of radius at most
-// thetaC around vantage-point medoids: a greedy sweep over the VP-tree's
-// leaf order that opens a new cluster whenever the next object is farther
-// than thetaC from the current medoid. Used by the coarse-index partitioner
-// ablation; the BK-tree extraction of the paper remains the default.
-func (t *Tree) Partitions(thetaC int, ev *metric.Evaluator) (medoids []ranking.ID, assign [][]ranking.ID) {
-	if ev == nil {
-		ev = metric.New(nil)
-	}
-	order := make([]ranking.ID, 0, t.size)
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.bucket != nil {
-			order = append(order, n.bucket...)
-			return
-		}
-		order = append(order, n.id)
-		walk(n.left)
-		walk(n.right)
-	}
-	walk(t.root)
-	// Greedy sweep in tree order: tree-adjacent objects are metrically close,
-	// so clusters stay tight without a quadratic pass.
-	taken := make([]bool, t.size)
-	for _, id := range order {
-		if taken[id] {
-			continue
-		}
-		taken[id] = true
-		members := []ranking.ID{id}
-		for _, other := range order {
-			if taken[other] {
-				continue
-			}
-			if ev.Distance(t.rankings[id], t.rankings[other]) <= thetaC {
-				taken[other] = true
-				members = append(members, other)
-			}
-		}
-		medoids = append(medoids, id)
-		assign = append(assign, members)
-	}
-	return medoids, assign
 }

@@ -2,7 +2,7 @@ package vptree
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"topk/internal/metric"
@@ -32,19 +32,20 @@ func randomCollection(seed int64, n, k, v int) []ranking.Ranking {
 	return rs
 }
 
-func bruteRange(rs []ranking.Ranking, q ranking.Ranking, radius int) []ranking.ID {
-	var out []ranking.ID
+func bruteRange(rs []ranking.Ranking, q ranking.Ranking, radius int) []ranking.Result {
+	var out []ranking.Result
 	for id, r := range rs {
-		if ranking.Footrule(q, r) <= radius {
-			out = append(out, ranking.ID(id))
+		if d := ranking.Footrule(q, r); d <= radius {
+			out = append(out, ranking.Result{ID: ranking.ID(id), Dist: d})
 		}
 	}
 	return out
 }
 
-func sortIDs(ids []ranking.ID) []ranking.ID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+// sorted orders a walk's results by id for comparison with bruteRange.
+func sorted(res []ranking.Result) []ranking.Result {
+	ranking.SortResults(res)
+	return res
 }
 
 func TestEmpty(t *testing.T) {
@@ -74,15 +75,9 @@ func TestRangeSearchMatchesBruteForce(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			q := randomRanking(rng, 10, 50)
 			radius := rng.Intn(55)
-			got := sortIDs(tr.RangeSearch(q, radius, nil))
-			want := sortIDs(bruteRange(rs, q, radius))
-			if len(got) != len(want) {
-				t.Fatalf("leaf=%d radius=%d: got %d want %d", leaf, radius, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("leaf=%d: result mismatch at %d", leaf, i)
-				}
+			got := sorted(tr.RangeSearch(q, radius, nil))
+			if want := bruteRange(rs, q, radius); !slices.Equal(got, want) {
+				t.Fatalf("leaf=%d radius=%d:\n got %v\nwant %v", leaf, radius, got, want)
 			}
 		}
 	}
@@ -116,34 +111,6 @@ func TestPruningReducesDFC(t *testing.T) {
 	tr.RangeSearch(q, 11, ev)
 	if ev.Calls() >= uint64(len(rs)) {
 		t.Fatalf("no pruning: %d DFC for %d objects", ev.Calls(), len(rs))
-	}
-}
-
-func TestPartitionsDisjointCoverBounded(t *testing.T) {
-	rs := randomCollection(5, 500, 10, 36)
-	tr, _ := New(rs, nil)
-	for _, thetaC := range []int{0, 20, 55} {
-		medoids, assign := tr.Partitions(thetaC, nil)
-		if len(medoids) != len(assign) {
-			t.Fatal("medoid/assignment length mismatch")
-		}
-		seen := make(map[ranking.ID]bool)
-		total := 0
-		for pi, members := range assign {
-			for _, id := range members {
-				if seen[id] {
-					t.Fatalf("θC=%d: %d assigned twice", thetaC, id)
-				}
-				seen[id] = true
-				total++
-				if d := ranking.Footrule(rs[medoids[pi]], rs[id]); d > thetaC {
-					t.Fatalf("θC=%d: member at distance %d", thetaC, d)
-				}
-			}
-		}
-		if total != len(rs) {
-			t.Fatalf("θC=%d: covered %d of %d", thetaC, total, len(rs))
-		}
 	}
 }
 

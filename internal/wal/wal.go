@@ -48,7 +48,9 @@
 // Durability policy is group commit: WithSyncEvery(n) fsyncs after every
 // n-th append (n=1 is synchronous commit: every acked mutation is on disk
 // before Append returns), WithSyncInterval(d) adds a background flusher so
-// relaxed policies bound the loss window by time as well as by count.
+// relaxed policies bound the loss window by time as well as by count. A
+// segment's directory entry is made durable once, when Open or Rotate creates
+// it: fsyncing a file does not persist its name (fsync(2)).
 package wal
 
 import (
@@ -287,9 +289,11 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	return seq, err == nil && seq > 0
 }
 
-// openSegmentLocked creates segment seq and writes its header. The header
-// is flushed (not fsynced) immediately so a subsequent crash leaves a
-// well-formed empty segment rather than a headerless file.
+// openSegmentLocked creates segment seq, writes its header and fsyncs the
+// directory. The header is flushed (not fsynced) immediately so a subsequent
+// crash leaves a well-formed empty segment rather than a headerless file;
+// the directory fsync keeps a crash from dropping the segment, and with it
+// every record later acked into it.
 func (l *Log) openSegmentLocked(seq uint64) error {
 	f, err := os.OpenFile(segmentPath(l.dir, seq), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -308,8 +312,21 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 		f.Close()
 		return err
 	}
+	if err := syncDir(l.dir); err != nil {
+		f.Close()
+		return err
+	}
 	l.f, l.bw, l.seq, l.pending = f, bw, seq, 0
 	return nil
+}
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // encode appends rec's frame (length, CRC, payload) to dst.

@@ -399,45 +399,44 @@ const (
 	VPTree
 )
 
-// MetricTree is a pure metric-space index over the collection. The trees
-// are immutable after construction, so Search is lock-free; the only
-// per-query state is the counting evaluator.
+// MetricTree is a pure metric-space index over the collection: one BK-, M- or
+// VP-tree, whose range walk reports every hit with the distance it computed.
+// The trees are immutable after construction, so Search is lock-free; the
+// only per-query state is the counting evaluator.
 type MetricTree struct {
 	queryHalf
-	kind TreeKind
-	bk   *bktree.Tree
-	mt   *mtree.Tree
-	vp   *vptree.Tree
-	rs   []Ranking
-	k    int
 }
 
 // NewMetricTree builds a metric tree of the given kind.
 func NewMetricTree(rankings []Ranking, kind TreeKind) (*MetricTree, error) {
-	k, err := validateCollection(rankings)
-	if err != nil {
+	if _, err := validateCollection(rankings); err != nil {
 		return nil, err
 	}
-	t := &MetricTree{kind: kind, rs: rankings, k: k}
+	var (
+		b   treeBackend
+		err error
+	)
 	switch kind {
 	case BKTree:
-		t.bk, err = bktree.New(rankings, nil)
+		b.name = backendBKTree
+		b.tree, err = bktree.New(rankings, nil)
 	case MTree:
-		t.mt, err = mtree.New(rankings, nil)
+		b.name = "mtree"
+		b.tree, err = mtree.New(rankings, nil)
 	case VPTree:
-		t.vp, err = vptree.New(rankings, nil)
+		b.name = "vptree"
+		b.tree, err = vptree.New(rankings, nil)
 	default:
 		err = fmt.Errorf("topk: unknown tree kind %d", kind)
 	}
 	if err != nil {
 		return nil, err
 	}
-	t.backend = treeBackend{t: t}
-	return t, nil
+	return &MetricTree{queryHalf{backend: b}}, nil
 }
 
 // Len implements Index.
-func (t *MetricTree) Len() int { return len(t.rs) }
+func (t *MetricTree) Len() int { return t.backend.Len() }
 
 // K implements Index.
-func (t *MetricTree) K() int { return t.k }
+func (t *MetricTree) K() int { return t.backend.K() }
