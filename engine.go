@@ -27,15 +27,17 @@
 //
 // Exact KNN has two routes through nearestBackend. A backend with a native
 // algorithm (the exactKNN hook) answers directly: the inverted index walks
-// the query's k posting lists once, accumulating every overlapping ranking's
-// exact distance from the posting ranks (F = k(k+1) − Σ 2·(k − max(q(i),
-// τ(i))) over shared items) and selecting the n best, ties by external id;
-// the BK-tree traverses best-first. InvertedIndex, and HybridIndex unless it
-// is forced onto adaptsearch, always take the posting-list route. It calls no
-// distance function, so — the paper's Figure 10 convention, as for ListMerge
-// — it adds nothing to DistanceCalls; its scratch is a []uint16 accumulator
-// of 2 bytes per indexed ranking in each pooled searcher, allocated on the
-// searcher's first KNN. Everything else (coarse, blocked, M-/VP-tree, a
+// the query's k posting lists once — each found by array index in its item
+// dictionary, its ids and ranks read from parallel arenas — accumulating
+// every overlapping ranking's exact distance from the posting ranks (F =
+// k(k+1) − Σ 2·(k − max(q(i), τ(i))) over shared items) and selecting the n
+// best, ties by external id; the BK-tree traverses best-first.
+// InvertedIndex, and HybridIndex unless it is forced onto adaptsearch, always
+// take the posting-list route. It calls no distance function, so — the
+// paper's Figure 10 convention, as for ListMerge — it adds nothing to
+// DistanceCalls; its scratch is the []uint16 gain accumulator every
+// inverted-index query shares, 2 bytes per indexed ranking in each pooled
+// searcher, allocated on the searcher's first query. Everything else (coarse, blocked, M-/VP-tree, a
 // hybrid forced onto adaptsearch) takes the generic reduction knn.Expanding:
 // range searches at a doubling radius, whose distance evaluations count as
 // usual.

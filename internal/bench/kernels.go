@@ -59,7 +59,7 @@ var kernelSink int
 //	                  candidate buffer (the CSR-backed filter phase)
 //
 // followed by the whole-query rows of searcherRecords (knn-native,
-// knn-expanding, fv-drop).
+// knn-expanding, fv-drop) and the index build they run on (build).
 func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 	var recs []KernelRecord
 	maxN := slices.Max(ns)
@@ -155,10 +155,11 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 					gen++
 					cands = cands[:0]
 					for _, item := range q {
-						for _, p := range idx.List(item) {
-							if stamp[p.ID] != gen {
-								stamp[p.ID] = gen
-								cands = append(cands, p.ID)
+						ids, _ := idx.Postings(item)
+						for _, id := range ids {
+							if stamp[id] != gen {
+								stamp[id] = gen
+								cands = append(cands, id)
 							}
 						}
 					}
@@ -186,6 +187,7 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 			"validate-* rows measure one full n-candidate validation pass per op",
 			"knn-* rows measure one exact 10-nearest-neighbor query over an n-ranking inverted index per op",
 			"fv-drop rows measure one F&V+Drop range query at θ = 0.2 over the same index per op",
+			"build rows measure one inverted-index build over the n rankings per op",
 			"the CI gate compares ns/op and the spreads against the committed BENCH_kernels.json",
 		},
 	}
@@ -229,6 +231,8 @@ func (r rangeOverInverted) K() int   { return r.s.Index().K() }
 //	               search — the doubling-radius reduction it replaced
 //	fv-drop        FilterValidateDrop at θ = 0.2 — the hybrid's default range
 //	               route
+//	build          invindex.New over the collection — a served shard's
+//	               start-up and every compaction
 //
 // The knn-native and fv-drop rows must allocate nothing but the result slice
 // they return; more than one allocation per op is reported as an error.
@@ -245,12 +249,20 @@ func searcherRecords(ks, ns []int) ([]KernelRecord, error) {
 			if err != nil {
 				return nil, err
 			}
+			var benchErr error
+			build := measure(fmt.Sprintf("build/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := invindex.New(rs); err != nil {
+						benchErr = err
+					}
+				}
+			})
 			idx, err := invindex.New(rs)
 			if err != nil {
 				return nil, err
 			}
 			s := invindex.NewSearcher(idx)
-			var benchErr error
 			native := measure(fmt.Sprintf("knn-native/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -290,7 +302,7 @@ func searcherRecords(ks, ns []int) ([]KernelRecord, error) {
 					return nil, fmt.Errorf("%s: %d allocs/op, want only the returned slice", r.Name, r.AllocsPerOp)
 				}
 			}
-			recs = append(recs, native, expanding, drop)
+			recs = append(recs, native, expanding, drop, build)
 		}
 	}
 	return recs, nil

@@ -28,75 +28,60 @@ import (
 	"topk/internal/ranking"
 )
 
-// list is a rank-sorted posting list with per-rank block offsets. postings
-// is a view into the index's single packed arena.
+// list is a rank-sorted posting list with per-rank block offsets. ids is a
+// view into the index's single packed arena.
 type list struct {
-	postings []invindex.Posting // sorted by Rank, then ID
-	offsets  []int32            // len k+1; block j = postings[offsets[j]:offsets[j+1]]
+	ids     []ranking.ID // block j = ids[offsets[j]:offsets[j+1]]: the item at rank j, ids ascending
+	offsets []int32      // len k+1
 }
 
-// Index is the blocked, rank-augmented inverted index. Rankings live in a
-// flat k-strided kernel.Store and all posting lists share one arena, so a
-// build is a handful of large allocations instead of one slice per item.
+// Index is the blocked, rank-augmented inverted index. All posting lists
+// share one arena, so a build is a handful of large allocations instead of
+// one slice per item.
 type Index struct {
 	k        int
-	store    *kernel.Store
 	rankings []ranking.Ranking
-	arena    []invindex.Posting
+	arena    []ranking.ID
 	lists    map[ranking.Item]list
 }
 
-// New builds the blocked index, copying the rankings into a flat store.
-// The postings are packed as for the plain inverted index
-// (invindex.PackPostings); sorting each list by rank and cutting its block
-// offset table is the construction overhead the paper attributes to this
-// organization.
+// New builds the blocked index over the plain inverted index's id-sorted
+// lists (invindex.New, one counting sort), then counting-sorts each list by
+// rank into its blocks — the construction overhead the paper attributes to
+// this organization. Ids stay ascending inside a block.
 func New(rankings []ranking.Ranking) (*Index, error) {
-	if len(rankings) == 0 {
-		return &Index{store: kernel.NewStore(nil), lists: make(map[ranking.Item]list)}, nil
+	inv, err := invindex.New(rankings)
+	if err != nil {
+		return nil, err
 	}
-	k := rankings[0].K()
-	if k > 255 {
-		return nil, fmt.Errorf("blocked: k=%d exceeds the uint8 rank range", k)
-	}
-	for id, r := range rankings {
-		if r.K() != k {
-			return nil, fmt.Errorf("blocked: ranking %d has size %d, want %d: %w",
-				id, r.K(), k, ranking.ErrSizeMismatch)
-		}
-		if err := r.Validate(); err != nil {
-			return nil, fmt.Errorf("blocked: ranking %d: %w", id, err)
-		}
-	}
-	st := kernel.NewStore(rankings)
-	items, offs, arena := invindex.PackPostings(st)
+	k := inv.K()
 	idx := &Index{
 		k:        k,
-		store:    st,
-		rankings: st.Views(),
-		arena:    arena,
-		lists:    make(map[ranking.Item]list, len(items)),
+		rankings: inv.Rankings(),
+		arena:    make([]ranking.ID, len(rankings)*k),
+		lists:    make(map[ranking.Item]list, inv.NumLists()),
 	}
-	allOffs := make([]int32, len(items)*(k+1))
-	for di, it := range items {
-		ps := arena[offs[di]:offs[di+1]:offs[di+1]]
-		sort.Slice(ps, func(a, b int) bool {
-			if ps[a].Rank != ps[b].Rank {
-				return ps[a].Rank < ps[b].Rank
-			}
-			return ps[a].ID < ps[b].ID
-		})
-		blocks := allOffs[di*(k+1) : (di+1)*(k+1) : (di+1)*(k+1)]
-		pos := 0
-		for j := 0; j <= k; j++ {
-			for pos < len(ps) && int(ps[pos].Rank) < j {
-				pos++
-			}
-			blocks[j] = int32(pos)
+	allOffs := make([]int32, inv.NumLists()*(k+1))
+	next := make([]int32, k)
+	base := 0
+	inv.EachList(func(it ranking.Item, ids []ranking.ID, ranks []uint8) {
+		blocks := allOffs[: k+1 : k+1]
+		allOffs = allOffs[k+1:]
+		for _, r := range ranks {
+			blocks[r+1]++
 		}
-		blocks[k] = int32(len(ps))
-		idx.lists[it] = list{postings: ps, offsets: blocks}
-	}
+		for j := 1; j <= k; j++ {
+			blocks[j] += blocks[j-1]
+		}
+		copy(next, blocks)
+		out := idx.arena[base : base+len(ids) : base+len(ids)]
+		for j, id := range ids {
+			out[next[ranks[j]]] = id
+			next[ranks[j]]++
+		}
+		base += len(ids)
+		idx.lists[it] = list{ids: out, offsets: blocks}
+	})
 	return idx, nil
 }
 
@@ -109,13 +94,14 @@ func (idx *Index) Len() int { return len(idx.rankings) }
 // Ranking returns the indexed ranking with the given id.
 func (idx *Index) Ranking(id ranking.ID) ranking.Ranking { return idx.rankings[id] }
 
-// Block returns the postings of item at rank j (the block B_{item@j}).
-func (idx *Index) Block(item ranking.Item, j int) []invindex.Posting {
+// Block returns the ids of the rankings holding item at rank j (the block
+// B_{item@j}), ascending.
+func (idx *Index) Block(item ranking.Item, j int) []ranking.ID {
 	l, ok := idx.lists[item]
 	if !ok || j < 0 || j >= idx.k {
 		return nil
 	}
-	return l.postings[l.offsets[j]:l.offsets[j+1]]
+	return l.ids[l.offsets[j]:l.offsets[j+1]]
 }
 
 // NumLists returns the number of distinct items.
@@ -246,10 +232,8 @@ func (s *Searcher) Query(q ranking.Ranking, rawTheta int, ev *metric.Evaluator, 
 	theta := int32(rawTheta)
 	for _, b := range sched {
 		l := s.idx.lists[b.item]
-		blockPostings := l.postings[l.offsets[b.tauRank]:l.offsets[b.tauRank+1]]
 		contrib := int32(b.miss)
-		for _, p := range blockPostings {
-			id := p.ID
+		for _, id := range l.ids[l.offsets[b.tauRank]:l.offsets[b.tauRank+1]] {
 			if s.stamp[id] != s.gen {
 				s.stamp[id] = s.gen
 				s.partial[id] = 0
@@ -332,8 +316,8 @@ func (s *Searcher) keptPositions(q ranking.Ranking, rawTheta int, mode Mode) []i
 		drop = k - 1
 	}
 	sort.Slice(all, func(a, b int) bool {
-		la := len(s.idx.lists[q[all[a]]].postings)
-		lb := len(s.idx.lists[q[all[b]]].postings)
+		la := len(s.idx.lists[q[all[a]]].ids)
+		lb := len(s.idx.lists[q[all[b]]].ids)
 		if la != lb {
 			return la > lb
 		}

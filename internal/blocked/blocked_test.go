@@ -68,7 +68,7 @@ func TestBlockStructure(t *testing.T) {
 	}
 	// Item 1 at rank 0 in τ0, τ1, τ6.
 	b0 := idx.Block(1, 0)
-	if len(b0) != 3 || b0[0].ID != 0 || b0[1].ID != 1 || b0[2].ID != 6 {
+	if len(b0) != 3 || b0[0] != 0 || b0[1] != 1 || b0[2] != 6 {
 		t.Fatalf("B_{1@0} = %v", b0)
 	}
 	// Item 1 at rank 1 in τ3, τ4, τ7 (paper also lists a τ10 we don't have).
@@ -78,11 +78,11 @@ func TestBlockStructure(t *testing.T) {
 	}
 	// Item 1 at rank 4 in τ8.
 	b4 := idx.Block(1, 4)
-	if len(b4) != 1 || b4[0].ID != 8 {
+	if len(b4) != 1 || b4[0] != 8 {
 		t.Fatalf("B_{1@4} = %v", b4)
 	}
 	// Item 3 at rank 1 only in τ9.
-	if b := idx.Block(3, 1); len(b) != 1 || b[0].ID != 9 {
+	if b := idx.Block(3, 1); len(b) != 1 || b[0] != 9 {
 		t.Fatalf("B_{3@1} = %v", b)
 	}
 	// Out-of-range and unknown-item blocks are empty.

@@ -110,24 +110,19 @@ func TestArenaLayout(t *testing.T) {
 	}
 	total := 0
 	for item, l := range idx.lists {
-		total += len(l.postings)
-		if len(l.offsets) != k+1 {
-			t.Fatalf("item %d: offset table len %d, want %d", item, len(l.offsets), k+1)
+		total += len(l.ids)
+		if len(l.offsets) != k+1 || l.offsets[0] != 0 || int(l.offsets[k]) != len(l.ids) {
+			t.Fatalf("item %d: offset table %v does not cover its %d postings", item, l.offsets, len(l.ids))
 		}
 		for j := 0; j < k; j++ {
-			for _, p := range l.postings[l.offsets[j]:l.offsets[j+1]] {
-				if int(p.Rank) != j {
-					t.Fatalf("item %d block %d holds rank %d", item, j, p.Rank)
+			block := l.ids[l.offsets[j]:l.offsets[j+1]]
+			for i, id := range block {
+				if q := idx.rankings[id][j]; q != item {
+					t.Fatalf("posting claims ranking %d has item %d at rank %d; it has %d", id, item, j, q)
 				}
-				if q := idx.rankings[p.ID][j]; q != item {
-					t.Fatalf("posting claims ranking %d has item %d at rank %d; it has %d", p.ID, item, j, q)
+				if i > 0 && block[i-1] >= id {
+					t.Fatalf("item %d block %d: ids not ascending at %d", item, j, i)
 				}
-			}
-		}
-		for i := 1; i < len(l.postings); i++ {
-			a, b := l.postings[i-1], l.postings[i]
-			if a.Rank > b.Rank || (a.Rank == b.Rank && a.ID >= b.ID) {
-				t.Fatalf("item %d: postings not (rank,id)-sorted at %d", item, i)
 			}
 		}
 	}

@@ -58,8 +58,9 @@ func TestQueryMatchesOracleAndFilterCount(t *testing.T) {
 			if !st.ExhaustiveScan {
 				seen := make(map[ranking.ID]bool)
 				for _, it := range q {
-					for _, p := range idx.medoidIdx.List(it) {
-						seen[p.ID] = true
+					ids, _ := idx.medoidIdx.Postings(it)
+					for _, id := range ids {
+						seen[id] = true
 					}
 				}
 				filter = uint64(len(seen))

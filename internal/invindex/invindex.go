@@ -29,18 +29,23 @@
 // compiled internal/kernel, and the metric.Evaluator a query receives is its
 // DFC counter — one call per validated candidate.
 //
-// One Index serves all algorithms: its postings are id-sorted and carry the
-// rank of the item inside the posting's ranking. Query processing state (the
-// gain accumulator, which also de-duplicates candidates, and the candidate
-// and result buffers) lives in a Searcher; a Searcher serves one query at a
-// time, so use one per goroutine — or draw them from a sync.Pool, which is
-// how the topk facade lets any number of goroutines query a shared index
-// concurrently.
+// One Index serves all algorithms. Its postings live in two parallel arenas,
+// ids and ranks (5 bytes a posting): every item's list is one span of both,
+// id-sorted, with the rank of the item inside each posting's ranking at the
+// same position. A dictionary indexed by item value locates the span — a
+// dense table below kernel.MaxDenseItems, a map past it (the rule
+// internal/kernel uses) — so a query finds each of its lists by array index.
+// Query processing state (the gain accumulator, which also de-duplicates
+// candidates, and the candidate and result buffers) lives in a Searcher; a
+// Searcher serves one query at a time, so use one per goroutine — or draw
+// them from a sync.Pool, which is how the topk facade lets any number of
+// goroutines query a shared index concurrently.
 package invindex
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"topk/internal/kernel"
@@ -48,12 +53,13 @@ import (
 	"topk/internal/ranking"
 )
 
-// Posting records that a ranking contains an item at a given rank.
-// Postings within an index list are sorted by ID ascending.
-type Posting struct {
-	ID   ranking.ID
-	Rank uint8 // rank of the item inside the ranking, 0-based (< k ≤ 255)
-}
+// span locates one item's posting list in the arenas: n postings at
+// [off, off+n), with room reserved up to off+cap.
+type span struct{ off, n, cap uint32 }
+
+// arenaLimit is the most postings the arenas may hold: spans address them
+// with uint32 offsets, which must not wrap. A variable so a test can reach it.
+var arenaLimit uint64 = math.MaxUint32
 
 // Index is a rank-augmented inverted index over a collection of same-size
 // rankings: for every item, the id-sorted list of rankings containing it,
@@ -68,11 +74,20 @@ type Index struct {
 	// per-ranking evaluation.
 	store    *kernel.Store
 	rankings []ranking.Ranking
-	// lists maps every item to its id-sorted postings. At build time the
-	// values are capacity-clamped views into one packed arena (see
-	// PackPostings), so Insert's append copies a growing list out of the arena
-	// instead of clobbering its neighbor.
-	lists map[ranking.Item][]Posting
+	// ids and ranks are the posting arenas. The build lays every list out
+	// tight, in item order; Insert grows a list in place while it has room
+	// and otherwise moves it to the arena end with doubled room, abandoning
+	// the old span (garbage counts those slots). Once the abandoned slots
+	// outnumber the postings, Insert re-packs the arenas, keeping every
+	// list's room, so the arenas never exceed three slots a posting.
+	ids     []ranking.ID
+	ranks   []uint8
+	garbage int
+	// dense[it] is the span of item it < kernel.MaxDenseItems (the zero span
+	// past its end), sparse the span of every larger item.
+	dense    []span
+	sparse   map[ranking.Item]*span
+	numLists int
 	// deleted marks tombstoned ids; postings of tombstoned rankings remain
 	// in the lists until the owner rebuilds the index, and every query
 	// algorithm skips them. nil until the first Delete; once allocated it is
@@ -107,6 +122,9 @@ func validateAll(rankings []ranking.Ranking) error {
 	if k > 255 {
 		return fmt.Errorf("invindex: k=%d exceeds the uint8 rank range", k)
 	}
+	if uint64(len(rankings))*uint64(k) > arenaLimit {
+		return fmt.Errorf("invindex: %d rankings of size %d exceed %d postings", len(rankings), k, arenaLimit)
+	}
 	for id, r := range rankings {
 		if r.K() != k {
 			return fmt.Errorf("invindex: ranking %d has size %d, want %d: %w",
@@ -119,63 +137,94 @@ func validateAll(rankings []ranking.Ranking) error {
 	return nil
 }
 
+// newFromStore builds the lists by one counting sort: count every item's
+// postings into its span, turn the counts into offsets by a prefix sum, and
+// scatter each posting into its list's next slot. Ids are visited in
+// ascending order, so every list comes out id-sorted; below
+// kernel.MaxDenseItems nothing is hashed.
 func newFromStore(st *kernel.Store) *Index {
-	idx := &Index{
-		k:        st.K(),
-		store:    st,
-		rankings: st.Views(),
-		lists:    make(map[ranking.Item][]Posting),
+	idx := &Index{k: st.K(), store: st, rankings: st.Views(), sparse: make(map[ranking.Item]*span)}
+	for _, it := range st.Flat() {
+		idx.slot(it).n++
 	}
-	if st.Len() == 0 {
-		idx.k = 0 // preserve "k set on first Insert" semantics for empty indexes
-		return idx
+	off := uint32(0)
+	idx.eachSpan(func(_ ranking.Item, s *span) {
+		s.off, s.cap, s.n = off, s.n, 0
+		off += s.cap
+		idx.numLists++
+	})
+	idx.ids, idx.ranks = make([]ranking.ID, off), make([]uint8, off)
+	for id, row := range idx.rankings {
+		for rank, it := range row {
+			s := idx.slot(it)
+			idx.ids[s.off+s.n], idx.ranks[s.off+s.n] = ranking.ID(id), uint8(rank)
+			s.n++
+		}
 	}
-	idx.buildLists()
 	return idx
 }
 
-// buildLists installs the packed posting lists as capacity-clamped views into
-// their arena.
-func (idx *Index) buildLists() {
-	items, offs, arena := PackPostings(idx.store)
-	for i, it := range items {
-		idx.lists[it] = arena[offs[i]:offs[i+1]:offs[i+1]]
+// slot returns item it's span for writing, adding an empty one if the item
+// is new.
+func (idx *Index) slot(it ranking.Item) *span {
+	if it < kernel.MaxDenseItems {
+		if int(it) >= len(idx.dense) {
+			idx.dense = append(idx.dense, make([]span, int(it)+1-len(idx.dense))...)
+		}
+		return &idx.dense[it]
+	}
+	s := idx.sparse[it]
+	if s == nil {
+		s = new(span)
+		idx.sparse[it] = s
+	}
+	return s
+}
+
+// eachSpan calls f with every list's span: the dense items ascending, then
+// the sparse ones in map order.
+func (idx *Index) eachSpan(f func(it ranking.Item, s *span)) {
+	for it := range idx.dense {
+		if s := &idx.dense[it]; s.n > 0 {
+			f(ranking.Item(it), s)
+		}
+	}
+	for it, s := range idx.sparse {
+		f(it, s)
 	}
 }
 
-// PackPostings packs the posting lists of the store's rankings into one arena
-// by counting sort: one pass counts per-item occurrences, the items are laid
-// out in sorted order (a deterministic arena, whatever the map iteration
-// order), and a cursor pass scatters {ID,Rank} pairs into their slots. It
-// returns the layout in CSR form: the distinct items ascending, and the
-// postings of items[i] at arena[offs[i]:offs[i+1]]. Ids are visited in
-// ascending order, so every list comes out id-sorted.
-func PackPostings(st *kernel.Store) (items []ranking.Item, offs []int, arena []Posting) {
-	n, k := st.Len(), st.K()
-	counts := make(map[ranking.Item]int, n)
-	for _, it := range st.Flat() {
-		counts[it]++
+// Postings returns item's posting list: the ids of the rankings containing
+// it, ascending, and the item's rank inside each at the same position (both
+// empty if the item is unseen). The slices are owned by the index, must not
+// be modified, and are valid until the next Insert.
+func (idx *Index) Postings(it ranking.Item) ([]ranking.ID, []uint8) {
+	s := idx.lookup(it)
+	end := s.off + s.n
+	return idx.ids[s.off:end:end], idx.ranks[s.off:end:end]
+}
+
+// lookup returns item's span, the zero span if the item is unseen. An item
+// below kernel.MaxDenseItems is found by array index, never hashed.
+func (idx *Index) lookup(it ranking.Item) span {
+	if int(it) < len(idx.dense) {
+		return idx.dense[it]
 	}
-	items = make([]ranking.Item, 0, len(counts))
-	for it := range counts {
-		items = append(items, it)
-	}
-	slices.Sort(items)
-	offs = make([]int, len(items)+1)
-	cursor := make(map[ranking.Item]int, len(items))
-	for i, it := range items {
-		cursor[it] = offs[i]
-		offs[i+1] = offs[i] + counts[it]
-	}
-	arena = make([]Posting, n*k)
-	for id, row := range st.Views() {
-		for rank, it := range row {
-			c := cursor[it]
-			arena[c] = Posting{ID: ranking.ID(id), Rank: uint8(rank)}
-			cursor[it] = c + 1
+	if it >= kernel.MaxDenseItems {
+		if s := idx.sparse[it]; s != nil {
+			return *s
 		}
 	}
-	return items, offs, arena
+	return span{}
+}
+
+// EachList calls f with every posting list (see Postings): the items below
+// kernel.MaxDenseItems ascending, then the larger ones in no fixed order.
+func (idx *Index) EachList(f func(it ranking.Item, ids []ranking.ID, ranks []uint8)) {
+	idx.eachSpan(func(it ranking.Item, s *span) {
+		end := s.off + s.n
+		f(it, idx.ids[s.off:end:end], idx.ranks[s.off:end:end])
+	})
 }
 
 // K returns the ranking size.
@@ -204,12 +253,8 @@ func (idx *Index) Ranking(id ranking.ID) ranking.Ranking { return idx.rankings[i
 // ones included — what a hybrid's forced adaptsearch sidecar is built over.
 func (idx *Index) Rankings() []ranking.Ranking { return idx.rankings }
 
-// List returns the posting list for an item (nil if the item is unseen).
-// The returned slice is owned by the index and must not be modified.
-func (idx *Index) List(item ranking.Item) []Posting { return idx.lists[item] }
-
 // NumLists returns the number of distinct items (index lists).
-func (idx *Index) NumLists() int { return len(idx.lists) }
+func (idx *Index) NumLists() int { return idx.numLists }
 
 // Searcher holds per-goroutine query processing state for an Index.
 type Searcher struct {
@@ -230,9 +275,11 @@ type Searcher struct {
 	acc   []uint16
 	items []ranking.Item
 	// byListLength's buffers (k entries each): the query positions, and the
-	// query's posting lists by position — looked up once per query.
-	kept  []int
-	lists [][]Posting
+	// ids and ranks of the query's posting lists by position — looked up
+	// once per query.
+	kept      []int
+	listIDs   [][]ranking.ID
+	listRanks [][]uint8
 	// closed counts the queries whose accumulate closed admission; read by the
 	// test that keeps the early-termination path from going dead silently.
 	closed int
@@ -415,7 +462,7 @@ func (s *Searcher) chooseKeptLists(q ranking.Ranking, rawTheta int, mode DropMod
 		if !hasTop {
 			bestTop := 0
 			for p := 1; p < omega; p++ {
-				if len(s.lists[p]) < len(s.lists[bestTop]) {
+				if len(s.listIDs[p]) < len(s.listIDs[bestTop]) {
 					bestTop = p
 				}
 			}
@@ -425,18 +472,19 @@ func (s *Searcher) chooseKeptLists(q ranking.Ranking, rawTheta int, mode DropMod
 	return kept
 }
 
-// byListLength looks up the query's k posting lists into s.lists (by
-// position) and returns the positions ordered by list length, longest first
-// (ties by position ascending: a stable sort of the ascending positions).
-// Both alias searcher scratch and are valid until the next call.
+// byListLength looks up the query's k posting lists into s.listIDs and
+// s.listRanks (by position) and returns the positions ordered by list
+// length, longest first (ties by position ascending: a stable sort of the
+// ascending positions). All alias searcher scratch and are valid until the
+// next call.
 func (s *Searcher) byListLength(q ranking.Ranking) []int {
-	pos, lists := s.kept[:0], s.lists[:0]
+	pos, ids, ranks := s.kept[:0], s.listIDs[:0], s.listRanks[:0]
 	for i, item := range q {
-		pos = append(pos, i)
-		lists = append(lists, s.idx.lists[item])
+		l, r := s.idx.Postings(item)
+		pos, ids, ranks = append(pos, i), append(ids, l), append(ranks, r)
 	}
-	s.kept, s.lists = pos, lists
-	slices.SortStableFunc(pos, func(a, b int) int { return cmp.Compare(len(lists[b]), len(lists[a])) })
+	s.kept, s.listIDs, s.listRanks = pos, ids, ranks
+	slices.SortStableFunc(pos, func(a, b int) int { return cmp.Compare(len(ids[b]), len(ids[a])) })
 	return pos
 }
 
@@ -481,8 +529,8 @@ func (s *Searcher) accumulate(q ranking.Ranking, pos []int, n int) (touched []ra
 	rem, open := k*(k+1), true
 	for i := len(pos) - 1; i >= 0; i-- { // shortest list first
 		qr := pos[i]
-		list := s.lists[qr]
-		if open && n > 0 && 2*rem < k*(k+1) && len(list) >= len(touched) {
+		ids, ranks := s.listIDs[qr], s.listRanks[qr]
+		if open && n > 0 && 2*rem < k*(k+1) && len(ids) >= len(touched) {
 			above := 0
 			for _, id := range touched {
 				if int(acc[id]) > rem && (dels == nil || !dels[id]) {
@@ -495,9 +543,9 @@ func (s *Searcher) accumulate(q ranking.Ranking, pos []int, n int) (touched []ra
 			}
 		}
 		if open {
-			touched = admit(acc, touched, list, k, qr)
+			touched = admit(acc, touched, ids, ranks, k, qr)
 		} else {
-			update(acc, list, k, qr)
+			update(acc, ids, ranks, k, qr)
 		}
 		rem -= 2 * (k - qr)
 	}
@@ -505,31 +553,35 @@ func (s *Searcher) accumulate(q ranking.Ranking, pos []int, n int) (touched []ra
 	return touched, rem
 }
 
-// admit adds the gain of every posting of list, the index list of query
-// position qr, into acc and appends the ids it touches first to touched.
+// admit adds the gain of every posting of the index list of query position
+// qr (ids, with ranks at the same positions) into acc and appends the ids it
+// touches first to touched.
 // Every id is stored past the end of touched and kept only on its first
 // touch: the unconditional store is cheaper than the unpredictable branch
 // around an append. The posting loops live outside accumulate so the
 // compiler keeps their state in registers.
-func admit(acc []uint16, touched []ranking.ID, list []Posting, k, qr int) []ranking.ID {
-	touched = slices.Grow(touched, len(list))
+func admit(acc []uint16, touched, ids []ranking.ID, ranks []uint8, k, qr int) []ranking.ID {
+	touched = slices.Grow(touched, len(ids))
 	t, m := touched[:cap(touched)], len(touched)
-	for _, p := range list {
-		a := acc[p.ID]
-		t[m] = p.ID
+	ranks = ranks[:len(ids)]
+	for j, id := range ids {
+		a := acc[id]
+		t[m] = id
 		if a == 0 {
 			m++
 		}
-		acc[p.ID] = a + uint16(2*(k-max(qr, int(p.Rank))))
+		acc[id] = a + uint16(2*(k-max(qr, int(ranks[j]))))
 	}
 	return t[:m]
 }
 
-// update is admit for a closed admission: only ids already touched gain.
-func update(acc []uint16, list []Posting, k, qr int) {
-	for _, p := range list {
-		if a := acc[p.ID]; a != 0 {
-			acc[p.ID] = a + uint16(2*(k-max(qr, int(p.Rank))))
+// update is admit for a closed admission: only ids already touched gain, and
+// only their ranks are read.
+func update(acc []uint16, ids []ranking.ID, ranks []uint8, k, qr int) {
+	ranks = ranks[:len(ids)]
+	for j, id := range ids {
+		if a := acc[id]; a != 0 {
+			acc[id] = a + uint16(2*(k-max(qr, int(ranks[j]))))
 		}
 	}
 }

@@ -97,6 +97,23 @@ func TestQuerySizeMismatch(t *testing.T) {
 	}
 }
 
+// posting is one (id, rank) entry of a posting list, as the tests compare
+// them.
+type posting struct {
+	ID   ranking.ID
+	Rank uint8
+}
+
+// postingsOf returns item's posting list as pairs (nil if unseen).
+func postingsOf(idx *Index, it ranking.Item) []posting {
+	ids, ranks := idx.Postings(it)
+	var out []posting
+	for j, id := range ids {
+		out = append(out, posting{id, ranks[j]})
+	}
+	return out
+}
+
 func TestIndexStructure(t *testing.T) {
 	rs := []ranking.Ranking{{2, 5, 4, 3}, {1, 4, 5, 9}, {0, 8, 5, 7}} // Table 1
 	idx, err := New(rs)
@@ -106,27 +123,27 @@ func TestIndexStructure(t *testing.T) {
 	if idx.Len() != 3 || idx.K() != 4 {
 		t.Fatalf("Len=%d K=%d", idx.Len(), idx.K())
 	}
-	l5 := idx.List(5)
+	l5 := postingsOf(idx, 5)
 	if len(l5) != 3 {
 		t.Fatalf("item 5 list: %v", l5)
 	}
 	// Item 5 at ranks 1, 2, 2 in τ1..τ3, postings id-sorted.
-	want := []Posting{{0, 1}, {1, 2}, {2, 2}}
+	want := []posting{{0, 1}, {1, 2}, {2, 2}}
 	for i, p := range l5 {
 		if p != want[i] {
 			t.Fatalf("posting %d = %v, want %v", i, p, want[i])
 		}
 	}
-	if idx.List(42) != nil {
+	if postingsOf(idx, 42) != nil {
 		t.Fatal("unseen item has a list")
 	}
 	total := 0
-	for it, l := range idx.lists {
+	idx.EachList(func(it ranking.Item, l []ranking.ID, _ []uint8) {
 		total += len(l)
 		if len(l) > len(l5) { // item 5 is the most frequent
 			t.Fatalf("item %d has %d postings, more than item 5", it, len(l))
 		}
-	}
+	})
 	if total != 12 {
 		t.Fatalf("lists hold %d postings, want 12", total)
 	}

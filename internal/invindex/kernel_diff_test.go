@@ -16,9 +16,10 @@ import (
 func keptCandidates(idx *Index, q ranking.Ranking, kept []int) uint64 {
 	seen := make(map[ranking.ID]bool)
 	for _, pos := range kept {
-		for _, p := range idx.List(q[pos]) {
-			if !idx.Deleted(p.ID) {
-				seen[p.ID] = true
+		ids, _ := idx.Postings(q[pos])
+		for _, id := range ids {
+			if !idx.Deleted(id) {
+				seen[id] = true
 			}
 		}
 	}
@@ -41,8 +42,9 @@ func bandCandidates(idx *Index, q ranking.Ranking, kept []int, rawTheta int) uin
 	}
 	seen := make(map[ranking.ID]bool)
 	for _, pos := range kept {
-		for _, p := range idx.List(q[pos]) {
-			seen[p.ID] = true
+		ids, _ := idx.Postings(q[pos])
+		for _, id := range ids {
+			seen[id] = true
 		}
 	}
 	band := uint64(0)
@@ -153,22 +155,22 @@ func TestListLayoutDifferential(t *testing.T) {
 	const n, k, domain = 300, 10, 200
 	rs := difftest.RandomCollection(rng, n, k, domain)
 
-	naive := func(rankings []ranking.Ranking) map[ranking.Item][]Posting {
-		m := make(map[ranking.Item][]Posting)
+	naive := func(rankings []ranking.Ranking) map[ranking.Item][]posting {
+		m := make(map[ranking.Item][]posting)
 		for id, r := range rankings {
 			for rank, it := range r {
-				m[it] = append(m[it], Posting{ID: ranking.ID(id), Rank: uint8(rank)})
+				m[it] = append(m[it], posting{ID: ranking.ID(id), Rank: uint8(rank)})
 			}
 		}
 		return m
 	}
-	checkAgainst := func(idx *Index, want map[ranking.Item][]Posting) {
+	checkAgainst := func(idx *Index, want map[ranking.Item][]posting) {
 		t.Helper()
 		if idx.NumLists() != len(want) {
 			t.Fatalf("NumLists=%d want %d", idx.NumLists(), len(want))
 		}
 		for it, wl := range want {
-			gl := idx.List(it)
+			gl := postingsOf(idx, it)
 			if len(gl) != len(wl) {
 				t.Fatalf("item %d: list length %d want %d", it, len(gl), len(wl))
 			}
@@ -179,19 +181,19 @@ func TestListLayoutDifferential(t *testing.T) {
 			}
 		}
 	}
-	// Freshly built lists are capacity-clamped views covering exactly n·k
-	// postings, so an append copies out instead of clobbering a neighbor.
+	// Freshly built lists are tight spans covering exactly n·k postings, so
+	// an insert moves a list out instead of clobbering a neighbor.
 	checkBuildViews := func(idx *Index, rankings int) {
 		t.Helper()
 		total := 0
-		for it, l := range idx.lists {
-			total += len(l)
-			if cap(l) != len(l) {
-				t.Fatalf("item %d: build-time list has spare capacity %d", it, cap(l)-len(l))
+		idx.eachSpan(func(it ranking.Item, s *span) {
+			total += int(s.n)
+			if s.cap != s.n {
+				t.Fatalf("item %d: build-time list has spare capacity %d", it, s.cap-s.n)
 			}
-		}
-		if total != rankings*k {
-			t.Fatalf("lists hold %d postings, want %d", total, rankings*k)
+		})
+		if total != rankings*k || len(idx.ids) != total {
+			t.Fatalf("lists hold %d postings in %d slots, want %d", total, len(idx.ids), rankings*k)
 		}
 	}
 
@@ -202,13 +204,17 @@ func TestListLayoutDifferential(t *testing.T) {
 	checkAgainst(idx, naive(rs))
 	checkBuildViews(idx, n)
 
-	// Post-mutation state: inserts must extend the map lists while leaving
-	// the build-time arena untouched — the views taken before the inserts
+	// Post-mutation state: inserts must extend the lists while leaving the
+	// build-time postings untouched — the views taken before the inserts
 	// still read exactly the build-time postings.
-	before := make(map[ranking.Item][]Posting, idx.NumLists())
-	for it, l := range idx.lists {
-		before[it] = l
+	type view struct {
+		ids   []ranking.ID
+		ranks []uint8
 	}
+	before := make(map[ranking.Item]view, idx.NumLists())
+	idx.EachList(func(it ranking.Item, ids []ranking.ID, ranks []uint8) {
+		before[it] = view{ids, ranks}
+	})
 	live := append([]ranking.Ranking(nil), rs...)
 	for i := 0; i < 50; i++ {
 		r := difftest.Perturb(rng, live[rng.Intn(len(live))], domain)
@@ -219,8 +225,8 @@ func TestListLayoutDifferential(t *testing.T) {
 	}
 	checkAgainst(idx, naive(live))
 	for it, wl := range naive(rs) {
-		for i, p := range before[it] {
-			if p != wl[i] {
+		for i, id := range before[it].ids {
+			if p := (posting{id, before[it].ranks[i]}); p != wl[i] {
 				t.Fatalf("item %d: insert clobbered build-time posting %d: %+v want %+v", it, i, p, wl[i])
 			}
 		}

@@ -12,11 +12,8 @@ func (idx *Index) SizeBytes(augmented bool) int64 {
 	if augmented {
 		per = 6
 	}
-	for _, l := range idx.lists {
-		sz += 8 // item id + list length
-		sz += per * int64(len(l))
-	}
-	return sz
+	sz += 8 * int64(idx.numLists) // item id + list length per list
+	return sz + per*int64(len(idx.rankings)*idx.k)
 }
 
 // SizeBytesMinimal estimates the oracle's materialized-list footprint.
