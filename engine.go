@@ -223,13 +223,13 @@ func checkQuery(q Ranking, k int) error {
 // whose internal ids are the public ones. The caller holds
 // whatever lock its kind requires.
 func nearestBackend(b backend, core *mutable, q Ranking, n int, ev *metric.Evaluator) ([]Result, error) {
-	k, space := b.K(), b.Len()
+	k, live, space := b.K(), b.Len(), b.Len()
 	var (
 		ids  *idmap
 		dead func(ID) bool
 	)
 	if core != nil {
-		k, space = core.k, core.inv.Len()
+		k, live, space = core.k, core.inv.Live(), core.inv.Len()
 		ids, dead = &core.ids, core.inv.Deleted
 	}
 	if err := checkQuery(q, k); err != nil {
@@ -253,10 +253,7 @@ func nearestBackend(b backend, core *mutable, q Ranking, n int, ev *metric.Evalu
 	}
 	ra := rangeAdapter{
 		query: func(q Ranking, raw int) ([]Result, error) { return b.SearchRaw(q, raw, ev) },
-		live:  space, space: space, dead: dead, k: k,
-	}
-	if ids != nil {
-		ra.live = ids.live
+		live:  live, space: space, dead: dead, k: k,
 	}
 	if ext != nil {
 		// Run the reduction in the external id space: remap every range
@@ -324,8 +321,8 @@ func (b invBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([]
 }
 
 // nearestRaw is the native single-pass KNN over the rank-augmented postings.
-// It reads the lists through idx.List, so rankings inserted after the build
-// are included, and evaluates no distance function (ev is untouched).
+// It reads the lists through idx.Postings, so rankings inserted after the
+// build are included, and evaluates no distance function (ev is untouched).
 func (b invBackend) nearestRaw(q Ranking, n int, ext []ID, _ *metric.Evaluator) ([]Result, bool, error) {
 	s := b.pool.Get()
 	defer b.pool.Put(s)

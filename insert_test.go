@@ -1,6 +1,12 @@
 package topk
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"topk/internal/difftest"
+)
 
 func TestInvertedIndexInsert(t *testing.T) {
 	rs := testCollection(t, 400)
@@ -30,5 +36,71 @@ func TestInvertedIndexInsert(t *testing.T) {
 	}
 	if _, err := idx.Insert(Ranking{1, 1, 2, 3, 4, 5, 6, 7, 8, 9}); err == nil {
 		t.Fatal("duplicate items accepted")
+	}
+}
+
+// TestMutationsCopyCallerSlice reuses one buffer for an Insert and an Update,
+// as a request decoder may, then overwrites it: the index must have copied
+// each payload, so its answers and its slots still match the oracle's.
+func TestMutationsCopyCallerSlice(t *testing.T) {
+	type slotIndex interface {
+		MutableIndex
+		NearestNeighborSearcher
+		Slots() []Ranking
+	}
+	for _, tc := range []struct {
+		name  string
+		build func([]Ranking) (slotIndex, error)
+	}{
+		{"inverted", func(rs []Ranking) (slotIndex, error) { return NewInvertedIndex(rs) }},
+		{"hybrid", func(rs []Ranking) (slotIndex, error) { return NewHybridIndex(rs) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const k, domain = 8, 150
+			rng := rand.New(rand.NewSource(35))
+			rs := difftest.RandomCollection(rng, 200, k, domain)
+			idx, err := tc.build(rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := difftest.NewOracle(rs)
+			ins, upd, junk := difftest.RandomRanking(rng, k, domain), difftest.RandomRanking(rng, k, domain), difftest.RandomRanking(rng, k, domain)
+
+			buf := slices.Clone(ins)
+			if _, err := idx.Insert(buf); err != nil {
+				t.Fatal(err)
+			}
+			o.Insert(ins)
+			copy(buf, upd)
+			if err := idx.Update(3, buf); err != nil {
+				t.Fatal(err)
+			}
+			o.Update(3, upd)
+			copy(buf, junk)
+
+			for _, q := range []Ranking{ins, upd, junk, rs[0]} {
+				for _, theta := range difftest.Thetas {
+					got, err := idx.Search(q, theta)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want, _ := o.Search(q, theta); !difftest.Equal(got, want) {
+						t.Fatalf("Search(%v, %g) = %v, want %v", q, theta, got, want)
+					}
+				}
+				for _, n := range []int{1, 5, 20} {
+					got, err := idx.NearestNeighbors(q, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := o.NearestNeighbors(q, n); !difftest.Equal(got, want) {
+						t.Fatalf("NearestNeighbors(%v, %d) = %v, want %v", q, n, got, want)
+					}
+				}
+			}
+			if got, want := idx.Slots(), o.Slots(); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("Slots() = %v, want %v", got, want)
+			}
+		})
 	}
 }

@@ -7,27 +7,25 @@ import (
 	"topk/internal/ranking"
 )
 
-// Insert appends a ranking to the collection and its postings to the index,
-// returning the new ranking's id. Because ids are assigned in insertion
-// order, every posting list stays id-sorted, and every query algorithm
-// answers over the grown lists without rebuilding. A posting goes into its
-// list's reserved room; a full list first moves to the arena end with
-// doubled room. An insert that would take the arenas past arenaLimit
-// postings is refused before anything changes. Searchers created before the
-// insert stay valid — they grow their gain accumulator to the new
-// collection size on their next query — but Insert must not run
-// concurrently with queries (package topk's facade serializes them with an
-// RWMutex).
+// Insert copies a ranking into the index's store and appends its postings to
+// the index, returning the new ranking's id; the caller may reuse r
+// afterwards. The first Insert into an empty index sets the ranking size.
+// Because ids are assigned in insertion order, every posting list stays
+// id-sorted, and every query algorithm answers over the grown lists without
+// rebuilding. A posting goes into its list's reserved room; a full list first
+// moves to the arena end with doubled room. An insert that would take the
+// arenas past arenaLimit postings is refused before anything changes.
+// Searchers created before the insert stay valid — they grow their gain
+// accumulator to the new collection size on their next query — but Insert
+// must not run concurrently with queries (package topk's facade serializes
+// them with an RWMutex).
 func (idx *Index) Insert(r ranking.Ranking) (ranking.ID, error) {
-	if idx.k == 0 && len(idx.rankings) == 0 {
-		if r.K() > 255 {
-			return 0, fmt.Errorf("invindex: k=%d exceeds the uint8 rank range", r.K())
-		}
-		idx.k = r.K()
-	}
-	if r.K() != idx.k {
+	if idx.Len() > 0 && r.K() != idx.K() {
 		return 0, fmt.Errorf("invindex: inserted ranking has size %d, want %d: %w",
-			r.K(), idx.k, ranking.ErrSizeMismatch)
+			r.K(), idx.K(), ranking.ErrSizeMismatch)
+	}
+	if r.K() > 255 {
+		return 0, fmt.Errorf("invindex: k=%d exceeds the uint8 rank range", r.K())
 	}
 	if err := r.Validate(); err != nil {
 		return 0, err
@@ -41,8 +39,8 @@ func (idx *Index) Insert(r ranking.Ranking) (ranking.ID, error) {
 	if uint64(len(idx.ids))+grow > arenaLimit {
 		return 0, fmt.Errorf("invindex: insert would take the posting arenas past %d postings", arenaLimit)
 	}
-	id := ranking.ID(len(idx.rankings))
-	idx.rankings = append(idx.rankings, r)
+	id := ranking.ID(idx.Len())
+	idx.store.Append(r)
 	if idx.deleted != nil {
 		idx.deleted = append(idx.deleted, false)
 	}
@@ -57,7 +55,7 @@ func (idx *Index) Insert(r ranking.Ranking) (ranking.ID, error) {
 		idx.ids[s.off+s.n], idx.ranks[s.off+s.n] = id, uint8(rank)
 		s.n++
 	}
-	if idx.garbage > len(idx.rankings)*idx.k {
+	if idx.garbage > len(idx.store.Flat()) {
 		idx.repack()
 	}
 	return id, nil
@@ -102,11 +100,11 @@ func (idx *Index) repack() {
 // tombstone ratio, and rebuilds the index (compaction) when it grows too
 // large.
 func (idx *Index) Delete(id ranking.ID) error {
-	if int(id) >= len(idx.rankings) {
-		return fmt.Errorf("invindex: delete of unknown id %d (n=%d)", id, len(idx.rankings))
+	if int(id) >= idx.Len() {
+		return fmt.Errorf("invindex: delete of unknown id %d (n=%d)", id, idx.Len())
 	}
 	if idx.deleted == nil {
-		idx.deleted = make([]bool, len(idx.rankings))
+		idx.deleted = make([]bool, idx.Len())
 	}
 	if idx.deleted[id] {
 		return fmt.Errorf("invindex: id %d already deleted", id)

@@ -63,17 +63,14 @@ var arenaLimit uint64 = math.MaxUint32
 
 // Index is a rank-augmented inverted index over a collection of same-size
 // rankings: for every item, the id-sorted list of rankings containing it,
-// together with the item's rank (the "inverted index w/ ranks" of §6.2).
+// together with the item's rank (the "inverted index w/ ranks" of §6.2). The
+// rankings themselves are held once, in a kernel.Store the index owns.
 type Index struct {
-	k int
-	// store holds the build-time collection in one flat k-strided arena;
-	// rankings starts as store.Views() (capacity-clamped, so post-build
-	// Inserts reallocate the slice header and append fresh rankings without
-	// touching the arena). Ids < store.Len() can therefore be validated by
-	// the batched kernel against contiguous memory; later ids fall back to
-	// per-ranking evaluation.
-	store    *kernel.Store
-	rankings []ranking.Ranking
+	// store holds the collection, the only copy of each ranking: New copies
+	// the rankings into a fresh one, NewFromStore takes the caller's. Insert
+	// appends to it, so the batched kernel validates every id against one
+	// flat arena, and the ranking size and the id space are the store's.
+	store *kernel.Store
 	// ids and ranks are the posting arenas. The build lays every list out
 	// tight, in item order; Insert grows a list in place while it has room
 	// and otherwise moves it to the arena end with doubled room, abandoning
@@ -91,7 +88,7 @@ type Index struct {
 	// deleted marks tombstoned ids; postings of tombstoned rankings remain
 	// in the lists until the owner rebuilds the index, and every query
 	// algorithm skips them. nil until the first Delete; once allocated it is
-	// kept at len(rankings).
+	// kept at Len().
 	deleted []bool
 	dead    int
 }
@@ -99,51 +96,36 @@ type Index struct {
 // New indexes the collection. Rankings are copied into a flat k-strided
 // arena (see kernel.Store); ids are their positions in the slice.
 func New(rankings []ranking.Ranking) (*Index, error) {
-	if err := validateAll(rankings); err != nil {
-		return nil, err
-	}
-	return newFromStore(kernel.NewStore(rankings)), nil
-}
-
-// NewFromStore indexes an existing flat store without re-copying it, so a
-// caller can share one arena with other structures over the same rankings.
-func NewFromStore(st *kernel.Store) (*Index, error) {
-	if err := validateAll(st.Views()); err != nil {
-		return nil, err
-	}
-	return newFromStore(st), nil
-}
-
-func validateAll(rankings []ranking.Ranking) error {
-	if len(rankings) == 0 {
-		return nil
-	}
-	k := rankings[0].K()
-	if k > 255 {
-		return fmt.Errorf("invindex: k=%d exceeds the uint8 rank range", k)
-	}
-	if uint64(len(rankings))*uint64(k) > arenaLimit {
-		return fmt.Errorf("invindex: %d rankings of size %d exceed %d postings", len(rankings), k, arenaLimit)
-	}
 	for id, r := range rankings {
-		if r.K() != k {
-			return fmt.Errorf("invindex: ranking %d has size %d, want %d: %w",
+		if k := rankings[0].K(); r.K() != k {
+			return nil, fmt.Errorf("invindex: ranking %d has size %d, want %d: %w",
 				id, r.K(), k, ranking.ErrSizeMismatch)
 		}
-		if err := r.Validate(); err != nil {
-			return fmt.Errorf("invindex: ranking %d: %w", id, err)
-		}
 	}
-	return nil
+	return NewFromStore(kernel.NewStore(rankings))
 }
 
-// newFromStore builds the lists by one counting sort: count every item's
-// postings into its span, turn the counts into offsets by a prefix sum, and
-// scatter each posting into its list's next slot. Ids are visited in
-// ascending order, so every list comes out id-sorted; below
-// kernel.MaxDenseItems nothing is hashed.
-func newFromStore(st *kernel.Store) *Index {
-	idx := &Index{k: st.K(), store: st, rankings: st.Views(), sparse: make(map[ranking.Item]*span)}
+// NewFromStore indexes st, which the index then owns: Insert appends to it.
+//
+// The lists are built by one counting sort: count every item's postings into
+// its span, turn the counts into offsets by a prefix sum, and scatter each
+// posting into its list's next slot. Ids are visited in ascending order, so
+// every list comes out id-sorted; below kernel.MaxDenseItems nothing is
+// hashed.
+func NewFromStore(st *kernel.Store) (*Index, error) {
+	n, k := st.Len(), st.K()
+	if k > 255 {
+		return nil, fmt.Errorf("invindex: k=%d exceeds the uint8 rank range", k)
+	}
+	if uint64(n)*uint64(k) > arenaLimit {
+		return nil, fmt.Errorf("invindex: %d rankings of size %d exceed %d postings", n, k, arenaLimit)
+	}
+	for id := range n {
+		if err := st.Slot(ranking.ID(id)).Validate(); err != nil {
+			return nil, fmt.Errorf("invindex: ranking %d: %w", id, err)
+		}
+	}
+	idx := &Index{store: st, sparse: make(map[ranking.Item]*span)}
 	for _, it := range st.Flat() {
 		idx.slot(it).n++
 	}
@@ -154,14 +136,14 @@ func newFromStore(st *kernel.Store) *Index {
 		idx.numLists++
 	})
 	idx.ids, idx.ranks = make([]ranking.ID, off), make([]uint8, off)
-	for id, row := range idx.rankings {
-		for rank, it := range row {
+	for id := range n {
+		for rank, it := range st.Slot(ranking.ID(id)) {
 			s := idx.slot(it)
 			idx.ids[s.off+s.n], idx.ranks[s.off+s.n] = ranking.ID(id), uint8(rank)
 			s.n++
 		}
 	}
-	return idx
+	return idx, nil
 }
 
 // slot returns item it's span for writing, adding an empty one if the item
@@ -228,14 +210,14 @@ func (idx *Index) EachList(f func(it ranking.Item, ids []ranking.ID, ranks []uin
 }
 
 // K returns the ranking size.
-func (idx *Index) K() int { return idx.k }
+func (idx *Index) K() int { return idx.store.K() }
 
 // Len returns the number of indexed rankings, including tombstoned ones
 // (it is the size of the id space, not the live count; see Live).
-func (idx *Index) Len() int { return len(idx.rankings) }
+func (idx *Index) Len() int { return idx.store.Len() }
 
 // Live returns the number of indexed rankings that are not tombstoned.
-func (idx *Index) Live() int { return len(idx.rankings) - idx.dead }
+func (idx *Index) Live() int { return idx.Len() - idx.dead }
 
 // Dead returns the number of tombstoned rankings.
 func (idx *Index) Dead() int { return idx.dead }
@@ -245,13 +227,22 @@ func (idx *Index) Deleted(id ranking.ID) bool {
 	return idx.deleted != nil && int(id) < len(idx.deleted) && idx.deleted[id]
 }
 
-// Ranking returns the indexed ranking with the given id.
-func (idx *Index) Ranking(id ranking.ID) ranking.Ranking { return idx.rankings[id] }
+// Ranking returns the indexed ranking with the given id, a read-only view
+// into the store that stays valid across later Inserts.
+func (idx *Index) Ranking(id ranking.ID) ranking.Ranking { return idx.store.Slot(id) }
 
-// Rankings exposes the backing collection (shared, not copied), indexed by
+// Rankings returns views of the whole collection (see Ranking), indexed by
 // id: the build-time rankings, then every ranking inserted since, tombstoned
-// ones included — what a hybrid's forced adaptsearch sidecar is built over.
-func (idx *Index) Rankings() []ranking.Ranking { return idx.rankings }
+// ones included. It allocates the slice of views on every call, so it is for
+// builds over the collection — a hybrid's forced adaptsearch sidecar, the
+// blocked index — not for queries.
+func (idx *Index) Rankings() []ranking.Ranking {
+	out := make([]ranking.Ranking, idx.Len())
+	for id := range out {
+		out[id] = idx.Ranking(ranking.ID(id))
+	}
+	return out
+}
 
 // NumLists returns the number of distinct items (index lists).
 func (idx *Index) NumLists() int { return idx.numLists }
@@ -323,40 +314,22 @@ func (s *Searcher) filter(touched []ranking.ID, floor int) []ranking.ID {
 	return kept
 }
 
-// validate computes the exact distance of every collected candidate through
-// the compiled kernel — build-time ids as one batched pass over the flat
-// arena, post-build ids per ranking — and counts one DFC per candidate on ev
-// (nil: not counted).
+// validate computes the exact distance of every collected candidate, built
+// or inserted alike, in one batched pass of the compiled kernel over the
+// store's flat arena, and counts one DFC per candidate on ev (nil: not
+// counted).
 func (s *Searcher) validate(q ranking.Ranking, rawTheta int, ev *metric.Evaluator) []ranking.Result {
 	res := s.res[:0]
 	if len(s.cands) > 0 {
-		st := s.idx.store
-		baseN := ranking.ID(st.Len())
-		// Partition the candidate buffer in place: build-time ids first (the
-		// common case; after a fresh build this moves nothing), inserted ids
-		// after. Order is irrelevant — results are sorted below.
-		cands := s.cands
-		j := 0
-		for i, id := range cands {
-			if id < baseN {
-				cands[i], cands[j] = cands[j], cands[i]
-				j++
-			}
-		}
 		s.kern.Compile(q)
-		s.dists = s.kern.FootruleMany(st, cands[:j], s.dists[:0])
-		for i, id := range cands[:j] {
+		s.dists = s.kern.FootruleMany(s.idx.store, s.cands, s.dists[:0])
+		for i, id := range s.cands {
 			if d := s.dists[i]; d <= rawTheta {
 				res = append(res, ranking.Result{ID: id, Dist: d})
 			}
 		}
-		for _, id := range cands[j:] {
-			if d := s.kern.Distance(s.idx.rankings[id]); d <= rawTheta {
-				res = append(res, ranking.Result{ID: id, Dist: d})
-			}
-		}
 		if ev != nil {
-			ev.Add(uint64(len(cands)))
+			ev.Add(uint64(len(s.cands)))
 		}
 	}
 	return s.finish(res)
@@ -521,7 +494,7 @@ func (s *Searcher) byListLength(q ranking.Ranking) []int {
 // every ranking sharing an item with the query in a list read.
 func (s *Searcher) accumulate(q ranking.Ranking, pos []int, n int) (touched []ranking.ID, rem int) {
 	idx := s.idx
-	if size := len(idx.rankings); len(s.acc) < size {
+	if size := idx.Len(); len(s.acc) < size {
 		s.acc = append(s.acc, make([]uint16, size-len(s.acc))...)
 	}
 	acc, dels, k := s.acc, idx.deleted, len(q)
@@ -610,9 +583,9 @@ func (s *Searcher) checkQuery(q ranking.Ranking) error {
 	if s.idx.Len() == 0 {
 		return nil
 	}
-	if q.K() != s.idx.k {
+	if q.K() != s.idx.K() {
 		return fmt.Errorf("invindex: query size %d, index size %d: %w",
-			q.K(), s.idx.k, ranking.ErrSizeMismatch)
+			q.K(), s.idx.K(), ranking.ErrSizeMismatch)
 	}
 	s.items = append(s.items[:0], q...)
 	slices.Sort(s.items)

@@ -81,8 +81,8 @@ func TestValidateMatchesOracleAndCandidateCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := difftest.NewOracle(rs)
-	// Push some candidates past the build-time store so validate's inserted-id
-	// tail path runs too, and tombstone a few.
+	// Insert some rankings, so validate reads ids the store grew by as well
+	// as build-time ones, and tombstone a few.
 	for i := 0; i < 40; i++ {
 		r := difftest.Perturb(rng, rs[rng.Intn(n)], domain)
 		if _, err := idx.Insert(r); err != nil {

@@ -65,7 +65,7 @@ func (s *Searcher) NearestNeighbors(q ranking.Ranking, n int, ext []ranking.ID) 
 		for _, id := range touched {
 			acc[id] = 1
 		}
-		for id := range idx.rankings {
+		for id := range idx.Len() {
 			if acc[id] != 0 || (dels != nil && dels[id]) {
 				continue
 			}

@@ -7,13 +7,13 @@ package invindex
 // mirroring Table 6's "Plain Inverted Index" vs "Augmented Inverted Index".
 func (idx *Index) SizeBytes(augmented bool) int64 {
 	var sz int64 = 16
-	sz += int64(len(idx.rankings)) * int64(4*idx.k)
+	sz += int64(len(idx.store.Flat())) * 4
 	per := int64(4)
 	if augmented {
 		per = 6
 	}
 	sz += 8 * int64(idx.numLists) // item id + list length per list
-	return sz + per*int64(len(idx.rankings)*idx.k)
+	return sz + per*int64(len(idx.store.Flat()))
 }
 
 // SizeBytesMinimal estimates the oracle's materialized-list footprint.

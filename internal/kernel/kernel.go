@@ -176,12 +176,3 @@ func (kn *Kernel) FootruleMany(st *Store, ids []ranking.ID, out []int) []int {
 	}
 	return out
 }
-
-// FootruleMany is the one-shot batched entry point: compile q, validate every
-// id in ids against st, append distances to out. Wrapper over
-// (*Kernel).FootruleMany for callers without a pooled kernel.
-func FootruleMany(q ranking.Ranking, st *Store, ids []ranking.ID, out []int) []int {
-	kn := New()
-	kn.Compile(q)
-	return kn.FootruleMany(st, ids, out)
-}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"topk/internal/ranking"
@@ -37,10 +38,6 @@ func checkAll(t *testing.T, kn *Kernel, q, tau ranking.Ranking) {
 	dists := kn.FootruleMany(st, []ranking.ID{0}, nil)
 	if dists[0] != want {
 		t.Fatalf("kernel.FootruleMany=%d reference=%d (q=%v tau=%v)", dists[0], want, q, tau)
-	}
-	oneShot := FootruleMany(q, st, []ranking.ID{0}, nil)
-	if oneShot[0] != want {
-		t.Fatalf("package FootruleMany=%d reference=%d", oneShot[0], want)
 	}
 }
 
@@ -169,7 +166,9 @@ func TestFootruleManyBatch(t *testing.T) {
 		ids = append(ids, ranking.ID(i))
 	}
 	ids = append(ids, ranking.ID(n-1), ranking.ID(0))
-	dists := FootruleMany(q, st, ids, make([]int, 0, len(ids)))
+	kn := New()
+	kn.Compile(q)
+	dists := kn.FootruleMany(st, ids, make([]int, 0, len(ids)))
 	if len(dists) != len(ids) {
 		t.Fatalf("got %d dists for %d ids", len(dists), len(ids))
 	}
@@ -180,23 +179,35 @@ func TestFootruleManyBatch(t *testing.T) {
 	}
 }
 
-// TestStoreViewsCopyOnAppend pins the arena-safety contract: appending to a
-// view returned by the store must not clobber the adjacent slot.
-func TestStoreViewsCopyOnAppend(t *testing.T) {
-	rs := []ranking.Ranking{{1, 2, 3}, {4, 5, 6}}
-	st := NewStore(rs)
-	v := st.Views()
-	grown := append(v[0], 99)
-	if st.Slot(1)[0] != 4 {
-		t.Fatalf("append into view clobbered next slot: %v", st.Slot(1))
+// TestStoreAppendOwnsSlots pins the arena contract: Append copies its
+// argument, appending to a Slot view copies out instead of writing into the
+// next slot, and a view taken before a reallocating Append still reads its
+// ranking.
+func TestStoreAppendOwnsSlots(t *testing.T) {
+	st := NewStore(nil)
+	r := ranking.Ranking{1, 2, 3}
+	st.Append(r)
+	r[0] = 7
+	if got := st.Slot(0); !slices.Equal(got, ranking.Ranking{1, 2, 3}) {
+		t.Fatalf("Append kept the caller's slice: slot 0 reads %v", got)
+	}
+	st.Append(ranking.Ranking{4, 5, 6})
+	if st.Len() != 2 || st.K() != 3 {
+		t.Fatalf("store shape %d/%d, want 2/3", st.Len(), st.K())
+	}
+	grown := append(st.Slot(0), 99)
+	if got := st.Slot(1); !slices.Equal(got, ranking.Ranking{4, 5, 6}) {
+		t.Fatalf("append into a view clobbered the next slot: %v", got)
 	}
 	if grown[3] != 99 || &grown[0] == &st.Flat()[0] {
-		t.Fatal("append did not copy out of the arena")
+		t.Fatal("append to a view did not copy out of the arena")
 	}
-	more := append(v, ranking.Ranking{7, 8, 9})
-	_ = more
-	if st.Len() != 2 {
-		t.Fatal("appending to Views() result changed the store")
+	view, arena := st.Slot(1), &st.Flat()[0]
+	for i := ranking.Item(0); &st.Flat()[0] == arena; i++ {
+		st.Append(ranking.Ranking{10 + 3*i, 11 + 3*i, 12 + 3*i})
+	}
+	if !slices.Equal(view, ranking.Ranking{4, 5, 6}) || !slices.Equal(st.Slot(1), view) {
+		t.Fatalf("view taken before the arena moved reads %v, slot 1 %v", view, st.Slot(1))
 	}
 }
 
@@ -211,7 +222,7 @@ func TestStoreMismatchedLengthPanics(t *testing.T) {
 
 func TestStoreEmpty(t *testing.T) {
 	st := NewStore(nil)
-	if st.Len() != 0 || st.K() != 0 || len(st.Views()) != 0 {
+	if st.Len() != 0 || st.K() != 0 || len(st.Flat()) != 0 {
 		t.Fatal("empty store not empty")
 	}
 }

@@ -11,19 +11,16 @@ import (
 	"topk/internal/ranking"
 )
 
-// Store holds a fixed collection of k-length rankings in one contiguous
-// backing array, k-strided: slot i occupies flat[i*k : (i+1)*k]. A single
-// allocation replaces n per-ranking allocations, batched kernels stream it
-// linearly, and every store owns its arena: NewStore copies, so nothing a
-// caller loaded the rankings from (a snapshot buffer, a parsed file) is
-// referenced afterwards.
+// Store holds a collection of k-length rankings in one contiguous backing
+// array, k-strided: slot i occupies flat[i*k : (i+1)*k]. A single allocation
+// replaces n per-ranking allocations, batched kernels stream it linearly, and
+// every store owns its arena: NewStore and Append copy, so nothing a caller
+// built or loaded a ranking in (a request buffer, a snapshot, a parsed file)
+// is referenced afterwards. The store only grows, and a written slot never
+// changes, so a view Slot handed out stays valid after the arena reallocates.
 type Store struct {
-	k    int
+	k, n int
 	flat []ranking.Item
-	// views are pre-cut subslices of flat, one per slot, each with its
-	// capacity clamped to its own stride so an append by a holder of a view
-	// copies out of the arena instead of clobbering the next slot.
-	views []ranking.Ranking
 }
 
 // NewStore copies rs into a freshly allocated flat array. All rankings must
@@ -35,36 +32,39 @@ func NewStore(rs []ranking.Ranking) *Store {
 	if len(rs) > 0 {
 		k = len(rs[0])
 	}
-	st := &Store{
-		k:     k,
-		flat:  make([]ranking.Item, len(rs)*k),
-		views: make([]ranking.Ranking, len(rs)),
-	}
-	for i, r := range rs {
-		if len(r) != k {
-			panic(fmt.Sprintf("kernel: ranking %d has length %d, store stride is %d", i, len(r), k))
-		}
-		lo, hi := i*k, (i+1)*k
-		copy(st.flat[lo:hi], r)
-		st.views[i] = ranking.Ranking(st.flat[lo:hi:hi])
+	st := &Store{flat: make([]ranking.Item, 0, len(rs)*k)}
+	for _, r := range rs {
+		st.Append(r)
 	}
 	return st
 }
 
+// Append copies r into the next slot. The first Append on an empty store
+// sets its stride; a later ranking of another length is a programmer error
+// and panics.
+func (st *Store) Append(r ranking.Ranking) {
+	if st.n == 0 {
+		st.k = len(r)
+	} else if len(r) != st.k {
+		panic(fmt.Sprintf("kernel: ranking %d has length %d, store stride is %d", st.n, len(r), st.k))
+	}
+	st.flat = append(st.flat, r...)
+	st.n++
+}
+
 // Len reports the number of slots.
-func (st *Store) Len() int { return len(st.views) }
+func (st *Store) Len() int { return st.n }
 
 // K reports the stride (ranking length).
 func (st *Store) K() int { return st.k }
 
-// Slot returns the ranking stored at id as a capacity-clamped view into the
-// flat array. Mutating the view mutates the store; appending copies out.
-func (st *Store) Slot(id ranking.ID) ranking.Ranking { return st.views[id] }
-
-// Views returns the per-slot views. The returned slice has its capacity
-// clamped, so appending to it (as mutable indexes do when inserts arrive
-// after the build) reallocates instead of writing into the store's spine.
-func (st *Store) Views() []ranking.Ranking { return st.views[:len(st.views):len(st.views)] }
+// Slot returns the ranking stored at id as a view into the flat array, its
+// capacity clamped to the stride: appending to the view copies out instead
+// of writing into the next slot.
+func (st *Store) Slot(id ranking.ID) ranking.Ranking {
+	lo := int(id) * st.k
+	return st.flat[lo : lo+st.k : lo+st.k]
+}
 
 // Flat exposes the raw backing array (read-only by convention); batched
 // kernels and posting packers iterate it directly.

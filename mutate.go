@@ -75,7 +75,6 @@ type idmap struct {
 	// tombstoned internal ids are stale but never read: backend searches
 	// filter tombstones before the query half remaps.
 	int2ext []ID
-	live    int
 	// identity: no mutation ever diverged the two id spaces — remapping is
 	// a no-op. inOrder: int2ext is ascending, so id-sorted internal results
 	// stay sorted after remapping (broken by the first Update, restored by
@@ -106,7 +105,6 @@ func newSlotsIDMap(slots []Ranking) (idmap, []Ranking) {
 		m.int2ext = append(m.int2ext, ID(ext))
 		live = append(live, r)
 	}
-	m.live = len(live)
 	return m, live
 }
 
@@ -123,14 +121,12 @@ func (m *idmap) insert(intID ID) ID {
 	ext := ID(len(m.ext2int))
 	m.ext2int = append(m.ext2int, int32(intID))
 	m.int2ext = append(m.int2ext, ext)
-	m.live++
 	return ext
 }
 
 // delete retires an external id.
 func (m *idmap) delete(ext ID) {
 	m.ext2int[ext] = -1
-	m.live--
 	m.identity = false
 }
 
@@ -204,24 +200,20 @@ type mutable struct {
 	rebuilds, rebuildNanos, lastRebuildNanos atomic.Uint64
 }
 
-// checkRanking validates a mutation payload and returns the ranking size the
-// index has once the mutation commits: its own, or — with no size defined and
-// nothing live — the payload's.
-func (m *mutable) checkRanking(r Ranking, verb string) (int, error) {
-	k := m.k
-	if k == 0 && m.ids.live == 0 {
-		k = r.K()
+// checkSize rejects a mutation payload of another size than the index's. The
+// inverted index checks the rest of a payload itself, but it takes its size
+// from its rankings, and a compaction over zero survivors leaves it none:
+// the size it must keep lives here.
+func (m *mutable) checkSize(r Ranking, verb string) error {
+	if m.k != 0 && r.K() != m.k {
+		return fmt.Errorf("topk: %s ranking has size %d, want %d: %w",
+			verb, r.K(), m.k, ranking.ErrSizeMismatch)
 	}
-	if r.K() != k {
-		return 0, fmt.Errorf("topk: %s ranking has size %d, want %d: %w",
-			verb, r.K(), k, ranking.ErrSizeMismatch)
-	}
-	return k, r.Validate()
+	return nil
 }
 
 func (m *mutable) insert(r Ranking) (ID, error) {
-	k, err := m.checkRanking(r, "inserted")
-	if err != nil {
+	if err := m.checkSize(r, "inserted"); err != nil {
 		return 0, err
 	}
 	intID, err := m.inv.Insert(r)
@@ -229,7 +221,7 @@ func (m *mutable) insert(r Ranking) (ID, error) {
 		return 0, err
 	}
 	// Committed only now: a rejected first insert must not define the size.
-	m.k = k
+	m.k = r.K()
 	return m.ids.insert(intID), nil
 }
 
@@ -249,7 +241,7 @@ func (m *mutable) delete(ext ID) error {
 // rejected ranking leaves the index untouched; both internal slots map to the
 // same external id.
 func (m *mutable) update(ext ID, r Ranking) error {
-	if _, err := m.checkRanking(r, "updated"); err != nil {
+	if err := m.checkSize(r, "updated"); err != nil {
 		return err
 	}
 	old, err := m.ids.lookup(ext)
@@ -387,7 +379,7 @@ func (m *mutable) Slots() []Ranking {
 func (m *mutable) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.ids.live
+	return m.inv.Live()
 }
 
 // K implements Index. An index built over zero live rankings reports 0
