@@ -11,7 +11,6 @@ import (
 	"topk"
 	"topk/internal/admit"
 	"topk/internal/persist"
-	"topk/internal/ranking"
 	"topk/internal/shard"
 	"topk/internal/wal"
 )
@@ -267,18 +266,4 @@ func (c *Collection) storageStats() *storageStatsJSON {
 		CheckpointBytesWritten: c.ckptBytesWritten.Load(),
 		CheckpointBytesReused:  c.ckptBytesReused.Load(),
 	}
-}
-
-// toJSON renders results with the collection's normalized distance.
-func (c *Collection) toJSON(rs []ranking.Result) []resultJSON {
-	k := c.effK()
-	if k == 0 {
-		k = 1 // empty collection: no results to normalize anyway
-	}
-	dmax := float64(topk.MaxDistance(k))
-	out := make([]resultJSON, len(rs))
-	for i, r := range rs {
-		out[i] = resultJSON{ID: r.ID, Dist: r.Dist, NormDist: float64(r.Dist) / dmax}
-	}
-	return out
 }

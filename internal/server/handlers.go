@@ -8,6 +8,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -199,34 +200,50 @@ func (s *Server) instrument(route string, next http.HandlerFunc) http.HandlerFun
 }
 
 // decodeJSON parses a request body bounded by the -max-body limit; a false
-// return means the error response was already written — 413 when the body
-// exceeded the limit, 400 for anything else. Exactly one JSON value is
-// accepted: trailing garbage after it (which encoding/json's streaming
-// Decode would silently leave unread) is a 400, trailing whitespace is fine.
-// With optional set, a body holding no value at all leaves v as it was.
+// return means the error response was already written. The body is read
+// whole first, so a body over the limit is a 413 whatever its first bytes
+// hold; anything else wrong is a 400. scanQuery takes plain /search and /knn
+// bodies, decodeStrict every other body, so accepted values and error texts
+// are encoding/json's. With optional set, a body holding no value at all
+// leaves v as it was.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		var trailing json.RawMessage
-		if terr := dec.Decode(&trailing); terr != io.EOF {
-			httpError(w, http.StatusBadRequest, "trailing data after JSON body")
-			return false
-		}
-		return true
-	}
-	if optional && err == io.EOF {
-		return true
-	}
+	p := bufPool.Get().(*[]byte)
+	defer putBuf(p)
+	buf := bytes.NewBuffer((*p)[:0])
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
+	*p = buf.Bytes()
 	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			"request body exceeds %d bytes (raise -max-body)", mbe.Limit)
+	switch {
+	case errors.As(err, &mbe):
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes (raise -max-body)", mbe.Limit)
+		return false
+	case err != nil:
+		err = fmt.Errorf("bad request body: %w", err)
+	case scanQuery(*p, v):
+		return true
+	default:
+		err = decodeStrict(*p, v)
+	}
+	if err != nil && !(optional && errors.Is(err, io.EOF)) {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
-	httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-	return false
+	return true
+}
+
+// decodeStrict is the encoding/json path; its error is the 400's message.
+// Unknown fields are errors, and so is trailing garbage after the one JSON
+// value (which a streaming Decode would leave unread); whitespace is fine.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	if dec.Decode(new(json.RawMessage)) != io.EOF {
+		return errors.New("trailing data after JSON body")
+	}
+	return nil
 }
 
 // handleHealthz is pure liveness: 200 as long as the process serves HTTP,

@@ -310,10 +310,16 @@ func TestMaxBodyLimit(t *testing.T) {
 	// Leading whitespace counts toward the limit and is consumed before any
 	// field parses, so one oversized body exercises every endpoint alike.
 	big := strings.Repeat(" ", 400) + `{"id":1}`
+	// The body is read whole before it is parsed, so an oversized body is a
+	// 413 even when its first bytes are already malformed (a streaming
+	// decode would have answered 400 before reaching the limit).
+	bad := "x" + strings.Repeat(" ", 400)
 	for _, path := range []string{"/search", "/knn", "/insert", "/delete", "/update"} {
-		rec := post(t, h, path, big)
-		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s with oversized body: status %d, want 413 (%s)", path, rec.Code, rec.Body)
+		for _, body := range []string{big, bad} {
+			rec := post(t, h, path, body)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s with oversized body %.8q: status %d, want 413 (%s)", path, body, rec.Code, rec.Body)
+			}
 		}
 	}
 	// Within the limit the endpoints still answer normally.

@@ -22,7 +22,9 @@ type searchRequest struct {
 	Thetas  []float64         `json:"thetas,omitempty"`
 }
 
-// resultJSON augments a raw result with its normalized distance.
+// resultJSON augments a raw result with its normalized distance. The reply
+// types document the /search and /knn replies, which appendSearch and
+// appendKNN render as json.Encoder renders these.
 type resultJSON struct {
 	ID       ranking.ID `json:"id"`
 	Dist     int        `json:"dist"`
@@ -114,17 +116,9 @@ func (s *Server) handleSearch(c *Collection, w http.ResponseWriter, r *http.Requ
 	c.queries.Add(uint64(len(queries)))
 	respondStart := time.Now()
 	defer func() { tr.addStage("respond", time.Since(respondStart)) }()
-	resp := searchResponse{TookMicros: time.Since(start).Microseconds()}
-	if req.Query != nil {
-		resp.Count = len(answers[0])
-		resp.Results = c.toJSON(answers[0])
-	} else {
-		resp.Answers = make([]answerJSON, len(answers))
-		for i, a := range answers {
-			resp.Answers[i] = answerJSON{Count: len(a), Results: c.toJSON(a)}
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, func(b []byte) []byte {
+		return appendSearch(b, c.effK(), time.Since(start).Microseconds(), req.Query == nil, answers)
+	})
 }
 
 // runSearch answers a validated /search request. A single query goes through
@@ -170,9 +164,8 @@ type knnResponse struct {
 // handleKNN answers an exact k-nearest-neighbor query with the sharded
 // per-shard fan-out and (distance, id) heap merge. Its trace carries the
 // stage names /search uses (cache, fanout, merge, respond) and the backends
-// that answered: "inverted" and "bktree" are those structures' native KNN
-// algorithms, any other name the backend the expanding-radius reduction ran
-// over.
+// that answered: always "inverted", every served kind's native posting-list
+// KNN.
 func (s *Server) handleKNN(c *Collection, w http.ResponseWriter, r *http.Request) {
 	tr := traceFrom(r)
 	parseStart := time.Now()
@@ -216,10 +209,8 @@ func (s *Server) handleKNN(c *Collection, w http.ResponseWriter, r *http.Request
 	c.knn.Add(1)
 	respondStart := time.Now()
 	defer func() { tr.addStage("respond", time.Since(respondStart)) }()
-	writeJSON(w, http.StatusOK, knnResponse{
-		TookMicros: time.Since(start).Microseconds(),
-		Count:      len(res),
-		Results:    c.toJSON(res),
+	writeReply(w, func(b []byte) []byte {
+		return appendKNN(b, c.effK(), time.Since(start).Microseconds(), res)
 	})
 }
 
