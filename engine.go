@@ -280,10 +280,12 @@ func nearestBackend(b backend, core *mutable, q Ranking, n int, ev *metric.Evalu
 // ---------------------------------------------------------------------------
 
 // pool hands out a structure's searchers to concurrent queries. A searcher's
-// scratch state (stamp and bookkeeping arrays of O(n), candidate buffers) is
-// reused across queries, so any number of goroutines share one index without
-// serializing behind a mutex or paying a fresh allocation per query; searchers
-// grow their scratch lazily, so a pool stays valid across Insert.
+// scratch state (O(n) bookkeeping arrays, the kernel's one-byte rank table,
+// candidate buffers) is reused across queries, and each query resets only
+// the entries the previous one wrote, so any number of goroutines share one
+// index without serializing behind a mutex or paying a fresh allocation per
+// query; searchers grow their scratch lazily, so a pool stays valid across
+// Insert.
 type pool[S any] struct{ p sync.Pool }
 
 func newPool[I, S any](idx I, newSearcher func(I) *S) *pool[S] {

@@ -48,6 +48,9 @@ func New(rankings []ranking.Ranking) (*Index, error) {
 		return idx, nil
 	}
 	idx.k = rankings[0].K()
+	if idx.k > 255 {
+		return nil, fmt.Errorf("adaptsearch: k=%d exceeds the uint8 rank range", idx.k)
+	}
 	freq := make(map[ranking.Item]int)
 	for id, r := range rankings {
 		if r.K() != idx.k {
@@ -110,11 +113,11 @@ func (idx *Index) TotalPostings() int {
 	return t
 }
 
-// Searcher carries per-goroutine counting state.
+// Searcher carries per-goroutine counting state. A zero count marks an id
+// the query has not touched; the ids a query touched stay in cands, and the
+// next query resets exactly those.
 type Searcher struct {
 	idx   *Index
-	stamp []uint32
-	gen   uint32
 	count []uint16 // shared prefix items per candidate
 	cands []ranking.ID
 	kern  *kernel.Kernel
@@ -128,22 +131,10 @@ type Searcher struct {
 func NewSearcher(idx *Index) *Searcher {
 	return &Searcher{
 		idx:              idx,
-		stamp:            make([]uint32, len(idx.rankings)),
 		count:            make([]uint16, len(idx.rankings)),
 		kern:             kernel.New(),
 		VerifyCostWeight: float64(idx.k),
 	}
-}
-
-func (s *Searcher) nextGen() {
-	s.gen++
-	if s.gen == 0 {
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.gen = 1
-	}
-	s.cands = s.cands[:0]
 }
 
 // Query answers the range query (q, rawTheta) exactly. The DFC of the
@@ -200,7 +191,10 @@ func (s *Searcher) Query(q ranking.Ranking, rawTheta int, ev *metric.Evaluator) 
 		maxL = 1
 	}
 
-	s.nextGen()
+	for _, id := range s.cands {
+		s.count[id] = 0
+	}
+	s.cands = s.cands[:0]
 	// Incrementally extend the prefix scheme. At scheme ℓ the prefix length
 	// is p = k − ω + ℓ; moving ℓ→ℓ+1 adds query item p and record position
 	// p (0-based: index p−1).
@@ -277,9 +271,7 @@ func (s *Searcher) scanList(item ranking.Item, j int) int {
 	}
 	l := s.idx.pos[j][item]
 	for _, id := range l {
-		if s.stamp[id] != s.gen {
-			s.stamp[id] = s.gen
-			s.count[id] = 0
+		if s.count[id] == 0 {
 			s.cands = append(s.cands, id)
 		}
 		s.count[id]++

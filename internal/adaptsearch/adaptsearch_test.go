@@ -67,6 +67,16 @@ func TestEmptyAndErrors(t *testing.T) {
 	if _, err := New([]ranking.Ranking{{1, 2}, {1, 2, 3}}); err == nil {
 		t.Fatal("mixed sizes accepted")
 	}
+	long := make(ranking.Ranking, 256)
+	for i := range long {
+		long[i] = ranking.Item(i)
+	}
+	if _, err := New([]ranking.Ranking{long}); err == nil {
+		t.Fatal("k = 256 accepted, past the kernel's uint8 rank range")
+	}
+	if _, err := New([]ranking.Ranking{long[:255]}); err != nil {
+		t.Fatalf("k = 255 refused: %v", err)
+	}
 	idx2, _ := New([]ranking.Ranking{{1, 2, 3}})
 	s2 := NewSearcher(idx2)
 	if _, err := s2.Query(ranking.Ranking{1, 2}, 5, nil); err == nil {

@@ -45,16 +45,23 @@ type Index struct {
 	lists    map[ranking.Item]list
 }
 
+// maxK is the largest ranking size the searcher's uint32 rank masks hold.
+const maxK = 32
+
 // New builds the blocked index over the plain inverted index's id-sorted
 // lists (invindex.New, one counting sort), then counting-sorts each list by
 // rank into its blocks — the construction overhead the paper attributes to
-// this organization. Ids stay ascending inside a block.
+// this organization. Ids stay ascending inside a block. Rankings longer than
+// 32 items are refused: the bounds track ranks in 32-bit masks.
 func New(rankings []ranking.Ranking) (*Index, error) {
 	inv, err := invindex.New(rankings)
 	if err != nil {
 		return nil, err
 	}
 	k := inv.K()
+	if k > maxK {
+		return nil, fmt.Errorf("blocked: k=%d exceeds the %d-bit rank masks", k, maxK)
+	}
 	idx := &Index{
 		k:        k,
 		rankings: inv.Rankings(),
@@ -107,18 +114,18 @@ func (idx *Index) Block(item ranking.Item, j int) []ranking.ID {
 // NumLists returns the number of distinct items.
 func (idx *Index) NumLists() int { return len(idx.lists) }
 
-// Searcher carries the per-query candidate bookkeeping: generation-stamped
-// dense arrays holding, per candidate, the partial distance and bitmasks of
-// the τ-ranks and q-ranks already accounted for. A Searcher serves one query
-// at a time: use one per goroutine, or share an index between goroutines
-// through a sync.Pool of them (five dense O(n) arrays make this the most
-// expensive scratch state of any structure in the library).
+// Searcher carries the per-query candidate bookkeeping: dense arrays
+// holding, per candidate, the partial distance and bitmasks of the τ-ranks
+// and q-ranks already accounted for. A candidate's state is untouched (zero)
+// until a query first reaches it; the ids a query touched stay in cands, and
+// the next query resets exactly those. A Searcher serves one query at a
+// time: use one per goroutine, or share an index between goroutines through
+// a sync.Pool of them (four dense O(n) arrays make this the most expensive
+// scratch state of any structure in the library).
 type Searcher struct {
 	idx     *Index
-	stamp   []uint32
-	gen     uint32
 	partial []int32  // Σ_{seen} |q(i)−τ(i)|
-	tauMask []uint32 // bit r set: τ-rank r consumed (k ≤ 25 < 32 bits)
+	tauMask []uint32 // bit r set: τ-rank r consumed (k ≤ maxK bits)
 	qMask   []uint32 // bit r set: q-rank r matched
 	state   []uint8  // candidate lifecycle
 	cands   []ranking.ID
@@ -126,7 +133,8 @@ type Searcher struct {
 }
 
 const (
-	stateAlive uint8 = iota
+	stateUntouched uint8 = iota
+	stateAlive
 	stateRejected
 )
 
@@ -135,24 +143,12 @@ func NewSearcher(idx *Index) *Searcher {
 	n := len(idx.rankings)
 	return &Searcher{
 		idx:     idx,
-		stamp:   make([]uint32, n),
 		partial: make([]int32, n),
 		tauMask: make([]uint32, n),
 		qMask:   make([]uint32, n),
 		state:   make([]uint8, n),
 		kern:    kernel.New(),
 	}
-}
-
-func (s *Searcher) nextGen() {
-	s.gen++
-	if s.gen == 0 {
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.gen = 1
-	}
-	s.cands = s.cands[:0]
 }
 
 // Mode selects the Blocked variant.
@@ -228,14 +224,16 @@ func (s *Searcher) Query(q ranking.Ranking, rawTheta int, ev *metric.Evaluator, 
 		return sched[a].tauRank < sched[b].tauRank
 	})
 
-	s.nextGen()
+	for _, id := range s.cands {
+		s.state[id] = stateUntouched
+	}
+	s.cands = s.cands[:0]
 	theta := int32(rawTheta)
 	for _, b := range sched {
 		l := s.idx.lists[b.item]
 		contrib := int32(b.miss)
 		for _, id := range l.ids[l.offsets[b.tauRank]:l.offsets[b.tauRank+1]] {
-			if s.stamp[id] != s.gen {
-				s.stamp[id] = s.gen
+			if s.state[id] == stateUntouched {
 				s.partial[id] = 0
 				s.tauMask[id] = 0
 				s.qMask[id] = 0

@@ -222,6 +222,38 @@ func TestQueryVariousK(t *testing.T) {
 	}
 }
 
+// TestMaskWidthBound pins the 32-bit rank masks: at k = 32 every rank fits
+// and both modes match brute force; k = 33 is refused at build, since a rank
+// past bit 31 would drop out of the masks and under-count the upper bound.
+func TestMaskWidthBound(t *testing.T) {
+	rs := randomCollection(8, 200, 32, 80)
+	idx, err := New(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSearcher(idx)
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 30; trial++ {
+		q := randomRanking(rng, 32, 80)
+		if trial%3 == 0 {
+			q = rs[trial]
+		}
+		rawTheta := rng.Intn(ranking.MaxDistance(32))
+		for _, mode := range []Mode{Prune, PruneDrop} {
+			got, err := s.Query(q, rawTheta, nil, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bruteResults(rs, q, rawTheta); !equalResults(got, want) {
+				t.Fatalf("k=32 θ=%d mode=%d: got %v, want %v", rawTheta, mode, got, want)
+			}
+		}
+	}
+	if _, err := New(randomCollection(8, 10, 33, 80)); err == nil {
+		t.Fatal("New accepted k = 33, past the 32-bit rank masks")
+	}
+}
+
 func TestBlockSkippingSavesWork(t *testing.T) {
 	// For a small threshold, early acceptance/rejection must leave DFC well
 	// below the candidate count of a plain filter-and-validate.

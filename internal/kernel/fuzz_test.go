@@ -6,16 +6,28 @@ import (
 	"topk/internal/ranking"
 )
 
-// FuzzKernelDifferential decodes two rankings of equal length from raw bytes
-// and asserts the compiled kernel (dense or sparse), the batched path, and
-// ranking.Footrule all agree
-// with the naive reference. Byte layout: first byte is k (clamped), then
-// 4-byte little-endian items, q first then tau; duplicate items are skipped
-// so both lists are valid rankings.
+// FuzzKernelDifferential decodes three rankings of equal length from raw
+// bytes — a first query, a second query and a candidate tau — compiles both
+// queries on one kernel, and asserts that for each the compiled kernel, the
+// batched path and ranking.Footrule agree with the naive reference against
+// tau. The second query runs on the table the first one wrote, so an entry
+// Compile failed to clear shows as a wrong distance. Byte layout: first byte
+// is k (k = byte%32 + 1), then 4-byte little-endian items, the first query,
+// the second and tau in turn; duplicate items are skipped so all three are
+// valid rankings.
 func FuzzKernelDifferential(f *testing.F) {
-	f.Add([]byte{3, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 9, 0, 0, 0})
-	f.Add([]byte{2, 0, 0, 32, 0, 1, 0, 0, 0, 0, 0, 32, 0, 1, 0, 0, 0}) // items straddling MaxDenseItems
-	f.Add([]byte{1, 255, 255, 255, 255, 255, 255, 255, 255})           // max uint32 item → sparse
+	f.Add([]byte{2, // k = 3: the first query's items are tau's
+		3, 0, 0, 0, 2, 0, 0, 0, 9, 0, 0, 0,
+		1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0,
+		3, 0, 0, 0, 2, 0, 0, 0, 9, 0, 0, 0})
+	f.Add([]byte{1, // k = 2, items straddling MaxDenseItems
+		255, 255, 31, 0, 5, 0, 0, 0,
+		0, 0, 32, 0, 1, 0, 0, 0,
+		255, 255, 31, 0, 0, 0, 32, 0})
+	f.Add([]byte{0, // k = 1, max uint32 item on the side list
+		7, 0, 0, 0,
+		255, 255, 255, 255,
+		255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -39,6 +51,10 @@ func FuzzKernelDifferential(f *testing.F) {
 			}
 			return r, true
 		}
+		first, ok := decode()
+		if !ok {
+			return
+		}
 		q, ok := decode()
 		if !ok {
 			return
@@ -47,22 +63,24 @@ func FuzzKernelDifferential(f *testing.F) {
 		if !ok {
 			return
 		}
-		want := Reference(q, tau)
-		if got := ranking.Footrule(q, tau); got != want {
-			t.Fatalf("ranking.Footrule=%d reference=%d q=%v tau=%v", got, want, q, tau)
-		}
 		kn := New()
-		kn.Compile(q)
-		if got := kn.Distance(tau); got != want {
-			t.Fatalf("kernel=%d reference=%d sparse=%v q=%v tau=%v", got, want, kn.sparse, q, tau)
-		}
-		st := NewStore([]ranking.Ranking{tau, q})
-		dists := kn.FootruleMany(st, []ranking.ID{0, 1}, nil)
-		if dists[0] != want {
-			t.Fatalf("batched=%d reference=%d", dists[0], want)
-		}
-		if dists[1] != 0 {
-			t.Fatalf("self-distance=%d, want 0", dists[1])
+		for _, q := range []ranking.Ranking{first, q} {
+			want := Reference(q, tau)
+			if got := ranking.Footrule(q, tau); got != want {
+				t.Fatalf("ranking.Footrule=%d reference=%d q=%v tau=%v", got, want, q, tau)
+			}
+			kn.Compile(q)
+			if got := kn.Distance(tau); got != want {
+				t.Fatalf("kernel=%d reference=%d q=%v tau=%v (after %v)", got, want, q, tau, first)
+			}
+			st := NewStore([]ranking.Ranking{tau, q})
+			dists := kn.FootruleMany(st, []ranking.ID{0, 1}, nil)
+			if dists[0] != want {
+				t.Fatalf("batched=%d reference=%d", dists[0], want)
+			}
+			if dists[1] != 0 {
+				t.Fatalf("self-distance=%d, want 0", dists[1])
+			}
 		}
 	})
 }

@@ -1,18 +1,17 @@
 package kernel
 
 import (
-	"slices"
+	"fmt"
 
 	"topk/internal/ranking"
 )
 
-// MaxDenseItems caps the size of the dense rank table. Item values below the
-// cap (every generator in this repo, and any realistically dense dictionary)
-// take the dense path: two flat-array loads per probe, no hashing. A query
-// containing an item at or above the cap flips the kernel into a sparse mode
-// (sorted query items + binary search) so one adversarial 4-billion-valued
-// item cannot force a 16 GiB allocation. 1<<21 items costs 16 MiB of tables
-// per kernel, and kernels are pooled per searcher, not per query.
+// MaxDenseItems caps the size of the rank table. Item values below the cap
+// (every generator in this repo, and any realistically dense dictionary) are
+// found by one byte load, no hashing. A query item at or above the cap goes
+// to a short side list instead, so one adversarial 4-billion-valued item
+// cannot force a 4 GiB allocation. 1<<21 items costs 2 MiB of table per
+// kernel, and kernels are pooled per searcher, not per query.
 const MaxDenseItems = 1 << 21
 
 // Kernel is a query-compiled Footrule evaluator implementing the rank-table
@@ -25,79 +24,55 @@ const MaxDenseItems = 1 << 21
 //
 // Compile builds the query-side lookup once; Distance then evaluates each
 // candidate in a single pass that folds the matched-rank-sum correction into
-// the same loop (no second probe sweep). The dense table is
-// generation-stamped: recompiling bumps gen instead of clearing, so
+// the same loop (no second probe sweep). The table is cleared by the query
+// that wrote it: Compile zeroes the k entries the previous query set, so
 // compilation is O(k) after the first query.
 type Kernel struct {
 	k         int
 	totalQSum int
-	limit     uint32 // dense probe bound: items >= limit are unmatched
-
-	// Dense mode: rank[it] is valid iff stamp[it] == gen.
-	rank  []int32
-	stamp []uint32
-	gen   uint32
-
-	// Sparse fallback (query contains an item >= MaxDenseItems):
-	// qItems sorted ascending, qRanks aligned.
-	sparse bool
-	qItems []ranking.Item
-	qRanks []int32
+	// tab[it] is 1 + the query rank of item it, 0 if the query lacks it.
+	// It covers the query's items below MaxDenseItems.
+	tab []uint8
+	// q is the compiled query; far holds the positions of its items at or
+	// past MaxDenseItems, which the table does not cover.
+	q   []ranking.Item
+	far []uint8
 }
 
 // New returns an empty kernel; Compile must be called before Distance.
 func New() *Kernel { return &Kernel{} }
 
-// K reports the length of the currently compiled query (0 before Compile).
-func (kn *Kernel) K() int { return kn.k }
-
-// Compile builds the rank lookup for q. The kernel holds no reference to q
-// afterwards.
+// Compile builds the rank lookup for q, which must hold at most 255 distinct
+// items (every index in this repo rejects larger k); a longer q panics. The
+// kernel holds no reference to q afterwards.
 func (kn *Kernel) Compile(q ranking.Ranking) {
 	k := len(q)
-	kn.k = k
-	kn.totalQSum = k * (k - 1) / 2
-	maxItem := ranking.Item(0)
-	for _, it := range q {
-		if it > maxItem {
-			maxItem = it
+	if k > 255 {
+		panic(fmt.Sprintf("kernel: query of %d items exceeds the uint8 rank range", k))
+	}
+	tab := kn.tab
+	for _, it := range kn.q {
+		if uint(it) < uint(len(tab)) {
+			tab[it] = 0
 		}
 	}
-	if maxItem >= MaxDenseItems {
-		kn.compileSparse(q)
-		return
-	}
-	kn.sparse = false
-	need := int(maxItem) + 1
-	if need > len(kn.rank) {
-		// Grow with headroom so successive queries over one dataset settle
-		// after a few compilations.
-		grow := need + need/2
-		kn.rank = make([]int32, grow)
-		kn.stamp = make([]uint32, grow)
-		kn.gen = 0
-	}
-	kn.gen++
-	if kn.gen == 0 { // uint32 wrap: stale stamps could alias, hard reset
-		clear(kn.stamp)
-		kn.gen = 1
-	}
+	kn.k = k
+	kn.totalQSum = k * (k - 1) / 2
+	kn.q = append(kn.q[:0], q...)
+	kn.far = kn.far[:0]
 	for pq, it := range q {
-		kn.rank[it] = int32(pq)
-		kn.stamp[it] = kn.gen
-	}
-	kn.limit = uint32(need)
-}
-
-func (kn *Kernel) compileSparse(q ranking.Ranking) {
-	kn.sparse = true
-	kn.limit = 0
-	kn.qItems = append(kn.qItems[:0], q...)
-	slices.Sort(kn.qItems)
-	kn.qRanks = kn.qRanks[:0]
-	for _, it := range kn.qItems {
-		pq, _ := q.Rank(it) // q items are distinct (validated), so always found
-		kn.qRanks = append(kn.qRanks, int32(pq))
+		if uint(it) >= uint(len(tab)) {
+			if it >= MaxDenseItems {
+				kn.far = append(kn.far, uint8(pq))
+				continue
+			}
+			// Grow with headroom so successive queries over one dataset
+			// settle after a few compilations.
+			need := int(it) + 1
+			tab = append(tab, make([]uint8, min(need+need/2, MaxDenseItems)-len(tab))...)
+			kn.tab = tab
+		}
+		tab[it] = uint8(pq + 1)
 	}
 }
 
@@ -105,50 +80,22 @@ func (kn *Kernel) compileSparse(q ranking.Ranking) {
 // length as the compiled query (all callers validate ranking lengths at
 // ingest). One pass, no allocation.
 func (kn *Kernel) Distance(tau ranking.Ranking) int {
-	if kn.sparse {
-		return kn.distSparse(tau)
-	}
-	return kn.distDense(tau)
-}
-
-// distDense is the dense-mode evaluation pass: one stamped probe per
-// candidate position, matched-rank-sum correction folded into the same loop.
-func (kn *Kernel) distDense(tau ranking.Ranking) int {
-	k, limit, gen := kn.k, kn.limit, kn.gen
-	rank, stamp := kn.rank, kn.stamp
+	k, tab := kn.k, kn.tab
 	d, matched, mqs := 0, 0, 0
 	for pt, it := range tau {
-		if uint32(it) < limit && stamp[it] == gen {
-			pq := int(rank[it])
-			delta := pq - pt
-			if delta < 0 {
-				delta = -delta
-			}
-			d += delta
-			matched++
-			mqs += pq
+		r := 0
+		if uint(it) < uint(len(tab)) {
+			r = int(tab[it])
 		} else {
-			d += k - pt
-		}
-	}
-	return d + (k-matched)*k - (kn.totalQSum - mqs)
-}
-
-func (kn *Kernel) distSparse(tau ranking.Ranking) int {
-	k, items, ranks := kn.k, kn.qItems, kn.qRanks
-	d, matched, mqs := 0, 0, 0
-	for pt, it := range tau {
-		lo, hi := 0, len(items)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if items[mid] < it {
-				lo = mid + 1
-			} else {
-				hi = mid
+			for _, pq := range kn.far {
+				if kn.q[pq] == it {
+					r = int(pq) + 1
+					break
+				}
 			}
 		}
-		if lo < len(items) && items[lo] == it {
-			pq := int(ranks[lo])
+		if r != 0 {
+			pq := r - 1
 			delta := pq - pt
 			if delta < 0 {
 				delta = -delta

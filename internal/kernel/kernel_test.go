@@ -32,7 +32,7 @@ func checkAll(t *testing.T, kn *Kernel, q, tau ranking.Ranking) {
 	}
 	kn.Compile(q)
 	if got := kn.Distance(tau); got != want {
-		t.Fatalf("kernel.Distance=%d reference=%d (sparse=%v q=%v tau=%v)", got, want, kn.sparse, q, tau)
+		t.Fatalf("kernel.Distance=%d reference=%d (side list %v, q=%v tau=%v)", got, want, kn.far, q, tau)
 	}
 	st := NewStore([]ranking.Ranking{tau})
 	dists := kn.FootruleMany(st, []ranking.ID{0}, nil)
@@ -86,12 +86,13 @@ func distOf(kn *Kernel, q, tau ranking.Ranking) int {
 	return kn.Distance(tau)
 }
 
-// TestKernelSparseFallback forces the sorted-array mode with items above
-// MaxDenseItems and checks it against the oracle, including mixed pairs where
-// only one side is huge.
+// TestKernelSparseFallback puts query items at and above MaxDenseItems on
+// the side list and checks it against the oracle, including mixed pairs
+// where only one side is huge.
 func TestKernelSparseFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	kn := New()
+	sideList := 0
 	for trial := 0; trial < 300; trial++ {
 		k := 1 + rng.Intn(30)
 		q := make(ranking.Ranking, 0, k)
@@ -119,34 +120,66 @@ func TestKernelSparseFallback(t *testing.T) {
 			}
 		}
 		checkAll(t, kn, q, tau)
+		if len(kn.far) > 0 {
+			sideList++
+		}
 	}
-	if !kn.sparse {
-		t.Fatal("sparse fallback was never exercised")
+	if sideList == 0 {
+		t.Fatal("the side list was never exercised")
+	}
+	if len(kn.tab) > MaxDenseItems {
+		t.Fatalf("rank table grew to %d entries, past the %d cap", len(kn.tab), MaxDenseItems)
 	}
 }
 
-// TestKernelGenerationReuse interleaves many queries through one kernel so a
-// stale dense table from query i could corrupt query i+1 if the stamping were
-// wrong, and exercises the gen-wrap hard reset.
+// TestKernelGenerationReuse interleaves many queries through one kernel,
+// small items with items on both sides of MaxDenseItems, so an entry query
+// i left in the table would corrupt query i+1 if Compile did not clear it.
 func TestKernelGenerationReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	kn := New()
+	const k = 20
+	draw := func(base ranking.Item) ranking.Ranking {
+		r := randRanking(rng, k, 100)
+		for i := range r {
+			r[i] += base
+		}
+		return r
+	}
+	bases := []ranking.Item{0, MaxDenseItems - 50}
 	taus := make([]ranking.Ranking, 50)
 	for i := range taus {
-		taus[i] = randRanking(rng, 20, 100)
+		taus[i] = draw(bases[i%2])
 	}
 	for trial := 0; trial < 500; trial++ {
-		q := randRanking(rng, 20, 100)
+		q := draw(bases[trial%3%2])
 		kn.Compile(q)
 		for _, tau := range taus {
 			if got, want := kn.Distance(tau), Reference(q, tau); got != want {
 				t.Fatalf("trial %d: got %d want %d", trial, got, want)
 			}
 		}
-		if trial == 250 {
-			kn.gen = ^uint32(0) // next Compile wraps; stale stamps must not alias
-		}
 	}
+}
+
+// TestCompileRejectsLongQuery pins the uint8 rank bound: 255 items compile,
+// 256 panic.
+func TestCompileRejectsLongQuery(t *testing.T) {
+	q := make(ranking.Ranking, 256)
+	for i := range q {
+		q[i] = ranking.Item(i)
+	}
+	kn := New()
+	kn.Compile(q[:255])
+	if got := kn.Distance(q[:255]); got != 0 {
+		t.Fatalf("k=255 self-distance %d, want 0", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Compile accepted a 256-item query")
+		}
+	}()
+	kn.Compile(q)
 }
 
 func TestFootruleManyBatch(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package kernel provides the hardware-speed distance layer shared by every
-// backend: a query-compiled Footrule kernel (dense stamp-versioned rank
-// lookup, single branch-reduced evaluation pass) and a flat k-strided Store
-// for contiguous ranking storage. The scalar reference implementation in
+// backend: a query-compiled Footrule kernel (a one-byte-per-item rank table
+// that each Compile clears of the previous query's entries, single
+// branch-reduced evaluation pass) and a flat k-strided Store for contiguous
+// ranking storage. The scalar reference implementation in
 // reference.go is the differential oracle for the compiled and batched paths.
 package kernel
 

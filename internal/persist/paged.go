@@ -34,6 +34,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"unsafe"
 
 	"topk/internal/ranking"
@@ -248,12 +249,17 @@ func writePaged(w io.Writer, slots []ranking.Ranking, pageSize int) (int64, erro
 	return cw.n, nil
 }
 
-// WritePagedFile writes a single-file v3 snapshot at path, fsynced.
+// WritePagedFile writes a single-file v3 snapshot at path atomically: into a
+// temp file in path's directory, fsynced, then renamed over path and the
+// directory fsynced. A failed write leaves any snapshot already at path as
+// it was.
 func WritePagedFile(path string, slots []ranking.Ranking) error {
-	f, err := os.Create(path)
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
+	defer os.Remove(f.Name()) // no-op after the rename
 	if _, err := WritePagedTo(f, slots); err != nil {
 		f.Close()
 		return err
@@ -262,7 +268,13 @@ func WritePagedFile(path string, slots []ranking.Ranking) error {
 		f.Close()
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	return fsyncDir(dir)
 }
 
 // PagedCollection is a loaded, fully verified v3 snapshot: the slot array

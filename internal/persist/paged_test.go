@@ -92,6 +92,30 @@ func TestPagedFileBothModes(t *testing.T) {
 	slotsEqual(t, slots, pc.Slots())
 }
 
+// TestPagedFileFailedWriteKeepsSnapshot: a write that fails its validation
+// (rankings of two sizes) returns the error and leaves the snapshot already
+// at the path loadable with its slots, and no temp file behind.
+func TestPagedFileFailedWriteKeepsSnapshot(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	slots := randomSlots(rng, 500, 10)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap.v3")
+	if err := WritePagedFile(path, slots); err != nil {
+		t.Fatal(err)
+	}
+	if err := WritePagedFile(path, []ranking.Ranking{{1, 2, 3}, {4, 5}}); err == nil {
+		t.Fatal("a mixed-size collection was written")
+	}
+	pc, err := OpenPagedFile(path)
+	if err != nil {
+		t.Fatalf("the earlier snapshot no longer loads: %v", err)
+	}
+	slotsEqual(t, slots, pc.Slots())
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("directory holds %d entries after the failed write, want 1", len(ents))
+	}
+}
+
 // flipArenaByte XORs the high byte of slot's first item with 0x40 inside
 // page: the ranking stays well-formed (distinct items, right length) but is
 // no longer the one written, so only the page checksum can catch it.

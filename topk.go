@@ -359,7 +359,8 @@ func WithBlockedDrop() BlockedOption {
 	return func(b *BlockedIndex) { b.mode = blocked.PruneDrop }
 }
 
-// NewBlockedIndex builds the blocked index.
+// NewBlockedIndex builds the blocked index. Its bounds track ranks in 32-bit
+// masks, so rankings longer than 32 items are refused.
 func NewBlockedIndex(rankings []Ranking, opts ...BlockedOption) (*BlockedIndex, error) {
 	if _, err := validateCollection(rankings); err != nil {
 		return nil, err
