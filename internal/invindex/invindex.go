@@ -43,7 +43,6 @@
 package invindex
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -181,7 +180,11 @@ func (idx *Index) eachSpan(f func(it ranking.Item, s *span)) {
 // empty if the item is unseen). The slices are owned by the index, must not
 // be modified, and are valid until the next Insert.
 func (idx *Index) Postings(it ranking.Item) ([]ranking.ID, []uint8) {
-	s := idx.lookup(it)
+	return idx.list(idx.lookup(it))
+}
+
+// list returns the postings s locates.
+func (idx *Index) list(s span) ([]ranking.ID, []uint8) {
 	end := s.off + s.n
 	return idx.ids[s.off:end:end], idx.ranks[s.off:end:end]
 }
@@ -204,8 +207,8 @@ func (idx *Index) lookup(it ranking.Item) span {
 // kernel.MaxDenseItems ascending, then the larger ones in no fixed order.
 func (idx *Index) EachList(f func(it ranking.Item, ids []ranking.ID, ranks []uint8)) {
 	idx.eachSpan(func(it ranking.Item, s *span) {
-		end := s.off + s.n
-		f(it, idx.ids[s.off:end:end], idx.ranks[s.off:end:end])
+		ids, ranks := idx.list(*s)
+		f(it, ids, ranks)
 	})
 }
 
@@ -261,16 +264,12 @@ type Searcher struct {
 	res   []ranking.Result
 	// Per-ranking gain accumulator of accumulate, under all four algorithms:
 	// all zero between queries, allocated on first use and grown with the
-	// collection (2 bytes per indexed ranking). items is checkQuery's sorted
-	// query copy for the duplicate check.
-	acc   []uint16
-	items []ranking.Item
+	// collection (2 bytes per indexed ranking).
+	acc []uint16
 	// byListLength's buffers (k entries each): the query positions, and the
-	// ids and ranks of the query's posting lists by position — looked up
-	// once per query.
-	kept      []int
-	listIDs   [][]ranking.ID
-	listRanks [][]uint8
+	// span of each position's posting list, looked up once per query.
+	kept  []int
+	spans []span
 	// closed counts the queries whose accumulate closed admission; read by the
 	// test that keeps the early-termination path from going dead silently.
 	closed int
@@ -435,7 +434,7 @@ func (s *Searcher) chooseKeptLists(q ranking.Ranking, rawTheta int, mode DropMod
 		if !hasTop {
 			bestTop := 0
 			for p := 1; p < omega; p++ {
-				if len(s.listIDs[p]) < len(s.listIDs[bestTop]) {
+				if s.spans[p].n < s.spans[bestTop].n {
 					bestTop = p
 				}
 			}
@@ -445,19 +444,25 @@ func (s *Searcher) chooseKeptLists(q ranking.Ranking, rawTheta int, mode DropMod
 	return kept
 }
 
-// byListLength looks up the query's k posting lists into s.listIDs and
-// s.listRanks (by position) and returns the positions ordered by list
-// length, longest first (ties by position ascending: a stable sort of the
-// ascending positions). All alias searcher scratch and are valid until the
-// next call.
+// byListLength looks up each query position's list span into s.spans, back to
+// back so the cache misses overlap, and insertion-sorts the positions by list
+// length, longest first, ties by position ascending: the order decides which
+// lists F&V+Drop drops. Both alias searcher scratch until the next call.
 func (s *Searcher) byListLength(q ranking.Ranking) []int {
-	pos, ids, ranks := s.kept[:0], s.listIDs[:0], s.listRanks[:0]
-	for i, item := range q {
-		l, r := s.idx.Postings(item)
-		pos, ids, ranks = append(pos, i), append(ids, l), append(ranks, r)
+	spans := s.spans[:0]
+	for _, it := range q {
+		spans = append(spans, s.idx.lookup(it))
 	}
-	s.kept, s.listIDs, s.listRanks = pos, ids, ranks
-	slices.SortStableFunc(pos, func(a, b int) int { return cmp.Compare(len(ids[b]), len(ids[a])) })
+	pos := s.kept[:0]
+	for i, sp := range spans {
+		j := len(pos)
+		pos = append(pos, i)
+		for ; j > 0 && spans[pos[j-1]].n < sp.n; j-- {
+			pos[j] = pos[j-1]
+		}
+		pos[j] = i
+	}
+	s.kept, s.spans = pos, spans
 	return pos
 }
 
@@ -502,7 +507,7 @@ func (s *Searcher) accumulate(q ranking.Ranking, pos []int, n int) (touched []ra
 	rem, open := k*(k+1), true
 	for i := len(pos) - 1; i >= 0; i-- { // shortest list first
 		qr := pos[i]
-		ids, ranks := s.listIDs[qr], s.listRanks[qr]
+		ids, ranks := idx.list(s.spans[qr])
 		if open && n > 0 && 2*rem < k*(k+1) && len(ids) >= len(touched) {
 			above := 0
 			for _, id := range touched {
@@ -549,12 +554,15 @@ func admit(acc []uint16, touched, ids []ranking.ID, ranks []uint8, k, qr int) []
 }
 
 // update is admit for a closed admission: only ids already touched gain, and
-// only their ranks are read.
+// only their ranks are read. Out of line, with 2k hoisted, its loop state stays
+// in registers; inlined into accumulate, it spilled to the stack.
+//
+//go:noinline
 func update(acc []uint16, ids []ranking.ID, ranks []uint8, k, qr int) {
-	ranks = ranks[:len(ids)]
+	ranks, top := ranks[:len(ids)], uint16(2*k)
 	for j, id := range ids {
 		if a := acc[id]; a != 0 {
-			acc[id] = a + uint16(2*(k-max(qr, int(ranks[j]))))
+			acc[id] = a + top - 2*uint16(max(int(ranks[j]), qr))
 		}
 	}
 }
@@ -575,10 +583,7 @@ func (s *Searcher) ListMerge(q ranking.Ranking, rawTheta int, _ *metric.Evaluato
 }
 
 // checkQuery enforces the query contract — the index's ranking size, no
-// repeated item; anything goes while the index is empty — without allocating:
-// ranking.Validate builds a map past 16 items, so duplicates are looked for
-// in a sorted scratch copy and Validate runs only to word the error of a
-// query already known to be bad.
+// repeated item (Validate allocates nothing at k ≤ 255) — on a non-empty index.
 func (s *Searcher) checkQuery(q ranking.Ranking) error {
 	if s.idx.Len() == 0 {
 		return nil
@@ -587,12 +592,5 @@ func (s *Searcher) checkQuery(q ranking.Ranking) error {
 		return fmt.Errorf("invindex: query size %d, index size %d: %w",
 			q.K(), s.idx.K(), ranking.ErrSizeMismatch)
 	}
-	s.items = append(s.items[:0], q...)
-	slices.Sort(s.items)
-	for i := 1; i < len(s.items); i++ {
-		if s.items[i] == s.items[i-1] {
-			return q.Validate()
-		}
-	}
-	return nil
+	return q.Validate()
 }

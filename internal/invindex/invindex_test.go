@@ -1,11 +1,14 @@
 package invindex
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"topk/internal/bktree"
 	"topk/internal/difftest"
+	"topk/internal/kernel"
 	"topk/internal/metric"
 	"topk/internal/ranking"
 )
@@ -514,5 +517,78 @@ func TestSizeEstimatesOrdered(t *testing.T) {
 	}
 	if tree >= plain {
 		t.Fatalf("BK-tree (%d) not smaller than plain index (%d)", tree, plain)
+	}
+}
+
+// TestByListLengthOrder pins the order the query's lists are read and dropped
+// in: longest first, equal lengths by ascending position, unseen items' empty
+// lists last — a stable sort of the positions. F&V+Drop drops a prefix of it,
+// so it decides the kept lists and the DFC. The query is long enough, and
+// tied enough, that an unstable sort breaks the order.
+func TestByListLengthOrder(t *testing.T) {
+	const k = 20
+	length := func(p int) int { return []int{2, 3, 0, 1, 3, 2}[p%6] }
+	q := make(ranking.Ranking, k)
+	for p := range q {
+		q[p] = ranking.Item(p)
+	}
+	q[4], q[8] = kernel.MaxDenseItems+4, kernel.MaxDenseItems+8 // a sparse list, a sparse unseen item
+	rs := make([]ranking.Ranking, 3)
+	for j := range rs {
+		for p, it := range q {
+			if length(p) > j {
+				rs[j] = append(rs[j], it)
+			}
+		}
+		for f := 0; len(rs[j]) < k; f++ {
+			rs[j] = append(rs[j], ranking.Item(1000+100*j+f))
+		}
+	}
+	idx, err := New(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int, k)
+	for p := range want {
+		want[p] = p
+	}
+	slices.SortStableFunc(want, func(a, b int) int { return length(b) - length(a) })
+	s := NewSearcher(idx)
+	if got := s.byListLength(q); !slices.Equal(got, want) {
+		t.Fatalf("byListLength = %v, want %v", got, want)
+	}
+	rawTheta := ranking.RawThreshold(0.1, k)
+	drop := ranking.RequiredOverlap(rawTheta, k) - 1
+	if length(want[drop-1]) != length(want[drop]) {
+		t.Fatalf("the DropSafe cut at %d does not split a tie", drop)
+	}
+	if got := s.chooseKeptLists(q, rawTheta, DropSafe); !slices.Equal(got, want[drop:]) {
+		t.Fatalf("DropSafe keeps %v, want %v", got, want[drop:])
+	}
+}
+
+// TestQueryRejectsRepeatedItem: every searcher algorithm refuses a query that
+// repeats an item, either side of ranking.Validate's pairwise cutoff.
+func TestQueryRejectsRepeatedItem(t *testing.T) {
+	for _, k := range []int{10, 25} {
+		rs := randomCollection(int64(k), 50, k, 4*k)
+		idx, err := New(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSearcher(idx)
+		q := rs[0].Clone()
+		q[k-1] = q[k/2]
+		algs := map[string]func() ([]ranking.Result, error){
+			"F&V":              func() ([]ranking.Result, error) { return s.FilterValidate(q, 20, nil) },
+			"F&V+Drop":         func() ([]ranking.Result, error) { return s.FilterValidateDrop(q, 20, nil, DropSafe) },
+			"ListMerge":        func() ([]ranking.Result, error) { return s.ListMerge(q, 20, nil) },
+			"NearestNeighbors": func() ([]ranking.Result, error) { return s.NearestNeighbors(q, 5, nil) },
+		}
+		for name, run := range algs {
+			if _, err := run(); !errors.Is(err, ranking.ErrDuplicateItem) {
+				t.Errorf("k=%d %s: err = %v, want ErrDuplicateItem", k, name, err)
+			}
+		}
 	}
 }

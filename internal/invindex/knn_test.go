@@ -268,8 +268,8 @@ func TestNearestNeighborsClosesAdmissionOnSkew(t *testing.T) {
 }
 
 // TestNearestNeighborsAllocatesOnlyTheResult holds a warmed-up searcher to
-// one allocation per query, past the k at which ranking.Validate starts
-// allocating a map.
+// one allocation per query, either side of the k at which ranking.Validate
+// turns from its pairwise scan to a stack sort.
 func TestNearestNeighborsAllocatesOnlyTheResult(t *testing.T) {
 	for _, k := range []int{10, 25} {
 		rng := rand.New(rand.NewSource(2))
@@ -293,8 +293,8 @@ func TestNearestNeighborsAllocatesOnlyTheResult(t *testing.T) {
 }
 
 // TestFilterValidateDropAllocatesOnlyTheResult holds the hybrid's default
-// range route to the same budget: list choice and query check run on searcher
-// scratch.
+// range route to the same budget: list choice runs on searcher scratch, the
+// query check on the stack.
 func TestFilterValidateDropAllocatesOnlyTheResult(t *testing.T) {
 	for _, k := range []int{10, 25} {
 		rng := rand.New(rand.NewSource(2))

@@ -12,6 +12,7 @@
 package ranking
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -42,30 +43,48 @@ var ErrSizeMismatch = errors.New("ranking: size mismatch")
 // K returns the size of the ranking.
 func (r Ranking) K() int { return len(r) }
 
-// Validate checks that the ranking contains no duplicate items.
+// Validate checks that the ranking contains no duplicate items. Up to
+// sortedK items it allocates nothing: a short ranking is scanned pairwise, a
+// longer one sorted in a stack copy.
 func (r Ranking) Validate() error {
 	if len(r) <= smallK {
 		for i := 1; i < len(r); i++ {
 			for j := 0; j < i; j++ {
 				if r[i] == r[j] {
-					return fmt.Errorf("%w: item %d at ranks %d and %d", ErrDuplicateItem, r[i], j, i)
+					return r.firstRepeat()
 				}
 			}
 		}
 		return nil
 	}
-	seen := make(map[Item]int, len(r))
-	for i, it := range r {
-		if j, dup := seen[it]; dup {
-			return fmt.Errorf("%w: item %d at ranks %d and %d", ErrDuplicateItem, it, j, i)
-		}
-		seen[it] = i
+	var buf [sortedK]Item
+	s := append(buf[:0], r...)
+	slices.Sort(s)
+	if len(slices.Compact(s)) < len(r) {
+		return r.firstRepeat()
 	}
 	return nil
 }
 
-// smallK is the cutoff below which quadratic scans beat map allocation.
-const smallK = 16
+// firstRepeat names the pair the pairwise scan finds in r, which must hold a
+// repeat: positions sorted by (item, position) put it at the adjacent equal
+// pair with the smallest later position.
+func (r Ranking) firstRepeat() error {
+	pos := make([]int, len(r))
+	for i := range pos {
+		pos[i] = i
+	}
+	slices.SortFunc(pos, func(a, b int) int { return cmp.Or(cmp.Compare(r[a], r[b]), a-b) })
+	j, i := 0, len(r)
+	for x := 1; x < len(pos); x++ {
+		if r[pos[x]] == r[pos[x-1]] && pos[x] < i {
+			j, i = pos[x-1], pos[x]
+		}
+	}
+	return fmt.Errorf("%w: item %d at ranks %d and %d", ErrDuplicateItem, r[i], j, i)
+}
+
+const smallK, sortedK = 16, 256 // Validate: pairwise scan up to smallK, stack sort up to sortedK
 
 // Clone returns a deep copy of the ranking.
 func (r Ranking) Clone() Ranking {
@@ -107,28 +126,9 @@ func (r Ranking) Equal(s Ranking) bool {
 
 // Overlap returns the number of items the two rankings have in common.
 func (r Ranking) Overlap(s Ranking) int {
-	if len(s) < len(r) {
-		r, s = s, r
-	}
-	if len(s) <= smallK {
-		n := 0
-		for _, a := range r {
-			for _, b := range s {
-				if a == b {
-					n++
-					break
-				}
-			}
-		}
-		return n
-	}
-	set := make(map[Item]struct{}, len(s))
-	for _, b := range s {
-		set[b] = struct{}{}
-	}
 	n := 0
 	for _, a := range r {
-		if _, ok := set[a]; ok {
+		if s.Contains(a) {
 			n++
 		}
 	}
@@ -282,7 +282,7 @@ func RequiredOverlap(rawTheta, k int) int {
 	if rawTheta >= MaxDistance(k) {
 		return 0
 	}
-	omega := int(0.5 * (1 + 2*float64(k) - isqrtFloat(1+4*rawTheta)))
+	omega := int(0.5 * (1 + 2*float64(k) - float64(isqrt(1+4*rawTheta))))
 	// Guard the floating point: ω must satisfy L(k, ω−1) > rawTheta and be
 	// the largest value with L(k,·) still reachable. Walk to the exact
 	// boundary; the loop runs at most a couple of steps.
@@ -293,12 +293,6 @@ func RequiredOverlap(rawTheta, k int) int {
 		omega++
 	}
 	return omega
-}
-
-func isqrtFloat(x int) float64 {
-	// Newton iterations on float64 are exact enough for the small arguments
-	// (≤ 4·k(k+1)+1) seen here, but route through integer sqrt to be safe.
-	return float64(isqrt(x))
 }
 
 // isqrt returns ⌊√x⌋ for x ≥ 0.

@@ -1,6 +1,8 @@
 package ranking
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -288,10 +290,56 @@ func TestValidate(t *testing.T) {
 	}
 	big[19] = big[0]
 	if err := big.Validate(); err == nil {
-		t.Error("duplicate not detected (map path)")
+		t.Error("duplicate not detected (sort path)")
 	}
 	if err := (Ranking{}).Validate(); err != nil {
 		t.Errorf("empty ranking rejected: %v", err)
+	}
+}
+
+// validateRef is the map-based duplicate check Validate must agree with: the
+// first position repeating an earlier item, and that item's first position.
+func validateRef(r Ranking) error {
+	seen := make(map[Item]int, len(r))
+	for i, it := range r {
+		if j, dup := seen[it]; dup {
+			return fmt.Errorf("%w: item %d at ranks %d and %d", ErrDuplicateItem, it, j, i)
+		}
+		seen[it] = i
+	}
+	return nil
+}
+
+// TestValidateMatchesMapReference: on random rankings of length 0–300,
+// either side of both cutoffs, with up to three injected repeats, Validate
+// reaches the reference's verdict and names the same ranks.
+func TestValidateMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for range 3000 {
+		n := rng.Intn(301)
+		r := randomRanking(rng, n, 4*n+1)
+		for m := rng.Intn(4); m > 0 && n > 1; m-- {
+			r[rng.Intn(n)] = r[rng.Intn(n)]
+		}
+		got, want := r.Validate(), validateRef(r)
+		if (got == nil) != (want == nil) || got != nil && (got.Error() != want.Error() || !errors.Is(got, ErrDuplicateItem)) {
+			t.Fatalf("k=%d: Validate = %v, want %v", n, got, want)
+		}
+	}
+}
+
+// TestValidateAllocs: a valid ranking is checked without allocating at every
+// k an index takes, on the pairwise path (10) and the stack sort (25, 255).
+func TestValidateAllocs(t *testing.T) {
+	for _, k := range []int{10, 25, 255} {
+		r := randomRanking(rand.New(rand.NewSource(int64(k))), k, 4*k)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := r.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("k=%d: %v allocs, want 0", k, n)
+		}
 	}
 }
 

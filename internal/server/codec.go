@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"topk/internal/ranking"
 )
@@ -201,9 +202,10 @@ func (s *queryScanner) ranking() (ranking.Ranking, bool) {
 }
 
 // appendAnswer renders the "count" and "results" members of one answer at a
-// collection's k (0 when empty). normDist is formatted as encoding/json
-// formats a float64 in [1e-6, 1e21): d/dmax is 0 or ≥ 1/65280 at k ≤ 255.
-func appendAnswer(b []byte, k int, rs []ranking.Result) []byte {
+// collection's k (0 when empty), normDist from norm = normTable(k). normDist
+// is formatted as encoding/json formats a float64 in [1e-6, 1e21): d/dmax is
+// 0 or ≥ 1/65280 at k ≤ 255.
+func appendAnswer(b []byte, k int, norm []string, rs []ranking.Result) []byte {
 	dmax := float64(ranking.MaxDistance(max(k, 1)))
 	b = strconv.AppendInt(append(b, `"count":`...), int64(len(rs)), 10)
 	b = append(b, `,"results":[`...)
@@ -213,16 +215,43 @@ func appendAnswer(b []byte, k int, rs []ranking.Result) []byte {
 		}
 		b = strconv.AppendUint(append(b, `{"id":`...), uint64(r.ID), 10)
 		b = strconv.AppendInt(append(b, `,"dist":`...), int64(r.Dist), 10)
-		b = strconv.AppendFloat(append(b, `,"normDist":`...), float64(r.Dist)/dmax, 'f', -1, 64)
+		b = append(b, `,"normDist":`...)
+		if h := uint(r.Dist) / 2; r.Dist&1 == 0 && h < uint(len(norm)) {
+			b = append(b, norm[h]...)
+		} else { // odd or out of range: no Footrule distance at this k
+			b = strconv.AppendFloat(b, float64(r.Dist)/dmax, 'f', -1, 64)
+		}
 		b = append(b, '}')
 	}
 	return append(b, ']')
+}
+
+var normTables [256]atomic.Pointer[[]string]
+
+// normTable returns the normDist rendering of every even distance 2h ≤ dmax
+// at k, by h (every Footrule distance is even), memoized on the first reply
+// at that k (racing builders store equal tables); nil past k = 255.
+func normTable(k int) []string {
+	if k >= len(normTables) {
+		return nil
+	}
+	if t := normTables[k].Load(); t != nil {
+		return *t
+	}
+	dmax := ranking.MaxDistance(max(k, 1))
+	t := make([]string, 0, dmax/2+1)
+	for d := 0; d <= dmax; d += 2 {
+		t = append(t, strconv.FormatFloat(float64(d)/float64(dmax), 'f', -1, 64))
+	}
+	normTables[k].Store(&t)
+	return t
 }
 
 // appendSearch renders a searchResponse: one answer per query for a batch,
 // else the single answer, its members omitted when it is empty.
 func appendSearch(b []byte, k int, tookMicros int64, batch bool, answers [][]ranking.Result) []byte {
 	b = strconv.AppendInt(append(b, `{"tookMicros":`...), tookMicros, 10)
+	norm := normTable(k)
 	switch {
 	case batch:
 		b = append(b, `,"answers":[`...)
@@ -230,11 +259,11 @@ func appendSearch(b []byte, k int, tookMicros int64, batch bool, answers [][]ran
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = append(appendAnswer(append(b, '{'), k, a), '}')
+			b = append(appendAnswer(append(b, '{'), k, norm, a), '}')
 		}
 		b = append(b, ']')
 	case len(answers[0]) > 0:
-		b = appendAnswer(append(b, ','), k, answers[0])
+		b = appendAnswer(append(b, ','), k, norm, answers[0])
 	}
 	return append(b, "}\n"...)
 }
@@ -242,7 +271,7 @@ func appendSearch(b []byte, k int, tookMicros int64, batch bool, answers [][]ran
 // appendKNN renders a knnResponse.
 func appendKNN(b []byte, k int, tookMicros int64, rs []ranking.Result) []byte {
 	b = strconv.AppendInt(append(b, `{"tookMicros":`...), tookMicros, 10)
-	return append(appendAnswer(append(b, ','), k, rs), "}\n"...)
+	return append(appendAnswer(append(b, ','), k, normTable(k), rs), "}\n"...)
 }
 
 // writeReply renders a 200 reply into a pooled buffer and sends it as one
