@@ -40,7 +40,7 @@ import (
 func main() {
 	var (
 		dataPath    = flag.String("data", "", "collection path (- = stdin), one ranking per line, e.g. [1, 2, 3]")
-		indexKind   = flag.String("index", "coarse", kinds.Names(standalone))
+		indexKind   = flag.String("index", "coarse", kinds.Names())
 		query       = flag.String("q", "", "query ranking, e.g. \"[3, 1, 4]\"")
 		theta       = flag.Float64("theta", 0.2, "normalized distance threshold in [0,1]")
 		interactive = flag.Bool("interactive", false, "read queries from stdin after loading")
@@ -162,18 +162,10 @@ func loadSnapshot(path string) ([]topk.Ranking, error) {
 	return persist.ReadLegacy(f)
 }
 
-// standalone accepts the kinds topkquery builds: all but the hybrid, which
-// is topkserve's engine.
-func standalone(k kinds.Kind) bool { return k.Name != "hybrid" }
-
 func buildIndex(kind string, rankings []topk.Ranking, maxTheta float64) (kinds.Index, error) {
-	k, err := kinds.Lookup(kind, standalone)
+	k, err := kinds.Lookup(kind)
 	if err != nil {
 		return nil, err
-	}
-	// The mutable kinds build from a slot array and would accept an empty one.
-	if len(rankings) == 0 {
-		return nil, errors.New("topk: empty collection")
 	}
 	return k.New(rankings, kinds.Options{MaxTheta: maxTheta})
 }

@@ -4,12 +4,15 @@
 // and serves exact range queries over HTTP — one or many named collections
 // per process.
 //
-// Every collection is one of the mutable inverted-family kinds: hybrid (the
-// default), inverted (F&V), inverted-drop (F&V+Drop) or merge (ListMerge).
-// Any other -kind is a usage error before anything listens; the paper
-// baselines (coarse*, blocked*, the metric trees) are built by topkquery
-// -index and measured by topkbench. Every served kind takes the same
-// options: -delta-ratio sets its compaction ratio, -calibrate is ignored.
+// Every shard of every collection is one internal/invindex.Mutable — the
+// paper's rank-augmented inverted index, mutable with stable ids — and the
+// -kind names its range algorithm: hybrid (the default) and inverted-drop
+// run F&V+Drop, inverted F&V, merge ListMerge; all answer the same, and KNN
+// is the native posting-list pass on every kind. Any other -kind is a usage
+// error before anything listens; the paper baselines (coarse*, blocked*, the
+// metric trees) are built by topkquery -index and measured by topkbench, and
+// this command links none of them. Every served kind takes the same options:
+// -delta-ratio sets its compaction ratio, -calibrate is ignored.
 //
 // Usage:
 //
@@ -46,12 +49,11 @@
 //	                        WAL directory, then truncate the log below it
 //	GET  /c/{name}/stats    live collection size, per-shard Len/Tombstones/
 //	                        Rebuilds/DistanceCalls/latency histograms,
-//	                        fan-out and merge timings; for hybrid also the
-//	                        queries each of its two backends answered
+//	                        fan-out and merge timings
 //	GET  /metrics  Prometheus text exposition: HTTP request/error/in-flight/
 //	               latency by route and status, and per-collection shard,
-//	               plan-counter, WAL and compaction families labeled
-//	               with a bounded collection label
+//	               WAL and compaction families labeled with a bounded
+//	               collection label
 //	GET  /healthz  liveness probe (200 as long as the process serves HTTP)
 //	GET  /readyz   readiness probe (503 until every collection's build and
 //	               WAL replay finish, 200 after)
@@ -89,8 +91,7 @@ import (
 	"syscall"
 	"time"
 
-	"topk"
-	"topk/internal/kinds"
+	"topk/internal/invindex"
 	"topk/internal/server"
 )
 
@@ -99,10 +100,10 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address")
 		dataPath   = flag.String("data", "", "default collection path (- = stdin), one ranking per line")
 		snapPath   = flag.String("load-snapshot", "", "v3 collection snapshot (see topkgen -format binary / topkquery -save-snapshot / GET /snapshot)")
-		kind       = flag.String("kind", "hybrid", kinds.Names(func(k kinds.Kind) bool { return k.Mutable }))
+		kind       = flag.String("kind", "hybrid", server.KindNames())
 		shards     = flag.Int("shards", 0, "number of shards (0 = GOMAXPROCS)")
 		_          = flag.Int("calibrate", 0, "ignored: no kind has a query router left to calibrate; the flag remains because benchmark/ still passes it")
-		deltaRatio = flag.Float64("delta-ratio", topk.DefaultCompactionRatio, "tombstone fraction of a shard's id space above which a delete or update compacts the shard synchronously, on every kind (<= 0 disables)")
+		deltaRatio = flag.Float64("delta-ratio", invindex.DefaultCompactionRatio, "tombstone fraction of a shard's id space above which a delete or update compacts the shard synchronously, on every kind (<= 0 disables)")
 		maxBody    = flag.Int64("max-body", 16<<20, "maximum request body size in bytes on every endpoint; larger bodies get 413")
 		walDir     = flag.String("wal", "", "single-collection write-ahead-log directory: append every acked mutation before responding, recover checkpoint+log on startup")
 		walRoot    = flag.String("wal-root", "", "multi-tenant WAL root: one subdirectory per collection plus a MANIFEST; dynamically created collections become durable and are recovered on restart")

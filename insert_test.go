@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"topk/internal/difftest"
+	"topk/internal/invindex"
 )
 
 func TestInvertedIndexInsert(t *testing.T) {
@@ -54,6 +55,9 @@ func TestMutationsCopyCallerSlice(t *testing.T) {
 	}{
 		{"inverted", func(rs []Ranking) (slotIndex, error) { return NewInvertedIndex(rs) }},
 		{"hybrid", func(rs []Ranking) (slotIndex, error) { return NewHybridIndex(rs) }},
+		{"invindex.Mutable", func(rs []Ranking) (slotIndex, error) {
+			return invindex.NewMutable(rs, invindex.FilterValidateDrop, invindex.DefaultCompactionRatio)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const k, domain = 8, 150

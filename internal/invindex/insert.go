@@ -17,8 +17,8 @@ import (
 // arenas past arenaLimit postings is refused before anything changes.
 // Searchers created before the insert stay valid — they grow their gain
 // accumulator to the new collection size on their next query — but Insert
-// must not run concurrently with queries (package topk's facade serializes
-// them with an RWMutex).
+// must not run concurrently with queries (Mutable serializes them with an
+// RWMutex).
 func (idx *Index) Insert(r ranking.Ranking) (ranking.ID, error) {
 	if idx.Len() > 0 && r.K() != idx.K() {
 		return 0, fmt.Errorf("invindex: inserted ranking has size %d, want %d: %w",
@@ -96,9 +96,8 @@ func (idx *Index) repack() {
 // Delete tombstones the ranking with the given id: its postings stay in the
 // lists but every query algorithm skips it from then on. Deleting an unknown
 // or already-deleted id is an error. Like Insert, Delete must not run
-// concurrently with queries; the topk facade serializes them, tracks the
-// tombstone ratio, and rebuilds the index (compaction) when it grows too
-// large.
+// concurrently with queries; Mutable serializes them, tracks the tombstone
+// ratio, and rebuilds the index (compaction) when it grows too large.
 func (idx *Index) Delete(id ranking.ID) error {
 	if int(id) >= idx.Len() {
 		return fmt.Errorf("invindex: delete of unknown id %d (n=%d)", id, idx.Len())

@@ -38,8 +38,9 @@
 // Query processing state (the gain accumulator, which also de-duplicates
 // candidates, and the candidate and result buffers) lives in a Searcher; a
 // Searcher serves one query at a time, so use one per goroutine — or draw
-// them from a sync.Pool, which is how the topk facade lets any number of
-// goroutines query a shared index concurrently.
+// them from a sync.Pool, which is how Mutable (mutable.go), the index
+// cmd/topkserve serves, lets any number of goroutines query a shared index
+// concurrently.
 package invindex
 
 import (
@@ -105,24 +106,29 @@ func New(rankings []ranking.Ranking) (*Index, error) {
 }
 
 // NewFromStore indexes st, which the index then owns: Insert appends to it.
+func NewFromStore(st *kernel.Store) (*Index, error) {
+	for id := range st.Len() {
+		if err := st.Slot(ranking.ID(id)).Validate(); err != nil {
+			return nil, fmt.Errorf("invindex: ranking %d: %w", id, err)
+		}
+	}
+	return build(st)
+}
+
+// build indexes st, whose rankings the caller has validated.
 //
 // The lists are built by one counting sort: count every item's postings into
 // its span, turn the counts into offsets by a prefix sum, and scatter each
 // posting into its list's next slot. Ids are visited in ascending order, so
 // every list comes out id-sorted; below kernel.MaxDenseItems nothing is
 // hashed.
-func NewFromStore(st *kernel.Store) (*Index, error) {
+func build(st *kernel.Store) (*Index, error) {
 	n, k := st.Len(), st.K()
 	if k > 255 {
 		return nil, fmt.Errorf("invindex: k=%d exceeds the uint8 rank range", k)
 	}
 	if uint64(n)*uint64(k) > arenaLimit {
 		return nil, fmt.Errorf("invindex: %d rankings of size %d exceed %d postings", n, k, arenaLimit)
-	}
-	for id := range n {
-		if err := st.Slot(ranking.ID(id)).Validate(); err != nil {
-			return nil, fmt.Errorf("invindex: ranking %d: %w", id, err)
-		}
 	}
 	idx := &Index{store: st, sparse: make(map[ranking.Item]*span)}
 	for _, it := range st.Flat() {
@@ -237,8 +243,7 @@ func (idx *Index) Ranking(id ranking.ID) ranking.Ranking { return idx.store.Slot
 // Rankings returns views of the whole collection (see Ranking), indexed by
 // id: the build-time rankings, then every ranking inserted since, tombstoned
 // ones included. It allocates the slice of views on every call, so it is for
-// builds over the collection — a hybrid's forced adaptsearch sidecar, the
-// blocked index — not for queries.
+// builds over the collection — the blocked index — not for queries.
 func (idx *Index) Rankings() []ranking.Ranking {
 	out := make([]ranking.Ranking, idx.Len())
 	for id := range out {

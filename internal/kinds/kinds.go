@@ -1,6 +1,7 @@
-// Package kinds is the one table of named index kinds the command-line tools
-// build: topkquery -index resolves a name here, and topkserve -kind and the
-// "kind" of PUT /collections/{name} resolve the mutable ones.
+// Package kinds is the table of named index kinds topkquery -index builds:
+// the mutable inverted index under its three algorithms and the paper
+// baselines. (topkserve serves the inverted index directly; its -kind names
+// are internal/server's.)
 package kinds
 
 import (
@@ -17,88 +18,72 @@ type Options struct {
 	// partitioning threshold for (topkquery -maxtheta); the other kinds
 	// ignore it.
 	MaxTheta float64
-	// CompactionRatio is the tombstone fraction of a mutable kind's id space
-	// above which a delete or update compacts it (topkserve -delta-ratio);
-	// ≤ 0 disables compaction. The read-only kinds ignore it.
-	CompactionRatio float64
 }
 
 // Index is the query shape every kind has: the traced range search topkquery
-// answers with, the live ranking count and the ranking size. The mutable kinds'
-// indices additionally satisfy shard.Index, which topkserve's shard builder
-// checks once, when it builds a shard.
+// answers with, the live ranking count and the ranking size.
 type Index interface {
 	SearchTraced(q ranking.Ranking, theta float64) ([]ranking.Result, string, uint64, error)
 	Len() int
 	K() int
 }
 
-// Kind is one named index kind.
+// Kind is one named index kind. New builds it over a dense collection.
 type Kind struct {
 	Name string
-	// Mutable kinds support Insert/Delete/Update and are exactly the kinds
-	// topkserve serves. Only they can represent retired (tombstoned) ids: New
-	// takes an external-id slot array with nil for a retired id. The other
-	// kinds — the paper baselines — need a dense collection.
-	Mutable bool
-	New     func(slots []ranking.Ranking, o Options) (Index, error)
+	New  func(rs []ranking.Ranking, o Options) (Index, error)
 }
 
-// Table lists every kind, the mutable ones first.
+// Table lists every kind.
 var Table = []Kind{
-	{"hybrid", true, func(rs []ranking.Ranking, o Options) (Index, error) {
-		return topk.NewHybridIndexFromSlots(rs, topk.WithHybridDeltaRatio(o.CompactionRatio))
+	{"inverted", func(rs []ranking.Ranking, _ Options) (Index, error) {
+		return topk.NewInvertedIndex(rs, topk.WithAlgorithm(topk.FilterValidate))
 	}},
-	{"inverted", true, func(rs []ranking.Ranking, o Options) (Index, error) {
-		return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.FilterValidate), topk.WithCompactionRatio(o.CompactionRatio))
+	{"inverted-drop", func(rs []ranking.Ranking, _ Options) (Index, error) {
+		return topk.NewInvertedIndex(rs)
 	}},
-	{"inverted-drop", true, func(rs []ranking.Ranking, o Options) (Index, error) {
-		return topk.NewInvertedIndexFromSlots(rs, topk.WithCompactionRatio(o.CompactionRatio))
+	{"merge", func(rs []ranking.Ranking, _ Options) (Index, error) {
+		return topk.NewInvertedIndex(rs, topk.WithAlgorithm(topk.ListMerge))
 	}},
-	{"merge", true, func(rs []ranking.Ranking, o Options) (Index, error) {
-		return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.ListMerge), topk.WithCompactionRatio(o.CompactionRatio))
-	}},
-	{"coarse", false, func(rs []ranking.Ranking, o Options) (Index, error) {
+	{"coarse", func(rs []ranking.Ranking, o Options) (Index, error) {
 		return topk.NewCoarseIndex(rs, topk.WithAutoTune(o.MaxTheta))
 	}},
-	{"coarse-drop", false, func(rs []ranking.Ranking, _ Options) (Index, error) {
+	{"coarse-drop", func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewCoarseIndex(rs, topk.WithThetaC(0.06), topk.WithListDropping())
 	}},
-	{"blocked", false, func(rs []ranking.Ranking, _ Options) (Index, error) {
+	{"blocked", func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewBlockedIndex(rs)
 	}},
-	{"blocked-drop", false, func(rs []ranking.Ranking, _ Options) (Index, error) {
+	{"blocked-drop", func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewBlockedIndex(rs, topk.WithBlockedDrop())
 	}},
-	{"bktree", false, func(rs []ranking.Ranking, _ Options) (Index, error) {
+	{"bktree", func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewMetricTree(rs, topk.BKTree)
 	}},
-	{"mtree", false, func(rs []ranking.Ranking, _ Options) (Index, error) {
+	{"mtree", func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewMetricTree(rs, topk.MTree)
 	}},
-	{"vptree", false, func(rs []ranking.Ranking, _ Options) (Index, error) {
+	{"vptree", func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewMetricTree(rs, topk.VPTree)
 	}},
 }
 
-// Lookup resolves a kind name among the kinds keep accepts (nil accepts all).
-func Lookup(name string, keep func(Kind) bool) (Kind, error) {
+// Lookup resolves a kind name.
+func Lookup(name string) (Kind, error) {
 	for _, k := range Table {
-		if k.Name == name && (keep == nil || keep(k)) {
+		if k.Name == name {
 			return k, nil
 		}
 	}
 	return Kind{}, fmt.Errorf("unknown index kind %q", name)
 }
 
-// Names joins the names of the kinds keep accepts (nil accepts all) with "|",
-// in table order — the spelling of flag help and error texts.
-func Names(keep func(Kind) bool) string {
-	var names []string
-	for _, k := range Table {
-		if keep == nil || keep(k) {
-			names = append(names, k.Name)
-		}
+// Names joins the kind names with "|", in table order — the spelling of flag
+// help and error texts.
+func Names() string {
+	names := make([]string, len(Table))
+	for i, k := range Table {
+		names[i] = k.Name
 	}
 	return strings.Join(names, "|")
 }

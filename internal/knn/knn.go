@@ -110,17 +110,6 @@ type RangeSearcher interface {
 	K() int
 }
 
-// Sparse is optionally implemented by RangeSearchers whose id space has
-// holes — mutable indexes where deletions leave tombstoned ids. The dmax
-// backfill of Expanding then walks ids 0..IDSpace()-1 and skips the ones
-// Live rejects, instead of assuming the dense id space 0..Len()-1.
-type Sparse interface {
-	// IDSpace returns the exclusive upper bound of the ids Query reports.
-	IDSpace() int
-	// Live reports whether id names a ranking that is still indexed.
-	Live(id ranking.ID) bool
-}
-
 // Expanding answers an exact KNN query through any RangeSearcher by
 // doubling the search radius until at least n results are found, then
 // keeping the n best. Each failed probe at radius r proves there are fewer
@@ -155,33 +144,26 @@ func Expanding(rs RangeSearcher, q ranking.Ranking, n int) ([]ranking.Result, er
 	}
 }
 
-// backfillMax tops res up to n results with the smallest live ids missing
-// from it, at distance dmax (the only distance a ranking outside radius
-// dmax−1 can have). It walks the id space ascending and stops at the n-th
-// result, so the fill is appended in (distance, id) order behind the sorted
-// res. The id space comes from Sparse when the searcher's has holes and
-// defaults to the dense 0..Len()-1 otherwise.
+// backfillMax tops res up to n results with the smallest ids of the dense id
+// space 0..Len()-1 missing from it, at distance dmax (the only distance a
+// ranking outside radius dmax−1 can have). It walks the ids ascending and
+// stops at the n-th result, so the fill is appended in (distance, id) order
+// behind the sorted res.
 func backfillMax(res []ranking.Result, rs RangeSearcher, dmax, n int) []ranking.Result {
 	if len(res) >= n {
 		return res
-	}
-	space, live := rs.Len(), func(ranking.ID) bool { return true }
-	if sp, ok := rs.(Sparse); ok {
-		space, live = sp.IDSpace(), sp.Live
 	}
 	have := make([]ranking.ID, len(res))
 	for i, r := range res {
 		have[i] = r.ID
 	}
 	slices.Sort(have)
-	for id := ranking.ID(0); int(id) < space && len(res) < n; id++ {
+	for id := ranking.ID(0); int(id) < rs.Len() && len(res) < n; id++ {
 		if len(have) > 0 && have[0] == id {
 			have = have[1:]
 			continue
 		}
-		if live(id) {
-			res = append(res, ranking.Result{ID: id, Dist: dmax})
-		}
+		res = append(res, ranking.Result{ID: id, Dist: dmax})
 	}
 	return res
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"topk/internal/bktree"
+	"topk/internal/difftest"
 	"topk/internal/invindex"
 	"topk/internal/metric"
 	"topk/internal/ranking"
@@ -186,85 +187,51 @@ func TestExpandingEdgeCases(t *testing.T) {
 	}
 }
 
-// sparseSearcher is a range searcher over a slot array with holes that, like
-// an inverted index, cannot see rankings sharing no item with the query. It
-// counts the Live probes of the dmax backfill.
-type sparseSearcher struct {
-	slots  []ranking.Ranking // nil: retired id
-	probes int
-}
+// blindSearcher is a range searcher that, like an inverted index, cannot see
+// rankings sharing no item with the query, so Expanding must back-fill them.
+type blindSearcher struct{ rs []ranking.Ranking }
 
-func (s *sparseSearcher) Query(q ranking.Ranking, rawTheta int) ([]ranking.Result, error) {
+func (s blindSearcher) Query(q ranking.Ranking, rawTheta int) ([]ranking.Result, error) {
 	var out []ranking.Result
 	// Descending ids: Expanding must not rely on the range answer's order.
-	for id := len(s.slots) - 1; id >= 0; id-- {
-		if r := s.slots[id]; r != nil {
-			if d := ranking.Footrule(q, r); d <= rawTheta && d < ranking.MaxDistance(len(q)) {
-				out = append(out, ranking.Result{ID: ranking.ID(id), Dist: d})
-			}
+	for id := len(s.rs) - 1; id >= 0; id-- {
+		if d := ranking.Footrule(q, s.rs[id]); d <= rawTheta && d < ranking.MaxDistance(len(q)) {
+			out = append(out, ranking.Result{ID: ranking.ID(id), Dist: d})
 		}
 	}
 	return out, nil
 }
-func (s *sparseSearcher) Len() int {
-	n := 0
-	for _, r := range s.slots {
-		if r != nil {
-			n++
-		}
-	}
-	return n
-}
-func (s *sparseSearcher) K() int       { return 4 }
-func (s *sparseSearcher) IDSpace() int { return len(s.slots) }
-func (s *sparseSearcher) Live(id ranking.ID) bool {
-	s.probes++
-	return s.slots[id] != nil
-}
+func (s blindSearcher) Len() int { return len(s.rs) }
+func (s blindSearcher) K() int   { return 4 }
 
-// TestExpandingBackfillStopsAtN checks the dmax backfill over a sparse id
-// space: exact against brute force across holes, and walking only as many
-// ids as it takes to find the missing results — not the whole collection.
+// TestExpandingBackfillStopsAtN checks the dmax backfill: a query that
+// overlaps only three rankings, far apart in the id space, is answered
+// exactly like the linear-scan oracle, the missing results being the
+// smallest ids at distance dmax, and n past the collection size returns the
+// whole collection.
 func TestExpandingBackfillStopsAtN(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	s := &sparseSearcher{slots: make([]ranking.Ranking, 5000)}
-	var live []ranking.Ranking
-	for id := range s.slots {
-		if id%3 == 0 {
-			continue // retired
-		}
-		s.slots[id] = randomRanking(rng, 4, 4000)
+	rs := make([]ranking.Ranking, 5000)
+	for id := range rs {
+		rs[id] = randomRanking(rng, 4, 4000)
 	}
-	// Three rankings overlapping the query, far apart in the id space.
 	q := ranking.Ranking{9001, 9002, 9003, 9004}
-	s.slots[4000] = ranking.Ranking{9001, 9002, 9003, 9004}
-	s.slots[10] = ranking.Ranking{9002, 9001, 9003, 9004}
-	s.slots[2500] = ranking.Ranking{1, 2, 3, 9001}
-	for _, r := range s.slots {
-		if r != nil {
-			live = append(live, r)
+	rs[4000] = ranking.Ranking{9001, 9002, 9003, 9004}
+	rs[10] = ranking.Ranking{9002, 9001, 9003, 9004}
+	rs[2500] = ranking.Ranking{1, 2, 3, 9001}
+	s := blindSearcher{rs}
+	o := difftest.NewOracle(rs)
+	for _, n := range []int{1, 3, 8} {
+		got, err := Expanding(s, q, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := o.NearestNeighbors(q, n); !difftest.Equal(got, want) {
+			t.Fatalf("n=%d: got %v\nwant %v", n, got, want)
 		}
 	}
-	got, err := Expanding(s, q, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Brute force over the slot array, ids preserved.
-	var want []ranking.Result
-	for id, r := range s.slots {
-		if r != nil {
-			want = append(want, ranking.Result{ID: ranking.ID(id), Dist: ranking.Footrule(q, r)})
-		}
-	}
-	sort.SliceStable(want, func(i, j int) bool { return want[i].Dist < want[j].Dist })
-	if !equalResults(got, want[:8]) {
-		t.Fatalf("got %v\nwant %v", got, want[:8])
-	}
-	if s.probes > 20 {
-		t.Fatalf("backfill probed %d ids to fill 5 slots of a %d-ranking collection", s.probes, len(live))
-	}
-	if got, _ := Expanding(s, q, len(live)+10); len(got) != len(live) {
-		t.Fatalf("n past the live count returned %d of %d", len(got), len(live))
+	if got, _ := Expanding(s, q, len(rs)+10); len(got) != len(rs) {
+		t.Fatalf("n past the collection size returned %d of %d", len(got), len(rs))
 	}
 }
 

@@ -122,9 +122,6 @@ func (l Layout) ArenaPages() int {
 // Pages is the total logical page count (flag pages then arena pages).
 func (l Layout) Pages() int { return l.FlagPages() + l.ArenaPages() }
 
-// flagPage returns the logical page holding slot i's liveness byte.
-func (l Layout) flagPage(i int) int { return i / l.PageSize }
-
 // arenaPos returns the logical page and in-page byte offset of slot i's row.
 func (l Layout) arenaPos(i int) (page, off int) {
 	spp := l.SlotsPerArenaPage()

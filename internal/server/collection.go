@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"topk"
 	"topk/internal/admit"
 	"topk/internal/persist"
 	"topk/internal/shard"
@@ -48,7 +47,7 @@ type CollectionOptions struct {
 	// manifests keep decoding.
 	Calibrate int `json:"calibrate,omitempty"`
 	// DeltaRatio is the compaction ratio; 0 uses the server's -delta-ratio
-	// (itself defaulting to topk.DefaultCompactionRatio).
+	// (itself defaulting to invindex.DefaultCompactionRatio).
 	DeltaRatio float64 `json:"deltaRatio,omitempty"`
 	// Weight is this collection's share of the global admission capacity,
 	// in (0, 1): a flooded tenant with weight w can hold at most
@@ -111,9 +110,6 @@ type Collection struct {
 	created    time.Time
 
 	sh *shard.Sharded
-	// hybrids is the sub-indices of a hybrid collection, in shard order — where
-	// the plan counters are read from — and empty for every other kind.
-	hybrids []*topk.HybridIndex
 	// admission is this tenant's carve of the global capacity (nil when the
 	// collection is unthrottled or admission is disabled); handlers acquire
 	// it BEFORE the global controller so a flooded tenant queues and sheds
@@ -179,12 +175,6 @@ func (s *Server) newCollection(name string, opts CollectionOptions, sh *shard.Sh
 			fmt.Fprintf(s.cfg.logw(), "fatal: wal append failed after the mutation was applied: %v\n", err)
 			os.Exit(1)
 		},
-	}
-	for i := 0; i < sh.NumShards(); i++ {
-		sub, _ := sh.Shard(i)
-		if h, ok := sub.(*topk.HybridIndex); ok {
-			c.hybrids = append(c.hybrids, h)
-		}
 	}
 	if opts.Weight > 0 && opts.Weight < 1 {
 		c.admission = admit.NewWeighted(s.admission, opts.Weight, s.cfg.MaxQueueWait)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"topk"
+	"topk/internal/ranking"
 	"topk/internal/shard"
 )
 
@@ -22,16 +23,22 @@ func newServer(sh *shard.Sharded, kind string) *Server {
 	return s
 }
 
-// forceShards pins every hybrid shard of sh to the named backend through the
-// library's Force — the comparison the end-to-end harness draws.
-func forceShards(t *testing.T, sh *shard.Sharded, name string) {
+// forcedHybrid builds n shards of the library's HybridIndex over rs, each
+// pinned to the named backend through Force — the comparison the end-to-end
+// harness draws. The server itself never builds a HybridIndex.
+func forcedHybrid(t *testing.T, rs []ranking.Ranking, n int, name string) *shard.Sharded {
 	t.Helper()
-	for i := 0; i < sh.NumShards(); i++ {
-		sub, _ := sh.Shard(i)
-		if err := sub.(*topk.HybridIndex).Force(name); err != nil {
-			t.Fatal(err)
+	sh, err := shard.New(rs, n, func(rs []ranking.Ranking) (shard.Index, error) {
+		h, err := topk.NewHybridIndexFromSlots(rs)
+		if err != nil {
+			return nil, err
 		}
+		return h, h.Force(name)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return sh
 }
 
 // install publishes sh as the in-memory default collection and flips ready —

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -20,10 +19,10 @@ import (
 	"topk/internal/shard"
 )
 
-// TestHybridServe drives the hybrid kind end to end over HTTP: routed
-// searches match a single-backend reference byte-for-byte, GET /stats
-// exposes the aggregated per-backend plan counters, and the engine reports
-// itself mutable.
+// TestHybridServe drives the hybrid kind end to end over HTTP: searches match
+// the library's InvertedIndex byte-for-byte, GET /stats carries no planner
+// section, the engine reports itself mutable, and shards pinned through the
+// library's Force are attributed to the forced backend.
 func TestHybridServe(t *testing.T) {
 	cfg := dataset.NYTLike(300, 10)
 	rs, err := dataset.Generate(cfg)
@@ -75,17 +74,11 @@ func TestHybridServe(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Index != "hybrid" {
+	if st.Index != "hybrid" || st.Queries != uint64(4*len(qs)) {
 		t.Fatalf("implausible stats: %+v", st)
 	}
-	if len(st.Planner) == 0 {
-		t.Fatal("hybrid stats missing planner scoreboard")
-	}
-	// Every query fans out to all shards, and each shard counts its own plan
-	// — on inverted, nothing being forced.
-	want := []topk.PlanStats{{Backend: "inverted", Plans: uint64(4 * len(qs) * sh.NumShards())}, {Backend: "adaptsearch"}}
-	if !reflect.DeepEqual(st.Planner, want) {
-		t.Fatalf("planner scoreboard %+v, want %+v", st.Planner, want)
+	if strings.Contains(rec.Body.String(), `"planner"`) {
+		t.Fatalf("/stats still has a planner section: %s", rec.Body)
 	}
 
 	// The full write path over HTTP: insert (id continues the sequence),
@@ -135,39 +128,42 @@ func TestHybridServe(t *testing.T) {
 	}
 
 	// GET /snapshot works for hybrid (slot view), and shards pinned through
-	// the library's Force report their plans on the forced backend.
+	// the library's Force answer the same, attributed to the forced backend.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/snapshot", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("snapshot status %d", rec.Code)
 	}
-	forced, err := shard.New(rs, 2, builderFor("hybrid", 0))
-	if err != nil {
+	hf := newServer(forcedHybrid(t, rs, 2, "adaptsearch"), "hybrid").routes()
+	rec = postSearch(t, hf, map[string]any{"query": qs[0], "theta": 0.2})
+	var fr searchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &fr); err != nil {
 		t.Fatal(err)
 	}
-	forceShards(t, forced, "adaptsearch")
-	hf := newServer(forced, "hybrid").routes()
-	postSearch(t, hf, map[string]any{"query": qs[0], "theta": 0.2})
-	rec = httptest.NewRecorder()
-	hf.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	st = statsResponse{}
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+	want, _ := ref.Search(qs[0], 0.2)
+	if len(fr.Results) != len(want) {
+		t.Fatalf("forced engine answered %d results, want %d", len(fr.Results), len(want))
+	}
+	for i, r := range fr.Results {
+		if r.ID != want[i].ID || r.Dist != want[i].Dist {
+			t.Fatalf("forced engine result %d: got (%d,%d), want (%d,%d)", i, r.ID, r.Dist, want[i].ID, want[i].Dist)
+		}
+	}
+	var dump struct {
+		Traces []requestTrace `json:"traces"`
+	}
+	if err := json.Unmarshal(get(t, hf, "/debug/trace").Body.Bytes(), &dump); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range st.Planner {
-		if b.Backend != "adaptsearch" && b.Plans != 0 {
-			t.Fatalf("forced engine planned %s: %+v", b.Backend, st.Planner)
-		}
-		if b.Backend == "adaptsearch" && b.Plans == 0 {
-			t.Fatal("forced backend saw no plans")
-		}
+	if b := dump.Traces[0].Backends; len(b) != 1 || b[0] != "adaptsearch" {
+		t.Fatalf("forced engine attributed to %v, want [adaptsearch]", b)
 	}
 }
 
 // TestCalibrateAcceptedAndIgnored: the three spellings of the retired start-up
 // calibration still parse — -calibrate on a hybrid server, the library option,
-// "calibrate" in a create request — and of the router's scoreboard only the
-// plan counters are left on /stats and /metrics.
+// "calibrate" in a create request — and nothing of the router's scoreboard is
+// left on /stats or /metrics.
 func TestCalibrateAcceptedAndIgnored(t *testing.T) {
 	s, err := New(Config{Kind: "hybrid", WALRoot: t.TempDir(), MaxConcurrency: -1, Log: io.Discard})
 	if err != nil {
@@ -194,27 +190,11 @@ func TestCalibrateAcceptedAndIgnored(t *testing.T) {
 		t.Fatalf("search: %d %s", rec.Code, rec.Body)
 	}
 
-	var st struct {
-		Planner []map[string]any `json:"planner"`
+	if st := get(t, h, "/c/x/stats").Body.String(); strings.Contains(st, `"planner"`) {
+		t.Fatalf("/stats still has a planner section: %s", st)
 	}
-	if err := json.Unmarshal(get(t, h, "/c/x/stats").Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	want := []map[string]any{
-		{"backend": "inverted", "plans": float64(s.mustLookup(t, "x").sh.NumShards())},
-		{"backend": "adaptsearch", "plans": 0.0},
-	}
-	if !reflect.DeepEqual(st.Planner, want) {
-		t.Fatalf("/stats planner = %v, want exactly %v", st.Planner, want)
-	}
-	metrics := get(t, h, "/metrics").Body.String()
-	if !strings.Contains(metrics, `topkserve_planner_plans_total{collection="x",backend="inverted"}`) {
-		t.Error("/metrics lost topkserve_planner_plans_total")
-	}
-	for _, gone := range []string{"observations_total", "mispredicts_total", "ewma_latency_seconds", "ewma_distance_calls"} {
-		if strings.Contains(metrics, "topkserve_planner_"+gone) {
-			t.Errorf("/metrics still exports topkserve_planner_%s", gone)
-		}
+	if strings.Contains(get(t, h, "/metrics").Body.String(), "topkserve_planner_") {
+		t.Error("/metrics still exports a topkserve_planner_ family")
 	}
 }
 
@@ -377,9 +357,6 @@ func TestBatchModes(t *testing.T) {
 		}
 		if st.Batches != 3 {
 			t.Fatalf("%s: batches %d, want 3", kind, st.Batches)
-		}
-		if (st.Planner != nil) != (kind == "hybrid") {
-			t.Fatalf("%s: planner stats %+v", kind, st.Planner)
 		}
 	}
 }

@@ -397,32 +397,29 @@ func TestDeltaRatioActsOnEveryKind(t *testing.T) {
 	}
 }
 
-// TestBuilderForServesMutableKinds walks kinds.Table: every mutable kind's
-// index satisfies shard.Index and builds a shard, and builderFor rejects
-// every other kind with errNotServed.
+// TestBuilderForServesMutableKinds walks every kind name topkquery and
+// topkserve know: builderFor builds a shard of each served kind over the
+// slots, and rejects every other kind — the paper baselines of kinds.Table.
 func TestBuilderForServesMutableKinds(t *testing.T) {
 	rs, err := dataset.Generate(dataset.NYTLike(60, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
+	names := []string{"hybrid"}
 	for _, k := range kinds.Table {
-		t.Run(k.Name, func(t *testing.T) {
-			sub, err := builderFor(k.Name, 0)(rs)
-			if !k.Mutable {
-				if !errors.Is(err, errNotServed) {
-					t.Fatalf("builderFor(%q) = %v, want errNotServed", k.Name, err)
+		names = append(names, k.Name)
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			sub, err := builderFor(name, 0)(rs)
+			if validateKind(name) != nil {
+				if err == nil {
+					t.Fatalf("builderFor(%q) built a shard of a kind the server does not serve", name)
 				}
 				return
 			}
 			if err != nil {
 				t.Fatal(err)
-			}
-			idx, err := k.New(rs, kinds.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := idx.(shard.Index); !ok {
-				t.Fatalf("%T does not satisfy shard.Index", idx)
 			}
 			if sub.Len() != len(rs) || len(sub.Slots()) != len(rs) {
 				t.Fatalf("built shard holds %d rankings in %d slots, want %d", sub.Len(), len(sub.Slots()), len(rs))

@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"topk"
 	"topk/internal/telemetry"
 )
 
@@ -221,7 +220,7 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 	w.Gauge("topkserve_tombstones",
 		"Tombstoned rankings awaiting compaction, summed over shards.",
 		labels, float64(tombstones))
-	rb := c.rebuildStats()
+	rb := c.sh.RebuildStats()
 	w.Counter("topkserve_epoch_rebuilds_total",
 		"Compactions (automatic and explicit rebuilds over the surviving rankings), summed over shards.",
 		labels, float64(rb.Rebuilds))
@@ -231,12 +230,6 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 	w.Gauge("topkserve_epoch_rebuild_last_seconds",
 		"Wall time of the most recent compaction on any shard.",
 		labels, float64(rb.LastNanos)/1e9)
-
-	for _, ps := range aggregatePlanStats(c.hybrids) {
-		w.Counter("topkserve_planner_plans_total",
-			"Queries each backend of the hybrid engine answered.",
-			telemetry.Labels("collection", col, "backend", ps.Backend), float64(ps.Plans))
-	}
 
 	if c.wal != nil {
 		st := c.wal.Stats()
@@ -300,22 +293,6 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 			"Requests currently waiting at a collection's carve.",
 			labels, float64(st.QueueDepth))
 	}
-}
-
-// rebuildStats sums the compaction history across shards; every served kind
-// keeps one.
-func (c *Collection) rebuildStats() topk.RebuildStats {
-	var out topk.RebuildStats
-	for i := 0; i < c.sh.NumShards(); i++ {
-		sub, _ := c.sh.Shard(i)
-		st := sub.(interface{ RebuildStats() topk.RebuildStats }).RebuildStats()
-		out.Rebuilds += st.Rebuilds
-		out.TotalNanos += st.TotalNanos
-		if st.LastNanos > out.LastNanos {
-			out.LastNanos = st.LastNanos
-		}
-	}
-	return out
 }
 
 // handleMetrics renders the exposition document.

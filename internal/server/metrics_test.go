@@ -577,9 +577,9 @@ func TestShardHistogramsAgree(t *testing.T) {
 	}
 }
 
-// TestMetricsHybridPlanner checks the plan-counter series the hybrid kind
-// exports: plans per backend sum to the query count and agree with
-// /stats.
+// TestMetricsHybridPlanner checks that the hybrid kind, whose every query the
+// inverted index answers, exports no planner series and /stats no planner
+// section, while the query and compaction series every kind has are there.
 func TestMetricsHybridPlanner(t *testing.T) {
 	cfg := dataset.NYTLike(300, 10)
 	rs, err := dataset.Generate(cfg)
@@ -602,25 +602,16 @@ func TestMetricsHybridPlanner(t *testing.T) {
 		}
 	}
 
-	st := statsOf(t, h)
-	if len(st.Planner) == 0 {
-		t.Fatal("hybrid /stats has no planner section")
+	if st := get(t, h, "/stats").Body.String(); strings.Contains(st, `"planner"`) {
+		t.Fatalf("hybrid /stats still has a planner section: %s", st)
+	}
+	if strings.Contains(get(t, h, "/metrics").Body.String(), "topkserve_planner_") {
+		t.Error("/metrics still exports a topkserve_planner_ family")
 	}
 	doc := scrape(t, h)
-	var plans float64
-	for _, ps := range st.Planner {
-		got := doc.one(t, "topkserve_planner_plans_total",
-			map[string]string{"backend": ps.Backend}).value
-		if got != float64(ps.Plans) {
-			t.Errorf("planner_plans_total{%s} = %v, want %v", ps.Backend, got, ps.Plans)
-		}
-		plans += got
+	if got := doc.one(t, "topkserve_queries_total", nil).value; got != float64(len(qs)) {
+		t.Errorf("topkserve_queries_total = %v, want %d", got, len(qs))
 	}
-	// Every fanned-out query planned once per shard.
-	if want := float64(st.Queries) * float64(st.NumShards); plans != want {
-		t.Errorf("total plans = %v, want %v", plans, want)
-	}
-
 	// The compaction series exist (zero so far).
 	if doc.one(t, "topkserve_epoch_rebuilds_total", nil).value != 0 {
 		t.Error("rebuilds counted without any mutations")
@@ -902,11 +893,14 @@ func TestKNNTraceStagesAndAttribution(t *testing.T) {
 		forced string
 		dfc    bool
 	}{{"", false}, {"adaptsearch", true}} {
-		sh, err := shard.New(rs, 2, builderFor("hybrid", 0))
-		if err != nil {
-			t.Fatal(err)
+		var sh *shard.Sharded
+		if tc.forced == "" {
+			if sh, err = shard.New(rs, 2, builderFor("hybrid", 0)); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			sh = forcedHybrid(t, rs, 2, tc.forced)
 		}
-		forceShards(t, sh, tc.forced)
 		srv := newServer(sh, "hybrid")
 		srv.cache = qcache.New(64)
 		h := srv.routes()

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"net/http"
 
-	"topk"
+	"topk/internal/invindex"
 	"topk/internal/ranking"
 	"topk/internal/shard"
 	"topk/internal/wal"
@@ -29,7 +29,7 @@ type mutateResponse struct {
 // unknown or retired ids are 404, and only genuine internal failures surface
 // as 500.
 func writeMutationError(w http.ResponseWriter, verb string, err error) {
-	if errors.Is(err, topk.ErrUnknownID) {
+	if errors.Is(err, invindex.ErrUnknownID) {
 		httpError(w, http.StatusNotFound, "%v", err)
 		return
 	}

@@ -33,12 +33,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"topk/internal/admit"
-	"topk/internal/kinds"
+	"topk/internal/invindex"
 	"topk/internal/persist"
 	"topk/internal/qcache"
 	"topk/internal/ranking"
@@ -76,7 +77,7 @@ type Config struct {
 	Shards int    // shard count (0 = GOMAXPROCS)
 	// DeltaRatio is the tombstone fraction above which a delete or update
 	// compacts its shard, on every kind. 0 disables compaction; the
-	// -delta-ratio default is topk.DefaultCompactionRatio (0.25).
+	// -delta-ratio default is invindex.DefaultCompactionRatio (0.25).
 	DeltaRatio float64
 
 	MaxBody int64 // request-body bound, bytes (0 = 16 MiB)
@@ -274,13 +275,14 @@ func (s *Server) bootstrap() error {
 
 // retireStaleOptions rewrites what a manifest entry names that this server no
 // longer builds, with one log line each; the next manifest write persists the
-// rewrite. A retired kind — a known one that is no longer served, i.e. the
-// coarse kinds from before topkserve narrowed to the inverted family —
-// recovers as hybrid over the same slots. A forced backend — any name, since
-// the server no longer forces one — is cleared: every query is then answered
-// by inverted.
+// rewrite. A kind that is not served recovers as hybrid over the same slots:
+// only this server writes the manifest, and it validated every kind at
+// create, so such a name is one it served once (the coarse kinds from before
+// topkserve narrowed to the inverted family). A forced backend — any name,
+// since the server no longer forces one — is cleared: every query is then
+// answered by inverted.
 func retireStaleOptions(e *manifestEntry, cfg Config) {
-	if k, err := kinds.Lookup(e.Options.Kind, nil); err == nil && !served(k) {
+	if e.Options.Kind != "" && validateKind(e.Options.Kind) != nil {
 		fmt.Fprintf(cfg.logw(), "collection %q: recovering kind %q, which is no longer served, as hybrid over the same slots\n",
 			e.Name, e.Options.Kind)
 		e.Options.Kind = "hybrid"
@@ -554,43 +556,60 @@ func loadSeed(dataPath, snapPath string) ([]ranking.Ranking, error) {
 	}
 }
 
-// served accepts the kinds a collection can be: the mutable inverted family.
-// Every collection is therefore mutable and keeps retired snapshot ids
-// retired — the kinds all rebuild from one external-id slot array. The paper
-// baselines stay with topkquery and topkbench.
-func served(k kinds.Kind) bool { return k.Mutable }
+// servedKinds is the one table of the kinds a collection can be, in -kind
+// help order: each is invindex.Mutable under one range algorithm, and all
+// answer the same. hybrid is the default and the name the other kinds of
+// older servers recover as.
+var servedKinds = []struct {
+	name string
+	alg  invindex.Algorithm
+}{
+	{"hybrid", invindex.FilterValidateDrop},
+	{"inverted", invindex.FilterValidate},
+	{"inverted-drop", invindex.FilterValidateDrop},
+	{"merge", invindex.ListMerge},
+}
+
+// KindNames joins the served kind names with "|" — the spelling of flag help
+// and error texts.
+func KindNames() string {
+	names := make([]string, len(servedKinds))
+	for i, k := range servedKinds {
+		names[i] = k.name
+	}
+	return strings.Join(names, "|")
+}
+
+// kindAlgorithm returns the range algorithm of a served kind, and an error
+// naming the served kinds for any other.
+func kindAlgorithm(kind string) (invindex.Algorithm, error) {
+	for _, k := range servedKinds {
+		if k.name == kind {
+			return k.alg, nil
+		}
+	}
+	return 0, fmt.Errorf("index kind %q is not served (want one of %s)", kind, KindNames())
+}
 
 // validateKind rejects an index kind the server does not serve.
 func validateKind(kind string) error {
-	if _, err := kinds.Lookup(kind, served); err != nil {
-		return fmt.Errorf("index kind %q is not served (want one of %s)", kind, kinds.Names(served))
-	}
-	return nil
+	_, err := kindAlgorithm(kind)
+	return err
 }
 
-// errNotServed is the error of a shard builder asked for a kind the server
-// does not serve.
-var errNotServed = errors.New("index kind is not served")
-
 // builderFor returns the shard builder for a served index kind name;
-// deltaRatio is its compaction ratio. The builder converts what the
-// kind builds to shard.Index once, at build time, and fails with errNotServed
-// for any other kind.
+// deltaRatio is its compaction ratio. Every shard is one invindex.Mutable,
+// restored from its slice of the slot array.
 func builderFor(kind string, deltaRatio float64) shard.Builder {
-	o := kinds.Options{CompactionRatio: deltaRatio}
-	k, lookupErr := kinds.Lookup(kind, served)
+	alg, kindErr := kindAlgorithm(kind)
 	return func(rs []ranking.Ranking) (shard.Index, error) {
-		if lookupErr != nil {
-			return nil, fmt.Errorf("%w: %w", errNotServed, lookupErr)
+		if kindErr != nil {
+			return nil, kindErr
 		}
-		idx, err := k.New(rs, o)
+		m, err := invindex.NewMutable(rs, alg, deltaRatio)
 		if err != nil {
 			return nil, err
 		}
-		sub, ok := idx.(shard.Index)
-		if !ok {
-			return nil, fmt.Errorf("%w: kind %q has no mutation half", errNotServed, kind)
-		}
-		return sub, nil
+		return m, nil
 	}
 }

@@ -1,12 +1,10 @@
-// GET /stats: the per-collection counters, the hybrid's plan counters and
-// storage state as JSON.
+// GET /stats: the per-collection counters and storage state as JSON.
 package server
 
 import (
 	"net/http"
 	"time"
 
-	"topk"
 	"topk/internal/admit"
 	"topk/internal/qcache"
 	"topk/internal/shard"
@@ -31,11 +29,7 @@ type statsResponse struct {
 	// and gather (concatenating per-shard answers).
 	Fanout shard.HistogramSnapshot `json:"fanout"`
 	Merge  shard.HistogramSnapshot `json:"merge"`
-	// Planner counts the queries each backend of the hybrid engine answered,
-	// summed across shards; absent for single-backend kinds. (The key
-	// predates the removal of the query planner.)
-	Planner []topk.PlanStats   `json:"planner,omitempty"`
-	Shards  []shard.ShardStats `json:"shards"`
+	Shards []shard.ShardStats      `json:"shards"`
 	// WAL reports the durability counters when the collection has a log.
 	WAL *walStatsJSON `json:"wal,omitempty"`
 	// Storage reports the checkpoint page economy of a durable collection's
@@ -54,24 +48,6 @@ type walStatsJSON struct {
 	Dir      string `json:"dir"`
 	Replayed int    `json:"replayed"`
 	wal.Stats
-}
-
-// aggregatePlanStats sums the per-shard plan counters by backend (every
-// hybrid reports the same rows, in topk.HybridBackends order); nil when the
-// collection has no hybrid shard.
-func aggregatePlanStats(hybrids []*topk.HybridIndex) []topk.PlanStats {
-	var out []topk.PlanStats
-	for _, h := range hybrids {
-		ps := h.PlanStats()
-		if out == nil {
-			out = ps
-			continue
-		}
-		for i := range ps {
-			out[i].Plans += ps[i].Plans
-		}
-	}
-	return out
 }
 
 func (s *Server) handleStats(c *Collection, w http.ResponseWriter, r *http.Request) {
@@ -104,7 +80,6 @@ func (s *Server) handleStats(c *Collection, w http.ResponseWriter, r *http.Reque
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Fanout:        fan,
 		Merge:         mrg,
-		Planner:       aggregatePlanStats(c.hybrids),
 		Shards:        c.sh.Stats(),
 		WAL:           ws,
 		Storage:       c.storageStats(),

@@ -54,7 +54,7 @@ func (f *fakeIndex) Update(ranking.ID, ranking.Ranking) error   { return errFake
 func (f *fakeIndex) Compact() error                             { return nil }
 func (f *fakeIndex) Slots() []ranking.Ranking                   { return make([]ranking.Ranking, f.n) }
 func (f *fakeIndex) Tombstones() int                            { return 0 }
-func (f *fakeIndex) Rebuilds() uint64                           { return 0 }
+func (f *fakeIndex) RebuildStats() shard.RebuildStats           { return shard.RebuildStats{} }
 
 var errFakeMutation = errors.New("fake shard: no mutations")
 

@@ -15,9 +15,10 @@
 // A sub-index serves through one total contract, Index: a traced range search
 // and a traced exact KNN, each naming the backend that answered and the
 // query's own distance calls, plus the mutation half — Insert, Delete, Update,
-// Compact, the slot view and the tombstone and compaction counters. Package
-// topk's mutable inverted family (InvertedIndex, HybridIndex) provides all of
-// it, so no path asks a shard what it can do.
+// Compact, the slot view and the tombstone and compaction counters.
+// invindex.Mutable provides all of it — cmd/topkserve builds one per shard —
+// and so do package topk's wrappers of it (InvertedIndex, HybridIndex), so no
+// path asks a shard what it can do.
 //
 // Every query path — a single search, a batch, a KNN query — is one scatter:
 // one task per shard, so a request's parallelism is the shard count. Each
@@ -35,10 +36,9 @@ import (
 	"topk/internal/telemetry"
 )
 
-// Index is the serving contract of a sub-index: the query half every kind of
-// package topk has, plus the mutation half of the mutable inverted family
-// (InvertedIndex and HybridIndex). Sharded routes Insert, Delete and Update
-// to the owning shard.
+// Index is the serving contract of a sub-index — invindex.Mutable, or one of
+// package topk's wrappers of it: a traced query half plus the mutation half.
+// Sharded routes Insert, Delete and Update to the owning shard.
 type Index interface {
 	// SearchTraced returns all indexed rankings within normalized Footrule
 	// distance theta of q, sorted by ID, with exact distances, plus the name
@@ -68,20 +68,33 @@ type Index interface {
 	Slots() []ranking.Ranking
 	// Tombstones counts deleted rankings awaiting compaction.
 	Tombstones() int
-	// Rebuilds counts the compactions run so far, automatic or explicit.
-	Rebuilds() uint64
+	// RebuildStats reports the compactions run so far, automatic or
+	// explicit, and their wall time.
+	RebuildStats() RebuildStats
+}
+
+// RebuildStats describes the compaction history of a sub-index: how many
+// rebuilds over the survivors ran — automatic and explicit Compact calls —
+// and the wall time they cost. A failed rebuild is not counted.
+type RebuildStats struct {
+	// Rebuilds counts completed compactions.
+	Rebuilds uint64 `json:"rebuilds"`
+	// TotalNanos is the cumulative wall time of the compactions; LastNanos the
+	// most recent one's.
+	TotalNanos uint64 `json:"totalNanos,omitempty"`
+	LastNanos  uint64 `json:"lastNanos,omitempty"`
 }
 
 // Builder constructs one sub-index over a contiguous slice of the
 // collection. The slice aliases the caller's collection; builders must not
 // modify it. The slice may contain nil entries — tombstoned slots of a
 // snapshot — which the builder must map to retired ids (see
-// topk.NewInvertedIndexFromSlots).
+// invindex.NewMutable).
 type Builder func(rankings []ranking.Ranking) (Index, error)
 
 // Sharded is a collection partitioned across independent sub-indices.
 // All methods are safe for concurrent use (given sub-indices with
-// concurrency-safe Search and mutations, which every topk index provides:
+// concurrency-safe Search and mutations, which invindex.Mutable provides:
 // shards serialize their own mutations internally, and the routing state
 // below — offsets, slot sizes — is immutable after New because inserts only
 // ever extend the open-ended id range of the last shard).
@@ -309,12 +322,19 @@ func (s *Sharded) DistanceCalls() uint64 {
 }
 
 // Rebuilds sums the compactions of the sub-indices.
-func (s *Sharded) Rebuilds() uint64 {
-	var t uint64
+func (s *Sharded) Rebuilds() uint64 { return s.RebuildStats().Rebuilds }
+
+// RebuildStats sums the compaction counts and wall times of the sub-indices;
+// LastNanos is the most recent compaction's on any of them.
+func (s *Sharded) RebuildStats() RebuildStats {
+	var out RebuildStats
 	for _, sh := range s.shards {
-		t += sh.Rebuilds()
+		st := sh.RebuildStats()
+		out.Rebuilds += st.Rebuilds
+		out.TotalNanos += st.TotalNanos
+		out.LastNanos = max(out.LastNanos, st.LastNanos)
 	}
-	return t
+	return out
 }
 
 // Shard returns the i-th sub-index and the global ID of its first ranking.
@@ -443,7 +463,7 @@ func (s *Sharded) Stats() []ShardStats {
 			Offset:        s.offsets[i],
 			Len:           sh.Len(),
 			Tombstones:    sh.Tombstones(),
-			Rebuilds:      sh.Rebuilds(),
+			Rebuilds:      sh.RebuildStats().Rebuilds,
 			DistanceCalls: sh.DistanceCalls(),
 			Latency:       view(s.hists[i].Snapshot()),
 		}

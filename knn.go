@@ -11,23 +11,15 @@ type NearestNeighborSearcher interface {
 }
 
 // rangeAdapter lifts a backend's raw search into knn.RangeSearcher for the
-// expanding-radius reduction. Mutable indexes, whose id space can have
-// tombstone holes, set space and dead (knn.Sparse); immutable kinds leave
-// dead nil and space equal to live.
+// expanding-radius reduction.
 type rangeAdapter struct {
 	query func(q Ranking, rawTheta int) ([]Result, error)
-	live  int // indexed, non-tombstoned rankings
-	space int // size of the id space query reports in
-	dead  func(ID) bool
+	live  int // indexed rankings, ids 0..live-1
 	k     int
 }
 
 func (a rangeAdapter) Query(q ranking.Ranking, rawTheta int) ([]ranking.Result, error) {
 	return a.query(q, rawTheta)
 }
-func (a rangeAdapter) Len() int     { return a.live }
-func (a rangeAdapter) K() int       { return a.k }
-func (a rangeAdapter) IDSpace() int { return a.space }
-func (a rangeAdapter) Live(id ranking.ID) bool {
-	return a.dead == nil || !a.dead(id)
-}
+func (a rangeAdapter) Len() int { return a.live }
+func (a rangeAdapter) K() int   { return a.k }

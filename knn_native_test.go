@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"topk/internal/difftest"
-	"topk/internal/knn"
 	"topk/internal/ranking"
 	"topk/internal/shard"
 )
@@ -43,25 +42,8 @@ func knnSubjects(t testing.TB, slots []Ranking) map[string]knnSubject {
 	return map[string]knnSubject{"inverted": inv, "hybrid": hyb, "sharded": difftest.Sharded{Sharded: sh}}
 }
 
-// reductionOver runs knn.Expanding over the public range search of the same
-// index: the doubling-radius reduction the native path replaced, kept as a
-// second reference beside the linear-scan oracle.
-type reductionOver struct {
-	idx difftest.Searcher
-	o   *difftest.Oracle
-}
-
-func (r reductionOver) Query(q ranking.Ranking, raw int) ([]ranking.Result, error) {
-	// +0.5 lands RawThreshold's floor exactly on raw.
-	return r.idx.Search(q, (float64(raw)+0.5)/float64(ranking.MaxDistance(r.o.K())))
-}
-func (r reductionOver) Len() int                { return r.o.Len() }
-func (r reductionOver) K() int                  { return r.o.K() }
-func (r reductionOver) IDSpace() int            { return r.o.NumSlots() }
-func (r reductionOver) Live(id ranking.ID) bool { return r.o.Live(id) }
-
 // checkKNN holds idx byte-identical — ids, distances, order — to the oracle
-// and to the reduction for every (query, n) pair.
+// for every (query, n) pair.
 func checkKNN(t testing.TB, name string, idx knnSubject, o *difftest.Oracle, queries []Ranking, ns []int) {
 	t.Helper()
 	for _, q := range queries {
@@ -72,13 +54,6 @@ func checkKNN(t testing.TB, name string, idx knnSubject, o *difftest.Oracle, que
 			}
 			if want := o.NearestNeighbors(q, n); !difftest.Equal(got, want) {
 				t.Fatalf("%s n=%d q=%v: diverged from the oracle\n got %v\nwant %v", name, n, q, got, want)
-			}
-			red, err := knn.Expanding(reductionOver{idx, o}, q, n)
-			if err != nil {
-				t.Fatalf("%s: reduction(n=%d): %v", name, n, err)
-			}
-			if !difftest.Equal(got, red) {
-				t.Fatalf("%s n=%d q=%v: diverged from knn.Expanding\n got %v\nwant %v", name, n, q, got, red)
 			}
 		}
 	}
@@ -101,8 +76,7 @@ func mixedQueries(rng *rand.Rand, o *difftest.Oracle, count, domain int) []Ranki
 
 // TestKNNNativeDifferential is the acceptance contract of the native KNN:
 // in every state a mutable index can reach, InvertedIndex, HybridIndex and a
-// 3-shard collection answer byte-identically to the linear-scan oracle and
-// to the expanding-radius reduction over the same index.
+// 3-shard collection answer byte-identically to the linear-scan oracle.
 func TestKNNNativeDifferential(t *testing.T) {
 	const k, domain = 6, 40 // small domain: distance ties at the cut are the norm
 	apply := func(t *testing.T, idx knnSubject, o *difftest.Oracle, op string, id ID, r Ranking) {
@@ -256,14 +230,6 @@ func TestKNNNativeTieDecidedByExternalID(t *testing.T) {
 			t.Fatalf("%s: got %v, want %v", name, got, want)
 		}
 		checkKNN(t, name, idx, o, []Ranking{q, tied}, []int{1, 2, 3, 9})
-	}
-	// The premise: the facade's id map really is out of order here.
-	inv, _ := NewInvertedIndex(rs, WithCompactionRatio(0))
-	if err := inv.Update(1, tied); err != nil {
-		t.Fatal(err)
-	}
-	if inv.ids.inOrder {
-		t.Fatal("update left the id map monotonic: the tie case is not exercised")
 	}
 }
 

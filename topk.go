@@ -13,24 +13,25 @@
 // (plain and blocked inverted indices, BK-, M- and VP-trees, the
 // AdaptSearch prefix filter) are provided both as baselines and because
 // each has a regime where it wins; see the package examples and README.
-// HybridIndex is the serving engine: the fully mutable InvertedIndex with
-// F&V+Drop for range queries and a native posting-list pass for KNN, plus
-// plan counters and a Force switch onto an AdaptSearch prefix filter built on
-// demand — measured, the inverted index is the faster of the two across the
-// paper's query range, so nothing is routed there unforced.
+// HybridIndex is the library's serving engine: the fully mutable
+// InvertedIndex with F&V+Drop for range queries and a native posting-list
+// pass for KNN, plus plan counters and a Force switch onto an AdaptSearch
+// prefix filter built on demand — measured, the inverted index is the faster
+// of the two across the paper's query range, so nothing is routed there
+// unforced.
 //
 // All Search methods are safe for concurrent use and run in parallel: the
 // per-query scratch state of every index lives in an internal sync.Pool, so
 // any number of goroutines can query one shared index without contending on
 // a lock. Distance-call accounting is atomic. The two mutable kinds,
-// InvertedIndex and HybridIndex — the inverted family cmd/topkserve serves —
-// additionally implement MutableIndex — Insert, Delete and Update with stable
-// external IDs, tombstone filtering on the query path and synchronous
-// compaction once tombstones pass a ratio of the id space — and briefly
-// exclude writers from readers with an RWMutex. The paper baselines (CoarseIndex,
-// BlockedIndex, the metric trees) are read-only and take no lock at all. For
-// query fan-out across cores over one collection, see internal/shard and
-// cmd/topkserve.
+// InvertedIndex and HybridIndex, wrap internal/invindex.Mutable — the index
+// cmd/topkserve builds directly, one per shard — and implement MutableIndex:
+// Insert, Delete and Update with stable external IDs, tombstone filtering on
+// the query path and synchronous compaction once tombstones pass a ratio of
+// the id space, with writers briefly excluded from readers by an RWMutex. The
+// paper baselines (CoarseIndex, BlockedIndex, the metric trees) are read-only
+// and take no lock at all. For query fan-out across cores over one
+// collection, see internal/shard and cmd/topkserve.
 package topk
 
 import (
@@ -108,29 +109,6 @@ func validateCollection(rankings []Ranking) (int, error) {
 		}
 	}
 	return k, nil
-}
-
-// validateSlots checks an external-id slot array (nil = tombstone) and
-// returns the common ranking size and the live count. A zero live count is
-// legal — a shard of a heavily-deleted snapshot can be all tombstones — and
-// yields k = 0 until the first successful Insert defines the size.
-func validateSlots(slots []Ranking) (k, live int, err error) {
-	for i, r := range slots {
-		if r == nil {
-			continue
-		}
-		if live == 0 {
-			k = r.K()
-		} else if r.K() != k {
-			return 0, 0, fmt.Errorf("topk: slot %d has size %d, want %d: %w",
-				i, r.K(), k, ranking.ErrSizeMismatch)
-		}
-		if err := r.Validate(); err != nil {
-			return 0, 0, fmt.Errorf("topk: slot %d: %w", i, err)
-		}
-		live++
-	}
-	return k, live, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -256,39 +234,41 @@ func (c *CoarseIndex) K() int { return c.idx.K() }
 // ---------------------------------------------------------------------------
 
 // Algorithm selects the query processing strategy of an InvertedIndex.
-type Algorithm int
+type Algorithm = invindex.Algorithm
 
 const (
 	// FilterValidate is the baseline F&V: merge all k lists, validate each
 	// candidate.
-	FilterValidate Algorithm = iota
+	FilterValidate = invindex.FilterValidate
 	// FilterValidateDrop additionally drops whole index lists using the
 	// Lemma 2 overlap bound (safe variant).
-	FilterValidateDrop
+	FilterValidateDrop = invindex.FilterValidateDrop
 	// ListMerge merges id-sorted rank-augmented lists, finalizing exact
 	// distances on the fly; threshold-agnostic.
-	ListMerge
+	ListMerge = invindex.ListMerge
 )
 
 // InvertedIndex is the rank-augmented inverted index with the paper's
-// filter-and-validate algorithm family, answering through the shared query
-// half (see queryHalf). It is mutable through the shared mutation half (see
-// mutable): the index supports incremental maintenance natively — posting
-// lists stay id-sorted because internal ids grow monotonically — and every
-// query algorithm skips tombstoned postings until compaction purges them.
-type InvertedIndex struct {
-	mutable
-	queryHalf
-	alg Algorithm
-}
+// filter-and-validate algorithm family — invindex.Mutable, the index
+// cmd/topkserve serves, under the library's name. It is mutable: posting lists
+// stay id-sorted because internal ids grow monotonically, every query
+// algorithm skips tombstoned postings until compaction purges them, and KNN
+// runs the native posting-list pass whatever the range algorithm.
+type InvertedIndex struct{ *invindex.Mutable }
 
 // InvOption configures NewInvertedIndex.
-type InvOption func(*InvertedIndex)
+type InvOption func(*invConfig)
+
+// invConfig is what the options set before the build.
+type invConfig struct {
+	alg   Algorithm
+	ratio float64
+}
 
 // WithAlgorithm selects the query strategy (default FilterValidateDrop,
 // the best all-round performer of the evaluation).
 func WithAlgorithm(a Algorithm) InvOption {
-	return func(ii *InvertedIndex) { ii.alg = a }
+	return func(c *invConfig) { c.alg = a }
 }
 
 // WithCompactionRatio sets the tombstone fraction of the inner id space
@@ -296,15 +276,15 @@ func WithAlgorithm(a Algorithm) InvOption {
 // rankings (default DefaultCompactionRatio). A ratio ≤ 0 disables automatic
 // compaction; Compact can still be called explicitly.
 func WithCompactionRatio(ratio float64) InvOption {
-	return func(ii *InvertedIndex) { ii.compactRatio = ratio }
+	return func(c *invConfig) { c.ratio = ratio }
 }
 
 // NewInvertedIndex builds a rank-augmented inverted index.
 func NewInvertedIndex(rankings []Ranking, opts ...InvOption) (*InvertedIndex, error) {
-	if _, err := validateCollection(rankings); err != nil {
-		return nil, err
+	if len(rankings) == 0 {
+		return nil, fmt.Errorf("topk: empty collection")
 	}
-	return newInvertedFromSlots(rankings, opts)
+	return NewInvertedIndexFromSlots(rankings, opts...)
 }
 
 // NewInvertedIndexFromSlots builds an inverted index from an external-id
@@ -312,30 +292,15 @@ func NewInvertedIndex(rankings []Ranking, opts ...InvOption) (*InvertedIndex, er
 // the ranking at position i gets external ID i, and nil entries are retired
 // IDs that stay retired. With zero live slots the first Insert defines k.
 func NewInvertedIndexFromSlots(slots []Ranking, opts ...InvOption) (*InvertedIndex, error) {
-	if _, _, err := validateSlots(slots); err != nil {
-		return nil, err
-	}
-	return newInvertedFromSlots(slots, opts)
-}
-
-func newInvertedFromSlots(slots []Ranking, opts []InvOption) (*InvertedIndex, error) {
-	ii := &InvertedIndex{alg: FilterValidateDrop}
-	ii.mut, ii.compactRatio = &ii.mutable, DefaultCompactionRatio
+	c := invConfig{alg: FilterValidateDrop, ratio: DefaultCompactionRatio}
 	for _, o := range opts {
-		o(ii)
+		o(&c)
 	}
-	ii.rebuild = func(live []Ranking) (*invindex.Index, error) {
-		idx, err := invindex.New(live)
-		if err != nil {
-			return nil, err
-		}
-		ii.backend = invBackend{idx: idx, pool: newPool(idx, invindex.NewSearcher), alg: ii.alg}
-		return idx, nil
-	}
-	if err := ii.install(newSlotsIDMap(slots)); err != nil {
+	m, err := invindex.NewMutable(slots, c.alg, c.ratio)
+	if err != nil {
 		return nil, err
 	}
-	return ii, nil
+	return &InvertedIndex{m}, nil
 }
 
 // ---------------------------------------------------------------------------
