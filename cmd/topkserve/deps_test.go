@@ -9,15 +9,15 @@ import (
 )
 
 // TestTopkserveLinksNoPaperBaseline walks this command's transitive imports
-// inside the module and fails if it reaches the root topk package or any
-// package of a structure topkserve never serves: every shard is one
-// invindex.Mutable, and the paper baselines belong to topkquery and
-// topkbench. The walk reads the package directories with go/build, so it
+// inside the module and fails if it reaches the root topk package, any
+// package of a structure topkserve never serves, or the scatter-gather of
+// internal/shard: every collection is one invindex.Mutable, and the paper
+// baselines belong to topkquery and topkbench. The walk reads the package directories with go/build, so it
 // runs no go command.
 func TestTopkserveLinksNoPaperBaseline(t *testing.T) {
 	const module = "topk"
 	banned := []string{module}
-	for _, p := range []string{"adaptsearch", "bktree", "blocked", "coarse", "costmodel", "stats", "knn", "mtree", "vptree"} {
+	for _, p := range []string{"adaptsearch", "bktree", "blocked", "coarse", "costmodel", "stats", "knn", "mtree", "vptree", "shard"} {
 		banned = append(banned, module+"/internal/"+p)
 	}
 	root, err := filepath.Abs(filepath.Join("..", ".."))

@@ -1,23 +1,22 @@
-// Command topkserve is a sharded concurrent query service for top-k-list
-// similarity search: it partitions ranking collections across S sub-indices
-// (one per core by default), fans every query out to all shards in parallel,
-// and serves exact range queries over HTTP — one or many named collections
-// per process.
+// Command topkserve is a concurrent query service for top-k-list similarity
+// search: it serves exact range and KNN queries over HTTP — one or many named
+// collections per process, each one index, many requests in parallel.
 //
-// Every shard of every collection is one internal/invindex.Mutable — the
-// paper's rank-augmented inverted index, mutable with stable ids — and the
+// Every collection is one internal/invindex.Mutable — the paper's
+// rank-augmented inverted index, mutable with stable ids, built with one
+// worker per core — and the
 // -kind names its range algorithm: hybrid (the default) and inverted-drop
 // run F&V+Drop, inverted F&V, merge ListMerge; all answer the same, and KNN
 // is the native posting-list pass on every kind. Any other -kind is a usage
 // error before anything listens; the paper baselines (coarse*, blocked*, the
 // metric trees) are built by topkquery -index and measured by topkbench, and
 // this command links none of them. Every served kind takes the same options:
-// -delta-ratio sets its compaction ratio, -calibrate is ignored.
+// -delta-ratio sets its compaction ratio; -calibrate and -shards are ignored.
 //
 // Usage:
 //
 //	topkgen -preset nyt -n 50000 | topkserve -data -
-//	topkserve -load-snapshot rankings.v3 -kind inverted-drop -shards 8
+//	topkserve -load-snapshot rankings.v3 -kind inverted-drop
 //	topkserve -load-snapshot rankings.v3 -kind hybrid -wal /var/lib/topk/wal
 //	topkserve -kind hybrid -wal-root /var/lib/topk    # multi-tenant, starts empty
 //
@@ -27,7 +26,7 @@
 //	                            body {"kind","shards","k","calibrate",
 //	                            "deltaRatio","weight"} overrides the server
 //	                            defaults (every kind takes deltaRatio, and
-//	                            accepts and ignores calibrate)
+//	                            accepts and ignores calibrate and shards)
 //	DELETE /collections/{name}  drain in-flight requests, drop the collection
 //	                            and remove its WAL directory
 //	GET    /collections[/name]  shape, counters and durability lag
@@ -47,19 +46,19 @@
 //	                        tombstones kept (restart with -load-snapshot)
 //	POST /c/{name}/checkpoint  incremental checkpoint into the collection's
 //	                        WAL directory, then truncate the log below it
-//	GET  /c/{name}/stats    live collection size, per-shard Len/Tombstones/
-//	                        Rebuilds/DistanceCalls/latency histograms,
-//	                        fan-out and merge timings
+//	GET  /c/{name}/stats    live collection size, tombstones, rebuilds,
+//	                        distance calls, query counters, WAL, storage,
+//	                        admission and cache sections
 //	GET  /metrics  Prometheus text exposition: HTTP request/error/in-flight/
-//	               latency by route and status, and per-collection shard,
+//	               latency by route and status, and per-collection size,
 //	               WAL and compaction families labeled with a bounded
 //	               collection label
 //	GET  /healthz  liveness probe (200 as long as the process serves HTTP)
 //	GET  /readyz   readiness probe (503 until every collection's build and
 //	               WAL replay finish, 200 after)
 //	GET  /debug/trace  ring of the most recent per-request traces: request
-//	               id, collection, per-stage timings and the backends that
-//	               answered a /search or /knn with their distance calls
+//	               id, collection, per-stage timings and the distance calls
+//	               of a /search or /knn
 //
 // Every handler error — including unknown routes and method mismatches — is
 // a JSON body {"error": <message>, "code": <slug>}.
@@ -101,9 +100,9 @@ func main() {
 		dataPath   = flag.String("data", "", "default collection path (- = stdin), one ranking per line")
 		snapPath   = flag.String("load-snapshot", "", "v3 collection snapshot (see topkgen -format binary / topkquery -save-snapshot / GET /snapshot)")
 		kind       = flag.String("kind", "hybrid", server.KindNames())
-		shards     = flag.Int("shards", 0, "number of shards (0 = GOMAXPROCS)")
+		_          = flag.Int("shards", 0, "ignored: a collection is one index; the flag remains because benchmark/ still passes it")
 		_          = flag.Int("calibrate", 0, "ignored: no kind has a query router left to calibrate; the flag remains because benchmark/ still passes it")
-		deltaRatio = flag.Float64("delta-ratio", invindex.DefaultCompactionRatio, "tombstone fraction of a shard's id space above which a delete or update compacts the shard synchronously, on every kind (<= 0 disables)")
+		deltaRatio = flag.Float64("delta-ratio", invindex.DefaultCompactionRatio, "tombstone fraction of a collection's id space above which a delete or update compacts its index synchronously, on every kind (<= 0 disables)")
 		maxBody    = flag.Int64("max-body", 16<<20, "maximum request body size in bytes on every endpoint; larger bodies get 413")
 		walDir     = flag.String("wal", "", "single-collection write-ahead-log directory: append every acked mutation before responding, recover checkpoint+log on startup")
 		walRoot    = flag.String("wal-root", "", "multi-tenant WAL root: one subdirectory per collection plus a MANIFEST; dynamically created collections become durable and are recovered on restart")
@@ -111,7 +110,7 @@ func main() {
 		walIvl     = flag.Duration("wal-sync-interval", 0, "background WAL fsync interval (0 disables; combines with -wal-sync-every)")
 		slowQuery  = flag.Duration("slow-query", 0, "log any request at least this slow to stderr as one-line JSON with per-stage timings (0 disables)")
 		debugAddr  = flag.String("debug-addr", "", "separate listen address for net/http/pprof profiling endpoints (empty disables)")
-		defTimeout = flag.Duration("default-timeout", 0, "per-request deadline on /search and /knn: past it the shard fan-out stops scheduling work and the client gets 504 (0 disables)")
+		defTimeout = flag.Duration("default-timeout", 0, "per-request deadline on /search and /knn: past it a batch stops between batch members and the client gets 504 (0 disables)")
 		maxConc    = flag.Int("max-concurrency", 0, "admission control: concurrent search weight bound shared by all collections, one unit per batch member (0 = 2x GOMAXPROCS, negative disables admission control entirely)")
 		maxQueue   = flag.Int("max-queue", 0, "admission control: requests allowed to wait for a search slot before shedding with 429 (0 = 4x effective -max-concurrency)")
 		maxWait    = flag.Duration("max-queue-wait", time.Second, "admission control: longest a queued request waits for a slot before shedding with 429 (0 = wait as long as the request's own deadline allows)")
@@ -126,7 +125,6 @@ func main() {
 		SnapshotPath:      *snapPath,
 		DefaultCollection: *defColl,
 		Kind:              *kind,
-		Shards:            *shards,
 		DeltaRatio:        *deltaRatio,
 		MaxBody:           *maxBody,
 		WALDir:            *walDir,

@@ -110,8 +110,8 @@ func NewHybridIndex(rankings []Ranking, opts ...HybridOption) (*HybridIndex, err
 // NewHybridIndexFromSlots builds a hybrid index from an external-id slot
 // array as produced by (*HybridIndex).Slots or a persist snapshot: the
 // ranking at position i gets external ID i, and nil entries are tombstoned
-// IDs that stay retired. A zero live count is legal — a shard of a
-// heavily-deleted snapshot can be all tombstones — and yields k = 0 until
+// IDs that stay retired. A zero live count is legal — a heavily-deleted
+// snapshot can be all tombstones — and yields k = 0 until
 // the first Insert defines the size.
 func NewHybridIndexFromSlots(slots []Ranking, opts ...HybridOption) (*HybridIndex, error) {
 	invOpts := make([]InvOption, len(opts))

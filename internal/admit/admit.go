@@ -1,7 +1,7 @@
 // Package admit is the load-shedding admission controller of the serving
 // stack: a weighted semaphore with a bounded FIFO wait queue and a queue-wait
 // deadline. A search acquires weight proportional to its cost (one unit per
-// batch member) before touching the shard fan-out; when the server is
+// batch member) before touching the index; when the server is
 // saturated the request waits in line, and when the line is full — or the
 // wait exceeds the configured bound — the request is shed immediately with a
 // typed error the HTTP layer maps to 429 + Retry-After. Shedding early keeps

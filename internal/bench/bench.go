@@ -9,7 +9,7 @@
 // One experiment is not from the paper: Kernels, the distance-layer
 // microbenchmark behind BENCH_kernels.json and the cmd/benchgate CI gate.
 // The package measures index structures in-process and knows nothing of the
-// serving stack (engine facade, shards, admission, WAL); how that performs
+// serving stack (engine facade, admission, WAL); how that performs
 // is the end-to-end benchmark's question, asked over a socket by
 // `bash benchmark/run.sh`.
 package bench

@@ -231,7 +231,7 @@ func (r rangeOverInverted) K() int   { return r.s.Index().K() }
 //	               search — the doubling-radius reduction it replaced
 //	fv-drop        FilterValidateDrop at θ = 0.2 — the hybrid's default range
 //	               route
-//	build          invindex.New over the collection — a served shard's
+//	build          invindex.New over the collection — a served collection's
 //	               start-up and every compaction
 //
 // The knn-native and fv-drop rows must allocate nothing but the result slice

@@ -46,7 +46,8 @@ type Mutable interface {
 
 // Sharded adapts a sharded collection, whose query paths take a context and
 // return a trace, to Mutable and to NearestNeighbors: the same calls the
-// server and the benchmark harness make, with the background context.
+// benchmark harness makes, with the background context. Slots and Compact
+// walk the sub-indices, which must provide them.
 type Sharded struct{ *shard.Sharded }
 
 func (s Sharded) Search(q ranking.Ranking, theta float64) ([]ranking.Result, error) {
@@ -56,6 +57,29 @@ func (s Sharded) Search(q ranking.Ranking, theta float64) ([]ranking.Result, err
 
 func (s Sharded) NearestNeighbors(q ranking.Ranking, n int) ([]ranking.Result, error) {
 	return s.NearestNeighborsContext(context.Background(), q, n)
+}
+
+// Slots concatenates the sub-indices' slot views in shard order: the global
+// slot array, since only the last shard's id range grows. The collection must
+// be quiescent.
+func (s Sharded) Slots() []ranking.Ranking {
+	var out []ranking.Ranking
+	for i := range s.NumShards() {
+		sub, _ := s.Shard(i)
+		out = append(out, sub.(interface{ Slots() []ranking.Ranking }).Slots()...)
+	}
+	return out
+}
+
+// Compact compacts every sub-index; global ids are preserved.
+func (s Sharded) Compact() error {
+	for i := range s.NumShards() {
+		sub, _ := s.Shard(i)
+		if err := sub.(interface{ Compact() error }).Compact(); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // Oracle is the linear-scan reference implementation of a mutable

@@ -1,7 +1,9 @@
 package invindex
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -215,5 +217,114 @@ func TestInsertPastArenaLimit(t *testing.T) {
 	}
 	if _, err := New(append(rs, ranking.Ranking{8, 9, 10}, ranking.Ranking{9, 10, 11})); err == nil {
 		t.Fatal("build past the arena limit accepted")
+	}
+}
+
+// TestParallelBuildMatchesSerial holds the parallel counting sort to the
+// serial one: at p = 1 and p = 4 the arenas, every span and the list count
+// are identical, over a collection with items past kernel.MaxDenseItems, one
+// smaller than the worker count (some chunks empty) and an empty one. Each
+// list holds exactly its postings, id-sorted, and the lists lie tight in
+// item order: the dense items ascending, then the sparse ones.
+func TestParallelBuildMatchesSerial(t *testing.T) {
+	// A domain of 500 item values keeps four count tables under the postings,
+	// so p = 4 runs four chunks.
+	rs := difftest.RandomCollection(rand.New(rand.NewSource(5)), 3000, 10, 500)
+	for i, r := range rs[:2000] {
+		r = r.Clone()
+		for j, it := range r {
+			if it%5 == 0 {
+				r[j] = kernel.MaxDenseItems + it
+			}
+		}
+		rs[i] = r
+	}
+	for name, coll := range map[string][]ranking.Ranking{"wide": rs, "small": rs[2997:], "empty": nil} {
+		serial, err := buildP(kernel.NewStore(coll), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := buildP(kernel.NewStore(coll), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(par.ids, serial.ids) || !slices.Equal(par.ranks, serial.ranks) ||
+			!slices.Equal(par.dense, serial.dense) || par.numLists != serial.numLists || len(par.sparse) != len(serial.sparse) {
+			t.Fatalf("%s: p=4 built another layout than p=1", name)
+		}
+		for it, s := range serial.sparse {
+			if ps := par.sparse[it]; ps == nil || *ps != *s {
+				t.Fatalf("%s: sparse item %d at %v with p=4, %v with p=1", name, it, ps, *s)
+			}
+		}
+
+		type posting struct {
+			id   ranking.ID
+			rank uint8
+		}
+		want := make(map[ranking.Item][]posting)
+		var items []ranking.Item
+		for id, r := range coll {
+			for rank, it := range r {
+				if want[it] == nil {
+					items = append(items, it)
+				}
+				want[it] = append(want[it], posting{ranking.ID(id), uint8(rank)})
+			}
+		}
+		slices.Sort(items)
+		if par.NumLists() != len(items) {
+			t.Fatalf("%s: %d lists, want %d", name, par.NumLists(), len(items))
+		}
+		off := uint32(0)
+		for _, it := range items {
+			s := par.lookup(it)
+			if s.off != off || int(s.n) != len(want[it]) || s.cap != s.n {
+				t.Fatalf("%s: item %d at %+v, want %d tight postings at %d", name, it, s, len(want[it]), off)
+			}
+			off += s.n
+			ids, ranks := par.Postings(it)
+			for i, p := range want[it] {
+				if ids[i] != p.id || ranks[i] != p.rank {
+					t.Fatalf("%s: item %d posting %d is (%d, %d), want (%d, %d)", name, it, i, ids[i], ranks[i], p.id, p.rank)
+				}
+			}
+		}
+		if int(off) != len(par.ids) {
+			t.Fatalf("%s: %d arena slots for %d postings", name, len(par.ids), off)
+		}
+	}
+}
+
+// TestBuildWorkers: a whole-collection pass takes GOMAXPROCS workers, but
+// one while the collection holds fewer than two chunks of minChunk rankings.
+// However many workers the build is offered, its per-chunk count tables —
+// one slot per dense item value — never outweigh the postings: over a domain
+// wide against the collection it allocates as if it ran alone.
+func TestBuildWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for n, want := range map[int]int{0: 1, 2*minChunk - 1: 1, 2 * minChunk: 2, 4 * minChunk: 4, 100 * minChunk: 4} {
+		if got := workers(n); got != want {
+			t.Errorf("workers(%d) = %d, want %d", n, got, want)
+		}
+	}
+
+	wide := make([]ranking.Ranking, 2*minChunk)
+	for i := range wide {
+		wide[i] = ranking.Ranking{ranking.Item(25 * i), 1} // 200 000 item values, 16 384 postings
+	}
+	st := kernel.NewStore(wide)
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := buildP(st, 32); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 4<<20 { // one chunk: 0.8 MB of table, 2.4 MB of spans
+		t.Fatalf("a build offered 32 workers allocated %d bytes over 200 000 item values", least)
 	}
 }

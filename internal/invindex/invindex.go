@@ -46,7 +46,9 @@ package invindex
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 
 	"topk/internal/kernel"
 	"topk/internal/metric"
@@ -115,14 +117,54 @@ func NewFromStore(st *kernel.Store) (*Index, error) {
 	return build(st)
 }
 
-// build indexes st, whose rankings the caller has validated.
-//
-// The lists are built by one counting sort: count every item's postings into
-// its span, turn the counts into offsets by a prefix sum, and scatter each
-// posting into its list's next slot. Ids are visited in ascending order, so
-// every list comes out id-sorted; below kernel.MaxDenseItems nothing is
-// hashed.
-func build(st *kernel.Store) (*Index, error) {
+// build indexes st, whose rankings the caller has validated, with up to
+// workers(st.Len()) workers.
+func build(st *kernel.Store) (*Index, error) { return buildP(st, workers(st.Len())) }
+
+// minChunk is the fewest rankings a worker of a whole-collection pass takes:
+// below two chunks' worth the pass runs on the caller's goroutine alone.
+const minChunk = 4096
+
+// workers is the worker count of a whole-collection pass over n rankings:
+// one per GOMAXPROCS, as far as each takes at least minChunk of them.
+func workers(n int) int { return max(1, min(runtime.GOMAXPROCS(0), n/minChunk)) }
+
+// inChunks cuts [0, n) into p contiguous chunks and runs f(c, lo, hi) on
+// chunk c = [lo, hi) of each concurrently, chunk 0 on the caller's
+// goroutine; it returns when all have. Equal n and p cut equal chunks.
+func inChunks(n, p int, f func(c, lo, hi int)) {
+	var wg sync.WaitGroup
+	for c := 1; c < p; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(c, c*n/p, (c+1)*n/p)
+		}()
+	}
+	f(0, 0, n/p)
+	wg.Wait()
+}
+
+// buildChunk is one build worker's per-item tables for its chunk of ids:
+// first the postings of the item the chunk holds, then the arena slot its
+// next posting of the item goes to.
+type buildChunk struct {
+	dense  []uint32
+	sparse map[ranking.Item]uint32
+}
+
+// buildP indexes st by a parallel counting sort over up to p contiguous id
+// chunks: each chunk counts its postings per item, one serial prefix pass
+// lays every list out and gives each chunk its start inside it, after the
+// postings of every lower chunk, and each chunk then scatters its own
+// postings. A chunk visits its ids in ascending order, so every list comes
+// out id-sorted, and the layout does not depend on the chunk count: the
+// dense items ascending, then the sparse ones ascending. Below
+// kernel.MaxDenseItems nothing is hashed. A chunk's dense table has a slot
+// per item value below the largest one, so there are fewer chunks when p
+// tables would outnumber the postings: a wide item domain must not make the
+// transient tables outweigh the index.
+func buildP(st *kernel.Store, p int) (*Index, error) {
 	n, k := st.Len(), st.K()
 	if k > 255 {
 		return nil, fmt.Errorf("invindex: k=%d exceeds the uint8 rank range", k)
@@ -130,24 +172,83 @@ func build(st *kernel.Store) (*Index, error) {
 	if uint64(n)*uint64(k) > arenaLimit {
 		return nil, fmt.Errorf("invindex: %d rankings of size %d exceed %d postings", n, k, arenaLimit)
 	}
-	idx := &Index{store: st, sparse: make(map[ranking.Item]*span)}
-	for _, it := range st.Flat() {
-		idx.slot(it).n++
-	}
-	off := uint32(0)
-	idx.eachSpan(func(_ ranking.Item, s *span) {
-		s.off, s.cap, s.n = off, s.n, 0
-		off += s.cap
-		idx.numLists++
+	flat := st.Flat()
+	tops := make([]int, p) // one past each chunk's largest dense item
+	inChunks(n, p, func(c, lo, hi int) {
+		top := 0
+		for _, it := range flat[lo*k : hi*k] {
+			if it < kernel.MaxDenseItems && int(it) >= top {
+				top = int(it) + 1
+			}
+		}
+		tops[c] = top
 	})
-	idx.ids, idx.ranks = make([]ranking.ID, off), make([]uint8, off)
-	for id := range n {
-		for rank, it := range st.Slot(ranking.ID(id)) {
-			s := idx.slot(it)
-			idx.ids[s.off+s.n], idx.ranks[s.off+s.n] = ranking.ID(id), uint8(rank)
-			s.n++
+	nd := slices.Max(tops)
+	p = max(1, min(p, len(flat)/max(nd, 1)))
+	chunks := make([]buildChunk, p)
+	inChunks(n, p, func(c, lo, hi int) {
+		ch := &chunks[c]
+		ch.dense, ch.sparse = make([]uint32, nd), make(map[ranking.Item]uint32)
+		for _, it := range flat[lo*k : hi*k] {
+			if it < kernel.MaxDenseItems {
+				ch.dense[it]++
+			} else {
+				ch.sparse[it]++
+			}
+		}
+	})
+
+	idx := &Index{store: st, dense: make([]span, nd), sparse: make(map[ranking.Item]*span)}
+	var far []ranking.Item
+	for c := range chunks {
+		for it := range chunks[c].sparse {
+			if idx.sparse[it] == nil {
+				idx.sparse[it] = new(span)
+				far = append(far, it)
+			}
 		}
 	}
+	slices.Sort(far)
+	off := uint32(0)
+	for it := range idx.dense {
+		start := off
+		for c := range chunks {
+			d := chunks[c].dense
+			d[it], off = off, off+d[it]
+		}
+		if off > start {
+			idx.dense[it] = span{off: start, n: off - start, cap: off - start}
+			idx.numLists++
+		}
+	}
+	for _, it := range far {
+		start := off
+		for c := range chunks {
+			if cnt, ok := chunks[c].sparse[it]; ok {
+				chunks[c].sparse[it], off = off, off+cnt
+			}
+		}
+		*idx.sparse[it] = span{off: start, n: off - start, cap: off - start}
+		idx.numLists++
+	}
+
+	idx.ids, idx.ranks = make([]ranking.ID, off), make([]uint8, off)
+	inChunks(n, p, func(c, lo, hi int) {
+		ch := &chunks[c]
+		for id := lo; id < hi; id++ {
+			for rank, it := range flat[id*k : (id+1)*k] {
+				var at uint32
+				if it < kernel.MaxDenseItems {
+					at = ch.dense[it]
+					ch.dense[it]++
+				} else {
+					at = ch.sparse[it]
+					ch.sparse[it]++
+				}
+				idx.ids[at], idx.ranks[at] = ranking.ID(id), uint8(rank)
+			}
+		}
+	})
 	return idx, nil
 }
 

@@ -23,7 +23,7 @@
 // mutation, so concurrent queries observe the index before or after, and
 // every answer is the same on both sides.
 //
-// Mutable is what cmd/topkserve serves, one per shard; package topk's
+// Mutable is what cmd/topkserve serves, one per collection; package topk's
 // InvertedIndex and HybridIndex wrap it for library users.
 package invindex
 
@@ -38,7 +38,6 @@ import (
 	"topk/internal/kernel"
 	"topk/internal/metric"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 )
 
 // ErrUnknownID is returned by Delete and Update for an external ID that was
@@ -89,28 +88,51 @@ type idmap struct {
 }
 
 // newSlotsIDMap covers an index restored from an external-id slot array
-// (nil = tombstoned slot) and returns the live rankings in external order.
-func newSlotsIDMap(slots []ranking.Ranking) (idmap, []ranking.Ranking) {
-	live := make([]ranking.Ranking, 0, len(slots))
+// (nil = tombstoned slot) of validated rankings of one size, and copies the
+// live rankings, in external order, into the store the index is built over.
+// Workers take contiguous slot ranges: one pass counts each range's live
+// slots, which places the range in the internal id space, and a second fills
+// the map and the store.
+func newSlotsIDMap(slots []ranking.Ranking) (idmap, *kernel.Store) {
+	p := workers(len(slots))
+	before := make([]int, p+1) // live slots ahead of range c, then in all
+	inChunks(len(slots), p, func(c, lo, hi int) {
+		live := 0
+		for _, r := range slots[lo:hi] {
+			if r != nil {
+				live++
+			}
+		}
+		before[c+1] = live
+	})
+	for c := range p {
+		before[c+1] += before[c]
+	}
+	live, k := before[p], 0
+	if i := slices.IndexFunc(slots, func(r ranking.Ranking) bool { return r != nil }); i >= 0 {
+		k = slots[i].K()
+	}
 	m := idmap{
 		ext2int:  make([]int32, len(slots)),
-		identity: true,
+		int2ext:  make([]ranking.ID, live),
+		identity: live == len(slots),
 		inOrder:  true,
 	}
-	for ext, r := range slots {
-		if r == nil {
-			m.ext2int[ext] = -1
-			m.identity = false
-			continue
+	flat := make([]ranking.Item, live*k)
+	inChunks(len(slots), p, func(c, lo, hi int) {
+		in := before[c]
+		for ext := lo; ext < hi; ext++ {
+			r := slots[ext]
+			if r == nil {
+				m.ext2int[ext] = -1
+				continue
+			}
+			m.ext2int[ext], m.int2ext[in] = int32(in), ranking.ID(ext)
+			copy(flat[in*k:(in+1)*k], r)
+			in++
 		}
-		if ext != len(live) {
-			m.identity = false
-		}
-		m.ext2int[ext] = int32(len(live))
-		m.int2ext = append(m.int2ext, ranking.ID(ext))
-		live = append(live, r)
-	}
-	return m, live
+	})
+	return m, kernel.NewStoreFlat(k, flat)
 }
 
 // lookup resolves an external id to its internal id.
@@ -182,7 +204,7 @@ type Mutable struct {
 	mu  sync.RWMutex
 	ids idmap
 	// k is the ranking size; 0 while an index built over zero live rankings
-	// (an all-tombstone snapshot shard) waits for its first insert.
+	// (an all-tombstone snapshot) waits for its first insert.
 	k int
 	// inv is the index over the internal id space: append-only Insert,
 	// tombstoning Delete. searchers hands out Searchers bound to inv; both
@@ -200,11 +222,9 @@ type Mutable struct {
 	rebuilds, rebuildNanos, lastRebuildNanos atomic.Uint64
 }
 
-var _ shard.Index = (*Mutable)(nil)
-
 // NewMutable builds a Mutable from an external-id slot array: the ranking at
 // position i gets external ID i, and nil entries are retired IDs that stay
-// retired. A zero live count is legal — a shard of a heavily-deleted snapshot
+// retired. A zero live count is legal — a heavily-deleted snapshot
 // can be all tombstones — and yields k = 0 until the first successful Insert
 // defines the size. compactRatio is the tombstone fraction of the internal id
 // space above which Delete and Update compact (≤ 0 disables it).
@@ -212,19 +232,30 @@ func NewMutable(slots []ranking.Ranking, alg Algorithm, compactRatio float64) (*
 	if alg < FilterValidate || alg > ListMerge {
 		return nil, fmt.Errorf("topk: unknown algorithm %d", alg)
 	}
-	k := -1 // the size of the first live slot
-	for i, r := range slots {
-		if r == nil {
-			continue
+	k := 0 // the size of the first live slot
+	if i := slices.IndexFunc(slots, func(r ranking.Ranking) bool { return r != nil }); i >= 0 {
+		k = slots[i].K()
+	}
+	// Each worker checks a contiguous range of slots and stops at its first
+	// bad one; the lowest range's is the collection's first.
+	p := workers(len(slots))
+	errs := make([]error, p)
+	inChunks(len(slots), p, func(c, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if r := slots[i]; r == nil {
+				continue
+			} else if r.K() != k {
+				errs[c] = fmt.Errorf("topk: slot %d has size %d, want %d: %w", i, r.K(), k, ranking.ErrSizeMismatch)
+				return
+			} else if err := r.Validate(); err != nil {
+				errs[c] = fmt.Errorf("topk: slot %d: %w", i, err)
+				return
+			}
 		}
-		if k < 0 {
-			k = r.K()
-		} else if r.K() != k {
-			return nil, fmt.Errorf("topk: slot %d has size %d, want %d: %w",
-				i, r.K(), k, ranking.ErrSizeMismatch)
-		}
-		if err := r.Validate(); err != nil {
-			return nil, fmt.Errorf("topk: slot %d: %w", i, err)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	m := &Mutable{alg: alg, compactRatio: compactRatio}
@@ -234,15 +265,14 @@ func NewMutable(slots []ranking.Ranking, alg Algorithm, compactRatio float64) (*
 	return m, nil
 }
 
-// install (re)builds the index over live, which holds validated rankings of
-// one size, and points the id map at it; on error nothing changes. k
-// survives a rebuild over zero survivors.
-func (m *Mutable) install(ids idmap, live []ranking.Ranking) error {
+// install (re)builds the index over st and points the id map at it; on
+// error nothing changes. k survives a rebuild over zero survivors.
+func (m *Mutable) install(ids idmap, st *kernel.Store) error {
 	k := m.k
-	if len(live) > 0 {
-		k = live[0].K()
+	if st.Len() > 0 {
+		k = st.K()
 	}
-	inv, err := build(kernel.NewStore(live))
+	inv, err := build(st)
 	if err != nil {
 		return err
 	}
@@ -261,6 +291,16 @@ func (m *Mutable) checkSize(r ranking.Ranking, verb string) error {
 			verb, r.K(), m.k, ranking.ErrSizeMismatch)
 	}
 	return nil
+}
+
+// checkQuery is the query contract of both query paths: the index's ranking
+// size — which a compaction over zero survivors keeps though the Index then
+// holds no ranking to check against — and no repeated item. Callers hold mu.
+func (m *Mutable) checkQuery(q ranking.Ranking) error {
+	if m.k != 0 && q.K() != m.k {
+		return fmt.Errorf("topk: query size %d, index size %d: %w", q.K(), m.k, ranking.ErrSizeMismatch)
+	}
+	return q.Validate()
 }
 
 // Insert copies a ranking into the index and returns its new, stable ID; the
@@ -404,9 +444,21 @@ func (m *Mutable) K() int {
 // Rebuilds reports how many compactions have completed since construction.
 func (m *Mutable) Rebuilds() uint64 { return m.rebuilds.Load() }
 
+// RebuildStats describes the compaction history of a Mutable: how many
+// rebuilds over the survivors ran — automatic and explicit Compact calls —
+// and the wall time they cost. A failed rebuild is not counted.
+type RebuildStats struct {
+	// Rebuilds counts completed compactions.
+	Rebuilds uint64 `json:"rebuilds"`
+	// TotalNanos is the cumulative wall time of the compactions; LastNanos the
+	// most recent one's.
+	TotalNanos uint64 `json:"totalNanos,omitempty"`
+	LastNanos  uint64 `json:"lastNanos,omitempty"`
+}
+
 // RebuildStats snapshots the compaction counters.
-func (m *Mutable) RebuildStats() shard.RebuildStats {
-	return shard.RebuildStats{
+func (m *Mutable) RebuildStats() RebuildStats {
+	return RebuildStats{
 		Rebuilds:   m.rebuilds.Load(),
 		TotalNanos: m.rebuildNanos.Load(),
 		LastNanos:  m.lastRebuildNanos.Load(),
@@ -424,6 +476,9 @@ func (m *Mutable) DistanceCalls() uint64 { return m.calls.Load() }
 func (m *Mutable) SearchTraced(q ranking.Ranking, theta float64) ([]ranking.Result, string, uint64, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	if err := m.checkQuery(q); err != nil {
+		return nil, "", 0, err
+	}
 	s := m.searchers.Get().(*Searcher)
 	ev := metric.New(nil)
 	raw := ranking.RawThreshold(theta, m.k)
@@ -460,13 +515,7 @@ func (m *Mutable) Search(q ranking.Ranking, theta float64) ([]ranking.Result, er
 func (m *Mutable) NearestNeighborsTraced(q ranking.Ranking, n int) ([]ranking.Result, string, uint64, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	// The Searcher checks a query only against a non-empty index; k also
-	// holds after a compaction over zero survivors.
-	if m.k != 0 && q.K() != m.k {
-		return nil, "", 0, fmt.Errorf("topk: query size %d, index size %d: %w",
-			q.K(), m.k, ranking.ErrSizeMismatch)
-	}
-	if err := q.Validate(); err != nil {
+	if err := m.checkQuery(q); err != nil {
 		return nil, "", 0, err
 	}
 	// Non-monotonic id mapping (an Update reassigned an external id to a

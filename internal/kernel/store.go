@@ -40,6 +40,17 @@ func NewStore(rs []ranking.Ranking) *Store {
 	return st
 }
 
+// NewStoreFlat adopts flat — the items of len(flat)/k rankings of length k,
+// one ranking after another — as the store's arena. The caller hands flat
+// over and must not write it afterwards.
+func NewStoreFlat(k int, flat []ranking.Item) *Store {
+	st := &Store{k: k, flat: flat}
+	if k > 0 {
+		st.n = len(flat) / k
+	}
+	return st
+}
+
 // Append copies r into the next slot. The first Append on an empty store
 // sets its stride; a later ranking of another length is a programmer error
 // and panics.

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"topk/internal/admit"
+	"topk/internal/invindex"
 	"topk/internal/persist"
-	"topk/internal/shard"
 	"topk/internal/wal"
 )
 
@@ -34,7 +34,11 @@ func validateCollectionName(name string) error {
 type CollectionOptions struct {
 	// Kind is the index kind, one of the served (mutable) kinds.
 	Kind string `json:"kind,omitempty"`
-	// Shards is the sub-index count (0 = GOMAXPROCS).
+	// Shards is accepted and ignored.
+	//
+	// Deprecated: it was the sub-index count of a collection cut into
+	// shards; a collection is one index now. The field remains so that
+	// existing create requests and manifests keep decoding.
 	Shards int `json:"shards,omitempty"`
 	// K declares the ranking size of a collection created empty: until the
 	// first insert defines the size structurally, queries and mutations are
@@ -80,9 +84,6 @@ func (o CollectionOptions) validate() error {
 	if o.K > maxRankingSize {
 		return fmt.Errorf("ranking sizes are capped at %d, have k=%d", maxRankingSize, o.K)
 	}
-	if o.Shards < 0 {
-		return fmt.Errorf("shards must be non-negative, have %d", o.Shards)
-	}
 	if o.Weight < 0 || o.Weight > 1 {
 		return fmt.Errorf("weight %v outside [0,1]", o.Weight)
 	}
@@ -94,7 +95,7 @@ func (o CollectionOptions) validate() error {
 // (as do the WAL record format and the checkpoint layout).
 const maxRankingSize = 255
 
-// Collection is one named tenant of the serving core: a sharded index, its
+// Collection is one named tenant of the serving core: its index, its
 // write-ahead log, its slice of the admission capacity, its query-cache
 // scope and its traffic counters. All fields are published before the
 // collection enters the registry and are immutable after, except the
@@ -109,7 +110,7 @@ type Collection struct {
 	opts       CollectionOptions
 	created    time.Time
 
-	sh *shard.Sharded
+	idx *invindex.Mutable
 	// admission is this tenant's carve of the global capacity (nil when the
 	// collection is unthrottled or admission is disabled); handlers acquire
 	// it BEFORE the global controller so a flooded tenant queues and sheds
@@ -163,13 +164,13 @@ type storage struct {
 }
 
 // newCollection wires a built index and its storage into a tenant.
-func (s *Server) newCollection(name string, opts CollectionOptions, sh *shard.Sharded, st storage) *Collection {
+func (s *Server) newCollection(name string, opts CollectionOptions, idx *invindex.Mutable, st storage) *Collection {
 	c := &Collection{
 		name:       name,
 		cacheScope: s.nextCacheScope(name),
 		opts:       opts,
 		created:    time.Now(),
-		sh:         sh,
+		idx:        idx,
 		storage:    st,
 		walFatal: func(err error) {
 			fmt.Fprintf(s.cfg.logw(), "fatal: wal append failed after the mutation was applied: %v\n", err)
@@ -216,7 +217,7 @@ func (c *Collection) close() error {
 // the structural size once the collection holds data, the declared create
 // option while it is still empty, 0 when neither constrains it yet.
 func (c *Collection) effK() int {
-	if k := c.sh.K(); k != 0 {
+	if k := c.idx.K(); k != 0 {
 		return k
 	}
 	return c.opts.K

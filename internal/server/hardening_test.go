@@ -16,7 +16,6 @@ import (
 	"topk/internal/dataset"
 	"topk/internal/qcache"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 )
 
 // TestClientCancellationAnswers499 sends a search whose request context is
@@ -25,7 +24,7 @@ import (
 func TestClientCancellationAnswers499(t *testing.T) {
 	srv, _, qs := testServer(t)
 	h := srv.routes()
-	before := srv.defColl().sh.DistanceCalls()
+	before := srv.defColl().idx.DistanceCalls()
 
 	b, err := json.Marshal(map[string]any{"query": qs[0], "theta": 0.2})
 	if err != nil {
@@ -41,7 +40,7 @@ func TestClientCancellationAnswers499(t *testing.T) {
 	if rec.Code != statusClientClosedRequest {
 		t.Fatalf("status %d, want 499 (%s)", rec.Code, rec.Body)
 	}
-	if got := srv.defColl().sh.DistanceCalls(); got != before {
+	if got := srv.defColl().idx.DistanceCalls(); got != before {
 		t.Fatalf("canceled request still evaluated %d distances", got-before)
 	}
 }
@@ -50,7 +49,7 @@ func TestClientCancellationAnswers499(t *testing.T) {
 // deadline is 504 Gateway Timeout on /search and /knn.
 func TestDefaultTimeoutAnswers504(t *testing.T) {
 	srv, _, qs := testServer(t)
-	srv.defaultTimeout = time.Nanosecond // expired before the fan-out starts
+	srv.defaultTimeout = time.Nanosecond // expired before the search starts
 	h := srv.routes()
 
 	if rec := postSearch(t, h, map[string]any{"query": qs[0], "theta": 0.2}); rec.Code != http.StatusGatewayTimeout {
@@ -66,6 +65,52 @@ func TestDefaultTimeoutAnswers504(t *testing.T) {
 	rec := post(t, h, "/knn", string(b))
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("knn status %d, want 504 (%s)", rec.Code, rec.Body)
+	}
+}
+
+// tripCtx is a request context whose deadline passes the moment trip
+// reports true: a deadline that expires at a chosen point of the work instead
+// of at a wall-clock instant.
+type tripCtx struct {
+	context.Context
+	trip func() bool
+}
+
+func (c tripCtx) Err() error {
+	if c.trip() {
+		return context.DeadlineExceeded
+	}
+	return c.Context.Err()
+}
+
+// TestBatchDeadlineStopsBetweenMembers: a batch whose deadline passes while
+// its first member runs answers 504, and no later member reaches the index —
+// the batch is checked between members and cut at the next one.
+func TestBatchDeadlineStopsBetweenMembers(t *testing.T) {
+	rs, err := dataset.Generate(dataset.NYTLike(400, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(newIndex(t, rs, "inverted", 0), "inverted") // F&V: every member costs distance calls
+	idx := srv.defColl().idx
+	ref := newIndex(t, rs, "inverted", 0)
+	_, _, first, err := ref.SearchTraced(rs[0], 0.2)
+	if err != nil || first == 0 {
+		t.Fatalf("first member costs %d distance calls (%v); the test needs some", first, err)
+	}
+	b, err := json.Marshal(map[string]any{"queries": rs[:16], "theta": 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := tripCtx{Context: context.Background(), trip: func() bool { return idx.DistanceCalls() > 0 }}
+	req := httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(b)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.routes().ServeHTTP(rec, req)
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504 (%s)", rec.Code, rec.Body)
+	}
+	if got := idx.DistanceCalls(); got != first {
+		t.Fatalf("the cut batch made %d distance calls, want the first member's %d alone", got, first)
 	}
 }
 
@@ -276,7 +321,7 @@ func TestCacheDifferentialUnderMutations(t *testing.T) {
 }
 
 // TestCacheSurvivesCompaction pins the generation stamp: it counts acked
-// mutations only. A compaction rebuilds every shard without changing any
+// mutations only. A compaction rebuilds the index without changing any
 // answer, so it must leave the generation — and the cached entries stamped
 // with it — where they were; the next mutation invalidates as usual.
 func TestCacheSurvivesCompaction(t *testing.T) {
@@ -284,10 +329,7 @@ func TestCacheSurvivesCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 2, builderFor("hybrid", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := newIndex(t, rs, "hybrid", 0)
 	srv := newServer(sh, "hybrid")
 	srv.cache = qcache.New(64)
 	h := srv.routes()

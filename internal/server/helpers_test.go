@@ -5,51 +5,48 @@ import (
 	"testing"
 
 	"topk"
+	"topk/internal/invindex"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 )
 
-// newServer builds a ready single-collection server around sh — the shape
+// newServer builds a ready single-collection server around idx — the shape
 // the pre-registry tests were written against. Admission control and the
 // query cache are off; tests that need them install their own.
-func newServer(sh *shard.Sharded, kind string) *Server {
+func newServer(idx *invindex.Mutable, kind string) *Server {
 	s, err := New(Config{Kind: kind, MaxConcurrency: -1, Log: io.Discard})
 	if err != nil {
 		panic(err)
 	}
-	if sh != nil {
-		s.install(sh)
+	if idx != nil {
+		s.install(idx)
 	}
 	return s
 }
 
-// forcedHybrid builds n shards of the library's HybridIndex over rs, each
-// pinned to the named backend through Force — the comparison the end-to-end
-// harness draws. The server itself never builds a HybridIndex.
-func forcedHybrid(t *testing.T, rs []ranking.Ranking, n int, name string) *shard.Sharded {
+// newIndex builds the index a collection of the served kind holds over the
+// slots rs, compacting at deltaRatio.
+func newIndex(t *testing.T, rs []ranking.Ranking, kind string, deltaRatio float64) *invindex.Mutable {
 	t.Helper()
-	sh, err := shard.New(rs, n, func(rs []ranking.Ranking) (shard.Index, error) {
-		h, err := topk.NewHybridIndexFromSlots(rs)
-		if err != nil {
-			return nil, err
-		}
-		return h, h.Force(name)
-	})
+	alg, err := kindAlgorithm(kind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sh
+	idx, err := invindex.NewMutable(rs, alg, deltaRatio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
 }
 
-// install publishes sh as the in-memory default collection and flips ready —
+// install publishes idx as the in-memory default collection and flips ready —
 // for tests that build their own index. Durable collections come up through
 // startServer, i.e. through bootstrap like the real thing.
-func (s *Server) install(sh *shard.Sharded) {
-	s.publish(s.newCollection(s.cfg.DefaultCollection, CollectionOptions{Kind: s.cfg.Kind}, sh, storage{}))
+func (s *Server) install(idx *invindex.Mutable) {
+	s.publish(s.newCollection(s.cfg.DefaultCollection, CollectionOptions{Kind: s.cfg.Kind}, idx, storage{}))
 	s.ready.Store(true)
 }
 
-// startServer is topkserve -kind K -shards 4 -load-snapshot S -wal D
+// startServer is topkserve -kind K -load-snapshot S -wal D
 // brought up by the real bootstrap: newest checkpoint in walDir or else the
 // snapshot, index build, tracked WAL replay, log open. DeltaRatio and
 // WALSyncEvery are spelled out because their Config zero values are not
@@ -69,7 +66,7 @@ func startServer(t *testing.T, kind, snapPath, walDir string) *Server {
 // failing the test.
 func bootServer(kind, snapPath, walDir string) (*Server, error) {
 	s, err := New(Config{
-		Kind: kind, Shards: 4, DeltaRatio: topk.DefaultCompactionRatio,
+		Kind: kind, DeltaRatio: topk.DefaultCompactionRatio,
 		SnapshotPath: snapPath, WALDir: walDir, WALSyncEvery: 1,
 		MaxConcurrency: -1, Log: io.Discard,
 	})

@@ -16,13 +16,11 @@ import (
 	"topk/internal/dataset"
 	"topk/internal/difftest"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 )
 
 // TestHybridServe drives the hybrid kind end to end over HTTP: searches match
 // the library's InvertedIndex byte-for-byte, GET /stats carries no planner
-// section, the engine reports itself mutable, and shards pinned through the
-// library's Force are attributed to the forced backend.
+// section, and the write path moves the live count and the tombstone backlog.
 func TestHybridServe(t *testing.T) {
 	cfg := dataset.NYTLike(300, 10)
 	rs, err := dataset.Generate(cfg)
@@ -33,10 +31,7 @@ func TestHybridServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 3, builderFor("hybrid", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := newIndex(t, rs, "hybrid", 0)
 	h := newServer(sh, "hybrid").routes()
 	ref, err := topk.NewInvertedIndex(rs)
 	if err != nil {
@@ -112,13 +107,9 @@ func TestHybridServe(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	// The update tombstoned the inserted version on the last shard.
-	tombstones := 0
-	for _, s := range st.Shards {
-		tombstones += s.Tombstones
-	}
-	if tombstones != 1 || st.Mutations != 2 {
-		t.Fatalf("counters after insert+update: tombstones=%d mutations=%d", tombstones, st.Mutations)
+	// The update tombstoned the inserted version.
+	if st.Tombstones != 1 || st.Mutations != 2 {
+		t.Fatalf("counters after insert+update: tombstones=%d mutations=%d", st.Tombstones, st.Mutations)
 	}
 	if rec = post(t, h, "/delete", `{"id":300}`); rec.Code != http.StatusOK {
 		t.Fatalf("delete on hybrid: status %d (%s)", rec.Code, rec.Body)
@@ -127,36 +118,11 @@ func TestHybridServe(t *testing.T) {
 		t.Fatalf("re-delete of retired id: status %d, want 404", rec.Code)
 	}
 
-	// GET /snapshot works for hybrid (slot view), and shards pinned through
-	// the library's Force answer the same, attributed to the forced backend.
+	// GET /snapshot works for hybrid (slot view).
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/snapshot", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("snapshot status %d", rec.Code)
-	}
-	hf := newServer(forcedHybrid(t, rs, 2, "adaptsearch"), "hybrid").routes()
-	rec = postSearch(t, hf, map[string]any{"query": qs[0], "theta": 0.2})
-	var fr searchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &fr); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := ref.Search(qs[0], 0.2)
-	if len(fr.Results) != len(want) {
-		t.Fatalf("forced engine answered %d results, want %d", len(fr.Results), len(want))
-	}
-	for i, r := range fr.Results {
-		if r.ID != want[i].ID || r.Dist != want[i].Dist {
-			t.Fatalf("forced engine result %d: got (%d,%d), want (%d,%d)", i, r.ID, r.Dist, want[i].ID, want[i].Dist)
-		}
-	}
-	var dump struct {
-		Traces []requestTrace `json:"traces"`
-	}
-	if err := json.Unmarshal(get(t, hf, "/debug/trace").Body.Bytes(), &dump); err != nil {
-		t.Fatal(err)
-	}
-	if b := dump.Traces[0].Backends; len(b) != 1 || b[0] != "adaptsearch" {
-		t.Fatalf("forced engine attributed to %v, want [adaptsearch]", b)
 	}
 }
 
@@ -211,8 +177,8 @@ func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.Res
 	return rec
 }
 
-// TestKNNEndpoint checks POST /knn against the brute-force oracle across
-// the sharded fan-out, plus its validation contract.
+// TestKNNEndpoint checks POST /knn against the brute-force oracle, plus its
+// validation contract.
 func TestKNNEndpoint(t *testing.T) {
 	srv, rs, qs := testServer(t)
 	h := srv.routes()
@@ -289,10 +255,7 @@ func TestBatchModes(t *testing.T) {
 		uniform[i], mixed[i] = 0.2, []float64{0.1, 0.2, 0.3}[i%3]
 	}
 	for _, kind := range []string{"inverted-drop", "hybrid"} {
-		sh, err := shard.New(rs, 3, builderFor(kind, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
+		sh := newIndex(t, rs, kind, 0)
 		h := newServer(sh, kind).routes()
 
 		// single returns a single /search reply's results as sent; an empty
@@ -362,7 +325,7 @@ func TestBatchModes(t *testing.T) {
 }
 
 // TestHybridServeMutationDifferential is the serving-layer acceptance test
-// of the mutable hybrid: a sharded -kind hybrid server absorbs a random
+// of the mutable hybrid: a -kind hybrid server absorbs a random
 // mutation workload over HTTP — with the delta ratio set low enough that
 // compactions trigger mid-workload — while /search and /knn answers stay
 // byte-identical to the linear-scan oracle throughout.
@@ -370,10 +333,7 @@ func TestHybridServeMutationDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	rs := difftest.RandomCollection(rng, 240, 8, 150)
 	o := difftest.NewOracle(rs)
-	sh, err := shard.New(rs, 3, builderFor("hybrid", 0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := newIndex(t, rs, "hybrid", 0.05)
 	h := newServer(sh, "hybrid").routes()
 
 	checkSearch := func(q ranking.Ranking, theta float64) {

@@ -84,7 +84,7 @@ func (s *Server) handleListCollections(w http.ResponseWriter, r *http.Request) {
 // external-id slot array with tombstones marked, so restarting with
 // -load-snapshot preserves every id. `curl -s :8080/snapshot > snap.v3`.
 func (s *Server) handleSnapshot(c *Collection, w http.ResponseWriter, r *http.Request) {
-	slots := c.sh.Slots()
+	slots := c.idx.Slots()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition", "attachment; filename=\"rankings.v3\"")
 	if _, err := persist.WritePagedTo(w, slots); err != nil {
@@ -114,7 +114,7 @@ type checkpointResponse struct {
 
 // handleCheckpoint makes the collection state durable and truncates its WAL:
 // under the mutation lock it rotates the log and captures the consistent
-// slot view (an exact cut — see Sharded.Slots), then writes an incremental
+// slot view (an exact cut: no mutation applies while walMu is held), then writes an incremental
 // paged (v3) checkpoint off-lock — every page is compared with the previous
 // footer's, only the pages that differ hit the disk — atomically installs
 // its footer as checkpoint-<seq>.v3f and deletes the segments and
@@ -135,7 +135,7 @@ func (s *Server) handleCheckpoint(c *Collection, w http.ResponseWriter, r *http.
 		httpError(w, http.StatusInternalServerError, "wal rotate: %v", err)
 		return
 	}
-	slots := c.sh.Slots()
+	slots := c.idx.Slots()
 	c.walMu.Unlock()
 	var stats persist.CheckpointStats
 	if err := c.wal.Checkpoint(seq, func(string) error {

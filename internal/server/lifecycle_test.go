@@ -598,10 +598,10 @@ func TestStaleManifestForceBackendRecoversUnforced(t *testing.T) {
 			}
 			t.Cleanup(func() { s2.closeCollections() })
 			coll, ok := s2.lookup("pinned")
-			if !ok || coll.sh.Len() != 7 || coll.opts.Kind != "hybrid" {
+			if !ok || coll.idx.Len() != 7 || coll.opts.Kind != "hybrid" {
 				t.Fatalf("collection not recovered whole as hybrid: ok=%v", ok)
 			}
-			difftest.CheckSearch(t, c.name, difftest.Sharded{Sharded: coll.sh}, difftest.NewOracle(slots), rand.New(rand.NewSource(5)), 10, 80)
+			difftest.CheckSearch(t, c.name, coll.idx, difftest.NewOracle(slots), rand.New(rand.NewSource(5)), 10, 80)
 			var mentions []string
 			for _, line := range strings.Split(logged.String(), "\n") {
 				if strings.Contains(line, "no longer") {
@@ -667,8 +667,8 @@ func TestManifestEntryWithoutDeltaRatioTakesServerRatio(t *testing.T) {
 			t.Fatalf("delete(%d): %d %s", id, rec.Code, rec.Body)
 		}
 	}
-	if c := s2.mustLookup(t, "old"); c.opts.DeltaRatio != 0.1 || c.sh.Rebuilds() != 1 {
-		t.Fatalf("recovered with deltaRatio %v and %d compactions after 11 of 100 deletes, want 0.1 and 1", c.opts.DeltaRatio, c.sh.Rebuilds())
+	if c := s2.mustLookup(t, "old"); c.opts.DeltaRatio != 0.1 || c.idx.Rebuilds() != 1 {
+		t.Fatalf("recovered with deltaRatio %v and %d compactions after 11 of 100 deletes, want 0.1 and 1", c.opts.DeltaRatio, c.idx.Rebuilds())
 	}
 	if rec := doJSON(t, h, http.MethodPut, "/collections/other", nil); rec.Code != http.StatusCreated {
 		t.Fatalf("create after recovery: %d %s", rec.Code, rec.Body)

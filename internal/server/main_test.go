@@ -20,7 +20,6 @@ import (
 	"topk/internal/kinds"
 	"topk/internal/persist"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 	"topk/internal/wal"
 )
 
@@ -35,10 +34,7 @@ func testServer(t *testing.T) (*Server, []ranking.Ranking, []ranking.Ranking) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 4, builderFor("inverted-drop", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := newIndex(t, rs, "inverted-drop", 0)
 	return newServer(sh, "inverted-drop"), rs, qs
 }
 
@@ -153,7 +149,7 @@ func TestStatsAndHealthz(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.NumShards != 4 || st.N != 400 || st.K != 10 || st.Index != "inverted-drop" {
+	if st.N != 400 || st.K != 10 || st.Index != "inverted-drop" {
 		t.Fatalf("implausible stats: %+v", st)
 	}
 	if st.Queries != uint64(len(qs)) {
@@ -162,9 +158,12 @@ func TestStatsAndHealthz(t *testing.T) {
 	if st.DistanceCalls == 0 {
 		t.Fatal("no distance calls recorded")
 	}
-	for _, s := range st.Shards {
-		if s.Latency.Count == 0 {
-			t.Fatalf("shard %d saw no queries", s.Shard)
+	if st.Batches != 1 || st.Tombstones != 0 {
+		t.Fatalf("batches %d, tombstones %d; want 1 and 0", st.Batches, st.Tombstones)
+	}
+	for _, key := range []string{`"numShards"`, `"shards"`, `"fanout"`, `"merge"`} {
+		if strings.Contains(rec.Body.String(), key) {
+			t.Errorf("/stats still carries %s: a collection is one index", key)
 		}
 	}
 }
@@ -355,13 +354,13 @@ func TestValidateKindFlags(t *testing.T) {
 
 // TestDeltaRatioActsOnEveryKind: -delta-ratio, and deltaRatio in a create
 // request, set the compaction ratio of every served kind. At 0.1 over 100
-// rankings in one shard, ten deletes leave a collection uncompacted and the
+// rankings, ten deletes leave a collection uncompacted and the
 // eleventh compacts it — on the flag-defined default collection and on one
 // created over HTTP alike.
 func TestDeltaRatioActsOnEveryKind(t *testing.T) {
 	for _, kind := range []string{"hybrid", "inverted", "inverted-drop", "merge"} {
 		t.Run(kind, func(t *testing.T) {
-			s, err := New(Config{Kind: kind, Shards: 1, DeltaRatio: 0.1, WALRoot: t.TempDir(), MaxConcurrency: -1, Log: io.Discard})
+			s, err := New(Config{Kind: kind, DeltaRatio: 0.1, WALRoot: t.TempDir(), MaxConcurrency: -1, Log: io.Discard})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -398,8 +397,9 @@ func TestDeltaRatioActsOnEveryKind(t *testing.T) {
 }
 
 // TestBuilderForServesMutableKinds walks every kind name topkquery and
-// topkserve know: builderFor builds a shard of each served kind over the
-// slots, and rejects every other kind — the paper baselines of kinds.Table.
+// topkserve know: openCollection builds the one index of a collection of each
+// served kind over the slots, and rejects every other kind — the paper
+// baselines of kinds.Table.
 func TestBuilderForServesMutableKinds(t *testing.T) {
 	rs, err := dataset.Generate(dataset.NYTLike(60, 10))
 	if err != nil {
@@ -411,18 +411,19 @@ func TestBuilderForServesMutableKinds(t *testing.T) {
 	}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			sub, err := builderFor(name, 0)(rs)
+			s := newServer(nil, "hybrid")
+			c, err := s.openCollection("x", CollectionOptions{Kind: name}, "", func() ([]ranking.Ranking, error) { return rs, nil })
 			if validateKind(name) != nil {
 				if err == nil {
-					t.Fatalf("builderFor(%q) built a shard of a kind the server does not serve", name)
+					t.Fatalf("openCollection built a collection of kind %q, which the server does not serve", name)
 				}
 				return
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sub.Len() != len(rs) || len(sub.Slots()) != len(rs) {
-				t.Fatalf("built shard holds %d rankings in %d slots, want %d", sub.Len(), len(sub.Slots()), len(rs))
+			if c.idx.Len() != len(rs) || len(c.idx.Slots()) != len(rs) {
+				t.Fatalf("built index holds %d rankings in %d slots, want %d", c.idx.Len(), len(c.idx.Slots()), len(rs))
 			}
 		})
 	}
@@ -499,7 +500,7 @@ func TestLoadSnapshotKeepsTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := startServer(t, "inverted-drop", path, "")
-	if got := srv.defColl().sh.Slots(); !slotsEqual(got, slots) {
+	if got := srv.defColl().idx.Slots(); !slotsEqual(got, slots) {
 		t.Fatal("served slot view diverges from the snapshot")
 	}
 	h := srv.routes()

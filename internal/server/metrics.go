@@ -1,12 +1,12 @@
 // Prometheus exposition for the serving core: GET /metrics renders every
-// layer of the stack — HTTP front end, per-collection shard routers, hybrid
-// engines, WALs — as one text-exposition document.
+// layer of the stack — HTTP front end, per-collection indexes, WALs — as one
+// text-exposition document.
 //
 // Every family is written at scrape time, so the search hot path pays only
 // for the counts the layers keep anyway. The HTTP front end counts each
 // request into its route's status-indexed atomics and latency histogram
 // (no lock, no allocation); the layers below it already maintain snapshots
-// for GET /stats (shard.Stats, the hybrid's plan counters, wal.Stats). One
+// for GET /stats (the index's counters, wal.Stats). One
 // collector reads all of them when a scraper asks and renders them.
 //
 // Cardinality discipline: every per-collection family carries exactly one
@@ -107,7 +107,7 @@ func (m *serverMetrics) collectHTTP(w *telemetry.Writer) {
 
 // registerCollectors wires the scrape-time side. Readiness, uptime and the
 // HTTP families are written from the start; the rest — per-collection
-// counters, shard stats, plan counters, rebuild history and WAL counters,
+// counters, index sizes, rebuild history and WAL counters,
 // each labeled with its collection, plus the process-wide admission and
 // cache families — waits until bootstrap has finished: the readiness load is
 // also the acquire barrier for the registry (bootstrap publishes every
@@ -192,43 +192,21 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 	w.Counter("topkserve_mutations_total", "Acked insert/delete/update mutations.",
 		labels, float64(c.mutations.Load()))
 	w.Gauge("topkserve_collection_size", "Live (non-tombstoned) rankings in the collection.",
-		labels, float64(c.sh.Len()))
+		labels, float64(c.idx.Len()))
 	w.Gauge("topkserve_collection_k", "Ranking size (top-k list length) of the collection.",
 		labels, float64(c.effK()))
-	w.Gauge("topkserve_shards", "Number of index shards.",
-		labels, float64(c.sh.NumShards()))
-
-	stats := c.sh.Stats()
-	tombstones := 0
-	for _, st := range stats {
-		shardLabels := telemetry.Labels("collection", col, "shard", strconv.Itoa(st.Shard))
-		w.Gauge("topkserve_shard_len", "Live rankings per shard.", shardLabels, float64(st.Len))
-		w.Counter("topkserve_shard_distance_calls_total",
-			"Footrule evaluations per shard, cumulative.", shardLabels, float64(st.DistanceCalls))
-		w.Histogram("topkserve_shard_query_duration_seconds",
-			"Per-shard query latency: one observation per search, whole batch or KNN query.",
-			shardLabels, st.Latency.Raw)
-		tombstones += st.Tombstones
-	}
-	fan, mrg := c.sh.Timings()
-	w.Histogram("topkserve_fanout_duration_seconds",
-		"Scatter phase of a fanned-out search, batch or KNN query: dispatch until the slowest shard answers.",
-		labels, fan.Raw)
-	w.Histogram("topkserve_merge_duration_seconds",
-		"Gather phase of a fanned-out search, batch or KNN query: combining per-shard answers.",
-		labels, mrg.Raw)
 	w.Gauge("topkserve_tombstones",
-		"Tombstoned rankings awaiting compaction, summed over shards.",
-		labels, float64(tombstones))
-	rb := c.sh.RebuildStats()
+		"Tombstoned rankings awaiting compaction.",
+		labels, float64(c.idx.Tombstones()))
+	rb := c.idx.RebuildStats()
 	w.Counter("topkserve_epoch_rebuilds_total",
-		"Compactions (automatic and explicit rebuilds over the surviving rankings), summed over shards.",
+		"Compactions (automatic and explicit rebuilds over the surviving rankings).",
 		labels, float64(rb.Rebuilds))
 	w.Counter("topkserve_epoch_rebuild_seconds_total",
 		"Cumulative wall time of compactions.",
 		labels, float64(rb.TotalNanos)/1e9)
 	w.Gauge("topkserve_epoch_rebuild_last_seconds",
-		"Wall time of the most recent compaction on any shard.",
+		"Wall time of the most recent compaction.",
 		labels, float64(rb.LastNanos)/1e9)
 
 	if c.wal != nil {

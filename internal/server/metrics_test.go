@@ -21,7 +21,6 @@ import (
 
 	"topk/internal/dataset"
 	"topk/internal/qcache"
-	"topk/internal/shard"
 )
 
 var (
@@ -396,7 +395,7 @@ func TestMetricsExposition(t *testing.T) {
 		{"topkserve_mutations_total", nil, float64(st.Mutations)},
 		{"topkserve_collection_size", nil, float64(st.N)},
 		{"topkserve_collection_k", nil, float64(st.K)},
-		{"topkserve_shards", nil, float64(st.NumShards)},
+		{"topkserve_tombstones", nil, float64(st.Tombstones)},
 	}
 	for _, c := range checks {
 		if got := intVal(c.name, c.labels); got != c.want {
@@ -407,30 +406,12 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatalf("workload not reflected in /stats: %+v", st)
 	}
 
-	// Per-shard series add up to the collection totals.
-	var shardLen, shardDFC float64
-	for _, s := range doc.find("topkserve_shard_len") {
-		if _, ok := s.labels["shard"]; !ok {
-			t.Fatalf("shard_len sample without shard label: %+v", s)
+	// A collection is one index: no shard, fan-out or merge family is left.
+	for _, family := range []string{"topkserve_shards", "topkserve_shard_len", "topkserve_shard_distance_calls_total",
+		"topkserve_shard_query_duration_seconds_count", "topkserve_fanout_duration_seconds_count", "topkserve_merge_duration_seconds_count"} {
+		if got := doc.find(family); len(got) != 0 {
+			t.Errorf("/metrics still exports %s: %+v", family, got)
 		}
-		shardLen += s.value
-	}
-	for _, s := range doc.find("topkserve_shard_distance_calls_total") {
-		shardDFC += s.value
-	}
-	if shardLen != float64(st.N) {
-		t.Errorf("sum of shard_len = %v, want %v", shardLen, st.N)
-	}
-	if shardDFC != float64(st.DistanceCalls) {
-		t.Errorf("sum of shard_distance_calls_total = %v, want %v", shardDFC, st.DistanceCalls)
-	}
-
-	// The fan-out/merge histograms observed every fanned-out search.
-	if got := doc.one(t, "topkserve_fanout_duration_seconds_count", nil).value; got != float64(st.Fanout.Count) {
-		t.Errorf("fanout _count = %v, want %v", got, st.Fanout.Count)
-	}
-	if doc.one(t, "topkserve_merge_duration_seconds_count", nil).value == 0 {
-		t.Error("merge histogram never observed")
 	}
 
 	// The HTTP layer counted this test's own requests.
@@ -511,72 +492,6 @@ func checkHTTPFamilies(t *testing.T, doc *promDoc) {
 	}
 }
 
-// TestShardHistogramsAgree: /stats and /metrics render the same shard-layer
-// histograms. After N single /search and M /knn calls every shard observed
-// each query once, the fan-out and merge histograms N + M times, and each
-// /stats view carries count, sumMicros and one bound per bucket.
-func TestShardHistogramsAgree(t *testing.T) {
-	srv, _, qs := testServer(t)
-	h := srv.routes()
-	const n, m = 5, 3
-	for _, q := range qs[:n] {
-		if rec := postSearch(t, h, map[string]any{"query": q, "theta": 0.2}); rec.Code != http.StatusOK {
-			t.Fatalf("search status %d: %s", rec.Code, rec.Body)
-		}
-	}
-	for _, q := range qs[n : n+m] {
-		b, _ := json.Marshal(map[string]any{"query": q, "n": 4})
-		if rec := post(t, h, "/knn", string(b)); rec.Code != http.StatusOK {
-			t.Fatalf("knn status %d: %s", rec.Code, rec.Body)
-		}
-	}
-
-	rec := get(t, h, "/stats")
-	var raw struct {
-		Fanout, Merge map[string]json.RawMessage
-		Shards        []struct{ Latency map[string]json.RawMessage }
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
-		t.Fatal(err)
-	}
-	views := []map[string]json.RawMessage{raw.Fanout, raw.Merge}
-	for _, sh := range raw.Shards {
-		views = append(views, sh.Latency)
-	}
-	for i, v := range views {
-		for _, field := range []string{"count", "sumMicros", "buckets", "bucketBoundsMicros"} {
-			if _, ok := v[field]; !ok {
-				t.Fatalf("/stats histogram %d lacks %q: %v", i, field, v)
-			}
-		}
-		var buckets, bounds []uint64
-		if json.Unmarshal(v["buckets"], &buckets) != nil || json.Unmarshal(v["bucketBoundsMicros"], &bounds) != nil ||
-			len(buckets) == 0 || len(buckets) != len(bounds) {
-			t.Fatalf("/stats histogram %d: buckets %s over bounds %s", i, v["buckets"], v["bucketBoundsMicros"])
-		}
-	}
-
-	st := statsOf(t, h)
-	doc := scrape(t, h)
-	for _, s := range st.Shards {
-		labels := map[string]string{"shard": strconv.Itoa(s.Shard)}
-		if got := doc.one(t, "topkserve_shard_query_duration_seconds_count", labels).value; got != float64(s.Latency.Count) || got != n+m {
-			t.Errorf("shard %d: /metrics count %v, /stats latency.count %d, want %d", s.Shard, got, s.Latency.Count, n+m)
-		}
-		if got := doc.one(t, "topkserve_shard_query_duration_seconds_sum", labels).value; math.Abs(got*1e6-s.Latency.SumMicros) > 1e-6*s.Latency.SumMicros {
-			t.Errorf("shard %d: /metrics sum %vs, /stats sumMicros %v", s.Shard, got, s.Latency.SumMicros)
-		}
-	}
-	for _, c := range []struct {
-		family string
-		view   shard.HistogramSnapshot
-	}{{"topkserve_fanout_duration_seconds_count", st.Fanout}, {"topkserve_merge_duration_seconds_count", st.Merge}} {
-		if got := doc.one(t, c.family, nil).value; got != n+m || c.view.Count != n+m {
-			t.Errorf("%s = %v, /stats count %d, want %d", c.family, got, c.view.Count, n+m)
-		}
-	}
-}
-
 // TestMetricsHybridPlanner checks that the hybrid kind, whose every query the
 // inverted index answers, exports no planner series and /stats no planner
 // section, while the query and compaction series every kind has are there.
@@ -590,10 +505,7 @@ func TestMetricsHybridPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 2, builderFor("hybrid", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := newIndex(t, rs, "hybrid", 0)
 	srv := newServer(sh, "hybrid")
 	h := srv.routes()
 	for _, q := range qs {
@@ -663,10 +575,7 @@ func TestReadyz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 2, builderFor("inverted-drop", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := newIndex(t, rs, "inverted-drop", 0)
 	srv.install(sh)
 
 	if rec := get(t, h, "/readyz"); rec.Code != http.StatusOK {
@@ -829,7 +738,7 @@ func TestRequestIDAndTraceRing(t *testing.T) {
 	for _, st := range tr.Stages {
 		stages[st.Name] = true
 	}
-	for _, want := range []string{"parse", "admit", "cache", "fanout", "merge", "respond"} {
+	for _, want := range []string{"parse", "admit", "cache", "search", "respond"} {
 		if !stages[want] {
 			t.Errorf("trace missing stage %q (have %v)", want, tr.Stages)
 		}
@@ -861,11 +770,9 @@ func TestSlowQueryLog(t *testing.T) {
 }
 
 // TestKNNTraceStagesAndAttribution checks that a /knn request is traced like
-// a single /search — cache, fanout, merge and respond stages instead of one
-// opaque block — and attributed to the route it took: the hybrid's native
-// posting-list KNN reports "inverted" with zero distance calls, a hybrid
-// forced onto another backend reports that backend and the reduction's
-// distance calls, and a cache hit reports no fan-out at all.
+// a single /search — cache, search and respond stages instead of one opaque
+// block — and that the native posting-list KNN reports zero distance calls; a
+// cache hit reports no search stage at all.
 func TestKNNTraceStagesAndAttribution(t *testing.T) {
 	cfg := dataset.NYTLike(400, 10)
 	rs, err := dataset.Generate(cfg)
@@ -889,72 +796,50 @@ func TestKNNTraceStagesAndAttribution(t *testing.T) {
 		}
 		return strings.Join(names, " ")
 	}
-	for _, tc := range []struct {
-		forced string
-		dfc    bool
-	}{{"", false}, {"adaptsearch", true}} {
-		var sh *shard.Sharded
-		if tc.forced == "" {
-			if sh, err = shard.New(rs, 2, builderFor("hybrid", 0)); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			sh = forcedHybrid(t, rs, 2, tc.forced)
-		}
-		srv := newServer(sh, "hybrid")
-		srv.cache = qcache.New(64)
-		h := srv.routes()
-		body := map[string]any{"query": rs[3], "n": 5}
-		if rec := postJSON(t, h, "/knn", body); rec.Code != http.StatusOK {
-			t.Fatalf("knn status %d: %s", rec.Code, rec.Body)
+	srv := newServer(newIndex(t, rs, "hybrid", 0), "hybrid")
+	srv.cache = qcache.New(64)
+	h := srv.routes()
+	body := map[string]any{"query": rs[3], "n": 5}
+	if rec := postJSON(t, h, "/knn", body); rec.Code != http.StatusOK {
+		t.Fatalf("knn status %d: %s", rec.Code, rec.Body)
+	}
+	tr := lastTrace(h)
+	if got, want := stageNames(tr), "parse admit cache search respond"; got != want {
+		t.Errorf("stages %q, want %q", got, want)
+	}
+	if tr.DistanceCalls != 0 {
+		t.Errorf("native KNN traced with %d distance calls", tr.DistanceCalls)
+	}
+	// The repeat is a cache hit: no search stage.
+	if rec := postJSON(t, h, "/knn", body); rec.Code != http.StatusOK {
+		t.Fatalf("knn status %d: %s", rec.Code, rec.Body)
+	}
+	if got := stageNames(lastTrace(h)); got != "parse admit cache respond" {
+		t.Errorf("cached knn traced as %q", got)
+	}
+	// A single /search records the cache probe the same way — its own stage
+	// on miss and hit — so the stages never add up to more than the request.
+	search := map[string]any{"query": rs[3], "theta": 0.2}
+	for _, want := range []string{"parse admit cache search respond", "parse admit cache respond"} {
+		if rec := postSearch(t, h, search); rec.Code != http.StatusOK {
+			t.Fatalf("search status %d: %s", rec.Code, rec.Body)
 		}
 		tr := lastTrace(h)
-		if got, want := stageNames(tr), "parse admit cache fanout merge respond"; got != want {
-			t.Errorf("forced=%q: stages %q, want %q", tc.forced, got, want)
+		if got := stageNames(tr); got != want {
+			t.Errorf("search stages %q, want %q", got, want)
 		}
-		wantBackend := "inverted"
-		if tc.forced != "" {
-			wantBackend = tc.forced
+		sum := 0.0
+		for _, st := range tr.Stages {
+			sum += st.Micros
 		}
-		if len(tr.Backends) != 1 || tr.Backends[0] != wantBackend {
-			t.Errorf("forced=%q: attributed to %v, want [%s]", tc.forced, tr.Backends, wantBackend)
-		}
-		if (tr.DistanceCalls > 0) != tc.dfc {
-			t.Errorf("forced=%q: %d distance calls", tc.forced, tr.DistanceCalls)
-		}
-		// The repeat is a cache hit: no fan-out, no attribution.
-		if rec := postJSON(t, h, "/knn", body); rec.Code != http.StatusOK {
-			t.Fatalf("knn status %d: %s", rec.Code, rec.Body)
-		}
-		if tr := lastTrace(h); stageNames(tr) != "parse admit cache respond" || len(tr.Backends) != 0 {
-			t.Errorf("forced=%q: cached knn traced as %q %v", tc.forced, stageNames(tr), tr.Backends)
-		}
-		// A single /search records the cache probe the same way — its own
-		// stage on miss and hit — so the stages never add up to more than the
-		// request.
-		search := map[string]any{"query": rs[3], "theta": 0.2}
-		for _, want := range []string{"parse admit cache fanout merge respond", "parse admit cache respond"} {
-			if rec := postSearch(t, h, search); rec.Code != http.StatusOK {
-				t.Fatalf("search status %d: %s", rec.Code, rec.Body)
-			}
-			tr := lastTrace(h)
-			if got := stageNames(tr); got != want {
-				t.Errorf("forced=%q: search stages %q, want %q", tc.forced, got, want)
-			}
-			sum := 0.0
-			for _, st := range tr.Stages {
-				sum += st.Micros
-			}
-			if sum > tr.TotalMicros {
-				t.Errorf("forced=%q: search stages sum to %.1fµs of a %.1fµs request: %v", tc.forced, sum, tr.TotalMicros, tr.Stages)
-			}
+		if sum > tr.TotalMicros {
+			t.Errorf("search stages sum to %.1fµs of a %.1fµs request: %v", sum, tr.TotalMicros, tr.Stages)
 		}
 	}
 }
 
 // TestBatchTraceAttribution checks that a /search batch is traced like a
-// single miss: it is one scatter, so its trace has the fanout and merge
-// stages, the backends that answered and the batch's distance calls.
+// single miss: one search stage and the batch's distance calls.
 func TestBatchTraceAttribution(t *testing.T) {
 	srv, _, qs := testServer(t)
 	h := srv.routes()
@@ -972,28 +857,24 @@ func TestBatchTraceAttribution(t *testing.T) {
 	for _, st := range tr.Stages {
 		names = append(names, st.Name)
 	}
-	if got, want := strings.Join(names, " "), "parse admit fanout merge respond"; got != want {
+	if got, want := strings.Join(names, " "), "parse admit search respond"; got != want {
 		t.Errorf("batch stages %q, want %q", got, want)
 	}
-	if len(tr.Backends) != 1 || tr.Backends[0] != "inverted" || tr.DistanceCalls == 0 || tr.Queries != len(qs) {
-		t.Errorf("batch trace attributed to %v with %d distance calls over %d queries: %+v",
-			tr.Backends, tr.DistanceCalls, tr.Queries, tr)
+	if tr.DistanceCalls == 0 || tr.Queries != len(qs) {
+		t.Errorf("batch trace with %d distance calls over %d queries: %+v", tr.DistanceCalls, tr.Queries, tr)
 	}
 }
 
 // TestStandaloneKindTraceAttribution checks that tracing is not a hybrid
-// privilege: a server over a plain inverted kind attributes /search and /knn
-// misses to its one backend with the query's own distance calls — F&V
-// validates its candidates, the native posting-list KNN evaluates none.
+// privilege: a server over a plain inverted kind traces /search and /knn
+// misses with the query's own distance calls — F&V validates its
+// candidates, the native posting-list KNN evaluates none.
 func TestStandaloneKindTraceAttribution(t *testing.T) {
 	rs, err := dataset.Generate(dataset.NYTLike(400, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(rs, 2, builderFor("inverted", 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sh := newIndex(t, rs, "inverted", 0)
 	h := newServer(sh, "inverted").routes()
 	for path, c := range map[string]struct {
 		body any
@@ -1012,9 +893,8 @@ func TestStandaloneKindTraceAttribution(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := dump.Traces[0]
-		if tr.Route != path || len(tr.Backends) != 1 || tr.Backends[0] != "inverted" || (tr.DistanceCalls > 0) != c.dfc {
-			t.Errorf("%s: attributed to %v with %d distance calls, want [inverted] and distance calls %v (%+v)",
-				path, tr.Backends, tr.DistanceCalls, c.dfc, tr)
+		if tr.Route != path || (tr.DistanceCalls > 0) != c.dfc {
+			t.Errorf("%s: traced with %d distance calls, want distance calls %v (%+v)", path, tr.DistanceCalls, c.dfc, tr)
 		}
 	}
 }

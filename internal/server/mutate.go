@@ -9,7 +9,6 @@ import (
 
 	"topk/internal/invindex"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 	"topk/internal/wal"
 )
 
@@ -115,7 +114,7 @@ func mutate(c *Collection, w http.ResponseWriter, verb string, rec wal.Record) {
 		return
 	}
 	c.mutations.Add(1)
-	writeJSON(w, http.StatusOK, mutateResponse{ID: id, N: c.sh.Len()})
+	writeJSON(w, http.StatusOK, mutateResponse{ID: id, N: c.idx.Len()})
 }
 
 // apply is the one mutation path: it applies rec to the index and, with
@@ -130,7 +129,7 @@ func (c *Collection) apply(rec wal.Record) (ranking.ID, error) {
 		defer c.walMu.Unlock()
 	}
 	var err error
-	if rec.ID, err = applyRecord(c.sh, rec); err != nil {
+	if rec.ID, err = applyRecord(c.idx, rec); err != nil {
 		return 0, err
 	}
 	if c.wal == nil {
@@ -143,17 +142,17 @@ func (c *Collection) apply(rec wal.Record) (ranking.ID, error) {
 	return rec.ID, nil
 }
 
-// applyRecord applies one mutation record to sh — a live one from apply, a
+// applyRecord applies one mutation record to idx — a live one from apply, a
 // logged one from recoverWAL — and returns the id it touched: the id the
 // index assigned to an insert, rec.ID otherwise.
-func applyRecord(sh *shard.Sharded, rec wal.Record) (ranking.ID, error) {
+func applyRecord(idx *invindex.Mutable, rec wal.Record) (ranking.ID, error) {
 	switch rec.Op {
 	case wal.OpInsert:
-		return sh.Insert(rec.Ranking)
+		return idx.Insert(rec.Ranking)
 	case wal.OpDelete:
-		return rec.ID, sh.Delete(rec.ID)
+		return rec.ID, idx.Delete(rec.ID)
 	case wal.OpUpdate:
-		return rec.ID, sh.Update(rec.ID, rec.Ranking)
+		return rec.ID, idx.Update(rec.ID, rec.Ranking)
 	}
 	return 0, fmt.Errorf("unknown mutation op %d", rec.Op)
 }

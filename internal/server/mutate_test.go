@@ -9,16 +9,19 @@ import (
 
 	"topk/internal/dataset"
 	"topk/internal/difftest"
+	"topk/internal/invindex"
+	"topk/internal/ranking"
 	"topk/internal/shard"
 	"topk/internal/wal"
 )
 
-// TestApplyReplaysWAL runs a mutation workload through applyRecord against a
-// sharded index while logging every acked op, then recovers the log onto a
-// second sharded index built from the pre-workload collection: the two must
-// end byte-identical — same slot views, same answers — proving that replay
-// through the live write path preserves shard ownership of extended id
-// ranges.
+// TestApplyReplaysWAL logs a mutation workload acked by the layout older
+// servers ran — four shards of invindex.Mutable, inserts extending the last
+// shard's id range — and recovers the log through applyRecord onto the one
+// index a collection is now, built from the pre-workload collection: the
+// replay must hand every insert its logged id and end on the oracle's slots
+// and answers, so WAL directories written by a sharded server recover
+// unchanged.
 func TestApplyReplaysWAL(t *testing.T) {
 	cfg := dataset.NYTLike(300, 10)
 	rs, err := dataset.Generate(cfg)
@@ -29,8 +32,10 @@ func TestApplyReplaysWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := builderFor("inverted", 0)
-	live, err := shard.New(rs, 4, build)
+	live, err := shard.New(rs, 4, func(rs []ranking.Ranking) (shard.Index, error) {
+		m, err := invindex.NewMutable(rs, invindex.FilterValidate, 0)
+		return m, err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +63,15 @@ func TestApplyReplaysWAL(t *testing.T) {
 			id := ids[rng.Intn(len(ids))]
 			rec = wal.Record{Op: wal.OpUpdate, ID: id, Ranking: difftest.Perturb(rng, o.Slots()[id], domain)}
 		}
-		id, err := applyRecord(live, rec)
+		id := rec.ID
+		switch rec.Op {
+		case wal.OpInsert:
+			id, err = live.Insert(rec.Ranking)
+		case wal.OpDelete:
+			err = live.Delete(rec.ID)
+		default:
+			err = live.Update(rec.ID, rec.Ranking)
+		}
 		if err != nil {
 			t.Fatalf("op %d: %v", op, err)
 		}
@@ -81,26 +94,20 @@ func TestApplyReplaysWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, err := shard.New(rs, 4, build)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recovered := newIndex(t, rs, "inverted", 0)
 	if _, err := recoverWAL(walDir, 0, recovered, io.Discard); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	gotSlots, wantSlots := recovered.Slots(), live.Slots()
+	gotSlots, wantSlots := recovered.Slots(), o.Slots()
 	if !reflect.DeepEqual(gotSlots, wantSlots) {
 		t.Fatalf("replayed slot view diverged: %d vs %d slots", len(gotSlots), len(wantSlots))
 	}
-	difftest.CheckMatch(t, "replayed-vs-live", difftest.Sharded{Sharded: recovered}, difftest.Sharded{Sharded: live}, qs, difftest.Thetas)
-	difftest.CheckSearch(t, "replayed-vs-oracle", difftest.Sharded{Sharded: recovered}, o, rng, 20, domain)
+	difftest.CheckMatch(t, "replayed-vs-live", recovered, difftest.Sharded{Sharded: live}, qs, difftest.Thetas)
+	difftest.CheckSearch(t, "replayed-vs-oracle", recovered, o, rng, 20, domain)
 
 	// A replay onto the wrong base must fail loudly, not diverge silently:
 	// the first insert record's id cannot match.
-	wrong, err := shard.New(rs[:200], 4, build)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wrong := newIndex(t, rs[:200], "inverted", 0)
 	if _, err := recoverWAL(walDir, 0, wrong, io.Discard); err == nil || !strings.Contains(err.Error(), "wal does not continue this snapshot") {
 		t.Fatalf("replay onto a shorter base collection: %v, want the continuity error", err)
 	}

@@ -109,7 +109,6 @@ type collectionInfo struct {
 	Kind    string    `json:"kind"`
 	K       int       `json:"k"`
 	N       int       `json:"n"`
-	Shards  int       `json:"numShards"`
 	Default bool      `json:"default,omitempty"`
 	Created time.Time `json:"created"`
 	Weight  float64   `json:"weight,omitempty"`
@@ -137,8 +136,7 @@ func (s *Server) info(c *Collection) collectionInfo {
 		Name:       c.name,
 		Kind:       c.opts.Kind,
 		K:          c.effK(),
-		N:          c.sh.Len(),
-		Shards:     c.sh.NumShards(),
+		N:          c.idx.Len(),
 		Default:    c.name == s.cfg.DefaultCollection,
 		Created:    c.created,
 		Weight:     c.opts.Weight,
@@ -146,7 +144,7 @@ func (s *Server) info(c *Collection) collectionInfo {
 		Queries:    c.queries.Load(),
 		KNNQueries: c.knn.Load(),
 		Mutations:  c.mutations.Load(),
-		Rebuilds:   c.sh.Rebuilds(),
+		Rebuilds:   c.idx.Rebuilds(),
 	}
 	if c.wal != nil {
 		ci.WAL = &walStatsJSON{Dir: c.wal.Dir(), Replayed: c.walReplayed, Stats: c.wal.Stats()}

@@ -4,13 +4,12 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
-	"slices"
 	"time"
 
 	"topk/internal/qcache"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 )
 
 // searchRequest is the /search payload: exactly one of Query or Queries,
@@ -122,31 +121,45 @@ func (s *Server) handleSearch(c *Collection, w http.ResponseWriter, r *http.Requ
 }
 
 // runSearch answers a validated /search request. A single query goes through
-// cachedScatter; a batch, uniform or mixed radii alike, is one scatter that
-// bypasses the cache and is traced like a single miss — stages "fanout" and
-// "merge" plus the attribution. ctx cancellation propagates into the shard
-// fan-out on both paths.
+// cachedSearch. A batch, uniform or mixed radii alike, bypasses the cache and
+// answers its members in order on the request goroutine: ctx is checked
+// before each member and the first member error ends the batch, so a dead
+// client or a passed deadline stops it at the next member. It is traced like
+// a single miss — one "search" stage plus the distance calls.
 func (s *Server) runSearch(ctx context.Context, c *Collection, req searchRequest, queries []ranking.Ranking, tr *requestTrace) ([][]ranking.Result, error) {
-	if c.sh.K() == 0 {
-		// Structurally empty collection: nothing can match, and the sub-index
-		// kinds are not guaranteed to accept arbitrary-size queries at k=0.
+	if c.idx.K() == 0 {
+		// Structurally empty collection: nothing can match, whatever the
+		// query's size.
 		return make([][]ranking.Result, len(queries)), nil
 	}
 	if req.Query != nil {
-		res, err := s.cachedScatter(c, tr, req.Query, qcache.Key{Kind: "search", Theta: req.Theta},
-			func() ([]ranking.Result, shard.QueryTrace, error) {
-				return c.sh.SearchTracedContext(ctx, req.Query, req.Theta)
+		res, err := s.cachedSearch(ctx, c, tr, req.Query, qcache.Key{Kind: "search", Theta: req.Theta},
+			func() ([]ranking.Result, uint64, error) {
+				res, _, calls, err := c.idx.SearchTraced(req.Query, req.Theta)
+				return res, calls, err
 			})
 		return [][]ranking.Result{res}, err
 	}
-	thetas := req.Thetas
-	if thetas == nil {
-		thetas = slices.Repeat([]float64{req.Theta}, len(queries))
-	}
 	c.batches.Add(1)
-	res, qt, err := c.sh.SearchBatchThetasContext(ctx, queries, thetas)
-	tr.addScatter(qt)
-	return res, err
+	start := time.Now()
+	out := make([][]ranking.Result, len(queries))
+	var calls uint64
+	for i, q := range queries {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		theta := req.Theta
+		if req.Thetas != nil {
+			theta = req.Thetas[i]
+		}
+		res, _, n, err := c.idx.SearchTraced(q, theta)
+		if err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+		out[i], calls = res, calls+n
+	}
+	tr.addSearch(time.Since(start), calls)
+	return out, nil
 }
 
 // knnRequest is the /knn payload.
@@ -161,11 +174,9 @@ type knnResponse struct {
 	Results    []resultJSON `json:"results"`
 }
 
-// handleKNN answers an exact k-nearest-neighbor query with the sharded
-// per-shard fan-out and (distance, id) heap merge. Its trace carries the
-// stage names /search uses (cache, fanout, merge, respond) and the backends
-// that answered: always "inverted", every served kind's native posting-list
-// KNN.
+// handleKNN answers an exact k-nearest-neighbor query with every served
+// kind's native posting-list KNN. Its trace carries the stage names /search
+// uses (cache, search, respond) and no distance calls.
 func (s *Server) handleKNN(c *Collection, w http.ResponseWriter, r *http.Request) {
 	tr := traceFrom(r)
 	parseStart := time.Now()
@@ -198,9 +209,10 @@ func (s *Server) handleKNN(c *Collection, w http.ResponseWriter, r *http.Request
 	}
 	defer release()
 	start := time.Now()
-	res, err := s.cachedScatter(c, tr, req.Query, qcache.Key{Kind: "knn", N: req.N},
-		func() ([]ranking.Result, shard.QueryTrace, error) {
-			return c.sh.NearestNeighborsTracedContext(ctx, req.Query, req.N)
+	res, err := s.cachedSearch(ctx, c, tr, req.Query, qcache.Key{Kind: "knn", N: req.N},
+		func() ([]ranking.Result, uint64, error) {
+			res, _, calls, err := c.idx.NearestNeighborsTraced(req.Query, req.N)
+			return res, calls, err
 		})
 	if err != nil {
 		writeSearchError(w, "knn", err)
@@ -214,21 +226,19 @@ func (s *Server) handleKNN(c *Collection, w http.ResponseWriter, r *http.Request
 	})
 }
 
-// cachedScatter is the sequence a single /search and a /knn share: probe the
+// cachedSearch is the sequence a single /search and a /knn share: probe the
 // result cache under key (completed here with the collection's scope and the
-// query), stage "cache"; on a miss run the traced scatter-gather, stages
-// "fanout" and "merge" plus the attribution — which backends answered, at
-// what distance-call cost — and cache its answer. A structurally empty
-// collection (K() == 0; runSearch has answered /search by then, so this is
-// /knn's) answers the empty set at the cache stage: nothing can match, and
-// the sub-index kinds are not guaranteed to accept arbitrary-size queries at
-// k=0.
-func (s *Server) cachedScatter(c *Collection, tr *requestTrace, q ranking.Ranking, key qcache.Key, scatter func() ([]ranking.Result, shard.QueryTrace, error)) ([]ranking.Result, error) {
+// query), stage "cache"; on a miss — unless ctx is already done — run search,
+// stage "search" plus its distance calls, and cache its answer. A
+// structurally empty collection (K() == 0; runSearch has answered /search by
+// then, so this is /knn's) answers the empty set at the cache stage: nothing
+// can match, whatever the query's size.
+func (s *Server) cachedSearch(ctx context.Context, c *Collection, tr *requestTrace, q ranking.Ranking, key qcache.Key, search func() ([]ranking.Result, uint64, error)) ([]ranking.Result, error) {
 	cacheStart := time.Now()
 	var (
 		gen    uint64
 		res    []ranking.Result
-		cached = c.sh.K() == 0
+		cached = c.idx.K() == 0
 	)
 	if !cached && s.cache != nil {
 		// The generation is read BEFORE the search: a mutation landing
@@ -242,8 +252,12 @@ func (s *Server) cachedScatter(c *Collection, tr *requestTrace, q ranking.Rankin
 	if cached {
 		return res, nil
 	}
-	res, qt, err := scatter()
-	tr.addScatter(qt)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	res, calls, err := search()
+	tr.addSearch(time.Since(start), calls)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 // Package server is the reusable serving core of topkserve: a multi-tenant
-// registry of named collections — each one a sharded top-k similarity index
-// with its own write-ahead log, admission weight, query-cache scope and
-// counters — behind one HTTP surface.
+// registry of named collections — each one a rank-augmented inverted index
+// (invindex.Mutable) with its own write-ahead log, admission weight,
+// query-cache scope and counters — behind one HTTP surface.
 //
 // Lifecycle routes manage tenants (PUT/DELETE/GET /collections/{name},
 // GET /collections); data routes are rooted per collection
@@ -43,7 +43,6 @@ import (
 	"topk/internal/persist"
 	"topk/internal/qcache"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 	"topk/internal/wal"
 )
 
@@ -73,10 +72,9 @@ type Config struct {
 	// manifest, and not droppable over HTTP.
 	DefaultCollection string
 
-	Kind   string // index kind of the default collection ("" = hybrid)
-	Shards int    // shard count (0 = GOMAXPROCS)
+	Kind string // index kind of the default collection ("" = hybrid)
 	// DeltaRatio is the tombstone fraction above which a delete or update
-	// compacts its shard, on every kind. 0 disables compaction; the
+	// compacts the collection's index, on every kind. 0 disables compaction; the
 	// -delta-ratio default is invindex.DefaultCompactionRatio (0.25).
 	DeltaRatio float64
 
@@ -264,7 +262,7 @@ func (s *Server) bootstrap() error {
 		}
 		return rs, err
 	}
-	opts := CollectionOptions{Kind: cfg.Kind, Shards: cfg.Shards, DeltaRatio: cfg.DeltaRatio}
+	opts := CollectionOptions{Kind: cfg.Kind, DeltaRatio: cfg.DeltaRatio}
 	c, err := s.openCollection(cfg.DefaultCollection, opts, walDir, seed)
 	if err != nil {
 		return err
@@ -355,21 +353,19 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 	}
 
 	start := time.Now()
-	build := builderFor(opts.Kind, opts.DeltaRatio)
-	var sh *shard.Sharded
-	if len(slots) == 0 {
-		sh, err = shard.NewEmpty(opts.Shards, build)
-	} else {
-		sh, err = shard.New(slots, opts.Shards, build)
-	}
+	alg, err := kindAlgorithm(opts.Kind)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(logw, "collection %q: indexed %d rankings (k=%d) as %d %s shards in %v\n",
-		name, sh.Len(), sh.K(), sh.NumShards(), opts.Kind, time.Since(start).Round(time.Millisecond))
+	idx, err := invindex.NewMutable(slots, alg, opts.DeltaRatio)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(logw, "collection %q: indexed %d rankings (k=%d) as %s in %v\n",
+		name, idx.Len(), idx.K(), opts.Kind, time.Since(start).Round(time.Millisecond))
 
 	if walDir != "" {
-		if st.walReplayed, err = recoverWAL(walDir, cpSeq, sh, logw); err != nil {
+		if st.walReplayed, err = recoverWAL(walDir, cpSeq, idx, logw); err != nil {
 			return nil, err
 		}
 		if st.wal, err = wal.Open(walDir, wal.WithSyncEvery(s.cfg.WALSyncEvery), wal.WithSyncInterval(s.cfg.WALSyncInterval)); err != nil {
@@ -377,9 +373,9 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 		}
 		st.pager = persist.NewPager(walDir, prev)
 		fmt.Fprintf(logw, "collection %q: wal %s: replayed %d records from segment %d on, %d live rankings, appending to segment %d\n",
-			name, walDir, st.walReplayed, cpSeq, sh.Len(), st.wal.Stats().ActiveSegment)
+			name, walDir, st.walReplayed, cpSeq, idx.Len(), st.wal.Stats().ActiveSegment)
 	}
-	return s.newCollection(name, opts, sh, st), nil
+	return s.newCollection(name, opts, idx, st), nil
 }
 
 // migrationHint appends the offline migration command to the typed errors a
@@ -467,8 +463,8 @@ func (s *Server) nextCacheScope(name string) string {
 
 // newAdmission resolves the admission-control flags into a controller.
 // maxConc < 0 disables admission entirely (nil controller admits everything);
-// 0 defaults to twice GOMAXPROCS — enough to keep every core busy through
-// the fan-out while bounding memory and tail latency. maxQueue 0 defaults to
+// 0 defaults to twice GOMAXPROCS — enough to keep every core busy while
+// bounding memory and tail latency. maxQueue 0 defaults to
 // four waiters per slot.
 func newAdmission(maxConc, maxQueue int, maxWait time.Duration) *admit.Controller {
 	if maxConc < 0 {
@@ -511,14 +507,15 @@ func serveDebug(addr string, logw io.Writer) error {
 var errNoSource = errors.New("missing -data or -load-snapshot")
 
 // recoverWAL replays the logged mutation suffix through applyRecord, the
-// live write path, so every record lands in (and re-extends) the shard that
-// owned it when it was acked. An insert must get back exactly the id it was
-// acked with: any other id means the log does not continue the base it is
-// replayed onto (wrong base snapshot, or acked records lost to mid-log
+// live write path. An insert takes the next id of the slot array, the id it
+// was acked with when the same slots were live — under any shard count an
+// older server ran, since its inserts always extended the open-ended range
+// of its last shard. Any other id means the log does not continue the base
+// it is replayed onto (wrong base snapshot, or acked records lost to mid-log
 // corruption), and recovery fails rather than serve diverged ids.
-func recoverWAL(walDir string, fromSeq uint64, sh *shard.Sharded, logw io.Writer) (int, error) {
+func recoverWAL(walDir string, fromSeq uint64, idx *invindex.Mutable, logw io.Writer) (int, error) {
 	st, err := wal.Replay(walDir, fromSeq, func(rec wal.Record) error {
-		id, err := applyRecord(sh, rec)
+		id, err := applyRecord(idx, rec)
 		if err != nil {
 			return err
 		}
@@ -595,21 +592,4 @@ func kindAlgorithm(kind string) (invindex.Algorithm, error) {
 func validateKind(kind string) error {
 	_, err := kindAlgorithm(kind)
 	return err
-}
-
-// builderFor returns the shard builder for a served index kind name;
-// deltaRatio is its compaction ratio. Every shard is one invindex.Mutable,
-// restored from its slice of the slot array.
-func builderFor(kind string, deltaRatio float64) shard.Builder {
-	alg, kindErr := kindAlgorithm(kind)
-	return func(rs []ranking.Ranking) (shard.Index, error) {
-		if kindErr != nil {
-			return nil, kindErr
-		}
-		m, err := invindex.NewMutable(rs, alg, deltaRatio)
-		if err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
 }

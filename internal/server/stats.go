@@ -7,7 +7,6 @@ import (
 
 	"topk/internal/admit"
 	"topk/internal/qcache"
-	"topk/internal/shard"
 	"topk/internal/wal"
 )
 
@@ -15,21 +14,16 @@ type statsResponse struct {
 	Index      string `json:"index"`
 	N          int    `json:"n"`
 	K          int    `json:"k"`
-	NumShards  int    `json:"numShards"`
 	Queries    uint64 `json:"queries"`
 	KNNQueries uint64 `json:"knnQueries"`
 	Batches    uint64 `json:"batches"`
 	Mutations  uint64 `json:"mutations"`
-	// Rebuilds sums the compactions the shards have run.
+	// Rebuilds counts the compactions the index has run; Tombstones the
+	// deleted rankings awaiting the next one.
 	Rebuilds      uint64  `json:"rebuilds"`
+	Tombstones    int     `json:"tombstones"`
 	DistanceCalls uint64  `json:"distanceCalls"`
 	UptimeSeconds float64 `json:"uptimeSeconds"`
-	// Fanout and Merge are the cross-shard phase histograms of every
-	// fanned-out search: scatter (dispatch until the slowest shard answers)
-	// and gather (concatenating per-shard answers).
-	Fanout shard.HistogramSnapshot `json:"fanout"`
-	Merge  shard.HistogramSnapshot `json:"merge"`
-	Shards []shard.ShardStats      `json:"shards"`
 	// WAL reports the durability counters when the collection has a log.
 	WAL *walStatsJSON `json:"wal,omitempty"`
 	// Storage reports the checkpoint page economy of a durable collection's
@@ -65,22 +59,18 @@ func (s *Server) handleStats(c *Collection, w http.ResponseWriter, r *http.Reque
 		cc := s.cache.Stats()
 		cst = &cc
 	}
-	fan, mrg := c.sh.Timings()
 	writeJSON(w, http.StatusOK, statsResponse{
 		Index:         c.opts.Kind,
-		N:             c.sh.Len(),
+		N:             c.idx.Len(),
 		K:             c.effK(),
-		NumShards:     c.sh.NumShards(),
 		Queries:       c.queries.Load(),
 		KNNQueries:    c.knn.Load(),
 		Batches:       c.batches.Load(),
 		Mutations:     c.mutations.Load(),
-		Rebuilds:      c.sh.Rebuilds(),
-		DistanceCalls: c.sh.DistanceCalls(),
+		Rebuilds:      c.idx.Rebuilds(),
+		Tombstones:    c.idx.Tombstones(),
+		DistanceCalls: c.idx.DistanceCalls(),
 		UptimeSeconds: time.Since(s.started).Seconds(),
-		Fanout:        fan,
-		Merge:         mrg,
-		Shards:        c.sh.Stats(),
 		WAL:           ws,
 		Storage:       c.storageStats(),
 		Admission:     adm,

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -83,11 +82,11 @@ func TestRestartCheckpointsIncrementally(t *testing.T) {
 	if c.pager.Prev() == nil {
 		t.Fatal("restart did not recover from the paged checkpoint")
 	}
-	gotSlots := c.sh.Slots()
+	gotSlots := c.idx.Slots()
 	if !slotsEqual(gotSlots, o.Slots()) {
 		t.Fatal("paged recovery diverged from the oracle slot-for-slot")
 	}
-	difftest.CheckSearch(t, "paged-recovery", difftest.Sharded{Sharded: c.sh}, o, rng, 15, 400)
+	difftest.CheckSearch(t, "paged-recovery", c.idx, o, rng, 15, 400)
 
 	// A small burst now rewrites only the pages that differ from the
 	// recovered footer's: the replayed suffix's and the burst's.
@@ -106,7 +105,7 @@ func TestRestartCheckpointsIncrementally(t *testing.T) {
 
 	// Third generation: recover from the incremental footer.
 	s3 := startServer(t, "hybrid", snapPath, walDir)
-	gotSlots = s3.defColl().sh.Slots()
+	gotSlots = s3.defColl().idx.Slots()
 	if !slotsEqual(gotSlots, o.Slots()) {
 		t.Fatal("recovery from the incremental checkpoint diverged from the oracle")
 	}
@@ -170,7 +169,7 @@ func TestCheckpointRecoveryMatchesReplayDifferential(t *testing.T) {
 	// snapshot and an incremental checkpoint in the WAL directory.
 	s2 := startServer(t, "inverted", seed, walDir)
 	snapPath := filepath.Join(dir, "state.v3")
-	slots2 := s2.defColl().sh.Slots()
+	slots2 := s2.defColl().idx.Slots()
 	if err := persist.WritePagedFile(snapPath, slots2); err != nil {
 		t.Fatal(err)
 	}
@@ -190,21 +189,20 @@ func TestCheckpointRecoveryMatchesReplayDifferential(t *testing.T) {
 		t.Fatal("replay clone replayed nothing")
 	}
 
-	cpSlots := cpSrv.defColl().sh.Slots()
-	snapSlots := snapSrv.defColl().sh.Slots()
-	rpSlots := rp.defColl().sh.Slots()
+	cpSlots := cpSrv.defColl().idx.Slots()
+	snapSlots := snapSrv.defColl().idx.Slots()
+	rpSlots := rp.defColl().idx.Slots()
 	if !slotsEqual(cpSlots, snapSlots) || !slotsEqual(cpSlots, rpSlots) || !slotsEqual(cpSlots, o.Slots()) {
 		t.Fatal("recovery paths disagree on the slot array")
 	}
 
-	ctx := context.Background()
 	for i := 0; i < 30; i++ {
 		q := difftest.RandomRanking(rng, o.K(), 150)
 		theta := []float64{0.05, 0.15, 0.3}[i%3]
-		cpBefore, snapBefore := cpSrv.defColl().sh.DistanceCalls(), snapSrv.defColl().sh.DistanceCalls()
-		cpRes, _, err1 := cpSrv.defColl().sh.SearchTracedContext(ctx, q, theta)
-		snapRes, _, err2 := snapSrv.defColl().sh.SearchTracedContext(ctx, q, theta)
-		rpRes, _, err3 := rp.defColl().sh.SearchTracedContext(ctx, q, theta)
+		cpBefore, snapBefore := cpSrv.defColl().idx.DistanceCalls(), snapSrv.defColl().idx.DistanceCalls()
+		cpRes, err1 := cpSrv.defColl().idx.Search(q, theta)
+		snapRes, err2 := snapSrv.defColl().idx.Search(q, theta)
+		rpRes, err3 := rp.defColl().idx.Search(q, theta)
 		if err1 != nil || err2 != nil || err3 != nil {
 			t.Fatalf("query %d: %v / %v / %v", i, err1, err2, err3)
 		}
@@ -216,8 +214,8 @@ func TestCheckpointRecoveryMatchesReplayDifferential(t *testing.T) {
 				t.Fatalf("query %d result %d: checkpoint %+v, snapshot %+v, replay %+v", i, j, cpRes[j], snapRes[j], rpRes[j])
 			}
 		}
-		cpCalls := cpSrv.defColl().sh.DistanceCalls() - cpBefore
-		snapCalls := snapSrv.defColl().sh.DistanceCalls() - snapBefore
+		cpCalls := cpSrv.defColl().idx.DistanceCalls() - cpBefore
+		snapCalls := snapSrv.defColl().idx.DistanceCalls() - snapBefore
 		if cpCalls != snapCalls {
 			t.Fatalf("query %d: checkpoint recovery spent %d distance calls, snapshot restart %d", i, cpCalls, snapCalls)
 		}
@@ -265,7 +263,7 @@ func TestCheckpointArenaBitRotFailsBringUp(t *testing.T) {
 	if err == nil {
 		stopWALServer(t, s2)
 		t.Fatalf("recovery over a bit-rotted arena page came up; slot 0 is %v, inserted %v",
-			s2.defColl().sh.Slots()[0], cfg[0])
+			s2.defColl().idx.Slots()[0], cfg[0])
 	}
 	if want := fmt.Sprintf("page %d checksum mismatch", lp); !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("got %v, want ErrCorrupt with %q", err, want)
@@ -372,7 +370,7 @@ func TestUncreatableWALDirFailsBringUp(t *testing.T) {
 	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Kind: "hybrid", Shards: 2, SnapshotPath: snapPath, WALDir: filepath.Join(blocker, "wal"),
+	s, err := New(Config{Kind: "hybrid", SnapshotPath: snapPath, WALDir: filepath.Join(blocker, "wal"),
 		MaxConcurrency: -1, Log: io.Discard})
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,13 @@
 // Per-query tracing for the serving core. Every request gets an
 // X-Request-ID (propagated from the client or generated), and a span
-// recorder captures where its time went: parse → admit → cache → shard
-// fan-out → merge → respond for searches (a batch skips the cache). Finished
+// recorder captures where its time went: parse → admit → cache → search →
+// respond for searches (a batch skips the cache). Finished
 // traces land in a bounded in-memory ring served at GET /debug/trace, and any
 // request slower than -slow-query is additionally written to stderr as one
 // line of JSON — enough to
-// reconstruct what the query was (route, collection, θ, k, batch size),
-// which backends answered it — for every index kind — what it cost (distance
-// calls) and which stage ate the time, without attaching a profiler.
+// reconstruct what the query was (route, collection, θ, k, batch size), what
+// it cost (distance calls) and which stage ate the time, without attaching a
+// profiler.
 package server
 
 import (
@@ -19,8 +19,6 @@ import (
 	"net/http"
 	"sync"
 	"time"
-
-	"topk/internal/shard"
 )
 
 // traceRingSize bounds the /debug/trace history.
@@ -48,10 +46,8 @@ type requestTrace struct {
 	Theta   float64 `json:"theta,omitempty"`
 	Queries int     `json:"queries,omitempty"`
 	K       int     `json:"k,omitempty"`
-	// Backends lists the distinct backends that answered a /search or /knn
-	// miss or a batch — inverted, or the hybrid's forced one of its two;
-	// DistanceCalls is the request's Footrule cost summed over the shards.
-	Backends      []string     `json:"backends,omitempty"`
+	// DistanceCalls is the Footrule cost of a /search or /knn miss or a
+	// batch.
 	DistanceCalls uint64       `json:"distanceCalls,omitempty"`
 	Stages        []traceStage `json:"stages,omitempty"`
 }
@@ -65,15 +61,14 @@ func (tr *requestTrace) addStage(name string, d time.Duration) {
 	tr.Stages = append(tr.Stages, traceStage{Name: name, Micros: float64(d.Nanoseconds()) / 1e3})
 }
 
-// addScatter appends a scatter-gather's two phases and records which
-// backends answered and what they evaluated.
-func (tr *requestTrace) addScatter(qt shard.QueryTrace) {
+// addSearch appends the index's "search" stage and records the distance
+// calls it made.
+func (tr *requestTrace) addSearch(d time.Duration, calls uint64) {
 	if tr == nil {
 		return
 	}
-	tr.Stages = append(tr.Stages,
-		traceStage{Name: "fanout", Micros: qt.FanoutMicros}, traceStage{Name: "merge", Micros: qt.MergeMicros})
-	tr.Backends, tr.DistanceCalls = qt.Backends, qt.DistanceCalls
+	tr.addStage("search", d)
+	tr.DistanceCalls = calls
 }
 
 // setCollection records which tenant the route resolved to.

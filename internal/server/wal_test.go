@@ -93,7 +93,7 @@ func mutateOverHTTP(t *testing.T, h http.Handler, o *difftest.Oracle, rng *rand.
 // TestWALRecoveryAcrossRestart is the end-to-end durability property: a
 // server restarted on the same WAL directory — with and without an
 // intervening checkpoint — serves exactly the collection every acked
-// mutation built, for the sharded hybrid kind.
+// mutation built, for the hybrid kind.
 func TestWALRecoveryAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
@@ -118,8 +118,8 @@ func TestWALRecoveryAcrossRestart(t *testing.T) {
 	if s2.defColl().walReplayed == 0 {
 		t.Fatal("restart replayed no records")
 	}
-	difftest.CheckSearch(t, "post-restart", difftest.Sharded{Sharded: s2.defColl().sh}, o, rng, 15, domain)
-	gotSlots := s2.defColl().sh.Slots()
+	difftest.CheckSearch(t, "post-restart", s2.defColl().idx, o, rng, 15, domain)
+	gotSlots := s2.defColl().idx.Slots()
 	if !slotsEqual(gotSlots, o.Slots()) {
 		t.Fatal("recovered slot view is not byte-identical to the oracle")
 	}
@@ -150,8 +150,8 @@ func TestWALRecoveryAcrossRestart(t *testing.T) {
 	// Run 3: base comes from the checkpoint now; only post-checkpoint
 	// records replay.
 	s3 := startServer(t, "hybrid", snapPath, walDir)
-	difftest.CheckSearch(t, "post-checkpoint-restart", difftest.Sharded{Sharded: s3.defColl().sh}, o, rng, 15, domain)
-	gotSlots = s3.defColl().sh.Slots()
+	difftest.CheckSearch(t, "post-checkpoint-restart", s3.defColl().idx, o, rng, 15, domain)
+	gotSlots = s3.defColl().idx.Slots()
 	if !slotsEqual(gotSlots, o.Slots()) {
 		t.Fatal("post-checkpoint recovery diverged from the oracle")
 	}

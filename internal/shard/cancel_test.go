@@ -44,17 +44,13 @@ func (f *fakeIndex) NearestNeighborsTraced(q ranking.Ranking, n int) ([]ranking.
 	return f.SearchTraced(q, 0)
 }
 
-func (f *fakeIndex) Len() int              { return f.n }
-func (f *fakeIndex) K() int                { return f.k }
-func (f *fakeIndex) DistanceCalls() uint64 { return f.st.searches.Load() }
+func (f *fakeIndex) Len() int { return f.n }
+func (f *fakeIndex) K() int   { return f.k }
 
 func (f *fakeIndex) Insert(ranking.Ranking) (ranking.ID, error) { return 0, errFakeMutation }
 func (f *fakeIndex) Delete(ranking.ID) error                    { return errFakeMutation }
 func (f *fakeIndex) Update(ranking.ID, ranking.Ranking) error   { return errFakeMutation }
-func (f *fakeIndex) Compact() error                             { return nil }
-func (f *fakeIndex) Slots() []ranking.Ranking                   { return make([]ranking.Ranking, f.n) }
-func (f *fakeIndex) Tombstones() int                            { return 0 }
-func (f *fakeIndex) RebuildStats() shard.RebuildStats           { return shard.RebuildStats{} }
+func (f *fakeIndex) Rebuilds() uint64                           { return 0 }
 
 var errFakeMutation = errors.New("fake shard: no mutations")
 
@@ -89,9 +85,6 @@ func TestPreCanceledContextDoesNoShardWork(t *testing.T) {
 	}
 	if _, err := sh.SearchBatchContext(ctx, rs[:4], 0.2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SearchBatchContext error = %v, want context.Canceled", err)
-	}
-	if _, _, err := sh.SearchBatchThetasContext(ctx, rs[:2], []float64{0.1, 0.2}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SearchBatchThetasContext error = %v, want context.Canceled", err)
 	}
 	if _, _, err := sh.SearchTracedContext(ctx, q, 0.2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SearchTracedContext error = %v, want context.Canceled", err)

@@ -11,28 +11,20 @@ import (
 // global ids, and the per-shard answers — each already sorted by (distance,
 // id) — are merged and cut to the global top n. Because each shard's answer
 // is exact over its chunk and the chunks partition the collection, the merged
-// prefix is exactly the unsharded answer.
-// Cancellation works as in SearchTracedContext.
+// prefix is exactly the unsharded answer. Cancellation works as in
+// SearchTracedContext.
 func (s *Sharded) NearestNeighborsContext(ctx context.Context, q ranking.Ranking, n int) ([]ranking.Result, error) {
-	res, _, err := s.NearestNeighborsTracedContext(ctx, q, n)
-	return res, err
-}
-
-// NearestNeighborsTracedContext is NearestNeighborsContext with a per-query
-// trace: phase timings, the backends that answered and their distance-call
-// cost.
-func (s *Sharded) NearestNeighborsTracedContext(ctx context.Context, q ranking.Ranking, n int) ([]ranking.Result, QueryTrace, error) {
 	if n <= 0 {
-		return nil, QueryTrace{}, nil
+		return nil, nil
 	}
 	var out []ranking.Result
-	tr, err := s.scatter(ctx,
+	err := s.scatter(ctx,
 		func(i int) shardAnswer {
-			res, backend, calls, err := s.shards[i].NearestNeighborsTraced(q, n)
-			return shardAnswer{res: res, backend: backend, calls: calls, err: err}
+			res, _, _, err := s.shards[i].NearestNeighborsTraced(q, n)
+			return shardAnswer{res: res, err: err}
 		},
 		func(parts []shardAnswer) { out = mergeNearest(parts, n) })
-	return out, tr, err
+	return out, err
 }
 
 // mergeNearest merges the per-shard KNN answers, each sorted by (distance,

@@ -126,82 +126,3 @@ func bruteNN(o *difftest.Oracle, q ranking.Ranking, n int) []ranking.Result {
 	}
 	return all[:n]
 }
-
-// TestSearchBatchThetas checks the mixed-radius batch against per-query
-// Search answers.
-func TestSearchBatchThetas(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	rs := difftest.RandomCollection(rng, 300, 8, 200)
-	sh, err := shard.New(rs, 4, adaptsearchBuilder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := make([]ranking.Ranking, 9)
-	thetas := make([]float64, 9)
-	for i := range queries {
-		queries[i] = difftest.RandomRanking(rng, 8, 200)
-		thetas[i] = difftest.Thetas[i%len(difftest.Thetas)]
-	}
-	got, _, err := sh.SearchBatchThetasContext(context.Background(), queries, thetas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		want, _, err := sh.SearchTracedContext(context.Background(), q, thetas[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !difftest.Equal(got[i], want) {
-			t.Fatalf("query %d (θ=%.2f): batch diverges from Search", i, thetas[i])
-		}
-	}
-	if _, _, err := sh.SearchBatchThetasContext(context.Background(), queries, thetas[:3]); err == nil {
-		t.Fatal("mismatched thetas length accepted")
-	}
-}
-
-// TestShardedNearestNeighborsTraced checks the traced KNN fan-out: the same
-// answer as the plain call, phase timings, and the answering backends with
-// their distance-call cost, for the native posting-list KNN as for the
-// expanding-radius reduction. Every KNN call is one observation of the
-// fan-out and merge histograms, like a range search.
-func TestShardedNearestNeighborsTraced(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	rs := difftest.RandomCollection(rng, 300, 8, 200)
-	q := difftest.RandomRanking(rng, 8, 200)
-	for name, build := range map[string]shard.Builder{"hybrid": hybridBuilder, "adaptsearch": adaptsearchBuilder} {
-		sh, err := shard.New(rs, 3, build)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := sh.NearestNeighborsContext(context.Background(), q, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fan0, merge0 := sh.Timings()
-		got, tr, err := sh.NearestNeighborsTracedContext(context.Background(), q, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !difftest.Equal(got, want) {
-			t.Fatalf("%s: traced KNN diverged:\n got %v\nwant %v", name, got, want)
-		}
-		if fan1, merge1 := sh.Timings(); fan1.Count != fan0.Count+1 || merge1.Count != merge0.Count+1 {
-			t.Errorf("%s: KNN call moved fanout count %d→%d, merge count %d→%d; want +1 each",
-				name, fan0.Count, fan1.Count, merge0.Count, merge1.Count)
-		}
-		if tr.FanoutMicros <= 0 {
-			t.Errorf("%s: no fan-out timing in %+v", name, tr)
-		}
-		switch name {
-		case "hybrid": // native posting-list KNN on every shard: one backend, no distance calls
-			if len(tr.Backends) != 1 || tr.Backends[0] != "inverted" || tr.DistanceCalls != 0 {
-				t.Errorf("hybrid attribution: %+v", tr)
-			}
-		case "adaptsearch": // the expanding-radius reduction over the adaptsearch range search
-			if len(tr.Backends) != 1 || tr.Backends[0] != "adaptsearch" || tr.DistanceCalls == 0 {
-				t.Errorf("adaptsearch attribution: %+v", tr)
-			}
-		}
-	}
-}

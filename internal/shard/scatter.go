@@ -4,94 +4,121 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
-	"time"
 
 	"topk/internal/ranking"
 )
 
-// QueryTrace describes where one fanned-out query spent its time and work.
-type QueryTrace struct {
-	// FanoutMicros is the scatter phase: dispatch until the slowest shard
-	// answered. MergeMicros is the gather phase: combining the answers.
-	FanoutMicros float64 `json:"fanoutMicros"`
-	MergeMicros  float64 `json:"mergeMicros"`
-	// Backends lists the distinct backends that answered, in shard order: one
-	// name for a standalone kind, up to two for the hybrid.
-	Backends []string `json:"backends,omitempty"`
-	// DistanceCalls is the query's Footrule-evaluation cost summed over the
-	// shards (0 on paths that evaluate no distance function: ListMerge and the
-	// native posting-list KNN).
-	DistanceCalls uint64 `json:"distanceCalls"`
-}
+// QueryTrace is empty: nothing reads a fanned-out query's attribution any
+// more. It remains as SearchTracedContext's result type, which benchmark/
+// compiles against.
+type QueryTrace struct{}
 
 // shardAnswer is one shard's part of a scatter: a single-query answer (res)
-// or a batch's answers, one per member (batch), with their attribution.
+// or a batch's answers, one per member (batch).
 type shardAnswer struct {
-	res     []ranking.Result
-	batch   [][]ranking.Result
-	backend string
-	calls   uint64
-	err     error
+	res   []ranking.Result
+	batch [][]ranking.Result
+	err   error
+}
+
+// SearchTracedContext fans the query out to every shard in parallel and
+// concatenates the per-shard answers in shard order — with contiguous
+// id-range sharding and id-sorted per-shard results, the globally sorted
+// result set. See scatter for how ctx cuts the search short.
+func (s *Sharded) SearchTracedContext(ctx context.Context, q ranking.Ranking, theta float64) ([]ranking.Result, QueryTrace, error) {
+	var out []ranking.Result
+	err := s.scatter(ctx,
+		func(i int) shardAnswer {
+			res, _, _, err := s.shards[i].SearchTraced(q, theta)
+			return shardAnswer{res: res, err: err}
+		},
+		func(parts []shardAnswer) {
+			out = concat(parts, func(p *shardAnswer) []ranking.Result { return p.res })
+		})
+	return out, QueryTrace{}, err
+}
+
+// SearchBatchContext answers many queries at the same threshold, the i-th
+// result slice answering queries[i], as one scatter: each shard task answers
+// the members in order on its own sub-index, and each member's per-shard
+// answers concatenate like SearchTracedContext's. The batch's context is
+// checked before every member and the first member error cancels it, so a
+// dead client or a decided outcome stops every shard at its next member.
+func (s *Sharded) SearchBatchContext(ctx context.Context, queries []ranking.Ranking, theta float64) ([][]ranking.Result, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var out [][]ranking.Result
+	err := s.scatter(ctx,
+		func(i int) shardAnswer {
+			a := shardAnswer{batch: make([][]ranking.Result, len(queries))}
+			for qi, q := range queries {
+				if err := ctx.Err(); err != nil {
+					return shardAnswer{err: err}
+				}
+				res, _, _, err := s.shards[i].SearchTraced(q, theta)
+				if err != nil {
+					cancel()
+					return shardAnswer{err: fmt.Errorf("query %d: %w", qi, err)}
+				}
+				a.batch[qi] = res
+			}
+			return a
+		},
+		func(parts []shardAnswer) {
+			out = make([][]ranking.Result, len(queries))
+			for qi := range out {
+				out[qi] = concat(parts, func(p *shardAnswer) []ranking.Result { return p.batch[qi] })
+			}
+		})
+	return out, err
+}
+
+// SearchBatchSharedContext does nothing: it reports ok=false, so a caller
+// takes its SearchBatchContext fallback.
+//
+// Deprecated: it answered uniform-threshold batches with the paper's
+// Section 8 shared-candidate processor, which lost to per-query F&V+Drop at
+// every measured threshold. It remains only until benchmark/ stops calling it.
+func (s *Sharded) SearchBatchSharedContext(context.Context, []ranking.Ranking, float64) (res [][]ranking.Result, ok bool, err error) {
+	return nil, false, nil
 }
 
 // scatter is the package's one scatter-gather. task(i) queries shard i;
 // shard 0 runs on the caller's goroutine, the others on their own. ctx is
 // checked on entry and before each shard task, so an abandoned request stops
-// scheduling shard work; a task that has already started runs to completion
-// (the cancellation grain is one shard task). Every task is one observation
-// of its shard's latency histogram and has its shard-local ids remapped to
-// global ones. When every shard answered, the attribution is folded into the
-// trace and gather combines the answers in shard order; the scatter and
-// gather phases feed the fanout and merge histograms either way.
-func (s *Sharded) scatter(ctx context.Context, task func(i int) shardAnswer, gather func(parts []shardAnswer)) (QueryTrace, error) {
-	var tr QueryTrace
+// scheduling shard work; a task that has already started runs to completion.
+// Each task has its shard-local ids remapped to global ones. When every shard
+// answered, gather combines the answers in shard order.
+func (s *Sharded) scatter(ctx context.Context, task func(i int) shardAnswer, gather func(parts []shardAnswer)) error {
 	if err := ctx.Err(); err != nil {
-		return tr, err
+		return err
 	}
 	parts := make([]shardAnswer, len(s.shards))
-	fanStart := time.Now()
 	var wg sync.WaitGroup
 	for i := 1; i < len(parts); i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			if err := ctx.Err(); err != nil {
 				parts[i].err = err
 				return
 			}
 			parts[i] = s.runShard(i, task)
-		}(i)
+		}()
 	}
 	parts[0] = s.runShard(0, task)
 	wg.Wait()
-	fanout := time.Since(fanStart)
-	s.fanout.Observe(fanout.Seconds())
-	tr.FanoutMicros = float64(fanout.Nanoseconds()) / 1e3
-
-	mergeStart := time.Now()
-	err := firstError(parts)
-	if err == nil {
-		for _, p := range parts {
-			tr.DistanceCalls += p.calls
-			if p.backend != "" && !slices.Contains(tr.Backends, p.backend) {
-				tr.Backends = append(tr.Backends, p.backend)
-			}
-		}
-		gather(parts)
+	if err := firstError(parts); err != nil {
+		return err
 	}
-	merge := time.Since(mergeStart)
-	s.merge.Observe(merge.Seconds())
-	tr.MergeMicros = float64(merge.Nanoseconds()) / 1e3
-	return tr, err
+	gather(parts)
+	return nil
 }
 
-// runShard times one shard task and remaps its ids to global.
+// runShard runs one shard task and remaps its ids to global.
 func (s *Sharded) runShard(i int, task func(i int) shardAnswer) shardAnswer {
-	start := time.Now()
 	a := task(i)
-	s.hists[i].Observe(time.Since(start).Seconds())
 	if a.err != nil {
 		return shardAnswer{err: a.err}
 	}
@@ -128,9 +155,8 @@ func firstError(parts []shardAnswer) error {
 	return ctxErr
 }
 
-// concat joins per-shard answers in shard order — with contiguous id-range
-// sharding and id-sorted per-shard results, the globally sorted result set.
-// pick selects the answer of one shard.
+// concat joins per-shard answers in shard order. pick selects the answer of
+// one shard.
 func concat(parts []shardAnswer, pick func(p *shardAnswer) []ranking.Result) []ranking.Result {
 	total := 0
 	for i := range parts {

@@ -3,8 +3,6 @@ package shard_test
 import (
 	"context"
 	"math/rand"
-	"slices"
-	"sync"
 	"testing"
 
 	"topk"
@@ -80,11 +78,10 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestSearchBatchMatchesSearch: every shard answers a batch member by member,
-// so SearchBatchContext, SearchBatchThetasContext and per-query SearchContext
-// must agree byte for byte — and with the linear-scan oracle below θ = 1 —
-// over every serving kind, fresh and after a mutation workload, at one
-// threshold and at mixed ones. The deprecated SearchBatchSharedContext must
-// decline every batch without touching a shard.
+// so SearchBatchContext and per-query SearchTracedContext must agree byte for
+// byte — and with the linear-scan oracle below θ = 1 — over every serving
+// kind, fresh and after a mutation workload. The deprecated
+// SearchBatchSharedContext must decline every batch without touching a shard.
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	kinds := []struct {
 		name  string
@@ -120,19 +117,9 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 						queries = append(queries, difftest.Perturb(rng, base, 200))
 					}
 				}
-				mixed := make([]float64, len(queries))
-				for i := range mixed {
-					mixed[i] = difftest.Thetas[i%len(difftest.Thetas)]
-				}
 				for _, theta := range []float64{0, 0.1, 0.3, 0.6, 1} {
-					uniform := slices.Repeat([]float64{theta}, len(queries))
-					batch, err := sh.SearchBatchContext(context.Background(), queries, theta)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkBatch(t, sh, o, queries, uniform, batch)
+					checkBatch(t, sh, o, queries, theta)
 				}
-				checkBatch(t, sh, o, queries, mixed, nil)
 			})
 		}
 	}
@@ -149,71 +136,31 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 	})
 }
 
-// checkBatch answers queries at thetas through SearchBatchThetasContext and
-// compares every member with its per-query SearchContext answer, with batch
-// (a SearchBatchContext answer of the same batch, when non-nil) and, below
-// θ = 1, with the oracle.
-func checkBatch(t *testing.T, sh *shard.Sharded, o *difftest.Oracle, queries []ranking.Ranking, thetas []float64, batch [][]ranking.Result) {
+// checkBatch answers queries at theta through SearchBatchContext and
+// compares every member with its per-query SearchTracedContext answer and,
+// below θ = 1, with the oracle.
+func checkBatch(t *testing.T, sh *shard.Sharded, o *difftest.Oracle, queries []ranking.Ranking, theta float64) {
 	t.Helper()
-	got, tr, err := sh.SearchBatchThetasContext(context.Background(), queries, thetas)
+	got, err := sh.SearchBatchContext(context.Background(), queries, theta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(queries) || len(tr.Backends) == 0 {
-		t.Fatalf("batch of %d answered %d members, trace %+v", len(queries), len(got), tr)
+	if len(got) != len(queries) {
+		t.Fatalf("batch of %d answered %d members", len(queries), len(got))
 	}
 	for i, q := range queries {
-		want, _, err := sh.SearchTracedContext(context.Background(), q, thetas[i])
+		want, _, err := sh.SearchTracedContext(context.Background(), q, theta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !difftest.Equal(got[i], want) || (batch != nil && !difftest.Equal(batch[i], want)) {
-			t.Fatalf("query %d (θ=%.2f): batch diverges from SearchTracedContext:\n got %v\nwant %v", i, thetas[i], got[i], want)
+		if !difftest.Equal(got[i], want) {
+			t.Fatalf("query %d (θ=%.2f): batch diverges from SearchTracedContext:\n got %v\nwant %v", i, theta, got[i], want)
 		}
-		if thetas[i] < 1 {
-			if ref := o.SearchRaw(q, ranking.RawThreshold(thetas[i], o.K())); !difftest.Equal(want, ref) {
-				t.Fatalf("query %d (θ=%.2f): diverges from the oracle:\n got %v\nwant %v", i, thetas[i], want, ref)
+		if theta < 1 {
+			if ref := o.SearchRaw(q, ranking.RawThreshold(theta, o.K())); !difftest.Equal(want, ref) {
+				t.Fatalf("query %d (θ=%.2f): diverges from the oracle:\n got %v\nwant %v", i, theta, want, ref)
 			}
 		}
-	}
-}
-
-func TestStats(t *testing.T) {
-	rs, qs := testCollection(t, 300, 10)
-	sh, err := shard.New(rs, 3, func(rs []ranking.Ranking) (shard.Index, error) {
-		return topk.NewInvertedIndex(rs)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range qs {
-		if _, _, err := sh.SearchTracedContext(context.Background(), q, 0.2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := sh.Stats()
-	if len(st) != 3 {
-		t.Fatalf("got %d shard stats, want 3", len(st))
-	}
-	totalLen, prevEnd := 0, ranking.ID(0)
-	for _, s := range st {
-		if s.Offset != prevEnd {
-			t.Fatalf("shard %d: offset %d, want %d (contiguous)", s.Shard, s.Offset, prevEnd)
-		}
-		prevEnd += ranking.ID(s.Len)
-		totalLen += s.Len
-		if s.Latency.Count != uint64(len(qs)) {
-			t.Fatalf("shard %d: latency count %d, want %d", s.Shard, s.Latency.Count, len(qs))
-		}
-		if s.DistanceCalls == 0 {
-			t.Fatalf("shard %d: no distance calls recorded", s.Shard)
-		}
-	}
-	if totalLen != len(rs) {
-		t.Fatalf("shard lengths sum to %d, want %d", totalLen, len(rs))
-	}
-	if sh.DistanceCalls() == 0 {
-		t.Fatal("aggregate DistanceCalls is zero")
 	}
 }
 
@@ -238,18 +185,6 @@ func TestMutationRouting(t *testing.T) {
 	if sh.Len() != o.Len() {
 		t.Fatalf("Len=%d, oracle %d", sh.Len(), o.Len())
 	}
-	// Per-shard stats must sum to the live count.
-	total, tombs := 0, 0
-	for _, st := range sh.Stats() {
-		total += st.Len
-		tombs += st.Tombstones
-	}
-	if total != o.Len() {
-		t.Fatalf("shard stats sum to %d, want %d", total, o.Len())
-	}
-	if tombs == 0 {
-		t.Fatal("no tombstones reported after 600 mutations")
-	}
 	difftest.CheckSearch(t, "sharded", difftest.Sharded{Sharded: sh}, o, rng, 10, domain)
 	// Against an unsharded reference over the same surviving slots.
 	ref, err := topk.NewInvertedIndexFromSlots(o.Slots())
@@ -259,13 +194,13 @@ func TestMutationRouting(t *testing.T) {
 	difftest.CheckMatch(t, "sharded-vs-unsharded", difftest.Sharded{Sharded: sh}, ref, qs, []float64{0, 0.2})
 
 	// Compaction preserves ids.
-	if err := sh.Compact(); err != nil {
+	if err := (difftest.Sharded{Sharded: sh}).Compact(); err != nil {
 		t.Fatal(err)
 	}
 	difftest.CheckSearch(t, "sharded/compacted", difftest.Sharded{Sharded: sh}, o, rng, 10, domain)
 
 	// Slot round-trip: rebuild from the concatenated slot view.
-	slots := sh.Slots()
+	slots := difftest.Sharded{Sharded: sh}.Slots()
 	sh2, err := shard.New(slots, 3, build) // different shard count on purpose
 	if err != nil {
 		t.Fatal(err)
@@ -279,63 +214,5 @@ func TestEmptyCollectionRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("expected error for empty collection")
-	}
-}
-
-// TestSlotsConsistentCut drives delete-then-insert pairs against a
-// concurrent Slots reader: in every snapshot, if the later insert of a
-// pair is visible the earlier delete must be too. The un-quiesced shard
-// walk could capture shard 0 before the delete and the last shard after
-// the insert — a state that never existed.
-func TestSlotsConsistentCut(t *testing.T) {
-	rs, _ := testCollection(t, 200, 8)
-	sh, err := shard.New(rs, 4, invertedBuilder)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type pair struct{ deleted, inserted ranking.ID }
-	var (
-		mu    sync.Mutex
-		pairs []pair
-	)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		rng := rand.New(rand.NewSource(7))
-		// Delete ids from shard 0's initial range (0..49), then insert —
-		// inserts always extend the last shard.
-		for del := ranking.ID(0); del < 50; del++ {
-			if err := sh.Delete(del); err != nil {
-				t.Errorf("delete %d: %v", del, err)
-				return
-			}
-			r := difftest.RandomRanking(rng, 8, difftest.DomainOf(rs))
-			ins, err := sh.Insert(r)
-			if err != nil {
-				t.Errorf("insert: %v", err)
-				return
-			}
-			mu.Lock()
-			pairs = append(pairs, pair{deleted: del, inserted: ins})
-			mu.Unlock()
-		}
-	}()
-	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		mu.Lock()
-		known := append([]pair(nil), pairs...)
-		mu.Unlock()
-		slots := sh.Slots()
-		for _, p := range known {
-			insertVisible := int(p.inserted) < len(slots) && slots[p.inserted] != nil
-			deleteVisible := int(p.deleted) >= len(slots) || slots[p.deleted] == nil
-			if insertVisible && !deleteVisible {
-				t.Fatalf("torn snapshot: insert %d visible but earlier delete %d is not", p.inserted, p.deleted)
-			}
-		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package telemetry is the zero-dependency metrics substrate of the serving
 // stack: cumulative le-bucket histograms and Prometheus text-exposition
-// rendering (version 0.0.4). It exists so every layer — HTTP server, shard
-// router, hybrid engine, WAL — reports through one scrape endpoint without
+// rendering (version 0.0.4). It exists so every layer — HTTP server,
+// collections, WAL — reports through one scrape endpoint without
 // pulling a client library into the module.
 //
 // Every family is written at scrape time. A layer keeps its own counts

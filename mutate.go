@@ -10,10 +10,7 @@
 // baselines — CoarseIndex, BlockedIndex and the metric trees — are static.
 package topk
 
-import (
-	"topk/internal/invindex"
-	"topk/internal/shard"
-)
+import "topk/internal/invindex"
 
 // ErrUnknownID is returned by Delete and Update for an external ID that was
 // never assigned or has already been deleted.
@@ -24,11 +21,10 @@ var ErrUnknownID = invindex.ErrUnknownID
 const DefaultCompactionRatio = invindex.DefaultCompactionRatio
 
 // RebuildStats describes the compaction history of a mutable index.
-type RebuildStats = shard.RebuildStats
+type RebuildStats = invindex.RebuildStats
 
 // MutableIndex is the interface of index kinds that support full collection
-// mutation. InvertedIndex and HybridIndex implement it; so does the sharded
-// wrapper in internal/shard, whose sub-indices they are.
+// mutation. InvertedIndex and HybridIndex implement it.
 type MutableIndex interface {
 	Index
 	// Insert adds a ranking and returns its new, stable ID.

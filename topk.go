@@ -25,13 +25,12 @@
 // any number of goroutines can query one shared index without contending on
 // a lock. Distance-call accounting is atomic. The two mutable kinds,
 // InvertedIndex and HybridIndex, wrap internal/invindex.Mutable — the index
-// cmd/topkserve builds directly, one per shard — and implement MutableIndex:
+// cmd/topkserve builds directly, one per collection — and implement MutableIndex:
 // Insert, Delete and Update with stable external IDs, tombstone filtering on
 // the query path and synchronous compaction once tombstones pass a ratio of
 // the id space, with writers briefly excluded from readers by an RWMutex. The
 // paper baselines (CoarseIndex, BlockedIndex, the metric trees) are read-only
-// and take no lock at all. For query fan-out across cores over one
-// collection, see internal/shard and cmd/topkserve.
+// and take no lock at all.
 package topk
 
 import (
