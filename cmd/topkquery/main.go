@@ -107,7 +107,7 @@ func main() {
 			return
 		}
 		start := time.Now()
-		res, _, _, err := idx.SearchTraced(q, *theta)
+		res, err := idx.Search(q, *theta)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "query failed: %v\n", err)
 			return

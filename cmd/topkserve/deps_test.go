@@ -10,9 +10,10 @@ import (
 
 // TestTopkserveLinksNoPaperBaseline walks this command's transitive imports
 // inside the module and fails if it reaches the root topk package, any
-// package of a structure topkserve never serves, or the scatter-gather of
-// internal/shard: every collection is one invindex.Mutable, and the paper
-// baselines belong to topkquery and topkbench. The walk reads the package directories with go/build, so it
+// package of a structure topkserve never serves, or internal/shard, the
+// end-to-end harness's wrapper of the library: every collection is one
+// invindex.Mutable, and the paper baselines belong to topkquery and
+// topkbench. The walk reads the package directories with go/build, so it
 // runs no go command.
 func TestTopkserveLinksNoPaperBaseline(t *testing.T) {
 	const module = "topk"

@@ -6,10 +6,10 @@
 // hybrid kind). What the hybrid adds is the comparison the end-to-end harness
 // draws: Force pins every query to one of HybridBackends, and a forced
 // adaptsearch answers from an AdaptSearch prefix filter built on demand over
-// the live collection. Measured at one benchmark shard the inverted index is
-// the faster of the two at every threshold from θ = 0 to 0.5 (see the
-// README's "Why the hybrid serves from one"), so nothing routes to
-// adaptsearch unless it is forced. The paper's other structures (blocked,
+// the live collection. Measured on each half of the benchmark collection the
+// inverted index is the faster of the two at every threshold from θ = 0 to
+// 0.5 (see the README's "Why the hybrid serves from one"), so nothing routes
+// to adaptsearch unless it is forced. The paper's other structures (blocked,
 // coarse, metric trees) are standalone kinds and topkbench baselines.
 package topk
 
@@ -217,8 +217,8 @@ func (h *HybridIndex) Search(q Ranking, theta float64) ([]Result, error) {
 }
 
 // SearchTraced is Search plus per-query attribution: the name of the
-// backend that answered and the Footrule evaluations the query cost — the
-// range query of the shard.Index contract.
+// backend that answered — which the end-to-end harness reads — and the
+// Footrule evaluations the query cost.
 func (h *HybridIndex) SearchTraced(q Ranking, theta float64) ([]Result, string, uint64, error) {
 	if h.forced.Load() != hybridAdaptSearch {
 		return h.plan(h.InvertedIndex.SearchTraced(q, theta))
@@ -235,8 +235,8 @@ func (h *HybridIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
 }
 
 // NearestNeighborsTraced is NearestNeighbors plus per-query attribution (0
-// distance calls on the native inverted path) — the KNN query of the
-// shard.Index contract.
+// distance calls on the native inverted path). It shadows the embedded
+// index's method, so a forced adaptsearch answers on every KNN path.
 func (h *HybridIndex) NearestNeighborsTraced(q Ranking, n int) ([]Result, string, uint64, error) {
 	if h.forced.Load() != hybridAdaptSearch {
 		return h.plan(h.InvertedIndex.NearestNeighborsTraced(q, n))

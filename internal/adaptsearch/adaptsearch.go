@@ -48,7 +48,7 @@ func New(rankings []ranking.Ranking) (*Index, error) {
 		return idx, nil
 	}
 	idx.k = rankings[0].K()
-	if idx.k > 255 {
+	if idx.k > ranking.MaxK {
 		return nil, fmt.Errorf("adaptsearch: k=%d exceeds the uint8 rank range", idx.k)
 	}
 	freq := make(map[ranking.Item]int)

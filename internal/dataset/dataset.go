@@ -83,8 +83,8 @@ func (c Config) Validate() error {
 	if c.N <= 0 {
 		return fmt.Errorf("dataset: N must be positive, have %d", c.N)
 	}
-	if c.K <= 0 || c.K > 255 {
-		return fmt.Errorf("dataset: K must be in [1,255], have %d", c.K)
+	if c.K <= 0 || c.K > ranking.MaxK {
+		return fmt.Errorf("dataset: K must be in [1,%d], have %d", ranking.MaxK, c.K)
 	}
 	if c.V < c.K {
 		return fmt.Errorf("dataset: domain V=%d smaller than K=%d", c.V, c.K)

@@ -1,7 +1,7 @@
 // Package difftest is the cross-kind differential test harness of the
-// library: every index kind — static or mutable, sharded or not — is
-// checked byte-identical against a linear-scan oracle over the same
-// (mutating) collection.
+// library: every index kind — static or mutable — is checked
+// byte-identical against a linear-scan oracle over the same (mutating)
+// collection.
 //
 // The oracle mirrors the external-id semantics of the mutable facade: ids
 // are slot positions, Insert appends a slot, Delete tombstones one forever,
@@ -11,21 +11,18 @@
 // tolerance. Test packages across the repo (topk, shard, coarse, topkserve)
 // share these helpers instead of hand-rolling per-kind comparison loops.
 //
-// The package depends only on internal/ranking and, for the Sharded adapter,
-// internal/shard, so that both the facade's tests and the inner packages'
-// tests can import it without cycles.
+// The package depends only on internal/ranking, so that both the facade's
+// tests and the inner packages' tests can import it without cycles.
 package difftest
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"topk/internal/ranking"
-	"topk/internal/shard"
 )
 
 // Searcher is the query surface shared by every index in the library.
@@ -36,50 +33,12 @@ type Searcher interface {
 }
 
 // Mutable is a Searcher with full mutation support (package topk's
-// MutableIndex and the sharded wrapper).
+// MutableIndex).
 type Mutable interface {
 	Searcher
 	Insert(r ranking.Ranking) (ranking.ID, error)
 	Delete(id ranking.ID) error
 	Update(id ranking.ID, r ranking.Ranking) error
-}
-
-// Sharded adapts a sharded collection, whose query paths take a context and
-// return a trace, to Mutable and to NearestNeighbors: the same calls the
-// benchmark harness makes, with the background context. Slots and Compact
-// walk the sub-indices, which must provide them.
-type Sharded struct{ *shard.Sharded }
-
-func (s Sharded) Search(q ranking.Ranking, theta float64) ([]ranking.Result, error) {
-	res, _, err := s.SearchTracedContext(context.Background(), q, theta)
-	return res, err
-}
-
-func (s Sharded) NearestNeighbors(q ranking.Ranking, n int) ([]ranking.Result, error) {
-	return s.NearestNeighborsContext(context.Background(), q, n)
-}
-
-// Slots concatenates the sub-indices' slot views in shard order: the global
-// slot array, since only the last shard's id range grows. The collection must
-// be quiescent.
-func (s Sharded) Slots() []ranking.Ranking {
-	var out []ranking.Ranking
-	for i := range s.NumShards() {
-		sub, _ := s.Shard(i)
-		out = append(out, sub.(interface{ Slots() []ranking.Ranking }).Slots()...)
-	}
-	return out
-}
-
-// Compact compacts every sub-index; global ids are preserved.
-func (s Sharded) Compact() error {
-	for i := range s.NumShards() {
-		sub, _ := s.Shard(i)
-		if err := sub.(interface{ Compact() error }).Compact(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // Oracle is the linear-scan reference implementation of a mutable
@@ -356,7 +315,8 @@ func CheckSearch(t *testing.T, name string, idx Searcher, o *Oracle, rng *rand.R
 }
 
 // CheckMatch verifies that two searchers agree byte-identically on a query
-// workload (e.g. sharded vs unsharded over the same collection).
+// workload (e.g. a hybrid against the inverted index over the same
+// collection).
 func CheckMatch(t *testing.T, name string, got, want Searcher, queries []ranking.Ranking, thetas []float64) {
 	t.Helper()
 	for qi, q := range queries {

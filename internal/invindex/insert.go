@@ -24,7 +24,7 @@ func (idx *Index) Insert(r ranking.Ranking) (ranking.ID, error) {
 		return 0, fmt.Errorf("invindex: inserted ranking has size %d, want %d: %w",
 			r.K(), idx.K(), ranking.ErrSizeMismatch)
 	}
-	if r.K() > 255 {
+	if r.K() > ranking.MaxK {
 		return 0, fmt.Errorf("invindex: k=%d exceeds the uint8 rank range", r.K())
 	}
 	if err := r.Validate(); err != nil {

@@ -166,7 +166,7 @@ type buildChunk struct {
 // transient tables outweigh the index.
 func buildP(st *kernel.Store, p int) (*Index, error) {
 	n, k := st.Len(), st.K()
-	if k > 255 {
+	if k > ranking.MaxK {
 		return nil, fmt.Errorf("invindex: k=%d exceeds the uint8 rank range", k)
 	}
 	if uint64(n)*uint64(k) > arenaLimit {

@@ -42,12 +42,12 @@ type Kernel struct {
 // New returns an empty kernel; Compile must be called before Distance.
 func New() *Kernel { return &Kernel{} }
 
-// Compile builds the rank lookup for q, which must hold at most 255 distinct
-// items (every index in this repo rejects larger k); a longer q panics. The
-// kernel holds no reference to q afterwards.
+// Compile builds the rank lookup for q, which must hold at most ranking.MaxK
+// distinct items (every index in this repo rejects larger k); a longer q
+// panics. The kernel holds no reference to q afterwards.
 func (kn *Kernel) Compile(q ranking.Ranking) {
 	k := len(q)
-	if k > 255 {
+	if k > ranking.MaxK {
 		panic(fmt.Sprintf("kernel: query of %d items exceeds the uint8 rank range", k))
 	}
 	tab := kn.tab

@@ -20,10 +20,10 @@ type Options struct {
 	MaxTheta float64
 }
 
-// Index is the query shape every kind has: the traced range search topkquery
+// Index is the query shape every kind has: the range search topkquery
 // answers with, the live ranking count and the ranking size.
 type Index interface {
-	SearchTraced(q ranking.Ranking, theta float64) ([]ranking.Result, string, uint64, error)
+	Search(q ranking.Ranking, theta float64) ([]ranking.Result, error)
 	Len() int
 	K() int
 }

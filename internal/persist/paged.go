@@ -90,7 +90,7 @@ func (l Layout) validate() error {
 	switch {
 	case l.PageSize < minPageSize || l.PageSize > maxPageSize || l.PageSize%itemSize != 0:
 		return fmt.Errorf("%w: implausible page size %d", ErrCorrupt, l.PageSize)
-	case l.K < 0 || l.K > 255:
+	case l.K < 0 || l.K > ranking.MaxK:
 		return fmt.Errorf("%w: implausible k=%d", ErrCorrupt, l.K)
 	case l.Slots < 0 || int64(l.Slots) > maxSlotCount:
 		return fmt.Errorf("%w: implausible slot count %d", ErrCorrupt, l.Slots)

@@ -74,7 +74,7 @@ func ReadLegacy(r io.Reader) ([]ranking.Ranking, error) {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
 	}
 	n, k := le.Uint32(hdr[8:]), le.Uint32(hdr[12:])
-	if k > 255 {
+	if k > ranking.MaxK {
 		return nil, fmt.Errorf("%w: implausible k=%d", ErrBadFormat, k)
 	}
 	slots := make([]ranking.Ranking, 0, boundedCap(n))

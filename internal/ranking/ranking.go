@@ -28,6 +28,12 @@ type Item = uint32
 // violations. The zero value is an empty ranking of size 0.
 type Ranking []Item
 
+// MaxK is the largest ranking size the library accepts: the inverted family
+// and the kernel keep a rank — the absent item's rank k included — in one
+// byte, and the WAL, the snapshot formats and the server refuse larger k to
+// match.
+const MaxK = 255
+
 // ID identifies a ranking within an indexed collection. IDs are dense,
 // assigned 0..n-1 in insertion order by the index structures.
 type ID = uint32

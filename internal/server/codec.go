@@ -226,11 +226,11 @@ func appendAnswer(b []byte, k int, norm []string, rs []ranking.Result) []byte {
 	return append(b, ']')
 }
 
-var normTables [256]atomic.Pointer[[]string]
+var normTables [ranking.MaxK + 1]atomic.Pointer[[]string]
 
 // normTable returns the normDist rendering of every even distance 2h ≤ dmax
 // at k, by h (every Footrule distance is even), memoized on the first reply
-// at that k (racing builders store equal tables); nil past k = 255.
+// at that k (racing builders store equal tables); nil past ranking.MaxK.
 func normTable(k int) []string {
 	if k >= len(normTables) {
 		return nil

@@ -11,6 +11,7 @@ import (
 	"topk/internal/admit"
 	"topk/internal/invindex"
 	"topk/internal/persist"
+	"topk/internal/ranking"
 	"topk/internal/wal"
 )
 
@@ -81,19 +82,14 @@ func (o CollectionOptions) validate() error {
 	if o.K < 0 {
 		return fmt.Errorf("k must be non-negative, have %d", o.K)
 	}
-	if o.K > maxRankingSize {
-		return fmt.Errorf("ranking sizes are capped at %d, have k=%d", maxRankingSize, o.K)
+	if o.K > ranking.MaxK {
+		return fmt.Errorf("ranking sizes are capped at %d, have k=%d", ranking.MaxK, o.K)
 	}
 	if o.Weight < 0 || o.Weight > 1 {
 		return fmt.Errorf("weight %v outside [0,1]", o.Weight)
 	}
 	return nil
 }
-
-// maxRankingSize caps k for every collection, durable or in memory: every
-// served kind is the inverted family, whose postings store ranks in one byte
-// (as do the WAL record format and the checkpoint layout).
-const maxRankingSize = 255
 
 // Collection is one named tenant of the serving core: its index, its
 // write-ahead log, its slice of the admission capacity, its query-cache

@@ -37,7 +37,7 @@ func writeMutationError(w http.ResponseWriter, verb string, err error) {
 
 // checkRanking validates a mutation payload ranking against the collection.
 // While the collection is structurally empty and declared no size, the first
-// insert defines k, bounded by maxRankingSize.
+// insert defines k, bounded by ranking.MaxK.
 func checkRanking(w http.ResponseWriter, c *Collection, rk ranking.Ranking) bool {
 	if rk == nil {
 		httpError(w, http.StatusBadRequest, "missing \"ranking\"")
@@ -48,8 +48,8 @@ func checkRanking(w http.ResponseWriter, c *Collection, rk ranking.Ranking) bool
 		httpError(w, http.StatusBadRequest, "ranking has size %d, index has k=%d", rk.K(), effK)
 		return false
 	}
-	if effK == 0 && rk.K() > maxRankingSize {
-		httpError(w, http.StatusBadRequest, "ranking sizes are capped at %d, have %d", maxRankingSize, rk.K())
+	if effK == 0 && rk.K() > ranking.MaxK {
+		httpError(w, http.StatusBadRequest, "ranking sizes are capped at %d, have %d", ranking.MaxK, rk.K())
 		return false
 	}
 	if err := rk.Validate(); err != nil {

@@ -9,19 +9,13 @@ import (
 
 	"topk/internal/dataset"
 	"topk/internal/difftest"
-	"topk/internal/invindex"
-	"topk/internal/ranking"
-	"topk/internal/shard"
 	"topk/internal/wal"
 )
 
-// TestApplyReplaysWAL logs a mutation workload acked by the layout older
-// servers ran — four shards of invindex.Mutable, inserts extending the last
-// shard's id range — and recovers the log through applyRecord onto the one
-// index a collection is now, built from the pre-workload collection: the
-// replay must hand every insert its logged id and end on the oracle's slots
-// and answers, so WAL directories written by a sharded server recover
-// unchanged.
+// TestApplyReplaysWAL logs a mutation workload under the ids the oracle
+// assigns and recovers the log through applyRecord onto a collection's
+// index built from the pre-workload collection: the replay must hand every
+// insert its logged id and end on the oracle's slots and answers.
 func TestApplyReplaysWAL(t *testing.T) {
 	cfg := dataset.NYTLike(300, 10)
 	rs, err := dataset.Generate(cfg)
@@ -29,13 +23,6 @@ func TestApplyReplaysWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs, err := dataset.Workload(rs, cfg, 30, 0.8, cfg.Seed+1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := shard.New(rs, 4, func(rs []ranking.Ranking) (shard.Index, error) {
-		m, err := invindex.NewMutable(rs, invindex.FilterValidate, 0)
-		return m, err
-	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,39 +38,19 @@ func TestApplyReplaysWAL(t *testing.T) {
 		var rec wal.Record
 		switch c := rng.Intn(4); {
 		case op == 0 || c < 2: // an insert first, for the wrong-base case below
-			rec = wal.Record{Op: wal.OpInsert, Ranking: difftest.RandomRanking(rng, 10, domain)}
+			rk := difftest.RandomRanking(rng, 10, domain)
+			rec = wal.Record{Op: wal.OpInsert, ID: o.Insert(rk), Ranking: rk}
 		case c == 2:
 			ids := o.LiveIDs()
 			if len(ids) <= 1 {
 				continue
 			}
 			rec = wal.Record{Op: wal.OpDelete, ID: ids[rng.Intn(len(ids))]}
+			o.Delete(rec.ID)
 		default:
 			ids := o.LiveIDs()
 			id := ids[rng.Intn(len(ids))]
 			rec = wal.Record{Op: wal.OpUpdate, ID: id, Ranking: difftest.Perturb(rng, o.Slots()[id], domain)}
-		}
-		id := rec.ID
-		switch rec.Op {
-		case wal.OpInsert:
-			id, err = live.Insert(rec.Ranking)
-		case wal.OpDelete:
-			err = live.Delete(rec.ID)
-		default:
-			err = live.Update(rec.ID, rec.Ranking)
-		}
-		if err != nil {
-			t.Fatalf("op %d: %v", op, err)
-		}
-		switch rec.Op {
-		case wal.OpInsert:
-			if want := o.Insert(rec.Ranking); id != want {
-				t.Fatalf("insert id %d, oracle %d", id, want)
-			}
-			rec.ID = id
-		case wal.OpDelete:
-			o.Delete(rec.ID)
-		case wal.OpUpdate:
 			o.Update(rec.ID, rec.Ranking)
 		}
 		if err := log.Append(rec); err != nil {
@@ -102,7 +69,7 @@ func TestApplyReplaysWAL(t *testing.T) {
 	if !reflect.DeepEqual(gotSlots, wantSlots) {
 		t.Fatalf("replayed slot view diverged: %d vs %d slots", len(gotSlots), len(wantSlots))
 	}
-	difftest.CheckMatch(t, "replayed-vs-live", recovered, difftest.Sharded{Sharded: live}, qs, difftest.Thetas)
+	difftest.CheckMatch(t, "replayed-vs-rebuilt", recovered, newIndex(t, wantSlots, "inverted", 0), qs, difftest.Thetas)
 	difftest.CheckSearch(t, "replayed-vs-oracle", recovered, o, rng, 20, domain)
 
 	// A replay onto the wrong base must fail loudly, not diverge silently:

@@ -1,205 +1,114 @@
-// Package shard partitions a ranking collection across S independent
-// sub-indices and answers every query as a scatter-gather over them.
-//
-// Nothing in the serving stack uses it any more: cmd/topkserve holds one
-// invindex.Mutable per collection, whose single accumulate and whole-index
-// Lemma 2 and KNN admission bounds answer faster than a scatter. The package
-// remains only because the end-to-end harness in benchmark/ compiles against
-// this API; it goes once the harness stops calling it.
-//
-// Sharding is by contiguous ID range: shard i indexes the rankings
-// [offset_i, offset_i + len_i) of the collection, so a shard-local result
-// ID maps back to the global ID by adding the shard's offset, and because
-// every index in this library returns results sorted by ID, concatenating
-// the per-shard answers in shard order yields the globally ID-sorted
-// result set — byte-identical to querying one unsharded index over the
-// whole collection.
+// Package shard is one index behind the API the end-to-end harness in
+// benchmark/ compiles against: one shard at offset 0, a context check before
+// each call, a batch as a member loop. Nothing shards any more —
+// cmd/topkserve serves each collection from one invindex.Mutable, whose
+// whole-collection Lemma 2 and KNN admission bounds are tighter than
+// per-shard ones — so the package keeps its shard-shaped names only for the
+// harness, and goes once the harness stops calling them.
 package shard
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"topk/internal/ranking"
 )
 
-// Index is the contract of a sub-index — package topk's wrappers of
-// invindex.Mutable: a traced query half plus the mutations Sharded routes to
-// the owning shard.
+// Index is what Sharded needs of the index it wraps — package topk's
+// InvertedIndex and HybridIndex.
 type Index interface {
-	// SearchTraced returns all indexed rankings within normalized Footrule
-	// distance theta of q, sorted by ID, with exact distances, plus the name
-	// of the backend that answered and the number of Footrule evaluations
-	// this query cost.
-	SearchTraced(q ranking.Ranking, theta float64) ([]ranking.Result, string, uint64, error)
-	// NearestNeighborsTraced returns the n indexed rankings closest to q,
-	// ordered by distance (ties broken by id) — the answer is exact — with
-	// the same attribution.
-	NearestNeighborsTraced(q ranking.Ranking, n int) ([]ranking.Result, string, uint64, error)
-	// Len returns the number of indexed rankings.
-	Len() int
-	// K returns the ranking size.
-	K() int
-	// Insert adds a ranking and returns its new shard-local ID.
+	// Search returns all indexed rankings within normalized Footrule distance
+	// theta of q, sorted by ID, with exact distances.
+	Search(q ranking.Ranking, theta float64) ([]ranking.Result, error)
+	// NearestNeighbors returns the n indexed rankings closest to q, ordered
+	// by distance (ties broken by id).
+	NearestNeighbors(q ranking.Ranking, n int) ([]ranking.Result, error)
+	// Insert adds a ranking and returns its new ID.
 	Insert(r ranking.Ranking) (ranking.ID, error)
-	// Delete removes the ranking with the given shard-local ID.
+	// Delete removes the ranking with the given ID.
 	Delete(id ranking.ID) error
-	// Update replaces the ranking under an existing shard-local ID.
+	// Update replaces the ranking under an existing ID.
 	Update(id ranking.ID, r ranking.Ranking) error
 	// Rebuilds reports the compactions run so far.
 	Rebuilds() uint64
 }
 
-// Builder constructs one sub-index over a contiguous slice of the
-// collection. The slice aliases the caller's collection; builders must not
-// modify it. The slice may contain nil entries — tombstoned slots of a
-// snapshot — which the builder must map to retired ids (see
-// invindex.NewMutable).
-type Builder func(rankings []ranking.Ranking) (Index, error)
+// Sharded is one index over the whole collection. Its mutations are the
+// index's own, so it is safe for concurrent use if the index is.
+type Sharded struct{ Index }
 
-// Sharded is a collection partitioned across independent sub-indices. All
-// methods are safe for concurrent use given sub-indices that are; the
-// routing state — offsets and slot sizes — is immutable after New because
-// inserts only ever extend the open-ended id range of the last shard.
-type Sharded struct {
-	shards  []Index
-	offsets []ranking.ID // global ID of shard i's first ranking
-	sizes   []int        // initial slot count of shard i (id-range width)
-	k       int
-}
-
-// New partitions the collection into numShards contiguous, near-equal
-// chunks and builds one sub-index per chunk with build, in parallel.
-// numShards ≤ 0 selects GOMAXPROCS; the shard count is capped at the
-// collection size.
-func New(rankings []ranking.Ranking, numShards int, build Builder) (*Sharded, error) {
-	n := len(rankings)
-	if n == 0 {
+// New builds one index over the whole collection with build; the shard
+// count is ignored. build must not modify the slice, which may contain nil
+// entries — tombstoned slots of a snapshot — that it must map to retired ids
+// (see invindex.NewMutable).
+func New(rankings []ranking.Ranking, _ int, build func([]ranking.Ranking) (Index, error)) (*Sharded, error) {
+	if len(rankings) == 0 {
 		return nil, fmt.Errorf("shard: empty collection")
 	}
-	if numShards <= 0 {
-		numShards = runtime.GOMAXPROCS(0)
-	}
-	numShards = min(numShards, n)
-	s := &Sharded{
-		shards:  make([]Index, numShards),
-		offsets: make([]ranking.ID, numShards),
-		sizes:   make([]int, numShards),
-	}
-	for _, r := range rankings {
-		if r != nil {
-			s.k = r.K()
-			break
-		}
-	}
-	base, rem := n/numShards, n%numShards
-	errs := make([]error, numShards)
-	var wg sync.WaitGroup
-	lo := 0
-	for i := range numShards {
-		size := base
-		if i < rem {
-			size++
-		}
-		s.offsets[i], s.sizes[i] = ranking.ID(lo), size
-		wg.Add(1)
-		go func(chunk []ranking.Ranking) {
-			defer wg.Done()
-			s.shards[i], errs[i] = build(chunk)
-		}(rankings[lo : lo+size])
-		lo += size
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return s, nil
-}
-
-// NumShards returns the number of sub-indices.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Shard returns the i-th sub-index and the global ID of its first ranking.
-func (s *Sharded) Shard(i int) (Index, ranking.ID) { return s.shards[i], s.offsets[i] }
-
-// Len is the live ranking count summed over all shards.
-func (s *Sharded) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.Len()
-	}
-	return n
-}
-
-// K is the ranking size.
-func (s *Sharded) K() int {
-	if s.k != 0 {
-		return s.k
-	}
-	for _, sh := range s.shards {
-		if k := sh.K(); k != 0 {
-			return k
-		}
-	}
-	return 0
-}
-
-// Insert adds a ranking and returns its global ID. All inserts route to the
-// last shard: its id range is the only open-ended one, so the contiguous
-// ID-range invariant — and with it the concatenation merge of a search — is
-// preserved no matter how the collection grows.
-func (s *Sharded) Insert(r ranking.Ranking) (ranking.ID, error) {
-	last := len(s.shards) - 1
-	local, err := s.shards[last].Insert(r)
+	idx, err := build(rankings)
 	if err != nil {
-		return 0, fmt.Errorf("shard %d: %w", last, err)
+		return nil, err
 	}
-	return s.offsets[last] + local, nil
+	return &Sharded{idx}, nil
 }
 
-// Delete removes the ranking with the given global ID, routing to the
-// owning shard.
-func (s *Sharded) Delete(id ranking.ID) error {
-	i, local := s.owner(id)
-	if err := s.shards[i].Delete(local); err != nil {
-		return fmt.Errorf("id %d (shard %d): %w", id, i, err)
+// NumShards is 1.
+func (s *Sharded) NumShards() int { return 1 }
+
+// Shard returns the index and the global ID of its first ranking, 0.
+func (s *Sharded) Shard(int) (Index, ranking.ID) { return s.Index, 0 }
+
+// QueryTrace is empty: nothing reads a query's attribution here. It remains
+// as SearchTracedContext's result type, which benchmark/ compiles against.
+type QueryTrace struct{}
+
+// SearchTracedContext answers a range query unless ctx is already done.
+func (s *Sharded) SearchTracedContext(ctx context.Context, q ranking.Ranking, theta float64) ([]ranking.Result, QueryTrace, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, QueryTrace{}, err
 	}
-	return nil
+	res, err := s.Search(q, theta)
+	return res, QueryTrace{}, err
 }
 
-// Update replaces the ranking stored under an existing global ID, routing
-// to the owning shard. The ID stays stable.
-func (s *Sharded) Update(id ranking.ID, r ranking.Ranking) error {
-	i, local := s.owner(id)
-	if err := s.shards[i].Update(local, r); err != nil {
-		return fmt.Errorf("id %d (shard %d): %w", id, i, err)
+// NearestNeighborsContext answers an exact KNN query unless ctx is already
+// done; n ≤ 0 answers nil.
+func (s *Sharded) NearestNeighborsContext(ctx context.Context, q ranking.Ranking, n int) ([]ranking.Result, error) {
+	if n <= 0 {
+		return nil, nil
 	}
-	return nil
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.NearestNeighbors(q, n)
 }
 
-// owner maps a global ID to (shard, shard-local ID). IDs beyond the last
-// shard's initial range still belong to the last shard (inserts extend it);
-// whether the local id is actually assigned is decided by the sub-index.
-func (s *Sharded) owner(id ranking.ID) (int, ranking.ID) {
-	for i := 0; i < len(s.shards)-1; i++ {
-		if int(id-s.offsets[i]) < s.sizes[i] {
-			return i, id - s.offsets[i]
+// SearchBatchContext answers many queries at the same threshold, the i-th
+// result slice answering queries[i], member by member. ctx is checked before
+// every member, and the first member error ends the batch.
+func (s *Sharded) SearchBatchContext(ctx context.Context, queries []ranking.Ranking, theta float64) ([][]ranking.Result, error) {
+	out := make([][]ranking.Result, len(queries))
+	for i, q := range queries {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
+		res, err := s.Search(q, theta)
+		if err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+		out[i] = res
 	}
-	last := len(s.shards) - 1
-	return last, id - s.offsets[last]
+	return out, nil
 }
 
-// Rebuilds sums the compactions of the sub-indices.
-func (s *Sharded) Rebuilds() uint64 {
-	var n uint64
-	for _, sh := range s.shards {
-		n += sh.Rebuilds()
-	}
-	return n
+// SearchBatchSharedContext does nothing: it reports ok=false, so a caller
+// takes its SearchBatchContext fallback.
+//
+// Deprecated: it answered uniform-threshold batches with the paper's
+// Section 8 shared-candidate processor, which lost to per-query F&V+Drop at
+// every measured threshold. It remains only until benchmark/ stops calling it.
+func (s *Sharded) SearchBatchSharedContext(context.Context, []ranking.Ranking, float64) (res [][]ranking.Result, ok bool, err error) {
+	return nil, false, nil
 }
 
 // ShardStats is the per-shard entry of the "shards" list that topkserve's

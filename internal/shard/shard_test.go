@@ -2,8 +2,11 @@ package shard_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"topk"
 	"topk/internal/dataset"
@@ -12,84 +15,210 @@ import (
 	"topk/internal/shard"
 )
 
-// The mutable inverted family satisfies the serving contract.
+// The mutable inverted family satisfies the harness's contract.
 var (
 	_ shard.Index = (*topk.InvertedIndex)(nil)
 	_ shard.Index = (*topk.HybridIndex)(nil)
 )
 
-func testCollection(t *testing.T, n, k int) ([]ranking.Ranking, []ranking.Ranking) {
+// fakeIndex counts the searches it is asked for instead of running them:
+// block, when non-nil, holds every started search until it is closed, and
+// err is what every search returns. Its mutations are inert.
+type fakeIndex struct {
+	searches atomic.Uint64
+	block    chan struct{}
+	err      error
+}
+
+func (f *fakeIndex) Search(ranking.Ranking, float64) ([]ranking.Result, error) {
+	f.searches.Add(1)
+	if f.block != nil {
+		<-f.block
+	}
+	return nil, f.err
+}
+
+func (f *fakeIndex) NearestNeighbors(q ranking.Ranking, _ int) ([]ranking.Result, error) {
+	return f.Search(q, 0)
+}
+
+func (f *fakeIndex) Insert(ranking.Ranking) (ranking.ID, error) { return 0, errFakeMutation }
+func (f *fakeIndex) Delete(ranking.ID) error                    { return errFakeMutation }
+func (f *fakeIndex) Update(ranking.ID, ranking.Ranking) error   { return errFakeMutation }
+func (f *fakeIndex) Rebuilds() uint64                           { return 0 }
+
+var errFakeMutation = errors.New("fake index: no mutations")
+
+func collection(t *testing.T, n int) []ranking.Ranking {
 	t.Helper()
-	cfg := dataset.NYTLike(n, k)
-	rs, err := dataset.Generate(cfg)
+	rs, err := dataset.Generate(dataset.NYTLike(n, 10))
 	if err != nil {
-		t.Fatalf("generate: %v", err)
+		t.Fatal(err)
 	}
-	qs, err := dataset.Workload(rs, cfg, 30, 0.8, cfg.Seed+1000)
+	return rs
+}
+
+// fakeSharded wraps f over a small collection, which it returns too.
+func fakeSharded(t *testing.T, f *fakeIndex) (*shard.Sharded, []ranking.Ranking) {
+	t.Helper()
+	rs := collection(t, 64)
+	sh, err := shard.New(rs, 4, func([]ranking.Ranking) (shard.Index, error) { return f, nil })
 	if err != nil {
-		t.Fatalf("workload: %v", err)
+		t.Fatal(err)
 	}
-	return rs, qs
+	return sh, rs
 }
 
-func builders() map[string]shard.Builder {
-	return map[string]shard.Builder{
-		"inverted": func(rs []ranking.Ranking) (shard.Index, error) {
-			return topk.NewInvertedIndex(rs, topk.WithAlgorithm(topk.FilterValidate))
-		},
-		"inverted-drop": func(rs []ranking.Ranking) (shard.Index, error) {
-			return topk.NewInvertedIndex(rs)
-		},
-		"merge": func(rs []ranking.Ranking) (shard.Index, error) {
-			return topk.NewInvertedIndex(rs, topk.WithAlgorithm(topk.ListMerge))
-		},
-		"hybrid": hybridBuilder,
+// TestNewBuildsOneIndex: whatever shard count is asked for, New calls build
+// exactly once, over the whole collection, and reports that index as the
+// one shard at offset 0.
+func TestNewBuildsOneIndex(t *testing.T) {
+	rs := collection(t, 40)
+	f := &fakeIndex{}
+	builds := 0
+	sh, err := shard.New(rs, 4, func(all []ranking.Ranking) (shard.Index, error) {
+		builds++
+		if len(all) != len(rs) || &all[0] != &rs[0] {
+			t.Errorf("build got %d rankings, want the whole collection of %d", len(all), len(rs))
+		}
+		return f, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestShardedMatchesUnsharded is the correctness property of the sharding
-// layer: for every index kind, shard count and threshold, the sharded
-// answer must be identical — IDs, order and exact distances — to the
-// unsharded answer over the same collection.
-func TestShardedMatchesUnsharded(t *testing.T) {
-	rs, qs := testCollection(t, 600, 10)
-	thetas := []float64{0, 0.1, 0.2, 0.3}
-	for name, build := range builders() {
-		t.Run(name, func(t *testing.T) {
-			ref, err := build(rs)
-			if err != nil {
-				t.Fatalf("unsharded build: %v", err)
-			}
-			for _, numShards := range []int{1, 2, 3, 7} {
-				sh, err := shard.New(rs, numShards, build)
-				if err != nil {
-					t.Fatalf("shard.New(%d): %v", numShards, err)
-				}
-				if got := sh.NumShards(); got != numShards {
-					t.Fatalf("NumShards = %d, want %d", got, numShards)
-				}
-				if sh.Len() != len(rs) || sh.K() != 10 {
-					t.Fatalf("Len/K = %d/%d, want %d/10", sh.Len(), sh.K(), len(rs))
-				}
-				difftest.CheckMatch(t, name, difftest.Sharded{Sharded: sh}, ref.(difftest.Searcher), qs, thetas)
-			}
-		})
+	if builds != 1 {
+		t.Fatalf("build ran %d times, want 1", builds)
+	}
+	if got := sh.NumShards(); got != 1 {
+		t.Fatalf("NumShards = %d, want 1", got)
+	}
+	if idx, off := sh.Shard(0); idx != shard.Index(f) || off != 0 {
+		t.Fatalf("Shard(0) = %v, %d; want the built index at offset 0", idx, off)
 	}
 }
 
-// TestSearchBatchMatchesSearch: every shard answers a batch member by member,
-// so SearchBatchContext and per-query SearchTracedContext must agree byte for
-// byte — and with the linear-scan oracle below θ = 1 — over every serving
-// kind, fresh and after a mutation workload. The deprecated
-// SearchBatchSharedContext must decline every batch without touching a shard.
+func TestEmptyCollectionRejected(t *testing.T) {
+	_, err := shard.New(nil, 2, func(rs []ranking.Ranking) (shard.Index, error) {
+		return topk.NewInvertedIndex(rs)
+	})
+	if err == nil {
+		t.Fatal("expected error for empty collection")
+	}
+}
+
+// TestPreCanceledContextDoesNoShardWork: a request whose context is already
+// dead must not reach the index on any query path.
+func TestPreCanceledContextDoesNoShardWork(t *testing.T) {
+	f := &fakeIndex{}
+	sh, rs := fakeSharded(t, f)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := sh.SearchTracedContext(ctx, rs[0], 0.2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SearchTracedContext error = %v, want context.Canceled", err)
+	}
+	if _, err := sh.SearchBatchContext(ctx, rs[:4], 0.2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SearchBatchContext error = %v, want context.Canceled", err)
+	}
+	if _, err := sh.NearestNeighborsContext(ctx, rs[0], 3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("NearestNeighborsContext error = %v, want context.Canceled", err)
+	}
+	if got := f.searches.Load(); got != 0 {
+		t.Fatalf("pre-canceled requests ran %d searches, want 0", got)
+	}
+}
+
+// TestExpiredDeadlineSurfacesAsDeadlineExceeded pins the error identity the
+// HTTP layer maps to 504.
+func TestExpiredDeadlineSurfacesAsDeadlineExceeded(t *testing.T) {
+	f := &fakeIndex{}
+	sh, rs := fakeSharded(t, f)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, _, err := sh.SearchTracedContext(ctx, rs[0], 0.2); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error = %v, want context.DeadlineExceeded", err)
+	}
+	if got := f.searches.Load(); got != 0 {
+		t.Fatalf("expired request ran %d searches, want 0", got)
+	}
+}
+
+// TestBatchCancelStopsRemainingQueries cancels a batch while its member 0 is
+// inside the index: the batch reports the cancellation and no later member
+// reaches the index.
+func TestBatchCancelStopsRemainingQueries(t *testing.T) {
+	f := &fakeIndex{block: make(chan struct{})}
+	sh, rs := fakeSharded(t, f)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := sh.SearchBatchContext(ctx, rs, 0.2)
+		done <- err
+	}()
+	for f.searches.Load() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	cancel()
+	close(f.block)
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch error = %v, want context.Canceled", err)
+	}
+	if got := f.searches.Load(); got != 1 {
+		t.Fatalf("cancelled batch ran %d searches, want 1 (member 0 only)", got)
+	}
+}
+
+// TestBatchFirstErrorShortCircuits: a failing member ends the batch with
+// its error, and no later member runs.
+func TestBatchFirstErrorShortCircuits(t *testing.T) {
+	sentinel := errors.New("index exploded")
+	f := &fakeIndex{err: sentinel}
+	sh, rs := fakeSharded(t, f)
+	if _, err := sh.SearchBatchContext(context.Background(), rs, 0.2); !errors.Is(err, sentinel) {
+		t.Fatalf("batch error = %v, want the index failure", err)
+	}
+	if got := f.searches.Load(); got != 1 {
+		t.Fatalf("failing batch ran %d searches, want 1", got)
+	}
+}
+
+// TestShardedNearestNeighborsEdge: n ≤ 0 answers nil without reaching the
+// index.
+func TestShardedNearestNeighborsEdge(t *testing.T) {
+	f := &fakeIndex{}
+	sh, rs := fakeSharded(t, f)
+	for _, n := range []int{0, -1} {
+		if res, err := sh.NearestNeighborsContext(context.Background(), rs[0], n); err != nil || res != nil {
+			t.Fatalf("n=%d: %v %v, want nil", n, res, err)
+		}
+	}
+	if got := f.searches.Load(); got != 0 {
+		t.Fatalf("n ≤ 0 ran %d searches, want 0", got)
+	}
+}
+
+// TestSearchBatchMatchesSearch: SearchBatchContext and per-query
+// SearchTracedContext must agree byte for byte — and with the linear-scan
+// oracle below θ = 1 — over every serving kind, fresh and after a mutation
+// workload. The deprecated SearchBatchSharedContext must decline every batch
+// without reaching the index.
 func TestSearchBatchMatchesSearch(t *testing.T) {
+	type subject interface {
+		shard.Index
+		difftest.Mutable
+	}
 	kinds := []struct {
 		name  string
-		build shard.Builder
+		build func(rs []ranking.Ranking) (subject, error)
 	}{
-		{"inverted-drop", invertedBuilder},
-		{"merge", mergeBuilder},
-		{"hybrid", hybridBuilder},
+		{"inverted-drop", func(rs []ranking.Ranking) (subject, error) {
+			return topk.NewInvertedIndexFromSlots(rs)
+		}},
+		{"merge", func(rs []ranking.Ranking) (subject, error) {
+			return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.ListMerge))
+		}},
+		{"hybrid", func(rs []ranking.Ranking) (subject, error) {
+			return topk.NewHybridIndexFromSlots(rs)
+		}},
 	}
 	for seed, kind := range kinds {
 		for _, mutated := range []bool{false, true} {
@@ -100,13 +229,18 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(47 + seed)))
 				rs := difftest.RandomCollection(rng, 400, 8, 200)
-				sh, err := shard.New(rs, 3, kind.build)
+				var idx subject
+				sh, err := shard.New(rs, 3, func(rs []ranking.Ranking) (shard.Index, error) {
+					var err error
+					idx, err = kind.build(rs)
+					return idx, err
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				o := difftest.NewOracle(rs)
 				if mutated {
-					difftest.Mutate(t, name, difftest.Sharded{Sharded: sh}, o, rng, 400, 200)
+					difftest.Mutate(t, name, idx, o, rng, 400, 200)
 				}
 				// A reformulation-style batch: clusters of near-duplicate queries.
 				var queries []ranking.Ranking
@@ -124,14 +258,14 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 		}
 	}
 	t.Run("shared-stub", func(t *testing.T) {
-		st := &fakeState{}
-		sh, rs := fakeSharded(t, 4, st)
+		f := &fakeIndex{}
+		sh, rs := fakeSharded(t, f)
 		res, ok, err := sh.SearchBatchSharedContext(context.Background(), rs[:8], 0.2)
 		if res != nil || ok || err != nil {
 			t.Fatalf("SearchBatchSharedContext = %v, %v, %v; want nil, false, nil", res, ok, err)
 		}
-		if got := st.searches.Load(); got != 0 {
-			t.Fatalf("SearchBatchSharedContext scheduled %d sub-index searches, want 0", got)
+		if got := f.searches.Load(); got != 0 {
+			t.Fatalf("SearchBatchSharedContext ran %d searches, want 0", got)
 		}
 	})
 }
@@ -161,58 +295,5 @@ func checkBatch(t *testing.T, sh *shard.Sharded, o *difftest.Oracle, queries []r
 				t.Fatalf("query %d (θ=%.2f): diverges from the oracle:\n got %v\nwant %v", i, theta, want, ref)
 			}
 		}
-	}
-}
-
-// TestMutationRouting checks the mutation surface of the sharded wrapper:
-// inserts extend the last shard's open id range, deletes and updates route
-// to the owning shard, the live count stays accurate, and after any mix of
-// mutations the sharded answer still matches an unsharded reference built
-// over the surviving collection.
-func TestMutationRouting(t *testing.T) {
-	rs, qs := testCollection(t, 300, 10)
-	build := func(chunk []ranking.Ranking) (shard.Index, error) {
-		return topk.NewInvertedIndexFromSlots(chunk)
-	}
-	sh, err := shard.New(rs, 4, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	o := difftest.NewOracle(rs)
-	domain := difftest.DomainOf(rs)
-	difftest.Mutate(t, "sharded", difftest.Sharded{Sharded: sh}, o, rng, 600, domain)
-	if sh.Len() != o.Len() {
-		t.Fatalf("Len=%d, oracle %d", sh.Len(), o.Len())
-	}
-	difftest.CheckSearch(t, "sharded", difftest.Sharded{Sharded: sh}, o, rng, 10, domain)
-	// Against an unsharded reference over the same surviving slots.
-	ref, err := topk.NewInvertedIndexFromSlots(o.Slots())
-	if err != nil {
-		t.Fatal(err)
-	}
-	difftest.CheckMatch(t, "sharded-vs-unsharded", difftest.Sharded{Sharded: sh}, ref, qs, []float64{0, 0.2})
-
-	// Compaction preserves ids.
-	if err := (difftest.Sharded{Sharded: sh}).Compact(); err != nil {
-		t.Fatal(err)
-	}
-	difftest.CheckSearch(t, "sharded/compacted", difftest.Sharded{Sharded: sh}, o, rng, 10, domain)
-
-	// Slot round-trip: rebuild from the concatenated slot view.
-	slots := difftest.Sharded{Sharded: sh}.Slots()
-	sh2, err := shard.New(slots, 3, build) // different shard count on purpose
-	if err != nil {
-		t.Fatal(err)
-	}
-	difftest.CheckSearch(t, "sharded/restored", difftest.Sharded{Sharded: sh2}, o, rng, 10, domain)
-}
-
-func TestEmptyCollectionRejected(t *testing.T) {
-	_, err := shard.New(nil, 2, func(rs []ranking.Ranking) (shard.Index, error) {
-		return topk.NewInvertedIndex(rs)
-	})
-	if err == nil {
-		t.Fatal("expected error for empty collection")
 	}
 }

@@ -77,9 +77,10 @@ const (
 	// headerSize is magic u32 + version u32 + sequence u64 + reserved u32.
 	headerSize = 20
 	// maxPayload bounds a record's declared payload length: 7 framing bytes
-	// plus the largest ranking the persist format accepts (k ≤ 255). A
-	// corrupted length field must not provoke a huge allocation.
-	maxPayload = 7 + 4*255
+	// plus the largest ranking the persist format accepts (k ≤
+	// ranking.MaxK). A corrupted length field must not provoke a huge
+	// allocation.
+	maxPayload = 7 + 4*ranking.MaxK
 )
 
 // Op discriminates mutation records.
@@ -332,8 +333,8 @@ func syncDir(dir string) error {
 // encode appends rec's frame (length, CRC, payload) to dst.
 func encode(dst []byte, rec Record) ([]byte, error) {
 	k := len(rec.Ranking)
-	if k > 255 {
-		return dst, fmt.Errorf("wal: ranking size %d exceeds 255", k)
+	if k > ranking.MaxK {
+		return dst, fmt.Errorf("wal: ranking size %d exceeds %d", k, ranking.MaxK)
 	}
 	if rec.Op != OpInsert && rec.Op != OpDelete && rec.Op != OpUpdate && rec.Op != opSeal {
 		return dst, fmt.Errorf("wal: invalid op %d", rec.Op)

@@ -9,12 +9,11 @@ import (
 
 	"topk/internal/difftest"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 )
 
 // knnSubject is an index whose NearestNeighbors runs the native posting-list
-// KNN: the inverted facade, the hybrid (which routes KNN to its inverted
-// backend) and a sharded collection of hybrids.
+// KNN: the inverted facade and the hybrid (which routes KNN to its inverted
+// backend).
 type knnSubject interface {
 	difftest.Mutable
 	NearestNeighbors(q Ranking, n int) ([]Result, error)
@@ -33,13 +32,7 @@ func knnSubjects(t testing.TB, slots []Ranking) map[string]knnSubject {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := shard.New(slots, 3, func(rs []ranking.Ranking) (shard.Index, error) {
-		return NewHybridIndexFromSlots(rs, WithHybridDeltaRatio(0))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]knnSubject{"inverted": inv, "hybrid": hyb, "sharded": difftest.Sharded{Sharded: sh}}
+	return map[string]knnSubject{"inverted": inv, "hybrid": hyb}
 }
 
 // checkKNN holds idx byte-identical — ids, distances, order — to the oracle
@@ -75,8 +68,8 @@ func mixedQueries(rng *rand.Rand, o *difftest.Oracle, count, domain int) []Ranki
 }
 
 // TestKNNNativeDifferential is the acceptance contract of the native KNN:
-// in every state a mutable index can reach, InvertedIndex, HybridIndex and a
-// 3-shard collection answer byte-identically to the linear-scan oracle.
+// in every state a mutable index can reach, InvertedIndex and HybridIndex
+// answer byte-identically to the linear-scan oracle.
 func TestKNNNativeDifferential(t *testing.T) {
 	const k, domain = 6, 40 // small domain: distance ties at the cut are the norm
 	apply := func(t *testing.T, idx knnSubject, o *difftest.Oracle, op string, id ID, r Ranking) {
@@ -210,7 +203,7 @@ func TestKNNNativeTieDecidedByExternalID(t *testing.T) {
 	q := Ranking{1, 2, 3, 4}
 	tied := Ranking{2, 1, 3, 4} // distance 2 from q
 	rs := []Ranking{
-		q.Clone(), {1, 2, 4, 3}, tied.Clone(), // shard 0 of the sharded subject
+		q.Clone(), {1, 2, 4, 3}, tied.Clone(),
 		{50, 51, 52, 53}, {54, 55, 56, 57}, {58, 59, 60, 61},
 		{62, 63, 64, 65}, {66, 67, 68, 69}, {70, 71, 72, 73},
 	}
@@ -235,8 +228,7 @@ func TestKNNNativeTieDecidedByExternalID(t *testing.T) {
 
 // TestKNNNativeEmptyIndex covers an index built over zero live rankings: an
 // empty answer (not a size error) before the first insert defines k, the
-// inserted ranking after — while the sharded subject's other two shards stay
-// structurally empty.
+// inserted ranking after.
 func TestKNNNativeEmptyIndex(t *testing.T) {
 	for name, idx := range knnSubjects(t, make([]Ranking, 4)) {
 		o := difftest.NewOracle(make([]Ranking, 4))

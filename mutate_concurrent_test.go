@@ -9,24 +9,11 @@ import (
 	"topk"
 	"topk/internal/difftest"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 )
 
-// mutable is the full mutation surface shared by the facade kinds and the
-// sharded wrapper.
-type mutable interface {
-	Search(q topk.Ranking, theta float64) ([]topk.Result, error)
-	Len() int
-	K() int
-	Insert(topk.Ranking) (topk.ID, error)
-	Delete(topk.ID) error
-	Update(topk.ID, topk.Ranking) error
-}
-
-// TestConcurrentMutation hammers one shared index of every mutable kind —
-// and the sharded wrapper — from 16 goroutines that interleave Search,
-// Insert, Delete and Update, with automatic compaction enabled so rebuilds
-// fire underneath the readers. Under -race this verifies the whole
+// TestConcurrentMutation hammers one shared index of every mutable kind
+// from 16 goroutines that interleave Search, Insert, Delete and Update, with
+// automatic compaction enabled so rebuilds fire underneath the readers. Under -race this verifies the whole
 // RWMutex/pool/compaction scheme; afterwards, the surviving collection is
 // read back through Slots and the index must answer byte-identically to a
 // linear-scan oracle over it.
@@ -39,27 +26,15 @@ func TestConcurrentMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	base := difftest.RandomCollection(rng, seedN, k, domain)
 
-	kinds := map[string]func() (mutable, error){
-		"InvertedIndex": func() (mutable, error) {
+	kinds := map[string]func() (difftest.Mutable, error){
+		"InvertedIndex": func() (difftest.Mutable, error) {
 			return topk.NewInvertedIndex(base)
 		},
-		"InvertedIndex/Merge": func() (mutable, error) {
+		"InvertedIndex/Merge": func() (difftest.Mutable, error) {
 			return topk.NewInvertedIndex(base, topk.WithAlgorithm(topk.ListMerge))
 		},
-		"HybridIndex": func() (mutable, error) {
+		"HybridIndex": func() (difftest.Mutable, error) {
 			return topk.NewHybridIndex(base)
-		},
-		"Sharded/InvertedIndex": func() (mutable, error) {
-			sh, err := shard.New(base, 4, func(chunk []ranking.Ranking) (shard.Index, error) {
-				return topk.NewInvertedIndexFromSlots(chunk)
-			})
-			return difftest.Sharded{Sharded: sh}, err
-		},
-		"Sharded/HybridIndex": func() (mutable, error) {
-			sh, err := shard.New(base, 4, func(chunk []ranking.Ranking) (shard.Index, error) {
-				return topk.NewHybridIndexFromSlots(chunk)
-			})
-			return difftest.Sharded{Sharded: sh}, err
 		},
 	}
 
@@ -126,21 +101,12 @@ func TestConcurrentMutation(t *testing.T) {
 			// to a linear scan over its own surviving collection.
 			slots := slotsView(t, idx)
 			o := difftest.NewOracle(slots)
-			difftest.CheckSearch(t, name, searcherAdapter{idx}, o, rng, 10, domain)
+			difftest.CheckSearch(t, name, idx, o, rng, 10, domain)
 		})
 	}
 }
 
-// searcherAdapter narrows mutable to the difftest.Searcher surface.
-type searcherAdapter struct{ m mutable }
-
-func (a searcherAdapter) Search(q ranking.Ranking, theta float64) ([]ranking.Result, error) {
-	return a.m.Search(q, theta)
-}
-func (a searcherAdapter) Len() int { return a.m.Len() }
-func (a searcherAdapter) K() int   { return a.m.K() }
-
-func slotsView(t *testing.T, idx mutable) []ranking.Ranking {
+func slotsView(t *testing.T, idx difftest.Mutable) []ranking.Ranking {
 	t.Helper()
 	v, ok := idx.(interface{ Slots() []ranking.Ranking })
 	if !ok {
@@ -154,9 +120,9 @@ func slotsView(t *testing.T, idx mutable) []ranking.Ranking {
 // construction, and every request of a serving collection reads it. Under
 // -race an unlocked read is a reported data race.
 func TestKConcurrentWithFirstInsert(t *testing.T) {
-	kinds := map[string]func() (mutable, error){
-		"InvertedIndex": func() (mutable, error) { return topk.NewInvertedIndexFromSlots(make([]topk.Ranking, 3)) },
-		"HybridIndex":   func() (mutable, error) { return topk.NewHybridIndexFromSlots(make([]topk.Ranking, 3)) },
+	kinds := map[string]func() (difftest.Mutable, error){
+		"InvertedIndex": func() (difftest.Mutable, error) { return topk.NewInvertedIndexFromSlots(make([]topk.Ranking, 3)) },
+		"HybridIndex":   func() (difftest.Mutable, error) { return topk.NewHybridIndexFromSlots(make([]topk.Ranking, 3)) },
 	}
 	for name, build := range kinds {
 		t.Run(name, func(t *testing.T) {

@@ -10,11 +10,9 @@ import (
 	"topk/internal/difftest"
 	"topk/internal/persist"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 )
 
-// compactor is the explicit-compaction surface shared by the mutable kinds
-// and the sharded wrapper.
+// compactor is the explicit-compaction surface of the mutable kinds.
 type compactor interface {
 	Compact() error
 }
@@ -29,7 +27,7 @@ func mutableBuilders(autoCompact bool) map[string]mutableBuilder {
 	if autoCompact {
 		ratio = DefaultCompactionRatio
 	}
-	m := map[string]mutableBuilder{
+	return map[string]mutableBuilder{
 		"InvertedIndex/FV": func(slots []Ranking) (difftest.Mutable, error) {
 			return NewInvertedIndexFromSlots(slots,
 				WithAlgorithm(FilterValidate), WithCompactionRatio(ratio))
@@ -46,28 +44,6 @@ func mutableBuilders(autoCompact bool) map[string]mutableBuilder {
 		"HybridIndex": func(slots []Ranking) (difftest.Mutable, error) {
 			return NewHybridIndexFromSlots(slots, WithHybridDeltaRatio(ratio))
 		},
-	}
-	// The sharded wrapper over both mutable kinds: mutations route to the
-	// owning shard, inserts extend the last shard's id range.
-	m["Sharded/InvertedIndex"] = shardedBuilder(m["InvertedIndex/Drop"])
-	m["Sharded/HybridIndex"] = shardedBuilder(m["HybridIndex"])
-	return m
-}
-
-// shardedBuilder wraps a kind's builder in a three-shard router.
-func shardedBuilder(inner mutableBuilder) mutableBuilder {
-	return func(slots []Ranking) (difftest.Mutable, error) {
-		sh, err := shard.New(slots, 3, func(chunk []ranking.Ranking) (shard.Index, error) {
-			sub, err := inner(chunk)
-			if err != nil {
-				return nil, err
-			}
-			return sub.(shard.Index), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return difftest.Sharded{Sharded: sh}, nil
 	}
 }
 
@@ -107,7 +83,7 @@ func checkAgainstRebuilt(t *testing.T, name string, idx difftest.Mutable, build 
 }
 
 // TestDifferentialMutationWorkload runs a 1000-op random insert/delete/
-// update workload against every mutable kind and the sharded wrapper, then
+// update workload against every mutable kind, then
 // proves the index byte-identical to a linear-scan oracle and to an index
 // rebuilt from scratch over the survivors — before compaction, after
 // compaction, and after a snapshot v2 save/load round-trip.
@@ -161,8 +137,7 @@ func TestDifferentialMutationWorkload(t *testing.T) {
 	}
 }
 
-// slotsOf reads the external-id slot view off either facade kind or the
-// sharded wrapper.
+// slotsOf reads the external-id slot view off either facade kind.
 func slotsOf(t *testing.T, idx difftest.Mutable) []Ranking {
 	t.Helper()
 	v, ok := idx.(interface{ Slots() []Ranking })
@@ -248,8 +223,7 @@ func TestMutationErrors(t *testing.T) {
 // TestFailedMutationDoesNotDefineK: on an index built over zero live rankings
 // the ranking size is defined by the first insert that succeeds. A rejected
 // insert or an update of a retired id must leave K() at 0, so that a valid
-// insert of any other size still goes through — on both mutable kinds and
-// behind the sharded router.
+// insert of any other size still goes through — on both mutable kinds.
 func TestFailedMutationDoesNotDefineK(t *testing.T) {
 	builders := mutableBuilders(false)
 	failing := map[string]func(idx difftest.Mutable) error{
@@ -290,32 +264,29 @@ func TestFailedMutationDoesNotDefineK(t *testing.T) {
 	}
 }
 
-// TestAllTombstoneShardChunkRestores is the regression test for restoring
-// a heavily-deleted snapshot: when a contiguous id range was deleted
-// entirely, the shard chunk covering it has zero live slots and must still
-// build (empty, k adopted on the next insert) so the whole restore succeeds.
-func TestAllTombstoneShardChunkRestores(t *testing.T) {
+// TestAllTombstoneRangeRestores is the regression test for restoring a
+// heavily-deleted snapshot: a contiguous id range deleted entirely must
+// restore as retired ids, and an index over zero live slots must still
+// build (empty, k adopted on the next insert).
+func TestAllTombstoneRangeRestores(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	base := difftest.RandomCollection(rng, 40, diffK, diffDomain)
 	o := difftest.NewOracle(base)
 	slots := append([]Ranking(nil), base...)
-	for id := 10; id < 20; id++ { // exactly chunk 1 of 4 shards over 40 slots
+	for id := 10; id < 20; id++ {
 		slots[id] = nil
 		if err := o.Delete(ID(id)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	build := func(chunk []ranking.Ranking) (shard.Index, error) {
-		return NewInvertedIndexFromSlots(chunk)
-	}
-	sh, err := shard.New(slots, 4, build)
+	idx, err := NewInvertedIndexFromSlots(slots)
 	if err != nil {
-		t.Fatalf("restore with an all-tombstone chunk: %v", err)
+		t.Fatalf("restore with an all-tombstone range: %v", err)
 	}
-	if sh.Len() != 30 {
-		t.Fatalf("Len=%d, want 30", sh.Len())
+	if idx.Len() != 30 {
+		t.Fatalf("Len=%d, want 30", idx.Len())
 	}
-	difftest.CheckSearch(t, "all-dead-chunk", difftest.Sharded{Sharded: sh}, o, rng, 10, diffDomain)
+	difftest.CheckSearch(t, "all-dead-range", idx, o, rng, 10, diffDomain)
 	// The empty facade kinds stay mutable, adopting k on first insert.
 	empty, err := NewHybridIndexFromSlots(make([]Ranking, 5))
 	if err != nil {
@@ -373,9 +344,6 @@ func TestV1SnapshotStillLoads(t *testing.T) {
 // rebuilt reference breaks ties in a different id space.)
 func TestNearestNeighborsAfterMutation(t *testing.T) {
 	for name, build := range mutableBuilders(false) {
-		if name == "Sharded/InvertedIndex" || name == "Sharded/HybridIndex" {
-			continue // the sharded wrapper has no KNN surface (yet)
-		}
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			base := difftest.RandomCollection(rng, 100, diffK, diffDomain)

@@ -22,7 +22,6 @@ import (
 	"topk/internal/difftest"
 	"topk/internal/persist"
 	"topk/internal/ranking"
-	"topk/internal/shard"
 	"topk/internal/wal"
 )
 
@@ -36,16 +35,10 @@ var recoveryKinds = map[string]func(slots []ranking.Ranking) (difftest.Mutable, 
 		idx, err := topk.NewHybridIndexFromSlots(slots)
 		return idx, err
 	},
-	"sharded-hybrid": func(slots []ranking.Ranking) (difftest.Mutable, error) {
-		sh, err := shard.New(slots, 3, func(rs []ranking.Ranking) (shard.Index, error) {
-			return topk.NewHybridIndexFromSlots(rs)
-		})
-		return difftest.Sharded{Sharded: sh}, err
-	},
 }
 
 // applyRecord replays one WAL record onto a recovered index, enforcing the
-// insert-id continuity the shard router also checks.
+// insert-id continuity the server's replay also checks.
 func applyRecord(idx difftest.Mutable, rec wal.Record) error {
 	switch rec.Op {
 	case wal.OpInsert:
