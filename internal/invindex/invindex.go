@@ -379,6 +379,9 @@ type Searcher struct {
 	// closed counts the queries whose accumulate closed admission; read by the
 	// test that keeps the early-termination path from going dead silently.
 	closed int
+	// sink folds in the values the row and head passes of validate and
+	// accumulate load, so the compiler keeps those loads.
+	sink uint32
 }
 
 // NewSearcher creates a searcher bound to idx.
@@ -395,12 +398,24 @@ func (s *Searcher) Index() *Index { return s.idx }
 // computation against rawTheta. The merge is accumulate's first-touch list;
 // the gains it sums on the way are not used.
 func (s *Searcher) FilterValidate(q ranking.Ranking, rawTheta int, ev *metric.Evaluator) ([]ranking.Result, error) {
-	if err := s.checkQuery(q); err != nil {
+	if err := checkQuery(q, s.idx.K()); err != nil {
 		return nil, err
 	}
-	touched, _ := s.accumulate(q, s.byListLength(q), 0)
-	s.cands = s.filter(touched, 0)
-	return s.validate(q, rawTheta, ev), nil
+	return s.search(FilterValidate, q, rawTheta, ev), nil
+}
+
+// search answers a query its caller has checked with alg, F&V+Drop in its
+// DropSafe form.
+func (s *Searcher) search(alg Algorithm, q ranking.Ranking, rawTheta int, ev *metric.Evaluator) []ranking.Result {
+	switch alg {
+	case FilterValidate:
+		touched, _ := s.accumulate(q, s.byListLength(q), 0)
+		s.cands = s.filter(touched, 0)
+		return s.validate(q, rawTheta, ev)
+	case FilterValidateDrop:
+		return s.decide(q, s.chooseKeptLists(q, rawTheta, DropSafe), rawTheta, ev)
+	}
+	return s.decide(q, s.byListLength(q), rawTheta, nil)
 }
 
 // filter keeps, in place, the touched ids that are live and whose
@@ -422,10 +437,22 @@ func (s *Searcher) filter(touched []ranking.ID, floor int) []ranking.ID {
 // validate computes the exact distance of every collected candidate, built
 // or inserted alike, in one batched pass of the compiled kernel over the
 // store's flat arena, and counts one DFC per candidate on ev (nil: not
-// counted).
+// counted). The candidates are a sparse handful scattered over the store, so
+// each row is a cache miss, and the kernel takes them one at a time: its
+// matched/unmatched branch mispredicts and stops the core from running ahead
+// to the next row. So first one loop loads both cache lines each row can
+// span, its first and its last item, back to back: their misses overlap, and
+// the kernel finds the rows in cache. The arena is read on every call, as an
+// Insert may have moved it.
 func (s *Searcher) validate(q ranking.Ranking, rawTheta int, ev *metric.Evaluator) []ranking.Result {
 	res := s.res[:0]
 	if len(s.cands) > 0 {
+		flat, k, sink := s.idx.store.Flat(), s.idx.K(), s.sink
+		for _, id := range s.cands {
+			lo := int(id) * k
+			sink += flat[lo] + flat[lo+k-1]
+		}
+		s.sink = sink
 		s.kern.Compile(q)
 		s.dists = s.kern.FootruleMany(s.idx.store, s.cands, s.dists[:0])
 		for i, id := range s.cands {
@@ -480,7 +507,7 @@ const (
 // The kept lists' postings decide most candidates (see decide); only the
 // rest are validated.
 func (s *Searcher) FilterValidateDrop(q ranking.Ranking, rawTheta int, ev *metric.Evaluator, mode DropMode) ([]ranking.Result, error) {
-	if err := s.checkQuery(q); err != nil {
+	if err := checkQuery(q, s.idx.K()); err != nil {
 		return nil, err
 	}
 	return s.decide(q, s.chooseKeptLists(q, rawTheta, mode), rawTheta, ev), nil
@@ -603,10 +630,24 @@ func (s *Searcher) byListLength(q ranking.Ranking) []int {
 // k(k+1): the read lists hold at most k(k+1) − rem per ranking, so before that
 // no gain can exceed rem. With n = 0 admission never closes and touched is
 // every ranking sharing an item with the query in a list read.
+//
+// A range query (n = 0) reads its lists' heads first: one loop loads the
+// first id and rank of every list with postings, back to back, so the walk
+// does not take each list's first miss alone. KNN reads every list in full
+// and its long lists stream, so it skips that loop.
 func (s *Searcher) accumulate(q ranking.Ranking, pos []int, n int) (touched []ranking.ID, rem int) {
 	idx := s.idx
 	if size := idx.Len(); len(s.acc) < size {
 		s.acc = append(s.acc, make([]uint16, size-len(s.acc))...)
+	}
+	if n == 0 {
+		sink := s.sink
+		for _, qr := range pos {
+			if sp := s.spans[qr]; sp.n > 0 {
+				sink += idx.ids[sp.off] + uint32(idx.ranks[sp.off])
+			}
+		}
+		s.sink = sink
 	}
 	acc, dels, k := s.acc, idx.deleted, len(q)
 	touched = s.cands[:0]
@@ -682,21 +723,19 @@ func update(acc []uint16, ids []ranking.ID, ranks []uint8, k, qr int) {
 // distance function; per the paper it is excluded from the DFC measurements
 // (Figure 10), so the evaluator is ignored.
 func (s *Searcher) ListMerge(q ranking.Ranking, rawTheta int, _ *metric.Evaluator) ([]ranking.Result, error) {
-	if err := s.checkQuery(q); err != nil {
+	if err := checkQuery(q, s.idx.K()); err != nil {
 		return nil, err
 	}
-	return s.decide(q, s.byListLength(q), rawTheta, nil), nil
+	return s.search(ListMerge, q, rawTheta, nil), nil
 }
 
-// checkQuery enforces the query contract — the index's ranking size, no
-// repeated item (Validate allocates nothing at k ≤ 255) — on a non-empty index.
-func (s *Searcher) checkQuery(q ranking.Ranking) error {
-	if s.idx.Len() == 0 {
-		return nil
-	}
-	if q.K() != s.idx.K() {
-		return fmt.Errorf("invindex: query size %d, index size %d: %w",
-			q.K(), s.idx.K(), ranking.ErrSizeMismatch)
+// checkQuery enforces the query contract — the index's ranking size k (none
+// when k is 0), no repeated item (Validate allocates nothing at k ≤ 255). A
+// Mutable checks against its own k, which a compaction over zero survivors
+// keeps, and then calls search or nearestNeighbors, which check nothing.
+func checkQuery(q ranking.Ranking, k int) error {
+	if k != 0 && q.K() != k {
+		return fmt.Errorf("invindex: query size %d, index size %d: %w", q.K(), k, ranking.ErrSizeMismatch)
 	}
 	return q.Validate()
 }

@@ -30,15 +30,20 @@ import "topk/internal/ranking"
 // accumulator costs 2 bytes per indexed ranking per searcher, allocated on
 // the searcher's first accumulate and grown with the collection.
 func (s *Searcher) NearestNeighbors(q ranking.Ranking, n int, ext []ranking.ID) ([]ranking.Result, error) {
-	if err := s.checkQuery(q); err != nil {
+	if err := checkQuery(q, s.idx.K()); err != nil {
 		return nil, err
 	}
+	return s.nearestNeighbors(q, n, ext), nil
+}
+
+// nearestNeighbors is NearestNeighbors for a query its caller has checked.
+func (s *Searcher) nearestNeighbors(q ranking.Ranking, n int, ext []ranking.ID) []ranking.Result {
 	idx := s.idx
 	if live := idx.Live(); n > live {
 		n = live
 	}
 	if n <= 0 {
-		return nil, nil
+		return nil
 	}
 	touched, _ := s.accumulate(q, s.byListLength(q), n)
 	acc := s.acc
@@ -83,7 +88,7 @@ func (s *Searcher) NearestNeighbors(q ranking.Ranking, n int, ext []ranking.ID) 
 		out[i] = sel.pop()
 	}
 	s.res = sel.heap[:0]
-	return out, nil
+	return out
 }
 
 // nnSelect keeps the n smallest (distance, id) pairs offered to it in a

@@ -293,16 +293,6 @@ func (m *Mutable) checkSize(r ranking.Ranking, verb string) error {
 	return nil
 }
 
-// checkQuery is the query contract of both query paths: the index's ranking
-// size — which a compaction over zero survivors keeps though the Index then
-// holds no ranking to check against — and no repeated item. Callers hold mu.
-func (m *Mutable) checkQuery(q ranking.Ranking) error {
-	if m.k != 0 && q.K() != m.k {
-		return fmt.Errorf("topk: query size %d, index size %d: %w", q.K(), m.k, ranking.ErrSizeMismatch)
-	}
-	return q.Validate()
-}
-
 // Insert copies a ranking into the index and returns its new, stable ID; the
 // caller may reuse r afterwards. On an index built over zero live rankings the
 // first successful Insert defines the ranking size.
@@ -476,29 +466,14 @@ func (m *Mutable) DistanceCalls() uint64 { return m.calls.Load() }
 func (m *Mutable) SearchTraced(q ranking.Ranking, theta float64) ([]ranking.Result, string, uint64, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if err := m.checkQuery(q); err != nil {
+	if err := checkQuery(q, m.k); err != nil {
 		return nil, "", 0, err
 	}
 	s := m.searchers.Get().(*Searcher)
 	ev := metric.New(nil)
-	raw := ranking.RawThreshold(theta, m.k)
-	var (
-		res []ranking.Result
-		err error
-	)
-	switch m.alg {
-	case FilterValidate:
-		res, err = s.FilterValidate(q, raw, ev)
-	case FilterValidateDrop:
-		res, err = s.FilterValidateDrop(q, raw, ev, DropSafe)
-	default:
-		res, err = s.ListMerge(q, raw, ev)
-	}
+	res := s.search(m.alg, q, ranking.RawThreshold(theta, m.k), ev)
 	m.searchers.Put(s)
 	m.calls.Add(ev.Calls())
-	if err != nil {
-		return nil, "", 0, err
-	}
 	m.ids.remapSearch(res)
 	return res, traceName, ev.Calls(), nil
 }
@@ -515,7 +490,7 @@ func (m *Mutable) Search(q ranking.Ranking, theta float64) ([]ranking.Result, er
 func (m *Mutable) NearestNeighborsTraced(q ranking.Ranking, n int) ([]ranking.Result, string, uint64, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if err := m.checkQuery(q); err != nil {
+	if err := checkQuery(q, m.k); err != nil {
 		return nil, "", 0, err
 	}
 	// Non-monotonic id mapping (an Update reassigned an external id to a
@@ -527,11 +502,8 @@ func (m *Mutable) NearestNeighborsTraced(q ranking.Ranking, n int) ([]ranking.Re
 		ext = m.ids.int2ext
 	}
 	s := m.searchers.Get().(*Searcher)
-	res, err := s.NearestNeighbors(q, n, ext)
+	res := s.nearestNeighbors(q, n, ext)
 	m.searchers.Put(s)
-	if err != nil {
-		return nil, "", 0, err
-	}
 	m.ids.remapNN(res)
 	return res, traceName, 0, nil
 }

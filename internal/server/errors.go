@@ -13,6 +13,7 @@ import (
 	"net/http"
 
 	"topk/internal/admit"
+	"topk/internal/ranking"
 )
 
 // statusClientClosedRequest is nginx's 499: the client went away before the
@@ -66,10 +67,14 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // writeSearchError maps a query-path failure onto the HTTP contract:
-// client cancellation is 499, a blown deadline is 504 Gateway Timeout, and
-// only genuine internal failures surface as 500.
+// client cancellation is 499, a blown deadline is 504 Gateway Timeout, a
+// query the index rejects is 400 — the handler checked it against the size
+// it saw, and an insert into an empty collection may define another before
+// the search runs — and only genuine internal failures surface as 500.
 func writeSearchError(w http.ResponseWriter, what string, err error) {
 	switch {
+	case errors.Is(err, ranking.ErrSizeMismatch), errors.Is(err, ranking.ErrDuplicateItem):
+		httpError(w, http.StatusBadRequest, "%s: %v", what, err)
 	case errors.Is(err, context.Canceled):
 		httpError(w, statusClientClosedRequest, "%s canceled by client", what)
 	case errors.Is(err, context.DeadlineExceeded):

@@ -427,3 +427,49 @@ func TestHardeningMetricFamiliesExposed(t *testing.T) {
 		t.Fatalf("cache stats absent or wrong on /stats: %+v", stats.Cache)
 	}
 }
+
+// TestQueryRejectedByTheIndexAnswers400 drives a query past the handler's
+// size check and into the index that rejects it: on a collection created
+// without k and still empty, a 5-item /search or /knn passes the check (no
+// size to hold it to), waits at admission, and a 10-item insert defines the
+// size before it runs. The index's ErrSizeMismatch, and likewise
+// ErrDuplicateItem, is the client's fault: 400, not 500.
+func TestQueryRejectedByTheIndexAnswers400(t *testing.T) {
+	for _, route := range []string{"search", "knn"} {
+		body := fmt.Sprintf(`{"query":%s,"theta":0.2}`, seqRanking(5, 1))
+		if route == "knn" {
+			body = fmt.Sprintf(`{"query":%s,"n":3}`, seqRanking(5, 1))
+		}
+		srv, _, _ := testServer(t)
+		srv.admission = admit.New(1, 4, 0)
+		h := srv.routes()
+		if rec := doJSON(t, h, http.MethodPut, "/collections/late", map[string]any{"kind": "inverted-drop"}); rec.Code != http.StatusCreated {
+			t.Fatalf("create: %d %s", rec.Code, rec.Body)
+		}
+		release, err := srv.admission.Acquire(t.Context(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answer := make(chan *httptest.ResponseRecorder, 1)
+		go func() { answer <- post(t, h, "/c/late/"+route, body) }()
+		for srv.admission.QueueDepth() == 0 {
+			select {
+			case rec := <-answer:
+				t.Fatalf("/%s answered %d before admission (%s)", route, rec.Code, rec.Body)
+			case <-time.After(time.Millisecond):
+			}
+		}
+		if rec := post(t, h, "/c/late/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(10, 1))); rec.Code != http.StatusOK {
+			t.Fatalf("insert: %d %s", rec.Code, rec.Body)
+		}
+		release()
+		if rec := <-answer; rec.Code != http.StatusBadRequest {
+			t.Errorf("/%s of a 5-item query on a k=10 index: %d, want 400 (%s)", route, rec.Code, rec.Body)
+		}
+	}
+	rec := httptest.NewRecorder()
+	writeSearchError(rec, "search", fmt.Errorf("wrapped: %w", ranking.ErrDuplicateItem))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("ErrDuplicateItem: %d, want 400", rec.Code)
+	}
+}
