@@ -54,6 +54,15 @@ func (idx *Index) Insert(r ranking.Ranking) (ranking.ID, error) {
 		}
 		idx.ids[s.off+s.n], idx.ranks[s.off+s.n] = id, uint8(rank)
 		s.n++
+		// The item's rank column takes the new id, or goes if it would then
+		// outweigh the list it shadows (see Index.cols).
+		if col := idx.cols[item]; col != nil && 5*int(s.n) > int(id) {
+			col = append(col, make([]uint8, int(id)+1-len(col))...)
+			col[id] = uint8(rank) + 1
+			idx.cols[item] = col
+		} else if col != nil {
+			delete(idx.cols, item)
+		}
 	}
 	if idx.garbage > len(idx.store.Flat()) {
 		idx.repack()

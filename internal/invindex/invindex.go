@@ -65,7 +65,8 @@ var arenaLimit uint64 = math.MaxUint32
 
 // Index is a rank-augmented inverted index over a collection of same-size
 // rankings: for every item, the id-sorted list of rankings containing it,
-// together with the item's rank (the "inverted index w/ ranks" of §6.2). The
+// together with the item's rank (the "inverted index w/ ranks" of §6.2), and
+// for a list covering a fifth of the collection a rank column (see cols). The
 // rankings themselves are held once, in a kernel.Store the index owns.
 type Index struct {
 	// store holds the collection, the only copy of each ranking: New copies
@@ -93,6 +94,12 @@ type Index struct {
 	// kept at Len().
 	deleted []bool
 	dead    int
+	// cols[it] is item it's rank column: [id] is 1 + its rank in ranking id,
+	// 0 (or id past the end) when the ranking lacks it; KNN probes it instead
+	// of scanning the list. It exists only while 5·len(list) ≥ len(column)
+	// (1 B a ranking against 5 B a posting), so columns never outweigh the
+	// arenas. The build makes them; Insert grows or drops its items' ones.
+	cols map[ranking.Item][]uint8
 }
 
 // New indexes the collection. Rankings are copied into a flat k-strided
@@ -159,7 +166,9 @@ type buildChunk struct {
 // postings of every lower chunk, and each chunk then scatters its own
 // postings. A chunk visits its ids in ascending order, so every list comes
 // out id-sorted, and the layout does not depend on the chunk count: the
-// dense items ascending, then the sparse ones ascending. Below
+// dense items ascending, then the sparse ones ascending. The prefix pass
+// also gives a rank column (Index.cols) to each list it finds long enough,
+// filled once the lists are. Below
 // kernel.MaxDenseItems nothing is hashed. A chunk's dense table has a slot
 // per item value below the largest one, so there are fewer chunks when p
 // tables would outnumber the postings: a wide item domain must not make the
@@ -198,7 +207,8 @@ func buildP(st *kernel.Store, p int) (*Index, error) {
 		}
 	})
 
-	idx := &Index{store: st, dense: make([]span, nd), sparse: make(map[ranking.Item]*span)}
+	idx := &Index{store: st, dense: make([]span, nd), sparse: make(map[ranking.Item]*span),
+		cols: make(map[ranking.Item][]uint8)}
 	var far []ranking.Item
 	for c := range chunks {
 		for it := range chunks[c].sparse {
@@ -219,6 +229,9 @@ func buildP(st *kernel.Store, p int) (*Index, error) {
 		if off > start {
 			idx.dense[it] = span{off: start, n: off - start, cap: off - start}
 			idx.numLists++
+			if 5*uint64(off-start) >= uint64(n) {
+				idx.cols[ranking.Item(it)] = make([]uint8, n)
+			}
 		}
 	}
 	for _, it := range far {
@@ -230,6 +243,9 @@ func buildP(st *kernel.Store, p int) (*Index, error) {
 		}
 		*idx.sparse[it] = span{off: start, n: off - start, cap: off - start}
 		idx.numLists++
+		if 5*uint64(off-start) >= uint64(n) {
+			idx.cols[it] = make([]uint8, n)
+		}
 	}
 
 	idx.ids, idx.ranks = make([]ranking.ID, off), make([]uint8, off)
@@ -249,6 +265,12 @@ func buildP(st *kernel.Store, p int) (*Index, error) {
 			}
 		}
 	})
+	for it, col := range idx.cols {
+		ids, ranks := idx.Postings(it)
+		for j, id := range ids {
+			col[id] = ranks[j] + 1
+		}
+	}
 	return idx, nil
 }
 
@@ -376,9 +398,10 @@ type Searcher struct {
 	// span of each position's posting list, looked up once per query.
 	kept  []int
 	spans []span
-	// closed counts the queries whose accumulate closed admission; read by the
-	// test that keeps the early-termination path from going dead silently.
-	closed int
+	// closed, exits and offered count closed admissions, early stops on an
+	// open last list and the postings those walks read (nearestNeighbors):
+	// the tests that keep these paths from going dead silently read them.
+	closed, exits, offered int
 	// sink folds in the values the row and head passes of validate and
 	// accumulate load, so the compiler keeps those loads.
 	sink uint32
@@ -409,7 +432,7 @@ func (s *Searcher) FilterValidate(q ranking.Ranking, rawTheta int, ev *metric.Ev
 func (s *Searcher) search(alg Algorithm, q ranking.Ranking, rawTheta int, ev *metric.Evaluator) []ranking.Result {
 	switch alg {
 	case FilterValidate:
-		touched, _ := s.accumulate(q, s.byListLength(q), 0)
+		touched, _, _ := s.accumulate(q, s.byListLength(q), 0)
 		s.cands = s.filter(touched, 0)
 		return s.validate(q, rawTheta, ev)
 	case FilterValidateDrop:
@@ -523,7 +546,7 @@ func (s *Searcher) FilterValidateDrop(q ranking.Ranking, rawTheta int, ev *metri
 // band is validated, so every result still is and DFC stays at least the
 // result count.
 func (s *Searcher) decide(q ranking.Ranking, pos []int, rawTheta int, ev *metric.Evaluator) []ranking.Result {
-	touched, rem := s.accumulate(q, pos, 0)
+	touched, rem, _ := s.accumulate(q, pos, 0)
 	dmax := ranking.MaxDistance(len(q))
 	need := dmax - rawTheta // the least gain a result has
 	if rem == 0 {
@@ -631,11 +654,17 @@ func (s *Searcher) byListLength(q ranking.Ranking) []int {
 // no gain can exceed rem. With n = 0 admission never closes and touched is
 // every ranking sharing an item with the query in a list read.
 //
+// With n > 0 the last list is never admitted: if admission is still open
+// there, it is walked update-only too and open returned, and the caller
+// offers the rankings only it holds (see nearestNeighbors). An update-only
+// walk probes the touched ids in the list's rank column (Index.cols) instead
+// when it has one and they are fewer than its postings.
+//
 // A range query (n = 0) reads its lists' heads first: one loop loads the
 // first id and rank of every list with postings, back to back, so the walk
 // does not take each list's first miss alone. KNN reads every list in full
 // and its long lists stream, so it skips that loop.
-func (s *Searcher) accumulate(q ranking.Ranking, pos []int, n int) (touched []ranking.ID, rem int) {
+func (s *Searcher) accumulate(q ranking.Ranking, pos []int, n int) (touched []ranking.ID, rem int, open bool) {
 	idx := s.idx
 	if size := idx.Len(); len(s.acc) < size {
 		s.acc = append(s.acc, make([]uint16, size-len(s.acc))...)
@@ -651,7 +680,7 @@ func (s *Searcher) accumulate(q ranking.Ranking, pos []int, n int) (touched []ra
 	}
 	acc, dels, k := s.acc, idx.deleted, len(q)
 	touched = s.cands[:0]
-	rem, open := k*(k+1), true
+	rem, open = k*(k+1), true
 	for i := len(pos) - 1; i >= 0; i-- { // shortest list first
 		qr := pos[i]
 		ids, ranks := idx.list(s.spans[qr])
@@ -667,15 +696,17 @@ func (s *Searcher) accumulate(q ranking.Ranking, pos []int, n int) (touched []ra
 				}
 			}
 		}
-		if open {
+		if open && (n == 0 || i > 0) {
 			touched = admit(acc, touched, ids, ranks, k, qr)
-		} else {
+		} else if col := idx.cols[q[qr]]; col != nil && len(touched) < len(ids) {
+			probe(acc, touched, col, k, qr)
+		} else if len(touched) > 0 {
 			update(acc, ids, ranks, k, qr)
 		}
 		rem -= 2 * (k - qr)
 	}
 	s.cands = touched
-	return touched, rem
+	return touched, rem, open && n > 0
 }
 
 // admit adds the gain of every posting of the index list of query position
@@ -710,6 +741,23 @@ func update(acc []uint16, ids []ranking.ID, ranks []uint8, k, qr int) {
 	for j, id := range ids {
 		if a := acc[id]; a != 0 {
 			acc[id] = a + top - 2*uint16(max(int(ranks[j]), qr))
+		}
+	}
+}
+
+// probe is update through a rank column: each touched id adds the gain of its
+// entry in col (1 + rank; 0, or an id past the end, gains 0), read from a
+// table so that no branch depends on whether the ranking holds the item.
+//
+//go:noinline
+func probe(acc []uint16, touched []ranking.ID, col []uint8, k, qr int) {
+	var gain [256]uint16
+	for c := 1; c <= k; c++ {
+		gain[c] = uint16(2 * (k - max(c-1, qr)))
+	}
+	for _, id := range touched {
+		if uint(id) < uint(len(col)) {
+			acc[id] += gain[col[id]]
 		}
 	}
 }

@@ -12,18 +12,22 @@ import "topk/internal/ranking"
 // touched ids both enumerates the candidates and clears the accumulator
 // afterwards. One bounded selection over the touched ids keeps the n best:
 // an id whose gain is below the running n-th best is rejected inline,
-// tombstones are skipped, the rest are offered to the heap. Only when fewer
-// than n live rankings share an item with the query — admission cannot have
-// closed then — are the remaining slots filled with untouched live rankings,
-// all at distance exactly dmax = k(k+1), in ascending id order.
+// tombstones are skipped, the rest are offered to the heap. If admission is
+// still open at the last list, accumulate only completes the touched ids'
+// gains there, and the rankings that list alone holds are offered first, in
+// id order, until the heap holds n of the most gain any of them can have.
+// Only when fewer than n live rankings share an item with the query —
+// admission cannot have closed then — are the remaining slots filled with
+// untouched live rankings, all at distance exactly dmax = k(k+1), in
+// ascending id order.
 //
 // ext, when non-nil, is the owner's internal→external id map for an id
 // space whose external order differs from the internal one (an Update moved
 // an external id to a later slot): ties at equal distance are then decided
 // by ext[id], so cutting at n keeps the members the external (distance, id)
-// order keeps. Returned ids are internal either way. With ext nil the dmax
-// fill stops at the n-th result; with ext set it must consider every
-// untouched live ranking.
+// order keeps. Returned ids are internal either way. With ext nil the last
+// list's walk and the dmax fill stop at the n-th result; with ext set they
+// must consider every ranking they reach.
 //
 // Like ListMerge the routine never calls the distance function: it adds
 // nothing to any DFC counter (the paper's Figure 10 convention). The
@@ -45,12 +49,36 @@ func (s *Searcher) nearestNeighbors(q ranking.Ranking, n int, ext []ranking.ID) 
 	if n <= 0 {
 		return nil
 	}
-	touched, _ := s.accumulate(q, s.byListLength(q), n)
+	pos := s.byListLength(q)
+	touched, _, open := s.accumulate(q, pos, n)
 	acc := s.acc
 
-	dmax := ranking.MaxDistance(len(q))
+	k, dmax := len(q), ranking.MaxDistance(len(q))
 	dels := idx.deleted
 	sel := nnSelect{heap: s.res[:0], n: n, ext: ext}
+	var last []ranking.ID // the open last list, read whole if the fill runs
+	if open {
+		// The last list's own rankings are those accumulate left at 0. Each
+		// one's gain 2·(k − max(qr, rank)) is exact and at most 2·(k − qr), so
+		// once the heap holds n of them at floor, every later id can only tie
+		// and lose on its larger id (ext nil), or lose outright.
+		qr := pos[0]
+		ids, ranks := idx.list(s.spans[qr])
+		last = ids
+		floor, read := dmax-2*(k-qr), len(ids)
+		for j, id := range ids {
+			if acc[id] != 0 || (dels != nil && dels[id]) {
+				continue
+			}
+			sel.offer(dmax-2*(k-max(qr, int(ranks[j]))), id)
+			if ext == nil && len(sel.heap) == n && sel.heap[0].Dist <= floor {
+				read = j + 1
+				s.exits++
+				break
+			}
+		}
+		s.offered += read
+	}
 	minGain := 0 // below the n-th best so far: cannot enter the full heap
 	for _, id := range touched {
 		a := int(acc[id])
@@ -65,11 +93,11 @@ func (s *Searcher) nearestNeighbors(q ranking.Ranking, n int, ext []ranking.ID) 
 	}
 	if len(sel.heap) < n {
 		// Fewer than n live rankings overlap the query: every other live
-		// ranking is at distance exactly dmax. Re-mark the touched ids so the
-		// ascending walk can tell them apart, then clear again.
-		for _, id := range touched {
-			acc[id] = 1
-		}
+		// ranking is at distance exactly dmax. Mark the overlapping ids — the
+		// touched ones and the whole open last list — so the ascending walk can
+		// tell them apart, then clear again.
+		mark(acc, touched, 1)
+		mark(acc, last, 1)
 		for id := range idx.Len() {
 			if acc[id] != 0 || (dels != nil && dels[id]) {
 				continue
@@ -79,9 +107,8 @@ func (s *Searcher) nearestNeighbors(q ranking.Ranking, n int, ext []ranking.ID) 
 			}
 			sel.offer(dmax, ranking.ID(id))
 		}
-		for _, id := range touched {
-			acc[id] = 0
-		}
+		mark(acc, touched, 0)
+		mark(acc, last, 0)
 	}
 	out := make([]ranking.Result, len(sel.heap))
 	for i := len(out) - 1; i >= 0; i-- {
@@ -89,6 +116,13 @@ func (s *Searcher) nearestNeighbors(q ranking.Ranking, n int, ext []ranking.ID) 
 	}
 	s.res = sel.heap[:0]
 	return out
+}
+
+// mark sets the accumulator cell of every id in ids to v.
+func mark(acc []uint16, ids []ranking.ID, v uint16) {
+	for _, id := range ids {
+		acc[id] = v
+	}
 }
 
 // nnSelect keeps the n smallest (distance, id) pairs offered to it in a

@@ -134,13 +134,6 @@ func TestNearestNeighborsAdmissionBound(t *testing.T) {
 			{70, 71, 72}, // no overlap: reachable through the dmax fill only
 		}, x...)
 	}
-	reversed := func(n int) []ranking.ID {
-		ext := make([]ranking.ID, n)
-		for i := range ext {
-			ext[i] = ranking.ID(n - 1 - i)
-		}
-		return ext
-	}
 	// k = 255: three copies of the query and 40 rankings sharing only its
 	// last item. Admission closes with rem = 2 under gains of 65 278, and the
 	// update-only walk lifts the copies to k(k+1) = 65 280, the top of uint16.
@@ -159,16 +152,7 @@ func TestNearestNeighborsAdmissionBound(t *testing.T) {
 	}
 	wide = append(wide, q255, q255, q255)
 
-	cases := []struct {
-		name    string
-		build   []ranking.Ranking
-		inserts []ranking.Ranking // Insert()ed after the build
-		deletes []ranking.ID
-		ext     []ranking.ID // nil: external ids are the internal ones
-		q       ranking.Ranking
-		n       int
-		closes  bool
-	}{
+	cases := []nnCase{
 		{name: "gain above rem closes", build: base(ranking.Ranking{1, 50, 51}), q: q3, n: 1, closes: true},
 		{name: "gain equal to rem must not close", build: base(ranking.Ranking{50, 1, 51}), q: q3, n: 1},
 		{name: "one above rem is not two", build: base(ranking.Ranking{1, 50, 51}), q: q3, n: 2},
@@ -185,49 +169,133 @@ func TestNearestNeighborsAdmissionBound(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			idx, err := New(tc.build)
-			if err != nil {
-				t.Fatal(err)
+			if s := tc.run(t); s.closed != b2i(tc.closes) {
+				t.Errorf("admission closed %d times, want closed = %v", s.closed, tc.closes)
 			}
-			for _, r := range tc.inserts {
-				if _, err := idx.Insert(r); err != nil {
-					t.Fatal(err)
-				}
+		})
+	}
+}
+
+// nnCase is one hand-built KNN query: a collection built, grown and
+// tombstoned as listed, queried once under the id map ext.
+type nnCase struct {
+	name    string
+	build   []ranking.Ranking
+	inserts []ranking.Ranking // Insert()ed after the build
+	deletes []ranking.ID
+	ext     []ranking.ID // nil: external ids are the internal ones
+	q       ranking.Ranking
+	n       int
+	closes  bool
+	exits   bool
+}
+
+// run answers the case on a fresh searcher, holds the answer to the
+// linear-scan oracle — which sees the collection through the external ids —
+// and the accumulator to all zero, and returns the searcher for its counters.
+func (tc nnCase) run(t *testing.T) *Searcher {
+	t.Helper()
+	idx, err := New(tc.build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range tc.inserts {
+		if _, err := idx.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range tc.deletes {
+		if err := idx.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slots := make([]ranking.Ranking, idx.Len())
+	for id, r := range idx.Rankings() {
+		if idx.Deleted(ranking.ID(id)) {
+			continue
+		}
+		if tc.ext != nil {
+			id = int(tc.ext[id])
+		}
+		slots[id] = r
+	}
+	s := NewSearcher(idx)
+	got, err := s.NearestNeighbors(tc.q, tc.n, tc.ext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if tc.ext != nil {
+			got[i].ID = tc.ext[got[i].ID]
+		}
+	}
+	if want := difftest.NewOracle(slots).NearestNeighbors(tc.q, tc.n); !difftest.Equal(got, want) {
+		t.Errorf("got %v, want %v", got, want)
+	}
+	if !accClean(s) {
+		t.Error("accumulator left dirty")
+	}
+	return s
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// reversed is the id map that turns n internal ids around.
+func reversed(n int) []ranking.ID {
+	ext := make([]ranking.ID, n)
+	for i := range ext {
+		ext[i] = ranking.ID(n - 1 - i)
+	}
+	return ext
+}
+
+// TestNearestNeighborsOpenLastList pins the walk over a last list reached
+// with admission still open. Every k = 3 case queries [1 2 3] over lists of
+// lengths 1 (item 3), 1 (item 1) and ≥ 4 (item 2, position 1), so the last
+// list's own rankings gain at most top = 4 — exactly 4 with item 2 at rank 0
+// or 1 — and no touched ranking holds more than rem = 4 before it: the walk
+// may stop once n own rankings sit at distance 12 − 4 = 8. Touched rankings
+// tie there too, from either side of the stopping point.
+func TestNearestNeighborsOpenLastList(t *testing.T) {
+	q3 := ranking.Ranking{1, 2, 3}
+	base := func(touched1, touched5 ranking.Ranking, x ...ranking.Ranking) []ranking.Ranking {
+		return append([]ranking.Ranking{
+			{2, 10, 11}, // own, distance 8
+			touched1,    // touched first, from item 3's or item 1's list
+			{22, 2, 23}, // own, distance 8
+			{24, 25, 2}, // own, distance 10
+			{26, 2, 27}, // own, distance 8
+			touched5,    // touched first, from the other short list
+		}, x...)
+	}
+	lowTie := base(ranking.Ranking{20, 21, 3}, ranking.Ranking{28, 1, 29})  // 1 at 10, 5 ties at 8
+	highTie := base(ranking.Ranking{20, 1, 21}, ranking.Ranking{28, 29, 3}) // 1 ties at 8, 5 at 10
+	far := ranking.Ranking{70, 71, 72}
+	cases := []nnCase{
+		{name: "own ranking at the stop beats a later tie", build: lowTie, q: q3, n: 2, exits: true},
+		{name: "earlier touched tie beats the own ranking at the stop", build: highTie, q: q3, n: 2, exits: true},
+		{name: "tombstoned own rankings do not count", build: lowTie, deletes: []ranking.ID{2}, q: q3, n: 2, exits: true},
+		{name: "non-monotonic ext reads the whole list", build: lowTie, ext: reversed(6), q: q3, n: 2},
+		{name: "fewer than n overlap: the fill runs after the walk", build: base(ranking.Ranking{20, 21, 3}, ranking.Ranking{28, 1, 29}, far, far),
+			q: q3, n: 7},
+		{name: "every ranking, the far ones through the fill", build: base(ranking.Ranking{20, 21, 3}, ranking.Ranking{28, 1, 29}, far, far),
+			deletes: []ranking.ID{4}, q: q3, n: 7},
+		{name: "one-list query stops at the n-th own ranking", build: []ranking.Ranking{{1}, {2}, {1}, {3}, {1}}, q: ranking.Ranking{1}, n: 2, exits: true},
+		{name: "one-list query reaches the fill", build: []ranking.Ranking{{1}, {2}, {1}, {3}, {1}}, q: ranking.Ranking{1}, n: 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.run(t)
+			if s.closed != 0 {
+				t.Fatal("admission closed: the case does not reach an open last list")
 			}
-			for _, id := range tc.deletes {
-				if err := idx.Delete(id); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// The oracle sees the collection through the external ids.
-			slots := make([]ranking.Ranking, idx.Len())
-			for id, r := range idx.Rankings() {
-				if idx.Deleted(ranking.ID(id)) {
-					continue
-				}
-				if tc.ext != nil {
-					id = int(tc.ext[id])
-				}
-				slots[id] = r
-			}
-			s := NewSearcher(idx)
-			got, err := s.NearestNeighbors(tc.q, tc.n, tc.ext)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				if tc.ext != nil {
-					got[i].ID = tc.ext[got[i].ID]
-				}
-			}
-			if want := difftest.NewOracle(slots).NearestNeighbors(tc.q, tc.n); !difftest.Equal(got, want) {
-				t.Errorf("got %v, want %v", got, want)
-			}
-			if closed := s.closed == 1; closed != tc.closes {
-				t.Errorf("admission closed = %v, want %v", closed, tc.closes)
-			}
-			if !accClean(s) {
-				t.Error("accumulator left dirty")
+			if s.exits != b2i(tc.exits) {
+				t.Errorf("walk stopped early %d times, want stopped = %v", s.exits, tc.exits)
 			}
 		})
 	}
@@ -264,6 +332,56 @@ func TestNearestNeighborsClosesAdmissionOnSkew(t *testing.T) {
 	}
 	if 2*s.closed < len(queries) {
 		t.Fatalf("admission closed on %d of %d queries, want at least half", s.closed, len(queries))
+	}
+}
+
+// TestNearestNeighborsExitsEarlyOnSkew runs the same NYT-like input and
+// follows the queries that do not close admission: on at least half of them
+// the walk over the open last list must stop early, and those walks must read
+// under a tenth of their lists, so neither the exit nor its bound can go dead
+// without a test noticing.
+func TestNearestNeighborsExitsEarlyOnSkew(t *testing.T) {
+	cfg := dataset.NYTLike(20000, 10)
+	rs, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := dataset.Workload(rs, cfg, 64, 0.8, cfg.Seed+500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := New(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := difftest.NewOracle(rs)
+	s := NewSearcher(idx)
+	open, exits, read, lists := 0, 0, 0, 0
+	for _, q := range queries {
+		closed, exited, offered := s.closed, s.exits, s.offered
+		got, err := s.NearestNeighbors(q, 10, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := o.NearestNeighbors(q, 10); !difftest.Equal(got, want) {
+			t.Fatalf("q=%v:\n got %v\nwant %v", q, got, want)
+		}
+		if s.closed > closed {
+			continue
+		}
+		open++
+		if s.exits > exited {
+			exits++
+			read += s.offered - offered
+			lists += int(s.spans[s.kept[0]].n) // the last list, still in scratch
+		}
+	}
+	t.Logf("%d of %d queries reach an open last list; %d stop early, reading %d of %d postings", open, len(queries), exits, read, lists)
+	if open == 0 || 2*exits < open {
+		t.Fatalf("the walk stopped early on %d of %d open queries, want at least half", exits, open)
+	}
+	if 10*read >= lists {
+		t.Fatalf("the early walks read %d of their lists' %d postings, want under a tenth", read, lists)
 	}
 }
 

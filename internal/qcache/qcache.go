@@ -26,7 +26,7 @@ import (
 // just the collection name, so that dropping and recreating a collection
 // can never revive entries cached against its predecessor). Kind separates
 // endpoint semantics ("search" vs "knn"); Query is the canonical ranking
-// text; Theta is the range threshold (0 for KNN); N is the neighbor count
+// bytes; Theta is the range threshold (0 for KNN); N is the neighbor count
 // (0 for range search).
 type Key struct {
 	Collection string

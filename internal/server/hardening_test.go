@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -375,6 +376,26 @@ func TestCacheSurvivesCompaction(t *testing.T) {
 	post(t, h, "/search", body)
 	if st := srv.cache.Stats(); st.Invalidations == 0 {
 		t.Fatalf("stale entry served after a mutation: %+v", st)
+	}
+}
+
+// TestQueryKeyIsCanonical holds the cache key's query bytes to the cache's
+// contract: equal rankings give equal keys, and rankings differing in any
+// item, in order or in length (a trailing item 0 included) give different
+// ones.
+func TestQueryKeyIsCanonical(t *testing.T) {
+	qs := []ranking.Ranking{
+		{}, {0}, {1}, {1, 2}, {2, 1}, {1, 2, 0}, {256}, {1 << 24}, {1<<32 - 1}, {0, 1},
+	}
+	for i, a := range qs {
+		if queryKey(a) != queryKey(slices.Clone(a)) {
+			t.Fatalf("%v: equal rankings, different keys", a)
+		}
+		for _, b := range qs[i+1:] {
+			if queryKey(a) == queryKey(b) {
+				t.Fatalf("%v and %v share a key", a, b)
+			}
+		}
 	}
 }
 

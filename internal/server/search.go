@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strings"
 	"time"
 
 	"topk/internal/qcache"
@@ -244,7 +245,7 @@ func (s *Server) cachedSearch(ctx context.Context, c *Collection, tr *requestTra
 		// The generation is read BEFORE the search: a mutation landing
 		// mid-search makes the entry conservatively stale, never wrongly
 		// fresh (see qcache's package comment).
-		key.Collection, key.Query = c.cacheScope, q.String()
+		key.Collection, key.Query = c.cacheScope, queryKey(q)
 		gen = c.generation()
 		res, cached = s.cache.Get(key, gen)
 	}
@@ -263,6 +264,17 @@ func (s *Server) cachedSearch(ctx context.Context, c *Collection, tr *requestTra
 	}
 	s.cache.Put(key, gen, res)
 	return res, nil
+}
+
+// queryKey is q's cache-key bytes: each item as 4 little-endian bytes, in one
+// allocation, so equal rankings, and only those, give equal keys.
+func queryKey(q ranking.Ranking) string {
+	var b strings.Builder
+	b.Grow(4 * len(q))
+	for _, it := range q {
+		b.Write([]byte{byte(it), byte(it >> 8), byte(it >> 16), byte(it >> 24)})
+	}
+	return b.String()
 }
 
 // admitRead is the front of both read routes: the -default-timeout budget on
