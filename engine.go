@@ -2,14 +2,14 @@
 // package is adapted onto the backend interface — one raw-threshold range
 // search drawing per-query scratch from the structure's pool — and the three
 // read-only kinds (CoarseIndex, BlockedIndex, MetricTree) answer through one
-// query half (queryHalf): Search, NearestNeighbors, their traced forms and
-// DistanceCalls are written once over whatever backend the kind installed.
-// The mutable inverted index is not one of them: InvertedIndex and
-// HybridIndex wrap internal/invindex.Mutable, which cmd/topkserve serves
-// directly (see mutate.go and hybrid.go).
+// query half (queryHalf): Search, NearestNeighbors and DistanceCalls are
+// written once over whatever backend the kind installed. No query reports a
+// backend name: each kind has one. The mutable inverted index is not one of
+// them: InvertedIndex and HybridIndex wrap internal/invindex.Mutable, which
+// cmd/topkserve serves directly (see mutate.go and hybrid.go).
 //
-// The query contract — the index's ranking size, no repeated item
-// (checkQuery) — is enforced below the query half, once per path: a range
+// The query contract — the index's ranking size, no repeated item — is
+// ranking.CheckQuery, enforced below the query half, once per path: a range
 // search by the structure's own searcher (the metric trees have none, so
 // treeBackend checks), a KNN query by nearestBackend before either route.
 //
@@ -30,7 +30,6 @@
 package topk
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -47,12 +46,9 @@ import (
 // raw-threshold range search drawing per-query scratch from the structure's
 // pool, with Footrule evaluations counted on ev.
 type backend interface {
-	// Name identifies the backend in traces, plan stats and the hybrid's
-	// Force.
-	Name() string
 	// SearchRaw answers the exact range query (q, rawTheta), sorted by id.
 	// ev must count every distance evaluation the query performs; a nil ev
-	// is allowed.
+	// counts nothing.
 	SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([]Result, error)
 	// Len returns the number of indexed rankings.
 	Len() int
@@ -60,89 +56,44 @@ type backend interface {
 	K() int
 }
 
-// Names of the backend adapters below and of the mutable index. The hybrid
-// engine answers from backendInverted and backendAdaptSearch
-// (HybridBackends); the others name standalone index kinds.
-const (
-	backendInverted    = "inverted"
-	backendBlocked     = "blocked"
-	backendCoarse      = "coarse"
-	backendBKTree      = "bktree"
-	backendAdaptSearch = "adaptsearch"
-)
-
 // queryHalf is the query half of the read-only kinds, embedded by
-// CoarseIndex, BlockedIndex and MetricTree and by a HybridIndex's forced
-// adaptsearch sidecar. It holds the kind's one physical
+// CoarseIndex, BlockedIndex and MetricTree. It holds the kind's one physical
 // backend and its DFC counter and defines the public query methods once over
-// them: normalized-threshold conversion, pooled raw search or exact KNN, and
-// the traced signatures that attribute every answer to the backend's name and
-// the query's own distance calls. The structures are immutable, so no query
-// takes a lock.
+// them: normalized-threshold conversion, then pooled raw search or exact
+// KNN, each counted on a per-query evaluator. The structures are immutable,
+// so no query takes a lock.
 type queryHalf struct {
 	backend backend
 	calls   atomic.Uint64
 }
 
-// SearchTraced is Search plus per-query attribution: the name of the backend
-// that answered and the Footrule evaluations this query cost.
-func (h *queryHalf) SearchTraced(q Ranking, theta float64) ([]Result, string, uint64, error) {
+// Search implements Index.
+func (h *queryHalf) Search(q Ranking, theta float64) ([]Result, error) {
 	ev := metric.New(nil)
 	res, err := h.backend.SearchRaw(q, ranking.RawThreshold(theta, h.backend.K()), ev)
 	h.calls.Add(ev.Calls())
-	if err != nil {
-		return nil, "", 0, err
-	}
-	return res, h.backend.Name(), ev.Calls(), nil
-}
-
-// Search implements Index.
-func (h *queryHalf) Search(q Ranking, theta float64) ([]Result, error) {
-	res, _, _, err := h.SearchTraced(q, theta)
 	return res, err
-}
-
-// NearestNeighborsTraced is NearestNeighbors plus per-query attribution: the
-// backend that answered and the Footrule evaluations the query cost.
-func (h *queryHalf) NearestNeighborsTraced(q Ranking, n int) ([]Result, string, uint64, error) {
-	ev := metric.New(nil)
-	res, err := nearestBackend(h.backend, q, n, ev)
-	h.calls.Add(ev.Calls())
-	if err != nil {
-		return nil, "", 0, err
-	}
-	return res, h.backend.Name(), ev.Calls(), nil
 }
 
 // NearestNeighbors implements NearestNeighborSearcher: the BK-tree's native
 // best-first traversal, and the expanding-radius reduction over the
 // backend's range search otherwise (see nearestBackend).
 func (h *queryHalf) NearestNeighbors(q Ranking, n int) ([]Result, error) {
-	res, _, _, err := h.NearestNeighborsTraced(q, n)
+	ev := metric.New(nil)
+	res, err := nearestBackend(h.backend, q, n, ev)
+	h.calls.Add(ev.Calls())
 	return res, err
 }
 
 // DistanceCalls implements Index.
 func (h *queryHalf) DistanceCalls() uint64 { return h.calls.Load() }
 
-// checkQuery is the query contract every backend enforces — the index's
-// ranking size, no repeated item — for callers that cannot leave it to a
-// structure. k is 0 for an index over zero rankings: any size is then
-// answered, with nothing.
-func checkQuery(q Ranking, k int) error {
-	if k != 0 && q.K() != k {
-		return fmt.Errorf("topk: query size %d, index size %d: %w",
-			q.K(), k, ranking.ErrSizeMismatch)
-	}
-	return q.Validate()
-}
-
 // nearestBackend runs the NearestNeighbors contract over a physical backend:
 // validation, then the BK-tree's best-first traversal or — for every other
 // backend — the expanding-radius reduction over its range search; ev counts
 // the distance calls.
 func nearestBackend(b backend, q Ranking, n int, ev *metric.Evaluator) ([]Result, error) {
-	if err := checkQuery(q, b.K()); err != nil {
+	if err := ranking.CheckQuery(q, b.K()); err != nil {
 		return nil, err
 	}
 	if t, ok := b.(treeBackend); ok {
@@ -182,9 +133,8 @@ type coarseBackend struct {
 	mode coarse.Mode
 }
 
-func (b coarseBackend) Name() string { return backendCoarse }
-func (b coarseBackend) Len() int     { return b.idx.Len() }
-func (b coarseBackend) K() int       { return b.idx.K() }
+func (b coarseBackend) Len() int { return b.idx.Len() }
+func (b coarseBackend) K() int   { return b.idx.K() }
 
 func (b coarseBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([]Result, error) {
 	s := b.pool.Get()
@@ -199,9 +149,8 @@ type blockedBackend struct {
 	mode blocked.Mode
 }
 
-func (b blockedBackend) Name() string { return backendBlocked }
-func (b blockedBackend) Len() int     { return b.idx.Len() }
-func (b blockedBackend) K() int       { return b.idx.K() }
+func (b blockedBackend) Len() int { return b.idx.Len() }
+func (b blockedBackend) K() int   { return b.idx.K() }
 
 func (b blockedBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([]Result, error) {
 	s := b.pool.Get()
@@ -212,7 +161,6 @@ func (b blockedBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator)
 // treeBackend adapts a metric tree. A BK-tree also answers KNN natively, by
 // its best-first traversal (nearestBackend).
 type treeBackend struct {
-	name string
 	tree interface {
 		RangeSearch(q Ranking, radius int, ev *metric.Evaluator) []Result
 		Len() int
@@ -220,12 +168,11 @@ type treeBackend struct {
 	}
 }
 
-func (b treeBackend) Name() string { return b.name }
-func (b treeBackend) Len() int     { return b.tree.Len() }
-func (b treeBackend) K() int       { return b.tree.K() }
+func (b treeBackend) Len() int { return b.tree.Len() }
+func (b treeBackend) K() int   { return b.tree.K() }
 
 func (b treeBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([]Result, error) {
-	if err := checkQuery(q, b.tree.K()); err != nil {
+	if err := ranking.CheckQuery(q, b.tree.K()); err != nil {
 		return nil, err
 	}
 	out := b.tree.RangeSearch(q, rawTheta, ev)
@@ -242,9 +189,8 @@ type adaptBackend struct {
 	k    int
 }
 
-func (b adaptBackend) Name() string { return backendAdaptSearch }
-func (b adaptBackend) Len() int     { return b.idx.Len() }
-func (b adaptBackend) K() int       { return b.k }
+func (b adaptBackend) Len() int { return b.idx.Len() }
+func (b adaptBackend) K() int   { return b.k }
 
 func (b adaptBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([]Result, error) {
 	s := b.pool.Get()

@@ -20,13 +20,13 @@ import (
 	"sync/atomic"
 
 	"topk/internal/adaptsearch"
+	"topk/internal/metric"
+	"topk/internal/ranking"
 )
 
-// HybridBackends names the backends Force accepts, the default first.
-var HybridBackends = []string{
-	backendInverted,
-	backendAdaptSearch,
-}
+// HybridBackends names the backends Force accepts, the default first; a
+// traced query reports the one that answered it.
+var HybridBackends = []string{"inverted", "adaptsearch"}
 
 // Positions of the two backends in HybridBackends and PlanStats.
 const (
@@ -64,14 +64,14 @@ type HybridIndex struct {
 	side   *sidecar
 }
 
-// sidecar answers through the query half of the read-only kinds over an
-// AdaptSearch index of the hybrid's live rankings in external-id order: its
-// dense id i is external id ext[i], and ext ascends, so id-sorted and
-// (distance, id)-sorted answers stay sorted when remapped.
+// sidecar is the backend a forced query answers from, an AdaptSearch index
+// of the hybrid's live rankings in external-id order: its dense id i is
+// external id ext[i], and ext ascends, so id-sorted and (distance, id)-sorted
+// answers stay sorted when remapped.
 type sidecar struct {
-	queryHalf
-	ext []ID
-	gen uint64
+	backend adaptBackend
+	ext     []ID
+	gen     uint64
 }
 
 // HybridOption configures NewHybridIndex.
@@ -180,34 +180,37 @@ func (h *HybridIndex) sidecar() (*sidecar, error) {
 	}
 	ad, err := adaptsearch.New(live)
 	if err != nil {
-		return nil, fmt.Errorf("topk: hybrid backend %q: %w", backendAdaptSearch, err)
+		return nil, fmt.Errorf("topk: hybrid backend %q: %w", HybridBackends[hybridAdaptSearch], err)
 	}
 	side.backend = adaptBackend{idx: ad, pool: newPool(ad, adaptsearch.NewSearcher), k: k}
 	h.side = side
 	return side, nil
 }
 
-// forcedQuery answers one query from the sidecar, whose ids it maps to
-// external ones, and counts its distance calls and plan.
-func (h *HybridIndex) forcedQuery(run func(*sidecar) ([]Result, string, uint64, error)) ([]Result, string, uint64, error) {
+// forcedQuery answers one query from the sidecar, counting its distance
+// calls on its own evaluator, and maps the sidecar's ids to external ones.
+func (h *HybridIndex) forcedQuery(run func(adaptBackend, *metric.Evaluator) ([]Result, error)) ([]Result, string, uint64, error) {
 	side, err := h.sidecar()
 	if err != nil {
 		return nil, "", 0, err
 	}
-	res, name, calls, err := run(side)
-	h.calls.Add(calls)
+	ev := metric.New(nil)
+	res, err := run(side.backend, ev)
+	h.calls.Add(ev.Calls())
 	for i := range res {
 		res[i].ID = side.ext[res[i].ID]
 	}
-	return h.plan(res, name, calls, err)
+	return h.plan(hybridAdaptSearch, res, ev.Calls(), err)
 }
 
-// plan counts an answered query on the backend that answered it.
-func (h *HybridIndex) plan(res []Result, name string, calls uint64, err error) ([]Result, string, uint64, error) {
-	if err == nil {
-		h.plans[slices.Index(HybridBackends, name)].Add(1)
+// plan counts an answered query on backend b of HybridBackends and names b;
+// a rejected query names no backend and costs nothing.
+func (h *HybridIndex) plan(b int, res []Result, calls uint64, err error) ([]Result, string, uint64, error) {
+	if err != nil {
+		return nil, "", 0, err
 	}
-	return res, name, calls, err
+	h.plans[b].Add(1)
+	return res, HybridBackends[b], calls, nil
 }
 
 // Search implements Index.
@@ -221,27 +224,35 @@ func (h *HybridIndex) Search(q Ranking, theta float64) ([]Result, error) {
 // Footrule evaluations the query cost.
 func (h *HybridIndex) SearchTraced(q Ranking, theta float64) ([]Result, string, uint64, error) {
 	if h.forced.Load() != hybridAdaptSearch {
-		return h.plan(h.InvertedIndex.SearchTraced(q, theta))
+		res, calls, err := h.InvertedIndex.SearchTraced(q, theta)
+		return h.plan(hybridInverted, res, calls, err)
 	}
-	return h.forcedQuery(func(s *sidecar) ([]Result, string, uint64, error) { return s.SearchTraced(q, theta) })
+	return h.forcedQuery(func(b adaptBackend, ev *metric.Evaluator) ([]Result, error) {
+		return b.SearchRaw(q, ranking.RawThreshold(theta, b.K()), ev)
+	})
 }
 
 // NearestNeighbors implements NearestNeighborSearcher: the inverted index's
 // native single-pass KNN unless adaptsearch is forced, which answers through
 // the expanding-radius reduction (knn.Expanding) over its range search.
+// It shadows the embedded index's method, so a forced adaptsearch answers
+// on every KNN path.
 func (h *HybridIndex) NearestNeighbors(q Ranking, n int) ([]Result, error) {
 	res, _, _, err := h.NearestNeighborsTraced(q, n)
 	return res, err
 }
 
-// NearestNeighborsTraced is NearestNeighbors plus per-query attribution (0
-// distance calls on the native inverted path). It shadows the embedded
-// index's method, so a forced adaptsearch answers on every KNN path.
+// NearestNeighborsTraced is NearestNeighbors plus per-query attribution: the
+// backend that answered and the Footrule evaluations the query cost (none on
+// the native inverted path).
 func (h *HybridIndex) NearestNeighborsTraced(q Ranking, n int) ([]Result, string, uint64, error) {
 	if h.forced.Load() != hybridAdaptSearch {
-		return h.plan(h.InvertedIndex.NearestNeighborsTraced(q, n))
+		res, err := h.InvertedIndex.NearestNeighbors(q, n)
+		return h.plan(hybridInverted, res, 0, err)
 	}
-	return h.forcedQuery(func(s *sidecar) ([]Result, string, uint64, error) { return s.NearestNeighborsTraced(q, n) })
+	return h.forcedQuery(func(b adaptBackend, ev *metric.Evaluator) ([]Result, error) {
+		return nearestBackend(b, q, n, ev)
+	})
 }
 
 // DistanceCalls implements Index: the inverted index's Footrule evaluations

@@ -304,6 +304,57 @@ func TestHybridRejectedQueryIsNoPlan(t *testing.T) {
 	}
 }
 
+// TestHybridTracedAttribution pins what the end-to-end harness reads from
+// the hybrid's traced pair: the name of the backend that answered and the
+// query's own distance calls, equal to the DistanceCalls delta it caused —
+// except an unforced KNN, the native posting-list pass, which reports none.
+// A rejected query names no backend and counts no plan.
+func TestHybridTracedAttribution(t *testing.T) {
+	rs := difftest.RandomCollection(rand.New(rand.NewSource(8)), 300, 8, 60)
+	h := hybridFor(t, rs)
+	for _, force := range []string{"", "adaptsearch"} {
+		if err := h.Force(force); err != nil {
+			t.Fatal(err)
+		}
+		want := cmp.Or(force, "inverted")
+		var rangeCalls uint64
+		for i, q := range rs[:20] {
+			theta := []float64{0.05, 0.2, 0.4}[i%3]
+			before := h.DistanceCalls()
+			_, name, calls, err := h.SearchTraced(q, theta)
+			if err != nil || name != want || calls != h.DistanceCalls()-before {
+				t.Fatalf("Force(%q) SearchTraced(θ=%.2f) = %q, %d calls, %v; want %q, %d calls",
+					force, theta, name, calls, err, want, h.DistanceCalls()-before)
+			}
+			rangeCalls += calls
+			before = h.DistanceCalls()
+			_, name, calls, err = h.NearestNeighborsTraced(q, 5)
+			wantCalls := h.DistanceCalls() - before
+			if force == "" {
+				wantCalls = 0
+			}
+			if err != nil || name != want || calls != wantCalls {
+				t.Fatalf("Force(%q) NearestNeighborsTraced = %q, %d calls, %v; want %q, %d calls",
+					force, name, calls, err, want, wantCalls)
+			}
+		}
+		if rangeCalls == 0 {
+			t.Fatalf("Force(%q): no range query cost a distance call; the test needs some", force)
+		}
+		plans, before := h.PlanStats(), h.DistanceCalls()
+		short := rs[0][:7]
+		if _, name, calls, err := h.SearchTraced(short, 0.2); err == nil || name != "" || calls != 0 {
+			t.Fatalf("Force(%q) rejected SearchTraced = %q, %d calls, %v", force, name, calls, err)
+		}
+		if _, name, calls, err := h.NearestNeighborsTraced(short, 5); err == nil || name != "" || calls != 0 {
+			t.Fatalf("Force(%q) rejected NearestNeighborsTraced = %q, %d calls, %v", force, name, calls, err)
+		}
+		if !reflect.DeepEqual(h.PlanStats(), plans) || h.DistanceCalls() != before {
+			t.Fatalf("Force(%q): rejected queries moved the counters: %+v -> %+v", force, plans, h.PlanStats())
+		}
+	}
+}
+
 // TestHybridSubsetAndOptions covers forcing a backend and its validation:
 // a pinned adaptsearch answers oracle-exactly and takes every plan, and a
 // name outside HybridBackends is rejected. (The name predates the fixed

@@ -21,7 +21,9 @@ import (
 // CI regression gate (cmd/benchgate) diffs against the committed baseline.
 // NsPerOp is the median of kernelRuns runs and [MinNsPerOp, MaxNsPerOp] their
 // spread — the row's own noise floor, which the gate needs because one run on
-// a shared host drifts by more than any threshold worth gating on.
+// a shared host drifts by more than any threshold worth gating on. The runs
+// are interleaved (see kernelRows.run), so drift spreads over every row
+// alike.
 type KernelRecord struct {
 	Name        string `json:"name"`
 	K           int    `json:"k"`
@@ -34,6 +36,48 @@ type KernelRecord struct {
 
 // kernelRuns is how many times each row is measured.
 const kernelRuns = 5
+
+// kernelRows holds the experiment's rows, registered before any runs: each
+// row's record, still without measurements, and its function.
+type kernelRows struct {
+	recs []KernelRecord
+	fs   []func(b *testing.B)
+	// oneAlloc lists the rows that must allocate nothing but the result
+	// slice they return; err is the first error a row's function met.
+	oneAlloc []int
+	err      error
+}
+
+func (r *kernelRows) add(name string, k, n int, f func(b *testing.B)) {
+	r.recs = append(r.recs, KernelRecord{Name: name, K: k, N: n})
+	r.fs = append(r.fs, f)
+}
+
+// run measures every row in kernelRuns rounds, each round one run of every
+// row in row order: a host slowdown lasting a few seconds then costs every
+// row a little instead of all five runs of the rows that happen to run
+// during it. Each record is the row's median run, with the fastest and
+// slowest beside it.
+func (r *kernelRows) run() ([]KernelRecord, error) {
+	runs := make([][]testing.BenchmarkResult, len(r.fs))
+	for range kernelRuns {
+		for i, f := range r.fs {
+			runs[i] = append(runs[i], testing.Benchmark(f))
+		}
+	}
+	for i, rs := range runs {
+		sort.Slice(rs, func(a, b int) bool { return rs[a].NsPerOp() < rs[b].NsPerOp() })
+		rec, med := &r.recs[i], rs[kernelRuns/2]
+		rec.NsPerOp, rec.AllocsPerOp = med.NsPerOp(), med.AllocsPerOp()
+		rec.MinNsPerOp, rec.MaxNsPerOp = rs[0].NsPerOp(), rs[kernelRuns-1].NsPerOp()
+	}
+	for _, i := range r.oneAlloc {
+		if rec := r.recs[i]; rec.AllocsPerOp > 1 {
+			return nil, fmt.Errorf("%s: %d allocs/op, want only the returned slice", rec.Name, rec.AllocsPerOp)
+		}
+	}
+	return r.recs, r.err
+}
 
 // WriteKernelJSON writes records as indented JSON (the committed-baseline
 // format).
@@ -58,10 +102,11 @@ var kernelSink int
 //	collect           merging the query's k posting lists into a stamped
 //	                  candidate buffer (the CSR-backed filter phase)
 //
-// followed by the whole-query rows of searcherRecords (knn-native,
-// knn-expanding, fv-drop) and the index build they run on (build).
+// followed by the whole-query rows of addSearchers (knn-native,
+// knn-expanding, fv-drop) and the index build they run on (build). Every row
+// is registered first and then measured in interleaved rounds (see run).
 func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
-	var recs []KernelRecord
+	var rows kernelRows
 	maxN := slices.Max(ns)
 	for _, k := range ks {
 		cfg := dataset.NYTLike(maxN, k)
@@ -75,16 +120,16 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 		}
 		st := kernel.NewStore(rs)
 
-		recs = append(recs, measure(fmt.Sprintf("footrule-scalar/k=%d", k), k, maxN, func(b *testing.B) {
+		rows.add(fmt.Sprintf("footrule-scalar/k=%d", k), k, maxN, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				q := queries[i%len(queries)]
 				kernelSink += ranking.Footrule(q, st.Slot(ranking.ID(i%maxN)))
 			}
-		}))
+		})
 
 		kern := kernel.New()
-		recs = append(recs, measure(fmt.Sprintf("footrule-kernel/k=%d", k), k, maxN, func(b *testing.B) {
+		rows.add(fmt.Sprintf("footrule-kernel/k=%d", k), k, maxN, func(b *testing.B) {
 			b.ReportAllocs()
 			kern.Compile(queries[0])
 			b.ResetTimer()
@@ -94,14 +139,14 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 				}
 				kernelSink += kern.Distance(st.Slot(ranking.ID(i % maxN)))
 			}
-		}))
+		})
 
-		recs = append(recs, measure(fmt.Sprintf("compile/k=%d", k), k, maxN, func(b *testing.B) {
+		rows.add(fmt.Sprintf("compile/k=%d", k), k, maxN, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				kern.Compile(queries[i%len(queries)])
 			}
-		}))
+		})
 
 		for _, n := range ns {
 			ids := make([]ranking.ID, n)
@@ -110,7 +155,7 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 			}
 			rawTheta := ranking.MaxDistance(k) / 4
 
-			recs = append(recs, measure(fmt.Sprintf("validate-scalar/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
+			rows.add(fmt.Sprintf("validate-scalar/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					q := queries[i%len(queries)]
@@ -122,10 +167,10 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 					}
 					kernelSink += hits
 				}
-			}))
+			})
 
 			dists := make([]int, 0, n)
-			recs = append(recs, measure(fmt.Sprintf("validate-batched/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
+			rows.add(fmt.Sprintf("validate-batched/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					q := queries[i%len(queries)]
@@ -139,7 +184,7 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 					}
 					kernelSink += hits
 				}
-			}))
+			})
 
 			idx, err := invindex.New(rs[:n])
 			if err != nil {
@@ -148,7 +193,7 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 			stamp := make([]uint32, n)
 			gen := uint32(0)
 			cands := make([]ranking.ID, 0, n)
-			recs = append(recs, measure(fmt.Sprintf("collect/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
+			rows.add(fmt.Sprintf("collect/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					q := queries[i%len(queries)]
@@ -165,19 +210,20 @@ func Kernels(ks, ns []int) ([]KernelRecord, Table, error) {
 					}
 					kernelSink += len(cands)
 				}
-			}))
+			})
 		}
 	}
 
-	searcherRecs, err := searcherRecords([]int{10, 25}, []int{4000, 20000})
+	if err := rows.addSearchers([]int{10, 25}, []int{4000, 20000}); err != nil {
+		return nil, Table{}, err
+	}
+	if err := rows.addSearchers([]int{10}, []int{100000}); err != nil { // the end-to-end benchmark's collection
+		return nil, Table{}, err
+	}
+	recs, err := rows.run()
 	if err != nil {
 		return nil, Table{}, err
 	}
-	shardRecs, err := searcherRecords([]int{10}, []int{100000}) // the end-to-end benchmark's shard
-	if err != nil {
-		return nil, Table{}, err
-	}
-	recs = append(append(recs, searcherRecs...), shardRecs...)
 
 	t := Table{
 		Title:   "Distance-kernel microbenchmarks (NYT-like)",
@@ -220,10 +266,11 @@ func (r rangeOverInverted) Query(q ranking.Ranking, raw int) ([]ranking.Result, 
 func (r rangeOverInverted) Len() int { return r.s.Index().Len() }
 func (r rangeOverInverted) K() int   { return r.s.Index().K() }
 
-// searcherRecords measures whole queries over an n-ranking NYT-like inverted
-// index, by k and n, on one reused searcher cycling 256 queries (what a KNN
-// query costs depends on whether its accumulate closes admission, so a
-// handful of queries would measure their mix, not the workload's):
+// addSearchers adds the rows that measure whole queries over an n-ranking
+// NYT-like inverted index, by k and n, on one reused searcher cycling 256
+// queries (what a KNN query costs depends on whether its accumulate closes
+// admission, so a handful of queries would measure their mix, not the
+// workload's):
 //
 //	knn-native     invindex.Searcher.NearestNeighbors — one accumulate-and-
 //	               select pass over the query's posting lists, 10 neighbors
@@ -236,94 +283,65 @@ func (r rangeOverInverted) K() int   { return r.s.Index().K() }
 //
 // The knn-native and fv-drop rows must allocate nothing but the result slice
 // they return; more than one allocation per op is reported as an error.
-func searcherRecords(ks, ns []int) ([]KernelRecord, error) {
-	var recs []KernelRecord
+func (r *kernelRows) addSearchers(ks, ns []int) error {
 	for _, k := range ks {
 		for _, n := range ns {
 			cfg := dataset.NYTLike(n, k)
 			rs, err := dataset.Generate(cfg)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			queries, err := dataset.Workload(rs, cfg, 256, 0.8, cfg.Seed+500)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			var benchErr error
-			build := measure(fmt.Sprintf("build/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := invindex.New(rs); err != nil {
-						benchErr = err
-					}
-				}
-			})
 			idx, err := invindex.New(rs)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			s := invindex.NewSearcher(idx)
-			native := measure(fmt.Sprintf("knn-native/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
+			r.add(fmt.Sprintf("knn-native/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					res, err := s.NearestNeighbors(queries[i%len(queries)], knnNeighbors, nil)
 					if err != nil {
-						benchErr = err
+						r.err = err
 					}
 					kernelSink += len(res)
 				}
 			})
-			expanding := measure(fmt.Sprintf("knn-expanding/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
+			r.oneAlloc = append(r.oneAlloc, len(r.recs)-1)
+			r.add(fmt.Sprintf("knn-expanding/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					res, err := knn.Expanding(rangeOverInverted{s}, queries[i%len(queries)], knnNeighbors)
 					if err != nil {
-						benchErr = err
+						r.err = err
 					}
 					kernelSink += len(res)
 				}
 			})
 			ev := metric.New(nil)
-			drop := measure(fmt.Sprintf("fv-drop/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
+			r.add(fmt.Sprintf("fv-drop/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					res, err := s.FilterValidateDrop(queries[i%len(queries)], ranking.MaxDistance(k)/5, ev, invindex.DropSafe)
 					if err != nil {
-						benchErr = err
+						r.err = err
 					}
 					kernelSink += len(res)
 				}
 			})
-			if benchErr != nil {
-				return nil, benchErr
-			}
-			for _, r := range []KernelRecord{native, drop} {
-				if r.AllocsPerOp > 1 {
-					return nil, fmt.Errorf("%s: %d allocs/op, want only the returned slice", r.Name, r.AllocsPerOp)
+			r.oneAlloc = append(r.oneAlloc, len(r.recs)-1)
+			r.add(fmt.Sprintf("build/k=%d/n=%d", k, n), k, n, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := invindex.New(rs); err != nil {
+						r.err = err
+					}
 				}
-			}
-			recs = append(recs, native, expanding, drop, build)
+			})
 		}
 	}
-	return recs, nil
-}
-
-// measure runs f kernelRuns times and records the median run with the
-// fastest and slowest ns/op beside it.
-func measure(name string, k, n int, f func(b *testing.B)) KernelRecord {
-	runs := make([]testing.BenchmarkResult, kernelRuns)
-	for i := range runs {
-		runs[i] = testing.Benchmark(f)
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].NsPerOp() < runs[j].NsPerOp() })
-	med := runs[kernelRuns/2]
-	return KernelRecord{
-		Name:        name,
-		K:           k,
-		N:           n,
-		NsPerOp:     med.NsPerOp(),
-		MinNsPerOp:  runs[0].NsPerOp(),
-		MaxNsPerOp:  runs[kernelRuns-1].NsPerOp(),
-		AllocsPerOp: med.AllocsPerOp(),
-	}
+	return nil
 }

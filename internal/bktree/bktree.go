@@ -69,9 +69,6 @@ func New(rankings []ranking.Ranking, ev *metric.Evaluator) (*Tree, error) {
 // Navarro used in the coarse-index ablation) share the same storage and
 // query path as the paper's BK-subtree partitions.
 func NewSubset(all []ranking.Ranking, ids []ranking.ID, ev *metric.Evaluator) (*Tree, error) {
-	if ev == nil {
-		ev = metric.New(nil)
-	}
 	t := &Tree{rankings: all}
 	if len(ids) == 0 {
 		return t, nil
@@ -154,9 +151,6 @@ func (t *Tree) search(root *Node, q ranking.Ranking, radius int, ev *metric.Eval
 	var out []ranking.Result
 	if root == nil || radius < 0 {
 		return out
-	}
-	if ev == nil {
-		ev = metric.New(nil)
 	}
 	t.walk(root, q, int32(radius), ev, &out, int32(ev.Distance(q, t.rankings[root.ID])))
 	return out

@@ -179,15 +179,8 @@ func (s *Searcher) Query(q ranking.Ranking, rawTheta int, ev *metric.Evaluator, 
 		return nil, nil
 	}
 	k := s.idx.k
-	if q.K() != k {
-		return nil, fmt.Errorf("blocked: query size %d, index size %d: %w",
-			q.K(), k, ranking.ErrSizeMismatch)
-	}
-	if err := q.Validate(); err != nil {
+	if err := ranking.CheckQuery(q, k); err != nil {
 		return nil, err
-	}
-	if ev == nil {
-		ev = metric.New(nil)
 	}
 	if rawTheta < 0 {
 		return nil, nil

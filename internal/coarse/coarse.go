@@ -256,15 +256,8 @@ func (s *Searcher) QueryStats(q ranking.Ranking, rawTheta int, ev *metric.Evalua
 	if idx.n == 0 {
 		return nil, st, nil
 	}
-	if q.K() != idx.k {
-		return nil, st, fmt.Errorf("coarse: query size %d, index size %d: %w",
-			q.K(), idx.k, ranking.ErrSizeMismatch)
-	}
-	if err := q.Validate(); err != nil {
+	if err := ranking.CheckQuery(q, idx.k); err != nil {
 		return nil, st, err
-	}
-	if ev == nil {
-		ev = metric.New(nil)
 	}
 	if rawTheta < 0 {
 		return nil, st, nil

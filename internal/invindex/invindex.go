@@ -27,7 +27,10 @@
 // accumulated gains and the dmax treatment of zero-overlap rankings all rest
 // on Footrule's structure. F&V validation therefore always runs through the
 // compiled internal/kernel, and the metric.Evaluator a query receives is its
-// DFC counter — one call per validated candidate.
+// DFC counter — one call per validated candidate; a nil one counts nothing.
+// Every query entry point checks ranking.CheckQuery against the index's k
+// (a Mutable against its own k, which a compaction over zero survivors
+// keeps) before any of that work, which then checks nothing.
 //
 // One Index serves all algorithms. Its postings live in two parallel arenas,
 // ids and ranks (5 bytes a posting): every item's list is one span of both,
@@ -421,7 +424,7 @@ func (s *Searcher) Index() *Index { return s.idx }
 // computation against rawTheta. The merge is accumulate's first-touch list;
 // the gains it sums on the way are not used.
 func (s *Searcher) FilterValidate(q ranking.Ranking, rawTheta int, ev *metric.Evaluator) ([]ranking.Result, error) {
-	if err := checkQuery(q, s.idx.K()); err != nil {
+	if err := ranking.CheckQuery(q, s.idx.K()); err != nil {
 		return nil, err
 	}
 	return s.search(FilterValidate, q, rawTheta, ev), nil
@@ -459,9 +462,9 @@ func (s *Searcher) filter(touched []ranking.ID, floor int) []ranking.ID {
 
 // validate computes the exact distance of every collected candidate, built
 // or inserted alike, in one batched pass of the compiled kernel over the
-// store's flat arena, and counts one DFC per candidate on ev (nil: not
-// counted). The candidates are a sparse handful scattered over the store, so
-// each row is a cache miss, and the kernel takes them one at a time: its
+// store's flat arena, and counts one DFC per candidate on ev. The candidates
+// are a sparse handful scattered over the store, so each row is a cache
+// miss, and the kernel takes them one at a time: its
 // matched/unmatched branch mispredicts and stops the core from running ahead
 // to the next row. So first one loop loads both cache lines each row can
 // span, its first and its last item, back to back: their misses overlap, and
@@ -483,9 +486,7 @@ func (s *Searcher) validate(q ranking.Ranking, rawTheta int, ev *metric.Evaluato
 				res = append(res, ranking.Result{ID: id, Dist: d})
 			}
 		}
-		if ev != nil {
-			ev.Add(uint64(len(s.cands)))
-		}
+		ev.Add(uint64(len(s.cands)))
 	}
 	return s.finish(res)
 }
@@ -530,7 +531,7 @@ const (
 // The kept lists' postings decide most candidates (see decide); only the
 // rest are validated.
 func (s *Searcher) FilterValidateDrop(q ranking.Ranking, rawTheta int, ev *metric.Evaluator, mode DropMode) ([]ranking.Result, error) {
-	if err := checkQuery(q, s.idx.K()); err != nil {
+	if err := ranking.CheckQuery(q, s.idx.K()); err != nil {
 		return nil, err
 	}
 	return s.decide(q, s.chooseKeptLists(q, rawTheta, mode), rawTheta, ev), nil
@@ -771,19 +772,8 @@ func probe(acc []uint16, touched []ranking.ID, col []uint8, k, qr int) {
 // distance function; per the paper it is excluded from the DFC measurements
 // (Figure 10), so the evaluator is ignored.
 func (s *Searcher) ListMerge(q ranking.Ranking, rawTheta int, _ *metric.Evaluator) ([]ranking.Result, error) {
-	if err := checkQuery(q, s.idx.K()); err != nil {
+	if err := ranking.CheckQuery(q, s.idx.K()); err != nil {
 		return nil, err
 	}
 	return s.search(ListMerge, q, rawTheta, nil), nil
-}
-
-// checkQuery enforces the query contract — the index's ranking size k (none
-// when k is 0), no repeated item (Validate allocates nothing at k ≤ 255). A
-// Mutable checks against its own k, which a compaction over zero survivors
-// keeps, and then calls search or nearestNeighbors, which check nothing.
-func checkQuery(q ranking.Ranking, k int) error {
-	if k != 0 && q.K() != k {
-		return fmt.Errorf("invindex: query size %d, index size %d: %w", q.K(), k, ranking.ErrSizeMismatch)
-	}
-	return q.Validate()
 }

@@ -70,9 +70,6 @@ func BuildMinimal(rankings []ranking.Ranking, queries []ranking.Ranking, rawThet
 // Footrule validation per member (counted as DFC, as the paper does).
 // Queries outside the materialized workload return ok=false.
 func (m *Minimal) Query(q ranking.Ranking, rawTheta int, ev *metric.Evaluator) ([]ranking.Result, bool) {
-	if ev == nil {
-		ev = metric.New(nil)
-	}
 	list, ok := m.byKey[queryKey(q, rawTheta)]
 	if !ok {
 		return nil, false

@@ -65,9 +65,6 @@ const (
 	ListMerge
 )
 
-// traceName is the backend name the traced queries report.
-const traceName = "inverted"
-
 // idmap is the external↔internal id indirection of a Mutable. It is guarded
 // by the Mutable's RWMutex (queries remap under RLock, mutations rewrite under
 // Lock).
@@ -461,13 +458,13 @@ func (m *Mutable) RebuildStats() RebuildStats {
 func (m *Mutable) DistanceCalls() uint64 { return m.calls.Load() }
 
 // SearchTraced returns all live rankings within normalized Footrule distance
-// theta of q, sorted by ID, with exact distances, plus the backend name
-// ("inverted") and the Footrule evaluations this query cost.
-func (m *Mutable) SearchTraced(q ranking.Ranking, theta float64) ([]ranking.Result, string, uint64, error) {
+// theta of q, sorted by ID, with exact distances, plus the Footrule
+// evaluations this query cost.
+func (m *Mutable) SearchTraced(q ranking.Ranking, theta float64) ([]ranking.Result, uint64, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if err := checkQuery(q, m.k); err != nil {
-		return nil, "", 0, err
+	if err := ranking.CheckQuery(q, m.k); err != nil {
+		return nil, 0, err
 	}
 	s := m.searchers.Get().(*Searcher)
 	ev := metric.New(nil)
@@ -475,23 +472,23 @@ func (m *Mutable) SearchTraced(q ranking.Ranking, theta float64) ([]ranking.Resu
 	m.searchers.Put(s)
 	m.calls.Add(ev.Calls())
 	m.ids.remapSearch(res)
-	return res, traceName, ev.Calls(), nil
+	return res, ev.Calls(), nil
 }
 
-// Search is SearchTraced without the attribution.
+// Search is SearchTraced without the distance calls.
 func (m *Mutable) Search(q ranking.Ranking, theta float64) ([]ranking.Result, error) {
-	res, _, _, err := m.SearchTraced(q, theta)
+	res, _, err := m.SearchTraced(q, theta)
 	return res, err
 }
 
-// NearestNeighborsTraced returns the n live rankings closest to q, ordered by
+// NearestNeighbors returns the n live rankings closest to q, ordered by
 // (distance, external id), from the query's posting lists alone (see
-// Searcher.NearestNeighbors), plus the backend name and 0 distance calls.
-func (m *Mutable) NearestNeighborsTraced(q ranking.Ranking, n int) ([]ranking.Result, string, uint64, error) {
+// Searcher.NearestNeighbors): it costs no distance call.
+func (m *Mutable) NearestNeighbors(q ranking.Ranking, n int) ([]ranking.Result, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if err := checkQuery(q, m.k); err != nil {
-		return nil, "", 0, err
+	if err := ranking.CheckQuery(q, m.k); err != nil {
+		return nil, err
 	}
 	// Non-monotonic id mapping (an Update reassigned an external id to a
 	// later internal slot): KNN truncates distance ties by id, so the
@@ -505,11 +502,5 @@ func (m *Mutable) NearestNeighborsTraced(q ranking.Ranking, n int) ([]ranking.Re
 	res := s.nearestNeighbors(q, n, ext)
 	m.searchers.Put(s)
 	m.ids.remapNN(res)
-	return res, traceName, 0, nil
-}
-
-// NearestNeighbors is NearestNeighborsTraced without the attribution.
-func (m *Mutable) NearestNeighbors(q ranking.Ranking, n int) ([]ranking.Result, error) {
-	res, _, _, err := m.NearestNeighborsTraced(q, n)
-	return res, err
+	return res, nil
 }

@@ -50,9 +50,6 @@ func (h *resultHeap) Pop() interface{} {
 // node at distance d can only contain objects at distance ≥ |d − e|, so it
 // is skipped once |d − e| exceeds the current n-th best distance.
 func BestFirst(t *bktree.Tree, q ranking.Ranking, n int, ev *metric.Evaluator) []ranking.Result {
-	if ev == nil {
-		ev = metric.New(nil)
-	}
 	if t.Root == nil || n <= 0 {
 		return nil
 	}

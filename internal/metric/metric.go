@@ -2,6 +2,10 @@
 // index structures: a counting evaluator that both computes the (raw,
 // integer) Spearman's Footrule distance and tallies the number of distance
 // function calls (DFC), the headline cost measure of the paper's Figure 10.
+//
+// A nil *Evaluator is a valid evaluator that counts nothing: Distance
+// computes Footrule, Add does nothing and Calls is 0. Every structure takes
+// one where a caller has no DFC to report, without a guard of its own.
 package metric
 
 import "topk/internal/ranking"
@@ -31,6 +35,9 @@ func New(fn DistFunc) *Evaluator {
 
 // Distance computes the distance between a and b and counts one call.
 func (e *Evaluator) Distance(a, b ranking.Ranking) int {
+	if e == nil {
+		return ranking.Footrule(a, b)
+	}
 	e.calls++
 	if e.fn == nil {
 		e.fn = ranking.Footrule
@@ -39,7 +46,12 @@ func (e *Evaluator) Distance(a, b ranking.Ranking) int {
 }
 
 // Calls returns the number of distance computations performed so far.
-func (e *Evaluator) Calls() uint64 { return e.calls }
+func (e *Evaluator) Calls() uint64 {
+	if e == nil {
+		return 0
+	}
+	return e.calls
+}
 
 // Reset zeroes the call counter.
 func (e *Evaluator) Reset() { e.calls = 0 }
@@ -48,4 +60,8 @@ func (e *Evaluator) Reset() { e.calls = 0 }
 // (the compiled kernel's evaluations, or distances folded into a merge loop
 // that never materializes the ranking pair). It keeps Figure 10's DFC
 // numbers honest for algorithms that do not call Distance.
-func (e *Evaluator) Add(n uint64) { e.calls += n }
+func (e *Evaluator) Add(n uint64) {
+	if e != nil {
+		e.calls += n
+	}
+}

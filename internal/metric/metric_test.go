@@ -50,3 +50,16 @@ func TestZeroValueUsable(t *testing.T) {
 		t.Fatal("zero-value evaluator not counting")
 	}
 }
+
+// TestNilEvaluator: a nil evaluator computes Footrule and counts nothing.
+func TestNilEvaluator(t *testing.T) {
+	var ev *Evaluator
+	a, b := ranking.Ranking{1, 2, 3}, ranking.Ranking{3, 2, 7}
+	if got, want := ev.Distance(a, b), ranking.Footrule(a, b); got != want {
+		t.Fatalf("nil Distance = %d, want Footrule %d", got, want)
+	}
+	ev.Add(5)
+	if ev.Calls() != 0 {
+		t.Fatalf("nil Calls = %d, want 0", ev.Calls())
+	}
+}

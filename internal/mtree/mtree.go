@@ -67,9 +67,6 @@ func WithCapacity(c int) Option {
 
 // New bulk-inserts the rankings into a fresh M-tree.
 func New(rankings []ranking.Ranking, ev *metric.Evaluator, opts ...Option) (*Tree, error) {
-	if ev == nil {
-		ev = metric.New(nil)
-	}
 	t := &Tree{capacity: DefaultCapacity, rankings: rankings}
 	for _, o := range opts {
 		o(t)
@@ -285,9 +282,6 @@ func parentRouting(parent *node, selfEntry entry) ranking.ID {
 // RangeSearch returns every indexed ranking within radius of q with its exact
 // distance, in unspecified order.
 func (t *Tree) RangeSearch(q ranking.Ranking, radius int, ev *metric.Evaluator) []ranking.Result {
-	if ev == nil {
-		ev = metric.New(nil)
-	}
 	var out []ranking.Result
 	if t.root == nil || radius < 0 {
 		return out

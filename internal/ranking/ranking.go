@@ -92,6 +92,16 @@ func (r Ranking) firstRepeat() error {
 
 const smallK, sortedK = 16, 256 // Validate: pairwise scan up to smallK, stack sort up to sortedK
 
+// CheckQuery is the query contract of every index: a query of the index's
+// ranking size k (any size when k is 0, an index over zero rankings) with no
+// repeated item. It allocates nothing on success at k ≤ 255.
+func CheckQuery(q Ranking, k int) error {
+	if k != 0 && len(q) != k {
+		return fmt.Errorf("%w: have %d, index has k=%d", ErrSizeMismatch, len(q), k)
+	}
+	return q.Validate()
+}
+
 // Clone returns a deep copy of the ranking.
 func (r Ranking) Clone() Ranking {
 	c := make(Ranking, len(r))

@@ -343,6 +343,36 @@ func TestValidateAllocs(t *testing.T) {
 	}
 }
 
+// TestCheckQuery: the query contract takes a query of the index's size, or
+// of any size when k is 0, and rejects a repeated item in either case.
+func TestCheckQuery(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		q    Ranking
+		k    int
+		want error
+	}{
+		{"exact size", Ranking{3, 1, 2}, 3, nil},
+		{"k=0 takes a shorter query", Ranking{3, 1}, 0, nil},
+		{"k=0 takes a longer query", Ranking{3, 1, 2, 7, 9}, 0, nil},
+		{"k=0 takes the empty query", Ranking{}, 0, nil},
+		{"k=0 rejects a repeat", Ranking{3, 1, 3}, 0, ErrDuplicateItem},
+		{"too short", Ranking{3, 1}, 3, ErrSizeMismatch},
+		{"too long", Ranking{3, 1, 2, 4}, 3, ErrSizeMismatch},
+		{"wrong size with a repeat", Ranking{3, 3}, 3, ErrSizeMismatch},
+		{"repeat", Ranking{3, 1, 3}, 3, ErrDuplicateItem},
+	} {
+		err := CheckQuery(tc.q, tc.k)
+		if (err == nil) != (tc.want == nil) || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Errorf("%s: CheckQuery(%v, %d) = %v, want %v", tc.name, tc.q, tc.k, err, tc.want)
+		}
+	}
+	q := randomRanking(rand.New(rand.NewSource(1)), 10, 40)
+	if n := testing.AllocsPerRun(100, func() { _ = CheckQuery(q, 10) }); n != 0 {
+		t.Errorf("CheckQuery of a valid query: %v allocs, want 0", n)
+	}
+}
+
 func TestRankAndContains(t *testing.T) {
 	r := Ranking{7, 3, 9}
 	if pos, ok := r.Rank(3); !ok || pos != 1 {

@@ -95,7 +95,7 @@ func TestBatchDeadlineStopsBetweenMembers(t *testing.T) {
 	srv := newServer(newIndex(t, rs, "inverted", 0), "inverted") // F&V: every member costs distance calls
 	idx := srv.defColl().idx
 	ref := newIndex(t, rs, "inverted", 0)
-	_, _, first, err := ref.SearchTraced(rs[0], 0.2)
+	_, first, err := ref.SearchTraced(rs[0], 0.2)
 	if err != nil || first == 0 {
 		t.Fatalf("first member costs %d distance calls (%v); the test needs some", first, err)
 	}

@@ -44,15 +44,11 @@ func checkRanking(w http.ResponseWriter, c *Collection, rk ranking.Ranking) bool
 		return false
 	}
 	effK := c.effK()
-	if effK != 0 && rk.K() != effK {
-		httpError(w, http.StatusBadRequest, "ranking has size %d, index has k=%d", rk.K(), effK)
-		return false
-	}
 	if effK == 0 && rk.K() > ranking.MaxK {
 		httpError(w, http.StatusBadRequest, "ranking sizes are capped at %d, have %d", ranking.MaxK, rk.K())
 		return false
 	}
-	if err := rk.Validate(); err != nil {
+	if err := ranking.CheckQuery(rk, effK); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}

@@ -84,11 +84,7 @@ func (s *Server) handleSearch(c *Collection, w http.ResponseWriter, r *http.Requ
 	}
 	effK := c.effK()
 	for i, q := range queries {
-		if effK != 0 && q.K() != effK {
-			httpError(w, http.StatusBadRequest, "query %d has size %d, index has k=%d", i, q.K(), effK)
-			return
-		}
-		if err := q.Validate(); err != nil {
+		if err := ranking.CheckQuery(q, effK); err != nil {
 			httpError(w, http.StatusBadRequest, "query %d: %v", i, err)
 			return
 		}
@@ -136,8 +132,7 @@ func (s *Server) runSearch(ctx context.Context, c *Collection, req searchRequest
 	if req.Query != nil {
 		res, err := s.cachedSearch(ctx, c, tr, req.Query, qcache.Key{Kind: "search", Theta: req.Theta},
 			func() ([]ranking.Result, uint64, error) {
-				res, _, calls, err := c.idx.SearchTraced(req.Query, req.Theta)
-				return res, calls, err
+				return c.idx.SearchTraced(req.Query, req.Theta)
 			})
 		return [][]ranking.Result{res}, err
 	}
@@ -153,7 +148,7 @@ func (s *Server) runSearch(ctx context.Context, c *Collection, req searchRequest
 		if req.Thetas != nil {
 			theta = req.Thetas[i]
 		}
-		res, _, n, err := c.idx.SearchTraced(q, theta)
+		res, n, err := c.idx.SearchTraced(q, theta)
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
@@ -194,11 +189,7 @@ func (s *Server) handleKNN(c *Collection, w http.ResponseWriter, r *http.Request
 		return
 	}
 	effK := c.effK()
-	if effK != 0 && req.Query.K() != effK {
-		httpError(w, http.StatusBadRequest, "query has size %d, index has k=%d", req.Query.K(), effK)
-		return
-	}
-	if err := req.Query.Validate(); err != nil {
+	if err := ranking.CheckQuery(req.Query, effK); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -212,8 +203,8 @@ func (s *Server) handleKNN(c *Collection, w http.ResponseWriter, r *http.Request
 	start := time.Now()
 	res, err := s.cachedSearch(ctx, c, tr, req.Query, qcache.Key{Kind: "knn", N: req.N},
 		func() ([]ranking.Result, uint64, error) {
-			res, _, calls, err := c.idx.NearestNeighborsTraced(req.Query, req.N)
-			return res, calls, err
+			res, err := c.idx.NearestNeighbors(req.Query, req.N)
+			return res, 0, err
 		})
 	if err != nil {
 		writeSearchError(w, "knn", err)

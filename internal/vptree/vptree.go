@@ -52,9 +52,6 @@ func WithLeafSize(n int) Option {
 // deterministically as the object with the largest spread of distances to a
 // small sample, a common variance heuristic.
 func New(rankings []ranking.Ranking, ev *metric.Evaluator, opts ...Option) (*Tree, error) {
-	if ev == nil {
-		ev = metric.New(nil)
-	}
 	t := &Tree{leafSize: DefaultLeafSize, rankings: rankings, size: len(rankings)}
 	for _, o := range opts {
 		o(t)
@@ -162,9 +159,6 @@ func (t *Tree) K() int { return t.k }
 // RangeSearch returns every ranking within radius of q with its exact
 // distance, in unspecified order.
 func (t *Tree) RangeSearch(q ranking.Ranking, radius int, ev *metric.Evaluator) []ranking.Result {
-	if ev == nil {
-		ev = metric.New(nil)
-	}
 	var out []ranking.Result
 	if t.root == nil || radius < 0 {
 		return out

@@ -383,13 +383,10 @@ func NewMetricTree(rankings []Ranking, kind TreeKind) (*MetricTree, error) {
 	)
 	switch kind {
 	case BKTree:
-		b.name = backendBKTree
 		b.tree, err = bktree.New(rankings, nil)
 	case MTree:
-		b.name = "mtree"
 		b.tree, err = mtree.New(rankings, nil)
 	case VPTree:
-		b.name = "vptree"
 		b.tree, err = vptree.New(rankings, nil)
 	default:
 		err = fmt.Errorf("topk: unknown tree kind %d", kind)
