@@ -8,10 +8,12 @@
 // them: InvertedIndex and HybridIndex wrap internal/invindex.Mutable, which
 // cmd/topkserve serves directly (see mutate.go and hybrid.go).
 //
-// The query contract — the index's ranking size, no repeated item — is
-// ranking.CheckQuery, enforced below the query half, once per path: a range
-// search by the structure's own searcher (the metric trees have none, so
-// treeBackend checks), a KNN query by nearestBackend before either route.
+// The ranking contract — the index's ranking size, no repeated item — is
+// ranking.Check. Every constructor applies it to each member of its
+// collection (validateCollection, then the internal constructors), and a
+// query meets it below the query half, once per path: a range search in the
+// structure's own searcher (the metric trees have none, so treeBackend
+// checks), a KNN query in nearestBackend before either route.
 //
 // Candidate validation in every backend bottoms out in internal/kernel: the
 // constructors reached from here flatten the collection into a kernel.Store
@@ -93,7 +95,7 @@ func (h *queryHalf) DistanceCalls() uint64 { return h.calls.Load() }
 // backend — the expanding-radius reduction over its range search; ev counts
 // the distance calls.
 func nearestBackend(b backend, q Ranking, n int, ev *metric.Evaluator) ([]Result, error) {
-	if err := ranking.CheckQuery(q, b.K()); err != nil {
+	if err := ranking.Check(q, b.K()); err != nil {
 		return nil, err
 	}
 	if t, ok := b.(treeBackend); ok {
@@ -172,7 +174,7 @@ func (b treeBackend) Len() int { return b.tree.Len() }
 func (b treeBackend) K() int   { return b.tree.K() }
 
 func (b treeBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([]Result, error) {
-	if err := ranking.CheckQuery(q, b.tree.K()); err != nil {
+	if err := ranking.Check(q, b.tree.K()); err != nil {
 		return nil, err
 	}
 	out := b.tree.RangeSearch(q, rawTheta, ev)

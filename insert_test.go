@@ -56,7 +56,7 @@ func TestMutationsCopyCallerSlice(t *testing.T) {
 		{"inverted", func(rs []Ranking) (slotIndex, error) { return NewInvertedIndex(rs) }},
 		{"hybrid", func(rs []Ranking) (slotIndex, error) { return NewHybridIndex(rs) }},
 		{"invindex.Mutable", func(rs []Ranking) (slotIndex, error) {
-			return invindex.NewMutable(rs, invindex.FilterValidateDrop, invindex.DefaultCompactionRatio)
+			return invindex.NewMutable(rs, 0, invindex.FilterValidateDrop, invindex.DefaultCompactionRatio)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -47,17 +47,13 @@ func New(rankings []ranking.Ranking) (*Index, error) {
 	if len(rankings) == 0 {
 		return idx, nil
 	}
-	idx.k = rankings[0].K()
+	idx.k = max(rankings[0].K(), 1) // a ranking holds at least one item
 	if idx.k > ranking.MaxK {
-		return nil, fmt.Errorf("adaptsearch: k=%d exceeds the uint8 rank range", idx.k)
+		return nil, fmt.Errorf("adaptsearch: k=%d exceeds the uint8 rank range: %w", idx.k, ranking.ErrSizeMismatch)
 	}
 	freq := make(map[ranking.Item]int)
 	for id, r := range rankings {
-		if r.K() != idx.k {
-			return nil, fmt.Errorf("adaptsearch: ranking %d has size %d, want %d: %w",
-				id, r.K(), idx.k, ranking.ErrSizeMismatch)
-		}
-		if err := r.Validate(); err != nil {
+		if err := ranking.Check(r, idx.k); err != nil {
 			return nil, fmt.Errorf("adaptsearch: ranking %d: %w", id, err)
 		}
 		for _, it := range r {
@@ -145,7 +141,7 @@ func (s *Searcher) Query(q ranking.Ranking, rawTheta int, ev *metric.Evaluator) 
 		return nil, nil
 	}
 	k := idx.k
-	if err := ranking.CheckQuery(q, k); err != nil {
+	if err := ranking.Check(q, k); err != nil {
 		return nil, err
 	}
 	if rawTheta < 0 {

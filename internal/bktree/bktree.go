@@ -73,11 +73,10 @@ func NewSubset(all []ranking.Ranking, ids []ranking.ID, ev *metric.Evaluator) (*
 	if len(ids) == 0 {
 		return t, nil
 	}
-	t.k = all[ids[0]].K()
+	t.k = max(all[ids[0]].K(), 1) // a ranking holds at least one item
 	for _, id := range ids {
-		if all[id].K() != t.k {
-			return nil, fmt.Errorf("bktree: ranking %d has size %d, want %d: %w",
-				id, all[id].K(), t.k, ranking.ErrSizeMismatch)
+		if err := ranking.Check(all[id], t.k); err != nil {
+			return nil, fmt.Errorf("bktree: ranking %d: %w", id, err)
 		}
 		t.insert(id, ev)
 	}

@@ -179,7 +179,7 @@ func (s *Searcher) Query(q ranking.Ranking, rawTheta int, ev *metric.Evaluator, 
 		return nil, nil
 	}
 	k := s.idx.k
-	if err := ranking.CheckQuery(q, k); err != nil {
+	if err := ranking.Check(q, k); err != nil {
 		return nil, err
 	}
 	if rawTheta < 0 {

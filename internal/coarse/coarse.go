@@ -256,7 +256,7 @@ func (s *Searcher) QueryStats(q ranking.Ranking, rawTheta int, ev *metric.Evalua
 	if idx.n == 0 {
 		return nil, st, nil
 	}
-	if err := ranking.CheckQuery(q, idx.k); err != nil {
+	if err := ranking.Check(q, idx.k); err != nil {
 		return nil, st, err
 	}
 	if rawTheta < 0 {

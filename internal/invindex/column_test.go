@@ -171,7 +171,7 @@ func TestRankColumnsUnderMutation(t *testing.T) {
 	for range 60 {
 		rs = append(rs, fresh())
 	}
-	m, err := NewMutable(rs, FilterValidateDrop, 0)
+	m, err := NewMutable(rs, 0, FilterValidateDrop, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,8 @@ import (
 
 // Insert copies a ranking into the index's store and appends its postings to
 // the index, returning the new ranking's id; the caller may reuse r
-// afterwards. The first Insert into an empty index sets the ranking size.
+// afterwards. The first Insert into an empty index sets the ranking size, and
+// every Insert checks its ranking with ranking.Check against it.
 // Because ids are assigned in insertion order, every posting list stays
 // id-sorted, and every query algorithm answers over the grown lists without
 // rebuilding. A posting goes into its list's reserved room; a full list first
@@ -20,15 +21,12 @@ import (
 // must not run concurrently with queries (Mutable serializes them with an
 // RWMutex).
 func (idx *Index) Insert(r ranking.Ranking) (ranking.ID, error) {
-	if idx.Len() > 0 && r.K() != idx.K() {
-		return 0, fmt.Errorf("invindex: inserted ranking has size %d, want %d: %w",
-			r.K(), idx.K(), ranking.ErrSizeMismatch)
-	}
-	if r.K() > ranking.MaxK {
-		return 0, fmt.Errorf("invindex: k=%d exceeds the uint8 rank range", r.K())
-	}
-	if err := r.Validate(); err != nil {
+	if err := ranking.Check(r, idx.K()); err != nil {
 		return 0, err
+	}
+	if r.K() == 0 || r.K() > ranking.MaxK {
+		return 0, fmt.Errorf("invindex: ranking size %d outside the uint8 rank range [1, %d]: %w",
+			r.K(), ranking.MaxK, ranking.ErrSizeMismatch)
 	}
 	grow := uint64(0)
 	for _, item := range r {

@@ -28,9 +28,11 @@
 // on Footrule's structure. F&V validation therefore always runs through the
 // compiled internal/kernel, and the metric.Evaluator a query receives is its
 // DFC counter — one call per validated candidate; a nil one counts nothing.
-// Every query entry point checks ranking.CheckQuery against the index's k
-// (a Mutable against its own k, which a compaction over zero survivors
-// keeps) before any of that work, which then checks nothing.
+// Every query entry point, and Insert, checks ranking.Check against the
+// index's k (a Mutable against its own k: declared, or fixed by a live
+// ranking, and kept by a compaction over zero survivors) before any of that
+// work, which then checks nothing. New checks every ranking it is built over
+// the same way.
 //
 // One Index serves all algorithms. Its postings live in two parallel arenas,
 // ids and ranks (5 bytes a posting): every item's list is one span of both,
@@ -105,16 +107,17 @@ type Index struct {
 	cols map[ranking.Item][]uint8
 }
 
-// New indexes the collection. Rankings are copied into a flat k-strided
-// arena (see kernel.Store); ids are their positions in the slice.
+// New indexes the collection, each ranking of which must pass ranking.Check
+// against the first one's size (at least one item). Rankings are copied into
+// a flat k-strided arena (see kernel.Store); ids are their positions in the
+// slice.
 func New(rankings []ranking.Ranking) (*Index, error) {
 	for id, r := range rankings {
-		if k := rankings[0].K(); r.K() != k {
-			return nil, fmt.Errorf("invindex: ranking %d has size %d, want %d: %w",
-				id, r.K(), k, ranking.ErrSizeMismatch)
+		if err := ranking.Check(r, max(rankings[0].K(), 1)); err != nil {
+			return nil, fmt.Errorf("invindex: ranking %d: %w", id, err)
 		}
 	}
-	return NewFromStore(kernel.NewStore(rankings))
+	return build(kernel.NewStore(rankings))
 }
 
 // NewFromStore indexes st, which the index then owns: Insert appends to it.
@@ -179,7 +182,7 @@ type buildChunk struct {
 func buildP(st *kernel.Store, p int) (*Index, error) {
 	n, k := st.Len(), st.K()
 	if k > ranking.MaxK {
-		return nil, fmt.Errorf("invindex: k=%d exceeds the uint8 rank range", k)
+		return nil, fmt.Errorf("invindex: k=%d exceeds the uint8 rank range: %w", k, ranking.ErrSizeMismatch)
 	}
 	if uint64(n)*uint64(k) > arenaLimit {
 		return nil, fmt.Errorf("invindex: %d rankings of size %d exceed %d postings", n, k, arenaLimit)
@@ -424,7 +427,7 @@ func (s *Searcher) Index() *Index { return s.idx }
 // computation against rawTheta. The merge is accumulate's first-touch list;
 // the gains it sums on the way are not used.
 func (s *Searcher) FilterValidate(q ranking.Ranking, rawTheta int, ev *metric.Evaluator) ([]ranking.Result, error) {
-	if err := ranking.CheckQuery(q, s.idx.K()); err != nil {
+	if err := ranking.Check(q, s.idx.K()); err != nil {
 		return nil, err
 	}
 	return s.search(FilterValidate, q, rawTheta, ev), nil
@@ -531,7 +534,7 @@ const (
 // The kept lists' postings decide most candidates (see decide); only the
 // rest are validated.
 func (s *Searcher) FilterValidateDrop(q ranking.Ranking, rawTheta int, ev *metric.Evaluator, mode DropMode) ([]ranking.Result, error) {
-	if err := ranking.CheckQuery(q, s.idx.K()); err != nil {
+	if err := ranking.Check(q, s.idx.K()); err != nil {
 		return nil, err
 	}
 	return s.decide(q, s.chooseKeptLists(q, rawTheta, mode), rawTheta, ev), nil
@@ -772,7 +775,7 @@ func probe(acc []uint16, touched []ranking.ID, col []uint8, k, qr int) {
 // distance function; per the paper it is excluded from the DFC measurements
 // (Figure 10), so the evaluator is ignored.
 func (s *Searcher) ListMerge(q ranking.Ranking, rawTheta int, _ *metric.Evaluator) ([]ranking.Result, error) {
-	if err := ranking.CheckQuery(q, s.idx.K()); err != nil {
+	if err := ranking.Check(q, s.idx.K()); err != nil {
 		return nil, err
 	}
 	return s.search(ListMerge, q, rawTheta, nil), nil

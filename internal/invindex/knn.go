@@ -34,7 +34,7 @@ import "topk/internal/ranking"
 // accumulator costs 2 bytes per indexed ranking per searcher, allocated on
 // the searcher's first accumulate and grown with the collection.
 func (s *Searcher) NearestNeighbors(q ranking.Ranking, n int, ext []ranking.ID) ([]ranking.Result, error) {
-	if err := ranking.CheckQuery(q, s.idx.K()); err != nil {
+	if err := ranking.Check(q, s.idx.K()); err != nil {
 		return nil, err
 	}
 	return s.nearestNeighbors(q, n, ext), nil

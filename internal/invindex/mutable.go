@@ -14,8 +14,11 @@
 //   - Internal IDs are the Index's dense, append-only id space. An Update
 //     appends a fresh internal slot and tombstones the old one; both keep
 //     mapping to the same external ID.
-//   - The ranking size k is fixed by the collection, or — for an index built
-//     over zero live rankings — by the first Insert that succeeds.
+//   - The ranking size k is the declared one (NewMutable's k), else the
+//     collection's, else — over zero live rankings — that of the first
+//     Insert that succeeds. Every ranking the Mutable takes in, a slot it is
+//     built over, a query or a mutation payload, passes ranking.Check
+//     against it.
 //
 // Tombstoned slots still occupy postings. Once their fraction of the internal
 // id space crosses the compaction ratio, the index is rebuilt over the
@@ -200,8 +203,8 @@ type Mutable struct {
 	// mu is write-held by mutations (Insert/Delete/Update/Compact) only.
 	mu  sync.RWMutex
 	ids idmap
-	// k is the ranking size; 0 while an index built over zero live rankings
-	// (an all-tombstone snapshot) waits for its first insert.
+	// k is the ranking size: declared or fixed by a live ranking, and kept
+	// by a compaction over zero survivors; 0 while neither has set it.
 	k int
 	// inv is the index over the internal id space: append-only Insert,
 	// tombstoning Delete. searchers hands out Searchers bound to inv; both
@@ -221,17 +224,18 @@ type Mutable struct {
 
 // NewMutable builds a Mutable from an external-id slot array: the ranking at
 // position i gets external ID i, and nil entries are retired IDs that stay
-// retired. A zero live count is legal — a heavily-deleted snapshot
-// can be all tombstones — and yields k = 0 until the first successful Insert
-// defines the size. compactRatio is the tombstone fraction of the internal id
-// space above which Delete and Update compact (≤ 0 disables it).
-func NewMutable(slots []ranking.Ranking, alg Algorithm, compactRatio float64) (*Mutable, error) {
+// retired. k is the declared ranking size, 0 for none; without one the first
+// live slot sets it. Every live slot must pass ranking.Check against it. A
+// zero live count is legal — a heavily-deleted snapshot can be all
+// tombstones — and the declared k, or else the first successful Insert,
+// sizes such an index. compactRatio is the tombstone fraction of the
+// internal id space above which Delete and Update compact (≤ 0 disables it).
+func NewMutable(slots []ranking.Ranking, k int, alg Algorithm, compactRatio float64) (*Mutable, error) {
 	if alg < FilterValidate || alg > ListMerge {
 		return nil, fmt.Errorf("topk: unknown algorithm %d", alg)
 	}
-	k := 0 // the size of the first live slot
-	if i := slices.IndexFunc(slots, func(r ranking.Ranking) bool { return r != nil }); i >= 0 {
-		k = slots[i].K()
+	if i := slices.IndexFunc(slots, func(r ranking.Ranking) bool { return r != nil }); i >= 0 && k == 0 {
+		k = max(slots[i].K(), 1) // a live ranking holds at least one item
 	}
 	// Each worker checks a contiguous range of slots and stops at its first
 	// bad one; the lowest range's is the collection's first.
@@ -239,14 +243,11 @@ func NewMutable(slots []ranking.Ranking, alg Algorithm, compactRatio float64) (*
 	errs := make([]error, p)
 	inChunks(len(slots), p, func(c, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if r := slots[i]; r == nil {
-				continue
-			} else if r.K() != k {
-				errs[c] = fmt.Errorf("topk: slot %d has size %d, want %d: %w", i, r.K(), k, ranking.ErrSizeMismatch)
-				return
-			} else if err := r.Validate(); err != nil {
-				errs[c] = fmt.Errorf("topk: slot %d: %w", i, err)
-				return
+			if r := slots[i]; r != nil {
+				if err := ranking.Check(r, k); err != nil {
+					errs[c] = fmt.Errorf("topk: slot %d: %w", i, err)
+					return
+				}
 			}
 		}
 	})
@@ -255,7 +256,7 @@ func NewMutable(slots []ranking.Ranking, alg Algorithm, compactRatio float64) (*
 			return nil, err
 		}
 	}
-	m := &Mutable{alg: alg, compactRatio: compactRatio}
+	m := &Mutable{k: k, alg: alg, compactRatio: compactRatio}
 	if err := m.install(newSlotsIDMap(slots)); err != nil {
 		return nil, err
 	}
@@ -278,25 +279,15 @@ func (m *Mutable) install(ids idmap, st *kernel.Store) error {
 	return nil
 }
 
-// checkSize rejects a mutation payload of another size than the index's. The
-// Index checks the rest of a payload itself, but it takes its size from its
-// rankings, and a compaction over zero survivors leaves it none: the size it
-// must keep lives here.
-func (m *Mutable) checkSize(r ranking.Ranking, verb string) error {
-	if m.k != 0 && r.K() != m.k {
-		return fmt.Errorf("topk: %s ranking has size %d, want %d: %w",
-			verb, r.K(), m.k, ranking.ErrSizeMismatch)
-	}
-	return nil
-}
-
 // Insert copies a ranking into the index and returns its new, stable ID; the
-// caller may reuse r afterwards. On an index built over zero live rankings the
-// first successful Insert defines the ranking size.
+// caller may reuse r afterwards. On an index that has no size yet the first
+// successful Insert defines it. The Index takes its size from its rankings,
+// and a compaction over zero survivors leaves it none, so the check against
+// the size the Mutable keeps comes first.
 func (m *Mutable) Insert(r ranking.Ranking) (ranking.ID, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.checkSize(r, "inserted"); err != nil {
+	if err := ranking.Check(r, m.k); err != nil {
 		return 0, err
 	}
 	intID, err := m.inv.Insert(r)
@@ -330,11 +321,12 @@ func (m *Mutable) Delete(id ranking.ID) error {
 // version is appended and the old one tombstoned, both mapped to the same
 // external ID (delete + re-insert, the exact update semantics of the Fagin et
 // al. list model). The append comes first, so a rejected ranking leaves the
-// index untouched. Returns ErrUnknownID for unassigned or deleted IDs.
+// index untouched. A ranking that fails ranking.Check is rejected before the
+// id is looked up; an unassigned or deleted id is then ErrUnknownID.
 func (m *Mutable) Update(id ranking.ID, r ranking.Ranking) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.checkSize(r, "updated"); err != nil {
+	if err := ranking.Check(r, m.k); err != nil {
 		return err
 	}
 	old, err := m.ids.lookup(id)
@@ -420,8 +412,8 @@ func (m *Mutable) Len() int {
 	return m.inv.Live()
 }
 
-// K returns the ranking size. An index built over zero live rankings reports
-// 0 until the first Insert defines the size.
+// K returns the ranking size: the declared one until a live ranking fixes
+// it, 0 while an index without a declared size waits for its first Insert.
 func (m *Mutable) K() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -463,7 +455,7 @@ func (m *Mutable) DistanceCalls() uint64 { return m.calls.Load() }
 func (m *Mutable) SearchTraced(q ranking.Ranking, theta float64) ([]ranking.Result, uint64, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if err := ranking.CheckQuery(q, m.k); err != nil {
+	if err := ranking.Check(q, m.k); err != nil {
 		return nil, 0, err
 	}
 	s := m.searchers.Get().(*Searcher)
@@ -487,7 +479,7 @@ func (m *Mutable) Search(q ranking.Ranking, theta float64) ([]ranking.Result, er
 func (m *Mutable) NearestNeighbors(q ranking.Ranking, n int) ([]ranking.Result, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if err := ranking.CheckQuery(q, m.k); err != nil {
+	if err := ranking.Check(q, m.k); err != nil {
 		return nil, err
 	}
 	// Non-monotonic id mapping (an Update reassigned an external id to a

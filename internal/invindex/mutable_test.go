@@ -20,7 +20,7 @@ import (
 func TestMutableUpdateUnordersIDMap(t *testing.T) {
 	q := ranking.Ranking{1, 2, 3, 4}
 	tied := ranking.Ranking{2, 1, 3, 4} // distance 2 from q
-	m, err := NewMutable([]ranking.Ranking{q.Clone(), {1, 2, 4, 3}, tied.Clone(), {50, 51, 52, 53}}, FilterValidateDrop, 0)
+	m, err := NewMutable([]ranking.Ranking{q.Clone(), {1, 2, 4, 3}, tied.Clone(), {50, 51, 52, 53}}, 0, FilterValidateDrop, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestMutableUpdateUnordersIDMap(t *testing.T) {
 // ranking size, and both query paths still reject a query of another size
 // or with a repeated item.
 func TestMutableQueryContractAfterEmptyingCompaction(t *testing.T) {
-	m, err := NewMutable([]ranking.Ranking{{1, 2, 3}, {4, 5, 6}}, FilterValidateDrop, 0)
+	m, err := NewMutable([]ranking.Ranking{{1, 2, 3}, {4, 5, 6}}, 0, FilterValidateDrop, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestNewMutableInParallel(t *testing.T) {
 			slots[i] = nil
 		}
 	}
-	m, err := NewMutable(slots, FilterValidateDrop, 0)
+	m, err := NewMutable(slots, 0, FilterValidateDrop, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,64 @@ func TestNewMutableInParallel(t *testing.T) {
 	bad := slices.Clone(slots)
 	bad[2*minChunk+1] = ranking.Ranking{1, 1, 2, 3, 4, 5}
 	bad[minChunk+1] = ranking.Ranking{1, 2, 3}
-	if _, err := NewMutable(bad, FilterValidateDrop, 0); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("slot %d ", minChunk+1)) {
+	if _, err := NewMutable(bad, 0, FilterValidateDrop, 0); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("slot %d:", minChunk+1)) {
 		t.Fatalf("two bad slots: %v, want the error of slot %d", err, minChunk+1)
+	}
+}
+
+// TestMutableDeclaredK: a Mutable built with a declared k holds every
+// ranking it takes in to it while it is empty — a query, an insert, an
+// update of an unknown id (checked before the lookup, so it is
+// ErrSizeMismatch, not ErrUnknownID) — keeps it across a compaction that
+// empties it, and refuses a live slot that contradicts it, naming the slot.
+func TestMutableDeclaredK(t *testing.T) {
+	m, err := NewMutable(nil, 4, FilterValidateDrop, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := ranking.Ranking{1, 2, 3}
+	expectRejected := func(when string) {
+		t.Helper()
+		if m.K() != 4 {
+			t.Fatalf("%s: K() = %d, want 4", when, m.K())
+		}
+		if _, err := m.Search(short, 0.5); !errors.Is(err, ranking.ErrSizeMismatch) {
+			t.Errorf("%s: Search of size 3: %v, want ErrSizeMismatch", when, err)
+		}
+		if _, err := m.NearestNeighbors(short, 1); !errors.Is(err, ranking.ErrSizeMismatch) {
+			t.Errorf("%s: NearestNeighbors of size 3: %v, want ErrSizeMismatch", when, err)
+		}
+		if _, err := m.Insert(short); !errors.Is(err, ranking.ErrSizeMismatch) {
+			t.Errorf("%s: Insert of size 3: %v, want ErrSizeMismatch", when, err)
+		}
+		if err := m.Update(7, short); !errors.Is(err, ranking.ErrSizeMismatch) {
+			t.Errorf("%s: Update of an unknown id with size 3: %v, want ErrSizeMismatch", when, err)
+		}
+		if res, err := m.Search(ranking.Ranking{1, 2, 3, 4}, 0.5); err != nil || len(res) != 0 {
+			t.Errorf("%s: Search of a valid query: %v, %v; want no results", when, res, err)
+		}
+	}
+	expectRejected("built empty")
+	if m.Len() != 0 {
+		t.Fatalf("rejected inserts changed Len to %d", m.Len())
+	}
+	id, err := m.Insert(ranking.Ranking{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	expectRejected("after an emptying compaction")
+
+	_, err = NewMutable([]ranking.Ranking{nil, {1, 2, 3, 4}, {1, 2, 3}}, 4, FilterValidateDrop, 0)
+	if !errors.Is(err, ranking.ErrSizeMismatch) || !strings.Contains(err.Error(), "slot 2:") {
+		t.Errorf("a slot of size 3 under a declared k of 4: %v, want ErrSizeMismatch naming slot 2", err)
+	}
+	if _, err := NewMutable([]ranking.Ranking{{1, 2, 3}}, 4, FilterValidateDrop, 0); !errors.Is(err, ranking.ErrSizeMismatch) || !strings.Contains(err.Error(), "slot 0:") {
+		t.Errorf("a first slot of size 3 under a declared k of 4: %v, want ErrSizeMismatch naming slot 0", err)
 	}
 }

@@ -74,12 +74,11 @@ func New(rankings []ranking.Ranking, ev *metric.Evaluator, opts ...Option) (*Tre
 	if len(rankings) == 0 {
 		return t, nil
 	}
-	t.k = rankings[0].K()
+	t.k = max(rankings[0].K(), 1) // a ranking holds at least one item
 	t.root = &node{leaf: true}
 	for id, r := range rankings {
-		if r.K() != t.k {
-			return nil, fmt.Errorf("mtree: ranking %d has size %d, want %d: %w",
-				id, r.K(), t.k, ranking.ErrSizeMismatch)
+		if err := ranking.Check(r, t.k); err != nil {
+			return nil, fmt.Errorf("mtree: ranking %d: %w", id, err)
 		}
 		t.insert(ranking.ID(id), ev)
 	}

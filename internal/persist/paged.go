@@ -35,6 +35,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"unsafe"
 
 	"topk/internal/ranking"
@@ -165,23 +166,20 @@ func (l Layout) materializePage(p int, slots []ranking.Ranking, buf []byte) {
 	}
 }
 
-// collectionK derives the slot array's ranking size (first live slot; -1 →
-// 0 when all slots are tombstones) and rejects mixed sizes.
+// collectionK derives the slot array's ranking size — the first live slot's,
+// 0 when all slots are tombstones — and checks every live slot against it
+// with ranking.Check, so no snapshot holds a slot no load could accept.
 func collectionK(slots []ranking.Ranking) (int, error) {
-	k := -1
-	for _, r := range slots {
-		if r != nil {
-			k = r.K()
-			break
-		}
-	}
-	if k < 0 {
-		k = 0
+	k := 0
+	if i := slices.IndexFunc(slots, func(r ranking.Ranking) bool { return r != nil }); i >= 0 {
+		k = max(slots[i].K(), 1) // a ranking holds at least one item
 	}
 	for id, r := range slots {
-		if r != nil && r.K() != k {
-			return 0, fmt.Errorf("persist: slot %d has size %d, want %d: %w",
-				id, r.K(), k, ranking.ErrSizeMismatch)
+		if r == nil {
+			continue
+		}
+		if err := ranking.Check(r, k); err != nil {
+			return 0, fmt.Errorf("persist: slot %d: %w", id, err)
 		}
 	}
 	return k, nil
@@ -246,18 +244,27 @@ func writePaged(w io.Writer, slots []ranking.Ranking, pageSize int) (int64, erro
 	return cw.n, nil
 }
 
-// WritePagedFile writes a single-file v3 snapshot at path atomically: into a
-// temp file in path's directory, fsynced, then renamed over path and the
-// directory fsynced. A failed write leaves any snapshot already at path as
-// it was.
+// WritePagedFile writes a single-file v3 snapshot at path atomically (see
+// ReplaceFile): a failed write leaves any snapshot already at path as it was.
 func WritePagedFile(path string, slots []ranking.Ranking) error {
+	return ReplaceFile(path, func(w io.Writer) error {
+		_, err := WritePagedTo(w, slots)
+		return err
+	})
+}
+
+// ReplaceFile durably replaces the file at path with what write writes: into
+// a temp file in path's directory, fsynced and closed, then renamed over path
+// and the directory fsynced. On failure the file already at path is left as
+// it was, and the temp file is removed.
+func ReplaceFile(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(f.Name()) // no-op after the rename
-	if _, err := WritePagedTo(f, slots); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -271,7 +278,7 @@ func WritePagedFile(path string, slots []ranking.Ranking) error {
 	if err := os.Rename(f.Name(), path); err != nil {
 		return err
 	}
-	return fsyncDir(dir)
+	return SyncDir(dir)
 }
 
 // PagedCollection is a loaded, fully verified v3 snapshot: the slot array

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -363,4 +364,49 @@ func ExampleWritePagedTo() {
 	}
 	fmt.Println(len(pc.Slots()), pc.Slots()[1] == nil, pc.Slots()[2])
 	// Output: 3 true [3, 2, 1]
+}
+
+// TestReplaceFileFailureKeepsTheOldFile: a write callback that fails after
+// writing part of its content leaves the file already at the path byte for
+// byte as it was, and no temp file in the directory; one that succeeds
+// replaces it.
+func TestReplaceFileFailureKeepsTheOldFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap.v3")
+	old := []byte("the previous content")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := ReplaceFile(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("half of the new")); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("ReplaceFile = %v, want the callback's error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("after a failed replace the file reads %q, %v; want %q", got, err, old)
+	}
+	tmps := func() []string {
+		m, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if m := tmps(); len(m) != 0 {
+		t.Fatalf("a failed replace left %v", m)
+	}
+	if err := ReplaceFile(path, func(w io.Writer) error { _, err := w.Write([]byte("new")); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new" {
+		t.Fatalf("after a replace the file reads %q, %v; want %q", got, err, "new")
+	}
+	if m := tmps(); len(m) != 0 {
+		t.Fatalf("a replace left %v", m)
+	}
 }

@@ -384,7 +384,7 @@ func (p *Pager) WriteCheckpoint(seq uint64, slots []ranking.Ranking) (Checkpoint
 		p.prev = ft
 		return st, err
 	}
-	if err := fsyncDir(p.dir); err != nil {
+	if err := SyncDir(p.dir); err != nil {
 		p.prev = ft
 		return st, err
 	}
@@ -395,7 +395,9 @@ func (p *Pager) WriteCheckpoint(seq uint64, slots []ranking.Ranking) (Checkpoint
 	return st, nil
 }
 
-func fsyncDir(dir string) error {
+// SyncDir fsyncs the directory dir, making a rename or a file creation in it
+// durable.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -405,7 +405,7 @@ func ExamplePager() {
 		slots[i] = ranking.Ranking{uint32(i), uint32(i + 1), uint32(i + 2)}
 	}
 	st1, _ := p.WriteCheckpoint(1, slots)
-	slots[7] = ranking.Ranking{9, 9, 9}
+	slots[7] = ranking.Ranking{9, 10, 11}
 	st2, _ := p.WriteCheckpoint(2, slots)
 	fmt.Printf("full: %d written, %d reused\n", st1.PagesWritten, st1.PagesReused)
 	fmt.Printf("incr: %d written, %d reused\n", st2.PagesWritten, st2.PagesReused)

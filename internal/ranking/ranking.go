@@ -9,6 +9,8 @@
 // it in Section 3. Under this convention Spearman's Footrule remains a
 // metric over top-k lists, with maximum value k*(k+1) attained by two
 // disjoint rankings.
+// Every structure applies one contract, Check, to each ranking it takes in:
+// a query, a mutation payload, a member of the collection it is built over.
 package ranking
 
 import (
@@ -43,7 +45,8 @@ type ID = uint32
 var ErrDuplicateItem = errors.New("ranking: duplicate item")
 
 // ErrSizeMismatch is reported when two rankings of different sizes are
-// compared, or when a ranking of unexpected size is added to an index.
+// compared, or when a ranking of another size than an index's k, or of more
+// than MaxK items, is added to it.
 var ErrSizeMismatch = errors.New("ranking: size mismatch")
 
 // K returns the size of the ranking.
@@ -92,10 +95,11 @@ func (r Ranking) firstRepeat() error {
 
 const smallK, sortedK = 16, 256 // Validate: pairwise scan up to smallK, stack sort up to sortedK
 
-// CheckQuery is the query contract of every index: a query of the index's
-// ranking size k (any size when k is 0, an index over zero rankings) with no
-// repeated item. It allocates nothing on success at k ≤ 255.
-func CheckQuery(q Ranking, k int) error {
+// Check is the ranking contract: a ranking of the index's k items (any size
+// while k is 0, an index that has not fixed its size) with no repeated item.
+// A violation wraps ErrSizeMismatch or ErrDuplicateItem. It allocates
+// nothing on success at k ≤ 255.
+func Check(q Ranking, k int) error {
 	if k != 0 && len(q) != k {
 		return fmt.Errorf("%w: have %d, index has k=%d", ErrSizeMismatch, len(q), k)
 	}

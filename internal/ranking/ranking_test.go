@@ -343,9 +343,9 @@ func TestValidateAllocs(t *testing.T) {
 	}
 }
 
-// TestCheckQuery: the query contract takes a query of the index's size, or
+// TestCheck: the ranking contract takes a ranking of the index's size, or
 // of any size when k is 0, and rejects a repeated item in either case.
-func TestCheckQuery(t *testing.T) {
+func TestCheck(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		q    Ranking
@@ -362,14 +362,14 @@ func TestCheckQuery(t *testing.T) {
 		{"wrong size with a repeat", Ranking{3, 3}, 3, ErrSizeMismatch},
 		{"repeat", Ranking{3, 1, 3}, 3, ErrDuplicateItem},
 	} {
-		err := CheckQuery(tc.q, tc.k)
+		err := Check(tc.q, tc.k)
 		if (err == nil) != (tc.want == nil) || (tc.want != nil && !errors.Is(err, tc.want)) {
-			t.Errorf("%s: CheckQuery(%v, %d) = %v, want %v", tc.name, tc.q, tc.k, err, tc.want)
+			t.Errorf("%s: Check(%v, %d) = %v, want %v", tc.name, tc.q, tc.k, err, tc.want)
 		}
 	}
 	q := randomRanking(rand.New(rand.NewSource(1)), 10, 40)
-	if n := testing.AllocsPerRun(100, func() { _ = CheckQuery(q, 10) }); n != 0 {
-		t.Errorf("CheckQuery of a valid query: %v allocs, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { _ = Check(q, 10) }); n != 0 {
+		t.Errorf("Check of a valid query: %v allocs, want 0", n)
 	}
 }
 

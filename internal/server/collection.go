@@ -41,9 +41,9 @@ type CollectionOptions struct {
 	// shards; a collection is one index now. The field remains so that
 	// existing create requests and manifests keep decoding.
 	Shards int `json:"shards,omitempty"`
-	// K declares the ranking size of a collection created empty: until the
-	// first insert defines the size structurally, queries and mutations are
-	// validated against it. 0 leaves the size to the first insert.
+	// K declares the ranking size of a collection created empty; the index
+	// (invindex.NewMutable) checks every query and mutation against it. 0
+	// leaves the size to the first insert.
 	K int `json:"k,omitempty"`
 	// Calibrate is accepted on every kind and ignored.
 	//
@@ -207,16 +207,6 @@ func (c *Collection) close() error {
 		return c.wal.Close()
 	}
 	return nil
-}
-
-// effK is the ranking size queries and mutations are validated against:
-// the structural size once the collection holds data, the declared create
-// option while it is still empty, 0 when neither constrains it yet.
-func (c *Collection) effK() int {
-	if k := c.idx.K(); k != 0 {
-		return k
-	}
-	return c.opts.K
 }
 
 // generation is the query-cache validity stamp: the acked mutations. It only

@@ -31,7 +31,7 @@ func newIndex(t *testing.T, rs []ranking.Ranking, kind string, deltaRatio float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := invindex.NewMutable(rs, alg, deltaRatio)
+	idx, err := invindex.NewMutable(rs, 0, alg, deltaRatio)
 	if err != nil {
 		t.Fatal(err)
 	}

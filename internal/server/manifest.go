@@ -28,9 +28,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
+
+	"topk/internal/persist"
 )
 
 const (
@@ -76,35 +79,12 @@ func writeManifest(path string, entries []manifestEntry) error {
 	binary.LittleEndian.PutUint32(hdr[8:12], crc32.Checksum(payload, castagnoli))
 	buf.Write(hdr[:])
 	buf.Write(payload)
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, manifestName+".tmp-*")
-	if err != nil {
+	// ReplaceFile fsyncs the directory too: the rename must be durable
+	// before a create acks.
+	return persist.ReplaceFile(path, func(w io.Writer) error {
+		_, err := buf.WriteTo(w)
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	// The rename must itself be durable before a create acks: fsync the
-	// directory, as the WAL does after creating a segment.
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	})
 }
 
 // readManifest loads the manifest; a missing file is an empty registry (the

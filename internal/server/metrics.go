@@ -194,7 +194,7 @@ func (s *Server) collectCollection(w *telemetry.Writer, c *Collection) {
 	w.Gauge("topkserve_collection_size", "Live (non-tombstoned) rankings in the collection.",
 		labels, float64(c.idx.Len()))
 	w.Gauge("topkserve_collection_k", "Ranking size (top-k list length) of the collection.",
-		labels, float64(c.effK()))
+		labels, float64(c.idx.K()))
 	w.Gauge("topkserve_tombstones",
 		"Tombstoned rankings awaiting compaction.",
 		labels, float64(c.idx.Tombstones()))

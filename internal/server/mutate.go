@@ -1,5 +1,6 @@
-// The write path: /insert, /delete and /update validate their request and
-// hand one wal.Record to Collection.apply.
+// The write path: /insert, /delete and /update check their request's shape
+// and hand one wal.Record to Collection.apply. The index checks the ranking
+// (ranking.Check); a ranking it rejects is a 400.
 package server
 
 import (
@@ -24,32 +25,26 @@ type mutateResponse struct {
 	N  int        `json:"n"`
 }
 
-// writeMutationError maps a mutation failure onto the endpoint contract:
-// unknown or retired ids are 404, and only genuine internal failures surface
-// as 500.
+// writeMutationError maps a mutation failure onto the endpoint contract: a
+// ranking the index rejects is 400, as writeSearchError answers a rejected
+// query; unknown or retired ids are 404; and only genuine internal failures
+// surface as 500.
 func writeMutationError(w http.ResponseWriter, verb string, err error) {
-	if errors.Is(err, invindex.ErrUnknownID) {
+	switch {
+	case errors.Is(err, ranking.ErrSizeMismatch), errors.Is(err, ranking.ErrDuplicateItem):
+		httpError(w, http.StatusBadRequest, "%v", err)
+	case errors.Is(err, invindex.ErrUnknownID):
 		httpError(w, http.StatusNotFound, "%v", err)
-		return
+	default:
+		httpError(w, http.StatusInternalServerError, "%s: %v", verb, err)
 	}
-	httpError(w, http.StatusInternalServerError, "%s: %v", verb, err)
 }
 
-// checkRanking validates a mutation payload ranking against the collection.
-// While the collection is structurally empty and declared no size, the first
-// insert defines k, bounded by ranking.MaxK.
-func checkRanking(w http.ResponseWriter, c *Collection, rk ranking.Ranking) bool {
+// checkRanking rejects a mutation payload without a ranking; the index
+// checks the ranking itself.
+func checkRanking(w http.ResponseWriter, rk ranking.Ranking) bool {
 	if rk == nil {
 		httpError(w, http.StatusBadRequest, "missing \"ranking\"")
-		return false
-	}
-	effK := c.effK()
-	if effK == 0 && rk.K() > ranking.MaxK {
-		httpError(w, http.StatusBadRequest, "ranking sizes are capped at %d, have %d", ranking.MaxK, rk.K())
-		return false
-	}
-	if err := ranking.CheckQuery(rk, effK); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
 	return true
@@ -64,7 +59,7 @@ func (s *Server) handleInsert(c *Collection, w http.ResponseWriter, r *http.Requ
 		httpError(w, http.StatusBadRequest, "\"id\" is not an insert field (use /update to replace)")
 		return
 	}
-	if !checkRanking(w, c, req.Ranking) {
+	if !checkRanking(w, req.Ranking) {
 		return
 	}
 	mutate(c, w, "insert", wal.Record{Op: wal.OpInsert, Ranking: req.Ranking})
@@ -95,7 +90,7 @@ func (s *Server) handleUpdate(c *Collection, w http.ResponseWriter, r *http.Requ
 		httpError(w, http.StatusBadRequest, "missing \"id\"")
 		return
 	}
-	if !checkRanking(w, c, req.Ranking) {
+	if !checkRanking(w, req.Ranking) {
 		return
 	}
 	mutate(c, w, "update", wal.Record{Op: wal.OpUpdate, ID: *req.ID, Ranking: req.Ranking})

@@ -1,14 +1,19 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 
 	"topk/internal/dataset"
 	"topk/internal/difftest"
+	"topk/internal/ranking"
 	"topk/internal/wal"
 )
 
@@ -77,5 +82,58 @@ func TestApplyReplaysWAL(t *testing.T) {
 	wrong := newIndex(t, rs[:200], "inverted", 0)
 	if _, err := recoverWAL(walDir, 0, wrong, io.Discard); err == nil || !strings.Contains(err.Error(), "wal does not continue this snapshot") {
 		t.Fatalf("replay onto a shorter base collection: %v, want the continuity error", err)
+	}
+}
+
+// TestMutationRejectedByTheIndexAnswers400 drives mutate with records the
+// index rejects. The handler checks only that a ranking is present, so
+// every such record reaches the index: one of another size than a
+// collection an insert sized after the request was read, one with a
+// repeated item, and a first insert of 300 items into a collection without
+// a size. Each must answer 400 bad_request and leave the collection, its
+// cache generation and its log as they were.
+func TestMutationRejectedByTheIndexAnswers400(t *testing.T) {
+	s := newRegistryServer(t, t.TempDir())
+	h := s.Handler()
+	for _, name := range []string{"sized", "unsized"} {
+		if rec := doJSON(t, h, http.MethodPut, "/collections/"+name, nil); rec.Code != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", name, rec.Code, rec.Body)
+		}
+	}
+	if rec := post(t, h, "/c/sized/insert", fmt.Sprintf(`{"ranking":%s}`, seqRanking(10, 1))); rec.Code != http.StatusOK {
+		t.Fatalf("insert: %d %s", rec.Code, rec.Body)
+	}
+	seq := func(k, start int) ranking.Ranking {
+		r := make(ranking.Ranking, k)
+		for i := range r {
+			r[i] = ranking.Item(start + i)
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		name, coll, verb string
+		rec              wal.Record
+	}{
+		{"size mismatch", "sized", "insert", wal.Record{Op: wal.OpInsert, Ranking: seq(5, 1)}},
+		{"size mismatch on update", "sized", "update", wal.Record{Op: wal.OpUpdate, ID: 0, Ranking: seq(5, 1)}},
+		{"repeated item", "sized", "insert", wal.Record{Op: wal.OpInsert, Ranking: append(seq(9, 1), 1)}},
+		{"repeated item, unsized", "unsized", "insert", wal.Record{Op: wal.OpInsert, Ranking: ranking.Ranking{4, 4}}},
+		{"300 items, unsized", "unsized", "insert", wal.Record{Op: wal.OpInsert, Ranking: seq(300, 1)}},
+	} {
+		c, ok := s.lookup(tc.coll)
+		if !ok {
+			t.Fatalf("%s: no collection %q", tc.name, tc.coll)
+		}
+		n, k, gen, logged := c.idx.Len(), c.idx.K(), c.generation(), c.wal.Stats().Appended
+		rec := httptest.NewRecorder()
+		mutate(c, rec, tc.verb, tc.rec)
+		var e errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest || e.Code != "bad_request" {
+			t.Errorf("%s: %d %s, want 400 bad_request", tc.name, rec.Code, rec.Body)
+		}
+		if c.idx.Len() != n || c.idx.K() != k || c.generation() != gen || c.wal.Stats().Appended != logged {
+			t.Errorf("%s: the rejected %s changed the collection: n %d→%d, k %d→%d, generation %d→%d, logged %d→%d",
+				tc.name, tc.verb, n, c.idx.Len(), k, c.idx.K(), gen, c.generation(), logged, c.wal.Stats().Appended)
+		}
 	}
 }

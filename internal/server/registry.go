@@ -135,7 +135,7 @@ func (s *Server) info(c *Collection) collectionInfo {
 	ci := collectionInfo{
 		Name:       c.name,
 		Kind:       c.opts.Kind,
-		K:          c.effK(),
+		K:          c.idx.K(),
 		N:          c.idx.Len(),
 		Default:    c.name == s.cfg.DefaultCollection,
 		Created:    c.created,

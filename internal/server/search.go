@@ -1,5 +1,9 @@
 // The read path: /search (single and batch) and /knn, with the admission and
-// deadline they share.
+// deadline they share. Each handler checks its queries with ranking.Check
+// against the index's k before admission, so a bad batch member rejects the
+// whole batch; the index checks each query again, and a query it rejects —
+// an insert into an empty collection may fix another size in between — is a
+// 400 too (writeSearchError).
 package server
 
 import (
@@ -82,9 +86,9 @@ func (s *Server) handleSearch(c *Collection, w http.ResponseWriter, r *http.Requ
 	if req.Query != nil {
 		queries = []ranking.Ranking{req.Query}
 	}
-	effK := c.effK()
+	k := c.idx.K()
 	for i, q := range queries {
-		if err := ranking.CheckQuery(q, effK); err != nil {
+		if err := ranking.Check(q, k); err != nil {
 			httpError(w, http.StatusBadRequest, "query %d: %v", i, err)
 			return
 		}
@@ -95,7 +99,7 @@ func (s *Server) handleSearch(c *Collection, w http.ResponseWriter, r *http.Requ
 	if req.Thetas != nil {
 		traceTheta = req.Thetas[0]
 	}
-	tr.setQueryShape(traceTheta, len(queries), effK)
+	tr.setQueryShape(traceTheta, len(queries), k)
 
 	ctx, release, ok := s.admitRead(c, w, r, tr, int64(len(queries)))
 	if !ok {
@@ -113,7 +117,8 @@ func (s *Server) handleSearch(c *Collection, w http.ResponseWriter, r *http.Requ
 	respondStart := time.Now()
 	defer func() { tr.addStage("respond", time.Since(respondStart)) }()
 	writeReply(w, func(b []byte) []byte {
-		return appendSearch(b, c.effK(), time.Since(start).Microseconds(), req.Query == nil, answers)
+		// K again: an insert may have sized an empty collection since the check.
+		return appendSearch(b, c.idx.K(), time.Since(start).Microseconds(), req.Query == nil, answers)
 	})
 }
 
@@ -124,11 +129,6 @@ func (s *Server) handleSearch(c *Collection, w http.ResponseWriter, r *http.Requ
 // client or a passed deadline stops it at the next member. It is traced like
 // a single miss — one "search" stage plus the distance calls.
 func (s *Server) runSearch(ctx context.Context, c *Collection, req searchRequest, queries []ranking.Ranking, tr *requestTrace) ([][]ranking.Result, error) {
-	if c.idx.K() == 0 {
-		// Structurally empty collection: nothing can match, whatever the
-		// query's size.
-		return make([][]ranking.Result, len(queries)), nil
-	}
 	if req.Query != nil {
 		res, err := s.cachedSearch(ctx, c, tr, req.Query, qcache.Key{Kind: "search", Theta: req.Theta},
 			func() ([]ranking.Result, uint64, error) {
@@ -188,13 +188,13 @@ func (s *Server) handleKNN(c *Collection, w http.ResponseWriter, r *http.Request
 		httpError(w, http.StatusBadRequest, "\"n\" must be positive, have %d", req.N)
 		return
 	}
-	effK := c.effK()
-	if err := ranking.CheckQuery(req.Query, effK); err != nil {
+	k := c.idx.K()
+	if err := ranking.Check(req.Query, k); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	tr.addStage("parse", time.Since(parseStart))
-	tr.setQueryShape(0, 1, effK)
+	tr.setQueryShape(0, 1, k)
 	ctx, release, ok := s.admitRead(c, w, r, tr, 1)
 	if !ok {
 		return
@@ -214,25 +214,22 @@ func (s *Server) handleKNN(c *Collection, w http.ResponseWriter, r *http.Request
 	respondStart := time.Now()
 	defer func() { tr.addStage("respond", time.Since(respondStart)) }()
 	writeReply(w, func(b []byte) []byte {
-		return appendKNN(b, c.effK(), time.Since(start).Microseconds(), res)
+		return appendKNN(b, c.idx.K(), time.Since(start).Microseconds(), res)
 	})
 }
 
 // cachedSearch is the sequence a single /search and a /knn share: probe the
 // result cache under key (completed here with the collection's scope and the
 // query), stage "cache"; on a miss — unless ctx is already done — run search,
-// stage "search" plus its distance calls, and cache its answer. A
-// structurally empty collection (K() == 0; runSearch has answered /search by
-// then, so this is /knn's) answers the empty set at the cache stage: nothing
-// can match, whatever the query's size.
+// stage "search" plus its distance calls, and cache its answer.
 func (s *Server) cachedSearch(ctx context.Context, c *Collection, tr *requestTrace, q ranking.Ranking, key qcache.Key, search func() ([]ranking.Result, uint64, error)) ([]ranking.Result, error) {
 	cacheStart := time.Now()
 	var (
 		gen    uint64
 		res    []ranking.Result
-		cached = c.idx.K() == 0
+		cached bool
 	)
-	if !cached && s.cache != nil {
+	if s.cache != nil {
 		// The generation is read BEFORE the search: a mutation landing
 		// mid-search makes the entry conservatively stale, never wrongly
 		// fresh (see qcache's package comment).

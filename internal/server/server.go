@@ -357,7 +357,7 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 	if err != nil {
 		return nil, err
 	}
-	idx, err := invindex.NewMutable(slots, alg, opts.DeltaRatio)
+	idx, err := invindex.NewMutable(slots, opts.K, alg, opts.DeltaRatio)
 	if err != nil {
 		return nil, err
 	}

@@ -62,7 +62,7 @@ func (s *Server) handleStats(c *Collection, w http.ResponseWriter, r *http.Reque
 	writeJSON(w, http.StatusOK, statsResponse{
 		Index:         c.opts.Kind,
 		N:             c.idx.Len(),
-		K:             c.effK(),
+		K:             c.idx.K(),
 		Queries:       c.queries.Load(),
 		KNNQueries:    c.knn.Load(),
 		Batches:       c.batches.Load(),

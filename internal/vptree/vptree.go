@@ -59,12 +59,11 @@ func New(rankings []ranking.Ranking, ev *metric.Evaluator, opts ...Option) (*Tre
 	if len(rankings) == 0 {
 		return t, nil
 	}
-	t.k = rankings[0].K()
+	t.k = max(rankings[0].K(), 1) // a ranking holds at least one item
 	ids := make([]ranking.ID, len(rankings))
 	for i, r := range rankings {
-		if r.K() != t.k {
-			return nil, fmt.Errorf("vptree: ranking %d has size %d, want %d: %w",
-				i, r.K(), t.k, ranking.ErrSizeMismatch)
+		if err := ranking.Check(r, t.k); err != nil {
+			return nil, fmt.Errorf("vptree: ranking %d: %w", i, err)
 		}
 		ids[i] = ranking.ID(i)
 	}

@@ -67,6 +67,7 @@ import (
 	"sync"
 	"time"
 
+	"topk/internal/persist"
 	"topk/internal/ranking"
 	"topk/internal/telemetry"
 )
@@ -313,21 +314,12 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 		f.Close()
 		return err
 	}
-	if err := syncDir(l.dir); err != nil {
+	if err := persist.SyncDir(l.dir); err != nil {
 		f.Close()
 		return err
 	}
 	l.f, l.bw, l.seq, l.pending = f, bw, seq, 0
 	return nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // encode appends rec's frame (length, CRC, payload) to dst.

@@ -97,13 +97,9 @@ func validateCollection(rankings []Ranking) (int, error) {
 	if len(rankings) == 0 {
 		return 0, fmt.Errorf("topk: empty collection")
 	}
-	k := rankings[0].K()
+	k := max(rankings[0].K(), 1) // a ranking holds at least one item
 	for i, r := range rankings {
-		if r.K() != k {
-			return 0, fmt.Errorf("topk: ranking %d has size %d, want %d: %w",
-				i, r.K(), k, ranking.ErrSizeMismatch)
-		}
-		if err := r.Validate(); err != nil {
+		if err := ranking.Check(r, k); err != nil {
 			return 0, fmt.Errorf("topk: ranking %d: %w", i, err)
 		}
 	}
@@ -295,7 +291,7 @@ func NewInvertedIndexFromSlots(slots []Ranking, opts ...InvOption) (*InvertedInd
 	for _, o := range opts {
 		o(&c)
 	}
-	m, err := invindex.NewMutable(slots, c.alg, c.ratio)
+	m, err := invindex.NewMutable(slots, 0, c.alg, c.ratio)
 	if err != nil {
 		return nil, err
 	}
