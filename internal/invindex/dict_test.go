@@ -220,78 +220,126 @@ func TestInsertPastArenaLimit(t *testing.T) {
 	}
 }
 
-// TestParallelBuildMatchesSerial holds the parallel counting sort to the
-// serial one: at p = 1 and p = 4 the arenas, every span and the list count
-// are identical, over a collection with items past kernel.MaxDenseItems, one
-// smaller than the worker count (some chunks empty) and an empty one. Each
-// list holds exactly its postings, id-sorted, and the lists lie tight in
-// item order: the dense items ascending, then the sparse ones.
-func TestParallelBuildMatchesSerial(t *testing.T) {
-	// A domain of 500 item values keeps four count tables under the postings,
-	// so p = 4 runs four chunks.
-	rs := difftest.RandomCollection(rand.New(rand.NewSource(5)), 3000, 10, 500)
-	for i, r := range rs[:2000] {
-		r = r.Clone()
-		for j, it := range r {
-			if it%5 == 0 {
-				r[j] = kernel.MaxDenseItems + it
+// referenceBuild lays coll's postings out the plain way, one item at a
+// time: the dense items ascending, then the sparse ones, each list id-sorted
+// with the item's rank beside every id. It returns the arenas and each
+// item's span, and the rank column every list covering a fifth of the
+// collection must have.
+func referenceBuild(coll []ranking.Ranking) ([]ranking.ID, []uint8, map[ranking.Item]span, map[ranking.Item][]uint8) {
+	byItem := make(map[ranking.Item][]ranking.ID)
+	var items []ranking.Item
+	for id, r := range coll {
+		for _, it := range r {
+			if byItem[it] == nil {
+				items = append(items, it)
 			}
+			byItem[it] = append(byItem[it], ranking.ID(id))
 		}
-		rs[i] = r
 	}
-	for name, coll := range map[string][]ranking.Ranking{"wide": rs, "small": rs[2997:], "empty": nil} {
-		serial, err := buildP(kernel.NewStore(coll), 1)
-		if err != nil {
-			t.Fatal(err)
+	slices.Sort(items) // every dense item is below every sparse one
+	var ids []ranking.ID
+	var ranks []uint8
+	spans, cols := make(map[ranking.Item]span), make(map[ranking.Item][]uint8)
+	for _, it := range items {
+		n := uint32(len(byItem[it]))
+		spans[it] = span{off: uint32(len(ids)), n: n, cap: n}
+		var col []uint8
+		if 5*len(byItem[it]) >= len(coll) {
+			col = make([]uint8, len(coll))
+			cols[it] = col
 		}
-		par, err := buildP(kernel.NewStore(coll), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(par.ids, serial.ids) || !slices.Equal(par.ranks, serial.ranks) ||
-			!slices.Equal(par.dense, serial.dense) || par.numLists != serial.numLists || len(par.sparse) != len(serial.sparse) {
-			t.Fatalf("%s: p=4 built another layout than p=1", name)
-		}
-		for it, s := range serial.sparse {
-			if ps := par.sparse[it]; ps == nil || *ps != *s {
-				t.Fatalf("%s: sparse item %d at %v with p=4, %v with p=1", name, it, ps, *s)
+		for _, id := range byItem[it] {
+			rank, _ := coll[id].Rank(it)
+			ids, ranks = append(ids, id), append(ranks, uint8(rank))
+			if col != nil {
+				col[id] = uint8(rank) + 1
 			}
 		}
+	}
+	return ids, ranks, spans, cols
+}
 
-		type posting struct {
-			id   ranking.ID
-			rank uint8
-		}
-		want := make(map[ranking.Item][]posting)
-		var items []ranking.Item
-		for id, r := range coll {
-			for rank, it := range r {
-				if want[it] == nil {
-					items = append(items, it)
-				}
-				want[it] = append(want[it], posting{ranking.ID(id), uint8(rank)})
-			}
-		}
-		slices.Sort(items)
-		if par.NumLists() != len(items) {
-			t.Fatalf("%s: %d lists, want %d", name, par.NumLists(), len(items))
-		}
-		off := uint32(0)
-		for _, it := range items {
-			s := par.lookup(it)
-			if s.off != off || int(s.n) != len(want[it]) || s.cap != s.n {
-				t.Fatalf("%s: item %d at %+v, want %d tight postings at %d", name, it, s, len(want[it]), off)
-			}
-			off += s.n
-			ids, ranks := par.Postings(it)
-			for i, p := range want[it] {
-				if ids[i] != p.id || ranks[i] != p.rank {
-					t.Fatalf("%s: item %d posting %d is (%d, %d), want (%d, %d)", name, it, i, ids[i], ranks[i], p.id, p.rank)
+// TestParallelBuildMatchesSerial holds the build, at p = 1 to 4 chunks, to
+// referenceBuild byte for byte — arenas, every span, the list count and
+// every rank column — in one digit and in two (a domain past
+// oneDigitItems). The inputs put items exactly on bucket edges, most
+// postings in one bucket, dense items beside items past
+// kernel.MaxDenseItems, no ranking or one, and k = 1 and k = 255.
+func TestParallelBuildMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	collection := func(n, k int, item func() ranking.Item) []ranking.Ranking {
+		rs := make([]ranking.Ranking, n)
+		for i := range rs {
+			for len(rs[i]) < k {
+				if it := item(); !rs[i].Contains(it) {
+					rs[i] = append(rs[i], it)
 				}
 			}
 		}
-		if int(off) != len(par.ids) {
-			t.Fatalf("%s: %d arena slots for %d postings", name, len(par.ids), off)
+		return rs
+	}
+	const two = oneDigitItems + 3<<bucketBits // a domain sorted in two digits
+	// edge draws b·1024 − 1, b·1024 or b·1024 + 1.
+	edge := func() ranking.Item {
+		return ranking.Item((rng.Intn(two>>bucketBits)+1)<<bucketBits + rng.Intn(3) - 1)
+	}
+	head := func() ranking.Item { // nine postings in ten in bucket 0
+		if rng.Intn(10) > 0 {
+			return ranking.Item(rng.Intn(1 << bucketBits))
+		}
+		return ranking.Item(rng.Intn(two))
+	}
+	mixed := func(domain int) func() ranking.Item {
+		return func() ranking.Item {
+			if it := ranking.Item(rng.Intn(domain)); it%5 != 0 {
+				return it
+			}
+			return kernel.MaxDenseItems + ranking.Item(rng.Intn(domain))
+		}
+	}
+	colls := map[string][]ranking.Ranking{
+		"one digit, sparse mixed":  collection(3000, 10, mixed(500)),
+		"two digits, sparse mixed": collection(3000, 10, mixed(two)),
+		"bucket edges":             append(collection(3000, 6, edge), ranking.Ranking{0, 1<<bucketBits - 1, 1 << bucketBits, two - 1, two, two + 1}),
+		"one bucket holds most":    collection(3000, 10, head),
+		"empty":                    nil,
+		"one ranking":              {{two, 7, 1<<bucketBits - 1, kernel.MaxDenseItems + 1}},
+		"k=1":                      collection(3000, 1, func() ranking.Item { return ranking.Item(rng.Intn(two)) }),
+		"k=255":                    collection(40, 255, func() ranking.Item { return ranking.Item(rng.Intn(two)) }),
+	}
+	for name, coll := range colls {
+		ids, ranks, spans, cols := referenceBuild(coll)
+		top := 0 // the dense table reaches the largest dense item
+		for it := range spans {
+			if it < kernel.MaxDenseItems {
+				top = max(top, int(it)+1)
+			}
+		}
+		for p := 1; p <= 4; p++ {
+			idx, err := buildP(kernel.NewStore(coll), p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(idx.ids, ids) || !slices.Equal(idx.ranks, ranks) {
+				t.Fatalf("%s, p=%d: the arenas differ from the reference", name, p)
+			}
+			if idx.NumLists() != len(spans) || len(idx.dense) != top || len(idx.dense)+len(idx.sparse) < len(spans) {
+				t.Fatalf("%s, p=%d: %d lists in %d dense and %d sparse spans, want %d below %d",
+					name, p, idx.NumLists(), len(idx.dense), len(idx.sparse), len(spans), top)
+			}
+			for it, want := range spans {
+				if got := idx.lookup(it); got != want {
+					t.Fatalf("%s, p=%d: item %d at %+v, want %+v", name, p, it, got, want)
+				}
+			}
+			if len(idx.cols) != len(cols) {
+				t.Fatalf("%s, p=%d: %d rank columns, want %d", name, p, len(idx.cols), len(cols))
+			}
+			for it, want := range cols {
+				if !slices.Equal(idx.cols[it], want) {
+					t.Fatalf("%s, p=%d: item %d's rank column differs", name, p, it)
+				}
+			}
 		}
 	}
 }
@@ -318,7 +366,7 @@ func TestBuildWorkers(t *testing.T) {
 	for range 3 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := buildP(st, 32); err != nil {
+		if _, err := buildP(st, 32, nil); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

@@ -112,27 +112,30 @@ type Index struct {
 // a flat k-strided arena (see kernel.Store); ids are their positions in the
 // slice.
 func New(rankings []ranking.Ranking) (*Index, error) {
-	for id, r := range rankings {
-		if err := ranking.Check(r, max(rankings[0].K(), 1)); err != nil {
-			return nil, fmt.Errorf("invindex: ranking %d: %w", id, err)
+	// The store takes one size; the build checks the rest of the contract.
+	size := func(r ranking.Ranking) bool { return len(r) != max(rankings[0].K(), 1) }
+	if i := slices.IndexFunc(rankings, size); i >= 0 {
+		for id, r := range rankings[:i+1] {
+			if err := ranking.Check(r, max(rankings[0].K(), 1)); err != nil {
+				return nil, rankingError(id, err)
+			}
 		}
 	}
-	return build(kernel.NewStore(rankings))
+	return build(kernel.NewStore(rankings), rankingError)
 }
 
 // NewFromStore indexes st, which the index then owns: Insert appends to it.
-func NewFromStore(st *kernel.Store) (*Index, error) {
-	for id := range st.Len() {
-		if err := st.Slot(ranking.ID(id)).Validate(); err != nil {
-			return nil, fmt.Errorf("invindex: ranking %d: %w", id, err)
-		}
-	}
-	return build(st)
-}
+func NewFromStore(st *kernel.Store) (*Index, error) { return build(st, rankingError) }
 
-// build indexes st, whose rankings the caller has validated, with up to
-// workers(st.Len()) workers.
-func build(st *kernel.Store) (*Index, error) { return buildP(st, workers(st.Len())) }
+func rankingError(id int, err error) error { return fmt.Errorf("invindex: ranking %d: %w", id, err) }
+
+// build indexes st with up to workers(st.Len()) workers. Its first pass
+// checks every row with ranking.Check, and a row that fails fails the build
+// with rowErr(id, err); a nil rowErr skips the check (the rows of a
+// compaction passed it on their way in).
+func build(st *kernel.Store, rowErr func(id int, err error) error) (*Index, error) {
+	return buildP(st, workers(st.Len()), rowErr)
+}
 
 // minChunk is the fewest rankings a worker of a whole-collection pass takes:
 // below two chunks' worth the pass runs on the caller's goroutine alone.
@@ -158,28 +161,40 @@ func inChunks(n, p int, f func(c, lo, hi int)) {
 	wg.Wait()
 }
 
-// buildChunk is one build worker's per-item tables for its chunk of ids:
-// first the postings of the item the chunk holds, then the arena slot its
-// next posting of the item goes to.
+// The build sorts postings by item in one digit while a per-item count
+// table (4 B an item value) stays within 128 KiB; past that its counts and
+// scatter miss cache, so it partitions on the items' high bits and sorts
+// each bucket of 1 << bucketBits values on its low bits in a table that fits
+// L1 (Manegold, Boncz and Kersten, VLDB 1999; Polychroniou and Ross, SIGMOD
+// 2014). On a 2-core Xeon two digits build 17 000 item values 35 % slower
+// than one, 81 000 25 % faster.
+const (
+	oneDigitItems = 1 << 15
+	bucketBits    = 10
+)
+
+// buildChunk is one build worker's per-bucket tables for its chunk of ids (a
+// bucket is one item in one digit): first the postings of the bucket the
+// chunk holds, then the arena slot its next posting of the bucket goes to.
 type buildChunk struct {
 	dense  []uint32
 	sparse map[ranking.Item]uint32
 }
 
 // buildP indexes st by a parallel counting sort over up to p contiguous id
-// chunks: each chunk counts its postings per item, one serial prefix pass
-// lays every list out and gives each chunk its start inside it, after the
-// postings of every lower chunk, and each chunk then scatters its own
-// postings. A chunk visits its ids in ascending order, so every list comes
-// out id-sorted, and the layout does not depend on the chunk count: the
-// dense items ascending, then the sparse ones ascending. The prefix pass
-// also gives a rank column (Index.cols) to each list it finds long enough,
-// filled once the lists are. Below
-// kernel.MaxDenseItems nothing is hashed. A chunk's dense table has a slot
-// per item value below the largest one, so there are fewer chunks when p
-// tables would outnumber the postings: a wide item domain must not make the
-// transient tables outweigh the index.
-func buildP(st *kernel.Store, p int) (*Index, error) {
+// chunks. Pass 1 checks every row and finds the largest dense item. Pass 2
+// counts each chunk's postings per bucket; a serial prefix pass places every
+// bucket, and each chunk's part of it after every lower chunk's; each chunk
+// scatters its postings (in two digits with their low item bits) into its
+// parts, visiting its ids in ascending order. So each bucket comes out
+// id-sorted: in one digit it is a list, in two sortBuckets sorts it stably
+// into its lists. The layout depends on neither the chunk count nor the
+// digits: the dense items ascending, then the sparse ones. A list long
+// enough gets a rank column (Index.cols), filled once the lists are. Below
+// kernel.MaxDenseItems nothing is hashed. There are fewer chunks when p
+// dense tables (a slot per bucket) would outnumber the postings: a wide item
+// domain must not make the transient tables outweigh the index.
+func buildP(st *kernel.Store, p int, rowErr func(id int, err error) error) (*Index, error) {
 	n, k := st.Len(), st.K()
 	if k > ranking.MaxK {
 		return nil, fmt.Errorf("invindex: k=%d exceeds the uint8 rank range: %w", k, ranking.ErrSizeMismatch)
@@ -188,29 +203,36 @@ func buildP(st *kernel.Store, p int) (*Index, error) {
 		return nil, fmt.Errorf("invindex: %d rankings of size %d exceed %d postings", n, k, arenaLimit)
 	}
 	flat := st.Flat()
-	tops := make([]int, p) // one past each chunk's largest dense item
+	tops, errs := make([]int, p), make([]error, p) // one past each chunk's largest dense item
 	inChunks(n, p, func(c, lo, hi int) {
 		top := 0
-		for _, it := range flat[lo*k : hi*k] {
-			if it < kernel.MaxDenseItems && int(it) >= top {
-				top = int(it) + 1
+		for id := lo; id < hi; id++ {
+			row := ranking.Ranking(flat[id*k : (id+1)*k])
+			if err := ranking.Check(row, k); rowErr != nil && err != nil {
+				errs[c] = rowErr(id, err)
+				return
+			}
+			for _, it := range row {
+				if it < kernel.MaxDenseItems && int(it) >= top {
+					top = int(it) + 1
+				}
 			}
 		}
 		tops[c] = top
 	})
-	nd := slices.Max(tops)
-	p = max(1, min(p, len(flat)/max(nd, 1)))
+	if i := slices.IndexFunc(errs, func(err error) bool { return err != nil }); i >= 0 {
+		return nil, errs[i]
+	}
+	nd, shift := slices.Max(tops), uint32(0)
+	if nd > oneDigitItems {
+		shift = bucketBits
+	}
+	nb := (nd + 1<<shift - 1) >> shift
+	p = max(1, min(p, len(flat)/max(nb, 1)))
 	chunks := make([]buildChunk, p)
 	inChunks(n, p, func(c, lo, hi int) {
-		ch := &chunks[c]
-		ch.dense, ch.sparse = make([]uint32, nd), make(map[ranking.Item]uint32)
-		for _, it := range flat[lo*k : hi*k] {
-			if it < kernel.MaxDenseItems {
-				ch.dense[it]++
-			} else {
-				ch.sparse[it]++
-			}
-		}
+		chunks[c] = buildChunk{make([]uint32, nb), make(map[ranking.Item]uint32)}
+		chunks[c].count(flat[lo*k:hi*k], shift)
 	})
 
 	idx := &Index{store: st, dense: make([]span, nd), sparse: make(map[ranking.Item]*span),
@@ -225,21 +247,20 @@ func buildP(st *kernel.Store, p int) (*Index, error) {
 		}
 	}
 	slices.Sort(far)
-	off := uint32(0)
-	for it := range idx.dense {
-		start := off
+	bounds := make([]uint32, nb+1) // bucket b's region is [bounds[b], bounds[b+1])
+	for b := range nb {
+		off := bounds[b]
 		for c := range chunks {
 			d := chunks[c].dense
-			d[it], off = off, off+d[it]
+			d[b], off = off, off+d[b]
 		}
-		if off > start {
-			idx.dense[it] = span{off: start, n: off - start, cap: off - start}
-			idx.numLists++
-			if 5*uint64(off-start) >= uint64(n) {
-				idx.cols[ranking.Item(it)] = make([]uint8, n)
-			}
+		bounds[b+1] = off
+		if cnt := off - bounds[b]; shift == 0 && cnt > 0 {
+			idx.dense[b] = span{off: bounds[b], n: cnt, cap: cnt}
+			idx.addList(ranking.Item(b), cnt)
 		}
 	}
+	off := bounds[nb]
 	for _, it := range far {
 		start := off
 		for c := range chunks {
@@ -248,29 +269,20 @@ func buildP(st *kernel.Store, p int) (*Index, error) {
 			}
 		}
 		*idx.sparse[it] = span{off: start, n: off - start, cap: off - start}
-		idx.numLists++
-		if 5*uint64(off-start) >= uint64(n) {
-			idx.cols[it] = make([]uint8, n)
-		}
+		idx.addList(it, off-start)
 	}
 
 	idx.ids, idx.ranks = make([]ranking.ID, off), make([]uint8, off)
+	var low []uint16 // in two digits, each dense posting's low item bits
+	if shift > 0 {
+		low = make([]uint16, bounds[nb])
+	}
 	inChunks(n, p, func(c, lo, hi int) {
-		ch := &chunks[c]
-		for id := lo; id < hi; id++ {
-			for rank, it := range flat[id*k : (id+1)*k] {
-				var at uint32
-				if it < kernel.MaxDenseItems {
-					at = ch.dense[it]
-					ch.dense[it]++
-				} else {
-					at = ch.sparse[it]
-					ch.sparse[it]++
-				}
-				idx.ids[at], idx.ranks[at] = ranking.ID(id), uint8(rank)
-			}
-		}
+		chunks[c].scatter(flat, k, lo, hi, shift, idx.ids, idx.ranks, low)
 	})
+	if low != nil {
+		idx.sortBuckets(bounds, low, p)
+	}
 	for it, col := range idx.cols {
 		ids, ranks := idx.Postings(it)
 		for j, id := range ids {
@@ -278,6 +290,106 @@ func buildP(st *kernel.Store, p int) (*Index, error) {
 		}
 	}
 	return idx, nil
+}
+
+// count adds each of items to its bucket's count. The posting loops live
+// outside buildP so the compiler keeps their state in registers.
+func (ch *buildChunk) count(items []ranking.Item, shift uint32) {
+	dense := ch.dense
+	for _, it := range items {
+		if it < kernel.MaxDenseItems {
+			dense[it>>(shift&31)]++
+		} else {
+			ch.sparse[it]++
+		}
+	}
+}
+
+// scatter writes the postings of rankings [lo, hi) of flat at the chunk's
+// cursors, and their low item bits into low unless it is nil (one digit).
+func (ch *buildChunk) scatter(flat []ranking.Item, k, lo, hi int, shift uint32, ids []ranking.ID, ranks []uint8, low []uint16) {
+	dense := ch.dense
+	for id := lo; id < hi; id++ {
+		for rank, it := range flat[id*k : (id+1)*k] {
+			var at uint32
+			if it < kernel.MaxDenseItems {
+				b := it >> (shift & 31)
+				at = dense[b]
+				dense[b] = at + 1
+				if low != nil {
+					low[at] = uint16(it & (1<<bucketBits - 1))
+				}
+			} else {
+				at = ch.sparse[it]
+				ch.sparse[it] = at + 1
+			}
+			ids[at], ranks[at] = ranking.ID(id), uint8(rank)
+		}
+	}
+}
+
+// addList counts a list of cnt postings the build laid out, and gives it a
+// rank column if it wants one.
+func (idx *Index) addList(it ranking.Item, cnt uint32) {
+	idx.numLists++
+	if idx.wantsColumn(cnt) {
+		idx.cols[it] = make([]uint8, idx.Len())
+	}
+}
+
+// wantsColumn reports whether a list of cnt postings gets a rank column: it
+// covers a fifth of the collection.
+func (idx *Index) wantsColumn(cnt uint32) bool { return 5*uint64(cnt) >= uint64(idx.Len()) }
+
+// sortBuckets finishes a two-digit build: bucket b's postings lie id-sorted
+// in [bounds[b], bounds[b+1]) of the arenas, low holding their low item
+// bits, and a stable counting sort on those lays out its lists. p workers
+// take bucket ranges of about equal postings (the Zipf head's bucket is one
+// worker's alone).
+func (idx *Index) sortBuckets(bounds []uint32, low []uint16, p int) {
+	nb := len(bounds) - 1
+	first := make([]int, p+1) // worker w sorts buckets [first[w], first[w+1])
+	for w := 1; w < p; w++ {
+		first[w], _ = slices.BinarySearch(bounds[:nb], uint32(uint64(bounds[nb])*uint64(w)/uint64(p)))
+	}
+	first[p] = nb
+	lists, long := make([]int, p), make([][]ranking.Item, p)
+	inChunks(p, p, func(w, _, _ int) {
+		var cnt [1 << bucketBits]uint32
+		var ids []ranking.ID
+		var ranks []uint8
+		for b := first[w]; b < first[w+1]; b++ {
+			lo, hi := bounds[b], bounds[b+1]
+			clear(cnt[:])
+			for _, l := range low[lo:hi] {
+				cnt[l]++
+			}
+			for j := range cnt {
+				at := cnt[j]
+				cnt[j] = lo
+				if at > 0 {
+					it := b<<bucketBits + j
+					idx.dense[it] = span{off: lo, n: at, cap: at}
+					if lists[w]++; idx.wantsColumn(at) {
+						long[w] = append(long[w], ranking.Item(it))
+					}
+					lo += at
+				}
+			}
+			ids, ranks = append(ids[:0], idx.ids[bounds[b]:hi]...), append(ranks[:0], idx.ranks[bounds[b]:hi]...)
+			for i, l := range low[bounds[b]:hi] {
+				at := cnt[l]
+				cnt[l]++
+				idx.ids[at], idx.ranks[at] = ids[i], ranks[i]
+			}
+		}
+	})
+	for w := range p {
+		idx.numLists += lists[w]
+		for _, it := range long[w] {
+			idx.cols[it] = make([]uint8, idx.Len())
+		}
+	}
 }
 
 // slot returns item it's span for writing, adding an empty one if the item

@@ -87,19 +87,36 @@ type idmap struct {
 	inOrder  bool
 }
 
-// newSlotsIDMap covers an index restored from an external-id slot array
-// (nil = tombstoned slot) of validated rankings of one size, and copies the
-// live rankings, in external order, into the store the index is built over.
-// Workers take contiguous slot ranges: one pass counts each range's live
-// slots, which places the range in the internal id space, and a second fills
-// the map and the store.
-func newSlotsIDMap(slots []ranking.Ranking) (idmap, *kernel.Store) {
-	p := workers(len(slots))
-	before := make([]int, p+1) // live slots ahead of range c, then in all
-	inChunks(len(slots), p, func(c, lo, hi int) {
+// newIDMap covers an index whose row in is the ranking under external id
+// ext[in], in an id space of n external ids: ext ascends below n, and every
+// id it skips is retired. The map adopts ext as int2ext.
+func newIDMap(ext []ranking.ID, n int) (idmap, error) {
+	m := idmap{ext2int: make([]int32, n), int2ext: ext, identity: len(ext) == n, inOrder: true}
+	for i := range m.ext2int {
+		m.ext2int[i] = -1
+	}
+	for in, e := range ext {
+		if int(e) >= n || in > 0 && e <= ext[in-1] {
+			return idmap{}, fmt.Errorf("topk: row %d has external id %d: ids must ascend below %d", in, e, n)
+		}
+		m.ext2int[e] = int32(in)
+	}
+	return m, nil
+}
+
+// gather copies the live rankings of an id space of n external ids — row(ext)
+// is the ranking under ext, nil for a retired id — in external order into a
+// fresh store of size k, and returns it with its external-id column. Workers
+// take contiguous id ranges: one pass counts each range's live ids, which
+// places the range in the store, and a second copies. ok is false if a live
+// ranking is not k long; the store is then incomplete.
+func gather(n, k int, row func(ext int) ranking.Ranking) (st *kernel.Store, ids []ranking.ID, ok bool) {
+	p := workers(n)
+	before, short := make([]int, p+1), make([]bool, p) // live ids ahead of range c, then in all
+	inChunks(n, p, func(c, lo, hi int) {
 		live := 0
-		for _, r := range slots[lo:hi] {
-			if r != nil {
+		for ext := lo; ext < hi; ext++ {
+			if row(ext) != nil {
 				live++
 			}
 		}
@@ -108,31 +125,24 @@ func newSlotsIDMap(slots []ranking.Ranking) (idmap, *kernel.Store) {
 	for c := range p {
 		before[c+1] += before[c]
 	}
-	live, k := before[p], 0
-	if i := slices.IndexFunc(slots, func(r ranking.Ranking) bool { return r != nil }); i >= 0 {
-		k = slots[i].K()
-	}
-	m := idmap{
-		ext2int:  make([]int32, len(slots)),
-		int2ext:  make([]ranking.ID, live),
-		identity: live == len(slots),
-		inOrder:  true,
-	}
-	flat := make([]ranking.Item, live*k)
-	inChunks(len(slots), p, func(c, lo, hi int) {
+	flat, ids := make([]ranking.Item, before[p]*k), make([]ranking.ID, before[p])
+	inChunks(n, p, func(c, lo, hi int) {
 		in := before[c]
 		for ext := lo; ext < hi; ext++ {
-			r := slots[ext]
+			r := row(ext)
 			if r == nil {
-				m.ext2int[ext] = -1
 				continue
 			}
-			m.ext2int[ext], m.int2ext[in] = int32(in), ranking.ID(ext)
-			copy(flat[in*k:(in+1)*k], r)
+			if len(r) != k {
+				short[c] = true
+				return
+			}
+			copy(flat[in*k:], r)
+			ids[in] = ranking.ID(ext)
 			in++
 		}
 	})
-	return m, kernel.NewStoreFlat(k, flat)
+	return kernel.NewStoreFlat(k, flat), ids, !slices.Contains(short, true)
 }
 
 // lookup resolves an external id to its internal id.
@@ -230,47 +240,68 @@ type Mutable struct {
 // tombstones — and the declared k, or else the first successful Insert,
 // sizes such an index. compactRatio is the tombstone fraction of the
 // internal id space above which Delete and Update compact (≤ 0 disables it).
+// It copies the live slots into a store and calls NewMutableFromStore.
 func NewMutable(slots []ranking.Ranking, k int, alg Algorithm, compactRatio float64) (*Mutable, error) {
-	if alg < FilterValidate || alg > ListMerge {
-		return nil, fmt.Errorf("topk: unknown algorithm %d", alg)
-	}
 	if i := slices.IndexFunc(slots, func(r ranking.Ranking) bool { return r != nil }); i >= 0 && k == 0 {
 		k = max(slots[i].K(), 1) // a live ranking holds at least one item
 	}
-	// Each worker checks a contiguous range of slots and stops at its first
-	// bad one; the lowest range's is the collection's first.
-	p := workers(len(slots))
-	errs := make([]error, p)
-	inChunks(len(slots), p, func(c, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if r := slots[i]; r != nil {
+	st, ext, ok := gather(len(slots), k, func(ext int) ranking.Ranking { return slots[ext] })
+	if !ok { // a slot of another size: name the first that fails the contract
+		for i, r := range slots {
+			if r != nil {
 				if err := ranking.Check(r, k); err != nil {
-					errs[c] = fmt.Errorf("topk: slot %d: %w", i, err)
-					return
+					return nil, slotError(ranking.ID(i), err)
 				}
 			}
 		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	}
+	return NewMutableFromStore(st, ext, len(slots), k, alg, compactRatio)
+}
+
+// NewMutableFromStore builds a Mutable over st, which it takes over: row in
+// is the ranking under external ID ext[in], ext ascends below slots, and
+// every ID below slots that ext skips is retired. It is NewMutable without
+// the slot array (internal/persist loads a snapshot into exactly this), and
+// every row passes ranking.Check against k, or st's size without one, in the
+// build's first pass; an error names the row's external ID.
+func NewMutableFromStore(st *kernel.Store, ext []ranking.ID, slots, k int, alg Algorithm, compactRatio float64) (*Mutable, error) {
+	if alg < FilterValidate || alg > ListMerge {
+		return nil, fmt.Errorf("topk: unknown algorithm %d", alg)
+	}
+	if len(ext) != st.Len() {
+		return nil, fmt.Errorf("topk: %d external ids for %d rows", len(ext), st.Len())
+	}
+	if st.Len() > 0 {
+		if k == 0 {
+			k = max(st.K(), 1) // a live ranking holds at least one item
+		}
+		if st.K() != k {
+			return nil, slotError(ext[0], ranking.Check(st.Slot(0), k))
 		}
 	}
 	m := &Mutable{k: k, alg: alg, compactRatio: compactRatio}
-	if err := m.install(newSlotsIDMap(slots)); err != nil {
+	if err := m.install(st, ext, slots, func(in int, err error) error { return slotError(ext[in], err) }); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// install (re)builds the index over st and points the id map at it; on
-// error nothing changes. k survives a rebuild over zero survivors.
-func (m *Mutable) install(ids idmap, st *kernel.Store) error {
+func slotError(ext ranking.ID, err error) error { return fmt.Errorf("topk: slot %d: %w", ext, err) }
+
+// install (re)builds the index over st, whose row in is the ranking under
+// external id ext[in] of slots ids, with build's rowErr, and points the id
+// map at it; on error nothing changes. k survives a rebuild over zero
+// survivors.
+func (m *Mutable) install(st *kernel.Store, ext []ranking.ID, slots int, rowErr func(int, error) error) error {
+	ids, err := newIDMap(ext, slots)
+	if err != nil {
+		return err
+	}
 	k := m.k
 	if st.Len() > 0 {
 		k = st.K()
 	}
-	inv, err := build(st)
+	inv, err := build(st, rowErr)
 	if err != nil {
 		return err
 	}
@@ -367,7 +398,14 @@ func (m *Mutable) maybeCompactLocked() {
 
 func (m *Mutable) compactLocked() error {
 	start := time.Now()
-	if err := m.install(newSlotsIDMap(m.slots())); err != nil {
+	n := len(m.ids.ext2int)
+	st, ext, _ := gather(n, m.k, func(ext int) ranking.Ranking {
+		if in := m.ids.ext2int[ext]; in >= 0 {
+			return m.inv.Ranking(ranking.ID(in))
+		}
+		return nil
+	})
+	if err := m.install(st, ext, n, nil); err != nil { // every row passed the check on its way in
 		return err
 	}
 	d := uint64(time.Since(start))

@@ -18,9 +18,10 @@ func pagedSeed() []byte {
 }
 
 // FuzzSnapshot feeds arbitrary (corrupted, truncated, hostile) bytes to
-// every persist reader: none may panic or allocate absurdly, and whatever
-// the legacy decoder or the v3 reader accepts must round-trip slot-identically
-// through the one writer.
+// every persist reader: none may panic or allocate absurdly, whatever the
+// legacy decoder or the v3 reader accepts must round-trip slot-identically
+// through the one writer, and the v3 reader must give the slots or the error
+// the reference loader gives (see referenceLoad).
 func FuzzSnapshot(f *testing.F) {
 	f.Add(goldenV2)
 	f.Add(goldenV1)
@@ -45,6 +46,10 @@ func FuzzSnapshot(f *testing.F) {
 	pflip := append([]byte(nil), pseed...)
 	pflip[pagedHeaderSize+1] ^= 0xff
 	f.Add(pflip)
+	pflag := append([]byte(nil), pseed...)
+	pflag[pagedHeaderSize+1] = 2
+	reseal(pflag)
+	f.Add(pflag)
 
 	rewrite := func(t *testing.T, what string, slots []ranking.Ranking) {
 		var buf bytes.Buffer
@@ -55,11 +60,12 @@ func FuzzSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: rewritten snapshot rejected: %v", what, err)
 		}
-		if len(back.Slots()) != len(slots) {
-			t.Fatalf("%s: round-trip changed slot count: %d -> %d", what, len(slots), len(back.Slots()))
+		got := back.Slots()
+		if len(got) != len(slots) {
+			t.Fatalf("%s: round-trip changed slot count: %d -> %d", what, len(slots), len(got))
 		}
 		for i, a := range slots {
-			if b := back.Slots()[i]; (a == nil) != (b == nil) || !a.Equal(b) {
+			if b := got[i]; (a == nil) != (b == nil) || !a.Equal(b) {
 				t.Fatalf("%s: round-trip changed slot %d: %v -> %v", what, i, a, b)
 			}
 		}
@@ -68,9 +74,12 @@ func FuzzSnapshot(f *testing.F) {
 		if slots, err := ReadLegacy(bytes.NewReader(data)); err == nil {
 			rewrite(t, "legacy", slots)
 		}
-		if pc, err := ReadPagedAll(data); err == nil {
+		pc, err := ReadPagedAll(data)
+		if err == nil {
 			rewrite(t, "paged", pc.Slots())
 		}
+		want, wantErr := referenceReadAll(data)
+		sameLoad(t, "paged", pc, err, want, wantErr)
 		_, _ = decodeFooter(data)
 	})
 }

@@ -4,10 +4,11 @@
 // footer index. Fixed pages are what make checkpoints incremental (see
 // pager.go): a mutation changes only the few pages its slot lives on, and a
 // checkpoint writes only the pages that differ from the previous one. Loading
-// reads the whole file (or the shared page file of an incremental
-// checkpoint), verifies every page checksum — flag and arena pages alike —
-// and only then cuts the slot array out of the verified bytes; the index
-// built over it copies every ranking into its own arena.
+// (loadPaged) reads the pages of the file, or of the shared page file of an
+// incremental checkpoint, on parallel workers, verifies every page checksum
+// — flag and arena pages alike — and copies each live row once, straight
+// into the kernel.Store an index is built over, with the slot of each row
+// beside it: no file-sized buffer, no slot array.
 //
 // Single-file layout (WritePagedTo / OpenPagedFile):
 //
@@ -28,6 +29,7 @@ package persist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -35,9 +37,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
-	"unsafe"
+	"sync"
 
+	"topk/internal/kernel"
 	"topk/internal/ranking"
 )
 
@@ -69,13 +73,6 @@ const (
 var ErrCorrupt = errors.New("persist: corrupt snapshot")
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// hostLittle gates the zero-copy view cast: the format is fixed
-// little-endian, so big-endian hosts decode copies instead.
-var hostLittle = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
 
 // Layout fixes the page geometry of a v3 snapshot. Flag pages come first
 // (pageSize slots per page), then arena pages (SlotsPerArenaPage rankings
@@ -122,12 +119,6 @@ func (l Layout) ArenaPages() int {
 
 // Pages is the total logical page count (flag pages then arena pages).
 func (l Layout) Pages() int { return l.FlagPages() + l.ArenaPages() }
-
-// arenaPos returns the logical page and in-page byte offset of slot i's row.
-func (l Layout) arenaPos(i int) (page, off int) {
-	spp := l.SlotsPerArenaPage()
-	return l.FlagPages() + i/spp, (i % spp) * l.K * itemSize
-}
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
@@ -281,15 +272,31 @@ func ReplaceFile(path string, write func(io.Writer) error) error {
 	return SyncDir(dir)
 }
 
-// PagedCollection is a loaded, fully verified v3 snapshot: the slot array
-// is views over the snapshot's bytes in memory, with no per-ranking decode.
+// PagedCollection is a loaded, fully verified v3 snapshot: its live rows,
+// in slot order, in one kernel.Store, and the slot of each row.
 type PagedCollection struct {
 	layout Layout
-	slots  []ranking.Ranking
+	store  *kernel.Store
+	ids    []ranking.ID
 }
 
-// Slots is the external-id slot array (nil entries are tombstones).
-func (c *PagedCollection) Slots() []ranking.Ranking { return c.slots }
+// Store holds the live rankings in slot order: row i is the ranking under
+// slot IDs()[i]. The caller may take it over.
+func (c *PagedCollection) Store() *kernel.Store { return c.store }
+
+// IDs is the external-id column of Store: row i's slot, ascending. Every
+// slot below Layout().Slots that it does not name is a tombstone.
+func (c *PagedCollection) IDs() []ranking.ID { return c.ids }
+
+// Slots builds the external-id slot array (nil entries are tombstones), its
+// live entries views into Store.
+func (c *PagedCollection) Slots() []ranking.Ranking {
+	slots := make([]ranking.Ranking, c.layout.Slots)
+	for i, id := range c.ids {
+		slots[id] = c.store.Slot(ranking.ID(i))
+	}
+	return slots
+}
 
 // Layout is the snapshot's page geometry.
 func (c *PagedCollection) Layout() Layout { return c.layout }
@@ -299,80 +306,128 @@ func (c *PagedCollection) Layout() Layout { return c.layout }
 // Deprecated: kept until benchmark/ stops calling it (ROADMAP 1(b)).
 func (c *PagedCollection) Close() error { return nil }
 
-// viewRanking reinterprets b as a k-item ranking without copying when the
-// host is little-endian and b is 4-byte aligned (always true for page
-// regions of a heap buffer); otherwise it decodes a heap copy.
-func viewRanking(b []byte, k int) ranking.Ranking {
-	if hostLittle && uintptr(unsafe.Pointer(&b[0]))%itemSize == 0 {
-		return ranking.Ranking(unsafe.Slice((*ranking.Item)(unsafe.Pointer(&b[0])), k))
+// loadPaged reads the logical pages of l from r — page p at byte offset
+// at(p) — and checks each against its write-time checksum crc(p), flag and
+// arena pages alike, so a bit-flipped ranking is ErrCorrupt, never served.
+// The flag pages come first: they say which slots are live, and so where
+// each arena page's live rows go in the store. The arena pages are then read
+// on up to GOMAXPROCS workers, each into its own page buffer, and each live
+// row is decoded straight into the store. Errors keep one order whatever the
+// workers do: the lowest page whose checksum fails, else the lowest slot
+// whose flag is neither 0 nor 1.
+func loadPaged(l Layout, r io.ReaderAt, at func(p int) int64, crc func(p int) uint32) (*PagedCollection, error) {
+	readPage := func(p int, buf []byte) error {
+		if n, err := r.ReadAt(buf, at(p)); n < len(buf) {
+			return fmt.Errorf("%w: page %d: %v", ErrCorrupt, p, err)
+		}
+		if crc32.Checksum(buf, castagnoli) != crc(p) {
+			return fmt.Errorf("%w: page %d checksum mismatch", ErrCorrupt, p)
+		}
+		return nil
 	}
-	r := make(ranking.Ranking, k)
-	for j := range r {
-		r[j] = binary.LittleEndian.Uint32(b[j*itemSize:])
-	}
-	return r
-}
-
-// loadPaged checks every logical page against its write-time checksum —
-// flag and arena pages alike, so a bit-flipped ranking is ErrCorrupt, never
-// served — and then cuts the slot array out of the page region: flag pages
-// say which slots are live, and each live slot becomes a view into its
-// arena page. pageAt resolves a logical page to its bytes (identity offsets
-// for single-file snapshots, through the page map for incremental
-// checkpoints); crc is the logical page's recorded CRC-32C.
-func loadPaged(l Layout, pageAt func(p int) []byte, crc func(p int) uint32) (*PagedCollection, error) {
-	for p := 0; p < l.Pages(); p++ {
-		if crc32.Checksum(pageAt(p), castagnoli) != crc(p) {
-			return nil, fmt.Errorf("%w: page %d checksum mismatch", ErrCorrupt, p)
+	fp := l.FlagPages()
+	flags := make([]byte, fp*l.PageSize)
+	for p := range fp {
+		if err := readPage(p, flags[p*l.PageSize:(p+1)*l.PageSize]); err != nil {
+			return nil, err
 		}
 	}
-	slots := make([]ranking.Ranking, l.Slots)
+	flags = flags[:l.Slots]
+	var flagErr error
+	for s, f := range flags {
+		switch {
+		case f > 1:
+			flagErr = fmt.Errorf("%w: slot %d has flag %d", ErrCorrupt, s, f)
+		case f == 1 && l.K == 0:
+			flagErr = fmt.Errorf("%w: live slot %d in a k=0 snapshot", ErrCorrupt, s)
+		default:
+			continue
+		}
+		break
+	}
+	// before[a] counts the live slots ahead of arena page a: the store row
+	// its first live slot fills.
+	spp, ap := l.SlotsPerArenaPage(), l.ArenaPages()
+	before := make([]int, ap+1)
+	for a := 0; a < ap && flagErr == nil; a++ {
+		n := 0
+		for _, f := range flags[a*spp : min((a+1)*spp, l.Slots)] {
+			n += int(f)
+		}
+		before[a+1] = before[a] + n
+	}
+	live := before[ap]
+
+	flat, ids := make([]ranking.Item, live*l.K), make([]ranking.ID, live)
 	stride := l.K * itemSize
-	for fp := 0; fp < l.FlagPages(); fp++ {
-		pg := pageAt(fp)
-		lo := fp * l.PageSize
-		hi := min(lo+l.PageSize, l.Slots)
-		for s := lo; s < hi; s++ {
-			switch pg[s-lo] {
-			case 0:
-			case 1:
-				if l.K == 0 {
-					return nil, fmt.Errorf("%w: live slot %d in a k=0 snapshot", ErrCorrupt, s)
+	w := min(runtime.GOMAXPROCS(0), ap)
+	errs := make([]error, w)
+	var wg sync.WaitGroup
+	for c := range w {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, l.PageSize)
+			for a := c * ap / w; a < (c+1)*ap/w; a++ {
+				if err := readPage(fp+a, buf); err != nil {
+					errs[c] = err
+					return
 				}
-				ap, off := l.arenaPos(s)
-				slots[s] = viewRanking(pageAt(ap)[off:off+stride], l.K)
-			default:
-				return nil, fmt.Errorf("%w: slot %d has flag %d", ErrCorrupt, s, pg[s-lo])
+				if flagErr != nil {
+					continue // only the checksums still decide the error
+				}
+				row := before[a]
+				for s := a * spp; s < min((a+1)*spp, l.Slots); s++ {
+					if flags[s] == 0 {
+						continue
+					}
+					b, dst := buf[(s-a*spp)*stride:], flat[row*l.K:(row+1)*l.K]
+					for j := range dst {
+						dst[j] = binary.LittleEndian.Uint32(b[j*itemSize:])
+					}
+					ids[row] = ranking.ID(s)
+					row++
+				}
 			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	return &PagedCollection{layout: l, slots: slots}, nil
+	if flagErr != nil {
+		return nil, flagErr
+	}
+	return &PagedCollection{layout: l, store: kernel.NewStoreFlat(l.K, flat), ids: ids}, nil
 }
 
-// parsePagedHeader validates the fixed header of a single-file snapshot
-// against the actual byte count and returns the geometry. Nothing sized by
-// a header field is allocated before this passes.
-func parsePagedHeader(data []byte) (Layout, error) {
+// parsePagedHeader validates the fixed header of a single-file snapshot of
+// size bytes, hdr its first min(size, pagedHeaderSize) bytes, against that
+// size and returns the geometry. Nothing sized by a header field is
+// allocated before this passes.
+func parsePagedHeader(hdr []byte, size int64) (Layout, error) {
 	le := binary.LittleEndian
-	if len(data) >= 4 && le.Uint32(data) == legacyMagic {
+	if len(hdr) >= 4 && le.Uint32(hdr) == legacyMagic {
 		return Layout{}, ErrLegacyFormat
 	}
-	if len(data) < pagedHeaderSize+pagedTrailerLen {
-		return Layout{}, fmt.Errorf("%w: %d bytes is shorter than a v3 header", ErrCorrupt, len(data))
+	if size < pagedHeaderSize+pagedTrailerLen {
+		return Layout{}, fmt.Errorf("%w: %d bytes is shorter than a v3 header", ErrCorrupt, size)
 	}
-	if le.Uint32(data[0:]) != pagedMagic {
+	if le.Uint32(hdr[0:]) != pagedMagic {
 		return Layout{}, fmt.Errorf("%w: wrong magic", ErrBadFormat)
 	}
-	if v := le.Uint32(data[4:]); v != versionV3 {
+	if v := le.Uint32(hdr[4:]); v != versionV3 {
 		return Layout{}, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
 	}
-	if crc32.Checksum(data[:32], castagnoli) != le.Uint32(data[32:]) {
+	if crc32.Checksum(hdr[:32], castagnoli) != le.Uint32(hdr[32:]) {
 		return Layout{}, fmt.Errorf("%w: header checksum mismatch", ErrCorrupt)
 	}
-	l := Layout{PageSize: int(le.Uint32(data[8:])), K: int(le.Uint32(data[12:]))}
-	slots := le.Uint64(data[16:])
-	pages := le.Uint32(data[24:])
-	if hs := le.Uint32(data[28:]); hs != pagedHeaderSize {
+	l := Layout{PageSize: int(le.Uint32(hdr[8:])), K: int(le.Uint32(hdr[12:]))}
+	slots := le.Uint64(hdr[16:])
+	pages := le.Uint32(hdr[24:])
+	if hs := le.Uint32(hdr[28:]); hs != pagedHeaderSize {
 		return Layout{}, fmt.Errorf("%w: header size %d", ErrCorrupt, hs)
 	}
 	if slots > maxSlotCount {
@@ -386,56 +441,72 @@ func parsePagedHeader(data []byte) (Layout, error) {
 		return Layout{}, fmt.Errorf("%w: header says %d pages, geometry needs %d", ErrCorrupt, pages, l.Pages())
 	}
 	want := int64(pagedHeaderSize) + int64(l.Pages())*int64(l.PageSize) + int64(l.Pages())*4 + pagedTrailerLen
-	if int64(len(data)) != want {
-		return Layout{}, fmt.Errorf("%w: file is %d bytes, geometry needs %d", ErrCorrupt, len(data), want)
+	if size != want {
+		return Layout{}, fmt.Errorf("%w: file is %d bytes, geometry needs %d", ErrCorrupt, size, want)
 	}
 	return l, nil
 }
 
-// checkPagedFooter validates the trailer and the CRC table's own checksum,
-// returning the table bytes.
-func checkPagedFooter(data []byte, l Layout) ([]byte, error) {
+// checkPagedFooter validates the footer tail (the CRC table and the
+// trailer) and the table's own checksum, returning the table bytes.
+func checkPagedFooter(tail []byte, l Layout) ([]byte, error) {
 	le := binary.LittleEndian
-	tr := data[len(data)-pagedTrailerLen:]
+	tr := tail[len(tail)-pagedTrailerLen:]
 	if le.Uint32(tr[8:]) != footerMagic {
 		return nil, fmt.Errorf("%w: bad footer magic", ErrCorrupt)
 	}
 	if int(le.Uint32(tr[4:])) != l.Pages()*4 {
 		return nil, fmt.Errorf("%w: footer table length mismatch", ErrCorrupt)
 	}
-	table := data[len(data)-pagedTrailerLen-l.Pages()*4 : len(data)-pagedTrailerLen]
+	table := tail[:l.Pages()*4]
 	if crc32.Checksum(table, castagnoli) != le.Uint32(tr[0:]) {
 		return nil, fmt.Errorf("%w: footer checksum mismatch", ErrCorrupt)
 	}
 	return table, nil
 }
 
-// ReadPagedAll parses a complete single-file v3 snapshot from memory with
-// every page checksum verified. The slots view data, which the caller must
-// not modify afterwards.
-func ReadPagedAll(data []byte) (*PagedCollection, error) {
-	l, err := parsePagedHeader(data)
+// readPaged loads the single-file v3 snapshot of size bytes that r reads:
+// the header, then the footer, then every page through loadPaged.
+func readPaged(r io.ReaderAt, size int64) (*PagedCollection, error) {
+	hdr := make([]byte, min(size, pagedHeaderSize))
+	if n, err := r.ReadAt(hdr, 0); n < len(hdr) {
+		return nil, err
+	}
+	l, err := parsePagedHeader(hdr, size)
 	if err != nil {
 		return nil, err
 	}
-	table, err := checkPagedFooter(data, l)
+	tail := make([]byte, l.Pages()*4+pagedTrailerLen)
+	if n, err := r.ReadAt(tail, size-int64(len(tail))); n < len(tail) {
+		return nil, err
+	}
+	table, err := checkPagedFooter(tail, l)
 	if err != nil {
 		return nil, err
 	}
-	return loadPaged(l,
-		func(p int) []byte {
-			off := pagedHeaderSize + p*l.PageSize
-			return data[off : off+l.PageSize]
-		},
+	return loadPaged(l, r,
+		func(p int) int64 { return pagedHeaderSize + int64(p)*int64(l.PageSize) },
 		func(p int) uint32 { return binary.LittleEndian.Uint32(table[p*4:]) })
 }
 
-// OpenPagedFile reads a single-file v3 snapshot whole and loads it with
-// every page checksum verified.
+// ReadPagedAll parses a complete single-file v3 snapshot from memory with
+// every page checksum verified. The collection copies what it keeps: data
+// is the caller's again once it returns.
+func ReadPagedAll(data []byte) (*PagedCollection, error) {
+	return readPaged(bytes.NewReader(data), int64(len(data)))
+}
+
+// OpenPagedFile loads a single-file v3 snapshot with every page checksum
+// verified, reading its pages straight into the store.
 func OpenPagedFile(path string) (*PagedCollection, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return ReadPagedAll(data)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return readPaged(f, fi.Size())
 }

@@ -117,6 +117,12 @@ func TestPagedFileFailedWriteKeepsSnapshot(t *testing.T) {
 	}
 }
 
+// arenaPos returns the logical page and in-page byte offset of slot i's row.
+func (l Layout) arenaPos(i int) (page, off int) {
+	spp := l.SlotsPerArenaPage()
+	return l.FlagPages() + i/spp, (i % spp) * l.K * itemSize
+}
+
 // flipArenaByte XORs the high byte of slot's first item with 0x40 inside
 // page: the ranking stays well-formed (distinct items, right length) but is
 // no longer the one written, so only the page checksum can catch it.

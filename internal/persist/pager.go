@@ -19,8 +19,9 @@
 // then return to the free list of the next checkpoint. Because reuse is
 // decided by comparison, a page that rotted on disk since footer N is
 // rewritten, never carried forward under its old checksum. Recovery
-// (OpenPagedDir) reads pages.v3 whole and checks every mapped page against
-// the footer's CRC before building anything.
+// (OpenPagedDir) checks every mapped page of pages.v3 against the footer's
+// CRC as it copies the live rows into the store, and answers nothing but an
+// error if one fails.
 package persist
 
 import (
@@ -132,32 +133,34 @@ func LoadFooter(path string) (*Footer, error) {
 }
 
 // OpenPagedDir loads the checkpoint footerPath describes against dir's
-// shared page file: pages.v3 is read whole and every page the footer maps
-// is checksum-verified before the slot array is built. The bool parameter
-// is deprecated and ignored; it remains until benchmark/ stops passing it
-// (ROADMAP 1(b)).
+// shared page file: every page the footer maps is read from pages.v3 and
+// checksum-verified, and the live rows go straight into the store (see
+// loadPaged). The bool parameter is deprecated and ignored; it remains until
+// benchmark/ stops passing it (ROADMAP 1(b)).
 func OpenPagedDir(dir, footerPath string, _ bool) (*PagedCollection, *Footer, error) {
 	ft, err := LoadFooter(footerPath)
 	if err != nil {
 		return nil, nil, err
 	}
 	l := ft.Layout
-	data, err := os.ReadFile(filepath.Join(dir, DataFileName))
+	f, err := os.Open(filepath.Join(dir, DataFileName))
 	if err != nil {
 		return nil, nil, err
 	}
-	filePages := len(data) / l.PageSize
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	filePages := fi.Size() / int64(l.PageSize)
 	for lp, pm := range ft.PageMap {
-		if int(pm) >= filePages {
+		if int64(pm) >= filePages {
 			return nil, nil, fmt.Errorf("%w: logical page %d maps to physical page %d beyond the %d-page file",
 				ErrCorrupt, lp, pm, filePages)
 		}
 	}
-	pc, err := loadPaged(l,
-		func(p int) []byte {
-			off := int(ft.PageMap[p]) * l.PageSize
-			return data[off : off+l.PageSize]
-		},
+	pc, err := loadPaged(l, f,
+		func(p int) int64 { return int64(ft.PageMap[p]) * int64(l.PageSize) },
 		func(p int) uint32 { return ft.CRCs[p] })
 	if err != nil {
 		return nil, nil, err

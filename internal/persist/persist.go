@@ -8,8 +8,12 @@
 // topkquery -save-snapshot and GET /snapshot produce and what -load-snapshot
 // reads) or, for incremental checkpoints, a shared page file plus one footer
 // per checkpoint (pager.go). Nothing in this package writes anything else,
-// and every reader (OpenPagedFile, ReadPagedAll, OpenPagedDir) reads the
-// bytes whole and verifies every page checksum before it builds a slot.
+// and every reader (OpenPagedFile, ReadPagedAll, OpenPagedDir) goes through
+// one loader, which verifies every page checksum and fills a kernel.Store
+// with the live rankings in slot order plus the slot of each
+// (PagedCollection.Store and IDs): an index is built over that store as it
+// is, with no slot array in between. Slots still builds the slot array, as
+// views over the store, for the callers that want one.
 //
 // The two formats that preceded it — "TKRK" version 1 (dense rankings) and
 // version 2 (flagged slots) — survive as one bounded stream decoder,

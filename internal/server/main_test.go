@@ -412,7 +412,7 @@ func TestBuilderForServesMutableKinds(t *testing.T) {
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			s := newServer(nil, "hybrid")
-			c, err := s.openCollection("x", CollectionOptions{Kind: name}, "", func() ([]ranking.Ranking, error) { return rs, nil })
+			c, err := s.openCollection("x", CollectionOptions{Kind: name}, "", func() (seedRows, error) { return seedRows{slots: rs}, nil })
 			if validateKind(name) != nil {
 				if err == nil {
 					t.Fatalf("openCollection built a collection of kind %q, which the server does not serve", name)
@@ -536,7 +536,7 @@ func TestLoadCollectionSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, rs) {
+	if !reflect.DeepEqual(got.pc.Slots(), rs) {
 		t.Fatal("snapshot round-trip diverges")
 	}
 	if _, err := loadSeed("x", path); err == nil {

@@ -255,12 +255,12 @@ func (s *Server) bootstrap() error {
 	// -wal-root it may also start empty (the pure multi-tenant deployment),
 	// everywhere else a missing seed stays a startup error.
 	walDir := s.walDirFor(cfg.DefaultCollection)
-	seed := func() ([]ranking.Ranking, error) {
-		rs, err := loadSeed(cfg.DataPath, cfg.SnapshotPath)
+	seed := func() (seedRows, error) {
+		rows, err := loadSeed(cfg.DataPath, cfg.SnapshotPath)
 		if errors.Is(err, errNoSource) && s.walRoot != "" {
-			return nil, nil
+			return seedRows{}, nil
 		}
-		return rs, err
+		return rows, err
 	}
 	opts := CollectionOptions{Kind: cfg.Kind, DeltaRatio: cfg.DeltaRatio}
 	c, err := s.openCollection(cfg.DefaultCollection, opts, walDir, seed)
@@ -307,24 +307,46 @@ func (s *Server) walDirFor(name string) string {
 	return ""
 }
 
+// seedRows is what a collection is built over: a loaded v3 snapshot or
+// checkpoint, whose rows are already in a store, or else a slot array (a
+// text file; none starts empty).
+type seedRows struct {
+	pc    *persist.PagedCollection
+	slots []ranking.Ranking
+}
+
+// index builds the collection's index over the rows.
+func (r seedRows) index(opts CollectionOptions, alg invindex.Algorithm) (*invindex.Mutable, error) {
+	if r.pc != nil {
+		return invindex.NewMutableFromStore(r.pc.Store(), r.pc.IDs(), r.pc.Layout().Slots, opts.K, alg, opts.DeltaRatio)
+	}
+	return invindex.NewMutable(r.slots, opts.K, alg, opts.DeltaRatio)
+}
+
 // openCollection is the one way a collection comes up — flag-defined,
 // manifest-recovered or created over HTTP. The newest checkpoint in walDir is
-// the base (a v3 footer over the shared page file, read whole with every
-// page checksum verified); without one the seed is (nil: start empty). The
-// logged suffix replays on top, then the log opens a fresh segment. The pager
-// is seeded with the base footer, so the first checkpoint after a restart
-// writes only the pages the replay changed. walDir "" means an in-memory
-// collection: seed, build, done.
-// The collection is returned unpublished.
-func (s *Server) openCollection(name string, opts CollectionOptions, walDir string, seed func() ([]ranking.Ranking, error)) (*Collection, error) {
+// the base (a v3 footer over the shared page file, every page checksum
+// verified as its rows are copied into the store the index is built over);
+// without one the seed is (nil: start empty). The logged suffix replays on
+// top, then the log opens a fresh segment. The pager is seeded with the base
+// footer, so the first checkpoint after a restart writes only the pages the
+// replay changed. walDir "" means an in-memory collection: seed, build,
+// done. The start-up line times the load (read, verify, copy) apart from the
+// index build (check, build). The collection is returned unpublished.
+func (s *Server) openCollection(name string, opts CollectionOptions, walDir string, seed func() (seedRows, error)) (*Collection, error) {
 	logw := s.cfg.logw()
 	var (
-		slots []ranking.Ranking
+		rows  seedRows
 		st    storage
 		cpSeq uint64 // 0 without a checkpoint: replay from the beginning
 		prev  *persist.Footer
 		err   error
 	)
+	alg, err := kindAlgorithm(opts.Kind)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
 	if walDir != "" {
 		// Created here, not by wal.Open below: the index is built before the
 		// log opens.
@@ -336,33 +358,27 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 			return nil, migrationHint(err)
 		}
 		if cpPath != "" {
-			var pc *persist.PagedCollection
-			if pc, prev, err = persist.OpenPagedDir(walDir, cpPath, false); err != nil {
+			if rows.pc, prev, err = persist.OpenPagedDir(walDir, cpPath, false); err != nil {
 				return nil, fmt.Errorf("wal checkpoint %s: %w", cpPath, err)
 			}
-			slots = pc.Slots()
 			if seed != nil {
 				fmt.Fprintf(logw, "collection %q: wal checkpoint (seq %d) is the base; -data/-load-snapshot are not read\n", name, cpSeq)
 			}
 		}
 	}
 	if prev == nil && seed != nil {
-		if slots, err = seed(); err != nil {
+		if rows, err = seed(); err != nil {
 			return nil, err
 		}
 	}
 
-	start := time.Now()
-	alg, err := kindAlgorithm(opts.Kind)
+	loaded := time.Since(start)
+	idx, err := rows.index(opts, alg)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := invindex.NewMutable(slots, opts.K, alg, opts.DeltaRatio)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(logw, "collection %q: indexed %d rankings (k=%d) as %s in %v\n",
-		name, idx.Len(), idx.K(), opts.Kind, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(logw, "collection %q: loaded %d rankings in %v, indexed in %v (k=%d, %s)\n",
+		name, idx.Len(), loaded.Round(time.Millisecond), (time.Since(start) - loaded).Round(time.Millisecond), idx.K(), opts.Kind)
 
 	if walDir != "" {
 		if st.walReplayed, err = recoverWAL(walDir, cpSeq, idx, logw); err != nil {
@@ -534,22 +550,23 @@ func recoverWAL(walDir string, fromSeq uint64, idx *invindex.Mutable, logw io.Wr
 }
 
 // loadSeed reads the flag-defined collection's seed: a text file of rankings
-// or a v3 snapshot, read whole with every page checksum verified; exactly one
-// source must be given.
-func loadSeed(dataPath, snapPath string) ([]ranking.Ranking, error) {
+// or a v3 snapshot, every page checksum verified as its rows are copied into
+// a store; exactly one source must be given.
+func loadSeed(dataPath, snapPath string) (seedRows, error) {
 	switch {
 	case dataPath != "" && snapPath != "":
-		return nil, fmt.Errorf("pass either -data or -load-snapshot, not both")
+		return seedRows{}, fmt.Errorf("pass either -data or -load-snapshot, not both")
 	case snapPath != "":
 		pc, err := persist.OpenPagedFile(snapPath)
 		if err != nil {
-			return nil, migrationHint(fmt.Errorf("-load-snapshot %s: %w", snapPath, err))
+			return seedRows{}, migrationHint(fmt.Errorf("-load-snapshot %s: %w", snapPath, err))
 		}
-		return pc.Slots(), nil
+		return seedRows{pc: pc}, nil
 	case dataPath != "":
-		return ranking.ReadTextFile(dataPath)
+		slots, err := ranking.ReadTextFile(dataPath)
+		return seedRows{slots: slots}, err
 	default:
-		return nil, errNoSource
+		return seedRows{}, errNoSource
 	}
 }
 
