@@ -4,14 +4,15 @@
 //
 // Every collection is one internal/invindex.Mutable — the paper's
 // rank-augmented inverted index, mutable with stable ids, built with one
-// worker per core — and the
-// -kind names its range algorithm: hybrid (the default) and inverted-drop
-// run F&V+Drop, inverted F&V, merge ListMerge; all answer the same, and KNN
-// is the native posting-list pass on every kind. Any other -kind is a usage
-// error before anything listens; the paper baselines (coarse*, blocked*, the
-// metric trees) are built by topkquery -index and measured by topkbench, and
-// this command links none of them. Every served kind takes the same options:
-// -delta-ratio sets its compaction ratio; -calibrate and -shards are ignored.
+// worker per core — answering range queries with F&V+Drop and KNN with the
+// native posting-list pass; -kind takes its two names, hybrid (the default)
+// and inverted-drop. Any other -kind is a usage error before anything
+// listens; a manifest entry of a retired kind (inverted, merge, coarse*)
+// recovers as hybrid. The paper baselines (F&V and ListMerge as topkquery
+// -index inverted|merge, coarse*, blocked*, the metric trees) are built by
+// topkquery and measured by topkbench; this command links none of them.
+// Every served kind takes the same options: -delta-ratio sets its
+// compaction ratio; -calibrate and -shards are ignored.
 //
 // Usage:
 //

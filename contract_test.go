@@ -32,7 +32,7 @@ func TestConstructorsCheckEveryRanking(t *testing.T) {
 	}{
 		{"invindex.New", func(rs []Ranking) error { _, err := invindex.New(rs); return err }},
 		{"invindex.NewMutable", func(rs []Ranking) error {
-			_, err := invindex.NewMutable(rs, 0, invindex.FilterValidateDrop, 0)
+			_, err := invindex.NewMutable(rs, 0, 0)
 			return err
 		}},
 		{"adaptsearch.New", func(rs []Ranking) error { _, err := adaptsearch.New(rs); return err }},
@@ -43,6 +43,7 @@ func TestConstructorsCheckEveryRanking(t *testing.T) {
 		{"NewCoarseIndex", func(rs []Ranking) error { _, err := NewCoarseIndex(rs); return err }},
 		{"NewBlockedIndex", func(rs []Ranking) error { _, err := NewBlockedIndex(rs); return err }},
 		{"NewMetricTree", func(rs []Ranking) error { _, err := NewMetricTree(rs, BKTree); return err }},
+		{"NewStaticInvertedIndex", func(rs []Ranking) error { _, err := NewStaticInvertedIndex(rs, ListMerge); return err }},
 	}
 	cases := []struct {
 		name string

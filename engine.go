@@ -1,12 +1,13 @@
 // The engine layer of the paper baselines: every read-only structure in this
 // package is adapted onto the backend interface — one raw-threshold range
-// search drawing per-query scratch from the structure's pool — and the three
-// read-only kinds (CoarseIndex, BlockedIndex, MetricTree) answer through one
-// query half (queryHalf): Search, NearestNeighbors and DistanceCalls are
-// written once over whatever backend the kind installed. No query reports a
-// backend name: each kind has one. The mutable inverted index is not one of
-// them: InvertedIndex and HybridIndex wrap internal/invindex.Mutable, which
-// cmd/topkserve serves directly (see mutate.go and hybrid.go).
+// search drawing per-query scratch from the structure's pool — and the four
+// read-only kinds (CoarseIndex, BlockedIndex, MetricTree,
+// StaticInvertedIndex) answer through one query half (queryHalf): Search,
+// NearestNeighbors and DistanceCalls are written once over whatever backend
+// the kind installed. No query reports a backend name: each kind has one.
+// The mutable inverted index is not one of them: InvertedIndex and
+// HybridIndex wrap internal/invindex.Mutable, which cmd/topkserve serves
+// directly (see mutate.go and hybrid.go).
 //
 // The ranking contract — the index's ranking size, no repeated item — is
 // ranking.Check. Every constructor applies it to each member of its
@@ -15,20 +16,21 @@
 // structure's own searcher (the metric trees have none, so treeBackend
 // checks), a KNN query in nearestBackend before either route.
 //
-// Candidate validation in every backend bottoms out in internal/kernel: the
-// constructors reached from here flatten the collection into a kernel.Store
-// (one contiguous k-strided arena) and each backend's searcher validates
-// candidates through a query-compiled Footrule kernel, accounting one
-// distance call per evaluated candidate via ev.Add. The inverted-index
-// family (blocked, coarse's medoid filter, adaptsearch) is Footrule-only by
-// construction — posting lists, overlap bounds and list dropping all rest on
-// Footrule's structure — so the evaluator they receive is only the DFC
-// counter; its distance function serves the metric trees.
+// Candidate validation in every backend bottoms out in internal/kernel's
+// query-compiled Footrule kernel, one distance call per evaluated candidate
+// (ev.Add). Only the inverted indices own their rankings, copied into a
+// kernel.Store: StaticInvertedIndex, the mutable kinds and coarse's medoid
+// index. BlockedIndex, coarse's partitions, the metric trees and the
+// adaptsearch sidecar keep the caller's slices (ROADMAP item 13). The
+// inverted-index family is Footrule-only by construction — posting lists,
+// overlap bounds and list dropping rest on Footrule's structure — so the
+// evaluator it receives is only the DFC counter; its distance function
+// serves the metric trees.
 //
 // Exact KNN has two routes through nearestBackend: the BK-tree traverses
-// best-first, and everything else (coarse, blocked, M-/VP-tree, a HybridIndex
-// forced onto adaptsearch) takes the generic reduction knn.Expanding: range
-// searches at a doubling radius, whose distance evaluations count as usual.
+// best-first, and every other backend (a HybridIndex's forced adaptsearch
+// too) takes the generic reduction knn.Expanding: range searches at a
+// doubling radius, whose distance evaluations count as usual.
 package topk
 
 import (
@@ -39,6 +41,7 @@ import (
 	"topk/internal/bktree"
 	"topk/internal/blocked"
 	"topk/internal/coarse"
+	"topk/internal/invindex"
 	"topk/internal/knn"
 	"topk/internal/metric"
 	"topk/internal/ranking"
@@ -59,11 +62,11 @@ type backend interface {
 }
 
 // queryHalf is the query half of the read-only kinds, embedded by
-// CoarseIndex, BlockedIndex and MetricTree. It holds the kind's one physical
-// backend and its DFC counter and defines the public query methods once over
-// them: normalized-threshold conversion, then pooled raw search or exact
-// KNN, each counted on a per-query evaluator. The structures are immutable,
-// so no query takes a lock.
+// CoarseIndex, BlockedIndex, MetricTree and StaticInvertedIndex. It holds
+// the kind's one physical backend and its DFC counter and defines the public
+// query methods once over them: normalized-threshold conversion, then pooled
+// raw search or exact KNN, each counted on a per-query evaluator, plus Len
+// and K. The structures are immutable, so no query takes a lock.
 type queryHalf struct {
 	backend backend
 	calls   atomic.Uint64
@@ -89,6 +92,12 @@ func (h *queryHalf) NearestNeighbors(q Ranking, n int) ([]Result, error) {
 
 // DistanceCalls implements Index.
 func (h *queryHalf) DistanceCalls() uint64 { return h.calls.Load() }
+
+// Len implements Index.
+func (h *queryHalf) Len() int { return h.backend.Len() }
+
+// K implements Index.
+func (h *queryHalf) K() int { return h.backend.K() }
 
 // nearestBackend runs the NearestNeighbors contract over a physical backend:
 // validation, then the BK-tree's best-first traversal or — for every other
@@ -158,6 +167,23 @@ func (b blockedBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator)
 	s := b.pool.Get()
 	defer b.pool.Put(s)
 	return s.Query(q, rawTheta, ev, b.mode)
+}
+
+// invBackend adapts the static inverted index under one of the paper's list
+// algorithms, search: a Searcher method.
+type invBackend struct {
+	idx    *invindex.Index
+	pool   *pool[invindex.Searcher]
+	search func(*invindex.Searcher, Ranking, int, *metric.Evaluator) ([]Result, error)
+}
+
+func (b invBackend) Len() int { return b.idx.Len() }
+func (b invBackend) K() int   { return b.idx.K() }
+
+func (b invBackend) SearchRaw(q Ranking, rawTheta int, ev *metric.Evaluator) ([]Result, error) {
+	s := b.pool.Get()
+	defer b.pool.Put(s)
+	return b.search(s, q, rawTheta, ev)
 }
 
 // treeBackend adapts a metric tree. A BK-tree also answers KNN natively, by

@@ -41,15 +41,15 @@ func main() {
 		{"InvertedIndex (F&V+Drop)", func() (topk.Index, error) {
 			return topk.NewInvertedIndex(rankings)
 		}},
-		{"InvertedIndex (ListMerge)", func() (topk.Index, error) {
-			return topk.NewInvertedIndex(rankings, topk.WithAlgorithm(topk.ListMerge))
+		{"StaticInvertedIndex (ListMerge)", func() (topk.Index, error) {
+			return topk.NewStaticInvertedIndex(rankings, topk.ListMerge)
 		}},
 		{"BK-tree", func() (topk.Index, error) {
 			return topk.NewMetricTree(rankings, topk.BKTree)
 		}},
 	}
 
-	fmt.Printf("%-26s %12s %14s %10s %14s\n", "index", "build", "1000 queries", "results", "distance calls")
+	fmt.Printf("%-31s %12s %14s %10s %14s\n", "index", "build", "1000 queries", "results", "distance calls")
 	for _, c := range contenders {
 		start := time.Now()
 		idx, err := c.build()
@@ -67,7 +67,7 @@ func main() {
 			found += len(res)
 		}
 		queryTime := time.Since(start) * 1000 / time.Duration(len(queries))
-		fmt.Printf("%-26s %12v %14v %10d %14d\n",
+		fmt.Printf("%-31s %12v %14v %10d %14d\n",
 			c.name, buildTime.Round(time.Millisecond), queryTime.Round(time.Millisecond),
 			found, idx.DistanceCalls())
 	}

@@ -41,7 +41,7 @@ func main() {
 		coarseIdx.ThetaC(), coarseIdx.NumPartitions(), time.Since(start).Round(time.Millisecond))
 
 	start = time.Now()
-	baseline, err := topk.NewInvertedIndex(rankingLog, topk.WithAlgorithm(topk.FilterValidate))
+	baseline, err := topk.NewStaticInvertedIndex(rankingLog, topk.FilterValidate)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 // HybridIndex: the library's serving engine. It is the mutable InvertedIndex
-// with FilterValidateDrop — F&V+Drop range search, which validates only the
-// candidates its postings leave undecided, and the native posting-list KNN —
-// whose mutations and tombstone-ratio compaction are the InvertedIndex's own
+// — F&V+Drop range search, which validates only the candidates its postings
+// leave undecided, and the native posting-list KNN — whose mutations and tombstone-ratio compaction are the InvertedIndex's own
 // (internal/invindex.Mutable, which cmd/topkserve serves directly for its
 // hybrid kind). What the hybrid adds is the comparison the end-to-end harness
 // draws: Force pins every query to one of HybridBackends, and a forced
@@ -36,13 +35,12 @@ const (
 
 var _ MutableIndex = (*HybridIndex)(nil)
 
-// HybridIndex is an InvertedIndex with FilterValidateDrop plus two plan
-// counters and Force. Every query — range or KNN — is answered by the
-// inverted index unless Force pins adaptsearch; PlanStats counts the answered
-// queries per backend. Compact, Slots, Len, K, Tombstones and Rebuilds are
-// the embedded index's, so external IDs are stable across mutations and
-// compactions and snapshots round-trip through Slots. All methods are safe
-// for concurrent use.
+// HybridIndex is an InvertedIndex plus two plan counters and Force. Every
+// query — range or KNN — is answered by the inverted index unless Force pins
+// adaptsearch; PlanStats counts the answered queries per backend. Compact,
+// Slots, Len, K, Tombstones and Rebuilds are the embedded index's, so
+// external IDs are stable across mutations and compactions and snapshots
+// round-trip through Slots. All methods are safe for concurrent use.
 type HybridIndex struct {
 	*InvertedIndex
 
@@ -74,29 +72,29 @@ type sidecar struct {
 	gen     uint64
 }
 
-// HybridOption configures NewHybridIndex.
-type HybridOption func(*invConfig)
+// HybridOption configures NewHybridIndex: it is an InvOption.
+type HybridOption = InvOption
 
 // WithHybridMaxTheta does nothing.
 //
 // Deprecated: the threshold was the operating point the coarse backend's θC
 // was tuned for, and the hybrid no longer builds a coarse backend. The option
 // remains only until benchmark/ stops passing it.
-func WithHybridMaxTheta(float64) HybridOption { return func(*invConfig) {} }
+func WithHybridMaxTheta(float64) HybridOption { return func(*float64) {} }
 
 // WithHybridCalibration does nothing.
 //
 // Deprecated: the replay seeded the per-threshold cost estimates of a router
 // the hybrid no longer has — every query goes to the inverted backend unless
 // one is forced. The option remains only until benchmark/ stops passing it.
-func WithHybridCalibration(int) HybridOption { return func(*invConfig) {} }
+func WithHybridCalibration(int) HybridOption { return func(*float64) {} }
 
 // WithHybridDeltaRatio sets the compaction ratio of the hybrid's inverted
 // index (see WithCompactionRatio): the tombstone fraction of the internal id
 // space above which Delete and Update rebuild it over the survivors, default
 // DefaultCompactionRatio. A ratio ≤ 0 disables automatic compaction.
 func WithHybridDeltaRatio(ratio float64) HybridOption {
-	return HybridOption(WithCompactionRatio(ratio))
+	return WithCompactionRatio(ratio)
 }
 
 // NewHybridIndex builds a hybrid index over the collection.
@@ -114,11 +112,7 @@ func NewHybridIndex(rankings []Ranking, opts ...HybridOption) (*HybridIndex, err
 // snapshot can be all tombstones — and yields k = 0 until
 // the first Insert defines the size.
 func NewHybridIndexFromSlots(slots []Ranking, opts ...HybridOption) (*HybridIndex, error) {
-	invOpts := make([]InvOption, len(opts))
-	for i, o := range opts {
-		invOpts[i] = InvOption(o)
-	}
-	ii, err := NewInvertedIndexFromSlots(slots, invOpts...)
+	ii, err := NewInvertedIndexFromSlots(slots, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,8 @@
 // Searcher serves one query at a time, so use one per goroutine — or draw
 // them from a sync.Pool, which is how Mutable (mutable.go), the index
 // cmd/topkserve serves, lets any number of goroutines query a shared index
-// concurrently.
+// concurrently. Mutable answers range queries with F&V+Drop alone; F&V and
+// ListMerge, the same answers for more work, serve the paper's experiments.
 package invindex
 
 import (
@@ -542,21 +543,9 @@ func (s *Searcher) FilterValidate(q ranking.Ranking, rawTheta int, ev *metric.Ev
 	if err := ranking.Check(q, s.idx.K()); err != nil {
 		return nil, err
 	}
-	return s.search(FilterValidate, q, rawTheta, ev), nil
-}
-
-// search answers a query its caller has checked with alg, F&V+Drop in its
-// DropSafe form.
-func (s *Searcher) search(alg Algorithm, q ranking.Ranking, rawTheta int, ev *metric.Evaluator) []ranking.Result {
-	switch alg {
-	case FilterValidate:
-		touched, _, _ := s.accumulate(q, s.byListLength(q), 0)
-		s.cands = s.filter(touched, 0)
-		return s.validate(q, rawTheta, ev)
-	case FilterValidateDrop:
-		return s.decide(q, s.chooseKeptLists(q, rawTheta, DropSafe), rawTheta, ev)
-	}
-	return s.decide(q, s.byListLength(q), rawTheta, nil)
+	touched, _, _ := s.accumulate(q, s.byListLength(q), 0)
+	s.cands = s.filter(touched, 0)
+	return s.validate(q, rawTheta, ev), nil
 }
 
 // filter keeps, in place, the touched ids that are live and whose
@@ -890,5 +879,5 @@ func (s *Searcher) ListMerge(q ranking.Ranking, rawTheta int, _ *metric.Evaluato
 	if err := ranking.Check(q, s.idx.K()); err != nil {
 		return nil, err
 	}
-	return s.search(ListMerge, q, rawTheta, nil), nil
+	return s.decide(q, s.byListLength(q), rawTheta, nil), nil
 }

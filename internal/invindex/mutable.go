@@ -51,23 +51,6 @@ var ErrUnknownID = errors.New("topk: unknown ranking id")
 // above which a Mutable rebuilds itself.
 const DefaultCompactionRatio = 0.25
 
-// Algorithm selects the range-query algorithm of a Mutable. Every algorithm
-// answers exactly the same; they differ in the work they do. KNN always runs
-// the native posting-list pass (Searcher.NearestNeighbors).
-type Algorithm int
-
-const (
-	// FilterValidate is the baseline F&V: merge all k lists, validate each
-	// candidate.
-	FilterValidate Algorithm = iota
-	// FilterValidateDrop additionally drops whole index lists using the
-	// Lemma 2 overlap bound (safe variant).
-	FilterValidateDrop
-	// ListMerge merges id-sorted rank-augmented lists, finalizing exact
-	// distances on the fly; threshold-agnostic.
-	ListMerge
-)
-
 // idmap is the external↔internal id indirection of a Mutable. It is guarded
 // by the Mutable's RWMutex (queries remap under RLock, mutations rewrite under
 // Lock).
@@ -205,10 +188,10 @@ func (m *idmap) remapNN(res []ranking.Result) {
 
 // Mutable is a rank-augmented inverted index with stable external ids under
 // Insert, Delete, Update and synchronous tombstone compaction, answering
-// range queries with one Algorithm and KNN queries with the native
-// posting-list pass. All methods are safe for concurrent use: queries run in
-// parallel under the read lock, each on a searcher from the pool, and
-// mutations take the write lock.
+// range queries with F&V+Drop (Searcher.FilterValidateDrop, DropSafe) and
+// KNN queries with the native posting-list pass. All methods are safe for
+// concurrent use: queries run in parallel under the read lock, each on a
+// searcher from the pool, and mutations take the write lock.
 type Mutable struct {
 	// mu is write-held by mutations (Insert/Delete/Update/Compact) only.
 	mu  sync.RWMutex
@@ -222,7 +205,6 @@ type Mutable struct {
 	// the pool stays valid across Insert.
 	inv       *Index
 	searchers *sync.Pool
-	alg       Algorithm
 	// compactRatio is the tombstone fraction of the internal id space above
 	// which mutations trigger an automatic rebuild; ≤ 0 disables it.
 	compactRatio float64
@@ -241,7 +223,7 @@ type Mutable struct {
 // sizes such an index. compactRatio is the tombstone fraction of the
 // internal id space above which Delete and Update compact (≤ 0 disables it).
 // It copies the live slots into a store and calls NewMutableFromStore.
-func NewMutable(slots []ranking.Ranking, k int, alg Algorithm, compactRatio float64) (*Mutable, error) {
+func NewMutable(slots []ranking.Ranking, k int, compactRatio float64) (*Mutable, error) {
 	if i := slices.IndexFunc(slots, func(r ranking.Ranking) bool { return r != nil }); i >= 0 && k == 0 {
 		k = max(slots[i].K(), 1) // a live ranking holds at least one item
 	}
@@ -255,7 +237,7 @@ func NewMutable(slots []ranking.Ranking, k int, alg Algorithm, compactRatio floa
 			}
 		}
 	}
-	return NewMutableFromStore(st, ext, len(slots), k, alg, compactRatio)
+	return NewMutableFromStore(st, ext, len(slots), k, compactRatio)
 }
 
 // NewMutableFromStore builds a Mutable over st, which it takes over: row in
@@ -264,10 +246,7 @@ func NewMutable(slots []ranking.Ranking, k int, alg Algorithm, compactRatio floa
 // the slot array (internal/persist loads a snapshot into exactly this), and
 // every row passes ranking.Check against k, or st's size without one, in the
 // build's first pass; an error names the row's external ID.
-func NewMutableFromStore(st *kernel.Store, ext []ranking.ID, slots, k int, alg Algorithm, compactRatio float64) (*Mutable, error) {
-	if alg < FilterValidate || alg > ListMerge {
-		return nil, fmt.Errorf("topk: unknown algorithm %d", alg)
-	}
+func NewMutableFromStore(st *kernel.Store, ext []ranking.ID, slots, k int, compactRatio float64) (*Mutable, error) {
 	if len(ext) != st.Len() {
 		return nil, fmt.Errorf("topk: %d external ids for %d rows", len(ext), st.Len())
 	}
@@ -279,7 +258,7 @@ func NewMutableFromStore(st *kernel.Store, ext []ranking.ID, slots, k int, alg A
 			return nil, slotError(ext[0], ranking.Check(st.Slot(0), k))
 		}
 	}
-	m := &Mutable{k: k, alg: alg, compactRatio: compactRatio}
+	m := &Mutable{k: k, compactRatio: compactRatio}
 	if err := m.install(st, ext, slots, func(in int, err error) error { return slotError(ext[in], err) }); err != nil {
 		return nil, err
 	}
@@ -483,8 +462,8 @@ func (m *Mutable) RebuildStats() RebuildStats {
 }
 
 // DistanceCalls returns the cumulative number of Footrule evaluations the
-// range queries performed (the paper's DFC measure; ListMerge and KNN add
-// none).
+// range queries performed (the paper's DFC measure: one per candidate
+// F&V+Drop validates; KNN adds none).
 func (m *Mutable) DistanceCalls() uint64 { return m.calls.Load() }
 
 // SearchTraced returns all live rankings within normalized Footrule distance
@@ -498,7 +477,8 @@ func (m *Mutable) SearchTraced(q ranking.Ranking, theta float64) ([]ranking.Resu
 	}
 	s := m.searchers.Get().(*Searcher)
 	ev := metric.New(nil)
-	res := s.search(m.alg, q, ranking.RawThreshold(theta, m.k), ev)
+	raw := ranking.RawThreshold(theta, m.k)
+	res := s.decide(q, s.chooseKeptLists(q, raw, DropSafe), raw, ev)
 	m.searchers.Put(s)
 	m.calls.Add(ev.Calls())
 	m.ids.remapSearch(res)

@@ -20,7 +20,7 @@ import (
 func TestMutableUpdateUnordersIDMap(t *testing.T) {
 	q := ranking.Ranking{1, 2, 3, 4}
 	tied := ranking.Ranking{2, 1, 3, 4} // distance 2 from q
-	m, err := NewMutable([]ranking.Ranking{q.Clone(), {1, 2, 4, 3}, tied.Clone(), {50, 51, 52, 53}}, 0, FilterValidateDrop, 0)
+	m, err := NewMutable([]ranking.Ranking{q.Clone(), {1, 2, 4, 3}, tied.Clone(), {50, 51, 52, 53}}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestMutableUpdateUnordersIDMap(t *testing.T) {
 // ranking size, and both query paths still reject a query of another size
 // or with a repeated item.
 func TestMutableQueryContractAfterEmptyingCompaction(t *testing.T) {
-	m, err := NewMutable([]ranking.Ranking{{1, 2, 3}, {4, 5, 6}}, 0, FilterValidateDrop, 0)
+	m, err := NewMutable([]ranking.Ranking{{1, 2, 3}, {4, 5, 6}}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestNewMutableInParallel(t *testing.T) {
 			slots[i] = nil
 		}
 	}
-	m, err := NewMutable(slots, 0, FilterValidateDrop, 0)
+	m, err := NewMutable(slots, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestNewMutableInParallel(t *testing.T) {
 	bad := slices.Clone(slots)
 	bad[2*minChunk+1] = ranking.Ranking{1, 1, 2, 3, 4, 5}
 	bad[minChunk+1] = ranking.Ranking{1, 2, 3}
-	if _, err := NewMutable(bad, 0, FilterValidateDrop, 0); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("slot %d:", minChunk+1)) {
+	if _, err := NewMutable(bad, 0, 0); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("slot %d:", minChunk+1)) {
 		t.Fatalf("two bad slots: %v, want the error of slot %d", err, minChunk+1)
 	}
 }
@@ -118,7 +118,7 @@ func TestNewMutableInParallel(t *testing.T) {
 // ErrSizeMismatch, not ErrUnknownID) — keeps it across a compaction that
 // empties it, and refuses a live slot that contradicts it, naming the slot.
 func TestMutableDeclaredK(t *testing.T) {
-	m, err := NewMutable(nil, 4, FilterValidateDrop, 0)
+	m, err := NewMutable(nil, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestMutableDeclaredK(t *testing.T) {
 	}
 	expectRejected("after an emptying compaction")
 
-	_, err = NewMutable([]ranking.Ranking{nil, {1, 2, 3, 4}, {1, 2, 3}}, 4, FilterValidateDrop, 0)
+	_, err = NewMutable([]ranking.Ranking{nil, {1, 2, 3, 4}, {1, 2, 3}}, 4, 0)
 	if !errors.Is(err, ranking.ErrSizeMismatch) || !strings.Contains(err.Error(), "slot 2:") {
 		t.Errorf("a slot of size 3 under a declared k of 4: %v, want ErrSizeMismatch naming slot 2", err)
 	}
-	if _, err := NewMutable([]ranking.Ranking{{1, 2, 3}}, 4, FilterValidateDrop, 0); !errors.Is(err, ranking.ErrSizeMismatch) || !strings.Contains(err.Error(), "slot 0:") {
+	if _, err := NewMutable([]ranking.Ranking{{1, 2, 3}}, 4, 0); !errors.Is(err, ranking.ErrSizeMismatch) || !strings.Contains(err.Error(), "slot 0:") {
 		t.Errorf("a first slot of size 3 under a declared k of 4: %v, want ErrSizeMismatch naming slot 0", err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package kinds is the table of named index kinds topkquery -index builds:
-// the mutable inverted index under its three algorithms and the paper
-// baselines. (topkserve serves the inverted index directly; its -kind names
-// are internal/server's.)
+// the served inverted index (inverted-drop) and the paper baselines, F&V
+// (inverted) and ListMerge (merge) among them. (topkserve serves the inverted
+// index directly; its -kind names are internal/server's.)
 package kinds
 
 import (
@@ -37,13 +37,13 @@ type Kind struct {
 // Table lists every kind.
 var Table = []Kind{
 	{"inverted", func(rs []ranking.Ranking, _ Options) (Index, error) {
-		return topk.NewInvertedIndex(rs, topk.WithAlgorithm(topk.FilterValidate))
+		return topk.NewStaticInvertedIndex(rs, topk.FilterValidate)
 	}},
 	{"inverted-drop", func(rs []ranking.Ranking, _ Options) (Index, error) {
 		return topk.NewInvertedIndex(rs)
 	}},
 	{"merge", func(rs []ranking.Ranking, _ Options) (Index, error) {
-		return topk.NewInvertedIndex(rs, topk.WithAlgorithm(topk.ListMerge))
+		return topk.NewStaticInvertedIndex(rs, topk.ListMerge)
 	}},
 	{"coarse", func(rs []ranking.Ranking, o Options) (Index, error) {
 		return topk.NewCoarseIndex(rs, topk.WithAutoTune(o.MaxTheta))

@@ -166,8 +166,8 @@ func TestLoaderMatchesReference(t *testing.T) {
 	want, wantErr := referenceReadAll(dup)
 	pc, err := ReadPagedAll(dup)
 	sameLoad(t, "repeated item", pc, err, want, wantErr)
-	_, fromStore := invindex.NewMutableFromStore(pc.Store(), pc.IDs(), pc.Layout().Slots, 0, invindex.FilterValidateDrop, 0)
-	_, fromSlots := invindex.NewMutable(want, 0, invindex.FilterValidateDrop, 0)
+	_, fromStore := invindex.NewMutableFromStore(pc.Store(), pc.IDs(), pc.Layout().Slots, 0, 0)
+	_, fromSlots := invindex.NewMutable(want, 0, 0)
 	if fromStore == nil || fromSlots == nil || fromStore.Error() != fromSlots.Error() ||
 		!bytes.Contains([]byte(fromStore.Error()), []byte(fmt.Sprintf("slot %d:", s))) {
 		t.Fatalf("repeated item in slot %d: built over the store %v, over the slots %v", s, fromStore, fromSlots)

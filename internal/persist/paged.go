@@ -157,14 +157,19 @@ func (l Layout) materializePage(p int, slots []ranking.Ranking, buf []byte) {
 	}
 }
 
-// collectionK derives the slot array's ranking size — the first live slot's,
-// 0 when all slots are tombstones — and checks every live slot against it
-// with ranking.Check, so no snapshot holds a slot no load could accept.
-func collectionK(slots []ranking.Ranking) (int, error) {
-	k := 0
+// slotsK is the slot array's ranking size: the first live slot's, 0 when all
+// slots are tombstones.
+func slotsK(slots []ranking.Ranking) int {
 	if i := slices.IndexFunc(slots, func(r ranking.Ranking) bool { return r != nil }); i >= 0 {
-		k = max(slots[i].K(), 1) // a ranking holds at least one item
+		return max(slots[i].K(), 1) // a ranking holds at least one item
 	}
+	return 0
+}
+
+// collectionK is slotsK after a ranking.Check of every live slot against it,
+// so no snapshot holds a slot no load could accept.
+func collectionK(slots []ranking.Ranking) (int, error) {
+	k := slotsK(slots)
 	for id, r := range slots {
 		if r == nil {
 			continue

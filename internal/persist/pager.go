@@ -33,6 +33,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"topk/internal/ranking"
@@ -45,6 +46,7 @@ const (
 	// FooterSuffix names the per-checkpoint footer files
 	// (checkpoint-<seq 16-hex>.v3f).
 	FooterSuffix = ".v3f"
+	footerPrefix = "checkpoint-"
 
 	footerFixedLen = 32
 )
@@ -226,7 +228,7 @@ func (p *Pager) busyPages() (map[uint32]bool, error) {
 	}
 	for _, e := range ents {
 		name := e.Name()
-		if !strings.HasPrefix(name, "checkpoint-") || !strings.HasSuffix(name, FooterSuffix) {
+		if _, ok := FooterSeq(name); !ok {
 			continue
 		}
 		ft, err := LoadFooter(filepath.Join(p.dir, name))
@@ -242,7 +244,15 @@ func (p *Pager) busyPages() (map[uint32]bool, error) {
 
 // FooterPath names checkpoint seq's footer file in dir.
 func FooterPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("checkpoint-%016x%s", seq, FooterSuffix))
+	return filepath.Join(dir, fmt.Sprintf("%s%016x%s", footerPrefix, seq, FooterSuffix))
+}
+
+// FooterSeq reports the checkpoint sequence number of a file name FooterPath
+// makes, and false for any other name.
+func FooterSeq(name string) (uint64, bool) {
+	hex := strings.TrimSuffix(strings.TrimPrefix(name, footerPrefix), FooterSuffix)
+	seq, err := strconv.ParseUint(hex, 16, 64)
+	return seq, err == nil && seq > 0 && name == footerPrefix+hex+FooterSuffix
 }
 
 // prevPage reads into buf the bytes the previous footer maps to logical page
@@ -266,17 +276,16 @@ func (p *Pager) prevPage(f *os.File, lp int, buf []byte) (bool, error) {
 // written to a physical page no footer references. On error the directory
 // still describes the previous checkpoint exactly, and a retry with the
 // same slots writes whatever this attempt did not install.
+// The live slots must pass ranking.Check against the first's size, as an
+// index's Slots views do: unlike WritePagedTo, WriteCheckpoint does not check
+// them again (loading the checkpoint checks every row as it builds).
 func (p *Pager) WriteCheckpoint(seq uint64, slots []ranking.Ranking) (CheckpointStats, error) {
 	var st CheckpointStats
-	k, err := collectionK(slots)
-	if err != nil {
-		return st, err
-	}
 	pageSize := DefaultPageSize
 	if p.prev != nil {
 		pageSize = p.prev.Layout.PageSize
 	}
-	l := Layout{PageSize: pageSize, K: k, Slots: len(slots)}
+	l := Layout{PageSize: pageSize, K: slotsK(slots), Slots: len(slots)}
 	if err := l.validate(); err != nil {
 		return st, err
 	}

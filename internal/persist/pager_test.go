@@ -414,3 +414,26 @@ func ExamplePager() {
 	// incr: 1 written, 4 reused
 	_ = os.RemoveAll(dir)
 }
+
+// TestFooterSeq: FooterSeq reads back the sequence number of every name
+// FooterPath makes, and refuses every other name a WAL directory can hold.
+func TestFooterSeq(t *testing.T) {
+	for _, seq := range []uint64{1, 0x2a, 1<<64 - 1} {
+		if got, ok := FooterSeq(filepath.Base(FooterPath("dir", seq))); !ok || got != seq {
+			t.Errorf("FooterSeq(FooterPath(%d)) = %d, %v", seq, got, ok)
+		}
+	}
+	for _, name := range []string{
+		"checkpoint-0000000000000000.v3f", // seq 0 is no checkpoint
+		"checkpoint-0000000000000001.bin", // the legacy monolithic file
+		"0000000000000001.v3f",
+		"checkpoint-zz.v3f",
+		"checkpoint-.v3f",
+		DataFileName,
+		"wal-0000000000000001.log",
+	} {
+		if seq, ok := FooterSeq(name); ok {
+			t.Errorf("FooterSeq(%q) = %d, true; want false", name, seq)
+		}
+	}
+}

@@ -92,9 +92,9 @@ func TestBatchDeadlineStopsBetweenMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(newIndex(t, rs, "inverted", 0), "inverted") // F&V: every member costs distance calls
+	srv := newServer(newIndex(t, rs, 0), "inverted-drop") // F&V+Drop at θ = 0.2: a member costs distance calls
 	idx := srv.defColl().idx
-	ref := newIndex(t, rs, "inverted", 0)
+	ref := newIndex(t, rs, 0)
 	_, first, err := ref.SearchTraced(rs[0], 0.2)
 	if err != nil || first == 0 {
 		t.Fatalf("first member costs %d distance calls (%v); the test needs some", first, err)
@@ -330,7 +330,7 @@ func TestCacheSurvivesCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := newIndex(t, rs, "hybrid", 0)
+	sh := newIndex(t, rs, 0)
 	srv := newServer(sh, "hybrid")
 	srv.cache = qcache.New(64)
 	h := srv.routes()

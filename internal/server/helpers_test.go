@@ -23,15 +23,11 @@ func newServer(idx *invindex.Mutable, kind string) *Server {
 	return s
 }
 
-// newIndex builds the index a collection of the served kind holds over the
-// slots rs, compacting at deltaRatio.
-func newIndex(t *testing.T, rs []ranking.Ranking, kind string, deltaRatio float64) *invindex.Mutable {
+// newIndex builds the index a collection holds over the slots rs, compacting
+// at deltaRatio.
+func newIndex(t *testing.T, rs []ranking.Ranking, deltaRatio float64) *invindex.Mutable {
 	t.Helper()
-	alg, err := kindAlgorithm(kind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := invindex.NewMutable(rs, 0, alg, deltaRatio)
+	idx, err := invindex.NewMutable(rs, 0, deltaRatio)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestHybridServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := newIndex(t, rs, "hybrid", 0)
+	sh := newIndex(t, rs, 0)
 	h := newServer(sh, "hybrid").routes()
 	ref, err := topk.NewInvertedIndex(rs)
 	if err != nil {
@@ -255,7 +255,7 @@ func TestBatchModes(t *testing.T) {
 		uniform[i], mixed[i] = 0.2, []float64{0.1, 0.2, 0.3}[i%3]
 	}
 	for _, kind := range []string{"inverted-drop", "hybrid"} {
-		sh := newIndex(t, rs, kind, 0)
+		sh := newIndex(t, rs, 0)
 		h := newServer(sh, kind).routes()
 
 		// single returns a single /search reply's results as sent; an empty
@@ -333,7 +333,7 @@ func TestHybridServeMutationDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	rs := difftest.RandomCollection(rng, 240, 8, 150)
 	o := difftest.NewOracle(rs)
-	sh := newIndex(t, rs, "hybrid", 0.05)
+	sh := newIndex(t, rs, 0.05)
 	h := newServer(sh, "hybrid").routes()
 
 	checkSearch := func(q ranking.Ranking, theta float64) {

@@ -214,6 +214,8 @@ func TestCreateValidation(t *testing.T) {
 		{"negative k", http.MethodPut, "/collections/x", `{"k":-1}`, http.StatusBadRequest},
 		{"weight out of range", http.MethodPut, "/collections/x", `{"weight":1.5}`, http.StatusBadRequest},
 		{"retired kind", http.MethodPut, "/collections/x", `{"kind":"coarse"}`, http.StatusBadRequest},
+		{"retired F&V kind", http.MethodPut, "/collections/x", `{"kind":"inverted"}`, http.StatusBadRequest},
+		{"retired ListMerge kind", http.MethodPut, "/collections/x", `{"kind":"merge"}`, http.StatusBadRequest},
 		{"retired maxTheta", http.MethodPut, "/collections/x", `{"maxTheta":0.3}`, http.StatusBadRequest},
 		// A create request cannot force a backend: forceBackend is an unknown
 		// field, whatever its value.
@@ -237,6 +239,10 @@ func TestCreateValidation(t *testing.T) {
 			var e errorBody
 			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" || e.Code == "" {
 				t.Fatalf("error response not the JSON contract: %s", rec.Body)
+			}
+			// A refused kind names the served ones.
+			if strings.HasSuffix(c.name, " kind") && !strings.Contains(e.Error, "hybrid|inverted-drop") {
+				t.Fatalf("%s: error %q does not name hybrid|inverted-drop", c.name, e.Error)
 			}
 		})
 	}
@@ -484,7 +490,7 @@ func TestEmptyCollectionContract(t *testing.T) {
 
 	// Only a mutation that succeeds defines k: a rejected update of an
 	// unknown id must not pin its ranking's size on the collection.
-	for _, kind := range []string{"inverted", "merge", "hybrid"} {
+	for _, kind := range []string{"inverted-drop", "hybrid"} {
 		if rec := doJSON(t, h, http.MethodPut, "/collections/"+kind, map[string]any{"kind": kind}); rec.Code != http.StatusCreated {
 			t.Fatalf("create: %d %s", rec.Code, rec.Body)
 		}
@@ -539,7 +545,8 @@ func TestWALRankingSizeCap(t *testing.T) {
 // entry names what this server no longer does — a forced backend, whether one
 // the hybrid stopped building (blocked, coarse and bktree were legal names
 // once) or adaptsearch (forceBackend was a create option once), or a retired
-// kind (coarse, coarse-drop were servable once): the collection must come
+// kind (coarse and coarse-drop were servable once, F&V's inverted and
+// ListMerge's merge until both gave way to F&V+Drop): the collection must come
 // back as an unforced hybrid — data intact and answering like the oracle,
 // every query answered by inverted — with one log line naming it and the
 // dropped value, and the rewrite must reach the next manifest write.
@@ -556,6 +563,10 @@ func TestStaleManifestForceBackendRecoversUnforced(t *testing.T) {
 			func(o *manifestOptions) { o.ForceBackend = "adaptsearch" }, `"adaptsearch"`},
 		{"retired kind", map[string]any{"kind": "inverted-drop", "k": 6, "shards": 2},
 			func(o *manifestOptions) { o.Kind = "coarse-drop" }, `"coarse-drop"`},
+		{"retired kind inverted", map[string]any{"kind": "inverted-drop", "k": 6},
+			func(o *manifestOptions) { o.Kind = "inverted" }, `"inverted"`},
+		{"retired kind merge", map[string]any{"kind": "inverted-drop", "k": 6},
+			func(o *manifestOptions) { o.Kind = "merge" }, `"merge"`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			root := t.TempDir()

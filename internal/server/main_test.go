@@ -34,7 +34,7 @@ func testServer(t *testing.T) (*Server, []ranking.Ranking, []ranking.Ranking) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := newIndex(t, rs, "inverted-drop", 0)
+	sh := newIndex(t, rs, 0)
 	return newServer(sh, "inverted-drop"), rs, qs
 }
 
@@ -327,10 +327,11 @@ func TestMaxBodyLimit(t *testing.T) {
 	}
 }
 
-// TestValidateKindFlags pins the fail-fast contract of -kind: a kind outside
-// the served inverted family is a usage error out of New — before anything
-// listens or builds. No other flag depends on the kind: every served kind
-// takes -delta-ratio and -calibrate.
+// TestValidateKindFlags pins the fail-fast contract of -kind: a kind other
+// than the two served names of F&V+Drop is a usage error out of New — before
+// anything listens or builds — that names them. That includes the retired
+// F&V and ListMerge kinds, inverted and merge. No other flag depends on the
+// kind: every served kind takes -delta-ratio and -calibrate.
 func TestValidateKindFlags(t *testing.T) {
 	for _, c := range []struct {
 		kind string
@@ -339,8 +340,8 @@ func TestValidateKindFlags(t *testing.T) {
 		{"hybrid", true},
 		{"", true},
 		{"inverted-drop", true},
-		{"merge", true},
-		{"inverted", true},
+		{"merge", false},
+		{"inverted", false},
 		{"coarse", false},
 		{"blocked-drop", false},
 		{"bktree", false},
@@ -348,6 +349,9 @@ func TestValidateKindFlags(t *testing.T) {
 		_, err := New(Config{Kind: c.kind, DeltaRatio: 0.1, MaxConcurrency: -1, Log: io.Discard})
 		if (err == nil) != c.ok {
 			t.Fatalf("New(-kind %q -delta-ratio 0.1) = %v, want ok=%v", c.kind, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "hybrid|inverted-drop") {
+			t.Fatalf("New(-kind %q) = %v, want an error naming hybrid|inverted-drop", c.kind, err)
 		}
 	}
 }
@@ -358,7 +362,7 @@ func TestValidateKindFlags(t *testing.T) {
 // eleventh compacts it — on the flag-defined default collection and on one
 // created over HTTP alike.
 func TestDeltaRatioActsOnEveryKind(t *testing.T) {
-	for _, kind := range []string{"hybrid", "inverted", "inverted-drop", "merge"} {
+	for _, kind := range []string{"hybrid", "inverted-drop"} {
 		t.Run(kind, func(t *testing.T) {
 			s, err := New(Config{Kind: kind, DeltaRatio: 0.1, WALRoot: t.TempDir(), MaxConcurrency: -1, Log: io.Discard})
 			if err != nil {

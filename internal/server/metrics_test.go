@@ -505,7 +505,7 @@ func TestMetricsHybridPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := newIndex(t, rs, "hybrid", 0)
+	sh := newIndex(t, rs, 0)
 	srv := newServer(sh, "hybrid")
 	h := srv.routes()
 	for _, q := range qs {
@@ -575,7 +575,7 @@ func TestReadyz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := newIndex(t, rs, "inverted-drop", 0)
+	sh := newIndex(t, rs, 0)
 	srv.install(sh)
 
 	if rec := get(t, h, "/readyz"); rec.Code != http.StatusOK {
@@ -796,7 +796,7 @@ func TestKNNTraceStagesAndAttribution(t *testing.T) {
 		}
 		return strings.Join(names, " ")
 	}
-	srv := newServer(newIndex(t, rs, "hybrid", 0), "hybrid")
+	srv := newServer(newIndex(t, rs, 0), "hybrid")
 	srv.cache = qcache.New(64)
 	h := srv.routes()
 	body := map[string]any{"query": rs[3], "n": 5}
@@ -866,16 +866,17 @@ func TestBatchTraceAttribution(t *testing.T) {
 }
 
 // TestStandaloneKindTraceAttribution checks that tracing is not a hybrid
-// privilege: a server over a plain inverted kind traces /search and /knn
-// misses with the query's own distance calls — F&V validates its
-// candidates, the native posting-list KNN evaluates none.
+// privilege: a server over the inverted-drop kind traces /search and /knn
+// misses with the query's own distance calls — F&V+Drop validates the
+// candidates its dropped lists leave undecided, the native posting-list KNN
+// evaluates none.
 func TestStandaloneKindTraceAttribution(t *testing.T) {
 	rs, err := dataset.Generate(dataset.NYTLike(400, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := newIndex(t, rs, "inverted", 0)
-	h := newServer(sh, "inverted").routes()
+	sh := newIndex(t, rs, 0)
+	h := newServer(sh, "inverted-drop").routes()
 	for path, c := range map[string]struct {
 		body any
 		dfc  bool

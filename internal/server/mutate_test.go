@@ -66,7 +66,7 @@ func TestApplyReplaysWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered := newIndex(t, rs, "inverted", 0)
+	recovered := newIndex(t, rs, 0)
 	if _, err := recoverWAL(walDir, 0, recovered, io.Discard); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -74,12 +74,12 @@ func TestApplyReplaysWAL(t *testing.T) {
 	if !reflect.DeepEqual(gotSlots, wantSlots) {
 		t.Fatalf("replayed slot view diverged: %d vs %d slots", len(gotSlots), len(wantSlots))
 	}
-	difftest.CheckMatch(t, "replayed-vs-rebuilt", recovered, newIndex(t, wantSlots, "inverted", 0), qs, difftest.Thetas)
+	difftest.CheckMatch(t, "replayed-vs-rebuilt", recovered, newIndex(t, wantSlots, 0), qs, difftest.Thetas)
 	difftest.CheckSearch(t, "replayed-vs-oracle", recovered, o, rng, 20, domain)
 
 	// A replay onto the wrong base must fail loudly, not diverge silently:
 	// the first insert record's id cannot match.
-	wrong := newIndex(t, rs[:200], "inverted", 0)
+	wrong := newIndex(t, rs[:200], 0)
 	if _, err := recoverWAL(walDir, 0, wrong, io.Discard); err == nil || !strings.Contains(err.Error(), "wal does not continue this snapshot") {
 		t.Fatalf("replay onto a shorter base collection: %v, want the continuity error", err)
 	}

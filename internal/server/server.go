@@ -32,6 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -275,8 +276,9 @@ func (s *Server) bootstrap() error {
 // longer builds, with one log line each; the next manifest write persists the
 // rewrite. A kind that is not served recovers as hybrid over the same slots:
 // only this server writes the manifest, and it validated every kind at
-// create, so such a name is one it served once (the coarse kinds from before
-// topkserve narrowed to the inverted family). A forced backend — any name,
+// create, so such a name is one it served once: the coarse kinds from before
+// topkserve narrowed to the inverted family, or inverted (F&V) and merge
+// (ListMerge) from before every kind ran F&V+Drop. A forced backend — any name,
 // since the server no longer forces one — is cleared: every query is then
 // answered by inverted.
 func retireStaleOptions(e *manifestEntry, cfg Config) {
@@ -316,11 +318,11 @@ type seedRows struct {
 }
 
 // index builds the collection's index over the rows.
-func (r seedRows) index(opts CollectionOptions, alg invindex.Algorithm) (*invindex.Mutable, error) {
+func (r seedRows) index(opts CollectionOptions) (*invindex.Mutable, error) {
 	if r.pc != nil {
-		return invindex.NewMutableFromStore(r.pc.Store(), r.pc.IDs(), r.pc.Layout().Slots, opts.K, alg, opts.DeltaRatio)
+		return invindex.NewMutableFromStore(r.pc.Store(), r.pc.IDs(), r.pc.Layout().Slots, opts.K, opts.DeltaRatio)
 	}
-	return invindex.NewMutable(r.slots, opts.K, alg, opts.DeltaRatio)
+	return invindex.NewMutable(r.slots, opts.K, opts.DeltaRatio)
 }
 
 // openCollection is the one way a collection comes up — flag-defined,
@@ -342,8 +344,7 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 		prev  *persist.Footer
 		err   error
 	)
-	alg, err := kindAlgorithm(opts.Kind)
-	if err != nil {
+	if err := validateKind(opts.Kind); err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -373,7 +374,7 @@ func (s *Server) openCollection(name string, opts CollectionOptions, walDir stri
 	}
 
 	loaded := time.Since(start)
-	idx, err := rows.index(opts, alg)
+	idx, err := rows.index(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -570,43 +571,19 @@ func loadSeed(dataPath, snapPath string) (seedRows, error) {
 	}
 }
 
-// servedKinds is the one table of the kinds a collection can be, in -kind
-// help order: each is invindex.Mutable under one range algorithm, and all
-// answer the same. hybrid is the default and the name the other kinds of
-// older servers recover as.
-var servedKinds = []struct {
-	name string
-	alg  invindex.Algorithm
-}{
-	{"hybrid", invindex.FilterValidateDrop},
-	{"inverted", invindex.FilterValidate},
-	{"inverted-drop", invindex.FilterValidateDrop},
-	{"merge", invindex.ListMerge},
-}
+// servedKinds are the kinds a collection can be, in -kind help order. Both
+// name invindex.Mutable, which answers range queries with F&V+Drop; hybrid is
+// the default and the name the kinds older servers served recover as.
+var servedKinds = []string{"hybrid", "inverted-drop"}
 
 // KindNames joins the served kind names with "|" — the spelling of flag help
 // and error texts.
-func KindNames() string {
-	names := make([]string, len(servedKinds))
-	for i, k := range servedKinds {
-		names[i] = k.name
-	}
-	return strings.Join(names, "|")
-}
-
-// kindAlgorithm returns the range algorithm of a served kind, and an error
-// naming the served kinds for any other.
-func kindAlgorithm(kind string) (invindex.Algorithm, error) {
-	for _, k := range servedKinds {
-		if k.name == kind {
-			return k.alg, nil
-		}
-	}
-	return 0, fmt.Errorf("index kind %q is not served (want one of %s)", kind, KindNames())
-}
+func KindNames() string { return strings.Join(servedKinds, "|") }
 
 // validateKind rejects an index kind the server does not serve.
 func validateKind(kind string) error {
-	_, err := kindAlgorithm(kind)
-	return err
+	if !slices.Contains(servedKinds, kind) {
+		return fmt.Errorf("index kind %q is not served (want one of %s)", kind, KindNames())
+	}
+	return nil
 }

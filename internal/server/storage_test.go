@@ -150,7 +150,7 @@ func TestCheckpointRecoveryMatchesReplayDifferential(t *testing.T) {
 	o := difftest.NewOracle(cfg)
 	seed := emptySnapshot(t, dir)
 
-	s1 := startServer(t, "inverted", seed, walDir)
+	s1 := startServer(t, "inverted-drop", seed, walDir)
 	for id, r := range cfg { // seed through the handlers so the WAL has it all
 		rec := doJSON(t, s1.routes(), http.MethodPost, "/insert", map[string]any{"ranking": r})
 		if rec.Code != http.StatusOK {
@@ -167,7 +167,7 @@ func TestCheckpointRecoveryMatchesReplayDifferential(t *testing.T) {
 
 	// From one recovered server, cut the same state both ways: a single-file
 	// snapshot and an incremental checkpoint in the WAL directory.
-	s2 := startServer(t, "inverted", seed, walDir)
+	s2 := startServer(t, "inverted-drop", seed, walDir)
 	snapPath := filepath.Join(dir, "state.v3")
 	slots2 := s2.defColl().idx.Slots()
 	if err := persist.WritePagedFile(snapPath, slots2); err != nil {
@@ -176,12 +176,12 @@ func TestCheckpointRecoveryMatchesReplayDifferential(t *testing.T) {
 	checkpointHTTP(t, s2)
 	stopWALServer(t, s2)
 
-	cpSrv := startServer(t, "inverted", seed, walDir)
+	cpSrv := startServer(t, "inverted-drop", seed, walDir)
 	if cpSrv.defColl().pager.Prev() == nil {
 		t.Fatal("checkpointed directory did not recover through the paged path")
 	}
-	snapSrv := startServer(t, "inverted", snapPath, filepath.Join(dir, "wal-snap"))
-	rp := startServer(t, "inverted", seed, replayDir)
+	snapSrv := startServer(t, "inverted-drop", snapPath, filepath.Join(dir, "wal-snap"))
+	rp := startServer(t, "inverted-drop", seed, replayDir)
 	if rp.defColl().pager.Prev() != nil {
 		t.Fatal("replay clone unexpectedly found a checkpoint")
 	}

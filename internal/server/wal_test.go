@@ -171,7 +171,7 @@ func TestWALRecoveryTornTail(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(4))
 	o := difftest.NewOracle(cfg)
-	s1 := startServer(t, "inverted", snapPath, walDir)
+	s1 := startServer(t, "inverted-drop", snapPath, walDir)
 	mutateOverHTTP(t, s1.routes(), o, rng, 60, 80)
 	appended := int(s1.defColl().wal.Stats().Appended)
 	stopWALServer(t, s1)
@@ -192,7 +192,7 @@ func TestWALRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := startServer(t, "inverted", snapPath, walDir)
+	s2 := startServer(t, "inverted-drop", snapPath, walDir)
 	// Every record is at least 15 bytes, so removing 5 bytes tears exactly
 	// the final one: recovery keeps the longest acked prefix.
 	if got, want := s2.defColl().walReplayed, appended-1; got != want {

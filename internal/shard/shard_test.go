@@ -213,9 +213,6 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 		{"inverted-drop", func(rs []ranking.Ranking) (subject, error) {
 			return topk.NewInvertedIndexFromSlots(rs)
 		}},
-		{"merge", func(rs []ranking.Ranking) (subject, error) {
-			return topk.NewInvertedIndexFromSlots(rs, topk.WithAlgorithm(topk.ListMerge))
-		}},
 		{"hybrid", func(rs []ranking.Ranking) (subject, error) {
 			return topk.NewHybridIndexFromSlots(rs)
 		}},

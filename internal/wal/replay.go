@@ -15,6 +15,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"topk/internal/persist"
 )
 
 // ReplayStats reports what a Replay pass recovered.
@@ -40,7 +42,7 @@ func LatestCheckpoint(dir string) (uint64, string, error) {
 		return 0, "", err
 	}
 	seq := cps[len(cps)-1]
-	return seq, footerPath(dir, seq), nil
+	return seq, persist.FooterPath(dir, seq), nil
 }
 
 // Replay streams every record of the segments with sequence ≥ from through

@@ -250,12 +250,6 @@ func segmentPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%016x.log", seq))
 }
 
-// footerPath names checkpoint seq's footer file, whose pages live in the
-// shared pages.v3 next to it.
-func footerPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.v3f", seq))
-}
-
 // scan lists segment and checkpoint-footer sequence numbers present in dir,
 // ascending. The shared pages.v3 file is not a sequenced artifact and is
 // never listed (and so never truncated). A monolithic .bin checkpoint fails
@@ -267,14 +261,14 @@ func scan(dir string) (segs, cps []uint64, err error) {
 	}
 	for _, e := range ents {
 		name := e.Name()
+		if seq, ok := persist.FooterSeq(name); ok {
+			cps = append(cps, seq)
+			continue
+		}
 		switch {
 		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
 			if seq, ok := parseSeq(name, "wal-", ".log"); ok {
 				segs = append(segs, seq)
-			}
-		case strings.HasPrefix(name, "checkpoint-") && strings.HasSuffix(name, ".v3f"):
-			if seq, ok := parseSeq(name, "checkpoint-", ".v3f"); ok {
-				cps = append(cps, seq)
 			}
 		case strings.HasPrefix(name, "checkpoint-") && strings.HasSuffix(name, ".bin"):
 			return nil, nil, fmt.Errorf("%w: %s", ErrLegacyCheckpoint, filepath.Join(dir, name))
@@ -532,7 +526,7 @@ func (l *Log) truncateBelow(seq uint64) error {
 	}
 	for _, c := range cps {
 		if c < seq {
-			if err := os.Remove(footerPath(l.dir, c)); err != nil {
+			if err := os.Remove(persist.FooterPath(l.dir, c)); err != nil {
 				return err
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"topk/internal/persist"
 	"topk/internal/ranking"
 )
 
@@ -249,7 +250,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	// at the footer path is the checkpoint.
 	state := []byte("state-at-rotation")
 	if err := l.Checkpoint(seq, func(d string) error {
-		return os.WriteFile(footerPath(d, seq), state, 0o644)
+		return os.WriteFile(persist.FooterPath(d, seq), state, 0o644)
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,12 @@ func TestNearestNeighborsAllIndexes(t *testing.T) {
 	} else {
 		t.Fatal(err)
 	}
-	if idx, err := NewInvertedIndex(rs, WithAlgorithm(ListMerge)); err == nil {
-		searchers["merge"] = idx
-	} else {
-		t.Fatal(err)
+	for name, alg := range map[string]Algorithm{"static-fv": FilterValidate, "merge": ListMerge} {
+		idx, err := NewStaticInvertedIndex(rs, alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		searchers[name] = idx
 	}
 	if idx, err := NewBlockedIndex(rs, WithBlockedDrop()); err == nil {
 		searchers["blocked"] = idx

@@ -7,7 +7,7 @@
 // of the id space — is internal/invindex.Mutable, the index cmd/topkserve
 // serves. InvertedIndex wraps it, and HybridIndex wraps an InvertedIndex;
 // external IDs are stable across mutations and compactions. The paper
-// baselines — CoarseIndex, BlockedIndex and the metric trees — are static.
+// baselines, StaticInvertedIndex among them, are static.
 package topk
 
 import "topk/internal/invindex"

@@ -30,9 +30,6 @@ func TestConcurrentMutation(t *testing.T) {
 		"InvertedIndex": func() (difftest.Mutable, error) {
 			return topk.NewInvertedIndex(base)
 		},
-		"InvertedIndex/Merge": func() (difftest.Mutable, error) {
-			return topk.NewInvertedIndex(base, topk.WithAlgorithm(topk.ListMerge))
-		},
 		"HybridIndex": func() (difftest.Mutable, error) {
 			return topk.NewHybridIndex(base)
 		},

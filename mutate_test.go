@@ -28,16 +28,8 @@ func mutableBuilders(autoCompact bool) map[string]mutableBuilder {
 		ratio = DefaultCompactionRatio
 	}
 	return map[string]mutableBuilder{
-		"InvertedIndex/FV": func(slots []Ranking) (difftest.Mutable, error) {
-			return NewInvertedIndexFromSlots(slots,
-				WithAlgorithm(FilterValidate), WithCompactionRatio(ratio))
-		},
 		"InvertedIndex/Drop": func(slots []Ranking) (difftest.Mutable, error) {
 			return NewInvertedIndexFromSlots(slots, WithCompactionRatio(ratio))
-		},
-		"InvertedIndex/Merge": func(slots []Ranking) (difftest.Mutable, error) {
-			return NewInvertedIndexFromSlots(slots,
-				WithAlgorithm(ListMerge), WithCompactionRatio(ratio))
 		},
 		// The ratio is the hybrid's compaction trigger, set through its own
 		// option (WithHybridDeltaRatio).

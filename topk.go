@@ -29,8 +29,9 @@
 // Insert, Delete and Update with stable external IDs, tombstone filtering on
 // the query path and synchronous compaction once tombstones pass a ratio of
 // the id space, with writers briefly excluded from readers by an RWMutex. The
-// paper baselines (CoarseIndex, BlockedIndex, the metric trees) are read-only
-// and take no lock at all.
+// paper baselines (CoarseIndex, BlockedIndex, the metric trees and
+// StaticInvertedIndex's F&V and ListMerge) are read-only and take no lock at
+// all.
 package topk
 
 import (
@@ -218,60 +219,28 @@ func (c *CoarseIndex) ThetaC() float64 { return c.thetaC }
 // NumPartitions reports how many medoid partitions the index holds.
 func (c *CoarseIndex) NumPartitions() int { return c.idx.NumPartitions() }
 
-// Len implements Index.
-func (c *CoarseIndex) Len() int { return c.idx.Len() }
-
-// K implements Index.
-func (c *CoarseIndex) K() int { return c.idx.K() }
-
 // ---------------------------------------------------------------------------
 // InvertedIndex
 // ---------------------------------------------------------------------------
 
-// Algorithm selects the query processing strategy of an InvertedIndex.
-type Algorithm = invindex.Algorithm
-
-const (
-	// FilterValidate is the baseline F&V: merge all k lists, validate each
-	// candidate.
-	FilterValidate = invindex.FilterValidate
-	// FilterValidateDrop additionally drops whole index lists using the
-	// Lemma 2 overlap bound (safe variant).
-	FilterValidateDrop = invindex.FilterValidateDrop
-	// ListMerge merges id-sorted rank-augmented lists, finalizing exact
-	// distances on the fly; threshold-agnostic.
-	ListMerge = invindex.ListMerge
-)
-
-// InvertedIndex is the rank-augmented inverted index with the paper's
-// filter-and-validate algorithm family — invindex.Mutable, the index
-// cmd/topkserve serves, under the library's name. It is mutable: posting lists
-// stay id-sorted because internal ids grow monotonically, every query
-// algorithm skips tombstoned postings until compaction purges them, and KNN
-// runs the native posting-list pass whatever the range algorithm.
+// InvertedIndex is invindex.Mutable, the index cmd/topkserve serves, under
+// the library's name: range queries by F&V+Drop, the fastest of the paper's
+// inverted-index algorithms (§7, Figs. 8–9), KNN by the native posting-list
+// pass. It is mutable: posting lists stay id-sorted because internal ids
+// grow monotonically, and every query skips tombstoned postings until
+// compaction purges them. The paper's F&V and ListMerge, which answer the
+// same for more work, are StaticInvertedIndex.
 type InvertedIndex struct{ *invindex.Mutable }
 
-// InvOption configures NewInvertedIndex.
-type InvOption func(*invConfig)
-
-// invConfig is what the options set before the build.
-type invConfig struct {
-	alg   Algorithm
-	ratio float64
-}
-
-// WithAlgorithm selects the query strategy (default FilterValidateDrop,
-// the best all-round performer of the evaluation).
-func WithAlgorithm(a Algorithm) InvOption {
-	return func(c *invConfig) { c.alg = a }
-}
+// InvOption configures NewInvertedIndex: it sets the compaction ratio.
+type InvOption func(ratio *float64)
 
 // WithCompactionRatio sets the tombstone fraction of the inner id space
 // above which Delete/Update trigger an automatic rebuild over the surviving
 // rankings (default DefaultCompactionRatio). A ratio ≤ 0 disables automatic
 // compaction; Compact can still be called explicitly.
 func WithCompactionRatio(ratio float64) InvOption {
-	return func(c *invConfig) { c.ratio = ratio }
+	return func(r *float64) { *r = ratio }
 }
 
 // NewInvertedIndex builds a rank-augmented inverted index.
@@ -287,15 +256,58 @@ func NewInvertedIndex(rankings []Ranking, opts ...InvOption) (*InvertedIndex, er
 // the ranking at position i gets external ID i, and nil entries are retired
 // IDs that stay retired. With zero live slots the first Insert defines k.
 func NewInvertedIndexFromSlots(slots []Ranking, opts ...InvOption) (*InvertedIndex, error) {
-	c := invConfig{alg: FilterValidateDrop, ratio: DefaultCompactionRatio}
+	ratio := DefaultCompactionRatio
 	for _, o := range opts {
-		o(&c)
+		o(&ratio)
 	}
-	m, err := invindex.NewMutable(slots, 0, c.alg, c.ratio)
+	m, err := invindex.NewMutable(slots, 0, ratio)
 	if err != nil {
 		return nil, err
 	}
 	return &InvertedIndex{m}, nil
+}
+
+// Algorithm selects the paper algorithm a StaticInvertedIndex answers with:
+// FilterValidate, the baseline F&V (§4), merges all k lists and validates
+// each candidate; ListMerge (§7) merges the id-sorted rank-augmented lists,
+// finalizing exact distances on the fly, whatever the threshold.
+type Algorithm int
+
+// The algorithms of a StaticInvertedIndex.
+const (
+	FilterValidate Algorithm = iota
+	ListMerge
+)
+
+// StaticInvertedIndex is the paper's rank-augmented inverted index over a
+// static collection, answering range queries with F&V or ListMerge — the
+// baselines InvertedIndex's F&V+Drop answers identically with less work.
+// Like the other paper baselines it has no mutating operations, so Search
+// takes no lock; KNN runs the expanding-radius reduction over the range
+// search.
+type StaticInvertedIndex struct {
+	queryHalf
+}
+
+// NewStaticInvertedIndex builds a static inverted index answering with alg.
+func NewStaticInvertedIndex(rankings []Ranking, alg Algorithm) (*StaticInvertedIndex, error) {
+	if _, err := validateCollection(rankings); err != nil {
+		return nil, err
+	}
+	b := invBackend{search: (*invindex.Searcher).FilterValidate}
+	switch alg {
+	case FilterValidate:
+	case ListMerge:
+		b.search = (*invindex.Searcher).ListMerge
+	default:
+		return nil, fmt.Errorf("topk: unknown algorithm %d", alg)
+	}
+	idx, err := invindex.New(rankings)
+	if err != nil {
+		return nil, err
+	}
+	b.idx, b.pool = idx, newPool(idx, invindex.NewSearcher)
+	return &StaticInvertedIndex{queryHalf{backend: b}}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -336,12 +348,6 @@ func NewBlockedIndex(rankings []Ranking, opts ...BlockedOption) (*BlockedIndex, 
 	b.backend = blockedBackend{idx: idx, pool: newPool(idx, blocked.NewSearcher), mode: b.mode}
 	return b, nil
 }
-
-// Len implements Index.
-func (b *BlockedIndex) Len() int { return b.backend.Len() }
-
-// K implements Index.
-func (b *BlockedIndex) K() int { return b.backend.K() }
 
 // ---------------------------------------------------------------------------
 // Metric trees
@@ -392,9 +398,3 @@ func NewMetricTree(rankings []Ranking, kind TreeKind) (*MetricTree, error) {
 	}
 	return &MetricTree{queryHalf{backend: b}}, nil
 }
-
-// Len implements Index.
-func (t *MetricTree) Len() int { return t.backend.Len() }
-
-// K implements Index.
-func (t *MetricTree) K() int { return t.backend.K() }

@@ -40,14 +40,16 @@ func TestConcurrentSearch(t *testing.T) {
 		"Coarse+Drop": func() (topk.Index, error) {
 			return topk.NewCoarseIndex(rs, topk.WithThetaC(0.06), topk.WithListDropping())
 		},
-		"InvertedIndex/FV": func() (topk.Index, error) {
-			return topk.NewInvertedIndex(rs, topk.WithAlgorithm(topk.FilterValidate))
-		},
+		// The served inverted index (F&V+Drop), and the static one under
+		// the paper's F&V and ListMerge.
 		"InvertedIndex/Drop": func() (topk.Index, error) {
 			return topk.NewInvertedIndex(rs)
 		},
+		"InvertedIndex/FV": func() (topk.Index, error) {
+			return topk.NewStaticInvertedIndex(rs, topk.FilterValidate)
+		},
 		"InvertedIndex/Merge": func() (topk.Index, error) {
-			return topk.NewInvertedIndex(rs, topk.WithAlgorithm(topk.ListMerge))
+			return topk.NewStaticInvertedIndex(rs, topk.ListMerge)
 		},
 		"BlockedIndex": func() (topk.Index, error) {
 			return topk.NewBlockedIndex(rs)

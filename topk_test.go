@@ -46,12 +46,12 @@ func TestAllPublicIndexesAgree(t *testing.T) {
 		"CoarseIndex/RandomMedoids": func() (Index, error) {
 			return NewCoarseIndex(rs, WithThetaC(0.3), WithRandomMedoids(3))
 		},
-		"InvertedIndex/FV": func() (Index, error) {
-			return NewInvertedIndex(rs, WithAlgorithm(FilterValidate))
+		"InvertedIndex": func() (Index, error) { return NewInvertedIndex(rs) },
+		"StaticInvertedIndex/FV": func() (Index, error) {
+			return NewStaticInvertedIndex(rs, FilterValidate)
 		},
-		"InvertedIndex/Drop": func() (Index, error) { return NewInvertedIndex(rs) },
-		"InvertedIndex/Merge": func() (Index, error) {
-			return NewInvertedIndex(rs, WithAlgorithm(ListMerge))
+		"StaticInvertedIndex/Merge": func() (Index, error) {
+			return NewStaticInvertedIndex(rs, ListMerge)
 		},
 		"BlockedIndex":      func() (Index, error) { return NewBlockedIndex(rs) },
 		"BlockedIndex/Drop": func() (Index, error) { return NewBlockedIndex(rs, WithBlockedDrop()) },
@@ -70,7 +70,7 @@ func TestAllPublicIndexesAgree(t *testing.T) {
 		checkIndexAgainstBrute(t, idx, rs, name)
 		// ListMerge finalizes distances inside the merge and never invokes
 		// the distance function — its DFC is zero by design (Section 7).
-		if name != "InvertedIndex/Merge" && idx.DistanceCalls() == 0 {
+		if name != "StaticInvertedIndex/Merge" && idx.DistanceCalls() == 0 {
 			t.Errorf("%s: no distance calls recorded", name)
 		}
 	}
@@ -98,6 +98,9 @@ func TestEmptyCollectionRejected(t *testing.T) {
 	}
 	if _, err := NewInvertedIndex(nil); err == nil {
 		t.Error("inverted: empty accepted")
+	}
+	if _, err := NewStaticInvertedIndex(nil, ListMerge); err == nil {
+		t.Error("static inverted: empty accepted")
 	}
 	if _, err := NewBlockedIndex(nil); err == nil {
 		t.Error("blocked: empty accepted")
@@ -145,9 +148,9 @@ func TestQueryContract(t *testing.T) {
 	builders := map[string]func() (queryer, error){
 		"coarse":        func() (queryer, error) { return NewCoarseIndex(rs) },
 		"coarse-drop":   func() (queryer, error) { return NewCoarseIndex(rs, WithThetaC(0.06), WithListDropping()) },
-		"inverted":      func() (queryer, error) { return NewInvertedIndex(rs, WithAlgorithm(FilterValidate)) },
+		"inverted":      func() (queryer, error) { return NewStaticInvertedIndex(rs, FilterValidate) },
 		"inverted-drop": func() (queryer, error) { return NewInvertedIndex(rs) },
-		"merge":         func() (queryer, error) { return NewInvertedIndex(rs, WithAlgorithm(ListMerge)) },
+		"merge":         func() (queryer, error) { return NewStaticInvertedIndex(rs, ListMerge) },
 		"blocked":       func() (queryer, error) { return NewBlockedIndex(rs) },
 		"blocked-drop":  func() (queryer, error) { return NewBlockedIndex(rs, WithBlockedDrop()) },
 		"bktree":        func() (queryer, error) { return NewMetricTree(rs, BKTree) },
